@@ -7,8 +7,9 @@
 //! * [`BigUint`] — heap-allocated little-endian `u64` limbs with
 //!   schoolbook + Karatsuba multiplication and Knuth Algorithm D
 //!   division,
-//! * [`mont::MontCtx`] — Montgomery multiplication and windowed modular
-//!   exponentiation (the workhorse of Paillier encryption),
+//! * [`mont::MontCtx`] — Montgomery multiplication and sliding-window
+//!   multi-exponentiation (the workhorse of Paillier encryption and of
+//!   every homomorphic dot product),
 //! * [`prime`] — Miller–Rabin primality testing and random prime
 //!   generation,
 //! * [`modular`] — gcd, extended gcd, and modular inverses,

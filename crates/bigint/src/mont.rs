@@ -1,10 +1,24 @@
-//! Montgomery multiplication and windowed modular exponentiation.
+//! Montgomery multiplication and multi-exponentiation.
 //!
-//! Paillier encryption is dominated by `r^n mod n^2`; a CIOS (coarsely
-//! integrated operand scanning) Montgomery multiplier plus 4-bit-window
-//! exponentiation makes this tractable without GMP.
+//! Paillier is exponentiation modulo `n²`: encryption is dominated by
+//! `r^n`, decryption by `c^(p−1)`, and every homomorphic dot product is
+//! a product of powers `Π_t c_t^{e_t}`. All of them run through one
+//! core, [`MontCtx::multi_pow_into`]: factors with equal exponents are
+//! multiplied together first and raised once, the distinct exponents
+//! that remain share a single squaring chain (interleaved sliding
+//! windows), and the inner loops are the allocation-free
+//! [`MontCtx::mont_mul_into`] / [`MontCtx::mont_sqr_into`].
 
 use crate::BigUint;
+
+/// Widest sliding window: tables hold at most `2^(MAX_WINDOW − 1)` odd
+/// powers. Six is the optimum for the 1024-bit exponents of a 2048-bit
+/// `n²`; wider only pays beyond ~2500-bit exponents.
+const MAX_WINDOW: u32 = 6;
+
+/// Operand widths up to this many limbs square through a stack buffer
+/// (4096-bit `n²`, i.e. 2048-bit keys); wider ones allocate.
+const SQR_STACK_LIMBS: usize = 64;
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -19,6 +33,40 @@ pub struct MontCtx {
     r1: Vec<u64>,
     /// `R^2 mod m`, used to convert into Montgomery form.
     r2: Vec<u64>,
+}
+
+/// Sliding-window table of one Montgomery-form base: its odd powers
+/// `b, b³, …, b^(2^w − 1)`, flat. Built by [`MontCtx::odd_powers`];
+/// callers keep one when the same base meets several exponents.
+#[derive(Debug)]
+pub struct OddPowers {
+    w: u32,
+    limbs: Vec<u64>,
+}
+
+/// One factor `base^exp` of a [`MontCtx::multi_pow_into`] product.
+#[derive(Clone, Copy, Debug)]
+pub struct PowTerm<'a> {
+    /// The base, in Montgomery form.
+    pub base: &'a [u64],
+    /// The exponent (zero contributes the factor 1).
+    pub exp: &'a BigUint,
+    /// A prebuilt table of `base`, used when no other term shares this
+    /// term's exponent (equal exponents are raised as one product).
+    pub table: Option<&'a OddPowers>,
+}
+
+/// Sliding-window width for an exponent of `bits` bits, `ones` of them
+/// set, whose table is built once and used by `uses` exponentiations:
+/// minimises table multiplies plus `uses ×` window multiplies. Width 1
+/// needs no table, so sparse exponents (`2^frac_bits`) never build one.
+pub fn window_bits(bits: usize, ones: usize, uses: usize) -> u32 {
+    (1..=MAX_WINDOW)
+        .min_by_key(|&w| {
+            let table = if w == 1 { 0 } else { 1usize << (w - 1) };
+            table + uses * ones.min(bits.div_ceil(w as usize + 1))
+        })
+        .expect("non-empty window range")
 }
 
 impl MontCtx {
@@ -51,87 +99,115 @@ impl MontCtx {
         BigUint::from_limbs(self.mont_mul(a, &one))
     }
 
-    /// CIOS Montgomery product: returns `a*b*R^{-1} mod m` in limb form.
-    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// CIOS Montgomery product `a*b*R^{-1} mod m` into `out`, with no
+    /// allocation. The multiply and reduce passes of one operand limb
+    /// are fused into a single sweep with two carry chains, so the
+    /// running sum is loaded and stored once per limb, and `out` itself
+    /// is the `k`-limb accumulator.
+    pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         let k = self.k;
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        let m = &self.m.limbs;
-        let mut t = vec![0u64; k + 2];
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // u = t[0] * m' mod 2^64 ; t += u*m ; t >>= 64
-            let u = t[0].wrapping_mul(self.m_inv);
-            let s = t[0] as u128 + u as u128 * m[0] as u128;
-            let mut carry = s >> 64;
+        let m = &self.m.limbs[..k];
+        assert!(a.len() == k && b.len() == k && out.len() == k);
+        out.fill(0);
+        let mut top = 0u64;
+        for &ai in a {
+            // Column 0 fixes u = t[0]·m' mod 2^64 and clears to zero.
+            let s = out[0] as u128 + ai as u128 * b[0] as u128;
+            let u = (s as u64).wrapping_mul(self.m_inv);
+            let mut c1 = s >> 64;
+            let mut c2 = (s as u64 as u128 + u as u128 * m[0] as u128) >> 64;
             for j in 1..k {
-                let s = t[j] as u128 + u as u128 * m[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
+                let s = out[j] as u128 + ai as u128 * b[j] as u128 + c1;
+                c1 = s >> 64;
+                let s = s as u64 as u128 + u as u128 * m[j] as u128 + c2;
+                c2 = s >> 64;
+                out[j - 1] = s as u64;
             }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1] + ((s >> 64) as u64);
-            t[k + 1] = 0;
+            let s = top as u128 + c1 + c2;
+            out[k - 1] = s as u64;
+            top = (s >> 64) as u64;
         }
-        t.truncate(k + 1);
-        // Conditional subtraction to bring into [0, m).
-        if t[k] != 0 || cmp_limbs(&t[..k], m) >= 0 {
-            sub_limbs(&mut t, m);
+        if top != 0 || cmp_limbs(out, m) >= 0 {
+            sub_limbs(out, m);
         }
-        t.truncate(k);
-        t
     }
 
-    /// Montgomery squaring: `a*a*R^{-1} mod m` in limb form.
+    /// Montgomery squaring `a*a*R^{-1} mod m` into `out`.
     ///
-    /// Unlike the interleaved CIOS product, this squares first with the
-    /// half-product schoolbook/Karatsuba path (~half the limb
-    /// multiplies) and then runs a separate SOS reduction pass whose
-    /// inner loop streams sequentially over the modulus limbs — the
-    /// double-width intermediate stays in one linear buffer, so both
-    /// passes walk memory in order. Exponentiation is 4 squarings per
-    /// window and ~1 multiply, so this is the hot path of `pow_mont`.
-    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+    /// Squares first — off-diagonal half products, doubled, plus the
+    /// diagonal: `k(k+1)/2` limb multiplies instead of `k²` — then runs
+    /// the `k²` reduction as its own pass over the double-width
+    /// intermediate, which lives on the stack for every key size in use.
+    /// Squarings are four fifths of an exponentiation.
+    pub fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
         let k = self.k;
-        debug_assert_eq!(a.len(), k);
-        let m = &self.m.limbs;
-        let mut t = crate::mul::sqr_limbs(a);
-        t.resize(2 * k + 1, 0);
-        // Reduction: clear one low limb per iteration (t += u*m << 64i),
-        // then drop the low k limbs — the same REDC as mont_mul, just
-        // unfused from the product.
-        for i in 0..k {
-            let u = t[i].wrapping_mul(self.m_inv);
+        let m = &self.m.limbs[..k];
+        assert!(a.len() == k && out.len() == k);
+        let mut stack = [0u64; 2 * SQR_STACK_LIMBS];
+        let mut heap = Vec::new();
+        let t: &mut [u64] = if k <= SQR_STACK_LIMBS {
+            &mut stack[..2 * k]
+        } else {
+            heap.resize(2 * k, 0);
+            &mut heap
+        };
+        // Off-diagonal products a[i]·a[j], i < j: row i lands on limbs
+        // 2i+1 .. i+k, and its carry on the still-untouched limb i+k.
+        for i in 0..k.saturating_sub(1) {
+            let ai = a[i] as u128;
             let mut carry = 0u128;
-            for (j, &mj) in m.iter().enumerate() {
-                let s = t[i + j] as u128 + u as u128 * mj as u128 + carry;
-                t[i + j] = s as u64;
+            for (tj, &aj) in t[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
+                let s = *tj as u128 + ai * aj as u128 + carry;
+                *tj = s as u64;
                 carry = s >> 64;
             }
-            let mut idx = i + k;
-            while carry != 0 {
-                let s = t[idx] as u128 + carry;
-                t[idx] = s as u64;
+            t[i + k] = carry as u64;
+        }
+        // Double, and add the diagonal a[i]², two limbs at a time.
+        let (mut shift, mut carry) = (0u64, 0u64);
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+            let (lo, hi) = (pair[0], pair[1]);
+            let sq = ai as u128 * ai as u128;
+            let s = ((lo << 1) | shift) as u128 + (sq as u64) as u128 + carry as u128;
+            pair[0] = s as u64;
+            let s = ((hi << 1) | (lo >> 63)) as u128 + (sq >> 64) + (s >> 64);
+            pair[1] = s as u64;
+            shift = hi >> 63;
+            carry = (s >> 64) as u64;
+        }
+        debug_assert_eq!((shift, carry), (0, 0));
+        // Reduce: clear one low limb per row (t += u·m << 64i); `top`
+        // carries the overflow of limb i+k into the next row.
+        let mut top = 0u64;
+        for i in 0..k {
+            let u = t[i].wrapping_mul(self.m_inv) as u128;
+            let mut carry = 0u128;
+            for (tj, &mj) in t[i..i + k].iter_mut().zip(m) {
+                let s = *tj as u128 + u * mj as u128 + carry;
+                *tj = s as u64;
                 carry = s >> 64;
-                idx += 1;
             }
+            let s = t[i + k] as u128 + carry + top as u128;
+            t[i + k] = s as u64;
+            top = (s >> 64) as u64;
         }
-        let mut out = t[k..=2 * k].to_vec();
-        if out[k] != 0 || cmp_limbs(&out[..k], m) >= 0 {
-            sub_limbs(&mut out, m);
+        out.copy_from_slice(&t[k..]);
+        if top != 0 || cmp_limbs(out, m) >= 0 {
+            sub_limbs(out, m);
         }
-        out.truncate(k);
+    }
+
+    /// [`MontCtx::mont_mul_into`] returning a fresh vector.
+    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.k];
+        self.mont_mul_into(a, b, &mut out);
+        out
+    }
+
+    /// [`MontCtx::mont_sqr_into`] returning a fresh vector.
+    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.k];
+        self.mont_sqr_into(a, &mut out);
         out
     }
 
@@ -152,81 +228,189 @@ impl MontCtx {
         self.k
     }
 
-    /// Exponentiation entirely in the Montgomery domain: given
-    /// `base_mont = aR mod m`, returns `a^exp · R mod m`.
-    ///
-    /// This is the hot path of the Paillier CryptoTensor, which keeps
-    /// ciphertexts in Montgomery form end to end.
-    pub fn pow_mont(&self, base_mont: &[u64], exp: &BigUint) -> Vec<u64> {
-        if exp.is_zero() {
-            return self.r1.clone();
-        }
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
-        table.push(base_mont.to_vec());
-        for i in 2..16 {
-            table.push(self.mont_mul(&table[i - 1], base_mont));
-        }
-        let bits = exp.bits();
-        let nwin = bits.div_ceil(4);
-        let mut acc = table[window(exp, nwin - 1)].clone();
-        for w in (0..nwin - 1).rev() {
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            let d = window(exp, w);
-            if d != 0 {
-                acc = self.mont_mul(&acc, &table[d]);
+    /// The width-`w` sliding-window table of `base` (Montgomery form):
+    /// one squaring and `2^(w−1) − 1` multiplies; none for `w = 1`.
+    pub fn odd_powers(&self, base: &[u64], w: u32) -> OddPowers {
+        assert!((1..=MAX_WINDOW).contains(&w), "window width out of range");
+        let k = self.k;
+        let mut limbs = vec![0u64; k << (w - 1)];
+        limbs[..k].copy_from_slice(base);
+        if w > 1 {
+            let mut sq = vec![0u64; k];
+            self.mont_sqr_into(base, &mut sq);
+            for i in 1..1 << (w - 1) {
+                let (done, rest) = limbs.split_at_mut(i * k);
+                self.mont_mul_into(&done[(i - 1) * k..], &sq, &mut rest[..k]);
             }
         }
-        acc
+        OddPowers { w, limbs }
     }
 
-    /// Modular exponentiation `base^exp mod m` with a 4-bit fixed window.
-    /// `base` must be `< m`.
+    /// `Π_t base_t^{exp_t}` in the Montgomery domain, into `out`; the
+    /// empty product is 1.
+    ///
+    /// Terms with equal exponents are multiplied together and raised
+    /// once; the distinct exponents then share one squaring chain, each
+    /// recoded into sliding windows over its own table (Möller's
+    /// interleaved exponentiation). A one-hot row — every exponent the
+    /// same single bit — costs `terms − 1` multiplies plus `bits`
+    /// squarings and builds no table.
+    pub fn multi_pow_into(&self, terms: &[PowTerm<'_>], out: &mut [u64]) {
+        let k = self.k;
+        assert_eq!(out.len(), k);
+        let mut order: Vec<usize> = (0..terms.len())
+            .filter(|&t| !terms[t].exp.is_zero())
+            .collect();
+        order.sort_unstable_by(|&a, &b| terms[a].exp.cmp(terms[b].exp));
+        let mut tmp = vec![0u64; k];
+
+        // Groups of equal exponents, as (first term, product slot): a
+        // group of several terms multiplies its bases into `prods`.
+        let mut groups: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut prods: Vec<u64> = Vec::new();
+        for run in order.chunk_by(|&a, &b| terms[a].exp == terms[b].exp) {
+            let slot = (run.len() > 1).then(|| {
+                let at = prods.len();
+                prods.extend_from_slice(terms[run[0]].base);
+                for &t in &run[1..] {
+                    self.mont_mul_into(&prods[at..], terms[t].base, &mut tmp);
+                    prods[at..].copy_from_slice(&tmp);
+                }
+                at
+            });
+            groups.push((run[0], slot));
+        }
+
+        // One table per group: the caller's (a lone term only), one
+        // built here, or — at width 1 — the bare base.
+        let base_of = |&(t, slot): &(usize, Option<usize>)| match slot {
+            Some(at) => &prods[at..at + k],
+            None => terms[t].base,
+        };
+        let lent = |&(t, slot): &(usize, Option<usize>)| terms[t].table.filter(|_| slot.is_none());
+        let built: Vec<Option<OddPowers>> = groups
+            .iter()
+            .map(|g| {
+                let exp = terms[g.0].exp;
+                let w = window_bits(exp.bits(), exp.count_ones(), 1);
+                (w > 1 && lent(g).is_none()).then(|| self.odd_powers(base_of(g), w))
+            })
+            .collect();
+        let tables: Vec<(&[u64], u32)> = groups
+            .iter()
+            .zip(&built)
+            .map(|(g, b)| match b.as_ref().or(lent(g)) {
+                Some(p) => (&p.limbs[..], p.w),
+                None => (base_of(g), 1),
+            })
+            .collect();
+
+        // Every group's windows as (low bit, group, table entry), walked
+        // from the highest position down along one squaring chain.
+        let mut windows: Vec<(usize, usize, usize)> = Vec::new();
+        for (g, (&(t, _), &(_, w))) in groups.iter().zip(&tables).enumerate() {
+            sliding_windows(terms[t].exp, w, |pos, entry| windows.push((pos, g, entry)));
+        }
+        windows.sort_unstable_by(|a, b| b.cmp(a));
+        let Some(&(mut pos, g, entry)) = windows.first() else {
+            out.copy_from_slice(&self.r1);
+            return;
+        };
+        let entry_of = |g: usize, entry: usize| &tables[g].0[entry * k..(entry + 1) * k];
+        let mut acc = entry_of(g, entry).to_vec();
+        for &(next, g, entry) in &windows[1..] {
+            self.square_n(&mut acc, &mut tmp, pos - next);
+            pos = next;
+            self.mont_mul_into(&acc, entry_of(g, entry), &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        self.square_n(&mut acc, &mut tmp, pos);
+        out.copy_from_slice(&acc);
+    }
+
+    /// `acc ← acc^(2^n)`, ping-ponging with `spare`.
+    fn square_n(&self, acc: &mut Vec<u64>, spare: &mut Vec<u64>, n: usize) {
+        for _ in 0..n {
+            self.mont_sqr_into(acc, spare);
+            std::mem::swap(acc, spare);
+        }
+    }
+
+    /// Exponentiation entirely in the Montgomery domain: given
+    /// `base_mont = aR mod m`, returns `a^exp · R mod m` — a
+    /// [`MontCtx::multi_pow_into`] of one term.
+    pub fn pow_mont(&self, base_mont: &[u64], exp: &BigUint) -> Vec<u64> {
+        let mut out = vec![0u64; self.k];
+        let term = PowTerm {
+            base: base_mont,
+            exp,
+            table: None,
+        };
+        self.multi_pow_into(&[term], &mut out);
+        out
+    }
+
+    /// Modular exponentiation `base^exp mod m`.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem(&self.m);
+        self.from_mont(&self.pow_mont(&self.to_mont(&base.rem(&self.m)), exp))
+    }
+
+    /// Invert every `k`-limb Montgomery-form value of the flat slab
+    /// `vals` in place with one modular inversion (Montgomery's trick
+    /// on `mont_mul` prefix products: `3(n − 1)` multiplies). Panics if
+    /// a value is not a unit.
+    pub fn batch_inv_mont(&self, vals: &mut [u64]) {
+        let k = self.k;
+        assert_eq!(vals.len() % k, 0);
+        let n = vals.len() / k;
+        if n == 0 {
+            return;
         }
-        let bm = self.to_mont(&base.rem(&self.m));
-        // Precompute odd powers table: bm^0..bm^15.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone()); // 1 in Montgomery form
-        table.push(bm.clone());
-        for i in 2..16 {
-            table.push(self.mont_mul(&table[i - 1], &bm));
+        // prefix[i] = v_0 · … · v_i
+        let mut prefix = vals.to_vec();
+        for i in 1..n {
+            let (done, rest) = prefix.split_at_mut(i * k);
+            self.mont_mul_into(
+                &done[(i - 1) * k..],
+                &vals[i * k..(i + 1) * k],
+                &mut rest[..k],
+            );
         }
-        let bits = exp.bits();
-        let nwin = bits.div_ceil(4);
-        let mut acc = table[window(exp, nwin - 1)].clone();
-        for w in (0..nwin - 1).rev() {
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            acc = self.mont_sqr(&acc);
-            let d = window(exp, w);
-            if d != 0 {
-                acc = self.mont_mul(&acc, &table[d]);
-            }
+        let total = self.from_mont(&prefix[(n - 1) * k..]);
+        let inv = crate::mod_inv(&total, &self.m).expect("batch_inv_mont: non-invertible element");
+        // acc = (v_0 · … · v_i)^{-1}, peeled from the top down.
+        let mut acc = self.to_mont(&inv);
+        let mut tmp = vec![0u64; k];
+        for i in (1..n).rev() {
+            let v = &mut vals[i * k..(i + 1) * k];
+            self.mont_mul_into(&acc, v, &mut tmp);
+            self.mont_mul_into(&acc, &prefix[(i - 1) * k..i * k], v);
+            std::mem::swap(&mut acc, &mut tmp);
         }
-        self.from_mont(&acc)
+        vals[..k].copy_from_slice(&acc);
     }
 }
 
-/// Extract the `w`-th 4-bit window (little-endian) of `e`.
-fn window(e: &BigUint, w: usize) -> usize {
-    let bit = w * 4;
-    let limb = bit / 64;
-    let off = bit % 64;
-    let lo = e.limbs.get(limb).copied().unwrap_or(0) >> off;
-    let v = if off > 60 {
-        let hi = e.limbs.get(limb + 1).copied().unwrap_or(0);
-        lo | (hi << (64 - off))
-    } else {
-        lo
-    };
-    (v & 0xf) as usize
+/// Recode `e` into sliding windows of at most `w` bits, highest first:
+/// `emit(pos, entry)` for the odd digit `2·entry + 1` whose lowest bit
+/// sits at bit `pos`.
+fn sliding_windows(e: &BigUint, w: u32, mut emit: impl FnMut(usize, usize)) {
+    let mut i = e.bits();
+    while i > 0 {
+        if !e.bit(i - 1) {
+            i -= 1;
+            continue;
+        }
+        let mut lo = i.saturating_sub(w as usize);
+        while !e.bit(lo) {
+            lo += 1;
+        }
+        let digit = (lo..i)
+            .rev()
+            .fold(0usize, |d, b| d << 1 | e.bit(b) as usize);
+        emit(lo, digit >> 1);
+        i = lo;
+    }
 }
 
 /// Inverse of an odd u64 modulo 2^64 (Newton iteration).
@@ -256,20 +440,15 @@ fn cmp_limbs(a: &[u64], b: &[u64]) -> i32 {
     0
 }
 
+/// `a -= b` on equal-width limbs; a final borrow is dropped (it cancels
+/// the caller's overflow limb).
 fn sub_limbs(a: &mut [u64], b: &[u64]) {
     let mut borrow = 0u64;
-    for i in 0..b.len() {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
+    for (ai, &bi) in a.iter_mut().zip(b) {
+        let (d1, b1) = ai.overflowing_sub(bi);
         let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
+        *ai = d2;
         borrow = (b1 as u64) + (b2 as u64);
-    }
-    let mut i = b.len();
-    while borrow != 0 && i < a.len() {
-        let (d, bw) = a[i].overflowing_sub(borrow);
-        a[i] = d;
-        borrow = bw as u64;
-        i += 1;
     }
 }
 

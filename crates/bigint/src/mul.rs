@@ -46,10 +46,8 @@ impl BigUint {
 
 /// Square a limb slice, dispatching between the half-product schoolbook
 /// squaring and Karatsuba splitting. Output always has `2 * a.len()`
-/// limbs (high limbs may be zero). Used both by [`BigUint::sqr`] and by
-/// the Montgomery squaring in `mont.rs`, whose fixed-width operands may
-/// carry trailing zero limbs.
-pub(crate) fn sqr_limbs(a: &[u64]) -> Vec<u64> {
+/// limbs (high limbs may be zero).
+fn sqr_limbs(a: &[u64]) -> Vec<u64> {
     if a.len() < KARATSUBA_THRESHOLD {
         schoolbook_sqr(a)
     } else {

@@ -91,6 +91,11 @@ impl BigUint {
         }
     }
 
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.limbs.iter().map(|l| l.count_ones() as usize).sum()
+    }
+
     /// The `i`-th bit (little-endian bit order).
     pub fn bit(&self, i: usize) -> bool {
         let limb = i / 64;

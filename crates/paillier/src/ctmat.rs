@@ -2,18 +2,26 @@
 //! ciphertexts with dense and sparse homomorphic kernels.
 //!
 //! Ciphertexts are stored flat in Montgomery form (`k` limbs each), so
-//! homomorphic addition is one `mont_mul` and scalar multiplication is a
-//! short-exponent `pow_mont`. Negative fixed-point scalars are handled
-//! by accumulating positive and negative partial products separately and
-//! resolving the negatives with one batched modular inversion per output
-//! row (Montgomery's trick), instead of a full-width exponentiation per
-//! entry.
+//! homomorphic addition is one `mont_mul`, and every plain×cipher
+//! product (`X·⟦W⟧`, `Xᵀ·⟦G⟧`, `⟦G⟧·Wᵀ`, scalar or packed) is a matrix
+//! of multi-exponentiations `Π_t ⟦c_t⟧^{e_t}` evaluated by one core,
+//! `contract`. Per output it multiplies together the ciphertexts that
+//! share a fixed-point exponent and raises the product once — a one-hot
+//! or indicator row is `nnz − 1` multiplies and `frac_bits` squarings —
+//! and runs the exponents that remain along one shared squaring chain
+//! ([`bf_bigint::MontCtx::multi_pow_into`]). Negative scalars accumulate
+//! apart from positive ones and are resolved by a single modular
+//! inversion per kernel call (Montgomery's trick), never a full-width
+//! exponentiation per entry. Workers write disjoint slices of one
+//! preallocated limb slab.
 
-use bf_bigint::{batch_mod_inv, BigUint};
+use std::collections::BTreeMap;
+
+use bf_bigint::mont::{window_bits, PowTerm};
 use bf_tensor::{CatBlock, Dense, Features};
-use bf_util::par_map;
+use bf_util::{par_for_each_mut, par_map};
 
-use crate::codec;
+use crate::codec::{self, SignedInt};
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
 use crate::obf::Obfuscator;
 use crate::pack::{self, PackedCtMat, PaillierMode, SlotLayout};
@@ -177,12 +185,42 @@ impl CtMat {
         matches!(self.body, Body::Packed(_))
     }
 
-    fn entry(&self, k: usize, i: usize, j: usize) -> &[u64] {
-        let Body::Enc { limbs, .. } = &self.body else {
-            unreachable!()
+    /// Ciphertexts per row: columns, or column chunks when packed.
+    fn lanes(&self) -> usize {
+        match &self.body {
+            Body::Packed(p) => p.chunks_total(self.cols),
+            _ => self.cols,
+        }
+    }
+
+    /// Montgomery limbs of the ciphertext at row `i`, lane `l`.
+    fn ct(&self, i: usize, l: usize) -> &[u64] {
+        match &self.body {
+            Body::Enc { k, limbs } => &limbs[(i * self.cols + l) * k..][..*k],
+            Body::Packed(p) => p.entry(self.cols, i, l),
+            Body::Plain(_) => unreachable!("no ciphertexts in a Plain matrix"),
+        }
+    }
+
+    /// A `rows × self.cols` matrix over `limbs` in this one's ciphertext
+    /// layout (limb width, packing geometry).
+    fn like(&self, rows: usize, scale: u8, limbs: Vec<u64>) -> CtMat {
+        let body = match &self.body {
+            Body::Enc { k, .. } => Body::Enc { k: *k, limbs },
+            Body::Packed(p) => Body::Packed(PackedCtMat {
+                k: p.k,
+                layout: p.layout,
+                seg: p.seg,
+                limbs,
+            }),
+            Body::Plain(_) => unreachable!("no ciphertexts in a Plain matrix"),
         };
-        let off = (i * self.cols + j) * k;
-        &limbs[off..off + k]
+        CtMat {
+            rows,
+            cols: self.cols,
+            scale,
+            body,
+        }
     }
 
     /// Transposed copy (pure index permutation — no homomorphic work).
@@ -193,18 +231,10 @@ impl CtMat {
     pub fn transpose(&self) -> CtMat {
         let body = match &self.body {
             Body::Packed(_) => panic!("transpose is unsupported for packed ciphertexts"),
-            Body::Enc { k, limbs } => {
-                let k = *k;
-                let mut out = vec![0u64; limbs.len()];
-                for i in 0..self.rows {
-                    for j in 0..self.cols {
-                        let src = (i * self.cols + j) * k;
-                        let dst = (j * self.rows + i) * k;
-                        out[dst..dst + k].copy_from_slice(&limbs[src..src + k]);
-                    }
-                }
-                Body::Enc { k, limbs: out }
-            }
+            Body::Enc { k, limbs } => Body::Enc {
+                k: *k,
+                limbs: transpose_limbs(limbs, self.rows, self.cols, *k),
+            },
             Body::Plain(v) => {
                 let mut out = vec![0.0; v.len()];
                 for i in 0..self.rows {
@@ -274,32 +304,7 @@ fn quantize(v: f64, frac_bits: u32) -> f64 {
 impl PublicKey {
     /// Encrypt a dense matrix (scale 1).
     pub fn encrypt(&self, m: &Dense, obf: &Obfuscator) -> CtMat {
-        match self {
-            PublicKey::Paillier(pk) => {
-                let k = pk.ct_limbs();
-                let n = m.rows() * m.cols();
-                let data = m.data();
-                let per_entry: Vec<Vec<u64>> = par_map(n, |i| {
-                    let enc = codec::encode(data[i], pk.frac_bits, 1, &pk.n);
-                    pk.raw_encrypt(&enc, &obf.next_rn(pk))
-                });
-                CtMat {
-                    rows: m.rows(),
-                    cols: m.cols(),
-                    scale: 1,
-                    body: Body::Enc {
-                        k,
-                        limbs: flatten(per_entry, k),
-                    },
-                }
-            }
-            PublicKey::Plain { frac_bits } => CtMat {
-                rows: m.rows(),
-                cols: m.cols(),
-                scale: 1,
-                body: Body::Plain(m.data().iter().map(|&v| quantize(v, *frac_bits)).collect()),
-            },
-        }
+        self.encrypt_at_scale(m, 1, obf)
     }
 
     /// Encrypt selecting the ciphertext layout: `Scalar` is
@@ -352,23 +357,21 @@ impl PublicKey {
             limbs: Vec::new(),
         };
         let nchunks = proto.chunks_total(m.cols());
-        let per: Vec<Vec<u64>> = par_map(m.rows() * nchunks, |idx| {
+        let first = obf.reserve((m.rows() * nchunks) as u64);
+        let limbs = ct_slab(m.rows() * nchunks, k, |idx, ct| {
             let (i, c) = (idx / nchunks, idx % nchunks);
             let col0 = proto.chunk_col0(c);
             let used = proto.used_in_chunk(c);
             let vals = &m.row(i)[col0..col0 + used];
             let p = pack::pack_values(vals, pk.frac_bits, 1, layout, &pk.n)
                 .expect("encrypt: value overflows its pack slot");
-            pk.raw_encrypt(&p, &obf.next_rn(pk))
+            ct.copy_from_slice(&pk.raw_encrypt(&p, &obf.draw(pk, first + idx as u64)));
         });
         CtMat {
             rows: m.rows(),
             cols: m.cols(),
             scale: 1,
-            body: Body::Packed(PackedCtMat {
-                limbs: flatten(per, k),
-                ..proto
-            }),
+            body: Body::Packed(PackedCtMat { limbs, ..proto }),
         }
     }
 
@@ -381,18 +384,18 @@ impl PublicKey {
                 let k = pk.ct_limbs();
                 let n = m.rows() * m.cols();
                 let data = m.data();
-                let per_entry: Vec<Vec<u64>> = par_map(n, |i| {
+                // Entry i takes draw `first + i`: the serial stream, on
+                // any thread schedule.
+                let first = obf.reserve(n as u64);
+                let limbs = ct_slab(n, k, |i, ct| {
                     let enc = codec::encode(data[i], pk.frac_bits, scale, &pk.n);
-                    pk.raw_encrypt(&enc, &obf.next_rn(pk))
+                    ct.copy_from_slice(&pk.raw_encrypt(&enc, &obf.draw(pk, first + i as u64)));
                 });
                 CtMat {
                     rows: m.rows(),
                     cols: m.cols(),
                     scale,
-                    body: Body::Enc {
-                        k,
-                        limbs: flatten(per_entry, k),
-                    },
+                    body: Body::Enc { k, limbs },
                 }
             }
             PublicKey::Plain { frac_bits } => CtMat {
@@ -436,45 +439,18 @@ impl PublicKey {
         assert_eq!(a.shape(), b.shape(), "ct add shape mismatch");
         assert_eq!(a.scale, b.scale, "ct add scale mismatch");
         match (self, &a.body, &b.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, .. }, Body::Enc { .. }) => {
-                let k = *k;
-                let n = a.rows * a.cols;
-                let per: Vec<Vec<u64>> = par_map(n, |i| {
-                    pk.mont.mont_mul(
-                        a.entry(k, i / a.cols, i % a.cols),
-                        b.entry(k, i / b.cols, i % b.cols),
-                    )
-                });
-                CtMat {
-                    rows: a.rows,
-                    cols: a.cols,
-                    scale: a.scale,
-                    body: Body::Enc {
-                        k,
-                        limbs: flatten(per, k),
-                    },
+            (PublicKey::Paillier(pk), Body::Enc { .. }, Body::Enc { .. })
+            | (PublicKey::Paillier(pk), Body::Packed(_), Body::Packed(_)) => {
+                if let (Body::Packed(pa), Body::Packed(pb)) = (&a.body, &b.body) {
+                    assert_eq!(pa.layout, pb.layout, "ct add slot layout mismatch");
+                    assert_eq!(pa.seg, pb.seg, "ct add segment mismatch");
                 }
-            }
-            (PublicKey::Paillier(pk), Body::Packed(pa), Body::Packed(pb)) => {
-                assert_eq!(pa.layout, pb.layout, "ct add slot layout mismatch");
-                assert_eq!(pa.seg, pb.seg, "ct add segment mismatch");
-                let nchunks = pa.chunks_total(a.cols);
-                let per: Vec<Vec<u64>> = par_map(a.rows * nchunks, |idx| {
-                    let (i, c) = (idx / nchunks, idx % nchunks);
-                    pk.mont
-                        .mont_mul(pa.entry(a.cols, i, c), pb.entry(b.cols, i, c))
+                let lanes = a.lanes();
+                let limbs = ct_slab(a.rows * lanes, pk.ct_limbs(), |i, ct| {
+                    let (r, l) = (i / lanes, i % lanes);
+                    pk.mont.mont_mul_into(a.ct(r, l), b.ct(r, l), ct)
                 });
-                CtMat {
-                    rows: a.rows,
-                    cols: a.cols,
-                    scale: a.scale,
-                    body: Body::Packed(PackedCtMat {
-                        k: pa.k,
-                        layout: pa.layout,
-                        seg: pa.seg,
-                        limbs: flatten(per, pa.k),
-                    }),
-                }
+                a.like(a.rows, a.scale, limbs)
             }
             (PublicKey::Plain { .. }, Body::Plain(va), Body::Plain(vb)) => CtMat {
                 rows: a.rows,
@@ -493,26 +469,17 @@ impl PublicKey {
         match (self, &a.body) {
             (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
                 let k = *k;
-                let n = a.rows * a.cols;
                 let data = p.data();
-                let per: Vec<Vec<u64>> = par_map(n, |i| {
+                let limbs = ct_slab(a.rows * a.cols, k, |i, ct| {
                     let m = codec::encode(data[i], pk.frac_bits, a.scale, &pk.n);
                     let g = pk.raw_encrypt_deterministic(&m);
-                    pk.mont.mont_mul(a.entry(k, i / a.cols, i % a.cols), &g)
+                    pk.mont.mont_mul_into(a.ct(i / a.cols, i % a.cols), &g, ct)
                 });
-                CtMat {
-                    rows: a.rows,
-                    cols: a.cols,
-                    scale: a.scale,
-                    body: Body::Enc {
-                        k,
-                        limbs: flatten(per, k),
-                    },
-                }
+                a.like(a.rows, a.scale, limbs)
             }
             (PublicKey::Paillier(pk), Body::Packed(pa)) => {
                 let nchunks = pa.chunks_total(a.cols);
-                let per: Vec<Vec<u64>> = par_map(a.rows * nchunks, |idx| {
+                let limbs = ct_slab(a.rows * nchunks, pa.k, |idx, ct| {
                     let (i, c) = (idx / nchunks, idx % nchunks);
                     let col0 = pa.chunk_col0(c);
                     let used = pa.used_in_chunk(c);
@@ -520,19 +487,9 @@ impl PublicKey {
                     let m = pack::pack_values(vals, pk.frac_bits, a.scale, pa.layout, &pk.n)
                         .expect("add_plain: value overflows its pack slot");
                     let g = pk.raw_encrypt_deterministic(&m);
-                    pk.mont.mont_mul(pa.entry(a.cols, i, c), &g)
+                    pk.mont.mont_mul_into(a.ct(i, c), &g, ct)
                 });
-                CtMat {
-                    rows: a.rows,
-                    cols: a.cols,
-                    scale: a.scale,
-                    body: Body::Packed(PackedCtMat {
-                        k: pa.k,
-                        layout: pa.layout,
-                        seg: pa.seg,
-                        limbs: flatten(per, pa.k),
-                    }),
-                }
+                a.like(a.rows, a.scale, limbs)
             }
             (PublicKey::Plain { .. }, Body::Plain(v)) => CtMat {
                 rows: a.rows,
@@ -555,65 +512,21 @@ impl PublicKey {
         assert_eq!(x.cols(), w.rows, "matmul shape mismatch");
         assert_eq!(w.scale, 1, "matmul expects a scale-1 weight ciphertext");
         match (self, &w.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
-                let k = *k;
-                let out_cols = w.cols;
-                let rows: Vec<Vec<u64>> = par_map(x.rows(), |i| {
-                    let mut pos = vec![pk.mont.one_mont(); out_cols];
-                    let mut neg: Vec<Option<Vec<u64>>> = vec![None; out_cols];
-                    for_each_nonzero(x, i, |c, v| {
-                        let e = codec::encode_exponent(v, pk.frac_bits);
-                        if e.is_zero() {
-                            return;
-                        }
-                        for j in 0..out_cols {
-                            let p = pk.mont.pow_mont(w.entry(k, c, j), &e.mag);
-                            accumulate(pk, &mut pos[j], &mut neg[j], p, e.neg);
-                        }
-                    });
-                    resolve_row(pk, pos, neg, k)
-                });
-                CtMat {
-                    rows: x.rows(),
-                    cols: out_cols,
-                    scale: 2,
-                    body: Body::Enc {
-                        k,
-                        limbs: rows.concat(),
-                    },
-                }
-            }
-            (PublicKey::Paillier(pk), Body::Packed(pw)) => {
-                // Identical accumulation to the scalar arm, but each
-                // pow_mont/mont_mul advances a whole chunk of output
-                // columns at once — the packed speedup.
-                let nchunks = pw.chunks_total(w.cols);
-                let rows: Vec<Vec<u64>> = par_map(x.rows(), |i| {
-                    let mut pos = vec![pk.mont.one_mont(); nchunks];
-                    let mut neg: Vec<Option<Vec<u64>>> = vec![None; nchunks];
-                    for_each_nonzero(x, i, |c, v| {
-                        let e = codec::encode_exponent(v, pk.frac_bits);
-                        if e.is_zero() {
-                            return;
-                        }
-                        for j in 0..nchunks {
-                            let p = pk.mont.pow_mont(pw.entry(w.cols, c, j), &e.mag);
-                            accumulate(pk, &mut pos[j], &mut neg[j], p, e.neg);
-                        }
-                    });
-                    resolve_row(pk, pos, neg, pw.k)
-                });
-                CtMat {
-                    rows: x.rows(),
-                    cols: w.cols,
-                    scale: 2,
-                    body: Body::Packed(PackedCtMat {
-                        k: pw.k,
-                        layout: pw.layout,
-                        seg: pw.seg,
-                        limbs: rows.concat(),
-                    }),
-                }
+            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
+                // Output row i is Π_c ⟦w_c·⟧^{x_ic}; packed, each lane
+                // advances a whole chunk of output columns at once.
+                let rows: Vec<_> = (0..x.rows())
+                    .map(|i| {
+                        let mut nz = Vec::new();
+                        for_each_nonzero(x, i, |c, v| nz.push((c, v)));
+                        exponents(pk, nz)
+                    })
+                    .collect();
+                w.like(
+                    x.rows(),
+                    2,
+                    contract(pk, w.lanes(), &rows, |c, l| w.ct(c, l)),
+                )
             }
             (PublicKey::Plain { frac_bits }, Body::Plain(wv)) => {
                 let wd = Dense::from_vec(w.rows, w.cols, wv.clone());
@@ -650,62 +563,16 @@ impl PublicKey {
             });
         }
         match (self, &g.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
-                let k = *k;
-                let out_cols = g.cols;
-                let rows: Vec<Vec<u64>> = par_map(support.len(), |s| {
-                    let mut pos = vec![pk.mont.one_mont(); out_cols];
-                    let mut neg: Vec<Option<Vec<u64>>> = vec![None; out_cols];
-                    for &(i, v) in &coeffs[s] {
-                        let e = codec::encode_exponent(v, pk.frac_bits);
-                        if e.is_zero() {
-                            continue;
-                        }
-                        for j in 0..out_cols {
-                            let p = pk.mont.pow_mont(g.entry(k, i, j), &e.mag);
-                            accumulate(pk, &mut pos[j], &mut neg[j], p, e.neg);
-                        }
-                    }
-                    resolve_row(pk, pos, neg, k)
-                });
-                CtMat {
-                    rows: support.len(),
-                    cols: g.cols,
-                    scale: 2,
-                    body: Body::Enc {
-                        k,
-                        limbs: rows.concat(),
-                    },
-                }
-            }
-            (PublicKey::Paillier(pk), Body::Packed(pg)) => {
-                let nchunks = pg.chunks_total(g.cols);
-                let rows: Vec<Vec<u64>> = par_map(support.len(), |s| {
-                    let mut pos = vec![pk.mont.one_mont(); nchunks];
-                    let mut neg: Vec<Option<Vec<u64>>> = vec![None; nchunks];
-                    for &(i, v) in &coeffs[s] {
-                        let e = codec::encode_exponent(v, pk.frac_bits);
-                        if e.is_zero() {
-                            continue;
-                        }
-                        for j in 0..nchunks {
-                            let p = pk.mont.pow_mont(pg.entry(g.cols, i, j), &e.mag);
-                            accumulate(pk, &mut pos[j], &mut neg[j], p, e.neg);
-                        }
-                    }
-                    resolve_row(pk, pos, neg, pg.k)
-                });
-                CtMat {
-                    rows: support.len(),
-                    cols: g.cols,
-                    scale: 2,
-                    body: Body::Packed(PackedCtMat {
-                        k: pg.k,
-                        layout: pg.layout,
-                        seg: pg.seg,
-                        limbs: rows.concat(),
-                    }),
-                }
+            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
+                let rows: Vec<_> = coeffs
+                    .iter()
+                    .map(|list| exponents(pk, list.iter().copied()))
+                    .collect();
+                g.like(
+                    support.len(),
+                    2,
+                    contract(pk, g.lanes(), &rows, |i, l| g.ct(i, l)),
+                )
             }
             (PublicKey::Plain { frac_bits }, Body::Plain(gv)) => {
                 let gd = Dense::from_vec(g.rows, g.cols, gv.clone());
@@ -742,31 +609,20 @@ impl PublicKey {
         );
         match (self, &g.body) {
             (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
-                let k = *k;
-                let out_cols = w.rows();
-                let rows: Vec<Vec<u64>> = par_map(g.rows, |i| {
-                    let mut pos = vec![pk.mont.one_mont(); out_cols];
-                    let mut neg: Vec<Option<Vec<u64>>> = vec![None; out_cols];
-                    for j in 0..g.cols {
-                        let ct = g.entry(k, i, j);
-                        for e_idx in 0..out_cols {
-                            let e = codec::encode_exponent(w.get(e_idx, j), pk.frac_bits);
-                            if e.is_zero() {
-                                continue;
-                            }
-                            let p = pk.mont.pow_mont(ct, &e.mag);
-                            accumulate(pk, &mut pos[e_idx], &mut neg[e_idx], p, e.neg);
-                        }
-                    }
-                    resolve_row(pk, pos, neg, k)
-                });
+                // ⟦G⟧·Wᵀ = (W·⟦G⟧ᵀ)ᵀ: W's rows are the exponent rows and
+                // ⟦G⟧ is read transposed, so each ⟦g_ij⟧ is one base that
+                // meets `w.rows()` exponents and builds its table once.
+                let rows: Vec<_> = (0..w.rows())
+                    .map(|e| exponents(pk, w.row(e).iter().copied().enumerate()))
+                    .collect();
+                let t = contract(pk, g.rows, &rows, |j, i| g.ct(i, j));
                 CtMat {
                     rows: g.rows,
-                    cols: out_cols,
+                    cols: w.rows(),
                     scale: 2,
                     body: Body::Enc {
-                        k,
-                        limbs: rows.concat(),
+                        k: *k,
+                        limbs: transpose_limbs(&t, w.rows(), g.rows, *k),
                     },
                 }
             }
@@ -880,14 +736,13 @@ impl PublicKey {
         }
         let mut out = self.zeros_ct(support.len(), dim, grad_e.scale);
         match (self, &mut out.body, &grad_e.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, limbs }, Body::Enc { .. }) => {
-                let k = *k;
+            (PublicKey::Paillier(pk), Body::Enc { limbs, .. }, Body::Enc { .. }) => {
                 let rows: Vec<Vec<u64>> = par_map(support.len(), |s| {
                     let mut acc = vec![pk.mont.one_mont(); dim];
                     for &(r, f) in &hits[s] {
                         #[allow(clippy::needless_range_loop)]
                         for d in 0..dim {
-                            let ct = grad_e.entry(k, r, f * dim + d);
+                            let ct = grad_e.ct(r, f * dim + d);
                             acc[d] = pk.mont.mont_mul(&acc[d], ct);
                         }
                     }
@@ -924,7 +779,7 @@ impl PublicKey {
                     for j in 0..cache.cols {
                         let prod = {
                             let cur = &limbs[r * stride + j * k..r * stride + (j + 1) * k];
-                            pk.mont.mont_mul(cur, delta.entry(k, d, j))
+                            pk.mont.mont_mul(cur, delta.ct(d, j))
                         };
                         limbs[r * stride + j * k..r * stride + (j + 1) * k].copy_from_slice(&prod);
                     }
@@ -940,7 +795,7 @@ impl PublicKey {
                     for c in 0..nchunks {
                         let prod = {
                             let cur = &pc.limbs[r * stride + c * k..r * stride + (c + 1) * k];
-                            pk.mont.mont_mul(cur, pd.entry(delta.cols, d, c))
+                            pk.mont.mont_mul(cur, delta.ct(d, c))
                         };
                         pc.limbs[r * stride + c * k..r * stride + (c + 1) * k]
                             .copy_from_slice(&prod);
@@ -964,12 +819,11 @@ impl SecretKey {
     /// fixed-point scale.
     pub fn decrypt(&self, ct: &CtMat) -> Dense {
         match (self, &ct.body) {
-            (SecretKey::Paillier(sk), Body::Enc { k, .. }) => {
+            (SecretKey::Paillier(sk), Body::Enc { .. }) => {
                 let pk = sk.pk();
                 let n = ct.rows * ct.cols;
-                let k = *k;
                 let vals: Vec<f64> = par_map(n, |i| {
-                    let m = sk.raw_decrypt(ct.entry(k, i / ct.cols, i % ct.cols));
+                    let m = sk.raw_decrypt(ct.ct(i / ct.cols, i % ct.cols));
                     codec::decode(&m, pk.frac_bits, ct.scale, &pk.n, &pk.half_n)
                 });
                 Dense::from_vec(ct.rows, ct.cols, vals)
@@ -980,7 +834,7 @@ impl SecretKey {
                 let rows: Vec<Vec<f64>> = par_map(ct.rows, |i| {
                     let mut row = Vec::with_capacity(ct.cols);
                     for c in 0..nchunks {
-                        let m = sk.raw_decrypt(p.entry(ct.cols, i, c));
+                        let m = sk.raw_decrypt(ct.ct(i, c));
                         pack::unpack_values(
                             &m,
                             p.used_in_chunk(c),
@@ -1002,8 +856,6 @@ impl SecretKey {
     }
 }
 
-#[allow(clippy::needless_range_loop)]
-/// (index-parallel accumulator loops above)
 /// Iterate the non-zeros of row `i` of a feature block.
 fn for_each_nonzero(x: &Features, i: usize, mut f: impl FnMut(usize, f64)) {
     match x {
@@ -1028,55 +880,140 @@ fn quantize_features(x: &Features, frac_bits: u32) -> Dense {
     d.map(|v| quantize(v, frac_bits))
 }
 
-/// Fold a signed partial product into the positive/negative accumulators.
-fn accumulate(
-    pk: &PaillierPk,
-    pos: &mut Vec<u64>,
-    neg: &mut Option<Vec<u64>>,
-    p: Vec<u64>,
-    is_neg: bool,
-) {
-    if is_neg {
-        *neg = Some(match neg.take() {
-            Some(cur) => pk.mont.mont_mul(&cur, &p),
-            None => p,
-        });
-    } else {
-        *pos = pk.mont.mont_mul(pos, &p);
-    }
+/// `n` ciphertexts of `k` limbs, ciphertext `i` written by `f(i, ct)`:
+/// parallel workers fill disjoint slices of one preallocated slab.
+fn ct_slab(n: usize, k: usize, f: impl Fn(usize, &mut [u64]) + Sync) -> Vec<u64> {
+    let mut limbs = vec![0u64; n * k];
+    let mut cts: Vec<&mut [u64]> = limbs.chunks_exact_mut(k).collect();
+    par_for_each_mut(&mut cts, |i, ct| f(i, ct));
+    limbs
 }
 
-/// Resolve a row of accumulators: `pos · neg^{-1}` with one batched
-/// inversion for the whole row; returns the row's flat limbs.
-fn resolve_row(
+/// Row-major `rows × cols` ciphertexts of `k` limbs, transposed.
+fn transpose_limbs(limbs: &[u64], rows: usize, cols: usize, k: usize) -> Vec<u64> {
+    let mut out = vec![0u64; limbs.len()];
+    for i in 0..rows {
+        for j in 0..cols {
+            let src = (i * cols + j) * k;
+            let dst = (j * rows + i) * k;
+            out[dst..dst + k].copy_from_slice(&limbs[src..src + k]);
+        }
+    }
+    out
+}
+
+/// One output row's `(source row, value)` pairs as signed fixed-point
+/// exponents; values that round to zero drop out.
+fn exponents(
     pk: &PaillierPk,
-    pos: Vec<Vec<u64>>,
-    neg: Vec<Option<Vec<u64>>>,
-    _k: usize,
+    pairs: impl IntoIterator<Item = (usize, f64)>,
+) -> Vec<(usize, SignedInt)> {
+    pairs
+        .into_iter()
+        .map(|(src, v)| (src, codec::encode_exponent(v, pk.frac_bits)))
+        .filter(|(_, e)| !e.is_zero())
+        .collect()
+}
+
+/// Limb budget (32 MiB) for the window tables one lane of a kernel call
+/// shares across its rows; a call that would need more builds them per
+/// row.
+const SHARED_TABLE_LIMBS: usize = 1 << 22;
+
+/// The contraction core under every plain×cipher product: a flat
+/// `rows × lanes` slab whose ciphertext `(r, l)` is
+/// `Π_t base(src_t, l)^{e_t}` over the terms `(src_t, e_t)` of `rows[r]`
+/// (exponents non-zero).
+///
+/// Per output, the positive and the negative terms each run one
+/// [`bf_bigint::MontCtx::multi_pow_into`]: equal exponents are grouped
+/// and raised once, the rest share one squaring chain. A base that meets
+/// table-worthy exponents in several rows gets one window table per lane
+/// for the whole call, and all negative accumulators of the call are
+/// inverted together — one `mod_inv`, not one per row.
+fn contract<'a>(
+    pk: &PaillierPk,
+    lanes: usize,
+    rows: &[Vec<(usize, SignedInt)>],
+    base: impl Fn(usize, usize) -> &'a [u64] + Sync,
 ) -> Vec<u64> {
-    let need: Vec<usize> = neg
-        .iter()
-        .enumerate()
-        .filter_map(|(j, n)| n.as_ref().map(|_| j))
-        .collect();
-    if need.is_empty() {
-        return pos.concat();
+    let mont = &pk.mont;
+    let k = mont.limb_count();
+    let stride = lanes * k;
+    if stride == 0 {
+        return Vec::new();
     }
-    let values: Vec<BigUint> = need
-        .iter()
-        .map(|&j| pk.mont.from_mont(neg[j].as_ref().unwrap()))
-        .collect();
-    let invs = batch_mod_inv(&values, &pk.n2);
-    let mut out = pos;
-    for (&j, inv) in need.iter().zip(&invs) {
-        let inv_mont = pk.mont.to_mont(inv);
-        out[j] = pk.mont.mont_mul(&out[j], &inv_mont);
-    }
-    out.concat()
-}
 
-fn flatten(per: Vec<Vec<u64>>, _k: usize) -> Vec<u64> {
-    per.concat()
+    // Per source row: how many output rows raise it to an exponent that
+    // wants a table, and the widest such exponent (bits, set bits).
+    let mut meets: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
+    for (src, e) in rows.iter().flatten() {
+        let ones = e.mag.count_ones();
+        if window_bits(e.mag.bits(), ones, 1) > 1 {
+            let m = meets.entry(*src).or_default();
+            *m = (m.0 + 1, m.1.max(e.mag.bits()), m.2.max(ones));
+        }
+    }
+    let mut shared: Vec<(usize, u32)> = meets
+        .into_iter()
+        .filter(|&(_, (uses, ..))| uses > 1)
+        .map(|(src, (uses, bits, ones))| (src, window_bits(bits, ones, uses)))
+        .collect();
+    if shared.iter().map(|&(_, w)| k << (w - 1)).sum::<usize>() > SHARED_TABLE_LIMBS {
+        shared.clear();
+    }
+
+    let mut out = vec![0u64; rows.len() * stride];
+    let mut work: Vec<(&mut [u64], Vec<u64>)> = out
+        .chunks_exact_mut(stride)
+        .zip(rows)
+        .map(|(pos, row)| {
+            let negative = row.iter().any(|(_, e)| e.neg);
+            (pos, vec![0u64; if negative { stride } else { 0 }])
+        })
+        .collect();
+    // One lane at a time, so the shared tables never hold more than one
+    // lane's worth of bases.
+    for l in 0..lanes {
+        let tables = par_map(shared.len(), |s| {
+            mont.odd_powers(base(shared[s].0, l), shared[s].1)
+        });
+        par_for_each_mut(&mut work, |r, (pos, neg)| {
+            let side = |negative: bool| -> Vec<PowTerm> {
+                let signed = rows[r].iter().filter(|(_, e)| e.neg == negative);
+                signed
+                    .map(|(src, e)| PowTerm {
+                        base: base(*src, l),
+                        exp: &e.mag,
+                        table: shared
+                            .binary_search_by_key(src, |s| s.0)
+                            .ok()
+                            .map(|s| &tables[s]),
+                    })
+                    .collect()
+            };
+            mont.multi_pow_into(&side(false), &mut pos[l * k..(l + 1) * k]);
+            if !neg.is_empty() {
+                mont.multi_pow_into(&side(true), &mut neg[l * k..(l + 1) * k]);
+            }
+        });
+    }
+    let negs: Vec<Vec<u64>> = work.into_iter().map(|(_, neg)| neg).collect();
+
+    // out = pos · neg⁻¹ wherever a row had negative terms.
+    let mut inv = negs.concat();
+    mont.batch_inv_mont(&mut inv);
+    let mut tmp = vec![0u64; k];
+    let resolved = out
+        .chunks_exact_mut(stride)
+        .zip(&negs)
+        .filter(|(_, neg)| !neg.is_empty())
+        .flat_map(|(pos, _)| pos.chunks_exact_mut(k));
+    for (ct, inv) in resolved.zip(inv.chunks_exact(k)) {
+        mont.mont_mul_into(ct, inv, &mut tmp);
+        ct.copy_from_slice(&tmp);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1467,5 +1404,218 @@ mod tests {
         let x = CatBlock::from_local(3, &[3, 3], vec![0, 2, 1, 0, 2, 2]);
         let ge = pk.encrypt_mode(&dense(3, 4, 49), PaillierMode::Packed, &obf);
         let _ = pk.lkup_bw(&ge, &x, &x.support(), 2);
+    }
+
+    // ---- the contraction core vs the per-term kernels it replaced --------
+    //
+    // The contract is *byte-identity*: the multi-exponentiation core must
+    // produce exactly the ciphertext limbs of the old kernels, kept here
+    // as the reference — one `pow_mont` per term folded into a positive
+    // and a negative accumulator, one inversion per output row.
+
+    fn reference_row<'a>(
+        pk: &PaillierPk,
+        lanes: usize,
+        terms: &[(usize, f64)],
+        base: impl Fn(usize, usize) -> &'a [u64],
+    ) -> Vec<u64> {
+        let mut pos = vec![pk.mont.one_mont(); lanes];
+        let mut neg: Vec<Option<Vec<u64>>> = vec![None; lanes];
+        for &(src, v) in terms {
+            let e = codec::encode_exponent(v, pk.frac_bits);
+            if e.is_zero() {
+                continue;
+            }
+            for l in 0..lanes {
+                let p = pk.mont.pow_mont(base(src, l), &e.mag);
+                if e.neg {
+                    neg[l] = Some(match neg[l].take() {
+                        Some(cur) => pk.mont.mont_mul(&cur, &p),
+                        None => p,
+                    });
+                } else {
+                    pos[l] = pk.mont.mont_mul(&pos[l], &p);
+                }
+            }
+        }
+        let need: Vec<usize> = (0..lanes).filter(|&l| neg[l].is_some()).collect();
+        let values: Vec<bf_bigint::BigUint> = need
+            .iter()
+            .map(|&l| pk.mont.from_mont(neg[l].as_ref().unwrap()))
+            .collect();
+        for (&l, inv) in need.iter().zip(&bf_bigint::batch_mod_inv(&values, &pk.n2)) {
+            pos[l] = pk.mont.mont_mul(&pos[l], &pk.mont.to_mont(inv));
+        }
+        pos.concat()
+    }
+
+    fn paillier(pk: &PublicKey) -> &PaillierPk {
+        let PublicKey::Paillier(p) = pk else {
+            unreachable!()
+        };
+        p
+    }
+
+    fn reference_matmul(pk: &PublicKey, x: &Features, w: &CtMat) -> CtMat {
+        let rows: Vec<Vec<u64>> = (0..x.rows())
+            .map(|i| {
+                let mut nz = Vec::new();
+                for_each_nonzero(x, i, |c, v| nz.push((c, v)));
+                reference_row(paillier(pk), w.lanes(), &nz, |c, l| w.ct(c, l))
+            })
+            .collect();
+        w.like(x.rows(), 2, rows.concat())
+    }
+
+    fn reference_t_matmul_support(pk: &PublicKey, x: &Dense, g: &CtMat, support: &[u32]) -> CtMat {
+        let rows: Vec<Vec<u64>> = support
+            .iter()
+            .map(|&c| {
+                let col: Vec<(usize, f64)> =
+                    (0..x.rows()).map(|i| (i, x.get(i, c as usize))).collect();
+                reference_row(paillier(pk), g.lanes(), &col, |i, l| g.ct(i, l))
+            })
+            .collect();
+        g.like(support.len(), 2, rows.concat())
+    }
+
+    fn reference_matmul_ct_wt(pk: &PublicKey, g: &CtMat, w: &Dense) -> CtMat {
+        let rows: Vec<Vec<u64>> = (0..g.rows)
+            .flat_map(|i| (0..w.rows()).map(move |e| (i, e)))
+            .map(|(i, e)| {
+                let terms: Vec<(usize, f64)> = w.row(e).iter().copied().enumerate().collect();
+                reference_row(paillier(pk), 1, &terms, |j, _| g.ct(i, j))
+            })
+            .collect();
+        let mut out = pk.zeros_ct(g.rows, w.rows(), 2);
+        let Body::Enc { limbs, .. } = &mut out.body else {
+            unreachable!()
+        };
+        *limbs = rows.concat();
+        out
+    }
+
+    /// `rows × cols` whose row `r` follows pattern `r % 6`: 0/1
+    /// indicators, real values of mixed sign, all negative, empty,
+    /// all `-1` (equal negative exponents, no positive part), and real
+    /// values with one column repeated across rows.
+    fn patterned(rows: usize, cols: usize, seed: u64) -> Dense {
+        let noise = dense(rows, cols, seed);
+        let mut m = Dense::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = noise.get(r, c);
+                m.set(
+                    r,
+                    c,
+                    match r % 6 {
+                        0 => ((r + c) % 2) as f64,
+                        1 => v,
+                        2 => -v.abs() - 0.25,
+                        3 => 0.0,
+                        4 => -1.0,
+                        _ => 0.5 + ((r * c) % 3) as f64 * v.abs(),
+                    },
+                );
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn matmul_bytes_equal_the_per_term_reference() {
+        let (pk, _, obf) = setup();
+        // 40 rows: the parallel branch runs (cut-off 32).
+        let xd = patterned(40, 6, 50);
+        let w = dense(6, 4, 51);
+        for x in [
+            Features::Dense(xd.clone()),
+            Features::Sparse(Csr::from_dense(&xd)),
+        ] {
+            for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+                let cw = pk.encrypt_mode(&w, mode, &obf);
+                assert_eq!(cw.is_packed(), mode == PaillierMode::Packed);
+                assert_eq!(pk.matmul(&x, &cw), reference_matmul(&pk, &x, &cw));
+            }
+        }
+    }
+
+    #[test]
+    fn t_matmul_support_bytes_equal_the_per_term_reference() {
+        let (pk, _, obf) = setup();
+        // Patterns run along the columns here: output row s contracts
+        // column support[s] of X. 40 support rows: the parallel branch.
+        let xd = patterned(40, 6, 52).transpose();
+        let g = dense(6, 4, 53);
+        let dense_support: Vec<u32> = (0..40).collect();
+        let sparse = Csr::from_dense(&xd);
+        let sparse_support = sparse.col_support();
+        assert!(sparse_support.len() >= 32 && sparse_support.len() < 40);
+        for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+            let cg = pk.encrypt_mode(&g, mode, &obf);
+            assert_eq!(
+                pk.t_matmul_support(&Features::Dense(xd.clone()), &cg, &dense_support),
+                reference_t_matmul_support(&pk, &xd, &cg, &dense_support)
+            );
+            assert_eq!(
+                pk.t_matmul_support(&Features::Sparse(sparse.clone()), &cg, &sparse_support),
+                reference_t_matmul_support(&pk, &xd, &cg, &sparse_support)
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_ct_wt_bytes_equal_the_per_term_reference() {
+        let (pk, _, obf) = setup();
+        // The core contracts over W's rows: 40 of them for the parallel
+        // branch, then a tall ⟦G⟧ against a short W.
+        for (g_rows, w_rows) in [(3, 40), (40, 5)] {
+            let cg = pk.encrypt(&dense(g_rows, 6, 54), &obf);
+            let w = patterned(w_rows, 6, 55);
+            assert_eq!(
+                pk.matmul_ct_wt(&cg, &w),
+                reference_matmul_ct_wt(&pk, &cg, &w)
+            );
+        }
+    }
+
+    #[test]
+    fn encryption_draws_follow_the_element_index() {
+        // Entry i takes obfuscator draw `first + i` on any thread
+        // schedule: 144 scalar and 72 packed ciphertexts, well past the
+        // parallel helpers' serial cut-off of 32.
+        let m = dense(36, 4, 56);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let (pk, _) = keygen(256, 20, &mut rng);
+        let p = paillier(&pk);
+        let layout = SlotLayout::for_key(p.key_bits, p.frac_bits).unwrap();
+        for mode in [ObfMode::Pool(8), ObfMode::Exact, ObfMode::FixedBase] {
+            let obf = Obfuscator::new(&pk, mode, 5);
+            obf.set_drawn(3);
+            for scale in [1u8, 2] {
+                let first = obf.drawn();
+                let ct = if scale == 1 {
+                    pk.encrypt(&m, &obf)
+                } else {
+                    pk.encrypt_at_scale(&m, scale, &obf)
+                };
+                assert_eq!(obf.drawn(), first + 144);
+                for (i, &v) in m.data().iter().enumerate() {
+                    let enc = codec::encode(v, p.frac_bits, scale, &p.n);
+                    let want = p.raw_encrypt(&enc, &obf.draw(p, first + i as u64));
+                    assert_eq!(ct.ct(i / 4, i % 4), &want[..], "{mode:?} entry {i}");
+                }
+            }
+            let first = obf.drawn();
+            let ct = pk.encrypt_mode_seg(&m, 2, PaillierMode::Packed, &obf);
+            assert!(ct.is_packed() && ct.lanes() == 2);
+            assert_eq!(obf.drawn(), first + 72);
+            for idx in 0..72 {
+                let vals = &m.row(idx / 2)[idx % 2 * 2..][..2];
+                let packed = pack::pack_values(vals, p.frac_bits, 1, layout, &p.n).unwrap();
+                let want = p.raw_encrypt(&packed, &obf.draw(p, first + idx as u64));
+                assert_eq!(ct.ct(idx / 2, idx % 2), &want[..], "{mode:?} chunk {idx}");
+            }
+        }
     }
 }

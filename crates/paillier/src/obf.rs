@@ -117,7 +117,21 @@ impl Obfuscator {
 
     /// Next obfuscation value (Montgomery form) for the given key.
     pub fn next_rn(&self, pk: &PaillierPk) -> Vec<u64> {
-        let i = self.ctr.fetch_add(1, Ordering::Relaxed);
+        self.draw(pk, self.reserve(1))
+    }
+
+    /// Claim the next `n` draw positions and return the first. A
+    /// parallel section reserves its block up front and has element `j`
+    /// take [`Obfuscator::draw`]`(first + j)`, so which entry gets which
+    /// `r^n` is fixed by the element index, never by the thread schedule
+    /// — the same stream a serial loop of [`Obfuscator::next_rn`] draws.
+    pub(crate) fn reserve(&self, n: u64) -> u64 {
+        self.ctr.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// The obfuscation at draw position `i`: a pure function of
+    /// `(seed, i)`; the cursor does not move.
+    pub(crate) fn draw(&self, pk: &PaillierPk, i: u64) -> Vec<u64> {
         match self.mode {
             ObfMode::Exact => fresh_rn(
                 pk,

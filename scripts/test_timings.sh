@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run every workspace crate's test suite once, timing each, and print a
 # slowest-first table so creeping test cost is visible in CI logs. This
-# IS the CI test gate (equivalent coverage to `cargo test --workspace`,
-# run per crate): a suite failure prints that suite's output and fails
-# the script.
+# IS the CI test gate (equivalent coverage to `cargo test --workspace
+# --no-fail-fast`, run per crate): a failing suite prints its output and
+# the run carries on, so one red suite cannot hide the rest; every
+# failure is listed again at the end and fails the script.
 #
 # Set TIMINGS_OUT=<path> to also write the table there in a stable
 # tab-separated form (seconds<TAB>suite), so CI can upload it as an
@@ -22,15 +23,16 @@ else
 fi
 
 count=0
+failed=()
 times=$(mktemp)
 log=$(mktemp)
 trap 'rm -f "$times" "$log"' EXIT
 for name in $members; do
     start=$(date +%s.%N)
-    if ! cargo test -q -p "$name" >"$log" 2>&1; then
+    if ! cargo test -q -p "$name" --no-fail-fast >"$log" 2>&1; then
         echo "=== FAILED: $name ===" >&2
         cat "$log" >&2
-        exit 1
+        failed+=("$name")
     fi
     end=$(date +%s.%N)
     count=$((count + 1))
@@ -51,4 +53,9 @@ sort -rn "$times"
 if [ -n "${TIMINGS_OUT:-}" ]; then
     sort -rn "$times" | awk '{ printf "%s\t%s\n", $1, $2 }' >"$TIMINGS_OUT"
     echo "timings artifact written to $TIMINGS_OUT"
+fi
+
+if [ "${#failed[@]}" -gt 0 ]; then
+    echo "${#failed[@]} of $count suites FAILED: ${failed[*]}" >&2
+    exit 1
 fi
