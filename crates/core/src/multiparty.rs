@@ -259,7 +259,7 @@ impl MultiMatMulB {
             let _t = stages.timer(Stage::DecryptUpdate);
             let support_a = sess.ep.recv_support()?;
             let rows_a: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();
-            let piece = he2ss_peer(&sess.ep, &sess.own_sk)?;
+            let piece = he2ss_peer(&sess.ep, &sess.own_sk, rows_a.len(), self.out)?;
             let delta = step_piece(&mut link.v_a, &mut link.vel_v_a, &piece, &rows_a, lr, mu);
             sess.ep
                 .send(Msg::Ct(sess.own_pk.encrypt(&delta, &sess.obf)))?;

@@ -10,8 +10,10 @@
 
 use std::sync::Arc;
 
-use bf_mpc::transport::{Endpoint, Msg, TransportResult};
-use bf_paillier::{keygen, keys::plain_keys, Obfuscator, PublicKey, SecretKey};
+use bf_mpc::transport::{Endpoint, Msg, TransportError, TransportResult};
+use bf_paillier::{
+    keygen, keys::plain_keys, Obfuscator, PaillierMode, PublicKey, SecretKey, MAX_HE_MASK,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -112,6 +114,11 @@ impl Session {
     /// from the seed. `seed` still drives the mask RNG and the
     /// encryption-randomness stream, so two runs with the same keys
     /// and seed are bit-identical.
+    ///
+    /// A packed session whose `he_mask` exceeds the slot headroom rule
+    /// ([`MAX_HE_MASK`]) is refused here with a `Setup` error, before
+    /// anything is sent: its HE2SS replies could overflow a slot, which
+    /// the decoder cannot detect.
     pub fn handshake_with_keys(
         ep: Endpoint,
         cfg: FedConfig,
@@ -120,6 +127,16 @@ impl Session {
         own_sk: SecretKey,
         seed: u64,
     ) -> TransportResult<Session> {
+        let packs = cfg.paillier_mode == PaillierMode::Packed && own_pk.slot_layout().is_some();
+        // False for a NaN mask too.
+        let fits = cfg.he_mask.abs() <= MAX_HE_MASK;
+        if packs && !fits {
+            return Err(TransportError::Setup(format!(
+                "he_mask {} leaves the masked payload less than half a pack slot \
+                 (packed sessions accept at most {MAX_HE_MASK})",
+                cfg.he_mask
+            )));
+        }
         let rng = StdRng::seed_from_u64(seed);
         let obf = Obfuscator::new(&own_pk, cfg.obf_mode, seed ^ 0x0bf);
         ep.send(Msg::Key(own_pk.clone()))?;
@@ -285,6 +302,38 @@ mod tests {
         let ct = sess.own_pk.encrypt(&m, &sess.obf);
         assert!(sess.own_sk.decrypt(&ct).approx_eq(&m, 1e-5));
         assert_eq!(peer.join().unwrap(), want_pk);
+    }
+
+    #[test]
+    fn packed_session_refuses_a_mask_past_the_slot_headroom() {
+        // At the bound both parties shake hands; one ulp past it a
+        // packed Paillier session is a typed setup error on each side,
+        // while scalar and Plain sessions have no slots to overflow.
+        let shake = |cfg: FedConfig| {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            let cfg_a = cfg.clone();
+            let a = std::thread::spawn(move || {
+                Session::handshake(ep_a, cfg_a, Role::A, party_seed(Role::A, 3)).map(drop)
+            });
+            let b = Session::handshake(ep_b, cfg, Role::B, party_seed(Role::B, 3)).map(drop);
+            (a.join().unwrap(), b)
+        };
+        let with_mask = |cfg: FedConfig, he_mask: f64| FedConfig { he_mask, ..cfg };
+        let past = MAX_HE_MASK * (1.0 + f64::EPSILON);
+
+        let (a, b) = shake(with_mask(FedConfig::paillier_test(), MAX_HE_MASK));
+        assert!(a.is_ok() && b.is_ok());
+        for bad in [past, -past, f64::NAN] {
+            let (a, b) = shake(with_mask(FedConfig::paillier_test(), bad));
+            for r in [a, b] {
+                assert!(matches!(r, Err(TransportError::Setup(_))), "{bad}: {r:?}");
+            }
+        }
+        let scalar = FedConfig::paillier_test().with_paillier_mode(PaillierMode::Scalar);
+        for cfg in [scalar, FedConfig::plain()] {
+            let (a, b) = shake(with_mask(cfg, past));
+            assert!(a.is_ok() && b.is_ok());
+        }
     }
 
     #[test]

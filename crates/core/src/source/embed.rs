@@ -278,9 +278,11 @@ impl EmbedSource {
             &sess.peer_pk,
             &lk,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
-        let e_peer = he2ss_peer(&sess.ep, &sess.own_sk)?; // E_peer − ψ_peer
+        // E_peer − ψ_peer: one row per instance, as wide as V_peer is tall.
+        let e_peer = he2ss_peer(&sess.ep, &sess.own_sk, x.rows(), self.v_peer.rows())?;
         let psi = eps.add(&lookup(&self.s_own, x)); // ψ_own
 
         // Stage 2 — two shared matmuls (lines 8–9).
@@ -338,7 +340,7 @@ impl EmbedSource {
         // ∇W_A (lines 13–14): receive A's HE2SS piece, add our local
         // part (E_A − ψ_A)ᵀ∇Z, update V_A, refresh ⟦V_A⟧ at A.
         let d_a = e_peer.cols();
-        let piece1 = he2ss_peer(&sess.ep, &sess.own_sk)?; // ψ_Aᵀ∇Z − φ
+        let piece1 = he2ss_peer(&sess.ep, &sess.own_sk, d_a, self.out)?; // ψ_Aᵀ∇Z − φ
         let own_part = e_peer.t_matmul(grad_z);
         let piece_wa = piece1.add(&own_part); // ∇W_A − φ
         let rows_a: Vec<usize> = (0..d_a).collect();
@@ -355,7 +357,7 @@ impl EmbedSource {
 
         // ∇W_B (lines 15–16): A supplies ⟨(E_B−ψ_B)ᵀ∇Z − ξ⟩; we add
         // ψ_Bᵀ∇Z, update U_B, refresh ⟦U_B⟧ at A.
-        let piece2 = he2ss_peer(&sess.ep, &sess.own_sk)?;
+        let piece2 = he2ss_peer(&sess.ep, &sess.own_sk, psi.cols(), self.out)?;
         let piece_wb = piece2.add(&psi.t_matmul(grad_z)); // ∇W_B − ξ
         let rows_b: Vec<usize> = (0..piece_wb.rows()).collect();
         let delta = step_piece(
@@ -390,6 +392,7 @@ impl EmbedSource {
             &sess.peer_pk,
             &grad_q_ct,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
         // Update S_B by ρ_B (lazy momentum on the support rows).
@@ -410,8 +413,8 @@ impl EmbedSource {
         // Embed part, peer table: we hold T_A — receive A's support and
         // the HE2SS piece of ∇Q_A, update T_A, refresh A's ⟦T_A⟧.
         let support_a = sess.ep.recv_support()?;
-        let piece_qa = he2ss_peer(&sess.ep, &sess.own_sk)?; // ∇Q_A − ρ_A
         let rows_a: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();
+        let piece_qa = he2ss_peer(&sess.ep, &sess.own_sk, rows_a.len(), self.dim)?; // ∇Q_A − ρ_A
         let delta = step_piece(
             &mut self.t_peer,
             &mut self.vel_t_peer,
@@ -454,6 +457,7 @@ impl EmbedSource {
             &sess.peer_pk,
             &prod,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
         // Update U_A by φ and remember the delta for B's ⟦U_A⟧ cache.
@@ -478,6 +482,7 @@ impl EmbedSource {
             &sess.peer_pk,
             &prod,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
         let rows_b: Vec<usize> = (0..d_b).collect();
@@ -508,8 +513,8 @@ impl EmbedSource {
         // Embed part, peer table (B's table): receive support + piece,
         // update T_B, refresh B's ⟦T_B⟧.
         let support_b = sess.ep.recv_support()?;
-        let piece_qb = he2ss_peer(&sess.ep, &sess.own_sk)?; // ∇Q_B − ρ_B
         let rows: Vec<usize> = support_b.iter().map(|&c| c as usize).collect();
+        let piece_qb = he2ss_peer(&sess.ep, &sess.own_sk, rows.len(), self.dim)?; // ∇Q_B − ρ_B
         let delta = step_piece(
             &mut self.t_peer,
             &mut self.vel_t_peer,
@@ -532,6 +537,7 @@ impl EmbedSource {
             &sess.peer_pk,
             &grad_q_ct,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
         let rows: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();

@@ -216,7 +216,7 @@ impl MatMulSource {
         // piece, update V_A, and refresh A's encrypted cache.
         let support_a = sess.ep.recv_support()?;
         let rows_a: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();
-        let piece = he2ss_peer(&sess.ep, &sess.own_sk)?; // ∇W_A − φ rows
+        let piece = he2ss_peer(&sess.ep, &sess.own_sk, rows_a.len(), self.out)?; // ∇W_A − φ rows
         match sess.cfg.grad_mode {
             GradMode::SecretShared => {
                 let delta = self.step_v_peer(sess, &piece, &rows_a);
@@ -263,6 +263,7 @@ impl MatMulSource {
             &sess.peer_pk,
             &prod,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
         let rows: Vec<usize> = support.iter().map(|&c| c as usize).collect();
@@ -311,9 +312,10 @@ pub(crate) fn shared_matmul_fw(
         &sess.peer_pk,
         &prod,
         sess.cfg.he_mask,
+        sess.cfg.paillier_mode,
         &mut sess.rng,
     )?;
-    let piece = he2ss_peer(&sess.ep, &sess.own_sk)?;
+    let piece = he2ss_peer(&sess.ep, &sess.own_sk, x.rows(), w_plain.cols())?;
     Ok(x.matmul(w_plain).add(&eps).add(&piece))
 }
 

@@ -70,9 +70,11 @@ impl MatMulSource {
             &sess.peer_pk,
             &prod,
             sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
-        let piece = he2ss_peer(&sess.ep, &sess.own_sk)?; // ∇W_peer − φ_peer rows
+        // ∇W_peer − φ_peer rows
+        let piece = he2ss_peer(&sess.ep, &sess.own_sk, peer_support.len(), self.out_dim())?;
 
         // Lines 6–8: update U_own by φ; update V_peer by the received
         // piece and refresh the peer's ⟦V_peer⟧ cache.

@@ -5,34 +5,68 @@
 //! subtracts a random mask homomorphically and ships the result to the
 //! key owner for decryption. `SS2HE` turns a sharing into ciphertexts
 //! of `v` under each party's key via one exchange of encrypted pieces.
+//!
+//! Decryption is the expensive half of Algorithm 1, so a
+//! [`PaillierMode::Packed`] session packs before it decrypts: after the
+//! mask is subtracted, a holder whose `⟦v − φ⟧` is still one value per
+//! ciphertext folds every `slots` of them into one
+//! ([`PublicKey::repack`]) and sends a `1 × N` packed row; the key owner
+//! runs `⌈N/slots⌉` CRT decryptions instead of `N` and reads the same
+//! `f64`s out of the slots, bit for bit. `PaillierMode::Scalar` sends
+//! `⟦v − φ⟧` exactly as Algorithm 1 writes it. The mode is shared
+//! session configuration, like the layout of every other upload.
 
 use bf_paillier::{CtMat, Obfuscator, PaillierMode, PublicKey, SecretKey};
 use bf_tensor::Dense;
 use rand::Rng;
 
 use crate::shares::random_mask;
-use crate::transport::{Endpoint, Msg, TransportResult};
+use crate::transport::{Endpoint, Msg, TransportError, TransportResult};
+use crate::wire::WireError;
 
 /// Algorithm 1, holder side: given `⟦v⟧` under the *peer's* key,
-/// generate a mask `φ`, send `⟦v − φ⟧` to the peer, and return `φ`.
+/// generate a mask `φ`, send `⟦v − φ⟧` to the peer — repacked
+/// `slots`-to-1 under [`PaillierMode::Packed`] when it is a scalar body
+/// the key can pack — and return `φ`.
 pub fn he2ss_holder<R: Rng + ?Sized>(
     ep: &Endpoint,
     peer_pk: &PublicKey,
     ct: &CtMat,
     mask: f64,
+    mode: PaillierMode,
     rng: &mut R,
 ) -> TransportResult<Dense> {
     let phi = random_mask(rng, ct.rows(), ct.cols(), mask);
     let masked = peer_pk.sub_plain(ct, &phi);
-    ep.send(Msg::Ct(masked))?;
+    ep.send(Msg::Ct(match mode {
+        PaillierMode::Packed => peer_pk.repack(masked),
+        PaillierMode::Scalar => masked,
+    }))?;
     Ok(phi)
 }
 
 /// Algorithm 1, key-owner side: receive `⟦v − φ⟧` and decrypt it,
-/// yielding this party's piece `v − φ`.
-pub fn he2ss_peer(ep: &Endpoint, sk: &SecretKey) -> TransportResult<Dense> {
+/// yielding this party's `rows × cols` piece `v − φ`.
+///
+/// The shape is the one the caller is about to add the piece to. The
+/// reply may arrive in the holder's shape or as a repacked `1 × N` row;
+/// one with any other element count is refused here, as a malformed
+/// payload, before a kernel or `Dense::add` can panic on it.
+pub fn he2ss_peer(
+    ep: &Endpoint,
+    sk: &SecretKey,
+    rows: usize,
+    cols: usize,
+) -> TransportResult<Dense> {
     let ct = ep.recv_ct()?;
-    Ok(sk.decrypt(&ct))
+    if ct.rows() * ct.cols() != rows * cols {
+        return Err(TransportError::Wire(WireError::Malformed(format!(
+            "HE2SS reply is {}×{}, expected {rows}×{cols} values",
+            ct.rows(),
+            ct.cols()
+        ))));
+    }
+    Ok(sk.decrypt(&ct).reshaped(rows, cols))
 }
 
 /// Algorithm 2 (symmetric in both parties): given this party's piece
@@ -86,9 +120,57 @@ mod tests {
         // B encrypts v under its key; A holds ⟦v⟧_B.
         let ct = pk_b.encrypt(&v, &obf_b);
         let (ep_a, ep_b) = channel_pair();
-        let phi = he2ss_holder(&ep_a, &pk_b, &ct, 100.0, &mut rng).unwrap();
-        let piece_b = he2ss_peer(&ep_b, &sk_b).unwrap();
+        let phi = he2ss_holder(&ep_a, &pk_b, &ct, 100.0, PaillierMode::Scalar, &mut rng).unwrap();
+        let piece_b = he2ss_peer(&ep_b, &sk_b, 2, 2).unwrap();
         assert!(phi.add(&piece_b).approx_eq(&v, 1e-5));
+    }
+
+    #[test]
+    fn he2ss_packed_reply_is_bit_identical_and_slots_times_fewer_ciphertexts() {
+        // 256-bit/frac-24 keys pack 2 slots; a 5×1 scale-2 product is the
+        // one-column shape no upload can pack.
+        let run = |mode: PaillierMode| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let (pk_b, sk_b) = keygen(256, 24, &mut rng);
+            let obf_b = Obfuscator::new(&pk_b, ObfMode::Pool(4), 1);
+            let v = Dense::from_vec(5, 1, vec![1.25, -3.5, 0.0, -42.0, 7.0]);
+            let ct = pk_b.encrypt_at_scale(&v, 2, &obf_b);
+            let (ep_a, ep_b) = channel_pair();
+            let phi = he2ss_holder(&ep_a, &pk_b, &ct, 100.0, mode, &mut rng).unwrap();
+            let piece = he2ss_peer(&ep_b, &sk_b, 5, 1).unwrap();
+            let reference = Msg::Ct(pk_b.sub_plain(&ct, &phi)).wire_size() as u64;
+            (phi, piece, ep_a.stats().bytes(), reference)
+        };
+        let bits = |m: &Dense| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (phi_s, piece_s, bytes_s, reference) = run(PaillierMode::Scalar);
+        let (phi_p, piece_p, bytes_p, _) = run(PaillierMode::Packed);
+        assert_eq!(piece_p.shape(), (5, 1));
+        assert_eq!(bits(&phi_p), bits(&phi_s));
+        assert_eq!(bits(&piece_p), bits(&piece_s));
+        assert_eq!(bits(&phi_p.add(&piece_p)), bits(&phi_s.add(&piece_s)));
+        // Scalar is Algorithm 1 as written: the bytes of ⟦v − φ⟧ itself.
+        assert_eq!(bytes_s, reference);
+        // Packed: ⌈5/2⌉ = 3 ciphertexts instead of 5, after the 16-byte
+        // tensor header and the packed body's 32-byte geometry header.
+        let ct_bytes = (reference - 16) / 5;
+        assert_eq!(bytes_p, 16 + 32 + 3 * ct_bytes);
+    }
+
+    #[test]
+    fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (pk_b, sk_b) = keygen(256, 24, &mut rng);
+        let obf_b = Obfuscator::new(&pk_b, ObfMode::Pool(4), 1);
+        let ct = pk_b.encrypt(&Dense::zeros(5, 1), &obf_b);
+        for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+            let (ep_a, ep_b) = channel_pair();
+            he2ss_holder(&ep_a, &pk_b, &ct, 100.0, mode, &mut rng).unwrap();
+            let err = he2ss_peer(&ep_b, &sk_b, 4, 1).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                "{mode:?}: {err}"
+            );
+        }
     }
 
     #[test]

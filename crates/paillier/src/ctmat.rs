@@ -13,13 +13,16 @@
 //! apart from positive ones and are resolved by a single modular
 //! inversion per kernel call (Montgomery's trick), never a full-width
 //! exponentiation per entry. Workers write disjoint slices of one
-//! preallocated limb slab.
+//! preallocated limb slab. The HE2SS repack ([`PublicKey::repack`]) is
+//! one more caller of the same core: folding `slots` scalar ciphertexts
+//! into one is a contraction with the exponents `2^{j·slot_bits}`.
 
 use std::collections::BTreeMap;
 
 use bf_bigint::mont::{window_bits, PowTerm};
 use bf_tensor::{CatBlock, Dense, Features};
-use bf_util::{par_for_each_mut, par_map};
+use bf_util::par::COARSE;
+use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
 
 use crate::codec::{self, SignedInt};
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
@@ -327,7 +330,7 @@ impl PublicKey {
         obf: &Obfuscator,
     ) -> CtMat {
         if let (PaillierMode::Packed, PublicKey::Paillier(pk)) = (mode, self) {
-            if let Some(layout) = SlotLayout::for_key(pk.key_bits, pk.frac_bits) {
+            if let Some(layout) = self.slot_layout() {
                 // Packing only pays off (and chunk maths only holds) for
                 // ≥2-column segments tiling the matrix exactly. The
                 // decision depends on shared configuration and shape
@@ -812,6 +815,50 @@ impl PublicKey {
             _ => panic!("rows_add_assign backend mismatch"),
         }
     }
+
+    /// Fold a scalar-body matrix `slots`-to-1 into a packed `1 × N` row
+    /// (`N = rows·cols`, row-major, one segment), for a receiver that
+    /// only decrypts it: group `g` becomes
+    /// `Π_j ⟦v_{g·slots+j}⟧^{2^{j·slot_bits}}`, a ciphertext of the
+    /// packed integer `Σ_j v_j·2^{j·slot_bits}` — one row of the
+    /// contraction core with single-bit exponents, so the group shares a
+    /// chain of `(slots−1)·slot_bits` squarings and builds no table.
+    /// Decrypts bit-identically to `ct` (see [`crate::pack`]).
+    ///
+    /// Anything else comes back untouched: a Plain or already packed
+    /// body, a key without a slot layout, fewer than two elements.
+    pub fn repack(&self, ct: CtMat) -> CtMat {
+        let (PublicKey::Paillier(pk), Body::Enc { k, limbs }) = (self, &ct.body) else {
+            return ct;
+        };
+        let n = ct.rows * ct.cols;
+        let Some(layout) = self.slot_layout().filter(|_| n >= 2) else {
+            return ct;
+        };
+        let k = *k;
+        let shifts: Vec<SignedInt> = (0..layout.slots)
+            .map(|j| SignedInt {
+                mag: bf_bigint::BigUint::one().shl(j * layout.slot_bits as usize),
+                neg: false,
+            })
+            .collect();
+        let groups: Vec<Vec<(usize, SignedInt)>> = (0..n)
+            .step_by(layout.slots)
+            .map(|g| (g..n).zip(shifts.iter().cloned()).collect())
+            .collect();
+        let packed = contract(pk, 1, &groups, |src, _| &limbs[src * k..][..k]);
+        CtMat {
+            rows: 1,
+            cols: n,
+            scale: ct.scale,
+            body: Body::Packed(PackedCtMat {
+                k,
+                layout,
+                seg: n,
+                limbs: packed,
+            }),
+        }
+    }
 }
 
 impl SecretKey {
@@ -822,33 +869,39 @@ impl SecretKey {
             (SecretKey::Paillier(sk), Body::Enc { .. }) => {
                 let pk = sk.pk();
                 let n = ct.rows * ct.cols;
-                let vals: Vec<f64> = par_map(n, |i| {
+                let vals: Vec<f64> = par_map_min(COARSE, n, |i| {
                     let m = sk.raw_decrypt(ct.ct(i / ct.cols, i % ct.cols));
                     codec::decode(&m, pk.frac_bits, ct.scale, &pk.n, &pk.half_n)
                 });
                 Dense::from_vec(ct.rows, ct.cols, vals)
             }
             (SecretKey::Paillier(sk), Body::Packed(p)) => {
+                // One work item per ciphertext, not per row: an HE2SS
+                // reply is a single row of fat chunks. Chunks tile each
+                // row in column order, so their outputs tile `vals`.
                 let pk = sk.pk();
                 let nchunks = p.chunks_total(ct.cols);
-                let rows: Vec<Vec<f64>> = par_map(ct.rows, |i| {
-                    let mut row = Vec::with_capacity(ct.cols);
-                    for c in 0..nchunks {
-                        let m = sk.raw_decrypt(ct.ct(i, c));
-                        pack::unpack_values(
-                            &m,
-                            p.used_in_chunk(c),
-                            pk.frac_bits,
-                            ct.scale,
-                            p.layout,
-                            &pk.n,
-                            &pk.half_n,
-                            &mut row,
-                        );
-                    }
-                    row
+                let mut vals = vec![0.0; ct.rows * ct.cols];
+                let mut chunks = Vec::with_capacity(ct.rows * nchunks);
+                let mut rest = &mut vals[..];
+                for idx in 0..ct.rows * nchunks {
+                    let (chunk, tail) = rest.split_at_mut(p.used_in_chunk(idx % nchunks));
+                    chunks.push(chunk);
+                    rest = tail;
+                }
+                par_for_each_mut_min(COARSE, &mut chunks, |idx, chunk| {
+                    let m = sk.raw_decrypt(ct.ct(idx / nchunks, idx % nchunks));
+                    pack::unpack_values(
+                        &m,
+                        pk.frac_bits,
+                        ct.scale,
+                        p.layout,
+                        &pk.n,
+                        &pk.half_n,
+                        chunk,
+                    );
                 });
-                Dense::from_vec(ct.rows, ct.cols, rows.concat())
+                Dense::from_vec(ct.rows, ct.cols, vals)
             }
             (SecretKey::Plain, Body::Plain(v)) => Dense::from_vec(ct.rows, ct.cols, v.clone()),
             _ => panic!("decrypt backend mismatch"),
@@ -930,7 +983,9 @@ const SHARED_TABLE_LIMBS: usize = 1 << 22;
 /// and raised once, the rest share one squaring chain. A base that meets
 /// table-worthy exponents in several rows gets one window table per lane
 /// for the whole call, and all negative accumulators of the call are
-/// inverted together — one `mod_inv`, not one per row.
+/// inverted together — one `mod_inv`, not one per row. Every item of its
+/// parallel sections is a whole multi-exponentiation, so they split from
+/// [`COARSE`] items up: an 8-row embedding batch uses both cores.
 fn contract<'a>(
     pk: &PaillierPk,
     lanes: usize,
@@ -975,10 +1030,10 @@ fn contract<'a>(
     // One lane at a time, so the shared tables never hold more than one
     // lane's worth of bases.
     for l in 0..lanes {
-        let tables = par_map(shared.len(), |s| {
+        let tables = par_map_min(COARSE, shared.len(), |s| {
             mont.odd_powers(base(shared[s].0, l), shared[s].1)
         });
-        par_for_each_mut(&mut work, |r, (pos, neg)| {
+        par_for_each_mut_min(COARSE, &mut work, |r, (pos, neg)| {
             let side = |negative: bool| -> Vec<PowTerm> {
                 let signed = rows[r].iter().filter(|(_, e)| e.neg == negative);
                 signed
@@ -1525,7 +1580,7 @@ mod tests {
     #[test]
     fn matmul_bytes_equal_the_per_term_reference() {
         let (pk, _, obf) = setup();
-        // 40 rows: the parallel branch runs (cut-off 32).
+        // 40 rows: the parallel branch runs on any worker count.
         let xd = patterned(40, 6, 50);
         let w = dense(6, 4, 51);
         for x in [

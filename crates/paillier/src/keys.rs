@@ -7,6 +7,7 @@ use bf_bigint::{gen_prime, mod_inv, modular::lcm, BigUint, MontCtx};
 use rand::Rng;
 
 use crate::codec;
+use crate::pack::SlotLayout;
 
 /// Paillier public parameters plus precomputed Montgomery context for
 /// `n^2`. Shared via `Arc` inside [`PublicKey`].
@@ -266,6 +267,15 @@ impl PublicKey {
     /// True for the Plain (identity) backend.
     pub fn is_plain(&self) -> bool {
         matches!(self, PublicKey::Plain { .. })
+    }
+
+    /// The slot geometry this key packs with, or `None` for the Plain
+    /// backend and for keys that fit fewer than two slots.
+    pub fn slot_layout(&self) -> Option<SlotLayout> {
+        match self {
+            PublicKey::Paillier(pk) => SlotLayout::for_key(pk.key_bits, pk.frac_bits),
+            PublicKey::Plain { .. } => None,
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! `bf-bigint` (standing in for GMP) plus a [`CtMat`] abstraction — the
 //! paper's *CryptoTensor* — supporting dense **and sparse** matrix
 //! arithmetic over encrypted tensors, parallelised across cores (the
-//! paper uses OpenMP; we use `crossbeam` scoped threads via `bf-util`).
+//! paper uses OpenMP; we use a small helper-thread pool in `bf-util`).
 //! It underpins the §4 federated source layers and the §5 secure
 //! aggregation in `bf-mpc`/`blindfl`; the [`serial`] module owns the
 //! byte layouts that keys and ciphertext tensors use on the wire
@@ -52,8 +52,8 @@ pub use ctmat::CtMat;
 pub use keys::{keygen, FixedBaseTable, PaillierPk, PaillierSk, PublicKey, SecretKey};
 pub use obf::{ObfMode, Obfuscator};
 pub use pack::{
-    pack_values, unpack_values, PackError, PackedCtMat, PaillierMode, SlotLayout, MAX_SLOT_BITS,
-    SLOT_HEADROOM_BITS,
+    pack_values, unpack_values, PackError, PackedCtMat, PaillierMode, SlotLayout, MAX_HE_MASK,
+    MAX_SLOT_BITS, SLOT_HEADROOM_BITS,
 };
 pub use serial::{
     export_ctmat, export_public, export_secret, import_ctmat, import_public, import_secret,

@@ -25,12 +25,35 @@
 //! without inter-slot carries — and then reads plain base-`2^slot_bits`
 //! digits.
 //!
+//! The rule in numbers: a slot's signed range, in value units at scale
+//! 2, is `±2^(SLOT_HEADROOM_BITS−1)`. The HE2SS mask may take at most
+//! half of it — [`MAX_HE_MASK`]` = 2^(SLOT_HEADROOM_BITS−2)` — which
+//! leaves the other half, `|v| < 2^(SLOT_HEADROOM_BITS−2)`, to the
+//! masked payload (products already summed over the batch rows), so
+//! `v − φ` never reaches a slot boundary. A packed session whose
+//! `he_mask` is larger is refused at the handshake, because
+//! [`unpack_values`] cannot tell an overflowed slot from its
+//! neighbour's carry.
+//!
 //! Packing is *disabled* (the scalar body is used) when the key is too
 //! small to fit two slots, when `slot_bits` would exceed
 //! [`MAX_SLOT_BITS`] (digit extraction uses `u128` arithmetic), or when
 //! a matrix has fewer than two columns — the decision depends only on
 //! shared configuration (key size, `frac_bits`, shape), never on the
 //! values, so both parties always agree on it.
+//!
+//! The one exception is the HE2SS reply. A scalar body that only has to
+//! be *decrypted* — a one-column product, or the output of a
+//! scalar-only kernel (`matmul_ct_wt`, `lkup_bw`) — is folded by its
+//! holder `slots`-to-1 before it ships ([`crate::PublicKey::repack`]):
+//! `Π_j ⟦v_j⟧^{2^{j·slot_bits}}` is a ciphertext of the packed integer
+//! `Σ_j v_j·2^{j·slot_bits}`, whatever the shape was. One group costs
+//! `(slots−1)·slot_bits` squarings and `slots−1` multiplies mod `n²` on
+//! one chain and saves `slots−1` CRT decryptions, each two
+//! half-width exponentiations with `key_bits/2`-bit exponents: at
+//! 1024-bit keys, 832 squarings against eight decryptions of ≈ 1024
+//! half-width squarings each, i.e. roughly a third of the work per
+//! value, and `slots×` fewer bytes.
 //!
 //! Decoded values are **bit-identical** to the scalar path: slots are
 //! encoded with the same [`codec::encode_exponent`] rounding and decoded
@@ -45,6 +68,10 @@ use crate::codec;
 /// accumulation across a mini-batch's rows (`log2(rows)` bits), the
 /// HE2SS mask magnitude, and a safety margin.
 pub const SLOT_HEADROOM_BITS: u32 = 40;
+
+/// Largest HE2SS mask magnitude a packed session accepts: half a slot's
+/// signed range in scale-2 value units (see the headroom rule).
+pub const MAX_HE_MASK: f64 = (1u64 << (SLOT_HEADROOM_BITS - 2)) as f64;
 
 /// Upper bound on `slot_bits`: slot digits are extracted into `u128`s,
 /// and the signed value must fit an `i128`.
@@ -153,8 +180,8 @@ pub fn pack_values(
     })
 }
 
-/// Unpack `used` slots from a decrypted `Z_n` element, appending the
-/// decoded values to `out`.
+/// Unpack the first `out.len()` slots of a decrypted `Z_n` element into
+/// `out`.
 ///
 /// The ring element is first sign-recovered exactly like the scalar
 /// decoder (`m > n/2` means negative), then the per-slot bias
@@ -162,16 +189,14 @@ pub fn pack_values(
 /// applies. Each digit is converted through the same
 /// `BigUint::to_f64 / 2^shift` path as the scalar decoder, keeping the
 /// result bit-identical.
-#[allow(clippy::too_many_arguments)]
 pub fn unpack_values(
     m: &BigUint,
-    used: usize,
     frac_bits: u32,
     scale: u8,
     layout: SlotLayout,
     n: &BigUint,
     half_n: &BigUint,
-    out: &mut Vec<f64>,
+    out: &mut [f64],
 ) {
     let w = layout.slot_bits as usize;
     let shift = (frac_bits * scale as u32) as f64;
@@ -180,23 +205,27 @@ pub fn unpack_values(
     } else {
         (m.clone(), false)
     };
-    let bias = slot_bias(layout.slot_bits, used);
-    // Every slot value exceeds -2^(slot_bits-1), so biasing makes the
-    // whole integer non-negative; a panic here means a slot overflowed
-    // in homomorphic accumulation (the headroom rule was violated).
+    let bias = slot_bias(layout.slot_bits, out.len());
+    // Every in-range slot value exceeds -2^(slot_bits-1), so biasing
+    // makes the whole integer non-negative. A plaintext outside the
+    // envelope (a ciphertext under another key, a mask past the
+    // headroom rule) must decode to garbage, as it does in the scalar
+    // codec, not panic on bytes that came from the peer: lift the bias
+    // by a power of 2^w above n — no digit read below reaches it.
     let s = if p_neg {
-        bias.sub(&p_mag)
+        let lift = BigUint::one().shl(n.bits().div_ceil(w) * w);
+        bias.add(&lift).sub(&p_mag)
     } else {
         bias.add(&p_mag)
     };
     let mask = (1u128 << w) - 1;
     let half = 1i128 << (w - 1);
-    for j in 0..used {
+    for (j, o) in out.iter_mut().enumerate() {
         let d = (s.shr(j * w).low_u128() & mask) as i128;
         let v = d - half;
         let mag = BigUint::from_u128(v.unsigned_abs());
         let f = mag.to_f64() / shift.exp2();
-        out.push(if v < 0 { -f } else { f });
+        *o = if v < 0 { -f } else { f };
     }
 }
 
@@ -301,8 +330,8 @@ mod tests {
         let l = SlotLayout::for_key(512, 32).unwrap();
         let vals = [1.5, -2.75, 0.0, -1234.0625];
         let m = pack_values(&vals, 32, 1, l, &n).unwrap();
-        let mut out = Vec::new();
-        unpack_values(&m, vals.len(), 32, 1, l, &n, &half, &mut out);
+        let mut out = [0.0; 4];
+        unpack_values(&m, 32, 1, l, &n, &half, &mut out);
         assert_eq!(out, vals);
     }
 
@@ -316,9 +345,25 @@ mod tests {
         let ma = pack_values(&a, 32, 1, l, &n).unwrap();
         let mb = pack_values(&b, 32, 1, l, &n).unwrap();
         let sum = ma.mod_add(&mb, &n);
-        let mut out = Vec::new();
-        unpack_values(&sum, 3, 32, 1, l, &n, &half, &mut out);
+        let mut out = [0.0; 3];
+        unpack_values(&sum, 32, 1, l, &n, &half, &mut out);
         assert_eq!(out, [-3.0, -1.5, 0.0]);
+    }
+
+    #[test]
+    fn out_of_envelope_plaintext_decodes_to_garbage_not_a_panic() {
+        // What a ciphertext under another key decrypts to: an arbitrary
+        // ring element, here the most negative one (|P| ≈ n/2, far past
+        // the 4-slot bias). The low slots still read as if in range.
+        let n = n512();
+        let half = n.shr(1);
+        let l = SlotLayout::for_key(512, 32).unwrap();
+        let mut out = [0.0; 4];
+        unpack_values(&half.add_u64(1), 32, 1, l, &n, &half, &mut out);
+        assert!(out.iter().all(|v| v.is_finite()));
+        // n = 2^512 − 569, so −⌊n/2⌋ ≡ 285 (mod 2^104): slot 0 reads
+        // 285 fixed-point units.
+        assert_eq!(out[0], 285.0 / (32f64).exp2());
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Property tests for slot-wise packing: pack/unpack round-trips
 //! across shapes (0-row, 1×1, max frac_bits), slot-overflow rejection,
-//! and the packed ciphertext-tensor codec (golden bytes + corruption
-//! fuzz, mirroring the wire_prop suite in bf-mpc).
+//! the HE2SS repack (bit-identity with the scalar decrypt, and the mask
+//! envelope at its boundary), and the packed ciphertext-tensor codec
+//! (golden bytes + corruption fuzz, mirroring the wire_prop suite in
+//! bf-mpc).
+
+use std::sync::OnceLock;
 
 use bf_paillier::{
-    export_ctmat, import_ctmat, keygen, pack_values, unpack_values, ObfMode, Obfuscator,
-    PaillierMode, PublicKey, SlotLayout,
+    export_ctmat, import_ctmat, keygen, keys::plain_keys, pack_values, unpack_values, ObfMode,
+    Obfuscator, PaillierMode, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
 };
 use bf_tensor::Dense;
 use proptest::prelude::*;
@@ -38,8 +42,8 @@ proptest! {
         prop_assume!(used <= layout.slots);
         let chunk = &vals[..used];
         let m = pack_values(chunk, p.frac_bits, 1, layout, &p.n).unwrap();
-        let mut out = Vec::new();
-        unpack_values(&m, used, p.frac_bits, 1, layout, &p.n, &p.half_n, &mut out);
+        let mut out = vec![0.0; used];
+        unpack_values(&m, p.frac_bits, 1, layout, &p.n, &p.half_n, &mut out);
         prop_assert_eq!(out, chunk.to_vec());
     }
 
@@ -68,6 +72,121 @@ proptest! {
         bytes[idx] ^= 1 << bit;
         let _ = import_ctmat(&bytes);
     }
+}
+
+type Keys = (PublicKey, SecretKey, Obfuscator);
+
+/// The two key shapes HE2SS replies are repacked under: the unit-test
+/// key (256-bit, frac 24: 2 slots) and the benchmark's (1024-bit, frac
+/// 32: 9 slots). Generated once per test binary.
+fn repack_keys() -> &'static [Keys; 2] {
+    static KEYS: OnceLock<[Keys; 2]> = OnceLock::new();
+    KEYS.get_or_init(|| [paillier(256, 24), paillier(1024, 32)])
+}
+
+/// `(slots per ciphertext, bytes per ciphertext)` of a packing key.
+fn geometry(pk: &PublicKey) -> (usize, usize) {
+    let PublicKey::Paillier(p) = pk else {
+        unreachable!()
+    };
+    let layout = SlotLayout::for_key(p.key_bits, p.frac_bits).unwrap();
+    (layout.slots, p.ct_limbs() * 8)
+}
+
+fn bits(m: &Dense) -> Vec<u64> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn repack_decrypts_bit_identically_to_the_scalar_body(vals in grid_vals(128)) {
+        for (pk, sk, obf) in repack_keys() {
+            let (slots, ct_bytes) = geometry(pk);
+            // 128 elements are 64 (2 slots) / 15 (9 slots) groups: the
+            // parallel branch of the repack and of the packed decrypt.
+            for n in [0, 1, slots - 1, slots, slots + 1, 128] {
+                // Several columns wherever `n` has a divisor, so the
+                // row-major flattening is what gets checked.
+                let cols = (2..n).find(|c| n % c == 0).unwrap_or(n.max(1));
+                for (scale, all_negative) in [(1, false), (2, false), (2, true)] {
+                    let data = vals[..n]
+                        .iter()
+                        .map(|&v| if all_negative { -v.abs() - 0.5 } else { v })
+                        .collect();
+                    let m = Dense::from_vec(n / cols, cols, data);
+                    let ct = pk.encrypt_at_scale(&m, scale, obf);
+                    let want = sk.decrypt(&ct);
+                    let packed = pk.repack(ct);
+                    prop_assert_eq!(packed.is_packed(), n >= 2);
+                    prop_assert_eq!(packed.scale(), scale);
+                    if n >= 2 {
+                        prop_assert_eq!(packed.shape(), (1, n));
+                        let body = packed.wire_size() - 16 - 32;
+                        prop_assert_eq!(body, n.div_ceil(slots) * ct_bytes);
+                    }
+                    let got = sk.decrypt(&packed);
+                    prop_assert_eq!(bits(&got), bits(&want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repack_roundtrips_at_the_mask_envelope(
+        gaps in prop::collection::vec(1u32..=1024, 12),
+        signs in prop::collection::vec(any::<bool>(), 24),
+    ) {
+        // The headroom rule at its edge: payloads just inside
+        // ±MAX_HE_MASK under masks of exactly ±MAX_HE_MASK, at the scale
+        // (2) whose slots are tightest. `v − φ` then reaches
+        // 2·MAX_HE_MASK − gap, one fixed-point step short of wrapping.
+        let signed = |neg: bool, v: f64| if neg { -v } else { v };
+        for (pk, sk, obf) in repack_keys() {
+            let v: Vec<f64> = (0..12)
+                .map(|i| signed(signs[i], MAX_HE_MASK - gaps[i] as f64 / 1024.0))
+                .collect();
+            let phi: Vec<f64> = (0..12).map(|i| signed(signs[12 + i], MAX_HE_MASK)).collect();
+            let (v, phi) = (Dense::from_vec(12, 1, v), Dense::from_vec(12, 1, phi));
+            let masked = pk.sub_plain(&pk.encrypt_at_scale(&v, 2, obf), &phi);
+            let want = sk.decrypt(&masked);
+            prop_assert_eq!(bits(&want), bits(&v.sub(&phi)));
+            prop_assert_eq!(bits(&sk.decrypt(&pk.repack(masked))), bits(&want));
+        }
+    }
+}
+
+#[test]
+fn one_step_past_the_mask_envelope_wraps_its_slot() {
+    // Why the handshake refuses a larger mask instead of trusting the
+    // decoder: a payload of MAX_HE_MASK under a mask of −MAX_HE_MASK is
+    // exactly 2^(slot_bits−1) at scale 2, and comes back with its sign
+    // flipped — silently, there is nothing to detect.
+    let (pk, sk, obf) = &repack_keys()[0];
+    let v = Dense::from_vec(2, 1, vec![MAX_HE_MASK, 1.0]);
+    let phi = Dense::from_vec(2, 1, vec![-MAX_HE_MASK, 0.0]);
+    let masked = pk.sub_plain(&pk.encrypt_at_scale(&v, 2, obf), &phi);
+    assert_eq!(sk.decrypt(&masked).data(), [2.0 * MAX_HE_MASK, 1.0]);
+    assert_eq!(sk.decrypt(&pk.repack(masked)).get(0, 0), -2.0 * MAX_HE_MASK);
+}
+
+#[test]
+fn repack_returns_packed_plain_and_unpackable_inputs_untouched() {
+    let (pk, _, obf) = &repack_keys()[0];
+    let m = Dense::from_vec(2, 4, vec![1.0, -2.0, 3.0, -4.0, 5.5, -6.5, 7.0, 0.0]);
+    let packed = pk.encrypt_mode(&m, PaillierMode::Packed, obf);
+    assert!(packed.is_packed());
+    assert_eq!(pk.repack(packed.clone()), packed);
+
+    let (plain_pk, _) = plain_keys(24);
+    let plain = plain_pk.encrypt(&m, &Obfuscator::new(&plain_pk, ObfMode::Pool(2), 0));
+    assert_eq!(plain_pk.repack(plain.clone()), plain);
+
+    // 128-bit key at frac 32: not even two slots.
+    let (small_pk, _, small_obf) = paillier(128, 32);
+    let scalar = small_pk.encrypt(&m, &small_obf);
+    assert_eq!(small_pk.repack(scalar.clone()), scalar);
 }
 
 #[test]

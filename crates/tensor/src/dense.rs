@@ -26,6 +26,12 @@ impl Dense {
         Self { rows, cols, data }
     }
 
+    /// The same row-major data under another shape. Panics on size
+    /// mismatch.
+    pub fn reshaped(self, rows: usize, cols: usize) -> Self {
+        Self::from_vec(rows, cols, self.data)
+    }
+
     /// Build from nested rows. Panics on ragged input.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let r = rows.len();

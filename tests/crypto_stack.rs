@@ -69,8 +69,9 @@ proptest! {
         let ct = pk.encrypt(&v, &obf);
         let (ep_a, ep_b) = bf_mpc::channel_pair();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let phi = bf_mpc::he2ss_holder(&ep_a, &pk, &ct, 100.0, &mut rng).unwrap();
-        let piece = bf_mpc::he2ss_peer(&ep_b, &sk).unwrap();
+        let mode = PaillierMode::Packed;
+        let phi = bf_mpc::he2ss_holder(&ep_a, &pk, &ct, 100.0, mode, &mut rng).unwrap();
+        let piece = bf_mpc::he2ss_peer(&ep_b, &sk, 2, 2).unwrap();
         prop_assert!(phi.add(&piece).approx_eq(&v, 1e-4));
     }
 

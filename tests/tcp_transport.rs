@@ -155,3 +155,54 @@ fn malformed_peer_surfaces_error_not_panic() {
     assert!(msg.contains("wire decode error"), "unexpected error: {msg}");
     vandal.join().unwrap();
 }
+
+#[test]
+fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
+    // A peer that shakes hands and initialises the layer correctly, then
+    // answers the forward pass's HE2SS step with one value too many —
+    // repacked, the shape a packed session's replies travel in. The
+    // honest party must come back with a typed error, not panic in the
+    // decoder or in `Dense::add`, and must not wait for more.
+    use bf_mpc::{Msg, TransportError};
+    use bf_paillier::{ObfMode, Obfuscator};
+    use bf_tensor::{Dense, Features};
+    use blindfl::source::MatMulSource;
+    use std::time::Duration;
+
+    const ROWS: usize = 6;
+    let cfg = FedConfig::paillier_test();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let cfg_a = cfg.clone();
+    let vandal = std::thread::spawn(move || {
+        let ep = Endpoint::tcp_connect(addr).unwrap();
+        let mut sess = Session::handshake(ep, cfg_a, Role::A, party_seed(Role::A, SEED)).unwrap();
+        let _layer = MatMulSource::init(&mut sess, 3, 1).unwrap();
+        let obf = Obfuscator::new(&sess.peer_pk, ObfMode::Pool(4), 1);
+        let bogus = sess.peer_pk.encrypt(&Dense::zeros(ROWS + 1, 1), &obf);
+        let bogus = sess.peer_pk.repack(bogus);
+        assert_eq!(bogus.shape(), (1, ROWS + 1));
+        sess.ep.send(Msg::Ct(bogus)).unwrap();
+        // Take the host's own reply, so its send cannot be what fails.
+        let _ = sess.ep.recv();
+    });
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let host = std::thread::spawn(move || {
+        let ep = Endpoint::tcp_accept(&listener).unwrap();
+        let mut sess = Session::handshake(ep, cfg, Role::B, party_seed(Role::B, SEED)).unwrap();
+        let mut layer = MatMulSource::init(&mut sess, 4, 1).unwrap();
+        let x = Features::Dense(Dense::zeros(ROWS, 4));
+        let _ = done_tx.send(layer.forward(&mut sess, &x, false).map(drop));
+    });
+    let verdict = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the host must answer a malformed reply, not hang or panic");
+    let err = verdict.expect_err("a 7-value reply to a 6-row batch must be refused");
+    assert!(
+        matches!(err, TransportError::Wire(_)) && err.to_string().contains("expected 6×1"),
+        "unexpected error: {err}"
+    );
+    host.join().unwrap();
+    vandal.join().unwrap();
+}
