@@ -9,10 +9,12 @@
 //! ────────────────                       ───────────────────────
 //!                 ←  Support(bucket counts)      (setup, once)
 //! OP_NEW_TREE, Ct(⟦g|h⟧)  →                      (per tree)
-//! OP_HIST, Support(node rows) →
-//!                 ←  Ct(Σ⟦g|h⟧ per (feature, bucket))   (per node)
-//! OP_SPLIT, GbSplit(f, b), Support(rows) →
+//! OP_HIST, Support(all rows) →                   (the root)
+//!                 ←  Ct(Σ⟦g|h⟧ per (feature, bucket))
+//! OP_SPLIT, GbSplit(f, b), Support(rows) →       (per split, BFS order)
 //!                 ←  Support(left rows)      (guest records f ≤ t)
+//! OP_HIST, Support(smaller child's rows) →       (if a child may split)
+//!                 ←  Ct(that child's sums; the sibling is parent − child)
 //! OP_DONE →                                         (end of training)
 //! ```
 //!
@@ -23,6 +25,29 @@
 //! splits on guest features are named back to the guest by *local
 //! feature index and bucket id* — the guest alone records the threshold
 //! value, the host records only which guest and which record.
+//!
+//! **What the host opens.** Decryptions, not homomorphic arithmetic,
+//! set a tree's run time, so the protocol spends two levers on their
+//! count, both exact. The shared grower ([`bf_ml::gbdt::grow_tree`])
+//! asks for the root and then only the *smaller* child of each split,
+//! deriving the sibling as `hist(parent) − hist(child)` in `i64` — a
+//! depth-3 tree is 4 `OP_HIST` rounds instead of 7. And a histogram row
+//! is `(Σg, Σh)`: two slots of a ciphertext that holds `slots`, so under
+//! [`PaillierMode::Packed`] the guest folds `⌊slots/2⌋` rows into one
+//! ([`PublicKey::repack`]) and replies with a `1 × 2·cells` packed row;
+//! the host checks the element count, decrypts `⌈cells/⌊slots/2⌋⌉`
+//! ciphertexts and reshapes to `cells × 2`. Plain sessions, `Scalar`
+//! sessions and keys with fewer than four slots send `cells × 2` as the
+//! kernel produced it.
+//!
+//! **Numeric envelope.** Every sum is `Σ_rows round(v·2^fb)` with
+//! `|g| < 1`, `h ≤ ¼` (logloss). It is exact end to end while
+//! `rows < 2^(52−fb)` (the f64 the host re-quantizes through; the
+//! binding bound, 2^20 rows at 32 fractional bits) and, when packed,
+//! `rows < 2^(slot_bits−1−2·fb)` (its pack slot). `max_rows` computes
+//! the bound from `frac_bits` and the session's [`SlotLayout`]; host
+//! and guest refuse a taller store at set-up with a typed
+//! [`TransportError::Setup`].
 //!
 //! **Equivalence contract** (`tests/trees_parity.rs`): every histogram
 //! sum is recovered as an exact `i64` on the `2^-frac_bits` fixed-point
@@ -47,11 +72,13 @@ use bf_ml::gbdt::{
     GbdtParams, Node, NodeHist, SplitOracle, Tree,
 };
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_mpc::wire::{bit_at, bit_bytes, pack_bits};
+use bf_mpc::wire::{bit_at, bit_bytes, pack_bits, WireError};
 use bf_mpc::Endpoint;
+use bf_paillier::{PaillierMode, PublicKey, SlotLayout};
 use bf_tensor::{Csr, Dense, Features};
 
 use crate::config::FedConfig;
+use crate::engine::{Stage, StageTimes};
 use crate::multiparty::{collect_guests, send_hello};
 use crate::serve::{
     run_server_loop, RequestQueue, ServeConfig, ServeGuestReport, ServeReport, SERVE_SHUTDOWN,
@@ -285,6 +312,11 @@ pub struct GbdtHostRun {
     pub tree_secs: Vec<f64>,
     /// Bytes the host sent per link over the whole training run.
     pub bytes_sent_per_link: Vec<u64>,
+    /// Per-stage seconds inside the trees ([`crate::engine::StageTimes`]):
+    /// `encrypt/upload` is the `⟦g|h⟧` upload, `decrypt/update` the
+    /// histogram decryptions; the rest of `tree_secs` is split search
+    /// and waiting for guests.
+    pub stage_secs: Vec<(&'static str, f64)>,
 }
 
 /// What a guest's training run produced.
@@ -294,6 +326,9 @@ pub struct GbdtGuestRun {
     pub model: GbdtGuestModel,
     /// Bytes this guest sent over the whole training run.
     pub bytes_sent: u64,
+    /// Per-stage seconds: `fed-matmul` is the histogram kernel (row
+    /// gather, indicator contraction, fold).
+    pub stage_secs: Vec<(&'static str, f64)>,
 }
 
 /// The oracle the host plugs into the shared grower: guest features are
@@ -302,6 +337,7 @@ pub struct GbdtGuestRun {
 /// feature order the collocated twin sees after `hstack`.
 struct HostOracle<'a> {
     sessions: &'a [Session],
+    stages: &'a Arc<StageTimes>,
     guest_totals: Vec<usize>,
     link_widths: Vec<usize>,
     host_buckets: &'a FeatureBuckets,
@@ -316,9 +352,9 @@ struct HostOracle<'a> {
 impl HostOracle<'_> {
     /// Re-quantize a decrypted aggregate onto the i64 grid. The ring
     /// value is `Σ round(v·2^fb) · 2^fb` at scale 2, so the decoded
-    /// f64 is `Σ round(v·2^fb) / 2^fb` — exact until the sum needs
-    /// more than 52 bits, far beyond any test or bench shape — and one
-    /// rounding multiply recovers the integer.
+    /// f64 is `Σ round(v·2^fb) / 2^fb` — exact while the integer sum
+    /// fits an f64 mantissa, which [`check_envelope`] guaranteed at
+    /// set-up — and one rounding multiply recovers the integer.
     fn requantize(&self, v: f64) -> i64 {
         (v * (self.frac_bits as f64).exp2()).round() as i64
     }
@@ -345,16 +381,20 @@ impl SplitOracle for HostOracle<'_> {
             Vec::with_capacity(self.guest_totals.iter().sum::<usize>() + self.host_total);
         for (l, sess) in self.sessions.iter().enumerate() {
             let ct = sess.ep.recv_ct()?;
-            if ct.rows() != self.guest_totals[l] || ct.cols() != 2 {
-                return Err(TransportError::Setup(format!(
-                    "guest {l} answered a {}×{} histogram, expected {}×2",
+            // The reply is `cells × 2` as the kernel produced it or one
+            // folded `1 × 2·cells` row; any other element count is
+            // refused before `decrypt` or `reshaped` can panic on it.
+            let cells = self.guest_totals[l];
+            if ct.rows() * ct.cols() != cells * 2 {
+                return Err(TransportError::Wire(WireError::Malformed(format!(
+                    "guest {l} answered a {}×{} histogram, expected {cells}×2 values",
                     ct.rows(),
-                    ct.cols(),
-                    self.guest_totals[l]
-                )));
+                    ct.cols()
+                ))));
             }
-            let agg = sess.own_sk.decrypt(&ct);
-            for b in 0..agg.rows() {
+            let _t = self.stages.timer(Stage::DecryptUpdate);
+            let agg = sess.own_sk.decrypt(&ct).reshaped(cells, 2);
+            for b in 0..cells {
                 hist.push((
                     self.requantize(agg.get(b, 0)),
                     self.requantize(agg.get(b, 1)),
@@ -413,6 +453,48 @@ fn validate_subset(left: &[u32], rows: &[u32]) -> Result<(), String> {
     Ok(())
 }
 
+/// Exclusive bound on the rows a forest may train on — the GBDT half
+/// of the numeric envelope. A histogram cell is `Σ_rows q` with
+/// `q = round(v·2^fb)` and, for logloss, `|g| < 1`, `h ≤ ¼`, so
+/// `|Σ q| ≤ rows·2^fb`. Two things must hold it:
+///
+/// - **the f64 the host decodes it through**: [`HostOracle::requantize`]
+///   recovers the integer from `Σ q / 2^fb`, exact only below the
+///   mantissa, `rows·max|g| < 2^(52−fb)` — the binding one (2^20 rows
+///   at 32 fractional bits), on every backend;
+/// - **its pack slot**, when `⟦g|h⟧` travels packed: the scale-2 sum
+///   `Σ q·2^fb` must stay inside the slot's signed range,
+///   `rows·max|g| < 2^(slot_bits−1−2·fb)` (`bf_paillier::pack`,
+///   headroom rule), or it carries into the neighbouring `g`/`h` slot
+///   undetected.
+fn max_rows(frac_bits: u32, layout: Option<SlotLayout>) -> u64 {
+    let mantissa = 52u32.saturating_sub(frac_bits);
+    let slot = layout.map_or(u32::MAX, |l| l.slot_bits.saturating_sub(1 + 2 * frac_bits));
+    1u64 << mantissa.min(slot)
+}
+
+/// Refuse, at forest set-up and on both roles, a store too tall for
+/// [`max_rows`]. `gh_key` is the key `⟦g|h⟧` is encrypted under (the
+/// host's own, the guest's peer).
+fn check_envelope(
+    cfg: &FedConfig,
+    gh_key: &PublicKey,
+    n: usize,
+    frac_bits: u32,
+) -> TransportResult<()> {
+    let layout = gh_key
+        .slot_layout()
+        .filter(|_| cfg.paillier_mode == PaillierMode::Packed);
+    let limit = max_rows(frac_bits, layout);
+    if n as u64 >= limit {
+        return Err(TransportError::Setup(format!(
+            "{n} rows at {frac_bits} fractional bits overflow the histogram envelope \
+             (fewer than {limit} rows keep every (feature, bucket) sum exact)"
+        )));
+    }
+    Ok(())
+}
+
 /// Train the host side of a federated forest over already-handshaken
 /// sessions (one per guest link, in link order). `store` holds the
 /// host's labels and its own (possibly empty) feature slice.
@@ -428,7 +510,14 @@ pub fn run_gbdt_host(
         .as_binary()
         .to_vec();
     let n = y.len();
+    for sess in sessions.iter() {
+        check_envelope(&sess.cfg, &sess.own_pk, n, params.frac_bits)?;
+    }
     let bytes_base: Vec<u64> = sessions.iter().map(|s| s.ep.stats().bytes()).collect();
+    // One accumulator for the host, as in the M-guest trainers.
+    let stages = sessions
+        .first()
+        .map_or_else(Default::default, |s| Arc::clone(&s.stages));
 
     // Setup: per-link bucket counts announce each guest's feature grid.
     let mut guest_nbuckets: Vec<Vec<usize>> = Vec::with_capacity(sessions.len());
@@ -480,12 +569,16 @@ pub fn run_gbdt_host(
             gh.set(i, 0, g[i]);
             gh.set(i, 1, h[i]);
         }
-        for sess in sessions.iter() {
-            sess.ep.send(Msg::U64(OP_NEW_TREE))?;
-            sess.ep.send(Msg::Ct(sess.encrypt_upload(&gh)))?;
+        {
+            let _t = stages.timer(Stage::EncryptUpload);
+            for sess in sessions.iter() {
+                sess.ep.send(Msg::U64(OP_NEW_TREE))?;
+                sess.ep.send(Msg::Ct(sess.encrypt_upload(&gh)))?;
+            }
         }
         let mut oracle = HostOracle {
             sessions,
+            stages: &stages,
             guest_totals: guest_totals.clone(),
             link_widths: link_widths.clone(),
             host_buckets: &host_buckets,
@@ -522,6 +615,7 @@ pub fn run_gbdt_host(
             .zip(&bytes_base)
             .map(|(s, &b)| s.ep.stats().bytes() - b)
             .collect(),
+        stage_secs: stages.snapshot(),
     })
 }
 
@@ -550,6 +644,7 @@ pub fn run_gbdt_guest(
         .as_ref()
         .ok_or_else(|| TransportError::Setup("gbdt guest needs numerical features".into()))?;
     let n = x.rows();
+    check_envelope(&sess.cfg, &sess.peer_pk, n, params.frac_bits)?;
     let bytes_base = sess.ep.stats().bytes();
     let buckets = bucketize(x, params.max_bins);
     let nbuckets = buckets.nbuckets();
@@ -590,11 +685,21 @@ pub fn run_gbdt_guest(
                 let gh = gh.as_ref().ok_or_else(|| {
                     TransportError::Setup("OP_HIST before any OP_NEW_TREE".into())
                 })?;
-                let agg = sess.peer_pk.t_matmul_support(
-                    &indicator.select_rows(&idx),
-                    &gh.select_rows(&idx),
-                    &support,
-                );
+                let agg = {
+                    let _t = sess.stages.timer(Stage::FedMatmul);
+                    let agg = sess.peer_pk.t_matmul_support(
+                        &indicator.select_rows(&idx),
+                        &gh.select_rows(&idx),
+                        &support,
+                    );
+                    // The host only decrypts this: fold the 2-slot rows
+                    // so it opens ⌈cells/⌊slots/2⌋⌉ ciphertexts, not one
+                    // per cell.
+                    match sess.cfg.paillier_mode {
+                        PaillierMode::Packed => sess.peer_pk.repack(agg),
+                        PaillierMode::Scalar => agg,
+                    }
+                };
                 sess.ep.send(Msg::Ct(agg))?;
             }
             OP_SPLIT => {
@@ -634,6 +739,7 @@ pub fn run_gbdt_guest(
             records,
         },
         bytes_sent: sess.ep.stats().bytes() - bytes_base,
+        stage_secs: sess.stages.snapshot(),
     })
 }
 
@@ -817,4 +923,145 @@ pub fn gbdt_guest_over(
     send_hello(&ep, link, total)?;
     let mut sess = Session::handshake(ep, cfg, Role::A, multi_party_seed(Role::A, link, seed))?;
     run_gbdt_guest(&mut sess, store, params)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Backend;
+    use bf_datagen::{generate_tree, vsplit_multi};
+    use bf_ml::gbdt::CollocatedGbdt;
+
+    /// 512-bit keys at 16 fractional bits hold 7 slots of 72 bits, so
+    /// the guest folds its 2-slot histogram rows 3-to-1.
+    fn folding_cfg() -> FedConfig {
+        FedConfig {
+            backend: Backend::Paillier { key_bits: 512 },
+            frac_bits: 16,
+            ..FedConfig::paillier_test()
+        }
+    }
+
+    fn params(cfg: &FedConfig) -> GbdtParams {
+        GbdtParams {
+            trees: 2,
+            max_bins: 8,
+            frac_bits: cfg.frac_bits,
+            ..GbdtParams::default()
+        }
+    }
+
+    #[test]
+    fn row_limit_is_the_tighter_of_mantissa_and_slot() {
+        // The mantissa binds at every real configuration: 2^20 rows at
+        // the benchmark's 32 fractional bits, with 2^39 to spare in the
+        // 104-bit slot.
+        let l = SlotLayout::for_key(1024, 32);
+        assert_eq!(max_rows(32, l), 1 << 20);
+        assert_eq!(max_rows(32, None), 1 << 20);
+        assert_eq!(max_rows(24, SlotLayout::for_key(256, 24)), 1 << 28);
+        // The slot binds once frac_bits is small: 40 headroom bits, one
+        // of them the sign.
+        assert_eq!(max_rows(8, SlotLayout::for_key(256, 8)), 1 << 39);
+        assert_eq!(max_rows(8, None), 1 << 44);
+        // A narrower slot than this crate lays out, to see the formula.
+        let narrow = SlotLayout {
+            slot_bits: 2 * 20 + 6,
+            slots: 4,
+        };
+        assert_eq!(max_rows(20, Some(narrow)), 1 << 5);
+        // No mantissa left at all: not even one row.
+        assert_eq!(max_rows(52, None), 1);
+        assert_eq!(max_rows(60, None), 1);
+    }
+
+    #[test]
+    fn a_store_past_the_envelope_is_refused_on_both_roles() {
+        // 50 fractional bits leave 2^(52−50) = 4: three rows train (and
+        // equal the twin), four are refused before anything is sent.
+        let cfg = FedConfig {
+            frac_bits: 50,
+            ..FedConfig::plain()
+        };
+        let p = params(&cfg);
+        let ds = generate_tree(3, 4, 5);
+        let split = vsplit_multi(&ds, 1);
+        let fed = train_gbdt(&cfg, &p, split.guests, &split.party_b, 7);
+        let (twin, losses) = CollocatedGbdt::train(&ds, &p);
+        assert_eq!(fed.host.model.trees, twin.trees);
+        assert_eq!(fed.host.losses, losses);
+
+        let split = vsplit_multi(&generate_tree(4, 4, 5), 1);
+        let (guest, host) = crate::session::run_pair(
+            &cfg,
+            7,
+            {
+                let (p, store) = (p.clone(), split.guests[0].clone());
+                move |mut sess| run_gbdt_guest(&mut sess, &store, &p).map(|_| ())
+            },
+            |sess| run_gbdt_host(&mut [sess], &split.party_b, &p).map(|_| ()),
+        );
+        for (role, err) in [("guest", guest), ("host", host)] {
+            let err = err.expect_err("four rows at 50 fractional bits");
+            assert!(
+                matches!(&err, TransportError::Setup(why) if why.contains("envelope")),
+                "{role}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn stage_timers_stay_inside_the_trees_they_time() {
+        let cfg = folding_cfg();
+        let split = vsplit_multi(&generate_tree(48, 6, 13), 2);
+        let fed = train_gbdt(&cfg, &params(&cfg), split.guests, &split.party_b, 41);
+        let trees: f64 = fed.host.tree_secs.iter().sum();
+        let of = |stages: &[(&str, f64)], stage: Stage| {
+            let (_, secs) = stages.iter().find(|(l, _)| *l == stage.label()).unwrap();
+            *secs
+        };
+        let upload = of(&fed.host.stage_secs, Stage::EncryptUpload);
+        let decrypt = of(&fed.host.stage_secs, Stage::DecryptUpdate);
+        assert!(upload > 0.0 && decrypt > 0.0);
+        // Non-overlapping scopes on the host thread, all inside a tree.
+        let booked: f64 = fed.host.stage_secs.iter().map(|(_, s)| s).sum();
+        assert_eq!(booked, upload + decrypt, "{:?}", fed.host.stage_secs);
+        assert!(
+            booked <= trees,
+            "{booked} s of stages in {trees} s of trees"
+        );
+        for g in &fed.guests {
+            let kernel = of(&g.stage_secs, Stage::FedMatmul);
+            assert!(kernel > 0.0 && kernel <= trees);
+            assert_eq!(g.stage_secs.iter().map(|(_, s)| s).sum::<f64>(), kernel);
+        }
+    }
+
+    #[test]
+    fn a_histogram_reply_with_the_wrong_element_count_is_a_typed_error() {
+        // A guest that follows the protocol up to the first histogram
+        // request and then answers with the whole `n × 2` gradient
+        // tensor instead of `cells × 2` sums.
+        let cfg = folding_cfg();
+        let split = vsplit_multi(&generate_tree(16, 4, 3), 1);
+        let p = params(&cfg);
+        let (_, host) = crate::session::run_pair(
+            &cfg,
+            9,
+            |sess| {
+                sess.ep.send(Msg::Support(vec![3, 3])).unwrap();
+                assert_eq!(sess.ep.recv_u64().unwrap(), OP_NEW_TREE);
+                let gh = sess.ep.recv_ct().unwrap();
+                assert_eq!(sess.ep.recv_u64().unwrap(), OP_HIST);
+                sess.ep.recv_support().unwrap();
+                sess.ep.send(Msg::Ct(gh)).unwrap();
+            },
+            |sess| run_gbdt_host(&mut [sess], &split.party_b, &p),
+        );
+        let err = host.expect_err("16×2 values for 6 cells");
+        assert!(
+            matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+            "{err}"
+        );
+    }
 }

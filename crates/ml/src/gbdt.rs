@@ -301,6 +301,15 @@ pub trait SplitOracle {
 /// plus the `(row, leaf_weight)` assignment of every training row, so
 /// callers update margins identically. Node allocation order (and hence
 /// node indices) is the BFS split-decision order on both paths.
+///
+/// **Sibling subtraction.** Only the root and, per split, the *smaller*
+/// child (ties → left) are asked of the oracle; the sibling is
+/// `hist(parent) − hist(child)` element-wise. Histograms are `i64` sums
+/// on the `quantize_i64` grid, so the difference *is* the sibling's
+/// histogram, not an approximation of it: a full depth-`d` tree costs
+/// `2^(d−1)` oracle histograms instead of `2^d − 1`, each over the
+/// smaller row set. A split whose children cannot split again (at
+/// `max_depth`, or single rows) requests nothing.
 pub fn grow_tree<O: SplitOracle>(
     p: &GbdtParams,
     nbuckets: &[usize],
@@ -309,23 +318,25 @@ pub fn grow_tree<O: SplitOracle>(
     root_rows: Vec<u32>,
     oracle: &mut O,
 ) -> Result<GrownTree, O::Err> {
+    let splittable = |rows: &[u32], depth: usize| depth < p.max_depth && rows.len() >= 2;
     let mut nodes: Vec<Node> = vec![Node::Leaf { weight: 0.0 }];
     let mut assign: Vec<(u32, f64)> = Vec::new();
-    let mut queue: std::collections::VecDeque<(usize, Vec<u32>, usize)> =
+    // (node index, rows, depth, histogram if the node may split).
+    let mut queue: std::collections::VecDeque<(usize, Vec<u32>, usize, Option<NodeHist>)> =
         std::collections::VecDeque::new();
-    queue.push_back((0, root_rows, 0));
-    while let Some((idx, rows, depth)) = queue.pop_front() {
+    let root_hist = if splittable(&root_rows, 0) {
+        Some(oracle.hist(&root_rows)?)
+    } else {
+        None
+    };
+    queue.push_back((0, root_rows, 0, root_hist));
+    while let Some((idx, rows, depth, hist)) = queue.pop_front() {
         let totals = rows.iter().fold((0i64, 0i64), |(g, h), &r| {
             (g + gq[r as usize], h + hq[r as usize])
         });
-        let decision = if depth < p.max_depth && rows.len() >= 2 {
-            let hist = oracle.hist(&rows)?;
-            best_split(&hist, nbuckets, totals, p)
-        } else {
-            None
-        };
-        match decision {
-            Some(s) => {
+        let split = hist.and_then(|h| best_split(&h, nbuckets, totals, p).map(|s| (s, h)));
+        match split {
+            Some((s, hist)) => {
                 let left_rows = oracle.route_left(s.feature, s.bucket, &rows)?;
                 let right_rows = diff_sorted(&rows, &left_rows);
                 assert!(
@@ -333,6 +344,21 @@ pub fn grow_tree<O: SplitOracle>(
                     "split with positive gain produced an empty child — \
                      histogram and routing disagree"
                 );
+                let d = depth + 1;
+                let (want_l, want_r) = (splittable(&left_rows, d), splittable(&right_rows, d));
+                let (left_hist, right_hist) = if want_l || want_r {
+                    let left_small = left_rows.len() <= right_rows.len();
+                    let small = oracle.hist(if left_small { &left_rows } else { &right_rows })?;
+                    let sibling = hist_minus(hist, &small);
+                    let (lh, rh) = if left_small {
+                        (small, sibling)
+                    } else {
+                        (sibling, small)
+                    };
+                    (want_l.then_some(lh), want_r.then_some(rh))
+                } else {
+                    (None, None)
+                };
                 let (l, r) = (nodes.len() as u32, nodes.len() as u32 + 1);
                 nodes[idx] = Node::Split {
                     feature: s.feature,
@@ -342,8 +368,8 @@ pub fn grow_tree<O: SplitOracle>(
                 };
                 nodes.push(Node::Leaf { weight: 0.0 });
                 nodes.push(Node::Leaf { weight: 0.0 });
-                queue.push_back((l as usize, left_rows, depth + 1));
-                queue.push_back((r as usize, right_rows, depth + 1));
+                queue.push_back((l as usize, left_rows, d, left_hist));
+                queue.push_back((r as usize, right_rows, d, right_hist));
             }
             None => {
                 let w = leaf_weight(totals, p);
@@ -355,6 +381,18 @@ pub fn grow_tree<O: SplitOracle>(
         }
     }
     Ok((Tree { nodes }, assign))
+}
+
+/// `parent − child`, cell by cell: the histogram of the rows of
+/// `parent` that are not in `child`. Exact, because both are integer
+/// sums over disjoint-union row sets.
+fn hist_minus(mut parent: NodeHist, child: &NodeHist) -> NodeHist {
+    assert_eq!(parent.len(), child.len(), "histogram widths disagree");
+    for (p, c) in parent.iter_mut().zip(child) {
+        p.0 -= c.0;
+        p.1 -= c.1;
+    }
+    parent
 }
 
 /// `rows \ left` preserving order; both inputs are ascending subsets of
@@ -550,7 +588,7 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+            ((state >> 32) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let cols = 4;
         let mut data = Vec::with_capacity(n * cols);
@@ -622,6 +660,182 @@ mod tests {
         let (m2, l2) = CollocatedGbdt::train(&ds, &GbdtParams::default());
         assert_eq!(l1, l2);
         assert_eq!(m1.trees, m2.trees);
+    }
+
+    /// The grower before sibling subtraction: one oracle histogram per
+    /// node that may split. Kept as the reference [`grow_tree`] must
+    /// reproduce node for node.
+    fn grow_tree_asking_every_node<O: SplitOracle>(
+        p: &GbdtParams,
+        nbuckets: &[usize],
+        gq: &[i64],
+        hq: &[i64],
+        root_rows: Vec<u32>,
+        oracle: &mut O,
+    ) -> Result<GrownTree, O::Err> {
+        let mut nodes: Vec<Node> = vec![Node::Leaf { weight: 0.0 }];
+        let mut assign: Vec<(u32, f64)> = Vec::new();
+        let mut queue = std::collections::VecDeque::new();
+        queue.push_back((0usize, root_rows, 0usize));
+        while let Some((idx, rows, depth)) = queue.pop_front() {
+            let totals = rows.iter().fold((0i64, 0i64), |(g, h), &r| {
+                (g + gq[r as usize], h + hq[r as usize])
+            });
+            let decision = if depth < p.max_depth && rows.len() >= 2 {
+                best_split(&oracle.hist(&rows)?, nbuckets, totals, p)
+            } else {
+                None
+            };
+            match decision {
+                Some(s) => {
+                    let left_rows = oracle.route_left(s.feature, s.bucket, &rows)?;
+                    let right_rows = diff_sorted(&rows, &left_rows);
+                    let (l, r) = (nodes.len() as u32, nodes.len() as u32 + 1);
+                    nodes[idx] = Node::Split {
+                        feature: s.feature,
+                        bucket: s.bucket,
+                        left: l,
+                        right: r,
+                    };
+                    nodes.push(Node::Leaf { weight: 0.0 });
+                    nodes.push(Node::Leaf { weight: 0.0 });
+                    queue.push_back((l as usize, left_rows, depth + 1));
+                    queue.push_back((r as usize, right_rows, depth + 1));
+                }
+                None => {
+                    let w = leaf_weight(totals, p);
+                    nodes[idx] = Node::Leaf { weight: w };
+                    assign.extend(rows.iter().map(|&r| (r, w)));
+                }
+            }
+        }
+        Ok((Tree { nodes }, assign))
+    }
+
+    /// A [`LocalOracle`] that logs the row count of every histogram it
+    /// is asked for and checks, for each one that follows a split, that
+    /// it is that split's smaller child (ties → left), asked once.
+    struct CountingOracle<'a> {
+        inner: LocalOracle<'a>,
+        hist_rows: Vec<usize>,
+        /// `(left, right)` of the last split, until a histogram uses it.
+        children: Option<(Vec<u32>, Vec<u32>)>,
+    }
+
+    impl SplitOracle for CountingOracle<'_> {
+        type Err = std::convert::Infallible;
+        fn hist(&mut self, rows: &[u32]) -> Result<NodeHist, Self::Err> {
+            if !self.hist_rows.is_empty() {
+                let (left, right) = self
+                    .children
+                    .take()
+                    .expect("a second histogram for one split");
+                let small = if left.len() <= right.len() {
+                    left
+                } else {
+                    right
+                };
+                assert_eq!(rows, small, "asked for the larger child");
+            }
+            self.hist_rows.push(rows.len());
+            self.inner.hist(rows)
+        }
+        fn route_left(
+            &mut self,
+            feature: u32,
+            bucket: u32,
+            rows: &[u32],
+        ) -> Result<Vec<u32>, Self::Err> {
+            let left = self.inner.route_left(feature, bucket, rows)?;
+            self.children = Some((left.clone(), diff_sorted(rows, &left)));
+            Ok(left)
+        }
+    }
+
+    /// Grow the first tree of `ds` both ways; returns the subtracting
+    /// grower's result and the row counts of the histograms it asked for,
+    /// after asserting it equals the ask-every-node reference.
+    fn grow_both_ways(ds: &Dataset, p: &GbdtParams) -> (GrownTree, Vec<usize>) {
+        let y = ds.labels.as_ref().unwrap().as_binary();
+        let n = y.len();
+        let buckets = bucketize(ds.num.as_ref().unwrap(), p.max_bins);
+        let nbuckets = buckets.nbuckets();
+        let (offsets, total) = bucket_offsets(&nbuckets);
+        let (g, h) = grad_hess(&vec![p.base_score; n], y);
+        let q =
+            |v: &[f64]| -> Vec<i64> { v.iter().map(|&v| quantize_i64(v, p.frac_bits)).collect() };
+        let (gq, hq) = (q(&g), q(&h));
+        let local = || LocalOracle {
+            ids: &buckets.ids,
+            offsets: &offsets,
+            total,
+            gq: &gq,
+            hq: &hq,
+        };
+        let root: Vec<u32> = (0..n as u32).collect();
+        let mut counting = CountingOracle {
+            inner: local(),
+            hist_rows: Vec::new(),
+            children: None,
+        };
+        let Ok(grown) = grow_tree(p, &nbuckets, &gq, &hq, root.clone(), &mut counting);
+        let Ok(reference) = grow_tree_asking_every_node(p, &nbuckets, &gq, &hq, root, &mut local());
+        assert_eq!(grown, reference, "sibling subtraction changed the tree");
+        (grown, counting.hist_rows)
+    }
+
+    #[test]
+    fn full_depth_three_tree_asks_for_four_histograms() {
+        let ds = xor_dataset(256);
+        let (grown, asked) = grow_both_ways(&ds, &GbdtParams::default());
+        assert_eq!(grown.0.nodes.len(), 15, "tree is not full: {:?}", grown.0);
+        // Root, then the smaller child of each of the three splits above
+        // the last level (the oracle checked which child); the four
+        // depth-2 splits have `max_depth` children and ask for nothing.
+        assert_eq!(asked.len(), 4, "{asked:?}");
+        assert_eq!(asked[0], 256);
+        assert!(asked[1] <= 128 && asked[2] + asked[3] <= 128, "{asked:?}");
+    }
+
+    #[test]
+    fn other_depths_equal_the_reference_within_the_request_bound() {
+        let ds = xor_dataset(256);
+        for max_depth in [1usize, 2, 5] {
+            let p = GbdtParams {
+                max_depth,
+                ..GbdtParams::default()
+            };
+            // One request per pair of children above the last level, plus
+            // the root: at most 2^(d−1), where asking every node is up to
+            // 2^d − 1. A `max_depth` child is never asked for, so depth 1
+            // is the root alone.
+            let (_, asked) = grow_both_ways(&ds, &p);
+            assert!(
+                asked.len() <= 1 << (max_depth - 1),
+                "{max_depth}: {asked:?}"
+            );
+            assert_eq!(asked[0], 256);
+        }
+    }
+
+    #[test]
+    fn single_row_children_ask_for_nothing_they_do_not_need() {
+        let tiny = |x: &[f64], y: &[f64]| Dataset {
+            num: Some(Features::Dense(Dense::from_vec(x.len(), 1, x.to_vec()))),
+            cat: None,
+            labels: Some(Labels::Binary(y.to_vec())),
+        };
+        let p = GbdtParams::default();
+        // Two rows: the root splits into two single rows — leaves by
+        // size, so the root's histogram is the only one.
+        let (grown, asked) = grow_both_ways(&tiny(&[0.0, 1.0], &[0.0, 1.0]), &p);
+        assert_eq!(grown.0.nodes.len(), 3);
+        assert_eq!(asked, vec![2]);
+        // Three rows, 1 | 2: the pair may split again, and its histogram
+        // comes from the single row's, not from a request over the pair.
+        let (grown, asked) = grow_both_ways(&tiny(&[0.0, 1.0, 2.0], &[1.0, 0.0, 1.0]), &p);
+        assert_eq!(grown.0.nodes.len(), 5, "{:?}", grown.0);
+        assert_eq!(asked, vec![3, 1]);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! runs `⌈N/slots⌉` CRT decryptions instead of `N` and reads the same
 //! `f64`s out of the slots, bit for bit. `PaillierMode::Scalar` sends
 //! `⟦v − φ⟧` exactly as Algorithm 1 writes it. The mode is shared
-//! session configuration, like the layout of every other upload.
+//! session configuration, like the layout of every other upload. A
+//! `⟦v − φ⟧` that is already packed ships as it is; `repack`'s second
+//! case (narrow packed rows) belongs to the tree histograms
+//! (`blindfl::trees`), whose replies are not masked.
 
 use bf_paillier::{CtMat, Obfuscator, PaillierMode, PublicKey, SecretKey};
 use bf_tensor::Dense;
@@ -38,9 +41,11 @@ pub fn he2ss_holder<R: Rng + ?Sized>(
 ) -> TransportResult<Dense> {
     let phi = random_mask(rng, ct.rows(), ct.cols(), mask);
     let masked = peer_pk.sub_plain(ct, &phi);
+    // Scalar bodies only: a masked product that is already packed ships
+    // in its own layout, whatever else `repack` could fold.
     ep.send(Msg::Ct(match mode {
-        PaillierMode::Packed => peer_pk.repack(masked),
-        PaillierMode::Scalar => masked,
+        PaillierMode::Packed if !masked.is_packed() => peer_pk.repack(masked),
+        _ => masked,
     }))?;
     Ok(phi)
 }
@@ -154,6 +159,27 @@ mod tests {
         // tensor header and the packed body's 32-byte geometry header.
         let ct_bytes = (reference - 16) / 5;
         assert_eq!(bytes_p, 16 + 32 + 3 * ct_bytes);
+    }
+
+    #[test]
+    fn he2ss_holder_ships_a_packed_body_in_its_own_layout() {
+        // 512-bit/frac-32 keys hold 4 slots, so `repack` could fold a
+        // 3×2 packed body 2-to-1 — the holder must not: only scalar
+        // bodies are folded on the HE2SS path.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (pk_b, sk_b) = keygen(512, 32, &mut rng);
+        let obf_b = Obfuscator::new(&pk_b, ObfMode::Pool(4), 1);
+        let v = Dense::from_vec(3, 2, vec![1.25, -3.5, 0.0, -42.0, 7.0, 0.5]);
+        let ct = pk_b.encrypt_mode(&v, PaillierMode::Packed, &obf_b);
+        assert!(ct.is_packed() && pk_b.repack(ct.clone()) != ct);
+        let (ep_a, ep_b) = channel_pair();
+        let phi = he2ss_holder(&ep_a, &pk_b, &ct, 100.0, PaillierMode::Packed, &mut rng).unwrap();
+        assert_eq!(
+            ep_a.stats().bytes(),
+            Msg::Ct(pk_b.sub_plain(&ct, &phi)).wire_size() as u64
+        );
+        let piece = he2ss_peer(&ep_b, &sk_b, 3, 2).unwrap();
+        assert!(phi.add(&piece).approx_eq(&v, 1e-5));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! apart from positive ones and are resolved by a single modular
 //! inversion per kernel call (Montgomery's trick), never a full-width
 //! exponentiation per entry. Workers write disjoint slices of one
-//! preallocated limb slab. The HE2SS repack ([`PublicKey::repack`]) is
-//! one more caller of the same core: folding `slots` scalar ciphertexts
-//! into one is a contraction with the exponents `2^{j·slot_bits}`.
+//! preallocated limb slab. The decrypt-only repack
+//! ([`PublicKey::repack`]) is one more caller of the same core: folding
+//! `slots` scalar ciphertexts — or `⌊slots/u⌋` packed rows of `u` slots
+//! — into one is a contraction with the exponents `2^{j·u·slot_bits}`.
 
 use std::collections::BTreeMap;
 
@@ -816,35 +817,55 @@ impl PublicKey {
         }
     }
 
-    /// Fold a scalar-body matrix `slots`-to-1 into a packed `1 × N` row
-    /// (`N = rows·cols`, row-major, one segment), for a receiver that
-    /// only decrypts it: group `g` becomes
-    /// `Π_j ⟦v_{g·slots+j}⟧^{2^{j·slot_bits}}`, a ciphertext of the
-    /// packed integer `Σ_j v_j·2^{j·slot_bits}` — one row of the
-    /// contraction core with single-bit exponents, so the group shares a
-    /// chain of `(slots−1)·slot_bits` squarings and builds no table.
-    /// Decrypts bit-identically to `ct` (see [`crate::pack`]).
+    /// Fold a matrix that only has to be *decrypted* into a packed
+    /// `1 × N` row (`N = rows·cols`, row-major, one segment) with as many
+    /// values per ciphertext as the key holds. Two bodies qualify, with
+    /// `u` values per source ciphertext and `f = ⌊slots/u⌋` sources per
+    /// output:
     ///
-    /// Anything else comes back untouched: a Plain or already packed
-    /// body, a key without a slot layout, fewer than two elements.
+    /// - a scalar body (`u = 1`, `f = slots`): every element is a source;
+    /// - a packed body whose rows are one chunk of `u = cols ≤ slots/2`
+    ///   slots in this key's layout: every row is a source, and the
+    ///   result carries `slots = f·u` in its [`SlotLayout`].
+    ///
+    /// Group `g` becomes `Π_j ⟦P_{g·f+j}⟧^{2^{j·u·slot_bits}}`, a
+    /// ciphertext of `Σ_j P_{g·f+j}·2^{j·u·slot_bits}` — the sources'
+    /// slots laid end to end — as one row of the contraction core with
+    /// single-bit exponents, so the group shares a chain of
+    /// `(f−1)·u·slot_bits` squarings and builds no table. Decrypts
+    /// bit-identically to `ct` (see [`crate::pack`]).
+    ///
+    /// Anything else comes back untouched: a Plain body, a packed body
+    /// with several chunks per row, more than `slots/2` columns or
+    /// another layout (an already folded one included), a key without a
+    /// slot layout, fewer than two sources.
     pub fn repack(&self, ct: CtMat) -> CtMat {
-        let (PublicKey::Paillier(pk), Body::Enc { k, limbs }) = (self, &ct.body) else {
+        let (PublicKey::Paillier(pk), Some(layout)) = (self, self.slot_layout()) else {
             return ct;
+        };
+        let (k, limbs, u) = match &ct.body {
+            Body::Enc { k, limbs } => (*k, limbs, 1),
+            Body::Packed(p)
+                if p.layout == layout && p.seg == ct.cols && ct.cols <= layout.slots / 2 =>
+            {
+                (p.k, &p.limbs, ct.cols)
+            }
+            _ => return ct,
         };
         let n = ct.rows * ct.cols;
-        let Some(layout) = self.slot_layout().filter(|_| n >= 2) else {
+        let (sources, fold) = (n / u, layout.slots / u);
+        if sources < 2 {
             return ct;
-        };
-        let k = *k;
-        let shifts: Vec<SignedInt> = (0..layout.slots)
+        }
+        let shifts: Vec<SignedInt> = (0..fold)
             .map(|j| SignedInt {
-                mag: bf_bigint::BigUint::one().shl(j * layout.slot_bits as usize),
+                mag: bf_bigint::BigUint::one().shl(j * u * layout.slot_bits as usize),
                 neg: false,
             })
             .collect();
-        let groups: Vec<Vec<(usize, SignedInt)>> = (0..n)
-            .step_by(layout.slots)
-            .map(|g| (g..n).zip(shifts.iter().cloned()).collect())
+        let groups: Vec<Vec<(usize, SignedInt)>> = (0..sources)
+            .step_by(fold)
+            .map(|g| (g..sources).zip(shifts.iter().cloned()).collect())
             .collect();
         let packed = contract(pk, 1, &groups, |src, _| &limbs[src * k..][..k]);
         CtMat {
@@ -853,7 +874,10 @@ impl PublicKey {
             scale: ct.scale,
             body: Body::Packed(PackedCtMat {
                 k,
-                layout,
+                layout: SlotLayout {
+                    slots: fold * u,
+                    ..layout
+                },
                 seg: n,
                 limbs: packed,
             }),

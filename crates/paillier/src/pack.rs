@@ -35,6 +35,16 @@
 //! [`unpack_values`] cannot tell an overflowed slot from its
 //! neighbour's carry.
 //!
+//! The GBDT histograms spend the headroom on rows instead of a mask
+//! (nothing is masked there): a `(feature, bucket)` sum at scale 2 is
+//! `Σ_rows round(g·2^fb)·2^fb`, so it stays inside its slot while
+//! `rows·max|g| < 2^(slot_bits−1−2·frac_bits) = 2^(SLOT_HEADROOM_BITS−1)`.
+//! The host then re-quantizes the decoded sum through an `f64`, exact
+//! only while `rows·max|g| < 2^(52−frac_bits)` — the binding bound
+//! (2^20 rows at 32 fractional bits). `blindfl::trees` computes both at
+//! forest set-up (`|g| < 1`, `h ≤ ¼` for logloss) and refuses a store
+//! past either on host and guest.
+//!
 //! Packing is *disabled* (the scalar body is used) when the key is too
 //! small to fit two slots, when `slot_bits` would exceed
 //! [`MAX_SLOT_BITS`] (digit extraction uses `u128` arithmetic), or when
@@ -42,18 +52,39 @@
 //! shared configuration (key size, `frac_bits`, shape), never on the
 //! values, so both parties always agree on it.
 //!
-//! The one exception is the HE2SS reply. A scalar body that only has to
-//! be *decrypted* — a one-column product, or the output of a
-//! scalar-only kernel (`matmul_ct_wt`, `lkup_bw`) — is folded by its
-//! holder `slots`-to-1 before it ships ([`crate::PublicKey::repack`]):
-//! `Π_j ⟦v_j⟧^{2^{j·slot_bits}}` is a ciphertext of the packed integer
-//! `Σ_j v_j·2^{j·slot_bits}`, whatever the shape was. One group costs
-//! `(slots−1)·slot_bits` squarings and `slots−1` multiplies mod `n²` on
-//! one chain and saves `slots−1` CRT decryptions, each two
-//! half-width exponentiations with `key_bits/2`-bit exponents: at
-//! 1024-bit keys, 832 squarings against eight decryptions of ≈ 1024
-//! half-width squarings each, i.e. roughly a third of the work per
-//! value, and `slots×` fewer bytes.
+//! The one exception is any body that only has to be *decrypted*: its
+//! holder folds it before it ships ([`crate::PublicKey::repack`]),
+//! whatever the shape was. With `u` values per source ciphertext and
+//! `f = ⌊slots/u⌋` sources per output,
+//! `Π_j ⟦P_j⟧^{2^{j·u·slot_bits}}` is a ciphertext of
+//! `Σ_j P_j·2^{j·u·slot_bits}` — the sources' slots laid end to end.
+//! One output costs `(f−1)·u·slot_bits` squarings and `f−1` multiplies
+//! mod `n²` on one chain and saves `f−1` CRT decryptions, each two
+//! half-width exponentiations with `key_bits/2`-bit exponents, i.e.
+//! ≈ `key_bits` half-width squarings ≈ `key_bits/4` full-width ones,
+//! plus `f×` fewer bytes. At 1024-bit keys (9 slots of 104 bits):
+//!
+//! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
+//!   one-column product, or the output of a scalar-only kernel,
+//!   `matmul_ct_wt`, `lkup_bw`): 832 squarings against eight
+//!   decryptions, roughly a third of the work per value;
+//! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: 624
+//!   squarings against three decryptions, roughly two thirds, and a
+//!   quarter of the bytes;
+//! - `u = 3`, `f = 3`: 624 squarings against two decryptions — even;
+//!   `u = 4`, `f = 2`: 416 against one — a loss in time, though still
+//!   half the bytes. `repack` folds every `u ≤ slots/2` all the same
+//!   (one rule, and the bytes always shrink `f`-fold); no caller has
+//!   `u ≥ 3`, and one that does should measure before it calls.
+//!
+//! Probed at that key size (256 source ciphertexts, fold + decrypt of
+//! the folded body against decrypting the sources, 2 threads / 1):
+//! `u = 1` 0.38× / 0.38×, `u = 2` 0.53× / 0.65×, `u = 3` 0.99× / 1.00×,
+//! `u = 4` 1.25× / 1.11×.
+//!
+//! The folded body is an ordinary packed `1 × N` row whose
+//! [`SlotLayout::slots`] is `f·u`, not the key's: decoders take the
+//! geometry from the body.
 //!
 //! Decoded values are **bit-identical** to the scalar path: slots are
 //! encoded with the same [`codec::encode_exponent`] rounding and decoded

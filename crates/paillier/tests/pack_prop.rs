@@ -1,7 +1,8 @@
 //! Property tests for slot-wise packing: pack/unpack round-trips
 //! across shapes (0-row, 1×1, max frac_bits), slot-overflow rejection,
-//! the HE2SS repack (bit-identity with the scalar decrypt, and the mask
-//! envelope at its boundary), and the packed ciphertext-tensor codec
+//! the decrypt-only repack of scalar bodies and of narrow packed rows
+//! (bit-identity with the unfolded decrypt, and the mask envelope at its
+//! boundary), and the packed ciphertext-tensor codec
 //! (golden bytes + corruption fuzz, mirroring the wire_prop suite in
 //! bf-mpc).
 
@@ -11,7 +12,7 @@ use bf_paillier::{
     export_ctmat, import_ctmat, keygen, keys::plain_keys, pack_values, unpack_values, ObfMode,
     Obfuscator, PaillierMode, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
 };
-use bf_tensor::Dense;
+use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -153,6 +154,87 @@ proptest! {
             let want = sk.decrypt(&masked);
             prop_assert_eq!(bits(&want), bits(&v.sub(&phi)));
             prop_assert_eq!(bits(&sk.decrypt(&pk.repack(masked))), bits(&want));
+        }
+    }
+}
+
+/// The two key shapes narrow packed rows are folded under: 512-bit at
+/// frac 16 (7 slots of 72 bits) and the benchmark's (9 slots of 104).
+fn fold_keys() -> [&'static Keys; 2] {
+    static SEVEN: OnceLock<Keys> = OnceLock::new();
+    [SEVEN.get_or_init(|| paillier(512, 16)), &repack_keys()[1]]
+}
+
+/// A packed `rows × u` body at `scale`: a fresh packed encryption, put
+/// through an identity `matmul` for scale 2 (what a histogram reply is).
+fn packed_rows(keys: &Keys, m: &Dense, scale: u8) -> bf_paillier::CtMat {
+    let (pk, _, obf) = keys;
+    let ct = pk.encrypt_mode(m, PaillierMode::Packed, obf);
+    if scale == 1 {
+        return ct;
+    }
+    let eye = (0..m.rows()).map(|i| (i, i as u32, 1.0)).collect();
+    pk.matmul(
+        &Features::Sparse(Csr::from_triplets(m.rows(), m.rows(), eye)),
+        &ct,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn repack_folds_narrow_packed_rows_bit_identically(vals in grid_vals(130 * 4)) {
+        for keys in fold_keys() {
+            let (pk, sk, _) = keys;
+            let (slots, ct_bytes) = geometry(pk);
+            for u in [2usize, 3, 4] {
+                // Rows folded into one ciphertext; 1 means `u > slots/2`
+                // (four columns under the 7-slot key): nothing to gain.
+                let g = slots / u;
+                // 130 rows are ≥ 32 groups: the parallel branch.
+                for rows in [0, 1, g - 1, g, g + 1, 130] {
+                    for (scale, all_negative) in [(1, false), (2, false), (2, true)] {
+                        let data = vals[..rows * u]
+                            .iter()
+                            .map(|&v| if all_negative { -v.abs() - 0.5 } else { v })
+                            .collect();
+                        let ct = packed_rows(keys, &Dense::from_vec(rows, u, data), scale);
+                        prop_assert!(ct.is_packed());
+                        let want = sk.decrypt(&ct);
+                        let folded = pk.repack(ct.clone());
+                        if g < 2 || rows < 2 {
+                            prop_assert_eq!(&folded, &ct);
+                            continue;
+                        }
+                        prop_assert_eq!(folded.shape(), (1, rows * u));
+                        prop_assert_eq!(folded.scale(), scale);
+                        let body = folded.wire_size() - 16 - 32;
+                        prop_assert_eq!(body, rows.div_ceil(g) * ct_bytes);
+                        prop_assert_eq!(bits(&sk.decrypt(&folded)), bits(&want));
+                        // Folded once is folded: `slots` is g·u now, not
+                        // this key's, and nothing is left to gain.
+                        prop_assert_eq!(&pk.repack(folded.clone()), &folded);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn repack_leaves_wide_and_multi_chunk_packed_rows_untouched() {
+    for keys in fold_keys() {
+        let (pk, _, _) = keys;
+        let (slots, _) = geometry(pk);
+        // One column past half the slots; exactly one chunk; two chunks.
+        for cols in [slots / 2 + 1, slots, slots + 1] {
+            let m = Dense::from_vec(6, cols, (0..6 * cols).map(|i| i as f64 - 7.0).collect());
+            for scale in [1, 2] {
+                let ct = packed_rows(keys, &m, scale);
+                assert!(ct.is_packed());
+                assert_eq!(pk.repack(ct.clone()), ct, "{cols} columns, scale {scale}");
+            }
         }
     }
 }

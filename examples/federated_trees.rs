@@ -3,7 +3,10 @@
 //! persist both model halves, reload them into fresh sessions, and
 //! serve predictions through the micro-batching queue — verifying at
 //! each step that the federated results are bit-identical to a
-//! collocated XGBoost twin trained on the same rows.
+//! collocated XGBoost twin trained on the same rows. Runs on real
+//! ciphertexts at the default key (512-bit, 4 pack slots), so guests
+//! fold their `(Σg, Σh)` histogram rows two to a ciphertext and the host
+//! asks for one child per split (`docs/TREES.md`).
 //!
 //! ```text
 //! cargo run --release -p blindfl --example federated_trees
@@ -25,7 +28,7 @@ const FEATURES: usize = 8;
 const GUESTS: usize = 2;
 
 fn main() {
-    let cfg = FedConfig::plain();
+    let cfg = FedConfig::paillier_default();
     let params = GbdtParams {
         trees: 4,
         max_depth: 3,
@@ -60,6 +63,22 @@ fn main() {
         fed.host.losses.first().unwrap(),
         fed.host.losses.last().unwrap(),
         fed.host.losses.len()
+    );
+    let stage = |stages: &[(&str, f64)], label: &str| {
+        let secs = stages.iter().find(|(l, _)| *l == label).map(|(_, s)| *s);
+        secs.unwrap_or(0.0) * 1e3
+    };
+    println!(
+        "  {:.0} ms in trees: host {:.0} ms encrypt/upload + {:.0} ms decrypt/update, \
+         guests {:?} ms fed-matmul; {:?} bytes guest → host",
+        fed.host.tree_secs.iter().sum::<f64>() * 1e3,
+        stage(&fed.host.stage_secs, "encrypt/upload"),
+        stage(&fed.host.stage_secs, "decrypt/update"),
+        fed.guests
+            .iter()
+            .map(|g| stage(&g.stage_secs, "fed-matmul").round())
+            .collect::<Vec<_>>(),
+        fed.guests.iter().map(|g| g.bytes_sent).collect::<Vec<_>>()
     );
 
     // Persist → reload, byte-exact.

@@ -19,6 +19,15 @@
 //! Every request in these tests targets a globally distinct row, so
 //! "row → logit bits" is single-valued per run and the replayed bits
 //! can be matched to client-observed bits by row alone.
+//!
+//! Key custody: a persisted model's ciphertext caches only decrypt
+//! under the *training* keys, and the serving sessions run under their
+//! own seeds, so every fixture persists each party's key pair next to
+//! its model blob and every serving or replay session reloads it
+//! (`Session::handshake_with_keys`, `docs/SERVING.md` § key custody).
+//! The parity cells then also check the served logits against the
+//! test-split predictions the training run itself made — the one
+//! comparison that notices a gateway and a replay agreeing on garbage.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -27,20 +36,23 @@ use std::time::Duration;
 
 use bf_datagen::{generate, spec, vsplit, vsplit_multi};
 use bf_ml::data::Dataset;
-use bf_mpc::{channel_pair_with_network, NetworkProfile};
+use bf_mpc::{channel_pair_with_network, Endpoint, NetworkProfile};
+use bf_paillier::{export_public, export_secret, import_public, import_secret};
+use bf_tensor::Dense;
 use blindfl::config::FedConfig;
 use blindfl::gateway::{
     gateway_replica_seed, run_gateway, GatewayClient, GatewayConfig, GatewayReject, GatewayReplica,
     GatewayReport,
 };
 use blindfl::models::{FedSpec, MultiPartyBModel};
+use blindfl::multiparty::{collect_guests, send_hello};
 use blindfl::persist::{
     export_multi_party_b, export_party_a, export_party_b, import_multi_party_b, import_party_a,
     import_party_b,
 };
 use blindfl::serve::serve_party_a;
 use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
-use blindfl::train::{train_federated, train_federated_multi, FedTrainConfig};
+use blindfl::train::{run_party_a, run_party_b, run_party_b_multi, FedTrainConfig};
 
 const TRAIN_SEED: u64 = 41;
 const SERVE_SEED: u64 = 42;
@@ -58,40 +70,112 @@ fn train_cfg(epochs: usize) -> FedTrainConfig {
     }
 }
 
+/// One party's training key pair in persisted form.
+struct KeyPair {
+    public: String,
+    secret: String,
+}
+
+impl KeyPair {
+    fn of(sess: &Session) -> KeyPair {
+        KeyPair {
+            public: export_public(&sess.own_pk),
+            secret: export_secret(&sess.own_sk),
+        }
+    }
+
+    /// A fresh session under the reloaded keys; `seed` (already
+    /// role-derived) drives only the masks and the obfuscator.
+    fn session(&self, ep: Endpoint, cfg: &FedConfig, role: Role, seed: u64) -> Session {
+        Session::handshake_with_keys(
+            ep,
+            cfg.clone(),
+            role,
+            import_public(&self.public).unwrap(),
+            import_secret(&self.secret).unwrap(),
+            seed,
+        )
+        .unwrap()
+    }
+}
+
+/// A trained two-party model as a deployment holds it: both halves in
+/// the persistence format, both key pairs, the stores to serve from,
+/// and the logits the training run predicted for those stores.
+struct Trained {
+    bytes_a: Vec<u8>,
+    bytes_b: Vec<u8>,
+    keys_a: KeyPair,
+    keys_b: KeyPair,
+    store_a: Dataset,
+    store_b: Dataset,
+    trained_logits: Dense,
+}
+
 /// Train a two-party LR and export both halves through the
 /// persistence format (the gateway path is always
 /// train → persist → serve).
-fn train_and_export(cfg: &FedConfig, rows: usize) -> (Vec<u8>, Vec<u8>, Dataset, Dataset) {
+fn train_and_export(cfg: &FedConfig, rows: usize) -> Trained {
     let ds = spec("a9a").scaled(rows, 1);
     let (train, test) = generate(&ds, 7);
     let train_v = vsplit(&train);
     let test_v = vsplit(&test);
-    let outcome = train_federated(
-        &FedSpec::Glm { out: 1 },
+    let spec = FedSpec::Glm { out: 1 };
+    let tc = train_cfg(1);
+    let (test_a, test_b) = (test_v.party_a.clone(), test_v.party_b.clone());
+    let ((bytes_a, keys_a), (bytes_b, keys_b, trained_logits)) = run_pair(
         cfg,
-        &train_cfg(1),
-        train_v.party_a,
-        train_v.party_b,
-        test_v.party_a.clone(),
-        test_v.party_b.clone(),
         TRAIN_SEED,
+        {
+            let (spec, tc) = (spec.clone(), tc.clone());
+            move |mut sess| {
+                let run = run_party_a(&mut sess, &spec, &tc, &train_v.party_a, &test_a).unwrap();
+                (export_party_a(&run.model), KeyPair::of(&sess))
+            }
+        },
+        |mut sess| {
+            let run = run_party_b(&mut sess, &spec, &tc, &train_v.party_b, &test_b).unwrap();
+            (
+                export_party_b(&run.model),
+                KeyPair::of(&sess),
+                run.test_logits,
+            )
+        },
     );
-    (
-        export_party_a(&outcome.party_a),
-        export_party_b(&outcome.party_b),
-        test_v.party_a,
-        test_v.party_b,
-    )
+    Trained {
+        bytes_a,
+        bytes_b,
+        keys_a,
+        keys_b,
+        store_a: test_v.party_a,
+        store_b: test_v.party_b,
+        trained_logits,
+    }
+}
+
+/// The assertion the replay cannot make: what clients were served is
+/// what the training run predicted for the same rows. Not bit for bit —
+/// a serving session draws its own HE2SS masks, and `φ + (v − φ)`
+/// rounds with `φ` — but to fixed-point precision, where a cache opened
+/// under the wrong key is off by the size of the ring.
+fn check_against_training(logs: &[ClientLog], trained_logits: &Dense) {
+    for (row, reply) in logs.iter().flatten() {
+        let bits = reply.as_ref().expect("reply was a rejection");
+        for (j, &b) in bits.iter().enumerate() {
+            let (served, trained) = (f64::from_bits(b), trained_logits.get(*row as usize, j));
+            assert!(
+                (served - trained).abs() < 1e-6,
+                "row {row}: served logit {served}, training-time prediction {trained}"
+            );
+        }
+    }
 }
 
 /// Stand up a 2-party gateway (replica pool over in-process guest
 /// links, TCP front door), run `drive` against it, then drain.
 fn two_party_gateway<T: Send>(
     cfg: &FedConfig,
-    bytes_a: &[u8],
-    bytes_b: &[u8],
-    store_a: &Dataset,
-    store_b: &Dataset,
+    t: &Trained,
     n_replicas: usize,
     gw_cfg: &GatewayConfig,
     net: Option<NetworkProfile>,
@@ -108,25 +192,24 @@ fn two_party_gateway<T: Send>(
                 None => bf_mpc::channel_pair(),
             };
             let seed = gateway_replica_seed(SERVE_SEED, r);
-            let cfg_a = cfg.clone();
-            let bytes_a = bytes_a.to_vec();
-            let store_a = store_a.clone();
             std::thread::Builder::new()
                 .name(format!("gw-guest-{r}"))
                 .stack_size(16 << 20)
                 .spawn_scoped(s, move || {
-                    let mut sess =
-                        Session::handshake(ep_a, cfg_a, Role::A, party_seed(Role::A, seed))
-                            .unwrap();
-                    let mut model = import_party_a(&bytes_a).unwrap();
-                    serve_party_a(&mut sess, &mut model, &store_a).unwrap();
+                    let mut sess = t
+                        .keys_a
+                        .session(ep_a, cfg, Role::A, party_seed(Role::A, seed));
+                    let mut model = import_party_a(&t.bytes_a).unwrap();
+                    serve_party_a(&mut sess, &mut model, &t.store_a).unwrap();
                 })
                 .unwrap();
-            let sess =
-                Session::handshake(ep_b, cfg.clone(), Role::B, party_seed(Role::B, seed)).unwrap();
-            let model = import_party_b(bytes_b).unwrap();
+            let sess = t
+                .keys_b
+                .session(ep_b, cfg, Role::B, party_seed(Role::B, seed));
+            let model = import_party_b(&t.bytes_b).unwrap();
             replicas.push(GatewayReplica::TwoParty { sess, model });
         }
+        let store_b = &t.store_b;
         let stop_ref = &stop;
         let gw = std::thread::Builder::new()
             .name("gateway".into())
@@ -146,10 +229,7 @@ fn two_party_gateway<T: Send>(
 /// row → logit bits (rows are globally distinct in these tests).
 fn replay_two_party(
     cfg: &FedConfig,
-    bytes_a: &[u8],
-    bytes_b: &[u8],
-    store_a: &Dataset,
-    store_b: &Dataset,
+    t: &Trained,
     seed: u64,
     partitions: &[Vec<u32>],
 ) -> HashMap<u64, Vec<u64>> {
@@ -157,32 +237,40 @@ fn replay_two_party(
         .iter()
         .map(|p| p.iter().map(|&r| r as usize).collect())
         .collect();
-    let bytes_a = bytes_a.to_vec();
-    let store_a = store_a.clone();
-    let parts_a = parts.clone();
-    let (_, map) = run_pair(
-        cfg,
-        seed,
-        move |mut sess| {
-            let mut model = import_party_a(&bytes_a).unwrap();
-            for p in &parts_a {
-                model.predict_batch(&mut sess, &store_a.select(p)).unwrap();
-            }
-        },
-        move |mut sess| {
-            let mut model = import_party_b(bytes_b).unwrap();
-            let mut map = HashMap::new();
-            for p in &parts {
-                let logits = model.predict_batch(&mut sess, &store_b.select(p)).unwrap();
-                for (k, &row) in p.iter().enumerate() {
-                    let bits: Vec<u64> = logits.row(k).iter().map(|v| v.to_bits()).collect();
-                    map.insert(row as u64, bits);
+    let (ep_a, ep_b) = bf_mpc::channel_pair();
+    std::thread::scope(|s| {
+        let parts_a = &parts;
+        std::thread::Builder::new()
+            .name("replay-guest".into())
+            .stack_size(16 << 20)
+            .spawn_scoped(s, move || {
+                let mut sess = t
+                    .keys_a
+                    .session(ep_a, cfg, Role::A, party_seed(Role::A, seed));
+                let mut model = import_party_a(&t.bytes_a).unwrap();
+                for p in parts_a {
+                    model
+                        .predict_batch(&mut sess, &t.store_a.select(p))
+                        .unwrap();
                 }
+            })
+            .unwrap();
+        let mut sess = t
+            .keys_b
+            .session(ep_b, cfg, Role::B, party_seed(Role::B, seed));
+        let mut model = import_party_b(&t.bytes_b).unwrap();
+        let mut map = HashMap::new();
+        for p in &parts {
+            let logits = model
+                .predict_batch(&mut sess, &t.store_b.select(p))
+                .unwrap();
+            for (k, &row) in p.iter().enumerate() {
+                let bits: Vec<u64> = logits.row(k).iter().map(|v| v.to_bits()).collect();
+                map.insert(row as u64, bits);
             }
-            map
-        },
-    );
-    map
+        }
+        map
+    })
 }
 
 /// A pipelined client fleet: each plan's rows are submitted
@@ -237,17 +325,14 @@ fn check_parity_against(logs: &[ClientLog], replayed: &HashMap<u64, Vec<u64>>) -
 /// through `n_replicas` replicas from `n_clients` pipelined clients,
 /// then replay every replica's partitions and compare bits.
 fn check_two_party_cell(cfg: &FedConfig, rows: usize, n_replicas: usize, n_clients: usize) {
-    let (bytes_a, bytes_b, store_a, store_b) = train_and_export(cfg, rows);
-    let n = store_a.rows();
+    let t = train_and_export(cfg, rows);
+    let n = t.store_a.rows();
     let plans: Vec<Vec<u64>> = (0..n_clients)
         .map(|c| ((c as u64)..(n as u64)).step_by(n_clients).collect())
         .collect();
     let (report, logs) = two_party_gateway(
         cfg,
-        &bytes_a,
-        &bytes_b,
-        &store_a,
-        &store_b,
+        &t,
         n_replicas,
         &GatewayConfig {
             max_batch: 8,
@@ -277,15 +362,13 @@ fn check_two_party_cell(cfg: &FedConfig, rows: usize, n_replicas: usize, n_clien
         );
         replayed.extend(replay_two_party(
             cfg,
-            &bytes_a,
-            &bytes_b,
-            &store_a,
-            &store_b,
+            &t,
             gateway_replica_seed(SERVE_SEED, r),
             &rep.batch_rows,
         ));
     }
     assert_eq!(check_parity_against(&logs, &replayed), n);
+    check_against_training(&logs, &t.trained_logits);
 }
 
 #[test]
@@ -298,47 +381,105 @@ fn gateway_parity_two_party_paillier_packed() {
     check_two_party_cell(&FedConfig::paillier_test(), 320, 2, 2);
 }
 
+/// [`Trained`] for `M` guests: one blob, store and key pair per guest,
+/// and on the host one key pair per link.
+struct TrainedMulti {
+    guest_bytes: Vec<Vec<u8>>,
+    host_bytes: Vec<u8>,
+    guest_keys: Vec<KeyPair>,
+    host_keys: Vec<KeyPair>,
+    guest_stores: Vec<Dataset>,
+    store_b: Dataset,
+    trained_logits: Dense,
+}
+
+/// One session per link under the reloaded training keys, guests on
+/// scoped threads running `guest`, the host sessions returned in link
+/// order — the wiring both the replicas and the replay use.
+fn multi_sessions<'s, 'e: 's>(
+    s: &'s std::thread::Scope<'s, 'e>,
+    cfg: &'e FedConfig,
+    t: &'e TrainedMulti,
+    seed: u64,
+    guest: impl Fn(usize, Session) + Send + Copy + 's,
+) -> Vec<Session> {
+    (0..t.guest_keys.len())
+        .map(|i| {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            std::thread::Builder::new()
+                .name(format!("gw-guest-{i}"))
+                .stack_size(16 << 20)
+                .spawn_scoped(s, move || {
+                    let seed = multi_party_seed(Role::A, i, seed);
+                    guest(i, t.guest_keys[i].session(ep_a, cfg, Role::A, seed));
+                })
+                .unwrap();
+            t.host_keys[i].session(ep_b, cfg, Role::B, multi_party_seed(Role::B, i, seed))
+        })
+        .collect()
+}
+
 /// Multi-guest fixture: train an `M = 2` model and export every half.
-fn train_and_export_multi(
-    cfg: &FedConfig,
-    m: usize,
-    rows: usize,
-) -> (Vec<Vec<u8>>, Vec<u8>, Vec<Dataset>, Dataset) {
+fn train_and_export_multi(cfg: &FedConfig, m: usize, rows: usize) -> TrainedMulti {
     let ds = spec("a9a").scaled(rows, 1);
     let (train, test) = generate(&ds, 7);
     let train_v = vsplit_multi(&train, m);
     let test_v = vsplit_multi(&test, m);
-    let outcome = train_federated_multi(
-        &FedSpec::Glm { out: 1 },
-        cfg,
-        &train_cfg(1),
-        train_v.guests,
-        train_v.party_b,
-        test_v.guests.clone(),
-        test_v.party_b.clone(),
-        TRAIN_SEED,
-    );
-    let guest_bytes = outcome
-        .guests
-        .iter()
-        .map(|g| export_party_a(&g.model))
-        .collect();
-    (
-        guest_bytes,
-        export_multi_party_b(&outcome.party_b.model),
-        test_v.guests,
-        test_v.party_b,
-    )
+    let spec = FedSpec::Glm { out: 1 };
+    let tc = train_cfg(1);
+    // `train_federated_multi`'s wiring, with the sessions in reach so
+    // their keys can be persisted.
+    std::thread::scope(|s| {
+        let mut host_eps = Vec::with_capacity(m);
+        let mut handles = Vec::with_capacity(m);
+        for (i, (train_a, test_a)) in train_v.guests.iter().zip(&test_v.guests).enumerate() {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            host_eps.push(ep_b);
+            let (spec, tc) = (&spec, &tc);
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("train-guest-{i}"))
+                    .stack_size(16 << 20)
+                    .spawn_scoped(s, move || {
+                        send_hello(&ep_a, i, m).unwrap();
+                        let seed = multi_party_seed(Role::A, i, TRAIN_SEED);
+                        let mut sess =
+                            Session::handshake(ep_a, cfg.clone(), Role::A, seed).unwrap();
+                        let run = run_party_a(&mut sess, spec, tc, train_a, test_a).unwrap();
+                        (export_party_a(&run.model), KeyPair::of(&sess))
+                    })
+                    .unwrap(),
+            );
+        }
+        let mut sessions: Vec<Session> = collect_guests(host_eps, m)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(i, ep)| {
+                let seed = multi_party_seed(Role::B, i, TRAIN_SEED);
+                Session::handshake(ep, cfg.clone(), Role::B, seed).unwrap()
+            })
+            .collect();
+        let host = run_party_b_multi(&mut sessions, &spec, &tc, &train_v.party_b, &test_v.party_b)
+            .unwrap();
+        let (guest_bytes, guest_keys) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
+        TrainedMulti {
+            guest_bytes,
+            host_bytes: export_multi_party_b(&host.model),
+            guest_keys,
+            host_keys: sessions.iter().map(KeyPair::of).collect(),
+            guest_stores: test_v.guests.clone(),
+            store_b: test_v.party_b.clone(),
+            trained_logits: host.test_logits,
+        }
+    })
 }
 
 /// Stand up a multi-guest gateway and drive it (multi analogue of
 /// [`two_party_gateway`]).
 fn multi_guest_gateway<T: Send>(
     cfg: &FedConfig,
-    guest_bytes: &[Vec<u8>],
-    host_bytes: &[u8],
-    guest_stores: &[Dataset],
-    store_b: &Dataset,
+    t: &TrainedMulti,
     n_replicas: usize,
     gw_cfg: &GatewayConfig,
     drive: impl FnOnce(SocketAddr) -> T + Send,
@@ -350,41 +491,14 @@ fn multi_guest_gateway<T: Send>(
         let mut replicas = Vec::new();
         for r in 0..n_replicas {
             let seed = gateway_replica_seed(SERVE_SEED, r);
-            let mut sessions = Vec::new();
-            for (i, (bytes, store)) in guest_bytes.iter().zip(guest_stores).enumerate() {
-                let (ep_a, ep_b) = bf_mpc::channel_pair();
-                let cfg_a = cfg.clone();
-                let bytes = bytes.clone();
-                let store = store.clone();
-                std::thread::Builder::new()
-                    .name(format!("gw-guest-{r}-{i}"))
-                    .stack_size(16 << 20)
-                    .spawn_scoped(s, move || {
-                        let mut sess = Session::handshake(
-                            ep_a,
-                            cfg_a,
-                            Role::A,
-                            multi_party_seed(Role::A, i, seed),
-                        )
-                        .unwrap();
-                        let mut model = import_party_a(&bytes).unwrap();
-                        serve_party_a(&mut sess, &mut model, &store).unwrap();
-                    })
-                    .unwrap();
-                sessions.push(
-                    Session::handshake(
-                        ep_b,
-                        cfg.clone(),
-                        Role::B,
-                        multi_party_seed(Role::B, i, seed),
-                    )
-                    .unwrap(),
-                );
-            }
-            let model: MultiPartyBModel = import_multi_party_b(host_bytes).unwrap();
+            let sessions = multi_sessions(s, cfg, t, seed, |i, mut sess| {
+                let mut model = import_party_a(&t.guest_bytes[i]).unwrap();
+                serve_party_a(&mut sess, &mut model, &t.guest_stores[i]).unwrap();
+            });
+            let model: MultiPartyBModel = import_multi_party_b(&t.host_bytes).unwrap();
             replicas.push(GatewayReplica::MultiGuest { sessions, model });
         }
-        let stop_ref = &stop;
+        let (stop_ref, store_b) = (&stop, &t.store_b);
         let gw = std::thread::Builder::new()
             .name("gateway".into())
             .stack_size(16 << 20)
@@ -401,10 +515,7 @@ fn multi_guest_gateway<T: Send>(
 /// Replay one multi-guest replica's partitions directly.
 fn replay_multi_guest(
     cfg: &FedConfig,
-    guest_bytes: &[Vec<u8>],
-    host_bytes: &[u8],
-    guest_stores: &[Dataset],
-    store_b: &Dataset,
+    t: &TrainedMulti,
     seed: u64,
     partitions: &[Vec<u32>],
 ) -> HashMap<u64, Vec<u64>> {
@@ -413,45 +524,20 @@ fn replay_multi_guest(
         .map(|p| p.iter().map(|&r| r as usize).collect())
         .collect();
     std::thread::scope(|s| {
-        let mut host_eps = Vec::new();
-        for (i, (bytes, store)) in guest_bytes.iter().zip(guest_stores).enumerate() {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let cfg_a = cfg.clone();
-            let bytes = bytes.clone();
-            let store = store.clone();
-            let parts = parts.clone();
-            std::thread::Builder::new()
-                .name(format!("replay-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(s, move || {
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, seed),
-                    )
+        let parts = &parts;
+        let mut sessions = multi_sessions(s, cfg, t, seed, move |i, mut sess| {
+            let mut model = import_party_a(&t.guest_bytes[i]).unwrap();
+            for p in parts {
+                model
+                    .predict_batch(&mut sess, &t.guest_stores[i].select(p))
                     .unwrap();
-                    let mut model = import_party_a(&bytes).unwrap();
-                    for p in &parts {
-                        model.predict_batch(&mut sess, &store.select(p)).unwrap();
-                    }
-                })
-                .unwrap();
-        }
-        let mut sessions: Vec<Session> = host_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, seed))
-                    .unwrap()
-            })
-            .collect();
-        let mut model: MultiPartyBModel = import_multi_party_b(host_bytes).unwrap();
+            }
+        });
+        let mut model: MultiPartyBModel = import_multi_party_b(&t.host_bytes).unwrap();
         let mut map = HashMap::new();
-        for p in &parts {
+        for p in parts {
             let logits = model
-                .predict_batch(&mut sessions, &store_b.select(p))
+                .predict_batch(&mut sessions, &t.store_b.select(p))
                 .unwrap();
             for (k, &row) in p.iter().enumerate() {
                 let bits: Vec<u64> = logits.row(k).iter().map(|v| v.to_bits()).collect();
@@ -465,17 +551,14 @@ fn replay_multi_guest(
 /// One full multi-guest parity cell.
 fn check_multi_guest_cell(cfg: &FedConfig, rows: usize, n_replicas: usize, n_clients: usize) {
     let m = 2;
-    let (guest_bytes, host_bytes, guest_stores, store_b) = train_and_export_multi(cfg, m, rows);
-    let n = store_b.rows();
+    let t = train_and_export_multi(cfg, m, rows);
+    let n = t.store_b.rows();
     let plans: Vec<Vec<u64>> = (0..n_clients)
         .map(|c| ((c as u64)..(n as u64)).step_by(n_clients).collect())
         .collect();
     let (report, logs) = multi_guest_gateway(
         cfg,
-        &guest_bytes,
-        &host_bytes,
-        &guest_stores,
-        &store_b,
+        &t,
         n_replicas,
         &GatewayConfig {
             max_batch: 8,
@@ -492,15 +575,13 @@ fn check_multi_guest_cell(cfg: &FedConfig, rows: usize, n_replicas: usize, n_cli
     for (r, rep) in report.replicas.iter().enumerate() {
         replayed.extend(replay_multi_guest(
             cfg,
-            &guest_bytes,
-            &host_bytes,
-            &guest_stores,
-            &store_b,
+            &t,
             gateway_replica_seed(SERVE_SEED, r),
             &rep.batch_rows,
         ));
     }
     assert_eq!(check_parity_against(&logs, &replayed), n);
+    check_against_training(&logs, &t.trained_logits);
 }
 
 #[test]
@@ -522,11 +603,11 @@ fn client_churn_never_stalls_the_gateway_or_corrupts_replies() {
     // survivors' bits must still replay exactly, and every admitted
     // churned request must be accounted as answered or orphaned.
     let cfg = FedConfig::plain();
-    let (bytes_a, bytes_b, store_a, store_b) = train_and_export(&cfg, 64);
+    let t = train_and_export(&cfg, 64);
     // Survivors split the first 3/4 of the store's rows; churners
     // split the rest — every row globally distinct so the replay map
     // is single-valued.
-    let n = store_a.rows() as u64;
+    let n = t.store_a.rows() as u64;
     let split = n * 3 / 4;
     let mid = split + (n - split) / 2;
     let survivor_rows: Vec<Vec<u64>> = (0..3u64).map(|c| (c..split).step_by(3).collect()).collect();
@@ -535,10 +616,7 @@ fn client_churn_never_stalls_the_gateway_or_corrupts_replies() {
     let total_churn: u64 = churn_rows.iter().map(|p| p.len() as u64).sum();
     let (report, logs) = two_party_gateway(
         &cfg,
-        &bytes_a,
-        &bytes_b,
-        &store_a,
-        &store_b,
+        &t,
         2,
         &GatewayConfig {
             max_batch: 4,
@@ -569,10 +647,7 @@ fn client_churn_never_stalls_the_gateway_or_corrupts_replies() {
     for (r, rep) in report.replicas.iter().enumerate() {
         replayed.extend(replay_two_party(
             &cfg,
-            &bytes_a,
-            &bytes_b,
-            &store_a,
-            &store_b,
+            &t,
             gateway_replica_seed(SERVE_SEED, r),
             &rep.batch_rows,
         ));
@@ -597,14 +672,11 @@ fn shed_load_rejects_overflow_and_accounts_for_it() {
     // answers GW_OVERLOADED immediately instead of queueing without
     // bound, and requests + rejections add up exactly.
     let cfg = FedConfig::plain();
-    let (bytes_a, bytes_b, store_a, store_b) = train_and_export(&cfg, 500);
-    let n = store_a.rows() as u64;
+    let t = train_and_export(&cfg, 500);
+    let n = t.store_a.rows() as u64;
     let (report, log) = two_party_gateway(
         &cfg,
-        &bytes_a,
-        &bytes_b,
-        &store_a,
-        &store_b,
+        &t,
         1,
         &GatewayConfig {
             max_batch: 2,
@@ -643,31 +715,21 @@ fn shed_load_rejects_overflow_and_accounts_for_it() {
 #[test]
 fn bad_rows_are_rejected_at_the_front_door() {
     let cfg = FedConfig::plain();
-    let (bytes_a, bytes_b, store_a, store_b) = train_and_export(&cfg, 250);
-    let n = store_a.rows() as u64;
-    let (report, log) = two_party_gateway(
-        &cfg,
-        &bytes_a,
-        &bytes_b,
-        &store_a,
-        &store_b,
-        1,
-        &GatewayConfig::default(),
-        None,
-        |addr| {
-            let mut client = GatewayClient::connect(addr, CONNECT_TIMEOUT).unwrap();
-            client.submit(0).unwrap();
-            client.submit(9999).unwrap(); // past the store
-            client.submit(u64::MAX).unwrap(); // would truncate as u32
-            client.submit(n - 1).unwrap();
-            let mut log = ClientLog::new();
-            while client.in_flight() > 0 {
-                let (row, reply) = client.recv().unwrap();
-                log.push((row, reply.map(|l| l.iter().map(|v| v.to_bits()).collect())));
-            }
-            log
-        },
-    );
+    let t = train_and_export(&cfg, 250);
+    let n = t.store_a.rows() as u64;
+    let (report, log) = two_party_gateway(&cfg, &t, 1, &GatewayConfig::default(), None, |addr| {
+        let mut client = GatewayClient::connect(addr, CONNECT_TIMEOUT).unwrap();
+        client.submit(0).unwrap();
+        client.submit(9999).unwrap(); // past the store
+        client.submit(u64::MAX).unwrap(); // would truncate as u32
+        client.submit(n - 1).unwrap();
+        let mut log = ClientLog::new();
+        while client.in_flight() > 0 {
+            let (row, reply) = client.recv().unwrap();
+            log.push((row, reply.map(|l| l.iter().map(|v| v.to_bits()).collect())));
+        }
+        log
+    });
     // FIFO reply order with per-request status.
     assert_eq!(log.len(), 4);
     assert_eq!(log[0].0, 0);

@@ -30,7 +30,12 @@ use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
 use blindfl::train::{train_federated, train_federated_multi, FedTrainConfig};
 
 const TRAIN_SEED: u64 = 41;
-const SERVE_SEED: u64 = 42;
+/// The serving sessions regenerate the training keys from the seed (the
+/// second custody path of `docs/SERVING.md`), so it must *be* the
+/// training seed: under any other, the Paillier cell's ciphertext
+/// caches open under the wrong keys and served ≡ direct compares noise
+/// with noise. (`tests/gateway.rs` covers the persisted-key path.)
+const SERVE_SEED: u64 = TRAIN_SEED;
 
 fn train_cfg(epochs: usize) -> FedTrainConfig {
     FedTrainConfig {

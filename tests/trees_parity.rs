@@ -14,10 +14,13 @@
 //! The contract is proved in four links:
 //!
 //! 1. **Forest identity** — for 2-party (`M = 1`) and `M = 2`, on
-//!    Plain and on Paillier-256/Packed, the host's trees equal the
-//!    twin's trees node for node (global feature ids line up because
-//!    the global order is guest links first, host last — exactly the
-//!    twin's column order), and the loss curves match bit for bit.
+//!    Plain, on Paillier-256/Packed (2 slots: histogram replies ship
+//!    as the kernel produced them) and on Paillier-512/frac-16/Packed
+//!    (7 slots: guests fold their replies 3-to-1), the host's trees
+//!    equal the twin's trees node for node (global feature ids line up
+//!    because the global order is guest links first, host last —
+//!    exactly the twin's column order), and the loss curves match bit
+//!    for bit.
 //! 2. **Predicate custody** — replaying the host's trees in node
 //!    order reproduces each guest's recorded `(feature, threshold)`
 //!    list exactly, and each guest threshold equals the twin's bucket
@@ -35,6 +38,7 @@ use bf_datagen::{generate_tree, vsplit_multi};
 use bf_ml::data::Dataset;
 use bf_ml::gbdt::{CollocatedGbdt, GbdtParams, Node};
 use bf_mpc::Endpoint;
+use bf_paillier::{PaillierMode, SlotLayout};
 use blindfl::config::{Backend, FedConfig};
 use blindfl::multiparty::{collect_guests, send_hello};
 use blindfl::serve::{queue, ServeConfig};
@@ -51,6 +55,19 @@ const FEATURES: usize = 6;
 
 fn data() -> Dataset {
     generate_tree(ROWS, FEATURES, DATA_SEED)
+}
+
+/// A key under which the histogram fold is live: 7 slots of 72 bits, so
+/// three 2-slot `(Σg, Σh)` rows share a ciphertext. (`paillier_test`'s
+/// 256-bit/frac-24 key holds 2 slots — nothing to fold.)
+fn paillier_folding() -> FedConfig {
+    let cfg = FedConfig {
+        backend: Backend::Paillier { key_bits: 512 },
+        frac_bits: 16,
+        ..FedConfig::paillier_test()
+    };
+    assert_eq!(SlotLayout::for_key(512, cfg.frac_bits).unwrap().slots, 7);
+    cfg
 }
 
 /// Boosting hyper-parameters for one backend. `frac_bits` must equal
@@ -205,6 +222,30 @@ fn paillier_packed_forest_matches_collocated_twin() {
     }
 }
 
+#[test]
+fn paillier_folded_forest_matches_collocated_twin() {
+    let cfg = paillier_folding();
+    for m in [1usize, 2] {
+        assert_forest_identity(&cfg, m);
+    }
+    // Guard: the fold really ran. A guest's traffic is histogram
+    // replies plus a few row lists; scalar replies are 2 ciphertexts a
+    // cell, unfolded packed ones 1, folded ones ⅓.
+    let packed = run_fed(&cfg, 1, false);
+    let scalar = run_fed(
+        &cfg.clone().with_paillier_mode(PaillierMode::Scalar),
+        1,
+        false,
+    );
+    assert_eq!(packed.host.model, scalar.host.model);
+    assert!(
+        packed.guests[0].bytes_sent * 4 < scalar.guests[0].bytes_sent,
+        "folded replies: {} bytes, scalar: {}",
+        packed.guests[0].bytes_sent,
+        scalar.guests[0].bytes_sent
+    );
+}
+
 /// Link 3 for one backend: channel and TCP runs produce the same
 /// forest with byte-identical per-link traffic, both directions.
 fn assert_transport_parity(cfg: &FedConfig) {
@@ -236,6 +277,11 @@ fn plain_transport_parity_per_link() {
 #[test]
 fn paillier_transport_parity_per_link() {
     assert_transport_parity(&FedConfig::paillier_test());
+}
+
+#[test]
+fn paillier_folded_transport_parity_per_link() {
+    assert_transport_parity(&paillier_folding());
 }
 
 /// Link 4 for one backend: export both halves, reimport, and serve
