@@ -138,15 +138,17 @@ pub enum Stage {
     EncryptUpload,
     /// The federated MatMul source layer (Figure 6 forward).
     FedMatmul,
-    /// The federated Embed-MatMul source layer (Figure 7 forward).
+    /// The federated Embed-MatMul source layer: the Figure 7 forward,
+    /// and the ciphertext kernels of its backward (`⟦∇Z⟧·Uᵀ`, `ψᵀ⟦∇Z⟧`,
+    /// `∇Z·⟦Vᵀ⟧`, `lkup_bw`).
     FedEmbed,
     /// The secret-shared top extension (Appendix B).
     SsTop,
     /// Party B's local top model + loss.
     TopLocal,
-    /// The rest of the backward pass: ciphertext gradient kernels,
-    /// HE2SS splits/decrypts, piece updates, delta re-encryptions and
-    /// cache refreshes.
+    /// The rest of the backward pass: the MatMul source's ciphertext
+    /// gradient kernel, HE2SS splits/decrypts, piece updates, delta
+    /// re-encryptions and cache refreshes.
     DecryptUpdate,
 }
 
@@ -227,10 +229,24 @@ pub struct StageTimer {
     start: Instant,
 }
 
+impl StageTimer {
+    /// Book the time so far to the current stage and carry on under
+    /// `stage`: one scope, several labels, no gap and no overlap (the
+    /// Embed backward alternates ciphertext kernels with decrypts and
+    /// updates).
+    pub fn switch(&mut self, stage: Stage) {
+        let now = Instant::now();
+        let dt = now.duration_since(self.start).as_nanos() as u64;
+        self.times.nanos[self.stage.index()].fetch_add(dt, Ordering::Relaxed);
+        self.stage = stage;
+        self.start = now;
+    }
+}
+
 impl Drop for StageTimer {
     fn drop(&mut self) {
-        let dt = self.start.elapsed().as_nanos() as u64;
-        self.times.nanos[self.stage.index()].fetch_add(dt, Ordering::Relaxed);
+        let stage = self.stage;
+        self.switch(stage);
     }
 }
 
@@ -325,6 +341,15 @@ mod tests {
         }
         assert!(t.secs(Stage::FedMatmul) >= 0.004);
         assert_eq!(t.secs(Stage::FedEmbed), 0.0);
+        // A switched timer books each stretch to the stage it ran under.
+        {
+            let mut g = t.timer(Stage::DecryptUpdate);
+            g.switch(Stage::FedEmbed);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            g.switch(Stage::DecryptUpdate);
+        }
+        assert!(t.secs(Stage::FedEmbed) >= 0.004);
+        assert!(t.secs(Stage::DecryptUpdate) < t.secs(Stage::FedEmbed));
         let snap = t.snapshot();
         assert_eq!(snap.len(), 6);
         assert!(snap.iter().any(|(l, s)| *l == "fed-matmul" && *s > 0.0));

@@ -16,7 +16,7 @@ use bf_tensor::Dense;
 
 use crate::engine::Stage;
 use crate::multiparty::{MultiEmbedB, MultiMatMulB};
-use crate::session::Session;
+use crate::session::{Role, Session};
 use crate::source::matmul::{aggregate_a, aggregate_b};
 use crate::source::{EmbedSource, MatMulSource};
 
@@ -257,7 +257,7 @@ impl PartyAModel {
         r: &mut crate::persist::Reader,
     ) -> crate::persist::PersistResult<PartyAModel> {
         let matmul = read_opt(r, MatMulSource::read_state)?;
-        let embed = read_opt(r, EmbedSource::read_state)?;
+        let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::A))?;
         if matmul.is_none() && embed.is_none() {
             return Err(crate::persist::PersistError::Malformed(
                 "PartyAModel with no source layers".into(),
@@ -777,6 +777,8 @@ impl PartyBModel {
             Some(em) => {
                 let x = batch.cat.as_ref().expect("missing categorical block");
                 let z_own = em.forward(sess, x, train)?;
+                // The wait for A's share belongs to the stage that waits.
+                let _t = sess.stages.timer(Stage::FedEmbed);
                 Some(aggregate_b(sess, z_own)?)
             }
             None => None,
@@ -853,7 +855,7 @@ impl PartyBModel {
     ) -> crate::persist::PersistResult<PartyBModel> {
         let spec = FedSpec::read_state(r)?;
         let matmul = read_opt(r, MatMulSource::read_state)?;
-        let embed = read_opt(r, EmbedSource::read_state)?;
+        let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::B))?;
         check_spec_layers(&spec, matmul.is_some(), embed.is_some())?;
         let top = Top::read_state(r, &spec)?;
         check_model_widths(

@@ -328,7 +328,7 @@ impl MultiEmbedB {
         use crate::persist::PersistError;
         let out = r.len_u64()?;
         let links = (0..m)
-            .map(|_| EmbedSource::read_state(r))
+            .map(|_| EmbedSource::read_state(r, Role::B))
             .collect::<crate::persist::PersistResult<Vec<_>>>()?;
         for (i, link) in links.iter().enumerate() {
             if link.out_dim() != out {
@@ -354,6 +354,8 @@ impl MultiEmbedB {
         let mut z = Dense::zeros(x.rows(), self.out);
         for (link, sess) in self.links.iter_mut().zip(sessions.iter_mut()) {
             let z_b = link.forward(sess, x, train)?;
+            // The wait for A(i)'s share belongs to the stage that waits.
+            let _t = sess.stages.timer(Stage::FedEmbed);
             let z_a = sess.ep.recv_mat()?;
             z.add_assign(&z_b);
             z.add_assign(&z_a);

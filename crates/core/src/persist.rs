@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   0x42 0x46 0x4D 0x44  ("BFMD")
-//! 4       1     version 0x01
+//! 4       1     version 0x02
 //! 5       1     kind    (1 = PartyA, 2 = PartyB, 3 = MultiPartyB,
 //!                        4 = CheckpointA, 5 = CheckpointB,
 //!                        6 = MultiCheckpointB, 7 = GbdtHost,
@@ -42,7 +42,9 @@
 //! [`bf_paillier::export_ctmat`] wire encoding (Montgomery limbs
 //! verbatim), length-prefixed. The versioning rule mirrors
 //! `docs/WIRE_PROTOCOL.md`: **any** layout change bumps the version
-//! byte, and decoders reject every version they do not know.
+//! byte, and decoders reject every version they do not know. Version 2
+//! appended Party B's `⟦V_ownᵀ⟧` cache to the Embed-MatMul layer state,
+//! which every kind that carries a Party B model embeds.
 //!
 //! The contract is **byte-exact round-tripping**:
 //! `export(import(export(m))) == export(m)` bit for bit, and a
@@ -70,7 +72,7 @@ use bf_ml::gbdt::{Node, Tree};
 pub const MAGIC: [u8; 4] = *b"BFMD";
 /// Current persistence-format version. Decoders reject every other
 /// value (the versioning rule of `docs/WIRE_PROTOCOL.md`).
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Kind byte for a [`PartyAModel`] blob.
 pub const KIND_PARTY_A: u8 = 1;
 /// Kind byte for a [`PartyBModel`] blob.

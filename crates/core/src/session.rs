@@ -127,10 +127,9 @@ impl Session {
         own_sk: SecretKey,
         seed: u64,
     ) -> TransportResult<Session> {
-        let packs = cfg.paillier_mode == PaillierMode::Packed && own_pk.slot_layout().is_some();
         // False for a NaN mask too.
         let fits = cfg.he_mask.abs() <= MAX_HE_MASK;
-        if packs && !fits {
+        if packs(&cfg, &own_pk) && !fits {
             return Err(TransportError::Setup(format!(
                 "he_mask {} leaves the masked payload less than half a pack slot \
                  (packed sessions accept at most {MAX_HE_MASK})",
@@ -191,6 +190,15 @@ impl Session {
         matches!(self.cfg.backend, Backend::Plain)
     }
 
+    /// True if this session's uploads pack: the configured layout is
+    /// [`PaillierMode::Packed`] and the key holds at least two slots
+    /// (both keys of a session share `key_bits` and `frac_bits`, so the
+    /// peer's answer is the same). The slot-overflow envelopes apply to
+    /// exactly these sessions.
+    pub fn packs(&self) -> bool {
+        packs(&self.cfg, &self.own_pk)
+    }
+
     /// Encrypt an upload under this party's own key in the session's
     /// configured ciphertext layout ([`FedConfig::paillier_mode`]).
     /// Packed layouts fall back to scalar per shape/key, so every
@@ -207,6 +215,10 @@ impl Session {
         self.own_pk
             .encrypt_mode_seg(m, seg, self.cfg.paillier_mode, &self.obf)
     }
+}
+
+fn packs(cfg: &FedConfig, own_pk: &PublicKey) -> bool {
+    cfg.paillier_mode == PaillierMode::Packed && own_pk.slot_layout().is_some()
 }
 
 /// Spawn a Party A thread and run `f_b` as Party B on the current

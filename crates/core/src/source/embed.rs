@@ -17,17 +17,34 @@
 //!   table caches (`⟦T_A⟧, ⟦T_B⟧`) are refreshed with freshly encrypted
 //!   deltas each step, keeping plaintext pieces and ciphertext copies
 //!   in lock-step.
+//!
+//! # Operand layouts
+//!
+//! Every ciphertext operand arrives in the layout its kernel contracts
+//! *against*, chosen by the key owner when it encrypts
+//! ([`Session::encrypt_upload`] / [`Session::encrypt_upload_seg`]): a
+//! slot shift is free at encryption and ≈ 100 squarings per slot on a
+//! finished ciphertext, so nothing here transposes or repacks one. The
+//! weight caches, their deltas and one copy of `⟦∇Z⟧` are packed a row
+//! to a segment; the tables, and Party B's second cache `⟦V_Bᵀ⟧`, by
+//! field (`seg = dim`); `matmul_ct_wt` sums over the columns of `⟦∇Z⟧`
+//! — the axis slots run along — so its operand and what is added to its
+//! output are the one pair that stays scalar. The table of operands,
+//! layouts and kernels is in `docs/ARCHITECTURE.md` ("Embed-MatMul
+//! operand layouts"). Under [`bf_paillier::PaillierMode::Scalar`], or a
+//! shape or key that cannot pack, the same calls yield scalar bodies and
+//! the same decrypted values.
 
 use bf_mpc::convert::{he2ss_holder, he2ss_peer};
 use bf_mpc::shares::random_mask;
-use bf_mpc::transport::{Msg, TransportResult};
-use bf_paillier::CtMat;
+use bf_mpc::transport::{Msg, TransportError, TransportResult};
+use bf_paillier::{masked_share_product_fits, CtMat, MAX_PACKED_WEIGHT};
 use bf_tensor::{CatBlock, Dense, Features};
 
 use crate::engine::Stage;
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
-use crate::source::step_piece;
+use crate::source::{recv_refresh, step_piece};
 
 /// One party's half of an Embed-MatMul federated source layer.
 pub struct EmbedSource {
@@ -45,6 +62,11 @@ pub struct EmbedSource {
     v_peer: Dense,
     /// `⟦V_own⟧` under the peer's key.
     enc_v_own: CtMat,
+    /// `⟦V_ownᵀ⟧` (`out × fields_own·dim`, `seg = dim`), Party B only:
+    /// `∇Z·⟦V_Bᵀ⟧` is then an ordinary `matmul` whose output `lkup_bw`
+    /// scatters chunk-wise. A uploads it at init and refreshes it with a
+    /// second `delta_vb` frame.
+    enc_v_own_t: Option<CtMat>,
     /// `⟦U_peer⟧` under the peer's key — needed because the stage-2
     /// matmul runs over the *peer's* weights with *this* party holding
     /// the peer-embedding share.
@@ -91,27 +113,42 @@ impl EmbedSource {
 
         let d_own = fields_own * dim;
         let d_peer = fields_peer * dim;
+        // The projection multiplies mask-sized embedding shares into
+        // packed weight pieces (see `bf_paillier::pack`, the headroom
+        // rule). Both parties compute the same answer from shared
+        // values, so both refuse before either sends a ciphertext.
+        let d = d_own.max(d_peer);
+        if sess.packs() && !masked_share_product_fits(d, sess.cfg.he_mask) {
+            return Err(TransportError::Setup(format!(
+                "a {d}-row projection of shares masked to {} against packed weight pieces up \
+                 to {MAX_PACKED_WEIGHT} can overflow a pack slot",
+                sess.cfg.he_mask
+            )));
+        }
         let s_own = bf_tensor::init::uniform(&mut sess.rng, vocab_own, dim, 0.05);
         let t_peer = random_mask(&mut sess.rng, vocab_peer, dim, 0.025);
         let u_own = bf_tensor::init::xavier(&mut sess.rng, d_own, out);
         let vbound = (6.0 / (d_peer + out) as f64).sqrt() * 0.5;
         let v_peer = random_mask(&mut sess.rng, d_peer, out, vbound);
 
-        // Send our three encrypted pieces (⟦T_peer⟧, ⟦V_peer⟧, ⟦U_own⟧,
-        // all under our own key); receive the symmetric three. The
-        // table packs with seg = dim so lkup's row concatenation stays
-        // chunk-aligned; ⟦V⟧/⟦U⟧ stay scalar — the projection backward
-        // transposes them (`enc_v_own.transpose()`, `matmul_ct_wt`),
-        // which contracts over the packed axis.
+        // Send our encrypted pieces (⟦T_peer⟧ by field, ⟦V_peer⟧ and
+        // ⟦U_own⟧ by row, all under our own key); receive the symmetric
+        // three. A adds ⟦V_Bᵀ⟧, by field, for B's backward.
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&t_peer, dim)))?;
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&v_peer, &sess.obf)))?;
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&u_own, &sess.obf)))?;
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&v_peer)))?;
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&u_own)))?;
+        if sess.role == Role::A {
+            sess.ep
+                .send(Msg::Ct(sess.encrypt_upload_seg(&v_peer.transpose(), dim)))?;
+        }
         let enc_t_own = sess.ep.recv_ct()?;
         let enc_v_own = sess.ep.recv_ct()?;
         let enc_u_peer = sess.ep.recv_ct()?;
+        let enc_v_own_t = match sess.role {
+            Role::A => None,
+            Role::B => Some(sess.ep.recv_ct()?),
+        };
 
         Ok(EmbedSource {
             vel_s: Dense::zeros(vocab_own, dim),
@@ -124,6 +161,7 @@ impl EmbedSource {
             u_own,
             v_peer,
             enc_v_own,
+            enc_v_own_t,
             enc_u_peer,
             dim,
             out,
@@ -165,8 +203,8 @@ impl EmbedSource {
 
     /// Persist the layer state (see `docs/SERVING.md` §persistence):
     /// all four plaintext pieces and their momentum buffers, plus the
-    /// three ciphertext caches (`⟦T_own⟧`, `⟦V_own⟧`, `⟦U_peer⟧`).
-    /// Per-batch caches are transient and excluded.
+    /// ciphertext caches (`⟦T_own⟧`, `⟦V_own⟧`, `⟦U_peer⟧`, and Party
+    /// B's `⟦V_ownᵀ⟧`). Per-batch caches are transient and excluded.
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         w.u64(self.dim as u64);
         w.u64(self.out as u64);
@@ -181,11 +219,16 @@ impl EmbedSource {
         w.ctmat(&self.enc_t_own);
         w.ctmat(&self.enc_v_own);
         w.ctmat(&self.enc_u_peer);
+        if let Some(ct) = &self.enc_v_own_t {
+            w.ctmat(ct);
+        }
     }
 
-    /// Rebuild the layer from persisted state, validating shapes.
+    /// Rebuild `role`'s half of the layer from persisted state,
+    /// validating shapes.
     pub(crate) fn read_state(
         r: &mut crate::persist::Reader,
+        role: Role,
     ) -> crate::persist::PersistResult<EmbedSource> {
         use crate::persist::{check_vel, PersistError};
         let dim = r.len_u64()?;
@@ -201,6 +244,10 @@ impl EmbedSource {
         let enc_t_own = r.ctmat()?;
         let enc_v_own = r.ctmat()?;
         let enc_u_peer = r.ctmat()?;
+        let enc_v_own_t = match role {
+            Role::A => None,
+            Role::B => Some(r.ctmat()?),
+        };
         check_vel(&s_own, &vel_s, "EmbedSource S")?;
         check_vel(&t_peer, &vel_t_peer, "EmbedSource T")?;
         check_vel(&u_own, &vel_u, "EmbedSource U")?;
@@ -241,6 +288,15 @@ impl EmbedSource {
                 v_peer.shape()
             ));
         }
+        if let Some(ct) = &enc_v_own_t {
+            if ct.shape() != (u_own.cols(), u_own.rows()) {
+                return malformed(format!(
+                    "EmbedSource: ⟦V_ownᵀ⟧ shape {:?} is not U_own's {:?} transposed",
+                    ct.shape(),
+                    u_own.shape()
+                ));
+            }
+        }
         Ok(EmbedSource {
             s_own,
             t_peer,
@@ -248,6 +304,7 @@ impl EmbedSource {
             u_own,
             v_peer,
             enc_v_own,
+            enc_v_own_t,
             enc_u_peer,
             vel_s,
             vel_t_peer,
@@ -314,28 +371,41 @@ impl EmbedSource {
         let x = self.cached_x.take().expect("backward before forward");
         let psi = self.cached_psi.take().expect("backward before forward");
         let e_peer = self.cached_e_peer.take().expect("backward before forward");
+        let enc_v_own_t = self
+            .enc_v_own_t
+            .as_mut()
+            .expect("Party B's layer holds ⟦V_ownᵀ⟧");
 
-        // Line 12: send ⟦∇Z⟧ and ⟦∇Z·V_Aᵀ⟧ (V_A is B's piece of A's W).
-        let (ct_gz, ct_gzva) = {
+        // Line 12: send ⟦∇Z⟧ — packed for A's two ψᵀ⟦∇Z⟧ products — and,
+        // for A's ⟦∇E_A⟧, ⟦∇Z⟧ again with ⟦∇Z·V_Aᵀ⟧ (V_A is B's piece
+        // of A's W).
+        let (ct_gz, ct_gz_scalar, ct_gzva) = {
             let _t = sess.stages.timer(Stage::EncryptUpload);
             let gzva = grad_z.matmul_t(&self.v_peer);
             (
+                sess.encrypt_upload(grad_z),
+                // Scalar by necessity: `matmul_ct_wt` contracts over the
+                // columns of ⟦∇Z⟧, the axis a packed body's slots run
+                // along...
                 sess.own_pk.encrypt(grad_z, &sess.obf),
+                // ...and this is added to its scalar output.
                 sess.own_pk.encrypt_at_scale(&gzva, 2, &sess.obf),
             )
         };
         sess.ep.send(Msg::Ct(ct_gz))?;
+        sess.ep.send(Msg::Ct(ct_gz_scalar))?;
         sess.ep.send(Msg::Ct(ct_gzva))?;
-        let _t = sess.stages.timer(Stage::DecryptUpdate);
+        let mut stage = sess.stages.timer(Stage::FedEmbed);
 
         // ⟦∇E_B⟧ must use the *forward-pass* weights, so compute it now,
         // before any weight piece or cache is updated below:
-        // ⟦∇E_B⟧_A = ∇Z·U_Bᵀ (plain) + ∇Z·⟦V_Bᵀ⟧ (homomorphic).
-        let t1 = sess.peer_pk.matmul(
-            &Features::Dense(grad_z.clone()),
-            &self.enc_v_own.transpose(),
-        );
+        // ⟦∇E_B⟧_A = ∇Z·U_Bᵀ (plain) + ∇Z·⟦V_Bᵀ⟧ (homomorphic), one
+        // ciphertext chunk per field when packed.
+        let t1 = sess
+            .peer_pk
+            .matmul(&Features::Dense(grad_z.clone()), enc_v_own_t);
         let grad_e_ct = sess.peer_pk.add_plain(&t1, &grad_z.matmul_t(&self.u_own));
+        stage.switch(Stage::DecryptUpdate);
 
         // ∇W_A (lines 13–14): receive A's HE2SS piece, add our local
         // part (E_A − ψ_A)ᵀ∇Z, update V_A, refresh ⟦V_A⟧ at A.
@@ -343,49 +413,42 @@ impl EmbedSource {
         let piece1 = he2ss_peer(&sess.ep, &sess.own_sk, d_a, self.out)?; // ψ_Aᵀ∇Z − φ
         let own_part = e_peer.t_matmul(grad_z);
         let piece_wa = piece1.add(&own_part); // ∇W_A − φ
-        let rows_a: Vec<usize> = (0..d_a).collect();
         let delta = step_piece(
             &mut self.v_peer,
             &mut self.vel_v_peer,
             &piece_wa,
-            &rows_a,
+            &all_rows(d_a),
             sess.cfg.lr,
             sess.cfg.momentum,
         );
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&delta, &sess.obf)))?;
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
 
         // ∇W_B (lines 15–16): A supplies ⟨(E_B−ψ_B)ᵀ∇Z − ξ⟩; we add
         // ψ_Bᵀ∇Z, update U_B, refresh ⟦U_B⟧ at A.
         let piece2 = he2ss_peer(&sess.ep, &sess.own_sk, psi.cols(), self.out)?;
         let piece_wb = piece2.add(&psi.t_matmul(grad_z)); // ∇W_B − ξ
-        let rows_b: Vec<usize> = (0..piece_wb.rows()).collect();
         let delta = step_piece(
             &mut self.u_own,
             &mut self.vel_u,
             &piece_wb,
-            &rows_b,
+            &all_rows(piece_wb.rows()),
             sess.cfg.lr,
             sess.cfg.momentum,
         );
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&delta, &sess.obf)))?;
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
 
-        // A's refreshes of our caches: ⟦V_B⟧ (A updated V_B by ξ) and
-        // ⟦U_A⟧ (A updated U_A by φ).
-        let delta_vb = sess.ep.recv_ct()?;
-        let all_vb: Vec<usize> = (0..self.enc_v_own.rows()).collect();
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_v_own, &all_vb, &delta_vb);
-        let delta_ua = sess.ep.recv_ct()?;
-        let all_ua: Vec<usize> = (0..self.enc_u_peer.rows()).collect();
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_u_peer, &all_ua, &delta_ua);
+        // A's refreshes of our caches: ⟦V_B⟧ and ⟦V_Bᵀ⟧ (A updated V_B
+        // by ξ), then ⟦U_A⟧ (A updated U_A by φ).
+        recv_refresh(sess, &mut self.enc_v_own, &all_rows(psi.cols()))?;
+        recv_refresh(sess, enc_v_own_t, &all_rows(self.out))?;
+        recv_refresh(sess, &mut self.enc_u_peer, &all_rows(d_a))?;
 
         // Embed part, own table (lines 21–26, B's half), using the
         // pre-update ⟦∇E_B⟧ computed above.
         let support_b = x.support();
+        stage.switch(Stage::FedEmbed);
         let grad_q_ct = sess.peer_pk.lkup_bw(&grad_e_ct, &x, &support_b, self.dim);
+        stage.switch(Stage::DecryptUpdate);
         sess.ep.send(Msg::Support(support_b.clone()))?;
         let rho = he2ss_holder(
             &sess.ep,
@@ -406,9 +469,7 @@ impl EmbedSource {
             sess.cfg.momentum,
         );
         // A updates T_B and sends the encrypted delta for our ⟦T_B⟧.
-        let delta_tb = sess.ep.recv_ct()?;
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_t_own, &rows, &delta_tb);
+        recv_refresh(sess, &mut self.enc_t_own, &rows)?;
 
         // Embed part, peer table: we hold T_A — receive A's support and
         // the HE2SS piece of ∇Q_A, update T_A, refresh A's ⟦T_A⟧.
@@ -423,7 +484,6 @@ impl EmbedSource {
             sess.cfg.lr,
             sess.cfg.momentum,
         );
-        // Matches the packed (seg = dim) layout of A's ⟦T_A⟧ cache.
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&delta, self.dim)))?;
         Ok(())
@@ -432,18 +492,20 @@ impl EmbedSource {
     /// Backward propagation, Party A side (Figure 7, lines 12–26).
     pub fn backward_a(&mut self, sess: &mut Session) -> TransportResult<()> {
         assert_eq!(sess.role, Role::A, "backward_a on Party B");
-        let _t = sess.stages.timer(Stage::DecryptUpdate);
+        let mut stage = sess.stages.timer(Stage::DecryptUpdate);
         let x = self.cached_x.take().expect("backward before forward");
         let psi = self.cached_psi.take().expect("backward before forward");
         let e_peer = self.cached_e_peer.take().expect("backward before forward");
 
         let ct_gz = sess.ep.recv_ct()?;
+        let ct_gz_scalar = sess.ep.recv_ct()?;
         let ct_gzva = sess.ep.recv_ct()?;
 
         // ⟦∇E_A⟧ must use the forward-pass weights: compute the U_A
         // part now, before φ updates U_A below.
         // ⟦∇E_A⟧_B = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ (both under B's key).
-        let t1 = sess.peer_pk.matmul_ct_wt(&ct_gz, &self.u_own);
+        stage.switch(Stage::FedEmbed);
+        let t1 = sess.peer_pk.matmul_ct_wt(&ct_gz_scalar, &self.u_own);
         let grad_e_ct = sess.peer_pk.add(&t1, &ct_gzva);
 
         // ∇W_A (line 13): ⟦ψ_Aᵀ∇Z⟧ on the full projection rows, HE2SS.
@@ -452,6 +514,7 @@ impl EmbedSource {
         let prod = sess
             .peer_pk
             .t_matmul_support(&Features::Dense(psi), &ct_gz, &full_a);
+        stage.switch(Stage::DecryptUpdate);
         let phi = he2ss_holder(
             &sess.ep,
             &sess.peer_pk,
@@ -461,12 +524,11 @@ impl EmbedSource {
             &mut sess.rng,
         )?;
         // Update U_A by φ and remember the delta for B's ⟦U_A⟧ cache.
-        let rows_a: Vec<usize> = (0..d_a).collect();
         let delta_ua = step_piece(
             &mut self.u_own,
             &mut self.vel_u,
             &phi,
-            &rows_a,
+            &all_rows(d_a),
             sess.cfg.lr,
             sess.cfg.momentum,
         );
@@ -474,9 +536,11 @@ impl EmbedSource {
         // ∇W_B (line 15): ⟦(E_B−ψ_B)ᵀ∇Z⟧, HE2SS; update V_B by ξ.
         let d_b = e_peer.cols();
         let full_b: Vec<u32> = (0..d_b as u32).collect();
+        stage.switch(Stage::FedEmbed);
         let prod = sess
             .peer_pk
             .t_matmul_support(&Features::Dense(e_peer), &ct_gz, &full_b);
+        stage.switch(Stage::DecryptUpdate);
         let xi = he2ss_holder(
             &sess.ep,
             &sess.peer_pk,
@@ -485,30 +549,24 @@ impl EmbedSource {
             sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
-        let rows_b: Vec<usize> = (0..d_b).collect();
         let delta_vb = step_piece(
             &mut self.v_peer,
             &mut self.vel_v_peer,
             &xi,
-            &rows_b,
+            &all_rows(d_b),
             sess.cfg.lr,
             sess.cfg.momentum,
         );
 
         // Receive B's refreshes for our caches (⟦V_A⟧ then ⟦U_B⟧)...
-        let delta_va = sess.ep.recv_ct()?;
-        let all_va: Vec<usize> = (0..self.enc_v_own.rows()).collect();
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_v_own, &all_va, &delta_va);
-        let delta_ub = sess.ep.recv_ct()?;
-        let all_ub: Vec<usize> = (0..self.enc_u_peer.rows()).collect();
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_u_peer, &all_ub, &delta_ub);
-        // ...and send ours (⟦V_B⟧ at B, then ⟦U_A⟧ at B).
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&delta_vb, &sess.obf)))?;
-        sess.ep
-            .send(Msg::Ct(sess.own_pk.encrypt(&delta_ua, &sess.obf)))?;
+        recv_refresh(sess, &mut self.enc_v_own, &all_rows(d_a))?;
+        recv_refresh(sess, &mut self.enc_u_peer, &all_rows(d_b))?;
+        // ...and send ours: ⟦V_B⟧ in both of B's layouts, then ⟦U_A⟧.
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta_vb)))?;
+        sess.ep.send(Msg::Ct(
+            sess.encrypt_upload_seg(&delta_vb.transpose(), self.dim),
+        ))?;
+        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta_ua)))?;
 
         // Embed part, peer table (B's table): receive support + piece,
         // update T_B, refresh B's ⟦T_B⟧.
@@ -523,14 +581,15 @@ impl EmbedSource {
             sess.cfg.lr,
             sess.cfg.momentum,
         );
-        // Matches the packed (seg = dim) layout of B's ⟦T_B⟧ cache.
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&delta, self.dim)))?;
 
         // Embed part, own table (line 21 for A), using the pre-update
-        // ⟦∇E_A⟧ computed above.
+        // ⟦∇E_A⟧ computed above — scalar, like the operands it came from.
         let support_a = x.support();
+        stage.switch(Stage::FedEmbed);
         let grad_q_ct = sess.peer_pk.lkup_bw(&grad_e_ct, &x, &support_a, self.dim);
+        stage.switch(Stage::DecryptUpdate);
         sess.ep.send(Msg::Support(support_a.clone()))?;
         let rho = he2ss_holder(
             &sess.ep,
@@ -550,11 +609,12 @@ impl EmbedSource {
             sess.cfg.momentum,
         );
         // B updates T_A and refreshes our ⟦T_A⟧.
-        let delta_ta = sess.ep.recv_ct()?;
-        sess.peer_pk
-            .rows_add_assign(&mut self.enc_t_own, &rows, &delta_ta);
-        Ok(())
+        recv_refresh(sess, &mut self.enc_t_own, &rows)
     }
+}
+
+fn all_rows(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 #[cfg(test)]
@@ -661,6 +721,36 @@ mod tests {
             "max err {}",
             z.sub(&want).max_abs()
         );
+    }
+
+    #[test]
+    fn init_refuses_a_mask_the_packed_projection_cannot_carry() {
+        // d = max(2 fields · 2, 1 field · 2) = 4 projection rows: the
+        // slot bound d·m·w_max + m = 2^39 sits at m = 2^39 / (4·w_max + 1).
+        let init = |cfg: FedConfig| {
+            run_pair(
+                &cfg,
+                5,
+                |mut sess| EmbedSource::init(&mut sess, 7, 2, 2, 2).map(drop),
+                |mut sess| EmbedSource::init(&mut sess, 5, 1, 2, 2).map(drop),
+            )
+        };
+        let with_mask = |cfg: FedConfig, he_mask: f64| FedConfig { he_mask, ..cfg };
+        let edge = 2.0 * bf_paillier::MAX_HE_MASK / (4.0 * MAX_PACKED_WEIGHT + 1.0);
+        let (a, b) = init(with_mask(FedConfig::paillier_test(), edge * (1.0 - 1e-12)));
+        assert!(a.is_ok() && b.is_ok());
+        let past = edge * (1.0 + 1e-12);
+        let (a, b) = init(with_mask(FedConfig::paillier_test(), past));
+        for r in [a, b] {
+            assert!(matches!(r, Err(TransportError::Setup(_))), "{r:?}");
+        }
+        // No slots, no envelope: scalar and Plain sessions take the mask.
+        let scalar =
+            FedConfig::paillier_test().with_paillier_mode(bf_paillier::PaillierMode::Scalar);
+        for cfg in [scalar, FedConfig::plain()] {
+            let (a, b) = init(with_mask(cfg, past));
+            assert!(a.is_ok() && b.is_ok());
+        }
     }
 
     #[test]

@@ -221,8 +221,7 @@ impl MatMulSource {
             GradMode::SecretShared => {
                 let delta = self.step_v_peer(sess, &piece, &rows_a);
                 // Same layout decision as the ⟦V_A⟧ cache this refreshes
-                // (same key, same `out` columns), so rows_add_assign on
-                // A's side sees matching bodies.
+                // (same key, same `out` columns); A checks that it is.
                 sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
             }
             GradMode::PlainGradToA { .. } => {
@@ -274,9 +273,7 @@ impl MatMulSource {
                 sess.sgd()
                     .step_sparse_rows(&mut self.u_own, &phi, &mut self.vel_u, &rows);
                 // Line 12: refresh ⟦V_A⟧ with B's encrypted delta.
-                let delta = sess.ep.recv_ct()?;
-                sess.peer_pk
-                    .rows_add_assign(&mut self.enc_v_own, &rows, &delta);
+                super::recv_refresh(sess, &mut self.enc_v_own, &rows)?;
             }
             GradMode::PlainGradToA { .. } => {
                 // Ablation: reconstruct ∇W_A in plaintext (insecure by

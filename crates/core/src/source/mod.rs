@@ -21,7 +21,12 @@ pub mod ss_top;
 pub use embed::EmbedSource;
 pub use matmul::MatMulSource;
 
+use bf_mpc::transport::{TransportError, TransportResult};
+use bf_mpc::wire::WireError;
+use bf_paillier::CtMat;
 use bf_tensor::Dense;
+
+use crate::session::Session;
 
 /// Apply one party's gradient piece to its weight piece with lazy
 /// momentum on the given rows; returns the applied delta (`−η·vel`)
@@ -57,4 +62,122 @@ pub(crate) fn step_piece(
         }
     }
     delta
+}
+
+/// The receiving end of [`step_piece`]'s delta (the `Recv and Update
+/// ⟦V⟧` steps of Figures 6 and 7): take the peer's freshly encrypted
+/// delta off the wire and add it into `rows` of `cache`.
+///
+/// The delta is the peer's bytes. One whose row count, width, scale,
+/// backend or packing geometry is not the cache's own is a malformed
+/// payload, refused here before `rows_add_assign` can assert on it.
+pub(crate) fn recv_refresh(
+    sess: &Session,
+    cache: &mut CtMat,
+    rows: &[usize],
+) -> TransportResult<()> {
+    let delta = sess.ep.recv_ct()?;
+    if delta.rows() != rows.len() || !cache.rows_conform(&delta) {
+        return Err(TransportError::Wire(WireError::Malformed(format!(
+            "cache-refresh delta is {}×{} at scale {} (packed: {}), expected {}×{} at scale {} \
+             (packed: {}) in the cache's own geometry",
+            delta.rows(),
+            delta.cols(),
+            delta.scale(),
+            delta.is_packed(),
+            rows.len(),
+            cache.cols(),
+            cache.scale(),
+            cache.is_packed(),
+        ))));
+    }
+    sess.peer_pk.rows_add_assign(cache, rows, &delta);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FedConfig;
+    use crate::session::run_pair;
+    use bf_mpc::transport::Msg;
+
+    fn m(rows: usize) -> Dense {
+        Dense::from_vec(rows, 2, vec![0.5; rows * 2])
+    }
+
+    /// An upload the sending session encrypts under its own key.
+    type Upload = fn(&Session) -> CtMat;
+
+    /// What a receiver holding `cache` (encrypted by the sender, whose
+    /// key it is under) makes of each `(delta, rows)` the sender ships.
+    fn refresh(
+        cfg: &FedConfig,
+        cache: Upload,
+        deltas: Vec<(Upload, Vec<usize>)>,
+    ) -> Vec<TransportResult<()>> {
+        let row_sets: Vec<Vec<usize>> = deltas.iter().map(|(_, rows)| rows.clone()).collect();
+        let (results, ()) = run_pair(
+            cfg,
+            5,
+            move |sess| {
+                let mut cache = sess.ep.recv_ct().unwrap();
+                row_sets
+                    .iter()
+                    .map(|rows| recv_refresh(&sess, &mut cache, rows))
+                    .collect()
+            },
+            move |sess| {
+                sess.ep.send(Msg::Ct(cache(&sess))).unwrap();
+                for (delta, _) in &deltas {
+                    sess.ep.send(Msg::Ct(delta(&sess))).unwrap();
+                }
+            },
+        );
+        results
+    }
+
+    #[test]
+    fn a_delta_that_does_not_fit_its_cache_is_a_typed_error() {
+        // 256-bit / frac-24 keys pack two slots: a 4×2 cache is one
+        // ciphertext per row.
+        let results = refresh(
+            &FedConfig::paillier_test(),
+            |s| s.encrypt_upload(&m(4)),
+            vec![
+                (|s| s.encrypt_upload(&m(2)), vec![1, 3]),
+                // A scalar delta for a packed cache.
+                (|s| s.own_pk.encrypt(&m(2), &s.obf), vec![1, 3]),
+                // One row too many, one too few.
+                (|s| s.encrypt_upload(&m(3)), vec![1, 3]),
+                (|s| s.encrypt_upload(&m(1)), vec![1, 3]),
+                // Another scale; then a well-formed delta still lands —
+                // the refusals left the cache as it was.
+                (|s| s.own_pk.encrypt_at_scale(&m(2), 2, &s.obf), vec![1, 3]),
+                (|s| s.encrypt_upload(&m(2)), vec![0, 2]),
+            ],
+        );
+        let ok: Vec<bool> = results.iter().map(Result::is_ok).collect();
+        assert_eq!(ok, [true, false, false, false, false, true]);
+        for r in results.iter().filter(|r| r.is_err()) {
+            assert!(
+                matches!(r, Err(TransportError::Wire(WireError::Malformed(_)))),
+                "{r:?}"
+            );
+        }
+        // The other way round: a packed delta for a scalar cache.
+        let results = refresh(
+            &FedConfig::paillier_test(),
+            |s| s.own_pk.encrypt(&m(4), &s.obf),
+            vec![
+                (|s| s.encrypt_upload(&m(2)), vec![1, 3]),
+                (|s| s.own_pk.encrypt(&m(2), &s.obf), vec![1, 3]),
+            ],
+        );
+        assert!(matches!(
+            results[0],
+            Err(TransportError::Wire(WireError::Malformed(_)))
+        ));
+        assert!(results[1].is_ok());
+    }
 }

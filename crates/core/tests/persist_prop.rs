@@ -127,7 +127,8 @@ proptest! {
 fn paillier_wdl_roundtrip_is_byte_exact() {
     // The densest state any model carries: a WDL half holds both
     // source layers (nine plaintext pieces + eight momentum buffers +
-    // four real-Paillier ciphertext caches) plus the deep-tower top.
+    // four real-Paillier ciphertext caches, five at Party B) plus the
+    // deep-tower top.
     let cfg = FedConfig::paillier_test();
     let spec = FedSpec::Wdl {
         emb_dim: 2,
@@ -257,12 +258,22 @@ fn multi_party_b_roundtrip_is_byte_exact() {
 /// mid-run (sessions stay, exactly like a serving node reloading its
 /// model). Bit-identical curves ⇔ the blobs are complete.
 fn losses_with_optional_reload(cfg: &FedConfig, reload_after: Option<usize>) -> Vec<u64> {
+    losses_of(cfg, FedSpec::Glm { out: 1 }, [&[], &[]], reload_after)
+}
+
+/// [`losses_with_optional_reload`] for any architecture; `vocabs` are
+/// the two parties' categorical fields.
+fn losses_of(
+    cfg: &FedConfig,
+    spec: FedSpec,
+    vocabs: [&[u32]; 2],
+    reload_after: Option<usize>,
+) -> Vec<u64> {
     let rows = 24;
     let bs = 8;
     let epochs = 4;
-    let data_a = toy_data(rows, 5, &[], 71, 0);
-    let data_b = toy_data(rows, 4, &[], 72, 1);
-    let spec = FedSpec::Glm { out: 1 };
+    let data_a = toy_data(rows, 5, vocabs[0], 71, 0);
+    let data_b = toy_data(rows, 4, vocabs[1], 72, 1);
     let spec_a = spec.clone();
     let data_a2 = data_a.clone();
     let (_, losses) = run_pair(
@@ -318,6 +329,24 @@ fn reloaded_model_resumes_training_bit_identically_paillier() {
     let unbroken = losses_with_optional_reload(&cfg, None);
     let resumed = losses_with_optional_reload(&cfg, Some(2));
     assert_eq!(unbroken, resumed);
+}
+
+#[test]
+fn reloaded_wdl_resumes_training_bit_identically_paillier() {
+    // The Embed-MatMul layer's caches, Party B's ⟦V_Bᵀ⟧ included: B's
+    // backward reads it and A refreshes it every step, so a blob that
+    // dropped or mislaid it would leave the curve at the reload.
+    let cfg = FedConfig::paillier_test();
+    let wdl = || FedSpec::Wdl {
+        emb_dim: 2,
+        deep_hidden: vec![4],
+        out: 1,
+    };
+    let vocabs: [&[u32]; 2] = [&[4, 3], &[5]];
+    let unbroken = losses_of(&cfg, wdl(), vocabs, None);
+    let resumed = losses_of(&cfg, wdl(), vocabs, Some(2));
+    assert_eq!(unbroken, resumed);
+    assert_ne!(unbroken.first(), unbroken.last());
 }
 
 #[test]

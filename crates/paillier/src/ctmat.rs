@@ -189,6 +189,25 @@ impl CtMat {
         matches!(self.body, Body::Packed(_))
     }
 
+    /// True if `other`'s rows can be added into this matrix's rows
+    /// ciphertext by ciphertext: same width, fixed-point scale, backend
+    /// and limb count, and for packed bodies the same slot geometry and
+    /// segment width — everything [`PublicKey::rows_add_assign`] asserts
+    /// except the row count, so a receiver can refuse a peer's delta
+    /// instead of panicking on it.
+    pub fn rows_conform(&self, other: &CtMat) -> bool {
+        self.cols == other.cols
+            && self.scale == other.scale
+            && match (&self.body, &other.body) {
+                (Body::Enc { k: a, .. }, Body::Enc { k: b, .. }) => a == b,
+                (Body::Packed(a), Body::Packed(b)) => {
+                    a.k == b.k && a.layout == b.layout && a.seg == b.seg
+                }
+                (Body::Plain(_), Body::Plain(_)) => true,
+                _ => false,
+            }
+    }
+
     /// Ciphertexts per row: columns, or column chunks when packed.
     fn lanes(&self) -> usize {
         match &self.body {
@@ -230,8 +249,9 @@ impl CtMat {
     /// Transposed copy (pure index permutation — no homomorphic work).
     ///
     /// Panics on a packed matrix: slots run along the column axis, so a
-    /// transpose would need to re-pack ciphertext contents. Paths that
-    /// transpose their ciphertexts must stay in scalar layout.
+    /// transpose would need to re-pack ciphertext contents. A kernel
+    /// that needs `⟦W⟧ᵀ` packed asks the key owner for a second upload
+    /// (`EmbedSource`'s `⟦V_Bᵀ⟧`) instead.
     pub fn transpose(&self) -> CtMat {
         let body = match &self.body {
             Body::Packed(_) => panic!("transpose is unsupported for packed ciphertexts"),
@@ -407,33 +427,6 @@ impl PublicKey {
                 cols: m.cols(),
                 scale,
                 body: Body::Plain(m.data().iter().map(|&v| quantize(v, *frac_bits)).collect()),
-            },
-        }
-    }
-
-    /// A deterministic matrix of `⟦0⟧` accumulator seeds (scale 2),
-    /// used by `lkup_bw` scatter accumulation.
-    fn zeros_ct(&self, rows: usize, cols: usize, scale: u8) -> CtMat {
-        match self {
-            PublicKey::Paillier(pk) => {
-                let k = pk.ct_limbs();
-                let one = pk.mont.one_mont(); // ⟦0⟧ = g^0 = 1
-                let mut limbs = Vec::with_capacity(rows * cols * k);
-                for _ in 0..rows * cols {
-                    limbs.extend_from_slice(&one);
-                }
-                CtMat {
-                    rows,
-                    cols,
-                    scale,
-                    body: Body::Enc { k, limbs },
-                }
-            }
-            PublicKey::Plain { .. } => CtMat {
-                rows,
-                cols,
-                scale,
-                body: Body::Plain(vec![0.0; rows * cols]),
             },
         }
     }
@@ -720,13 +713,28 @@ impl PublicKey {
     /// instance-field slice of `⟦∇E⟧` into the touched table rows.
     /// Output row `s` is `Σ_{(r,f): X[r,f]=support[s]} ∇E[r, f·dim..]`
     /// — only the batch-support rows are materialised (sparse).
+    ///
+    /// A packed `⟦∇E⟧` must be segmented by field (`seg = dim`, the
+    /// layout `lkup` gathers into): a field slice is then whole
+    /// ciphertexts, the scatter is the gather run backwards — one
+    /// `mont_mul` per chunk — and the result has the table's own layout.
+    /// Any other packed segmentation would split a ciphertext between
+    /// two table rows and is refused.
     pub fn lkup_bw(&self, grad_e: &CtMat, x: &CatBlock, support: &[u32], dim: usize) -> CtMat {
         assert_eq!(grad_e.cols, x.fields() * dim, "lkup_bw shape mismatch");
         assert_eq!(grad_e.rows, x.rows(), "lkup_bw row mismatch");
-        assert!(
-            !grad_e.is_packed(),
-            "lkup_bw scatters single columns; keep ⟦∇E⟧ scalar"
-        );
+        // Ciphertexts per field slice: `dim` columns, or the chunks of
+        // one segment.
+        let width = match &grad_e.body {
+            Body::Packed(p) => {
+                assert_eq!(
+                    p.seg, dim,
+                    "lkup_bw scatters whole field slices; pack ⟦∇E⟧ with seg = dim"
+                );
+                p.chunks_per_seg()
+            }
+            _ => dim,
+        };
         // Per-support hit lists.
         let pos_of: std::collections::HashMap<u32, usize> =
             support.iter().enumerate().map(|(p, &c)| (c, p)).collect();
@@ -738,23 +746,26 @@ impl PublicKey {
                 }
             }
         }
-        let mut out = self.zeros_ct(support.len(), dim, grad_e.scale);
-        match (self, &mut out.body, &grad_e.body) {
-            (PublicKey::Paillier(pk), Body::Enc { limbs, .. }, Body::Enc { .. }) => {
+        match (self, &grad_e.body) {
+            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
                 let rows: Vec<Vec<u64>> = par_map(support.len(), |s| {
-                    let mut acc = vec![pk.mont.one_mont(); dim];
+                    let mut acc = vec![pk.mont.one_mont(); width]; // ⟦0⟧ = g^0 = 1
                     for &(r, f) in &hits[s] {
-                        #[allow(clippy::needless_range_loop)]
-                        for d in 0..dim {
-                            let ct = grad_e.ct(r, f * dim + d);
-                            acc[d] = pk.mont.mont_mul(&acc[d], ct);
+                        for (l, a) in acc.iter_mut().enumerate() {
+                            *a = pk.mont.mont_mul(a, grad_e.ct(r, f * width + l));
                         }
                     }
                     acc.concat()
                 });
-                *limbs = rows.concat();
+                // ⟦∇E⟧'s own layout (limb count, and packed: geometry with
+                // seg = dim), one field wide.
+                CtMat {
+                    cols: dim,
+                    ..grad_e.like(support.len(), grad_e.scale, rows.concat())
+                }
             }
-            (PublicKey::Plain { .. }, Body::Plain(ov), Body::Plain(gv)) => {
+            (PublicKey::Plain { .. }, Body::Plain(gv)) => {
+                let mut ov = vec![0.0; support.len() * dim];
                 for (s, list) in hits.iter().enumerate() {
                     for &(r, f) in list {
                         for d in 0..dim {
@@ -762,10 +773,15 @@ impl PublicKey {
                         }
                     }
                 }
+                CtMat {
+                    rows: support.len(),
+                    cols: dim,
+                    scale: grad_e.scale,
+                    body: Body::Plain(ov),
+                }
             }
             _ => panic!("lkup_bw backend mismatch"),
         }
-        out
     }
 
     /// Homomorphically add `delta`'s rows into the given rows of a
@@ -1477,12 +1493,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lkup_bw scatters single columns")]
-    fn packed_lkup_bw_panics() {
+    fn packed_lkup_bw_bit_identical_to_scalar() {
+        // seg = dim: every field slice is whole ciphertexts (here 4
+        // columns in ⌈4/3⌉ = 2 chunks), so the scatter multiplies chunks
+        // and the result is laid out like a table packed with seg = dim.
+        let (pk, sk, obf) = setup();
+        let x = CatBlock::from_local(3, &[3, 3], vec![0, 2, 1, 0, 2, 2]);
+        let support = x.support();
+        let ge = dense(3, 8, 49);
+        let scalar = pk.lkup_bw(&pk.encrypt(&ge, &obf), &x, &support, 4);
+        let packed = pk.lkup_bw(
+            &pk.encrypt_mode_seg(&ge, 4, PaillierMode::Packed, &obf),
+            &x,
+            &support,
+            4,
+        );
+        assert!(packed.is_packed() && !scalar.is_packed());
+        assert_eq!(packed.shape(), (support.len(), 4));
+        assert_eq!(sk.decrypt(&packed).data(), sk.decrypt(&scalar).data());
+        let table = pk.encrypt_mode_seg(&dense(6, 4, 50), 4, PaillierMode::Packed, &obf);
+        assert!(table.select_rows(&[0; 5]).rows_conform(&packed));
+    }
+
+    #[test]
+    #[should_panic(expected = "pack ⟦∇E⟧ with seg = dim")]
+    fn packed_lkup_bw_refuses_a_segment_that_is_not_a_field() {
         let (pk, _, obf) = setup();
         let x = CatBlock::from_local(3, &[3, 3], vec![0, 2, 1, 0, 2, 2]);
         let ge = pk.encrypt_mode(&dense(3, 4, 49), PaillierMode::Packed, &obf);
         let _ = pk.lkup_bw(&ge, &x, &x.support(), 2);
+    }
+
+    #[test]
+    fn rows_conform_names_what_rows_add_assign_needs() {
+        let (pk, _, obf) = setup();
+        let m = dense(2, 4, 57);
+        let scalar = pk.encrypt(&m, &obf);
+        let packed = pk.encrypt_mode(&m, PaillierMode::Packed, &obf);
+        let by_two = pk.encrypt_mode_seg(&m, 2, PaillierMode::Packed, &obf);
+        assert!(scalar.rows_conform(&scalar.select_rows(&[0])));
+        assert!(packed.rows_conform(&packed.select_rows(&[1, 1, 0])));
+        assert!(!packed.rows_conform(&scalar) && !scalar.rows_conform(&packed));
+        assert!(!packed.rows_conform(&by_two));
+        assert!(!scalar.rows_conform(&pk.encrypt_at_scale(&m, 2, &obf)));
+        assert!(!scalar.rows_conform(&pk.encrypt(&dense(2, 3, 58), &obf)));
     }
 
     // ---- the contraction core vs the per-term kernels it replaced --------
@@ -1566,12 +1620,8 @@ mod tests {
                 reference_row(paillier(pk), 1, &terms, |j, _| g.ct(i, j))
             })
             .collect();
-        let mut out = pk.zeros_ct(g.rows, w.rows(), 2);
-        let Body::Enc { limbs, .. } = &mut out.body else {
-            unreachable!()
-        };
-        *limbs = rows.concat();
-        out
+        let k = paillier(pk).ct_limbs();
+        CtMat::from_enc_parts(g.rows, w.rows(), 2, k, rows.concat())
     }
 
     /// `rows × cols` whose row `r` follows pattern `r % 6`: 0/1

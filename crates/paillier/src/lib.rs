@@ -52,8 +52,8 @@ pub use ctmat::CtMat;
 pub use keys::{keygen, FixedBaseTable, PaillierPk, PaillierSk, PublicKey, SecretKey};
 pub use obf::{ObfMode, Obfuscator};
 pub use pack::{
-    pack_values, unpack_values, PackError, PackedCtMat, PaillierMode, SlotLayout, MAX_HE_MASK,
-    MAX_SLOT_BITS, SLOT_HEADROOM_BITS,
+    masked_share_product_fits, pack_values, unpack_values, PackError, PackedCtMat, PaillierMode,
+    SlotLayout, MAX_HE_MASK, MAX_PACKED_WEIGHT, MAX_SLOT_BITS, SLOT_HEADROOM_BITS,
 };
 pub use serial::{
     export_ctmat, export_public, export_secret, import_ctmat, import_public, import_secret,

@@ -35,6 +35,17 @@
 //! [`unpack_values`] cannot tell an overflowed slot from its
 //! neighbour's carry.
 //!
+//! The Embed-MatMul projection spends the payload half differently: it
+//! multiplies *shares* into packed weight pieces, and a share of an
+//! embedding is as large as the mask that hides it (`|ψ|, |E − ψ| ≈
+//! he_mask`). A `d`-term product slot therefore carries up to
+//! `d · he_mask · w_max`, and the masked reply `d · he_mask · w_max +
+//! he_mask`, which must stay inside the slot's whole signed range
+//! `2^(SLOT_HEADROOM_BITS−1)`. `w_max` is an assumption about the peer's
+//! weight piece, stated as [`MAX_PACKED_WEIGHT`];
+//! [`masked_share_product_fits`] is the check, run where the layer's
+//! width is known (`EmbedSource::init`), before any ciphertext ships.
+//!
 //! The GBDT histograms spend the headroom on rows instead of a mask
 //! (nothing is masked there): a `(feature, bucket)` sum at scale 2 is
 //! `Σ_rows round(g·2^fb)·2^fb`, so it stays inside its slot while
@@ -65,9 +76,10 @@
 //! plus `f×` fewer bytes. At 1024-bit keys (9 slots of 104 bits):
 //!
 //! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
-//!   one-column product, or the output of a scalar-only kernel,
-//!   `matmul_ct_wt`, `lkup_bw`): 832 squarings against eight
-//!   decryptions, roughly a third of the work per value;
+//!   one-column product, or what descends from the one scalar-only
+//!   kernel, `matmul_ct_wt`, which contracts over the axis slots run
+//!   along): 832 squarings against eight decryptions, roughly a third
+//!   of the work per value;
 //! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: 624
 //!   squarings against three decryptions, roughly two thirds, and a
 //!   quarter of the bytes;
@@ -103,6 +115,23 @@ pub const SLOT_HEADROOM_BITS: u32 = 40;
 /// Largest HE2SS mask magnitude a packed session accepts: half a slot's
 /// signed range in scale-2 value units (see the headroom rule).
 pub const MAX_HE_MASK: f64 = (1u64 << (SLOT_HEADROOM_BITS - 2)) as f64;
+
+/// Largest magnitude a packed *weight piece* is assumed to reach when
+/// mask-sized shares are multiplied into it (the Embed-MatMul
+/// projection; see the headroom rule). Pieces start at Xavier scale and
+/// each step moves them by `lr ·` a mask-sized HE2SS piece, so they
+/// random-walk upwards with the step count; `2^16` leaves the default
+/// session (`he_mask = 10^4`) room for `d ≤ 838` projection rows.
+pub const MAX_PACKED_WEIGHT: f64 = (1u64 << 16) as f64;
+
+/// The headroom rule for a `d`-term product of mask-sized shares with
+/// packed weight pieces below [`MAX_PACKED_WEIGHT`], masked by HE2SS:
+/// `d · he_mask · w_max + he_mask` must not pass a slot's signed range,
+/// `2^(SLOT_HEADROOM_BITS−1)` at scale 2. False for a NaN mask.
+pub fn masked_share_product_fits(d: usize, he_mask: f64) -> bool {
+    let mask = he_mask.abs();
+    d as f64 * mask * MAX_PACKED_WEIGHT + mask <= 2.0 * MAX_HE_MASK
+}
 
 /// Upper bound on `slot_bits`: slot digits are extracted into `u128`s,
 /// and the signed value must fit an `i128`.
@@ -352,6 +381,22 @@ mod tests {
         // packing rather than shrinking the headroom.
         assert!(SlotLayout::for_key(512, 41).is_none());
         assert!(SlotLayout::for_key(128, 32).is_none());
+    }
+
+    #[test]
+    fn share_product_bound_sits_at_the_slot_range() {
+        // d·m·w_max + m = 2^39 exactly at m = 2^39 / (d·w_max + 1).
+        let range = 2.0 * MAX_HE_MASK;
+        for d in [1usize, 16, 208] {
+            let edge = range / (d as f64 * MAX_PACKED_WEIGHT + 1.0);
+            assert!(masked_share_product_fits(d, edge * (1.0 - 1e-12)), "{d}");
+            assert!(masked_share_product_fits(d, -edge * (1.0 - 1e-12)), "{d}");
+            assert!(!masked_share_product_fits(d, edge * (1.0 + 1e-12)), "{d}");
+        }
+        assert!(!masked_share_product_fits(1, f64::NAN));
+        // The default session's mask with the widest projection in the
+        // catalog (8 fields × dim 8).
+        assert!(masked_share_product_fits(64, 1e4));
     }
 
     #[test]

@@ -133,6 +133,93 @@ fn packed_and_scalar_paillier_are_bit_identical() {
 }
 
 #[test]
+fn packed_and_scalar_embed_models_are_bit_identical() {
+    // The Embed-MatMul source under both layouts: every weight cache,
+    // table cache, delta and ⟦∇Z⟧ copy packs (256-bit keys hold two
+    // slots; dim = 2, projection width 4 / 2), the two scalar-by-
+    // necessity uploads do not, and nothing a party can decrypt may
+    // move by a bit — nor may the mask stream, which the equal `S` /
+    // `U` pieces (updated by the masks themselves) pin.
+    use bf_paillier::PaillierMode;
+    let models = [
+        FedSpec::Wdl {
+            emb_dim: 2,
+            deep_hidden: vec![4],
+            out: 1,
+        },
+        FedSpec::Dlrm {
+            emb_dim: 2,
+            vec_dim: 2,
+            top_hidden: vec![3],
+        },
+    ];
+    for model in &models {
+        let run_mode = |mode: PaillierMode| {
+            let ds = spec("a9a").scaled(300, 1);
+            let (train, test) = generate(&ds, 0x105);
+            let train_v = vsplit(&train);
+            let test_v = vsplit(&test);
+            let tc = FedTrainConfig {
+                base: TrainConfig {
+                    epochs: 1,
+                    batch_size: 32,
+                    ..Default::default()
+                },
+                snapshot_u_a: false,
+                ..Default::default()
+            };
+            train_federated(
+                model,
+                &FedConfig::paillier_test().with_paillier_mode(mode),
+                &tc,
+                train_v.party_a.clone(),
+                train_v.party_b.clone(),
+                test_v.party_a.clone(),
+                test_v.party_b.clone(),
+                23,
+            )
+        };
+        let scalar = run_mode(PaillierMode::Scalar);
+        let packed = run_mode(PaillierMode::Packed);
+        assert!(scalar.report.losses.len() >= 2, "{model:?}");
+        assert_eq!(scalar.report.losses, packed.report.losses, "{model:?}");
+        assert_eq!(
+            scalar.report.test_logits.data(),
+            packed.report.test_logits.data(),
+            "{model:?}"
+        );
+        let halves = [
+            (
+                scalar.party_a.embed().unwrap(),
+                packed.party_a.embed().unwrap(),
+            ),
+            (
+                scalar.party_b.embed().unwrap(),
+                packed.party_b.embed().unwrap(),
+            ),
+        ];
+        for (s, p) in halves {
+            assert_eq!(s.s_own().data(), p.s_own().data(), "{model:?} S");
+            assert_eq!(s.t_peer().data(), p.t_peer().data(), "{model:?} T");
+            assert_eq!(s.u_own().data(), p.u_own().data(), "{model:?} U");
+            assert_eq!(s.v_peer().data(), p.v_peer().data(), "{model:?} V");
+        }
+        assert!(
+            packed.report.bytes_a_to_b < scalar.report.bytes_a_to_b,
+            "{model:?}: packed A→B traffic {} !< scalar {}",
+            packed.report.bytes_a_to_b,
+            scalar.report.bytes_a_to_b
+        );
+        assert!(
+            packed.report.bytes_b_to_a < scalar.report.bytes_b_to_a,
+            "{model:?}: packed B→A traffic {} !< scalar {}",
+            packed.report.bytes_b_to_a,
+            scalar.report.bytes_b_to_a
+        );
+    }
+}
+
+#[test]
 fn forward_outputs_match_plaintext_model() {
     // Reconstruct W after training and verify the federated test
     // logits equal X·W + b computed in the clear.
