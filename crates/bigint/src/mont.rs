@@ -33,7 +33,29 @@ pub struct MontCtx {
     r1: Vec<u64>,
     /// `R^2 mod m`, used to convert into Montgomery form.
     r2: Vec<u64>,
+    /// The multiply and square kernels for this width, picked once in
+    /// [`MontCtx::new`].
+    kernels: Kernels,
 }
+
+/// `(m, m_inv, a, b, out)`: `out = a·b·R⁻¹ mod m`, all `m.len()` limbs.
+type MulFn = fn(&[u64], u64, &[u64], &[u64], &mut [u64]);
+/// `(m, m_inv, a, out)`: `out = a²·R⁻¹ mod m`.
+type SqrFn = fn(&[u64], u64, &[u64], &mut [u64]);
+type Kernels = (MulFn, SqrFn);
+
+/// The kernels at any width: loop bounds are run-time values.
+const SLICE_KERNELS: Kernels = (mul_body, sqr_slice);
+
+/// The one width the kernel bodies are also compiled for exactly: a
+/// CRT half `p²` of a 1024-bit key (a 512-bit key's `n²` is 16 limbs
+/// too). Known trip counts are worth a tenth of a multiply or a squaring
+/// there, and an eighth of `mlr_wide`'s throughput end to end. At the 32
+/// limbs of a 1024-bit key's `n²` an instance measured 0.90× on
+/// multiplies and 0.97× on squarings, and nothing past the run-to-run
+/// spread end to end, so `n²` keeps the slice kernels; 8 limbs (a
+/// 512-bit key's `p²`) is run by no measured workload, so it has none.
+const FIXED_LIMBS: usize = 16;
 
 /// Sliding-window table of one Montgomery-form base: its odd powers
 /// `b, b³, …, b^(2^w − 1)`, flat. Built by [`MontCtx::odd_powers`];
@@ -72,6 +94,17 @@ pub fn window_bits(bits: usize, ones: usize, uses: usize) -> u32 {
 impl MontCtx {
     /// Build a context. Panics if `m` is even or < 3.
     pub fn new(m: &BigUint) -> Self {
+        let mut ctx = Self::with_slice_kernels(m);
+        if ctx.k == FIXED_LIMBS {
+            ctx.kernels = (mul_fixed::<FIXED_LIMBS>, sqr_fixed::<FIXED_LIMBS>);
+        }
+        ctx
+    }
+
+    /// [`MontCtx::new`] on the width-generic kernels whatever the width
+    /// of `m`: the reference the fixed-width instance is tested
+    /// against.
+    pub fn with_slice_kernels(m: &BigUint) -> Self {
         assert!(!m.is_even() && m.bits() >= 2, "modulus must be odd and > 1");
         let k = m.limbs.len();
         let m_inv = inv64(m.limbs[0]).wrapping_neg();
@@ -84,6 +117,7 @@ impl MontCtx {
             m_inv,
             r1,
             r2,
+            kernels: SLICE_KERNELS,
         }
     }
 
@@ -105,31 +139,7 @@ impl MontCtx {
     /// running sum is loaded and stored once per limb, and `out` itself
     /// is the `k`-limb accumulator.
     pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let k = self.k;
-        let m = &self.m.limbs[..k];
-        assert!(a.len() == k && b.len() == k && out.len() == k);
-        out.fill(0);
-        let mut top = 0u64;
-        for &ai in a {
-            // Column 0 fixes u = t[0]·m' mod 2^64 and clears to zero.
-            let s = out[0] as u128 + ai as u128 * b[0] as u128;
-            let u = (s as u64).wrapping_mul(self.m_inv);
-            let mut c1 = s >> 64;
-            let mut c2 = (s as u64 as u128 + u as u128 * m[0] as u128) >> 64;
-            for j in 1..k {
-                let s = out[j] as u128 + ai as u128 * b[j] as u128 + c1;
-                c1 = s >> 64;
-                let s = s as u64 as u128 + u as u128 * m[j] as u128 + c2;
-                c2 = s >> 64;
-                out[j - 1] = s as u64;
-            }
-            let s = top as u128 + c1 + c2;
-            out[k - 1] = s as u64;
-            top = (s >> 64) as u64;
-        }
-        if top != 0 || cmp_limbs(out, m) >= 0 {
-            sub_limbs(out, m);
-        }
+        (self.kernels.0)(&self.m.limbs[..self.k], self.m_inv, a, b, out)
     }
 
     /// Montgomery squaring `a*a*R^{-1} mod m` into `out`.
@@ -140,61 +150,7 @@ impl MontCtx {
     /// intermediate, which lives on the stack for every key size in use.
     /// Squarings are four fifths of an exponentiation.
     pub fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
-        let k = self.k;
-        let m = &self.m.limbs[..k];
-        assert!(a.len() == k && out.len() == k);
-        let mut stack = [0u64; 2 * SQR_STACK_LIMBS];
-        let mut heap = Vec::new();
-        let t: &mut [u64] = if k <= SQR_STACK_LIMBS {
-            &mut stack[..2 * k]
-        } else {
-            heap.resize(2 * k, 0);
-            &mut heap
-        };
-        // Off-diagonal products a[i]·a[j], i < j: row i lands on limbs
-        // 2i+1 .. i+k, and its carry on the still-untouched limb i+k.
-        for i in 0..k.saturating_sub(1) {
-            let ai = a[i] as u128;
-            let mut carry = 0u128;
-            for (tj, &aj) in t[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
-                let s = *tj as u128 + ai * aj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            t[i + k] = carry as u64;
-        }
-        // Double, and add the diagonal a[i]², two limbs at a time.
-        let (mut shift, mut carry) = (0u64, 0u64);
-        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
-            let (lo, hi) = (pair[0], pair[1]);
-            let sq = ai as u128 * ai as u128;
-            let s = ((lo << 1) | shift) as u128 + (sq as u64) as u128 + carry as u128;
-            pair[0] = s as u64;
-            let s = ((hi << 1) | (lo >> 63)) as u128 + (sq >> 64) + (s >> 64);
-            pair[1] = s as u64;
-            shift = hi >> 63;
-            carry = (s >> 64) as u64;
-        }
-        debug_assert_eq!((shift, carry), (0, 0));
-        // Reduce: clear one low limb per row (t += u·m << 64i); `top`
-        // carries the overflow of limb i+k into the next row.
-        let mut top = 0u64;
-        for i in 0..k {
-            let u = t[i].wrapping_mul(self.m_inv) as u128;
-            let mut carry = 0u128;
-            for (tj, &mj) in t[i..i + k].iter_mut().zip(m) {
-                let s = *tj as u128 + u * mj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[i + k] as u128 + carry + top as u128;
-            t[i + k] = s as u64;
-            top = (s >> 64) as u64;
-        }
-        out.copy_from_slice(&t[k..]);
-        if top != 0 || cmp_limbs(out, m) >= 0 {
-            sub_limbs(out, m);
-        }
+        (self.kernels.1)(&self.m.limbs[..self.k], self.m_inv, a, out)
     }
 
     /// [`MontCtx::mont_mul_into`] returning a fresh vector.
@@ -389,6 +345,145 @@ impl MontCtx {
         }
         vals[..k].copy_from_slice(&acc);
     }
+}
+
+/// `x·y + add + carry` as `(low, high)` limbs. `add` meets the product
+/// first, so a loop that threads `carry` through waits two additions
+/// per step, not three.
+#[inline(always)]
+fn mac(x: u64, y: u64, add: u64, carry: u64) -> (u64, u64) {
+    let p = x as u128 * y as u128;
+    let (lo, c) = (p as u64).overflowing_add(add);
+    let hi = (p >> 64) as u64 + c as u64;
+    let s = ((hi as u128) << 64 | lo as u128) + carry as u128;
+    (s as u64, (s >> 64) as u64)
+}
+
+/// `t += x·v` over equal-length limbs, four to a step; returns the carry
+/// out of the top limb.
+#[inline(always)]
+fn addmul(t: &mut [u64], x: u64, v: &[u64]) -> u64 {
+    assert_eq!(t.len(), v.len());
+    let mut carry = 0;
+    let mut tq = t.chunks_exact_mut(4);
+    let mut vq = v.chunks_exact(4);
+    for (tq, vq) in (&mut tq).zip(&mut vq) {
+        (tq[0], carry) = mac(x, vq[0], tq[0], carry);
+        (tq[1], carry) = mac(x, vq[1], tq[1], carry);
+        (tq[2], carry) = mac(x, vq[2], tq[2], carry);
+        (tq[3], carry) = mac(x, vq[3], tq[3], carry);
+    }
+    for (tj, &vj) in tq.into_remainder().iter_mut().zip(vq.remainder()) {
+        (*tj, carry) = mac(x, vj, *tj, carry);
+    }
+    carry
+}
+
+/// The one multiply body (see [`MontCtx::mont_mul_into`]). Inlined into
+/// [`mul_fixed`], where every length is a constant; called as it is for
+/// every other width.
+#[inline(always)]
+fn mul_body(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
+    let k = m.len();
+    assert!(a.len() == k && b.len() == k && out.len() == k);
+    out.fill(0);
+    let mut top = 0u64;
+    for &ai in a {
+        // Column 0 fixes u = t[0]·m' mod 2^64 and clears to zero.
+        let (s, mut c1) = mac(ai, b[0], out[0], 0);
+        let u = s.wrapping_mul(m_inv);
+        let (_, mut c2) = mac(u, m[0], s, 0);
+        for j in 1..k {
+            let s;
+            (s, c1) = mac(ai, b[j], out[j], c1);
+            (out[j - 1], c2) = mac(u, m[j], s, c2);
+        }
+        let s = top as u128 + c1 as u128 + c2 as u128;
+        out[k - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    if top != 0 || cmp_limbs(out, m) >= 0 {
+        sub_limbs(out, m);
+    }
+}
+
+/// The one squaring body (see [`MontCtx::mont_sqr_into`]); `t` is the
+/// zeroed double-width intermediate.
+#[inline(always)]
+fn sqr_body(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64], t: &mut [u64]) {
+    let k = m.len();
+    assert!(a.len() == k && out.len() == k && t.len() == 2 * k);
+    // Off-diagonal products a[i]·a[j], i < j: row i lands on limbs
+    // 2i+1 .. i+k, and its carry on the still-untouched limb i+k.
+    for i in 0..k.saturating_sub(1) {
+        t[i + k] = addmul(&mut t[2 * i + 1..i + k], a[i], &a[i + 1..]);
+    }
+    // Double, and add the diagonal a[i]², two limbs at a time.
+    let (mut shift, mut carry) = (0u64, 0u64);
+    for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+        let (lo, hi) = (pair[0], pair[1]);
+        let sq = ai as u128 * ai as u128;
+        let s = ((lo << 1) | shift) as u128 + (sq as u64) as u128 + carry as u128;
+        pair[0] = s as u64;
+        let s = ((hi << 1) | (lo >> 63)) as u128 + (sq >> 64) + (s >> 64);
+        pair[1] = s as u64;
+        shift = hi >> 63;
+        carry = (s >> 64) as u64;
+    }
+    debug_assert_eq!((shift, carry), (0, 0));
+    // Reduce: clear one low limb per row (t += u·m << 64i); `top`
+    // carries the overflow of limb i+k into the next row.
+    let mut top = 0u64;
+    for i in 0..k {
+        let u = t[i].wrapping_mul(m_inv);
+        let carry = addmul(&mut t[i..i + k], u, m);
+        let s = t[i + k] as u128 + carry as u128 + top as u128;
+        t[i + k] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    out.copy_from_slice(&t[k..]);
+    if top != 0 || cmp_limbs(out, m) >= 0 {
+        sub_limbs(out, m);
+    }
+}
+
+/// [`sqr_body`] at any width: the intermediate lives on the stack up to
+/// [`SQR_STACK_LIMBS`] and is allocated past that.
+fn sqr_slice(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
+    let k = m.len();
+    let mut stack = [0u64; 2 * SQR_STACK_LIMBS];
+    let mut heap = Vec::new();
+    let t: &mut [u64] = if k <= SQR_STACK_LIMBS {
+        &mut stack[..2 * k]
+    } else {
+        heap.resize(2 * k, 0);
+        &mut heap
+    };
+    sqr_body(m, m_inv, a, out, t)
+}
+
+/// What a `K`-limb kernel says to an operand of another width — the
+/// slice kernels' length assert.
+const WIDTH: &str = "operand width is the modulus's";
+
+/// [`mul_body`] compiled for `K` limbs.
+fn mul_fixed<const K: usize>(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
+    let (m, a, b): (&[u64; K], &[u64; K], &[u64; K]) = (
+        m.try_into().expect(WIDTH),
+        a.try_into().expect(WIDTH),
+        b.try_into().expect(WIDTH),
+    );
+    let out: &mut [u64; K] = out.try_into().expect(WIDTH);
+    mul_body(m, m_inv, a, b, out)
+}
+
+/// [`sqr_body`] compiled for `K` limbs, its intermediate `2K` on the
+/// stack.
+fn sqr_fixed<const K: usize>(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
+    let (m, a): (&[u64; K], &[u64; K]) = (m.try_into().expect(WIDTH), a.try_into().expect(WIDTH));
+    let out: &mut [u64; K] = out.try_into().expect(WIDTH);
+    let mut t = [[0u64; K]; 2];
+    sqr_body(m, m_inv, a, out, t.as_flattened_mut())
 }
 
 /// Recode `e` into sliding windows of at most `w` bits, highest first:

@@ -185,6 +185,50 @@ fn mont_sqr_into_matches_mont_mul_into_on_stack_and_heap_widths() {
     }
 }
 
+/// A multiply and a squaring of `a` (and `a·b`) on both kernel sets.
+fn assert_kernels_agree(fixed: &MontCtx, slice: &MontCtx, a: &[u64], b: &[u64]) {
+    let k = slice.limb_count();
+    let (mut got, mut want) = (vec![0u64; k], vec![0u64; k]);
+    fixed.mont_mul_into(a, b, &mut got);
+    slice.mont_mul_into(a, b, &mut want);
+    assert_eq!(got, want, "{k}-limb multiply");
+    fixed.mont_sqr_into(a, &mut got);
+    slice.mont_sqr_into(a, &mut want);
+    assert_eq!(got, want, "{k}-limb squaring");
+}
+
+#[test]
+fn fixed_width_kernels_equal_the_slice_kernels_on_edge_operands() {
+    // 16 limbs has an instance; every other width — one limb either
+    // side of it, the 8 of a 512-bit key's p² and the 32 of a 1024-bit
+    // key's n² — takes the fallback, which `with_slice_kernels` is by
+    // construction.
+    for limbs in [1usize, 8, 15, 16, 17, 32] {
+        let (fixed, bases) = fixture(limbs, 3);
+        let slice = MontCtx::with_slice_kernels(&fixed.m);
+        let k = fixed.limb_count();
+        assert_eq!(k, limbs);
+        // Zero, R mod m, m − 1 (the largest reduced operand), and an
+        // all-ones modulus, whose products overflow the top limb.
+        let mut edges = vec![
+            vec![0u64; k],
+            fixed.one_mont(),
+            fixed.m.sub_u64(1).limbs().to_vec(),
+        ];
+        edges.extend(bases);
+        for a in &edges {
+            for b in &edges {
+                assert_kernels_agree(&fixed, &slice, a, b);
+            }
+        }
+        let ones = BigUint::one().shl(64 * limbs).sub_u64(1);
+        let (fixed, slice) = (MontCtx::new(&ones), MontCtx::with_slice_kernels(&ones));
+        let top = ones.sub_u64(1).limbs().to_vec();
+        assert_kernels_agree(&fixed, &slice, &top, &top);
+        assert_kernels_agree(&fixed, &slice, &top, &fixed.one_mont());
+    }
+}
+
 #[test]
 fn batch_inv_mont_inverts_every_value() {
     for limbs in [1usize, 5] {
@@ -228,6 +272,29 @@ proptest! {
             exps.push(exponent(pair[0] >> 8, pair[1]));
         }
         prop_assert_eq!(multi_pow(&ctx, &bases, &exps), fold_pow(&ctx, &bases, &exps));
+    }
+
+    #[test]
+    fn fixed_width_kernels_equal_the_slice_kernels(
+        m in prop::collection::vec(any::<u64>(), 16),
+        a in big(16),
+        b in big(16),
+    ) {
+        // A random odd modulus of exactly 16 limbs, operands reduced
+        // below it, then a chain of squarings so the values fed back
+        // are the kernels' own outputs.
+        let mut m = m;
+        m[0] |= 1;
+        m[15] |= 1 << 40;
+        let m = BigUint::from_limbs(m);
+        let (fixed, slice) = (MontCtx::new(&m), MontCtx::with_slice_kernels(&m));
+        let (mut x, y) = (fixed.to_mont(&a.rem(&m)), slice.to_mont(&b.rem(&m)));
+        for _ in 0..4 {
+            prop_assert_eq!(fixed.mont_mul(&x, &y), slice.mont_mul(&x, &y));
+            prop_assert_eq!(fixed.mont_sqr(&x), slice.mont_sqr(&x));
+            x = fixed.mont_sqr(&x);
+        }
+        prop_assert_eq!(fixed.pow_mont(&x, &a), slice.pow_mont(&x, &a));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use bf_tensor::{Dense, Features};
 use crate::engine::Stage;
 use crate::session::Session;
 use crate::source::matmul::MatMulSource;
-use crate::source::step_piece;
+use crate::source::{recv_refresh, step_piece};
 
 impl MatMulSource {
     /// Forward pass for an SS top model (Figure 13, line 1): identical
@@ -84,9 +84,7 @@ impl MatMulSource {
         let delta = self.step_v_peer_pub(sess, &piece, &peer_rows);
         // Same layout decision as the ⟦V⟧ cache this refreshes.
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
-        let delta_own = sess.ep.recv_ct()?;
-        self.refresh_enc_v_own(sess, &rows, &delta_own);
-        Ok(())
+        recv_refresh(sess, self.enc_v_own_mut(), &rows)
     }
 }
 
@@ -147,16 +145,6 @@ impl MatMulSource {
     ) -> Dense {
         let (v, vel) = self.v_peer_and_vel_mut();
         step_piece(v, vel, piece, rows, sess.cfg.lr, sess.cfg.momentum)
-    }
-
-    pub(crate) fn refresh_enc_v_own(
-        &mut self,
-        sess: &Session,
-        rows: &[usize],
-        delta: &bf_paillier::CtMat,
-    ) {
-        let enc = self.enc_v_own_mut();
-        sess.peer_pk.rows_add_assign(enc, rows, delta);
     }
 }
 
@@ -238,6 +226,57 @@ mod tests {
         let (_, _, loss_long) = train_ss(&cfg, x_a, x_b, y, 80);
         assert!(loss_long < loss_short * 0.5, "{loss_short} -> {loss_long}");
         assert!(loss_long < 0.05, "final loss {loss_long}");
+    }
+
+    #[test]
+    fn a_delta_in_another_layout_than_the_cache_is_a_typed_error() {
+        // B follows Figure 13 to its last line and then refreshes A's
+        // packed ⟦V⟧ cache (two columns: one ciphertext a row) with a
+        // scalar delta. A's backward must return the refusal.
+        use bf_mpc::transport::TransportError;
+        use bf_mpc::wire::WireError;
+
+        let cfg = FedConfig::paillier_test();
+        let (a, ()) = run_pair(
+            &cfg,
+            56,
+            |mut sess| {
+                let mut layer = MatMulSource::init(&mut sess, 2, 2).unwrap();
+                let x = Features::Dense(rand_dense(4, 2, 5));
+                let z = layer.forward_ss(&mut sess, &x, true).unwrap();
+                layer.backward_ss(&mut sess, &SquareLossSsTop::grad_piece_a(&z))
+            },
+            |mut sess| {
+                let mut layer = MatMulSource::init(&mut sess, 2, 2).unwrap();
+                let x = Features::Dense(rand_dense(4, 2, 6));
+                let z = layer.forward_ss(&mut sess, &x, true).unwrap();
+                let (own_pk, peer_pk, mode) = (&sess.own_pk, &sess.peer_pk, sess.cfg.paillier_mode);
+                let ct_gz = ss2he_mode(&sess.ep, own_pk, &sess.obf, peer_pk, &z, mode).unwrap();
+                let support = layer.take_cached_support();
+                sess.ep.send(Msg::Support(support.clone())).unwrap();
+                let peer_support = sess.ep.recv_support().unwrap();
+                let prod = peer_pk.t_matmul_support(&x, &ct_gz, &support);
+                he2ss_holder(
+                    &sess.ep,
+                    peer_pk,
+                    &prod,
+                    sess.cfg.he_mask,
+                    mode,
+                    &mut sess.rng,
+                )
+                .unwrap();
+                he2ss_peer(&sess.ep, &sess.own_sk, peer_support.len(), 2).unwrap();
+                let delta = Dense::zeros(peer_support.len(), 2);
+                sess.ep
+                    .send(Msg::Ct(own_pk.encrypt(&delta, &sess.obf)))
+                    .unwrap();
+                sess.ep.recv_ct().unwrap();
+            },
+        );
+        assert!(
+            matches!(a, Err(TransportError::Wire(WireError::Malformed(_)))),
+            "{a:?}"
+        );
     }
 
     #[test]

@@ -72,8 +72,8 @@ use bf_ml::gbdt::{
     GbdtParams, Node, NodeHist, SplitOracle, Tree,
 };
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_mpc::wire::{bit_at, bit_bytes, pack_bits, WireError};
-use bf_mpc::Endpoint;
+use bf_mpc::wire::{bit_at, bit_bytes, pack_bits};
+use bf_mpc::{decrypt_reply, Endpoint};
 use bf_paillier::{PaillierMode, PublicKey, SlotLayout};
 use bf_tensor::{Csr, Dense, Features};
 
@@ -382,18 +382,10 @@ impl SplitOracle for HostOracle<'_> {
         for (l, sess) in self.sessions.iter().enumerate() {
             let ct = sess.ep.recv_ct()?;
             // The reply is `cells × 2` as the kernel produced it or one
-            // folded `1 × 2·cells` row; any other element count is
-            // refused before `decrypt` or `reshaped` can panic on it.
+            // folded `1 × 2·cells` row; anything else is refused.
             let cells = self.guest_totals[l];
-            if ct.rows() * ct.cols() != cells * 2 {
-                return Err(TransportError::Wire(WireError::Malformed(format!(
-                    "guest {l} answered a {}×{} histogram, expected {cells}×2 values",
-                    ct.rows(),
-                    ct.cols()
-                ))));
-            }
             let _t = self.stages.timer(Stage::DecryptUpdate);
-            let agg = sess.own_sk.decrypt(&ct).reshaped(cells, 2);
+            let agg = decrypt_reply(&sess.own_sk, &ct, cells, 2)?;
             for b in 0..cells {
                 hist.push((
                     self.requantize(agg.get(b, 0)),
@@ -931,6 +923,7 @@ mod tests {
     use crate::config::Backend;
     use bf_datagen::{generate_tree, vsplit_multi};
     use bf_ml::gbdt::CollocatedGbdt;
+    use bf_mpc::wire::WireError;
 
     /// 512-bit keys at 16 fractional bits hold 7 slots of 72 bits, so
     /// the guest folds its 2-slot histogram rows 3-to-1.
@@ -1038,30 +1031,42 @@ mod tests {
     }
 
     #[test]
-    fn a_histogram_reply_with_the_wrong_element_count_is_a_typed_error() {
+    fn a_histogram_reply_the_host_cannot_use_is_a_typed_error() {
         // A guest that follows the protocol up to the first histogram
         // request and then answers with the whole `n × 2` gradient
-        // tensor instead of `cells × 2` sums.
-        let cfg = folding_cfg();
-        let split = vsplit_multi(&generate_tree(16, 4, 3), 1);
-        let p = params(&cfg);
-        let (_, host) = crate::session::run_pair(
-            &cfg,
-            9,
-            |sess| {
-                sess.ep.send(Msg::Support(vec![3, 3])).unwrap();
-                assert_eq!(sess.ep.recv_u64().unwrap(), OP_NEW_TREE);
-                let gh = sess.ep.recv_ct().unwrap();
-                assert_eq!(sess.ep.recv_u64().unwrap(), OP_HIST);
-                sess.ep.recv_support().unwrap();
-                sess.ep.send(Msg::Ct(gh)).unwrap();
+        // tensor instead of `cells × 2` sums — or with six cells, but
+        // as a Plain body the host's Paillier key has nothing to do with.
+        use bf_paillier::{CtMat, ObfMode, Obfuscator};
+        let replies: [fn(CtMat) -> CtMat; 2] = [
+            |gh| gh,
+            |_| {
+                let (pk, _) = bf_paillier::keys::plain_keys(16);
+                let obf = Obfuscator::new(&pk, ObfMode::Pool(1), 1);
+                pk.encrypt(&Dense::zeros(6, 2), &obf)
             },
-            |sess| run_gbdt_host(&mut [sess], &split.party_b, &p),
-        );
-        let err = host.expect_err("16×2 values for 6 cells");
-        assert!(
-            matches!(&err, TransportError::Wire(WireError::Malformed(_))),
-            "{err}"
-        );
+        ];
+        for reply in replies {
+            let cfg = folding_cfg();
+            let split = vsplit_multi(&generate_tree(16, 4, 3), 1);
+            let p = params(&cfg);
+            let (_, host) = crate::session::run_pair(
+                &cfg,
+                9,
+                move |sess| {
+                    sess.ep.send(Msg::Support(vec![3, 3])).unwrap();
+                    assert_eq!(sess.ep.recv_u64().unwrap(), OP_NEW_TREE);
+                    let gh = sess.ep.recv_ct().unwrap();
+                    assert_eq!(sess.ep.recv_u64().unwrap(), OP_HIST);
+                    sess.ep.recv_support().unwrap();
+                    sess.ep.send(Msg::Ct(reply(gh))).unwrap();
+                },
+                |sess| run_gbdt_host(&mut [sess], &split.party_b, &p),
+            );
+            let err = host.expect_err("16×2 values, or a Plain body, for 6 cells");
+            assert!(
+                matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                "{err}"
+            );
+        }
     }
 }

@@ -15,6 +15,7 @@ use bf_paillier::{Obfuscator, PublicKey, SecretKey};
 use bf_tensor::Dense;
 use rand::Rng;
 
+use crate::convert::he2ss_peer;
 use crate::shares::{random_mask, share_dense};
 use crate::transport::{Endpoint, Msg, TransportResult};
 
@@ -97,7 +98,7 @@ pub fn he_gen_triple<R: Rng + ?Sized>(
     ep.send(Msg::Ct(peer_pk.sub_plain(&cross, &r_own)))?;
 
     // 3. Decrypt the peer's response: d = A_own · B_peer − R_peer.
-    let d = own_sk.decrypt(&ep.recv_ct()?);
+    let d = he2ss_peer(ep, own_sk, m, n)?;
 
     // C_own = A_own·B_own + (A_own·B_peer − R_peer) + R_own.
     let mut c = a_own.matmul(&b_own);

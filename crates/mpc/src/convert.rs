@@ -51,27 +51,43 @@ pub fn he2ss_holder<R: Rng + ?Sized>(
 }
 
 /// Algorithm 1, key-owner side: receive `⟦v − φ⟧` and decrypt it,
-/// yielding this party's `rows × cols` piece `v − φ`.
-///
-/// The shape is the one the caller is about to add the piece to. The
-/// reply may arrive in the holder's shape or as a repacked `1 × N` row;
-/// one with any other element count is refused here, as a malformed
-/// payload, before a kernel or `Dense::add` can panic on it.
+/// yielding this party's `rows × cols` piece `v − φ`
+/// ([`decrypt_reply`] of the next ciphertext message).
 pub fn he2ss_peer(
     ep: &Endpoint,
     sk: &SecretKey,
     rows: usize,
     cols: usize,
 ) -> TransportResult<Dense> {
-    let ct = ep.recv_ct()?;
+    decrypt_reply(sk, &ep.recv_ct()?, rows, cols)
+}
+
+/// Decrypt a ciphertext body that came off the wire into the
+/// `rows × cols` values the caller is about to use.
+///
+/// The body is the peer's bytes. It may arrive in the holder's shape or
+/// as a repacked `1 × N` row; one with any other element count, or one
+/// that is not a body under `sk` at all ([`SecretKey::conforms`]: a
+/// Plain body in a Paillier session, another limb count, a slot
+/// geometry the key does not have), is refused here as a malformed
+/// payload, before `decrypt`, a kernel or `Dense::add` can panic on it.
+pub fn decrypt_reply(
+    sk: &SecretKey,
+    ct: &CtMat,
+    rows: usize,
+    cols: usize,
+) -> TransportResult<Dense> {
+    let malformed = |why: String| TransportError::Wire(WireError::Malformed(why));
     if ct.rows() * ct.cols() != rows * cols {
-        return Err(TransportError::Wire(WireError::Malformed(format!(
-            "HE2SS reply is {}×{}, expected {rows}×{cols} values",
+        return Err(malformed(format!(
+            "encrypted reply is {}×{}, expected {rows}×{cols} values",
             ct.rows(),
             ct.cols()
-        ))));
+        )));
     }
-    Ok(sk.decrypt(&ct).reshaped(rows, cols))
+    sk.conforms(ct)
+        .map_err(|why| malformed(format!("encrypted reply carries {why}")))?;
+    Ok(sk.decrypt(ct).reshaped(rows, cols))
 }
 
 /// Algorithm 2 (symmetric in both parties): given this party's piece
@@ -196,6 +212,45 @@ mod tests {
                 matches!(&err, TransportError::Wire(WireError::Malformed(_))),
                 "{mode:?}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn he2ss_reply_that_is_no_body_under_the_key_is_a_typed_error() {
+        // The right number of values every time; what is wrong is the
+        // body. The key owner's key is 256-bit at 24 fractional bits:
+        // 8-limb ciphertexts, 2 slots of 88 bits.
+        use bf_paillier::keys::plain_keys;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (pk_b, sk_b) = keygen(256, 24, &mut rng);
+        let (plain_pk, plain_sk) = plain_keys(24);
+        let (half_pk, _) = keygen(128, 24, &mut rng); // 4-limb ciphertexts
+        let (frac_pk, _) = keygen(256, 20, &mut rng); // 8 limbs, 3 slots of 80 bits
+        let v = Dense::from_vec(2, 3, vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0]);
+        let under = |pk: &PublicKey, mode| {
+            pk.encrypt_mode(&v, mode, &Obfuscator::new(pk, ObfMode::Pool(2), 1))
+        };
+        let packed = under(&frac_pk, PaillierMode::Packed);
+        assert!(packed.is_packed());
+        let replies = [
+            (under(&plain_pk, PaillierMode::Scalar), &sk_b),
+            (under(&half_pk, PaillierMode::Scalar), &sk_b),
+            (packed, &sk_b),
+            (under(&pk_b, PaillierMode::Scalar), &plain_sk),
+        ];
+        for (i, (ct, sk)) in replies.iter().enumerate() {
+            let (ep_a, ep_b) = channel_pair();
+            ep_a.send(Msg::Ct(ct.clone())).unwrap();
+            let err = he2ss_peer(&ep_b, sk, 2, 3).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                "reply {i}: {err}"
+            );
+        }
+        for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+            let (ep_a, ep_b) = channel_pair();
+            ep_a.send(Msg::Ct(under(&pk_b, mode))).unwrap();
+            assert!(he2ss_peer(&ep_b, &sk_b, 2, 3).unwrap().approx_eq(&v, 1e-5));
         }
     }
 

@@ -44,7 +44,7 @@ pub mod shares;
 pub mod transport;
 pub mod wire;
 
-pub use convert::{he2ss_holder, he2ss_peer, ss2he, ss2he_mode};
+pub use convert::{decrypt_reply, he2ss_holder, he2ss_peer, ss2he, ss2he_mode};
 pub use fault::{FaultAction, FaultPlan};
 pub use psi::{
     psi_digest, psi_guest, psi_host, psi_host_multi, select_common, PsiError, PsiSelection,

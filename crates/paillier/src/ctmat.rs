@@ -902,15 +902,52 @@ impl PublicKey {
 }
 
 impl SecretKey {
+    /// Whether `ct` is a body this key decrypts, or why not: the key's
+    /// own backend, for Paillier its ciphertext width, and for a packed
+    /// body its slot width with no more slots than the key holds (a
+    /// [`PublicKey::repack`]-folded row may carry fewer). What
+    /// [`crate::import_ctmat`] accepted is consistent in itself; this is
+    /// the half of a peer's claim only the key owner can check, and
+    /// [`SecretKey::decrypt`] — which panics on another backend or limb
+    /// count, and picks its CRT path from the geometry — runs after it.
+    pub fn conforms(&self, ct: &CtMat) -> Result<(), String> {
+        let (sk, k) = match (self, &ct.body) {
+            (SecretKey::Plain, Body::Plain(_)) => return Ok(()),
+            (SecretKey::Plain, _) => return Err("ciphertexts for the Plain backend".into()),
+            (SecretKey::Paillier(_), Body::Plain(_)) => {
+                return Err("a Plain body for a Paillier key".into())
+            }
+            (SecretKey::Paillier(sk), Body::Enc { k, .. }) => (sk, *k),
+            (SecretKey::Paillier(sk), Body::Packed(p)) => {
+                let (pk, claim) = (sk.pk(), p.layout);
+                let own = SlotLayout::for_key(pk.key_bits, pk.frac_bits);
+                if !own.is_some_and(|l| claim.slot_bits == l.slot_bits && claim.slots <= l.slots) {
+                    return Err(format!(
+                        "{} slots of {} bits under a {}-bit key (its layout: {own:?})",
+                        claim.slots, claim.slot_bits, pk.key_bits
+                    ));
+                }
+                (sk, p.k)
+            }
+        };
+        if k != sk.pk().ct_limbs() {
+            return Err(format!(
+                "{k}-limb ciphertexts, this key's are {} limbs",
+                sk.pk().ct_limbs()
+            ));
+        }
+        Ok(())
+    }
+
     /// Decrypt to a dense matrix, rescaling by the ciphertext's
-    /// fixed-point scale.
+    /// fixed-point scale. `ct` is a body [`SecretKey::conforms`] accepts.
     pub fn decrypt(&self, ct: &CtMat) -> Dense {
         match (self, &ct.body) {
             (SecretKey::Paillier(sk), Body::Enc { .. }) => {
                 let pk = sk.pk();
                 let n = ct.rows * ct.cols;
                 let vals: Vec<f64> = par_map_min(COARSE, n, |i| {
-                    let m = sk.raw_decrypt(ct.ct(i / ct.cols, i % ct.cols));
+                    let m = sk.raw_decrypt(ct.ct(i / ct.cols, i % ct.cols), None);
                     codec::decode(&m, pk.frac_bits, ct.scale, &pk.n, &pk.half_n)
                 });
                 Dense::from_vec(ct.rows, ct.cols, vals)
@@ -929,8 +966,11 @@ impl SecretKey {
                     chunks.push(chunk);
                     rest = tail;
                 }
+                // A chunk's plaintext spans its used slots only, and one
+                // that stays below p/2 costs one CRT half.
                 par_for_each_mut_min(COARSE, &mut chunks, |idx, chunk| {
-                    let m = sk.raw_decrypt(ct.ct(idx / nchunks, idx % nchunks));
+                    let bits = chunk.len() * p.layout.slot_bits as usize;
+                    let m = sk.raw_decrypt(ct.ct(idx / nchunks, idx % nchunks), Some(bits));
                     pack::unpack_values(
                         &m,
                         pk.frac_bits,

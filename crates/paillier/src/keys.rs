@@ -161,20 +161,32 @@ impl PaillierSk {
     /// Decrypt a Montgomery-form ciphertext to a ring element of `Z_n`
     /// via CRT (decrypting mod `p^2` and `q^2` separately — roughly 4×
     /// cheaper than the textbook `c^λ mod n^2`).
-    pub fn raw_decrypt(&self, ct_mont: &[u64]) -> BigUint {
+    ///
+    /// `bits` is what the caller knows about the plaintext as a signed
+    /// integer `P` (negatives are `n − |P|`): `|P| < 2^bits`. A packed
+    /// chunk states `used · slot_bits`; a scalar body states nothing.
+    /// When `2^bits ≤ p/2`, `P` is already determined by its residue
+    /// mod `p` — `m_p` itself if `m_p ≤ p/2`, else `m_p − p` — and the
+    /// `q` half, half the cost of a decryption, is skipped. The ring
+    /// element returned is the same either way; a plaintext outside the
+    /// stated bound (another key's ciphertext, an overflowed slot)
+    /// decodes to garbage on both paths, not to the same garbage: the
+    /// full path's is `m mod n`, the narrow path's depends on `p`.
+    /// Trusting the bound is sound for a semi-honest sender only (see
+    /// docs/ARCHITECTURE.md, "What a decryption costs").
+    pub fn raw_decrypt(&self, ct_mont: &[u64], bits: Option<usize>) -> BigUint {
         let c = self.pk.mont.from_mont(ct_mont);
-        let p = &self.p;
-        let q = &self.q;
-        // m_p = Lp(c^{p-1} mod p^2) * hp mod p
-        let cp = c.rem(&self.mont_p2.m);
-        let xp = self.mont_p2.pow(&cp, &p.sub_u64(1));
-        let lp = xp.sub_u64(1).div_rem(p).0;
-        let mp = lp.mod_mul(&self.hp, p);
-        // m_q symmetric
-        let cq = c.rem(&self.mont_q2.m);
-        let xq = self.mont_q2.pow(&cq, &q.sub_u64(1));
-        let lq = xq.sub_u64(1).div_rem(q).0;
-        let mq = lq.mod_mul(&self.hq, q);
+        let (p, q) = (&self.p, &self.q);
+        let mp = crt_half(&c, p, &self.mont_p2, &self.hp);
+        // 2^bits ≤ p/2 ⟺ bits ≤ p.bits() − 2 (p is no power of two).
+        if bits.is_some_and(|b| b + 2 <= p.bits()) {
+            return if mp <= p.shr(1) {
+                mp
+            } else {
+                self.pk.n.sub(&p.sub(&mp))
+            };
+        }
+        let mq = crt_half(&c, q, &self.mont_q2, &self.hq);
         // Garner: m = mp + p * ((mq - mp) * p^{-1} mod q)
         let diff = mq.mod_sub(&mp.rem(q), q);
         let t = diff.mod_mul(&self.p_inv_q, q);
@@ -191,6 +203,13 @@ impl PaillierSk {
     pub fn factors(&self) -> (&BigUint, &BigUint) {
         (&self.p, &self.q)
     }
+}
+
+/// One CRT half of a decryption, for the prime `r` of `n`:
+/// `m mod r = L_r(c^{r−1} mod r²) · h_r mod r`, with `L_r(x) = (x − 1)/r`.
+fn crt_half(c: &BigUint, r: &BigUint, mont_r2: &MontCtx, h_r: &BigUint) -> BigUint {
+    let x = mont_r2.pow(&c.rem(&mont_r2.m), &r.sub_u64(1));
+    x.sub_u64(1).div_rem(r).0.mod_mul(h_r, r)
 }
 
 /// Rebuild a full secret key (all CRT precomputations) from its prime
@@ -222,12 +241,10 @@ fn build_sk(p: BigUint, q: BigUint, pk: Arc<PaillierPk>) -> Option<PaillierSk> {
     let mont_p2 = MontCtx::new(&p2);
     let mont_q2 = MontCtx::new(&q2);
     let g = pk.n.add_u64(1);
-    let xp = mont_p2.pow(&g.rem(&p2), &p.sub_u64(1));
-    let lp = xp.sub_u64(1).div_rem(&p).0;
-    let hp = mod_inv(&lp, &p)?;
-    let xq = mont_q2.pow(&g.rem(&q2), &q.sub_u64(1));
-    let lq = xq.sub_u64(1).div_rem(&q).0;
-    let hq = mod_inv(&lq, &q)?;
+    // h_r inverts what a half with h_r = 1 makes of g = n + 1.
+    let one = BigUint::one();
+    let hp = mod_inv(&crt_half(&g, &p, &mont_p2, &one), &p)?;
+    let hq = mod_inv(&crt_half(&g, &q, &mont_q2, &one), &q)?;
     let p_inv_q = mod_inv(&p, &q)?;
     Some(PaillierSk {
         p,
@@ -358,7 +375,7 @@ pub fn encrypt_scalar(pk: &PublicKey, obf: &crate::Obfuscator, v: f64) -> Scalar
 pub fn decrypt_scalar(sk: &SecretKey, ct: &ScalarCt) -> f64 {
     match (sk, ct) {
         (SecretKey::Paillier(s), ScalarCt::Enc(c)) => {
-            let m = s.raw_decrypt(c);
+            let m = s.raw_decrypt(c, None);
             codec::decode(&m, s.pk.frac_bits, 1, &s.pk.n, &s.pk.half_n)
         }
         (SecretKey::Plain, ScalarCt::Plain(v)) => *v,
@@ -424,7 +441,7 @@ mod tests {
         let ca = p.raw_encrypt(&a, &obf.next_rn(p));
         let cb = p.raw_encrypt(&b, &obf.next_rn(p));
         let sum = p.mont.mont_mul(&ca, &cb);
-        let dec = codec::decode(&s.raw_decrypt(&sum), p.frac_bits, 1, &p.n, &p.half_n);
+        let dec = codec::decode(&s.raw_decrypt(&sum, None), p.frac_bits, 1, &p.n, &p.half_n);
         assert!((dec - 1.25).abs() < 1e-6);
     }
 
@@ -441,8 +458,33 @@ mod tests {
         let c = p.raw_encrypt(&m, &obf.next_rn(p));
         // 7 * ⟦3⟧ (integer scalar) = ⟦21⟧
         let c7 = p.mont.pow_mont(&c, &bf_bigint::BigUint::from_u64(7));
-        let dec = codec::decode(&s.raw_decrypt(&c7), p.frac_bits, 1, &p.n, &p.half_n);
+        let dec = codec::decode(&s.raw_decrypt(&c7, None), p.frac_bits, 1, &p.n, &p.half_n);
         assert!((dec - 21.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_bound_past_half_p_takes_both_halves() {
+        // p is 128 bits here, so one 88-bit slot decrypts on the p half
+        // alone and a full chunk of two does not — as, at 1024 bits, the
+        // eight 104-bit slots of a folded GBDT histogram row do not.
+        let (pk, sk, obf) = setup();
+        let (PublicKey::Paillier(p), SecretKey::Paillier(s)) = (&pk, &sk) else {
+            unreachable!()
+        };
+        let enc = |m: &BigUint| p.raw_encrypt(m, &obf.next_rn(p));
+        let wide = BigUint::one().shl(170).add_u64(12345);
+        assert!(&wide > s.factors().0);
+        for m in [wide.clone(), p.n.sub(&wide)] {
+            assert_eq!(s.raw_decrypt(&enc(&m), Some(2 * 88)), m);
+            assert_eq!(s.raw_decrypt(&enc(&m), None), m);
+        }
+        let narrow = BigUint::one().shl(87).sub_u64(1);
+        for m in [narrow.clone(), p.n.sub(&narrow), BigUint::zero()] {
+            assert_eq!(s.raw_decrypt(&enc(&m), Some(88)), m);
+        }
+        // The early return is live: under a one-slot bound the plaintext
+        // `wide` reads as its residue mod p, sign-recovered.
+        assert_ne!(s.raw_decrypt(&enc(&wide), Some(88)), wide);
     }
 
     #[test]
@@ -488,7 +530,7 @@ mod tests {
         };
         let m = codec::encode(-4.5, p.frac_bits, 1, &p.n);
         let c = p.raw_encrypt_deterministic(&m);
-        let dec = codec::decode(&s.raw_decrypt(&c), p.frac_bits, 1, &p.n, &p.half_n);
+        let dec = codec::decode(&s.raw_decrypt(&c, None), p.frac_bits, 1, &p.n, &p.half_n);
         assert!((dec + 4.5).abs() < 1e-6);
     }
 }

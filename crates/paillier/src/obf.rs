@@ -248,7 +248,7 @@ mod tests {
             let obf = Obfuscator::new(&pk, mode, 11);
             for _ in 0..4 {
                 let rn = obf.next_rn(p);
-                assert!(s.raw_decrypt(&rn).is_zero(), "mode {mode:?}");
+                assert!(s.raw_decrypt(&rn, None).is_zero(), "mode {mode:?}");
             }
         }
     }

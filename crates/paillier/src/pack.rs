@@ -69,39 +69,55 @@
 //! `f = ⌊slots/u⌋` sources per output,
 //! `Π_j ⟦P_j⟧^{2^{j·u·slot_bits}}` is a ciphertext of
 //! `Σ_j P_j·2^{j·u·slot_bits}` — the sources' slots laid end to end.
-//! One output costs `(f−1)·u·slot_bits` squarings and `f−1` multiplies
-//! mod `n²` on one chain and saves `f−1` CRT decryptions, each two
-//! half-width exponentiations with `key_bits/2`-bit exponents, i.e.
-//! ≈ `key_bits` half-width squarings ≈ `key_bits/4` full-width ones,
-//! plus `f×` fewer bytes. At 1024-bit keys (9 slots of 104 bits):
+//!
+//! What a fold buys depends on what a decryption costs, and **a
+//! decryption costs one half-width exponentiation per started `p/2` of
+//! plaintext** ([`crate::PaillierSk::raw_decrypt`]). A chunk states its
+//! width, `used · slot_bits`; while that stays below `p/2` (`≤ p.bits()
+//! − 2` bits: up to 4 of the 9 slots of a 1024-bit key, 2 of 4 at 512)
+//! the plaintext is read off the `p` half of the CRT alone, and anything
+//! wider — or a scalar ciphertext, which states no width — pays both
+//! halves. A half is an exponentiation mod `p²` with a `key_bits/2`-bit
+//! exponent: ≈ `key_bits/2` half-width squarings, worth ≈ `key_bits/8`
+//! full-width ones. One output of a fold costs `(f−1)·u·slot_bits`
+//! squarings and `f−1` multiplies mod `n²` on one chain, replaces `f`
+//! source decryptions by one, and ships `f×` fewer bytes. At 1024-bit
+//! keys (9 slots of 104 bits, a half ≈ 128 full-width squarings):
 //!
 //! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
 //!   one-column product, or what descends from the one scalar-only
 //!   kernel, `matmul_ct_wt`, which contracts over the axis slots run
-//!   along): 832 squarings against eight decryptions, roughly a third
-//!   of the work per value;
-//! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: 624
-//!   squarings against three decryptions, roughly two thirds, and a
-//!   quarter of the bytes;
-//! - `u = 3`, `f = 3`: 624 squarings against two decryptions — even;
-//!   `u = 4`, `f = 2`: 416 against one — a loss in time, though still
-//!   half the bytes. `repack` folds every `u ≤ slots/2` all the same
-//!   (one rule, and the bytes always shrink `f`-fold); no caller has
-//!   `u ≥ 3`, and one that does should measure before it calls.
+//!   along): 832 squarings turn 18 halves into 2, a bit over a third of
+//!   the work per value;
+//! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: the four
+//!   sources are narrow, so 624 squarings turn 4 halves into 2. That is
+//!   a loss of ≈ 0.35 ms per four cells in time; the fold is kept for
+//!   the quarter of the bytes, which is what the tree workload's wire
+//!   bound rests on;
+//! - `u = 3`, `f = 3`: 624 squarings save one half; `u = 4`, `f = 2`:
+//!   416 save none (two narrow sources, one full output) — both a loss
+//!   in time for a third or half of the bytes. `repack` folds every
+//!   `u ≤ slots/2` all the same (one rule, and the bytes always shrink
+//!   `f`-fold); no caller has `u ≥ 3`, and one that does should measure
+//!   before it calls.
 //!
 //! Probed at that key size (256 source ciphertexts, fold + decrypt of
-//! the folded body against decrypting the sources, 2 threads / 1):
-//! `u = 1` 0.38× / 0.38×, `u = 2` 0.53× / 0.65×, `u = 3` 0.99× / 1.00×,
-//! `u = 4` 1.25× / 1.11×.
+//! the folded body against decrypting the sources, 1 thread / 2):
+//! `u = 1` 0.39× / 0.40×, `u = 2` 1.43× / 1.5×, `u = 3` 1.9× / 1.9×,
+//! `u = 4` 2.2× / 2.1×.
 //!
 //! The folded body is an ordinary packed `1 × N` row whose
 //! [`SlotLayout::slots`] is `f·u`, not the key's: decoders take the
-//! geometry from the body.
+//! geometry from the body, after the key owner has held it against its
+//! own ([`crate::SecretKey::conforms`]: the key's slot width, no more
+//! slots than the key holds).
 //!
 //! Decoded values are **bit-identical** to the scalar path: slots are
 //! encoded with the same [`codec::encode_exponent`] rounding and decoded
-//! through the same `BigUint → f64` conversion, so `PaillierMode` never
-//! changes a training trajectory (asserted by the parity suites).
+//! through the same `BigUint → f64` conversion — and a narrow chunk's
+//! one-half decryption returns the very ring element both halves would —
+//! so `PaillierMode` never changes a training trajectory (asserted by
+//! the parity suites).
 
 use bf_bigint::BigUint;
 

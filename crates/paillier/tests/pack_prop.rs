@@ -2,15 +2,19 @@
 //! across shapes (0-row, 1×1, max frac_bits), slot-overflow rejection,
 //! the decrypt-only repack of scalar bodies and of narrow packed rows
 //! (bit-identity with the unfolded decrypt, and the mask envelope at its
-//! boundary), and the packed ciphertext-tensor codec
-//! (golden bytes + corruption fuzz, mirroring the wire_prop suite in
-//! bf-mpc).
+//! boundary), the width-aware CRT decryption (one half for plaintexts
+//! below `p/2` ≡ both halves, ring element for ring element), the key
+//! owner's conformance check of a received body, and the packed
+//! ciphertext-tensor codec (golden bytes + corruption fuzz, mirroring
+//! the wire_prop suite in bf-mpc).
 
 use std::sync::OnceLock;
 
+use bf_bigint::BigUint;
 use bf_paillier::{
-    export_ctmat, import_ctmat, keygen, keys::plain_keys, pack_values, unpack_values, ObfMode,
-    Obfuscator, PaillierMode, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
+    export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys, pack_values,
+    unpack_values, ObfMode, Obfuscator, PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey,
+    SlotLayout, MAX_HE_MASK,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -220,6 +224,191 @@ proptest! {
             }
         }
     }
+}
+
+/// The raw halves of a Paillier key pair.
+fn raw(keys: &Keys) -> (&PaillierPk, &PaillierSk) {
+    let (PublicKey::Paillier(pk), SecretKey::Paillier(sk), _) = keys else {
+        unreachable!()
+    };
+    (pk, sk)
+}
+
+/// A key whose primes are `p_bits` and `q_bits` long, through the
+/// secret-key text format (keygen only makes balanced ones).
+fn lopsided(p_bits: usize, q_bits: usize, frac_bits: u32) -> Keys {
+    let mut rng = rand::rngs::StdRng::seed_from_u64((p_bits * 1000 + q_bits) as u64);
+    let (p, q) = (
+        bf_bigint::gen_prime(p_bits, &mut rng),
+        bf_bigint::gen_prime(q_bits, &mut rng),
+    );
+    let text = format!("bfsk1:{frac_bits}:{}:{}", p.to_hex(), q.to_hex());
+    let sk = import_secret(&text).expect("two random primes make a key");
+    let pk = sk.public();
+    let obf = Obfuscator::new(&pk, ObfMode::Pool(4), 3);
+    (pk, sk, obf)
+}
+
+/// The keys the width-aware decryption is checked under: the two
+/// `fold_keys`, the unit-test key, and one lopsided key either way
+/// round (`p` is the half the narrow path keeps).
+fn width_keys() -> Vec<&'static Keys> {
+    static LOPSIDED: OnceLock<[Keys; 2]> = OnceLock::new();
+    let lopsided = LOPSIDED.get_or_init(|| [lopsided(96, 224, 24), lopsided(224, 96, 24)]);
+    let mut keys = vec![&repack_keys()[0]];
+    keys.extend(fold_keys());
+    keys.extend(lopsided);
+    keys
+}
+
+/// `Σ_j ±mag_j · 2^(j·slot_bits)` as an element of `Z_n`.
+fn ring_element(pk: &PaillierPk, slot_bits: u32, slots: &[(u128, bool)]) -> BigUint {
+    let (mut pos, mut neg) = (BigUint::zero(), BigUint::zero());
+    for (j, &(mag, negative)) in slots.iter().enumerate() {
+        let term = BigUint::from_u128(mag).shl(j * slot_bits as usize);
+        if negative {
+            neg = neg.add(&term);
+        } else {
+            pos = pos.add(&term);
+        }
+    }
+    if pos >= neg {
+        pos.sub(&neg)
+    } else {
+        pk.n.sub(&neg.sub(&pos))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn narrow_decrypt_returns_the_ring_element_the_full_one_does(
+        words in prop::collection::vec(any::<u64>(), 18),
+        signs in prop::collection::vec(any::<bool>(), 9),
+    ) {
+        for keys in width_keys() {
+            let (pk, sk) = raw(keys);
+            let layout = keys.0.slot_layout().unwrap();
+            let w = layout.slot_bits as usize;
+            let top = layout.max_slot_mag() - 1;
+            // Random slots; every slot at ±(2^(w−1) − 1), signs mixed;
+            // the same with one sign throughout.
+            let shapes: [&dyn Fn(usize) -> (u128, bool); 3] = [
+                &|j| (((words[2 * j] as u128) << 64 | words[2 * j + 1] as u128) & top, signs[j]),
+                &|j| (top, signs[j]),
+                &|_| (top, signs[0]),
+            ];
+            for (used, shape) in (1..=layout.slots).flat_map(|u| shapes.iter().map(move |s| (u, s))) {
+                let slots: Vec<(u128, bool)> = (0..used).map(shape).collect();
+                let m = ring_element(pk, layout.slot_bits, &slots);
+                let ct = pk.raw_encrypt(&m, &keys.2.next_rn(pk));
+                prop_assert_eq!(&sk.raw_decrypt(&ct, Some(used * w)), &m);
+                prop_assert_eq!(&sk.raw_decrypt(&ct, None), &m);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn packed_bodies_with_narrow_tails_decrypt_like_scalar_ones(
+        vals in grid_vals(4 * 9),
+        mask in grid_vals(3 * 9),
+    ) {
+        // Scalar bodies always pay both halves, so bit-equality with
+        // them is bit-equality with the full decryption: through a fresh
+        // packed encryption, a `matmul` product, `sub_plain`, and the
+        // repack of the masked scalar product (its last chunk partial
+        // whenever `3·used` is no multiple of `slots`).
+        for keys in width_keys() {
+            let (pk, sk, obf) = keys;
+            let slots = pk.slot_layout().unwrap().slots;
+            for used in 1..=slots {
+                let w = Dense::from_vec(4, used, vals[..4 * used].to_vec());
+                let phi = Dense::from_vec(3, used, mask[..3 * used].to_vec());
+                let x = Features::Dense(Dense::from_vec(
+                    3,
+                    4,
+                    (0..12).map(|i| ((i * 7) % 11) as f64 - 5.0).collect(),
+                ));
+                let (cs, cp) = (pk.encrypt(&w, obf), pk.encrypt_mode(&w, PaillierMode::Packed, obf));
+                prop_assert_eq!(cp.is_packed(), used >= 2);
+                prop_assert_eq!(bits(&sk.decrypt(&cp)), bits(&sk.decrypt(&cs)));
+                let (zs, zp) = (pk.matmul(&x, &cs), pk.matmul(&x, &cp));
+                let want = sk.decrypt(&zs);
+                prop_assert_eq!(bits(&sk.decrypt(&zp)), bits(&want));
+                let (ms, mp) = (pk.sub_plain(&zs, &phi), pk.sub_plain(&zp, &phi));
+                let want = sk.decrypt(&ms);
+                prop_assert_eq!(bits(&sk.decrypt(&mp)), bits(&want));
+                prop_assert_eq!(bits(&sk.decrypt(&pk.repack(ms))), bits(&want));
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_decrypt_stops_at_the_last_bound_below_half_p() {
+    // 2^bits ≤ p/2 ⟺ bits ≤ p.bits() − 2. One plaintext inside each
+    // bound comes back whichever path ran; the plaintext `p` itself,
+    // outside both, tells the paths apart: one half sees it as 0.
+    for keys in width_keys() {
+        let (pk, sk) = raw(keys);
+        let p = sk.factors().0;
+        let edge = p.bits() - 2;
+        let enc = |m: &BigUint| pk.raw_encrypt(m, &keys.2.next_rn(pk));
+        for bits in [edge, edge + 1] {
+            let inside = BigUint::one().shl(bits).sub_u64(1);
+            for m in [inside.clone(), pk.n.sub(&inside)] {
+                assert_eq!(sk.raw_decrypt(&enc(&m), Some(bits)), m, "{bits} bits");
+            }
+        }
+        let ct = enc(p);
+        assert!(sk.raw_decrypt(&ct, Some(edge)).is_zero());
+        assert_eq!(&sk.raw_decrypt(&ct, Some(edge + 1)), p);
+        assert_eq!(&sk.raw_decrypt(&ct, None), p);
+    }
+}
+
+#[test]
+fn the_key_owner_refuses_bodies_that_are_not_its_own() {
+    // The benchmark's key: 1024-bit, 32-limb ciphertexts, 9 slots of
+    // 104 bits. Each body below is one the codec accepts.
+    let (pk, sk, obf) = &repack_keys()[1];
+    let m = Dense::from_vec(2, 4, vec![1.0, -2.0, 3.0, -4.0, 5.5, -6.5, 7.0, 0.0]);
+    for honest in [
+        pk.encrypt(&m, obf),
+        pk.encrypt_mode(&m, PaillierMode::Packed, obf),
+        pk.repack(pk.encrypt_mode_seg(&m, 2, PaillierMode::Packed, obf)),
+    ] {
+        assert_eq!(sk.conforms(&honest), Ok(()));
+    }
+    let body = |tag: u8, fields: &[u64], cts: usize| {
+        let mut bytes = [1u64.to_le_bytes(), 12u64.to_le_bytes()].concat();
+        bytes.extend_from_slice(&[2, tag]);
+        for field in fields {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.resize(bytes.len() + cts * fields[0] as usize * 8, 0);
+        import_ctmat(&bytes).expect("consistent in itself")
+    };
+    // k = 1, scalar and packed; 12 slots of 104 bits; 9 slots of 88.
+    assert!(sk.conforms(&body(1, &[1], 12)).is_err());
+    assert!(sk.conforms(&body(2, &[1, 104, 9, 12], 2)).is_err());
+    assert!(sk.conforms(&body(2, &[32, 104, 12, 12], 1)).is_err());
+    assert!(sk.conforms(&body(2, &[32, 88, 9, 12], 2)).is_err());
+    assert_eq!(sk.conforms(&body(2, &[32, 104, 9, 12], 2)), Ok(()));
+    // The other backend, both ways round.
+    let (plain_pk, plain_sk) = plain_keys(32);
+    let plain = plain_pk.encrypt(&m, &Obfuscator::new(&plain_pk, ObfMode::Pool(2), 0));
+    assert!(sk.conforms(&plain).is_err());
+    assert!(plain_sk.conforms(&pk.encrypt(&m, obf)).is_err());
+    assert_eq!(plain_sk.conforms(&plain), Ok(()));
+    // A key too small to pack refuses every packed body.
+    let (_, small_sk, _) = paillier(128, 32);
+    assert!(small_sk.conforms(&body(2, &[4, 104, 1, 12], 12)).is_err());
 }
 
 #[test]

@@ -8,6 +8,14 @@
 //! is a ciphertext, a key, a dimension, or a support set — which
 //! mechanically enforces requirements ① ③ ⑤ ⑥ (no activations, no
 //! derivatives, no weights, no gradients in the clear).
+//!
+//! The threat model is the paper's: both parties are semi-honest. One
+//! place leans on that beyond the paper's own argument: the key owner
+//! decrypts a packed chunk that claims a plaintext below `p/2` with the
+//! `p` half of the CRT only (`PaillierSk::raw_decrypt`), which is the
+//! right ring element when the claim is true and a function of the
+//! secret prime when it is not. Nothing here audits a holder that lies
+//! about the width of what it sends.
 
 use bf_datagen::{generate, spec, vsplit};
 use bf_ml::data::Labels;

@@ -156,20 +156,19 @@ fn malformed_peer_surfaces_error_not_panic() {
     vandal.join().unwrap();
 }
 
-#[test]
-fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
-    // A peer that shakes hands and initialises the layer correctly, then
-    // answers the forward pass's HE2SS step with one value too many —
-    // repacked, the shape a packed session's replies travel in. The
-    // honest party must come back with a typed error, not panic in the
-    // decoder or in `Dense::add`, and must not wait for more.
-    use bf_mpc::{Msg, TransportError};
-    use bf_paillier::{ObfMode, Obfuscator};
+/// What an honest host makes of a peer that shakes hands and
+/// initialises the layer correctly, then answers the forward pass's
+/// HE2SS step (a 6-row batch, one output column) with `reply`. The host
+/// must come back with an error, not panic in the decoder, in `decrypt`
+/// or in `Dense::add`, and must not wait for more.
+fn host_verdict_on_he2ss_reply(
+    reply: impl FnOnce(&Session) -> bf_paillier::CtMat + Send + 'static,
+) -> bf_mpc::TransportError {
+    use bf_mpc::Msg;
     use bf_tensor::{Dense, Features};
     use blindfl::source::MatMulSource;
     use std::time::Duration;
 
-    const ROWS: usize = 6;
     let cfg = FedConfig::paillier_test();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -178,11 +177,7 @@ fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
         let ep = Endpoint::tcp_connect(addr).unwrap();
         let mut sess = Session::handshake(ep, cfg_a, Role::A, party_seed(Role::A, SEED)).unwrap();
         let _layer = MatMulSource::init(&mut sess, 3, 1).unwrap();
-        let obf = Obfuscator::new(&sess.peer_pk, ObfMode::Pool(4), 1);
-        let bogus = sess.peer_pk.encrypt(&Dense::zeros(ROWS + 1, 1), &obf);
-        let bogus = sess.peer_pk.repack(bogus);
-        assert_eq!(bogus.shape(), (1, ROWS + 1));
-        sess.ep.send(Msg::Ct(bogus)).unwrap();
+        sess.ep.send(Msg::Ct(reply(&sess))).unwrap();
         // Take the host's own reply, so its send cannot be what fails.
         let _ = sess.ep.recv();
     });
@@ -192,17 +187,92 @@ fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
         let ep = Endpoint::tcp_accept(&listener).unwrap();
         let mut sess = Session::handshake(ep, cfg, Role::B, party_seed(Role::B, SEED)).unwrap();
         let mut layer = MatMulSource::init(&mut sess, 4, 1).unwrap();
-        let x = Features::Dense(Dense::zeros(ROWS, 4));
+        let x = Features::Dense(Dense::zeros(HE2SS_ROWS, 4));
         let _ = done_tx.send(layer.forward(&mut sess, &x, false).map(drop));
     });
     let verdict = done_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("the host must answer a malformed reply, not hang or panic");
-    let err = verdict.expect_err("a 7-value reply to a 6-row batch must be refused");
-    assert!(
-        matches!(err, TransportError::Wire(_)) && err.to_string().contains("expected 6×1"),
-        "unexpected error: {err}"
-    );
     host.join().unwrap();
     vandal.join().unwrap();
+    verdict.expect_err("the reply must be refused")
+}
+
+const HE2SS_ROWS: usize = 6;
+
+#[test]
+fn he2ss_reply_with_the_wrong_element_count_is_a_typed_error() {
+    // One value too many — repacked, the shape a packed session's
+    // replies travel in.
+    use bf_paillier::{ObfMode, Obfuscator};
+    let err = host_verdict_on_he2ss_reply(|sess| {
+        let obf = Obfuscator::new(&sess.peer_pk, ObfMode::Pool(4), 1);
+        let bogus = sess
+            .peer_pk
+            .encrypt(&bf_tensor::Dense::zeros(HE2SS_ROWS + 1, 1), &obf);
+        let bogus = sess.peer_pk.repack(bogus);
+        assert_eq!(bogus.shape(), (1, HE2SS_ROWS + 1));
+        bogus
+    });
+    assert!(
+        matches!(err, bf_mpc::TransportError::Wire(_)) && err.to_string().contains("expected 6×1"),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn he2ss_reply_that_is_no_body_under_the_hosts_key_is_a_typed_error() {
+    // Six values every time; what is wrong is the body. The test
+    // session's keys are 256-bit at 24 fractional bits: 8-limb
+    // ciphertexts, 2 slots of 88 bits.
+    use bf_mpc::wire::WireError;
+    use bf_paillier::{import_ctmat, keys::plain_keys, ObfMode, Obfuscator};
+
+    /// The bytes of a `1 × 6` tensor of zeroed `k`-limb ciphertexts at
+    /// scale 2: a scalar body, or one packed segment claiming
+    /// `(slot_bits, slots)`.
+    fn body(k: u64, packed: Option<(u64, u64)>) -> Vec<u8> {
+        let cols = HE2SS_ROWS as u64;
+        let mut bytes = [1u64.to_le_bytes(), cols.to_le_bytes()].concat();
+        bytes.extend_from_slice(&[2, 1 + packed.is_some() as u8]);
+        bytes.extend_from_slice(&k.to_le_bytes());
+        let mut cts = cols;
+        if let Some((slot_bits, slots)) = packed {
+            for field in [slot_bits, slots, cols] {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+            cts = cols.div_ceil(slots);
+        }
+        bytes.resize(bytes.len() + (cts * k * 8) as usize, 0);
+        bytes
+    }
+    // The honest geometry imports, so each refusal below is the key
+    // owner's, not the codec's.
+    for honest in [body(8, None), body(8, Some((88, 2)))] {
+        import_ctmat(&honest).unwrap();
+    }
+    let (plain_pk, _) = plain_keys(24);
+    let plain_obf = Obfuscator::new(&plain_pk, ObfMode::Pool(1), 1);
+    let replies = [
+        (
+            "a Plain body",
+            plain_pk.encrypt(&bf_tensor::Dense::zeros(HE2SS_ROWS, 1), &plain_obf),
+        ),
+        ("k = 1", import_ctmat(&body(1, None)).unwrap()),
+        (
+            "three slots where the key holds two",
+            import_ctmat(&body(8, Some((88, 3)))).unwrap(),
+        ),
+        (
+            "104-bit slots under an 88-bit layout",
+            import_ctmat(&body(8, Some((104, 2)))).unwrap(),
+        ),
+    ];
+    for (what, reply) in replies {
+        let err = host_verdict_on_he2ss_reply(move |_| reply);
+        assert!(
+            matches!(&err, bf_mpc::TransportError::Wire(WireError::Malformed(_))),
+            "{what}: {err}"
+        );
+    }
 }
