@@ -108,7 +108,10 @@ fn main() {
         "loss curves must be bit-identical across modes"
     );
     assert_eq!(sync.bytes_a, pipe.bytes_a, "A→B bytes diverged");
-    assert_eq!(sync.b.bytes_sent, pipe.b.bytes_sent, "B→A bytes diverged");
+    assert_eq!(
+        sync.b.bytes_sent_per_link, pipe.b.bytes_sent_per_link,
+        "B→A bytes diverged"
+    );
 
     let speedup = sync.train_secs / pipe.train_secs;
     let mut t = Table::new(vec!["mode", "epoch secs", "AUC", "A→B bytes", "B→A bytes"]);
@@ -118,7 +121,7 @@ fn main() {
             format!("{:.2}", r.train_secs / epochs as f64),
             format!("{:.3}", r.b.test_metric),
             format!("{}", r.bytes_a),
-            format!("{}", r.b.bytes_sent),
+            format!("{}", r.b.bytes_sent_per_link[0]),
         ]);
     }
     t.print();

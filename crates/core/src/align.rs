@@ -29,29 +29,25 @@
 //!   changes neither the wire bytes (digest sets are canonical
 //!   ascending) nor the aligned datasets.
 //!
-//! [`train_federated_aligned`] / [`train_federated_multi_aligned`]
-//! are the in-process harnesses; [`LimitedOverlapConfig`] adds the
-//! limited-overlap regime of Sun et al. (guest fits a local
-//! StandardScaler+PCA encoder on *all* of its rows — the unaligned
-//! remainder included — then federated training runs on encoded
-//! features of the intersection only).
+//! Whether a run aligns is data on the run, not a different entry
+//! point: set [`crate::train::FedTrainConfig::align`] to this party's
+//! [`AlignInput`] and [`crate::train::run_party_a`] /
+//! [`crate::train::run_party_b`] run the phase first and train on the
+//! intersection. The limited-overlap regime of Sun et al. needs nothing
+//! more from this module: the guest fits a `bf_ml::LocalEncoder`
+//! (StandardScaler + PCA) on *all* of its rows — the unaligned
+//! remainder included — encodes its train and test views, and runs the
+//! aligned entry point on the encoded features
+//! (`examples/psi_align.rs`).
 
 use std::collections::HashMap;
 
 use bf_ml::data::Dataset;
-use bf_ml::LocalEncoder;
 use bf_mpc::psi::{psi_guest, psi_host_multi};
 use bf_mpc::transport::{Endpoint, TransportError, TransportResult};
 
-use crate::config::FedConfig;
-use crate::models::{FedSpec, PartyAModel, PartyBModel};
-use crate::multiparty::{collect_guests, send_hello};
 use crate::persist::AlignCursor;
-use crate::session::{multi_party_seed, run_pair, Role, Session};
-use crate::train::{
-    run_party_a_aligned, run_party_b_aligned, run_party_b_multi_aligned, FedReport, FedTrainConfig,
-    MultiFedReport, MultiPartyBRun, PartyARun,
-};
+use crate::session::Session;
 
 /// Derive the run's PSI salt from the shared run seed (SplitMix64
 /// finalizer). Pure — it deliberately does **not** draw from the
@@ -81,6 +77,23 @@ pub struct Alignment {
     /// Bytes this party sent during the PSI phase (0 when the
     /// selection was rebuilt from a checkpoint, which is wire-free).
     pub psi_bytes_sent: u64,
+    /// [`Alignment::psi_bytes_sent`] per link, in link order: one entry
+    /// at a guest, one per guest at the host, none after a wire-free
+    /// rebuild.
+    pub psi_bytes_per_link: Vec<u64>,
+}
+
+/// What one party brings to the alignment phase
+/// ([`crate::train::FedTrainConfig::align`]).
+#[derive(Clone, Debug)]
+pub struct AlignInput {
+    /// `ids[r]` = sample ID of local train row `r` (any order;
+    /// duplicates are refused by the PSI layer).
+    pub ids: Vec<u64>,
+    /// The salt the host offers — derive it with [`psi_salt`] from the
+    /// shared run seed. A guest learns the salt from the offer and
+    /// ignores this field.
+    pub salt: u64,
 }
 
 impl Alignment {
@@ -100,8 +113,8 @@ impl Alignment {
         ds.select(&self.rows)
     }
 
-    /// The persistable form: what an aligned checkpoint embeds (see
-    /// `persist` kinds 9–11).
+    /// The persistable form: the optional section an aligned
+    /// checkpoint carries (see `persist` kinds 4–5).
     pub fn cursor(&self) -> AlignCursor {
         AlignCursor {
             salt: self.salt,
@@ -136,6 +149,7 @@ impl Alignment {
             ids: cur.ids.clone(),
             rows,
             psi_bytes_sent: 0,
+            psi_bytes_per_link: Vec::new(),
         })
     }
 }
@@ -146,274 +160,35 @@ impl Alignment {
 pub fn align_guest(sess: &Session, ids: &[u64]) -> TransportResult<Alignment> {
     let before = sess.ep.stats().bytes();
     let (salt, sel) = psi_guest(&sess.ep, ids)?;
+    let sent = sess.ep.stats().bytes() - before;
     Ok(Alignment {
         salt,
         ids: sel.ids,
         rows: sel.rows,
-        psi_bytes_sent: sess.ep.stats().bytes() - before,
+        psi_bytes_sent: sent,
+        psi_bytes_per_link: vec![sent],
     })
 }
 
-/// Host (Party B) side of the alignment phase over one link. Derive
-/// `salt` with [`psi_salt`] from the shared run seed.
-pub fn align_host(sess: &Session, salt: u64, ids: &[u64]) -> TransportResult<Alignment> {
-    align_host_multi(std::slice::from_ref(sess), salt, ids).map(|(a, _)| a)
-}
-
-/// Host side across `M` guest links: one global intersection (host ∩
-/// every guest) echoed to all guests. Returns the host's alignment
-/// plus the PSI bytes sent per link, in link order.
-pub fn align_host_multi(
-    sessions: &[Session],
-    salt: u64,
-    ids: &[u64],
-) -> TransportResult<(Alignment, Vec<u64>)> {
-    let before: Vec<u64> = sessions.iter().map(|s| s.ep.stats().bytes()).collect();
-    let eps: Vec<&Endpoint> = sessions.iter().map(|s| &s.ep).collect();
+/// Host (Party B) side of the alignment phase across its guest links:
+/// one global intersection (host ∩ every guest) echoed to all guests.
+/// Derive `salt` with [`psi_salt`] from the shared run seed.
+pub fn align_host(links: &[Session], salt: u64, ids: &[u64]) -> TransportResult<Alignment> {
+    let before: Vec<u64> = links.iter().map(|s| s.ep.stats().bytes()).collect();
+    let eps: Vec<&Endpoint> = links.iter().map(|s| &s.ep).collect();
     let sel = psi_host_multi(&eps, salt, ids)?;
-    let per_link: Vec<u64> = sessions
+    let per_link: Vec<u64> = links
         .iter()
         .zip(&before)
         .map(|(s, b)| s.ep.stats().bytes() - b)
         .collect();
-    let total = per_link.iter().sum();
-    Ok((
-        Alignment {
-            salt,
-            ids: sel.ids,
-            rows: sel.rows,
-            psi_bytes_sent: total,
-        },
-        per_link,
-    ))
-}
-
-/// The limited-overlap regime (Sun et al., SNIPPETS.md snippet 3):
-/// before alignment, the guest fits a [`LocalEncoder`]
-/// (StandardScaler + PCA) on **all** of its local rows — including the
-/// ones outside the intersection, which is how the unaligned remainder
-/// contributes — and federated training runs on the encoded features.
-#[derive(Clone, Debug)]
-pub struct LimitedOverlapConfig {
-    /// Encoder output dimensionality (clamped to `min(d, rows)`).
-    pub encoder_dim: usize,
-    /// Power-iteration steps per principal component (≈10 suffices at
-    /// these scales).
-    pub power_iters: usize,
-    /// Encoder fitting seed (local to the guest; never on the wire).
-    pub seed: u64,
-}
-
-impl Default for LimitedOverlapConfig {
-    fn default() -> LimitedOverlapConfig {
-        LimitedOverlapConfig {
-            encoder_dim: 8,
-            power_iters: 12,
-            seed: 0x10ca1,
-        }
-    }
-}
-
-/// Everything a PSI-aligned two-party run returns: the usual federated
-/// report and model halves, plus each side's [`Alignment`] (PSI byte
-/// costs included) and the guest's fitted encoder when the
-/// limited-overlap regime was on.
-pub struct AlignedFedOutcome {
-    /// Metrics and curves (traffic totals *include* the PSI phase).
-    pub report: FedReport,
-    /// Party A's trained half.
-    pub party_a: PartyAModel,
-    /// Party B's trained half (includes the top model).
-    pub party_b: PartyBModel,
-    /// Guest-side alignment (`psi_bytes_sent` = PSI bytes A→B).
-    pub align_a: Alignment,
-    /// Host-side alignment (`psi_bytes_sent` = PSI bytes B→A).
-    pub align_b: Alignment,
-    /// The guest's local encoder, when [`LimitedOverlapConfig`] was
-    /// supplied.
-    pub encoder: Option<LocalEncoder>,
-}
-
-/// Train a federated model on *misaligned* party data: handshake, PSI
-/// over the sample-ID columns, `Dataset::select` into the canonical
-/// shared order, then the standard federated run on the intersection.
-///
-/// `ids_a[r]` / `ids_b[r]` is the sample ID of local train row `r`
-/// (any order, duplicates refused by the PSI layer). The test splits
-/// must already be aligned across the parties — inference is over
-/// jointly-known samples. With `overlap: Some(_)`, the guest encodes
-/// its numerical features (train *and* test, same frozen transform)
-/// through a [`LocalEncoder`] fitted on all local train rows first.
-pub fn train_federated_aligned(
-    spec: &FedSpec,
-    cfg: &FedConfig,
-    tc: &FedTrainConfig,
-    train_a: Dataset,
-    ids_a: Vec<u64>,
-    train_b: Dataset,
-    ids_b: Vec<u64>,
-    test_a: Dataset,
-    test_b: Dataset,
-    overlap: Option<&LimitedOverlapConfig>,
-    seed: u64,
-) -> AlignedFedOutcome {
-    let (train_a, test_a, encoder) = match overlap {
-        None => (train_a, test_a, None),
-        Some(lo) => {
-            let x = train_a
-                .num
-                .as_ref()
-                .expect("limited-overlap encoder needs numerical features")
-                .to_dense();
-            let enc = LocalEncoder::fit(&x, lo.encoder_dim, lo.power_iters, lo.seed);
-            let enc_train = enc.encode_dataset(&train_a);
-            let enc_test = enc.encode_dataset(&test_a);
-            (enc_train, enc_test, Some(enc))
-        }
-    };
-    let salt = psi_salt(seed);
-    let spec_a = spec.clone();
-    let tc_a = tc.clone();
-    let spec_b = spec.clone();
-    let tc_b = tc.clone();
-    let (a_res, b_res) = run_pair(
-        cfg,
-        seed,
-        move |mut sess| {
-            run_party_a_aligned(&mut sess, &spec_a, &tc_a, &train_a, &test_a, &ids_a)
-                .expect("party A transport")
-        },
-        move |mut sess| {
-            run_party_b_aligned(&mut sess, &spec_b, &tc_b, &train_b, &test_b, salt, &ids_b)
-                .expect("party B transport")
-        },
-    );
-    let (align_a, a_run) = a_res;
-    let (align_b, b_run) = b_res;
-    AlignedFedOutcome {
-        report: FedReport {
-            losses: b_run.losses,
-            test_logits: b_run.test_logits,
-            test_metric: b_run.test_metric,
-            train_secs: b_run.train_secs,
-            bytes_a_to_b: a_run.bytes_sent,
-            bytes_b_to_a: b_run.bytes_sent,
-            u_a_snapshots: a_run.u_a_snapshots,
-            stage_secs: b_run.stage_secs,
-        },
-        party_a: a_run.model,
-        party_b: b_run.model,
-        align_a,
-        align_b,
-        encoder,
-    }
-}
-
-/// The multi-guest counterpart of [`AlignedFedOutcome`]: per-link PSI
-/// byte costs on both sides.
-pub struct MultiAlignedFedOutcome {
-    /// Metrics and curves (per-link traffic *includes* PSI).
-    pub report: MultiFedReport,
-    /// One trained Party A run per guest, in link order.
-    pub guests: Vec<PartyARun>,
-    /// One guest-side alignment per link (`psi_bytes_sent` = PSI bytes
-    /// A(i)→B).
-    pub guest_aligns: Vec<Alignment>,
-    /// Party B's trained multi-guest run.
-    pub party_b: MultiPartyBRun,
-    /// Host-side alignment (the global intersection).
-    pub align_b: Alignment,
-    /// PSI bytes B→A(i), per link.
-    pub psi_bytes_b_per_link: Vec<u64>,
-}
-
-/// The `M`-guest generalisation of [`train_federated_aligned`]: one
-/// global intersection (host ∩ every guest), every party selected into
-/// the same canonical order. Guest encoders are deliberately not
-/// plumbed here — the limited-overlap regime is a two-party study.
-pub fn train_federated_multi_aligned(
-    spec: &FedSpec,
-    cfg: &FedConfig,
-    tc: &FedTrainConfig,
-    guests_train: Vec<Dataset>,
-    guests_ids: Vec<Vec<u64>>,
-    train_b: Dataset,
-    ids_b: Vec<u64>,
-    guests_test: Vec<Dataset>,
-    test_b: Dataset,
-    seed: u64,
-) -> MultiAlignedFedOutcome {
-    let m = guests_train.len();
-    assert!(m >= 1, "train_federated_multi_aligned needs a guest");
-    assert_eq!(m, guests_ids.len(), "one ID column per guest");
-    assert_eq!(m, guests_test.len(), "train/test guest slice counts differ");
-    let salt = psi_salt(seed);
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    let mut guest_inputs: Vec<_> = guests_train
-        .into_iter()
-        .zip(guests_test)
-        .zip(guests_ids)
-        .collect();
-    for (i, ((train_a, test_a), ids_a)) in guest_inputs.drain(..).enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        let spec_a = spec.clone();
-        let tc_a = tc.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m).expect("guest hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, seed),
-                    )
-                    .expect("guest handshake");
-                    run_party_a_aligned(&mut sess, &spec_a, &tc_a, &train_a, &test_a, &ids_a)
-                        .expect("guest transport")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let ordered = collect_guests(host_eps, m).expect("guest fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, seed))
-                .expect("host handshake")
-        })
-        .collect();
-    let (align_b, psi_bytes_b_per_link, party_b) =
-        run_party_b_multi_aligned(&mut sessions, spec, tc, &train_b, &test_b, salt, &ids_b)
-            .expect("party B transport");
-    let mut guests = Vec::with_capacity(m);
-    let mut guest_aligns = Vec::with_capacity(m);
-    for h in handles {
-        let (align, run) = h.join().expect("guest panicked");
-        guest_aligns.push(align);
-        guests.push(run);
-    }
-    MultiAlignedFedOutcome {
-        report: MultiFedReport {
-            losses: party_b.losses.clone(),
-            test_metric: party_b.test_metric,
-            train_secs: party_b.train_secs,
-            bytes_a_to_b_per_link: guests.iter().map(|g| g.bytes_sent).collect(),
-            bytes_b_to_a_per_link: party_b.bytes_sent_per_link.clone(),
-            stage_secs: party_b.stage_secs.clone(),
-        },
-        guests,
-        guest_aligns,
-        party_b,
-        align_b,
-        psi_bytes_b_per_link,
-    }
+    Ok(Alignment {
+        salt,
+        ids: sel.ids,
+        rows: sel.rows,
+        psi_bytes_sent: per_link.iter().sum(),
+        psi_bytes_per_link: per_link,
+    })
 }
 
 #[cfg(test)]

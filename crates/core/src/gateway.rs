@@ -10,7 +10,7 @@
 //!  ───────────────             ──────────────────            ────────────
 //!  U64(row) ──┐                                         ┌─▶ shard 0 queue ─▶ serve_party_b ◀─link─▶ guest
 //!  U64(row) ──┼─▶ FrameAcceptor ─▶ dispatch (least      ├─▶ shard 1 queue ─▶ serve_party_b ◀─link─▶ guest
-//!  U64(row) ──┘     │              outstanding, row     └─▶ shard 2 queue ─▶ serve_party_b_multi ◀═▶ M guests
+//!  U64(row) ──┘     │              outstanding, row     └─▶ shard 2 queue ─▶ serve_party_b ◀═links═▶ M guests
 //!                   │              validated)                     │
 //!                   ◀── Mat(logits) / U64(reject code) ───────────┘
 //!                       strictly FIFO per connection
@@ -23,9 +23,7 @@
 //! * **Replica pool** — each [`GatewayReplica`] is a full Party B
 //!   serving stack (session(s) over its own guest link(s) + a model
 //!   loaded via [`crate::persist`]) running the *unmodified*
-//!   [`crate::serve::serve_party_b`] /
-//!   [`crate::serve::serve_party_b_multi`] loop
-//!   on its own thread. The replicas' federated forwards proceed in
+//!   [`crate::serve::serve_party_b`] loop on its own thread. The replicas' federated forwards proceed in
 //!   parallel; the event loop never blocks on one.
 //! * **Sharded queues** — one bounded [`crate::serve::queue`] per
 //!   replica; requests go to the live shard with the fewest
@@ -64,7 +62,7 @@ use bf_mpc::reactor::{FrameAcceptor, FrameConn};
 use bf_mpc::transport::{Endpoint, Msg, TransportError, TransportResult};
 use bf_tensor::Dense;
 
-use crate::models::{MultiPartyBModel, PartyBModel};
+use crate::models::PartyBModel;
 use crate::serve::{self, PendingPrediction, RequestQueue, ServeConfig, ServeError, ServeReport};
 use crate::session::Session;
 
@@ -123,12 +121,14 @@ impl Default for GatewayConfig {
 
 /// One member of the replica pool: a complete Party B serving stack
 /// (session(s) + model) that a gateway thread drives with the
-/// unmodified serve loop.
+/// unmodified serve loop. The two variants are two spellings of the
+/// same thing — a host model over its guest links — kept while callers
+/// still build the one-link form by name.
 // A pool holds a handful of replicas, each consumed once at spawn —
 // the size asymmetry between the variants is irrelevant here.
 #[allow(clippy::large_enum_variant)]
 pub enum GatewayReplica {
-    /// A two-party replica: one guest link.
+    /// A one-guest replica.
     TwoParty {
         /// The replica's session with its guest.
         sess: Session,
@@ -136,12 +136,12 @@ pub enum GatewayReplica {
         /// one shared persisted blob).
         model: PartyBModel,
     },
-    /// A multi-guest replica: one link per guest, `Appendix C` style.
+    /// A replica over `M` guest links, `Appendix C` style.
     MultiGuest {
         /// One session per guest link, in link order.
         sessions: Vec<Session>,
-        /// The replica's multi-guest Party B model half.
-        model: MultiPartyBModel,
+        /// The replica's Party B model half over those links.
+        model: PartyBModel,
     },
 }
 
@@ -154,16 +154,11 @@ impl GatewayReplica {
         cfg: &ServeConfig,
         queue: RequestQueue,
     ) -> TransportResult<ServeReport> {
-        match self {
-            GatewayReplica::TwoParty {
-                mut sess,
-                mut model,
-            } => serve::serve_party_b(&mut sess, &mut model, store, cfg, queue),
-            GatewayReplica::MultiGuest {
-                mut sessions,
-                mut model,
-            } => serve::serve_party_b_multi(&mut sessions, &mut model, store, cfg, queue),
-        }
+        let (mut links, mut model) = match self {
+            GatewayReplica::TwoParty { sess, model } => (vec![sess], model),
+            GatewayReplica::MultiGuest { sessions, model } => (sessions, model),
+        };
+        serve::serve_party_b(&mut links, &mut model, store, cfg, queue)
     }
 }
 

@@ -30,27 +30,28 @@
 //!   observables per party, consumed by the security tests.
 //! * [`align`] — the sample-alignment (PSI) phase: salted-digest
 //!   private set intersection over sample-ID columns right after the
-//!   handshake, relaxing the paper's pre-aligned-instances assumption,
-//!   plus the limited-overlap regime (guest-local StandardScaler+PCA
-//!   encoders fitted on unaligned rows). Bit-identity with pre-aligned
-//!   runs is proven by `tests/alignment_parity.rs`.
+//!   handshake, relaxing the paper's pre-aligned-instances assumption;
+//!   selected per run by [`train::FedTrainConfig::align`]. Bit-identity
+//!   with pre-aligned runs is proven by `tests/alignment_parity.rs`.
 //! * [`source::matmul`] — the MatMul federated source layer
 //!   (§4.2, Figure 6).
 //! * [`source::embed`] — the Embed-MatMul federated source layer
 //!   (§4.3, Figure 7).
 //! * [`source::ss_top`] — the secret-shared-top-model variants
 //!   (Appendix B, Figures 13–14).
-//! * [`multiparty`] — the multi-guest extension (Appendix C):
-//!   [`multiparty::MultiMatMulB`] (Algorithm 3's `M+1`-way weight
-//!   split), [`multiparty::MultiEmbedB`] (per-link pairwise submodels
-//!   for the bilinear embedding), and the `Hello` link fan-in for
-//!   one-process-per-guest TCP deployments.
+//! * [`multiparty`] — the `Hello` link fan-in of one-process-per-guest
+//!   TCP deployments. The multi-guest extension itself (Appendix C) is
+//!   not a second stack: the host model and the host MatMul layer run
+//!   over a slice of guest links (Algorithm 3's `M+1`-way weight split;
+//!   per-link pairwise submodels for the bilinear embedding), and the
+//!   two-party job is their one-link instance.
 //! * [`models`] / [`train`] — the federated model zoo (LR, MLR, MLP,
-//!   WDL, DLRM) and the training/inference runtime
-//!   ([`train::run_party_a`] / [`train::run_party_b`] per party,
-//!   [`train::train_federated`] as the two-thread harness;
-//!   [`train::run_party_b_multi`] / [`train::train_federated_multi`]
-//!   for `M` guests — every guest still runs [`train::run_party_a`]).
+//!   WDL, DLRM) and the training/inference runtime: two entry points,
+//!   [`train::run_party_a`] per guest and [`train::run_party_b`] for
+//!   the host over its links, with resume and alignment as fields of
+//!   [`train::FedTrainConfig`]; [`train::train_federated`] (two
+//!   threads) and [`train::train_federated_multi`] (`M + 1` threads)
+//!   are the in-process harnesses.
 //! * [`engine`] — the pipelined mini-batch engine:
 //!   [`engine::TrainMode`] selects between the lock-step loop and the
 //!   queue-decoupled, double-buffered pipeline (bit-identical results;
@@ -62,8 +63,8 @@
 //! * [`serve`] — the federated inference serving runtime: Party B
 //!   hosts a micro-batching request queue that coalesces concurrent
 //!   single-row prediction requests into one federated forward pass
-//!   ([`serve::serve_party_b`] / [`serve::serve_party_a`], plus the
-//!   multi-guest [`serve::serve_party_b_multi`]), completing the
+//!   ([`serve::serve_party_b`] over the host's links,
+//!   [`serve::serve_party_a`] at every guest), completing the
 //!   train → persist → serve model life cycle.
 //! * [`gateway`] — the multi-client serving front door: a
 //!   nonblocking TCP acceptor + event loop ([`bf_mpc::reactor`])
@@ -101,11 +102,7 @@ pub mod source;
 pub mod train;
 pub mod trees;
 
-pub use align::{
-    align_guest, align_host, align_host_multi, psi_salt, train_federated_aligned,
-    train_federated_multi_aligned, AlignedFedOutcome, Alignment, LimitedOverlapConfig,
-    MultiAlignedFedOutcome,
-};
+pub use align::{align_guest, align_host, psi_salt, AlignInput, Alignment};
 pub use config::{Backend, FedConfig, GradMode};
 pub use engine::TrainMode;
 pub use gateway::{
@@ -114,24 +111,19 @@ pub use gateway::{
 };
 pub use models::FedSpec;
 pub use persist::{
-    export_checkpoint_a, export_checkpoint_b, export_checkpoint_multi_b, export_gbdt_guest,
-    export_gbdt_host, export_multi_party_b, export_party_a, export_party_b, import_checkpoint_a,
-    import_checkpoint_b, import_checkpoint_multi_b, import_gbdt_guest, import_gbdt_host,
-    import_multi_party_b, import_party_a, import_party_b, AlignCursor, CheckpointA, CheckpointB,
-    LinkCursor, MultiCheckpointB, PersistError,
+    export_checkpoint_a, export_checkpoint_b, export_gbdt_guest, export_gbdt_host, export_party_a,
+    export_party_b, import_checkpoint_a, import_checkpoint_b, import_gbdt_guest, import_gbdt_host,
+    import_party_a, import_party_b, AlignCursor, CheckpointA, CheckpointB, LinkCursor,
+    PersistError,
 };
 pub use serve::{
-    queue as serve_queue, serve_party_a, serve_party_b, serve_party_b_multi, PendingPrediction,
-    PredictClient, Prediction, ServeConfig, ServeError, ServeGuestReport, ServeReport,
+    queue as serve_queue, serve_party_a, serve_party_b, PendingPrediction, PredictClient,
+    Prediction, ServeConfig, ServeError, ServeGuestReport, ServeReport,
 };
 pub use session::Session;
 pub use train::{
-    run_party_a_aligned, run_party_a_aligned_resume, run_party_b_aligned,
-    run_party_b_aligned_resume, run_party_b_multi_aligned, run_party_b_multi_aligned_resume,
-};
-pub use train::{
-    train_federated, train_federated_multi, CheckpointCadence, FedOutcome, FedReport,
-    FedTrainConfig, MultiFedOutcome, MultiFedReport, FAULT_KILL_MARKER,
+    run_party_a, run_party_b, train_federated, train_federated_multi, CheckpointCadence,
+    FedOutcome, FedReport, FedTrainConfig, PartyARun, PartyBRun, FAULT_KILL_MARKER,
 };
 pub use trees::{
     predict_gbdt_host, run_gbdt_guest, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host,

@@ -1,22 +1,35 @@
 //! The federated model zoo: LR, MLR, MLP, WDL and DLRM with federated
 //! source layers and a local (Party B) top model.
 //!
-//! A model is described by a [`FedSpec`]; both parties instantiate
-//! their halves from the same spec ([`PartyAModel`] /
-//! [`PartyBModel`]) and execute forward/backward in lock-step. The top
-//! model (bias, activations, hidden towers, loss) lives entirely at
-//! Party B and reuses the plaintext `bf-ml` layers — exactly the
-//! paper's architecture (Figure 4).
+//! A model is described by a [`FedSpec`]; every party instantiates
+//! its half from the same spec ([`PartyAModel`] / [`PartyBModel`]) and
+//! executes forward/backward in lock-step. The top model (bias,
+//! activations, hidden towers, loss) lives entirely at Party B and
+//! reuses the plaintext `bf-ml` layers — exactly the paper's
+//! architecture (Figure 4).
+//!
+//! [`PartyBModel`] is the host model over its guest links (paper
+//! Appendix C: "let all Party A's execute the same routines"): the
+//! two-party model is its one-link instance, and every guest of an
+//! `M`-guest job runs the unmodified [`PartyAModel`].
+//!
+//! The categorical block does not reuse Algorithm 3's additive split:
+//! `lkup(Q_B)·W_B` is *bilinear* in `(Q_B, W_B)`, so pairwise runs over
+//! one shared `W_B` would drop the `T_B(i)·V_B(j), i≠j` cross terms.
+//! Instead the host trains one **independent pairwise Embed-MatMul
+//! submodel per link** — `Q_B(i) = S_B(i) + T_B(i)`,
+//! `W_B(i) = U_B(i) + V_B(i)` — and the layer output is the sum of the
+//! per-link outputs. Every submodel is individually lossless and each
+//! guest still runs the unmodified [`EmbedSource`] routines.
 
 use bf_ml::data::{Dataset, Labels};
 use bf_ml::layers::{ActKind, Activation, Bias, Mlp};
 use bf_ml::models::loss_and_grad;
-use bf_mpc::transport::TransportResult;
-use bf_tensor::Dense;
+use bf_mpc::transport::{TransportError, TransportResult};
+use bf_tensor::{CatBlock, Dense};
 
 use crate::engine::Stage;
-use crate::multiparty::{MultiEmbedB, MultiMatMulB};
-use crate::session::{Role, Session};
+use crate::session::{check_link_count, Role, Session};
 use crate::source::matmul::{aggregate_a, aggregate_b};
 use crate::source::{EmbedSource, MatMulSource};
 
@@ -168,31 +181,11 @@ impl PartyAModel {
         spec: &FedSpec,
         data: &Dataset,
     ) -> TransportResult<PartyAModel> {
-        let num_dim = data.num_dim();
-        let (matmul, embed) = match spec {
-            FedSpec::Glm { out } => (Some(MatMulSource::init(sess, num_dim, *out)?), None),
-            FedSpec::Mlp { widths } => (Some(MatMulSource::init(sess, num_dim, widths[0])?), None),
-            FedSpec::Wdl {
-                emb_dim,
-                deep_hidden,
-                out,
-            } => {
-                let mm = MatMulSource::init(sess, num_dim, *out)?;
-                let cat = data.cat.as_ref().expect("WDL needs categorical features");
-                let proj = deep_hidden.first().copied().unwrap_or(*out);
-                let em = EmbedSource::init(sess, cat.vocab(), cat.fields(), *emb_dim, proj)?;
-                (Some(mm), Some(em))
-            }
-            FedSpec::Dlrm {
-                emb_dim, vec_dim, ..
-            } => {
-                let mm = MatMulSource::init(sess, num_dim, *vec_dim)?;
-                let cat = data.cat.as_ref().expect("DLRM needs categorical features");
-                let em = EmbedSource::init(sess, cat.vocab(), cat.fields(), *emb_dim, *vec_dim)?;
-                (Some(mm), Some(em))
-            }
-        };
-        Ok(PartyAModel { matmul, embed })
+        let (matmul, mut embed) = init_sources(std::slice::from_mut(sess), spec, data)?;
+        Ok(PartyAModel {
+            matmul: Some(matmul),
+            embed: embed.pop(),
+        })
     }
 
     /// One forward pass over a batch view (A's side of every source
@@ -256,7 +249,7 @@ impl PartyAModel {
     pub(crate) fn read_state(
         r: &mut crate::persist::Reader,
     ) -> crate::persist::PersistResult<PartyAModel> {
-        let matmul = read_opt(r, MatMulSource::read_state)?;
+        let matmul = read_opt(r, |r| MatMulSource::read_state(r, 1))?;
         let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::A))?;
         if matmul.is_none() && embed.is_none() {
             return Err(crate::persist::PersistError::Malformed(
@@ -265,6 +258,48 @@ impl PartyAModel {
         }
         Ok(PartyAModel { matmul, embed })
     }
+}
+
+/// Jointly initialise the source layers a spec calls for, over this
+/// party's links (one for a guest, one per guest for the host), in the
+/// canonical order: the MatMul source over every link, then one
+/// pairwise Embed-MatMul source per link for the categorical specs.
+fn init_sources(
+    links: &mut [Session],
+    spec: &FedSpec,
+    data: &Dataset,
+) -> TransportResult<(MatMulSource, Vec<EmbedSource>)> {
+    let num_dim = data.num_dim();
+    let (mm_out, embed_dims) = match spec {
+        FedSpec::Glm { out } => (*out, None),
+        FedSpec::Mlp { widths } => (widths[0], None),
+        FedSpec::Wdl {
+            emb_dim,
+            deep_hidden,
+            out,
+        } => (
+            *out,
+            Some((*emb_dim, deep_hidden.first().copied().unwrap_or(*out))),
+        ),
+        FedSpec::Dlrm {
+            emb_dim, vec_dim, ..
+        } => (*vec_dim, Some((*emb_dim, *vec_dim))),
+    };
+    let matmul = MatMulSource::init(links, num_dim, mm_out)?;
+    let embed = match embed_dims {
+        None => Vec::new(),
+        Some((dim, proj)) => {
+            let cat = data
+                .cat
+                .as_ref()
+                .expect("WDL / DLRM need categorical features");
+            links
+                .iter_mut()
+                .map(|sess| EmbedSource::init(sess, cat.vocab(), cat.fields(), dim, proj))
+                .collect::<TransportResult<_>>()?
+        }
+    };
+    Ok((matmul, embed))
 }
 
 /// Encode an optional component as a presence byte + state.
@@ -296,18 +331,24 @@ fn read_opt<T>(
     }
 }
 
-/// Party B's half: B-sides of the source layers plus the local top
-/// model and loss.
+/// Party B's half — the host model over its `M ≥ 1` guest links: the
+/// B-side of the MatMul source (one `U_B`, one peer piece per link),
+/// one pairwise Embed-MatMul submodel per link for the categorical
+/// specs (see the module docs), plus the local top model and loss.
+/// Every method takes the links as `L: AsMut<[Session]>`, in link
+/// order: `&mut sess` for a two-party host, `&mut sessions` for `M`
+/// guests.
 pub struct PartyBModel {
     spec: FedSpec,
     matmul: Option<MatMulSource>,
-    embed: Option<EmbedSource>,
+    /// One submodel per link; empty unless the spec has a categorical
+    /// block.
+    embed: Vec<EmbedSource>,
     top: Top,
 }
 
-/// Party B's local top model — shared by the two-party
-/// [`PartyBModel`] and the multi-guest [`MultiPartyBModel`] (the top
-/// is purely local to B, so it is identical in both topologies).
+/// Party B's local top model (purely local to B, whatever the number
+/// of guests).
 enum Top {
     /// Bias only (GLM).
     Bias(Bias),
@@ -329,9 +370,8 @@ enum Top {
 }
 
 impl Top {
-    /// Build the top for a spec. Draws tower weights from `rng` in the
-    /// same order as the source-layer initialisation that precedes it,
-    /// so two-party and multi-guest runs share the derivation.
+    /// Build the top for a spec. Draws tower weights from `rng` (the
+    /// first link's stream) after the source-layer initialisation.
     fn init(spec: &FedSpec, rng: &mut rand::rngs::StdRng) -> Top {
         match spec {
             FedSpec::Glm { out } => Top::Bias(Bias::new(*out)),
@@ -711,42 +751,27 @@ fn check_model_widths(
 }
 
 impl PartyBModel {
-    /// Initialise from the spec and Party B's data view.
-    pub fn init(
-        sess: &mut Session,
+    /// Initialise from the spec and Party B's data view, against one
+    /// `Role::B` session per guest (typed [`TransportError::Setup`] on
+    /// an empty slice or a `Role::A` session).
+    pub fn init<L: AsMut<[Session]> + ?Sized>(
+        links: &mut L,
         spec: &FedSpec,
         data: &Dataset,
     ) -> TransportResult<PartyBModel> {
-        let num_dim = data.num_dim();
-        let (matmul, embed) = match spec {
-            FedSpec::Glm { out } => (Some(MatMulSource::init(sess, num_dim, *out)?), None),
-            FedSpec::Mlp { widths } => (Some(MatMulSource::init(sess, num_dim, widths[0])?), None),
-            FedSpec::Wdl {
-                emb_dim,
-                deep_hidden,
-                out,
-            } => {
-                let mm = MatMulSource::init(sess, num_dim, *out)?;
-                let cat = data.cat.as_ref().expect("WDL needs categorical features");
-                let proj = deep_hidden.first().copied().unwrap_or(*out);
-                let em = EmbedSource::init(sess, cat.vocab(), cat.fields(), *emb_dim, proj)?;
-                (Some(mm), Some(em))
-            }
-            FedSpec::Dlrm {
-                emb_dim, vec_dim, ..
-            } => {
-                let mm = MatMulSource::init(sess, num_dim, *vec_dim)?;
-                let cat = data.cat.as_ref().expect("DLRM needs categorical features");
-                let em = EmbedSource::init(sess, cat.vocab(), cat.fields(), *emb_dim, *vec_dim)?;
-                (Some(mm), Some(em))
-            }
-        };
-        // Top init draws *after* the source layers, preserving the
-        // session RNG stream layout.
-        let top = Top::init(spec, &mut sess.rng);
+        let links = links.as_mut();
+        if let Some(i) = links.iter().position(|s| s.role != Role::B) {
+            return Err(TransportError::Setup(format!(
+                "PartyBModel drives Role::B sessions, but session {i} is Role::A"
+            )));
+        }
+        let (matmul, embed) = init_sources(links, spec, data)?;
+        // Top init draws from the first link's session RNG, *after* the
+        // source layers, preserving the session RNG stream layout.
+        let top = Top::init(spec, &mut links[0].rng);
         Ok(PartyBModel {
             spec: spec.clone(),
-            matmul,
+            matmul: Some(matmul),
             embed,
             top,
         })
@@ -757,73 +782,92 @@ impl PartyBModel {
         self.spec.out_dim()
     }
 
+    /// Number of guest links this model fans out over.
+    pub fn num_links(&self) -> usize {
+        self.matmul
+            .as_ref()
+            .map_or(self.embed.len(), MatMulSource::parties)
+    }
+
     /// Forward over a batch view: returns the logits plus the caches
     /// needed by the matching backward call.
-    pub fn forward(
+    pub fn forward<L: AsMut<[Session]> + ?Sized>(
         &mut self,
-        sess: &mut Session,
+        links: &mut L,
         batch: &Dataset,
         train: bool,
     ) -> TransportResult<(Dense, FwdCache)> {
+        let links = links.as_mut();
+        check_link_count(links.len(), self.num_links(), "PartyBModel")?;
         let z_num = match &mut self.matmul {
             Some(mm) => {
                 let x = batch.num.as_ref().expect("missing numerical block");
-                let z_own = mm.forward(sess, x, train)?;
-                Some(aggregate_b(sess, z_own)?)
+                let mut z = mm.forward(links, x, train)?;
+                for sess in links.iter() {
+                    z = aggregate_b(sess, z)?;
+                }
+                Some(z)
             }
             None => None,
         };
-        let z_cat = match &mut self.embed {
-            Some(em) => {
-                let x = batch.cat.as_ref().expect("missing categorical block");
-                let z_own = em.forward(sess, x, train)?;
-                // The wait for A's share belongs to the stage that waits.
-                let _t = sess.stages.timer(Stage::FedEmbed);
-                Some(aggregate_b(sess, z_own)?)
-            }
-            None => None,
+        let z_cat = if self.embed.is_empty() {
+            None
+        } else {
+            let x = batch.cat.as_ref().expect("missing categorical block");
+            Some(embed_forward(&mut self.embed, links, x, train)?)
         };
         let mut cache = FwdCache::default();
-        let _t = sess.stages.timer(Stage::TopLocal);
+        let _t = links[0].stages.timer(Stage::TopLocal);
         let logits = self.top.forward(z_num.as_ref(), z_cat.as_ref(), &mut cache);
         Ok((logits, cache))
     }
 
     /// Backward from a loss gradient w.r.t. the logits; drives the
     /// federated source-layer updates (Embed first, then MatMul —
-    /// mirroring Party A).
-    pub fn backward(
+    /// mirroring every guest's [`PartyAModel::backward`]).
+    pub fn backward<L: AsMut<[Session]> + ?Sized>(
         &mut self,
-        sess: &mut Session,
+        links: &mut L,
         grad_logits: &Dense,
         cache: &FwdCache,
     ) -> TransportResult<()> {
-        let top_timer = sess.stages.timer(Stage::TopLocal);
-        let (grad_z_num, grad_z_cat) = self.top.backward(grad_logits, cache, &sess.sgd());
+        let links = links.as_mut();
+        check_link_count(links.len(), self.num_links(), "PartyBModel")?;
+        let top_timer = links[0].stages.timer(Stage::TopLocal);
+        let (grad_z_num, grad_z_cat) = self.top.backward(grad_logits, cache, &links[0].sgd());
         drop(top_timer);
-        // Reverse order (Embed then MatMul) to mirror Party A.
-        if let Some(em) = &mut self.embed {
+        // Every pairwise Embed submodel receives the same ∇Z_cat: the
+        // per-link outputs add, so the gradient distributes.
+        for (em, sess) in self.embed.iter_mut().zip(links.iter_mut()) {
             em.backward_b(sess, grad_z_cat.as_ref().expect("missing ∇Z_cat"))?;
         }
         if let Some(mm) = &mut self.matmul {
-            mm.backward_b(sess, grad_z_num.as_ref().expect("missing ∇Z_num"))?;
+            mm.backward_b(links, grad_z_num.as_ref().expect("missing ∇Z_num"))?;
         }
         Ok(())
     }
 
     /// One full training step: forward, loss, backward. Returns the
     /// batch loss.
-    pub fn train_batch(&mut self, sess: &mut Session, batch: &Dataset) -> TransportResult<f64> {
+    pub fn train_batch<L: AsMut<[Session]> + ?Sized>(
+        &mut self,
+        links: &mut L,
+        batch: &Dataset,
+    ) -> TransportResult<f64> {
         let labels = batch.labels.as_ref().expect("Party B holds the labels");
-        let (logits, cache) = self.forward(sess, batch, true)?;
+        let (logits, cache) = self.forward(links, batch, true)?;
         let (loss, grad) = loss_and_grad(&logits, labels);
-        self.backward(sess, &grad, &cache)?;
+        self.backward(links, &grad, &cache)?;
         Ok(loss)
     }
 
     /// Inference logits for a batch view.
-    pub fn predict_batch(&mut self, sess: &mut Session, batch: &Dataset) -> TransportResult<Dense> {
-        Ok(self.forward(sess, batch, false)?.0)
+    pub fn predict_batch<L: AsMut<[Session]> + ?Sized>(
+        &mut self,
+        links: &mut L,
+        batch: &Dataset,
+    ) -> TransportResult<Dense> {
+        Ok(self.forward(links, batch, false)?.0)
     }
 
     /// Loss/metric helper reused by the trainer.
@@ -831,21 +875,36 @@ impl PartyBModel {
         loss_and_grad(logits, labels).0
     }
 
-    /// The MatMul source half (inspection).
+    /// The MatMul source half (inspection: `W_B = U_B + Σ_i V_B(i)` and
+    /// every `W_A(i)` reconstruct through this).
     pub fn matmul(&self) -> Option<&MatMulSource> {
         self.matmul.as_ref()
     }
 
-    /// The Embed source half (inspection).
+    /// The first link's Embed source half (inspection; the only one of
+    /// a two-party host).
     pub fn embed(&self) -> Option<&EmbedSource> {
-        self.embed.as_ref()
+        self.embed.first()
     }
 
-    /// Persist the model half: spec, source layers, top model.
+    /// Every link's pairwise Embed source half, in link order
+    /// (inspection: `Q_B(i) = S_B(i) + T_B(i)`, `W_B(i) = U_B(i) +
+    /// V_B(i)` against the `i`-th guest's pieces).
+    pub fn embed_links(&self) -> &[EmbedSource] {
+        &self.embed
+    }
+
+    /// Persist the model half: spec, link count, source layers (every
+    /// link's pieces in link order), top model.
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         self.spec.write_state(w);
+        w.u64(self.num_links() as u64);
         write_opt(w, self.matmul.as_ref(), MatMulSource::write_state);
-        write_opt(w, self.embed.as_ref(), EmbedSource::write_state);
+        write_opt(
+            w,
+            (!self.embed.is_empty()).then_some(&self.embed),
+            |links, w| links.iter().for_each(|em| em.write_state(w)),
+        );
         self.top.write_state(w);
     }
 
@@ -853,15 +912,34 @@ impl PartyBModel {
     pub(crate) fn read_state(
         r: &mut crate::persist::Reader,
     ) -> crate::persist::PersistResult<PartyBModel> {
+        use crate::persist::PersistError;
         let spec = FedSpec::read_state(r)?;
-        let matmul = read_opt(r, MatMulSource::read_state)?;
-        let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::B))?;
-        check_spec_layers(&spec, matmul.is_some(), embed.is_some())?;
+        let m = r.len_u64()?;
+        if m == 0 || m > 1 << 16 {
+            return Err(PersistError::Malformed(format!(
+                "implausible guest-link count {m}"
+            )));
+        }
+        let matmul = read_opt(r, |r| MatMulSource::read_state(r, m))?;
+        let embed = read_opt(r, |r| {
+            (0..m)
+                .map(|_| EmbedSource::read_state(r, Role::B))
+                .collect::<crate::persist::PersistResult<Vec<_>>>()
+        })?
+        .unwrap_or_default();
+        check_spec_layers(&spec, matmul.is_some(), !embed.is_empty())?;
+        if let Some(odd) = embed.iter().find(|em| em.out_dim() != embed[0].out_dim()) {
+            return Err(PersistError::Malformed(format!(
+                "Embed submodels disagree on their width: {} and {}",
+                embed[0].out_dim(),
+                odd.out_dim()
+            )));
+        }
         let top = Top::read_state(r, &spec)?;
         check_model_widths(
             &spec,
             matmul.as_ref().map(MatMulSource::out_dim),
-            embed.as_ref().map(EmbedSource::out_dim),
+            embed.first().map(EmbedSource::out_dim),
             &top,
         )?;
         Ok(PartyBModel {
@@ -871,6 +949,29 @@ impl PartyBModel {
             top,
         })
     }
+}
+
+/// The host's categorical block over its links: run the pairwise
+/// Embed-MatMul forward with every A(i), fold in each A(i)'s share, and
+/// return `Z = Σ_i [E_A(i)·W_A(i) + lkup(Q_B(i), X_B)·W_B(i)]`.
+fn embed_forward(
+    embed: &mut [EmbedSource],
+    links: &mut [Session],
+    x: &CatBlock,
+    train: bool,
+) -> TransportResult<Dense> {
+    let mut z: Option<Dense> = None;
+    for (em, sess) in embed.iter_mut().zip(links.iter_mut()) {
+        let z_own = em.forward(sess, x, train)?;
+        // The wait for A(i)'s share belongs to the stage that waits.
+        let _t = sess.stages.timer(Stage::FedEmbed);
+        let z_link = aggregate_b(sess, z_own)?;
+        z = Some(match z {
+            None => z_link,
+            Some(acc) => acc.add(&z_link),
+        });
+    }
+    Ok(z.expect("at least one link"))
 }
 
 /// Validate that a persisted layer set matches its spec: every zoo
@@ -887,215 +988,6 @@ fn check_spec_layers(
         Err(crate::persist::PersistError::Malformed(format!(
             "layer set (matmul: {has_matmul}, embed: {has_embed}) does not match spec {spec:?}"
         )))
-    }
-}
-
-/// Party B's half of a **multi-guest** federated model (paper
-/// Appendix C): the same spec and the same local top model as
-/// [`PartyBModel`], but the source layers fan out over `M` guest
-/// sessions — [`MultiMatMulB`] for the numerical block (Algorithm 3's
-/// `M+1`-way weight split) and [`MultiEmbedB`] for the categorical
-/// block (per-link pairwise submodels, outputs summed; see
-/// [`crate::multiparty`] for the exact semantics). Every guest runs
-/// the unmodified two-party [`PartyAModel`] routines; with one guest
-/// this model is bit-for-bit the two-party [`PartyBModel`].
-pub struct MultiPartyBModel {
-    spec: FedSpec,
-    matmul: Option<MultiMatMulB>,
-    embed: Option<MultiEmbedB>,
-    top: Top,
-}
-
-impl MultiPartyBModel {
-    /// Initialise from the spec and Party B's data view, against one
-    /// session per guest (all `Role::B`; typed
-    /// [`bf_mpc::transport::TransportError::Setup`] on an empty or
-    /// wrong-role slice).
-    pub fn init(
-        sessions: &mut [Session],
-        spec: &FedSpec,
-        data: &Dataset,
-    ) -> TransportResult<MultiPartyBModel> {
-        let num_dim = data.num_dim();
-        let (matmul, embed) = match spec {
-            FedSpec::Glm { out } => (Some(MultiMatMulB::init(sessions, num_dim, *out)?), None),
-            FedSpec::Mlp { widths } => (
-                Some(MultiMatMulB::init(sessions, num_dim, widths[0])?),
-                None,
-            ),
-            FedSpec::Wdl {
-                emb_dim,
-                deep_hidden,
-                out,
-            } => {
-                let mm = MultiMatMulB::init(sessions, num_dim, *out)?;
-                let cat = data.cat.as_ref().expect("WDL needs categorical features");
-                let proj = deep_hidden.first().copied().unwrap_or(*out);
-                let em = MultiEmbedB::init(sessions, cat.vocab(), cat.fields(), *emb_dim, proj)?;
-                (Some(mm), Some(em))
-            }
-            FedSpec::Dlrm {
-                emb_dim, vec_dim, ..
-            } => {
-                let mm = MultiMatMulB::init(sessions, num_dim, *vec_dim)?;
-                let cat = data.cat.as_ref().expect("DLRM needs categorical features");
-                let em =
-                    MultiEmbedB::init(sessions, cat.vocab(), cat.fields(), *emb_dim, *vec_dim)?;
-                (Some(mm), Some(em))
-            }
-        };
-        // Top init draws from the first link's session RNG, after the
-        // source layers — the same stream layout as the two-party
-        // model, so an M = 1 run reproduces it exactly.
-        let top = Top::init(spec, &mut sessions[0].rng);
-        Ok(MultiPartyBModel {
-            spec: spec.clone(),
-            matmul,
-            embed,
-            top,
-        })
-    }
-
-    /// Output width of the model.
-    pub fn out_dim(&self) -> usize {
-        self.spec.out_dim()
-    }
-
-    /// Forward over a batch view: returns the logits plus the caches
-    /// needed by the matching backward call. The source layers
-    /// aggregate over every guest link internally.
-    pub fn forward(
-        &mut self,
-        sessions: &mut [Session],
-        batch: &Dataset,
-        train: bool,
-    ) -> TransportResult<(Dense, FwdCache)> {
-        let z_num = match &mut self.matmul {
-            Some(mm) => {
-                let x = batch.num.as_ref().expect("missing numerical block");
-                Some(mm.forward(sessions, x, train)?)
-            }
-            None => None,
-        };
-        let z_cat = match &mut self.embed {
-            Some(em) => {
-                let x = batch.cat.as_ref().expect("missing categorical block");
-                Some(em.forward(sessions, x, train)?)
-            }
-            None => None,
-        };
-        let mut cache = FwdCache::default();
-        let stages = std::sync::Arc::clone(&sessions[0].stages);
-        let _t = stages.timer(Stage::TopLocal);
-        let logits = self.top.forward(z_num.as_ref(), z_cat.as_ref(), &mut cache);
-        Ok((logits, cache))
-    }
-
-    /// Backward from a loss gradient w.r.t. the logits; drives the
-    /// multi-guest source-layer updates (Embed first, then MatMul —
-    /// mirroring every guest's [`PartyAModel::backward`]).
-    pub fn backward(
-        &mut self,
-        sessions: &mut [Session],
-        grad_logits: &Dense,
-        cache: &FwdCache,
-    ) -> TransportResult<()> {
-        let stages = std::sync::Arc::clone(&sessions[0].stages);
-        let opt = sessions[0].sgd();
-        let top_timer = stages.timer(Stage::TopLocal);
-        let (grad_z_num, grad_z_cat) = self.top.backward(grad_logits, cache, &opt);
-        drop(top_timer);
-        if let Some(em) = &mut self.embed {
-            em.backward(sessions, grad_z_cat.as_ref().expect("missing ∇Z_cat"))?;
-        }
-        if let Some(mm) = &mut self.matmul {
-            mm.backward(sessions, grad_z_num.as_ref().expect("missing ∇Z_num"))?;
-        }
-        Ok(())
-    }
-
-    /// One full training step: forward, loss, backward. Returns the
-    /// batch loss.
-    pub fn train_batch(
-        &mut self,
-        sessions: &mut [Session],
-        batch: &Dataset,
-    ) -> TransportResult<f64> {
-        let labels = batch.labels.as_ref().expect("Party B holds the labels");
-        let (logits, cache) = self.forward(sessions, batch, true)?;
-        let (loss, grad) = loss_and_grad(&logits, labels);
-        self.backward(sessions, &grad, &cache)?;
-        Ok(loss)
-    }
-
-    /// Inference logits for a batch view.
-    pub fn predict_batch(
-        &mut self,
-        sessions: &mut [Session],
-        batch: &Dataset,
-    ) -> TransportResult<Dense> {
-        Ok(self.forward(sessions, batch, false)?.0)
-    }
-
-    /// The multi-guest MatMul source half (inspection: the parity
-    /// tests reconstruct `W_B = U_B + Σ_i V_B(i)` through this).
-    pub fn matmul(&self) -> Option<&MultiMatMulB> {
-        self.matmul.as_ref()
-    }
-
-    /// The multi-guest Embed source half (inspection).
-    pub fn embed(&self) -> Option<&MultiEmbedB> {
-        self.embed.as_ref()
-    }
-
-    /// Number of guest links this model fans out over.
-    pub fn num_links(&self) -> usize {
-        self.matmul
-            .as_ref()
-            .map(MultiMatMulB::parties)
-            .or_else(|| self.embed.as_ref().map(MultiEmbedB::parties))
-            .expect("a model has at least one source layer")
-    }
-
-    /// Persist the model half: spec, guest count, fanned-out source
-    /// layers, top model.
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        self.spec.write_state(w);
-        let m = self.num_links();
-        w.u64(m as u64);
-        write_opt(w, self.matmul.as_ref(), MultiMatMulB::write_state);
-        write_opt(w, self.embed.as_ref(), MultiEmbedB::write_state);
-        self.top.write_state(w);
-    }
-
-    /// Rebuild the model half from persisted state.
-    pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
-    ) -> crate::persist::PersistResult<MultiPartyBModel> {
-        use crate::persist::PersistError;
-        let spec = FedSpec::read_state(r)?;
-        let m = r.len_u64()?;
-        if m == 0 || m > 1 << 16 {
-            return Err(PersistError::Malformed(format!(
-                "implausible guest count {m}"
-            )));
-        }
-        let matmul = read_opt(r, |r| MultiMatMulB::read_state(r, m))?;
-        let embed = read_opt(r, |r| MultiEmbedB::read_state(r, m))?;
-        check_spec_layers(&spec, matmul.is_some(), embed.is_some())?;
-        let top = Top::read_state(r, &spec)?;
-        check_model_widths(
-            &spec,
-            matmul.as_ref().map(|mm| mm.u_own().cols()),
-            embed.as_ref().map(|em| em.link(0).out_dim()),
-            &top,
-        )?;
-        Ok(MultiPartyBModel {
-            spec,
-            matmul,
-            embed,
-            top,
-        })
     }
 }
 
@@ -1140,6 +1032,13 @@ fn dlrm_interact_backward(zn: &Dense, zc: &Dense, g: &Dense) -> (Dense, Dense) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FedConfig;
+    use rand::SeedableRng;
+
+    fn rand_dense(rows: usize, cols: usize, seed: u64) -> Dense {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        bf_tensor::init::uniform(&mut rng, rows, cols, 1.0)
+    }
 
     #[test]
     fn interact_backward_finite_difference() {
@@ -1175,5 +1074,158 @@ mod tests {
             out: 1
         }
         .uses_categorical());
+    }
+
+    #[test]
+    fn wrong_role_session_is_a_typed_error_not_a_panic() {
+        let cfg = FedConfig::plain();
+        let (ep_a, ep_b) = bf_mpc::channel_pair();
+        let cfg_b = cfg.clone();
+        let peer = std::thread::spawn(move || {
+            Session::handshake(ep_b, cfg_b, Role::B, 2).unwrap();
+        });
+        // A Role::A session handed to the host model must be refused
+        // before any protocol message goes out.
+        let mut sess = Session::handshake(ep_a, cfg, Role::A, 1).unwrap();
+        let data = Dataset {
+            num: Some(bf_tensor::Features::Dense(Dense::zeros(2, 3))),
+            cat: None,
+            labels: None,
+        };
+        match PartyBModel::init(&mut sess, &FedSpec::Glm { out: 1 }, &data) {
+            Err(TransportError::Setup(why)) => assert!(why.contains("Role::A"), "{why}"),
+            Err(other) => panic!("expected TransportError::Setup, got {other:?}"),
+            Ok(_) => panic!("expected TransportError::Setup, got Ok"),
+        }
+        peer.join().unwrap();
+    }
+
+    // ---- the categorical block over M links ----
+
+    fn cat_block(rows: usize, vocabs: &[u32], seed: u64) -> CatBlock {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let local: Vec<u32> = (0..rows * vocabs.len())
+            .map(|i| rng.random_range(0..vocabs[i % vocabs.len()]))
+            .collect();
+        CatBlock::from_local(rows, vocabs, local)
+    }
+
+    /// Run an M-party Embed-MatMul training round: M Party-A threads
+    /// (unmodified `EmbedSource`) + the host's per-link loop inline at B.
+    fn run_multi_embed(
+        cfg: &FedConfig,
+        xs_a: Vec<CatBlock>,
+        x_b: CatBlock,
+        dim: usize,
+        out: usize,
+        grad_z: Option<Dense>,
+        steps: usize,
+    ) -> (Vec<EmbedSource>, Vec<EmbedSource>, Dense) {
+        let mut eps_b = Vec::new();
+        let mut handles = Vec::new();
+        for (i, x_a) in xs_a.into_iter().enumerate() {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            eps_b.push(ep_b);
+            let cfg_a = cfg.clone();
+            let gz = grad_z.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut sess = Session::handshake(ep_a, cfg_a, Role::A, 3000 + i as u64).unwrap();
+                let mut layer =
+                    EmbedSource::init(&mut sess, x_a.vocab(), x_a.fields(), dim, out).unwrap();
+                for _ in 0..steps {
+                    let z = layer.forward(&mut sess, &x_a, gz.is_some()).unwrap();
+                    aggregate_a(&sess, z).unwrap();
+                    if gz.is_some() {
+                        layer.backward_a(&mut sess).unwrap();
+                    }
+                }
+                let z = layer.forward(&mut sess, &x_a, false).unwrap();
+                aggregate_a(&sess, z).unwrap();
+                layer
+            }));
+        }
+        let mut sessions: Vec<Session> = eps_b
+            .into_iter()
+            .enumerate()
+            .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 4000 + i as u64).unwrap())
+            .collect();
+        let mut layer_b: Vec<EmbedSource> = sessions
+            .iter_mut()
+            .map(|sess| EmbedSource::init(sess, x_b.vocab(), x_b.fields(), dim, out).unwrap())
+            .collect();
+        for _ in 0..steps {
+            embed_forward(&mut layer_b, &mut sessions, &x_b, grad_z.is_some()).unwrap();
+            if let Some(g) = &grad_z {
+                for (em, sess) in layer_b.iter_mut().zip(sessions.iter_mut()) {
+                    em.backward_b(sess, g).unwrap();
+                }
+            }
+        }
+        let z = embed_forward(&mut layer_b, &mut sessions, &x_b, false).unwrap();
+        let layers_a: Vec<EmbedSource> = handles
+            .into_iter()
+            .map(|h| h.join().expect("party A panicked"))
+            .collect();
+        (layers_a, layer_b, z)
+    }
+
+    /// Reference output under the documented per-link-sum semantics:
+    /// `Σ_i [lkup(Q_A(i))·W_A(i) + lkup(Q_B(i))·W_B(i)]`.
+    fn embed_reference(
+        layers_a: &[EmbedSource],
+        layer_b: &[EmbedSource],
+        xs_a: &[CatBlock],
+        x_b: &CatBlock,
+        out: usize,
+    ) -> Dense {
+        use crate::source::embed::lookup;
+        let mut want = Dense::zeros(x_b.rows(), out);
+        for (i, la) in layers_a.iter().enumerate() {
+            let lb = &layer_b[i];
+            let q_a = la.s_own().add(lb.t_peer());
+            let w_a = la.u_own().add(lb.v_peer());
+            want.add_assign(&lookup(&q_a, &xs_a[i]).matmul(&w_a));
+            let q_b = lb.s_own().add(la.t_peer());
+            let w_b = lb.u_own().add(la.v_peer());
+            want.add_assign(&lookup(&q_b, x_b).matmul(&w_b));
+        }
+        want
+    }
+
+    #[test]
+    fn three_party_embed_forward_is_lossless() {
+        let cfg = FedConfig::plain();
+        let xs_a = vec![cat_block(4, &[5, 3], 50), cat_block(4, &[4], 51)];
+        let x_b = cat_block(4, &[6], 52);
+        let (layers_a, layer_b, z) =
+            run_multi_embed(&cfg, xs_a.clone(), x_b.clone(), 2, 2, None, 1);
+        assert_eq!(layer_b.len(), 2);
+        let want = embed_reference(&layers_a, &layer_b, &xs_a, &x_b, 2);
+        assert!(
+            z.approx_eq(&want, 1e-4),
+            "max err {}",
+            z.sub(&want).max_abs()
+        );
+    }
+
+    #[test]
+    fn three_party_embed_backward_stays_synchronized() {
+        // After training steps, a fresh forward must still equal the
+        // reference on the reconstructed per-link parameters — i.e.
+        // every link's six ciphertext caches track their plaintext
+        // twins (exercised under real Paillier ciphertexts).
+        let cfg = FedConfig::paillier_test();
+        let xs_a = vec![cat_block(3, &[4], 53), cat_block(3, &[3, 3], 54)];
+        let x_b = cat_block(3, &[5], 55);
+        let grad_z = rand_dense(3, 2, 56).scale(0.1);
+        let (layers_a, layer_b, z) =
+            run_multi_embed(&cfg, xs_a.clone(), x_b.clone(), 2, 2, Some(grad_z), 2);
+        let want = embed_reference(&layers_a, &layer_b, &xs_a, &x_b, 2);
+        assert!(
+            z.approx_eq(&want, 1e-2),
+            "max err {}",
+            z.sub(&want).max_abs()
+        );
     }
 }

@@ -8,34 +8,28 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   0x42 0x46 0x4D 0x44  ("BFMD")
-//! 4       1     version 0x02
-//! 5       1     kind    (1 = PartyA, 2 = PartyB, 3 = MultiPartyB,
-//!                        4 = CheckpointA, 5 = CheckpointB,
-//!                        6 = MultiCheckpointB, 7 = GbdtHost,
-//!                        8 = GbdtGuest, 9–11 = PSI-aligned
-//!                        checkpoints)
+//! 4       1     version 0x03
+//! 5       1     kind    (1 = guest model, 2 = host model,
+//!                        4 = guest checkpoint, 5 = host checkpoint,
+//!                        7 = GbdtHost, 8 = GbdtGuest)
 //! 6       n     payload (per-kind encoding; see docs/SERVING.md)
 //! ```
 //!
-//! Kinds 4–6 are **mid-epoch training checkpoints**: a model blob plus
-//! the training cursor (epoch, batch) and the per-link determinism
-//! cursor ([`LinkCursor`]: mask-RNG state, obfuscation draws consumed,
-//! traffic counters). Restoring one puts a fresh process back on the
-//! *bit-identical* loss curve — see `docs/ARCHITECTURE.md` ("Fault
-//! tolerance") and `tests/chaos_parity.rs`. Adding these kinds did not
-//! bump [`VERSION`]: the layout of existing kinds is unchanged, and
-//! pre-checkpoint decoders reject the new kind bytes via
-//! [`PersistError::WrongKind`] (the version byte only moves when a
-//! *shared* layout rule changes).
+//! One kind per role: the host model (kind 2) records how many guest
+//! links it fans out over and carries every link's pieces, so a
+//! two-party host is the blob with link count 1.
 //!
-//! Kinds 9–11 are the PSI-**aligned** variants of kinds 4–6: the same
-//! checkpoint payload, prefixed with an [`AlignCursor`] (PSI salt plus
-//! the intersection's sample IDs) so a restarted process can rebuild
-//! its aligned row selection from its local ID column with **zero**
-//! wire traffic — re-running PSI on resume would double-count PSI
-//! bytes in [`LinkCursor`]'s preloaded traffic totals. A checkpoint
-//! taken in an unaligned run still exports as kinds 4–6, byte-for-byte
-//! as before (same non-bump rationale as kinds 4–8).
+//! Kinds 4–5 are **mid-epoch training checkpoints**: a model blob plus
+//! the training cursor (epoch, batch) and one determinism cursor per
+//! peer link ([`LinkCursor`]: mask-RNG state, obfuscation draws
+//! consumed, traffic counters). Restoring one puts a fresh process back
+//! on the *bit-identical* loss curve — see `docs/ARCHITECTURE.md`
+//! ("Fault tolerance") and `tests/chaos_parity.rs`. A checkpoint taken
+//! in a PSI-**aligned** run carries an optional [`AlignCursor`] section
+//! (PSI salt plus the intersection's sample IDs) so a restarted process
+//! can rebuild its aligned row selection from its local ID column with
+//! **zero** wire traffic — re-running PSI on resume would double-count
+//! PSI bytes in [`LinkCursor`]'s preloaded traffic totals.
 //!
 //! All multi-byte integers are little-endian; `f64`s travel as
 //! IEEE-754 bits; ciphertext caches reuse the canonical
@@ -43,8 +37,12 @@
 //! verbatim), length-prefixed. The versioning rule mirrors
 //! `docs/WIRE_PROTOCOL.md`: **any** layout change bumps the version
 //! byte, and decoders reject every version they do not know. Version 2
-//! appended Party B's `⟦V_ownᵀ⟧` cache to the Embed-MatMul layer state,
-//! which every kind that carries a Party B model embeds.
+//! appended Party B's `⟦V_ownᵀ⟧` cache to the Embed-MatMul layer state;
+//! version 3 folded the multi-guest kinds (3, 6) into the host kinds
+//! (link count in the host model, one cursor per link in the host
+//! checkpoint) and the aligned kinds (9–11) into an optional section
+//! of kinds 4–5. The retired kind bytes are never reassigned: every
+//! importer answers them with [`PersistError::WrongKind`].
 //!
 //! The contract is **byte-exact round-tripping**:
 //! `export(import(export(m))) == export(m)` bit for bit, and a
@@ -64,7 +62,7 @@
 use bf_paillier::{export_ctmat, import_ctmat, CtMat};
 use bf_tensor::Dense;
 
-use crate::models::{MultiPartyBModel, PartyAModel, PartyBModel};
+use crate::models::{PartyAModel, PartyBModel};
 use crate::trees::{GbRecord, GbdtGuestModel, GbdtHostModel};
 use bf_ml::gbdt::{Node, Tree};
 
@@ -72,32 +70,22 @@ use bf_ml::gbdt::{Node, Tree};
 pub const MAGIC: [u8; 4] = *b"BFMD";
 /// Current persistence-format version. Decoders reject every other
 /// value (the versioning rule of `docs/WIRE_PROTOCOL.md`).
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Kind byte for a [`PartyAModel`] blob.
 pub const KIND_PARTY_A: u8 = 1;
-/// Kind byte for a [`PartyBModel`] blob.
+/// Kind byte for a [`PartyBModel`] blob (the host model over its
+/// guest links).
 pub const KIND_PARTY_B: u8 = 2;
-/// Kind byte for a [`MultiPartyBModel`] blob.
-pub const KIND_MULTI_PARTY_B: u8 = 3;
 /// Kind byte for a Party A mid-epoch training checkpoint.
 pub const KIND_CHECKPOINT_A: u8 = 4;
 /// Kind byte for a Party B mid-epoch training checkpoint.
 pub const KIND_CHECKPOINT_B: u8 = 5;
-/// Kind byte for a multi-guest Party B mid-epoch training checkpoint.
-pub const KIND_CHECKPOINT_MULTI_B: u8 = 6;
 /// Kind byte for a [`GbdtHostModel`] blob (federated forest, host
 /// share).
 pub const KIND_GBDT_HOST: u8 = 7;
 /// Kind byte for a [`GbdtGuestModel`] blob (federated forest, guest
 /// share).
 pub const KIND_GBDT_GUEST: u8 = 8;
-/// Kind byte for a PSI-aligned Party A checkpoint ([`AlignCursor`]
-/// prefix + the [`KIND_CHECKPOINT_A`] payload).
-pub const KIND_CHECKPOINT_A_ALIGNED: u8 = 9;
-/// Kind byte for a PSI-aligned Party B checkpoint.
-pub const KIND_CHECKPOINT_B_ALIGNED: u8 = 10;
-/// Kind byte for a PSI-aligned multi-guest Party B checkpoint.
-pub const KIND_CHECKPOINT_MULTI_B_ALIGNED: u8 = 11;
 /// Fixed header length (magic + version + kind).
 pub const HEADER_LEN: usize = 6;
 
@@ -195,14 +183,6 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8], expected_kind: u8) -> PersistResult<Reader<'a>> {
-        Self::new_either(bytes, expected_kind, expected_kind).map(|(r, _)| r)
-    }
-
-    /// Accept either of two kind bytes (a checkpoint kind and its
-    /// PSI-aligned variant); returns the reader and whether the
-    /// `aligned` kind was present. `WrongKind` reports `plain` as the
-    /// expected kind — the base type the caller asked for.
-    fn new_either(bytes: &'a [u8], plain: u8, aligned: u8) -> PersistResult<(Reader<'a>, bool)> {
         if bytes.len() < HEADER_LEN {
             return Err(PersistError::Truncated);
         }
@@ -214,19 +194,16 @@ impl<'a> Reader<'a> {
         if bytes[4] != VERSION {
             return Err(PersistError::UnsupportedVersion(bytes[4]));
         }
-        if bytes[5] != plain && bytes[5] != aligned {
+        if bytes[5] != expected_kind {
             return Err(PersistError::WrongKind {
-                expected: plain,
+                expected: expected_kind,
                 got: bytes[5],
             });
         }
-        Ok((
-            Reader {
-                bytes,
-                pos: HEADER_LEN,
-            },
-            bytes[5] == aligned && aligned != plain,
-        ))
+        Ok(Reader {
+            bytes,
+            pos: HEADER_LEN,
+        })
     }
 
     fn take(&mut self, n: usize) -> PersistResult<&'a [u8]> {
@@ -346,8 +323,8 @@ pub fn import_party_a(bytes: &[u8]) -> PersistResult<PartyAModel> {
     Ok(model)
 }
 
-/// Serialize a trained [`PartyBModel`] (host half, including the
-/// local top model) to bytes.
+/// Serialize a trained [`PartyBModel`] (host half over all its guest
+/// links, including the local top model) to bytes.
 pub fn export_party_b(model: &PartyBModel) -> Vec<u8> {
     let mut w = Writer::new(KIND_PARTY_B);
     model.write_state(&mut w);
@@ -358,22 +335,6 @@ pub fn export_party_b(model: &PartyBModel) -> Vec<u8> {
 pub fn import_party_b(bytes: &[u8]) -> PersistResult<PartyBModel> {
     let mut r = Reader::new(bytes, KIND_PARTY_B)?;
     let model = PartyBModel::read_state(&mut r)?;
-    r.finish()?;
-    Ok(model)
-}
-
-/// Serialize a trained [`MultiPartyBModel`] (multi-guest host half) to
-/// bytes.
-pub fn export_multi_party_b(model: &MultiPartyBModel) -> Vec<u8> {
-    let mut w = Writer::new(KIND_MULTI_PARTY_B);
-    model.write_state(&mut w);
-    w.buf
-}
-
-/// Deserialize a [`MultiPartyBModel`], validating every field.
-pub fn import_multi_party_b(bytes: &[u8]) -> PersistResult<MultiPartyBModel> {
-    let mut r = Reader::new(bytes, KIND_MULTI_PARTY_B)?;
-    let model = MultiPartyBModel::read_state(&mut r)?;
     r.finish()?;
     Ok(model)
 }
@@ -442,12 +403,15 @@ pub struct AlignCursor {
     pub ids: Vec<u64>,
 }
 
-/// `wire layout: salt u64 | n u64 | ids`, all `u64` LE.
-fn write_align(w: &mut Writer, a: &AlignCursor) {
+/// The optional alignment section that opens a checkpoint payload:
+/// `flag u8 (0 | 1) | [salt u64 | n u64 | ids]`, all `u64` LE.
+fn write_align(w: &mut Writer, a: Option<&AlignCursor>) {
+    let Some(a) = a else { return w.u8(0) };
     debug_assert!(
         a.ids.windows(2).all(|x| x[0] < x[1]),
         "AlignCursor ids must be strictly ascending"
     );
+    w.u8(1);
     w.u64(a.salt);
     w.u64(a.ids.len() as u64);
     for &id in &a.ids {
@@ -455,7 +419,16 @@ fn write_align(w: &mut Writer, a: &AlignCursor) {
     }
 }
 
-fn read_align(r: &mut Reader<'_>) -> PersistResult<AlignCursor> {
+fn read_align(r: &mut Reader<'_>) -> PersistResult<Option<AlignCursor>> {
+    match r.u8()? {
+        0 => return Ok(None),
+        1 => {}
+        tag => {
+            return Err(PersistError::Malformed(format!(
+                "bad alignment-section flag {tag}"
+            )))
+        }
+    }
     let salt = r.u64()?;
     let n = r.len_u64()?;
     let want = n
@@ -473,24 +446,10 @@ fn read_align(r: &mut Reader<'_>) -> PersistResult<AlignCursor> {
             "aligned ids not strictly ascending".into(),
         ));
     }
-    Ok(AlignCursor { salt, ids })
+    Ok(Some(AlignCursor { salt, ids }))
 }
 
-/// Kind byte + optional align prefix shared by the three checkpoint
-/// exporters: `None` keeps the pre-PSI kind and byte layout.
-fn checkpoint_writer(plain: u8, aligned_kind: u8, aligned: Option<&AlignCursor>) -> Writer {
-    match aligned {
-        None => Writer::new(plain),
-        Some(a) => {
-            let mut w = Writer::new(aligned_kind);
-            write_align(&mut w, a);
-            w
-        }
-    }
-}
-
-/// A Party A mid-epoch checkpoint (kind [`KIND_CHECKPOINT_A`], or
-/// [`KIND_CHECKPOINT_A_ALIGNED`] when taken in a PSI-aligned run).
+/// A Party A mid-epoch checkpoint (kind [`KIND_CHECKPOINT_A`]).
 pub struct CheckpointA {
     /// Epoch the cursor points into.
     pub epoch: u64,
@@ -504,15 +463,16 @@ pub struct CheckpointA {
     pub model: PartyAModel,
 }
 
-/// A Party B mid-epoch checkpoint (kind [`KIND_CHECKPOINT_B`], or
-/// [`KIND_CHECKPOINT_B_ALIGNED`] when taken in a PSI-aligned run).
+/// A Party B mid-epoch checkpoint (kind [`KIND_CHECKPOINT_B`]): one
+/// [`LinkCursor`] per guest link, in link order.
 pub struct CheckpointB {
     /// Epoch the cursor points into.
     pub epoch: u64,
     /// Batches already completed within that epoch.
     pub batch: u64,
-    /// The peer-link determinism cursor.
-    pub link: LinkCursor,
+    /// One determinism cursor per guest link, in link order (as many
+    /// as the model has links).
+    pub links: Vec<LinkCursor>,
     /// The PSI alignment cursor, when the run was aligned.
     pub aligned: Option<AlignCursor>,
     /// The loss curve accumulated so far (B is the label holder; the
@@ -522,29 +482,8 @@ pub struct CheckpointB {
     pub model: PartyBModel,
 }
 
-/// A multi-guest Party B mid-epoch checkpoint (kind
-/// [`KIND_CHECKPOINT_MULTI_B`] /
-/// [`KIND_CHECKPOINT_MULTI_B_ALIGNED`]): one [`LinkCursor`] per guest
-/// link, in link order.
-pub struct MultiCheckpointB {
-    /// Epoch the cursor points into.
-    pub epoch: u64,
-    /// Batches already completed within that epoch.
-    pub batch: u64,
-    /// One determinism cursor per guest link, in link order.
-    pub links: Vec<LinkCursor>,
-    /// The PSI alignment cursor, when the run was aligned.
-    pub aligned: Option<AlignCursor>,
-    /// The loss curve accumulated so far.
-    pub losses: Vec<f64>,
-    /// The model half exactly as of `(epoch, batch)`.
-    pub model: MultiPartyBModel,
-}
-
 /// Serialize a Party A checkpoint:
-/// `[align cursor |] epoch u64 | batch u64 | cursor | model state`
-/// (kind 9 with the align prefix when `aligned` is set, kind 4 —
-/// byte-identical to pre-PSI blobs — otherwise).
+/// `align section | epoch u64 | batch u64 | cursor | model state`.
 pub fn export_checkpoint_a(
     epoch: u64,
     batch: u64,
@@ -552,7 +491,8 @@ pub fn export_checkpoint_a(
     aligned: Option<&AlignCursor>,
     model: &PartyAModel,
 ) -> Vec<u8> {
-    let mut w = checkpoint_writer(KIND_CHECKPOINT_A, KIND_CHECKPOINT_A_ALIGNED, aligned);
+    let mut w = Writer::new(KIND_CHECKPOINT_A);
+    write_align(&mut w, aligned);
     w.u64(epoch);
     w.u64(batch);
     write_cursor(&mut w, link);
@@ -560,16 +500,10 @@ pub fn export_checkpoint_a(
     w.buf
 }
 
-/// Deserialize a [`CheckpointA`] (plain or aligned kind), validating
-/// every field.
+/// Deserialize a [`CheckpointA`], validating every field.
 pub fn import_checkpoint_a(bytes: &[u8]) -> PersistResult<CheckpointA> {
-    let (mut r, is_aligned) =
-        Reader::new_either(bytes, KIND_CHECKPOINT_A, KIND_CHECKPOINT_A_ALIGNED)?;
-    let aligned = if is_aligned {
-        Some(read_align(&mut r)?)
-    } else {
-        None
-    };
+    let mut r = Reader::new(bytes, KIND_CHECKPOINT_A)?;
+    let aligned = read_align(&mut r)?;
     let epoch = r.u64()?;
     let batch = r.u64()?;
     let link = read_cursor(&mut r)?;
@@ -585,70 +519,18 @@ pub fn import_checkpoint_a(bytes: &[u8]) -> PersistResult<CheckpointA> {
 }
 
 /// Serialize a Party B checkpoint:
-/// `[align cursor |] epoch u64 | batch u64 | cursor | n_losses u64 |
-/// losses | model`.
-pub fn export_checkpoint_b(
-    epoch: u64,
-    batch: u64,
-    link: &LinkCursor,
-    aligned: Option<&AlignCursor>,
-    losses: &[f64],
-    model: &PartyBModel,
-) -> Vec<u8> {
-    let mut w = checkpoint_writer(KIND_CHECKPOINT_B, KIND_CHECKPOINT_B_ALIGNED, aligned);
-    w.u64(epoch);
-    w.u64(batch);
-    write_cursor(&mut w, link);
-    w.u64(losses.len() as u64);
-    for &l in losses {
-        w.f64(l);
-    }
-    model.write_state(&mut w);
-    w.buf
-}
-
-/// Deserialize a [`CheckpointB`] (plain or aligned kind), validating
-/// every field.
-pub fn import_checkpoint_b(bytes: &[u8]) -> PersistResult<CheckpointB> {
-    let (mut r, is_aligned) =
-        Reader::new_either(bytes, KIND_CHECKPOINT_B, KIND_CHECKPOINT_B_ALIGNED)?;
-    let aligned = if is_aligned {
-        Some(read_align(&mut r)?)
-    } else {
-        None
-    };
-    let epoch = r.u64()?;
-    let batch = r.u64()?;
-    let link = read_cursor(&mut r)?;
-    let losses = r.f64_vec()?;
-    let model = PartyBModel::read_state(&mut r)?;
-    r.finish()?;
-    Ok(CheckpointB {
-        epoch,
-        batch,
-        link,
-        aligned,
-        losses,
-        model,
-    })
-}
-
-/// Serialize a multi-guest Party B checkpoint:
-/// `[align cursor |] epoch u64 | batch u64 | n_links u64 | cursors |
+/// `align section | epoch u64 | batch u64 | n_links u64 | cursors |
 /// n_losses u64 | losses | model`.
-pub fn export_checkpoint_multi_b(
+pub fn export_checkpoint_b(
     epoch: u64,
     batch: u64,
     links: &[LinkCursor],
     aligned: Option<&AlignCursor>,
     losses: &[f64],
-    model: &MultiPartyBModel,
+    model: &PartyBModel,
 ) -> Vec<u8> {
-    let mut w = checkpoint_writer(
-        KIND_CHECKPOINT_MULTI_B,
-        KIND_CHECKPOINT_MULTI_B_ALIGNED,
-        aligned,
-    );
+    let mut w = Writer::new(KIND_CHECKPOINT_B);
+    write_align(&mut w, aligned);
     w.u64(epoch);
     w.u64(batch);
     w.u64(links.len() as u64);
@@ -663,19 +545,11 @@ pub fn export_checkpoint_multi_b(
     w.buf
 }
 
-/// Deserialize a [`MultiCheckpointB`] (plain or aligned kind),
-/// validating every field.
-pub fn import_checkpoint_multi_b(bytes: &[u8]) -> PersistResult<MultiCheckpointB> {
-    let (mut r, is_aligned) = Reader::new_either(
-        bytes,
-        KIND_CHECKPOINT_MULTI_B,
-        KIND_CHECKPOINT_MULTI_B_ALIGNED,
-    )?;
-    let aligned = if is_aligned {
-        Some(read_align(&mut r)?)
-    } else {
-        None
-    };
+/// Deserialize a [`CheckpointB`], validating every field — the cursor
+/// count against the embedded model's link count included.
+pub fn import_checkpoint_b(bytes: &[u8]) -> PersistResult<CheckpointB> {
+    let mut r = Reader::new(bytes, KIND_CHECKPOINT_B)?;
+    let aligned = read_align(&mut r)?;
     let epoch = r.u64()?;
     let batch = r.u64()?;
     let n_links = r.len_u64()?;
@@ -690,7 +564,7 @@ pub fn import_checkpoint_multi_b(bytes: &[u8]) -> PersistResult<MultiCheckpointB
         links.push(read_cursor(&mut r)?);
     }
     let losses = r.f64_vec()?;
-    let model = MultiPartyBModel::read_state(&mut r)?;
+    let model = PartyBModel::read_state(&mut r)?;
     r.finish()?;
     if links.len() != model.num_links() {
         return Err(PersistError::Malformed(format!(
@@ -699,7 +573,7 @@ pub fn import_checkpoint_multi_b(bytes: &[u8]) -> PersistResult<MultiCheckpointB
             model.num_links()
         )));
     }
-    Ok(MultiCheckpointB {
+    Ok(CheckpointB {
         epoch,
         batch,
         links,
@@ -1120,6 +994,7 @@ mod tests {
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
         let mut w = Writer::new(KIND_PARTY_B);
         w.buf.extend_from_slice(spec_bytes);
+        w.u64(1); // one guest link
         w.u8(1); // matmul present
         w.u64(mm_out as u64);
         let piece = Dense::zeros(mm_in, mm_out);

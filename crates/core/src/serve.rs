@@ -3,8 +3,7 @@
 //! requests into one federated forward pass per batch, amortizing the
 //! per-pass Paillier work and round trips across every rider (see
 //! `docs/SERVING.md` for the architecture and the equivalence
-//! contract; `crates/bench/src/bin/serving.rs` measures the
-//! throughput win).
+//! contract; the `serve_gateway` workload of `bench/` measures it).
 //!
 //! ```text
 //!  clients            Party B (host)                  Party A (guest)
@@ -42,7 +41,7 @@ use bf_ml::data::Dataset;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_tensor::Dense;
 
-use crate::models::{MultiPartyBModel, PartyAModel, PartyBModel};
+use crate::models::{PartyAModel, PartyBModel};
 use crate::session::Session;
 
 /// The `U64` sentinel Party B sends on every link to end a serve
@@ -190,7 +189,7 @@ impl PredictClient {
 }
 
 /// The server side of a serving queue (consumed by
-/// [`serve_party_b`] / [`serve_party_b_multi`]).
+/// [`serve_party_b`]).
 pub struct RequestQueue {
     rx: Receiver<Request>,
 }
@@ -388,72 +387,36 @@ fn check_rows(rows: &[u32], store_rows: usize) -> TransportResult<Vec<usize>> {
         .collect()
 }
 
-/// Party B's serving loop (two-party): drain the request queue,
-/// coalescing up to [`ServeConfig::max_batch`] concurrent requests
-/// per federated forward pass, until every [`PredictClient`] is
-/// dropped and the queue is empty; then shut the guest down.
+/// Party B's serving loop over its guest links (`&mut sess` for one
+/// guest, `&mut sessions` for `M`): drain the request queue, coalescing
+/// up to [`ServeConfig::max_batch`] concurrent requests per federated
+/// forward pass, until every [`PredictClient`] is dropped and the queue
+/// is empty; then shut the guests down. Each batch's row indices are
+/// broadcast to every link before the forward pass; each guest runs
+/// [`serve_party_a`].
 ///
 /// Bad-row requests are rejected to their own caller
 /// ([`ServeError::BadRow`]) without disturbing the batch they arrived
 /// in; a transport failure aborts the loop with the error (pending
 /// callers observe [`ServeError::Closed`]) — but the shutdown
-/// sentinel is still sent best-effort so the guest's serve loop can
-/// exit instead of blocking in `recv()` forever.
-pub fn serve_party_b(
-    sess: &mut Session,
+/// sentinel is still sent best-effort on every link, so a surviving
+/// guest's serve loop can exit instead of blocking in `recv()` forever.
+pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
+    links: &mut L,
     model: &mut PartyBModel,
     store: &Dataset,
     cfg: &ServeConfig,
     queue: RequestQueue,
 ) -> TransportResult<ServeReport> {
-    let stats = Arc::clone(sess.ep.stats());
-    // Serve-phase traffic only (see `ServeReport::bytes_sent`).
-    let bytes_base = stats.bytes();
-    let loop_result = run_server_loop(
-        cfg,
-        store.rows(),
-        queue,
-        &mut || stats.bytes() - bytes_base,
-        &mut |rows| {
-            sess.ep.send(Msg::Support(rows.to_vec()))?;
-            let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
-            let batch = store.select(&idx);
-            model.predict_batch(sess, &batch)
-        },
-    );
-    let mut report = match loop_result {
-        Ok(r) => r,
-        Err(e) => {
-            // The forward failed mid-protocol; the guest may still be
-            // healthy and parked in `recv()`. Best-effort shutdown so
-            // it exits; its own error (if the link is what died) wins.
-            let _ = sess.ep.send(Msg::U64(SERVE_SHUTDOWN));
-            return Err(e);
-        }
-    };
-    sess.ep.send(Msg::U64(SERVE_SHUTDOWN))?;
-    report.bytes_sent = stats.bytes() - bytes_base;
-    Ok(report)
-}
-
-/// Party B's serving loop, multi-guest: identical micro-batching, but
-/// each batch's row indices are broadcast to every guest link before
-/// the fanned-out forward pass, and the shutdown sentinel goes to
-/// every link. Each guest runs the unmodified [`serve_party_a`].
-pub fn serve_party_b_multi(
-    sessions: &mut [Session],
-    model: &mut MultiPartyBModel,
-    store: &Dataset,
-    cfg: &ServeConfig,
-    queue: RequestQueue,
-) -> TransportResult<ServeReport> {
-    if sessions.is_empty() {
+    let links = links.as_mut();
+    if links.is_empty() {
         return Err(TransportError::Setup(
-            "serve_party_b_multi needs at least one guest session (M = 0)".into(),
+            "serve_party_b needs at least one guest session (M = 0)".into(),
         ));
     }
-    let stats: Vec<_> = sessions.iter().map(|s| Arc::clone(s.ep.stats())).collect();
-    // Serve-phase traffic only, summed across links.
+    let stats: Vec<_> = links.iter().map(|s| Arc::clone(s.ep.stats())).collect();
+    // Serve-phase traffic only (see `ServeReport::bytes_sent`), summed
+    // across links.
     let bytes_base: u64 = stats.iter().map(|s| s.bytes()).sum();
     let loop_result = run_server_loop(
         cfg,
@@ -461,27 +424,28 @@ pub fn serve_party_b_multi(
         queue,
         &mut || stats.iter().map(|s| s.bytes()).sum::<u64>() - bytes_base,
         &mut |rows| {
-            for sess in sessions.iter() {
+            for sess in links.iter() {
                 sess.ep.send(Msg::Support(rows.to_vec()))?;
             }
             let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
             let batch = store.select(&idx);
-            model.predict_batch(sessions, &batch)
+            model.predict_batch(links, &batch)
         },
     );
     let mut report = match loop_result {
         Ok(r) => r,
         Err(e) => {
-            // One failed link must not strand the surviving guests in
-            // `recv()` forever: best-effort shutdown on every link
-            // (the dead one just errors again, which we ignore).
-            for sess in sessions.iter() {
+            // The forward failed mid-protocol; a guest may still be
+            // healthy and parked in `recv()`. Best-effort shutdown on
+            // every link so it exits (a dead link just errors again,
+            // which we ignore); its own error, if any, wins.
+            for sess in links.iter() {
                 let _ = sess.ep.send(Msg::U64(SERVE_SHUTDOWN));
             }
             return Err(e);
         }
     };
-    for sess in sessions.iter() {
+    for sess in links.iter() {
         sess.ep.send(Msg::U64(SERVE_SHUTDOWN))?;
     }
     report.bytes_sent = stats.iter().map(|s| s.bytes()).sum::<u64>() - bytes_base;
@@ -802,7 +766,6 @@ mod tests {
 
     #[test]
     fn host_failure_still_shuts_down_surviving_guests() {
-        use crate::models::MultiPartyBModel;
         use crate::session::{multi_party_seed, Role};
 
         // M = 2: guest 0 dies after model init; the host's first
@@ -855,12 +818,12 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let mut model = MultiPartyBModel::init(&mut sessions, &spec, &store_b).unwrap();
+        let mut model = PartyBModel::init(&mut sessions, &spec, &store_b).unwrap();
         drop_rx.recv().unwrap();
         let (client, q) = queue(2);
         let pending = client.submit(0).unwrap();
         drop(client);
-        let err = serve_party_b_multi(
+        let err = serve_party_b(
             &mut sessions,
             &mut model,
             &store_b,

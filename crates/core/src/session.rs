@@ -43,7 +43,7 @@ pub fn party_seed(role: Role, seed: u64) -> u64 {
 }
 
 /// Derive the private seed for one end of the `link`-th guest link in
-/// a multi-guest run (see [`crate::multiparty`]).
+/// a multi-guest run (paper Appendix C).
 ///
 /// Like [`party_seed`], this derivation is part of the determinism
 /// contract: an M-guest TCP deployment (one process per guest) and the
@@ -219,6 +219,28 @@ impl Session {
 
 fn packs(cfg: &FedConfig, own_pk: &PublicKey) -> bool {
     cfg.paillier_mode == PaillierMode::Packed && own_pk.slot_layout().is_some()
+}
+
+/// The links bound of the host stack: every host-side entry point takes
+/// its guest links as `L: AsMut<[Session]>`, and a lone session is the
+/// one-link slice — so a two-party host passes `&mut sess` and an
+/// `M`-guest host passes `&mut sessions` to the same function.
+impl AsMut<[Session]> for Session {
+    fn as_mut(&mut self) -> &mut [Session] {
+        std::slice::from_mut(self)
+    }
+}
+
+/// Refuse a host-side call whose session slice is not the `want` links
+/// the model or layer was built over (`who` names it). Every such layer
+/// has at least one link, so an empty slice is refused here too.
+pub(crate) fn check_link_count(got: usize, want: usize, who: &str) -> TransportResult<()> {
+    if got != want {
+        return Err(TransportError::Setup(format!(
+            "{who} was initialised with {want} guest links but called with {got} sessions"
+        )));
+    }
+    Ok(())
 }
 
 /// Spawn a Party A thread and run `f_b` as Party B on the current

@@ -64,33 +64,45 @@ pub(crate) fn step_piece(
     delta
 }
 
+/// Receive a ciphertext upload the peer produced with
+/// [`Session::encrypt_upload`] and is not about to be decrypted (so
+/// `SecretKey::conforms` never sees it): `rows` rows in the geometry of
+/// `like` — any matrix of the same width under the same key that
+/// `encrypt_upload` laid out, which fixes the width, scale 1, backend,
+/// limb count and the scalar-or-packed layout with its slot geometry.
+///
+/// The upload is the peer's bytes. One that differs is a malformed
+/// payload, refused here before `matmul`, `t_matmul_support` or
+/// `rows_add_assign` can assert on it.
+pub(crate) fn recv_upload(sess: &Session, rows: usize, like: &CtMat) -> TransportResult<CtMat> {
+    let ct = sess.ep.recv_ct()?;
+    if ct.rows() != rows || !like.rows_conform(&ct) {
+        return Err(TransportError::Wire(WireError::Malformed(format!(
+            "upload is {}×{} at scale {} (packed: {}), expected {}×{} at scale {} (packed: {}) \
+             in the session's own geometry",
+            ct.rows(),
+            ct.cols(),
+            ct.scale(),
+            ct.is_packed(),
+            rows,
+            like.cols(),
+            like.scale(),
+            like.is_packed(),
+        ))));
+    }
+    Ok(ct)
+}
+
 /// The receiving end of [`step_piece`]'s delta (the `Recv and Update
 /// ⟦V⟧` steps of Figures 6 and 7): take the peer's freshly encrypted
-/// delta off the wire and add it into `rows` of `cache`.
-///
-/// The delta is the peer's bytes. One whose row count, width, scale,
-/// backend or packing geometry is not the cache's own is a malformed
-/// payload, refused here before `rows_add_assign` can assert on it.
+/// delta off the wire ([`recv_upload`], in the cache's own geometry)
+/// and add it into `rows` of `cache`.
 pub(crate) fn recv_refresh(
     sess: &Session,
     cache: &mut CtMat,
     rows: &[usize],
 ) -> TransportResult<()> {
-    let delta = sess.ep.recv_ct()?;
-    if delta.rows() != rows.len() || !cache.rows_conform(&delta) {
-        return Err(TransportError::Wire(WireError::Malformed(format!(
-            "cache-refresh delta is {}×{} at scale {} (packed: {}), expected {}×{} at scale {} \
-             (packed: {}) in the cache's own geometry",
-            delta.rows(),
-            delta.cols(),
-            delta.scale(),
-            delta.is_packed(),
-            rows.len(),
-            cache.cols(),
-            cache.scale(),
-            cache.is_packed(),
-        ))));
-    }
+    let delta = recv_upload(sess, rows.len(), cache)?;
     sess.peer_pk.rows_add_assign(cache, rows, &delta);
     Ok(())
 }
@@ -148,9 +160,13 @@ mod tests {
                 (|s| s.encrypt_upload(&m(2)), vec![1, 3]),
                 // A scalar delta for a packed cache.
                 (|s| s.own_pk.encrypt(&m(2), &s.obf), vec![1, 3]),
-                // One row too many, one too few.
+                // One row too many, one too few; one column too many.
                 (|s| s.encrypt_upload(&m(3)), vec![1, 3]),
                 (|s| s.encrypt_upload(&m(1)), vec![1, 3]),
+                (
+                    |s| s.encrypt_upload(&Dense::from_vec(2, 3, vec![0.5; 6])),
+                    vec![1, 3],
+                ),
                 // Another scale; then a well-formed delta still lands —
                 // the refusals left the cache as it was.
                 (|s| s.own_pk.encrypt_at_scale(&m(2), 2, &s.obf), vec![1, 3]),
@@ -158,7 +174,7 @@ mod tests {
             ],
         );
         let ok: Vec<bool> = results.iter().map(Result::is_ok).collect();
-        assert_eq!(ok, [true, false, false, false, false, true]);
+        assert_eq!(ok, [true, false, false, false, false, false, true]);
         for r in results.iter().filter(|r| r.is_err()) {
             assert!(
                 matches!(r, Err(TransportError::Wire(WireError::Malformed(_)))),

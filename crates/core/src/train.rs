@@ -1,14 +1,24 @@
 //! Federated training and inference runtime.
 //!
-//! [`run_party_a`] and [`run_party_b`] drive one party each over any
-//! [`Session`] — in-process or TCP (see `examples/tcp_federated_lr.rs`
-//! for the two-process deployment). [`train_federated`] is the
-//! single-machine convenience harness: Party A on its own thread,
-//! Party B on the caller's. Both parties derive the identical
-//! mini-batch schedule from a shared seed (the paper assumes
-//! PSI-aligned instances, so a common ordering is free), so no control
+//! Two training entry points, one per role: [`run_party_a`] drives a
+//! guest over its one [`Session`], [`run_party_b`] drives the host over
+//! its guest links — `&mut sess` for the two-party job, `&mut sessions`
+//! for `M` guests (paper Appendix C: every guest runs the same
+//! routines, so the `M`-guest host is the two-party host run once per
+//! link). Both work over any transport, in-process or TCP (see
+//! `examples/tcp_federated_lr.rs` and `examples/multiparty_lr.rs` for
+//! the one-process-per-party deployments). Every party derives the
+//! identical mini-batch schedule from a shared seed, so no control
 //! messages are needed: the protocols' own message flow is the only
 //! cross-party traffic.
+//!
+//! What kind of run it is rides on [`FedTrainConfig`], not on the
+//! function name:
+//!
+//! | field | `None` (default) | `Some(_)` |
+//! |---|---|---|
+//! | [`FedTrainConfig::align`] | the rows are pre-aligned | PSI over the sample-ID columns first ([`crate::align`]), then train on the intersection |
+//! | [`FedTrainConfig::resume`] | initialise a fresh model | continue from this checkpoint blob on the bit-identical loss curve |
 //!
 //! [`FedTrainConfig::mode`] selects the scheduling engine: the
 //! lock-step loop ([`TrainMode::Sync`]) or the pipelined engine
@@ -16,13 +26,14 @@
 //! double-buffers batch preparation — bit-identical results, less
 //! wall-clock (see [`crate::engine`] for the determinism contract).
 //!
-//! The multi-guest generalisation (paper Appendix C) keeps every
-//! guest on the unmodified [`run_party_a`]; Party B fans out over one
-//! session per guest via [`run_party_b_multi`], with
-//! [`train_federated_multi`] as the `M+1`-thread harness and
-//! `examples/multiparty_lr.rs` as the one-process-per-guest TCP
-//! deployment. `tests/multiparty_parity.rs` proves the equivalence
-//! contract (M-guest ≙ concatenated single-A, transports byte-equal).
+//! [`train_federated`] (two threads) and [`train_federated_multi`]
+//! (`M + 1` threads) are the single-machine harnesses. They hand every
+//! party the same [`FedTrainConfig`]; a run whose parties differ in
+//! their per-party fields (`checkpoint`, `fault`, `resume`, `align`)
+//! drives the two entry points directly, as `tests/chaos_parity.rs` and
+//! `tests/alignment_parity.rs` do. `tests/multiparty_parity.rs` proves
+//! the equivalence contract (M-guest ≙ concatenated single-A, `M = 1` ≡
+//! two-party bit for bit, transports byte-equal).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,12 +45,12 @@ use bf_mpc::transport::{Endpoint, TransportError, TransportResult};
 use bf_tensor::Dense;
 use bf_util::Stopwatch;
 
-use crate::align::{align_guest, align_host, align_host_multi, Alignment};
+use crate::align::{align_guest, align_host, AlignInput, Alignment};
 use crate::config::FedConfig;
 use crate::engine::{run_epoch, TrainMode};
-use crate::models::{FedSpec, MultiPartyBModel, PartyAModel, PartyBModel};
+use crate::models::{FedSpec, PartyAModel, PartyBModel};
 use crate::multiparty::{collect_guests, send_hello};
-use crate::persist::{self, AlignCursor, CheckpointA, CheckpointB, MultiCheckpointB};
+use crate::persist::{self, AlignCursor, PersistError};
 use crate::session::{multi_party_seed, run_pair, Role, Session};
 
 /// Mid-epoch checkpoint cadence: both parties must configure the same
@@ -62,7 +73,7 @@ pub struct CheckpointCadence {
 /// to tell an injected kill from a real transport failure.
 pub const FAULT_KILL_MARKER: &str = "fault injection: killed";
 
-/// Training-loop options for a federated run.
+/// Training-loop options for one party's federated run.
 #[derive(Clone, Debug, Default)]
 pub struct FedTrainConfig {
     /// Epoch / batch / shuffle parameters (shared with the plaintext
@@ -83,6 +94,25 @@ pub struct FedTrainConfig {
     /// Scripted fault injection for the chaos harness (`None` runs
     /// fault-free; [`FaultPlan::from_env`] reads the `BF_FAULT` knob).
     pub fault: Option<FaultPlan>,
+    /// Sample alignment: `Some` runs the PSI phase over this party's
+    /// sample-ID column right after the handshake and trains on the
+    /// intersection in canonical order; checkpoints then carry the
+    /// alignment cursor. `None` (the default) takes the train rows as
+    /// already aligned. Every party of a run must agree on which it is.
+    /// The test split must already be aligned across the parties.
+    pub align: Option<AlignInput>,
+    /// Resume: `Some` is this party's latest checkpoint blob (BFMD kind
+    /// 4 for a guest, 5 for a host, as [`CheckpointCadence::path`]
+    /// holds it). The session(s) must be freshly handshaken with the
+    /// *same* `(cfg, role, seed)` as the original run, so keys and
+    /// streams regenerate identically; the run restores the determinism
+    /// cursor(s), fast-forwards the batch schedule and lands on the
+    /// bit-identical loss curve. A checkpoint of an aligned run needs
+    /// `align` set as well: the selection is rebuilt from the
+    /// checkpointed ID list against the local column with **zero** wire
+    /// traffic, so the restored traffic totals (which already include
+    /// the original PSI phase) stay exact.
+    pub resume: Option<Vec<u8>>,
 }
 
 /// Atomic checkpoint write: to a `.tmp` sibling, then rename over the
@@ -102,7 +132,11 @@ fn write_checkpoint(path: &Path, bytes: &[u8]) -> TransportResult<()> {
 /// Fire the configured fault if it is scheduled after the run-wide
 /// batch that just completed. Runs *after* the cadence checkpoint, so
 /// a kill never outruns the snapshot that recovery needs.
-fn apply_fault(fault: Option<FaultPlan>, batch: u64, eps: &[&Endpoint]) -> TransportResult<()> {
+fn apply_fault<'a>(
+    fault: Option<FaultPlan>,
+    batch: u64,
+    eps: impl Iterator<Item = &'a Endpoint>,
+) -> TransportResult<()> {
     let Some(plan) = fault else { return Ok(()) };
     if !plan.fires_after(batch) {
         return Ok(());
@@ -121,6 +155,34 @@ fn apply_fault(fault: Option<FaultPlan>, batch: u64, eps: &[&Endpoint]) -> Trans
             std::thread::sleep(d);
             Ok(())
         }
+    }
+}
+
+/// A checkpoint blob the importer refused, as the run's setup error.
+fn bad_checkpoint(e: PersistError) -> TransportError {
+    TransportError::Setup(format!("cannot resume from the checkpoint: {e}"))
+}
+
+/// Settle the run's alignment. `resumed` is `None` on a fresh run and
+/// the checkpoint's alignment section on a resumed one: a fresh aligned
+/// run pays for `psi` on the wire; a resumed one rebuilds the selection
+/// from the checkpointed cursor, wire-free.
+fn resolve_alignment(
+    input: Option<&AlignInput>,
+    resumed: Option<Option<&AlignCursor>>,
+    psi: impl FnOnce(&AlignInput) -> TransportResult<Alignment>,
+) -> TransportResult<Option<Alignment>> {
+    match (input, resumed) {
+        (None, None | Some(None)) => Ok(None),
+        (Some(input), None) => psi(input).map(Some),
+        (Some(input), Some(Some(cur))) => Alignment::from_cursor(cur, &input.ids).map(Some),
+        (Some(_), Some(None)) => Err(TransportError::Setup(
+            "the run is configured to align, but its checkpoint is not PSI-aligned".into(),
+        )),
+        (None, Some(Some(_))) => Err(TransportError::Setup(
+            "checkpoint is PSI-aligned; set `align` to the local sample-ID column to resume it"
+                .into(),
+        )),
     }
 }
 
@@ -144,9 +206,9 @@ pub struct FedReport {
     pub stage_secs: Vec<(&'static str, f64)>,
 }
 
-/// Everything a federated run returns: the report plus both trained
-/// model halves (shares inspectable via their getters — used by the
-/// privacy experiments).
+/// Everything a two-party federated run returns: the report plus both
+/// trained model halves (shares inspectable via their getters — used by
+/// the privacy experiments).
 pub struct FedOutcome {
     /// Metrics and curves.
     pub report: FedReport,
@@ -166,9 +228,10 @@ fn eval_batches(n: usize, bs: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Train a federated model and run federated inference on the test
-/// split. `lr`/`momentum` are taken from `cfg` (the protocol applies
-/// them inside the secret-shared updates); `tc.base.lr` is ignored.
+/// Train a two-party federated model and run federated inference on the
+/// test split. `lr`/`momentum` are taken from `cfg` (the protocol
+/// applies them inside the secret-shared updates); `tc.base.lr` is
+/// ignored. Both parties get `tc` as it is (see the module docs).
 pub fn train_federated(
     spec: &FedSpec,
     cfg: &FedConfig,
@@ -181,8 +244,6 @@ pub fn train_federated(
 ) -> FedOutcome {
     let spec_a = spec.clone();
     let tc_a = tc.clone();
-    let spec_b = spec.clone();
-    let tc_b = tc.clone();
 
     let (party_a_res, party_b_res) = run_pair(
         cfg,
@@ -190,9 +251,7 @@ pub fn train_federated(
         move |mut sess| {
             run_party_a(&mut sess, &spec_a, &tc_a, &train_a, &test_a).expect("party A transport")
         },
-        move |mut sess| {
-            run_party_b(&mut sess, &spec_b, &tc_b, &train_b, &test_b).expect("party B transport")
-        },
+        |mut sess| run_party_b(&mut sess, spec, tc, &train_b, &test_b).expect("party B transport"),
     );
     FedOutcome {
         report: FedReport {
@@ -201,7 +260,7 @@ pub fn train_federated(
             test_metric: party_b_res.test_metric,
             train_secs: party_b_res.train_secs,
             bytes_a_to_b: party_a_res.bytes_sent,
-            bytes_b_to_a: party_b_res.bytes_sent,
+            bytes_b_to_a: party_b_res.bytes_sent_per_link[0],
             u_a_snapshots: party_a_res.u_a_snapshots,
             stage_secs: party_b_res.stage_secs,
         },
@@ -221,6 +280,9 @@ pub struct PartyARun {
     /// Wall-clock per pipeline stage, `(label, secs)` (see
     /// [`crate::engine::Stage`]).
     pub stage_secs: Vec<(&'static str, f64)>,
+    /// The guest-side alignment of an aligned run (`psi_bytes_sent` =
+    /// PSI bytes A→B; 0 when it was rebuilt from a checkpoint).
+    pub alignment: Option<Alignment>,
 }
 
 /// What [`run_party_b`] produces.
@@ -235,11 +297,16 @@ pub struct PartyBRun {
     pub test_metric: f64,
     /// Wall-clock seconds spent in the training loop.
     pub train_secs: f64,
-    /// Bytes this party sent over the whole run.
-    pub bytes_sent: u64,
-    /// Wall-clock per pipeline stage, `(label, secs)` (see
+    /// Bytes this party sent to each guest over the whole run, per
+    /// link (B→A(i)).
+    pub bytes_sent_per_link: Vec<u64>,
+    /// Wall-clock per pipeline stage, `(label, secs)`, over all links —
+    /// the sessions share one accumulator (see
     /// [`crate::engine::Stage`]).
     pub stage_secs: Vec<(&'static str, f64)>,
+    /// The host-side alignment of an aligned run: the global
+    /// intersection, with the PSI bytes B→A(i) per link.
+    pub alignment: Option<Alignment>,
 }
 
 /// Switch the session's transport into pipelined mode if the training
@@ -252,9 +319,12 @@ fn apply_mode(sess: &mut Session, mode: TrainMode) {
     }
 }
 
-/// Party A's side of a full training + federated-inference run. Works
-/// over any transport; a transport failure aborts the loop cleanly
-/// with the error instead of crashing the process.
+/// Party A's side of a full training + federated-inference run: align
+/// first if [`FedTrainConfig::align`] says so, start from
+/// [`FedTrainConfig::resume`] if there is one, train to the end, then
+/// run federated inference over `test`. Works over any transport; a
+/// transport failure aborts the loop cleanly with the error instead of
+/// crashing the process.
 pub fn run_party_a(
     sess: &mut Session,
     spec: &FedSpec,
@@ -262,111 +332,26 @@ pub fn run_party_a(
     train: &Dataset,
     test: &Dataset,
 ) -> TransportResult<PartyARun> {
-    apply_mode(sess, tc.mode);
-    let model = PartyAModel::init(sess, spec, train)?;
-    drive_party_a(sess, tc, train, test, model, 0, 0, None)
-}
-
-/// Resume Party A from a mid-epoch checkpoint: the session must be
-/// freshly handshaken with the *same* `(cfg, role, seed)` as the
-/// original run (so keys and streams regenerate identically); this
-/// restores the determinism cursor and fast-forwards the batch
-/// schedule, landing the run on the bit-identical loss curve.
-pub fn run_party_a_resume(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    cp: CheckpointA,
-) -> TransportResult<PartyARun> {
-    if cp.aligned.is_some() {
-        return Err(TransportError::Setup(
-            "checkpoint is PSI-aligned; resume with run_party_a_aligned_resume".into(),
-        ));
-    }
-    apply_mode(sess, tc.mode);
-    sess.restore_cursor(&cp.link);
-    drive_party_a(sess, tc, train, test, cp.model, cp.epoch, cp.batch, None)
-}
-
-/// Party A's side of a **PSI-aligned** run: after the handshake, run
-/// the guest side of the alignment phase over the session's endpoint
-/// (`ids[r]` = sample ID of local train row `r`), select the aligned
-/// train view in canonical order, then train exactly as
-/// [`run_party_a`] would. Checkpoints taken in this run embed the
-/// alignment cursor (persist kind 9), so a resume rebuilds the same
-/// selection wire-free. The test split must already be aligned across
-/// the parties.
-pub fn run_party_a_aligned(
-    sess: &mut Session,
-    spec: &FedSpec,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    ids: &[u64],
-) -> TransportResult<(Alignment, PartyARun)> {
-    let alignment = align_guest(sess, ids)?;
-    apply_mode(sess, tc.mode);
-    let train = alignment.select(train);
-    let model = PartyAModel::init(sess, spec, &train)?;
-    let run = drive_party_a(
-        sess,
-        tc,
-        &train,
-        test,
-        model,
-        0,
-        0,
-        Some(alignment.cursor()),
+    let cp = (tc.resume.as_deref().map(persist::import_checkpoint_a))
+        .transpose()
+        .map_err(bad_checkpoint)?;
+    let alignment = resolve_alignment(
+        tc.align.as_ref(),
+        cp.as_ref().map(|cp| cp.aligned.as_ref()),
+        |input| align_guest(sess, &input.ids),
     )?;
-    Ok((alignment, run))
-}
-
-/// Resume Party A from a PSI-aligned checkpoint: the selection is
-/// rebuilt from the checkpointed ID list against the local column —
-/// **zero wire traffic**, so the restored traffic totals (which
-/// already include the original PSI phase) stay exact.
-pub fn run_party_a_aligned_resume(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    ids: &[u64],
-    cp: CheckpointA,
-) -> TransportResult<(Alignment, PartyARun)> {
-    let cur = cp.aligned.ok_or_else(|| {
-        TransportError::Setup("checkpoint is not PSI-aligned; use run_party_a_resume".into())
-    })?;
-    let alignment = Alignment::from_cursor(&cur, ids)?;
     apply_mode(sess, tc.mode);
-    sess.restore_cursor(&cp.link);
-    let train = alignment.select(train);
-    let run = drive_party_a(
-        sess,
-        tc,
-        &train,
-        test,
-        cp.model,
-        cp.epoch,
-        cp.batch,
-        Some(cur),
-    )?;
-    Ok((alignment, run))
-}
+    let selected = alignment.as_ref().map(|a| a.select(train));
+    let train = selected.as_ref().unwrap_or(train);
+    let (mut model, start_epoch, start_batch) = match cp {
+        Some(cp) => {
+            sess.restore_cursor(&cp.link);
+            (cp.model, cp.epoch, cp.batch)
+        }
+        None => (PartyAModel::init(sess, spec, train)?, 0, 0),
+    };
+    let aligned = alignment.as_ref().map(Alignment::cursor);
 
-/// The shared Party A epoch loop: train from `(start_epoch,
-/// start_batch)` to the end, then run federated inference. Checkpoint
-/// cadence and fault injection hook the per-batch boundary.
-fn drive_party_a(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    mut model: PartyAModel,
-    start_epoch: u64,
-    start_batch: u64,
-    aligned: Option<AlignCursor>,
-) -> TransportResult<PartyARun> {
     let bpe = BatchIter::new(train.rows(), tc.base.batch_size, 0).batches_per_epoch() as u64;
     let mut snapshots = Vec::new();
     let mut global = start_epoch * bpe + start_batch;
@@ -397,7 +382,7 @@ fn drive_party_a(
                         write_checkpoint(&cad.path, &blob)?;
                     }
                 }
-                apply_fault(tc.fault, global, &[&sess.ep])?;
+                apply_fault(tc.fault, global, std::iter::once(&sess.ep))?;
                 global += 1;
                 TransportResult::Ok(())
             },
@@ -413,397 +398,78 @@ fn drive_party_a(
         let batch = test.select(&idx);
         model.forward(sess, &batch, false)?;
     }
-    let bytes = sess.ep.stats().bytes();
     Ok(PartyARun {
         model,
         u_a_snapshots: snapshots,
-        bytes_sent: bytes,
+        bytes_sent: sess.ep.stats().bytes(),
         stage_secs: sess.stages.snapshot(),
+        alignment,
     })
 }
 
 /// Party B's side of a full training + federated-inference run (the
 /// label holder: computes losses, drives the top model, reports the
-/// test metric).
-pub fn run_party_b(
-    sess: &mut Session,
-    spec: &FedSpec,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-) -> TransportResult<PartyBRun> {
-    apply_mode(sess, tc.mode);
-    let model = PartyBModel::init(sess, spec, train)?;
-    drive_party_b(sess, tc, train, test, model, Vec::new(), 0, 0, None)
-}
-
-/// Resume Party B from a mid-epoch checkpoint (see
-/// [`run_party_a_resume`] for the session contract). The checkpointed
-/// loss prefix carries over, so the final curve is seamless.
-pub fn run_party_b_resume(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    cp: CheckpointB,
-) -> TransportResult<PartyBRun> {
-    if cp.aligned.is_some() {
-        return Err(TransportError::Setup(
-            "checkpoint is PSI-aligned; resume with run_party_b_aligned_resume".into(),
-        ));
-    }
-    apply_mode(sess, tc.mode);
-    sess.restore_cursor(&cp.link);
-    drive_party_b(
-        sess, tc, train, test, cp.model, cp.losses, cp.epoch, cp.batch, None,
-    )
-}
-
-/// Party B's side of a **PSI-aligned** run: draw no salt here — pass
-/// [`crate::align::psi_salt`]`(seed)` so the salt derivation never
-/// touches the session mask RNG. Runs the host side of the alignment
-/// phase, selects the aligned train view, then trains exactly as
-/// [`run_party_b`] would; checkpoints embed the alignment cursor
-/// (persist kind 10).
-pub fn run_party_b_aligned(
-    sess: &mut Session,
-    spec: &FedSpec,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    salt: u64,
-    ids: &[u64],
-) -> TransportResult<(Alignment, PartyBRun)> {
-    let alignment = align_host(sess, salt, ids)?;
-    apply_mode(sess, tc.mode);
-    let train = alignment.select(train);
-    let model = PartyBModel::init(sess, spec, &train)?;
-    let run = drive_party_b(
-        sess,
-        tc,
-        &train,
-        test,
-        model,
-        Vec::new(),
-        0,
-        0,
-        Some(alignment.cursor()),
-    )?;
-    Ok((alignment, run))
-}
-
-/// Resume Party B from a PSI-aligned checkpoint (wire-free selection
-/// rebuild; see [`run_party_a_aligned_resume`]).
-pub fn run_party_b_aligned_resume(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    ids: &[u64],
-    cp: CheckpointB,
-) -> TransportResult<(Alignment, PartyBRun)> {
-    let cur = cp.aligned.ok_or_else(|| {
-        TransportError::Setup("checkpoint is not PSI-aligned; use run_party_b_resume".into())
-    })?;
-    let alignment = Alignment::from_cursor(&cur, ids)?;
-    apply_mode(sess, tc.mode);
-    sess.restore_cursor(&cp.link);
-    let train = alignment.select(train);
-    let run = drive_party_b(
-        sess,
-        tc,
-        &train,
-        test,
-        cp.model,
-        cp.losses,
-        cp.epoch,
-        cp.batch,
-        Some(cur),
-    )?;
-    Ok((alignment, run))
-}
-
-/// The shared Party B epoch loop (see [`drive_party_a`]).
-fn drive_party_b(
-    sess: &mut Session,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    mut model: PartyBModel,
-    mut losses: Vec<f64>,
-    start_epoch: u64,
-    start_batch: u64,
-    aligned: Option<AlignCursor>,
-) -> TransportResult<PartyBRun> {
-    let bpe = BatchIter::new(train.rows(), tc.base.batch_size, 0).batches_per_epoch() as u64;
-    let mut global = start_epoch * bpe + start_batch;
-    let mut sw = Stopwatch::new();
-    sw.start();
-    for epoch in (start_epoch as usize)..tc.base.epochs {
-        let skip = if epoch as u64 == start_epoch {
-            start_batch as usize
-        } else {
-            0
-        };
-        run_epoch(
-            tc.mode,
-            train,
-            tc.base.batch_size,
-            tc.base.seed ^ epoch as u64,
-            skip,
-            |batch| {
-                losses.push(model.train_batch(sess, &batch)?);
-                if let Some(cad) = &tc.checkpoint {
-                    if (global + 1) % cad.every_batches.max(1) == 0 {
-                        let blob = persist::export_checkpoint_b(
-                            epoch as u64,
-                            global % bpe + 1,
-                            &sess.capture_cursor(),
-                            aligned.as_ref(),
-                            &losses,
-                            &model,
-                        );
-                        write_checkpoint(&cad.path, &blob)?;
-                    }
-                }
-                apply_fault(tc.fault, global, &[&sess.ep])?;
-                global += 1;
-                TransportResult::Ok(())
-            },
-        )?;
-    }
-    sw.stop();
-
-    // Federated inference.
-    let mut logit_rows: Vec<f64> = Vec::new();
-    let out = model.out_dim();
-    for idx in eval_batches(test.rows(), tc.base.batch_size) {
-        let batch = test.select(&idx);
-        let logits = model.predict_batch(sess, &batch)?;
-        logit_rows.extend_from_slice(logits.data());
-    }
-    let test_logits = Dense::from_vec(test.rows(), out, logit_rows);
-    let labels = test.labels.as_ref().expect("test labels at Party B");
-    let metric = metric_from_logits(&test_logits, labels);
-    let bytes = sess.ep.stats().bytes();
-    Ok(PartyBRun {
-        model,
-        losses,
-        test_logits,
-        test_metric: metric,
-        train_secs: sw.secs(),
-        bytes_sent: bytes,
-        stage_secs: sess.stages.snapshot(),
-    })
-}
-
-/// What [`run_party_b_multi`] produces: [`PartyBRun`] generalised to
-/// `M` guest links (per-link traffic instead of a single peer).
-pub struct MultiPartyBRun {
-    /// The trained multi-guest Party B model half.
-    pub model: MultiPartyBModel,
-    /// Per-mini-batch training loss.
-    pub losses: Vec<f64>,
-    /// Test logits from the final federated inference pass.
-    pub test_logits: Dense,
-    /// Test metric (AUC for binary, accuracy for multi-class).
-    pub test_metric: f64,
-    /// Wall-clock seconds spent in the training loop.
-    pub train_secs: f64,
-    /// Bytes this party sent to each guest, per link (B→A(i)).
-    pub bytes_sent_per_link: Vec<u64>,
-    /// Wall-clock per pipeline stage, `(label, secs)`, aggregated
-    /// across all links (the sessions share one accumulator).
-    pub stage_secs: Vec<(&'static str, f64)>,
-}
-
-/// Party B's side of a full multi-guest training + federated-inference
-/// run over one [`Session`] per guest (Appendix C fan-out). Each guest
-/// runs the unmodified [`run_party_a`]; with one session this is
-/// bit-identical to [`run_party_b`] (module tests and
-/// `tests/multiparty_parity.rs` enforce it).
+/// test metric) over its guest links — `&mut sess` for one guest,
+/// `&mut sessions` (link order) for `M`; each guest runs
+/// [`run_party_a`]. Aligns first if [`FedTrainConfig::align`] says so
+/// (one global intersection, host ∩ every guest) and starts from
+/// [`FedTrainConfig::resume`] if there is one; a checkpoint whose link
+/// count is not the number of sessions supplied is a
+/// [`TransportError::Setup`], as is an empty slice.
 ///
-/// The sessions may ride on any transport — the in-process harness
-/// ([`train_federated_multi`]) or one TCP connection per guest process
-/// (`examples/multiparty_lr.rs`). All links share one stage-time
-/// accumulator, and in pipelined mode every link gets its own
-/// writer/reader (per-guest prefetch) from
+/// All links share one stage-time accumulator, and in pipelined mode
+/// every link gets its own writer/reader (per-guest prefetch) from
 /// [`bf_mpc::Endpoint::make_pipelined`].
-pub fn run_party_b_multi(
-    sessions: &mut [Session],
+pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
+    links: &mut L,
     spec: &FedSpec,
     tc: &FedTrainConfig,
     train: &Dataset,
     test: &Dataset,
-) -> TransportResult<MultiPartyBRun> {
-    if sessions.is_empty() {
+) -> TransportResult<PartyBRun> {
+    let links = links.as_mut();
+    if links.is_empty() {
         return Err(TransportError::Setup(
-            "run_party_b_multi needs at least one guest session (M = 0)".into(),
+            "run_party_b needs at least one guest session (M = 0)".into(),
         ));
+    }
+    let cp = (tc.resume.as_deref().map(persist::import_checkpoint_b))
+        .transpose()
+        .map_err(bad_checkpoint)?;
+    if let Some(cp) = cp.as_ref().filter(|cp| cp.links.len() != links.len()) {
+        return Err(TransportError::Setup(format!(
+            "checkpoint has {} link cursors but {} sessions were supplied",
+            cp.links.len(),
+            links.len()
+        )));
     }
     // One wall-clock accumulator across every link: the stage table
     // reports the B process, not one link of it.
-    let stages = Arc::clone(&sessions[0].stages);
-    for sess in sessions.iter_mut().skip(1) {
+    let stages = Arc::clone(&links[0].stages);
+    for sess in links.iter_mut().skip(1) {
         sess.stages = Arc::clone(&stages);
     }
-    for sess in sessions.iter_mut() {
-        apply_mode(sess, tc.mode);
-    }
-    let model = MultiPartyBModel::init(sessions, spec, train)?;
-    drive_party_b_multi(
-        sessions,
-        tc,
-        train,
-        test,
-        model,
-        Vec::new(),
-        0,
-        0,
-        stages,
-        None,
-    )
-}
-
-/// Multi-guest Party B's side of a **PSI-aligned** run: one global
-/// intersection (host ∩ every guest) is computed over all links, every
-/// party selects into the same canonical order, and training proceeds
-/// as [`run_party_b_multi`]. Returns the host's alignment, the PSI
-/// bytes sent per link, and the run. Checkpoints embed the alignment
-/// cursor (persist kind 11).
-pub fn run_party_b_multi_aligned(
-    sessions: &mut [Session],
-    spec: &FedSpec,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    salt: u64,
-    ids: &[u64],
-) -> TransportResult<(Alignment, Vec<u64>, MultiPartyBRun)> {
-    if sessions.is_empty() {
-        return Err(TransportError::Setup(
-            "run_party_b_multi_aligned needs at least one guest session (M = 0)".into(),
-        ));
-    }
-    let stages = Arc::clone(&sessions[0].stages);
-    for sess in sessions.iter_mut().skip(1) {
-        sess.stages = Arc::clone(&stages);
-    }
-    let (alignment, psi_bytes_per_link) = align_host_multi(sessions, salt, ids)?;
-    for sess in sessions.iter_mut() {
-        apply_mode(sess, tc.mode);
-    }
-    let train = alignment.select(train);
-    let model = MultiPartyBModel::init(sessions, spec, &train)?;
-    let run = drive_party_b_multi(
-        sessions,
-        tc,
-        &train,
-        test,
-        model,
-        Vec::new(),
-        0,
-        0,
-        stages,
-        Some(alignment.cursor()),
+    let alignment = resolve_alignment(
+        tc.align.as_ref(),
+        cp.as_ref().map(|cp| cp.aligned.as_ref()),
+        |input| align_host(links, input.salt, &input.ids),
     )?;
-    Ok((alignment, psi_bytes_per_link, run))
-}
-
-/// Resume multi-guest Party B from a PSI-aligned checkpoint
-/// (wire-free selection rebuild; see [`run_party_a_aligned_resume`]).
-pub fn run_party_b_multi_aligned_resume(
-    sessions: &mut [Session],
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    ids: &[u64],
-    cp: MultiCheckpointB,
-) -> TransportResult<(Alignment, MultiPartyBRun)> {
-    if sessions.len() != cp.links.len() {
-        return Err(TransportError::Setup(format!(
-            "checkpoint has {} link cursors but {} sessions were supplied",
-            cp.links.len(),
-            sessions.len()
-        )));
-    }
-    let cur = cp.aligned.ok_or_else(|| {
-        TransportError::Setup("checkpoint is not PSI-aligned; use run_party_b_multi_resume".into())
-    })?;
-    let alignment = Alignment::from_cursor(&cur, ids)?;
-    let stages = Arc::clone(&sessions[0].stages);
-    for sess in sessions.iter_mut().skip(1) {
-        sess.stages = Arc::clone(&stages);
-    }
-    for (sess, cursor) in sessions.iter_mut().zip(&cp.links) {
+    for sess in links.iter_mut() {
         apply_mode(sess, tc.mode);
-        sess.restore_cursor(cursor);
     }
-    let train = alignment.select(train);
-    let run = drive_party_b_multi(
-        sessions,
-        tc,
-        &train,
-        test,
-        cp.model,
-        cp.losses,
-        cp.epoch,
-        cp.batch,
-        stages,
-        Some(cur),
-    )?;
-    Ok((alignment, run))
-}
+    let selected = alignment.as_ref().map(|a| a.select(train));
+    let train = selected.as_ref().unwrap_or(train);
+    let (mut model, mut losses, start_epoch, start_batch) = match cp {
+        Some(cp) => {
+            for (sess, cursor) in links.iter_mut().zip(&cp.links) {
+                sess.restore_cursor(cursor);
+            }
+            (cp.model, cp.losses, cp.epoch, cp.batch)
+        }
+        None => (PartyBModel::init(links, spec, train)?, Vec::new(), 0, 0),
+    };
+    let aligned = alignment.as_ref().map(Alignment::cursor);
 
-/// Resume multi-guest Party B from a mid-epoch checkpoint: one freshly
-/// handshaken session per guest link, in the original link order (the
-/// checkpoint carries one determinism cursor per link).
-pub fn run_party_b_multi_resume(
-    sessions: &mut [Session],
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    cp: MultiCheckpointB,
-) -> TransportResult<MultiPartyBRun> {
-    if sessions.len() != cp.links.len() {
-        return Err(TransportError::Setup(format!(
-            "checkpoint has {} link cursors but {} sessions were supplied",
-            cp.links.len(),
-            sessions.len()
-        )));
-    }
-    if cp.aligned.is_some() {
-        return Err(TransportError::Setup(
-            "checkpoint is PSI-aligned; resume with run_party_b_multi_aligned_resume".into(),
-        ));
-    }
-    let stages = Arc::clone(&sessions[0].stages);
-    for sess in sessions.iter_mut().skip(1) {
-        sess.stages = Arc::clone(&stages);
-    }
-    for (sess, cursor) in sessions.iter_mut().zip(&cp.links) {
-        apply_mode(sess, tc.mode);
-        sess.restore_cursor(cursor);
-    }
-    drive_party_b_multi(
-        sessions, tc, train, test, cp.model, cp.losses, cp.epoch, cp.batch, stages, None,
-    )
-}
-
-/// The shared multi-guest Party B epoch loop (see [`drive_party_a`]).
-#[allow(clippy::too_many_arguments)]
-fn drive_party_b_multi(
-    sessions: &mut [Session],
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-    mut model: MultiPartyBModel,
-    mut losses: Vec<f64>,
-    start_epoch: u64,
-    start_batch: u64,
-    stages: Arc<crate::engine::StageTimes>,
-    aligned: Option<AlignCursor>,
-) -> TransportResult<MultiPartyBRun> {
     let bpe = BatchIter::new(train.rows(), tc.base.batch_size, 0).batches_per_epoch() as u64;
     let mut global = start_epoch * bpe + start_batch;
     let mut sw = Stopwatch::new();
@@ -821,12 +487,11 @@ fn drive_party_b_multi(
             tc.base.seed ^ epoch as u64,
             skip,
             |batch| {
-                losses.push(model.train_batch(sessions, &batch)?);
+                losses.push(model.train_batch(links, &batch)?);
                 if let Some(cad) = &tc.checkpoint {
                     if (global + 1) % cad.every_batches.max(1) == 0 {
-                        let cursors: Vec<_> =
-                            sessions.iter().map(Session::capture_cursor).collect();
-                        let blob = persist::export_checkpoint_multi_b(
+                        let cursors: Vec<_> = links.iter().map(Session::capture_cursor).collect();
+                        let blob = persist::export_checkpoint_b(
                             epoch as u64,
                             global % bpe + 1,
                             &cursors,
@@ -837,8 +502,7 @@ fn drive_party_b_multi(
                         write_checkpoint(&cad.path, &blob)?;
                     }
                 }
-                let eps: Vec<&Endpoint> = sessions.iter().map(|s| &s.ep).collect();
-                apply_fault(tc.fault, global, &eps)?;
+                apply_fault(tc.fault, global, links.iter().map(|s| &s.ep))?;
                 global += 1;
                 TransportResult::Ok(())
             },
@@ -851,57 +515,32 @@ fn drive_party_b_multi(
     let out = model.out_dim();
     for idx in eval_batches(test.rows(), tc.base.batch_size) {
         let batch = test.select(&idx);
-        let logits = model.predict_batch(sessions, &batch)?;
+        let logits = model.predict_batch(links, &batch)?;
         logit_rows.extend_from_slice(logits.data());
     }
     let test_logits = Dense::from_vec(test.rows(), out, logit_rows);
     let labels = test.labels.as_ref().expect("test labels at Party B");
     let metric = metric_from_logits(&test_logits, labels);
-    let bytes = sessions.iter().map(|s| s.ep.stats().bytes()).collect();
-    Ok(MultiPartyBRun {
+    Ok(PartyBRun {
         model,
         losses,
         test_logits,
         test_metric: metric,
         train_secs: sw.secs(),
-        bytes_sent_per_link: bytes,
+        bytes_sent_per_link: links.iter().map(|s| s.ep.stats().bytes()).collect(),
         stage_secs: stages.snapshot(),
+        alignment,
     })
 }
 
-/// Outcome of a multi-guest federated run: metrics/curves plus every
-/// trained model half (per-guest A halves and the multi B half).
-pub struct MultiFedOutcome {
-    /// Metrics and curves.
-    pub report: MultiFedReport,
-    /// One trained Party A half per guest, in link order.
-    pub guests: Vec<PartyARun>,
-    /// Party B's trained multi-guest run (model + per-link traffic).
-    pub party_b: MultiPartyBRun,
-}
-
-/// The [`FedReport`] counterpart for a multi-guest run, with per-link
-/// traffic accounting (the scaling bench plots these).
-pub struct MultiFedReport {
-    /// Per-mini-batch training loss (Party B's view).
-    pub losses: Vec<f64>,
-    /// Test metric (AUC for binary, accuracy for multi-class).
-    pub test_metric: f64,
-    /// Wall-clock seconds spent in Party B's training loop.
-    pub train_secs: f64,
-    /// Bytes sent A(i)→B per link.
-    pub bytes_a_to_b_per_link: Vec<u64>,
-    /// Bytes sent B→A(i) per link.
-    pub bytes_b_to_a_per_link: Vec<u64>,
-    /// Party B's wall-clock per pipeline stage, `(label, secs)`.
-    pub stage_secs: Vec<(&'static str, f64)>,
-}
-
 /// Train an `M`-guest federated model in process: one thread per guest
-/// (each running the unmodified [`run_party_a`] over its own channel
-/// pair, exactly as a separate guest process would over TCP), Party B
-/// on the caller's thread. `guests_train[i]` / `guests_test[i]` are
-/// the `i`-th guest's vertical slices (see `bf_datagen::vsplit_multi`).
+/// (each running [`run_party_a`] over its own channel pair, exactly as
+/// a separate guest process would over TCP), Party B on the caller's
+/// thread running [`run_party_b`] over the `M` links. `guests_train[i]`
+/// / `guests_test[i]` are the `i`-th guest's vertical slices (see
+/// `bf_datagen::vsplit_multi`). Returns every guest's run, in link
+/// order, and the host's; every party gets `tc` as it is (see the
+/// module docs).
 ///
 /// Every guest sends the [`bf_mpc::Msg::Hello`] link announcement
 /// before its handshake — the same wire prologue as the TCP
@@ -921,7 +560,7 @@ pub fn train_federated_multi(
     guests_test: Vec<Dataset>,
     test_b: Dataset,
     seed: u64,
-) -> MultiFedOutcome {
+) -> (Vec<PartyARun>, PartyBRun) {
     let m = guests_train.len();
     assert!(m >= 1, "train_federated_multi needs at least one guest");
     assert_eq!(m, guests_test.len(), "train/test guest slice counts differ");
@@ -962,23 +601,12 @@ pub fn train_federated_multi(
         })
         .collect();
     let party_b =
-        run_party_b_multi(&mut sessions, spec, tc, &train_b, &test_b).expect("party B transport");
-    let guests: Vec<PartyARun> = handles
+        run_party_b(&mut sessions, spec, tc, &train_b, &test_b).expect("party B transport");
+    let guests = handles
         .into_iter()
         .map(|h| h.join().expect("guest panicked"))
         .collect();
-    MultiFedOutcome {
-        report: MultiFedReport {
-            losses: party_b.losses.clone(),
-            test_metric: party_b.test_metric,
-            train_secs: party_b.train_secs,
-            bytes_a_to_b_per_link: guests.iter().map(|g| g.bytes_sent).collect(),
-            bytes_b_to_a_per_link: party_b.bytes_sent_per_link.clone(),
-            stage_secs: party_b.stage_secs.clone(),
-        },
-        guests,
-        party_b,
-    }
+    (guests, party_b)
 }
 
 #[cfg(test)]
@@ -1040,12 +668,11 @@ mod tests {
 
     #[test]
     fn single_guest_multi_run_is_bit_identical_to_two_party() {
-        // The multi-guest stack's reduction contract at unit-test
-        // scale: with M = 1 the Appendix C fan-out must reproduce the
-        // two-party run *bit for bit* — same losses, same metric, same
-        // traffic (the guest's extra Hello prologue is the only wire
-        // difference). The full matrix lives in
-        // tests/multiparty_parity.rs.
+        // The two harnesses at unit-test scale: with M = 1 the hello
+        // fan-in and per-link seeds must reproduce the two-party run
+        // *bit for bit* — same losses, same metric, same traffic (the
+        // guest's extra Hello prologue is the only wire difference).
+        // The full matrix lives in tests/multiparty_parity.rs.
         let ds_spec = dataset_spec("a9a").scaled(48, 1);
         let (train_ds, test_ds) = generate(&ds_spec, 23);
         let train_v = vsplit(&train_ds);
@@ -1071,7 +698,7 @@ mod tests {
             test_v.party_b.clone(),
             seed,
         );
-        let multi = train_federated_multi(
+        let (guests, multi) = train_federated_multi(
             &FedSpec::Glm { out: 1 },
             &cfg,
             &tc,
@@ -1081,27 +708,19 @@ mod tests {
             test_v.party_b.clone(),
             seed,
         );
-        assert_eq!(two.report.losses, multi.report.losses);
-        assert_eq!(two.report.test_metric, multi.report.test_metric);
-        assert_eq!(
-            multi.report.bytes_b_to_a_per_link,
-            vec![two.report.bytes_b_to_a]
-        );
+        assert_eq!(two.report.losses, multi.losses);
+        assert_eq!(two.report.test_metric, multi.test_metric);
+        assert_eq!(multi.bytes_sent_per_link, vec![two.report.bytes_b_to_a]);
         let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
-        assert_eq!(
-            multi.report.bytes_a_to_b_per_link,
-            vec![two.report.bytes_a_to_b + hello]
-        );
-        // The reconstructed weights agree too: U_B + Σ V_B(i) at B
-        // matches the two-party U_B, and the single guest's half is
-        // the unmodified PartyAModel.
+        assert_eq!(guests[0].bytes_sent, two.report.bytes_a_to_b + hello);
+        // The trained shares agree too, on both sides of the link.
         let mm_two = two.party_b.matmul().unwrap();
-        let mm_multi = multi.party_b.model.matmul().unwrap();
+        let mm_multi = multi.model.matmul().unwrap();
         assert_eq!(mm_two.u_own().data(), mm_multi.u_own().data());
-        assert_eq!(mm_two.v_peer().data(), mm_multi.v_a(0).data());
+        assert_eq!(mm_two.v_peer().data(), mm_multi.v_peer_of(0).data());
         assert_eq!(
             two.party_a.matmul().unwrap().u_own().data(),
-            multi.guests[0].model.matmul().unwrap().u_own().data()
+            guests[0].model.matmul().unwrap().u_own().data()
         );
     }
 

@@ -798,7 +798,7 @@ pub fn serve_gbdt_guest(
 
 /// Host serving loop for a trained forest over the standard request
 /// queue: identical coalescing, rejection and accounting semantics to
-/// [`crate::serve::serve_party_b_multi`], with the federated forward
+/// [`crate::serve::serve_party_b`], with the federated forward
 /// replaced by [`predict_gbdt_host`].
 pub fn serve_gbdt_host(
     sessions: &mut [Session],

@@ -8,10 +8,9 @@
 //! reconstructed post-update weights).
 
 use bf_tensor::{Dense, Features};
-use blindfl::config::FedConfig;
-use blindfl::multiparty::MultiMatMulB;
+use blindfl::config::{FedConfig, GradMode};
 use blindfl::session::{Role, Session};
-use blindfl::source::matmul::{aggregate_a, MatMulSource};
+use blindfl::source::matmul::{aggregate_a, aggregate_b, MatMulSource};
 use proptest::prelude::*;
 
 /// Drive `steps` train rounds (forward + backward) and one eval
@@ -22,8 +21,18 @@ fn multi_roundtrip(
     x_b: Features,
     out: usize,
     grads: Vec<Dense>,
-) -> (Vec<MatMulSource>, MultiMatMulB, Dense) {
-    let cfg = FedConfig::plain();
+) -> (Vec<MatMulSource>, MatMulSource, Dense) {
+    multi_roundtrip_cfg(&FedConfig::plain(), xs_a, x_b, out, grads)
+}
+
+/// [`multi_roundtrip`] under any Plain-backend protocol configuration.
+fn multi_roundtrip_cfg(
+    cfg: &FedConfig,
+    xs_a: Vec<Features>,
+    x_b: Features,
+    out: usize,
+    grads: Vec<Dense>,
+) -> (Vec<MatMulSource>, MatMulSource, Dense) {
     let steps = grads.len();
     let mut eps_b = Vec::new();
     let mut handles = Vec::new();
@@ -49,12 +58,20 @@ fn multi_roundtrip(
         .enumerate()
         .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 900 + i as u64).unwrap())
         .collect();
-    let mut layer_b = MultiMatMulB::init(&mut sessions, x_b.cols(), out).unwrap();
+    let mut layer_b = MatMulSource::init(&mut sessions, x_b.cols(), out).unwrap();
+    // The host's share, then every guest's folded in.
+    let forward = |layer_b: &mut MatMulSource, sessions: &mut Vec<Session>, train: bool| {
+        let mut z = layer_b.forward(sessions, &x_b, train).unwrap();
+        for sess in sessions.iter() {
+            z = aggregate_b(sess, z).unwrap();
+        }
+        z
+    };
     for g in &grads {
-        let _ = layer_b.forward(&mut sessions, &x_b, true).unwrap();
-        layer_b.backward(&mut sessions, g).unwrap();
+        let _ = forward(&mut layer_b, &mut sessions, true);
+        layer_b.backward_b(&mut sessions, g).unwrap();
     }
-    let z = layer_b.forward(&mut sessions, &x_b, false).unwrap();
+    let z = forward(&mut layer_b, &mut sessions, false);
     let layers_a = handles
         .into_iter()
         .map(|h| h.join().expect("guest thread"))
@@ -65,7 +82,7 @@ fn multi_roundtrip(
 /// Reference: plain dense matmul over the reconstructed weights.
 fn reference(
     layers_a: &[MatMulSource],
-    layer_b: &MultiMatMulB,
+    layer_b: &MatMulSource,
     xs_a: &[Features],
     x_b: &Features,
     rows: usize,
@@ -74,7 +91,7 @@ fn reference(
     let mut want = Dense::zeros(rows, out);
     let mut w_b = layer_b.u_own().clone();
     for (i, la) in layers_a.iter().enumerate() {
-        let w_a = la.u_own().add(layer_b.v_a(i));
+        let w_a = la.u_own().add(layer_b.v_peer_of(i));
         want.add_assign(&xs_a[i].matmul(&w_a));
         w_b.add_assign(la.v_peer());
     }
@@ -151,6 +168,39 @@ proptest! {
             z.approx_eq(&want, 1e-6),
             "post-update forward err {} (m={}, rows={}, steps={})",
             z.sub(&want).max_abs(), m, rows, steps
+        );
+    }
+
+    /// The Figure 9 ablation applies on every link of an M = 2 host:
+    /// each guest receives its gradient piece as a plaintext `Mat`
+    /// (a host that ignored the mode would ship a `Ct` into the
+    /// guest's `recv_mat`), applies the reconstructed `∇W_A(i)` to
+    /// `U_A(i)` alone, and the host's amplified `V_A(i)` stays frozen —
+    /// so the shares still reconstruct the post-update weights.
+    #[test]
+    fn plain_grad_ablation_applies_on_every_link(
+        rows in 1usize..=4,
+        out in 1usize..=2,
+        seed in 0u64..1000,
+    ) {
+        let cfg = FedConfig::plain().with_grad_mode(GradMode::PlainGradToA { v_scale: 5.0 });
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed * 41 + 7);
+        let xs_a: Vec<Features> = [2usize, 3]
+            .iter()
+            .map(|&d| Features::Dense(bf_tensor::init::uniform(&mut rng, rows, d, 1.5)))
+            .collect();
+        let x_b = Features::Dense(bf_tensor::init::uniform(&mut rng, rows, 2, 1.5));
+        let grads = vec![bf_tensor::init::uniform(&mut rng, rows, out, 0.2)];
+        let (_, frozen_b, _) = multi_roundtrip_cfg(&cfg, xs_a.clone(), x_b.clone(), out, vec![]);
+        let (layers_a, layer_b, z) =
+            multi_roundtrip_cfg(&cfg, xs_a.clone(), x_b.clone(), out, grads);
+        for i in 0..2 {
+            prop_assert_eq!(layer_b.v_peer_of(i).data(), frozen_b.v_peer_of(i).data());
+        }
+        let want = reference(&layers_a, &layer_b, &xs_a, &x_b, rows, out);
+        prop_assert!(
+            z.approx_eq(&want, 1e-6),
+            "post-update forward err {} (rows={})", z.sub(&want).max_abs(), rows
         );
     }
 }

@@ -3,22 +3,24 @@
 //! 1. **Byte-exact round trip** — for arbitrary model shapes (dims
 //!    down to 1×1 and 0-width feature blocks, trained over batches
 //!    including 0-row ones), `export(import(export(m))) == export(m)`
-//!    bit for bit, for both party halves and the multi-guest host
-//!    half, under the Plain and Paillier backends.
+//!    bit for bit, for the guest half and the host half over `M ≥ 1`
+//!    links, under the Plain and Paillier backends.
 //! 2. **Bit-identical resume** — a training run that round-trips both
 //!    model halves through bytes mid-run produces the *exact* loss
 //!    curve of the uninterrupted run: the blobs capture every piece,
 //!    momentum buffer and ciphertext cache the optimizer needs.
+//! 3. **One kind per role** (format `VERSION` 3) — `M ∈ {1, 2}`, with
+//!    and without the alignment section, go through the same host
+//!    kinds; the retired kind bytes (3, 6, 9, 10, 11) and `VERSION` 2
+//!    are typed errors at every importer.
 
 use bf_ml::data::{BatchIter, Dataset, Labels};
 use bf_tensor::Features;
 use blindfl::config::FedConfig;
-use blindfl::models::{FedSpec, MultiPartyBModel, PartyAModel, PartyBModel};
+use blindfl::models::{FedSpec, PartyAModel, PartyBModel};
 use blindfl::persist::{
-    export_checkpoint_a, export_checkpoint_b, export_checkpoint_multi_b, export_multi_party_b,
-    export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b,
-    import_checkpoint_multi_b, import_multi_party_b, import_party_a, import_party_b, AlignCursor,
-    LinkCursor,
+    export_checkpoint_a, export_checkpoint_b, export_party_a, export_party_b, import_checkpoint_a,
+    import_checkpoint_b, import_party_a, import_party_b, AlignCursor, LinkCursor, PersistError,
 };
 use blindfl::session::{multi_party_seed, run_pair, Role, Session};
 use proptest::prelude::*;
@@ -196,8 +198,8 @@ fn mlp_and_dlrm_tops_roundtrip() {
 
 #[test]
 fn multi_party_b_roundtrip_is_byte_exact() {
-    // M = 2 guests, WDL spec: exercises MultiMatMulB's per-link
-    // triples and MultiEmbedB's per-link pairwise submodels.
+    // M = 2 guests, WDL spec: exercises the host MatMul layer's
+    // per-link pieces and the per-link pairwise Embed submodels.
     let m = 2usize;
     let cfg = FedConfig::plain();
     let spec = FedSpec::Wdl {
@@ -237,16 +239,16 @@ fn multi_party_b_roundtrip_is_byte_exact() {
             Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, 60)).unwrap()
         })
         .collect();
-    let mut model_b = MultiPartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+    let mut model_b = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
     for _ in 0..2 {
         let batch = data_b.select(&(0..rows).collect::<Vec<_>>());
         model_b.train_batch(&mut sessions, &batch).unwrap();
     }
-    let bytes_b = export_multi_party_b(&model_b);
-    let reloaded = import_multi_party_b(&bytes_b).unwrap();
-    assert_eq!(export_multi_party_b(&reloaded), bytes_b);
+    let bytes_b = export_party_b(&model_b);
+    let reloaded = import_party_b(&bytes_b).unwrap();
+    assert_eq!(export_party_b(&reloaded), bytes_b);
     assert_eq!(reloaded.matmul().unwrap().parties(), m);
-    assert_eq!(reloaded.embed().unwrap().parties(), m);
+    assert_eq!(reloaded.embed_links().len(), m);
     for h in handles {
         let bytes_a = h.join().unwrap();
         assert_eq!(export_party_a(&import_party_a(&bytes_a).unwrap()), bytes_a);
@@ -365,12 +367,20 @@ fn truncated_and_corrupted_blobs_are_rejected() {
     let mut padded = bytes_b.clone();
     padded.push(0);
     assert!(import_party_b(&padded).is_err());
-    // Cross-kind confusion is a typed error.
+    // Cross-kind confusion is a typed error — the retired multi-guest
+    // host kind included.
     assert!(import_party_b(&bytes_a).is_err());
-    assert!(import_multi_party_b(&bytes_b).is_err());
+    assert!(import_party_b(&with_kind(&bytes_b, 3)).is_err());
 }
 
-/// Mid-epoch checkpoint blobs (BFMD kinds 4–6) obey the same
+/// `blob` with its kind byte overwritten.
+fn with_kind(blob: &[u8], kind: u8) -> Vec<u8> {
+    let mut out = blob.to_vec();
+    out[5] = kind;
+    out
+}
+
+/// Mid-epoch checkpoint blobs (BFMD kinds 4–5) obey the same
 /// contracts as the model kinds: byte-exact round trip over arbitrary
 /// shapes and cursors, typed rejection of truncation, trailing
 /// garbage, header corruption, and cross-kind confusion.
@@ -419,17 +429,17 @@ mod checkpoints {
             let model_b = import_party_b(&bytes_b).unwrap();
 
             let cp_a = export_checkpoint_a(epoch, batch, &cur, None, &model_a);
-            let cp_b = export_checkpoint_b(epoch, batch, &cur, None, &losses, &model_b);
+            let cp_b = export_checkpoint_b(epoch, batch, &[cur], None, &losses, &model_b);
 
             // Byte-exact round trip, cursor included.
             let back_a = import_checkpoint_a(&cp_a).unwrap();
             prop_assert_eq!((back_a.epoch, back_a.batch, back_a.link), (epoch, batch, cur));
             prop_assert_eq!(export_checkpoint_a(back_a.epoch, back_a.batch, &back_a.link, back_a.aligned.as_ref(), &back_a.model), cp_a.clone());
             let back_b = import_checkpoint_b(&cp_b).unwrap();
-            prop_assert_eq!((back_b.epoch, back_b.batch, back_b.link), (epoch, batch, cur));
+            prop_assert_eq!((back_b.epoch, back_b.batch, back_b.links.clone()), (epoch, batch, vec![cur]));
             prop_assert_eq!(back_b.losses.len(), losses.len());
             prop_assert_eq!(
-                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.link, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
+                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.links, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
                 cp_b.clone()
             );
 
@@ -447,7 +457,7 @@ mod checkpoints {
             // kinds (old decoders reject the new kinds and vice versa).
             prop_assert!(import_checkpoint_b(&cp_a).is_err());
             prop_assert!(import_checkpoint_a(&cp_b).is_err());
-            prop_assert!(import_checkpoint_multi_b(&cp_b).is_err());
+            prop_assert!(import_checkpoint_b(&with_kind(&cp_b, 6)).is_err());
             prop_assert!(import_party_a(&cp_a).is_err());
             prop_assert!(import_party_b(&cp_b).is_err());
             prop_assert!(import_checkpoint_a(&bytes_a).is_err());
@@ -462,9 +472,8 @@ mod checkpoints {
         }
     }
 
-    /// The multi-guest checkpoint kind: cursor-count validation on top
-    /// of the shared contracts (the model is borrowed from the
-    /// multi-party round-trip harness above).
+    /// A host checkpoint over M = 2 links: cursor-count validation on
+    /// top of the shared contracts.
     #[test]
     fn multi_checkpoint_roundtrip_and_link_count_guard() {
         let m = 2usize;
@@ -499,7 +508,7 @@ mod checkpoints {
                     .unwrap()
             })
             .collect();
-        let mut model = MultiPartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+        let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
         model
             .train_batch(
                 &mut sessions,
@@ -519,12 +528,12 @@ mod checkpoints {
             })
             .collect();
         let losses = vec![0.7, 0.65, f64::NAN];
-        let cp = export_checkpoint_multi_b(1, 2, &links, None, &losses, &model);
-        let back = import_checkpoint_multi_b(&cp).unwrap();
+        let cp = export_checkpoint_b(1, 2, &links, None, &losses, &model);
+        let back = import_checkpoint_b(&cp).unwrap();
         assert_eq!((back.epoch, back.batch), (1, 2));
         assert_eq!(back.links, links);
         assert_eq!(
-            export_checkpoint_multi_b(
+            export_checkpoint_b(
                 back.epoch,
                 back.batch,
                 &back.links,
@@ -537,25 +546,22 @@ mod checkpoints {
 
         // A cursor count that disagrees with the embedded model is a
         // typed error (import cross-checks `model.num_links()`).
-        let bad = export_checkpoint_multi_b(1, 2, &links[..1], None, &losses, &model);
-        assert!(import_checkpoint_multi_b(&bad).is_err());
+        let bad = export_checkpoint_b(1, 2, &links[..1], None, &losses, &model);
+        assert!(import_checkpoint_b(&bad).is_err());
         // Truncation sweep and cross-kind rejection hold here too.
         for cut in (0..cp.len()).step_by(7) {
-            assert!(
-                import_checkpoint_multi_b(&cp[..cut]).is_err(),
-                "prefix {cut}"
-            );
+            assert!(import_checkpoint_b(&cp[..cut]).is_err(), "prefix {cut}");
         }
-        assert!(import_checkpoint_b(&cp).is_err());
-        assert!(import_multi_party_b(&cp).is_err());
+        assert!(import_checkpoint_b(&with_kind(&cp, 6)).is_err());
+        assert!(import_party_b(&cp).is_err());
     }
 
     proptest! {
-        /// PSI-aligned checkpoints (kinds 9/10): the align-cursor
-        /// prefix round-trips byte-exactly, `aligned: None` blobs are
-        /// byte-identical to the pre-PSI kinds, truncation anywhere is
-        /// a typed error, and non-canonical (unsorted / duplicated)
-        /// ID lists are rejected on import.
+        /// PSI-aligned checkpoints: the optional alignment section
+        /// round-trips byte-exactly, an `aligned: None` blob differs
+        /// from it by exactly that section, truncation anywhere is a
+        /// typed error, and non-canonical (unsorted / duplicated) ID
+        /// lists are rejected on import.
         #[test]
         fn aligned_checkpoint_roundtrip_and_canonical_ids(
             salt in any::<u64>(),
@@ -583,18 +589,20 @@ mod checkpoints {
 
             let plain_a = export_checkpoint_a(epoch, batch, &cur, None, &model_a);
             let cp_a = export_checkpoint_a(epoch, batch, &cur, Some(&align), &model_a);
-            let cp_b = export_checkpoint_b(epoch, batch, &cur, Some(&align), &losses, &model_b);
+            let cp_b = export_checkpoint_b(epoch, batch, &[cur], Some(&align), &losses, &model_b);
 
-            // Kind byte differs, payload grows by exactly the prefix.
+            // Same kind; the section flag flips and the payload grows
+            // by exactly the section.
             prop_assert_eq!(cp_a.len(), plain_a.len() + 16 + 8 * align.ids.len());
-            prop_assert_eq!(&cp_a[6..], {
+            prop_assert_eq!((cp_a[5], plain_a[6], cp_a[6]), (plain_a[5], 0, 1));
+            prop_assert_eq!(&cp_a[7..], {
                 let mut want = Vec::new();
                 want.extend_from_slice(&align.salt.to_le_bytes());
                 want.extend_from_slice(&(align.ids.len() as u64).to_le_bytes());
                 for id in &align.ids {
                     want.extend_from_slice(&id.to_le_bytes());
                 }
-                want.extend_from_slice(&plain_a[6..]);
+                want.extend_from_slice(&plain_a[7..]);
                 want
             });
 
@@ -608,18 +616,20 @@ mod checkpoints {
             let back_b = import_checkpoint_b(&cp_b).unwrap();
             prop_assert_eq!(back_b.aligned.as_ref(), Some(&align));
             prop_assert_eq!(
-                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.link, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
+                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.links, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
                 cp_b.clone()
             );
 
             // Truncation sweep never panics, and cross-kind confusion
-            // (aligned A as aligned B, aligned vs model kinds) fails.
+            // (aligned A as aligned B, aligned vs model kinds, the
+            // retired aligned kinds) fails.
             for cut in 0..cp_a.len() {
                 prop_assert!(import_checkpoint_a(&cp_a[..cut]).is_err(), "prefix {}", cut);
             }
             prop_assert!(import_checkpoint_b(&cp_a).is_err());
             prop_assert!(import_checkpoint_a(&cp_b).is_err());
-            prop_assert!(import_checkpoint_multi_b(&cp_a).is_err());
+            prop_assert!(import_checkpoint_a(&with_kind(&cp_a, 9)).is_err());
+            prop_assert!(import_checkpoint_b(&with_kind(&cp_b, 10)).is_err());
             prop_assert!(import_party_a(&cp_a).is_err());
 
             // Non-canonical ID lists are malformed: descending order
@@ -658,8 +668,8 @@ mod checkpoints {
             },
         };
         let good = export_checkpoint_a(epoch, batch, cur, Some(&canon), model);
-        let body_at = 6 + 16 + 8 * canon.ids.len();
-        let mut out = good[..6].to_vec();
+        let body_at = 7 + 16 + 8 * canon.ids.len();
+        let mut out = good[..7].to_vec();
         out.extend_from_slice(&align.salt.to_le_bytes());
         out.extend_from_slice(&(align.ids.len() as u64).to_le_bytes());
         for id in &align.ids {
@@ -669,9 +679,9 @@ mod checkpoints {
         out
     }
 
-    /// Train a tiny `m`-guest multi model over in-process channels and
-    /// return Party B's half (enough structure for checkpoint tests).
-    fn train_multi_model(m: usize, rows: usize, seed: u64) -> MultiPartyBModel {
+    /// Train a tiny `m`-guest model over in-process channels and return
+    /// Party B's half (enough structure for checkpoint tests).
+    fn train_multi_model(m: usize, rows: usize, seed: u64) -> PartyBModel {
         let cfg = FedConfig::plain();
         let spec = FedSpec::Glm { out: 1 };
         let data_b = toy_data(rows, 3, &[], seed, 1);
@@ -701,7 +711,7 @@ mod checkpoints {
                     .unwrap()
             })
             .collect();
-        let mut model = MultiPartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+        let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
         model
             .train_batch(
                 &mut sessions,
@@ -714,7 +724,7 @@ mod checkpoints {
         model
     }
 
-    /// The multi-guest aligned kind (11) carries the same prefix.
+    /// A host checkpoint over two links carries the same section.
     #[test]
     fn aligned_multi_checkpoint_roundtrips() {
         let align = AlignCursor {
@@ -731,11 +741,230 @@ mod checkpoints {
             .collect();
         // Tiny two-guest run, then checkpoint with the align prefix.
         let model = train_multi_model(2, 4, 95);
-        let cp = export_checkpoint_multi_b(0, 1, &links, Some(&align), &[0.5], &model);
-        let back = import_checkpoint_multi_b(&cp).unwrap();
+        let cp = export_checkpoint_b(0, 1, &links, Some(&align), &[0.5], &model);
+        let back = import_checkpoint_b(&cp).unwrap();
         assert_eq!(back.aligned, Some(align));
         assert_eq!(back.links, links);
-        assert!(import_checkpoint_multi_b(&cp[..cp.len() - 1]).is_err());
-        assert!(import_checkpoint_b(&cp).is_err());
+        assert!(import_checkpoint_b(&cp[..cp.len() - 1]).is_err());
+        assert!(import_checkpoint_b(&with_kind(&cp, 11)).is_err());
+    }
+
+    /// `VERSION` 2 and the kind bytes `VERSION` 3 retired are typed
+    /// errors at every importer, whatever follows the header.
+    #[test]
+    fn retired_kinds_and_versions_are_typed_errors() {
+        let model = train_multi_model(1, 4, 97);
+        let cur = cursor_from(5);
+        let blobs = [
+            export_party_b(&model),
+            export_checkpoint_b(0, 1, &[cur], None, &[0.5], &model),
+        ];
+        type Import = fn(&[u8]) -> Option<PersistError>;
+        let importers: [Import; 4] = [
+            |b| import_party_a(b).err(),
+            |b| import_party_b(b).err(),
+            |b| import_checkpoint_a(b).err(),
+            |b| import_checkpoint_b(b).err(),
+        ];
+        for blob in &blobs {
+            let mut old = blob.clone();
+            old[4] = 2;
+            for import in importers {
+                assert_eq!(import(&old), Some(PersistError::UnsupportedVersion(2)));
+                for kind in [3u8, 6, 9, 10, 11] {
+                    assert!(
+                        matches!(
+                            import(&with_kind(blob, kind)),
+                            Some(PersistError::WrongKind { got, .. }) if got == kind
+                        ),
+                        "kind {kind}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The format change end to end: one generator drives `M ∈ {1, 2}`,
+/// with and without the alignment section, through the two training
+/// entry points and the one host checkpoint kind.
+mod one_host_kind {
+    use super::*;
+    use bf_mpc::transport::TransportError;
+    use blindfl::train::{run_party_a, run_party_b, CheckpointCadence, FedTrainConfig};
+    use blindfl::train::{PartyARun, PartyBRun};
+    use blindfl::{psi_salt, AlignInput};
+
+    const ROWS: usize = 13;
+    const SEED: u64 = 61;
+
+    fn spec() -> FedSpec {
+        FedSpec::Glm { out: 1 }
+    }
+
+    fn host_data() -> Dataset {
+        toy_data(ROWS, 3, &[], 299, 1)
+    }
+
+    /// Party `p`'s sample-ID column (`p = 0` is the host): every party
+    /// holds ids `1..ROWS` in its own order plus one private id.
+    fn ids(p: u64) -> Vec<u64> {
+        let mut ids: Vec<u64> = (1..ROWS as u64).collect();
+        ids.rotate_left(p as usize + 1);
+        ids.push(1000 + p);
+        ids
+    }
+
+    /// `M` freshly handshaken host sessions; every guest thread runs
+    /// `guest(i, sess)` and is returned for joining.
+    fn links<R: Send + 'static>(
+        m: usize,
+        guest: impl Fn(usize, Session) -> R + Send + Clone + 'static,
+    ) -> (Vec<Session>, Vec<std::thread::JoinHandle<R>>) {
+        let cfg = FedConfig::plain();
+        let mut handles = Vec::new();
+        let sessions = (0..m)
+            .map(|i| {
+                let (ep_a, ep_b) = bf_mpc::channel_pair();
+                let (cfg_a, guest) = (cfg.clone(), guest.clone());
+                handles.push(std::thread::spawn(move || {
+                    let seed = multi_party_seed(Role::A, i, SEED);
+                    guest(i, Session::handshake(ep_a, cfg_a, Role::A, seed).unwrap())
+                }));
+                Session::handshake(
+                    ep_b,
+                    cfg.clone(),
+                    Role::B,
+                    multi_party_seed(Role::B, i, SEED),
+                )
+                .unwrap()
+            })
+            .collect();
+        (sessions, handles)
+    }
+
+    /// One `m`-guest job; `tc(p)` is party `p`'s config (0 = host).
+    fn run_job(
+        m: usize,
+        tc: impl Fn(u64) -> FedTrainConfig + Send + Clone + 'static,
+    ) -> (Vec<PartyARun>, PartyBRun) {
+        let tc_a = tc.clone();
+        let (mut sessions, handles) = links(m, move |i, mut sess| {
+            let data = toy_data(ROWS, 2 + i, &[], 300 + i as u64, 0);
+            run_party_a(&mut sess, &spec(), &tc_a(i as u64 + 1), &data, &data).unwrap()
+        });
+        let data = host_data();
+        let host = run_party_b(&mut sessions, &spec(), &tc(0), &data, &data).unwrap();
+        (
+            handles.into_iter().map(|h| h.join().unwrap()).collect(),
+            host,
+        )
+    }
+
+    #[test]
+    fn resume_lands_on_the_loss_curve_for_every_m_and_alignment() {
+        for (m, aligned) in [(1, false), (1, true), (2, false), (2, true)] {
+            let path = move |p: u64| {
+                std::env::temp_dir().join(format!(
+                    "bf_persist_{}_{m}_{aligned}_{p}.ckpt",
+                    std::process::id()
+                ))
+            };
+            let tc = move |p: u64| FedTrainConfig {
+                base: bf_ml::TrainConfig {
+                    epochs: 3,
+                    batch_size: 4,
+                    ..Default::default()
+                },
+                checkpoint: Some(CheckpointCadence {
+                    every_batches: 4,
+                    path: path(p),
+                }),
+                align: aligned.then(|| AlignInput {
+                    ids: ids(p),
+                    salt: psi_salt(SEED),
+                }),
+                ..Default::default()
+            };
+            let (guests, host) = run_job(m, tc);
+            assert_eq!(host.alignment.is_some(), aligned);
+
+            // The host's latest checkpoint: mid-run, one cursor per
+            // link, the alignment section iff the run aligned, and
+            // byte-exact through the single host kind.
+            let blob = std::fs::read(path(0)).unwrap();
+            let cp = import_checkpoint_b(&blob).unwrap();
+            assert!(cp.losses.len() < host.losses.len(), "checkpoint at the end");
+            assert_eq!(cp.links.len(), m);
+            assert_eq!(cp.model.num_links(), m);
+            assert_eq!(cp.aligned.is_some(), aligned);
+            assert_eq!(
+                export_checkpoint_b(
+                    cp.epoch,
+                    cp.batch,
+                    &cp.links,
+                    cp.aligned.as_ref(),
+                    &cp.losses,
+                    &cp.model
+                ),
+                blob
+            );
+
+            // Every party resumes from its own file and lands on the
+            // uninterrupted run: curve, models, traffic totals.
+            let (re_guests, re_host) = run_job(m, move |p| FedTrainConfig {
+                resume: Some(std::fs::read(path(p)).unwrap()),
+                ..tc(p)
+            });
+            assert_eq!(re_host.losses, host.losses, "M={m} aligned={aligned}");
+            assert_eq!(export_party_b(&re_host.model), export_party_b(&host.model));
+            assert_eq!(re_host.bytes_sent_per_link, host.bytes_sent_per_link);
+            for (re, g) in re_guests.iter().zip(&guests) {
+                assert_eq!(export_party_a(&re.model), export_party_a(&g.model));
+                assert_eq!(re.bytes_sent, g.bytes_sent);
+            }
+            for p in 0..=m as u64 {
+                let _ = std::fs::remove_file(path(p));
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_over_other_links_than_supplied_is_a_setup_error() {
+        // A two-link host checkpoint, offered one session and none.
+        let model = {
+            let (mut sessions, handles) = links(2, |i, mut sess| {
+                let data = toy_data(ROWS, 2 + i, &[], 300 + i as u64, 0);
+                PartyAModel::init(&mut sess, &spec(), &data).map(drop)
+            });
+            let model = PartyBModel::init(&mut sessions, &spec(), &host_data()).unwrap();
+            for h in handles {
+                h.join().unwrap().unwrap();
+            }
+            model
+        };
+        let cursors = [LinkCursor {
+            rng: [1; 4],
+            obf_drawn: 0,
+            bytes_sent: 0,
+            msgs_sent: 0,
+        }; 2];
+        let tc = FedTrainConfig {
+            resume: Some(export_checkpoint_b(0, 0, &cursors, None, &[], &model)),
+            ..Default::default()
+        };
+        let (mut sessions, handles) = links(1, |_, sess| drop(sess));
+        let data = host_data();
+        for offered in [1, 0] {
+            let run = run_party_b(&mut sessions[..offered], &spec(), &tc, &data, &data);
+            assert!(
+                matches!(run, Err(TransportError::Setup(_))),
+                "{offered} sessions: {:?}",
+                run.err()
+            );
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
     }
 }

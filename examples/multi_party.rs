@@ -1,6 +1,6 @@
 //! Multi-party VFL (paper Appendix C): two feature providers (Party
 //! A₁, Party A₂) plus the label holder (Party B) jointly train one
-//! linear model with the multi-party MatMul source layer
+//! linear model with the MatMul source layer over two guest links
 //! (Algorithm 3). Every Party A runs the unmodified two-party code.
 //!
 //! ```text
@@ -11,11 +11,10 @@ use bf_datagen::{generate, spec};
 use bf_ml::data::BatchIter;
 use bf_ml::loss::bce_with_logits;
 use bf_ml::metrics::auc;
-use bf_tensor::{Csr, Features};
+use bf_tensor::{Csr, Dense, Features};
 use blindfl::config::FedConfig;
-use blindfl::multiparty::MultiMatMulB;
 use blindfl::session::{Role, Session};
-use blindfl::source::matmul::{aggregate_a, MatMulSource};
+use blindfl::source::matmul::{aggregate_a, aggregate_b, MatMulSource};
 
 fn main() {
     let dataset = spec("a9a").scaled(50, 1);
@@ -74,25 +73,38 @@ fn main() {
         }));
     }
 
-    // Party B drives the multi-party layer.
+    // Party B drives the same layer over both links: its own share,
+    // then each guest's folded in.
     let mut sessions: Vec<Session> = b_endpoints
         .into_iter()
         .enumerate()
         .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 20 + i as u64).unwrap())
         .collect();
-    let mut layer = MultiMatMulB::init(&mut sessions, xb.cols(), 1).unwrap();
+    let mut layer = MatMulSource::init(&mut sessions, xb.cols(), 1).unwrap();
+    fn forward(
+        layer: &mut MatMulSource,
+        sessions: &mut [Session],
+        x: &Features,
+        train: bool,
+    ) -> Dense {
+        let mut z = layer.forward(sessions, x, train).unwrap();
+        for sess in sessions.iter() {
+            z = aggregate_b(sess, z).unwrap();
+        }
+        z
+    }
     let mut last_loss = f64::NAN;
     for epoch in 0..epochs {
         for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
             let x_batch = xb.select_rows(&idx);
             let y_batch: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-            let z = layer.forward(&mut sessions, &x_batch, true).unwrap();
+            let z = forward(&mut layer, &mut sessions, &x_batch, true);
             let (loss, grad) = bce_with_logits(&z, &y_batch);
             last_loss = loss;
-            layer.backward(&mut sessions, &grad).unwrap();
+            layer.backward_b(&mut sessions, &grad).unwrap();
         }
     }
-    let z_test = layer.forward(&mut sessions, &tb, false).unwrap();
+    let z_test = forward(&mut layer, &mut sessions, &tb, false);
     for h in handles {
         h.join().unwrap();
     }

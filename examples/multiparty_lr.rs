@@ -33,7 +33,7 @@ use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
 use blindfl::multiparty::{collect_guests, send_hello};
 use blindfl::session::{multi_party_seed, Role, Session};
-use blindfl::train::{run_party_a, run_party_b_multi, train_federated_multi, FedTrainConfig};
+use blindfl::train::{run_party_a, run_party_b, train_federated_multi, FedTrainConfig};
 
 /// Shared run constants — every process must agree on these for the
 /// runs to be comparable (the protocol exchanges no hyper-parameters).
@@ -109,7 +109,7 @@ fn orchestrate(m: usize) {
     let (train_v, test_v) = datasets(m);
 
     println!("== in-process reference (channel transport, M = {m} guests) ==");
-    let reference = train_federated_multi(
+    let (_, reference) = train_federated_multi(
         &fed_spec(),
         &fed_config(),
         &train_config(),
@@ -119,10 +119,10 @@ fn orchestrate(m: usize) {
         test_v.party_b.clone(),
         SEED,
     );
-    let ref_loss = *reference.report.losses.last().unwrap();
+    let ref_loss = *reference.losses.last().unwrap();
     println!(
         "reference final loss = {ref_loss:.6}, AUC = {:.3}",
-        reference.report.test_metric
+        reference.test_metric
     );
 
     println!("== {m}-guest multi-process run (TCP transport) ==");
@@ -157,7 +157,7 @@ fn orchestrate(m: usize) {
             .expect("host handshake")
         })
         .collect();
-    let run = run_party_b_multi(
+    let run = run_party_b(
         &mut sessions,
         &fed_spec(),
         &train_config(),
@@ -180,7 +180,7 @@ fn orchestrate(m: usize) {
         "TCP loss {tcp_loss} diverged from in-process loss {ref_loss}"
     );
     assert_eq!(
-        run.bytes_sent_per_link, reference.report.bytes_b_to_a_per_link,
+        run.bytes_sent_per_link, reference.bytes_sent_per_link,
         "per-link B→A traffic must match the in-process transport exactly"
     );
     for (i, bytes) in run.bytes_sent_per_link.iter().enumerate() {

@@ -105,13 +105,13 @@ fn main() {
         "A→B traffic must match across modes exactly"
     );
     assert_eq!(
-        sync_b.bytes_sent, pipe_b.bytes_sent,
+        sync_b.bytes_sent_per_link, pipe_b.bytes_sent_per_link,
         "B→A traffic must match across modes exactly"
     );
 
     println!(
         "traffic parity: A→B {sync_bytes_a} bytes, B→A {} bytes (exact across modes)",
-        sync_b.bytes_sent
+        sync_b.bytes_sent_per_link[0]
     );
     println!("speedup: {:.2}x wall-clock", sync_secs / pipe_secs);
     let final_loss = sync_b.losses.last().unwrap();

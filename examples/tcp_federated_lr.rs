@@ -139,7 +139,8 @@ fn orchestrate() {
     assert!(status.success(), "guest process failed: {status}");
 
     let tcp_loss = *run.losses.last().unwrap();
-    println!("[host] sent {} bytes B→A", run.bytes_sent);
+    let bytes_sent = run.bytes_sent_per_link[0];
+    println!("[host] sent {bytes_sent} bytes B→A");
     println!("two-process TCP AUC = {:.3}", run.test_metric);
 
     // The whole point: same protocol, same bytes, same model — only
@@ -149,13 +150,10 @@ fn orchestrate() {
         "TCP loss {tcp_loss} diverged from in-process loss {ref_loss}"
     );
     assert_eq!(
-        run.bytes_sent, reference.report.bytes_b_to_a,
+        bytes_sent, reference.report.bytes_b_to_a,
         "B→A traffic must match the in-process transport exactly"
     );
-    println!(
-        "traffic parity: B→A {} bytes (exact match with in-process)",
-        run.bytes_sent
-    );
+    println!("traffic parity: B→A {bytes_sent} bytes (exact match with in-process)");
     println!("final loss = {tcp_loss:.6} (matches in-process within 1e-6)");
 }
 

@@ -55,11 +55,10 @@ use proptest::prelude::*;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
 use blindfl::multiparty::{collect_guests, send_hello};
-use blindfl::persist::{export_multi_party_b, export_party_a, export_party_b};
+use blindfl::persist::{export_party_a, export_party_b};
 use blindfl::session::{multi_party_seed, party_seed, Role, Session};
-use blindfl::train::{run_party_a, run_party_b, run_party_b_multi, FedTrainConfig};
-use blindfl::Alignment;
-use blindfl::{psi_salt, run_party_a_aligned, run_party_b_aligned, run_party_b_multi_aligned};
+use blindfl::train::{run_party_a, run_party_b, FedTrainConfig};
+use blindfl::{psi_salt, AlignInput, Alignment};
 
 const SEED: u64 = 31;
 const DATA_SEED: u64 = 23;
@@ -67,6 +66,17 @@ const EPOCHS: usize = 2;
 /// Overlap fraction of the misaligned splits: half the rows are
 /// common, the rest are dealt out as disjoint private remainders.
 const OVERLAP: f64 = 0.5;
+
+/// `tc` with the PSI phase switched on over `ids`.
+fn aligning(tc: &FedTrainConfig, ids: &[u64]) -> FedTrainConfig {
+    FedTrainConfig {
+        align: Some(AlignInput {
+            ids: ids.to_vec(),
+            salt: psi_salt(SEED),
+        }),
+        ..tc.clone()
+    }
+}
 
 fn base_tc(bs: usize) -> FedTrainConfig {
     FedTrainConfig {
@@ -174,7 +184,7 @@ fn two_party_baseline(
         losses: b.losses,
         metric: b.test_metric,
         bytes_a: vec![a.bytes_sent],
-        bytes_b: vec![b.bytes_sent],
+        bytes_b: b.bytes_sent_per_link,
         models_a: vec![export_party_a(&a.model)],
         model_b: export_party_b(&b.model),
     }
@@ -190,36 +200,40 @@ fn two_party_aligned(
     test_b: &Dataset,
 ) -> (CellRun, Alignment, Alignment) {
     let fed = FedSpec::Glm { out: 1 };
-    let salt = psi_salt(SEED);
-    let (fed_a, tc_a) = (fed.clone(), tc.clone());
-    let ((align_a, a), (align_b, b)) = run_pair_over(
+    let (fed_a, tc_a) = (fed.clone(), aligning(tc, &party_a.ids));
+    let tc_b = aligning(tc, &party_b.ids);
+    let (a, b) = run_pair_over(
         cfg,
         tcp,
-        move |sess| {
-            run_party_a_aligned(sess, &fed_a, &tc_a, &party_a.data, &test_a, &party_a.ids)
-                .expect("aligned A")
-        },
-        |sess| {
-            run_party_b_aligned(sess, &fed, tc, &party_b.data, test_b, salt, &party_b.ids)
-                .expect("aligned B")
-        },
+        move |sess| run_party_a(sess, &fed_a, &tc_a, &party_a.data, &test_a).expect("aligned A"),
+        |sess| run_party_b(sess, &fed, &tc_b, &party_b.data, test_b).expect("aligned B"),
     );
     let run = CellRun {
         losses: b.losses,
         metric: b.test_metric,
         bytes_a: vec![a.bytes_sent],
-        bytes_b: vec![b.bytes_sent],
+        bytes_b: b.bytes_sent_per_link,
         models_a: vec![export_party_a(&a.model)],
         model_b: export_party_b(&b.model),
     };
-    (run, align_a, align_b)
+    (
+        run,
+        a.alignment.expect("A ran unaligned"),
+        b.alignment.expect("B ran unaligned"),
+    )
 }
 
-/// The full parity experiment for one two-party cell.
+/// The full parity experiment for one two-party cell at [`OVERLAP`].
 fn assert_two_party_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
+    assert_two_party_parity_at(OVERLAP, cfg, row_div, bs, tcp);
+}
+
+/// The full parity experiment for one two-party cell; at `overlap`
+/// 1.0 every row is common and PSI only has to undo the shuffles.
+fn assert_two_party_parity_at(overlap: f64, cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
     let ds = dataset_spec("a9a").scaled(row_div, 1);
     let (train, test) = generate(&ds, DATA_SEED);
-    let mis = vsplit_misaligned(&train, OVERLAP, DATA_SEED);
+    let mis = vsplit_misaligned(&train, overlap, DATA_SEED);
     let test_v = vsplit(&test);
     let tc = base_tc(bs);
 
@@ -258,6 +272,11 @@ fn assert_two_party_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool)
 #[test]
 fn two_party_plain_in_process_psi_matches_pre_aligned() {
     assert_two_party_parity(FedConfig::plain(), 256, 16, false);
+}
+
+#[test]
+fn two_party_plain_in_process_full_overlap_psi_matches_pre_aligned() {
+    assert_two_party_parity_at(1.0, FedConfig::plain(), 256, 16, false);
 }
 
 #[test]
@@ -369,8 +388,7 @@ fn assert_multi_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
         })
         .collect();
     let (guests, b) = run_multi_over(&cfg, M, tcp, fas, |sessions| {
-        run_party_b_multi(sessions, &fed, &tc, &mis.aligned.party_b, &test_v.party_b)
-            .expect("baseline B")
+        run_party_b(sessions, &fed, &tc, &mis.aligned.party_b, &test_v.party_b).expect("baseline B")
     });
     let baseline = CellRun {
         losses: b.losses,
@@ -378,45 +396,39 @@ fn assert_multi_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
         bytes_a: guests.iter().map(|g| g.bytes_sent).collect(),
         bytes_b: b.bytes_sent_per_link.clone(),
         models_a: guests.iter().map(|g| export_party_a(&g.model)).collect(),
-        model_b: export_multi_party_b(&b.model),
+        model_b: export_party_b(&b.model),
     };
 
     // PSI-aligned run over the shuffled supersets.
-    let salt = psi_salt(SEED);
     let fas: Vec<_> = mis
         .guests
         .iter()
         .cloned()
         .zip(test_v.guests.iter().cloned())
         .map(|(party, test_a)| {
-            let (fed_a, tc_a) = (fed.clone(), tc.clone());
+            let (fed_a, tc_a) = (fed.clone(), aligning(&tc, &party.ids));
             move |sess: &mut Session| {
-                run_party_a_aligned(sess, &fed_a, &tc_a, &party.data, &test_a, &party.ids)
-                    .expect("aligned guest")
+                run_party_a(sess, &fed_a, &tc_a, &party.data, &test_a).expect("aligned guest")
             }
         })
         .collect();
-    let (guest_runs, (align_b, psi_b_per_link, b)) =
-        run_multi_over(&cfg, M, tcp, fas, |sessions| {
-            run_party_b_multi_aligned(
-                sessions,
-                &fed,
-                &tc,
-                &mis.party_b.data,
-                &test_v.party_b,
-                salt,
-                &mis.party_b.ids,
-            )
-            .expect("aligned B")
-        });
-    let (guest_aligns, guests): (Vec<Alignment>, Vec<_>) = guest_runs.into_iter().unzip();
+    let tc_b = aligning(&tc, &mis.party_b.ids);
+    let (guests, b) = run_multi_over(&cfg, M, tcp, fas, |sessions| {
+        run_party_b(sessions, &fed, &tc_b, &mis.party_b.data, &test_v.party_b).expect("aligned B")
+    });
+    let guest_aligns: Vec<Alignment> = guests
+        .iter()
+        .map(|g| g.alignment.clone().expect("guest ran unaligned"))
+        .collect();
+    let align_b = b.alignment.clone().expect("B ran unaligned");
+    let psi_b_per_link = align_b.psi_bytes_per_link.clone();
     let aligned = CellRun {
         losses: b.losses,
         metric: b.test_metric,
         bytes_a: guests.iter().map(|g| g.bytes_sent).collect(),
         bytes_b: b.bytes_sent_per_link.clone(),
         models_a: guests.iter().map(|g| export_party_a(&g.model)).collect(),
-        model_b: export_multi_party_b(&b.model),
+        model_b: export_party_b(&b.model),
     };
 
     // The global intersection (host ∩ every guest) is the planted

@@ -38,18 +38,13 @@ use bf_mpc::transport::TransportResult;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
 use blindfl::multiparty::{collect_guests, send_hello};
-use blindfl::persist::{
-    export_multi_party_b, export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b,
-    import_checkpoint_multi_b, CheckpointA, CheckpointB, MultiCheckpointB,
-};
+use blindfl::persist::{export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b};
 use blindfl::session::{multi_party_seed, party_seed, Role, Session};
 use blindfl::train::{
-    run_party_a, run_party_a_aligned, run_party_a_aligned_resume, run_party_a_resume, run_party_b,
-    run_party_b_aligned, run_party_b_aligned_resume, run_party_b_multi, run_party_b_multi_resume,
-    run_party_b_resume, CheckpointCadence, FedTrainConfig, MultiPartyBRun, PartyARun, PartyBRun,
+    run_party_a, run_party_b, CheckpointCadence, FedTrainConfig, PartyARun, PartyBRun,
     FAULT_KILL_MARKER,
 };
-use blindfl::{psi_salt, Alignment};
+use blindfl::{psi_salt, AlignInput, Alignment};
 
 const SEED: u64 = 29;
 const DATA_SEED: u64 = 17;
@@ -74,6 +69,12 @@ fn with_ckpt(mut tc: FedTrainConfig, path: &Path) -> FedTrainConfig {
         every_batches: EVERY,
         path: path.to_path_buf(),
     });
+    tc
+}
+
+/// `tc` resuming from the party's latest checkpoint file.
+fn with_resume(mut tc: FedTrainConfig, checkpoint: &Path) -> FedTrainConfig {
+    tc.resume = Some(std::fs::read(checkpoint).expect("checkpoint file"));
     tc
 }
 
@@ -161,7 +162,6 @@ fn run_two_party(
     tcp: bool,
     tc_a: FedTrainConfig,
     tc_b: FedTrainConfig,
-    resume: Option<(CheckpointA, CheckpointB)>,
 ) -> (TransportResult<PartyARun>, TransportResult<PartyBRun>) {
     let ds = dataset_spec("a9a").scaled(row_div, 1);
     let (train, test) = generate(&ds, DATA_SEED);
@@ -170,10 +170,6 @@ fn run_two_party(
     let fed = FedSpec::Glm { out: 1 };
 
     let (ep_a, ep_b) = endpoints(tcp);
-    let (cp_a, cp_b) = match resume {
-        Some((a, b)) => (Some(a), Some(b)),
-        None => (None, None),
-    };
     let cfg_a = cfg.clone();
     let fed_a = fed.clone();
     let (train_a, test_a) = (train_v.party_a.clone(), test_v.party_a.clone());
@@ -182,17 +178,11 @@ fn run_two_party(
         .stack_size(16 << 20)
         .spawn(move || {
             let mut sess = Session::handshake(ep_a, cfg_a, Role::A, party_seed(Role::A, SEED))?;
-            match cp_a {
-                None => run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a),
-                Some(cp) => run_party_a_resume(&mut sess, &tc_a, &train_a, &test_a, cp),
-            }
+            run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a)
         })
         .expect("spawn party A");
     let res_b = Session::handshake(ep_b, cfg.clone(), Role::B, party_seed(Role::B, SEED)).and_then(
-        |mut sess| match cp_b {
-            None => run_party_b(&mut sess, &fed, &tc_b, &train_v.party_b, &test_v.party_b),
-            Some(cp) => run_party_b_resume(&mut sess, &tc_b, &train_v.party_b, &test_v.party_b, cp),
-        },
+        |mut sess| run_party_b(&mut sess, &fed, &tc_b, &train_v.party_b, &test_v.party_b),
     );
     let res_a = guest.join().expect("party A panicked");
     (res_a, res_b)
@@ -203,7 +193,7 @@ fn collect_two_party(a: PartyARun, b: PartyBRun) -> CellRun {
         losses: b.losses,
         metric: b.test_metric,
         bytes_a: vec![a.bytes_sent],
-        bytes_b: vec![b.bytes_sent],
+        bytes_b: b.bytes_sent_per_link,
         models_a: vec![export_party_a(&a.model)],
         model_b: export_party_b(&b.model),
     }
@@ -216,7 +206,7 @@ fn assert_two_party_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usi
     let tc = base_tc(bs);
 
     // 1. Uninterrupted baseline.
-    let (ra, rb) = run_two_party(&cfg, row_div, tcp, tc.clone(), tc.clone(), None);
+    let (ra, rb) = run_two_party(&cfg, row_div, tcp, tc.clone(), tc.clone());
     let baseline = collect_two_party(ra.expect("baseline A"), rb.expect("baseline B"));
     assert_eq!(baseline.losses.len() as u64, total);
 
@@ -228,7 +218,6 @@ fn assert_two_party_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usi
         tcp,
         with_kill(with_ckpt(tc.clone(), &path_a), kill_at),
         with_ckpt(tc.clone(), &path_b),
-        None,
     );
     let err_a = ra.err().expect("A must die from the injected kill");
     assert!(
@@ -255,9 +244,8 @@ fn assert_two_party_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usi
         &cfg,
         row_div,
         tcp,
-        with_ckpt(tc.clone(), &path_a),
-        with_ckpt(tc, &path_b),
-        Some((cp_a, cp_b)),
+        with_resume(with_ckpt(tc.clone(), &path_a), &path_a),
+        with_resume(with_ckpt(tc, &path_b), &path_b),
     );
     let recovered = collect_two_party(ra.expect("resumed A"), rb.expect("resumed B"));
 
@@ -298,31 +286,21 @@ fn run_multi(
     tcp: bool,
     tcs_a: Vec<FedTrainConfig>,
     tc_b: FedTrainConfig,
-    resume: Option<(Vec<CheckpointA>, MultiCheckpointB)>,
-) -> (
-    Vec<TransportResult<PartyARun>>,
-    TransportResult<MultiPartyBRun>,
-) {
+) -> (Vec<TransportResult<PartyARun>>, TransportResult<PartyBRun>) {
     let ds = dataset_spec("a9a").scaled(row_div, 1);
     let (train, test) = generate(&ds, DATA_SEED);
     let train_v = vsplit_multi(&train, m);
     let test_v = vsplit_multi(&test, m);
     let fed = FedSpec::Glm { out: 1 };
 
-    let (cps_a, cp_b) = match resume {
-        Some((a, b)) => (a.into_iter().map(Some).collect::<Vec<_>>(), Some(b)),
-        None => ((0..m).map(|_| None).collect(), None),
-    };
-
     let listener = tcp.then(|| TcpListener::bind("127.0.0.1:0").expect("bind localhost"));
     let addr = listener.as_ref().map(|l| l.local_addr().unwrap());
     let mut host_eps = Vec::with_capacity(m);
     let mut handles = Vec::with_capacity(m);
-    for ((i, ((train_a, test_a), tc_a)), cp) in (train_v.guests.into_iter())
+    for (i, ((train_a, test_a), tc_a)) in (train_v.guests.into_iter())
         .zip(test_v.guests)
         .zip(tcs_a)
         .enumerate()
-        .zip(cps_a)
     {
         let ep_a = match addr {
             Some(addr) => Endpoint::tcp_connect(addr).expect("guest connect"),
@@ -346,10 +324,7 @@ fn run_multi(
                         Role::A,
                         multi_party_seed(Role::A, i, SEED),
                     )?;
-                    match cp {
-                        None => run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a),
-                        Some(cp) => run_party_a_resume(&mut sess, &tc_a, &train_a, &test_a, cp),
-                    }
+                    run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a)
                 })
                 .expect("spawn guest"),
         );
@@ -367,22 +342,13 @@ fn run_multi(
                 Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, SEED))
             })
             .collect::<TransportResult<Vec<Session>>>()?;
-        let res = match cp_b {
-            None => run_party_b_multi(
-                &mut sessions,
-                &fed,
-                &tc_b,
-                &train_v.party_b,
-                &test_v.party_b,
-            ),
-            Some(cp) => run_party_b_multi_resume(
-                &mut sessions,
-                &tc_b,
-                &train_v.party_b,
-                &test_v.party_b,
-                cp,
-            ),
-        };
+        let res = run_party_b(
+            &mut sessions,
+            &fed,
+            &tc_b,
+            &train_v.party_b,
+            &test_v.party_b,
+        );
         drop(sessions); // release the links so blocked guests fail fast
         res
     });
@@ -393,14 +359,14 @@ fn run_multi(
     (res_a, res_b)
 }
 
-fn collect_multi(guests: Vec<PartyARun>, b: MultiPartyBRun) -> CellRun {
+fn collect_multi(guests: Vec<PartyARun>, b: PartyBRun) -> CellRun {
     CellRun {
         losses: b.losses,
         metric: b.test_metric,
         bytes_a: guests.iter().map(|g| g.bytes_sent).collect(),
         bytes_b: b.bytes_sent_per_link.clone(),
         models_a: guests.iter().map(|g| export_party_a(&g.model)).collect(),
-        model_b: export_multi_party_b(&b.model),
+        model_b: export_party_b(&b.model),
     }
 }
 
@@ -414,7 +380,7 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
     let tc = base_tc(bs);
 
     // 1. Uninterrupted baseline.
-    let (ras, rb) = run_multi(&cfg, M, row_div, tcp, vec![tc.clone(); M], tc.clone(), None);
+    let (ras, rb) = run_multi(&cfg, M, row_div, tcp, vec![tc.clone(); M], tc.clone());
     let guests: Vec<PartyARun> = ras
         .into_iter()
         .map(|r| r.expect("baseline guest"))
@@ -435,15 +401,7 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
             }
         })
         .collect();
-    let (ras, rb) = run_multi(
-        &cfg,
-        M,
-        row_div,
-        tcp,
-        tcs_a,
-        with_ckpt(tc.clone(), &path_b),
-        None,
-    );
+    let (ras, rb) = run_multi(&cfg, M, row_div, tcp, tcs_a, with_ckpt(tc.clone(), &path_b));
     let err0 = ras[0].as_ref().err().expect("guest 0 must die");
     assert!(
         err0.to_string().contains(FAULT_KILL_MARKER),
@@ -453,14 +411,14 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
     assert!(rb.is_err(), "B must observe the dead guest");
 
     // 3. Restart all three parties from their latest checkpoints.
-    let cps_a: Vec<CheckpointA> = paths
+    let cps_a: Vec<_> = paths
         .iter()
         .map(|p| {
             import_checkpoint_a(&std::fs::read(p).expect("guest checkpoint file"))
                 .expect("guest checkpoint decodes")
         })
         .collect();
-    let cp_b = import_checkpoint_multi_b(&std::fs::read(&path_b).expect("B checkpoint file"))
+    let cp_b = import_checkpoint_b(&std::fs::read(&path_b).expect("B checkpoint file"))
         .expect("B checkpoint decodes");
     for cp in &cps_a {
         assert_eq!(
@@ -469,15 +427,16 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
             "every party's latest checkpoint must sit at the same batch"
         );
     }
-    let tcs_a: Vec<FedTrainConfig> = (0..M).map(|i| with_ckpt(tc.clone(), &paths[i])).collect();
+    let tcs_a: Vec<FedTrainConfig> = (0..M)
+        .map(|i| with_resume(with_ckpt(tc.clone(), &paths[i]), &paths[i]))
+        .collect();
     let (ras, rb) = run_multi(
         &cfg,
         M,
         row_div,
         tcp,
         tcs_a,
-        with_ckpt(tc, &path_b),
-        Some((cps_a, cp_b)),
+        with_resume(with_ckpt(tc, &path_b), &path_b),
     );
     let guests: Vec<PartyARun> = ras.into_iter().map(|r| r.expect("resumed guest")).collect();
     let recovered = collect_multi(guests, rb.expect("resumed B"));
@@ -515,7 +474,7 @@ fn multi_guest_paillier_packed_tcp_recovers_bit_identically() {
 /// it leaves behind decode to the configured cadence position.
 fn assert_checkpointing_is_wire_silent(cell: &str, cfg: FedConfig, row_div: usize, bs: usize) {
     let tc = base_tc(bs);
-    let (ra, rb) = run_two_party(&cfg, row_div, false, tc.clone(), tc.clone(), None);
+    let (ra, rb) = run_two_party(&cfg, row_div, false, tc.clone(), tc.clone());
     let plainest = collect_two_party(ra.expect("A"), rb.expect("B"));
 
     let (path_a, path_b) = (tmp(&format!("{cell}_a")), tmp(&format!("{cell}_b")));
@@ -525,7 +484,6 @@ fn assert_checkpointing_is_wire_silent(cell: &str, cfg: FedConfig, row_div: usiz
         false,
         with_ckpt(tc.clone(), &path_a),
         with_ckpt(tc, &path_b),
-        None,
     );
     let checkpointed = collect_two_party(ra.expect("A"), rb.expect("B"));
     assert_eq!(
@@ -568,9 +526,8 @@ fn run_two_party_aligned(
     cfg: &FedConfig,
     row_div: usize,
     tcp: bool,
-    tc_a: FedTrainConfig,
-    tc_b: FedTrainConfig,
-    resume: Option<(CheckpointA, CheckpointB)>,
+    mut tc_a: FedTrainConfig,
+    mut tc_b: FedTrainConfig,
 ) -> (
     TransportResult<(Alignment, PartyARun)>,
     TransportResult<(Alignment, PartyBRun)>,
@@ -583,46 +540,31 @@ fn run_two_party_aligned(
     let fed = FedSpec::Glm { out: 1 };
 
     let (ep_a, ep_b) = endpoints(tcp);
-    let (cp_a, cp_b) = match resume {
-        Some((a, b)) => (Some(a), Some(b)),
-        None => (None, None),
-    };
     let cfg_a = cfg.clone();
     let fed_a = fed.clone();
-    let (train_a, ids_a) = (mis.party_a.data.clone(), mis.party_a.ids.clone());
+    let train_a = mis.party_a.data.clone();
+    tc_a.align = Some(AlignInput {
+        ids: mis.party_a.ids.clone(),
+        salt,
+    });
+    tc_b.align = Some(AlignInput {
+        ids: mis.party_b.ids.clone(),
+        salt,
+    });
     let test_a = test_v.party_a.clone();
     let guest = std::thread::Builder::new()
         .name("chaos-aligned-a".into())
         .stack_size(16 << 20)
         .spawn(move || {
             let mut sess = Session::handshake(ep_a, cfg_a, Role::A, party_seed(Role::A, SEED))?;
-            match cp_a {
-                None => run_party_a_aligned(&mut sess, &fed_a, &tc_a, &train_a, &test_a, &ids_a),
-                Some(cp) => {
-                    run_party_a_aligned_resume(&mut sess, &tc_a, &train_a, &test_a, &ids_a, cp)
-                }
-            }
+            let mut run = run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a)?;
+            Ok((run.alignment.take().expect("A ran unaligned"), run))
         })
         .expect("spawn party A");
     let res_b = Session::handshake(ep_b, cfg.clone(), Role::B, party_seed(Role::B, SEED)).and_then(
-        |mut sess| match cp_b {
-            None => run_party_b_aligned(
-                &mut sess,
-                &fed,
-                &tc_b,
-                &mis.party_b.data,
-                &test_v.party_b,
-                salt,
-                &mis.party_b.ids,
-            ),
-            Some(cp) => run_party_b_aligned_resume(
-                &mut sess,
-                &tc_b,
-                &mis.party_b.data,
-                &test_v.party_b,
-                &mis.party_b.ids,
-                cp,
-            ),
+        |mut sess| {
+            let mut run = run_party_b(&mut sess, &fed, &tc_b, &mis.party_b.data, &test_v.party_b)?;
+            Ok((run.alignment.take().expect("B ran unaligned"), run))
         },
     );
     let res_a = guest.join().expect("party A panicked");
@@ -643,7 +585,7 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
     let tc = base_tc(bs);
 
     // 1. Uninterrupted aligned baseline (totals include the PSI phase).
-    let (ra, rb) = run_two_party_aligned(&cfg, row_div, tcp, tc.clone(), tc.clone(), None);
+    let (ra, rb) = run_two_party_aligned(&cfg, row_div, tcp, tc.clone(), tc.clone());
     let (al_a, a) = ra.expect("baseline A");
     let (al_b, b) = rb.expect("baseline B");
     assert!(al_a.psi_bytes_sent > 0 && al_b.psi_bytes_sent > 0);
@@ -658,7 +600,6 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
         tcp,
         with_kill(with_ckpt(tc.clone(), &path_a), kill_at),
         with_ckpt(tc.clone(), &path_b),
-        None,
     );
     let err_a = ra.err().expect("A must die from the injected kill");
     assert!(
@@ -667,8 +608,9 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
     );
     assert!(rb.is_err(), "B must observe the dead peer");
 
-    // 3. The checkpoints embed the alignment cursor (persist kinds
-    //    9–10), pointing at exactly the intersection the run selected.
+    // 3. The checkpoints carry the alignment cursor (the optional
+    //    section of persist kinds 4–5), pointing at exactly the
+    //    intersection the run selected.
     let cp_a = import_checkpoint_a(&std::fs::read(&path_a).expect("A checkpoint file"))
         .expect("A checkpoint decodes");
     let cp_b = import_checkpoint_b(&std::fs::read(&path_b).expect("B checkpoint file"))
@@ -695,9 +637,8 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
         &cfg,
         row_div,
         tcp,
-        with_ckpt(tc.clone(), &path_a),
-        with_ckpt(tc, &path_b),
-        Some((cp_a, cp_b)),
+        with_resume(with_ckpt(tc.clone(), &path_a), &path_a),
+        with_resume(with_ckpt(tc, &path_b), &path_b),
     );
     let (ral_a, a) = ra.expect("resumed A");
     let (ral_b, b) = rb.expect("resumed B");

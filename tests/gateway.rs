@@ -44,15 +44,12 @@ use blindfl::gateway::{
     gateway_replica_seed, run_gateway, GatewayClient, GatewayConfig, GatewayReject, GatewayReplica,
     GatewayReport,
 };
-use blindfl::models::{FedSpec, MultiPartyBModel};
+use blindfl::models::{FedSpec, PartyBModel};
 use blindfl::multiparty::{collect_guests, send_hello};
-use blindfl::persist::{
-    export_multi_party_b, export_party_a, export_party_b, import_multi_party_b, import_party_a,
-    import_party_b,
-};
+use blindfl::persist::{export_party_a, export_party_b, import_party_a, import_party_b};
 use blindfl::serve::serve_party_a;
 use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
-use blindfl::train::{run_party_a, run_party_b, run_party_b_multi, FedTrainConfig};
+use blindfl::train::{run_party_a, run_party_b, FedTrainConfig};
 
 const TRAIN_SEED: u64 = 41;
 const SERVE_SEED: u64 = 42;
@@ -460,12 +457,12 @@ fn train_and_export_multi(cfg: &FedConfig, m: usize, rows: usize) -> TrainedMult
                 Session::handshake(ep, cfg.clone(), Role::B, seed).unwrap()
             })
             .collect();
-        let host = run_party_b_multi(&mut sessions, &spec, &tc, &train_v.party_b, &test_v.party_b)
-            .unwrap();
+        let host =
+            run_party_b(&mut sessions, &spec, &tc, &train_v.party_b, &test_v.party_b).unwrap();
         let (guest_bytes, guest_keys) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
         TrainedMulti {
             guest_bytes,
-            host_bytes: export_multi_party_b(&host.model),
+            host_bytes: export_party_b(&host.model),
             guest_keys,
             host_keys: sessions.iter().map(KeyPair::of).collect(),
             guest_stores: test_v.guests.clone(),
@@ -495,7 +492,7 @@ fn multi_guest_gateway<T: Send>(
                 let mut model = import_party_a(&t.guest_bytes[i]).unwrap();
                 serve_party_a(&mut sess, &mut model, &t.guest_stores[i]).unwrap();
             });
-            let model: MultiPartyBModel = import_multi_party_b(&t.host_bytes).unwrap();
+            let model: PartyBModel = import_party_b(&t.host_bytes).unwrap();
             replicas.push(GatewayReplica::MultiGuest { sessions, model });
         }
         let (stop_ref, store_b) = (&stop, &t.store_b);
@@ -533,7 +530,7 @@ fn replay_multi_guest(
                     .unwrap();
             }
         });
-        let mut model: MultiPartyBModel = import_multi_party_b(&t.host_bytes).unwrap();
+        let mut model: PartyBModel = import_party_b(&t.host_bytes).unwrap();
         let mut map = HashMap::new();
         for p in parts {
             let logits = model
@@ -710,6 +707,14 @@ fn shed_load_rejects_overflow_and_accounts_for_it() {
     assert_eq!(report.rejected, shed);
     assert_eq!(report.requests(), answered);
     assert_eq!(report.answered + report.rejected, n);
+    // The pipelined client held its plan in flight at once: the first
+    // batch sits out a WAN round trip while every later request, shed
+    // ones included, queues behind it in the connection's FIFO.
+    assert!(
+        report.peak_in_flight >= n / 2,
+        "peak in flight {} of {n} pipelined requests",
+        report.peak_in_flight
+    );
 }
 
 #[test]

@@ -39,7 +39,7 @@ use blindfl::models::FedSpec;
 use blindfl::multiparty::{collect_guests, send_hello};
 use blindfl::session::{multi_party_seed, Role, Session};
 use blindfl::train::{
-    run_party_a, run_party_b_multi, train_federated, train_federated_multi, FedTrainConfig,
+    run_party_a, run_party_b, train_federated, train_federated_multi, FedTrainConfig,
 };
 
 const SEED: u64 = 41;
@@ -81,14 +81,14 @@ struct MultiRun {
 /// Reconstruct the stacked effective weights from the trained halves.
 fn stacked_weights(
     guests: &[blindfl::train::PartyARun],
-    party_b: &blindfl::models::MultiPartyBModel,
+    party_b: &blindfl::models::PartyBModel,
 ) -> Dense {
     let mmb = party_b.matmul().expect("Glm has a MatMul source");
     let mut rows: Vec<f64> = Vec::new();
     let mut n_rows = 0;
     let out = mmb.u_own().cols();
     for (i, g) in guests.iter().enumerate() {
-        let w_a = g.model.matmul().unwrap().u_own().add(mmb.v_a(i));
+        let w_a = g.model.matmul().unwrap().u_own().add(mmb.v_peer_of(i));
         rows.extend_from_slice(w_a.data());
         n_rows += w_a.rows();
     }
@@ -105,15 +105,28 @@ fn stacked_weights(
 /// harness; `tcp = true` runs one socket per guest with the guests
 /// connecting concurrently (the hellos restore link order).
 fn run_multi(cfg: &FedConfig, m: usize, rows: usize, epochs: usize, tcp: bool) -> MultiRun {
-    let ds = dataset_spec("a9a").scaled(rows, 1);
+    run_multi_spec(cfg, &FedSpec::Glm { out: 1 }, "a9a", m, rows, epochs, tcp)
+}
+
+/// [`run_multi`] for any MatMul-source architecture and dataset.
+fn run_multi_spec(
+    cfg: &FedConfig,
+    fed: &FedSpec,
+    data: &str,
+    m: usize,
+    rows: usize,
+    epochs: usize,
+    tcp: bool,
+) -> MultiRun {
+    let ds = dataset_spec(data).scaled(rows, 1);
     let (train, test) = generate(&ds, DATA_SEED);
     let train_v = vsplit_multi(&train, m);
     let test_v = vsplit_multi(&test, m);
-    let fed = FedSpec::Glm { out: 1 };
+    let fed = fed.clone();
     let tc = train_cfg(epochs);
 
     if !tcp {
-        let out = train_federated_multi(
+        let (guests, b) = train_federated_multi(
             &fed,
             cfg,
             &tc,
@@ -124,11 +137,11 @@ fn run_multi(cfg: &FedConfig, m: usize, rows: usize, epochs: usize, tcp: bool) -
             SEED,
         );
         return MultiRun {
-            weights: stacked_weights(&out.guests, &out.party_b.model),
-            losses: out.report.losses,
-            test_metric: out.report.test_metric,
-            bytes_a_to_b: out.report.bytes_a_to_b_per_link,
-            bytes_b_to_a: out.report.bytes_b_to_a_per_link,
+            weights: stacked_weights(&guests, &b.model),
+            losses: b.losses,
+            test_metric: b.test_metric,
+            bytes_a_to_b: guests.iter().map(|g| g.bytes_sent).collect(),
+            bytes_b_to_a: b.bytes_sent_per_link,
         };
     }
 
@@ -166,7 +179,7 @@ fn run_multi(cfg: &FedConfig, m: usize, rows: usize, epochs: usize, tcp: bool) -
                 .expect("host handshake")
         })
         .collect();
-    let b = run_party_b_multi(&mut sessions, &fed, &tc, &train_v.party_b, &test_v.party_b)
+    let b = run_party_b(&mut sessions, &fed, &tc, &train_v.party_b, &test_v.party_b)
         .expect("party B run");
     let guests: Vec<blindfl::train::PartyARun> = handles
         .into_iter()
@@ -249,30 +262,46 @@ fn single_guest_is_the_two_party_baseline_bit_for_bit() {
     // Link 1 at full strength: the M = 1 multi run *is* the classic
     // two-party single-A run — identical losses, metric, and traffic
     // (the Hello prologue is the only extra frame, and its size is
-    // exactly accounted).
-    let rows = 64;
-    let ds = dataset_spec("a9a").scaled(rows, 1);
-    let (train, test) = generate(&ds, DATA_SEED);
-    let train_v = bf_datagen::vsplit(&train);
-    let test_v = bf_datagen::vsplit(&test);
-    let cfg = FedConfig::plain();
-    let tc = train_cfg(EPOCHS);
-    let two = train_federated(
-        &FedSpec::Glm { out: 1 },
-        &cfg,
-        &tc,
-        train_v.party_a.clone(),
-        train_v.party_b.clone(),
-        test_v.party_a.clone(),
-        test_v.party_b.clone(),
-        SEED,
-    );
-    let multi = run_multi(&cfg, 1, rows, EPOCHS, false);
-    assert_eq!(two.report.losses, multi.losses);
-    assert_eq!(two.report.test_metric, multi.test_metric);
-    assert_eq!(multi.bytes_b_to_a, vec![two.report.bytes_b_to_a]);
-    let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
-    assert_eq!(multi.bytes_a_to_b, vec![two.report.bytes_a_to_b + hello]);
+    // exactly accounted). The Packed cells have ≥ 2 output columns, so
+    // every upload of either party takes the packed layout: a host that
+    // shipped scalar ciphertexts to its one guest would show in the
+    // host→guest bytes.
+    let mlp = FedSpec::Mlp {
+        widths: vec![4, 3, 1],
+    };
+    let cells = [
+        (FedConfig::plain(), FedSpec::Glm { out: 1 }, "a9a", 64),
+        (
+            FedConfig::paillier_test(),
+            FedSpec::Glm { out: 3 },
+            "connect-4",
+            256,
+        ),
+        (FedConfig::paillier_test(), mlp, "a9a", 128),
+    ];
+    for (cfg, fed, data, rows) in cells {
+        let ds = dataset_spec(data).scaled(rows, 1);
+        let (train, test) = generate(&ds, DATA_SEED);
+        let train_v = bf_datagen::vsplit(&train);
+        let test_v = bf_datagen::vsplit(&test);
+        let tc = train_cfg(EPOCHS);
+        let two = train_federated(
+            &fed,
+            &cfg,
+            &tc,
+            train_v.party_a.clone(),
+            train_v.party_b.clone(),
+            test_v.party_a.clone(),
+            test_v.party_b.clone(),
+            SEED,
+        );
+        let multi = run_multi_spec(&cfg, &fed, data, 1, rows, EPOCHS, false);
+        assert_eq!(two.report.losses, multi.losses);
+        assert_eq!(two.report.test_metric, multi.test_metric);
+        assert_eq!(multi.bytes_b_to_a, vec![two.report.bytes_b_to_a]);
+        let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
+        assert_eq!(multi.bytes_a_to_b, vec![two.report.bytes_a_to_b + hello]);
+    }
 }
 
 /// Link 3 for one backend: in-process and TCP runs are bit-identical

@@ -86,7 +86,7 @@ fn run_one(cfg: &FedConfig, rows: usize, mode: TrainMode, tcp: bool) -> RunResul
         losses: run_b.losses,
         test_metric: run_b.test_metric,
         bytes_a_to_b,
-        bytes_b_to_a: run_b.bytes_sent,
+        bytes_b_to_a: run_b.bytes_sent_per_link[0],
     }
 }
 

@@ -20,12 +20,9 @@ use bf_datagen::{generate, spec, vsplit, vsplit_multi};
 use bf_ml::data::Dataset;
 use bf_mpc::{Endpoint, Msg};
 use blindfl::config::FedConfig;
-use blindfl::models::{FedSpec, MultiPartyBModel};
-use blindfl::persist::{
-    export_multi_party_b, export_party_a, export_party_b, import_multi_party_b, import_party_a,
-    import_party_b,
-};
-use blindfl::serve::{self, serve_party_a, serve_party_b, serve_party_b_multi, ServeConfig};
+use blindfl::models::{FedSpec, PartyBModel};
+use blindfl::persist::{export_party_a, export_party_b, import_party_a, import_party_b};
+use blindfl::serve::{self, serve_party_a, serve_party_b, ServeConfig};
 use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
 use blindfl::train::{train_federated, train_federated_multi, FedTrainConfig};
 
@@ -315,7 +312,7 @@ fn served_equals_direct_forward_multi_guest() {
     let train_v = vsplit_multi(&train, m);
     let test_v = vsplit_multi(&test, m);
     let test_guests = test_v.guests.clone();
-    let outcome = train_federated_multi(
+    let (guests, host) = train_federated_multi(
         &FedSpec::Glm { out: 1 },
         &cfg,
         &train_cfg(1),
@@ -325,12 +322,8 @@ fn served_equals_direct_forward_multi_guest() {
         test_v.party_b.clone(),
         TRAIN_SEED,
     );
-    let guest_bytes: Vec<Vec<u8>> = outcome
-        .guests
-        .iter()
-        .map(|g| export_party_a(&g.model))
-        .collect();
-    let host_bytes = export_multi_party_b(&outcome.party_b.model);
+    let guest_bytes: Vec<Vec<u8>> = guests.iter().map(|g| export_party_a(&g.model)).collect();
+    let host_bytes = export_party_b(&host.model);
     let n = test_v.party_b.rows();
 
     // Direct multi-guest prediction pass from the persisted state.
@@ -379,12 +372,12 @@ fn served_equals_direct_forward_multi_guest() {
                 .unwrap()
             })
             .collect();
-        let mut model: MultiPartyBModel = import_multi_party_b(&host_bytes).unwrap();
+        let mut model: PartyBModel = import_party_b(&host_bytes).unwrap();
         let bits = if serve_mode {
             let (client, queue) = serve::queue(n);
             let pending: Vec<_> = (0..n).map(|r| client.submit(r).unwrap()).collect();
             drop(client);
-            let report = serve_party_b_multi(
+            let report = serve_party_b(
                 &mut sessions,
                 &mut model,
                 &test_v.party_b,

@@ -116,14 +116,14 @@ fn assert_tcp_matches_in_process(cfg: FedConfig, rows: usize) {
 
     // One-epoch traffic parity, exact, in both directions.
     assert_eq!(
-        tcp_b.bytes_sent, reference.report.bytes_b_to_a,
+        tcp_b.bytes_sent_per_link[0], reference.report.bytes_b_to_a,
         "B→A bytes must match the in-process transport exactly"
     );
     assert_eq!(
         tcp_bytes_a, reference.report.bytes_a_to_b,
         "A→B bytes must match the in-process transport exactly"
     );
-    assert!(tcp_bytes_a > 0 && tcp_b.bytes_sent > 0);
+    assert!(tcp_bytes_a > 0 && tcp_b.bytes_sent_per_link[0] > 0);
 }
 
 #[test]
