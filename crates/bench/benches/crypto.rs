@@ -59,9 +59,9 @@ fn bench_paillier(c: &mut Criterion) {
     let ct = pk.encrypt(&m, &obf_pool);
     g.bench_function("decrypt_64_crt", |b| b.iter(|| sk.decrypt(&ct)));
 
-    // The packed hot path (4 slots per ciphertext at 512/32): the
-    // standing speedup target lives in `crypto_hotpath`; these rows
-    // keep the packed kernels visible in the bench-smoke timing table.
+    // The packed lane layout (4 slots per ciphertext at 512/32): these
+    // rows keep its kernels visible in the bench-smoke timing table; the
+    // end-to-end numbers are the ladder's (`bench/`).
     g.bench_function("encrypt_64_packed_pooled", |b| {
         b.iter(|| pk.encrypt_mode(&m, PaillierMode::Packed, &obf_pool))
     });

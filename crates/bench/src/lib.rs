@@ -26,7 +26,7 @@ pub fn cfg_timing() -> FedConfig {
     FedConfig {
         backend: Backend::Paillier { key_bits: 512 },
         frac_bits: 32,
-        obf_mode: ObfMode::from_env_or(ObfMode::Pool(64)),
+        obf_mode: ObfMode::Pool(64),
         paillier_mode: bf_paillier::PaillierMode::Packed,
         he_mask: 1e4,
         grad_mode: blindfl::config::GradMode::SecretShared,

@@ -67,7 +67,7 @@ impl FedConfig {
                 key_bits: bf_paillier::DEFAULT_KEY_BITS,
             },
             frac_bits: bf_paillier::DEFAULT_FRAC_BITS,
-            obf_mode: ObfMode::from_env_or(ObfMode::Pool(32)),
+            obf_mode: ObfMode::Pool(32),
             paillier_mode: PaillierMode::Packed,
             he_mask: 1e4,
             grad_mode: GradMode::SecretShared,
@@ -81,7 +81,7 @@ impl FedConfig {
         Self {
             backend: Backend::Paillier { key_bits: 256 },
             frac_bits: 24,
-            obf_mode: ObfMode::from_env_or(ObfMode::Pool(8)),
+            obf_mode: ObfMode::Pool(8),
             paillier_mode: PaillierMode::Packed,
             he_mask: 100.0,
             grad_mode: GradMode::SecretShared,

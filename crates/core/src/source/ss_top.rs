@@ -18,7 +18,7 @@
 //! SecureML-style piecewise approximations; they plug into the same
 //! [`MatMulSource::backward_ss`] interface.)
 
-use bf_mpc::convert::{he2ss_holder, he2ss_peer, ss2he_mode};
+use bf_mpc::convert::{he2ss_holder, he2ss_peer, ss2he};
 use bf_mpc::transport::{Msg, TransportResult};
 use bf_tensor::{Dense, Features};
 
@@ -49,7 +49,7 @@ impl MatMulSource {
         let _t = sess.stages.timer(Stage::SsTop);
         // Line 3: ⟨ε, ∇Z−ε⟩ → ⟦∇Z⟧ under the *peer's* key at each side,
         // in the session's ciphertext layout (same on both parties).
-        let ct_gz = ss2he_mode(
+        let ct_gz = ss2he(
             &sess.ep,
             &sess.own_pk,
             &sess.obf,
@@ -251,7 +251,7 @@ mod tests {
                 let x = Features::Dense(rand_dense(4, 2, 6));
                 let z = layer.forward_ss(&mut sess, &x, true).unwrap();
                 let (own_pk, peer_pk, mode) = (&sess.own_pk, &sess.peer_pk, sess.cfg.paillier_mode);
-                let ct_gz = ss2he_mode(&sess.ep, own_pk, &sess.obf, peer_pk, &z, mode).unwrap();
+                let ct_gz = ss2he(&sess.ep, own_pk, &sess.obf, peer_pk, &z, mode).unwrap();
                 let support = layer.take_cached_support();
                 sess.ep.send(Msg::Support(support.clone())).unwrap();
                 let peer_support = sess.ep.recv_support().unwrap();

@@ -655,22 +655,19 @@ pub fn run_gbdt_guest(
     }
     let indicator = Features::Sparse(Csr::from_triplets(n, total, triplets));
     let support: Vec<u32> = (0..total as u32).collect();
+    // The host's `encrypt_upload` of `⟦g|h⟧`, zero rows of it: the
+    // geometry (width, scale, backend, limbs, lane layout) every upload
+    // is held against before a kernel sees it. Zero rows draw no
+    // obfuscation.
+    let gh_like = sess
+        .peer_pk
+        .encrypt_mode(&Dense::zeros(0, 2), sess.cfg.paillier_mode, &sess.obf);
 
     let mut gh: Option<bf_paillier::CtMat> = None;
     let mut records: Vec<GbRecord> = Vec::new();
     loop {
         match sess.ep.recv_u64()? {
-            OP_NEW_TREE => {
-                let ct = sess.ep.recv_ct()?;
-                if ct.rows() != n || ct.cols() != 2 {
-                    return Err(TransportError::Setup(format!(
-                        "host uploaded a {}×{} gradient tensor for a {n}-row store",
-                        ct.rows(),
-                        ct.cols()
-                    )));
-                }
-                gh = Some(ct);
-            }
+            OP_NEW_TREE => gh = Some(crate::source::recv_upload(sess, n, &gh_like)?),
             OP_HIST => {
                 let rows = sess.ep.recv_support()?;
                 let idx = check_node_rows(&rows, n)?;
@@ -1067,6 +1064,70 @@ mod tests {
                 matches!(&err, TransportError::Wire(WireError::Malformed(_))),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn a_gradient_upload_the_guest_cannot_use_is_a_typed_error() {
+        // A host that uploads `⟦g|h⟧` in a geometry its own
+        // `encrypt_upload` of the `n × 2` gradients would not pick, then
+        // asks for the root histogram: at scale 2, as a Plain body, under
+        // a key of another limb count, one value per ciphertext where the
+        // session packs, one row too many. The honest upload is served.
+        use bf_paillier::{keygen, keys::plain_keys, CtMat, ObfMode, Obfuscator};
+        use rand::SeedableRng;
+        type Upload = fn(&Session, &Dense) -> CtMat;
+        let uploads: [(Upload, bool); 6] = [
+            (|s, gh| s.encrypt_upload(gh), true),
+            (|s, gh| s.own_pk.encrypt_at_scale(gh, 2, &s.obf), false),
+            (
+                |_, gh| {
+                    let (pk, _) = plain_keys(16);
+                    pk.encrypt(gh, &Obfuscator::new(&pk, ObfMode::Pool(2), 1))
+                },
+                false,
+            ),
+            (
+                |_, gh| {
+                    let (pk, _) = keygen(256, 16, &mut rand::rngs::StdRng::seed_from_u64(5));
+                    let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 1);
+                    pk.encrypt_mode(gh, PaillierMode::Packed, &obf)
+                },
+                false,
+            ),
+            (|s, gh| s.own_pk.encrypt(gh, &s.obf), false),
+            (|s, gh| s.encrypt_upload(&gh.select_rows(&[0; 17])), false),
+        ];
+        let cfg = folding_cfg();
+        let p = params(&cfg);
+        let store = vsplit_multi(&generate_tree(16, 4, 3), 1).guests.remove(0);
+        for (upload, honest) in uploads {
+            let (guest, ()) = crate::session::run_pair(
+                &cfg,
+                9,
+                {
+                    let (p, store) = (p.clone(), store.clone());
+                    move |mut sess| run_gbdt_guest(&mut sess, &store, &p).map(drop)
+                },
+                move |sess| {
+                    sess.ep.recv_support().unwrap();
+                    let gh = Dense::from_vec(16, 2, (0..32).map(|i| i as f64 / 64.0).collect());
+                    sess.ep.send(Msg::U64(OP_NEW_TREE)).unwrap();
+                    sess.ep.send(Msg::Ct(upload(&sess, &gh))).unwrap();
+                    // A refusing guest has hung up: the rest may not land.
+                    let _ = sess.ep.send(Msg::U64(OP_HIST));
+                    let _ = sess.ep.send(Msg::Support((0..16).collect()));
+                    let _ = sess.ep.recv_ct();
+                    let _ = sess.ep.send(Msg::U64(OP_DONE));
+                },
+            );
+            match guest {
+                Ok(()) => assert!(honest),
+                Err(err) => assert!(
+                    !honest && matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                    "{err}"
+                ),
+            }
         }
     }
 }

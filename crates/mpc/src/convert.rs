@@ -29,8 +29,8 @@ use crate::wire::WireError;
 
 /// Algorithm 1, holder side: given `⟦v⟧` under the *peer's* key,
 /// generate a mask `φ`, send `⟦v − φ⟧` to the peer — repacked
-/// `slots`-to-1 under [`PaillierMode::Packed`] when it is a scalar body
-/// the key can pack — and return `φ`.
+/// `slots`-to-1 under [`PaillierMode::Packed`] when it holds one value
+/// per ciphertext and the key can pack — and return `φ`.
 pub fn he2ss_holder<R: Rng + ?Sized>(
     ep: &Endpoint,
     peer_pk: &PublicKey,
@@ -92,25 +92,15 @@ pub fn decrypt_reply(
 
 /// Algorithm 2 (symmetric in both parties): given this party's piece
 /// `v_mine` of a sharing of `v`, encrypt and send it under *this
-/// party's own* key, receive the peer's encrypted piece (under the
-/// peer's key), and return `⟦v⟧ = ⟦v_peer⟧ + v_mine` — a ciphertext of
-/// the full value under the **peer's** key.
+/// party's own* key in ciphertext layout `mode`, receive the peer's
+/// encrypted piece (under the peer's key), and return `⟦v⟧ = ⟦v_peer⟧ +
+/// v_mine` — a ciphertext of the full value under the **peer's** key.
+///
+/// Both parties must pass the same `mode` (it is part of the shared
+/// session config): the packed layout is derived only from the key and
+/// shape, so the peer's `add_plain` sees a matching body. Falls back to
+/// one value per ciphertext when the shape or key cannot pack.
 pub fn ss2he(
-    ep: &Endpoint,
-    own_pk: &PublicKey,
-    own_obf: &Obfuscator,
-    peer_pk: &PublicKey,
-    v_mine: &Dense,
-) -> TransportResult<CtMat> {
-    ss2he_mode(ep, own_pk, own_obf, peer_pk, v_mine, PaillierMode::Scalar)
-}
-
-/// [`ss2he`] with an explicit ciphertext layout for the encrypted piece
-/// this party sends. Both parties must pass the same `mode` (it is part
-/// of the shared session config): the packed layout is derived only
-/// from the key and shape, so the peer's `add_plain` sees a matching
-/// body. Falls back to scalar when the shape or key cannot pack.
-pub fn ss2he_mode(
     ep: &Endpoint,
     own_pk: &PublicKey,
     own_obf: &Obfuscator,
@@ -268,8 +258,10 @@ mod tests {
         let pk_a2 = pk_a.clone();
         let pk_b2 = pk_b.clone();
         let pa = piece_a.clone();
-        let handle = std::thread::spawn(move || ss2he(&ep_a, &pk_a2, &obf_a, &pk_b2, &pa).unwrap());
-        let ct_under_a = ss2he(&ep_b, &pk_b, &obf_b, &pk_a, &piece_b).unwrap();
+        let scalar = PaillierMode::Scalar;
+        let handle =
+            std::thread::spawn(move || ss2he(&ep_a, &pk_a2, &obf_a, &pk_b2, &pa, scalar).unwrap());
+        let ct_under_a = ss2he(&ep_b, &pk_b, &obf_b, &pk_a, &piece_b, scalar).unwrap();
         let ct_under_b = handle.join().unwrap();
 
         // A's output decrypts under B's key; B's under A's key.
@@ -294,9 +286,9 @@ mod tests {
             let pk_a2 = pk_a.clone();
             let pk_b2 = pk_b.clone();
             let handle = std::thread::spawn(move || {
-                ss2he_mode(&ep_a, &pk_a2, &obf_a, &pk_b2, &piece_a, mode).unwrap()
+                ss2he(&ep_a, &pk_a2, &obf_a, &pk_b2, &piece_a, mode).unwrap()
             });
-            let ct_under_a = ss2he_mode(&ep_b, &pk_b, &obf_b, &pk_a, &piece_b, mode).unwrap();
+            let ct_under_a = ss2he(&ep_b, &pk_b, &obf_b, &pk_a, &piece_b, mode).unwrap();
             let ct_under_b = handle.join().unwrap();
             (sk_a.decrypt(&ct_under_a), sk_b.decrypt(&ct_under_b))
         };

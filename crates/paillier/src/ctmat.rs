@@ -2,8 +2,16 @@
 //! ciphertexts with dense and sparse homomorphic kernels.
 //!
 //! Ciphertexts are stored flat in Montgomery form (`k` limbs each), so
-//! homomorphic addition is one `mont_mul`, and every plain×cipher
-//! product (`X·⟦W⟧`, `Xᵀ·⟦G⟧`, `⟦G⟧·Wᵀ`, scalar or packed) is a matrix
+//! homomorphic addition is one `mont_mul`. A Paillier matrix has one
+//! body in one of two lane layouts (`LaneLayout`): one value per
+//! ciphertext, or one slot-packed column chunk per ciphertext
+//! ([`crate::pack`]). Kernels work on *lanes*, the ciphertexts of a row,
+//! and ask the layout how many a row has, which columns each covers and
+//! how its values are encoded and decrypted — so every kernel has one
+//! Paillier arm. Only `transpose` and `matmul_ct_wt`, which move values
+//! across the axis slots run along, refuse a packed body.
+//!
+//! Every plain×cipher product (`X·⟦W⟧`, `Xᵀ·⟦G⟧`, `⟦G⟧·Wᵀ`) is a matrix
 //! of multi-exponentiations `Π_t ⟦c_t⟧^{e_t}` evaluated by one core,
 //! `contract`. Per output it multiplies together the ciphertexts that
 //! share a fixed-point exponent and raises the product once — a one-hot
@@ -15,12 +23,13 @@
 //! exponentiation per entry. Workers write disjoint slices of one
 //! preallocated limb slab. The decrypt-only repack
 //! ([`PublicKey::repack`]) is one more caller of the same core: folding
-//! `slots` scalar ciphertexts — or `⌊slots/u⌋` packed rows of `u` slots
-//! — into one is a contraction with the exponents `2^{j·u·slot_bits}`.
+//! `slots` one-value lanes — or `⌊slots/u⌋` packed rows of `u` slots —
+//! into one is a contraction with the exponents `2^{j·u·slot_bits}`.
 
 use std::collections::BTreeMap;
 
 use bf_bigint::mont::{window_bits, PowTerm};
+use bf_bigint::BigUint;
 use bf_tensor::{CatBlock, Dense, Features};
 use bf_util::par::COARSE;
 use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
@@ -28,7 +37,7 @@ use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
 use crate::codec::{self, SignedInt};
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
 use crate::obf::Obfuscator;
-use crate::pack::{self, PackedCtMat, PaillierMode, SlotLayout};
+use crate::pack::{LaneLayout, PaillierMode, SlotLayout};
 
 /// A matrix of ciphertexts (or the Plain backend's `f64`s).
 #[derive(Clone, Debug, PartialEq)]
@@ -43,96 +52,132 @@ pub struct CtMat {
 
 #[derive(Clone, Debug, PartialEq)]
 enum Body {
-    /// Flat Montgomery-form limbs: entry `(i, j)` occupies
-    /// `limbs[(i*cols + j)*k .. +k]`.
-    Enc { k: usize, limbs: Vec<u64> },
-    /// Slot-packed layout: one ciphertext per column chunk (see
-    /// [`crate::pack`]).
-    Packed(PackedCtMat),
+    /// Flat row-major Montgomery-form limbs: `lanes.per_row(cols)`
+    /// ciphertexts per row, `k` limbs each.
+    Paillier {
+        k: usize,
+        lanes: LaneLayout,
+        limbs: Vec<u64>,
+    },
     /// Plain backend.
     Plain(Vec<f64>),
+}
+
+impl Body {
+    /// Limb width and lane layout of a Paillier body; `None` for Plain.
+    fn paillier(&self) -> Option<(usize, LaneLayout)> {
+        match self {
+            Body::Paillier { k, lanes, .. } => Some((*k, *lanes)),
+            Body::Plain(_) => None,
+        }
+    }
+
+    /// A Paillier body of this one's limb width and lane layout over
+    /// `limbs`.
+    fn with_limbs(&self, limbs: Vec<u64>) -> Body {
+        let (k, lanes) = self.paillier().expect("no ciphertexts in a Plain matrix");
+        Body::Paillier { k, lanes, limbs }
+    }
+
+    /// Entries (limbs, or values) per row of a `cols`-column matrix.
+    fn row_len(&self, cols: usize) -> usize {
+        match self {
+            Body::Paillier { k, lanes, .. } => lanes.per_row(cols) * k,
+            Body::Plain(_) => cols,
+        }
+    }
+
+    /// The same kind of body over `n` of this one's rows (each `cols`
+    /// columns wide), in the order `rows` names them.
+    fn gather(&self, cols: usize, n: usize, rows: impl Iterator<Item = usize>) -> Body {
+        fn take<T: Copy>(
+            v: &[T],
+            stride: usize,
+            n: usize,
+            rows: impl Iterator<Item = usize>,
+        ) -> Vec<T> {
+            let mut out = Vec::with_capacity(n * stride);
+            for r in rows {
+                out.extend_from_slice(&v[r * stride..(r + 1) * stride]);
+            }
+            out
+        }
+        let stride = self.row_len(cols);
+        match self {
+            Body::Paillier { limbs, .. } => self.with_limbs(take(limbs, stride, n, rows)),
+            Body::Plain(v) => Body::Plain(take(v, stride, n, rows)),
+        }
+    }
 }
 
 /// Borrowed view of a [`CtMat`] body used by the byte codec in
 /// [`crate::serial`]. Crate-internal: the wire layout is owned by
 /// `serial`, the in-memory layout by this module.
 pub(crate) enum BodyView<'a> {
-    /// Montgomery-form limbs, `k` per ciphertext.
-    Enc {
+    /// Montgomery-form limbs, `k` per ciphertext, in lane layout `lanes`.
+    Paillier {
         /// Limbs per ciphertext.
         k: usize,
+        /// Lane layout.
+        lanes: LaneLayout,
         /// Flat row-major limb buffer.
-        limbs: &'a [u64],
-    },
-    /// Slot-packed ciphertexts.
-    Packed {
-        /// Limbs per ciphertext.
-        k: usize,
-        /// Slot geometry.
-        layout: SlotLayout,
-        /// Segment width in columns.
-        seg: usize,
-        /// Flat row-major chunk limbs.
         limbs: &'a [u64],
     },
     /// Plain-backend values.
     Plain(&'a [f64]),
 }
 
+/// The ciphertexts of a Paillier body by `(row, lane)`, with the lanes
+/// per row computed once per kernel call rather than per ciphertext.
+#[derive(Clone, Copy)]
+struct Cts<'a> {
+    limbs: &'a [u64],
+    k: usize,
+    /// Lanes per row.
+    lanes: usize,
+}
+
+impl<'a> Cts<'a> {
+    /// Montgomery limbs of the `i`-th ciphertext in row-major order.
+    fn nth(&self, i: usize) -> &'a [u64] {
+        &self.limbs[i * self.k..][..self.k]
+    }
+
+    /// Montgomery limbs of the ciphertext at row `i`, lane `l`.
+    fn at(&self, i: usize, l: usize) -> &'a [u64] {
+        self.nth(i * self.lanes + l)
+    }
+}
+
 impl CtMat {
     /// Borrow the body for serialization.
     pub(crate) fn body_view(&self) -> BodyView<'_> {
         match &self.body {
-            Body::Enc { k, limbs } => BodyView::Enc { k: *k, limbs },
-            Body::Packed(p) => BodyView::Packed {
-                k: p.k,
-                layout: p.layout,
-                seg: p.seg,
-                limbs: &p.limbs,
+            Body::Paillier { k, lanes, limbs } => BodyView::Paillier {
+                k: *k,
+                lanes: *lanes,
+                limbs,
             },
             Body::Plain(v) => BodyView::Plain(v),
         }
     }
 
-    /// Rebuild an encrypted matrix from deserialized parts. The caller
-    /// (the codec) has already validated `limbs.len() == rows*cols*k`.
-    pub(crate) fn from_enc_parts(
+    /// Rebuild a Paillier matrix from deserialized parts. The codec has
+    /// already validated the lane geometry and the limb count.
+    pub(crate) fn from_paillier_parts(
         rows: usize,
         cols: usize,
         scale: u8,
         k: usize,
+        lanes: LaneLayout,
         limbs: Vec<u64>,
     ) -> CtMat {
-        debug_assert_eq!(limbs.len(), rows * cols * k);
+        debug_assert_eq!(limbs.len(), rows * lanes.per_row(cols) * k);
         CtMat {
             rows,
             cols,
             scale,
-            body: Body::Enc { k, limbs },
-        }
-    }
-
-    /// Rebuild a packed matrix from deserialized parts. The codec has
-    /// already validated the chunk geometry and limb count.
-    pub(crate) fn from_packed_parts(
-        rows: usize,
-        cols: usize,
-        scale: u8,
-        k: usize,
-        layout: SlotLayout,
-        seg: usize,
-        limbs: Vec<u64>,
-    ) -> CtMat {
-        CtMat {
-            rows,
-            cols,
-            scale,
-            body: Body::Packed(PackedCtMat {
-                k,
-                layout,
-                seg,
-                limbs,
-            }),
+            body: Body::Paillier { k, lanes, limbs },
         }
     }
 
@@ -172,9 +217,7 @@ impl CtMat {
     /// Serialized size in bytes (for transport accounting).
     pub fn wire_size(&self) -> usize {
         16 + match &self.body {
-            Body::Enc { limbs, .. } => limbs.len() * 8,
-            // Packed bodies carry a 4-field geometry header on the wire.
-            Body::Packed(p) => 32 + p.limbs.len() * 8,
+            Body::Paillier { lanes, limbs, .. } => lanes.header_bytes() + limbs.len() * 8,
             Body::Plain(v) => v.len() * 8,
         }
     }
@@ -184,65 +227,42 @@ impl CtMat {
         matches!(self.body, Body::Plain(_))
     }
 
-    /// True if this matrix uses the slot-packed ciphertext layout.
+    /// True if this matrix uses the slot-packed lane layout.
     pub fn is_packed(&self) -> bool {
-        matches!(self.body, Body::Packed(_))
+        matches!(&self.body, Body::Paillier { lanes, .. } if lanes.is_packed())
     }
 
     /// True if `other`'s rows can be added into this matrix's rows
-    /// ciphertext by ciphertext: same width, fixed-point scale, backend
-    /// and limb count, and for packed bodies the same slot geometry and
-    /// segment width — everything [`PublicKey::rows_add_assign`] asserts
-    /// except the row count, so a receiver can refuse a peer's delta
-    /// instead of panicking on it.
+    /// ciphertext by ciphertext: same width, fixed-point scale, backend,
+    /// limb count and lane layout — everything
+    /// [`PublicKey::rows_add_assign`] asserts except the row count, so a
+    /// receiver can refuse a peer's delta instead of panicking on it.
     pub fn rows_conform(&self, other: &CtMat) -> bool {
         self.cols == other.cols
             && self.scale == other.scale
-            && match (&self.body, &other.body) {
-                (Body::Enc { k: a, .. }, Body::Enc { k: b, .. }) => a == b,
-                (Body::Packed(a), Body::Packed(b)) => {
-                    a.k == b.k && a.layout == b.layout && a.seg == b.seg
-                }
-                (Body::Plain(_), Body::Plain(_)) => true,
-                _ => false,
-            }
+            && self.body.paillier() == other.body.paillier()
     }
 
-    /// Ciphertexts per row: columns, or column chunks when packed.
-    fn lanes(&self) -> usize {
-        match &self.body {
-            Body::Packed(p) => p.chunks_total(self.cols),
-            _ => self.cols,
-        }
-    }
-
-    /// Montgomery limbs of the ciphertext at row `i`, lane `l`.
-    fn ct(&self, i: usize, l: usize) -> &[u64] {
-        match &self.body {
-            Body::Enc { k, limbs } => &limbs[(i * self.cols + l) * k..][..*k],
-            Body::Packed(p) => p.entry(self.cols, i, l),
-            Body::Plain(_) => unreachable!("no ciphertexts in a Plain matrix"),
+    /// The ciphertexts by `(row, lane)`.
+    fn cts(&self) -> Cts<'_> {
+        let Body::Paillier { k, lanes, limbs } = &self.body else {
+            unreachable!("no ciphertexts in a Plain matrix")
+        };
+        Cts {
+            limbs,
+            k: *k,
+            lanes: lanes.per_row(self.cols),
         }
     }
 
     /// A `rows × self.cols` matrix over `limbs` in this one's ciphertext
-    /// layout (limb width, packing geometry).
+    /// layout (limb width, lane layout).
     fn like(&self, rows: usize, scale: u8, limbs: Vec<u64>) -> CtMat {
-        let body = match &self.body {
-            Body::Enc { k, .. } => Body::Enc { k: *k, limbs },
-            Body::Packed(p) => Body::Packed(PackedCtMat {
-                k: p.k,
-                layout: p.layout,
-                seg: p.seg,
-                limbs,
-            }),
-            Body::Plain(_) => unreachable!("no ciphertexts in a Plain matrix"),
-        };
         CtMat {
             rows,
             cols: self.cols,
             scale,
-            body,
+            body: self.body.with_limbs(limbs),
         }
     }
 
@@ -253,25 +273,20 @@ impl CtMat {
     /// that needs `⟦W⟧ᵀ` packed asks the key owner for a second upload
     /// (`EmbedSource`'s `⟦V_Bᵀ⟧`) instead.
     pub fn transpose(&self) -> CtMat {
+        assert!(
+            !self.is_packed(),
+            "transpose is unsupported for packed ciphertexts"
+        );
+        let (r, c) = (self.rows, self.cols);
         let body = match &self.body {
-            Body::Packed(_) => panic!("transpose is unsupported for packed ciphertexts"),
-            Body::Enc { k, limbs } => Body::Enc {
-                k: *k,
-                limbs: transpose_limbs(limbs, self.rows, self.cols, *k),
-            },
-            Body::Plain(v) => {
-                let mut out = vec![0.0; v.len()];
-                for i in 0..self.rows {
-                    for j in 0..self.cols {
-                        out[j * self.rows + i] = v[i * self.cols + j];
-                    }
-                }
-                Body::Plain(out)
+            Body::Paillier { k, limbs, .. } => {
+                self.body.with_limbs(transpose_flat(limbs, r, c, *k))
             }
+            Body::Plain(v) => Body::Plain(transpose_flat(v, r, c, 1)),
         };
         CtMat {
-            rows: self.cols,
-            cols: self.rows,
+            rows: c,
+            cols: r,
             scale: self.scale,
             body,
         }
@@ -279,41 +294,13 @@ impl CtMat {
 
     /// Gather a subset of rows.
     pub fn select_rows(&self, rows: &[usize]) -> CtMat {
-        let body = match &self.body {
-            Body::Packed(p) => {
-                let stride = p.chunks_total(self.cols) * p.k;
-                let mut out = Vec::with_capacity(rows.len() * stride);
-                for &r in rows {
-                    out.extend_from_slice(&p.limbs[r * stride..(r + 1) * stride]);
-                }
-                Body::Packed(PackedCtMat {
-                    k: p.k,
-                    layout: p.layout,
-                    seg: p.seg,
-                    limbs: out,
-                })
-            }
-            Body::Enc { k, limbs } => {
-                let stride = self.cols * k;
-                let mut out = Vec::with_capacity(rows.len() * stride);
-                for &r in rows {
-                    out.extend_from_slice(&limbs[r * stride..(r + 1) * stride]);
-                }
-                Body::Enc { k: *k, limbs: out }
-            }
-            Body::Plain(v) => {
-                let mut out = Vec::with_capacity(rows.len() * self.cols);
-                for &r in rows {
-                    out.extend_from_slice(&v[r * self.cols..(r + 1) * self.cols]);
-                }
-                Body::Plain(out)
-            }
-        };
         CtMat {
             rows: rows.len(),
             cols: self.cols,
             scale: self.scale,
-            body,
+            body: self
+                .body
+                .gather(self.cols, rows.len(), rows.iter().copied()),
         }
     }
 }
@@ -333,8 +320,8 @@ impl PublicKey {
 
     /// Encrypt selecting the ciphertext layout: `Scalar` is
     /// [`PublicKey::encrypt`]; `Packed` packs along the column axis as a
-    /// single segment (`seg = cols`), falling back to the scalar body
-    /// when the key or shape cannot pack (see [`crate::pack`]).
+    /// single segment (`seg = cols`), falling back to one value per
+    /// lane when the key or shape cannot pack (see [`crate::pack`]).
     pub fn encrypt_mode(&self, m: &Dense, mode: PaillierMode, obf: &Obfuscator) -> CtMat {
         self.encrypt_mode_seg(m, m.cols(), mode, obf)
     }
@@ -350,102 +337,68 @@ impl PublicKey {
         mode: PaillierMode,
         obf: &Obfuscator,
     ) -> CtMat {
-        if let (PaillierMode::Packed, PublicKey::Paillier(pk)) = (mode, self) {
-            if let Some(layout) = self.slot_layout() {
-                // Packing only pays off (and chunk maths only holds) for
-                // ≥2-column segments tiling the matrix exactly. The
-                // decision depends on shared configuration and shape
-                // only, so both parties always agree on the layout.
-                if seg >= 2 && m.cols() % seg == 0 {
-                    return self.encrypt_packed(pk, m, seg, layout, obf);
-                }
+        // Packing only pays off (and chunk maths only holds) for
+        // ≥2-column segments tiling the matrix exactly. The decision
+        // depends on shared configuration and shape only, so both
+        // parties always agree on the layout.
+        let lanes = match (mode, self.slot_layout()) {
+            (PaillierMode::Packed, Some(layout)) if seg >= 2 && m.cols() % seg == 0 => {
+                LaneLayout::Packed { layout, seg }
             }
-        }
-        self.encrypt(m, obf)
-    }
-
-    /// Packed encryption body: one ciphertext per column chunk.
-    fn encrypt_packed(
-        &self,
-        pk: &PaillierPk,
-        m: &Dense,
-        seg: usize,
-        layout: SlotLayout,
-        obf: &Obfuscator,
-    ) -> CtMat {
-        let k = pk.ct_limbs();
-        let proto = PackedCtMat {
-            k,
-            layout,
-            seg,
-            limbs: Vec::new(),
+            _ => LaneLayout::OnePerLane,
         };
-        let nchunks = proto.chunks_total(m.cols());
-        let first = obf.reserve((m.rows() * nchunks) as u64);
-        let limbs = ct_slab(m.rows() * nchunks, k, |idx, ct| {
-            let (i, c) = (idx / nchunks, idx % nchunks);
-            let col0 = proto.chunk_col0(c);
-            let used = proto.used_in_chunk(c);
-            let vals = &m.row(i)[col0..col0 + used];
-            let p = pack::pack_values(vals, pk.frac_bits, 1, layout, &pk.n)
-                .expect("encrypt: value overflows its pack slot");
-            ct.copy_from_slice(&pk.raw_encrypt(&p, &obf.draw(pk, first + idx as u64)));
-        });
-        CtMat {
-            rows: m.rows(),
-            cols: m.cols(),
-            scale: 1,
-            body: Body::Packed(PackedCtMat { limbs, ..proto }),
-        }
+        self.encrypt_lanes(m, 1, lanes, obf)
     }
 
     /// Encrypt a dense matrix at an explicit fixed-point scale (used
     /// when a fresh encryption must be added to a scale-2 product,
     /// e.g. `⟦∇Z·V_Aᵀ⟧` in the Embed-MatMul backward pass).
     pub fn encrypt_at_scale(&self, m: &Dense, scale: u8, obf: &Obfuscator) -> CtMat {
-        match self {
+        self.encrypt_lanes(m, scale, LaneLayout::OnePerLane, obf)
+    }
+
+    /// One fresh ciphertext per lane of `m` in layout `lanes`. Lane
+    /// `idx` (row-major) takes obfuscator draw `first + idx`: the serial
+    /// stream, on any thread schedule.
+    fn encrypt_lanes(&self, m: &Dense, scale: u8, lanes: LaneLayout, obf: &Obfuscator) -> CtMat {
+        let body = match self {
             PublicKey::Paillier(pk) => {
-                let k = pk.ct_limbs();
-                let n = m.rows() * m.cols();
-                let data = m.data();
-                // Entry i takes draw `first + i`: the serial stream, on
-                // any thread schedule.
-                let first = obf.reserve(n as u64);
-                let limbs = ct_slab(n, k, |i, ct| {
-                    let enc = codec::encode(data[i], pk.frac_bits, scale, &pk.n);
-                    ct.copy_from_slice(&pk.raw_encrypt(&enc, &obf.draw(pk, first + i as u64)));
+                let first = obf.reserve((m.rows() * lanes.per_row(m.cols())) as u64);
+                let limbs = lane_slab(pk, m, scale, lanes, |idx, p, ct| {
+                    ct.copy_from_slice(&pk.raw_encrypt(p, &obf.draw(pk, first + idx as u64)))
                 });
-                CtMat {
-                    rows: m.rows(),
-                    cols: m.cols(),
-                    scale,
-                    body: Body::Enc { k, limbs },
+                Body::Paillier {
+                    k: pk.ct_limbs(),
+                    lanes,
+                    limbs,
                 }
             }
-            PublicKey::Plain { frac_bits } => CtMat {
-                rows: m.rows(),
-                cols: m.cols(),
-                scale,
-                body: Body::Plain(m.data().iter().map(|&v| quantize(v, *frac_bits)).collect()),
-            },
+            PublicKey::Plain { frac_bits } => {
+                Body::Plain(m.data().iter().map(|&v| quantize(v, *frac_bits)).collect())
+            }
+        };
+        CtMat {
+            rows: m.rows(),
+            cols: m.cols(),
+            scale,
+            body,
         }
     }
 
-    /// Homomorphic elementwise sum (scales must match).
+    /// Homomorphic elementwise sum (scales and layouts must match).
     pub fn add(&self, a: &CtMat, b: &CtMat) -> CtMat {
         assert_eq!(a.shape(), b.shape(), "ct add shape mismatch");
         assert_eq!(a.scale, b.scale, "ct add scale mismatch");
+        assert_eq!(
+            a.body.paillier(),
+            b.body.paillier(),
+            "ct add layout mismatch"
+        );
         match (self, &a.body, &b.body) {
-            (PublicKey::Paillier(pk), Body::Enc { .. }, Body::Enc { .. })
-            | (PublicKey::Paillier(pk), Body::Packed(_), Body::Packed(_)) => {
-                if let (Body::Packed(pa), Body::Packed(pb)) = (&a.body, &b.body) {
-                    assert_eq!(pa.layout, pb.layout, "ct add slot layout mismatch");
-                    assert_eq!(pa.seg, pb.seg, "ct add segment mismatch");
-                }
-                let lanes = a.lanes();
-                let limbs = ct_slab(a.rows * lanes, pk.ct_limbs(), |i, ct| {
-                    let (r, l) = (i / lanes, i % lanes);
-                    pk.mont.mont_mul_into(a.ct(r, l), b.ct(r, l), ct)
+            (PublicKey::Paillier(pk), Body::Paillier { .. }, Body::Paillier { .. }) => {
+                let (ca, cb) = (a.cts(), b.cts());
+                let limbs = ct_slab(a.rows * ca.lanes, pk.ct_limbs(), |i, ct| {
+                    pk.mont.mont_mul_into(ca.nth(i), cb.nth(i), ct)
                 });
                 a.like(a.rows, a.scale, limbs)
             }
@@ -464,27 +417,11 @@ impl PublicKey {
     pub fn add_plain(&self, a: &CtMat, p: &Dense) -> CtMat {
         assert_eq!(a.shape(), p.shape(), "add_plain shape mismatch");
         match (self, &a.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
-                let k = *k;
-                let data = p.data();
-                let limbs = ct_slab(a.rows * a.cols, k, |i, ct| {
-                    let m = codec::encode(data[i], pk.frac_bits, a.scale, &pk.n);
-                    let g = pk.raw_encrypt_deterministic(&m);
-                    pk.mont.mont_mul_into(a.ct(i / a.cols, i % a.cols), &g, ct)
-                });
-                a.like(a.rows, a.scale, limbs)
-            }
-            (PublicKey::Paillier(pk), Body::Packed(pa)) => {
-                let nchunks = pa.chunks_total(a.cols);
-                let limbs = ct_slab(a.rows * nchunks, pa.k, |idx, ct| {
-                    let (i, c) = (idx / nchunks, idx % nchunks);
-                    let col0 = pa.chunk_col0(c);
-                    let used = pa.used_in_chunk(c);
-                    let vals = &p.row(i)[col0..col0 + used];
-                    let m = pack::pack_values(vals, pk.frac_bits, a.scale, pa.layout, &pk.n)
-                        .expect("add_plain: value overflows its pack slot");
-                    let g = pk.raw_encrypt_deterministic(&m);
-                    pk.mont.mont_mul_into(a.ct(i, c), &g, ct)
+            (PublicKey::Paillier(pk), Body::Paillier { lanes, .. }) => {
+                let ca = a.cts();
+                let limbs = lane_slab(pk, p, a.scale, *lanes, |idx, m, ct| {
+                    let g = pk.raw_encrypt_deterministic(m);
+                    pk.mont.mont_mul_into(ca.nth(idx), &g, ct)
                 });
                 a.like(a.rows, a.scale, limbs)
             }
@@ -509,9 +446,9 @@ impl PublicKey {
         assert_eq!(x.cols(), w.rows, "matmul shape mismatch");
         assert_eq!(w.scale, 1, "matmul expects a scale-1 weight ciphertext");
         match (self, &w.body) {
-            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
-                // Output row i is Π_c ⟦w_c·⟧^{x_ic}; packed, each lane
-                // advances a whole chunk of output columns at once.
+            (PublicKey::Paillier(pk), Body::Paillier { .. }) => {
+                // Output row i is Π_c ⟦w_c·⟧^{x_ic}, lane by lane: a
+                // packed lane advances a whole chunk of output columns.
                 let rows: Vec<_> = (0..x.rows())
                     .map(|i| {
                         let mut nz = Vec::new();
@@ -519,10 +456,11 @@ impl PublicKey {
                         exponents(pk, nz)
                     })
                     .collect();
+                let cw = w.cts();
                 w.like(
                     x.rows(),
                     2,
-                    contract(pk, w.lanes(), &rows, |c, l| w.ct(c, l)),
+                    contract(pk, cw.lanes, &rows, |c, l| cw.at(c, l)),
                 )
             }
             (PublicKey::Plain { frac_bits }, Body::Plain(wv)) => {
@@ -560,15 +498,16 @@ impl PublicKey {
             });
         }
         match (self, &g.body) {
-            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
+            (PublicKey::Paillier(pk), Body::Paillier { .. }) => {
                 let rows: Vec<_> = coeffs
                     .iter()
                     .map(|list| exponents(pk, list.iter().copied()))
                     .collect();
+                let cg = g.cts();
                 g.like(
                     support.len(),
                     2,
-                    contract(pk, g.lanes(), &rows, |i, l| g.ct(i, l)),
+                    contract(pk, cg.lanes, &rows, |i, l| cg.at(i, l)),
                 )
             }
             (PublicKey::Plain { frac_bits }, Body::Plain(gv)) => {
@@ -605,22 +544,22 @@ impl PublicKey {
             "matmul_ct_wt contracts over the packed axis; keep ⟦G⟧ scalar"
         );
         match (self, &g.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, .. }) => {
+            (PublicKey::Paillier(pk), Body::Paillier { .. }) => {
                 // ⟦G⟧·Wᵀ = (W·⟦G⟧ᵀ)ᵀ: W's rows are the exponent rows and
                 // ⟦G⟧ is read transposed, so each ⟦g_ij⟧ is one base that
                 // meets `w.rows()` exponents and builds its table once.
                 let rows: Vec<_> = (0..w.rows())
                     .map(|e| exponents(pk, w.row(e).iter().copied().enumerate()))
                     .collect();
-                let t = contract(pk, g.rows, &rows, |j, i| g.ct(i, j));
+                let cg = g.cts();
+                let t = contract(pk, g.rows, &rows, |j, i| cg.at(i, j));
                 CtMat {
                     rows: g.rows,
                     cols: w.rows(),
                     scale: 2,
-                    body: Body::Enc {
-                        k: *k,
-                        limbs: transpose_limbs(&t, w.rows(), g.rows, *k),
-                    },
+                    body: g
+                        .body
+                        .with_limbs(transpose_flat(&t, w.rows(), g.rows, cg.k)),
                 }
             }
             (PublicKey::Plain { frac_bits }, Body::Plain(gv)) => {
@@ -644,68 +583,17 @@ impl PublicKey {
     /// Embedding lookup over an encrypted table: gathers, for each
     /// instance, the table rows of its categorical indices and
     /// concatenates them (`rows × fields·dim`). Pure data movement — the
-    /// indices never leave their owner.
+    /// indices never leave their owner. A table row is whole lanes (a
+    /// packed table's is whole segments), so the concatenation keeps the
+    /// table's lane layout.
     pub fn lkup(&self, table: &CtMat, x: &CatBlock) -> CtMat {
         assert_eq!(table.rows, x.vocab(), "lkup vocab mismatch");
-        let dim = table.cols;
-        let fields = x.fields();
-        match &table.body {
-            // Pure limb gather, chunk-wise: each gathered table row is a
-            // whole number of segments, so the concatenated output keeps
-            // the table's segment alignment.
-            Body::Packed(p) => {
-                let stride = p.chunks_total(dim) * p.k;
-                let mut out = Vec::with_capacity(x.rows() * fields * stride);
-                for r in 0..x.rows() {
-                    for &g in x.row(r) {
-                        let off = g as usize * stride;
-                        out.extend_from_slice(&p.limbs[off..off + stride]);
-                    }
-                }
-                CtMat {
-                    rows: x.rows(),
-                    cols: fields * dim,
-                    scale: table.scale,
-                    body: Body::Packed(PackedCtMat {
-                        k: p.k,
-                        layout: p.layout,
-                        seg: p.seg,
-                        limbs: out,
-                    }),
-                }
-            }
-            Body::Enc { k, limbs } => {
-                let k = *k;
-                let stride = dim * k;
-                let mut out = Vec::with_capacity(x.rows() * fields * stride);
-                for r in 0..x.rows() {
-                    for &g in x.row(r) {
-                        let off = g as usize * stride;
-                        out.extend_from_slice(&limbs[off..off + stride]);
-                    }
-                }
-                CtMat {
-                    rows: x.rows(),
-                    cols: fields * dim,
-                    scale: table.scale,
-                    body: Body::Enc { k, limbs: out },
-                }
-            }
-            Body::Plain(v) => {
-                let mut out = Vec::with_capacity(x.rows() * fields * dim);
-                for r in 0..x.rows() {
-                    for &g in x.row(r) {
-                        let off = g as usize * dim;
-                        out.extend_from_slice(&v[off..off + dim]);
-                    }
-                }
-                CtMat {
-                    rows: x.rows(),
-                    cols: fields * dim,
-                    scale: table.scale,
-                    body: Body::Plain(out),
-                }
-            }
+        let picks = (0..x.rows()).flat_map(|r| x.row(r).iter().map(|&g| g as usize));
+        CtMat {
+            rows: x.rows(),
+            cols: x.fields() * table.cols,
+            scale: table.scale,
+            body: table.body.gather(table.cols, x.rows() * x.fields(), picks),
         }
     }
 
@@ -714,27 +602,15 @@ impl PublicKey {
     /// Output row `s` is `Σ_{(r,f): X[r,f]=support[s]} ∇E[r, f·dim..]`
     /// — only the batch-support rows are materialised (sparse).
     ///
-    /// A packed `⟦∇E⟧` must be segmented by field (`seg = dim`, the
-    /// layout `lkup` gathers into): a field slice is then whole
-    /// ciphertexts, the scatter is the gather run backwards — one
-    /// `mont_mul` per chunk — and the result has the table's own layout.
-    /// Any other packed segmentation would split a ciphertext between
-    /// two table rows and is refused.
+    /// A field slice must be whole lanes — for a packed `⟦∇E⟧`,
+    /// segmented by field (`seg = dim`, the layout `lkup` gathers into):
+    /// the scatter is then the gather run backwards — one `mont_mul` per
+    /// lane — and the result has the table's own layout. A packed
+    /// segmentation that would split a ciphertext between two table
+    /// rows is refused.
     pub fn lkup_bw(&self, grad_e: &CtMat, x: &CatBlock, support: &[u32], dim: usize) -> CtMat {
         assert_eq!(grad_e.cols, x.fields() * dim, "lkup_bw shape mismatch");
         assert_eq!(grad_e.rows, x.rows(), "lkup_bw row mismatch");
-        // Ciphertexts per field slice: `dim` columns, or the chunks of
-        // one segment.
-        let width = match &grad_e.body {
-            Body::Packed(p) => {
-                assert_eq!(
-                    p.seg, dim,
-                    "lkup_bw scatters whole field slices; pack ⟦∇E⟧ with seg = dim"
-                );
-                p.chunks_per_seg()
-            }
-            _ => dim,
-        };
         // Per-support hit lists.
         let pos_of: std::collections::HashMap<u32, usize> =
             support.iter().enumerate().map(|(p, &c)| (c, p)).collect();
@@ -747,21 +623,28 @@ impl PublicKey {
             }
         }
         match (self, &grad_e.body) {
-            (PublicKey::Paillier(pk), Body::Enc { .. } | Body::Packed(_)) => {
+            (PublicKey::Paillier(pk), Body::Paillier { lanes, .. }) => {
+                assert!(
+                    lanes.tiles(dim),
+                    "lkup_bw scatters whole field slices; pack ⟦∇E⟧ with seg = dim"
+                );
+                // Ciphertexts per field slice.
+                let (width, ce) = (lanes.per_row(dim), grad_e.cts());
                 let rows: Vec<Vec<u64>> = par_map(support.len(), |s| {
                     let mut acc = vec![pk.mont.one_mont(); width]; // ⟦0⟧ = g^0 = 1
                     for &(r, f) in &hits[s] {
                         for (l, a) in acc.iter_mut().enumerate() {
-                            *a = pk.mont.mont_mul(a, grad_e.ct(r, f * width + l));
+                            *a = pk.mont.mont_mul(a, ce.at(r, f * width + l));
                         }
                     }
                     acc.concat()
                 });
-                // ⟦∇E⟧'s own layout (limb count, and packed: geometry with
-                // seg = dim), one field wide.
+                // ⟦∇E⟧'s own layout, one field wide.
                 CtMat {
+                    rows: support.len(),
                     cols: dim,
-                    ..grad_e.like(support.len(), grad_e.scale, rows.concat())
+                    scale: grad_e.scale,
+                    body: grad_e.body.with_limbs(rows.concat()),
                 }
             }
             (PublicKey::Plain { .. }, Body::Plain(gv)) => {
@@ -786,46 +669,35 @@ impl PublicKey {
 
     /// Homomorphically add `delta`'s rows into the given rows of a
     /// cached ciphertext (the `Recv and Update ⟦V⟧` steps of Figures 6
-    /// and 7). Scales must match.
+    /// and 7). Scales and layouts must match.
     pub fn rows_add_assign(&self, cache: &mut CtMat, rows: &[usize], delta: &CtMat) {
         assert_eq!(rows.len(), delta.rows, "rows_add_assign row mismatch");
         assert_eq!(cache.cols, delta.cols, "rows_add_assign col mismatch");
         assert_eq!(cache.scale, delta.scale, "rows_add_assign scale mismatch");
+        assert_eq!(
+            cache.body.paillier(),
+            delta.body.paillier(),
+            "rows_add_assign layout mismatch"
+        );
+        let stride = cache.body.row_len(cache.cols);
         match (self, &mut cache.body, &delta.body) {
-            (PublicKey::Paillier(pk), Body::Enc { k, limbs }, Body::Enc { .. }) => {
-                let k = *k;
-                let stride = cache.cols * k;
+            (
+                PublicKey::Paillier(pk),
+                Body::Paillier { k, limbs, .. },
+                Body::Paillier { limbs: dlimbs, .. },
+            ) => {
                 for (d, &r) in rows.iter().enumerate() {
-                    for j in 0..cache.cols {
-                        let prod = {
-                            let cur = &limbs[r * stride + j * k..r * stride + (j + 1) * k];
-                            pk.mont.mont_mul(cur, delta.ct(d, j))
-                        };
-                        limbs[r * stride + j * k..r * stride + (j + 1) * k].copy_from_slice(&prod);
-                    }
-                }
-            }
-            (PublicKey::Paillier(pk), Body::Packed(pc), Body::Packed(pd)) => {
-                assert_eq!(pc.layout, pd.layout, "rows_add_assign layout mismatch");
-                assert_eq!(pc.seg, pd.seg, "rows_add_assign segment mismatch");
-                let k = pc.k;
-                let nchunks = pc.chunks_total(cache.cols);
-                let stride = nchunks * k;
-                for (d, &r) in rows.iter().enumerate() {
-                    for c in 0..nchunks {
-                        let prod = {
-                            let cur = &pc.limbs[r * stride + c * k..r * stride + (c + 1) * k];
-                            pk.mont.mont_mul(cur, delta.ct(d, c))
-                        };
-                        pc.limbs[r * stride + c * k..r * stride + (c + 1) * k]
-                            .copy_from_slice(&prod);
+                    let cur = limbs[r * stride..][..stride].chunks_exact_mut(*k);
+                    for (c, dc) in cur.zip(dlimbs[d * stride..][..stride].chunks_exact(*k)) {
+                        let prod = pk.mont.mont_mul(c, dc);
+                        c.copy_from_slice(&prod);
                     }
                 }
             }
             (PublicKey::Plain { .. }, Body::Plain(cv), Body::Plain(dv)) => {
                 for (d, &r) in rows.iter().enumerate() {
-                    for j in 0..cache.cols {
-                        cv[r * cache.cols + j] += dv[d * cache.cols + j];
+                    for (c, dc) in cv[r * stride..][..stride].iter_mut().zip(&dv[d * stride..]) {
+                        *c += dc;
                     }
                 }
             }
@@ -835,11 +707,13 @@ impl PublicKey {
 
     /// Fold a matrix that only has to be *decrypted* into a packed
     /// `1 × N` row (`N = rows·cols`, row-major, one segment) with as many
-    /// values per ciphertext as the key holds. Two bodies qualify, with
-    /// `u` values per source ciphertext and `f = ⌊slots/u⌋` sources per
+    /// values per ciphertext as the key holds. A body qualifies when its
+    /// lanes hold `u` values each and tile the values in row-major order
+    /// (`LaneLayout::fold_width`), with `f = ⌊slots/u⌋` lanes per
     /// output:
     ///
-    /// - a scalar body (`u = 1`, `f = slots`): every element is a source;
+    /// - one value per lane (`u = 1`, `f = slots`): every element is a
+    ///   source;
     /// - a packed body whose rows are one chunk of `u = cols ≤ slots/2`
     ///   slots in this key's layout: every row is a source, and the
     ///   result carries `slots = f·u` in its [`SlotLayout`].
@@ -860,13 +734,11 @@ impl PublicKey {
             return ct;
         };
         let (k, limbs, u) = match &ct.body {
-            Body::Enc { k, limbs } => (*k, limbs, 1),
-            Body::Packed(p)
-                if p.layout == layout && p.seg == ct.cols && ct.cols <= layout.slots / 2 =>
-            {
-                (p.k, &p.limbs, ct.cols)
-            }
-            _ => return ct,
+            Body::Paillier { k, lanes, limbs } => match lanes.fold_width(ct.cols, layout) {
+                Some(u) => (*k, limbs, u),
+                None => return ct,
+            },
+            Body::Plain(_) => return ct,
         };
         let n = ct.rows * ct.cols;
         let (sources, fold) = (n / u, layout.slots / u);
@@ -875,7 +747,7 @@ impl PublicKey {
         }
         let shifts: Vec<SignedInt> = (0..fold)
             .map(|j| SignedInt {
-                mag: bf_bigint::BigUint::one().shl(j * u * layout.slot_bits as usize),
+                mag: BigUint::one().shl(j * u * layout.slot_bits as usize),
                 neg: false,
             })
             .collect();
@@ -884,52 +756,44 @@ impl PublicKey {
             .map(|g| (g..sources).zip(shifts.iter().cloned()).collect())
             .collect();
         let packed = contract(pk, 1, &groups, |src, _| &limbs[src * k..][..k]);
-        CtMat {
-            rows: 1,
-            cols: n,
-            scale: ct.scale,
-            body: Body::Packed(PackedCtMat {
-                k,
-                layout: SlotLayout {
-                    slots: fold * u,
-                    ..layout
-                },
+        let slots = SlotLayout {
+            slots: fold * u,
+            ..layout
+        };
+        CtMat::from_paillier_parts(
+            1,
+            n,
+            ct.scale,
+            k,
+            LaneLayout::Packed {
+                layout: slots,
                 seg: n,
-                limbs: packed,
-            }),
-        }
+            },
+            packed,
+        )
     }
 }
 
 impl SecretKey {
     /// Whether `ct` is a body this key decrypts, or why not: the key's
-    /// own backend, for Paillier its ciphertext width, and for a packed
-    /// body its slot width with no more slots than the key holds (a
-    /// [`PublicKey::repack`]-folded row may carry fewer). What
-    /// [`crate::import_ctmat`] accepted is consistent in itself; this is
-    /// the half of a peer's claim only the key owner can check, and
-    /// [`SecretKey::decrypt`] — which panics on another backend or limb
-    /// count, and picks its CRT path from the geometry — runs after it.
+    /// own backend, for Paillier its ciphertext width and a lane layout
+    /// the key decodes (a packed body's slot width, with no more slots
+    /// than the key holds — a [`PublicKey::repack`]-folded row may carry
+    /// fewer). What [`crate::import_ctmat`] accepted is consistent in
+    /// itself; this is the half of a peer's claim only the key owner can
+    /// check, and [`SecretKey::decrypt`] — which panics on another
+    /// backend or limb count, and picks its CRT path from the layout —
+    /// runs after it.
     pub fn conforms(&self, ct: &CtMat) -> Result<(), String> {
-        let (sk, k) = match (self, &ct.body) {
+        let (sk, k, lanes) = match (self, &ct.body) {
             (SecretKey::Plain, Body::Plain(_)) => return Ok(()),
             (SecretKey::Plain, _) => return Err("ciphertexts for the Plain backend".into()),
             (SecretKey::Paillier(_), Body::Plain(_)) => {
                 return Err("a Plain body for a Paillier key".into())
             }
-            (SecretKey::Paillier(sk), Body::Enc { k, .. }) => (sk, *k),
-            (SecretKey::Paillier(sk), Body::Packed(p)) => {
-                let (pk, claim) = (sk.pk(), p.layout);
-                let own = SlotLayout::for_key(pk.key_bits, pk.frac_bits);
-                if !own.is_some_and(|l| claim.slot_bits == l.slot_bits && claim.slots <= l.slots) {
-                    return Err(format!(
-                        "{} slots of {} bits under a {}-bit key (its layout: {own:?})",
-                        claim.slots, claim.slot_bits, pk.key_bits
-                    ));
-                }
-                (sk, p.k)
-            }
+            (SecretKey::Paillier(sk), Body::Paillier { k, lanes, .. }) => (sk, *k, lanes),
         };
+        lanes.fits(sk.pk())?;
         if k != sk.pk().ct_limbs() {
             return Err(format!(
                 "{k}-limb ciphertexts, this key's are {} limbs",
@@ -943,43 +807,24 @@ impl SecretKey {
     /// fixed-point scale. `ct` is a body [`SecretKey::conforms`] accepts.
     pub fn decrypt(&self, ct: &CtMat) -> Dense {
         match (self, &ct.body) {
-            (SecretKey::Paillier(sk), Body::Enc { .. }) => {
-                let pk = sk.pk();
-                let n = ct.rows * ct.cols;
-                let vals: Vec<f64> = par_map_min(COARSE, n, |i| {
-                    let m = sk.raw_decrypt(ct.ct(i / ct.cols, i % ct.cols), None);
-                    codec::decode(&m, pk.frac_bits, ct.scale, &pk.n, &pk.half_n)
-                });
-                Dense::from_vec(ct.rows, ct.cols, vals)
-            }
-            (SecretKey::Paillier(sk), Body::Packed(p)) => {
+            (SecretKey::Paillier(sk), Body::Paillier { lanes, .. }) => {
                 // One work item per ciphertext, not per row: an HE2SS
-                // reply is a single row of fat chunks. Chunks tile each
+                // reply is a single row of fat chunks. Lanes tile each
                 // row in column order, so their outputs tile `vals`.
-                let pk = sk.pk();
-                let nchunks = p.chunks_total(ct.cols);
+                let (pk, cts) = (sk.pk(), ct.cts());
                 let mut vals = vec![0.0; ct.rows * ct.cols];
-                let mut chunks = Vec::with_capacity(ct.rows * nchunks);
+                let mut outs = Vec::with_capacity(ct.rows * cts.lanes);
                 let mut rest = &mut vals[..];
-                for idx in 0..ct.rows * nchunks {
-                    let (chunk, tail) = rest.split_at_mut(p.used_in_chunk(idx % nchunks));
-                    chunks.push(chunk);
+                for idx in 0..ct.rows * cts.lanes {
+                    let (out, tail) = rest.split_at_mut(lanes.span(idx % cts.lanes).len());
+                    outs.push(out);
                     rest = tail;
                 }
                 // A chunk's plaintext spans its used slots only, and one
                 // that stays below p/2 costs one CRT half.
-                par_for_each_mut_min(COARSE, &mut chunks, |idx, chunk| {
-                    let bits = chunk.len() * p.layout.slot_bits as usize;
-                    let m = sk.raw_decrypt(ct.ct(idx / nchunks, idx % nchunks), Some(bits));
-                    pack::unpack_values(
-                        &m,
-                        pk.frac_bits,
-                        ct.scale,
-                        p.layout,
-                        &pk.n,
-                        &pk.half_n,
-                        chunk,
-                    );
+                par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
+                    let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
+                    lanes.decode(&m, pk, ct.scale, out);
                 });
                 Dense::from_vec(ct.rows, ct.cols, vals)
             }
@@ -1022,14 +867,33 @@ fn ct_slab(n: usize, k: usize, f: impl Fn(usize, &mut [u64]) + Sync) -> Vec<u64>
     limbs
 }
 
-/// Row-major `rows × cols` ciphertexts of `k` limbs, transposed.
-fn transpose_limbs(limbs: &[u64], rows: usize, cols: usize, k: usize) -> Vec<u64> {
-    let mut out = vec![0u64; limbs.len()];
+/// One ciphertext per lane of `m` in layout `lanes`, lane `idx`
+/// (row-major) written by `f(idx, P, ct)` with `P` its values encoded at
+/// `scale`.
+fn lane_slab(
+    pk: &PaillierPk,
+    m: &Dense,
+    scale: u8,
+    lanes: LaneLayout,
+    f: impl Fn(usize, &BigUint, &mut [u64]) + Sync,
+) -> Vec<u64> {
+    let per_row = lanes.per_row(m.cols());
+    ct_slab(m.rows() * per_row, pk.ct_limbs(), |idx, ct| {
+        let vals = &m.row(idx / per_row)[lanes.span(idx % per_row)];
+        let p = lanes
+            .encode(vals, pk, scale)
+            .expect("value overflows its pack slot");
+        f(idx, &p, ct)
+    })
+}
+
+/// Row-major `rows × cols` entries of `k` words, transposed.
+fn transpose_flat<T: Copy + Default>(data: &[T], rows: usize, cols: usize, k: usize) -> Vec<T> {
+    let mut out = vec![T::default(); data.len()];
     for i in 0..rows {
         for j in 0..cols {
-            let src = (i * cols + j) * k;
-            let dst = (j * rows + i) * k;
-            out[dst..dst + k].copy_from_slice(&limbs[src..src + k]);
+            let (src, dst) = ((i * cols + j) * k, (j * rows + i) * k);
+            out[dst..dst + k].copy_from_slice(&data[src..src + k]);
         }
     }
     out
@@ -1155,9 +1019,22 @@ fn contract<'a>(
 mod tests {
     use super::*;
     use crate::keys::{keygen, plain_keys};
+    use crate::pack;
     use crate::{ObfMode, Obfuscator};
     use bf_tensor::Csr;
     use rand::SeedableRng;
+
+    impl CtMat {
+        /// Montgomery limbs of the ciphertext at row `i`, lane `l`.
+        fn ct(&self, i: usize, l: usize) -> &[u64] {
+            self.cts().at(i, l)
+        }
+
+        /// Ciphertexts per row.
+        fn lanes(&self) -> usize {
+            self.cts().lanes
+        }
+    }
 
     fn setup() -> (PublicKey, SecretKey, Obfuscator) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -1661,7 +1538,14 @@ mod tests {
             })
             .collect();
         let k = paillier(pk).ct_limbs();
-        CtMat::from_enc_parts(g.rows, w.rows(), 2, k, rows.concat())
+        CtMat::from_paillier_parts(
+            g.rows,
+            w.rows(),
+            2,
+            k,
+            LaneLayout::OnePerLane,
+            rows.concat(),
+        )
     }
 
     /// `rows × cols` whose row `r` follows pattern `r % 6`: 0/1
@@ -1758,7 +1642,7 @@ mod tests {
         let (pk, _) = keygen(256, 20, &mut rng);
         let p = paillier(&pk);
         let layout = SlotLayout::for_key(p.key_bits, p.frac_bits).unwrap();
-        for mode in [ObfMode::Pool(8), ObfMode::Exact, ObfMode::FixedBase] {
+        for mode in [ObfMode::Pool(8), ObfMode::Exact] {
             let obf = Obfuscator::new(&pk, mode, 5);
             obf.set_drawn(3);
             for scale in [1u8, 2] {

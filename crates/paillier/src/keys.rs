@@ -55,87 +55,6 @@ impl PaillierPk {
     }
 }
 
-/// Precomputed table for fixed-base windowed exponentiation: for a base
-/// `b` fixed per key, `windows[i][d] = b^(d·16^i)` in Montgomery form.
-///
-/// `pow(e)` is then `Π_i windows[i][digit_i(e)]` — one multiply per
-/// non-zero 4-bit digit and **no squarings at all**, versus 4 squarings
-/// per window for the generic `pow_mont` ladder. The repeated
-/// fixed-base pattern in this codebase is the encryption obfuscation
-/// stream: the textbook `g^m` is already free via the `g = n+1`
-/// shortcut (see [`PaillierPk::raw_encrypt`]), so the exponentiation
-/// every encrypt pays for is `r^n`; with a table over a fixed valid
-/// obfuscation `h = r_0^n`, each draw becomes a cheap `h^α` (see
-/// [`crate::obf::ObfMode::FixedBase`]). Built once per key, reused
-/// across every encryption.
-#[derive(Clone, Debug)]
-pub struct FixedBaseTable {
-    /// `windows[i][d] = base^(d·16^i)`, `d = 0..16`, Montgomery form.
-    windows: Vec<Vec<Vec<u64>>>,
-    /// Maximum supported exponent width in bits.
-    exp_bits: usize,
-}
-
-impl FixedBaseTable {
-    /// Precompute the table for exponents up to `exp_bits` bits.
-    /// Costs ~`exp_bits/4 · 15` multiplies — about the price of two
-    /// generic exponentiations, amortised across every later `pow`.
-    pub fn new(mont: &MontCtx, base_mont: &[u64], exp_bits: usize) -> Self {
-        let nwin = exp_bits.div_ceil(4).max(1);
-        let mut windows = Vec::with_capacity(nwin);
-        let mut base = base_mont.to_vec();
-        for w in 0..nwin {
-            let mut row: Vec<Vec<u64>> = Vec::with_capacity(16);
-            row.push(mont.one_mont());
-            row.push(base.clone());
-            for d in 2..16 {
-                let next = mont.mont_mul(&row[d - 1], &base);
-                row.push(next);
-            }
-            if w + 1 < nwin {
-                base = mont.mont_sqr(&row[8]); // (b^8)^2 = b^16
-            }
-            windows.push(row);
-        }
-        Self { windows, exp_bits }
-    }
-
-    /// `base^exp` in Montgomery form. Panics if `exp` is wider than the
-    /// table was built for.
-    pub fn pow(&self, mont: &MontCtx, exp: &BigUint) -> Vec<u64> {
-        assert!(
-            exp.bits() <= self.exp_bits,
-            "exponent wider than the fixed-base table"
-        );
-        let mut acc: Option<Vec<u64>> = None;
-        for (w, row) in self.windows.iter().enumerate() {
-            let d = digit4(exp, w);
-            if d == 0 {
-                continue;
-            }
-            acc = Some(match acc {
-                Some(a) => mont.mont_mul(&a, &row[d]),
-                None => row[d].clone(),
-            });
-        }
-        acc.unwrap_or_else(|| mont.one_mont())
-    }
-}
-
-/// The `w`-th little-endian 4-bit digit of `e`.
-fn digit4(e: &BigUint, w: usize) -> usize {
-    let bit = w * 4;
-    let limbs = e.limbs();
-    let lo = limbs.get(bit / 64).copied().unwrap_or(0) >> (bit % 64);
-    let v = if bit % 64 > 60 {
-        let hi = limbs.get(bit / 64 + 1).copied().unwrap_or(0);
-        lo | (hi << (64 - bit % 64))
-    } else {
-        lo
-    };
-    (v & 0xf) as usize
-}
-
 /// Paillier secret key with CRT decryption precomputations.
 #[derive(Clone, Debug)]
 pub struct PaillierSk {
@@ -164,7 +83,7 @@ impl PaillierSk {
     ///
     /// `bits` is what the caller knows about the plaintext as a signed
     /// integer `P` (negatives are `n − |P|`): `|P| < 2^bits`. A packed
-    /// chunk states `used · slot_bits`; a scalar body states nothing.
+    /// chunk states `used · slot_bits`; a one-value lane states nothing.
     /// When `2^bits ≤ p/2`, `P` is already determined by its residue
     /// mod `p` — `m_p` itself if `m_p ≤ p/2`, else `m_p − p` — and the
     /// `q` half, half the cost of a decryption, is skipped. The ring
@@ -493,30 +412,6 @@ mod tests {
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 1);
         let ct = encrypt_scalar(&pk, &obf, -9.5);
         assert_eq!(decrypt_scalar(&sk, &ct), -9.5);
-    }
-
-    #[test]
-    fn fixed_base_table_matches_pow_mont() {
-        let (pk, _, _) = setup();
-        let PublicKey::Paillier(p) = &pk else {
-            unreachable!()
-        };
-        let base = p.mont.to_mont(&BigUint::from_u64(0xfeed_beef).rem(&p.n2));
-        let table = FixedBaseTable::new(&p.mont, &base, 256);
-        for e in [
-            BigUint::zero(),
-            BigUint::one(),
-            BigUint::from_u64(15),
-            BigUint::from_u64(16),
-            BigUint::from_u128(0xdead_beef_0123_4567_89ab_cdef),
-            BigUint::one().shl(255).add_u64(0x1234_5678),
-        ] {
-            assert_eq!(
-                table.pow(&p.mont, &e),
-                p.mont.pow_mont(&base, &e),
-                "exponent {e}"
-            );
-        }
     }
 
     #[test]

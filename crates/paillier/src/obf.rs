@@ -3,36 +3,24 @@
 //! Computing a fresh `r^n` is by far the most expensive part of a
 //! Paillier encryption (a full-width exponentiation). Production
 //! deployments — including the GMP-based system the paper describes —
-//! amortise it; we support three strategies:
+//! amortise it; we support two strategies:
 //!
-//! * [`ObfMode::Exact`] — a fresh `r^n` per encryption (randomness
-//!   derived from a per-call PRG seed so encryption can be
-//!   data-parallel),
 //! * [`ObfMode::Pool`] — precompute a pool of exact obfuscations in
 //!   parallel at construction, then combine two random pool entries per
 //!   encryption (the product of two valid obfuscations is a valid
 //!   obfuscation). This trades full entropy for a large constant-factor
-//!   speedup and is the default for the training-loop experiments.
-//! * [`ObfMode::FixedBase`] — one exact obfuscation `h = r_0^n` at
-//!   construction, then each draw is `h^α` for a pseudo-random 256-bit
-//!   `α`, evaluated through a fixed-base window table
-//!   ([`crate::keys::FixedBaseTable`]) with no squarings. Cheapest per
-//!   draw; randomness ranges over the subgroup generated by `h`.
-//!
-//! Pool sizing is centralised here: [`ObfMode::from_env_or`] resolves
-//! the `BF_OBF_POOL` environment knob, and [`ObfMode::sized_for`]
-//! derives a pool size from a measured draw count (see
-//! [`Obfuscator::drawn`]) instead of a hard-coded constant.
+//!   speedup; every configuration (`FedConfig`, the benchmarks) names
+//!   its pool size directly.
+//! * [`ObfMode::Exact`] — the textbook fresh `r^n` per encryption
+//!   (randomness derived from a per-call PRG seed so encryption can be
+//!   data-parallel): the reference the tests hold the pool against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bf_bigint::{rng::random_coprime, BigUint};
 use rand::SeedableRng;
 
-use crate::keys::{FixedBaseTable, PaillierPk, PublicKey};
-
-/// Exponent width for [`ObfMode::FixedBase`] draws.
-const FIXED_BASE_ALPHA_BITS: usize = 256;
+use crate::keys::{PaillierPk, PublicKey};
 
 /// Obfuscation generation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,38 +30,6 @@ pub enum ObfMode {
     /// Precomputed pool of the given size; each encryption multiplies
     /// two pseudo-randomly chosen entries.
     Pool(usize),
-    /// One precomputed `h = r_0^n`; each encryption draws `h^α` via a
-    /// fixed-base window table.
-    FixedBase,
-}
-
-impl ObfMode {
-    /// Resolve the obfuscation mode from the `BF_OBF_POOL` environment
-    /// knob, falling back to `default`. Accepted values: `exact`,
-    /// `fixedbase`, or a pool size `N ≥ 2`; anything else (including an
-    /// unset variable) leaves the default in place.
-    pub fn from_env_or(default: ObfMode) -> ObfMode {
-        match std::env::var("BF_OBF_POOL").as_deref() {
-            Ok("exact") => ObfMode::Exact,
-            Ok("fixedbase") => ObfMode::FixedBase,
-            Ok(s) => match s.parse::<usize>() {
-                Ok(n) if n >= 2 => ObfMode::Pool(n),
-                _ => default,
-            },
-            Err(_) => default,
-        }
-    }
-
-    /// A pool sized from a measured (or expected) draw count rather
-    /// than a fixed constant: `ceil(sqrt(2·draws))` entries, so the
-    /// expected number of repeated index *pairs* across `draws`
-    /// two-entry combinations stays O(1) (birthday bound), clamped to
-    /// `[8, 4096]`. Feed it the [`Obfuscator::drawn`] count of a probe
-    /// run — the `crypto_hotpath` bench sweeps this.
-    pub fn sized_for(draws: u64) -> ObfMode {
-        let s = (2.0 * draws as f64).sqrt().ceil() as usize;
-        ObfMode::Pool(s.clamp(8, 4096))
-    }
 }
 
 /// Thread-safe source of `r^n mod n^2` values in Montgomery form.
@@ -83,7 +39,6 @@ pub struct Obfuscator {
     seed: u64,
     ctr: AtomicU64,
     pool: Vec<Vec<u64>>,
-    table: Option<FixedBaseTable>,
 }
 
 impl Obfuscator {
@@ -99,19 +54,11 @@ impl Obfuscator {
             }
             _ => Vec::new(),
         };
-        let table = match (pk, mode) {
-            (PublicKey::Paillier(p), ObfMode::FixedBase) => {
-                let h = fresh_rn(p, splitmix(seed ^ 0xf1bb));
-                Some(FixedBaseTable::new(&p.mont, &h, FIXED_BASE_ALPHA_BITS))
-            }
-            _ => None,
-        };
         Self {
             mode,
             seed,
             ctr: AtomicU64::new(0),
             pool,
-            table,
         }
     }
 
@@ -147,29 +94,11 @@ impl Obfuscator {
                     pk.mont.mont_mul(&self.pool[a], &self.pool[b])
                 }
             }
-            ObfMode::FixedBase => {
-                // h^α for a 256-bit PRG-derived α ≥ 1: no squarings,
-                // ≤ 64 multiplies through the window table.
-                let mut limbs = [0u64; FIXED_BASE_ALPHA_BITS / 64];
-                for (t, l) in limbs.iter_mut().enumerate() {
-                    *l = splitmix(
-                        self.seed
-                            ^ i.wrapping_mul(0x94d049bb133111eb)
-                            ^ (t as u64).wrapping_mul(0xd6e8feb86659fd93),
-                    );
-                }
-                limbs[0] |= 1; // keep α non-zero
-                let alpha = BigUint::from_limbs(limbs.to_vec());
-                self.table
-                    .as_ref()
-                    .expect("FixedBase obfuscator without a table")
-                    .pow(&pk.mont, &alpha)
-            }
         }
     }
 
-    /// Number of obfuscations drawn so far. Diagnostics, and the input
-    /// to draw-rate pool sizing ([`ObfMode::sized_for`]).
+    /// Number of obfuscations drawn so far (diagnostics, and the
+    /// checkpoint cursor [`Obfuscator::set_drawn`] restores).
     pub fn drawn(&self) -> u64 {
         self.ctr.load(Ordering::Relaxed)
     }
@@ -244,25 +173,13 @@ mod tests {
         let crate::keys::SecretKey::Paillier(s) = &sk else {
             unreachable!()
         };
-        for mode in [ObfMode::Pool(3), ObfMode::Exact, ObfMode::FixedBase] {
+        for mode in [ObfMode::Pool(3), ObfMode::Exact] {
             let obf = Obfuscator::new(&pk, mode, 11);
             for _ in 0..4 {
                 let rn = obf.next_rn(p);
                 assert!(s.raw_decrypt(&rn, None).is_zero(), "mode {mode:?}");
             }
         }
-    }
-
-    #[test]
-    fn fixed_base_mode_distinct() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let (pk, _) = keygen(128, 16, &mut rng);
-        let obf = Obfuscator::new(&pk, ObfMode::FixedBase, 13);
-        let PublicKey::Paillier(p) = &pk else {
-            unreachable!()
-        };
-        assert_ne!(obf.next_rn(p), obf.next_rn(p));
-        assert_eq!(obf.drawn(), 2);
     }
 
     #[test]
@@ -276,7 +193,7 @@ mod tests {
         let PublicKey::Paillier(p) = &pk else {
             unreachable!()
         };
-        for mode in [ObfMode::Pool(3), ObfMode::Exact, ObfMode::FixedBase] {
+        for mode in [ObfMode::Pool(3), ObfMode::Exact] {
             let obf = Obfuscator::new(&pk, mode, 21);
             let want: Vec<_> = (0..6).map(|_| obf.next_rn(p)).collect();
             let resumed = Obfuscator::new(&pk, mode, 21);
@@ -285,24 +202,5 @@ mod tests {
             assert_eq!(resumed.next_rn(p), want[5], "mode {mode:?}");
             assert_eq!(resumed.drawn(), 6);
         }
-    }
-
-    #[test]
-    fn sized_for_follows_birthday_bound() {
-        assert_eq!(ObfMode::sized_for(0), ObfMode::Pool(8));
-        assert_eq!(ObfMode::sized_for(32), ObfMode::Pool(8));
-        assert_eq!(ObfMode::sized_for(5000), ObfMode::Pool(100));
-        assert_eq!(ObfMode::sized_for(u64::MAX / 4), ObfMode::Pool(4096));
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        // Direct parsing contract (without mutating the environment,
-        // which would race other tests): unset → default.
-        assert_eq!(
-            ObfMode::from_env_or(ObfMode::Pool(32)),
-            ObfMode::Pool(32),
-            "expects BF_OBF_POOL to be unset in the test environment"
-        );
     }
 }

@@ -56,7 +56,10 @@
 //! forest set-up (`|g| < 1`, `h ≤ ¼` for logloss) and refuses a store
 //! past either on host and guest.
 //!
-//! Packing is *disabled* (the scalar body is used) when the key is too
+//! A packed matrix and a scalar one are the same [`crate::CtMat`] body
+//! in two lane layouts (`LaneLayout`): one value per ciphertext, or
+//! one column chunk per ciphertext. Packing is *disabled* (the
+//! one-value-per-lane layout is used) when the key is too
 //! small to fit two slots, when `slot_bits` would exceed
 //! [`MAX_SLOT_BITS`] (digit extraction uses `u128` arithmetic), or when
 //! a matrix has fewer than two columns — the decision depends only on
@@ -122,6 +125,7 @@
 use bf_bigint::BigUint;
 
 use crate::codec;
+use crate::keys::PaillierPk;
 
 /// Extra bits per slot beyond the scale-2 payload, absorbing
 /// accumulation across a mini-batch's rows (`log2(rows)` bits), the
@@ -314,66 +318,204 @@ fn slot_bias(slot_bits: u32, used: usize) -> BigUint {
     b
 }
 
-/// The packed body of a [`crate::CtMat`]: one ciphertext per column
-/// chunk instead of per element.
+/// Wire body tag of the one-value-per-lane layout (`crate::serial`).
+const TAG_ONE_PER_LANE: u8 = 1;
+/// Wire body tag of the slot-packed layout, followed by its geometry.
+const TAG_PACKED: u8 = 2;
+
+/// How a Paillier [`crate::CtMat`] lays a row's values into ciphertexts
+/// ("lanes") — the only thing its two layouts differ in, and the only
+/// place anything reads which one a body has.
 ///
-/// Columns are grouped into *segments* of width `seg` (`cols % seg ==
-/// 0`); each segment is split independently into
-/// `ceil(seg / layout.slots)` chunks, so chunks never straddle a
-/// segment boundary. Plain matrices have a single segment (`seg =
-/// cols`); embedding tables use `seg = dim` so that `lkup`'s
-/// concatenation of table rows preserves chunk alignment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PackedCtMat {
-    /// Limbs per ciphertext.
-    pub(crate) k: usize,
-    /// Slot geometry.
-    pub(crate) layout: SlotLayout,
-    /// Segment width in columns.
-    pub(crate) seg: usize,
-    /// Flat row-major ciphertext limbs: `rows × chunks` ciphertexts.
-    pub(crate) limbs: Vec<u64>,
+/// Three facts follow from it: how many lanes a row has and which
+/// columns lane `c` covers ([`LaneLayout::per_row`], [`LaneLayout::span`]);
+/// how a lane's values become a plaintext and back ([`codec`], or
+/// [`pack_values`] / [`unpack_values`]); and what a lane states about its
+/// plaintext's width to [`crate::PaillierSk::raw_decrypt`] — nothing, or
+/// `used · slot_bits`.
+///
+/// Packed columns are grouped into *segments* of width `seg` (`cols %
+/// seg == 0`); each segment is split independently into
+/// `⌈seg / slots⌉` chunks, so chunks never straddle a segment boundary.
+/// Uploads are a single segment (`seg = cols`); embedding tables use
+/// `seg = dim` so that `lkup`'s concatenation of table rows preserves
+/// chunk alignment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LaneLayout {
+    /// One value per lane: lane `c` is column `c`, encoded by [`codec`].
+    OnePerLane,
+    /// Slot-packed: one lane per column chunk of `layout.slots` values.
+    Packed {
+        /// Slot geometry.
+        layout: SlotLayout,
+        /// Segment width in columns.
+        seg: usize,
+    },
 }
 
-impl PackedCtMat {
-    /// Chunks per segment.
-    pub(crate) fn chunks_per_seg(&self) -> usize {
-        self.seg.div_ceil(self.layout.slots)
+impl LaneLayout {
+    /// True for the slot-packed layout.
+    pub(crate) fn is_packed(&self) -> bool {
+        matches!(self, LaneLayout::Packed { .. })
     }
 
-    /// Total chunks per row for a matrix of `cols` columns.
-    pub(crate) fn chunks_total(&self, cols: usize) -> usize {
-        debug_assert_eq!(cols % self.seg, 0, "cols must be whole segments");
-        cols / self.seg * self.chunks_per_seg()
+    /// Lanes in a row of `cols` columns (a whole number of segments).
+    pub(crate) fn per_row(&self, cols: usize) -> usize {
+        match *self {
+            LaneLayout::OnePerLane => cols,
+            LaneLayout::Packed { layout, seg } => {
+                debug_assert_eq!(cols % seg, 0, "cols must be whole segments");
+                cols / seg * seg.div_ceil(layout.slots)
+            }
+        }
     }
 
-    /// Number of used slots in chunk `c` (the last chunk of each
+    /// True if a row of `cols` columns is whole lanes: a whole number of
+    /// segments.
+    pub(crate) fn tiles(&self, cols: usize) -> bool {
+        match *self {
+            LaneLayout::OnePerLane => true,
+            LaneLayout::Packed { seg, .. } => cols % seg == 0,
+        }
+    }
+
+    /// The columns lane `c` of a row covers (the last chunk of each
     /// segment may be partial).
-    pub(crate) fn used_in_chunk(&self, c: usize) -> usize {
-        let cc = c % self.chunks_per_seg();
-        (self.seg - cc * self.layout.slots).min(self.layout.slots)
+    pub(crate) fn span(&self, c: usize) -> std::ops::Range<usize> {
+        match *self {
+            LaneLayout::OnePerLane => c..c + 1,
+            LaneLayout::Packed { layout, seg } => {
+                let cps = seg.div_ceil(layout.slots);
+                let first = (c % cps) * layout.slots;
+                let col0 = (c / cps) * seg + first;
+                col0..col0 + (seg - first).min(layout.slots)
+            }
+        }
     }
 
-    /// First column covered by chunk `c`.
-    pub(crate) fn chunk_col0(&self, c: usize) -> usize {
-        let cps = self.chunks_per_seg();
-        (c / cps) * self.seg + (c % cps) * self.layout.slots
+    /// A lane's values as one `Z_n` plaintext at `scale`.
+    pub(crate) fn encode(
+        &self,
+        vals: &[f64],
+        pk: &PaillierPk,
+        scale: u8,
+    ) -> Result<BigUint, PackError> {
+        match *self {
+            LaneLayout::OnePerLane => Ok(codec::encode(vals[0], pk.frac_bits, scale, &pk.n)),
+            LaneLayout::Packed { layout, .. } => {
+                pack_values(vals, pk.frac_bits, scale, layout, &pk.n)
+            }
+        }
     }
 
-    /// Ciphertext limbs of chunk `(i, c)` in a matrix of `cols` columns.
-    pub(crate) fn entry(&self, cols: usize, i: usize, c: usize) -> &[u64] {
-        let off = (i * self.chunks_total(cols) + c) * self.k;
-        &self.limbs[off..off + self.k]
+    /// A lane's decrypted plaintext back into its `out.len()` values.
+    pub(crate) fn decode(&self, m: &BigUint, pk: &PaillierPk, scale: u8, out: &mut [f64]) {
+        match *self {
+            LaneLayout::OnePerLane => {
+                out[0] = codec::decode(m, pk.frac_bits, scale, &pk.n, &pk.half_n);
+            }
+            LaneLayout::Packed { layout, .. } => {
+                unpack_values(m, pk.frac_bits, scale, layout, &pk.n, &pk.half_n, out);
+            }
+        }
     }
 
-    /// Slot geometry of this body.
-    pub fn layout(&self) -> SlotLayout {
-        self.layout
+    /// The bound a lane of `used` values states to
+    /// [`crate::PaillierSk::raw_decrypt`]: `|P| < 2^(used·slot_bits)`
+    /// for a chunk, nothing for one value per lane.
+    pub(crate) fn width(&self, used: usize) -> Option<usize> {
+        match *self {
+            LaneLayout::OnePerLane => None,
+            LaneLayout::Packed { layout, .. } => Some(used * layout.slot_bits as usize),
+        }
     }
 
-    /// Segment width in columns.
-    pub fn seg(&self) -> usize {
-        self.seg
+    /// Whether the key with public parameters `pk` decodes this layout,
+    /// or why not: a packed body's slots must be the key's slot width,
+    /// and no more of them than the key holds (a
+    /// [`crate::PublicKey::repack`]-folded row may carry fewer).
+    pub(crate) fn fits(&self, pk: &PaillierPk) -> Result<(), String> {
+        let LaneLayout::Packed { layout: claim, .. } = *self else {
+            return Ok(());
+        };
+        let own = SlotLayout::for_key(pk.key_bits, pk.frac_bits);
+        if own.is_some_and(|l| claim.slot_bits == l.slot_bits && claim.slots <= l.slots) {
+            return Ok(());
+        }
+        Err(format!(
+            "{} slots of {} bits under a {}-bit key (its layout: {own:?})",
+            claim.slots, claim.slot_bits, pk.key_bits
+        ))
+    }
+
+    /// Values per lane, `u`, when a body of `cols` columns in this layout
+    /// folds under a key of slot geometry `key`
+    /// ([`crate::PublicKey::repack`]): every lane holds `u ≤ key.slots/2`
+    /// values, and the lanes in row-major order hold the values in
+    /// row-major order. One value per lane always does; a packed body
+    /// does when each row is one chunk in the key's own geometry.
+    pub(crate) fn fold_width(&self, cols: usize, key: SlotLayout) -> Option<usize> {
+        let u = match *self {
+            LaneLayout::OnePerLane => 1,
+            LaneLayout::Packed { layout, seg } if layout == key && seg == cols => cols,
+            LaneLayout::Packed { .. } => return None,
+        };
+        (u <= key.slots / 2).then_some(u)
+    }
+
+    /// The body tag and the geometry fields that follow `k` on the wire
+    /// (`crate::serial`).
+    pub(crate) fn to_wire(self) -> (u8, Vec<u64>) {
+        match self {
+            LaneLayout::OnePerLane => (TAG_ONE_PER_LANE, Vec::new()),
+            LaneLayout::Packed { layout, seg } => (
+                TAG_PACKED,
+                vec![layout.slot_bits as u64, layout.slots as u64, seg as u64],
+            ),
+        }
+    }
+
+    /// The layout body tag `tag` announces, reading its geometry fields
+    /// with `field(i)`, and how many fields it read. Every field is
+    /// validated before anyone divides by it.
+    pub(crate) fn from_wire(
+        tag: u8,
+        field: impl Fn(usize) -> Result<u64, String>,
+    ) -> Result<(LaneLayout, usize), String> {
+        match tag {
+            TAG_ONE_PER_LANE => Ok((LaneLayout::OnePerLane, 0)),
+            TAG_PACKED => {
+                let slot_bits = field(0)?;
+                let slots = usize::try_from(field(1)?).map_err(|_| "slots overflow")?;
+                let seg = usize::try_from(field(2)?).map_err(|_| "seg overflow")?;
+                if slots == 0 {
+                    return Err("zero slots per ciphertext".into());
+                }
+                if slot_bits == 0 || slot_bits > MAX_SLOT_BITS as u64 {
+                    return Err(format!("slot width {slot_bits} out of range"));
+                }
+                if seg == 0 {
+                    return Err("zero segment width".into());
+                }
+                let layout = SlotLayout {
+                    slot_bits: slot_bits as u32,
+                    slots,
+                };
+                Ok((LaneLayout::Packed { layout, seg }, 3))
+            }
+            other => Err(format!("unknown ctmat body tag {other}")),
+        }
+    }
+
+    /// Bytes this layout adds to [`crate::CtMat::wire_size`]'s account of
+    /// a body: a packed body's 4-field sub-header
+    /// (`k | slot_bits | slots | seg`); a one-value-per-lane body is
+    /// accounted as its limbs alone.
+    pub(crate) fn header_bytes(&self) -> usize {
+        match self {
+            LaneLayout::OnePerLane => 0,
+            LaneLayout::Packed { .. } => 32,
+        }
     }
 }
 
@@ -470,20 +612,20 @@ mod tests {
 
     #[test]
     fn chunk_geometry() {
-        let p = PackedCtMat {
-            k: 1,
+        let p = LaneLayout::Packed {
             layout: SlotLayout {
                 slot_bits: 100,
                 slots: 4,
             },
             seg: 6,
-            limbs: Vec::new(),
         };
-        assert_eq!(p.chunks_per_seg(), 2);
-        assert_eq!(p.chunks_total(12), 4);
-        assert_eq!(p.used_in_chunk(0), 4);
-        assert_eq!(p.used_in_chunk(1), 2);
-        assert_eq!(p.chunk_col0(2), 6);
-        assert_eq!(p.chunk_col0(3), 10);
+        assert_eq!(p.per_row(6), 2);
+        assert_eq!(p.per_row(12), 4);
+        assert_eq!(p.span(0), 0..4);
+        assert_eq!(p.span(1), 4..6);
+        assert_eq!(p.span(2), 6..10);
+        assert_eq!(p.span(3), 10..12);
+        let one = LaneLayout::OnePerLane;
+        assert_eq!((one.per_row(12), one.span(5)), (12, 5..6));
     }
 }

@@ -20,6 +20,10 @@
 //!   by `rows · chunks · k` limbs, where `chunks = (cols/seg) ·
 //!   ceil(seg/slots)` — one ciphertext per column chunk rather than
 //!   per element (see `crate::pack` and `docs/WIRE_PROTOCOL.md`).
+//!   In memory both are one Paillier body; tags 1 and 2 name its two
+//!   lane layouts, whose geometry fields the layout itself writes and
+//!   validates (`LaneLayout::{to_wire, from_wire}`). The bytes are
+//!   unchanged since the tags were introduced.
 
 use std::sync::Arc;
 
@@ -27,6 +31,7 @@ use bf_bigint::BigUint;
 
 use crate::ctmat::BodyView;
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
+use crate::pack::LaneLayout;
 use crate::CtMat;
 
 /// Serialize a public key.
@@ -87,12 +92,9 @@ pub fn import_secret(s: &str) -> Result<SecretKey, String> {
     }
 }
 
-/// [`CtMat`] body tag: Plain backend (`f64` values follow).
+/// [`CtMat`] body tag: Plain backend (`f64` values follow). Paillier
+/// bodies carry their lane layout's tag (1 or 2).
 const CT_BODY_PLAIN: u8 = 0;
-/// [`CtMat`] body tag: Paillier backend (limb count + limbs follow).
-const CT_BODY_ENC: u8 = 1;
-/// [`CtMat`] body tag: packed Paillier backend (slot layout + limbs).
-const CT_BODY_PACKED: u8 = 2;
 
 /// Serialize a ciphertext tensor to the canonical byte layout (the
 /// `Ct` wire payload).
@@ -109,24 +111,12 @@ pub fn export_ctmat(ct: &CtMat) -> Vec<u8> {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        BodyView::Enc { k, limbs } => {
-            out.push(CT_BODY_ENC);
-            out.extend_from_slice(&(k as u64).to_le_bytes());
-            for l in limbs {
-                out.extend_from_slice(&l.to_le_bytes());
+        BodyView::Paillier { k, lanes, limbs } => {
+            let (tag, geometry) = lanes.to_wire();
+            out.push(tag);
+            for w in std::iter::once(k as u64).chain(geometry) {
+                out.extend_from_slice(&w.to_le_bytes());
             }
-        }
-        BodyView::Packed {
-            k,
-            layout,
-            seg,
-            limbs,
-        } => {
-            out.push(CT_BODY_PACKED);
-            out.extend_from_slice(&(k as u64).to_le_bytes());
-            out.extend_from_slice(&(layout.slot_bits as u64).to_le_bytes());
-            out.extend_from_slice(&(layout.slots as u64).to_le_bytes());
-            out.extend_from_slice(&(seg as u64).to_le_bytes());
             for l in limbs {
                 out.extend_from_slice(&l.to_le_bytes());
             }
@@ -161,69 +151,35 @@ pub fn import_ctmat(bytes: &[u8]) -> Result<CtMat, String> {
                 .collect();
             Ok(CtMat::from_plain_parts(rows, cols, scale, vals))
         }
-        CT_BODY_ENC => {
+        tag => {
+            // The layout validates its own geometry fields *before* any
+            // lane arithmetic: division by zero or absurd widths must
+            // yield Err.
+            let (lanes, fields) = LaneLayout::from_wire(tag, |i| take_u64(26 + 8 * i))?;
             let k = usize::try_from(take_u64(18)?).map_err(|_| "limb count overflow")?;
-            let want = n
-                .checked_mul(k)
-                .and_then(|t| t.checked_mul(8))
-                .ok_or("enc length overflow")?;
-            let data = bytes.get(26..).ok_or("truncated ctmat body")?;
-            if data.len() != want {
-                return Err(format!("enc body length {} != {want}", data.len()));
-            }
-            if n > 0 && k == 0 {
-                return Err("zero limbs per ciphertext".into());
-            }
-            let limbs = data
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(CtMat::from_enc_parts(rows, cols, scale, k, limbs))
-        }
-        CT_BODY_PACKED => {
-            let k = usize::try_from(take_u64(18)?).map_err(|_| "limb count overflow")?;
-            let slot_bits = take_u64(26)?;
-            let slots = usize::try_from(take_u64(34)?).map_err(|_| "slots overflow")?;
-            let seg = usize::try_from(take_u64(42)?).map_err(|_| "seg overflow")?;
-            // Validate the layout fields *before* any chunk arithmetic:
-            // division by zero or absurd widths must yield Err.
             if k == 0 {
                 return Err("zero limbs per ciphertext".into());
             }
-            if slots == 0 {
-                return Err("zero slots per ciphertext".into());
+            if !lanes.tiles(cols) {
+                return Err(format!("{lanes:?} does not tile {cols} columns"));
             }
-            if slot_bits == 0 || slot_bits > crate::pack::MAX_SLOT_BITS as u64 {
-                return Err(format!("slot width {slot_bits} out of range"));
-            }
-            if seg == 0 || cols % seg != 0 {
-                return Err(format!("segment width {seg} does not divide cols {cols}"));
-            }
-            let chunks = (cols / seg)
-                .checked_mul(seg.div_ceil(slots))
-                .ok_or("chunk count overflow")?;
             let want = rows
-                .checked_mul(chunks)
+                .checked_mul(lanes.per_row(cols))
                 .and_then(|t| t.checked_mul(k))
                 .and_then(|t| t.checked_mul(8))
-                .ok_or("packed length overflow")?;
-            let data = bytes.get(50..).ok_or("truncated ctmat body")?;
+                .ok_or("body length overflow")?;
+            let data = bytes.get(26 + 8 * fields..).ok_or("truncated ctmat body")?;
             if data.len() != want {
-                return Err(format!("packed body length {} != {want}", data.len()));
+                return Err(format!("body length {} != {want}", data.len()));
             }
             let limbs = data
                 .chunks_exact(8)
                 .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
                 .collect();
-            let layout = crate::pack::SlotLayout {
-                slot_bits: slot_bits as u32,
-                slots,
-            };
-            Ok(CtMat::from_packed_parts(
-                rows, cols, scale, k, layout, seg, limbs,
+            Ok(CtMat::from_paillier_parts(
+                rows, cols, scale, k, lanes, limbs,
             ))
         }
-        other => Err(format!("unknown ctmat body tag {other}")),
     }
 }
 
