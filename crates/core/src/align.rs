@@ -43,7 +43,7 @@
 use std::collections::HashMap;
 
 use bf_ml::data::Dataset;
-use bf_mpc::psi::{psi_guest, psi_host_multi};
+use bf_mpc::psi::{psi_guest, psi_host};
 use bf_mpc::transport::{Endpoint, TransportError, TransportResult};
 
 use crate::persist::AlignCursor;
@@ -63,7 +63,7 @@ pub fn psi_salt(seed: u64) -> u64 {
 
 /// One party's completed alignment: the intersection (canonical
 /// ascending-ID order), this party's row selection realising it, and
-/// the PSI bytes this party sent to get it.
+/// the PSI bytes this party sent to get it, per link.
 #[derive(Clone, Debug)]
 pub struct Alignment {
     /// The salt of the PSI exchange (persisted in aligned checkpoints
@@ -74,12 +74,10 @@ pub struct Alignment {
     pub ids: Vec<u64>,
     /// `rows[i]` = this party's local row holding `ids[i]`.
     pub rows: Vec<usize>,
-    /// Bytes this party sent during the PSI phase (0 when the
-    /// selection was rebuilt from a checkpoint, which is wire-free).
-    pub psi_bytes_sent: u64,
-    /// [`Alignment::psi_bytes_sent`] per link, in link order: one entry
-    /// at a guest, one per guest at the host, none after a wire-free
-    /// rebuild.
+    /// Bytes this party sent during the PSI phase, per link in link
+    /// order: one entry at a guest, one per guest at the host, none
+    /// after a checkpoint rebuild (which is wire-free). Their sum is the
+    /// party's whole PSI cost.
     pub psi_bytes_per_link: Vec<u64>,
 }
 
@@ -148,7 +146,6 @@ impl Alignment {
             salt: cur.salt,
             ids: cur.ids.clone(),
             rows,
-            psi_bytes_sent: 0,
             psi_bytes_per_link: Vec::new(),
         })
     }
@@ -165,7 +162,6 @@ pub fn align_guest(sess: &Session, ids: &[u64]) -> TransportResult<Alignment> {
         salt,
         ids: sel.ids,
         rows: sel.rows,
-        psi_bytes_sent: sent,
         psi_bytes_per_link: vec![sent],
     })
 }
@@ -176,18 +172,16 @@ pub fn align_guest(sess: &Session, ids: &[u64]) -> TransportResult<Alignment> {
 pub fn align_host(links: &[Session], salt: u64, ids: &[u64]) -> TransportResult<Alignment> {
     let before: Vec<u64> = links.iter().map(|s| s.ep.stats().bytes()).collect();
     let eps: Vec<&Endpoint> = links.iter().map(|s| &s.ep).collect();
-    let sel = psi_host_multi(&eps, salt, ids)?;
-    let per_link: Vec<u64> = links
-        .iter()
-        .zip(&before)
-        .map(|(s, b)| s.ep.stats().bytes() - b)
-        .collect();
+    let sel = psi_host(&eps, salt, ids)?;
     Ok(Alignment {
         salt,
         ids: sel.ids,
         rows: sel.rows,
-        psi_bytes_sent: per_link.iter().sum(),
-        psi_bytes_per_link: per_link,
+        psi_bytes_per_link: links
+            .iter()
+            .zip(&before)
+            .map(|(s, b)| s.ep.stats().bytes() - b)
+            .collect(),
     })
 }
 
@@ -211,7 +205,7 @@ mod tests {
         let a = Alignment::from_cursor(&cur, &local).unwrap();
         assert_eq!(a.ids, vec![10, 30, 50]);
         assert_eq!(a.rows, vec![1, 3, 0]);
-        assert_eq!(a.psi_bytes_sent, 0);
+        assert_eq!(a.psi_bytes_per_link.iter().sum::<u64>(), 0);
     }
 
     #[test]

@@ -14,10 +14,8 @@ use crate::models::{PartyAModel, PartyBModel};
 /// `(share_piece, true_value)` pairs for Party A's MatMul weights:
 /// `U_A[i]` against `W_A[i] = U_A[i] + V_A[i]`.
 pub fn matmul_share_vs_weight(a: &PartyAModel, b: &PartyBModel) -> Vec<(f64, f64)> {
-    let mm_a = a.matmul().expect("model has no MatMul source");
-    let mm_b = b.matmul().expect("model has no MatMul source");
-    let u = mm_a.u_own();
-    let w = u.add(mm_b.v_peer());
+    let u = a.matmul().u_own();
+    let w = u.add(b.matmul().v_peer());
     zip_coords(u, &w)
 }
 

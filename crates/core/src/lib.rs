@@ -39,19 +39,22 @@
 //!   (§4.3, Figure 7).
 //! * [`source::ss_top`] — the secret-shared-top-model variants
 //!   (Appendix B, Figures 13–14).
-//! * [`multiparty`] — the `Hello` link fan-in of one-process-per-guest
-//!   TCP deployments. The multi-guest extension itself (Appendix C) is
-//!   not a second stack: the host model and the host MatMul layer run
-//!   over a slice of guest links (Algorithm 3's `M+1`-way weight split;
-//!   per-link pairwise submodels for the bilinear embedding), and the
-//!   two-party job is their one-link instance.
+//! * [`multiparty`] — the `M`-guest link prologue (hello, handshake,
+//!   per-link seed), written once: [`multiparty::join_host`] at a
+//!   guest, [`multiparty::accept_guests`] at the host, and
+//!   [`multiparty::run_star`] running both in process. The multi-guest
+//!   extension itself (Appendix C) is not a second stack: the host
+//!   model and the host MatMul layer run over a slice of guest links
+//!   (Algorithm 3's `M+1`-way weight split; per-link pairwise submodels
+//!   for the bilinear embedding), and the two-party job is their
+//!   one-link instance.
 //! * [`models`] / [`train`] — the federated model zoo (LR, MLR, MLP,
 //!   WDL, DLRM) and the training/inference runtime: two entry points,
 //!   [`train::run_party_a`] per guest and [`train::run_party_b`] for
 //!   the host over its links, with resume and alignment as fields of
-//!   [`train::FedTrainConfig`]; [`train::train_federated`] (two
-//!   threads) and [`train::train_federated_multi`] (`M + 1` threads)
-//!   are the in-process harnesses.
+//!   [`train::FedTrainConfig`]; [`train::train_federated`] (over
+//!   [`session::run_pair`]) and [`train::train_federated_multi`] (over
+//!   [`multiparty::run_star`]) are the in-process harnesses.
 //! * [`engine`] — the pipelined mini-batch engine:
 //!   [`engine::TrainMode`] selects between the lock-step loop and the
 //!   queue-decoupled, double-buffered pipeline (bit-identical results;

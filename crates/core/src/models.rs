@@ -170,7 +170,7 @@ impl FedSpec {
 /// Party A's half: the A-sides of the source layers plus the fixed
 /// execution order.
 pub struct PartyAModel {
-    matmul: Option<MatMulSource>,
+    matmul: MatMulSource,
     embed: Option<EmbedSource>,
 }
 
@@ -183,7 +183,7 @@ impl PartyAModel {
     ) -> TransportResult<PartyAModel> {
         let (matmul, mut embed) = init_sources(std::slice::from_mut(sess), spec, data)?;
         Ok(PartyAModel {
-            matmul: Some(matmul),
+            matmul,
             embed: embed.pop(),
         })
     }
@@ -196,11 +196,9 @@ impl PartyAModel {
         batch: &Dataset,
         train: bool,
     ) -> TransportResult<()> {
-        if let Some(mm) = &mut self.matmul {
-            let x = batch.num.as_ref().expect("missing numerical block");
-            let z = mm.forward(sess, x, train)?;
-            aggregate_a(sess, z)?;
-        }
+        let x = batch.num.as_ref().expect("missing numerical block");
+        let z = self.matmul.forward(sess, x, train)?;
+        aggregate_a(sess, z)?;
         if let Some(em) = &mut self.embed {
             let x = batch.cat.as_ref().expect("missing categorical block");
             let z = em.forward(sess, x, train)?;
@@ -214,10 +212,7 @@ impl PartyAModel {
         if let Some(em) = &mut self.embed {
             em.backward_a(sess)?;
         }
-        if let Some(mm) = &mut self.matmul {
-            mm.backward_a(sess)?;
-        }
-        Ok(())
+        self.matmul.backward_a(sess)
     }
 
     /// The forward-only prediction path: one federated forward pass
@@ -230,8 +225,8 @@ impl PartyAModel {
     }
 
     /// The MatMul source half (inspection).
-    pub fn matmul(&self) -> Option<&MatMulSource> {
-        self.matmul.as_ref()
+    pub fn matmul(&self) -> &MatMulSource {
+        &self.matmul
     }
 
     /// The Embed source half (inspection).
@@ -241,7 +236,7 @@ impl PartyAModel {
 
     /// Persist the model half: presence flags + per-layer state.
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        write_opt(w, self.matmul.as_ref(), MatMulSource::write_state);
+        write_opt(w, Some(&self.matmul), MatMulSource::write_state);
         write_opt(w, self.embed.as_ref(), EmbedSource::write_state);
     }
 
@@ -249,13 +244,8 @@ impl PartyAModel {
     pub(crate) fn read_state(
         r: &mut crate::persist::Reader,
     ) -> crate::persist::PersistResult<PartyAModel> {
-        let matmul = read_opt(r, |r| MatMulSource::read_state(r, 1))?;
+        let matmul = read_matmul(r, 1)?;
         let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::A))?;
-        if matmul.is_none() && embed.is_none() {
-            return Err(crate::persist::PersistError::Malformed(
-                "PartyAModel with no source layers".into(),
-            ));
-        }
         Ok(PartyAModel { matmul, embed })
     }
 }
@@ -317,6 +307,18 @@ fn write_opt<T>(
     }
 }
 
+/// Decode the MatMul source every zoo member has. Its presence byte
+/// stays on disk, so the layout is [`write_opt`]'s; absent is
+/// malformed.
+fn read_matmul(
+    r: &mut crate::persist::Reader,
+    links: usize,
+) -> crate::persist::PersistResult<MatMulSource> {
+    read_opt(r, |r| MatMulSource::read_state(r, links))?.ok_or_else(|| {
+        crate::persist::PersistError::Malformed("model half without a MatMul source".into())
+    })
+}
+
 /// Decode an optional component (presence byte + state).
 fn read_opt<T>(
     r: &mut crate::persist::Reader,
@@ -340,7 +342,7 @@ fn read_opt<T>(
 /// guests.
 pub struct PartyBModel {
     spec: FedSpec,
-    matmul: Option<MatMulSource>,
+    matmul: MatMulSource,
     /// One submodel per link; empty unless the spec has a categorical
     /// block.
     embed: Vec<EmbedSource>,
@@ -411,16 +413,11 @@ impl Top {
     /// Forward through the local top: aggregated source outputs in,
     /// logits out. Fills `cache` with whatever the matching backward
     /// needs.
-    fn forward(
-        &mut self,
-        z_num: Option<&Dense>,
-        z_cat: Option<&Dense>,
-        cache: &mut FwdCache,
-    ) -> Dense {
+    fn forward(&mut self, z_num: &Dense, z_cat: Option<&Dense>, cache: &mut FwdCache) -> Dense {
         match self {
-            Top::Bias(bias) => bias.forward(z_num.unwrap()),
+            Top::Bias(bias) => bias.forward(z_num),
             Top::Tower { bias, act, tower } => {
-                let h = act.forward(&bias.forward(z_num.unwrap()));
+                let h = act.forward(&bias.forward(z_num));
                 tower.forward(&h)
             }
             Top::Wdl {
@@ -431,13 +428,12 @@ impl Top {
             } => {
                 let h = deep_act.forward(&deep_bias.forward(z_cat.unwrap()));
                 let deep = deep_tower.forward(&h);
-                out_bias.forward(&z_num.unwrap().add(&deep))
+                out_bias.forward(&z_num.add(&deep))
             }
             Top::Dlrm { tower } => {
-                let zn = z_num.unwrap();
                 let zc = z_cat.unwrap();
-                let inter = dlrm_interact(zn, zc);
-                cache.z_num = Some(zn.clone());
+                let inter = dlrm_interact(z_num, zc);
+                cache.z_num = Some(z_num.clone());
                 cache.z_cat = Some(zc.clone());
                 tower.forward(&inter)
             }
@@ -451,12 +447,12 @@ impl Top {
         grad_logits: &Dense,
         cache: &FwdCache,
         opt: &bf_ml::Sgd,
-    ) -> (Option<Dense>, Option<Dense>) {
+    ) -> (Dense, Option<Dense>) {
         match self {
             Top::Bias(bias) => {
                 bias.backward(grad_logits);
                 bias.step(opt);
-                (Some(grad_logits.clone()), None)
+                (grad_logits.clone(), None)
             }
             Top::Tower { bias, act, tower } => {
                 let gh = tower.backward(grad_logits);
@@ -464,7 +460,7 @@ impl Top {
                 bias.backward(&gz);
                 tower.step(opt);
                 bias.step(opt);
-                (Some(gz), None)
+                (gz, None)
             }
             Top::Wdl {
                 deep_bias,
@@ -479,7 +475,7 @@ impl Top {
                 out_bias.step(opt);
                 deep_tower.step(opt);
                 deep_bias.step(opt);
-                (Some(grad_logits.clone()), Some(gz_cat))
+                (grad_logits.clone(), Some(gz_cat))
             }
             Top::Dlrm { tower } => {
                 let g_inter = tower.backward(grad_logits);
@@ -487,7 +483,7 @@ impl Top {
                 let zn = cache.z_num.as_ref().expect("DLRM cache");
                 let zc = cache.z_cat.as_ref().expect("DLRM cache");
                 let (gn, gc) = dlrm_interact_backward(zn, zc, &g_inter);
-                (Some(gn), Some(gc))
+                (gn, Some(gc))
             }
         }
     }
@@ -669,7 +665,7 @@ fn mlp_io(mlp: &Mlp) -> (usize, usize) {
 /// pass (the serving loop) rather than being refused at load time.
 fn check_model_widths(
     spec: &FedSpec,
-    matmul_out: Option<usize>,
+    mm: usize,
     embed_out: Option<usize>,
     top: &Top,
 ) -> crate::persist::PersistResult<()> {
@@ -683,7 +679,6 @@ fn check_model_widths(
     };
     // check_spec_layers has already run, so the layer set matches the
     // spec shape; here we pin the widths at every connection point.
-    let mm = matmul_out.expect("layer set validated against spec");
     match (spec, top) {
         (FedSpec::Glm { out }, Top::Bias(bias)) => check(
             mm == *out && bias.b.cols() == *out,
@@ -771,7 +766,7 @@ impl PartyBModel {
         let top = Top::init(spec, &mut links[0].rng);
         Ok(PartyBModel {
             spec: spec.clone(),
-            matmul: Some(matmul),
+            matmul,
             embed,
             top,
         })
@@ -784,9 +779,7 @@ impl PartyBModel {
 
     /// Number of guest links this model fans out over.
     pub fn num_links(&self) -> usize {
-        self.matmul
-            .as_ref()
-            .map_or(self.embed.len(), MatMulSource::parties)
+        self.matmul.parties()
     }
 
     /// Forward over a batch view: returns the logits plus the caches
@@ -799,17 +792,11 @@ impl PartyBModel {
     ) -> TransportResult<(Dense, FwdCache)> {
         let links = links.as_mut();
         check_link_count(links.len(), self.num_links(), "PartyBModel")?;
-        let z_num = match &mut self.matmul {
-            Some(mm) => {
-                let x = batch.num.as_ref().expect("missing numerical block");
-                let mut z = mm.forward(links, x, train)?;
-                for sess in links.iter() {
-                    z = aggregate_b(sess, z)?;
-                }
-                Some(z)
-            }
-            None => None,
-        };
+        let x = batch.num.as_ref().expect("missing numerical block");
+        let mut z_num = self.matmul.forward(links, x, train)?;
+        for sess in links.iter() {
+            z_num = aggregate_b(sess, z_num)?;
+        }
         let z_cat = if self.embed.is_empty() {
             None
         } else {
@@ -818,7 +805,7 @@ impl PartyBModel {
         };
         let mut cache = FwdCache::default();
         let _t = links[0].stages.timer(Stage::TopLocal);
-        let logits = self.top.forward(z_num.as_ref(), z_cat.as_ref(), &mut cache);
+        let logits = self.top.forward(&z_num, z_cat.as_ref(), &mut cache);
         Ok((logits, cache))
     }
 
@@ -841,10 +828,7 @@ impl PartyBModel {
         for (em, sess) in self.embed.iter_mut().zip(links.iter_mut()) {
             em.backward_b(sess, grad_z_cat.as_ref().expect("missing ∇Z_cat"))?;
         }
-        if let Some(mm) = &mut self.matmul {
-            mm.backward_b(links, grad_z_num.as_ref().expect("missing ∇Z_num"))?;
-        }
-        Ok(())
+        self.matmul.backward_b(links, &grad_z_num)
     }
 
     /// One full training step: forward, loss, backward. Returns the
@@ -877,8 +861,8 @@ impl PartyBModel {
 
     /// The MatMul source half (inspection: `W_B = U_B + Σ_i V_B(i)` and
     /// every `W_A(i)` reconstruct through this).
-    pub fn matmul(&self) -> Option<&MatMulSource> {
-        self.matmul.as_ref()
+    pub fn matmul(&self) -> &MatMulSource {
+        &self.matmul
     }
 
     /// The first link's Embed source half (inspection; the only one of
@@ -899,7 +883,7 @@ impl PartyBModel {
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         self.spec.write_state(w);
         w.u64(self.num_links() as u64);
-        write_opt(w, self.matmul.as_ref(), MatMulSource::write_state);
+        write_opt(w, Some(&self.matmul), MatMulSource::write_state);
         write_opt(
             w,
             (!self.embed.is_empty()).then_some(&self.embed),
@@ -920,14 +904,14 @@ impl PartyBModel {
                 "implausible guest-link count {m}"
             )));
         }
-        let matmul = read_opt(r, |r| MatMulSource::read_state(r, m))?;
+        let matmul = read_matmul(r, m)?;
         let embed = read_opt(r, |r| {
             (0..m)
                 .map(|_| EmbedSource::read_state(r, Role::B))
                 .collect::<crate::persist::PersistResult<Vec<_>>>()
         })?
         .unwrap_or_default();
-        check_spec_layers(&spec, matmul.is_some(), !embed.is_empty())?;
+        check_spec_layers(&spec, !embed.is_empty())?;
         if let Some(odd) = embed.iter().find(|em| em.out_dim() != embed[0].out_dim()) {
             return Err(PersistError::Malformed(format!(
                 "Embed submodels disagree on their width: {} and {}",
@@ -938,7 +922,7 @@ impl PartyBModel {
         let top = Top::read_state(r, &spec)?;
         check_model_widths(
             &spec,
-            matmul.as_ref().map(MatMulSource::out_dim),
+            matmul.out_dim(),
             embed.first().map(EmbedSource::out_dim),
             &top,
         )?;
@@ -974,19 +958,15 @@ fn embed_forward(
     Ok(z.expect("at least one link"))
 }
 
-/// Validate that a persisted layer set matches its spec: every zoo
-/// member has a MatMul source, and exactly the categorical specs also
-/// have an Embed-MatMul source.
-fn check_spec_layers(
-    spec: &FedSpec,
-    has_matmul: bool,
-    has_embed: bool,
-) -> crate::persist::PersistResult<()> {
-    if has_matmul && has_embed == spec.uses_categorical() {
+/// Validate that a persisted layer set matches its spec: exactly the
+/// categorical specs have an Embed-MatMul source (every zoo member has
+/// a MatMul source, which [`read_matmul`] insists on).
+fn check_spec_layers(spec: &FedSpec, has_embed: bool) -> crate::persist::PersistResult<()> {
+    if has_embed == spec.uses_categorical() {
         Ok(())
     } else {
         Err(crate::persist::PersistError::Malformed(format!(
-            "layer set (matmul: {has_matmul}, embed: {has_embed}) does not match spec {spec:?}"
+            "layer set (embed: {has_embed}) does not match spec {spec:?}"
         )))
     }
 }
@@ -1122,51 +1102,43 @@ mod tests {
         grad_z: Option<Dense>,
         steps: usize,
     ) -> (Vec<EmbedSource>, Vec<EmbedSource>, Dense) {
-        let mut eps_b = Vec::new();
-        let mut handles = Vec::new();
-        for (i, x_a) in xs_a.into_iter().enumerate() {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            eps_b.push(ep_b);
-            let cfg_a = cfg.clone();
-            let gz = grad_z.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut sess = Session::handshake(ep_a, cfg_a, Role::A, 3000 + i as u64).unwrap();
+        let (layers_a, (layer_b, z)) = crate::multiparty::run_star(
+            cfg,
+            3000,
+            xs_a,
+            |x_a, mut sess| {
                 let mut layer =
                     EmbedSource::init(&mut sess, x_a.vocab(), x_a.fields(), dim, out).unwrap();
                 for _ in 0..steps {
-                    let z = layer.forward(&mut sess, &x_a, gz.is_some()).unwrap();
+                    let z = layer.forward(&mut sess, &x_a, grad_z.is_some()).unwrap();
                     aggregate_a(&sess, z).unwrap();
-                    if gz.is_some() {
+                    if grad_z.is_some() {
                         layer.backward_a(&mut sess).unwrap();
                     }
                 }
                 let z = layer.forward(&mut sess, &x_a, false).unwrap();
                 aggregate_a(&sess, z).unwrap();
                 layer
-            }));
-        }
-        let mut sessions: Vec<Session> = eps_b
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 4000 + i as u64).unwrap())
-            .collect();
-        let mut layer_b: Vec<EmbedSource> = sessions
-            .iter_mut()
-            .map(|sess| EmbedSource::init(sess, x_b.vocab(), x_b.fields(), dim, out).unwrap())
-            .collect();
-        for _ in 0..steps {
-            embed_forward(&mut layer_b, &mut sessions, &x_b, grad_z.is_some()).unwrap();
-            if let Some(g) = &grad_z {
-                for (em, sess) in layer_b.iter_mut().zip(sessions.iter_mut()) {
-                    em.backward_b(sess, g).unwrap();
+            },
+            |mut sessions| {
+                let mut layer_b: Vec<EmbedSource> = sessions
+                    .iter_mut()
+                    .map(|sess| {
+                        EmbedSource::init(sess, x_b.vocab(), x_b.fields(), dim, out).unwrap()
+                    })
+                    .collect();
+                for _ in 0..steps {
+                    embed_forward(&mut layer_b, &mut sessions, &x_b, grad_z.is_some()).unwrap();
+                    if let Some(g) = &grad_z {
+                        for (em, sess) in layer_b.iter_mut().zip(sessions.iter_mut()) {
+                            em.backward_b(sess, g).unwrap();
+                        }
+                    }
                 }
-            }
-        }
-        let z = embed_forward(&mut layer_b, &mut sessions, &x_b, false).unwrap();
-        let layers_a: Vec<EmbedSource> = handles
-            .into_iter()
-            .map(|h| h.join().expect("party A panicked"))
-            .collect();
+                let z = embed_forward(&mut layer_b, &mut sessions, &x_b, false).unwrap();
+                (layer_b, z)
+            },
+        );
         (layers_a, layer_b, z)
     }
 

@@ -1072,4 +1072,30 @@ mod tests {
         blob.extend_from_slice(&u64::MAX.to_le_bytes()); // cols
         assert!(import_party_a(&blob).is_err());
     }
+
+    #[test]
+    fn a_guest_blob_without_a_matmul_source_is_malformed() {
+        // Every zoo member has a MatMul source, so its presence byte is
+        // always written as 1; a 0 is refused even with a well-formed
+        // Embed layer behind it.
+        use bf_paillier::{keys::plain_keys, ObfMode, Obfuscator};
+        let (pk, _) = plain_keys(20);
+        let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
+        let one = Dense::zeros(1, 1);
+        let mut w = Writer::new(KIND_PARTY_A);
+        w.u8(0); // no MatMul source
+        w.u8(1); // Embed source present
+        w.u64(1); // dim
+        w.u64(1); // out
+        for _ in 0..8 {
+            w.dense(&one);
+        }
+        for _ in 0..3 {
+            w.ctmat(&pk.encrypt(&one, &obf));
+        }
+        match import_party_a(&w.buf).err() {
+            Some(PersistError::Malformed(why)) => assert!(why.contains("MatMul"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
 }

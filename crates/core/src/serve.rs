@@ -766,8 +766,6 @@ mod tests {
 
     #[test]
     fn host_failure_still_shuts_down_surviving_guests() {
-        use crate::session::{multi_party_seed, Role};
-
         // M = 2: guest 0 dies after model init; the host's first
         // broadcast fails on link 0 and must still send the shutdown
         // sentinel to guest 1, whose serve loop would otherwise block
@@ -777,63 +775,39 @@ mod tests {
         let spec = FedSpec::Glm { out: 1 };
         let store_b = toy_data(rows, 3, 75, true);
         let (drop_tx, drop_rx) = std_mpsc::channel();
-        let mut host_eps = Vec::new();
-        let mut handles = Vec::new();
-        for i in 0..2usize {
-            let store = toy_data(rows, 2 + i, 70 + i as u64, false);
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let cfg_a = cfg.clone();
-            let spec_a = spec.clone();
-            let drop_tx = drop_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-guest-{i}"))
-                    .stack_size(16 << 20)
-                    .spawn(move || {
-                        let mut sess = Session::handshake(
-                            ep_a,
-                            cfg_a,
-                            Role::A,
-                            multi_party_seed(Role::A, i, 80),
-                        )
-                        .unwrap();
-                        let mut model = PartyAModel::init(&mut sess, &spec_a, &store).unwrap();
-                        if i == 0 {
-                            drop(sess);
-                            drop_tx.send(()).unwrap();
-                            None
-                        } else {
-                            Some(serve_party_a(&mut sess, &mut model, &store).unwrap())
-                        }
-                    })
-                    .unwrap(),
-            );
-        }
-        let mut sessions: Vec<Session> = host_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, 80))
-                    .unwrap()
-            })
-            .collect();
-        let mut model = PartyBModel::init(&mut sessions, &spec, &store_b).unwrap();
-        drop_rx.recv().unwrap();
-        let (client, q) = queue(2);
-        let pending = client.submit(0).unwrap();
-        drop(client);
-        let err = serve_party_b(
-            &mut sessions,
-            &mut model,
-            &store_b,
-            &ServeConfig::default(),
-            q,
-        )
-        .unwrap_err();
-        assert!(matches!(err, TransportError::Disconnected));
-        assert_eq!(pending.wait().unwrap_err(), ServeError::Closed);
-        let reports: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let (reports, ()) = crate::multiparty::run_star(
+            &cfg,
+            80,
+            vec![0usize, 1],
+            |i, mut sess| {
+                let store = toy_data(rows, 2 + i, 70 + i as u64, false);
+                let mut model = PartyAModel::init(&mut sess, &spec, &store).unwrap();
+                if i == 0 {
+                    drop(sess);
+                    drop_tx.send(()).unwrap();
+                    None
+                } else {
+                    Some(serve_party_a(&mut sess, &mut model, &store).unwrap())
+                }
+            },
+            |mut sessions| {
+                let mut model = PartyBModel::init(&mut sessions, &spec, &store_b).unwrap();
+                drop_rx.recv().unwrap();
+                let (client, q) = queue(2);
+                let pending = client.submit(0).unwrap();
+                drop(client);
+                let err = serve_party_b(
+                    &mut sessions,
+                    &mut model,
+                    &store_b,
+                    &ServeConfig::default(),
+                    q,
+                )
+                .unwrap_err();
+                assert!(matches!(err, TransportError::Disconnected));
+                assert_eq!(pending.wait().unwrap_err(), ServeError::Closed);
+            },
+        );
         assert!(reports[0].is_none());
         let survivor = reports[1].as_ref().expect("guest 1 served");
         assert_eq!(survivor.batches, 0, "no batch ever completed");

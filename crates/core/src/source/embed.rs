@@ -44,7 +44,7 @@ use bf_tensor::{CatBlock, Dense, Features};
 use crate::engine::Stage;
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
-use crate::source::{recv_refresh, step_piece};
+use crate::source::{recv_refresh, recv_upload, step_piece};
 
 /// One party's half of an Embed-MatMul federated source layer.
 pub struct EmbedSource {
@@ -133,7 +133,8 @@ impl EmbedSource {
 
         // Send our encrypted pieces (⟦T_peer⟧ by field, ⟦V_peer⟧ and
         // ⟦U_own⟧ by row, all under our own key); receive the symmetric
-        // three. A adds ⟦V_Bᵀ⟧, by field, for B's backward.
+        // three. A adds ⟦V_Bᵀ⟧, by field, for B's backward. Each upload
+        // is held against the geometry the peer's call lays out.
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&t_peer, dim)))?;
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&v_peer)))?;
@@ -142,12 +143,12 @@ impl EmbedSource {
             sess.ep
                 .send(Msg::Ct(sess.encrypt_upload_seg(&v_peer.transpose(), dim)))?;
         }
-        let enc_t_own = sess.ep.recv_ct()?;
-        let enc_v_own = sess.ep.recv_ct()?;
-        let enc_u_peer = sess.ep.recv_ct()?;
+        let enc_t_own = recv_upload(sess, vocab_own, &peer_upload_like(sess, dim, dim))?;
+        let enc_v_own = recv_upload(sess, d_own, &peer_upload_like(sess, out, out))?;
+        let enc_u_peer = recv_upload(sess, d_peer, &enc_v_own)?;
         let enc_v_own_t = match sess.role {
             Role::A => None,
-            Role::B => Some(sess.ep.recv_ct()?),
+            Role::B => Some(recv_upload(sess, out, &peer_upload_like(sess, d_own, dim))?),
         };
 
         Ok(EmbedSource {
@@ -497,9 +498,17 @@ impl EmbedSource {
         let psi = self.cached_psi.take().expect("backward before forward");
         let e_peer = self.cached_e_peer.take().expect("backward before forward");
 
-        let ct_gz = sess.ep.recv_ct()?;
-        let ct_gz_scalar = sess.ep.recv_ct()?;
-        let ct_gzva = sess.ep.recv_ct()?;
+        // B's three uploads, each held against the geometry B lays it
+        // out in: ⟦∇Z⟧ like the ⟦V_A⟧ cache (same key, same width), then
+        // one value per ciphertext at scales 1 and 2.
+        let (rows, d_a) = (x.rows(), psi.cols());
+        let scalar_like = |cols: usize, scale: u8| {
+            sess.peer_pk
+                .encrypt_at_scale(&Dense::zeros(0, cols), scale, &sess.obf)
+        };
+        let ct_gz = recv_upload(sess, rows, &self.enc_v_own)?;
+        let ct_gz_scalar = recv_upload(sess, rows, &scalar_like(self.out, 1))?;
+        let ct_gzva = recv_upload(sess, rows, &scalar_like(d_a, 2))?;
 
         // ⟦∇E_A⟧ must use the forward-pass weights: compute the U_A
         // part now, before φ updates U_A below.
@@ -509,7 +518,6 @@ impl EmbedSource {
         let grad_e_ct = sess.peer_pk.add(&t1, &ct_gzva);
 
         // ∇W_A (line 13): ⟦ψ_Aᵀ∇Z⟧ on the full projection rows, HE2SS.
-        let d_a = psi.cols();
         let full_a: Vec<u32> = (0..d_a as u32).collect();
         let prod = sess
             .peer_pk
@@ -615,6 +623,18 @@ impl EmbedSource {
 
 fn all_rows(n: usize) -> Vec<usize> {
     (0..n).collect()
+}
+
+/// Zero rows of the peer's `encrypt_upload_seg` at width `cols`: the
+/// geometry (scale, backend, limbs, lane layout) such an upload must
+/// arrive in. Zero rows draw no obfuscation.
+fn peer_upload_like(sess: &Session, cols: usize, seg: usize) -> CtMat {
+    sess.peer_pk.encrypt_mode_seg(
+        &Dense::zeros(0, cols),
+        seg,
+        sess.cfg.paillier_mode,
+        &sess.obf,
+    )
 }
 
 #[cfg(test)]
@@ -751,6 +771,209 @@ mod tests {
             let (a, b) = init(with_mask(cfg, past));
             assert!(a.is_ok() && b.is_ok());
         }
+    }
+
+    // ---- uploads a misbehaving peer spoils ----
+
+    const DIM: usize = 2;
+    const OUT: usize = 2;
+
+    /// One upload as its sender lays it out: `rows × cols` packed in
+    /// `seg`-wide segments under the session's mode, or one value per
+    /// ciphertext at `scale` when `seg` is 0. The values do not matter.
+    #[derive(Clone)]
+    struct Upload {
+        rows: usize,
+        cols: usize,
+        seg: usize,
+        scale: u8,
+    }
+
+    impl Upload {
+        fn packed(rows: usize, cols: usize, seg: usize) -> Upload {
+            let scale = 1;
+            Upload {
+                rows,
+                cols,
+                seg,
+                scale,
+            }
+        }
+
+        fn scalar(rows: usize, cols: usize, scale: u8) -> Upload {
+            let seg = 0;
+            Upload {
+                rows,
+                cols,
+                seg,
+                scale,
+            }
+        }
+
+        fn encrypt(&self, sess: &Session) -> CtMat {
+            let m = Dense::zeros(self.rows, self.cols);
+            match self.seg {
+                0 => sess.own_pk.encrypt_at_scale(&m, self.scale, &sess.obf),
+                seg => sess.encrypt_upload_seg(&m, seg),
+            }
+        }
+
+        /// `spoil`: 0 one more segment of width, 1 the other lane
+        /// layout, 2 one row too many, 3 the other scale; `None` as laid
+        /// out.
+        fn spoiled(&self, spoil: Option<usize>) -> Upload {
+            let (rows, cols) = (self.rows, self.cols);
+            match spoil {
+                None => self.clone(),
+                Some(0) => Upload {
+                    cols: cols + self.seg.max(1),
+                    ..self.clone()
+                },
+                Some(1) if self.seg == 0 => Upload::packed(rows, cols, cols),
+                Some(1) => Upload::scalar(rows, cols, 1),
+                Some(2) => Upload {
+                    rows: rows + 1,
+                    ..self.clone()
+                },
+                Some(_) => Upload::scalar(rows, cols, 3 - self.scale),
+            }
+        }
+    }
+
+    /// Send `uploads`, the `site`-th spoiled as `spoil` says. A victim
+    /// that refuses one hangs up, so the rest may not land.
+    fn ship(sess: &Session, uploads: &[Upload], site: usize, spoil: Option<usize>) {
+        for (i, up) in uploads.iter().enumerate() {
+            let up = if i == site {
+                up.spoiled(spoil)
+            } else {
+                up.clone()
+            };
+            let _ = sess.ep.send(Msg::Ct(up.encrypt(sess)));
+        }
+    }
+
+    /// `victim`'s `EmbedSource::init` (5-word vocabulary, two fields)
+    /// against a peer (4 words, one field) that plays its half by hand.
+    fn init_against(victim: Role, site: usize, spoil: Option<usize>) -> TransportResult<()> {
+        let (vocab, d_own, d_peer) = (5, 2 * DIM, DIM);
+        let mut uploads = vec![
+            Upload::packed(vocab, DIM, DIM),
+            Upload::packed(d_own, OUT, OUT),
+            Upload::packed(d_peer, OUT, OUT),
+        ];
+        if victim == Role::B {
+            uploads.push(Upload::packed(OUT, d_own, DIM));
+        }
+        let real =
+            move |mut sess: Session| EmbedSource::init(&mut sess, vocab, 2, DIM, OUT).map(drop);
+        let fake = move |sess: Session| {
+            sess.ep.send(Msg::U64(4)).unwrap();
+            sess.ep.send(Msg::U64(1)).unwrap();
+            assert_eq!(sess.ep.recv_u64().unwrap(), vocab as u64);
+            assert_eq!(sess.ep.recv_u64().unwrap(), 2);
+            ship(&sess, &uploads, site, spoil);
+            // Stay until the victim's own uploads are out, so its sends
+            // never meet a closed link.
+            let theirs = if victim == Role::A { 4 } else { 3 };
+            for _ in 0..theirs {
+                let _ = sess.ep.recv_ct();
+            }
+        };
+        let cfg = FedConfig::paillier_test();
+        match victim {
+            Role::A => run_pair(&cfg, 5, real, fake).0,
+            Role::B => run_pair(&cfg, 5, fake, real).1,
+        }
+    }
+
+    /// Party A's `backward_a` against a Party B that runs the genuine
+    /// init and forward, then ships its three backward uploads by hand
+    /// and hangs up.
+    fn backward_against(site: usize, spoil: Option<usize>) -> TransportResult<()> {
+        let (x_a, x_b) = (cat_block(3, &[4, 3], 1), cat_block(3, &[5], 2));
+        let (result, ()) = run_pair(
+            &FedConfig::paillier_test(),
+            5,
+            move |mut sess| {
+                let mut layer =
+                    EmbedSource::init(&mut sess, x_a.vocab(), x_a.fields(), DIM, OUT).unwrap();
+                let z = layer.forward(&mut sess, &x_a, true).unwrap();
+                aggregate_a(&sess, z).unwrap();
+                layer.backward_a(&mut sess)
+            },
+            move |mut sess| {
+                let mut layer =
+                    EmbedSource::init(&mut sess, x_b.vocab(), x_b.fields(), DIM, OUT).unwrap();
+                let z = layer.forward(&mut sess, &x_b, true).unwrap();
+                aggregate_b(&sess, z).unwrap();
+                let uploads = [
+                    Upload::packed(3, OUT, OUT),
+                    Upload::scalar(3, OUT, 1),
+                    Upload::scalar(3, layer.v_peer().rows(), 2),
+                ];
+                ship(&sess, &uploads, site, spoil);
+            },
+        );
+        result
+    }
+
+    /// Every spoiled upload is a malformed payload, refused before a
+    /// kernel sees it; the honest one gets past.
+    fn assert_refused(run: impl Fn(Option<usize>) -> TransportResult<()>) {
+        let malformed = |r: &TransportResult<()>| {
+            matches!(
+                r,
+                Err(TransportError::Wire(bf_mpc::wire::WireError::Malformed(_)))
+            )
+        };
+        let honest = run(None);
+        assert!(!malformed(&honest), "honest upload refused: {honest:?}");
+        for spoil in 0..4 {
+            let got = run(Some(spoil));
+            assert!(malformed(&got), "spoil {spoil}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn init_refuses_a_misshapen_table_cache() {
+        for victim in [Role::A, Role::B] {
+            assert_refused(|spoil| init_against(victim, 0, spoil));
+        }
+    }
+
+    #[test]
+    fn init_refuses_a_misshapen_own_projection_cache() {
+        for victim in [Role::A, Role::B] {
+            assert_refused(|spoil| init_against(victim, 1, spoil));
+        }
+    }
+
+    #[test]
+    fn init_refuses_a_misshapen_peer_projection_cache() {
+        for victim in [Role::A, Role::B] {
+            assert_refused(|spoil| init_against(victim, 2, spoil));
+        }
+    }
+
+    #[test]
+    fn init_refuses_a_misshapen_transposed_projection_cache() {
+        assert_refused(|spoil| init_against(Role::B, 3, spoil));
+    }
+
+    #[test]
+    fn backward_a_refuses_a_misshapen_packed_gradient() {
+        assert_refused(|spoil| backward_against(0, spoil));
+    }
+
+    #[test]
+    fn backward_a_refuses_a_misshapen_scalar_gradient() {
+        assert_refused(|spoil| backward_against(1, spoil));
+    }
+
+    #[test]
+    fn backward_a_refuses_a_misshapen_gradient_times_v_a() {
+        assert_refused(|spoil| backward_against(2, spoil));
     }
 
     #[test]

@@ -638,51 +638,41 @@ mod tests {
         grad_z: Option<Dense>,
         steps: usize,
     ) -> (Vec<MatMulSource>, MatMulSource, Dense) {
-        let mut eps_b = Vec::new();
-        let mut handles = Vec::new();
-        for (i, x_a) in xs_a.into_iter().enumerate() {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            eps_b.push(ep_b);
-            let cfg_a = cfg.clone();
-            let gz = grad_z.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut sess = Session::handshake(ep_a, cfg_a, Role::A, 1000 + i as u64).unwrap();
+        let (layers_a, (layer_b, z)) = crate::multiparty::run_star(
+            cfg,
+            1000,
+            xs_a,
+            |x_a, mut sess| {
                 let mut layer = MatMulSource::init(&mut sess, x_a.cols(), out).unwrap();
                 for _ in 0..steps {
-                    let z = layer.forward(&mut sess, &x_a, gz.is_some()).unwrap();
+                    let z = layer.forward(&mut sess, &x_a, grad_z.is_some()).unwrap();
                     aggregate_a(&sess, z).unwrap();
-                    if gz.is_some() {
+                    if grad_z.is_some() {
                         layer.backward_a(&mut sess).unwrap();
                     }
                 }
                 let z = layer.forward(&mut sess, &x_a, false).unwrap();
                 aggregate_a(&sess, z).unwrap();
                 layer
-            }));
-        }
-        let mut sessions: Vec<Session> = eps_b
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 2000 + i as u64).unwrap())
-            .collect();
-        let mut layer_b = MatMulSource::init(&mut sessions, x_b.cols(), out).unwrap();
-        let mut z = Dense::zeros(0, 0);
-        for step in 0..=steps {
-            let train = step < steps && grad_z.is_some();
-            z = layer_b.forward(&mut sessions, &x_b, train).unwrap();
-            for sess in &sessions {
-                z = aggregate_b(sess, z).unwrap();
-            }
-            if train {
-                layer_b
-                    .backward_b(&mut sessions, grad_z.as_ref().unwrap())
-                    .unwrap();
-            }
-        }
-        let layers_a = handles
-            .into_iter()
-            .map(|h| h.join().expect("party A panicked"))
-            .collect();
+            },
+            |mut sessions| {
+                let mut layer_b = MatMulSource::init(&mut sessions, x_b.cols(), out).unwrap();
+                let mut z = Dense::zeros(0, 0);
+                for step in 0..=steps {
+                    let train = step < steps && grad_z.is_some();
+                    z = layer_b.forward(&mut sessions, &x_b, train).unwrap();
+                    for sess in &sessions {
+                        z = aggregate_b(sess, z).unwrap();
+                    }
+                    if train {
+                        layer_b
+                            .backward_b(&mut sessions, grad_z.as_ref().unwrap())
+                            .unwrap();
+                    }
+                }
+                (layer_b, z)
+            },
+        );
         (layers_a, layer_b, z)
     }
 

@@ -7,7 +7,9 @@
 //! routines, so the `M`-guest host is the two-party host run once per
 //! link). Both work over any transport, in-process or TCP (see
 //! `examples/tcp_federated_lr.rs` and `examples/multiparty_lr.rs` for
-//! the one-process-per-party deployments). Every party derives the
+//! the one-process-per-party deployments; an `M`-guest deployment opens
+//! its links with [`crate::multiparty::join_host`] /
+//! [`crate::multiparty::accept_guests`]). Every party derives the
 //! identical mini-batch schedule from a shared seed, so no control
 //! messages are needed: the protocols' own message flow is the only
 //! cross-party traffic.
@@ -26,14 +28,15 @@
 //! double-buffers batch preparation — bit-identical results, less
 //! wall-clock (see [`crate::engine`] for the determinism contract).
 //!
-//! [`train_federated`] (two threads) and [`train_federated_multi`]
-//! (`M + 1` threads) are the single-machine harnesses. They hand every
-//! party the same [`FedTrainConfig`]; a run whose parties differ in
-//! their per-party fields (`checkpoint`, `fault`, `resume`, `align`)
-//! drives the two entry points directly, as `tests/chaos_parity.rs` and
-//! `tests/alignment_parity.rs` do. `tests/multiparty_parity.rs` proves
-//! the equivalence contract (M-guest ≙ concatenated single-A, `M = 1` ≡
-//! two-party bit for bit, transports byte-equal).
+//! [`train_federated`] ([`run_pair`] around the two entry points) and
+//! [`train_federated_multi`] ([`run_star`] around them) are the
+//! single-machine harnesses. They hand every party the same
+//! [`FedTrainConfig`]; a run whose parties differ in their per-party
+//! fields (`checkpoint`, `fault`, `resume`, `align`) calls the two
+//! entry points from its own [`run_pair`] / [`run_star`] closures, as
+//! `tests/chaos_parity.rs` and `tests/alignment_parity.rs` do. `tests/multiparty_parity.rs`
+//! proves the equivalence contract (M-guest ≙ concatenated single-A,
+//! `M = 1` ≡ two-party bit for bit, transports byte-equal).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,9 +52,9 @@ use crate::align::{align_guest, align_host, AlignInput, Alignment};
 use crate::config::FedConfig;
 use crate::engine::{run_epoch, TrainMode};
 use crate::models::{FedSpec, PartyAModel, PartyBModel};
-use crate::multiparty::{collect_guests, send_hello};
+use crate::multiparty::run_star;
 use crate::persist::{self, AlignCursor, PersistError};
-use crate::session::{multi_party_seed, run_pair, Role, Session};
+use crate::session::{run_pair, Session};
 
 /// Mid-epoch checkpoint cadence: both parties must configure the same
 /// `every_batches` (checkpoints are purely local — zero wire traffic —
@@ -63,8 +66,8 @@ pub struct CheckpointCadence {
     /// counted run-wide across epochs (values < 1 are treated as 1).
     pub every_batches: u64,
     /// Where the latest checkpoint blob lands. Written atomically
-    /// (tmp + rename), so a crash mid-write never corrupts the
-    /// previous checkpoint.
+    /// (to `<path>.tmp`, then renamed), so a crash mid-write never
+    /// corrupts the previous checkpoint.
     pub path: PathBuf,
 }
 
@@ -115,10 +118,15 @@ pub struct FedTrainConfig {
     pub resume: Option<Vec<u8>>,
 }
 
-/// Atomic checkpoint write: to a `.tmp` sibling, then rename over the
-/// target, so the latest complete checkpoint is always intact.
+/// Atomic checkpoint write: to `<path>.tmp`, then rename over the
+/// target, so the latest complete checkpoint is always intact. The
+/// suffix is appended to the whole file name, so two parties whose
+/// paths differ only in their extension (`job.a`, `job.b`) never share
+/// a temporary file.
 fn write_checkpoint(path: &Path, bytes: &[u8]) -> TransportResult<()> {
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, bytes)
         .and_then(|()| std::fs::rename(&tmp, path))
         .map_err(|e| {
@@ -280,8 +288,9 @@ pub struct PartyARun {
     /// Wall-clock per pipeline stage, `(label, secs)` (see
     /// [`crate::engine::Stage`]).
     pub stage_secs: Vec<(&'static str, f64)>,
-    /// The guest-side alignment of an aligned run (`psi_bytes_sent` =
-    /// PSI bytes A→B; 0 when it was rebuilt from a checkpoint).
+    /// The guest-side alignment of an aligned run (`psi_bytes_per_link`
+    /// = the PSI bytes A→B; empty when it was rebuilt from a
+    /// checkpoint).
     pub alignment: Option<Alignment>,
 }
 
@@ -388,9 +397,7 @@ pub fn run_party_a(
             },
         )?;
         if tc.snapshot_u_a {
-            if let Some(mm) = model.matmul() {
-                snapshots.push(mm.u_own().clone());
-            }
+            snapshots.push(model.matmul().u_own().clone());
         }
     }
     // Federated inference over the test split.
@@ -533,18 +540,12 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
     })
 }
 
-/// Train an `M`-guest federated model in process: one thread per guest
-/// (each running [`run_party_a`] over its own channel pair, exactly as
-/// a separate guest process would over TCP), Party B on the caller's
-/// thread running [`run_party_b`] over the `M` links. `guests_train[i]`
-/// / `guests_test[i]` are the `i`-th guest's vertical slices (see
-/// `bf_datagen::vsplit_multi`). Returns every guest's run, in link
-/// order, and the host's; every party gets `tc` as it is (see the
-/// module docs).
-///
-/// Every guest sends the [`bf_mpc::Msg::Hello`] link announcement
-/// before its handshake — the same wire prologue as the TCP
-/// deployment — so per-link traffic accounting is backend-independent.
+/// Train an `M`-guest federated model in process: [`run_star`] with
+/// [`run_party_a`] on every guest and [`run_party_b`] on the host.
+/// `guests_train[i]` / `guests_test[i]` are the `i`-th guest's vertical
+/// slices (see `bf_datagen::vsplit_multi`). Returns every guest's run,
+/// in link order, and the host's; every party gets `tc` as it is (see
+/// the module docs).
 ///
 /// # Panics
 ///
@@ -561,52 +562,22 @@ pub fn train_federated_multi(
     test_b: Dataset,
     seed: u64,
 ) -> (Vec<PartyARun>, PartyBRun) {
-    let m = guests_train.len();
-    assert!(m >= 1, "train_federated_multi needs at least one guest");
-    assert_eq!(m, guests_test.len(), "train/test guest slice counts differ");
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for (i, (train_a, test_a)) in guests_train.into_iter().zip(guests_test).enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        let spec_a = spec.clone();
-        let tc_a = tc.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m).expect("guest hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, seed),
-                    )
-                    .expect("guest handshake");
-                    run_party_a(&mut sess, &spec_a, &tc_a, &train_a, &test_a)
-                        .expect("guest transport")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let ordered = collect_guests(host_eps, m).expect("guest fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, seed))
-                .expect("host handshake")
-        })
-        .collect();
-    let party_b =
-        run_party_b(&mut sessions, spec, tc, &train_b, &test_b).expect("party B transport");
-    let guests = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest panicked"))
-        .collect();
-    (guests, party_b)
+    assert_eq!(
+        guests_train.len(),
+        guests_test.len(),
+        "train/test guest slice counts differ"
+    );
+    run_star(
+        cfg,
+        seed,
+        guests_train.into_iter().zip(guests_test).collect(),
+        |(train_a, test_a), mut sess| {
+            run_party_a(&mut sess, spec, tc, &train_a, &test_a).expect("guest transport")
+        },
+        |mut sessions| {
+            run_party_b(&mut sessions, spec, tc, &train_b, &test_b).expect("party B transport")
+        },
+    )
 }
 
 #[cfg(test)]
@@ -614,6 +585,20 @@ mod tests {
     use super::*;
     use bf_datagen::{generate, spec as dataset_spec, vsplit};
     use rand::SeedableRng;
+
+    #[test]
+    fn checkpoints_of_paths_differing_in_extension_do_not_share_a_tmp() {
+        // `job.tmp` stands in for the other party's in-flight write: a
+        // checkpoint to `job.a` must neither install nor remove it.
+        let dir = std::env::temp_dir().join(format!("bf_ckpt_tmp_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (theirs, mine) = (dir.join("job.tmp"), dir.join("job.a"));
+        std::fs::write(&theirs, b"party b").unwrap();
+        write_checkpoint(&mine, b"party a").unwrap();
+        assert_eq!(std::fs::read(&mine).unwrap(), b"party a");
+        assert_eq!(std::fs::read(&theirs).unwrap(), b"party b");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn federated_lr_learns_and_beats_party_b_only() {
@@ -714,13 +699,13 @@ mod tests {
         let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
         assert_eq!(guests[0].bytes_sent, two.report.bytes_a_to_b + hello);
         // The trained shares agree too, on both sides of the link.
-        let mm_two = two.party_b.matmul().unwrap();
-        let mm_multi = multi.model.matmul().unwrap();
+        let mm_two = two.party_b.matmul();
+        let mm_multi = multi.model.matmul();
         assert_eq!(mm_two.u_own().data(), mm_multi.u_own().data());
         assert_eq!(mm_two.v_peer().data(), mm_multi.v_peer_of(0).data());
         assert_eq!(
-            two.party_a.matmul().unwrap().u_own().data(),
-            guests[0].model.matmul().unwrap().u_own().data()
+            two.party_a.matmul().u_own().data(),
+            guests[0].model.matmul().u_own().data()
         );
     }
 
@@ -816,30 +801,26 @@ mod tests {
         let w_a0 = init
             .party_a
             .matmul()
-            .unwrap()
             .u_own()
-            .add(init.party_b.matmul().unwrap().v_peer());
+            .add(init.party_b.matmul().v_peer());
         let w_b0 = init
             .party_b
             .matmul()
-            .unwrap()
             .u_own()
-            .add(init.party_a.matmul().unwrap().v_peer());
+            .add(init.party_a.matmul().v_peer());
 
         let epochs = 6;
         let outcome = run(epochs);
         let w_a1 = outcome
             .party_a
             .matmul()
-            .unwrap()
             .u_own()
-            .add(outcome.party_b.matmul().unwrap().v_peer());
+            .add(outcome.party_b.matmul().v_peer());
         let w_b1 = outcome
             .party_b
             .matmul()
-            .unwrap()
             .u_own()
-            .add(outcome.party_a.matmul().unwrap().v_peer());
+            .add(outcome.party_a.matmul().v_peer());
 
         // Plaintext twin on the collocated data: W = [W_A ; W_B].
         let mut w0_rows: Vec<f64> = w_a0.data().to_vec();

@@ -62,6 +62,16 @@
 //! all stored predicates × all batch rows), then walks the forest
 //! locally. The batch rides the same [`crate::serve`] queue, coalescing
 //! and accounting as the MLP-family servers.
+//!
+//! **Running it.** [`run_gbdt_guest`] / [`run_gbdt_host`] run over
+//! links the caller opened — [`crate::multiparty::join_host`] /
+//! [`crate::multiparty::accept_guests`] in a deployment —
+//! and [`train_gbdt`] is the in-process harness
+//! ([`crate::multiparty::run_star`]). Trees are a bare protocol: no
+//! checkpoint, resume or alignment rides on them. A caller that needs
+//! PSI runs [`crate::align::align_guest`] / [`crate::align::align_host`]
+//! over the same sessions first and trains on the selected rows
+//! (`docs/TREES.md`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,19 +81,19 @@ use bf_ml::gbdt::{
     self, bucket_offsets, bucketize, grad_hess, logloss_mean, quantize_i64, FeatureBuckets,
     GbdtParams, Node, NodeHist, SplitOracle, Tree,
 };
+use bf_mpc::decrypt_reply;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_mpc::wire::{bit_at, bit_bytes, pack_bits};
-use bf_mpc::{decrypt_reply, Endpoint};
 use bf_paillier::{PaillierMode, PublicKey, SlotLayout};
 use bf_tensor::{Csr, Dense, Features};
 
 use crate::config::FedConfig;
 use crate::engine::{Stage, StageTimes};
-use crate::multiparty::{collect_guests, send_hello};
+use crate::multiparty::run_star;
 use crate::serve::{
     run_server_loop, RequestQueue, ServeConfig, ServeGuestReport, ServeReport, SERVE_SHUTDOWN,
 };
-use crate::session::{multi_party_seed, Role, Session};
+use crate::session::Session;
 
 /// Protocol op-codes (`U64` frames) for the boosting loop. Values are
 /// outside the serve sentinel space so a mis-wired session fails with a
@@ -841,11 +851,18 @@ pub struct GbdtFedOutcome {
     pub guests: Vec<GbdtGuestRun>,
 }
 
-/// In-process federated training harness over channel transports: one
-/// host thread (the caller) and one spawned thread per guest, wired
-/// exactly like the MLP-family `train_federated_multi` (hello fan-in,
-/// per-link seeds). `guests` are the guest feature slices in link
-/// order; `host_store` has the labels (and the host's feature slice).
+/// In-process federated training harness: [`run_star`] with
+/// [`run_gbdt_guest`] on every guest and [`run_gbdt_host`] on the host.
+/// `guests` are the guest feature slices in link order; `host_store`
+/// has the labels (and the host's feature slice). A deployment opens
+/// its links with [`crate::multiparty::join_host`] /
+/// [`crate::multiparty::accept_guests`] and calls the same two entry
+/// points.
+///
+/// # Panics
+///
+/// If `guests` is empty, or on transport failure — in-process channels
+/// cannot fail mid-run.
 pub fn train_gbdt(
     cfg: &FedConfig,
     params: &GbdtParams,
@@ -853,65 +870,14 @@ pub fn train_gbdt(
     host_store: &Dataset,
     seed: u64,
 ) -> GbdtFedOutcome {
-    let m = guests.len();
-    assert!(m >= 1, "train_gbdt needs at least one guest");
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for (i, store_a) in guests.into_iter().enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        let params_a = params.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("gbdt-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m).expect("guest hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, seed),
-                    )
-                    .expect("guest handshake");
-                    run_gbdt_guest(&mut sess, &store_a, &params_a).expect("guest transport")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let ordered = collect_guests(host_eps, m).expect("guest fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, seed))
-                .expect("host handshake")
-        })
-        .collect();
-    let host = run_gbdt_host(&mut sessions, host_store, params).expect("host transport");
-    let guests = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest panicked"))
-        .collect();
+    let (guests, host) = run_star(
+        cfg,
+        seed,
+        guests,
+        |store, mut sess| run_gbdt_guest(&mut sess, &store, params).expect("guest transport"),
+        |mut sessions| run_gbdt_host(&mut sessions, host_store, params).expect("host transport"),
+    );
     GbdtFedOutcome { host, guests }
-}
-
-/// Pre-handshaken guest runner for transports the caller sets up
-/// (e.g. TCP): hello, handshake, train — the guest half of
-/// [`train_gbdt`] as a standalone building block.
-pub fn gbdt_guest_over(
-    ep: Endpoint,
-    cfg: FedConfig,
-    params: &GbdtParams,
-    link: usize,
-    total: usize,
-    store: &Dataset,
-    seed: u64,
-) -> TransportResult<GbdtGuestRun> {
-    send_hello(&ep, link, total)?;
-    let mut sess = Session::handshake(ep, cfg, Role::A, multi_party_seed(Role::A, link, seed))?;
-    run_gbdt_guest(&mut sess, store, params)
 }
 
 #[cfg(test)]

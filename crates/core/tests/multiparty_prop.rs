@@ -9,7 +9,8 @@
 
 use bf_tensor::{Dense, Features};
 use blindfl::config::{FedConfig, GradMode};
-use blindfl::session::{Role, Session};
+use blindfl::multiparty::run_star;
+use blindfl::session::Session;
 use blindfl::source::matmul::{aggregate_a, aggregate_b, MatMulSource};
 use proptest::prelude::*;
 
@@ -34,14 +35,11 @@ fn multi_roundtrip_cfg(
     grads: Vec<Dense>,
 ) -> (Vec<MatMulSource>, MatMulSource, Dense) {
     let steps = grads.len();
-    let mut eps_b = Vec::new();
-    let mut handles = Vec::new();
-    for (i, x_a) in xs_a.into_iter().enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        eps_b.push(ep_b);
-        let cfg_a = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut sess = Session::handshake(ep_a, cfg_a, Role::A, 500 + i as u64).unwrap();
+    let (layers_a, (layer_b, z)) = run_star(
+        cfg,
+        500,
+        xs_a,
+        |x_a, mut sess| {
             let mut layer = MatMulSource::init(&mut sess, x_a.cols(), out).unwrap();
             for _ in 0..steps {
                 let z = layer.forward(&mut sess, &x_a, true).unwrap();
@@ -51,31 +49,25 @@ fn multi_roundtrip_cfg(
             let z = layer.forward(&mut sess, &x_a, false).unwrap();
             aggregate_a(&sess, z).unwrap();
             layer
-        }));
-    }
-    let mut sessions: Vec<Session> = eps_b
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 900 + i as u64).unwrap())
-        .collect();
-    let mut layer_b = MatMulSource::init(&mut sessions, x_b.cols(), out).unwrap();
-    // The host's share, then every guest's folded in.
-    let forward = |layer_b: &mut MatMulSource, sessions: &mut Vec<Session>, train: bool| {
-        let mut z = layer_b.forward(sessions, &x_b, train).unwrap();
-        for sess in sessions.iter() {
-            z = aggregate_b(sess, z).unwrap();
-        }
-        z
-    };
-    for g in &grads {
-        let _ = forward(&mut layer_b, &mut sessions, true);
-        layer_b.backward_b(&mut sessions, g).unwrap();
-    }
-    let z = forward(&mut layer_b, &mut sessions, false);
-    let layers_a = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest thread"))
-        .collect();
+        },
+        |mut sessions| {
+            let mut layer_b = MatMulSource::init(&mut sessions, x_b.cols(), out).unwrap();
+            // The host's share, then every guest's folded in.
+            let forward = |layer_b: &mut MatMulSource, sessions: &mut Vec<Session>, train: bool| {
+                let mut z = layer_b.forward(sessions, &x_b, train).unwrap();
+                for sess in sessions.iter() {
+                    z = aggregate_b(sess, z).unwrap();
+                }
+                z
+            };
+            for g in &grads {
+                let _ = forward(&mut layer_b, &mut sessions, true);
+                layer_b.backward_b(&mut sessions, g).unwrap();
+            }
+            let z = forward(&mut layer_b, &mut sessions, false);
+            (layer_b, z)
+        },
+    );
     (layers_a, layer_b, z)
 }
 

@@ -18,11 +18,12 @@ use bf_ml::data::{BatchIter, Dataset, Labels};
 use bf_tensor::Features;
 use blindfl::config::FedConfig;
 use blindfl::models::{FedSpec, PartyAModel, PartyBModel};
+use blindfl::multiparty::run_star;
 use blindfl::persist::{
     export_checkpoint_a, export_checkpoint_b, export_party_a, export_party_b, import_checkpoint_a,
     import_checkpoint_b, import_party_a, import_party_b, AlignCursor, LinkCursor, PersistError,
 };
-use blindfl::session::{multi_party_seed, run_pair, Role, Session};
+use blindfl::session::run_pair;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -148,10 +149,7 @@ fn paillier_wdl_roundtrip_is_byte_exact() {
     // The plaintext pieces survived verbatim too (spot check through
     // the inspection accessors).
     let m2 = import_party_a(&bytes_a).unwrap();
-    assert_eq!(
-        m2.matmul().unwrap().u_own().data(),
-        model_a.matmul().unwrap().u_own().data()
-    );
+    assert_eq!(m2.matmul().u_own().data(), model_a.matmul().u_own().data());
     assert_eq!(
         m2.embed().unwrap().s_own().data(),
         model_a.embed().unwrap().s_own().data()
@@ -213,44 +211,33 @@ fn multi_party_b_roundtrip_is_byte_exact() {
         .collect();
     let data_b = toy_data(rows, 3, &[4], 50, 1);
 
-    let mut host_eps = Vec::new();
-    let mut handles = Vec::new();
-    for (i, data_a) in guests.into_iter().enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        let spec_a = spec.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut sess =
-                Session::handshake(ep_a, cfg_a, Role::A, multi_party_seed(Role::A, i, 60)).unwrap();
-            let mut model = PartyAModel::init(&mut sess, &spec_a, &data_a).unwrap();
+    let (blobs_a, bytes_b) = run_star(
+        &cfg,
+        60,
+        guests,
+        |data_a, mut sess| {
+            let mut model = PartyAModel::init(&mut sess, &spec, &data_a).unwrap();
             for _ in 0..2 {
                 let batch = data_a.select(&(0..rows).collect::<Vec<_>>());
                 model.forward(&mut sess, &batch, true).unwrap();
                 model.backward(&mut sess).unwrap();
             }
             export_party_a(&model)
-        }));
-    }
-    let mut sessions: Vec<Session> = host_eps
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, 60)).unwrap()
-        })
-        .collect();
-    let mut model_b = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
-    for _ in 0..2 {
-        let batch = data_b.select(&(0..rows).collect::<Vec<_>>());
-        model_b.train_batch(&mut sessions, &batch).unwrap();
-    }
-    let bytes_b = export_party_b(&model_b);
+        },
+        |mut sessions| {
+            let mut model_b = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+            for _ in 0..2 {
+                let batch = data_b.select(&(0..rows).collect::<Vec<_>>());
+                model_b.train_batch(&mut sessions, &batch).unwrap();
+            }
+            export_party_b(&model_b)
+        },
+    );
     let reloaded = import_party_b(&bytes_b).unwrap();
     assert_eq!(export_party_b(&reloaded), bytes_b);
-    assert_eq!(reloaded.matmul().unwrap().parties(), m);
+    assert_eq!(reloaded.matmul().parties(), m);
     assert_eq!(reloaded.embed_links().len(), m);
-    for h in handles {
-        let bytes_a = h.join().unwrap();
+    for bytes_a in blobs_a {
         assert_eq!(export_party_a(&import_party_a(&bytes_a).unwrap()), bytes_a);
     }
 }
@@ -482,42 +469,24 @@ mod checkpoints {
         let rows = 5;
         let data_b = toy_data(rows, 3, &[], 91, 1);
 
-        let mut host_eps = Vec::new();
-        let mut handles = Vec::new();
-        for i in 0..m {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let cfg_a = cfg.clone();
-            let spec_a = spec.clone();
-            let data_a = toy_data(rows, 2 + i, &[], 92 + i as u64, 0);
-            handles.push(std::thread::spawn(move || {
-                let mut sess =
-                    Session::handshake(ep_a, cfg_a, Role::A, multi_party_seed(Role::A, i, 93))
-                        .unwrap();
-                let mut model = PartyAModel::init(&mut sess, &spec_a, &data_a).unwrap();
+        let (_, model) = run_star(
+            &cfg,
+            93,
+            (0..m).collect(),
+            |i, mut sess| {
+                let data_a = toy_data(rows, 2 + i, &[], 92 + i as u64, 0);
+                let mut model = PartyAModel::init(&mut sess, &spec, &data_a).unwrap();
                 let batch = data_a.select(&(0..rows).collect::<Vec<_>>());
                 model.forward(&mut sess, &batch, true).unwrap();
                 model.backward(&mut sess).unwrap();
-            }));
-        }
-        let mut sessions: Vec<Session> = host_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, 93))
-                    .unwrap()
-            })
-            .collect();
-        let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
-        model
-            .train_batch(
-                &mut sessions,
-                &data_b.select(&(0..rows).collect::<Vec<_>>()),
-            )
-            .unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
+            },
+            |mut sessions| {
+                let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+                let batch = data_b.select(&(0..rows).collect::<Vec<_>>());
+                model.train_batch(&mut sessions, &batch).unwrap();
+                model
+            },
+        );
 
         let links: Vec<LinkCursor> = (0..m as u64)
             .map(|i| LinkCursor {
@@ -682,46 +651,26 @@ mod checkpoints {
     /// Train a tiny `m`-guest model over in-process channels and return
     /// Party B's half (enough structure for checkpoint tests).
     fn train_multi_model(m: usize, rows: usize, seed: u64) -> PartyBModel {
-        let cfg = FedConfig::plain();
         let spec = FedSpec::Glm { out: 1 };
         let data_b = toy_data(rows, 3, &[], seed, 1);
-        let mut host_eps = Vec::new();
-        let mut handles = Vec::new();
-        for i in 0..m {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let cfg_a = cfg.clone();
-            let spec_a = spec.clone();
-            let data_a = toy_data(rows, 2 + i, &[], seed + 1 + i as u64, 0);
-            handles.push(std::thread::spawn(move || {
-                let mut sess =
-                    Session::handshake(ep_a, cfg_a, Role::A, multi_party_seed(Role::A, i, seed))
-                        .unwrap();
-                let mut model = PartyAModel::init(&mut sess, &spec_a, &data_a).unwrap();
-                let batch = data_a.select(&(0..rows).collect::<Vec<_>>());
-                model.forward(&mut sess, &batch, true).unwrap();
+        let batch = |data: &Dataset| data.select(&(0..rows).collect::<Vec<_>>());
+        run_star(
+            &FedConfig::plain(),
+            seed,
+            (0..m).collect(),
+            |i, mut sess| {
+                let data_a = toy_data(rows, 2 + i, &[], seed + 1 + i as u64, 0);
+                let mut model = PartyAModel::init(&mut sess, &spec, &data_a).unwrap();
+                model.forward(&mut sess, &batch(&data_a), true).unwrap();
                 model.backward(&mut sess).unwrap();
-            }));
-        }
-        let mut sessions: Vec<Session> = host_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, seed))
-                    .unwrap()
-            })
-            .collect();
-        let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
-        model
-            .train_batch(
-                &mut sessions,
-                &data_b.select(&(0..rows).collect::<Vec<_>>()),
-            )
-            .unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        model
+            },
+            |mut sessions| {
+                let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
+                model.train_batch(&mut sessions, &batch(&data_b)).unwrap();
+                model
+            },
+        )
+        .1
     }
 
     /// A host checkpoint over two links carries the same section.
@@ -815,49 +764,23 @@ mod one_host_kind {
         ids
     }
 
-    /// `M` freshly handshaken host sessions; every guest thread runs
-    /// `guest(i, sess)` and is returned for joining.
-    fn links<R: Send + 'static>(
-        m: usize,
-        guest: impl Fn(usize, Session) -> R + Send + Clone + 'static,
-    ) -> (Vec<Session>, Vec<std::thread::JoinHandle<R>>) {
-        let cfg = FedConfig::plain();
-        let mut handles = Vec::new();
-        let sessions = (0..m)
-            .map(|i| {
-                let (ep_a, ep_b) = bf_mpc::channel_pair();
-                let (cfg_a, guest) = (cfg.clone(), guest.clone());
-                handles.push(std::thread::spawn(move || {
-                    let seed = multi_party_seed(Role::A, i, SEED);
-                    guest(i, Session::handshake(ep_a, cfg_a, Role::A, seed).unwrap())
-                }));
-                Session::handshake(
-                    ep_b,
-                    cfg.clone(),
-                    Role::B,
-                    multi_party_seed(Role::B, i, SEED),
-                )
-                .unwrap()
-            })
-            .collect();
-        (sessions, handles)
+    /// The `m` guests' private data (`i` = link).
+    fn guest_data(i: usize) -> Dataset {
+        toy_data(ROWS, 2 + i, &[], 300 + i as u64, 0)
     }
 
     /// One `m`-guest job; `tc(p)` is party `p`'s config (0 = host).
-    fn run_job(
-        m: usize,
-        tc: impl Fn(u64) -> FedTrainConfig + Send + Clone + 'static,
-    ) -> (Vec<PartyARun>, PartyBRun) {
-        let tc_a = tc.clone();
-        let (mut sessions, handles) = links(m, move |i, mut sess| {
-            let data = toy_data(ROWS, 2 + i, &[], 300 + i as u64, 0);
-            run_party_a(&mut sess, &spec(), &tc_a(i as u64 + 1), &data, &data).unwrap()
-        });
+    fn run_job(m: usize, tc: impl Fn(u64) -> FedTrainConfig + Sync) -> (Vec<PartyARun>, PartyBRun) {
         let data = host_data();
-        let host = run_party_b(&mut sessions, &spec(), &tc(0), &data, &data).unwrap();
-        (
-            handles.into_iter().map(|h| h.join().unwrap()).collect(),
-            host,
+        run_star(
+            &FedConfig::plain(),
+            SEED,
+            (0..m).collect(),
+            |i, mut sess| {
+                let data = guest_data(i);
+                run_party_a(&mut sess, &spec(), &tc(i as u64 + 1), &data, &data).unwrap()
+            },
+            |mut sessions| run_party_b(&mut sessions, &spec(), &tc(0), &data, &data).unwrap(),
         )
     }
 
@@ -932,17 +855,13 @@ mod one_host_kind {
     #[test]
     fn a_checkpoint_over_other_links_than_supplied_is_a_setup_error() {
         // A two-link host checkpoint, offered one session and none.
-        let model = {
-            let (mut sessions, handles) = links(2, |i, mut sess| {
-                let data = toy_data(ROWS, 2 + i, &[], 300 + i as u64, 0);
-                PartyAModel::init(&mut sess, &spec(), &data).map(drop)
-            });
-            let model = PartyBModel::init(&mut sessions, &spec(), &host_data()).unwrap();
-            for h in handles {
-                h.join().unwrap().unwrap();
-            }
-            model
-        };
+        let (_, model) = run_star(
+            &FedConfig::plain(),
+            SEED,
+            vec![0, 1],
+            |i, mut sess| drop(PartyAModel::init(&mut sess, &spec(), &guest_data(i)).unwrap()),
+            |mut sessions| PartyBModel::init(&mut sessions, &spec(), &host_data()).unwrap(),
+        );
         let cursors = [LinkCursor {
             rng: [1; 4],
             obf_drawn: 0,
@@ -953,18 +872,22 @@ mod one_host_kind {
             resume: Some(export_checkpoint_b(0, 0, &cursors, None, &[], &model)),
             ..Default::default()
         };
-        let (mut sessions, handles) = links(1, |_, sess| drop(sess));
         let data = host_data();
-        for offered in [1, 0] {
-            let run = run_party_b(&mut sessions[..offered], &spec(), &tc, &data, &data);
-            assert!(
-                matches!(run, Err(TransportError::Setup(_))),
-                "{offered} sessions: {:?}",
-                run.err()
-            );
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        run_star(
+            &FedConfig::plain(),
+            SEED,
+            vec![()],
+            |(), sess| drop(sess),
+            |mut sessions| {
+                for offered in [1, 0] {
+                    let run = run_party_b(&mut sessions[..offered], &spec(), &tc, &data, &data);
+                    assert!(
+                        matches!(run, Err(TransportError::Setup(_))),
+                        "{offered} sessions: {:?}",
+                        run.err()
+                    );
+                }
+            },
+        );
     }
 }

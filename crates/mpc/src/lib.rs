@@ -46,9 +46,7 @@ pub mod wire;
 
 pub use convert::{decrypt_reply, he2ss_holder, he2ss_peer, ss2he};
 pub use fault::{FaultAction, FaultPlan};
-pub use psi::{
-    psi_digest, psi_guest, psi_host, psi_host_multi, select_common, PsiError, PsiSelection,
-};
+pub use psi::{psi_digest, psi_guest, psi_host, select_common, PsiError, PsiSelection};
 pub use reactor::{FrameAcceptor, FrameConn};
 pub use shares::{reconstruct, share_dense};
 pub use transport::{

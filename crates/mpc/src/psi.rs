@@ -202,24 +202,24 @@ fn select_exact(salt: u64, my_ids: &[u64], peer_digests: &[u64]) -> Result<PsiSe
     Ok(sel)
 }
 
-/// Host (Party B) side of the PSI phase over one link. Sends
-/// `PsiOffer{salt, count}`, receives the guest's digest set, sends
-/// back the intersection digests, returns the host's selection.
+/// Host (Party B) side of the PSI phase over its guest links — one for
+/// a two-party job, `M` for an Appendix C job. Sends every guest
+/// `PsiOffer{salt, count}`, receives each guest's digest set, and
+/// echoes the global intersection (host ∩ guest₀ ∩ … ∩ guest_{M−1}) to
+/// all of them, so all `M+1` parties end aligned on one sample set —
+/// the fan-out needs one shared intersection, not `M` pairwise ones.
+/// Returns the host's selection; no links is a
+/// [`TransportError::Setup`].
 ///
 /// Every frame moves through [`Endpoint::send`], so PSI traffic lands
 /// in [`TrafficStats`](crate::TrafficStats) exactly like protocol
 /// traffic — and exactly once (reconnect replay bypasses accounting).
-pub fn psi_host(ep: &Endpoint, salt: u64, ids: &[u64]) -> TransportResult<PsiSelection> {
-    psi_host_multi(&[ep], salt, ids)
-}
-
-/// Host side of the PSI phase across `M` guest links: the global
-/// intersection (host ∩ guest₀ ∩ … ∩ guest_{M−1}) is computed on the
-/// host and echoed to every guest, so all `M+1` parties end aligned on
-/// the same sample set — the Appendix C fan-out needs one shared
-/// intersection, not `M` pairwise ones.
-pub fn psi_host_multi(eps: &[&Endpoint], salt: u64, ids: &[u64]) -> TransportResult<PsiSelection> {
-    assert!(!eps.is_empty(), "psi_host_multi needs at least one link");
+pub fn psi_host(eps: &[&Endpoint], salt: u64, ids: &[u64]) -> TransportResult<PsiSelection> {
+    if eps.is_empty() {
+        return Err(TransportError::Setup(
+            "psi_host needs at least one guest link".into(),
+        ));
+    }
     // Validate the local column (and own digest map) before any bytes
     // move: a malformed host column must not half-run the phase.
     let by_digest = digest_index(salt, ids).map_err(TransportError::from)?;
@@ -280,7 +280,7 @@ mod tests {
         let guest_ids = vec![50, 10, 99, 30];
         let host_ids = vec![10, 20, 30, 40, 50];
         let guest = std::thread::spawn(move || psi_guest(&a, &guest_ids).unwrap());
-        let host_sel = psi_host(&b, 0xBEEF, &host_ids).unwrap();
+        let host_sel = psi_host(&[&b], 0xBEEF, &host_ids).unwrap();
         let (salt, guest_sel) = guest.join().unwrap();
         assert_eq!(salt, 0xBEEF);
         assert_eq!(host_sel.ids, vec![10, 30, 50]);
@@ -295,7 +295,7 @@ mod tests {
         let (a1, b1) = channel_pair();
         let g0 = std::thread::spawn(move || psi_guest(&a0, &[1, 2, 3, 4]).unwrap());
         let g1 = std::thread::spawn(move || psi_guest(&a1, &[2, 4, 6]).unwrap());
-        let host = psi_host_multi(&[&b0, &b1], 1, &[4, 3, 2]).unwrap();
+        let host = psi_host(&[&b0, &b1], 1, &[4, 3, 2]).unwrap();
         assert_eq!(host.ids, vec![2, 4]);
         assert_eq!(host.rows, vec![2, 0]);
         assert_eq!(g0.join().unwrap().1.ids, vec![2, 4]);
@@ -305,9 +305,15 @@ mod tests {
     #[test]
     fn duplicate_ids_are_refused_before_any_bytes_move() {
         let (_a, b) = channel_pair();
-        let err = psi_host(&b, 3, &[5, 6, 5]).unwrap_err();
+        let err = psi_host(&[&b], 3, &[5, 6, 5]).unwrap_err();
         assert!(err.to_string().contains("duplicate sample id 5"));
         assert_eq!(b.stats().bytes(), 0, "refusal must precede traffic");
+    }
+
+    #[test]
+    fn a_host_without_links_is_a_setup_error() {
+        let err = psi_host(&[], 3, &[5, 6]).unwrap_err();
+        assert!(matches!(err, TransportError::Setup(_)), "{err}");
     }
 
     #[test]
@@ -331,7 +337,7 @@ mod tests {
     fn disjoint_parties_align_on_the_empty_set() {
         let (a, b) = channel_pair();
         let guest = std::thread::spawn(move || psi_guest(&a, &[1, 2]).unwrap());
-        let host = psi_host(&b, 9, &[3, 4]).unwrap();
+        let host = psi_host(&[&b], 9, &[3, 4]).unwrap();
         assert!(host.is_empty());
         assert!(guest.join().unwrap().1.is_empty());
     }

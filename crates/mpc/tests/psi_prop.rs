@@ -38,7 +38,7 @@ fn permute(mut v: Vec<u64>, mut s: u64) -> Vec<u64> {
 fn run_psi(salt: u64, guest_ids: Vec<u64>, host_ids: Vec<u64>) -> (PsiSelection, PsiSelection) {
     let (a, b) = channel_pair();
     let guest = std::thread::spawn(move || psi_guest(&a, &guest_ids).unwrap().1);
-    let host_sel = psi_host(&b, salt, &host_ids).unwrap();
+    let host_sel = psi_host(&[&b], salt, &host_ids).unwrap();
     (guest.join().unwrap(), host_sel)
 }
 

@@ -15,9 +15,8 @@
 use bf_datagen::{generate_tree, vsplit_multi};
 use bf_ml::gbdt::{CollocatedGbdt, GbdtParams};
 use blindfl::config::FedConfig;
-use blindfl::multiparty::{collect_guests, send_hello};
+use blindfl::multiparty::run_star;
 use blindfl::serve::{queue, ServeConfig};
-use blindfl::session::{multi_party_seed, Role, Session};
 use blindfl::trees::{serve_gbdt_guest, serve_gbdt_host, train_gbdt};
 use blindfl::{export_gbdt_guest, export_gbdt_host, import_gbdt_guest, import_gbdt_host};
 
@@ -99,65 +98,32 @@ fn main() {
     );
 
     // Serve every row through the queue over fresh sessions.
-    let serve_seed = SEED + 1;
-    let mut host_eps = Vec::new();
-    let mut handles = Vec::new();
-    for (i, (store, model)) in split.guests.into_iter().zip(guest_models).enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("trees-serve-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, GUESTS).expect("hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, serve_seed),
-                    )
-                    .expect("guest handshake");
-                    serve_gbdt_guest(&mut sess, &model, &store).expect("guest serve")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let ordered = collect_guests(host_eps, GUESTS).expect("fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(
-                ep,
-                cfg.clone(),
-                Role::B,
-                multi_party_seed(Role::B, i, serve_seed),
-            )
-            .expect("host handshake")
-        })
-        .collect();
-
     let twin_margins = twin.predict(ds.num.as_ref().unwrap());
-    let (client, rq) = queue(16);
-    let client_thread = std::thread::spawn(move || {
-        (0..ROWS)
-            .map(|r| client.predict(r).expect("prediction").logits[0])
-            .collect::<Vec<f64>>()
-    });
-    let report = serve_gbdt_host(
-        &mut sessions,
-        &host_model,
-        &split.party_b,
-        &ServeConfig::default(),
-        rq,
-    )
-    .expect("host serve");
-    let served = client_thread.join().expect("client");
-    for h in handles {
-        h.join().expect("guest serve thread");
-    }
+    let (_, (report, served)) = run_star(
+        &cfg,
+        SEED + 1,
+        split.guests.into_iter().zip(guest_models).collect(),
+        |(store, model), mut sess| {
+            serve_gbdt_guest(&mut sess, &model, &store).expect("guest serve")
+        },
+        |mut sessions| {
+            let (client, rq) = queue(16);
+            let client_thread = std::thread::spawn(move || {
+                (0..ROWS)
+                    .map(|r| client.predict(r).expect("prediction").logits[0])
+                    .collect::<Vec<f64>>()
+            });
+            let report = serve_gbdt_host(
+                &mut sessions,
+                &host_model,
+                &split.party_b,
+                &ServeConfig::default(),
+                rq,
+            )
+            .expect("host serve");
+            (report, client_thread.join().expect("client"))
+        },
+    );
     assert!(served
         .iter()
         .zip(&twin_margins)

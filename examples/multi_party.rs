@@ -13,7 +13,8 @@ use bf_ml::loss::bce_with_logits;
 use bf_ml::metrics::auc;
 use bf_tensor::{Csr, Dense, Features};
 use blindfl::config::FedConfig;
-use blindfl::session::{Role, Session};
+use blindfl::multiparty::run_star;
+use blindfl::session::Session;
 use blindfl::source::matmul::{aggregate_a, aggregate_b, MatMulSource};
 
 fn main() {
@@ -49,38 +50,9 @@ fn main() {
     let bs = 128;
     let n = train.rows();
 
-    // Spawn the two Party A's; each runs the standard two-party loop.
-    let mut b_endpoints = Vec::new();
-    let mut handles = Vec::new();
-    for (i, (x, t)) in [(x1, t1), (x2, t2)].into_iter().enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        b_endpoints.push(ep_b);
-        let cfg_a = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut sess = Session::handshake(ep_a, cfg_a, Role::A, 10 + i as u64).unwrap();
-            let mut layer = MatMulSource::init(&mut sess, x.cols(), 1).unwrap();
-            for epoch in 0..epochs {
-                for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
-                    let xb = x.select_rows(&idx);
-                    let z = layer.forward(&mut sess, &xb, true).unwrap();
-                    aggregate_a(&sess, z).unwrap();
-                    layer.backward_a(&mut sess).unwrap();
-                }
-            }
-            // Federated inference on the test split.
-            let z = layer.forward(&mut sess, &t, false).unwrap();
-            aggregate_a(&sess, z).unwrap();
-        }));
-    }
-
-    // Party B drives the same layer over both links: its own share,
-    // then each guest's folded in.
-    let mut sessions: Vec<Session> = b_endpoints
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| Session::handshake(ep, cfg.clone(), Role::B, 20 + i as u64).unwrap())
-        .collect();
-    let mut layer = MatMulSource::init(&mut sessions, xb.cols(), 1).unwrap();
+    // Each Party A runs the standard two-party loop over its own link;
+    // Party B drives the same layer over both links: its own share, then
+    // each guest's folded in.
     fn forward(
         layer: &mut MatMulSource,
         sessions: &mut [Session],
@@ -93,21 +65,40 @@ fn main() {
         }
         z
     }
-    let mut last_loss = f64::NAN;
-    for epoch in 0..epochs {
-        for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
-            let x_batch = xb.select_rows(&idx);
-            let y_batch: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-            let z = forward(&mut layer, &mut sessions, &x_batch, true);
-            let (loss, grad) = bce_with_logits(&z, &y_batch);
-            last_loss = loss;
-            layer.backward_b(&mut sessions, &grad).unwrap();
-        }
-    }
-    let z_test = forward(&mut layer, &mut sessions, &tb, false);
-    for h in handles {
-        h.join().unwrap();
-    }
+    let (_, (last_loss, z_test)) = run_star(
+        &cfg,
+        10,
+        vec![(x1, t1), (x2, t2)],
+        |(x, t), mut sess| {
+            let mut layer = MatMulSource::init(&mut sess, x.cols(), 1).unwrap();
+            for epoch in 0..epochs {
+                for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
+                    let xb = x.select_rows(&idx);
+                    let z = layer.forward(&mut sess, &xb, true).unwrap();
+                    aggregate_a(&sess, z).unwrap();
+                    layer.backward_a(&mut sess).unwrap();
+                }
+            }
+            // Federated inference on the test split.
+            let z = layer.forward(&mut sess, &t, false).unwrap();
+            aggregate_a(&sess, z).unwrap();
+        },
+        |mut sessions| {
+            let mut layer = MatMulSource::init(&mut sessions, xb.cols(), 1).unwrap();
+            let mut last_loss = f64::NAN;
+            for epoch in 0..epochs {
+                for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
+                    let x_batch = xb.select_rows(&idx);
+                    let y_batch: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
+                    let z = forward(&mut layer, &mut sessions, &x_batch, true);
+                    let (loss, grad) = bce_with_logits(&z, &y_batch);
+                    last_loss = loss;
+                    layer.backward_b(&mut sessions, &grad).unwrap();
+                }
+            }
+            (last_loss, forward(&mut layer, &mut sessions, &tb, false))
+        },
+    );
     println!("final training loss = {last_loss:.4}");
     println!(
         "3-party federated LR test AUC = {:.3}",

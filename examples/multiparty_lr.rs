@@ -15,11 +15,12 @@
 //!    thread per guest over channel pairs),
 //! 2. binds a TCP listener and re-launches itself `M` times, each
 //!    child playing one guest (`--party a --index i`) that connects
-//!    back, announces its link slot with the wire-protocol `Hello`
-//!    frame, and runs the unmodified `run_party_a`,
+//!    back, opens its link with `join_host` (the wire-protocol `Hello`
+//!    frame, then the key handshake) and runs the unmodified
+//!    `run_party_a`,
 //! 3. accepts the `M` connections *in whatever order they arrive*,
-//!    fans them into link order via the hellos, and plays Party B over
-//!    the sockets,
+//!    puts them into link order with `accept_guests`, and plays Party B
+//!    over the sockets,
 //! 4. verifies the multi-process run reproduced the in-process loss
 //!    (±1e-6; deterministic seeding makes it exact in practice) and
 //!    that the per-link B→A(i) wire traffic matches byte-for-byte.
@@ -31,8 +32,7 @@ use bf_datagen::{generate, spec, vsplit_multi, MultiVflData};
 use bf_mpc::Endpoint;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
-use blindfl::multiparty::{collect_guests, send_hello};
-use blindfl::session::{multi_party_seed, Role, Session};
+use blindfl::multiparty::{accept_guests, join_host};
 use blindfl::train::{run_party_a, run_party_b, train_federated_multi, FedTrainConfig};
 
 /// Shared run constants — every process must agree on these for the
@@ -81,14 +81,7 @@ fn run_guest(addr: &str, index: usize, m: usize) {
     let (train_v, test_v) = datasets(m);
     let ep = Endpoint::tcp_connect_retry(addr, std::time::Duration::from_secs(10))
         .expect("connect to host");
-    send_hello(&ep, index, m).expect("guest hello");
-    let mut sess = Session::handshake(
-        ep,
-        fed_config(),
-        Role::A,
-        multi_party_seed(Role::A, index, SEED),
-    )
-    .expect("guest handshake");
+    let mut sess = join_host(ep, &fed_config(), index, m, SEED).expect("guest prologue");
     let run = run_party_a(
         &mut sess,
         &fed_spec(),
@@ -143,20 +136,7 @@ fn orchestrate(m: usize) {
     let accepted: Vec<Endpoint> = (0..m)
         .map(|_| Endpoint::tcp_accept(&listener).expect("accept guest"))
         .collect();
-    let ordered = collect_guests(accepted, m).expect("guest fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(
-                ep,
-                fed_config(),
-                Role::B,
-                multi_party_seed(Role::B, i, SEED),
-            )
-            .expect("host handshake")
-        })
-        .collect();
+    let mut sessions = accept_guests(accepted, &fed_config(), SEED).expect("host prologue");
     let run = run_party_b(
         &mut sessions,
         &fed_spec(),

@@ -90,11 +90,15 @@ fn main() {
         &test_v.party_b,
     );
     let (align_a, align_b) = (a.alignment.unwrap(), b.alignment.unwrap());
+    let psi_bytes: u64 = [&align_a, &align_b]
+        .iter()
+        .flat_map(|al| &al.psi_bytes_per_link)
+        .sum();
     println!(
         "PSI-aligned run   test AUC = {:.3}   ({} aligned rows, {:.1} KiB of PSI traffic)",
         b.test_metric,
         align_a.len(),
-        (align_a.psi_bytes_sent + align_b.psi_bytes_sent) as f64 / 1024.0,
+        psi_bytes as f64 / 1024.0,
     );
 
     // 3. The oracle: the same training run on the pre-aligned split of

@@ -17,7 +17,7 @@
 //!    the full per-batch loss curve, the test metric, the exported
 //!    model bytes of every party — and that its traffic is *exactly*
 //!    `baseline + PSI`: subtracting each link's measured
-//!    `psi_bytes_sent` from the aligned totals reproduces the
+//!    `psi_bytes_per_link` from the aligned totals reproduces the
 //!    baseline totals to the byte, in both directions.
 //!
 //! Two more contracts ride along:
@@ -54,9 +54,9 @@ use proptest::prelude::*;
 
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
-use blindfl::multiparty::{collect_guests, send_hello};
+use blindfl::multiparty::{accept_guests, join_host, run_star};
 use blindfl::persist::{export_party_a, export_party_b};
-use blindfl::session::{multi_party_seed, party_seed, Role, Session};
+use blindfl::session::{party_seed, Role, Session};
 use blindfl::train::{run_party_a, run_party_b, FedTrainConfig};
 use blindfl::{psi_salt, AlignInput, Alignment};
 
@@ -261,11 +261,13 @@ fn assert_two_party_parity_at(overlap: f64, cfg: FedConfig, row_div: usize, bs: 
     let want_ids: Vec<u64> = mis.overlap_rows.iter().map(|&r| sample_id(r)).collect();
     assert_eq!(align_a.ids, want_ids, "guest intersection");
     assert_eq!(align_b.ids, want_ids, "host intersection");
-    assert!(align_a.psi_bytes_sent > 0 && align_b.psi_bytes_sent > 0);
+    let psi_a: u64 = align_a.psi_bytes_per_link.iter().sum();
+    let psi_b: u64 = align_b.psi_bytes_per_link.iter().sum();
+    assert!(psi_a > 0 && psi_b > 0);
 
     // Bit-identity: same losses, metric, models; traffic is exactly
     // baseline + PSI per direction.
-    let net = aligned.minus_psi(&[align_a.psi_bytes_sent], &[align_b.psi_bytes_sent]);
+    let net = aligned.minus_psi(&[psi_a], &[psi_b]);
     assert_eq!(net, baseline, "PSI-aligned run diverged from pre-aligned");
 }
 
@@ -294,73 +296,43 @@ fn two_party_paillier_packed_tcp_psi_matches_pre_aligned() {
     assert_two_party_parity(FedConfig::paillier_test(), 1024, 4, true);
 }
 
-/// One M-guest run: guests on threads, Party B via the supplied
-/// closure on the caller's thread.
+/// One M-guest run: [`run_star`] in process, its two prologue halves
+/// over one localhost socket per guest for TCP. Guest `i` runs
+/// `fas[i]`, Party B runs `fb` on the caller's thread.
 fn run_multi_over<RA, RB, FA>(
     cfg: &FedConfig,
-    m: usize,
     tcp: bool,
     fas: Vec<FA>,
     fb: impl FnOnce(&mut [Session]) -> RB,
 ) -> (Vec<RA>, RB)
 where
-    RA: Send + 'static,
-    FA: FnOnce(&mut Session) -> RA + Send + 'static,
+    RA: Send,
+    FA: FnOnce(&mut Session) -> RA + Send,
 {
-    assert_eq!(fas.len(), m);
-    let listener = tcp.then(|| TcpListener::bind("127.0.0.1:0").expect("bind localhost"));
-    let addr = listener.as_ref().map(|l| l.local_addr().unwrap());
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for (i, fa) in fas.into_iter().enumerate() {
-        let ep_a = match addr {
-            Some(addr) => Endpoint::tcp_connect(addr).expect("guest connect"),
-            None => {
-                let (ea, eb) = bf_mpc::channel_pair();
-                host_eps.push(eb);
-                ea
-            }
-        };
-        let cfg_a = cfg.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("parity-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m).expect("guest hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, SEED),
-                    )
-                    .expect("guest handshake");
-                    fa(&mut sess)
-                })
-                .expect("spawn guest"),
-        );
+    let host = |mut sessions: Vec<Session>| fb(&mut sessions);
+    if !tcp {
+        return run_star(cfg, SEED, fas, |fa, mut sess| fa(&mut sess), host);
     }
-    if let Some(listener) = &listener {
-        host_eps = (0..m)
-            .map(|_| Endpoint::tcp_accept(listener).expect("accept"))
+    let m = fas.len();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (fas.into_iter().enumerate())
+            .map(|(i, fa)| {
+                let ep = Endpoint::tcp_connect(addr).expect("guest connect");
+                s.spawn(move || fa(&mut join_host(ep, cfg, i, m, SEED).expect("guest prologue")))
+            })
             .collect();
-    }
-    let ordered = collect_guests(host_eps, m).expect("guest fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, SEED))
-                .expect("host handshake")
-        })
-        .collect();
-    let rb = fb(&mut sessions);
-    drop(sessions);
-    let ras = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest panicked"))
-        .collect();
-    (ras, rb)
+        let accepted = (0..m)
+            .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
+            .collect();
+        let rb = host(accept_guests(accepted, cfg, SEED).expect("host prologue"));
+        let ras = handles
+            .into_iter()
+            .map(|h| h.join().expect("guest panicked"))
+            .collect();
+        (ras, rb)
+    })
 }
 
 /// The full parity experiment for one M = 2 multi-guest cell.
@@ -387,7 +359,7 @@ fn assert_multi_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
             }
         })
         .collect();
-    let (guests, b) = run_multi_over(&cfg, M, tcp, fas, |sessions| {
+    let (guests, b) = run_multi_over(&cfg, tcp, fas, |sessions| {
         run_party_b(sessions, &fed, &tc, &mis.aligned.party_b, &test_v.party_b).expect("baseline B")
     });
     let baseline = CellRun {
@@ -413,7 +385,7 @@ fn assert_multi_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
         })
         .collect();
     let tc_b = aligning(&tc, &mis.party_b.ids);
-    let (guests, b) = run_multi_over(&cfg, M, tcp, fas, |sessions| {
+    let (guests, b) = run_multi_over(&cfg, tcp, fas, |sessions| {
         run_party_b(sessions, &fed, &tc_b, &mis.party_b.data, &test_v.party_b).expect("aligned B")
     });
     let guest_aligns: Vec<Alignment> = guests
@@ -437,12 +409,15 @@ fn assert_multi_parity(cfg: FedConfig, row_div: usize, bs: usize, tcp: bool) {
     assert_eq!(align_b.ids, want_ids, "host intersection");
     for (i, a) in guest_aligns.iter().enumerate() {
         assert_eq!(a.ids, want_ids, "guest {i} intersection");
-        assert!(a.psi_bytes_sent > 0, "guest {i} PSI cost");
+        assert!(
+            a.psi_bytes_per_link.iter().sum::<u64>() > 0,
+            "guest {i} PSI cost"
+        );
     }
-    // The host's total PSI cost is the sum of its per-link costs.
-    assert_eq!(align_b.psi_bytes_sent, psi_b_per_link.iter().sum::<u64>());
 
-    let psi_a: Vec<u64> = guest_aligns.iter().map(|a| a.psi_bytes_sent).collect();
+    let psi_a: Vec<u64> = (guest_aligns.iter())
+        .map(|a| a.psi_bytes_per_link.iter().sum())
+        .collect();
     let net = aligned.minus_psi(&psi_a, &psi_b_per_link);
     assert_eq!(net, baseline, "PSI-aligned run diverged from pre-aligned");
 }
@@ -536,8 +511,14 @@ proptest! {
         prop_assert_eq!(&run, canon);
         prop_assert_eq!(&align_a.ids, &canon_a.ids);
         prop_assert_eq!(&align_b.ids, &canon_b.ids);
-        prop_assert_eq!(align_a.psi_bytes_sent, canon_a.psi_bytes_sent);
-        prop_assert_eq!(align_b.psi_bytes_sent, canon_b.psi_bytes_sent);
+        prop_assert_eq!(
+            align_a.psi_bytes_per_link.iter().sum::<u64>(),
+            canon_a.psi_bytes_per_link.iter().sum::<u64>()
+        );
+        prop_assert_eq!(
+            align_b.psi_bytes_per_link.iter().sum::<u64>(),
+            canon_b.psi_bytes_per_link.iter().sum::<u64>()
+        );
     }
 }
 

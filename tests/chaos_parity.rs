@@ -30,6 +30,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
 use bf_datagen::{generate, spec as dataset_spec, vsplit, vsplit_misaligned, vsplit_multi};
+use bf_ml::data::Dataset;
 use bf_mpc::Endpoint;
 use rand::{RngCore, SeedableRng};
 
@@ -37,9 +38,9 @@ use bf_mpc::fault::{FaultAction, FaultPlan};
 use bf_mpc::transport::TransportResult;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
-use blindfl::multiparty::{collect_guests, send_hello};
+use blindfl::multiparty::{accept_guests, join_host, run_star};
 use blindfl::persist::{export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b};
-use blindfl::session::{multi_party_seed, party_seed, Role, Session};
+use blindfl::session::{party_seed, Role, Session};
 use blindfl::train::{
     run_party_a, run_party_b, CheckpointCadence, FedTrainConfig, PartyARun, PartyBRun,
     FAULT_KILL_MARKER,
@@ -275,88 +276,64 @@ fn two_party_paillier_packed_tcp_recovers_bit_identically() {
     assert_two_party_recovery("2p_pail_tcp", FedConfig::paillier_test(), 1024, 8, true);
 }
 
-/// One M-guest run (fresh or resumed). Guests on threads, Party B on
-/// the caller's thread; per-guest train configs let the chaos phase
-/// kill exactly one guest.
+/// One M-guest run (fresh or resumed): [`run_star`] in process, its two
+/// prologue halves over one localhost socket per guest for TCP. Errors
+/// are returned, not panicked, and a party that fails closes its links;
+/// per-guest train configs let the chaos phase kill exactly one guest.
 #[allow(clippy::type_complexity)]
 fn run_multi(
     cfg: &FedConfig,
-    m: usize,
     row_div: usize,
     tcp: bool,
     tcs_a: Vec<FedTrainConfig>,
     tc_b: FedTrainConfig,
 ) -> (Vec<TransportResult<PartyARun>>, TransportResult<PartyBRun>) {
+    let m = tcs_a.len();
     let ds = dataset_spec("a9a").scaled(row_div, 1);
     let (train, test) = generate(&ds, DATA_SEED);
     let train_v = vsplit_multi(&train, m);
     let test_v = vsplit_multi(&test, m);
     let fed = FedSpec::Glm { out: 1 };
-
-    let listener = tcp.then(|| TcpListener::bind("127.0.0.1:0").expect("bind localhost"));
-    let addr = listener.as_ref().map(|l| l.local_addr().unwrap());
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for (i, ((train_a, test_a), tc_a)) in (train_v.guests.into_iter())
+    let guests: Vec<_> = (train_v.guests.into_iter())
         .zip(test_v.guests)
         .zip(tcs_a)
-        .enumerate()
-    {
-        let ep_a = match addr {
-            Some(addr) => Endpoint::tcp_connect(addr).expect("guest connect"),
-            None => {
-                let (ea, eb) = bf_mpc::channel_pair();
-                host_eps.push(eb);
-                ea
-            }
-        };
-        let cfg_a = cfg.clone();
-        let fed_a = fed.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("chaos-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m)?;
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, SEED),
-                    )?;
-                    run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a)
-                })
-                .expect("spawn guest"),
-        );
-    }
-    if let Some(listener) = &listener {
-        host_eps = (0..m)
-            .map(|_| Endpoint::tcp_accept(listener).expect("accept"))
-            .collect();
-    }
-    let res_b = collect_guests(host_eps, m).and_then(|ordered| {
-        let mut sessions = ordered
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, SEED))
-            })
-            .collect::<TransportResult<Vec<Session>>>()?;
-        let res = run_party_b(
+        .collect();
+    let guest = |((train_a, test_a), tc_a): ((Dataset, Dataset), FedTrainConfig),
+                 mut sess: Session| {
+        run_party_a(&mut sess, &fed, &tc_a, &train_a, &test_a)
+    };
+    let host = |mut sessions: Vec<Session>| {
+        run_party_b(
             &mut sessions,
             &fed,
             &tc_b,
             &train_v.party_b,
             &test_v.party_b,
-        );
-        drop(sessions); // release the links so blocked guests fail fast
-        res
-    });
-    let res_a: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest panicked"))
-        .collect();
-    (res_a, res_b)
+        )
+    };
+    if !tcp {
+        return run_star(cfg, SEED, guests, guest, host);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().unwrap();
+    let guest = &guest;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (guests.into_iter().enumerate())
+            .map(|(i, g)| {
+                let ep = Endpoint::tcp_connect(addr).expect("guest connect");
+                s.spawn(move || guest(g, join_host(ep, cfg, i, m, SEED)?))
+            })
+            .collect();
+        let accepted = (0..m)
+            .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
+            .collect();
+        let res_b = accept_guests(accepted, cfg, SEED).and_then(host);
+        let res_a = handles
+            .into_iter()
+            .map(|h| h.join().expect("guest panicked"))
+            .collect();
+        (res_a, res_b)
+    })
 }
 
 fn collect_multi(guests: Vec<PartyARun>, b: PartyBRun) -> CellRun {
@@ -380,7 +357,7 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
     let tc = base_tc(bs);
 
     // 1. Uninterrupted baseline.
-    let (ras, rb) = run_multi(&cfg, M, row_div, tcp, vec![tc.clone(); M], tc.clone());
+    let (ras, rb) = run_multi(&cfg, row_div, tcp, vec![tc.clone(); M], tc.clone());
     let guests: Vec<PartyARun> = ras
         .into_iter()
         .map(|r| r.expect("baseline guest"))
@@ -401,7 +378,7 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
             }
         })
         .collect();
-    let (ras, rb) = run_multi(&cfg, M, row_div, tcp, tcs_a, with_ckpt(tc.clone(), &path_b));
+    let (ras, rb) = run_multi(&cfg, row_div, tcp, tcs_a, with_ckpt(tc.clone(), &path_b));
     let err0 = ras[0].as_ref().err().expect("guest 0 must die");
     assert!(
         err0.to_string().contains(FAULT_KILL_MARKER),
@@ -432,7 +409,6 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
         .collect();
     let (ras, rb) = run_multi(
         &cfg,
-        M,
         row_div,
         tcp,
         tcs_a,
@@ -588,7 +564,10 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
     let (ra, rb) = run_two_party_aligned(&cfg, row_div, tcp, tc.clone(), tc.clone());
     let (al_a, a) = ra.expect("baseline A");
     let (al_b, b) = rb.expect("baseline B");
-    assert!(al_a.psi_bytes_sent > 0 && al_b.psi_bytes_sent > 0);
+    assert!(
+        al_a.psi_bytes_per_link.iter().sum::<u64>() > 0
+            && al_b.psi_bytes_per_link.iter().sum::<u64>() > 0
+    );
     let baseline = collect_two_party(a, b);
     assert_eq!(baseline.losses.len() as u64, total);
 
@@ -645,7 +624,10 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
     assert_eq!(ral_a.ids, al_a.ids, "resumed A re-selected a different set");
     assert_eq!(ral_b.ids, al_b.ids, "resumed B re-selected a different set");
     assert_eq!(
-        (ral_a.psi_bytes_sent, ral_b.psi_bytes_sent),
+        (
+            ral_a.psi_bytes_per_link.iter().sum::<u64>(),
+            ral_b.psi_bytes_per_link.iter().sum::<u64>()
+        ),
         (0, 0),
         "cursor-based realignment must cost zero wire bytes"
     );

@@ -45,7 +45,7 @@ use blindfl::gateway::{
     GatewayReport,
 };
 use blindfl::models::{FedSpec, PartyBModel};
-use blindfl::multiparty::{collect_guests, send_hello};
+use blindfl::multiparty::run_star;
 use blindfl::persist::{export_party_a, export_party_b, import_party_a, import_party_b};
 use blindfl::serve::serve_party_a;
 use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
@@ -424,52 +424,32 @@ fn train_and_export_multi(cfg: &FedConfig, m: usize, rows: usize) -> TrainedMult
     let test_v = vsplit_multi(&test, m);
     let spec = FedSpec::Glm { out: 1 };
     let tc = train_cfg(1);
-    // `train_federated_multi`'s wiring, with the sessions in reach so
-    // their keys can be persisted.
-    std::thread::scope(|s| {
-        let mut host_eps = Vec::with_capacity(m);
-        let mut handles = Vec::with_capacity(m);
-        for (i, (train_a, test_a)) in train_v.guests.iter().zip(&test_v.guests).enumerate() {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let (spec, tc) = (&spec, &tc);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("train-guest-{i}"))
-                    .stack_size(16 << 20)
-                    .spawn_scoped(s, move || {
-                        send_hello(&ep_a, i, m).unwrap();
-                        let seed = multi_party_seed(Role::A, i, TRAIN_SEED);
-                        let mut sess =
-                            Session::handshake(ep_a, cfg.clone(), Role::A, seed).unwrap();
-                        let run = run_party_a(&mut sess, spec, tc, train_a, test_a).unwrap();
-                        (export_party_a(&run.model), KeyPair::of(&sess))
-                    })
-                    .unwrap(),
-            );
-        }
-        let mut sessions: Vec<Session> = collect_guests(host_eps, m)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                let seed = multi_party_seed(Role::B, i, TRAIN_SEED);
-                Session::handshake(ep, cfg.clone(), Role::B, seed).unwrap()
-            })
-            .collect();
-        let host =
-            run_party_b(&mut sessions, &spec, &tc, &train_v.party_b, &test_v.party_b).unwrap();
-        let (guest_bytes, guest_keys) = handles.into_iter().map(|h| h.join().unwrap()).unzip();
-        TrainedMulti {
-            guest_bytes,
-            host_bytes: export_party_b(&host.model),
-            guest_keys,
-            host_keys: sessions.iter().map(KeyPair::of).collect(),
-            guest_stores: test_v.guests.clone(),
-            store_b: test_v.party_b.clone(),
-            trained_logits: host.test_logits,
-        }
-    })
+    // `train_federated_multi`, with the sessions in reach so their keys
+    // can be persisted.
+    let (guests, (host, host_keys)) = run_star(
+        cfg,
+        TRAIN_SEED,
+        train_v.guests.iter().zip(&test_v.guests).collect(),
+        |(train_a, test_a), mut sess| {
+            let run = run_party_a(&mut sess, &spec, &tc, train_a, test_a).unwrap();
+            (export_party_a(&run.model), KeyPair::of(&sess))
+        },
+        |mut sessions| {
+            let host =
+                run_party_b(&mut sessions, &spec, &tc, &train_v.party_b, &test_v.party_b).unwrap();
+            (host, sessions.iter().map(KeyPair::of).collect())
+        },
+    );
+    let (guest_bytes, guest_keys) = guests.into_iter().unzip();
+    TrainedMulti {
+        guest_bytes,
+        host_bytes: export_party_b(&host.model),
+        guest_keys,
+        host_keys,
+        guest_stores: test_v.guests.clone(),
+        store_b: test_v.party_b.clone(),
+        trained_logits: host.test_logits,
+    }
 }
 
 /// Stand up a multi-guest gateway and drive it (multi analogue of

@@ -37,15 +37,13 @@ fn run(cfg: &FedConfig, epochs: usize, seed: u64) -> (FedOutcome, Dense, Dense) 
     let w_a = outcome
         .party_a
         .matmul()
-        .unwrap()
         .u_own()
-        .add(outcome.party_b.matmul().unwrap().v_peer());
+        .add(outcome.party_b.matmul().v_peer());
     let w_b = outcome
         .party_b
         .matmul()
-        .unwrap()
         .u_own()
-        .add(outcome.party_a.matmul().unwrap().v_peer());
+        .add(outcome.party_a.matmul().v_peer());
     (outcome, w_a, w_b)
 }
 
@@ -115,12 +113,12 @@ fn packed_and_scalar_paillier_are_bit_identical() {
         packed.report.test_logits.data()
     );
     assert_eq!(
-        scalar.party_a.matmul().unwrap().u_own().data(),
-        packed.party_a.matmul().unwrap().u_own().data()
+        scalar.party_a.matmul().u_own().data(),
+        packed.party_a.matmul().u_own().data()
     );
     assert_eq!(
-        scalar.party_b.matmul().unwrap().v_peer().data(),
-        packed.party_b.matmul().unwrap().v_peer().data()
+        scalar.party_b.matmul().v_peer().data(),
+        packed.party_b.matmul().v_peer().data()
     );
     // Packing must also shrink the ciphertext traffic.
     assert!(

@@ -30,16 +30,16 @@
 
 use std::net::TcpListener;
 
-use bf_datagen::{generate, spec as dataset_spec, vsplit_multi};
+use bf_datagen::{generate, spec as dataset_spec, vsplit_multi, MultiVflData};
 use bf_ml::models::GlmModel;
 use bf_mpc::Endpoint;
 use bf_tensor::Dense;
 use blindfl::config::{Backend, FedConfig};
 use blindfl::models::FedSpec;
-use blindfl::multiparty::{collect_guests, send_hello};
-use blindfl::session::{multi_party_seed, Role, Session};
+use blindfl::multiparty::{accept_guests, join_host};
 use blindfl::train::{
-    run_party_a, run_party_b, train_federated, train_federated_multi, FedTrainConfig,
+    run_party_a, run_party_b, train_federated, train_federated_multi, FedTrainConfig, PartyARun,
+    PartyBRun,
 };
 
 const SEED: u64 = 41;
@@ -79,22 +79,19 @@ struct MultiRun {
 }
 
 /// Reconstruct the stacked effective weights from the trained halves.
-fn stacked_weights(
-    guests: &[blindfl::train::PartyARun],
-    party_b: &blindfl::models::PartyBModel,
-) -> Dense {
-    let mmb = party_b.matmul().expect("Glm has a MatMul source");
+fn stacked_weights(guests: &[PartyARun], party_b: &blindfl::models::PartyBModel) -> Dense {
+    let mmb = party_b.matmul();
     let mut rows: Vec<f64> = Vec::new();
     let mut n_rows = 0;
     let out = mmb.u_own().cols();
     for (i, g) in guests.iter().enumerate() {
-        let w_a = g.model.matmul().unwrap().u_own().add(mmb.v_peer_of(i));
+        let w_a = g.model.matmul().u_own().add(mmb.v_peer_of(i));
         rows.extend_from_slice(w_a.data());
         n_rows += w_a.rows();
     }
     let mut w_b = mmb.u_own().clone();
     for g in guests {
-        w_b.add_assign(g.model.matmul().unwrap().v_peer());
+        w_b.add_assign(g.model.matmul().v_peer());
     }
     rows.extend_from_slice(w_b.data());
     n_rows += w_b.rows();
@@ -125,8 +122,8 @@ fn run_multi_spec(
     let fed = fed.clone();
     let tc = train_cfg(epochs);
 
-    if !tcp {
-        let (guests, b) = train_federated_multi(
+    let (guests, b) = if !tcp {
+        train_federated_multi(
             &fed,
             cfg,
             &tc,
@@ -135,56 +132,10 @@ fn run_multi_spec(
             test_v.guests,
             test_v.party_b,
             SEED,
-        );
-        return MultiRun {
-            weights: stacked_weights(&guests, &b.model),
-            losses: b.losses,
-            test_metric: b.test_metric,
-            bytes_a_to_b: guests.iter().map(|g| g.bytes_sent).collect(),
-            bytes_b_to_a: b.bytes_sent_per_link,
-        };
-    }
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().unwrap();
-    let mut handles = Vec::new();
-    for (i, (train_a, test_a)) in train_v.guests.into_iter().zip(test_v.guests).enumerate() {
-        let cfg_a = cfg.clone();
-        let fed_a = fed.clone();
-        let tc_a = tc.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("parity-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    let ep = Endpoint::tcp_connect(addr).expect("guest connect");
-                    send_hello(&ep, i, m).expect("guest hello");
-                    let mut sess =
-                        Session::handshake(ep, cfg_a, Role::A, multi_party_seed(Role::A, i, SEED))
-                            .expect("guest handshake");
-                    run_party_a(&mut sess, &fed_a, &tc_a, &train_a, &test_a).expect("guest run")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let accepted: Vec<Endpoint> = (0..m)
-        .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
-        .collect();
-    let ordered = collect_guests(accepted, m).expect("fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, SEED))
-                .expect("host handshake")
-        })
-        .collect();
-    let b = run_party_b(&mut sessions, &fed, &tc, &train_v.party_b, &test_v.party_b)
-        .expect("party B run");
-    let guests: Vec<blindfl::train::PartyARun> = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest thread"))
-        .collect();
+        )
+    } else {
+        tcp_multi(cfg, &fed, &tc, train_v, test_v)
+    };
     MultiRun {
         weights: stacked_weights(&guests, &b.model),
         losses: b.losses,
@@ -192,6 +143,42 @@ fn run_multi_spec(
         bytes_a_to_b: guests.iter().map(|g| g.bytes_sent).collect(),
         bytes_b_to_a: b.bytes_sent_per_link,
     }
+}
+
+/// [`train_federated_multi`] with one localhost socket per guest, the
+/// guests connecting concurrently.
+fn tcp_multi(
+    cfg: &FedConfig,
+    fed: &FedSpec,
+    tc: &FedTrainConfig,
+    train_v: MultiVflData,
+    test_v: MultiVflData,
+) -> (Vec<PartyARun>, PartyBRun) {
+    let m = train_v.guests.len();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (train_v.guests.into_iter().zip(test_v.guests).enumerate())
+            .map(|(i, (train_a, test_a))| {
+                s.spawn(move || {
+                    let ep = Endpoint::tcp_connect(addr).expect("guest connect");
+                    let mut sess = join_host(ep, cfg, i, m, SEED).expect("guest prologue");
+                    run_party_a(&mut sess, fed, tc, &train_a, &test_a).expect("guest run")
+                })
+            })
+            .collect();
+        let accepted = (0..m)
+            .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
+            .collect();
+        let mut sessions = accept_guests(accepted, cfg, SEED).expect("host prologue");
+        let b = run_party_b(&mut sessions, fed, tc, &train_v.party_b, &test_v.party_b)
+            .expect("party B run");
+        let guests = handles
+            .into_iter()
+            .map(|h| h.join().expect("guest thread"))
+            .collect();
+        (guests, b)
+    })
 }
 
 /// The collocated plaintext twin: momentum SGD from the reconstructed

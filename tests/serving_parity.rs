@@ -21,9 +21,10 @@ use bf_ml::data::Dataset;
 use bf_mpc::{Endpoint, Msg};
 use blindfl::config::FedConfig;
 use blindfl::models::{FedSpec, PartyBModel};
+use blindfl::multiparty::run_star;
 use blindfl::persist::{export_party_a, export_party_b, import_party_a, import_party_b};
 use blindfl::serve::{self, serve_party_a, serve_party_b, ServeConfig};
-use blindfl::session::{multi_party_seed, party_seed, run_pair, Role, Session};
+use blindfl::session::{party_seed, run_pair, Role, Session};
 use blindfl::train::{train_federated, train_federated_multi, FedTrainConfig};
 
 const TRAIN_SEED: u64 = 41;
@@ -328,83 +329,49 @@ fn served_equals_direct_forward_multi_guest() {
 
     // Direct multi-guest prediction pass from the persisted state.
     let run_host = |serve_mode: bool| -> Vec<u64> {
-        let mut host_eps = Vec::new();
-        let mut handles = Vec::new();
-        for (i, store) in test_guests.iter().cloned().enumerate() {
-            let (ep_a, ep_b) = bf_mpc::channel_pair();
-            host_eps.push(ep_b);
-            let cfg_a = cfg.clone();
-            let bytes = guest_bytes[i].clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-guest-{i}"))
-                    .stack_size(16 << 20)
-                    .spawn(move || {
-                        let mut sess = Session::handshake(
-                            ep_a,
-                            cfg_a,
-                            Role::A,
-                            multi_party_seed(Role::A, i, SERVE_SEED),
-                        )
-                        .unwrap();
-                        let mut model = import_party_a(&bytes).unwrap();
-                        if serve_mode {
-                            serve_party_a(&mut sess, &mut model, &store).unwrap();
-                        } else {
-                            for idx in chunks(store.rows(), bs) {
-                                model.predict_batch(&mut sess, &store.select(&idx)).unwrap();
-                            }
-                        }
-                    })
-                    .unwrap(),
-            );
-        }
-        let mut sessions: Vec<Session> = host_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                Session::handshake(
-                    ep,
-                    cfg.clone(),
-                    Role::B,
-                    multi_party_seed(Role::B, i, SERVE_SEED),
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut model: PartyBModel = import_party_b(&host_bytes).unwrap();
-        let bits = if serve_mode {
-            let (client, queue) = serve::queue(n);
-            let pending: Vec<_> = (0..n).map(|r| client.submit(r).unwrap()).collect();
-            drop(client);
-            let report = serve_party_b(
-                &mut sessions,
-                &mut model,
-                &test_v.party_b,
-                &ServeConfig { max_batch: bs },
-                queue,
-            )
-            .unwrap();
-            assert_eq!(report.requests, n as u64);
-            pending
-                .into_iter()
-                .flat_map(|p| p.wait().unwrap().logits)
-                .map(|v| v.to_bits())
-                .collect()
-        } else {
-            let mut bits = Vec::new();
-            for idx in chunks(n, bs) {
-                let logits = model
-                    .predict_batch(&mut sessions, &test_v.party_b.select(&idx))
-                    .unwrap();
-                bits.extend(logits.data().iter().map(|v| v.to_bits()));
+        let guest = |(store, bytes): (&Dataset, &Vec<u8>), mut sess: Session| {
+            let mut model = import_party_a(bytes).unwrap();
+            if serve_mode {
+                serve_party_a(&mut sess, &mut model, store).unwrap();
+            } else {
+                for idx in chunks(store.rows(), bs) {
+                    model.predict_batch(&mut sess, &store.select(&idx)).unwrap();
+                }
             }
-            bits
         };
-        for h in handles {
-            h.join().unwrap();
-        }
-        bits
+        let host = |mut sessions: Vec<Session>| {
+            let mut model: PartyBModel = import_party_b(&host_bytes).unwrap();
+            if serve_mode {
+                let (client, queue) = serve::queue(n);
+                let pending: Vec<_> = (0..n).map(|r| client.submit(r).unwrap()).collect();
+                drop(client);
+                let report = serve_party_b(
+                    &mut sessions,
+                    &mut model,
+                    &test_v.party_b,
+                    &ServeConfig { max_batch: bs },
+                    queue,
+                )
+                .unwrap();
+                assert_eq!(report.requests, n as u64);
+                pending
+                    .into_iter()
+                    .flat_map(|p| p.wait().unwrap().logits)
+                    .map(|v| v.to_bits())
+                    .collect()
+            } else {
+                let mut bits = Vec::new();
+                for idx in chunks(n, bs) {
+                    let logits = model
+                        .predict_batch(&mut sessions, &test_v.party_b.select(&idx))
+                        .unwrap();
+                    bits.extend(logits.data().iter().map(|v| v.to_bits()));
+                }
+                bits
+            }
+        };
+        let links = test_guests.iter().zip(&guest_bytes).collect();
+        run_star(&cfg, SERVE_SEED, links, guest, host).1
     };
 
     let direct = run_host(false);

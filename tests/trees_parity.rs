@@ -11,7 +11,7 @@
 //! integer histograms force identical `f64` gains, argmaxes and leaf
 //! weights, hence identical trees, losses and served margins.
 //!
-//! The contract is proved in four links:
+//! The contract is proved in five links:
 //!
 //! 1. **Forest identity** — for 2-party (`M = 1`) and `M = 2`, on
 //!    Plain, on Paillier-256/Packed (2 slots: histogram replies ship
@@ -31,22 +31,27 @@
 //! 4. **Persist → serve** — both model halves round-trip through BFMD
 //!    byte-exactly, and the reloaded forest serves every row through
 //!    the micro-batching queue bit-identical to `twin.predict`.
+//! 5. **Alignment composes** — trees are a bare protocol
+//!    (`docs/TREES.md`): PSI over the same links first, then boosting on
+//!    the selected rows, grows the forest of the pre-aligned overlap.
 
 use std::net::TcpListener;
 
-use bf_datagen::{generate_tree, vsplit_multi};
+use bf_datagen::{generate_tree, vsplit_misaligned_multi, vsplit_multi};
 use bf_ml::data::Dataset;
 use bf_ml::gbdt::{CollocatedGbdt, GbdtParams, Node};
 use bf_mpc::Endpoint;
 use bf_paillier::{PaillierMode, SlotLayout};
 use blindfl::config::{Backend, FedConfig};
-use blindfl::multiparty::{collect_guests, send_hello};
+use blindfl::multiparty::{accept_guests, join_host, run_star};
 use blindfl::serve::{queue, ServeConfig};
-use blindfl::session::{multi_party_seed, Role, Session};
 use blindfl::trees::{
-    gbdt_guest_over, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host, train_gbdt, GbdtFedOutcome,
+    run_gbdt_guest, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host, train_gbdt, GbdtFedOutcome,
 };
-use blindfl::{export_gbdt_guest, export_gbdt_host, import_gbdt_guest, import_gbdt_host};
+use blindfl::{
+    align_guest, align_host, export_gbdt_guest, export_gbdt_host, import_gbdt_guest,
+    import_gbdt_host, psi_salt,
+};
 
 const SEED: u64 = 41;
 const DATA_SEED: u64 = 13;
@@ -99,39 +104,28 @@ fn run_fed(cfg: &FedConfig, m: usize, tcp: bool) -> GbdtFedOutcome {
     }
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let addr = listener.local_addr().unwrap();
-    let mut handles = Vec::new();
-    for (i, store) in split.guests.into_iter().enumerate() {
-        let cfg_a = cfg.clone();
-        let params_a = params.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("trees-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
+    std::thread::scope(|s| {
+        let params = &params;
+        let handles: Vec<_> = (split.guests.into_iter().enumerate())
+            .map(|(i, store)| {
+                s.spawn(move || {
                     let ep = Endpoint::tcp_connect(addr).expect("guest connect");
-                    gbdt_guest_over(ep, cfg_a, &params_a, i, m, &store, SEED).expect("guest run")
+                    let mut sess = join_host(ep, cfg, i, m, SEED).expect("guest prologue");
+                    run_gbdt_guest(&mut sess, &store, params).expect("guest run")
                 })
-                .expect("spawn guest"),
-        );
-    }
-    let accepted: Vec<Endpoint> = (0..m)
-        .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
-        .collect();
-    let ordered = collect_guests(accepted, m).expect("fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(ep, cfg.clone(), Role::B, multi_party_seed(Role::B, i, SEED))
-                .expect("host handshake")
-        })
-        .collect();
-    let host = run_gbdt_host(&mut sessions, &split.party_b, &params).expect("host run");
-    let guests = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest thread"))
-        .collect();
-    GbdtFedOutcome { host, guests }
+            })
+            .collect();
+        let accepted = (0..m)
+            .map(|_| Endpoint::tcp_accept(&listener).expect("accept"))
+            .collect();
+        let mut sessions = accept_guests(accepted, cfg, SEED).expect("host prologue");
+        let host = run_gbdt_host(&mut sessions, &split.party_b, params).expect("host run");
+        let guests = handles
+            .into_iter()
+            .map(|h| h.join().expect("guest thread"))
+            .collect();
+        GbdtFedOutcome { host, guests }
+    })
 }
 
 /// Links 1 + 2 for one backend and guest count: forest, losses and
@@ -319,66 +313,32 @@ fn assert_persist_and_serve(cfg: &FedConfig, m: usize) {
     // Fresh serving sessions (different seed: a deployment reloads
     // models into new processes; the forest walk must not depend on
     // any training-session state).
-    let serve_seed = SEED + 1;
-    let mut host_eps = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for (i, (store, model)) in split.guests.into_iter().zip(guest_models).enumerate() {
-        let (ep_a, ep_b) = bf_mpc::channel_pair();
-        host_eps.push(ep_b);
-        let cfg_a = cfg.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("serve-guest-{i}"))
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    send_hello(&ep_a, i, m).expect("hello");
-                    let mut sess = Session::handshake(
-                        ep_a,
-                        cfg_a,
-                        Role::A,
-                        multi_party_seed(Role::A, i, serve_seed),
-                    )
-                    .expect("guest handshake");
-                    serve_gbdt_guest(&mut sess, &model, &store).expect("guest serve")
-                })
-                .expect("spawn guest"),
-        );
-    }
-    let ordered = collect_guests(host_eps, m).expect("fan-in");
-    let mut sessions: Vec<Session> = ordered
-        .into_iter()
-        .enumerate()
-        .map(|(i, ep)| {
-            Session::handshake(
-                ep,
-                cfg.clone(),
-                Role::B,
-                multi_party_seed(Role::B, i, serve_seed),
-            )
-            .expect("host handshake")
-        })
-        .collect();
-
     let twin_margins = tw.predict(ds.num.as_ref().unwrap());
-    let (client, rq) = queue(8);
-    let client_thread = std::thread::spawn(move || {
-        (0..ROWS)
-            .map(|r| client.predict(r).expect("prediction").logits[0])
-            .collect::<Vec<f64>>()
-    });
-    let report = serve_gbdt_host(
-        &mut sessions,
-        &host_model,
-        &split.party_b,
-        &ServeConfig::default(),
-        rq,
-    )
-    .expect("host serve");
-    let served = client_thread.join().expect("client thread");
-    let guest_reports: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("guest serve thread"))
-        .collect();
+    let (guest_reports, (report, served)) = run_star(
+        cfg,
+        SEED + 1,
+        split.guests.into_iter().zip(guest_models).collect(),
+        |(store, model), mut sess| {
+            serve_gbdt_guest(&mut sess, &model, &store).expect("guest serve")
+        },
+        |mut sessions| {
+            let (client, rq) = queue(8);
+            let client_thread = std::thread::spawn(move || {
+                (0..ROWS)
+                    .map(|r| client.predict(r).expect("prediction").logits[0])
+                    .collect::<Vec<f64>>()
+            });
+            let report = serve_gbdt_host(
+                &mut sessions,
+                &host_model,
+                &split.party_b,
+                &ServeConfig::default(),
+                rq,
+            )
+            .expect("host serve");
+            (report, client_thread.join().expect("client thread"))
+        },
+    );
 
     assert_eq!(report.requests, ROWS as u64);
     assert_eq!(report.rejected, 0);
@@ -405,4 +365,40 @@ fn plain_persisted_forest_serves_twin_margins() {
 #[test]
 fn paillier_persisted_forest_serves_twin_margins() {
     assert_persist_and_serve(&FedConfig::paillier_test(), 2);
+}
+
+/// Link 5: a job that needs PSI runs the alignment phase over its
+/// training links before boosting, and trains on the selected rows —
+/// the forest is the pre-aligned overlap's, bit for bit.
+#[test]
+fn psi_then_trees_over_the_same_links_grows_the_pre_aligned_forest() {
+    let (cfg, m) = (FedConfig::plain(), 2);
+    let mis = vsplit_misaligned_multi(&generate_tree(2 * ROWS, FEATURES, DATA_SEED), m, 0.5, 3);
+    let params = params_for(&cfg);
+    let pre = train_gbdt(
+        &cfg,
+        &params,
+        mis.aligned.guests.clone(),
+        &mis.aligned.party_b,
+        SEED,
+    );
+    let (guests, host) = run_star(
+        &cfg,
+        SEED,
+        mis.guests.clone(),
+        |party, mut sess| {
+            let sel = align_guest(&sess, &party.ids).expect("guest PSI");
+            run_gbdt_guest(&mut sess, &sel.select(&party.data), &params).expect("guest run")
+        },
+        |mut sessions| {
+            let sel = align_host(&sessions, psi_salt(SEED), &mis.party_b.ids).expect("host PSI");
+            run_gbdt_host(&mut sessions, &sel.select(&mis.party_b.data), &params).expect("host run")
+        },
+    );
+    assert_eq!(host.losses, pre.host.losses);
+    assert_eq!(host.model, pre.host.model);
+    for (got, want) in guests.iter().zip(&pre.guests) {
+        assert_eq!(got.model, want.model);
+    }
+    assert!(host.model.records_per_link().iter().sum::<usize>() > 0);
 }
