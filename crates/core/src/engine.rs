@@ -5,8 +5,18 @@
 //! system hides much of the transfer time by overlapping crypto compute
 //! with communication. This module is the Rust equivalent: it selects
 //! a [`TrainMode`], double-buffers mini-batch *preparation* on a worker
-//! thread, and (together with [`bf_mpc::Endpoint::make_pipelined`])
-//! overlaps each party's compute with its wire traffic.
+//! thread, and (together with [`bf_mpc::Endpoint::make_pipelined`],
+//! the streaming transport — thread-free in process, a writer/reader
+//! pair per TCP link) overlaps each party's compute with its wire
+//! traffic. Serving streams its links unconditionally
+//! ([`crate::serve`]); training keeps [`TrainMode::Sync`] as the
+//! lock-step reference.
+//!
+//! On a latency-bound link a batch costs its **dependency depth** —
+//! the direction reversals on its chain — not its message count: four
+//! one-way latencies for a two-party MatMul training batch
+//! (`docs/ARCHITECTURE.md` § "Per-batch dependency chains",
+//! `tests/critical_path.rs`).
 //!
 //! # Stages
 //!
@@ -82,7 +92,7 @@ impl TrainMode {
 /// drive one session through it and the multi-guest trainer drives a
 /// whole session slice (every guest shares the schedule, so one
 /// prefetched batch feeds all `M` links; in pipelined mode each
-/// link's transport additionally gets its own writer/reader pair).
+/// link's transport additionally streams on its own).
 pub(crate) fn run_epoch<E>(
     mode: TrainMode,
     data: &Dataset,

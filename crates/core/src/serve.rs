@@ -24,6 +24,15 @@
 //! source layers' ordinary forward-pass messages; a [`Msg::U64`]
 //! sentinel ([`SERVE_SHUTDOWN`]) ends the serve session.
 //!
+//! Both loops run on the **streaming transport**
+//! ([`bf_mpc::Endpoint::make_pipelined`], switched at entry, no knob),
+//! so a micro-batch costs the protocol's two one-way latencies —
+//! `Support` + `⟦X_B V_B − ε⟧` to A, then `⟦X_A V_A − ε⟧` + `Z'_A` to
+//! B — instead of the stop-and-wait wire's three. The loop bodies are
+//! written once per side (`serve_guest`, `serve_host`); the model
+//! families differ only in the per-batch forward they pass in (the
+//! tree family's is in [`crate::trees`]).
+//!
 //! **Equivalence contract**: a served prediction is bit-identical to
 //! the in-process prediction forward pass
 //! ([`PartyBModel::predict_batch`]) on the same rows under the same
@@ -322,6 +331,11 @@ pub struct ServeGuestReport {
     pub bytes_sent: u64,
 }
 
+/// Outbox/inbox depth of a serve link on a streaming TCP wire (a
+/// micro-batch is a handful of frames per direction; in process the
+/// streaming link queues nothing of its own).
+const SERVE_QUEUE_DEPTH: usize = 32;
+
 /// Party A's serving loop: answer federated prediction passes against
 /// the local feature-store slice until the host sends
 /// [`SERVE_SHUTDOWN`]. Works unchanged for two-party and multi-guest
@@ -336,6 +350,22 @@ pub fn serve_party_a(
     model: &mut PartyAModel,
     store: &Dataset,
 ) -> TransportResult<ServeGuestReport> {
+    serve_guest(sess, |sess, rows| {
+        let idx = check_rows(rows, store.rows())?;
+        model.predict_batch(sess, &store.select(&idx))
+    })
+}
+
+/// The guest serve loop of every model family: put the link on the
+/// streaming transport ([`bf_mpc::Endpoint::make_pipelined`]; serving
+/// has no lock-step reference to keep, its contract is bit-identity
+/// with the replayed forward), then answer each `Support` row batch
+/// with `answer` until the host's [`SERVE_SHUTDOWN`].
+pub(crate) fn serve_guest(
+    sess: &mut Session,
+    mut answer: impl FnMut(&mut Session, &[u32]) -> TransportResult<()>,
+) -> TransportResult<ServeGuestReport> {
+    sess.ep.make_pipelined(SERVE_QUEUE_DEPTH);
     // Serve-phase traffic only: a session that trained first must not
     // leak its training bytes into the serve report.
     let bytes_base = sess.ep.stats().bytes();
@@ -344,9 +374,7 @@ pub fn serve_party_a(
     loop {
         match sess.ep.recv()? {
             Msg::Support(rows) => {
-                let idx = check_rows(&rows, store.rows())?;
-                let batch = store.select(&idx);
-                model.predict_batch(sess, &batch)?;
+                answer(sess, &rows)?;
                 batches += 1;
                 rows_served += rows.len() as u64;
             }
@@ -408,11 +436,35 @@ pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
     cfg: &ServeConfig,
     queue: RequestQueue,
 ) -> TransportResult<ServeReport> {
-    let links = links.as_mut();
+    serve_host(links.as_mut(), store.rows(), cfg, queue, |links, rows| {
+        for sess in links.iter() {
+            sess.ep.send(Msg::Support(rows.to_vec()))?;
+        }
+        let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+        model.predict_batch(links, &store.select(&idx))
+    })
+}
+
+/// The host serve loop of every model family: put every guest link on
+/// the streaming transport (as [`serve_guest`] does on the other end),
+/// drain `queue` through [`run_server_loop`] with `forward` as the
+/// per-batch federated forward (it broadcasts the batch's rows itself),
+/// then send [`SERVE_SHUTDOWN`] on every link — best-effort when the
+/// loop failed. Reports serve-phase bytes only, summed across links.
+pub(crate) fn serve_host(
+    links: &mut [Session],
+    store_rows: usize,
+    cfg: &ServeConfig,
+    queue: RequestQueue,
+    mut forward: impl FnMut(&mut [Session], &[u32]) -> TransportResult<Dense>,
+) -> TransportResult<ServeReport> {
     if links.is_empty() {
         return Err(TransportError::Setup(
-            "serve_party_b needs at least one guest session (M = 0)".into(),
+            "a serve host needs at least one guest session (M = 0)".into(),
         ));
+    }
+    for sess in links.iter_mut() {
+        sess.ep.make_pipelined(SERVE_QUEUE_DEPTH);
     }
     let stats: Vec<_> = links.iter().map(|s| Arc::clone(s.ep.stats())).collect();
     // Serve-phase traffic only (see `ServeReport::bytes_sent`), summed
@@ -420,17 +472,10 @@ pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
     let bytes_base: u64 = stats.iter().map(|s| s.bytes()).sum();
     let loop_result = run_server_loop(
         cfg,
-        store.rows(),
+        store_rows,
         queue,
         &mut || stats.iter().map(|s| s.bytes()).sum::<u64>() - bytes_base,
-        &mut |rows| {
-            for sess in links.iter() {
-                sess.ep.send(Msg::Support(rows.to_vec()))?;
-            }
-            let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
-            let batch = store.select(&idx);
-            model.predict_batch(links, &batch)
-        },
+        &mut |rows| forward(links, rows),
     );
     let mut report = match loop_result {
         Ok(r) => r,
@@ -457,7 +502,7 @@ pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
 /// pass, predict, reply. `predict_rows` runs the federated forward
 /// for one coalesced batch; `bytes_now` samples this party's sent-byte
 /// counter for the per-batch traffic attribution.
-pub(crate) fn run_server_loop(
+fn run_server_loop(
     cfg: &ServeConfig,
     store_rows: usize,
     queue: RequestQueue,

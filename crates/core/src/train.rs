@@ -425,8 +425,7 @@ pub fn run_party_a(
 /// [`TransportError::Setup`], as is an empty slice.
 ///
 /// All links share one stage-time accumulator, and in pipelined mode
-/// every link gets its own writer/reader (per-guest prefetch) from
-/// [`bf_mpc::Endpoint::make_pipelined`].
+/// every link streams on its own ([`bf_mpc::Endpoint::make_pipelined`]).
 pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
     links: &mut L,
     spec: &FedSpec,

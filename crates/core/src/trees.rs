@@ -91,7 +91,7 @@ use crate::config::FedConfig;
 use crate::engine::{Stage, StageTimes};
 use crate::multiparty::run_star;
 use crate::serve::{
-    run_server_loop, RequestQueue, ServeConfig, ServeGuestReport, ServeReport, SERVE_SHUTDOWN,
+    serve_guest, serve_host, RequestQueue, ServeConfig, ServeGuestReport, ServeReport,
 };
 use crate::session::Session;
 
@@ -759,8 +759,9 @@ fn check_node_rows(rows: &[u32], n: usize) -> TransportResult<Vec<usize>> {
 }
 
 /// Guest serving loop for a trained forest: answer routing bitmaps
-/// against the local feature store until [`SERVE_SHUTDOWN`]. The tree
-/// counterpart of [`crate::serve::serve_party_a`].
+/// against the local feature store until
+/// [`crate::serve::SERVE_SHUTDOWN`]. The tree counterpart of
+/// [`crate::serve::serve_party_a`], on the same loop.
 pub fn serve_gbdt_guest(
     sess: &mut Session,
     model: &GbdtGuestModel,
@@ -771,41 +772,14 @@ pub fn serve_gbdt_guest(
         .as_ref()
         .ok_or_else(|| TransportError::Setup("gbdt guest needs numerical features".into()))?
         .to_dense();
-    let bytes_base = sess.ep.stats().bytes();
-    let mut batches = 0u64;
-    let mut rows_served = 0u64;
-    loop {
-        match sess.ep.recv()? {
-            Msg::Support(rows) => {
-                let reply = model.routing_bits(&vals, &rows)?;
-                sess.ep.send(reply)?;
-                batches += 1;
-                rows_served += rows.len() as u64;
-            }
-            Msg::U64(v) if v == SERVE_SHUTDOWN => break,
-            Msg::U64(v) => {
-                return Err(TransportError::Setup(format!(
-                    "unexpected U64 {v:#x} in serve mode (not the shutdown sentinel)"
-                )))
-            }
-            other => {
-                return Err(TransportError::TypeMismatch {
-                    expected: "Support",
-                    got: other.kind(),
-                })
-            }
-        }
-    }
-    Ok(ServeGuestReport {
-        batches,
-        rows: rows_served,
-        bytes_sent: sess.ep.stats().bytes() - bytes_base,
+    serve_guest(sess, |sess, rows| {
+        sess.ep.send(model.routing_bits(&vals, rows)?)
     })
 }
 
 /// Host serving loop for a trained forest over the standard request
-/// queue: identical coalescing, rejection and accounting semantics to
-/// [`crate::serve::serve_party_b`], with the federated forward
+/// queue: the loop of [`crate::serve::serve_party_b`] (coalescing,
+/// rejection, accounting, shutdown), with the federated forward
 /// replaced by [`predict_gbdt_host`].
 pub fn serve_gbdt_host(
     sessions: &mut [Session],
@@ -817,29 +791,9 @@ pub fn serve_gbdt_host(
     let n = store.rows();
     let empty = Features::Dense(Dense::zeros(n, 0));
     let host_vals = store.num.as_ref().unwrap_or(&empty).to_dense();
-    let stats: Vec<_> = sessions.iter().map(|s| Arc::clone(s.ep.stats())).collect();
-    let bytes_base: u64 = stats.iter().map(|s| s.bytes()).sum();
-    let loop_result = run_server_loop(
-        cfg,
-        n,
-        queue,
-        &mut || stats.iter().map(|s| s.bytes()).sum::<u64>() - bytes_base,
-        &mut |rows| predict_gbdt_host(sessions, model, &host_vals, rows),
-    );
-    let mut report = match loop_result {
-        Ok(r) => r,
-        Err(e) => {
-            for sess in sessions.iter() {
-                let _ = sess.ep.send(Msg::U64(SERVE_SHUTDOWN));
-            }
-            return Err(e);
-        }
-    };
-    for sess in sessions.iter() {
-        sess.ep.send(Msg::U64(SERVE_SHUTDOWN))?;
-    }
-    report.bytes_sent = stats.iter().map(|s| s.bytes()).sum::<u64>() - bytes_base;
-    Ok(report)
+    serve_host(sessions, n, cfg, queue, |links, rows| {
+        predict_gbdt_host(links, model, &host_vals, rows)
+    })
 }
 
 /// Everything a federated boosting run produced, both sides.

@@ -9,8 +9,8 @@
 //! Two wire backends sit behind the same [`Endpoint`] API:
 //!
 //! * **in-process** ([`channel_pair`]) — a `crossbeam` channel pair
-//!   moving `Msg` values between threads; the harness every test and
-//!   experiment uses,
+//!   moving `Msg` values between threads, each stamped with the instant
+//!   it is delivered; the harness every test and experiment uses,
 //! * **TCP** ([`Endpoint::tcp_connect`] / [`Endpoint::tcp_accept`]) —
 //!   a length-prefixed binary stream per [`crate::wire`] and
 //!   `docs/WIRE_PROTOCOL.md`, so the two parties can run as separate
@@ -22,18 +22,26 @@
 //! cross-process. [`NetworkProfile`] simulation likewise applies to
 //! both.
 //!
-//! # Pipelined mode
+//! # Streaming (pipelined) mode
 //!
-//! Either backend can be converted in place into a **pipelined**
-//! endpoint ([`Endpoint::make_pipelined`]): `send` then enqueues onto a
-//! bounded queue drained by a dedicated writer thread (which owns the
-//! physical send half and the simulated [`NetworkProfile`]), and a
-//! reader thread eagerly drains the physical receive half into a
-//! bounded inbox. The caller's compute thus overlaps wire time instead
-//! of sleeping through it. Message *content*, *order*, and
-//! [`TrafficStats`] accounting are identical to the blocking mode —
-//! pipelining reorders wall-clock work, never bytes (the determinism
-//! contract `tests/pipeline_parity.rs` enforces).
+//! A blocking endpoint models a stop-and-wait link: every `send` sleeps
+//! `latency + bytes/bw` on the caller. Either backend can be converted
+//! in place onto the **streaming** schedule ([`Endpoint::make_pipelined`]):
+//! serialisation occupies the link back to back, propagation latency
+//! pipelines across in-flight messages, and `send` returns at once, so
+//! the caller's compute overlaps wire time instead of sleeping through
+//! it.
+//!
+//! * In process this costs no thread: `send` stamps each message with
+//!   its scheduled delivery instant and `recv` sleeps until the stamp.
+//! * Over TCP a writer thread owns the socket's send half (frame
+//!   encoding, the simulated profile, the physical write) and a reader
+//!   thread eagerly decodes the receive half into a bounded inbox.
+//!
+//! Message *content*, *order*, and [`TrafficStats`] accounting are
+//! identical to the blocking mode — streaming reorders wall-clock work,
+//! never bytes (the determinism contract `tests/pipeline_parity.rs`
+//! enforces).
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -319,8 +327,15 @@ impl TrafficStats {
 /// The backend actually moving messages.
 enum Wire {
     /// In-process `crossbeam` channel pair: values move, nothing is
-    /// serialized.
-    Channel { tx: Sender<Msg>, rx: Receiver<Msg> },
+    /// serialized. Every message carries the instant it is delivered,
+    /// and `recv` sleeps until then. `link_free` is `Some` once the
+    /// endpoint streams ([`Endpoint::make_pipelined`]): the instant the
+    /// simulated link finishes serialising the last message sent.
+    Channel {
+        tx: Sender<(Msg, Instant)>,
+        rx: Receiver<(Msg, Instant)>,
+        link_free: Option<Mutex<Instant>>,
+    },
     /// A TCP stream carrying [`crate::wire`] frames. Reader and writer
     /// halves are locked independently so full-duplex protocols (send
     /// while the peer sends) don't deadlock.
@@ -328,16 +343,17 @@ enum Wire {
         writer: Mutex<BufWriter<TcpStream>>,
         reader: Mutex<BufReader<TcpStream>>,
     },
-    /// Queue-decoupled wrapper over either backend: sends enqueue onto
-    /// a writer thread, receives pop a reader thread's prefetch inbox
-    /// (see [`Endpoint::make_pipelined`]).
+    /// A streaming TCP stream: sends enqueue onto a writer thread,
+    /// receives pop a reader thread's prefetch inbox (see
+    /// [`Endpoint::make_pipelined`]).
     Pipelined(Pipelined),
 }
 
-/// State of a pipelined endpoint. Outbox entries carry their enqueue
-/// time so the writer can schedule simulated delivery relative to when
-/// the protocol produced the message, not to when the writer finished
-/// the previous one (that is what lets propagation latency pipeline).
+/// State of a streaming TCP endpoint. Outbox entries carry their
+/// enqueue time so the writer can schedule simulated delivery relative
+/// to when the protocol produced the message, not to when the writer
+/// finished the previous one (that is what lets propagation latency
+/// pipeline).
 struct Pipelined {
     /// Bounded outbox; `None` only transiently during drop.
     tx_q: Option<Sender<(Msg, Instant)>>,
@@ -352,12 +368,12 @@ struct Pipelined {
     progress: Arc<AtomicU64>,
     /// First writer-side failure, surfaced on the next `send`.
     send_err: Arc<Mutex<Option<TransportError>>>,
-    /// TCP backend only: a clone of the stream kept for teardown. The
-    /// reader thread holds its own duplicated fd blocked in `read`, so
-    /// without an explicit `shutdown` the kernel would never send FIN
-    /// when this endpoint drops, and the peer's blocking `recv` would
-    /// hang instead of returning `Disconnected`.
-    tcp: Option<TcpStream>,
+    /// A clone of the stream kept for teardown. The reader thread holds
+    /// its own duplicated fd blocked in `read`, so without an explicit
+    /// `shutdown` the kernel would never send FIN when this endpoint
+    /// drops, and the peer's blocking `recv` would hang instead of
+    /// returning `Disconnected`.
+    tcp: TcpStream,
 }
 
 /// Write one `Msg` as a wire frame. Header and payload are written
@@ -384,33 +400,10 @@ fn read_frame(r: &mut impl Read) -> TransportResult<Msg> {
     Ok(wire::decode_payload(kind, &payload)?)
 }
 
-/// Exclusive send half handed to a pipelined writer thread.
-enum SendHalf {
-    Channel(Sender<Msg>),
-    Tcp(BufWriter<TcpStream>),
-}
-
-impl SendHalf {
-    fn send(&mut self, msg: Msg) -> TransportResult<()> {
-        match self {
-            SendHalf::Channel(tx) => tx.send(msg).map_err(|_| TransportError::Disconnected),
-            SendHalf::Tcp(w) => write_frame(w, &msg),
-        }
-    }
-}
-
-/// Exclusive receive half handed to a pipelined reader thread.
-enum RecvHalf {
-    Channel(Receiver<Msg>),
-    Tcp(BufReader<TcpStream>),
-}
-
-impl RecvHalf {
-    fn recv(&mut self) -> TransportResult<Msg> {
-        match self {
-            RecvHalf::Channel(rx) => rx.recv().map_err(|_| TransportError::Disconnected),
-            RecvHalf::Tcp(r) => read_frame(r),
-        }
+/// Sleep until `t` (no-op once it has passed).
+fn sleep_until(t: Instant) {
+    if let Some(wait) = t.checked_duration_since(Instant::now()) {
+        std::thread::sleep(wait);
     }
 }
 
@@ -607,12 +600,22 @@ impl Endpoint {
             .fetch_add(bytes as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.stats.sent_kinds.lock().push(msg.kind());
-        if let Some(net) = &self.net {
-            std::thread::sleep(net.delay_for(bytes));
-        }
         match &self.wire {
-            Wire::Channel { tx, .. } => tx.send(msg).map_err(|_| TransportError::Disconnected),
+            Wire::Channel { tx, link_free, .. } => {
+                let deliver_at = match (link_free, &self.net) {
+                    (Some(free), Some(net)) => {
+                        net.stream_delivery(&mut free.lock(), bytes, Instant::now())
+                    }
+                    _ => {
+                        self.stop_and_wait(bytes);
+                        Instant::now()
+                    }
+                };
+                tx.send((msg, deliver_at))
+                    .map_err(|_| TransportError::Disconnected)
+            }
             Wire::Tcp { writer, .. } => {
+                self.stop_and_wait(bytes);
                 if let Some(rc) = &self.reconnect {
                     // Log before the physical write: if the write (or
                     // any in-flight predecessor) is lost to a link
@@ -641,10 +644,22 @@ impl Endpoint {
         }
     }
 
+    /// The blocking link model: sleep through this message's whole wire
+    /// time on the sending thread (no-op without a profile).
+    fn stop_and_wait(&self, bytes: usize) {
+        if let Some(net) = &self.net {
+            std::thread::sleep(net.delay_for(bytes));
+        }
+    }
+
     /// Blocking receive.
     pub fn recv(&self) -> TransportResult<Msg> {
         match &self.wire {
-            Wire::Channel { rx, .. } => rx.recv().map_err(|_| TransportError::Disconnected),
+            Wire::Channel { rx, .. } => {
+                let (msg, deliver_at) = rx.recv().map_err(|_| TransportError::Disconnected)?;
+                sleep_until(deliver_at);
+                Ok(msg)
+            }
             Wire::Tcp { reader, .. } => {
                 let Some(rc) = &self.reconnect else {
                     return read_frame(&mut *reader.lock());
@@ -737,22 +752,19 @@ impl Endpoint {
                 let _ = writer.lock().get_ref().shutdown(std::net::Shutdown::Both);
                 true
             }
-            Wire::Pipelined(p) => match &p.tcp {
-                Some(stream) => {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    true
-                }
-                None => false,
-            },
+            Wire::Pipelined(p) => {
+                let _ = p.tcp.shutdown(std::net::Shutdown::Both);
+                true
+            }
         }
     }
 
     /// Enable transparent reconnection with a bounded replay cursor on
     /// this (blocking TCP) endpoint. `window` bounds how many recent
     /// frames are kept for replay; the protocols here are strict
-    /// request/response, so a handful suffices. Pipelined endpoints do
-    /// not reconnect (their writer/reader threads own the stream) —
-    /// convert *after* a run, or rely on checkpoint resume instead.
+    /// request/response, so a handful suffices. A reconnecting endpoint
+    /// stays on the blocking wire: [`Endpoint::make_pipelined`] leaves
+    /// it alone, because the replay log lives on the blocking path.
     pub fn with_reconnect(
         mut self,
         redial: Redial,
@@ -943,62 +955,66 @@ impl Endpoint {
         Endpoint::from_tcp_stream(stream)
     }
 
-    /// Convert this endpoint into **pipelined** mode in place (no-op if
-    /// already pipelined).
+    /// Put this endpoint on the **streaming** schedule in place (no-op
+    /// if it already streams).
     ///
-    /// After conversion, `send` enqueues onto a bounded queue of
-    /// `depth` messages (blocking only when the queue is full —
-    /// backpressure, bounding memory) and returns immediately; a
-    /// dedicated writer thread performs the physical sends, including
-    /// any [`NetworkProfile`] delay attached at conversion time. A
-    /// reader thread symmetrically prefetches up to `depth` incoming
-    /// messages.
+    /// After conversion `send` returns without sleeping through wire
+    /// time. The simulated [`NetworkProfile`] becomes a streaming link —
+    /// serialisation occupies the link back to back and propagation
+    /// latency pipelines across in-flight messages, which is how a real
+    /// TCP stream behaves — where the blocking mode models stop-and-wait
+    /// (each send sleeps `latency + bytes/bw` inline). One schedule
+    /// (`NetworkProfile::stream_delivery`) serves both backends:
+    ///
+    /// * **in process** no thread is started: `send` stamps the message
+    ///   with its scheduled delivery instant and the peer's `recv`
+    ///   sleeps until it. `depth` is unused (nothing is queued that the
+    ///   channel does not already hold);
+    /// * **over TCP** a writer thread drains a bounded outbox of `depth`
+    ///   messages (blocking the caller only when it is full —
+    ///   backpressure, bounding memory) onto the socket, applying the
+    ///   profile, and a reader thread prefetches up to `depth` decoded
+    ///   frames.
+    ///
+    /// A TCP endpoint with transparent reconnection
+    /// ([`Endpoint::with_reconnect`]) is left on the blocking wire: its
+    /// replay log and redial live on that path, and a streaming wire's
+    /// threads would own the socket it has to swap. Such a link keeps
+    /// surviving drops and simply does not stream. Likewise, should the
+    /// socket refuse to be duplicated for the threads, the endpoint
+    /// stays blocking.
     ///
     /// Semantics preserved exactly: message order, message bytes, and
     /// [`TrafficStats`] accounting (still performed on the calling
     /// thread, in call order) are identical to the blocking mode. Only
-    /// wall-clock scheduling changes. One deliberate difference in the
-    /// *simulated* network: the blocking mode models a stop-and-wait
-    /// link (each send sleeps `latency + bytes/bw` inline), while the
-    /// pipelined writer models a streaming link — serialisation
-    /// occupies the link back-to-back and propagation latency is
-    /// pipelined across in-flight messages, which is how a real TCP
-    /// stream behaves. Delivery order is unchanged.
+    /// wall-clock scheduling changes.
     pub fn make_pipelined(&mut self, depth: usize) {
         assert!(depth >= 1, "pipeline depth must be at least 1");
-        if matches!(self.wire, Wire::Pipelined(_)) {
-            return;
-        }
-        // The writer/reader threads take exclusive ownership of the
-        // stream halves; transparent reconnection is a blocking-TCP
-        // feature (a pipelined run that loses its link surfaces an
-        // error and recovers via checkpoint resume instead).
-        self.reconnect = None;
-        // Swap in a throwaway channel wire so we can take ownership of
-        // the real one (its halves move into the worker threads).
-        let (dummy_tx, dummy_rx) = unbounded();
-        let inner = std::mem::replace(
-            &mut self.wire,
-            Wire::Channel {
-                tx: dummy_tx,
-                rx: dummy_rx,
-            },
-        );
-        let (send_half, recv_half, tcp) = match inner {
-            Wire::Channel { tx, rx } => (SendHalf::Channel(tx), RecvHalf::Channel(rx), None),
-            Wire::Tcp { writer, reader } => {
-                let writer = writer.into_inner();
-                let tcp = writer.get_ref().try_clone().ok();
-                (
-                    SendHalf::Tcp(writer),
-                    RecvHalf::Tcp(reader.into_inner()),
-                    tcp,
-                )
+        let tcp = match &mut self.wire {
+            Wire::Channel { link_free, .. } => {
+                link_free.get_or_insert_with(|| Mutex::new(Instant::now()));
+                return;
             }
-            Wire::Pipelined(_) => unreachable!("checked above"),
+            Wire::Pipelined(_) => return,
+            Wire::Tcp { .. } if self.reconnect.is_some() => return,
+            Wire::Tcp { writer, .. } => match writer.get_mut().get_ref().try_clone() {
+                Ok(tcp) => tcp,
+                Err(_) => return,
+            },
+        };
+        // Swap in a throwaway channel wire so we can take ownership of
+        // the socket halves (they move into the worker threads).
+        let (dummy_tx, dummy_rx) = unbounded();
+        let placeholder = Wire::Channel {
+            tx: dummy_tx,
+            rx: dummy_rx,
+            link_free: None,
+        };
+        let Wire::Tcp { writer, reader } = std::mem::replace(&mut self.wire, placeholder) else {
+            unreachable!("checked above");
         };
         // The writer thread takes over the simulated network: inline
-        // sleeps on the caller are exactly what pipelining removes.
+        // sleeps on the caller are exactly what streaming removes.
         let net = self.net.take();
         let send_err = Arc::new(Mutex::new(None));
         let err_slot = Arc::clone(&send_err);
@@ -1006,13 +1022,15 @@ impl Endpoint {
         let progress_w = Arc::clone(&progress);
         let (tx_q, out_q) = bounded(depth);
         let (in_q, rx_q) = bounded(depth);
+        let writer = writer.into_inner();
+        let reader = reader.into_inner();
         let writer = std::thread::Builder::new()
             .name("bf-mpc-writer".into())
-            .spawn(move || writer_loop(send_half, out_q, net, progress_w, err_slot))
+            .spawn(move || writer_loop(writer, out_q, net, progress_w, err_slot))
             .expect("spawn transport writer");
         std::thread::Builder::new()
             .name("bf-mpc-reader".into())
-            .spawn(move || reader_loop(recv_half, in_q))
+            .spawn(move || reader_loop(reader, in_q))
             .expect("spawn transport reader");
         self.wire = Wire::Pipelined(Pipelined {
             tx_q: Some(tx_q),
@@ -1024,9 +1042,14 @@ impl Endpoint {
         });
     }
 
-    /// True if this endpoint is in pipelined mode.
+    /// True if this endpoint is on the streaming schedule
+    /// ([`Endpoint::make_pipelined`]).
     pub fn is_pipelined(&self) -> bool {
-        matches!(self.wire, Wire::Pipelined(_))
+        match &self.wire {
+            Wire::Channel { link_free, .. } => link_free.is_some(),
+            Wire::Tcp { .. } => false,
+            Wire::Pipelined(_) => true,
+        }
     }
 }
 
@@ -1055,29 +1078,24 @@ impl Drop for Endpoint {
                         last_progress = now_progress;
                         stalled_since = Instant::now();
                     } else if stalled_since.elapsed() > Duration::from_secs(5) {
-                        if let Some(stream) = &p.tcp {
-                            let _ = stream.shutdown(std::net::Shutdown::Both);
-                        }
+                        let _ = p.tcp.shutdown(std::net::Shutdown::Both);
                         break;
                     }
                 }
                 let _ = h.join();
             }
-            // TCP: the reader thread's duplicated fd would keep the
+            // The reader thread's duplicated fd would keep the
             // connection open forever; shut the socket down so the
             // peer sees FIN (→ `Disconnected`) and our reader exits.
-            // Channel readers exit when the peer's send half drops.
-            if let Some(stream) = p.tcp.take() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
+            let _ = p.tcp.shutdown(std::net::Shutdown::Both);
         }
     }
 }
 
-/// Writer-thread body: drain the outbox onto the physical wire,
-/// applying the simulated network as a *streaming* link.
+/// Writer-thread body: drain the outbox onto the socket, applying the
+/// simulated network as a *streaming* link.
 fn writer_loop(
-    mut half: SendHalf,
+    mut w: BufWriter<TcpStream>,
     q: Receiver<(Msg, Instant)>,
     net: Option<NetworkProfile>,
     progress: Arc<AtomicU64>,
@@ -1087,22 +1105,11 @@ fn writer_loop(
     let mut link_free = Instant::now();
     while let Ok((msg, enqueued_at)) = q.recv() {
         if let Some(p) = &net {
-            // Serialisation starts when the sender handed the message
-            // over (not when this thread got around to it) or when the
-            // link frees up, whichever is later; propagation latency
-            // then rides on top and pipelines across messages.
-            let start = if link_free > enqueued_at {
-                link_free
-            } else {
-                enqueued_at
-            };
-            link_free = start + p.ser_delay(msg.wire_size());
-            let deliver_at = link_free + p.latency;
-            if let Some(wait) = deliver_at.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
+            // Scheduled from when the sender handed the message over,
+            // not from when this thread got around to it.
+            sleep_until(p.stream_delivery(&mut link_free, msg.wire_size(), enqueued_at));
         }
-        if let Err(e) = half.send(msg) {
+        if let Err(e) = write_frame(&mut w, &msg) {
             *err_slot.lock() = Some(e);
             // Dropping the queue receiver makes the caller's next
             // `send` fail and pick up the stored error.
@@ -1112,12 +1119,12 @@ fn writer_loop(
     }
 }
 
-/// Reader-thread body: eagerly pull physical messages into the inbox.
+/// Reader-thread body: eagerly decode socket frames into the inbox.
 /// A transport error is delivered in-stream (after all messages that
 /// preceded it), then the thread exits.
-fn reader_loop(mut half: RecvHalf, q: Sender<TransportResult<Msg>>) {
+fn reader_loop(mut r: BufReader<TcpStream>, q: Sender<TransportResult<Msg>>) {
     loop {
-        let res = half.recv();
+        let res = read_frame(&mut r);
         let done = res.is_err();
         if q.send(res).is_err() || done {
             return;
@@ -1136,25 +1143,17 @@ fn mismatch(expected: &'static str, got: &Msg) -> TransportError {
 pub fn channel_pair() -> (Endpoint, Endpoint) {
     let (tx_ab, rx_ab) = unbounded();
     let (tx_ba, rx_ba) = unbounded();
-    let a = Endpoint {
+    let end = |tx, rx| Endpoint {
         wire: Wire::Channel {
-            tx: tx_ab,
-            rx: rx_ba,
+            tx,
+            rx,
+            link_free: None,
         },
         stats: Arc::new(TrafficStats::default()),
         net: None,
         reconnect: None,
     };
-    let b = Endpoint {
-        wire: Wire::Channel {
-            tx: tx_ba,
-            rx: rx_ab,
-        },
-        stats: Arc::new(TrafficStats::default()),
-        net: None,
-        reconnect: None,
-    };
-    (a, b)
+    (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
 
 /// A simulated network link: per-message latency plus serialisation
@@ -1163,7 +1162,9 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
 /// The paper's testbed links the two parties at 10 Gbps; to study how
 /// BlindFL behaves over slower cross-enterprise links (where its low
 /// communication volume matters even more), build the pair with a
-/// profile and every `send` pays `latency + bytes/bandwidth`.
+/// profile and every message pays `latency + bytes/bandwidth`: inline
+/// on the sender of a blocking endpoint, on the streaming schedule of
+/// one converted by [`Endpoint::make_pipelined`].
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkProfile {
     /// One-way latency per message.
@@ -1191,8 +1192,9 @@ impl NetworkProfile {
 
     /// Serialisation (bandwidth) delay alone — the portion that
     /// occupies the link. Propagation latency pipelines across
-    /// in-flight messages on a streaming link, so the pipelined writer
-    /// accounts for the two separately.
+    /// in-flight messages on a streaming link, so
+    /// [`NetworkProfile::stream_delivery`] accounts for the two
+    /// separately.
     fn ser_delay(&self, bytes: usize) -> Duration {
         if self.bytes_per_sec == 0 {
             Duration::ZERO
@@ -1204,11 +1206,27 @@ impl NetworkProfile {
     fn delay_for(&self, bytes: usize) -> std::time::Duration {
         self.latency + self.ser_delay(bytes)
     }
+
+    /// The streaming-link schedule: a message of `bytes` handed over at
+    /// `handed_over` starts serialising when the sender hands it over
+    /// or when the link frees up, whichever is later; propagation
+    /// latency then rides on top and pipelines across messages. Moves
+    /// `link_free` past this message and returns its delivery instant.
+    fn stream_delivery(
+        &self,
+        link_free: &mut Instant,
+        bytes: usize,
+        handed_over: Instant,
+    ) -> Instant {
+        let start = (*link_free).max(handed_over);
+        *link_free = start + self.ser_delay(bytes);
+        *link_free + self.latency
+    }
 }
 
-/// Create a connected pair whose sends incur the given simulated
-/// network delay (applied on the sender, so wall-clock measurements of
-/// protocol phases include the wire time).
+/// Create a connected pair whose messages incur the given simulated
+/// network delay (blocking until converted, so wall-clock measurements
+/// of protocol phases include the wire time).
 pub fn channel_pair_with_network(profile: NetworkProfile) -> (Endpoint, Endpoint) {
     let (a, b) = channel_pair();
     (a.with_network(profile), b.with_network(profile))
@@ -1388,9 +1406,10 @@ mod tests {
 
     #[test]
     fn pipelined_send_overlaps_network_latency() {
-        // Blocking mode sleeps latency+ser inline per send; pipelined
-        // mode returns immediately and the writer thread pays the
-        // delays, with latency pipelined across in-flight messages.
+        // Blocking mode sleeps latency+ser inline per send; streaming
+        // mode returns immediately and the receiver waits out each
+        // message's stamp, with latency pipelined across in-flight
+        // messages.
         let profile = NetworkProfile {
             latency: std::time::Duration::from_millis(30),
             bytes_per_sec: 0,
@@ -1427,8 +1446,8 @@ mod tests {
 
     #[test]
     fn pipelined_drop_flushes_queued_tail() {
-        // Messages still queued when the endpoint drops must reach the
-        // peer (Drop joins the writer thread).
+        // Messages still in flight when the endpoint drops must reach
+        // the peer.
         let profile = NetworkProfile {
             latency: std::time::Duration::from_millis(10),
             bytes_per_sec: 0,
@@ -1572,6 +1591,51 @@ mod tests {
         assert_eq!(a.stats().bytes(), (8 + 8 + 32) as u64);
         assert_eq!(a.stats().sent_kinds(), vec!["U64", "U64", "Mat"]);
         assert_eq!(b.stats().msgs(), 1);
+    }
+
+    #[test]
+    fn streaming_conversion_keeps_a_reconnecting_link_alive() {
+        // A link configured to survive drops must keep surviving them
+        // after a caller asks for the streaming wire (training's
+        // pipelined mode and every serve loop do): the endpoint stays
+        // blocking, and a severed link reconnects and replays.
+        let (mut a, mut b) = reconnecting_tcp_pair(8, RetryPolicy::default());
+        a.make_pipelined(4);
+        b.make_pipelined(4);
+        assert!(!a.is_pipelined() && !b.is_pipelined());
+        a.send(Msg::U64(1)).unwrap();
+        assert_eq!(b.recv_u64().unwrap(), 1);
+        a.sever();
+        let t = std::thread::spawn(move || {
+            let v = b.recv_u64().unwrap();
+            b.send(Msg::Scalar(v as f64)).unwrap();
+            b
+        });
+        a.send(Msg::U64(2)).unwrap();
+        assert_eq!(a.recv_scalar().unwrap(), 2.0);
+        let b = t.join().unwrap();
+        assert_eq!(a.stats().msgs(), 2);
+        assert_eq!(a.stats().bytes(), 16);
+        assert_eq!(b.stats().msgs(), 1);
+    }
+
+    #[test]
+    fn stream_schedule_serialises_back_to_back_and_pipelines_latency() {
+        let p = NetworkProfile {
+            latency: Duration::from_millis(20),
+            bytes_per_sec: 1_000,
+        };
+        let t0 = Instant::now();
+        let ms = |n| t0 + Duration::from_millis(n);
+        let mut link_free = t0;
+        // Two 10-byte messages handed over together: the second waits
+        // for the first's 10 ms on the link, latency overlaps.
+        assert_eq!(p.stream_delivery(&mut link_free, 10, t0), ms(30));
+        assert_eq!(p.stream_delivery(&mut link_free, 10, t0), ms(40));
+        assert_eq!(link_free, ms(20));
+        // Handed over after the link went idle: starts on hand-over.
+        assert_eq!(p.stream_delivery(&mut link_free, 5, ms(100)), ms(125));
+        assert_eq!(link_free, ms(105));
     }
 
     #[test]

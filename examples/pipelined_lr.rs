@@ -7,8 +7,8 @@
 //! Trains the same federated LR twice over a simulated WAN link
 //! (`NetworkProfile::wan_100mbps`): once with the lock-step
 //! [`TrainMode::Sync`] loop, once with [`TrainMode::Pipelined`] —
-//! transport queue-decoupled onto writer/reader threads, mini-batch
-//! preparation double-buffered. The engine's contract is asserted
+//! transport on the streaming schedule, mini-batch preparation
+//! double-buffered. The engine's contract is asserted
 //! here, not just printed:
 //!
 //! * **bit-identical** per-batch loss curves and test metric,

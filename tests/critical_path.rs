@@ -1,0 +1,132 @@
+//! Critical-path depth, pinned in one-way latencies.
+//!
+//! On a link whose one-way latency `L` dwarfs compute (Plain backend,
+//! infinite bandwidth), a protocol step costs the number of direction
+//! reversals on its dependency chain times `L`; message count does not
+//! matter once the link streams. These cells pin that depth:
+//!
+//! * a served micro-batch is **2**: `Support` + `⟦X_B V_B − ε⟧` → A,
+//!   then `⟦X_A V_A − ε⟧` + `Z'_A` → B (`docs/ARCHITECTURE.md`,
+//!   "Per-batch dependency chains");
+//! * a pipelined two-party MatMul training batch is **4**: `Z'_A` → B;
+//!   `⟦∇Z⟧` → A; `Support` + HE2SS reply → B; `⟦ΔV_A⟧` plus B's
+//!   next-batch forward upload → A.
+//!
+//! The upper bounds leave 0.6 `L` for scheduling noise; a step that
+//! gains a reversal lands a whole `L` above its bound.
+
+use std::time::Duration;
+
+use bf_datagen::{generate, spec as dataset_spec, vsplit};
+use bf_ml::data::Dataset;
+use bf_mpc::transport::{channel_pair_with_network, NetworkProfile};
+use blindfl::config::FedConfig;
+use blindfl::engine::TrainMode;
+use blindfl::models::{FedSpec, PartyAModel, PartyBModel};
+use blindfl::serve::{queue, serve_party_a, serve_party_b, ServeConfig};
+use blindfl::session::{party_seed, Role, Session};
+use blindfl::train::{run_party_a, run_party_b, FedTrainConfig};
+
+/// One-way latency of the simulated link.
+const L: Duration = Duration::from_millis(25);
+const SEED: u64 = 41;
+
+/// The first `rows` rows of an a9a-shape split, as (guest, host)
+/// slices.
+fn slices(rows: usize) -> ((Dataset, Dataset), (Dataset, Dataset)) {
+    let (train, test) = generate(&dataset_spec("a9a").scaled(64, 1), 5);
+    let head = |d: &Dataset, n: usize| {
+        let v = vsplit(&d.select(&(0..n).collect::<Vec<_>>()));
+        (v.party_a, v.party_b)
+    };
+    (head(&train, rows), head(&test, 16))
+}
+
+/// Run guest and host as two threads over a fresh in-process link with
+/// latency `L` and infinite bandwidth, each on a Plain session.
+fn over_link<RA: Send>(
+    guest: impl FnOnce(Session) -> RA + Send,
+    host: impl FnOnce(Session) -> f64,
+) -> f64 {
+    let (ep_a, ep_b) = channel_pair_with_network(NetworkProfile {
+        latency: L,
+        bytes_per_sec: 0,
+    });
+    let cfg = FedConfig::plain();
+    std::thread::scope(|s| {
+        let cfg_a = cfg.clone();
+        let a = s.spawn(move || {
+            guest(Session::handshake(ep_a, cfg_a, Role::A, party_seed(Role::A, SEED)).unwrap())
+        });
+        let b = host(Session::handshake(ep_b, cfg, Role::B, party_seed(Role::B, SEED)).unwrap());
+        a.join().unwrap();
+        b
+    })
+}
+
+/// Assert that `secs` lies in `[depth·L, (depth + 0.6)·L]`.
+fn assert_depth(what: &str, secs: f64, depth: f64) {
+    let l = L.as_secs_f64();
+    assert!(
+        secs >= depth * l && secs <= (depth + 0.6) * l,
+        "{what}: {:.1} ms is not {depth} one-way latencies of {:.0} ms",
+        secs * 1e3,
+        l * 1e3
+    );
+}
+
+#[test]
+fn a_served_request_takes_two_one_way_latencies() {
+    let ((store_a, store_b), _) = slices(8);
+    let spec = FedSpec::Glm { out: 1 };
+    let best = over_link(
+        |mut sess| {
+            let mut model = PartyAModel::init(&mut sess, &spec, &store_a).unwrap();
+            serve_party_a(&mut sess, &mut model, &store_a).unwrap()
+        },
+        |mut sess| {
+            let mut model = PartyBModel::init(&mut sess, &spec, &store_b).unwrap();
+            let (client, q) = queue(4);
+            std::thread::scope(|s| {
+                let cfg = ServeConfig { max_batch: 1 };
+                let store_b = &store_b;
+                let server = s
+                    .spawn(move || serve_party_b(&mut sess, &mut model, store_b, &cfg, q).unwrap());
+                // One request at a time: each rides a batch of its own,
+                // and the fastest of three is the depth.
+                let best = (0..3)
+                    .map(|row| client.predict(row).unwrap().latency)
+                    .min()
+                    .unwrap();
+                drop(client);
+                assert_eq!(server.join().unwrap().batches, 3);
+                best.as_secs_f64()
+            })
+        },
+    );
+    assert_depth("served single-row request", best, 2.0);
+}
+
+#[test]
+fn a_pipelined_training_batch_takes_four_one_way_latencies() {
+    let ((train_a, train_b), (test_a, test_b)) = slices(96);
+    let spec = FedSpec::Glm { out: 1 };
+    let tc = FedTrainConfig {
+        base: bf_ml::TrainConfig {
+            epochs: 1,
+            batch_size: 16,
+            ..Default::default()
+        },
+        mode: TrainMode::pipelined(),
+        ..Default::default()
+    };
+    let per_batch = over_link(
+        |mut sess| run_party_a(&mut sess, &spec, &tc, &train_a, &test_a).unwrap(),
+        |mut sess| {
+            let run = run_party_b(&mut sess, &spec, &tc, &train_b, &test_b).unwrap();
+            assert_eq!(run.losses.len(), 6);
+            run.train_secs / run.losses.len() as f64
+        },
+    );
+    assert_depth("pipelined training batch", per_batch, 4.0);
+}
