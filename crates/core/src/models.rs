@@ -26,6 +26,7 @@ use bf_ml::data::{Dataset, Labels};
 use bf_ml::layers::{ActKind, Activation, Bias, Mlp};
 use bf_ml::models::loss_and_grad;
 use bf_mpc::transport::{TransportError, TransportResult};
+use bf_paillier::{read_dense, write_dense};
 use bf_tensor::{CatBlock, Dense};
 
 use crate::engine::Stage;
@@ -131,18 +132,11 @@ impl FedSpec {
     ) -> crate::persist::PersistResult<FedSpec> {
         use crate::persist::PersistError;
         let widths = |r: &mut crate::persist::Reader| -> crate::persist::PersistResult<Vec<usize>> {
-            let n = r.len_u64()?;
-            // A corrupted count must not drive an allocation: every
-            // entry costs 8 bytes, so the blob bounds the count.
-            if n > 1 << 20 {
-                return Err(PersistError::Malformed(format!(
-                    "implausible width count {n}"
-                )));
-            }
-            (0..n).map(|_| r.len_u64()).collect()
+            let n = r.count(8)?;
+            Ok((0..n).map(|_| r.len()).collect::<Result<_, _>>()?)
         };
         match r.u8()? {
-            1 => Ok(FedSpec::Glm { out: r.len_u64()? }),
+            1 => Ok(FedSpec::Glm { out: r.len()? }),
             2 => {
                 let v = widths(r)?;
                 if v.len() < 2 {
@@ -153,13 +147,13 @@ impl FedSpec {
                 Ok(FedSpec::Mlp { widths: v })
             }
             3 => Ok(FedSpec::Wdl {
-                emb_dim: r.len_u64()?,
+                emb_dim: r.len()?,
                 deep_hidden: widths(r)?,
-                out: r.len_u64()?,
+                out: r.len()?,
             }),
             4 => Ok(FedSpec::Dlrm {
-                emb_dim: r.len_u64()?,
-                vec_dim: r.len_u64()?,
+                emb_dim: r.len()?,
+                vec_dim: r.len()?,
                 top_hidden: widths(r)?,
             }),
             tag => Err(PersistError::Malformed(format!("unknown spec tag {tag}"))),
@@ -298,12 +292,9 @@ fn write_opt<T>(
     v: Option<&T>,
     enc: impl FnOnce(&T, &mut crate::persist::Writer),
 ) {
-    match v {
-        Some(t) => {
-            w.u8(1);
-            enc(t, w);
-        }
-        None => w.u8(0),
+    w.flag(v.is_some());
+    if let Some(t) = v {
+        enc(t, w);
     }
 }
 
@@ -324,13 +315,7 @@ fn read_opt<T>(
     r: &mut crate::persist::Reader,
     dec: impl FnOnce(&mut crate::persist::Reader) -> crate::persist::PersistResult<T>,
 ) -> crate::persist::PersistResult<Option<T>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec(r)?)),
-        tag => Err(crate::persist::PersistError::Malformed(format!(
-            "bad presence byte {tag}"
-        ))),
-    }
+    Ok(if r.flag()? { Some(dec(r)?) } else { None })
 }
 
 /// Party B's half — the host model over its `M ≥ 1` guest links: the
@@ -561,14 +546,14 @@ impl Top {
 
 /// Encode a [`Bias`] layer (bias row + momentum buffer).
 fn write_bias(w: &mut crate::persist::Writer, b: &Bias) {
-    w.dense(&b.b);
-    w.dense(b.velocity());
+    write_dense(w, &b.b);
+    write_dense(w, b.velocity());
 }
 
 /// Decode a [`Bias`] layer, validating shapes before construction.
 fn read_bias(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Bias> {
-    let b = r.dense()?;
-    let vel = r.dense()?;
+    let b = read_dense(r)?;
+    let vel = read_dense(r)?;
     crate::persist::check_vel(&b, &vel, "Bias")?;
     if b.rows() != 1 {
         return Err(crate::persist::PersistError::Malformed(format!(
@@ -586,29 +571,30 @@ fn write_mlp(w: &mut crate::persist::Writer, mlp: &Mlp) {
     w.u64(mlp.depth() as u64);
     for (lin, has_act) in mlp.layers() {
         let (wt, b, vel_w, vel_b) = lin.state();
-        w.dense(wt);
-        w.dense(b);
-        w.dense(vel_w);
-        w.dense(vel_b);
-        w.u8(u8::from(has_act));
+        write_dense(w, wt);
+        write_dense(w, b);
+        write_dense(w, vel_w);
+        write_dense(w, vel_b);
+        w.flag(has_act);
     }
 }
 
 /// Decode an [`Mlp`] tower, validating every layer's shapes.
 fn read_mlp(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Mlp> {
     use crate::persist::PersistError;
-    let depth = r.len_u64()?;
-    if depth == 0 || depth > 1 << 16 {
+    // A layer is at least four `Mat` headers and its flag byte.
+    let depth = r.count(4 * 16 + 1)?;
+    if depth == 0 {
         return Err(PersistError::Malformed(format!(
             "implausible tower depth {depth}"
         )));
     }
     let mut layers = Vec::with_capacity(depth);
     for i in 0..depth {
-        let w = r.dense()?;
-        let b = r.dense()?;
-        let vel_w = r.dense()?;
-        let vel_b = r.dense()?;
+        let w = read_dense(r)?;
+        let b = read_dense(r)?;
+        let vel_w = read_dense(r)?;
+        let vel_b = read_dense(r)?;
         crate::persist::check_vel(&w, &vel_w, "Linear W")?;
         crate::persist::check_vel(&b, &vel_b, "Linear b")?;
         if b.rows() != 1 || b.cols() != w.cols() {
@@ -620,15 +606,7 @@ fn read_mlp(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Mlp
                 w.cols()
             )));
         }
-        let has_act = match r.u8()? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(PersistError::Malformed(format!(
-                    "bad activation flag {tag}"
-                )))
-            }
-        };
+        let has_act = r.flag()?;
         layers.push((
             bf_ml::layers::Linear::from_state(w, b, vel_w, vel_b),
             has_act,
@@ -898,8 +876,9 @@ impl PartyBModel {
     ) -> crate::persist::PersistResult<PartyBModel> {
         use crate::persist::PersistError;
         let spec = FedSpec::read_state(r)?;
-        let m = r.len_u64()?;
-        if m == 0 || m > 1 << 16 {
+        // A link is at least its peer piece's `Mat` header.
+        let m = r.count(16)?;
+        if m == 0 {
             return Err(PersistError::Malformed(format!(
                 "implausible guest-link count {m}"
             )));

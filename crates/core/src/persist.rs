@@ -31,10 +31,13 @@
 //! **zero** wire traffic — re-running PSI on resume would double-count
 //! PSI bytes in [`LinkCursor`]'s preloaded traffic totals.
 //!
-//! All multi-byte integers are little-endian; `f64`s travel as
-//! IEEE-754 bits; ciphertext caches reuse the canonical
-//! [`bf_paillier::export_ctmat`] wire encoding (Montgomery limbs
-//! verbatim), length-prefixed. The versioning rule mirrors
+//! Every field reads and writes through [`bf_util::codec`] (LE
+//! integers, IEEE-754 `f64` bits, counts bounded before allocation, no
+//! trailing bytes; `docs/WIRE_PROTOCOL.md` § "Primitives"). Plaintext
+//! matrices use the wire's `Mat` layout and ciphertext caches its `Ct`
+//! layout (Montgomery limbs verbatim), length-prefixed — both owned by
+//! [`bf_paillier::serial`]. This module owns the header and each kind's
+//! field order. The versioning rule mirrors
 //! `docs/WIRE_PROTOCOL.md`: **any** layout change bumps the version
 //! byte, and decoders reject every version they do not know. Version 2
 //! appended Party B's `⟦V_ownᵀ⟧` cache to the Embed-MatMul layer state;
@@ -59,8 +62,10 @@
 //! deterministically from the session seed — see
 //! [`crate::session::Session::handshake`]).
 
-use bf_paillier::{export_ctmat, import_ctmat, CtMat};
+use bf_paillier::{ctmat_len, import_ctmat, write_ctmat, CtMat};
 use bf_tensor::Dense;
+use bf_util::codec::DecodeError;
+pub(crate) use bf_util::codec::{Reader, Writer};
 
 use crate::models::{PartyAModel, PartyBModel};
 use crate::trees::{GbRecord, GbdtGuestModel, GbdtHostModel};
@@ -132,167 +137,73 @@ impl std::error::Error for PersistError {}
 /// Shorthand for persistence-fallible results.
 pub type PersistResult<T> = Result<T, PersistError>;
 
-/// Append-only byte sink the model modules encode their state into.
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new(kind: u8) -> Writer {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION);
-        buf.push(kind);
-        Writer { buf }
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// `rows u64 | cols u64 | rows·cols f64` — the `Mat` wire layout.
-    pub(crate) fn dense(&mut self, m: &Dense) {
-        self.u64(m.rows() as u64);
-        self.u64(m.cols() as u64);
-        for v in m.data() {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+/// A blob that ran on past its encoding has bytes no field accounts
+/// for: [`PersistError::Malformed`], like every other inconsistency.
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => PersistError::Truncated,
+            DecodeError::Trailing(_) | DecodeError::Malformed(_) => {
+                PersistError::Malformed(e.to_string())
+            }
         }
-    }
-
-    /// Length-prefixed canonical [`export_ctmat`] bytes.
-    pub(crate) fn ctmat(&mut self, ct: &CtMat) {
-        let bytes = export_ctmat(ct);
-        self.u64(bytes.len() as u64);
-        self.buf.extend_from_slice(&bytes);
     }
 }
 
-/// Validating cursor over a persisted byte blob.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A writer holding the header of a `kind` blob.
+fn header(kind: u8) -> Writer {
+    let mut w = Writer::with_capacity(64);
+    w.bytes(&MAGIC);
+    w.u8(VERSION);
+    w.u8(kind);
+    w
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], expected_kind: u8) -> PersistResult<Reader<'a>> {
-        if bytes.len() < HEADER_LEN {
-            return Err(PersistError::Truncated);
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(PersistError::BadMagic([
-                bytes[0], bytes[1], bytes[2], bytes[3],
-            ]));
-        }
-        if bytes[4] != VERSION {
-            return Err(PersistError::UnsupportedVersion(bytes[4]));
-        }
-        if bytes[5] != expected_kind {
-            return Err(PersistError::WrongKind {
-                expected: expected_kind,
-                got: bytes[5],
-            });
-        }
-        Ok(Reader {
-            bytes,
-            pos: HEADER_LEN,
-        })
-    }
+/// A `kind` blob whose payload `body` writes.
+fn encode(kind: u8, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = header(kind);
+    body(&mut w);
+    w.into_bytes()
+}
 
-    fn take(&mut self, n: usize) -> PersistResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Truncated)?;
-        let s = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(PersistError::Truncated)?;
-        self.pos = end;
-        Ok(s)
+/// Decode a whole blob of `kind`: check the header, read the payload
+/// with `body`, and refuse trailing bytes.
+fn decode<T>(
+    bytes: &[u8],
+    kind: u8,
+    body: impl FnOnce(&mut Reader) -> PersistResult<T>,
+) -> PersistResult<T> {
+    let mut r = Reader::new(bytes);
+    let head = r.bytes(HEADER_LEN)?;
+    if head[..4] != MAGIC {
+        return Err(PersistError::BadMagic([head[0], head[1], head[2], head[3]]));
     }
+    if head[4] != VERSION {
+        return Err(PersistError::UnsupportedVersion(head[4]));
+    }
+    if head[5] != kind {
+        return Err(PersistError::WrongKind {
+            expected: kind,
+            got: head[5],
+        });
+    }
+    let v = body(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
 
-    pub(crate) fn u8(&mut self) -> PersistResult<u8> {
-        Ok(self.take(1)?[0])
-    }
+/// A ciphertext cache: its `Ct` layout, prefixed by its byte length,
+/// written straight into the blob.
+pub(crate) fn write_ct(w: &mut Writer, ct: &CtMat) {
+    w.len(ctmat_len(ct));
+    write_ctmat(w, ct);
+}
 
-    pub(crate) fn u64(&mut self) -> PersistResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> PersistResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u64` that must fit in `usize` (length / dimension fields).
-    pub(crate) fn len_u64(&mut self) -> PersistResult<usize> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| PersistError::Malformed("length field overflows usize".into()))
-    }
-
-    /// A length-prefixed `f64` vector with the usual
-    /// reject-before-allocating guard on the claimed length.
-    pub(crate) fn f64_vec(&mut self) -> PersistResult<Vec<f64>> {
-        let n = self.len_u64()?;
-        let want = n
-            .checked_mul(8)
-            .ok_or_else(|| PersistError::Malformed("f64 vector byte length overflow".into()))?;
-        if self.bytes.len() - self.pos < want {
-            return Err(PersistError::Truncated);
-        }
-        Ok(self
-            .take(want)?
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    pub(crate) fn dense(&mut self) -> PersistResult<Dense> {
-        let rows = self.len_u64()?;
-        let cols = self.len_u64()?;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| PersistError::Malformed("rows*cols overflow".into()))?;
-        let want = n
-            .checked_mul(8)
-            .ok_or_else(|| PersistError::Malformed("matrix byte length overflow".into()))?;
-        // Reject the claimed size before allocating: a corrupted
-        // length field must not drive an allocation larger than the
-        // blob it arrived in.
-        if self.bytes.len() - self.pos < want {
-            return Err(PersistError::Truncated);
-        }
-        let data: Vec<f64> = self
-            .take(want)?
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(Dense::from_vec(rows, cols, data))
-    }
-
-    pub(crate) fn ctmat(&mut self) -> PersistResult<CtMat> {
-        let len = self.len_u64()?;
-        if self.bytes.len() - self.pos < len {
-            return Err(PersistError::Truncated);
-        }
-        import_ctmat(self.take(len)?).map_err(PersistError::Malformed)
-    }
-
-    /// Error unless every byte has been consumed.
-    fn finish(self) -> PersistResult<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(PersistError::Malformed(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.pos
-            )))
-        }
-    }
+/// A ciphertext cache written by [`write_ct`]; its `Ct` encoding must
+/// fill its length prefix exactly.
+pub(crate) fn read_ct(r: &mut Reader) -> PersistResult<CtMat> {
+    let len = r.len()?;
+    Ok(import_ctmat(r.bytes(len)?)?)
 }
 
 /// Check that a momentum buffer matches its weight matrix — every
@@ -310,33 +221,23 @@ pub(crate) fn check_vel(w: &Dense, vel: &Dense, what: &str) -> PersistResult<()>
 
 /// Serialize a trained [`PartyAModel`] (guest half) to bytes.
 pub fn export_party_a(model: &PartyAModel) -> Vec<u8> {
-    let mut w = Writer::new(KIND_PARTY_A);
-    model.write_state(&mut w);
-    w.buf
+    encode(KIND_PARTY_A, |w| model.write_state(w))
 }
 
 /// Deserialize a [`PartyAModel`], validating every field.
 pub fn import_party_a(bytes: &[u8]) -> PersistResult<PartyAModel> {
-    let mut r = Reader::new(bytes, KIND_PARTY_A)?;
-    let model = PartyAModel::read_state(&mut r)?;
-    r.finish()?;
-    Ok(model)
+    decode(bytes, KIND_PARTY_A, PartyAModel::read_state)
 }
 
 /// Serialize a trained [`PartyBModel`] (host half over all its guest
 /// links, including the local top model) to bytes.
 pub fn export_party_b(model: &PartyBModel) -> Vec<u8> {
-    let mut w = Writer::new(KIND_PARTY_B);
-    model.write_state(&mut w);
-    w.buf
+    encode(KIND_PARTY_B, |w| model.write_state(w))
 }
 
 /// Deserialize a [`PartyBModel`], validating every field.
 pub fn import_party_b(bytes: &[u8]) -> PersistResult<PartyBModel> {
-    let mut r = Reader::new(bytes, KIND_PARTY_B)?;
-    let model = PartyBModel::read_state(&mut r)?;
-    r.finish()?;
-    Ok(model)
+    decode(bytes, KIND_PARTY_B, PartyBModel::read_state)
 }
 
 /// The per-link determinism cursor captured alongside a checkpoint:
@@ -367,21 +268,15 @@ pub struct LinkCursor {
 const LINK_CURSOR_LEN: usize = 56;
 
 fn write_cursor(w: &mut Writer, c: &LinkCursor) {
-    for limb in c.rng {
-        w.u64(limb);
-    }
+    w.u64s(&c.rng);
     w.u64(c.obf_drawn);
     w.u64(c.bytes_sent);
     w.u64(c.msgs_sent);
 }
 
-fn read_cursor(r: &mut Reader<'_>) -> PersistResult<LinkCursor> {
-    let mut rng = [0u64; 4];
-    for limb in &mut rng {
-        *limb = r.u64()?;
-    }
+fn read_cursor(r: &mut Reader) -> PersistResult<LinkCursor> {
     Ok(LinkCursor {
-        rng,
+        rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
         obf_drawn: r.u64()?,
         bytes_sent: r.u64()?,
         msgs_sent: r.u64()?,
@@ -406,41 +301,24 @@ pub struct AlignCursor {
 /// The optional alignment section that opens a checkpoint payload:
 /// `flag u8 (0 | 1) | [salt u64 | n u64 | ids]`, all `u64` LE.
 fn write_align(w: &mut Writer, a: Option<&AlignCursor>) {
-    let Some(a) = a else { return w.u8(0) };
+    w.flag(a.is_some());
+    let Some(a) = a else { return };
     debug_assert!(
         a.ids.windows(2).all(|x| x[0] < x[1]),
         "AlignCursor ids must be strictly ascending"
     );
-    w.u8(1);
     w.u64(a.salt);
-    w.u64(a.ids.len() as u64);
-    for &id in &a.ids {
-        w.u64(id);
-    }
+    w.len(a.ids.len());
+    w.u64s(&a.ids);
 }
 
-fn read_align(r: &mut Reader<'_>) -> PersistResult<Option<AlignCursor>> {
-    match r.u8()? {
-        0 => return Ok(None),
-        1 => {}
-        tag => {
-            return Err(PersistError::Malformed(format!(
-                "bad alignment-section flag {tag}"
-            )))
-        }
+fn read_align(r: &mut Reader) -> PersistResult<Option<AlignCursor>> {
+    if !r.flag()? {
+        return Ok(None);
     }
     let salt = r.u64()?;
-    let n = r.len_u64()?;
-    let want = n
-        .checked_mul(8)
-        .ok_or_else(|| PersistError::Malformed("aligned id count overflow".into()))?;
-    if r.bytes.len() - r.pos < want {
-        return Err(PersistError::Truncated);
-    }
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.u64()?);
-    }
+    let n = r.len()?;
+    let ids = r.u64s(n)?;
     if !ids.windows(2).all(|x| x[0] < x[1]) {
         return Err(PersistError::Malformed(
             "aligned ids not strictly ascending".into(),
@@ -491,30 +369,25 @@ pub fn export_checkpoint_a(
     aligned: Option<&AlignCursor>,
     model: &PartyAModel,
 ) -> Vec<u8> {
-    let mut w = Writer::new(KIND_CHECKPOINT_A);
-    write_align(&mut w, aligned);
-    w.u64(epoch);
-    w.u64(batch);
-    write_cursor(&mut w, link);
-    model.write_state(&mut w);
-    w.buf
+    encode(KIND_CHECKPOINT_A, |w| {
+        write_align(w, aligned);
+        w.u64(epoch);
+        w.u64(batch);
+        write_cursor(w, link);
+        model.write_state(w);
+    })
 }
 
 /// Deserialize a [`CheckpointA`], validating every field.
 pub fn import_checkpoint_a(bytes: &[u8]) -> PersistResult<CheckpointA> {
-    let mut r = Reader::new(bytes, KIND_CHECKPOINT_A)?;
-    let aligned = read_align(&mut r)?;
-    let epoch = r.u64()?;
-    let batch = r.u64()?;
-    let link = read_cursor(&mut r)?;
-    let model = PartyAModel::read_state(&mut r)?;
-    r.finish()?;
-    Ok(CheckpointA {
-        epoch,
-        batch,
-        link,
-        aligned,
-        model,
+    decode(bytes, KIND_CHECKPOINT_A, |r| {
+        Ok(CheckpointA {
+            aligned: read_align(r)?,
+            epoch: r.u64()?,
+            batch: r.u64()?,
+            link: read_cursor(r)?,
+            model: PartyAModel::read_state(r)?,
+        })
     })
 }
 
@@ -529,105 +402,91 @@ pub fn export_checkpoint_b(
     losses: &[f64],
     model: &PartyBModel,
 ) -> Vec<u8> {
-    let mut w = Writer::new(KIND_CHECKPOINT_B);
-    write_align(&mut w, aligned);
-    w.u64(epoch);
-    w.u64(batch);
-    w.u64(links.len() as u64);
-    for c in links {
-        write_cursor(&mut w, c);
-    }
-    w.u64(losses.len() as u64);
-    for &l in losses {
-        w.f64(l);
-    }
-    model.write_state(&mut w);
-    w.buf
+    encode(KIND_CHECKPOINT_B, |w| {
+        write_align(w, aligned);
+        w.u64(epoch);
+        w.u64(batch);
+        w.len(links.len());
+        links.iter().for_each(|c| write_cursor(w, c));
+        w.len(losses.len());
+        w.f64s(losses);
+        model.write_state(w);
+    })
 }
 
 /// Deserialize a [`CheckpointB`], validating every field — the cursor
 /// count against the embedded model's link count included.
 pub fn import_checkpoint_b(bytes: &[u8]) -> PersistResult<CheckpointB> {
-    let mut r = Reader::new(bytes, KIND_CHECKPOINT_B)?;
-    let aligned = read_align(&mut r)?;
-    let epoch = r.u64()?;
-    let batch = r.u64()?;
-    let n_links = r.len_u64()?;
-    let want = n_links
-        .checked_mul(LINK_CURSOR_LEN)
-        .ok_or_else(|| PersistError::Malformed("link count overflow".into()))?;
-    if r.bytes.len() - r.pos < want {
-        return Err(PersistError::Truncated);
-    }
-    let mut links = Vec::with_capacity(n_links);
-    for _ in 0..n_links {
-        links.push(read_cursor(&mut r)?);
-    }
-    let losses = r.f64_vec()?;
-    let model = PartyBModel::read_state(&mut r)?;
-    r.finish()?;
-    if links.len() != model.num_links() {
-        return Err(PersistError::Malformed(format!(
-            "checkpoint has {} link cursors but the model has {} links",
-            links.len(),
-            model.num_links()
-        )));
-    }
-    Ok(CheckpointB {
-        epoch,
-        batch,
-        links,
-        aligned,
-        losses,
-        model,
+    decode(bytes, KIND_CHECKPOINT_B, |r| {
+        let cp = CheckpointB {
+            aligned: read_align(r)?,
+            epoch: r.u64()?,
+            batch: r.u64()?,
+            links: (0..r.count(LINK_CURSOR_LEN)?)
+                .map(|_| read_cursor(r))
+                .collect::<PersistResult<_>>()?,
+            losses: {
+                let n = r.len()?;
+                r.f64s(n)?
+            },
+            model: PartyBModel::read_state(r)?,
+        };
+        if cp.links.len() != cp.model.num_links() {
+            return Err(PersistError::Malformed(format!(
+                "checkpoint has {} link cursors but the model has {} links",
+                cp.links.len(),
+                cp.model.num_links()
+            )));
+        }
+        Ok(cp)
     })
 }
 
 const NODE_LEAF: u8 = 0;
 const NODE_SPLIT: u8 = 1;
 
+/// A `u64` field holding a `u32` id: a feature, bucket or node index.
+fn read_id(r: &mut Reader) -> PersistResult<u32> {
+    u32::try_from(r.u64()?).map_err(|_| PersistError::Malformed("id overflows u32".into()))
+}
+
 /// Serialize the host share of a federated forest. Guest-owned split
 /// thresholds are not here (and never were on the host): only global
 /// feature ids, buckets and the host's own edges.
 pub fn export_gbdt_host(model: &GbdtHostModel) -> Vec<u8> {
-    let mut w = Writer::new(KIND_GBDT_HOST);
-    w.f64(model.base_score);
-    w.u64(model.guest_widths.len() as u64);
-    for &width in &model.guest_widths {
-        w.u64(width as u64);
-    }
-    w.u64(model.host_edges.len() as u64);
-    for edges in &model.host_edges {
-        w.u64(edges.len() as u64);
-        for &e in edges {
-            w.f64(e);
+    encode(KIND_GBDT_HOST, |w| {
+        w.f64(model.base_score);
+        w.len(model.guest_widths.len());
+        model.guest_widths.iter().for_each(|&width| w.len(width));
+        w.len(model.host_edges.len());
+        for edges in &model.host_edges {
+            w.len(edges.len());
+            w.f64s(edges);
         }
-    }
-    w.u64(model.trees.len() as u64);
-    for tree in &model.trees {
-        w.u64(tree.nodes.len() as u64);
-        for node in &tree.nodes {
-            match node {
-                Node::Leaf { weight } => {
-                    w.u8(NODE_LEAF);
-                    w.f64(*weight);
-                }
-                Node::Split {
-                    feature,
-                    bucket,
-                    left,
-                    right,
-                } => {
-                    w.u8(NODE_SPLIT);
-                    w.u64(*feature as u64);
-                    w.u64(*bucket as u64);
-                    w.u64(*left as u64);
-                    w.u64(*right as u64);
+        w.len(model.trees.len());
+        for tree in &model.trees {
+            w.len(tree.nodes.len());
+            for node in &tree.nodes {
+                match *node {
+                    Node::Leaf { weight } => {
+                        w.u8(NODE_LEAF);
+                        w.f64(weight);
+                    }
+                    Node::Split {
+                        feature,
+                        bucket,
+                        left,
+                        right,
+                    } => {
+                        w.u8(NODE_SPLIT);
+                        for field in [feature, bucket, left, right] {
+                            w.u64(field.into());
+                        }
+                    }
                 }
             }
         }
-    }
-    w.buf
+    })
 }
 
 /// Deserialize a [`GbdtHostModel`], validating tree topology (children
@@ -635,140 +494,125 @@ pub fn export_gbdt_host(model: &GbdtHostModel) -> Vec<u8> {
 /// against the recorded feature layout, and host-split buckets against
 /// the host's edge lists.
 pub fn import_gbdt_host(bytes: &[u8]) -> PersistResult<GbdtHostModel> {
-    let mut r = Reader::new(bytes, KIND_GBDT_HOST)?;
-    let base_score = r.f64()?;
-    let n_links = r.len_u64()?;
-    if r.bytes.len() - r.pos < n_links.saturating_mul(8) {
-        return Err(PersistError::Truncated);
-    }
-    let mut guest_widths = Vec::with_capacity(n_links);
-    for _ in 0..n_links {
-        guest_widths.push(r.len_u64()?);
-    }
-    let guest_width_sum: usize = guest_widths.iter().sum();
-    let host_features = r.len_u64()?;
-    if r.bytes.len() - r.pos < host_features.saturating_mul(8) {
-        return Err(PersistError::Truncated);
-    }
-    let mut host_edges = Vec::with_capacity(host_features);
-    for _ in 0..host_features {
-        host_edges.push(r.f64_vec()?);
-    }
-    let total_features = guest_width_sum
-        .checked_add(host_features)
-        .ok_or_else(|| PersistError::Malformed("feature count overflow".into()))?;
-    let n_trees = r.len_u64()?;
-    let mut trees = Vec::with_capacity(n_trees.min(1024));
-    for t in 0..n_trees {
-        let n_nodes = r.len_u64()?;
-        // A node is at least 2 bytes (tag + smallest body is 8, but
-        // guard cheaply): reject a fabricated count before allocating.
-        if r.bytes.len() - r.pos < n_nodes.saturating_mul(9) {
-            return Err(PersistError::Truncated);
-        }
-        if n_nodes == 0 {
-            return Err(PersistError::Malformed(format!("tree {t} has no nodes")));
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for i in 0..n_nodes {
-            match r.u8()? {
-                NODE_LEAF => nodes.push(Node::Leaf { weight: r.f64()? }),
-                NODE_SPLIT => {
-                    let feature = r.u64()?;
-                    let bucket = r.u64()?;
-                    let left = r.u64()?;
-                    let right = r.u64()?;
-                    if feature >= total_features as u64 {
-                        return Err(PersistError::Malformed(format!(
-                            "tree {t} node {i} splits feature {feature} of {total_features}"
-                        )));
+    decode(bytes, KIND_GBDT_HOST, |r| {
+        let base_score = r.f64()?;
+        let n_links = r.count(8)?;
+        let guest_widths = (0..n_links)
+            .map(|_| r.len())
+            .collect::<Result<Vec<_>, _>>()?;
+        let guest_width_sum = guest_widths
+            .iter()
+            .try_fold(0usize, |sum, &width| sum.checked_add(width))
+            .ok_or_else(|| PersistError::Malformed("guest width sum overflow".into()))?;
+        let host_features = r.count(8)?;
+        let host_edges = (0..host_features)
+            .map(|_| {
+                let n = r.len()?;
+                r.f64s(n)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let total_features = guest_width_sum
+            .checked_add(host_features)
+            .ok_or_else(|| PersistError::Malformed("feature count overflow".into()))?;
+        // A tree is at least its node count, a node at least a leaf.
+        let n_trees = r.count(8)?;
+        let mut trees = Vec::with_capacity(n_trees);
+        for t in 0..n_trees {
+            let n_nodes = r.count(9)?;
+            if n_nodes == 0 {
+                return Err(PersistError::Malformed(format!("tree {t} has no nodes")));
+            }
+            let mut nodes = Vec::with_capacity(n_nodes);
+            for i in 0..n_nodes {
+                match r.u8()? {
+                    NODE_LEAF => nodes.push(Node::Leaf { weight: r.f64()? }),
+                    NODE_SPLIT => {
+                        let [feature, bucket, left, right] =
+                            [read_id(r)?, read_id(r)?, read_id(r)?, read_id(r)?];
+                        let f = feature as usize;
+                        if f >= total_features {
+                            return Err(PersistError::Malformed(format!(
+                                "tree {t} node {i} splits feature {feature} of {total_features}"
+                            )));
+                        }
+                        if f >= guest_width_sum
+                            && bucket as usize >= host_edges[f - guest_width_sum].len()
+                        {
+                            return Err(PersistError::Malformed(format!(
+                                "tree {t} node {i} references host bucket {bucket} out of range"
+                            )));
+                        }
+                        // BFS growth means children always point forward.
+                        if left as usize <= i
+                            || right as usize <= i
+                            || left.max(right) as usize >= n_nodes
+                        {
+                            return Err(PersistError::Malformed(format!(
+                                "tree {t} node {i} has out-of-range children ({left}, {right})"
+                            )));
+                        }
+                        nodes.push(Node::Split {
+                            feature,
+                            bucket,
+                            left,
+                            right,
+                        });
                     }
-                    let hf = feature as usize;
-                    if hf >= guest_width_sum
-                        && bucket >= host_edges[hf - guest_width_sum].len() as u64
-                    {
+                    tag => {
                         return Err(PersistError::Malformed(format!(
-                            "tree {t} node {i} references host bucket {bucket} out of range"
-                        )));
+                            "unknown tree-node tag {tag}"
+                        )))
                     }
-                    // BFS growth means children always point forward.
-                    if left <= i as u64 || right <= i as u64 || left.max(right) >= n_nodes as u64 {
-                        return Err(PersistError::Malformed(format!(
-                            "tree {t} node {i} has out-of-range children ({left}, {right})"
-                        )));
-                    }
-                    nodes.push(Node::Split {
-                        feature: u32::try_from(feature).map_err(|_| {
-                            PersistError::Malformed("feature id overflows u32".into())
-                        })?,
-                        bucket: u32::try_from(bucket).map_err(|_| {
-                            PersistError::Malformed("bucket id overflows u32".into())
-                        })?,
-                        left: left as u32,
-                        right: right as u32,
-                    });
-                }
-                tag => {
-                    return Err(PersistError::Malformed(format!(
-                        "unknown tree-node tag {tag}"
-                    )))
                 }
             }
+            trees.push(Tree { nodes });
         }
-        trees.push(Tree { nodes });
-    }
-    r.finish()?;
-    Ok(GbdtHostModel {
-        trees,
-        guest_widths,
-        host_edges,
-        base_score,
+        Ok(GbdtHostModel {
+            trees,
+            guest_widths,
+            host_edges,
+            base_score,
+        })
     })
 }
 
 /// Serialize the guest share of a federated forest: its recorded split
 /// predicates, in host split-decision order.
 pub fn export_gbdt_guest(model: &GbdtGuestModel) -> Vec<u8> {
-    let mut w = Writer::new(KIND_GBDT_GUEST);
-    w.u64(model.width as u64);
-    w.u64(model.records.len() as u64);
-    for rec in &model.records {
-        w.u64(rec.feature as u64);
-        w.f64(rec.threshold);
-    }
-    w.buf
+    encode(KIND_GBDT_GUEST, |w| {
+        w.len(model.width);
+        w.len(model.records.len());
+        for rec in &model.records {
+            w.u64(rec.feature.into());
+            w.f64(rec.threshold);
+        }
+    })
 }
 
 /// Deserialize a [`GbdtGuestModel`], validating every record's feature
 /// index against the recorded store width.
 pub fn import_gbdt_guest(bytes: &[u8]) -> PersistResult<GbdtGuestModel> {
-    let mut r = Reader::new(bytes, KIND_GBDT_GUEST)?;
-    let width = r.len_u64()?;
-    let n_records = r.len_u64()?;
-    if r.bytes.len() - r.pos < n_records.saturating_mul(16) {
-        return Err(PersistError::Truncated);
-    }
-    let mut records = Vec::with_capacity(n_records);
-    for i in 0..n_records {
-        let feature = r.u64()?;
-        let threshold = r.f64()?;
-        if feature >= width as u64 {
-            return Err(PersistError::Malformed(format!(
-                "record {i} references feature {feature} of a {width}-feature store"
-            )));
+    decode(bytes, KIND_GBDT_GUEST, |r| {
+        let width = r.len()?;
+        let n_records = r.count(16)?;
+        let mut records = Vec::with_capacity(n_records);
+        for i in 0..n_records {
+            let (feature, threshold) = (read_id(r)?, r.f64()?);
+            if feature as usize >= width {
+                return Err(PersistError::Malformed(format!(
+                    "record {i} references feature {feature} of a {width}-feature store"
+                )));
+            }
+            records.push(GbRecord { feature, threshold });
         }
-        records.push(GbRecord {
-            feature: feature as u32,
-            threshold,
-        });
-    }
-    r.finish()?;
-    Ok(GbdtGuestModel { width, records })
+        Ok(GbdtGuestModel { width, records })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bf_paillier::write_dense;
 
     fn sample_host_model() -> GbdtHostModel {
         GbdtHostModel {
@@ -906,6 +750,13 @@ mod tests {
             import_gbdt_host(&export_gbdt_host(&bad)).err().unwrap(),
             PersistError::Malformed(_)
         ));
+        // Guest widths whose sum overflows.
+        let mut bad = sample_host_model();
+        bad.guest_widths = vec![usize::MAX, 2];
+        assert!(matches!(
+            import_gbdt_host(&export_gbdt_host(&bad)).err().unwrap(),
+            PersistError::Malformed(_)
+        ));
         // Unknown node tag.
         let mut corrupt = blob.clone();
         let tag_pos = blob.len() - 9; // last tree ends [tag:1][weight:8]
@@ -992,16 +843,16 @@ mod tests {
         use bf_paillier::{keys::plain_keys, ObfMode, Obfuscator};
         let (pk, _) = plain_keys(20);
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
-        let mut w = Writer::new(KIND_PARTY_B);
-        w.buf.extend_from_slice(spec_bytes);
+        let mut w = header(KIND_PARTY_B);
+        w.bytes(spec_bytes);
         w.u64(1); // one guest link
         w.u8(1); // matmul present
         w.u64(mm_out as u64);
         let piece = Dense::zeros(mm_in, mm_out);
         for _ in 0..4 {
-            w.dense(&piece);
+            write_dense(&mut w, &piece);
         }
-        w.ctmat(&pk.encrypt(&piece, &obf));
+        write_ct(&mut w, &pk.encrypt(&piece, &obf));
         w.u8(0); // no embed
         w
     }
@@ -1017,9 +868,9 @@ mod tests {
         let mut w = party_b_prefix(&spec, 2, 1);
         w.u8(1); // Top::Bias
         let bad = Dense::zeros(1, 3);
-        w.dense(&bad);
-        w.dense(&bad);
-        match import_party_b(&w.buf).err() {
+        write_dense(&mut w, &bad);
+        write_dense(&mut w, &bad);
+        match import_party_b(&w.into_bytes()).err() {
             Some(PersistError::Malformed(why)) => {
                 assert!(why.contains("Glm widths disagree"), "{why}")
             }
@@ -1038,19 +889,19 @@ mod tests {
         let mut w = party_b_prefix(&spec, 3, 2);
         w.u8(2); // Top::Tower
         let bias = Dense::zeros(1, 2);
-        w.dense(&bias);
-        w.dense(&bias);
+        write_dense(&mut w, &bias);
+        write_dense(&mut w, &bias);
         w.u64(2); // tower depth
         for (rows, cols, act) in [(2usize, 3usize, 1u8), (4, 1, 0)] {
             let wt = Dense::zeros(rows, cols);
             let b = Dense::zeros(1, cols);
-            w.dense(&wt);
-            w.dense(&b);
-            w.dense(&wt);
-            w.dense(&b);
+            write_dense(&mut w, &wt);
+            write_dense(&mut w, &b);
+            write_dense(&mut w, &wt);
+            write_dense(&mut w, &b);
             w.u8(act);
         }
-        match import_party_b(&w.buf).err() {
+        match import_party_b(&w.into_bytes()).err() {
             Some(PersistError::Malformed(why)) => {
                 assert!(why.contains("do not chain"), "{why}")
             }
@@ -1082,18 +933,18 @@ mod tests {
         let (pk, _) = plain_keys(20);
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
         let one = Dense::zeros(1, 1);
-        let mut w = Writer::new(KIND_PARTY_A);
+        let mut w = header(KIND_PARTY_A);
         w.u8(0); // no MatMul source
         w.u8(1); // Embed source present
         w.u64(1); // dim
         w.u64(1); // out
         for _ in 0..8 {
-            w.dense(&one);
+            write_dense(&mut w, &one);
         }
         for _ in 0..3 {
-            w.ctmat(&pk.encrypt(&one, &obf));
+            write_ct(&mut w, &pk.encrypt(&one, &obf));
         }
-        match import_party_a(&w.buf).err() {
+        match import_party_a(&w.into_bytes()).err() {
             Some(PersistError::Malformed(why)) => assert!(why.contains("MatMul"), "{why}"),
             other => panic!("expected Malformed, got {other:?}"),
         }

@@ -38,10 +38,11 @@
 use bf_mpc::convert::{he2ss_holder, he2ss_peer};
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::{masked_share_product_fits, CtMat, MAX_PACKED_WEIGHT};
+use bf_paillier::{masked_share_product_fits, read_dense, write_dense, CtMat, MAX_PACKED_WEIGHT};
 use bf_tensor::{CatBlock, Dense, Features};
 
 use crate::engine::Stage;
+use crate::persist::{read_ct, write_ct};
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
 use crate::source::{recv_refresh, recv_upload, step_piece};
@@ -209,19 +210,19 @@ impl EmbedSource {
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         w.u64(self.dim as u64);
         w.u64(self.out as u64);
-        w.dense(&self.s_own);
-        w.dense(&self.vel_s);
-        w.dense(&self.t_peer);
-        w.dense(&self.vel_t_peer);
-        w.dense(&self.u_own);
-        w.dense(&self.vel_u);
-        w.dense(&self.v_peer);
-        w.dense(&self.vel_v_peer);
-        w.ctmat(&self.enc_t_own);
-        w.ctmat(&self.enc_v_own);
-        w.ctmat(&self.enc_u_peer);
+        write_dense(w, &self.s_own);
+        write_dense(w, &self.vel_s);
+        write_dense(w, &self.t_peer);
+        write_dense(w, &self.vel_t_peer);
+        write_dense(w, &self.u_own);
+        write_dense(w, &self.vel_u);
+        write_dense(w, &self.v_peer);
+        write_dense(w, &self.vel_v_peer);
+        write_ct(w, &self.enc_t_own);
+        write_ct(w, &self.enc_v_own);
+        write_ct(w, &self.enc_u_peer);
         if let Some(ct) = &self.enc_v_own_t {
-            w.ctmat(ct);
+            write_ct(w, ct);
         }
     }
 
@@ -232,22 +233,22 @@ impl EmbedSource {
         role: Role,
     ) -> crate::persist::PersistResult<EmbedSource> {
         use crate::persist::{check_vel, PersistError};
-        let dim = r.len_u64()?;
-        let out = r.len_u64()?;
-        let s_own = r.dense()?;
-        let vel_s = r.dense()?;
-        let t_peer = r.dense()?;
-        let vel_t_peer = r.dense()?;
-        let u_own = r.dense()?;
-        let vel_u = r.dense()?;
-        let v_peer = r.dense()?;
-        let vel_v_peer = r.dense()?;
-        let enc_t_own = r.ctmat()?;
-        let enc_v_own = r.ctmat()?;
-        let enc_u_peer = r.ctmat()?;
+        let dim = r.len()?;
+        let out = r.len()?;
+        let s_own = read_dense(r)?;
+        let vel_s = read_dense(r)?;
+        let t_peer = read_dense(r)?;
+        let vel_t_peer = read_dense(r)?;
+        let u_own = read_dense(r)?;
+        let vel_u = read_dense(r)?;
+        let v_peer = read_dense(r)?;
+        let vel_v_peer = read_dense(r)?;
+        let enc_t_own = read_ct(r)?;
+        let enc_v_own = read_ct(r)?;
+        let enc_u_peer = read_ct(r)?;
         let enc_v_own_t = match role {
             Role::A => None,
-            Role::B => Some(r.ctmat()?),
+            Role::B => Some(read_ct(r)?),
         };
         check_vel(&s_own, &vel_s, "EmbedSource S")?;
         check_vel(&t_peer, &vel_t_peer, "EmbedSource T")?;

@@ -31,11 +31,12 @@ use std::sync::Arc;
 use bf_mpc::convert::{he2ss_holder, he2ss_peer};
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::CtMat;
+use bf_paillier::{read_dense, write_dense, CtMat};
 use bf_tensor::{Dense, Features};
 
 use crate::config::GradMode;
 use crate::engine::Stage;
+use crate::persist::{read_ct, write_ct};
 use crate::session::{check_link_count, Role, Session};
 
 /// One party's half of a MatMul federated source layer.
@@ -189,12 +190,12 @@ impl MatMulSource {
     /// per-batch caches are transient and excluded.
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         w.u64(self.out as u64);
-        w.dense(&self.u_own);
-        w.dense(&self.vel_u);
+        write_dense(w, &self.u_own);
+        write_dense(w, &self.vel_u);
         for piece in &self.pieces {
-            w.dense(&piece.v_peer);
-            w.dense(&piece.vel_v_peer);
-            w.ctmat(&piece.enc_v_own);
+            write_dense(w, &piece.v_peer);
+            write_dense(w, &piece.vel_v_peer);
+            write_ct(w, &piece.enc_v_own);
         }
     }
 
@@ -205,9 +206,9 @@ impl MatMulSource {
         links: usize,
     ) -> crate::persist::PersistResult<MatMulSource> {
         use crate::persist::{check_vel, PersistError};
-        let out = r.len_u64()?;
-        let u_own = r.dense()?;
-        let vel_u = r.dense()?;
+        let out = r.len()?;
+        let u_own = read_dense(r)?;
+        let vel_u = read_dense(r)?;
         check_vel(&u_own, &vel_u, "MatMulSource U")?;
         if u_own.cols() != out {
             return Err(PersistError::Malformed(format!(
@@ -217,9 +218,9 @@ impl MatMulSource {
         }
         let mut pieces = Vec::new();
         for i in 0..links {
-            let v_peer = r.dense()?;
-            let vel_v_peer = r.dense()?;
-            let enc_v_own = r.ctmat()?;
+            let v_peer = read_dense(r)?;
+            let vel_v_peer = read_dense(r)?;
+            let enc_v_own = read_ct(r)?;
             check_vel(&v_peer, &vel_v_peer, "MatMulSource V")?;
             if v_peer.cols() != out {
                 return Err(PersistError::Malformed(format!(

@@ -43,6 +43,7 @@
 //! never bytes (the determinism contract `tests/pipeline_parity.rs`
 //! enforces).
 
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,23 +165,11 @@ impl Msg {
         }
     }
 
-    /// Message kind tag (used by the security audit: the peer's
-    /// received-kinds list is this endpoint's sent-kinds list).
+    /// Message kind name (`TransportError::TypeMismatch`, and the
+    /// security audit: the peer's received kinds are this endpoint's
+    /// sent kinds).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::Ct(_) => "Ct",
-            Msg::Mat(_) => "Mat",
-            Msg::Key(_) => "Key",
-            Msg::Support(_) => "Support",
-            Msg::Scalar(_) => "Scalar",
-            Msg::U64(_) => "U64",
-            Msg::Hello { .. } => "Hello",
-            Msg::Resume { .. } => "Resume",
-            Msg::GbSplit { .. } => "GbSplit",
-            Msg::GbBits { .. } => "GbBits",
-            Msg::PsiOffer { .. } => "PsiOffer",
-            Msg::PsiDigests { .. } => "PsiDigests",
-        }
+        wire::KIND_NAMES[usize::from(wire::kind_byte(self))]
     }
 }
 
@@ -291,9 +280,10 @@ pub struct TrafficStats {
     pub bytes_sent: AtomicU64,
     /// Total messages sent from this endpoint.
     pub msgs_sent: AtomicU64,
-    /// Kind tags of every message sent, in order — the *peer's*
-    /// received-observable audit trail (see `tests/security.rs`).
-    sent_kinds: Mutex<Vec<&'static str>>,
+    /// Messages sent per kind, indexed by [`wire::kind_byte`] — the
+    /// *peer's* received-observable audit trail (see
+    /// `tests/security.rs`), bounded however long the link lives.
+    sent_by_kind: [AtomicU64; wire::KIND_NAMES.len()],
 }
 
 impl TrafficStats {
@@ -307,16 +297,21 @@ impl TrafficStats {
         self.msgs_sent.load(Ordering::Relaxed)
     }
 
-    /// Kinds of every message sent so far, in order.
-    pub fn sent_kinds(&self) -> Vec<&'static str> {
-        self.sent_kinds.lock().clone()
+    /// Messages sent so far per kind name, listing only kinds sent.
+    pub fn sent_kinds(&self) -> BTreeMap<&'static str, u64> {
+        wire::KIND_NAMES
+            .iter()
+            .zip(&self.sent_by_kind)
+            .map(|(&name, n)| (name, n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// Preload the byte/message counters — the checkpoint-restore hook:
     /// a run resumed on a fresh endpoint seeds the counters with the
     /// totals captured at the checkpoint so its final numbers equal an
-    /// uninterrupted run's. The per-kind audit trail is deliberately
-    /// *not* restored (it is a security-test observable of the live
+    /// uninterrupted run's. The per-kind audit counts are deliberately
+    /// *not* restored (they are a security-test observable of the live
     /// connection, not an accounting total).
     pub fn preload(&self, bytes: u64, msgs: u64) {
         self.bytes_sent.store(bytes, Ordering::Relaxed);
@@ -599,7 +594,7 @@ impl Endpoint {
             .bytes_sent
             .fetch_add(bytes as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats.sent_kinds.lock().push(msg.kind());
+        self.stats.sent_by_kind[usize::from(wire::kind_byte(&msg))].fetch_add(1, Ordering::Relaxed);
         match &self.wire {
             Wire::Channel { tx, link_free, .. } => {
                 let deliver_at = match (link_free, &self.net) {
@@ -1589,7 +1584,10 @@ mod tests {
         // and replay frames are invisible to TrafficStats.
         assert_eq!(a.stats().msgs(), 3);
         assert_eq!(a.stats().bytes(), (8 + 8 + 32) as u64);
-        assert_eq!(a.stats().sent_kinds(), vec!["U64", "U64", "Mat"]);
+        assert_eq!(
+            a.stats().sent_kinds(),
+            BTreeMap::from([("U64", 2), ("Mat", 1)])
+        );
         assert_eq!(b.stats().msgs(), 1);
     }
 

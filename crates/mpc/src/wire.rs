@@ -12,13 +12,18 @@
 //! 8       n     payload (per-kind encoding)
 //! ```
 //!
-//! All multi-byte integers are little-endian; `f64`s are IEEE-754 bits,
-//! little-endian. This module is pure bytes-in/bytes-out — the I/O
+//! Every payload reads and writes through [`bf_util::codec`] (LE
+//! integers, IEEE-754 `f64` bits, counts bounded before allocation, no
+//! trailing bytes); the `Mat` and `Ct` layouts are
+//! [`bf_paillier::serial`]'s. This module owns the frame header and
+//! each kind's field order. It is pure bytes-in/bytes-out — the I/O
 //! lives in [`crate::transport`] — so the codec can be golden-tested
 //! and fuzzed without sockets.
 
-use bf_paillier::{export_ctmat, export_public, import_ctmat, import_public};
-use bf_tensor::Dense;
+use bf_paillier::{
+    ctmat_len, export_public, import_public, read_ctmat, read_dense, write_ctmat, write_dense,
+};
+use bf_util::codec::{DecodeError, Reader, Writer};
 
 use crate::transport::Msg;
 
@@ -63,6 +68,22 @@ pub const KIND_GB_BITS: u8 = 10;
 pub const KIND_PSI_OFFER: u8 = 11;
 /// Frame kind byte for [`Msg::PsiDigests`].
 pub const KIND_PSI_DIGESTS: u8 = 12;
+/// Name of each kind, indexed by its kind byte (0 is no kind).
+pub const KIND_NAMES: [&str; KIND_PSI_DIGESTS as usize + 1] = [
+    "",
+    "Ct",
+    "Mat",
+    "Key",
+    "Support",
+    "Scalar",
+    "U64",
+    "Hello",
+    "Resume",
+    "GbSplit",
+    "GbBits",
+    "PsiOffer",
+    "PsiDigests",
+];
 
 /// A frame- or payload-level decode failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,6 +116,17 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// A payload that ended early or ran on is the wrong length for its
+/// kind: both are [`WireError::Truncated`] on the wire.
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated | DecodeError::Trailing(_) => WireError::Truncated,
+            DecodeError::Malformed(why) => WireError::Malformed(why),
+        }
+    }
+}
 
 /// The kind byte a message is framed with.
 pub fn kind_byte(msg: &Msg) -> u8 {
@@ -138,40 +170,27 @@ pub fn bit_at(bits: &[u8], i: usize) -> bool {
 
 /// Encode the per-kind payload (frame header excluded).
 pub fn encode_payload(msg: &Msg) -> Vec<u8> {
+    let mut w = Writer::with_capacity(match msg {
+        Msg::Ct(ct) => ctmat_len(ct),
+        _ => msg.wire_size(),
+    });
     match msg {
-        Msg::Ct(ct) => export_ctmat(ct),
-        Msg::Mat(m) => {
-            let mut out = Vec::with_capacity(16 + 8 * m.rows() * m.cols());
-            out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-            out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-            for v in m.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out
-        }
-        Msg::Key(pk) => export_public(pk).into_bytes(),
+        Msg::Ct(ct) => write_ctmat(&mut w, ct),
+        Msg::Mat(m) => write_dense(&mut w, m),
+        Msg::Key(pk) => w.bytes(export_public(pk).as_bytes()),
         Msg::Support(s) => {
-            let mut out = Vec::with_capacity(8 + 4 * s.len());
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            for v in s {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out
+            w.len(s.len());
+            w.u32s(s);
         }
-        Msg::Scalar(v) => v.to_le_bytes().to_vec(),
-        Msg::U64(v) => v.to_le_bytes().to_vec(),
+        Msg::Scalar(v) => w.f64(*v),
+        Msg::U64(v) | Msg::Resume { recv_seq: v } => w.u64(*v),
         Msg::Hello { index, total } => {
-            let mut out = Vec::with_capacity(8);
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&total.to_le_bytes());
-            out
+            w.u32(*index);
+            w.u32(*total);
         }
-        Msg::Resume { recv_seq } => recv_seq.to_le_bytes().to_vec(),
         Msg::GbSplit { feature, bucket } => {
-            let mut out = Vec::with_capacity(8);
-            out.extend_from_slice(&feature.to_le_bytes());
-            out.extend_from_slice(&bucket.to_le_bytes());
-            out
+            w.u32(*feature);
+            w.u32(*bucket);
         }
         Msg::GbBits {
             rows,
@@ -183,31 +202,24 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
                 bit_bytes(rows.checked_mul(*records).expect("bit count overflow")),
                 "GbBits bit buffer is not canonical"
             );
-            let mut out = Vec::with_capacity(16 + bits.len());
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&records.to_le_bytes());
-            out.extend_from_slice(bits);
-            out
+            w.u64(*rows);
+            w.u64(*records);
+            w.bytes(bits);
         }
         Msg::PsiOffer { salt, count } => {
-            let mut out = Vec::with_capacity(16);
-            out.extend_from_slice(&salt.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            out
+            w.u64(*salt);
+            w.u64(*count);
         }
         Msg::PsiDigests { digests } => {
             debug_assert!(
                 digests.windows(2).all(|w| w[0] < w[1]),
                 "PsiDigests must be a strictly ascending set"
             );
-            let mut out = Vec::with_capacity(8 + 8 * digests.len());
-            out.extend_from_slice(&(digests.len() as u64).to_le_bytes());
-            for d in digests {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            out
+            w.len(digests.len());
+            w.u64s(digests);
         }
     }
+    w.into_bytes()
 }
 
 /// Build the 8-byte frame header for a message whose payload has
@@ -253,132 +265,65 @@ pub fn decode_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u32), WireError> 
     if !(KIND_CT..=KIND_PSI_DIGESTS).contains(&kind) {
         return Err(WireError::UnknownKind(kind));
     }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let len = Reader::new(&header[4..]).u32()?;
     if len > MAX_PAYLOAD {
         return Err(WireError::OversizedPayload(len));
     }
     Ok((kind, len))
 }
 
-/// Decode a per-kind payload into a [`Msg`].
+/// Decode a per-kind payload into a [`Msg`]; the payload must be
+/// exactly the kind's encoding.
 pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
-    let exact = |want: usize| -> Result<&[u8], WireError> {
-        if payload.len() == want {
-            Ok(payload)
-        } else {
-            Err(WireError::Truncated)
-        }
-    };
-    match kind {
-        KIND_CT => import_ctmat(payload)
-            .map(Msg::Ct)
-            .map_err(WireError::Malformed),
-        KIND_MAT => {
-            if payload.len() < 16 {
-                return Err(WireError::Truncated);
-            }
-            let rows = usize::try_from(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
-                .map_err(|_| WireError::Malformed("rows overflow".into()))?;
-            let cols = usize::try_from(u64::from_le_bytes(payload[8..16].try_into().unwrap()))
-                .map_err(|_| WireError::Malformed("cols overflow".into()))?;
-            let n = rows
-                .checked_mul(cols)
-                .ok_or_else(|| WireError::Malformed("rows*cols overflow".into()))?;
-            if n.checked_mul(8) != Some(payload.len() - 16) {
-                return Err(WireError::Truncated);
-            }
-            let data: Vec<f64> = payload[16..]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(Msg::Mat(Dense::from_vec(rows, cols, data)))
-        }
-        KIND_KEY => {
-            let s = std::str::from_utf8(payload)
-                .map_err(|_| WireError::Malformed("key is not utf-8".into()))?;
-            import_public(s).map(Msg::Key).map_err(WireError::Malformed)
-        }
+    if kind == KIND_KEY {
+        let s = std::str::from_utf8(payload)
+            .map_err(|_| WireError::Malformed("key is not utf-8".into()))?;
+        return import_public(s).map(Msg::Key).map_err(WireError::Malformed);
+    }
+    let mut r = Reader::new(payload);
+    let msg = match kind {
+        KIND_CT => Msg::Ct(read_ctmat(&mut r)?),
+        KIND_MAT => Msg::Mat(read_dense(&mut r)?),
         KIND_SUPPORT => {
-            if payload.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            let n = usize::try_from(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
-                .map_err(|_| WireError::Malformed("support length overflow".into()))?;
-            if n.checked_mul(4) != Some(payload.len() - 8) {
-                return Err(WireError::Truncated);
-            }
-            let s: Vec<u32> = payload[8..]
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(Msg::Support(s))
+            let n = r.len()?;
+            Msg::Support(r.u32s(n)?)
         }
-        KIND_SCALAR => Ok(Msg::Scalar(f64::from_le_bytes(
-            exact(8)?.try_into().unwrap(),
-        ))),
-        KIND_U64 => Ok(Msg::U64(u64::from_le_bytes(exact(8)?.try_into().unwrap()))),
-        KIND_HELLO => {
-            let p = exact(8)?;
-            Ok(Msg::Hello {
-                index: u32::from_le_bytes(p[0..4].try_into().unwrap()),
-                total: u32::from_le_bytes(p[4..8].try_into().unwrap()),
-            })
-        }
-        KIND_RESUME => Ok(Msg::Resume {
-            recv_seq: u64::from_le_bytes(exact(8)?.try_into().unwrap()),
-        }),
-        KIND_GB_SPLIT => {
-            let p = exact(8)?;
-            Ok(Msg::GbSplit {
-                feature: u32::from_le_bytes(p[0..4].try_into().unwrap()),
-                bucket: u32::from_le_bytes(p[4..8].try_into().unwrap()),
-            })
-        }
+        KIND_SCALAR => Msg::Scalar(r.f64()?),
+        KIND_U64 => Msg::U64(r.u64()?),
+        KIND_HELLO => Msg::Hello {
+            index: r.u32()?,
+            total: r.u32()?,
+        },
+        KIND_RESUME => Msg::Resume { recv_seq: r.u64()? },
+        KIND_GB_SPLIT => Msg::GbSplit {
+            feature: r.u32()?,
+            bucket: r.u32()?,
+        },
         KIND_GB_BITS => {
-            if payload.len() < 16 {
-                return Err(WireError::Truncated);
-            }
-            let rows = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-            let records = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+            let (rows, records) = (r.u64()?, r.u64()?);
             let nbits = rows
                 .checked_mul(records)
                 .filter(|&n| usize::try_from(n).is_ok())
                 .ok_or_else(|| WireError::Malformed("bit count overflow".into()))?;
-            if payload.len() - 16 != bit_bytes(nbits) {
-                return Err(WireError::Truncated);
-            }
-            let bits = payload[16..].to_vec();
+            let bits = r.bytes(bit_bytes(nbits))?.to_vec();
             // Canonical encoding: padding bits in the last byte are 0.
             let pad = (nbits % 8) as u32;
-            if pad != 0 && bits.last().map(|&b| b >> pad != 0).unwrap_or(false) {
+            if pad != 0 && bits.last().is_some_and(|&b| b >> pad != 0) {
                 return Err(WireError::Malformed("nonzero padding bits".into()));
             }
-            Ok(Msg::GbBits {
+            Msg::GbBits {
                 rows,
                 records,
                 bits,
-            })
+            }
         }
-        KIND_PSI_OFFER => {
-            let p = exact(16)?;
-            Ok(Msg::PsiOffer {
-                salt: u64::from_le_bytes(p[0..8].try_into().unwrap()),
-                count: u64::from_le_bytes(p[8..16].try_into().unwrap()),
-            })
-        }
+        KIND_PSI_OFFER => Msg::PsiOffer {
+            salt: r.u64()?,
+            count: r.u64()?,
+        },
         KIND_PSI_DIGESTS => {
-            if payload.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            let n = usize::try_from(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
-                .map_err(|_| WireError::Malformed("digest count overflow".into()))?;
-            if n.checked_mul(8) != Some(payload.len() - 8) {
-                return Err(WireError::Truncated);
-            }
-            let digests: Vec<u64> = payload[8..]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let n = r.len()?;
+            let digests = r.u64s(n)?;
             // Canonical encoding: a digest *set*, strictly ascending.
             // This both pins a unique byte form (row order can never
             // leak through frame bytes) and rejects duplicates.
@@ -387,32 +332,29 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
                     "digests not strictly ascending".into(),
                 ));
             }
-            Ok(Msg::PsiDigests { digests })
+            Msg::PsiDigests { digests }
         }
-        other => Err(WireError::UnknownKind(other)),
-    }
+        other => return Err(WireError::UnknownKind(other)),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 /// Decode one frame from the front of `buf`; returns the message and
 /// the number of bytes consumed. Convenience wrapper used by tests —
 /// the stream transport reads the header and payload separately.
 pub fn decode_frame(buf: &[u8]) -> Result<(Msg, usize), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let header: [u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().unwrap();
-    let (kind, len) = decode_header(&header)?;
-    let end = HEADER_LEN + len as usize;
-    if buf.len() < end {
-        return Err(WireError::Truncated);
-    }
-    let msg = decode_payload(kind, &buf[HEADER_LEN..end])?;
-    Ok((msg, end))
+    let mut r = Reader::new(buf);
+    let header = r.bytes(HEADER_LEN)?.try_into().expect("HEADER_LEN bytes");
+    let (kind, len) = decode_header(header)?;
+    let msg = decode_payload(kind, r.bytes(len as usize)?)?;
+    Ok((msg, HEADER_LEN + len as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bf_tensor::Dense;
 
     /// The golden-bytes contract: these frames are the documented wire
     /// format (`docs/WIRE_PROTOCOL.md`). Changing any byte here is a

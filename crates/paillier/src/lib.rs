@@ -8,8 +8,8 @@
 //! paper uses OpenMP; we use a small helper-thread pool in `bf-util`).
 //! It underpins the §4 federated source layers and the §5 secure
 //! aggregation in `bf-mpc`/`blindfl`; the [`serial`] module owns the
-//! byte layouts that keys and ciphertext tensors use on the wire
-//! (`docs/WIRE_PROTOCOL.md`).
+//! byte layouts that keys, plaintext matrices and ciphertext tensors
+//! use on the wire and in model files (`docs/WIRE_PROTOCOL.md`).
 //!
 //! # Key objects
 //!
@@ -56,7 +56,8 @@ pub use pack::{
     MAX_HE_MASK, MAX_PACKED_WEIGHT, MAX_SLOT_BITS, SLOT_HEADROOM_BITS,
 };
 pub use serial::{
-    export_ctmat, export_public, export_secret, import_ctmat, import_public, import_secret,
+    ctmat_len, export_ctmat, export_public, export_secret, import_ctmat, import_public,
+    import_secret, read_ctmat, read_dense, write_ctmat, write_dense,
 };
 
 /// Default fixed-point fractional bits. With 512-bit-and-up moduli this

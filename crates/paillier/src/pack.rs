@@ -123,6 +123,7 @@
 //! the parity suites).
 
 use bf_bigint::BigUint;
+use bf_util::codec::{DecodeError, DecodeResult, Reader, Writer};
 
 use crate::codec;
 use crate::keys::PaillierPk;
@@ -463,48 +464,63 @@ impl LaneLayout {
         (u <= key.slots / 2).then_some(u)
     }
 
-    /// The body tag and the geometry fields that follow `k` on the wire
-    /// (`crate::serial`).
-    pub(crate) fn to_wire(self) -> (u8, Vec<u64>) {
+    /// Write a Paillier body's sub-header (`crate::serial`): this
+    /// layout's body tag, `k` limbs per ciphertext, then the geometry
+    /// fields the layout needs.
+    pub(crate) fn to_wire(self, k: usize, w: &mut Writer) {
         match self {
-            LaneLayout::OnePerLane => (TAG_ONE_PER_LANE, Vec::new()),
-            LaneLayout::Packed { layout, seg } => (
-                TAG_PACKED,
-                vec![layout.slot_bits as u64, layout.slots as u64, seg as u64],
-            ),
+            LaneLayout::OnePerLane => {
+                w.u8(TAG_ONE_PER_LANE);
+                w.len(k);
+            }
+            LaneLayout::Packed { layout, seg } => {
+                w.u8(TAG_PACKED);
+                w.len(k);
+                w.u64(layout.slot_bits.into());
+                w.len(layout.slots);
+                w.len(seg);
+            }
         }
     }
 
-    /// The layout body tag `tag` announces, reading its geometry fields
-    /// with `field(i)`, and how many fields it read. Every field is
-    /// validated before anyone divides by it.
-    pub(crate) fn from_wire(
-        tag: u8,
-        field: impl Fn(usize) -> Result<u64, String>,
-    ) -> Result<(LaneLayout, usize), String> {
-        match tag {
-            TAG_ONE_PER_LANE => Ok((LaneLayout::OnePerLane, 0)),
-            TAG_PACKED => {
-                let slot_bits = field(0)?;
-                let slots = usize::try_from(field(1)?).map_err(|_| "slots overflow")?;
-                let seg = usize::try_from(field(2)?).map_err(|_| "seg overflow")?;
-                if slots == 0 {
-                    return Err("zero slots per ciphertext".into());
-                }
-                if slot_bits == 0 || slot_bits > MAX_SLOT_BITS as u64 {
-                    return Err(format!("slot width {slot_bits} out of range"));
-                }
-                if seg == 0 {
-                    return Err("zero segment width".into());
-                }
-                let layout = SlotLayout {
-                    slot_bits: slot_bits as u32,
-                    slots,
-                };
-                Ok((LaneLayout::Packed { layout, seg }, 3))
-            }
-            other => Err(format!("unknown ctmat body tag {other}")),
+    /// Bytes [`LaneLayout::to_wire`] writes.
+    pub(crate) fn wire_len(self) -> usize {
+        match self {
+            LaneLayout::OnePerLane => 9,
+            LaneLayout::Packed { .. } => 33,
         }
+    }
+
+    /// The layout and limb count of the sub-header whose tag `tag` was
+    /// just read, reading the rest from `r`. The tag is checked first,
+    /// and every field before anyone divides by it.
+    pub(crate) fn from_wire(tag: u8, r: &mut Reader) -> DecodeResult<(LaneLayout, usize)> {
+        let malformed = |why: String| Err(DecodeError::Malformed(why));
+        if tag != TAG_ONE_PER_LANE && tag != TAG_PACKED {
+            return malformed(format!("unknown ctmat body tag {tag}"));
+        }
+        let k = r.len()?;
+        if k == 0 {
+            return malformed("zero limbs per ciphertext".into());
+        }
+        if tag == TAG_ONE_PER_LANE {
+            return Ok((LaneLayout::OnePerLane, k));
+        }
+        let (slot_bits, slots, seg) = (r.u64()?, r.len()?, r.len()?);
+        if slots == 0 {
+            return malformed("zero slots per ciphertext".into());
+        }
+        if slot_bits == 0 || slot_bits > MAX_SLOT_BITS as u64 {
+            return malformed(format!("slot width {slot_bits} out of range"));
+        }
+        if seg == 0 {
+            return malformed("zero segment width".into());
+        }
+        let layout = SlotLayout {
+            slot_bits: slot_bits as u32,
+            slots,
+        };
+        Ok((LaneLayout::Packed { layout, seg }, k))
     }
 
     /// Bytes this layout adds to [`crate::CtMat::wire_size`]'s account of

@@ -1,33 +1,41 @@
-//! Serialization of key material and ciphertext tensors.
+//! Serialization of key material, plaintext matrices and ciphertext
+//! tensors.
 //!
-//! Two byte-level formats live here:
+//! Three byte-level formats live here:
 //!
 //! * **Keys** — colon-separated lowercase hex fields with a
 //!   version/type prefix, e.g. `bfpk1:<frac_bits>:<n>` and
 //!   `bfsk1:<frac_bits>:<p>:<q>`. The paper's deployment exchanges
 //!   public keys at initialisation; a production system also needs
 //!   durable secret-key storage at each party.
-//! * **[`CtMat`]** — the binary encoding used as the `Ct` payload of
-//!   the wire protocol (see `docs/WIRE_PROTOCOL.md` at the repository
-//!   root): header `rows u64 LE | cols u64 LE | scale u8 | body u8`,
-//!   followed by `rows·cols` IEEE-754 `f64` LE values (body `0`,
-//!   Plain backend) or `k u64 LE` plus `rows·cols·k` Montgomery-form
-//!   limbs as `u64` LE (body `1`, Paillier backend). Ciphertext limbs
-//!   travel verbatim: both parties interpret them against the same
-//!   public modulus, so no Montgomery-domain conversion is needed.
-//!   Body `2` is a *packed* Paillier tensor: the sub-header
-//!   `k u64 | slot_bits u64 | slots u64 | seg u64` (all LE) followed
-//!   by `rows · chunks · k` limbs, where `chunks = (cols/seg) ·
-//!   ceil(seg/slots)` — one ciphertext per column chunk rather than
-//!   per element (see `crate::pack` and `docs/WIRE_PROTOCOL.md`).
-//!   In memory both are one Paillier body; tags 1 and 2 name its two
-//!   lane layouts, whose geometry fields the layout itself writes and
-//!   validates (`LaneLayout::{to_wire, from_wire}`). The bytes are
-//!   unchanged since the tags were introduced.
+//! * **`Dense`** — the `Mat` layout `rows u64 | cols u64 | rows·cols
+//!   f64` ([`write_dense`] / [`read_dense`]): the wire's `Mat` payload
+//!   and every plaintext matrix in a BFMD model blob.
+//! * **[`CtMat`]** — the `Ct` layout ([`write_ctmat`] / [`read_ctmat`]):
+//!   the wire's `Ct` payload and, length-prefixed, every ciphertext
+//!   cache in a BFMD blob (see `docs/WIRE_PROTOCOL.md` at the
+//!   repository root): header `rows u64 | cols u64 | scale u8 | body
+//!   u8`, followed by `rows·cols` `f64` values (body `0`, Plain
+//!   backend) or `k u64` plus `rows·cols·k` Montgomery-form limbs as
+//!   `u64` (body `1`, Paillier backend). Ciphertext limbs travel
+//!   verbatim: both parties interpret them against the same public
+//!   modulus, so no Montgomery-domain conversion is needed. Body `2` is
+//!   a *packed* Paillier tensor: the sub-header `k u64 | slot_bits u64 |
+//!   slots u64 | seg u64` followed by `rows · chunks · k` limbs, where
+//!   `chunks = (cols/seg) · ceil(seg/slots)` — one ciphertext per column
+//!   chunk rather than per element (see `crate::pack`). In memory both
+//!   are one Paillier body; tags 1 and 2 name its two lane layouts,
+//!   whose sub-header the layout itself writes and validates
+//!   (`LaneLayout::{to_wire, from_wire}`).
+//!
+//! The binary layouts read and write through [`bf_util::codec`], whose
+//! `Reader` bounds every allocation by the bytes it was handed.
 
 use std::sync::Arc;
 
 use bf_bigint::BigUint;
+use bf_tensor::Dense;
+use bf_util::codec::{DecodeError, DecodeResult, Reader, Writer};
 
 use crate::ctmat::BodyView;
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
@@ -96,91 +104,93 @@ pub fn import_secret(s: &str) -> Result<SecretKey, String> {
 /// bodies carry their lane layout's tag (1 or 2).
 const CT_BODY_PLAIN: u8 = 0;
 
-/// Serialize a ciphertext tensor to the canonical byte layout (the
-/// `Ct` wire payload).
-pub fn export_ctmat(ct: &CtMat) -> Vec<u8> {
-    let (rows, cols) = ct.shape();
-    let mut out = Vec::with_capacity(18 + 8 * rows * cols);
-    out.extend_from_slice(&(rows as u64).to_le_bytes());
-    out.extend_from_slice(&(cols as u64).to_le_bytes());
-    out.push(ct.scale());
-    match ct.body_view() {
-        BodyView::Plain(vals) => {
-            out.push(CT_BODY_PLAIN);
-            for v in vals {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        BodyView::Paillier { k, lanes, limbs } => {
-            let (tag, geometry) = lanes.to_wire();
-            out.push(tag);
-            for w in std::iter::once(k as u64).chain(geometry) {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            for l in limbs {
-                out.extend_from_slice(&l.to_le_bytes());
-            }
-        }
-    }
-    out
+/// Write a matrix in the `Mat` layout: `rows u64 | cols u64 |
+/// rows·cols f64`, row-major.
+pub fn write_dense(w: &mut Writer, m: &Dense) {
+    w.len(m.rows());
+    w.len(m.cols());
+    w.f64s(m.data());
 }
 
-/// Deserialize a ciphertext tensor, validating every length field
-/// (malformed input yields `Err`, never a panic or over-allocation).
-pub fn import_ctmat(bytes: &[u8]) -> Result<CtMat, String> {
-    let take_u64 = |off: usize| -> Result<u64, String> {
-        let end = off.checked_add(8).ok_or("offset overflow")?;
-        let s = bytes.get(off..end).ok_or("truncated ctmat header")?;
-        Ok(u64::from_le_bytes(s.try_into().unwrap()))
-    };
-    let rows = usize::try_from(take_u64(0)?).map_err(|_| "rows overflow")?;
-    let cols = usize::try_from(take_u64(8)?).map_err(|_| "cols overflow")?;
-    let scale = *bytes.get(16).ok_or("truncated ctmat header")?;
-    let body = *bytes.get(17).ok_or("truncated ctmat header")?;
-    let n = rows.checked_mul(cols).ok_or("rows*cols overflow")?;
-    match body {
-        CT_BODY_PLAIN => {
-            let want = n.checked_mul(8).ok_or("plain length overflow")?;
-            let data = bytes.get(18..).ok_or("truncated ctmat body")?;
-            if data.len() != want {
-                return Err(format!("plain body length {} != {want}", data.len()));
-            }
-            let vals = data
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(CtMat::from_plain_parts(rows, cols, scale, vals))
+/// Read a matrix in the `Mat` layout ([`write_dense`]).
+pub fn read_dense(r: &mut Reader) -> DecodeResult<Dense> {
+    let (rows, cols) = (r.len()?, r.len()?);
+    let n = rows
+        .checked_mul(cols)
+        .ok_or_else(|| DecodeError::Malformed("rows*cols overflow".into()))?;
+    Ok(Dense::from_vec(rows, cols, r.f64s(n)?))
+}
+
+/// Bytes [`write_ctmat`] writes for `ct`, exactly.
+pub fn ctmat_len(ct: &CtMat) -> usize {
+    17 + match ct.body_view() {
+        BodyView::Plain(vals) => 1 + 8 * vals.len(),
+        BodyView::Paillier { lanes, limbs, .. } => lanes.wire_len() + 8 * limbs.len(),
+    }
+}
+
+/// Write a ciphertext tensor in the canonical `Ct` layout.
+pub fn write_ctmat(w: &mut Writer, ct: &CtMat) {
+    w.len(ct.rows());
+    w.len(ct.cols());
+    w.u8(ct.scale());
+    match ct.body_view() {
+        BodyView::Plain(vals) => {
+            w.u8(CT_BODY_PLAIN);
+            w.f64s(vals);
         }
-        tag => {
-            // The layout validates its own geometry fields *before* any
-            // lane arithmetic: division by zero or absurd widths must
-            // yield Err.
-            let (lanes, fields) = LaneLayout::from_wire(tag, |i| take_u64(26 + 8 * i))?;
-            let k = usize::try_from(take_u64(18)?).map_err(|_| "limb count overflow")?;
-            if k == 0 {
-                return Err("zero limbs per ciphertext".into());
-            }
-            if !lanes.tiles(cols) {
-                return Err(format!("{lanes:?} does not tile {cols} columns"));
-            }
-            let want = rows
-                .checked_mul(lanes.per_row(cols))
-                .and_then(|t| t.checked_mul(k))
-                .and_then(|t| t.checked_mul(8))
-                .ok_or("body length overflow")?;
-            let data = bytes.get(26 + 8 * fields..).ok_or("truncated ctmat body")?;
-            if data.len() != want {
-                return Err(format!("body length {} != {want}", data.len()));
-            }
-            let limbs = data
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            Ok(CtMat::from_paillier_parts(
-                rows, cols, scale, k, lanes, limbs,
-            ))
+        BodyView::Paillier { k, lanes, limbs } => {
+            lanes.to_wire(k, w);
+            w.u64s(limbs);
         }
     }
+}
+
+/// Read a ciphertext tensor in the `Ct` layout ([`write_ctmat`]),
+/// validating every length and geometry field before allocating.
+pub fn read_ctmat(r: &mut Reader) -> DecodeResult<CtMat> {
+    let (rows, cols, scale, tag) = (r.len()?, r.len()?, r.u8()?, r.u8()?);
+    let n = rows
+        .checked_mul(cols)
+        .ok_or_else(|| DecodeError::Malformed("rows*cols overflow".into()))?;
+    if tag == CT_BODY_PLAIN {
+        return Ok(CtMat::from_plain_parts(rows, cols, scale, r.f64s(n)?));
+    }
+    let (lanes, k) = LaneLayout::from_wire(tag, r)?;
+    if !lanes.tiles(cols) {
+        return Err(DecodeError::Malformed(format!(
+            "{lanes:?} does not tile {cols} columns"
+        )));
+    }
+    let limbs = rows
+        .checked_mul(lanes.per_row(cols))
+        .and_then(|t| t.checked_mul(k))
+        .ok_or_else(|| DecodeError::Malformed("body length overflow".into()))?;
+    Ok(CtMat::from_paillier_parts(
+        rows,
+        cols,
+        scale,
+        k,
+        lanes,
+        r.u64s(limbs)?,
+    ))
+}
+
+/// Serialize a ciphertext tensor to the canonical byte layout (the
+/// `Ct` wire payload), in a buffer of exactly its length.
+pub fn export_ctmat(ct: &CtMat) -> Vec<u8> {
+    let mut w = Writer::with_capacity(ctmat_len(ct));
+    write_ctmat(&mut w, ct);
+    w.into_bytes()
+}
+
+/// Deserialize a ciphertext tensor that is the whole of `bytes`
+/// (malformed input yields `Err`, never a panic or over-allocation).
+pub fn import_ctmat(bytes: &[u8]) -> DecodeResult<CtMat> {
+    let mut r = Reader::new(bytes);
+    let ct = read_ctmat(&mut r)?;
+    r.finish()?;
+    Ok(ct)
 }
 
 fn parse_field<T: std::str::FromStr>(f: Option<&str>, name: &str) -> Result<T, String>
@@ -217,7 +227,6 @@ mod tests {
     use super::*;
     use crate::keys::keygen;
     use crate::{ObfMode, Obfuscator};
-    use bf_tensor::Dense;
     use rand::SeedableRng;
 
     #[test]
@@ -267,7 +276,9 @@ mod tests {
         let obf = Obfuscator::new(&pk, ObfMode::Pool(4), 6);
         let m = Dense::from_vec(2, 3, vec![1.0, -2.5, 0.0, 7.25, -0.125, 3.0]);
         let ct = pk.encrypt(&m, &obf);
-        let ct2 = import_ctmat(&export_ctmat(&ct)).unwrap();
+        let bytes = export_ctmat(&ct);
+        assert_eq!(bytes.capacity(), bytes.len(), "export reserves exactly");
+        let ct2 = import_ctmat(&bytes).unwrap();
         assert_eq!(ct, ct2);
         assert!(sk.decrypt(&ct2).approx_eq(&m, 1e-5));
     }
@@ -278,7 +289,9 @@ mod tests {
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
         let m = Dense::from_vec(1, 2, vec![0.5, -4.0]);
         let ct = pk.encrypt(&m, &obf);
-        assert_eq!(import_ctmat(&export_ctmat(&ct)).unwrap(), ct);
+        let bytes = export_ctmat(&ct);
+        assert_eq!(bytes.capacity(), bytes.len(), "export reserves exactly");
+        assert_eq!(import_ctmat(&bytes).unwrap(), ct);
         // Empty matrix (0 rows) survives too.
         let empty = pk.encrypt(&Dense::zeros(0, 3), &obf);
         assert_eq!(import_ctmat(&export_ctmat(&empty)).unwrap(), empty);
@@ -293,7 +306,9 @@ mod tests {
         let m = Dense::from_vec(2, 4, vec![1.0, -2.5, 0.0, 7.25, -0.125, 3.0, 4.5, -6.0]);
         let ct = pk.encrypt_mode(&m, PaillierMode::Packed, &obf);
         assert!(ct.is_packed());
-        let ct2 = import_ctmat(&export_ctmat(&ct)).unwrap();
+        let bytes = export_ctmat(&ct);
+        assert_eq!(bytes.capacity(), bytes.len(), "export reserves exactly");
+        let ct2 = import_ctmat(&bytes).unwrap();
         assert_eq!(ct, ct2);
         assert_eq!(sk.decrypt(&ct2), sk.decrypt(&ct));
     }

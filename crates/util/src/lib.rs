@@ -1,10 +1,12 @@
 //! Shared utilities for the blindfl-rs workspace.
 //!
 //! Small, dependency-light helpers used across the crypto, tensor and
-//! benchmark crates: a pooled parallel map, a stopwatch, summary
+//! benchmark crates: the bounded byte codec every wire and file format
+//! decodes through, a pooled parallel map, a stopwatch, summary
 //! statistics, and a fixed-width table printer for the experiment
 //! harnesses.
 
+pub mod codec;
 pub mod par;
 pub mod stats;
 pub mod table;
