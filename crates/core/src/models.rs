@@ -32,7 +32,7 @@ use bf_tensor::{CatBlock, Dense};
 use crate::engine::Stage;
 use crate::session::{check_link_count, Role, Session};
 use crate::source::matmul::{aggregate_a, aggregate_b};
-use crate::source::{EmbedSource, MatMulSource};
+use crate::source::{check_caches, EmbedSource, MatMulSource};
 
 /// Architecture of a federated model (shared by both parties).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -226,6 +226,15 @@ impl PartyAModel {
     /// The Embed source half (inspection).
     pub fn embed(&self) -> Option<&EmbedSource> {
         self.embed.as_ref()
+    }
+
+    /// Refuse a model half built elsewhere (a persisted blob) whose
+    /// ciphertext caches are not in `sess`'s geometry under the peer's
+    /// key ([`check_caches`]): a typed [`TransportError::Setup`] instead
+    /// of a kernel panic mid-protocol.
+    pub(crate) fn check_caches(&self, sess: &Session) -> TransportResult<()> {
+        let embed = self.embed.iter().flat_map(EmbedSource::caches);
+        check_caches(sess, std::iter::once(self.matmul.cache_of(0)).chain(embed))
     }
 
     /// Persist the model half: presence flags + per-layer state.
@@ -854,6 +863,17 @@ impl PartyBModel {
     /// V_B(i)` against the `i`-th guest's pieces).
     pub fn embed_links(&self) -> &[EmbedSource] {
         &self.embed
+    }
+
+    /// [`PartyAModel::check_caches`] over the host's links: the link
+    /// count, then every link's caches against its own session.
+    pub(crate) fn check_caches(&self, links: &[Session]) -> TransportResult<()> {
+        check_link_count(links.len(), self.num_links(), "PartyBModel")?;
+        for (i, sess) in links.iter().enumerate() {
+            let embed = self.embed.get(i).into_iter().flat_map(EmbedSource::caches);
+            check_caches(sess, std::iter::once(self.matmul.cache_of(i)).chain(embed))?;
+        }
+        Ok(())
     }
 
     /// Persist the model half: spec, link count, source layers (every

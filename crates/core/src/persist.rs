@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   0x42 0x46 0x4D 0x44  ("BFMD")
-//! 4       1     version 0x03
+//! 4       1     version 0x04
 //! 5       1     kind    (1 = guest model, 2 = host model,
 //!                        4 = guest checkpoint, 5 = host checkpoint,
 //!                        7 = GbdtHost, 8 = GbdtGuest)
@@ -44,8 +44,10 @@
 //! version 3 folded the multi-guest kinds (3, 6) into the host kinds
 //! (link count in the host model, one cursor per link in the host
 //! checkpoint) and the aligned kinds (9–11) into an optional section
-//! of kinds 4–5. The retired kind bytes are never reassigned: every
-//! importer answers them with [`PersistError::WrongKind`].
+//! of kinds 4–5; version 4 appended Party B's `⟦U_peerᵀ⟧` cache to the
+//! Embed-MatMul layer state, after `⟦V_ownᵀ⟧`. The retired kind bytes
+//! are never reassigned: every importer answers them with
+//! [`PersistError::WrongKind`].
 //!
 //! The contract is **byte-exact round-tripping**:
 //! `export(import(export(m))) == export(m)` bit for bit, and a
@@ -75,7 +77,7 @@ use bf_ml::gbdt::{Node, Tree};
 pub const MAGIC: [u8; 4] = *b"BFMD";
 /// Current persistence-format version. Decoders reject every other
 /// value (the versioning rule of `docs/WIRE_PROTOCOL.md`).
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Kind byte for a [`PartyAModel`] blob.
 pub const KIND_PARTY_A: u8 = 1;
 /// Kind byte for a [`PartyBModel`] blob (the host model over its
@@ -835,6 +837,27 @@ mod tests {
                 got: KIND_PARTY_B
             }
         );
+    }
+
+    #[test]
+    fn a_version_3_blob_is_refused() {
+        // Version 4 appended Party B's ⟦U_peerᵀ⟧ cache, so a version-3
+        // Embed state would read one cache short: every importer refuses
+        // the old byte outright.
+        type Import = fn(&[u8]) -> Option<PersistError>;
+        let importers: [(u8, Import); 4] = [
+            (KIND_PARTY_A, |b| import_party_a(b).err()),
+            (KIND_PARTY_B, |b| import_party_b(b).err()),
+            (KIND_CHECKPOINT_A, |b| import_checkpoint_a(b).err()),
+            (KIND_CHECKPOINT_B, |b| import_checkpoint_b(b).err()),
+        ];
+        let mut blob = MAGIC.to_vec();
+        blob.push(3);
+        for (kind, import) in importers {
+            let mut old = blob.clone();
+            old.push(kind);
+            assert_eq!(import(&old), Some(PersistError::UnsupportedVersion(3)));
+        }
     }
 
     /// Hand-build a PartyB blob prefix: Glm/Mlp spec + a MatMul source

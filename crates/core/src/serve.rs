@@ -344,12 +344,16 @@ const SERVE_QUEUE_DEPTH: usize = 32;
 ///
 /// Out-of-range row indices and unexpected message kinds surface as
 /// typed [`TransportError`]s — a guest facing a faulty host refuses
-/// the request instead of panicking.
+/// the request instead of panicking. A model whose ciphertext caches
+/// are not under this session's peer key (another backend, key size or
+/// layout) is refused with [`TransportError::Setup`] before anything
+/// is sent.
 pub fn serve_party_a(
     sess: &mut Session,
     model: &mut PartyAModel,
     store: &Dataset,
 ) -> TransportResult<ServeGuestReport> {
+    model.check_caches(sess)?;
     serve_guest(sess, |sess, rows| {
         let idx = check_rows(rows, store.rows())?;
         model.predict_batch(sess, &store.select(&idx))
@@ -429,6 +433,9 @@ fn check_rows(rows: &[u32], store_rows: usize) -> TransportResult<Vec<usize>> {
 /// callers observe [`ServeError::Closed`]) — but the shutdown
 /// sentinel is still sent best-effort on every link, so a surviving
 /// guest's serve loop can exit instead of blocking in `recv()` forever.
+/// A model whose ciphertext caches do not fit its links (as in
+/// [`serve_party_a`]) is refused with [`TransportError::Setup`] before
+/// anything is sent.
 pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
     links: &mut L,
     model: &mut PartyBModel,
@@ -436,6 +443,7 @@ pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
     cfg: &ServeConfig,
     queue: RequestQueue,
 ) -> TransportResult<ServeReport> {
+    model.check_caches(links.as_mut())?;
     serve_host(links.as_mut(), store.rows(), cfg, queue, |links, rows| {
         for sess in links.iter() {
             sess.ep.send(Msg::Support(rows.to_vec()))?;

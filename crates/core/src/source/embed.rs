@@ -25,11 +25,14 @@
 //! ([`Session::encrypt_upload`] / [`Session::encrypt_upload_seg`]): a
 //! slot shift is free at encryption and ≈ 100 squarings per slot on a
 //! finished ciphertext, so nothing here transposes or repacks one. The
-//! weight caches, their deltas and one copy of `⟦∇Z⟧` are packed a row
-//! to a segment; the tables, and Party B's second cache `⟦V_Bᵀ⟧`, by
-//! field (`seg = dim`); `matmul_ct_wt` sums over the columns of `⟦∇Z⟧`
-//! — the axis slots run along — so its operand and what is added to its
-//! output are the one pair that stays scalar. The table of operands,
+//! weight caches, their deltas and `⟦∇Z⟧` are packed a row to a
+//! segment; the tables, Party B's transposed caches `⟦V_Bᵀ⟧` and
+//! `⟦U_Aᵀ⟧`, and everything `lkup_bw` scatters by field (`seg = dim`).
+//! Both `⟦∇E⟧`s are therefore computed by Party B as ordinary `matmul`s
+//! against a transposed cache under A's key — no kernel contracts over
+//! the axis slots run along. `⟦∇E_B⟧` stays with B; `⟦∇E_A⟧` reaches A
+//! by HE2SS (Algorithm 1) plus one SS2HE half (Algorithm 2): A decrypts
+//! `∇E_A − ε` and adds it to `⟦ε⟧` under B's key. The table of operands,
 //! layouts and kernels is in `docs/ARCHITECTURE.md` ("Embed-MatMul
 //! operand layouts"). Under [`bf_paillier::PaillierMode::Scalar`], or a
 //! shape or key that cannot pack, the same calls yield scalar bodies and
@@ -45,7 +48,7 @@ use crate::engine::Stage;
 use crate::persist::{read_ct, write_ct};
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
-use crate::source::{recv_refresh, recv_upload, step_piece};
+use crate::source::{peer_upload_like, recv_refresh, recv_upload, step_piece};
 
 /// One party's half of an Embed-MatMul federated source layer.
 pub struct EmbedSource {
@@ -72,6 +75,11 @@ pub struct EmbedSource {
     /// matmul runs over the *peer's* weights with *this* party holding
     /// the peer-embedding share.
     enc_u_peer: CtMat,
+    /// `⟦U_peerᵀ⟧` (`out × fields_peer·dim`, `seg = dim`), Party B only:
+    /// the homomorphic half of `⟦∇E_A⟧ = ∇Z·⟦U_Aᵀ⟧ + ∇Z·V_Aᵀ`, which B
+    /// computes under A's key and HE2SS-splits. A uploads it at init and
+    /// refreshes it with a second `delta_ua` frame.
+    enc_u_peer_t: Option<CtMat>,
     vel_s: Dense,
     vel_t_peer: Dense,
     vel_u: Dense,
@@ -134,22 +142,29 @@ impl EmbedSource {
 
         // Send our encrypted pieces (⟦T_peer⟧ by field, ⟦V_peer⟧ and
         // ⟦U_own⟧ by row, all under our own key); receive the symmetric
-        // three. A adds ⟦V_Bᵀ⟧, by field, for B's backward. Each upload
-        // is held against the geometry the peer's call lays out.
+        // three. A adds ⟦V_Bᵀ⟧ and ⟦U_Aᵀ⟧, by field, for B's backward.
+        // Each upload is held against the geometry the peer's call lays
+        // out.
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&t_peer, dim)))?;
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&v_peer)))?;
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&u_own)))?;
         if sess.role == Role::A {
-            sess.ep
-                .send(Msg::Ct(sess.encrypt_upload_seg(&v_peer.transpose(), dim)))?;
+            for w in [&v_peer, &u_own] {
+                sess.ep
+                    .send(Msg::Ct(sess.encrypt_upload_seg(&w.transpose(), dim)))?;
+            }
         }
         let enc_t_own = recv_upload(sess, vocab_own, &peer_upload_like(sess, dim, dim))?;
         let enc_v_own = recv_upload(sess, d_own, &peer_upload_like(sess, out, out))?;
         let enc_u_peer = recv_upload(sess, d_peer, &enc_v_own)?;
-        let enc_v_own_t = match sess.role {
-            Role::A => None,
-            Role::B => Some(recv_upload(sess, out, &peer_upload_like(sess, d_own, dim))?),
+        let (enc_v_own_t, enc_u_peer_t) = match sess.role {
+            Role::A => (None, None),
+            Role::B => {
+                let v_own_t = recv_upload(sess, out, &peer_upload_like(sess, d_own, dim))?;
+                let u_peer_t = recv_upload(sess, out, &peer_upload_like(sess, d_peer, dim))?;
+                (Some(v_own_t), Some(u_peer_t))
+            }
         };
 
         Ok(EmbedSource {
@@ -165,6 +180,7 @@ impl EmbedSource {
             enc_v_own,
             enc_v_own_t,
             enc_u_peer,
+            enc_u_peer_t,
             dim,
             out,
             cached_x: None,
@@ -205,8 +221,8 @@ impl EmbedSource {
 
     /// Persist the layer state (see `docs/SERVING.md` §persistence):
     /// all four plaintext pieces and their momentum buffers, plus the
-    /// ciphertext caches (`⟦T_own⟧`, `⟦V_own⟧`, `⟦U_peer⟧`, and Party
-    /// B's `⟦V_ownᵀ⟧`). Per-batch caches are transient and excluded.
+    /// ciphertext caches ([`EmbedSource::caches`]). Per-batch caches are
+    /// transient and excluded.
     pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
         w.u64(self.dim as u64);
         w.u64(self.out as u64);
@@ -218,12 +234,25 @@ impl EmbedSource {
         write_dense(w, &self.vel_u);
         write_dense(w, &self.v_peer);
         write_dense(w, &self.vel_v_peer);
-        write_ct(w, &self.enc_t_own);
-        write_ct(w, &self.enc_v_own);
-        write_ct(w, &self.enc_u_peer);
-        if let Some(ct) = &self.enc_v_own_t {
-            write_ct(w, ct);
-        }
+        self.caches().for_each(|(ct, _)| write_ct(w, ct));
+    }
+
+    /// Every ciphertext cache, all under the peer's key, with the
+    /// segment width the peer packed it at, in persisted order:
+    /// `⟦T_own⟧`, `⟦V_own⟧`, `⟦U_peer⟧`, then Party B's `⟦V_ownᵀ⟧` and
+    /// `⟦U_peerᵀ⟧`.
+    pub(crate) fn caches(&self) -> impl Iterator<Item = (&CtMat, usize)> {
+        let dim = self.dim;
+        let transposed = [&self.enc_v_own_t, &self.enc_u_peer_t]
+            .into_iter()
+            .flatten();
+        [
+            (&self.enc_t_own, dim),
+            (&self.enc_v_own, self.out),
+            (&self.enc_u_peer, self.out),
+        ]
+        .into_iter()
+        .chain(transposed.map(move |ct| (ct, dim)))
     }
 
     /// Rebuild `role`'s half of the layer from persisted state,
@@ -246,9 +275,9 @@ impl EmbedSource {
         let enc_t_own = read_ct(r)?;
         let enc_v_own = read_ct(r)?;
         let enc_u_peer = read_ct(r)?;
-        let enc_v_own_t = match role {
-            Role::A => None,
-            Role::B => Some(read_ct(r)?),
+        let (enc_v_own_t, enc_u_peer_t) = match role {
+            Role::A => (None, None),
+            Role::B => (Some(read_ct(r)?), Some(read_ct(r)?)),
         };
         check_vel(&s_own, &vel_s, "EmbedSource S")?;
         check_vel(&t_peer, &vel_t_peer, "EmbedSource T")?;
@@ -290,12 +319,17 @@ impl EmbedSource {
                 v_peer.shape()
             ));
         }
-        if let Some(ct) = &enc_v_own_t {
-            if ct.shape() != (u_own.cols(), u_own.rows()) {
+        let transposed = [
+            (&enc_v_own_t, &u_own, "⟦V_ownᵀ⟧", "U_own"),
+            (&enc_u_peer_t, &v_peer, "⟦U_peerᵀ⟧", "V_peer"),
+        ];
+        for (ct, piece, name, piece_name) in transposed {
+            let Some(ct) = ct else { continue };
+            if ct.shape() != (piece.cols(), piece.rows()) {
                 return malformed(format!(
-                    "EmbedSource: ⟦V_ownᵀ⟧ shape {:?} is not U_own's {:?} transposed",
+                    "EmbedSource: {name} shape {:?} is not {piece_name}'s {:?} transposed",
                     ct.shape(),
-                    u_own.shape()
+                    piece.shape()
                 ));
             }
         }
@@ -308,6 +342,7 @@ impl EmbedSource {
             enc_v_own,
             enc_v_own_t,
             enc_u_peer,
+            enc_u_peer_t,
             vel_s,
             vel_t_peer,
             vel_u,
@@ -373,41 +408,50 @@ impl EmbedSource {
         let x = self.cached_x.take().expect("backward before forward");
         let psi = self.cached_psi.take().expect("backward before forward");
         let e_peer = self.cached_e_peer.take().expect("backward before forward");
-        let enc_v_own_t = self
-            .enc_v_own_t
-            .as_mut()
-            .expect("Party B's layer holds ⟦V_ownᵀ⟧");
+        let (Some(enc_v_own_t), Some(enc_u_peer_t)) =
+            (self.enc_v_own_t.as_mut(), self.enc_u_peer_t.as_mut())
+        else {
+            panic!("Party B's layer holds ⟦V_ownᵀ⟧ and ⟦U_peerᵀ⟧");
+        };
 
-        // Line 12: send ⟦∇Z⟧ — packed for A's two ψᵀ⟦∇Z⟧ products — and,
-        // for A's ⟦∇E_A⟧, ⟦∇Z⟧ again with ⟦∇Z·V_Aᵀ⟧ (V_A is B's piece
-        // of A's W).
-        let (ct_gz, ct_gz_scalar, ct_gzva) = {
+        // Line 12: send ⟦∇Z⟧, packed for A's two ψᵀ⟦∇Z⟧ products.
+        let ct_gz = {
             let _t = sess.stages.timer(Stage::EncryptUpload);
-            let gzva = grad_z.matmul_t(&self.v_peer);
-            (
-                sess.encrypt_upload(grad_z),
-                // Scalar by necessity: `matmul_ct_wt` contracts over the
-                // columns of ⟦∇Z⟧, the axis a packed body's slots run
-                // along...
-                sess.own_pk.encrypt(grad_z, &sess.obf),
-                // ...and this is added to its scalar output.
-                sess.own_pk.encrypt_at_scale(&gzva, 2, &sess.obf),
-            )
+            sess.encrypt_upload(grad_z)
         };
         sess.ep.send(Msg::Ct(ct_gz))?;
-        sess.ep.send(Msg::Ct(ct_gz_scalar))?;
-        sess.ep.send(Msg::Ct(ct_gzva))?;
         let mut stage = sess.stages.timer(Stage::FedEmbed);
 
-        // ⟦∇E_B⟧ must use the *forward-pass* weights, so compute it now,
-        // before any weight piece or cache is updated below:
-        // ⟦∇E_B⟧_A = ∇Z·U_Bᵀ (plain) + ∇Z·⟦V_Bᵀ⟧ (homomorphic), one
-        // ciphertext chunk per field when packed.
-        let t1 = sess
-            .peer_pk
-            .matmul(&Features::Dense(grad_z.clone()), enc_v_own_t);
-        let grad_e_ct = sess.peer_pk.add_plain(&t1, &grad_z.matmul_t(&self.u_own));
+        // Both ⟦∇E⟧s must use the *forward-pass* weights, so compute them
+        // now, before any weight piece or cache is updated below. Each is
+        // a plain part plus a homomorphic part under A's key, one
+        // ciphertext chunk per field when packed:
+        // ⟦∇E_B⟧_A = ∇Z·U_Bᵀ + ∇Z·⟦V_Bᵀ⟧ and ⟦∇E_A⟧_A = ∇Z·V_Aᵀ + ∇Z·⟦U_Aᵀ⟧
+        // (V_A is our piece of A's W).
+        let grad_e = |enc_wt: &CtMat, w: &Dense| {
+            let t = sess
+                .peer_pk
+                .matmul(&Features::Dense(grad_z.clone()), enc_wt);
+            sess.peer_pk.add_plain(&t, &grad_z.matmul_t(w))
+        };
+        let grad_e_a = grad_e(enc_u_peer_t, &self.v_peer);
+        let grad_e_ct = grad_e(enc_v_own_t, &self.u_own);
         stage.switch(Stage::DecryptUpdate);
+
+        // ⟦∇E_A⟧ goes to A, whose table it updates (line 20): HE2SS it,
+        // then send ⟦ε⟧ under our key, the SS2HE half that lets A rebuild
+        // ⟦∇E_A⟧_B from its decrypted ∇E_A − ε. Both frames ride the
+        // reversal ⟦∇Z⟧ opened.
+        let eps = he2ss_holder(
+            &sess.ep,
+            &sess.peer_pk,
+            &grad_e_a,
+            sess.cfg.he_mask,
+            sess.cfg.paillier_mode,
+            &mut sess.rng,
+        )?;
+        sess.ep
+            .send(Msg::Ct(sess.encrypt_upload_seg(&eps, self.dim)))?;
 
         // ∇W_A (lines 13–14): receive A's HE2SS piece, add our local
         // part (E_A − ψ_A)ᵀ∇Z, update V_A, refresh ⟦V_A⟧ at A.
@@ -440,10 +484,11 @@ impl EmbedSource {
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
 
         // A's refreshes of our caches: ⟦V_B⟧ and ⟦V_Bᵀ⟧ (A updated V_B
-        // by ξ), then ⟦U_A⟧ (A updated U_A by φ).
+        // by ξ), then ⟦U_A⟧ and ⟦U_Aᵀ⟧ (A updated U_A by φ).
         recv_refresh(sess, &mut self.enc_v_own, &all_rows(psi.cols()))?;
         recv_refresh(sess, enc_v_own_t, &all_rows(self.out))?;
         recv_refresh(sess, &mut self.enc_u_peer, &all_rows(d_a))?;
+        recv_refresh(sess, enc_u_peer_t, &all_rows(self.out))?;
 
         // Embed part, own table (lines 21–26, B's half), using the
         // pre-update ⟦∇E_B⟧ computed above.
@@ -499,26 +544,13 @@ impl EmbedSource {
         let psi = self.cached_psi.take().expect("backward before forward");
         let e_peer = self.cached_e_peer.take().expect("backward before forward");
 
-        // B's three uploads, each held against the geometry B lays it
-        // out in: ⟦∇Z⟧ like the ⟦V_A⟧ cache (same key, same width), then
-        // one value per ciphertext at scales 1 and 2.
+        // B's ⟦∇Z⟧, held against the geometry B lays it out in: like the
+        // ⟦V_A⟧ cache (same key, same width).
         let (rows, d_a) = (x.rows(), psi.cols());
-        let scalar_like = |cols: usize, scale: u8| {
-            sess.peer_pk
-                .encrypt_at_scale(&Dense::zeros(0, cols), scale, &sess.obf)
-        };
         let ct_gz = recv_upload(sess, rows, &self.enc_v_own)?;
-        let ct_gz_scalar = recv_upload(sess, rows, &scalar_like(self.out, 1))?;
-        let ct_gzva = recv_upload(sess, rows, &scalar_like(d_a, 2))?;
-
-        // ⟦∇E_A⟧ must use the forward-pass weights: compute the U_A
-        // part now, before φ updates U_A below.
-        // ⟦∇E_A⟧_B = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ (both under B's key).
-        stage.switch(Stage::FedEmbed);
-        let t1 = sess.peer_pk.matmul_ct_wt(&ct_gz_scalar, &self.u_own);
-        let grad_e_ct = sess.peer_pk.add(&t1, &ct_gzva);
 
         // ∇W_A (line 13): ⟦ψ_Aᵀ∇Z⟧ on the full projection rows, HE2SS.
+        stage.switch(Stage::FedEmbed);
         let full_a: Vec<u32> = (0..d_a as u32).collect();
         let prod = sess
             .peer_pk
@@ -567,15 +599,25 @@ impl EmbedSource {
             sess.cfg.momentum,
         );
 
+        // ⟦∇E_A⟧ (line 20), which B computed on the forward-pass weights
+        // and HE2SS-split: decrypt our piece ∇E_A − ε and add it to B's
+        // ⟦ε⟧, giving ⟦∇E_A⟧ under B's key in the layout `lkup_bw`
+        // scatters (seg = dim).
+        let piece_ea = he2ss_peer(&sess.ep, &sess.own_sk, rows, d_a)?;
+        let enc_eps = recv_upload(sess, rows, &peer_upload_like(sess, d_a, self.dim))?;
+        let grad_e_ct = sess.peer_pk.add_plain(&enc_eps, &piece_ea);
+
         // Receive B's refreshes for our caches (⟦V_A⟧ then ⟦U_B⟧)...
         recv_refresh(sess, &mut self.enc_v_own, &all_rows(d_a))?;
         recv_refresh(sess, &mut self.enc_u_peer, &all_rows(d_b))?;
-        // ...and send ours: ⟦V_B⟧ in both of B's layouts, then ⟦U_A⟧.
-        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta_vb)))?;
-        sess.ep.send(Msg::Ct(
-            sess.encrypt_upload_seg(&delta_vb.transpose(), self.dim),
-        ))?;
-        sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta_ua)))?;
+        // ...and send ours: ⟦V_B⟧, then ⟦U_A⟧, each in both of B's
+        // layouts.
+        for delta in [&delta_vb, &delta_ua] {
+            sess.ep.send(Msg::Ct(sess.encrypt_upload(delta)))?;
+            sess.ep.send(Msg::Ct(
+                sess.encrypt_upload_seg(&delta.transpose(), self.dim),
+            ))?;
+        }
 
         // Embed part, peer table (B's table): receive support + piece,
         // update T_B, refresh B's ⟦T_B⟧.
@@ -594,7 +636,7 @@ impl EmbedSource {
             .send(Msg::Ct(sess.encrypt_upload_seg(&delta, self.dim)))?;
 
         // Embed part, own table (line 21 for A), using the pre-update
-        // ⟦∇E_A⟧ computed above — scalar, like the operands it came from.
+        // ⟦∇E_A⟧ rebuilt above.
         let support_a = x.support();
         stage.switch(Stage::FedEmbed);
         let grad_q_ct = sess.peer_pk.lkup_bw(&grad_e_ct, &x, &support_a, self.dim);
@@ -624,18 +666,6 @@ impl EmbedSource {
 
 fn all_rows(n: usize) -> Vec<usize> {
     (0..n).collect()
-}
-
-/// Zero rows of the peer's `encrypt_upload_seg` at width `cols`: the
-/// geometry (scale, backend, limbs, lane layout) such an upload must
-/// arrive in. Zero rows draw no obfuscation.
-fn peer_upload_like(sess: &Session, cols: usize, seg: usize) -> CtMat {
-    sess.peer_pk.encrypt_mode_seg(
-        &Dense::zeros(0, cols),
-        seg,
-        sess.cfg.paillier_mode,
-        &sess.obf,
-    )
 }
 
 #[cfg(test)]
@@ -779,64 +809,90 @@ mod tests {
     const DIM: usize = 2;
     const OUT: usize = 2;
 
-    /// One upload as its sender lays it out: `rows × cols` packed in
+    /// Whose key a frame is under: the sender's own (an upload or a
+    /// refresh), the receiver's (an HE2SS reply), or none at all (a
+    /// Plain body, a key geometry no Paillier session has).
+    #[derive(Clone, Copy)]
+    enum Key {
+        Own,
+        Peer,
+        Plain,
+    }
+
+    /// One frame as its sender lays it out: `rows × cols` packed in
     /// `seg`-wide segments under the session's mode, or one value per
-    /// ciphertext at `scale` when `seg` is 0. The values do not matter.
+    /// ciphertext at `scale` when `seg` is 0, under `key`. The values do
+    /// not matter.
     #[derive(Clone)]
     struct Upload {
         rows: usize,
         cols: usize,
         seg: usize,
         scale: u8,
+        key: Key,
     }
 
     impl Upload {
         fn packed(rows: usize, cols: usize, seg: usize) -> Upload {
-            let scale = 1;
             Upload {
                 rows,
                 cols,
                 seg,
-                scale,
+                scale: 1,
+                key: Key::Own,
             }
         }
 
-        fn scalar(rows: usize, cols: usize, scale: u8) -> Upload {
-            let seg = 0;
-            Upload {
-                rows,
-                cols,
-                seg,
-                scale,
-            }
+        fn under(self, key: Key) -> Upload {
+            Upload { key, ..self }
         }
 
         fn encrypt(&self, sess: &Session) -> CtMat {
             let m = Dense::zeros(self.rows, self.cols);
+            let plain = bf_paillier::keys::plain_keys(sess.cfg.frac_bits).0;
+            let pk = match self.key {
+                Key::Own => &sess.own_pk,
+                Key::Peer => &sess.peer_pk,
+                Key::Plain => &plain,
+            };
+            let obf = bf_paillier::Obfuscator::new(pk, bf_paillier::ObfMode::Pool(2), 0);
             match self.seg {
-                0 => sess.own_pk.encrypt_at_scale(&m, self.scale, &sess.obf),
-                seg => sess.encrypt_upload_seg(&m, seg),
+                0 => pk.encrypt_at_scale(&m, self.scale, &obf),
+                seg => pk.encrypt_mode_seg(&m, seg, sess.cfg.paillier_mode, &obf),
             }
         }
 
         /// `spoil`: 0 one more segment of width, 1 the other lane
-        /// layout, 2 one row too many, 3 the other scale; `None` as laid
-        /// out.
+        /// layout, 2 one row too many, 3 the other scale, 4 a Plain
+        /// body; `None` as laid out.
         fn spoiled(&self, spoil: Option<usize>) -> Upload {
-            let (rows, cols) = (self.rows, self.cols);
+            let up = self.clone();
             match spoil {
-                None => self.clone(),
+                None => up,
                 Some(0) => Upload {
-                    cols: cols + self.seg.max(1),
-                    ..self.clone()
+                    cols: up.cols + up.seg.max(1),
+                    ..up
                 },
-                Some(1) if self.seg == 0 => Upload::packed(rows, cols, cols),
-                Some(1) => Upload::scalar(rows, cols, 1),
+                Some(1) if up.seg == 0 => Upload {
+                    seg: up.cols,
+                    scale: 1,
+                    ..up
+                },
+                Some(1) => Upload {
+                    seg: 0,
+                    scale: 1,
+                    ..up
+                },
                 Some(2) => Upload {
-                    rows: rows + 1,
-                    ..self.clone()
+                    rows: up.rows + 1,
+                    ..up
                 },
-                Some(_) => Upload::scalar(rows, cols, 3 - self.scale),
+                Some(3) => Upload {
+                    seg: 0,
+                    scale: 3 - up.scale,
+                    ..up
+                },
+                Some(_) => up.under(Key::Plain),
             }
         }
     }
@@ -865,6 +921,7 @@ mod tests {
         ];
         if victim == Role::B {
             uploads.push(Upload::packed(OUT, d_own, DIM));
+            uploads.push(Upload::packed(OUT, d_peer, DIM));
         }
         let real =
             move |mut sess: Session| EmbedSource::init(&mut sess, vocab, 2, DIM, OUT).map(drop);
@@ -876,7 +933,7 @@ mod tests {
             ship(&sess, &uploads, site, spoil);
             // Stay until the victim's own uploads are out, so its sends
             // never meet a closed link.
-            let theirs = if victim == Role::A { 4 } else { 3 };
+            let theirs = if victim == Role::A { 5 } else { 3 };
             for _ in 0..theirs {
                 let _ = sess.ep.recv_ct();
             }
@@ -888,12 +945,14 @@ mod tests {
         }
     }
 
-    /// Party A's `backward_a` against a Party B that runs the genuine
-    /// init and forward, then ships its three backward uploads by hand
-    /// and hangs up.
-    fn backward_against(site: usize, spoil: Option<usize>) -> TransportResult<()> {
+    /// The two halves of a layer after the genuine init and a training
+    /// forward over a 3-row batch, each on its own session.
+    fn forward_pair(
+        a: impl FnOnce(Session, EmbedSource) -> TransportResult<()> + Send + 'static,
+        b: impl FnOnce(Session, EmbedSource) -> TransportResult<()>,
+    ) -> (TransportResult<()>, TransportResult<()>) {
         let (x_a, x_b) = (cat_block(3, &[4, 3], 1), cat_block(3, &[5], 2));
-        let (result, ()) = run_pair(
+        run_pair(
             &FedConfig::paillier_test(),
             5,
             move |mut sess| {
@@ -901,33 +960,85 @@ mod tests {
                     EmbedSource::init(&mut sess, x_a.vocab(), x_a.fields(), DIM, OUT).unwrap();
                 let z = layer.forward(&mut sess, &x_a, true).unwrap();
                 aggregate_a(&sess, z).unwrap();
-                layer.backward_a(&mut sess)
+                a(sess, layer)
             },
             move |mut sess| {
                 let mut layer =
                     EmbedSource::init(&mut sess, x_b.vocab(), x_b.fields(), DIM, OUT).unwrap();
                 let z = layer.forward(&mut sess, &x_b, true).unwrap();
                 aggregate_b(&sess, z).unwrap();
+                b(sess, layer)
+            },
+        )
+    }
+
+    /// Party A's `backward_a` against a Party B that ships the frames of
+    /// its backward reversal by hand — `⟦∇Z⟧`, the HE2SS reply
+    /// `⟦∇E_A − ε⟧` under A's key, `⟦ε⟧` — and hangs up once A's `φ` and
+    /// `ξ` replies are in, so A's sends never meet a closed link.
+    fn backward_against(site: usize, spoil: Option<usize>) -> TransportResult<()> {
+        forward_pair(
+            |mut sess, mut layer| layer.backward_a(&mut sess),
+            move |sess, layer| {
+                let d_a = layer.v_peer().rows();
                 let uploads = [
                     Upload::packed(3, OUT, OUT),
-                    Upload::scalar(3, OUT, 1),
-                    Upload::scalar(3, layer.v_peer().rows(), 2),
+                    Upload::packed(3, d_a, DIM).under(Key::Peer),
+                    Upload::packed(3, d_a, DIM),
                 ];
                 ship(&sess, &uploads, site, spoil);
+                for _ in 0..2 {
+                    let _ = sess.ep.recv_ct();
+                }
+                Ok(())
             },
-        );
-        result
+        )
+        .0
+    }
+
+    /// Party B's `backward_b` against a Party A that answers B's frames
+    /// by hand — the `φ` and `ξ` replies under B's key, then its four
+    /// refreshes (`ΔV_B`, `ΔV_Bᵀ`, `ΔU_A`, `ΔU_Aᵀ`) — and hangs up.
+    fn refresh_against(site: usize, spoil: Option<usize>) -> TransportResult<()> {
+        let grad_z = Dense::zeros(3, OUT);
+        forward_pair(
+            move |sess, layer| {
+                let (d_a, d_b) = (layer.u_own().rows(), layer.v_peer().rows());
+                for _ in 0..3 {
+                    sess.ep.recv_ct()?; // ⟦∇Z⟧, ⟦∇E_A − ε⟧, ⟦ε⟧
+                }
+                let replies = [
+                    Upload::packed(d_a, OUT, OUT).under(Key::Peer),
+                    Upload::packed(d_b, OUT, OUT).under(Key::Peer),
+                ];
+                ship(&sess, &replies, usize::MAX, None);
+                for _ in 0..2 {
+                    sess.ep.recv_ct()?; // ΔV_A, ΔU_B
+                }
+                let refreshes = [
+                    Upload::packed(d_b, OUT, OUT),
+                    Upload::packed(OUT, d_b, DIM),
+                    Upload::packed(d_a, OUT, OUT),
+                    Upload::packed(OUT, d_a, DIM),
+                ];
+                ship(&sess, &refreshes, site, spoil);
+                Ok(())
+            },
+            move |mut sess, mut layer| layer.backward_b(&mut sess, &grad_z),
+        )
+        .1
+    }
+
+    fn malformed(r: &TransportResult<()>) -> bool {
+        matches!(
+            r,
+            Err(TransportError::Wire(bf_mpc::wire::WireError::Malformed(_)))
+        )
     }
 
     /// Every spoiled upload is a malformed payload, refused before a
     /// kernel sees it; the honest one gets past.
     fn assert_refused(run: impl Fn(Option<usize>) -> TransportResult<()>) {
-        let malformed = |r: &TransportResult<()>| {
-            matches!(
-                r,
-                Err(TransportError::Wire(bf_mpc::wire::WireError::Malformed(_)))
-            )
-        };
         let honest = run(None);
         assert!(!malformed(&honest), "honest upload refused: {honest:?}");
         for spoil in 0..4 {
@@ -963,18 +1074,83 @@ mod tests {
     }
 
     #[test]
+    fn init_refuses_a_misshapen_transposed_peer_projection_cache() {
+        assert_refused(|spoil| init_against(Role::B, 4, spoil));
+    }
+
+    #[test]
     fn backward_a_refuses_a_misshapen_packed_gradient() {
         assert_refused(|spoil| backward_against(0, spoil));
     }
 
     #[test]
-    fn backward_a_refuses_a_misshapen_scalar_gradient() {
-        assert_refused(|spoil| backward_against(1, spoil));
+    fn backward_a_refuses_a_misshapen_embedding_gradient_reply() {
+        // An HE2SS reply is decrypted, not added to a cache: a wrong
+        // element count (spoils 0, 2) or a body under no key of A's
+        // (4) is refused; the other lane layout or scale (1, 3) decodes
+        // to the same values, as every HE2SS reply does.
+        for spoil in [0, 2, 4] {
+            let got = backward_against(1, Some(spoil));
+            assert!(malformed(&got), "spoil {spoil}: {got:?}");
+        }
+        for spoil in [None, Some(1), Some(3)] {
+            let got = backward_against(1, spoil);
+            assert!(!malformed(&got), "spoil {spoil:?}: {got:?}");
+        }
     }
 
     #[test]
-    fn backward_a_refuses_a_misshapen_gradient_times_v_a() {
+    fn backward_a_refuses_a_misshapen_embedding_gradient_mask() {
         assert_refused(|spoil| backward_against(2, spoil));
+    }
+
+    #[test]
+    fn backward_b_refuses_a_misshapen_transposed_peer_projection_refresh() {
+        assert_refused(|spoil| refresh_against(3, spoil));
+    }
+
+    #[test]
+    fn party_a_piece_of_its_embedding_gradient_is_at_chance() {
+        // What A decrypts of ⟦∇E_A⟧ is ∇E_A − ε: over 64 rows × 16
+        // columns (1,024 elements) its Pearson correlation with the
+        // ∇Z·W_Aᵀ it hides stays within 4/√n of zero.
+        let (rows, fields_a, dim) = (64, 4, 4);
+        let x_a = cat_block(rows, &[9; 4], 11);
+        let x_b = cat_block(rows, &[7], 12);
+        let grad_z = {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+            bf_tensor::init::uniform(&mut rng, rows, OUT, 0.5)
+        };
+        let gz = grad_z.clone();
+        let ((piece, u_a), v_a) = run_pair(
+            &FedConfig::paillier_test(),
+            17,
+            move |mut sess| {
+                let mut layer =
+                    EmbedSource::init(&mut sess, x_a.vocab(), x_a.fields(), dim, OUT).unwrap();
+                let z = layer.forward(&mut sess, &x_a, true).unwrap();
+                aggregate_a(&sess, z).unwrap();
+                sess.ep.recv_ct().unwrap(); // ⟦∇Z⟧
+                let d_a = fields_a * dim;
+                let piece = he2ss_peer(&sess.ep, &sess.own_sk, rows, d_a).unwrap();
+                (piece, layer.u_own().clone())
+            },
+            move |mut sess| {
+                let mut layer =
+                    EmbedSource::init(&mut sess, x_b.vocab(), x_b.fields(), dim, OUT).unwrap();
+                let z = layer.forward(&mut sess, &x_b, true).unwrap();
+                aggregate_b(&sess, z).unwrap();
+                let v_a = layer.v_peer().clone();
+                // A hangs up after the reply; the rest of B's pass fails.
+                let _ = layer.backward_b(&mut sess, &gz);
+                v_a
+            },
+        );
+        let grad_e = grad_z.matmul_t(&u_a.add(&v_a));
+        let n = grad_e.data().len();
+        assert!(n >= 1024);
+        let r = bf_util::stats::pearson(piece.data(), grad_e.data());
+        assert!(r.abs() < 4.0 / (n as f64).sqrt(), "|r| = {}", r.abs());
     }
 
     #[test]

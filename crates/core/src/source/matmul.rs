@@ -183,6 +183,12 @@ impl MatMulSource {
         &mut self.pieces[0].enc_v_own
     }
 
+    /// The `link`-th peer's ciphertext cache `⟦V_own⟧`, with the segment
+    /// width the peer packed it at (a whole row: `out`).
+    pub(crate) fn cache_of(&self, link: usize) -> (&CtMat, usize) {
+        (&self.pieces[link].enc_v_own, self.out)
+    }
+
     /// Persist the layer state (see `docs/SERVING.md` §persistence):
     /// `U_own` with its momentum buffer, then every link's peer piece,
     /// its momentum buffer and the encrypted own-piece cache, in link

@@ -93,6 +93,42 @@ pub(crate) fn recv_upload(sess: &Session, rows: usize, like: &CtMat) -> Transpor
     Ok(ct)
 }
 
+/// Zero rows of the peer's [`Session::encrypt_upload_seg`] at width
+/// `cols`: the geometry (scale, backend, limbs, lane layout) such an
+/// upload must arrive in. Zero rows draw no obfuscation.
+pub(crate) fn peer_upload_like(sess: &Session, cols: usize, seg: usize) -> CtMat {
+    sess.peer_pk.encrypt_mode_seg(
+        &Dense::zeros(0, cols),
+        seg,
+        sess.cfg.paillier_mode,
+        &sess.obf,
+    )
+}
+
+/// Refuse ciphertext caches that a model built elsewhere (a persisted
+/// blob) brings to `sess`: each `(cache, seg)` must be in the geometry
+/// the peer's upload at that width and segment would arrive in — the
+/// [`recv_upload`] test, held against [`peer_upload_like`]. A cache
+/// under another backend, limb count or lane layout is a
+/// [`TransportError::Setup`], before a kernel asserts on it.
+pub(crate) fn check_caches<'a>(
+    sess: &Session,
+    caches: impl IntoIterator<Item = (&'a CtMat, usize)>,
+) -> TransportResult<()> {
+    for (ct, seg) in caches {
+        if !peer_upload_like(sess, ct.cols(), seg).rows_conform(ct) {
+            return Err(TransportError::Setup(format!(
+                "a {}×{} ciphertext cache (packed: {}) is not in this session's geometry \
+                 under the peer's key; the model was built under other keys or another layout",
+                ct.rows(),
+                ct.cols(),
+                ct.is_packed(),
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The receiving end of [`step_piece`]'s delta (the `Recv and Update
 /// ⟦V⟧` steps of Figures 6 and 7): take the peer's freshly encrypted
 /// delta off the wire ([`recv_upload`], in the cache's own geometry)

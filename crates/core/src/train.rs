@@ -333,7 +333,8 @@ fn apply_mode(sess: &mut Session, mode: TrainMode) {
 /// [`FedTrainConfig::resume`] if there is one, train to the end, then
 /// run federated inference over `test`. Works over any transport; a
 /// transport failure aborts the loop cleanly with the error instead of
-/// crashing the process.
+/// crashing the process, and a checkpoint whose ciphertext caches are
+/// not under the session's peer key is a [`TransportError::Setup`].
 pub fn run_party_a(
     sess: &mut Session,
     spec: &FedSpec,
@@ -354,6 +355,7 @@ pub fn run_party_a(
     let train = selected.as_ref().unwrap_or(train);
     let (mut model, start_epoch, start_batch) = match cp {
         Some(cp) => {
+            cp.model.check_caches(sess)?;
             sess.restore_cursor(&cp.link);
             (cp.model, cp.epoch, cp.batch)
         }
@@ -421,7 +423,8 @@ pub fn run_party_a(
 /// [`run_party_a`]. Aligns first if [`FedTrainConfig::align`] says so
 /// (one global intersection, host ∩ every guest) and starts from
 /// [`FedTrainConfig::resume`] if there is one; a checkpoint whose link
-/// count is not the number of sessions supplied is a
+/// count is not the number of sessions supplied, or whose ciphertext
+/// caches are not under the sessions' peer keys, is a
 /// [`TransportError::Setup`], as is an empty slice.
 ///
 /// All links share one stage-time accumulator, and in pipelined mode
@@ -467,6 +470,7 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
     let train = selected.as_ref().unwrap_or(train);
     let (mut model, mut losses, start_epoch, start_batch) = match cp {
         Some(cp) => {
+            cp.model.check_caches(links)?;
             for (sess, cursor) in links.iter_mut().zip(&cp.links) {
                 sess.restore_cursor(cursor);
             }

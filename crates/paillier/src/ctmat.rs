@@ -350,9 +350,9 @@ impl PublicKey {
         self.encrypt_lanes(m, 1, lanes, obf)
     }
 
-    /// Encrypt a dense matrix at an explicit fixed-point scale (used
-    /// when a fresh encryption must be added to a scale-2 product,
-    /// e.g. `⟦∇Z·V_Aᵀ⟧` in the Embed-MatMul backward pass).
+    /// Encrypt a dense matrix at an explicit fixed-point scale, one
+    /// value per ciphertext (a fresh encryption that must meet a scale-2
+    /// product; the tests use it to build such products directly).
     pub fn encrypt_at_scale(&self, m: &Dense, scale: u8, obf: &Obfuscator) -> CtMat {
         self.encrypt_lanes(m, scale, LaneLayout::OnePerLane, obf)
     }
@@ -535,7 +535,9 @@ impl PublicKey {
 
     /// `⟦G⟧ · Wᵀ` — encrypted activations times a plaintext weight
     /// transpose: output `(i, e) = Σ_j G[i,j]·W[e,j]` (scale 1 → 2).
-    /// Used for `⟦∇E⟧ = ⟦∇Z⟧·Uᵀ` in the Embed-MatMul backward pass.
+    /// Used for the cross term of the SecureML baseline's Beaver triples
+    /// (`bf_mpc::beaver::he_gen_triple`); the Embed-MatMul backward lays
+    /// its operands out for an ordinary [`PublicKey::matmul`] instead.
     pub fn matmul_ct_wt(&self, g: &CtMat, w: &Dense) -> CtMat {
         assert_eq!(g.cols, w.cols(), "matmul_ct_wt shape mismatch");
         assert_eq!(g.scale, 1, "matmul_ct_wt expects a scale-1 ciphertext");

@@ -88,10 +88,10 @@
 //! keys (9 slots of 104 bits, a half ≈ 128 full-width squarings):
 //!
 //! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
-//!   one-column product, or what descends from the one scalar-only
-//!   kernel, `matmul_ct_wt`, which contracts over the axis slots run
-//!   along): 832 squarings turn 18 halves into 2, a bit over a third of
-//!   the work per value;
+//!   one-column product, or a `dim = 1` embedding gradient; `matmul_ct_wt`,
+//!   the one kernel that contracts over the axis slots run along, feeds
+//!   no BlindFL reply): 832 squarings turn 18 halves into 2, a bit over
+//!   a third of the work per value;
 //! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: the four
 //!   sources are narrow, so 624 squarings turn 4 halves into 2. That is
 //!   a loss of ≈ 0.35 ms per four cells in time; the fold is kept for

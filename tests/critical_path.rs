@@ -10,7 +10,10 @@
 //!   "Per-batch dependency chains");
 //! * a pipelined two-party MatMul training batch is **4**: `Z'_A` → B;
 //!   `⟦∇Z⟧` → A; `Support` + HE2SS reply → B; `⟦ΔV_A⟧` plus B's
-//!   next-batch forward upload → A.
+//!   next-batch forward upload → A;
+//! * a pipelined two-party WDL training batch is **14**: the MatMul
+//!   chain plus ten for the Embed-MatMul source (the table is in
+//!   `docs/ARCHITECTURE.md`).
 //!
 //! The upper bounds leave 0.6 `L` for scheduling noise; a step that
 //! gains a reversal lands a whole `L` above its bound.
@@ -107,10 +110,10 @@ fn a_served_request_takes_two_one_way_latencies() {
     assert_depth("served single-row request", best, 2.0);
 }
 
-#[test]
-fn a_pipelined_training_batch_takes_four_one_way_latencies() {
+/// Seconds per batch of a pipelined training epoch of `spec` over six
+/// 16-row batches.
+fn pipelined_batch_secs(spec: &FedSpec) -> f64 {
     let ((train_a, train_b), (test_a, test_b)) = slices(96);
-    let spec = FedSpec::Glm { out: 1 };
     let tc = FedTrainConfig {
         base: bf_ml::TrainConfig {
             epochs: 1,
@@ -120,13 +123,31 @@ fn a_pipelined_training_batch_takes_four_one_way_latencies() {
         mode: TrainMode::pipelined(),
         ..Default::default()
     };
-    let per_batch = over_link(
-        |mut sess| run_party_a(&mut sess, &spec, &tc, &train_a, &test_a).unwrap(),
+    over_link(
+        |mut sess| run_party_a(&mut sess, spec, &tc, &train_a, &test_a).unwrap(),
         |mut sess| {
-            let run = run_party_b(&mut sess, &spec, &tc, &train_b, &test_b).unwrap();
+            let run = run_party_b(&mut sess, spec, &tc, &train_b, &test_b).unwrap();
             assert_eq!(run.losses.len(), 6);
             run.train_secs / run.losses.len() as f64
         },
-    );
+    )
+}
+
+#[test]
+fn a_pipelined_training_batch_takes_four_one_way_latencies() {
+    let per_batch = pipelined_batch_secs(&FedSpec::Glm { out: 1 });
     assert_depth("pipelined training batch", per_batch, 4.0);
+}
+
+#[test]
+fn a_pipelined_wdl_training_batch_takes_fourteen_one_way_latencies() {
+    // Every frame of the Embed-MatMul backward rides a reversal the
+    // chain already has: B's HE2SS-split ⟦∇E_A⟧ travels with ⟦∇Z⟧.
+    let spec = FedSpec::Wdl {
+        emb_dim: 4,
+        deep_hidden: vec![8],
+        out: 1,
+    };
+    let per_batch = pipelined_batch_secs(&spec);
+    assert_depth("pipelined WDL training batch", per_batch, 14.0);
 }

@@ -5,7 +5,8 @@
 //! in-process sync, in-process pipelined, TCP sync, TCP pipelined —
 //! must produce **bit-identical** per-batch (and hence per-epoch) loss
 //! curves and **exactly equal** A→B / B→A `TrafficStats` byte counts.
-//! Verified on the Plain and the Paillier backend.
+//! Verified on the Plain and the Paillier backend, for LR and for a
+//! WDL model whose Embed-MatMul source has the longest frame order.
 
 use std::net::TcpListener;
 
@@ -34,9 +35,9 @@ fn train_cfg(mode: TrainMode) -> FedTrainConfig {
     }
 }
 
-/// One full federated-LR run; `connect` builds the endpoint pair (or
-/// the two ends of a socket). Returns per-batch losses, the test
-/// metric, and (A→B, B→A) byte counts.
+/// One full federated run of `fed` over in-process channels or a
+/// localhost socket. Returns per-batch losses, the test metric, and
+/// (A→B, B→A) byte counts.
 struct RunResult {
     losses: Vec<f64>,
     test_metric: f64,
@@ -44,12 +45,11 @@ struct RunResult {
     bytes_b_to_a: u64,
 }
 
-fn run_one(cfg: &FedConfig, rows: usize, mode: TrainMode, tcp: bool) -> RunResult {
+fn run_one(fed: &FedSpec, cfg: &FedConfig, rows: usize, mode: TrainMode, tcp: bool) -> RunResult {
     let ds = dataset_spec("a9a").scaled(rows, 1);
     let (train, test) = generate(&ds, DATA_SEED);
     let train_v = vsplit(&train);
     let test_v = vsplit(&test);
-    let fed = FedSpec::Glm { out: 1 };
     let tc = train_cfg(mode);
 
     let (ep_a, ep_b) = if tcp {
@@ -80,7 +80,7 @@ fn run_one(cfg: &FedConfig, rows: usize, mode: TrainMode, tcp: bool) -> RunResul
     let mut sess = Session::handshake(ep_b, cfg.clone(), Role::B, party_seed(Role::B, SEED))
         .expect("B handshake");
     let run_b =
-        run_party_b(&mut sess, &fed, &tc, &train_v.party_b, &test_v.party_b).expect("party B");
+        run_party_b(&mut sess, fed, &tc, &train_v.party_b, &test_v.party_b).expect("party B");
     let bytes_a_to_b = party_a.join().expect("party A thread");
     RunResult {
         losses: run_b.losses,
@@ -97,20 +97,20 @@ fn per_epoch(losses: &[f64]) -> Vec<&[f64]> {
     losses.chunks(losses.len() / EPOCHS).collect()
 }
 
-fn assert_four_way_parity(cfg: FedConfig, rows: usize) {
+fn assert_four_way_parity(fed: &FedSpec, cfg: FedConfig, rows: usize) {
     let cells: Vec<(&str, RunResult)> = vec![
         (
             "in-process sync",
-            run_one(&cfg, rows, TrainMode::Sync, false),
+            run_one(fed, &cfg, rows, TrainMode::Sync, false),
         ),
         (
             "in-process pipelined",
-            run_one(&cfg, rows, TrainMode::pipelined(), false),
+            run_one(fed, &cfg, rows, TrainMode::pipelined(), false),
         ),
-        ("tcp sync", run_one(&cfg, rows, TrainMode::Sync, true)),
+        ("tcp sync", run_one(fed, &cfg, rows, TrainMode::Sync, true)),
         (
             "tcp pipelined",
-            run_one(&cfg, rows, TrainMode::pipelined(), true),
+            run_one(fed, &cfg, rows, TrainMode::pipelined(), true),
         ),
     ];
     let (ref_name, reference) = &cells[0];
@@ -149,10 +149,23 @@ fn assert_four_way_parity(cfg: FedConfig, rows: usize) {
 
 #[test]
 fn plain_backend_four_way_parity() {
-    assert_four_way_parity(FedConfig::plain(), 64);
+    assert_four_way_parity(&FedSpec::Glm { out: 1 }, FedConfig::plain(), 64);
 }
 
 #[test]
 fn paillier_backend_four_way_parity() {
-    assert_four_way_parity(FedConfig::paillier_test(), 32);
+    assert_four_way_parity(&FedSpec::Glm { out: 1 }, FedConfig::paillier_test(), 32);
+}
+
+#[test]
+fn paillier_wdl_four_way_parity() {
+    // The Embed-MatMul frame order: both caches' transposed copies, the
+    // packed ⟦∇Z⟧, the HE2SS-split ⟦∇E_A⟧ and the table refreshes, on
+    // streaming TCP as in process.
+    let wdl = FedSpec::Wdl {
+        emb_dim: 4,
+        deep_hidden: vec![8],
+        out: 1,
+    };
+    assert_four_way_parity(&wdl, FedConfig::paillier_test(), 1000);
 }

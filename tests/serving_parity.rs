@@ -18,6 +18,7 @@
 
 use bf_datagen::{generate, spec, vsplit, vsplit_multi};
 use bf_ml::data::Dataset;
+use bf_mpc::transport::TransportError;
 use bf_mpc::{Endpoint, Msg};
 use blindfl::config::FedConfig;
 use blindfl::models::{FedSpec, PartyBModel};
@@ -296,6 +297,64 @@ fn client_disconnect_mid_request_leaves_the_serve_loop_running() {
         let pred = p.wait().unwrap();
         let bits: Vec<u64> = pred.logits.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, vec![direct_bits[r]], "row {r}");
+    }
+}
+
+#[test]
+fn a_blob_under_other_keys_is_a_setup_error_at_both_ends() {
+    // The ciphertext caches of a persisted model open only under the
+    // keys they were built with. Served in a session of another backend
+    // (Paillier blob, Plain session) or another key size (256-bit blob,
+    // 512-bit session), each end refuses the model before it sends a
+    // byte, instead of panicking in a kernel.
+    let ds = spec("a9a").scaled(16, 1);
+    let (train, test) = generate(&ds, 7);
+    let (train_v, test_v) = (vsplit(&train), vsplit(&test));
+    let outcome = train_federated(
+        // A two-wide source layer, so the caches pack.
+        &FedSpec::Mlp { widths: vec![2, 1] },
+        &FedConfig::paillier_test(),
+        &train_cfg(1),
+        train_v.party_a,
+        train_v.party_b,
+        test_v.party_a.clone(),
+        test_v.party_b.clone(),
+        TRAIN_SEED,
+    );
+    let (bytes_a, bytes_b) = (
+        export_party_a(&outcome.party_a),
+        export_party_b(&outcome.party_b),
+    );
+    let wider = FedConfig {
+        backend: blindfl::config::Backend::Paillier { key_bits: 512 },
+        ..FedConfig::paillier_test()
+    };
+    for cfg in [FedConfig::plain(), wider] {
+        let store_a = test_v.party_a.clone();
+        let bytes_a = bytes_a.clone();
+        let (guest, host) = run_pair(
+            &cfg,
+            SERVE_SEED,
+            move |mut sess| {
+                let mut model = import_party_a(&bytes_a).unwrap();
+                serve_party_a(&mut sess, &mut model, &store_a).map(drop)
+            },
+            |mut sess| {
+                let mut model = import_party_b(&bytes_b).unwrap();
+                let (client, queue) = serve::queue(1);
+                let _pending = client.submit(0).unwrap();
+                drop(client);
+                let cfg = ServeConfig { max_batch: 1 };
+                serve_party_b(&mut sess, &mut model, &test_v.party_b, &cfg, queue).map(drop)
+            },
+        );
+        for (end, got) in [("guest", guest), ("host", host)] {
+            assert!(
+                matches!(got, Err(TransportError::Setup(_))),
+                "{:?} {end}: {got:?}",
+                cfg.backend
+            );
+        }
     }
 }
 
