@@ -3,14 +3,12 @@
 //! BlindFL's wall-clock cost is dominated by ciphertext kernels and
 //! party-to-party transfers (paper §6, Tables 7/8); the paper's GMP
 //! system hides much of the transfer time by overlapping crypto compute
-//! with communication. This module is the Rust equivalent: it selects
-//! a [`TrainMode`], double-buffers mini-batch *preparation* on a worker
-//! thread, and (together with [`bf_mpc::Endpoint::make_pipelined`],
-//! the streaming transport — thread-free in process, a writer/reader
-//! pair per TCP link) overlaps each party's compute with its wire
-//! traffic. Serving streams its links unconditionally
-//! ([`crate::serve`]); training keeps [`TrainMode::Sync`] as the
-//! lock-step reference.
+//! with communication. In this crate the overlap is the transport's:
+//! every [`bf_mpc::Endpoint`] streams from construction (thread-free in
+//! process, a writer/reader pair per TCP link), in training and
+//! serving alike. This module adds the other half, selected by
+//! [`TrainMode`]: mini-batch *preparation* double-buffered on a worker
+//! thread.
 //!
 //! On a latency-bound link a batch costs its **dependency depth** —
 //! the direction reversals on its chain — not its message count: four
@@ -47,32 +45,25 @@ use std::time::Instant;
 
 use bf_ml::data::{BatchIter, Dataset};
 
-/// How a party schedules its per-batch work.
+/// Where a party prepares its mini-batches. The transport streams in
+/// either mode; only batch preparation moves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TrainMode {
-    /// The lock-step request/response loop: every send sleeps through
-    /// its (simulated) wire time inline, batches are selected on the
-    /// protocol thread.
+    /// Batches are selected on the protocol thread, one at a time.
     #[default]
     Sync,
-    /// The pipelined engine: the transport is queue-decoupled
-    /// ([`bf_mpc::Endpoint::make_pipelined`]) so wire time overlaps
-    /// compute, and mini-batch preparation is double-buffered on a
+    /// Batch prefetch: mini-batch preparation is double-buffered on a
     /// worker thread.
     Pipelined {
-        /// Transport queue depth (outstanding messages per direction).
-        queue_depth: usize,
         /// Mini-batches prepared ahead of the protocol thread.
         prefetch_batches: usize,
     },
 }
 
 impl TrainMode {
-    /// Pipelined mode with the default queue depth (32) and batch
-    /// prefetch (2).
+    /// Batch prefetch two mini-batches ahead.
     pub fn pipelined() -> TrainMode {
         TrainMode::Pipelined {
-            queue_depth: 32,
             prefetch_batches: 2,
         }
     }
@@ -91,8 +82,8 @@ impl TrainMode {
 /// thread). The callback is topology-agnostic: the two-party trainers
 /// drive one session through it and the multi-guest trainer drives a
 /// whole session slice (every guest shares the schedule, so one
-/// prefetched batch feeds all `M` links; in pipelined mode each
-/// link's transport additionally streams on its own).
+/// prefetched batch feeds all `M` links; each link's transport
+/// streams on its own).
 pub(crate) fn run_epoch<E>(
     mode: TrainMode,
     data: &Dataset,
@@ -109,9 +100,7 @@ pub(crate) fn run_epoch<E>(
             }
             Ok(())
         }
-        TrainMode::Pipelined {
-            prefetch_batches, ..
-        } => {
+        TrainMode::Pipelined { prefetch_batches } => {
             let depth = prefetch_batches.max(1);
             std::thread::scope(|s| {
                 let (tx, rx) = sync_channel::<Dataset>(depth);

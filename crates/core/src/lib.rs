@@ -56,9 +56,9 @@
 //!   [`session::run_pair`]) and [`train::train_federated_multi`] (over
 //!   [`multiparty::run_star`]) are the in-process harnesses.
 //! * [`engine`] — the pipelined mini-batch engine:
-//!   [`engine::TrainMode`] selects between the lock-step loop and the
-//!   queue-decoupled, double-buffered pipeline (bit-identical results;
-//!   see the module docs for the determinism contract).
+//!   [`engine::TrainMode`] selects batch preparation on the protocol
+//!   thread or double-buffered on a worker (bit-identical results; see
+//!   the module docs for the determinism contract).
 //! * [`persist`] — byte-exact model-state persistence (export/import
 //!   of the trained party halves, momentum buffers and ciphertext
 //!   caches included, so a reloaded model resumes training

@@ -24,14 +24,12 @@
 //! source layers' ordinary forward-pass messages; a [`Msg::U64`]
 //! sentinel ([`SERVE_SHUTDOWN`]) ends the serve session.
 //!
-//! Both loops run on the **streaming transport**
-//! ([`bf_mpc::Endpoint::make_pipelined`], switched at entry, no knob),
-//! so a micro-batch costs the protocol's two one-way latencies —
-//! `Support` + `⟦X_B V_B − ε⟧` to A, then `⟦X_A V_A − ε⟧` + `Z'_A` to
-//! B — instead of the stop-and-wait wire's three. The loop bodies are
-//! written once per side (`serve_guest`, `serve_host`); the model
-//! families differ only in the per-batch forward they pass in (the
-//! tree family's is in [`crate::trees`]).
+//! Every link streams ([`bf_mpc::transport`]), so a micro-batch costs
+//! the protocol's two one-way latencies — `Support` + `⟦X_B V_B − ε⟧`
+//! to A, then `⟦X_A V_A − ε⟧` + `Z'_A` to B — on a reconnecting TCP
+//! link too. The loop bodies are written once per side (`serve_guest`,
+//! `serve_host`); the model families differ only in the per-batch
+//! forward they pass in (the tree family's is in [`crate::trees`]).
 //!
 //! **Equivalence contract**: a served prediction is bit-identical to
 //! the in-process prediction forward pass
@@ -331,11 +329,6 @@ pub struct ServeGuestReport {
     pub bytes_sent: u64,
 }
 
-/// Outbox/inbox depth of a serve link on a streaming TCP wire (a
-/// micro-batch is a handful of frames per direction; in process the
-/// streaming link queues nothing of its own).
-const SERVE_QUEUE_DEPTH: usize = 32;
-
 /// Party A's serving loop: answer federated prediction passes against
 /// the local feature-store slice until the host sends
 /// [`SERVE_SHUTDOWN`]. Works unchanged for two-party and multi-guest
@@ -360,16 +353,12 @@ pub fn serve_party_a(
     })
 }
 
-/// The guest serve loop of every model family: put the link on the
-/// streaming transport ([`bf_mpc::Endpoint::make_pipelined`]; serving
-/// has no lock-step reference to keep, its contract is bit-identity
-/// with the replayed forward), then answer each `Support` row batch
-/// with `answer` until the host's [`SERVE_SHUTDOWN`].
+/// The guest serve loop of every model family: answer each `Support`
+/// row batch with `answer` until the host's [`SERVE_SHUTDOWN`].
 pub(crate) fn serve_guest(
     sess: &mut Session,
     mut answer: impl FnMut(&mut Session, &[u32]) -> TransportResult<()>,
 ) -> TransportResult<ServeGuestReport> {
-    sess.ep.make_pipelined(SERVE_QUEUE_DEPTH);
     // Serve-phase traffic only: a session that trained first must not
     // leak its training bytes into the serve report.
     let bytes_base = sess.ep.stats().bytes();
@@ -453,12 +442,11 @@ pub fn serve_party_b<L: AsMut<[Session]> + ?Sized>(
     })
 }
 
-/// The host serve loop of every model family: put every guest link on
-/// the streaming transport (as [`serve_guest`] does on the other end),
-/// drain `queue` through [`run_server_loop`] with `forward` as the
-/// per-batch federated forward (it broadcasts the batch's rows itself),
-/// then send [`SERVE_SHUTDOWN`] on every link — best-effort when the
-/// loop failed. Reports serve-phase bytes only, summed across links.
+/// The host serve loop of every model family: drain `queue` through
+/// [`run_server_loop`] with `forward` as the per-batch federated
+/// forward (it broadcasts the batch's rows itself), then send
+/// [`SERVE_SHUTDOWN`] on every link — best-effort when the loop
+/// failed. Reports serve-phase bytes only, summed across links.
 pub(crate) fn serve_host(
     links: &mut [Session],
     store_rows: usize,
@@ -470,9 +458,6 @@ pub(crate) fn serve_host(
         return Err(TransportError::Setup(
             "a serve host needs at least one guest session (M = 0)".into(),
         ));
-    }
-    for sess in links.iter_mut() {
-        sess.ep.make_pipelined(SERVE_QUEUE_DEPTH);
     }
     let stats: Vec<_> = links.iter().map(|s| Arc::clone(s.ep.stats())).collect();
     // Serve-phase traffic only (see `ServeReport::bytes_sent`), summed

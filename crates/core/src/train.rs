@@ -22,11 +22,12 @@
 //! | [`FedTrainConfig::align`] | the rows are pre-aligned | PSI over the sample-ID columns first ([`crate::align`]), then train on the intersection |
 //! | [`FedTrainConfig::resume`] | initialise a fresh model | continue from this checkpoint blob on the bit-identical loss curve |
 //!
-//! [`FedTrainConfig::mode`] selects the scheduling engine: the
-//! lock-step loop ([`TrainMode::Sync`]) or the pipelined engine
-//! ([`TrainMode::Pipelined`]) which queue-decouples the transport and
-//! double-buffers batch preparation — bit-identical results, less
-//! wall-clock (see [`crate::engine`] for the determinism contract).
+//! Every link streams ([`bf_mpc::transport`]), so a party's compute
+//! overlaps its wire time in any mode. [`FedTrainConfig::mode`] only
+//! selects where mini-batches are prepared: on the protocol thread
+//! ([`TrainMode::Sync`]) or double-buffered on a worker thread
+//! ([`TrainMode::Pipelined`]) — bit-identical results, less wall-clock
+//! (see [`crate::engine`] for the determinism contract).
 //!
 //! [`train_federated`] ([`run_pair`] around the two entry points) and
 //! [`train_federated_multi`] ([`run_star`] around them) are the
@@ -85,9 +86,10 @@ pub struct FedTrainConfig {
     /// Capture Party A's `U_A` after every epoch (used by the Figure 9
     /// activation-attack harness).
     pub snapshot_u_a: bool,
-    /// Scheduling engine (defaults to the lock-step [`TrainMode::Sync`];
-    /// both parties may choose independently — the modes are pure
-    /// wall-clock scheduling and never change math or wire content).
+    /// Batch preparation (defaults to [`TrainMode::Sync`], on the
+    /// protocol thread); both parties may choose independently — the
+    /// modes are pure wall-clock scheduling and never change math or
+    /// wire content.
     pub mode: TrainMode,
     /// Mid-epoch checkpoint cadence; `None` (the default) disables
     /// checkpointing. Checkpoint capture is local-only — it never adds
@@ -95,7 +97,7 @@ pub struct FedTrainConfig {
     /// parity with checkpointing on and off).
     pub checkpoint: Option<CheckpointCadence>,
     /// Scripted fault injection for the chaos harness (`None` runs
-    /// fault-free; [`FaultPlan::from_env`] reads the `BF_FAULT` knob).
+    /// fault-free).
     pub fault: Option<FaultPlan>,
     /// Sample alignment: `Some` runs the PSI phase over this party's
     /// sample-ID column right after the handshake and trains on the
@@ -318,16 +320,6 @@ pub struct PartyBRun {
     pub alignment: Option<Alignment>,
 }
 
-/// Switch the session's transport into pipelined mode if the training
-/// mode calls for it (idempotent; the handshake already happened over
-/// the blocking transport, which is fine — mode changes scheduling
-/// only).
-fn apply_mode(sess: &mut Session, mode: TrainMode) {
-    if let TrainMode::Pipelined { queue_depth, .. } = mode {
-        sess.ep.make_pipelined(queue_depth);
-    }
-}
-
 /// Party A's side of a full training + federated-inference run: align
 /// first if [`FedTrainConfig::align`] says so, start from
 /// [`FedTrainConfig::resume`] if there is one, train to the end, then
@@ -350,7 +342,6 @@ pub fn run_party_a(
         cp.as_ref().map(|cp| cp.aligned.as_ref()),
         |input| align_guest(sess, &input.ids),
     )?;
-    apply_mode(sess, tc.mode);
     let selected = alignment.as_ref().map(|a| a.select(train));
     let train = selected.as_ref().unwrap_or(train);
     let (mut model, start_epoch, start_batch) = match cp {
@@ -427,8 +418,9 @@ pub fn run_party_a(
 /// caches are not under the sessions' peer keys, is a
 /// [`TransportError::Setup`], as is an empty slice.
 ///
-/// All links share one stage-time accumulator, and in pipelined mode
-/// every link streams on its own ([`bf_mpc::Endpoint::make_pipelined`]).
+/// All links share one stage-time accumulator; every link streams on
+/// its own transport, and in pipelined mode one prefetched batch feeds
+/// them all.
 pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
     links: &mut L,
     spec: &FedSpec,
@@ -463,9 +455,6 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
         cp.as_ref().map(|cp| cp.aligned.as_ref()),
         |input| align_host(links, input.salt, &input.ids),
     )?;
-    for sess in links.iter_mut() {
-        apply_mode(sess, tc.mode);
-    }
     let selected = alignment.as_ref().map(|a| a.select(train));
     let train = selected.as_ref().unwrap_or(train);
     let (mut model, mut losses, start_epoch, start_batch) = match cp {

@@ -9,17 +9,8 @@
 //! (`tests/chaos_parity.rs`) assert *bit-identical* recovery rather
 //! than approximate recovery.
 //!
-//! Plans come from code or from the `BF_FAULT` environment knob:
-//!
-//! ```text
-//! BF_FAULT=kill@3        abort the party after batch 3 (typed error;
-//!                        the harness restarts from the checkpoint)
-//! BF_FAULT=drop@3        sever the TCP link after batch 3 (the
-//!                        reconnect + replay layer recovers in place)
-//! BF_FAULT=delay@3:250   stall this party 250 ms after batch 3
-//!                        (exercises the peer's patience, changes no
-//!                        bytes)
-//! ```
+//! Plans are built in code (`tests/chaos_parity.rs` scripts one per
+//! cell).
 
 use std::time::Duration;
 
@@ -51,44 +42,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parse a plan from the `BF_FAULT` environment knob; `None` when
-    /// unset or unparseable (an experiment script with a typo should
-    /// run fault-free, loudly visible in its output, not crash).
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("BF_FAULT").ok()?;
-        let plan = FaultPlan::parse(&raw);
-        if plan.is_none() {
-            eprintln!(
-                "warning: BF_FAULT={raw:?} is not a valid fault plan \
-                 (expected kill@N, drop@N or delay@N:MS); running fault-free"
-            );
-        }
-        plan
-    }
-
-    /// Parse `kill@N` / `drop@N` / `delay@N:MS`.
-    pub fn parse(s: &str) -> Option<FaultPlan> {
-        let (what, rest) = s.split_once('@')?;
-        match what {
-            "kill" => Some(FaultPlan {
-                at_batch: rest.parse().ok()?,
-                action: FaultAction::Kill,
-            }),
-            "drop" => Some(FaultPlan {
-                at_batch: rest.parse().ok()?,
-                action: FaultAction::Drop,
-            }),
-            "delay" => {
-                let (batch, ms) = rest.split_once(':')?;
-                Some(FaultPlan {
-                    at_batch: batch.parse().ok()?,
-                    action: FaultAction::Delay(Duration::from_millis(ms.parse().ok()?)),
-                })
-            }
-            _ => None,
-        }
-    }
-
     /// True if the fault fires after the batch with this run-wide
     /// index.
     pub fn fires_after(&self, batch: u64) -> bool {
@@ -101,55 +54,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_every_action() {
-        assert_eq!(
-            FaultPlan::parse("kill@3"),
-            Some(FaultPlan {
-                at_batch: 3,
-                action: FaultAction::Kill
-            })
-        );
-        assert_eq!(
-            FaultPlan::parse("drop@0"),
-            Some(FaultPlan {
-                at_batch: 0,
-                action: FaultAction::Drop
-            })
-        );
-        assert_eq!(
-            FaultPlan::parse("delay@7:250"),
-            Some(FaultPlan {
-                at_batch: 7,
-                action: FaultAction::Delay(Duration::from_millis(250))
-            })
-        );
-    }
-
-    #[test]
-    fn rejects_malformed_plans() {
-        for bad in [
-            "",
-            "kill",
-            "kill@",
-            "kill@x",
-            "kill@3x",
-            "drop@-1",
-            "drop@3 ",
-            "delay@3",
-            "delay@3:",
-            "delay@3:x",
-            "delay@3:250ms",
-            "panic@3",
-            "@3",
-            "kill@3:9",
-        ] {
-            assert_eq!(FaultPlan::parse(bad), None, "parsed {bad:?}");
-        }
-    }
-
-    #[test]
     fn fires_exactly_once() {
-        let plan = FaultPlan::parse("kill@2").unwrap();
+        let plan = FaultPlan {
+            at_batch: 2,
+            action: FaultAction::Kill,
+        };
         let fired: Vec<u64> = (0..5).filter(|&b| plan.fires_after(b)).collect();
         assert_eq!(fired, vec![2]);
     }

@@ -25,7 +25,7 @@
 //!   multiplex many connections without a thread per link; the
 //!   serving gateway's readiness seam.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]:
-//!   kill/drop/delay at batch N, `BF_FAULT` env knob) for the chaos
+//!   kill/drop/delay at batch N, built in code) for the chaos
 //!   harness; the transport's reconnect + replay layer and the
 //!   trainer's checkpoint resume are what it exercises.
 //! * [`psi`] — salted-digest private set intersection over sample-ID

@@ -22,37 +22,42 @@
 //! cross-process. [`NetworkProfile`] simulation likewise applies to
 //! both.
 //!
-//! # Streaming (pipelined) mode
+//! # Streaming
 //!
-//! A blocking endpoint models a stop-and-wait link: every `send` sleeps
-//! `latency + bytes/bw` on the caller. Either backend can be converted
-//! in place onto the **streaming** schedule ([`Endpoint::make_pipelined`]):
-//! serialisation occupies the link back to back, propagation latency
-//! pipelines across in-flight messages, and `send` returns at once, so
-//! the caller's compute overlaps wire time instead of sleeping through
-//! it.
+//! Every endpoint streams from construction: `send` returns once the
+//! message is queued, serialisation occupies the (simulated) link back
+//! to back, and propagation latency pipelines across in-flight
+//! messages, so a party's compute overlaps its wire time. One schedule
+//! ([`NetworkProfile::stream_delivery`]), computed on the sending
+//! thread, stamps each message with its delivery instant:
 //!
-//! * In process this costs no thread: `send` stamps each message with
-//!   its scheduled delivery instant and `recv` sleeps until the stamp.
-//! * Over TCP a writer thread owns the socket's send half (frame
-//!   encoding, the simulated profile, the physical write) and a reader
-//!   thread eagerly decodes the receive half into a bounded inbox.
+//! * in process no thread exists: the peer's `recv` sleeps until the
+//!   stamp;
+//! * over TCP a writer thread owns the socket's send half (it waits
+//!   out the stamp, encodes and writes) and a reader thread eagerly
+//!   decodes the receive half into a bounded inbox.
 //!
-//! Message *content*, *order*, and [`TrafficStats`] accounting are
-//! identical to the blocking mode — streaming reorders wall-clock work,
-//! never bytes (the determinism contract `tests/pipeline_parity.rs`
-//! enforces).
+//! A TCP endpoint made [`Endpoint::with_reconnect`] survives a dropped
+//! link on the same two threads: the writer redials, swaps
+//! [`Msg::Resume`] cursors with the peer, replays the frames the peer
+//! missed and hands the reader a fresh read half.
+//!
+//! Message *content*, *order*, and [`TrafficStats`] accounting
+//! (counted on the calling thread, in call order) do not depend on the
+//! backend, the profile or a reconnect — streaming reorders wall-clock
+//! work, never bytes (the determinism contract
+//! `tests/pipeline_parity.rs` enforces).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bf_paillier::{CtMat, PublicKey};
 use bf_tensor::Dense;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
 
 use crate::wire;
@@ -319,62 +324,168 @@ impl TrafficStats {
     }
 }
 
+/// Frames a TCP link queues per direction: the writer's outbox bounds a
+/// caller that runs ahead of the socket (backpressure, bounding memory)
+/// and the reader's inbox bounds how far it prefetches.
+const QUEUE_DEPTH: usize = 32;
+
 /// The backend actually moving messages.
 enum Wire {
     /// In-process `crossbeam` channel pair: values move, nothing is
     /// serialized. Every message carries the instant it is delivered,
-    /// and `recv` sleeps until then. `link_free` is `Some` once the
-    /// endpoint streams ([`Endpoint::make_pipelined`]): the instant the
-    /// simulated link finishes serialising the last message sent.
+    /// and `recv` sleeps until then — the streaming schedule with no
+    /// thread of its own.
     Channel {
         tx: Sender<(Msg, Instant)>,
         rx: Receiver<(Msg, Instant)>,
-        link_free: Option<Mutex<Instant>>,
     },
-    /// A TCP stream carrying [`crate::wire`] frames. Reader and writer
-    /// halves are locked independently so full-duplex protocols (send
-    /// while the peer sends) don't deadlock.
-    Tcp {
-        writer: Mutex<BufWriter<TcpStream>>,
-        reader: Mutex<BufReader<TcpStream>>,
-    },
-    /// A streaming TCP stream: sends enqueue onto a writer thread,
-    /// receives pop a reader thread's prefetch inbox (see
-    /// [`Endpoint::make_pipelined`]).
-    Pipelined(Pipelined),
+    /// A TCP stream carrying [`crate::wire`] frames, written and read by
+    /// the link's own two threads.
+    Tcp(TcpLink),
 }
 
-/// State of a streaming TCP endpoint. Outbox entries carry their
-/// enqueue time so the writer can schedule simulated delivery relative
-/// to when the protocol produced the message, not to when the writer
-/// finished the previous one (that is what lets propagation latency
-/// pipeline).
-struct Pipelined {
-    /// Bounded outbox; `None` only transiently during drop.
-    tx_q: Option<Sender<(Msg, Instant)>>,
-    /// Bounded inbox filled by the reader thread.
-    rx_q: Receiver<TransportResult<Msg>>,
-    /// Writer thread handle, joined on drop so queued tail messages
-    /// reach the wire before the endpoint disappears.
-    writer: Option<std::thread::JoinHandle<()>>,
-    /// Messages the writer has put on the wire so far. Drop watches
-    /// this to tell "writer is draining a slow (simulated) link" from
-    /// "writer is stuck on a peer that stopped reading".
-    progress: Arc<AtomicU64>,
-    /// First writer-side failure, surfaced on the next `send`.
-    send_err: Arc<Mutex<Option<TransportError>>>,
-    /// A clone of the stream kept for teardown. The reader thread holds
-    /// its own duplicated fd blocked in `read`, so without an explicit
-    /// `shutdown` the kernel would never send FIN when this endpoint
-    /// drops, and the peer's blocking `recv` would hang instead of
-    /// returning `Disconnected`.
-    tcp: TcpStream,
+/// The caller's side of a TCP link. A writer thread owns the socket's
+/// send half (it waits out each frame's delivery stamp, encodes and
+/// writes it, and resyncs a dropped reconnecting link); a reader thread
+/// eagerly decodes the receive half into a bounded inbox.
+///
+/// Fields drop in declaration order, and that order is the teardown:
+/// closing the outbox lets the writer drain it, closing the inbox frees
+/// a reader blocked on a full one, and `threads` goes last.
+struct TcpLink {
+    /// The writer's outbox.
+    jobs: Sender<Job>,
+    /// Decoded frames, then at most one error, from the reader.
+    inbox: Receiver<TransportResult<Msg>>,
+    threads: LinkThreads,
+}
+
+impl TcpLink {
+    fn send(&self, frame: Job) -> TransportResult<()> {
+        let shared = &self.threads.shared;
+        // The writer's unrecoverable failure is reported once, then the
+        // closed outbox reports a generic disconnect.
+        if let Some(e) = shared.error.lock().take() {
+            return Err(e);
+        }
+        (self.jobs.send(frame)).map_err(|_| {
+            shared
+                .error
+                .lock()
+                .take()
+                .unwrap_or(TransportError::Disconnected)
+        })?;
+        self.threads.queued.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// A TCP link's writer and reader threads (in that order) and what the
+/// caller shares with them.
+struct LinkThreads {
+    shared: Arc<Shared>,
+    /// Frames handed to the writer so far.
+    queued: AtomicU64,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for LinkThreads {
+    fn drop(&mut self) {
+        // Let the writer flush the queued tail: the peer may still be
+        // waiting on those frames after this side's party loop
+        // returned. A slow (simulated) link is legitimate, a peer that
+        // stopped reading would leave the writer blocked in `write_all`
+        // forever, so the deadline is on per-frame progress: give up
+        // after 5 s with no frame delivered.
+        let queued = self.queued.load(Ordering::Relaxed);
+        let mut written = self.shared.written.load(Ordering::Relaxed);
+        let mut stalled_since = Instant::now();
+        while written < queued
+            && !self.handles[0].is_finished()
+            && stalled_since.elapsed() < Duration::from_secs(5)
+        {
+            std::thread::sleep(Duration::from_millis(2));
+            let now = self.shared.written.load(Ordering::Relaxed);
+            if now != written {
+                written = now;
+                stalled_since = Instant::now();
+            }
+        }
+        // The reader blocks in `read` on its own fd, so without an
+        // explicit shutdown the kernel would never send FIN and the
+        // peer's `recv` would hang instead of returning `Disconnected`.
+        // The reader exits on it, and the writer once the reader is gone
+        // (the outbox already is); a resync in flight gives up.
+        self.shared.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// What a TCP link's caller and its two threads share.
+struct Shared {
+    /// The socket carrying the link now (each resync swaps it in);
+    /// `None` once teardown has begun.
+    socket: Mutex<Option<TcpStream>>,
+    /// Frames the writer has put on the wire so far.
+    written: AtomicU64,
+    /// The writer's unrecoverable failure, surfaced on the next `send`.
+    error: Mutex<Option<TransportError>>,
+}
+
+impl Shared {
+    /// Shut the current socket down: the reader and the peer both see
+    /// the link fail.
+    fn cut(&self) {
+        if let Some(stream) = &*self.socket.lock() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Teardown: cut the link, and let no resync start or finish.
+    fn close(&self) {
+        if let Some(stream) = self.socket.lock().take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    fn closing(&self) -> bool {
+        self.socket.lock().is_none()
+    }
+
+    /// Make `stream` the link's socket, unless teardown has begun.
+    fn adopt(&self, stream: &TcpStream) -> TransportResult<()> {
+        match &mut *self.socket.lock() {
+            Some(current) => *current = stream.try_clone()?,
+            None => return Err(TransportError::Disconnected),
+        }
+        Ok(())
+    }
+}
+
+/// What the writer thread works through, in order.
+enum Job {
+    /// A frame to write once its delivery instant has passed.
+    Frame(Msg, Instant),
+    /// [`Endpoint::sever`]: cut the link at this point of the stream.
+    /// The sender is dropped once the cut has been handled — resynced,
+    /// on a reconnecting link.
+    Sever(Sender<()>),
+    /// The reader's socket failed after it had decoded `received`
+    /// frames; the reader waits for the writer's verdict.
+    Failed {
+        error: TransportError,
+        received: u64,
+    },
+    /// [`Endpoint::with_reconnect`]: log every frame from here on.
+    Reconnect(Replay),
 }
 
 /// Write one `Msg` as a wire frame. Header and payload are written
 /// separately: Ct payloads are megabytes, and a contiguous
 /// `encode_frame` buffer would re-copy every one of them on the hot
-/// path. Shared by the blocking TCP path and the pipelined writer.
+/// path.
 fn write_frame(w: &mut impl Write, msg: &Msg) -> TransportResult<()> {
     let payload = wire::encode_payload(msg);
     let header = wire::frame_header(msg, &payload);
@@ -384,8 +495,7 @@ fn write_frame(w: &mut impl Write, msg: &Msg) -> TransportResult<()> {
     Ok(())
 }
 
-/// Read one wire frame into a `Msg`. Shared by the blocking TCP path
-/// and the pipelined reader.
+/// Read one wire frame into a `Msg`.
 fn read_frame(r: &mut impl Read) -> TransportResult<Msg> {
     let mut header = [0u8; wire::HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -432,42 +542,42 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Bounded send/recv replay cursor for a reconnecting TCP endpoint.
+/// A reconnecting link's replay state, owned by its writer thread.
 ///
-/// Every logical frame sent is also appended to a bounded log and
-/// counted in `sent_seq`; every logical frame received bumps
-/// `recv_seq`. When the link drops, both sides re-establish a socket
-/// (per their [`Redial`]), exchange [`Msg::Resume`] cursors (each side
-/// sends first, then reads — deadlock-free), and the sender replays
-/// exactly the `sent_seq − peer.recv_seq` tail of its log. In-flight
-/// frames are therefore neither lost (the gap is replayed) nor
-/// duplicated (frames the peer acknowledged are skipped); a gap wider
-/// than the log window is a typed [`TransportError::Reconnecting`].
-struct ReconnectState {
+/// The writer counts every frame it puts on the wire and appends it to
+/// a bounded log; the reader counts every frame it decodes. When the
+/// link drops, both sides re-establish a socket (per their [`Redial`]),
+/// exchange [`Msg::Resume`] cursors (each side sends first, then reads
+/// — deadlock-free), and the writer replays exactly the
+/// `sent − peer.recv_seq` tail of its log. Frames still in the outbox
+/// were never written and simply follow. In-flight frames are therefore
+/// neither lost (the gap is replayed) nor duplicated (frames the peer
+/// acknowledged are skipped); a gap wider than the log window is a
+/// typed [`TransportError::Reconnecting`].
+struct Replay {
     redial: Redial,
     policy: RetryPolicy,
     window: usize,
-    sent_seq: AtomicU64,
-    recv_seq: AtomicU64,
-    sent_log: Mutex<std::collections::VecDeque<Msg>>,
+    log: VecDeque<Msg>,
 }
 
-impl ReconnectState {
-    /// Log one outgoing logical frame into the bounded replay window.
-    fn log_sent(&self, msg: &Msg) {
-        self.sent_seq.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.sent_log.lock();
-        if log.len() == self.window {
-            log.pop_front();
+impl Replay {
+    /// Keep one written frame in the bounded replay window.
+    fn log(&mut self, msg: Msg) {
+        if self.log.len() == self.window {
+            self.log.pop_front();
         }
-        log.push_back(msg.clone());
+        self.log.push_back(msg);
     }
 
-    /// Re-establish the physical stream per the redial policy.
-    fn redial(&self) -> TransportResult<TcpStream> {
-        let start = Instant::now();
+    /// Re-establish the physical stream per the redial policy, within
+    /// the deadline counted from `start`; teardown aborts the attempt.
+    fn redial(&self, start: Instant, shared: &Shared) -> TransportResult<TcpStream> {
         let deadline = start + self.policy.deadline;
         loop {
+            if shared.closing() {
+                return Err(TransportError::Disconnected);
+            }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(TransportError::Timeout {
@@ -476,7 +586,7 @@ impl ReconnectState {
             }
             let attempt = match &self.redial {
                 Redial::Connect(addr) => TcpStream::connect_timeout(addr, remaining),
-                Redial::Accept(listener) => accept_with_deadline(listener, remaining),
+                Redial::Accept(listener) => accept_now(listener),
             };
             match attempt {
                 Ok(stream) => {
@@ -492,32 +602,15 @@ impl ReconnectState {
     }
 }
 
-/// Accept one connection within `deadline`, restoring the listener to
-/// blocking mode afterwards. (A plain `accept` has no timeout; polling
-/// in nonblocking mode keeps the reconnect path's overall deadline.)
-fn accept_with_deadline(listener: &TcpListener, deadline: Duration) -> std::io::Result<TcpStream> {
+/// Accept a waiting connection without blocking (`WouldBlock` when
+/// none is), leaving the listener in blocking mode.
+fn accept_now(listener: &TcpListener) -> std::io::Result<TcpStream> {
     listener.set_nonblocking(true)?;
-    let until = Instant::now() + deadline;
-    let res = loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                break Ok(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= until {
-                    break Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "accept deadline elapsed",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    let _ = listener.set_nonblocking(false);
-    res
+    let accepted = listener.accept();
+    listener.set_nonblocking(false)?;
+    let (stream, _) = accepted?;
+    stream.set_nonblocking(false)?;
+    Ok(stream)
 }
 
 /// Try every resolved address once, each under the given per-attempt
@@ -558,6 +651,17 @@ fn is_link_failure(e: &TransportError) -> bool {
     matches!(e, TransportError::Disconnected | TransportError::Io(_))
 }
 
+/// A resync failure for the caller's next `send`, while the original
+/// goes in-stream to its next `recv`.
+fn duplicate(e: &TransportError) -> TransportError {
+    match e {
+        TransportError::Disconnected => TransportError::Disconnected,
+        TransportError::Timeout { waited } => TransportError::Timeout { waited: *waited },
+        TransportError::Reconnecting(why) => TransportError::Reconnecting(why.clone()),
+        other => TransportError::Reconnecting(other.to_string()),
+    }
+}
+
 /// The replay-cursor arithmetic of the resync handshake, as a pure
 /// function: given that we have sent `sent` frames, the peer
 /// acknowledges receiving `peer_recv` of them, and the bounded replay
@@ -578,16 +682,231 @@ fn replay_span(sent: u64, peer_recv: u64, log_len: usize) -> Result<usize, Strin
     Ok(gap)
 }
 
+/// The writer thread's state.
+struct Writer {
+    jobs: Receiver<Job>,
+    /// Jobs that arrived while the writer waited for the reader to
+    /// report a failure, in order.
+    held: VecDeque<Job>,
+    out: BufWriter<TcpStream>,
+    /// Answers to the reader's failure reports: a fresh read half once
+    /// the link resynced, or the error to deliver.
+    verdicts: Sender<TransportResult<BufReader<TcpStream>>>,
+    shared: Arc<Shared>,
+    /// Frames put on the wire so far: the send side of the cursor.
+    sent: u64,
+    /// Set by [`Endpoint::with_reconnect`].
+    replay: Option<Replay>,
+    /// False once the reader has been handed a terminal error.
+    reader_alive: bool,
+}
+
+impl Writer {
+    fn run(mut self) {
+        while let Some(job) = self.held.pop_front().or_else(|| self.jobs.recv().ok()) {
+            let running = match job {
+                Job::Frame(msg, deliver_at) => {
+                    sleep_until(deliver_at);
+                    let res = write_frame(&mut self.out, &msg);
+                    self.sent += 1;
+                    if let Some(replay) = &mut self.replay {
+                        replay.log(msg);
+                    }
+                    match res {
+                        Ok(()) => {
+                            self.shared.written.store(self.sent, Ordering::Relaxed);
+                            true
+                        }
+                        Err(e) => self.recover(e, None),
+                    }
+                }
+                Job::Sever(done) => {
+                    self.shared.cut();
+                    let running = self.recover(TransportError::Disconnected, None);
+                    drop(done);
+                    running
+                }
+                Job::Failed { error, received } => self.recover(error, Some(received)),
+                Job::Reconnect(replay) => {
+                    self.replay = Some(replay);
+                    true
+                }
+            };
+            if !running {
+                return;
+            }
+        }
+    }
+
+    /// Handle a failure the writer hit itself (`reported` is `None`) or
+    /// the reader reported after `reported` frames. A dropped
+    /// reconnecting link is resynced — the one resync per failure;
+    /// anything else ends the side it hit. Returns whether the writer
+    /// keeps running.
+    fn recover(&mut self, error: TransportError, reported: Option<u64>) -> bool {
+        let resumable = is_link_failure(&error)
+            && self.replay.is_some()
+            && self.reader_alive
+            && !self.shared.closing();
+        if !resumable {
+            return match reported {
+                // The read side is done; the write side may still work.
+                Some(_) => {
+                    self.reader_alive = false;
+                    let _ = self.verdicts.send(Err(error));
+                    true
+                }
+                // The write side is done: the next `send` reports why.
+                None => {
+                    *self.shared.error.lock() = Some(error);
+                    false
+                }
+            };
+        }
+        // The peer and the reader must see the drop too; the cursor is
+        // final once the reader has stopped counting.
+        self.shared.cut();
+        let Some(received) = reported.or_else(|| self.await_reader()) else {
+            return false;
+        };
+        match self.resync(received) {
+            Ok(input) => {
+                self.shared.written.store(self.sent, Ordering::Relaxed);
+                let _ = self.verdicts.send(Ok(input));
+                true
+            }
+            Err(e) => {
+                *self.shared.error.lock() = Some(duplicate(&e));
+                let _ = self.verdicts.send(Err(e));
+                false
+            }
+        }
+    }
+
+    /// Wait for the reader to report the cut, holding back the jobs
+    /// that arrive meanwhile; `None` once the caller and the reader are
+    /// both gone.
+    fn await_reader(&mut self) -> Option<u64> {
+        loop {
+            match self.jobs.recv().ok()? {
+                Job::Failed { received, .. } => return Some(received),
+                job => self.held.push_back(job),
+            }
+        }
+    }
+
+    /// Re-establish the link after the reader stopped at `received`
+    /// frames: redial, exchange [`Msg::Resume`] cursors, replay the
+    /// frames the peer missed, and return the fresh read half. A fresh
+    /// socket that dies mid-resync is redialled; [`RetryPolicy::deadline`]
+    /// bounds the whole resync. Resync and replayed frames bypass
+    /// [`TrafficStats`]: the logical traffic of a run is unchanged by a
+    /// reconnect.
+    fn resync(&mut self, received: u64) -> TransportResult<BufReader<TcpStream>> {
+        let replay = self.replay.as_ref().expect("a resumable link replays");
+        let start = Instant::now();
+        let deadline = start + replay.policy.deadline;
+        loop {
+            let stream = replay.redial(start, &self.shared)?;
+            let exchange = || -> TransportResult<(BufWriter<TcpStream>, BufReader<TcpStream>)> {
+                self.shared.adopt(&stream)?;
+                // The peer's cursor must arrive within the deadline too.
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+                let mut out = BufWriter::new(stream.try_clone()?);
+                let mut input = BufReader::new(stream.try_clone()?);
+                write_frame(&mut out, &Msg::Resume { recv_seq: received })?;
+                let peer_recv = match read_frame(&mut input)? {
+                    Msg::Resume { recv_seq } => recv_seq,
+                    other => {
+                        return Err(TransportError::Reconnecting(format!(
+                            "peer sent {} instead of a Resume cursor",
+                            other.kind()
+                        )))
+                    }
+                };
+                let log = &replay.log;
+                let gap = replay_span(self.sent, peer_recv, log.len())
+                    .map_err(TransportError::Reconnecting)?;
+                for msg in log.iter().skip(log.len() - gap) {
+                    write_frame(&mut out, msg)?;
+                }
+                stream.set_read_timeout(None)?;
+                Ok((out, input))
+            };
+            match exchange() {
+                Ok((out, input)) => {
+                    self.out = out;
+                    return Ok(input);
+                }
+                Err(e) if is_link_failure(&e) => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Reader-thread body: decode frames into the inbox, counting them. A
+/// failed read goes to the writer, which answers with a fresh read half
+/// (the link resynced) or the error to deliver in-stream, after every
+/// frame that preceded it.
+fn reader_loop(
+    mut input: BufReader<TcpStream>,
+    inbox: Sender<TransportResult<Msg>>,
+    jobs: Sender<Job>,
+    verdicts: Receiver<TransportResult<BufReader<TcpStream>>>,
+) {
+    let mut received = 0u64;
+    loop {
+        let error = match read_frame(&mut input) {
+            Ok(msg) => {
+                received += 1;
+                if inbox.send(Ok(msg)).is_err() {
+                    return;
+                }
+                continue;
+            }
+            Err(error) => error,
+        };
+        let verdict = match jobs.send(Job::Failed { error, received }) {
+            Ok(()) => verdicts.recv().unwrap_or(Err(TransportError::Disconnected)),
+            // The writer is gone: deliver the error as it is.
+            Err(SendError(Job::Failed { error, .. })) => Err(error),
+            Err(_) => unreachable!("the job sent was a failure report"),
+        };
+        match verdict {
+            Ok(fresh) => input = fresh,
+            Err(e) => {
+                let _ = inbox.send(Err(e));
+                return;
+            }
+        }
+    }
+}
+
 /// One party's end of a duplex link (in-process or TCP).
 pub struct Endpoint {
     wire: Wire,
     stats: Arc<TrafficStats>,
     net: Option<NetworkProfile>,
-    reconnect: Option<ReconnectState>,
+    /// When the simulated link finishes serialising the last message
+    /// sent ([`NetworkProfile::stream_delivery`]).
+    link_free: Mutex<Instant>,
 }
 
 impl Endpoint {
-    /// Send a message to the peer.
+    fn new(wire: Wire) -> Endpoint {
+        Endpoint {
+            wire,
+            stats: Arc::new(TrafficStats::default()),
+            net: None,
+            link_free: Mutex::new(Instant::now()),
+        }
+    }
+
+    /// Send a message to the peer. Returns once the message is queued;
+    /// with a [`NetworkProfile`] it reaches the peer on the streaming
+    /// schedule.
     pub fn send(&self, msg: Msg) -> TransportResult<()> {
         let bytes = msg.wire_size();
         self.stats
@@ -595,55 +914,15 @@ impl Endpoint {
             .fetch_add(bytes as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.stats.sent_by_kind[usize::from(wire::kind_byte(&msg))].fetch_add(1, Ordering::Relaxed);
+        let deliver_at = match &self.net {
+            Some(net) => net.stream_delivery(&mut self.link_free.lock(), bytes, Instant::now()),
+            None => Instant::now(),
+        };
         match &self.wire {
-            Wire::Channel { tx, link_free, .. } => {
-                let deliver_at = match (link_free, &self.net) {
-                    (Some(free), Some(net)) => {
-                        net.stream_delivery(&mut free.lock(), bytes, Instant::now())
-                    }
-                    _ => {
-                        self.stop_and_wait(bytes);
-                        Instant::now()
-                    }
-                };
-                tx.send((msg, deliver_at))
-                    .map_err(|_| TransportError::Disconnected)
-            }
-            Wire::Tcp { writer, .. } => {
-                self.stop_and_wait(bytes);
-                if let Some(rc) = &self.reconnect {
-                    // Log before the physical write: if the write (or
-                    // any in-flight predecessor) is lost to a link
-                    // drop, the resync replay covers it.
-                    rc.log_sent(&msg);
-                    let res = write_frame(&mut *writer.lock(), &msg);
-                    match res {
-                        Err(e) if is_link_failure(&e) => self.reestablish(),
-                        other => other,
-                    }
-                } else {
-                    write_frame(&mut *writer.lock(), &msg)
-                }
-            }
-            Wire::Pipelined(p) => {
-                let q = p.tx_q.as_ref().expect("pipelined outbox present");
-                q.send((msg, Instant::now())).map_err(|_| {
-                    // Writer thread died: surface its error once, then
-                    // a generic disconnect.
-                    p.send_err
-                        .lock()
-                        .take()
-                        .unwrap_or(TransportError::Disconnected)
-                })
-            }
-        }
-    }
-
-    /// The blocking link model: sleep through this message's whole wire
-    /// time on the sending thread (no-op without a profile).
-    fn stop_and_wait(&self, bytes: usize) {
-        if let Some(net) = &self.net {
-            std::thread::sleep(net.delay_for(bytes));
+            Wire::Channel { tx, .. } => tx
+                .send((msg, deliver_at))
+                .map_err(|_| TransportError::Disconnected),
+            Wire::Tcp(link) => link.send(Job::Frame(msg, deliver_at)),
         }
     }
 
@@ -655,133 +934,49 @@ impl Endpoint {
                 sleep_until(deliver_at);
                 Ok(msg)
             }
-            Wire::Tcp { reader, .. } => {
-                let Some(rc) = &self.reconnect else {
-                    return read_frame(&mut *reader.lock());
-                };
-                // A couple of reconnect rounds bound the retry: each
-                // round is itself deadline-limited by the policy, and a
-                // link that dies again mid-resync is not coming back.
-                for _ in 0..2 {
-                    let res = read_frame(&mut *reader.lock());
-                    match res {
-                        Ok(msg) => {
-                            rc.recv_seq.fetch_add(1, Ordering::Relaxed);
-                            return Ok(msg);
-                        }
-                        Err(e) if is_link_failure(&e) => self.reestablish()?,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(TransportError::Reconnecting(
-                    "link kept dropping across reconnect attempts".into(),
-                ))
-            }
-            Wire::Pipelined(p) => match p.rx_q.recv() {
-                Ok(res) => res,
-                // Reader thread gone after delivering its final error.
-                Err(_) => Err(TransportError::Disconnected),
-            },
+            // The reader is gone after delivering its final error.
+            Wire::Tcp(link) => (link.inbox.recv()).unwrap_or(Err(TransportError::Disconnected)),
         }
     }
 
-    /// Re-establish a dropped TCP link and resync the replay cursors:
-    /// redial per the policy, exchange [`Msg::Resume`] cursors (send
-    /// first, then read — both sides doing the same cannot deadlock),
-    /// replay the frames the peer missed, and swap the fresh stream
-    /// into place. Resync and replayed frames bypass [`TrafficStats`]:
-    /// the logical traffic of the run is unchanged by a reconnect.
-    fn reestablish(&self) -> TransportResult<()> {
-        let rc = self
-            .reconnect
-            .as_ref()
-            .expect("reestablish requires reconnect state");
-        let Wire::Tcp { writer, reader } = &self.wire else {
-            return Err(TransportError::Disconnected);
-        };
-        // Both halves are held for the whole resync so a concurrent
-        // send/recv on another thread observes either the dead stream
-        // (and retries into this path) or the fully resynced one.
-        let mut w = writer.lock();
-        let mut r = reader.lock();
-        let stream = rc.redial()?;
-        let mut new_w = BufWriter::new(stream.try_clone()?);
-        let mut new_r = BufReader::new(stream);
-        write_frame(
-            &mut new_w,
-            &Msg::Resume {
-                recv_seq: rc.recv_seq.load(Ordering::Relaxed),
-            },
-        )?;
-        let peer_recv = match read_frame(&mut new_r)? {
-            Msg::Resume { recv_seq } => recv_seq,
-            other => {
-                return Err(TransportError::Reconnecting(format!(
-                    "peer sent {} instead of a Resume cursor",
-                    other.kind()
-                )))
-            }
-        };
-        let sent = rc.sent_seq.load(Ordering::Relaxed);
-        let log = rc.sent_log.lock();
-        let gap = replay_span(sent, peer_recv, log.len()).map_err(TransportError::Reconnecting)?;
-        for msg in log.iter().skip(log.len() - gap) {
-            write_frame(&mut new_w, msg)?;
-        }
-        drop(log);
-        *w = new_w;
-        *r = new_r;
-        Ok(())
-    }
-
-    /// Forcibly shut down the underlying TCP socket — the `Drop` fault
-    /// injection seam: the connection dies mid-run while both party
-    /// processes stay up, exactly what a flaky WAN does. Returns
-    /// `false` on backends with no socket to sever (in-process
-    /// channels). Subsequent operations surface the failure and, on a
-    /// reconnect-enabled endpoint, recover transparently.
+    /// Forcibly shut down the underlying TCP socket once every message
+    /// sent so far has been written — the `Drop` fault injection seam:
+    /// the connection dies mid-run at a fixed point of the message
+    /// stream while both party processes stay up, exactly what a flaky
+    /// WAN does. A reconnecting endpoint returns once the link has
+    /// resynced (or failed to: the next `send` says why); any other
+    /// surfaces the failure on its next operations. Returns `false` on
+    /// backends with no socket to sever (in-process channels).
     pub fn sever(&self) -> bool {
-        match &self.wire {
-            Wire::Channel { .. } => false,
-            Wire::Tcp { writer, .. } => {
-                let _ = writer.lock().get_ref().shutdown(std::net::Shutdown::Both);
-                true
-            }
-            Wire::Pipelined(p) => {
-                let _ = p.tcp.shutdown(std::net::Shutdown::Both);
-                true
-            }
+        let Wire::Tcp(link) = &self.wire else {
+            return false;
+        };
+        let (done, handled) = bounded::<()>(1);
+        if link.jobs.send(Job::Sever(done)).is_ok() {
+            let _ = handled.recv();
         }
+        true
     }
 
     /// Enable transparent reconnection with a bounded replay cursor on
-    /// this (blocking TCP) endpoint. `window` bounds how many recent
-    /// frames are kept for replay; the protocols here are strict
-    /// request/response, so a handful suffices. A reconnecting endpoint
-    /// stays on the blocking wire: [`Endpoint::make_pipelined`] leaves
-    /// it alone, because the replay log lives on the blocking path.
-    pub fn with_reconnect(
-        mut self,
-        redial: Redial,
-        policy: RetryPolicy,
-        window: usize,
-    ) -> Endpoint {
+    /// this TCP endpoint. `window` bounds how many recent frames are
+    /// kept for replay; the protocols here are strict request/response,
+    /// so a handful suffices. The link keeps streaming: its writer
+    /// thread resyncs a dropped link in place.
+    pub fn with_reconnect(self, redial: Redial, policy: RetryPolicy, window: usize) -> Endpoint {
         assert!(window >= 1, "replay window must hold at least 1 frame");
-        assert!(
-            matches!(self.wire, Wire::Tcp { .. }),
-            "reconnection requires a blocking TCP endpoint"
-        );
-        self.reconnect = Some(ReconnectState {
+        let Wire::Tcp(link) = &self.wire else {
+            panic!("reconnection requires a TCP endpoint");
+        };
+        // A writer that already died has nothing left to resync.
+        let _ = link.jobs.send(Job::Reconnect(Replay {
             redial,
             policy,
             window,
-            sent_seq: AtomicU64::new(0),
-            recv_seq: AtomicU64::new(0),
-            sent_log: Mutex::new(std::collections::VecDeque::with_capacity(window)),
-        });
+            log: VecDeque::with_capacity(window),
+        }));
         self
     }
-
     /// Receive, expecting a ciphertext tensor.
     pub fn recv_ct(&self) -> TransportResult<CtMat> {
         match self.recv()? {
@@ -881,29 +1076,54 @@ impl Endpoint {
         &self.stats
     }
 
-    /// Attach a simulated network profile (applied to every subsequent
-    /// `send`, exactly as on the in-process backend).
+    /// Attach a simulated network profile, applied to every subsequent
+    /// `send` on either backend.
     pub fn with_network(mut self, profile: NetworkProfile) -> Endpoint {
         self.net = Some(profile);
         self
     }
 
-    /// Wrap an established TCP stream. Disables Nagle's algorithm —
-    /// the protocols are strict request/response ping-pong, where
-    /// delayed ACKs would otherwise dominate round times.
+    /// Wrap an established TCP stream and start the link's writer and
+    /// reader threads. Disables Nagle's algorithm — the protocols are
+    /// strict request/response ping-pong, where delayed ACKs would
+    /// otherwise dominate round times.
     pub fn from_tcp_stream(stream: TcpStream) -> TransportResult<Endpoint> {
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
-        Ok(Endpoint {
-            wire: Wire::Tcp {
-                writer: Mutex::new(writer),
-                reader: Mutex::new(reader),
+        let input = BufReader::new(stream.try_clone()?);
+        let shared = Arc::new(Shared {
+            socket: Mutex::new(Some(stream.try_clone()?)),
+            written: AtomicU64::new(0),
+            error: Mutex::new(None),
+        });
+        let (jobs, job_rx) = bounded(QUEUE_DEPTH);
+        let (inbox_tx, inbox) = bounded(QUEUE_DEPTH);
+        let (verdicts, verdict_rx) = bounded(1);
+        let writer = Writer {
+            jobs: job_rx,
+            held: VecDeque::new(),
+            out: BufWriter::new(stream),
+            verdicts,
+            shared: Arc::clone(&shared),
+            sent: 0,
+            replay: None,
+            reader_alive: true,
+        };
+        let writer = std::thread::Builder::new()
+            .name("bf-mpc-writer".into())
+            .spawn(move || writer.run())?;
+        let reader_jobs = jobs.clone();
+        let reader = std::thread::Builder::new()
+            .name("bf-mpc-reader".into())
+            .spawn(move || reader_loop(input, inbox_tx, reader_jobs, verdict_rx))?;
+        Ok(Endpoint::new(Wire::Tcp(TcpLink {
+            jobs,
+            inbox,
+            threads: LinkThreads {
+                shared,
+                queued: AtomicU64::new(0),
+                handles: vec![writer, reader],
             },
-            stats: Arc::new(TrafficStats::default()),
-            net: None,
-            reconnect: None,
-        })
+        })))
     }
 
     /// Connect to a listening peer (the "guest" side of a deployment).
@@ -949,182 +1169,6 @@ impl Endpoint {
         let (stream, _) = listener.accept()?;
         Endpoint::from_tcp_stream(stream)
     }
-
-    /// Put this endpoint on the **streaming** schedule in place (no-op
-    /// if it already streams).
-    ///
-    /// After conversion `send` returns without sleeping through wire
-    /// time. The simulated [`NetworkProfile`] becomes a streaming link —
-    /// serialisation occupies the link back to back and propagation
-    /// latency pipelines across in-flight messages, which is how a real
-    /// TCP stream behaves — where the blocking mode models stop-and-wait
-    /// (each send sleeps `latency + bytes/bw` inline). One schedule
-    /// (`NetworkProfile::stream_delivery`) serves both backends:
-    ///
-    /// * **in process** no thread is started: `send` stamps the message
-    ///   with its scheduled delivery instant and the peer's `recv`
-    ///   sleeps until it. `depth` is unused (nothing is queued that the
-    ///   channel does not already hold);
-    /// * **over TCP** a writer thread drains a bounded outbox of `depth`
-    ///   messages (blocking the caller only when it is full —
-    ///   backpressure, bounding memory) onto the socket, applying the
-    ///   profile, and a reader thread prefetches up to `depth` decoded
-    ///   frames.
-    ///
-    /// A TCP endpoint with transparent reconnection
-    /// ([`Endpoint::with_reconnect`]) is left on the blocking wire: its
-    /// replay log and redial live on that path, and a streaming wire's
-    /// threads would own the socket it has to swap. Such a link keeps
-    /// surviving drops and simply does not stream. Likewise, should the
-    /// socket refuse to be duplicated for the threads, the endpoint
-    /// stays blocking.
-    ///
-    /// Semantics preserved exactly: message order, message bytes, and
-    /// [`TrafficStats`] accounting (still performed on the calling
-    /// thread, in call order) are identical to the blocking mode. Only
-    /// wall-clock scheduling changes.
-    pub fn make_pipelined(&mut self, depth: usize) {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
-        let tcp = match &mut self.wire {
-            Wire::Channel { link_free, .. } => {
-                link_free.get_or_insert_with(|| Mutex::new(Instant::now()));
-                return;
-            }
-            Wire::Pipelined(_) => return,
-            Wire::Tcp { .. } if self.reconnect.is_some() => return,
-            Wire::Tcp { writer, .. } => match writer.get_mut().get_ref().try_clone() {
-                Ok(tcp) => tcp,
-                Err(_) => return,
-            },
-        };
-        // Swap in a throwaway channel wire so we can take ownership of
-        // the socket halves (they move into the worker threads).
-        let (dummy_tx, dummy_rx) = unbounded();
-        let placeholder = Wire::Channel {
-            tx: dummy_tx,
-            rx: dummy_rx,
-            link_free: None,
-        };
-        let Wire::Tcp { writer, reader } = std::mem::replace(&mut self.wire, placeholder) else {
-            unreachable!("checked above");
-        };
-        // The writer thread takes over the simulated network: inline
-        // sleeps on the caller are exactly what streaming removes.
-        let net = self.net.take();
-        let send_err = Arc::new(Mutex::new(None));
-        let err_slot = Arc::clone(&send_err);
-        let progress = Arc::new(AtomicU64::new(0));
-        let progress_w = Arc::clone(&progress);
-        let (tx_q, out_q) = bounded(depth);
-        let (in_q, rx_q) = bounded(depth);
-        let writer = writer.into_inner();
-        let reader = reader.into_inner();
-        let writer = std::thread::Builder::new()
-            .name("bf-mpc-writer".into())
-            .spawn(move || writer_loop(writer, out_q, net, progress_w, err_slot))
-            .expect("spawn transport writer");
-        std::thread::Builder::new()
-            .name("bf-mpc-reader".into())
-            .spawn(move || reader_loop(reader, in_q))
-            .expect("spawn transport reader");
-        self.wire = Wire::Pipelined(Pipelined {
-            tx_q: Some(tx_q),
-            rx_q,
-            writer: Some(writer),
-            progress,
-            send_err,
-            tcp,
-        });
-    }
-
-    /// True if this endpoint is on the streaming schedule
-    /// ([`Endpoint::make_pipelined`]).
-    pub fn is_pipelined(&self) -> bool {
-        match &self.wire {
-            Wire::Channel { link_free, .. } => link_free.is_some(),
-            Wire::Tcp { .. } => false,
-            Wire::Pipelined(_) => true,
-        }
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        if let Wire::Pipelined(p) = &mut self.wire {
-            // Close the outbox, then wait for the writer to drain the
-            // queued tail onto the wire: the peer may still be waiting
-            // on those messages after this side's party loop returned.
-            p.tx_q.take();
-            if let Some(h) = p.writer.take() {
-                // Let the writer flush the queued tail (at most `depth`
-                // messages), but don't join unconditionally: a peer
-                // that stopped reading would leave the writer blocked
-                // in `write_all` and this Drop stuck forever. A slow
-                // *simulated* link is legitimate, so the deadline is
-                // on per-message progress, not total elapsed time; the
-                // socket is severed only after 5 s with no message
-                // delivered.
-                let mut last_progress = p.progress.load(Ordering::Relaxed);
-                let mut stalled_since = Instant::now();
-                while !h.is_finished() {
-                    std::thread::sleep(Duration::from_millis(2));
-                    let now_progress = p.progress.load(Ordering::Relaxed);
-                    if now_progress != last_progress {
-                        last_progress = now_progress;
-                        stalled_since = Instant::now();
-                    } else if stalled_since.elapsed() > Duration::from_secs(5) {
-                        let _ = p.tcp.shutdown(std::net::Shutdown::Both);
-                        break;
-                    }
-                }
-                let _ = h.join();
-            }
-            // The reader thread's duplicated fd would keep the
-            // connection open forever; shut the socket down so the
-            // peer sees FIN (→ `Disconnected`) and our reader exits.
-            let _ = p.tcp.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-/// Writer-thread body: drain the outbox onto the socket, applying the
-/// simulated network as a *streaming* link.
-fn writer_loop(
-    mut w: BufWriter<TcpStream>,
-    q: Receiver<(Msg, Instant)>,
-    net: Option<NetworkProfile>,
-    progress: Arc<AtomicU64>,
-    err_slot: Arc<Mutex<Option<TransportError>>>,
-) {
-    // When the link becomes free for the next message's serialisation.
-    let mut link_free = Instant::now();
-    while let Ok((msg, enqueued_at)) = q.recv() {
-        if let Some(p) = &net {
-            // Scheduled from when the sender handed the message over,
-            // not from when this thread got around to it.
-            sleep_until(p.stream_delivery(&mut link_free, msg.wire_size(), enqueued_at));
-        }
-        if let Err(e) = write_frame(&mut w, &msg) {
-            *err_slot.lock() = Some(e);
-            // Dropping the queue receiver makes the caller's next
-            // `send` fail and pick up the stored error.
-            return;
-        }
-        progress.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Reader-thread body: eagerly decode socket frames into the inbox.
-/// A transport error is delivered in-stream (after all messages that
-/// preceded it), then the thread exits.
-fn reader_loop(mut r: BufReader<TcpStream>, q: Sender<TransportResult<Msg>>) {
-    loop {
-        let res = read_frame(&mut r);
-        let done = res.is_err();
-        if q.send(res).is_err() || done {
-            return;
-        }
-    }
 }
 
 fn mismatch(expected: &'static str, got: &Msg) -> TransportError {
@@ -1138,16 +1182,7 @@ fn mismatch(expected: &'static str, got: &Msg) -> TransportError {
 pub fn channel_pair() -> (Endpoint, Endpoint) {
     let (tx_ab, rx_ab) = unbounded();
     let (tx_ba, rx_ba) = unbounded();
-    let end = |tx, rx| Endpoint {
-        wire: Wire::Channel {
-            tx,
-            rx,
-            link_free: None,
-        },
-        stats: Arc::new(TrafficStats::default()),
-        net: None,
-        reconnect: None,
-    };
+    let end = |tx, rx| Endpoint::new(Wire::Channel { tx, rx });
     (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
 
@@ -1157,9 +1192,8 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
 /// The paper's testbed links the two parties at 10 Gbps; to study how
 /// BlindFL behaves over slower cross-enterprise links (where its low
 /// communication volume matters even more), build the pair with a
-/// profile and every message pays `latency + bytes/bandwidth`: inline
-/// on the sender of a blocking endpoint, on the streaming schedule of
-/// one converted by [`Endpoint::make_pipelined`].
+/// profile and every message pays `latency + bytes/bandwidth` on the
+/// streaming schedule ([`NetworkProfile::stream_delivery`]).
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkProfile {
     /// One-way latency per message.
@@ -1187,9 +1221,8 @@ impl NetworkProfile {
 
     /// Serialisation (bandwidth) delay alone — the portion that
     /// occupies the link. Propagation latency pipelines across
-    /// in-flight messages on a streaming link, so
-    /// [`NetworkProfile::stream_delivery`] accounts for the two
-    /// separately.
+    /// in-flight messages, so [`NetworkProfile::stream_delivery`]
+    /// accounts for the two separately.
     fn ser_delay(&self, bytes: usize) -> Duration {
         if self.bytes_per_sec == 0 {
             Duration::ZERO
@@ -1198,6 +1231,8 @@ impl NetworkProfile {
         }
     }
 
+    /// One message's whole wire time, from the start of its
+    /// serialisation to its delivery.
     fn delay_for(&self, bytes: usize) -> std::time::Duration {
         self.latency + self.ser_delay(bytes)
     }
@@ -1215,13 +1250,13 @@ impl NetworkProfile {
     ) -> Instant {
         let start = (*link_free).max(handed_over);
         *link_free = start + self.ser_delay(bytes);
-        *link_free + self.latency
+        start + self.delay_for(bytes)
     }
 }
 
 /// Create a connected pair whose messages incur the given simulated
-/// network delay (blocking until converted, so wall-clock measurements
-/// of protocol phases include the wire time).
+/// network delay on the streaming schedule: `send` returns at once, the
+/// peer's `recv` waits until the message is delivered.
 pub fn channel_pair_with_network(profile: NetworkProfile) -> (Endpoint, Endpoint) {
     let (a, b) = channel_pair();
     (a.with_network(profile), b.with_network(profile))
@@ -1282,6 +1317,8 @@ mod tests {
 
     #[test]
     fn network_profile_delays_sends() {
+        // The delay shows at the receiver: no message arrives before
+        // one latency has passed since it was sent.
         let profile = NetworkProfile {
             latency: std::time::Duration::from_millis(5),
             bytes_per_sec: 0,
@@ -1291,8 +1328,9 @@ mod tests {
         for _ in 0..4 {
             a.send(Msg::Scalar(1.0)).unwrap();
         }
-        assert!(t.elapsed() >= std::time::Duration::from_millis(20));
-        for _ in 0..4 {
+        b.recv_scalar().unwrap();
+        assert!(t.elapsed() >= std::time::Duration::from_millis(5));
+        for _ in 0..3 {
             b.recv_scalar().unwrap();
         }
     }
@@ -1367,9 +1405,7 @@ mod tests {
 
     #[test]
     fn pipelined_channel_preserves_order_content_and_accounting() {
-        let (mut a, b) = channel_pair();
-        a.make_pipelined(8);
-        assert!(a.is_pipelined());
+        let (a, b) = channel_pair();
         let m = Dense::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         a.send(Msg::Mat(m.clone())).unwrap();
         a.send(Msg::Scalar(7.5)).unwrap();
@@ -1377,7 +1413,7 @@ mod tests {
         assert_eq!(b.recv_mat().unwrap(), m);
         assert_eq!(b.recv_scalar().unwrap(), 7.5);
         assert_eq!(b.recv_support().unwrap(), vec![3, 1]);
-        // Accounting identical to the blocking mode.
+        // Accounting counts each message once, in call order.
         let (sync_a, _sync_b) = channel_pair();
         sync_a.send(Msg::Mat(m)).unwrap();
         sync_a.send(Msg::Scalar(7.5)).unwrap();
@@ -1389,8 +1425,7 @@ mod tests {
 
     #[test]
     fn pipelined_recv_side_prefetches() {
-        let (a, mut b) = channel_pair();
-        b.make_pipelined(4);
+        let (a, b) = channel_pair();
         for i in 0..16 {
             a.send(Msg::U64(i)).unwrap();
         }
@@ -1401,8 +1436,7 @@ mod tests {
 
     #[test]
     fn pipelined_send_overlaps_network_latency() {
-        // Blocking mode sleeps latency+ser inline per send; streaming
-        // mode returns immediately and the receiver waits out each
+        // `send` returns immediately and the receiver waits out each
         // message's stamp, with latency pipelined across in-flight
         // messages.
         let profile = NetworkProfile {
@@ -1410,14 +1444,12 @@ mod tests {
             bytes_per_sec: 0,
         };
         let (a, b) = channel_pair_with_network(profile);
-        let mut a = a;
-        a.make_pipelined(8);
         let t = std::time::Instant::now();
         for _ in 0..4 {
             a.send(Msg::Scalar(1.0)).unwrap();
         }
         let enqueue_time = t.elapsed();
-        // The blocking path would `sleep` ≥ 4×30 ms = 120 ms inline
+        // A stop-and-wait link would `sleep` ≥ 4×30 ms = 120 ms inline
         // (thread::sleep guarantees at least its duration), so these
         // bounds discriminate even with generous scheduling slack for
         // loaded CI machines.
@@ -1448,8 +1480,6 @@ mod tests {
             bytes_per_sec: 0,
         };
         let (a, b) = channel_pair_with_network(profile);
-        let mut a = a;
-        a.make_pipelined(8);
         for i in 0..5 {
             a.send(Msg::U64(i)).unwrap();
         }
@@ -1462,8 +1492,7 @@ mod tests {
 
     #[test]
     fn pipelined_disconnect_surfaces_as_error() {
-        let (mut a, b) = channel_pair();
-        a.make_pipelined(2);
+        let (a, b) = channel_pair();
         drop(b);
         // The writer discovers the dead peer asynchronously; keep
         // sending until the error propagates back.
@@ -1481,9 +1510,7 @@ mod tests {
 
     #[test]
     fn pipelined_tcp_matches_channel_accounting() {
-        let (mut a, mut b) = tcp_pair();
-        a.make_pipelined(4);
-        b.make_pipelined(4);
+        let (a, b) = tcp_pair();
         let m = Dense::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         a.send(Msg::Mat(m.clone())).unwrap();
         b.send(Msg::Scalar(2.0)).unwrap();
@@ -1500,12 +1527,11 @@ mod tests {
 
     #[test]
     fn pipelined_tcp_drop_disconnects_the_peer() {
-        // Regression: the pipelined reader thread holds a duplicated
-        // socket fd; Drop must still get a FIN out so a peer blocked
-        // in a *sync* recv observes Disconnected (with queued tail
-        // messages delivered first) instead of hanging forever.
-        let (mut a, b) = tcp_pair();
-        a.make_pipelined(4);
+        // Regression: the reader thread holds a duplicated socket fd;
+        // Drop must still get a FIN out so a peer blocked in recv
+        // observes Disconnected (with queued tail messages delivered
+        // first) instead of hanging forever.
+        let (a, b) = tcp_pair();
         a.send(Msg::U64(5)).unwrap();
         drop(a);
         assert_eq!(b.recv_u64().unwrap(), 5);
@@ -1592,28 +1618,45 @@ mod tests {
     }
 
     #[test]
-    fn streaming_conversion_keeps_a_reconnecting_link_alive() {
-        // A link configured to survive drops must keep surviving them
-        // after a caller asks for the streaming wire (training's
-        // pipelined mode and every serve loop do): the endpoint stays
-        // blocking, and a severed link reconnects and replays.
-        let (mut a, mut b) = reconnecting_tcp_pair(8, RetryPolicy::default());
-        a.make_pipelined(4);
-        b.make_pipelined(4);
-        assert!(!a.is_pipelined() && !b.is_pipelined());
-        a.send(Msg::U64(1)).unwrap();
-        assert_eq!(b.recv_u64().unwrap(), 1);
+    fn a_reconnecting_link_streams_and_survives_a_sever() {
+        // Drop survival and overlap at once: on a 30 ms link the sends
+        // of a reconnecting endpoint return at once and their latencies
+        // pipeline, and a severed link reconnects and replays.
+        let profile = NetworkProfile {
+            latency: Duration::from_millis(30),
+            bytes_per_sec: 0,
+        };
+        let (a, b) = reconnecting_tcp_pair(8, RetryPolicy::default());
+        let (a, b) = (a.with_network(profile), b.with_network(profile));
+        let t = Instant::now();
+        for i in 0..4 {
+            a.send(Msg::U64(i)).unwrap();
+        }
+        assert!(
+            t.elapsed() < Duration::from_millis(90),
+            "reconnecting sends blocked for {:?}",
+            t.elapsed()
+        );
+        for i in 0..4 {
+            assert_eq!(b.recv_u64().unwrap(), i);
+        }
+        let total = t.elapsed();
+        assert!(total >= Duration::from_millis(30));
+        assert!(
+            total < Duration::from_millis(115),
+            "latencies did not pipeline: {total:?}"
+        );
         a.sever();
         let t = std::thread::spawn(move || {
             let v = b.recv_u64().unwrap();
             b.send(Msg::Scalar(v as f64)).unwrap();
             b
         });
-        a.send(Msg::U64(2)).unwrap();
-        assert_eq!(a.recv_scalar().unwrap(), 2.0);
+        a.send(Msg::U64(9)).unwrap();
+        assert_eq!(a.recv_scalar().unwrap(), 9.0);
         let b = t.join().unwrap();
-        assert_eq!(a.stats().msgs(), 2);
-        assert_eq!(a.stats().bytes(), 16);
+        assert_eq!(a.stats().msgs(), 5);
+        assert_eq!(a.stats().bytes(), 40);
         assert_eq!(b.stats().msgs(), 1);
     }
 

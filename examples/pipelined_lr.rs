@@ -5,15 +5,16 @@
 //! ```
 //!
 //! Trains the same federated LR twice over a simulated WAN link
-//! (`NetworkProfile::wan_100mbps`): once with the lock-step
-//! [`TrainMode::Sync`] loop, once with [`TrainMode::Pipelined`] —
-//! transport on the streaming schedule, mini-batch preparation
-//! double-buffered. The engine's contract is asserted
-//! here, not just printed:
+//! (`NetworkProfile::wan_100mbps`): once with [`TrainMode::Sync`]
+//! (batches selected on the protocol thread), once with
+//! [`TrainMode::Pipelined`] (mini-batch preparation double-buffered on
+//! a worker). The link streams in both runs, so the two differ in
+//! batch prefetch alone. The engine's contract is asserted here, not
+//! just printed:
 //!
 //! * **bit-identical** per-batch loss curves and test metric,
 //! * **exactly equal** A→B and B→A `TrafficStats` byte counts,
-//! * the pipelined run is reported with its wall-clock speedup.
+//! * the wall-clock ratio is reported as batch prefetch's speedup.
 
 use bf_datagen::{generate, spec, vsplit, VflData};
 use bf_mpc::transport::{channel_pair_with_network, NetworkProfile};
@@ -80,14 +81,14 @@ fn run(mode: TrainMode) -> (PartyBRun, u64, f64) {
 
 fn main() {
     println!("== federated LR over simulated WAN (100 Mbps, 20 ms) ==");
-    println!("-- lock-step (TrainMode::Sync) --");
+    println!("-- no prefetch (TrainMode::Sync) --");
     let (sync_b, sync_bytes_a, sync_secs) = run(TrainMode::Sync);
     println!(
         "sync: {sync_secs:.2}s wall, AUC = {:.3}",
         sync_b.test_metric
     );
 
-    println!("-- pipelined (TrainMode::Pipelined) --");
+    println!("-- batch prefetch (TrainMode::Pipelined) --");
     let (pipe_b, pipe_bytes_a, pipe_secs) = run(TrainMode::pipelined());
     println!(
         "pipelined: {pipe_secs:.2}s wall, AUC = {:.3}",
@@ -113,7 +114,10 @@ fn main() {
         "traffic parity: A→B {sync_bytes_a} bytes, B→A {} bytes (exact across modes)",
         sync_b.bytes_sent_per_link[0]
     );
-    println!("speedup: {:.2}x wall-clock", sync_secs / pipe_secs);
+    println!(
+        "batch prefetch speedup: {:.2}x wall-clock (both runs stream the link)",
+        sync_secs / pipe_secs
+    );
     let final_loss = sync_b.losses.last().unwrap();
     println!("final loss = {final_loss:.6} (pipelined bit-identical to sync)");
 }

@@ -48,10 +48,6 @@ fn train_config() -> FedTrainConfig {
             ..Default::default()
         },
         snapshot_u_a: false,
-        // Chaos drills: `BF_FAULT=kill@N|drop@N|delay@N:MS` injects a
-        // scripted failure into whichever process it is set for
-        // (unset ⇒ fault-free; see `bf_mpc::fault`).
-        fault: bf_mpc::FaultPlan::from_env(),
         ..Default::default()
     }
 }
@@ -92,17 +88,10 @@ fn orchestrate() {
     let (train_v, test_v) = datasets();
 
     println!("== in-process reference (channel transport) ==");
-    // The reference stays fault-free even under a `BF_FAULT` drill —
-    // the env var is process-wide, but the drill targets the party
-    // runs below, and the reference must survive to compare against.
-    let reference_tc = FedTrainConfig {
-        fault: None,
-        ..train_config()
-    };
     let reference = train_federated(
         &fed_spec(),
         &fed_config(),
-        &reference_tc,
+        &train_config(),
         train_v.party_a.clone(),
         train_v.party_b.clone(),
         test_v.party_a.clone(),

@@ -17,6 +17,11 @@
 //!    the full per-batch loss curve, the test metric, the per-link
 //!    traffic totals, and the exported model bytes of every party.
 //!
+//! A dropped link needs no restart: a pipelined run over a TCP link
+//! that redials and replays ([`Endpoint::with_reconnect`]) and is
+//! severed by a scripted [`FaultAction::Drop`] must equal the same run
+//! left alone, bit for bit.
+//!
 //! A separate test asserts the checkpoint mechanism itself is
 //! wire-silent: an uninterrupted run with checkpointing enabled sends
 //! exactly the same bytes as one without (capture is local-only).
@@ -28,6 +33,7 @@
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bf_datagen::{generate, spec as dataset_spec, vsplit, vsplit_misaligned, vsplit_multi};
 use bf_ml::data::Dataset;
@@ -35,8 +41,9 @@ use bf_mpc::Endpoint;
 use rand::{RngCore, SeedableRng};
 
 use bf_mpc::fault::{FaultAction, FaultPlan};
-use bf_mpc::transport::TransportResult;
+use bf_mpc::transport::{Redial, RetryPolicy, TransportResult};
 use blindfl::config::FedConfig;
+use blindfl::engine::TrainMode;
 use blindfl::models::FedSpec;
 use blindfl::multiparty::{accept_guests, join_host, run_star};
 use blindfl::persist::{export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b};
@@ -83,6 +90,14 @@ fn with_kill(mut tc: FedTrainConfig, at_batch: u64) -> FedTrainConfig {
     tc.fault = Some(FaultPlan {
         at_batch,
         action: FaultAction::Kill,
+    });
+    tc
+}
+
+fn with_drop(mut tc: FedTrainConfig, at_batch: u64) -> FedTrainConfig {
+    tc.fault = Some(FaultPlan {
+        at_batch,
+        action: FaultAction::Drop,
     });
     tc
 }
@@ -153,6 +168,28 @@ fn endpoints(tcp: bool) -> (Endpoint, Endpoint) {
     (t.join().expect("connect thread"), b)
 }
 
+/// A TCP link whose connect side redials and whose accept side
+/// re-accepts after a drop, replaying up to 8 frames (the transport
+/// suite's idiom).
+fn reconnecting_endpoints() -> (Endpoint, Endpoint) {
+    let listener = Arc::new(TcpListener::bind("127.0.0.1:0").expect("bind localhost"));
+    let addr = listener.local_addr().unwrap();
+    let policy = RetryPolicy::default();
+    let t = std::thread::spawn(move || {
+        (Endpoint::tcp_connect(addr).expect("connect")).with_reconnect(
+            Redial::Connect(addr),
+            policy,
+            8,
+        )
+    });
+    let b = (Endpoint::tcp_accept(&listener).expect("accept")).with_reconnect(
+        Redial::Accept(listener),
+        policy,
+        8,
+    );
+    (t.join().expect("connect thread"), b)
+}
+
 /// One two-party run (fresh or resumed): Party A on a thread, Party B
 /// on the caller's thread. Errors are returned, not panicked — the
 /// chaos phase expects both parties to fail.
@@ -164,13 +201,24 @@ fn run_two_party(
     tc_a: FedTrainConfig,
     tc_b: FedTrainConfig,
 ) -> (TransportResult<PartyARun>, TransportResult<PartyBRun>) {
+    run_two_party_over(endpoints(tcp), cfg, row_div, tc_a, tc_b)
+}
+
+/// [`run_two_party`] over the given link.
+#[allow(clippy::type_complexity)]
+fn run_two_party_over(
+    (ep_a, ep_b): (Endpoint, Endpoint),
+    cfg: &FedConfig,
+    row_div: usize,
+    tc_a: FedTrainConfig,
+    tc_b: FedTrainConfig,
+) -> (TransportResult<PartyARun>, TransportResult<PartyBRun>) {
     let ds = dataset_spec("a9a").scaled(row_div, 1);
     let (train, test) = generate(&ds, DATA_SEED);
     let train_v = vsplit(&train);
     let test_v = vsplit(&test);
     let fed = FedSpec::Glm { out: 1 };
 
-    let (ep_a, ep_b) = endpoints(tcp);
     let cfg_a = cfg.clone();
     let fed_a = fed.clone();
     let (train_a, test_a) = (train_v.party_a.clone(), test_v.party_a.clone());
@@ -274,6 +322,31 @@ fn two_party_paillier_packed_in_process_recovers_bit_identically() {
 #[test]
 fn two_party_paillier_packed_tcp_recovers_bit_identically() {
     assert_two_party_recovery("2p_pail_tcp", FedConfig::paillier_test(), 1024, 8, true);
+}
+
+/// The first run that fires [`FaultAction::Drop`]: a pipelined
+/// Paillier run over a reconnecting TCP link, severed by Party A after
+/// the cell-seeded batch, resyncs in place — losses, test metric,
+/// per-link traffic and exported models all equal the unsevered run.
+#[test]
+fn two_party_paillier_pipelined_reconnecting_tcp_survives_a_dropped_link() {
+    let (row_div, bs) = (1024, 8);
+    let cfg = FedConfig::paillier_test();
+    let total = (train_rows(row_div) / bs * EPOCHS) as u64;
+    let drop_at = kill_batch("2p_pail_drop", total);
+    let tc = FedTrainConfig {
+        mode: TrainMode::pipelined(),
+        ..base_tc(bs)
+    };
+    let run = |tc_a: FedTrainConfig| {
+        let (ra, rb) =
+            run_two_party_over(reconnecting_endpoints(), &cfg, row_div, tc_a, tc.clone());
+        collect_two_party(ra.expect("party A"), rb.expect("party B"))
+    };
+    let unsevered = run(tc.clone());
+    assert_eq!(unsevered.losses.len() as u64, total);
+    let severed = run(with_drop(tc.clone(), drop_at));
+    assert_eq!(unsevered, severed, "a dropped link changed the run");
 }
 
 /// One M-guest run (fresh or resumed): [`run_star`] in process, its two

@@ -15,14 +15,21 @@
 //!   chain plus ten for the Embed-MatMul source (the table is in
 //!   `docs/ARCHITECTURE.md`).
 //!
+//! The served request and the MatMul batch are pinned twice: over an
+//! in-process link and over a TCP link that survives drops
+//! ([`Endpoint::with_reconnect`]) — a reconnecting link streams too.
+//!
 //! The upper bounds leave 0.6 `L` for scheduling noise; a step that
 //! gains a reversal lands a whole `L` above its bound.
 
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bf_datagen::{generate, spec as dataset_spec, vsplit};
 use bf_ml::data::Dataset;
-use bf_mpc::transport::{channel_pair_with_network, NetworkProfile};
+use bf_mpc::transport::{channel_pair_with_network, NetworkProfile, Redial, RetryPolicy};
+use bf_mpc::Endpoint;
 use blindfl::config::FedConfig;
 use blindfl::engine::TrainMode;
 use blindfl::models::{FedSpec, PartyAModel, PartyBModel};
@@ -45,16 +52,41 @@ fn slices(rows: usize) -> ((Dataset, Dataset), (Dataset, Dataset)) {
     (head(&train, rows), head(&test, 16))
 }
 
-/// Run guest and host as two threads over a fresh in-process link with
-/// latency `L` and infinite bandwidth, each on a Plain session.
-fn over_link<RA: Send>(
+/// Latency `L`, infinite bandwidth.
+fn profile() -> NetworkProfile {
+    NetworkProfile {
+        latency: L,
+        bytes_per_sec: 0,
+    }
+}
+
+/// A fresh in-process link.
+fn in_process() -> (Endpoint, Endpoint) {
+    channel_pair_with_network(profile())
+}
+
+/// A fresh localhost TCP link whose ends redial / re-accept after a
+/// drop, with the simulated profile on top.
+fn reconnecting_tcp() -> (Endpoint, Endpoint) {
+    let listener = Arc::new(TcpListener::bind("127.0.0.1:0").unwrap());
+    let addr = listener.local_addr().unwrap();
+    let policy = RetryPolicy::default();
+    // The kernel completes a localhost connect from the listen backlog.
+    let guest = Endpoint::tcp_connect(addr).unwrap();
+    let host = Endpoint::tcp_accept(&listener).unwrap();
+    (
+        (guest.with_reconnect(Redial::Connect(addr), policy, 8)).with_network(profile()),
+        (host.with_reconnect(Redial::Accept(listener), policy, 8)).with_network(profile()),
+    )
+}
+
+/// Run guest and host as two threads over `link`, each on a Plain
+/// session.
+fn over<RA: Send>(
+    (ep_a, ep_b): (Endpoint, Endpoint),
     guest: impl FnOnce(Session) -> RA + Send,
     host: impl FnOnce(Session) -> f64,
 ) -> f64 {
-    let (ep_a, ep_b) = channel_pair_with_network(NetworkProfile {
-        latency: L,
-        bytes_per_sec: 0,
-    });
     let cfg = FedConfig::plain();
     std::thread::scope(|s| {
         let cfg_a = cfg.clone();
@@ -80,9 +112,22 @@ fn assert_depth(what: &str, secs: f64, depth: f64) {
 
 #[test]
 fn a_served_request_takes_two_one_way_latencies() {
+    let best = served_request_secs(in_process());
+    assert_depth("served single-row request", best, 2.0);
+}
+
+#[test]
+fn a_served_request_on_a_reconnecting_tcp_link_takes_two_one_way_latencies() {
+    let best = served_request_secs(reconnecting_tcp());
+    assert_depth("served single-row request (reconnecting TCP)", best, 2.0);
+}
+
+/// The fastest of three single-row requests served over `link`.
+fn served_request_secs(link: (Endpoint, Endpoint)) -> f64 {
     let ((store_a, store_b), _) = slices(8);
     let spec = FedSpec::Glm { out: 1 };
-    let best = over_link(
+    over(
+        link,
         |mut sess| {
             let mut model = PartyAModel::init(&mut sess, &spec, &store_a).unwrap();
             serve_party_a(&mut sess, &mut model, &store_a).unwrap()
@@ -106,13 +151,12 @@ fn a_served_request_takes_two_one_way_latencies() {
                 best.as_secs_f64()
             })
         },
-    );
-    assert_depth("served single-row request", best, 2.0);
+    )
 }
 
 /// Seconds per batch of a pipelined training epoch of `spec` over six
-/// 16-row batches.
-fn pipelined_batch_secs(spec: &FedSpec) -> f64 {
+/// 16-row batches on `link`.
+fn pipelined_batch_secs(link: (Endpoint, Endpoint), spec: &FedSpec) -> f64 {
     let ((train_a, train_b), (test_a, test_b)) = slices(96);
     let tc = FedTrainConfig {
         base: bf_ml::TrainConfig {
@@ -123,7 +167,8 @@ fn pipelined_batch_secs(spec: &FedSpec) -> f64 {
         mode: TrainMode::pipelined(),
         ..Default::default()
     };
-    over_link(
+    over(
+        link,
         |mut sess| run_party_a(&mut sess, spec, &tc, &train_a, &test_a).unwrap(),
         |mut sess| {
             let run = run_party_b(&mut sess, spec, &tc, &train_b, &test_b).unwrap();
@@ -135,8 +180,18 @@ fn pipelined_batch_secs(spec: &FedSpec) -> f64 {
 
 #[test]
 fn a_pipelined_training_batch_takes_four_one_way_latencies() {
-    let per_batch = pipelined_batch_secs(&FedSpec::Glm { out: 1 });
+    let per_batch = pipelined_batch_secs(in_process(), &FedSpec::Glm { out: 1 });
     assert_depth("pipelined training batch", per_batch, 4.0);
+}
+
+#[test]
+fn a_pipelined_training_batch_on_a_reconnecting_tcp_link_takes_four_one_way_latencies() {
+    let per_batch = pipelined_batch_secs(reconnecting_tcp(), &FedSpec::Glm { out: 1 });
+    assert_depth(
+        "pipelined training batch (reconnecting TCP)",
+        per_batch,
+        4.0,
+    );
 }
 
 #[test]
@@ -148,6 +203,6 @@ fn a_pipelined_wdl_training_batch_takes_fourteen_one_way_latencies() {
         deep_hidden: vec![8],
         out: 1,
     };
-    let per_batch = pipelined_batch_secs(&spec);
+    let per_batch = pipelined_batch_secs(in_process(), &spec);
     assert_depth("pipelined WDL training batch", per_batch, 14.0);
 }

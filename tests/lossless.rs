@@ -132,10 +132,10 @@ fn packed_and_scalar_paillier_are_bit_identical() {
 
 #[test]
 fn packed_and_scalar_embed_models_are_bit_identical() {
-    // The Embed-MatMul source under both layouts: every weight cache,
-    // table cache, delta and ⟦∇Z⟧ copy packs (256-bit keys hold two
-    // slots; dim = 2, projection width 4 / 2), the two scalar-by-
-    // necessity uploads do not, and nothing a party can decrypt may
+    // The Embed-MatMul source under both layouts: every ciphertext
+    // frame packs — weight and table caches, deltas, ⟦∇Z⟧ and the
+    // HE2SS-split ⟦∇E_A⟧ (256-bit keys hold two slots; dim = 2,
+    // projection width 4 / 2) — and nothing a party can decrypt may
     // move by a bit — nor may the mask stream, which the equal `S` /
     // `U` pieces (updated by the masks themselves) pin.
     use bf_paillier::PaillierMode;
