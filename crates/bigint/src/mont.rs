@@ -33,6 +33,9 @@ pub struct MontCtx {
     r1: Vec<u64>,
     /// `R^2 mod m`, used to convert into Montgomery form.
     r2: Vec<u64>,
+    /// `R^3 mod m`: turns a reduced double-width value `t·R⁻¹` into
+    /// the Montgomery form `t·R` with one multiply.
+    r3: Vec<u64>,
     /// The multiply and square kernels for this width, picked once in
     /// [`MontCtx::new`].
     kernels: Kernels,
@@ -110,13 +113,16 @@ impl MontCtx {
         let m_inv = inv64(m.limbs[0]).wrapping_neg();
         let r = BigUint::one().shl(64 * k);
         let r1 = pad(&r.rem(m), k);
-        let r2 = pad(&r.mod_mul(&r, m), k);
+        let r2 = r.mod_mul(&r, m);
+        let r3 = pad(&r2.mod_mul(&r, m), k);
+        let r2 = pad(&r2, k);
         Self {
             m: m.clone(),
             k,
             m_inv,
             r1,
             r2,
+            r3,
             kernels: SLICE_KERNELS,
         }
     }
@@ -165,6 +171,54 @@ impl MontCtx {
         let mut out = vec![0u64; self.k];
         self.mont_sqr_into(a, &mut out);
         out
+    }
+
+    /// True if the `k`-limb `a` is below `m` — every value this context
+    /// produces is; limbs read off the wire need not be.
+    pub fn is_reduced(&self, a: &[u64]) -> bool {
+        cmp_limbs(a, &self.m.limbs[..self.k]) < 0
+    }
+
+    /// The Montgomery form of `t mod m`, into `out`, for a `t < m·R` of
+    /// at most `2k` limbs (any value below `m²`): one Montgomery
+    /// reduction, `t·R⁻¹`, and one multiply by `R³`. No allocation up
+    /// to [`SQR_STACK_LIMBS`].
+    pub fn reduce_wide_into(&self, t: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        assert!(t.len() <= 2 * k && out.len() == k);
+        let (mut stack, mut heap) = ([0u64; 3 * SQR_STACK_LIMBS], Vec::new());
+        let (wide, reduced) = scratch(&mut stack, &mut heap, 3 * k).split_at_mut(2 * k);
+        wide[..t.len()].copy_from_slice(t);
+        redc_body(&self.m.limbs[..k], self.m_inv, wide, reduced);
+        self.mont_mul_into(reduced, &self.r3, out);
+    }
+
+    /// `out = (x + a·b) mod m` for `x < m` and `a·b < m`: a schoolbook
+    /// product accumulated onto `x` and one conditional subtraction,
+    /// with no allocation up to [`SQR_STACK_LIMBS`]. `x` is `k` limbs;
+    /// `a` and `b` are at most `k + 1` limbs between them.
+    pub fn add_product_into(&self, x: &[u64], a: &[u64], b: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        assert!(x.len() == k && out.len() == k && a.len() + b.len() <= k + 1);
+        // x + a·b < 2m fits k + 1 limbs, and so does every partial sum.
+        let (mut stack, mut heap) = ([0u64; SQR_STACK_LIMBS + 1], Vec::new());
+        let acc = scratch(&mut stack, &mut heap, k + 1);
+        acc[..k].copy_from_slice(x);
+        for (i, &bi) in b.iter().enumerate() {
+            let mut carry = addmul(&mut acc[i..i + a.len()], bi, a);
+            for limb in &mut acc[i + a.len()..] {
+                if carry == 0 {
+                    break;
+                }
+                let (sum, c) = limb.overflowing_add(carry);
+                (*limb, carry) = (sum, c as u64);
+            }
+            debug_assert_eq!(carry, 0, "x + a·b overflows k + 1 limbs");
+        }
+        out.copy_from_slice(&acc[..k]);
+        if acc[k] != 0 || cmp_limbs(out, &self.m.limbs[..k]) >= 0 {
+            sub_limbs(out, &self.m.limbs[..k]);
+        }
     }
 
     /// Modular multiplication of reduced operands (`a, b < m`).
@@ -431,8 +485,17 @@ fn sqr_body(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64], t: &mut [u64]) {
         carry = (s >> 64) as u64;
     }
     debug_assert_eq!((shift, carry), (0, 0));
-    // Reduce: clear one low limb per row (t += u·m << 64i); `top`
-    // carries the overflow of limb i+k into the next row.
+    redc_body(m, m_inv, t, out)
+}
+
+/// Montgomery reduction of the double-width `t < m·R` (clobbered):
+/// `out = t·R⁻¹ mod m`.
+#[inline(always)]
+fn redc_body(m: &[u64], m_inv: u64, t: &mut [u64], out: &mut [u64]) {
+    let k = m.len();
+    debug_assert!(t.len() == 2 * k && out.len() == k);
+    // Clear one low limb per row (t += u·m << 64i); `top` carries the
+    // overflow of limb i+k into the next row.
     let mut top = 0u64;
     for i in 0..k {
         let u = t[i].wrapping_mul(m_inv);
@@ -450,16 +513,26 @@ fn sqr_body(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64], t: &mut [u64]) {
 /// [`sqr_body`] at any width: the intermediate lives on the stack up to
 /// [`SQR_STACK_LIMBS`] and is allocated past that.
 fn sqr_slice(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
-    let k = m.len();
-    let mut stack = [0u64; 2 * SQR_STACK_LIMBS];
-    let mut heap = Vec::new();
-    let t: &mut [u64] = if k <= SQR_STACK_LIMBS {
-        &mut stack[..2 * k]
+    let (mut stack, mut heap) = ([0u64; 2 * SQR_STACK_LIMBS], Vec::new());
+    sqr_body(
+        m,
+        m_inv,
+        a,
+        out,
+        scratch(&mut stack, &mut heap, 2 * m.len()),
+    )
+}
+
+/// `len` zeroed limbs: the front of `stack` when it is long enough,
+/// else `heap`, grown — per-call scratch that allocates only past the
+/// widths a caller sized `stack` for.
+pub fn scratch<'a>(stack: &'a mut [u64], heap: &'a mut Vec<u64>, len: usize) -> &'a mut [u64] {
+    if len <= stack.len() {
+        &mut stack[..len]
     } else {
-        heap.resize(2 * k, 0);
-        &mut heap
-    };
-    sqr_body(m, m_inv, a, out, t)
+        heap.resize(len, 0);
+        heap
+    }
 }
 
 /// What a `K`-limb kernel says to an operand of another width — the

@@ -257,6 +257,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn wide_reduction_and_product_accumulation_match_bigint(
+        m in odd_modulus(5),
+        t in big(10),
+        x in big(5),
+        a in big(5),
+        b in big(5),
+        wide in any::<bool>(),
+    ) {
+        // Past 64 limbs both helpers move their scratch to the heap.
+        let m = if wide { m.shl(64 * 64).add_u64(1) } else { m };
+        let ctx = MontCtx::new(&m);
+        let k = ctx.limb_count();
+        let pad = |v: &BigUint, len: usize| {
+            let mut l = v.limbs().to_vec();
+            l.resize(len, 0);
+            l
+        };
+        let t = t.rem(&m.sqr());
+        let mut got = vec![0u64; k];
+        ctx.reduce_wide_into(&pad(&t, 2 * k), &mut got);
+        prop_assert_eq!(&got, &ctx.to_mont(&t.rem(&m)));
+        // x < m and a·b < m, a and b at most k + 1 limbs between them.
+        let (x, a) = (x.rem(&m), a.rem(&m).shr(m.bits() / 2));
+        let b = b.rem(&m.shr(a.bits()).add_u64(1));
+        prop_assume!(a.mul(&b) < m);
+        let (la, lb) = (a.limbs().len(), (b.limbs().len()).max(1));
+        prop_assume!(la + lb <= k + 1);
+        ctx.add_product_into(&pad(&x, k), &pad(&a, la), &pad(&b, lb), &mut got);
+        prop_assert_eq!(BigUint::from_limbs(got), x.add(&a.mul(&b)).rem(&m));
+        prop_assert!(ctx.is_reduced(&pad(&x, k)) && !ctx.is_reduced(&pad(&m, k)));
+    }
+
+    #[test]
     fn multi_pow_matches_the_fold(
         m in odd_modulus(4),
         seeds in prop::collection::vec(any::<u64>(), 0..=24),

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use bf_mpc::transport::{Endpoint, Msg, TransportError, TransportResult};
 use bf_paillier::{
-    keygen, keys::plain_keys, Obfuscator, PaillierMode, PublicKey, SecretKey, MAX_HE_MASK,
+    keygen, keys::plain_keys, Obfuscator, PaillierMode, PublicKey, SecretKey, SlotLayout,
+    MAX_HE_MASK,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,7 +119,10 @@ impl Session {
     /// A packed session whose `he_mask` exceeds the slot headroom rule
     /// ([`MAX_HE_MASK`]) is refused here with a `Setup` error, before
     /// anything is sent: its HE2SS replies could overflow a slot, which
-    /// the decoder cannot detect.
+    /// the decoder cannot detect. A peer key that differs from the own
+    /// one in backend, `frac_bits`, ciphertext width or slot layout is
+    /// refused the same way, at both ends: every upload template and
+    /// [`Session::packs`] assume the two agree.
     pub fn handshake_with_keys(
         ep: Endpoint,
         cfg: FedConfig,
@@ -140,6 +144,14 @@ impl Session {
         let obf = Obfuscator::new(&own_pk, cfg.obf_mode, seed ^ 0x0bf);
         ep.send(Msg::Key(own_pk.clone()))?;
         let peer_pk = ep.recv_key()?;
+        if key_shape(&peer_pk) != key_shape(&own_pk) {
+            return Err(TransportError::Setup(format!(
+                "the peer's key (backend, frac_bits, ciphertext limbs, slot layout) is {:?}; \
+                 this party's is {:?}",
+                key_shape(&peer_pk),
+                key_shape(&own_pk)
+            )));
+        }
         Ok(Session {
             cfg,
             role,
@@ -192,7 +204,7 @@ impl Session {
 
     /// True if this session's uploads pack: the configured layout is
     /// [`PaillierMode::Packed`] and the key holds at least two slots
-    /// (both keys of a session share `key_bits` and `frac_bits`, so the
+    /// (the handshake refuses a peer key of another slot layout, so the
     /// peer's answer is the same). The slot-overflow envelopes apply to
     /// exactly these sessions.
     pub fn packs(&self) -> bool {
@@ -215,6 +227,18 @@ impl Session {
         self.own_pk
             .encrypt_mode_seg(m, seg, self.cfg.paillier_mode, &self.obf)
     }
+}
+
+/// What the two keys of a session must share: backend, `frac_bits`,
+/// ciphertext limbs and slot layout.
+type KeyShape = (bool, u32, usize, Option<SlotLayout>);
+
+fn key_shape(pk: &PublicKey) -> KeyShape {
+    let limbs = match pk {
+        PublicKey::Paillier(p) => p.ct_limbs(),
+        PublicKey::Plain { .. } => 0,
+    };
+    (pk.is_plain(), pk.frac_bits(), limbs, pk.slot_layout())
 }
 
 fn packs(cfg: &FedConfig, own_pk: &PublicKey) -> bool {
@@ -368,6 +392,62 @@ mod tests {
             let (a, b) = shake(with_mask(cfg, past));
             assert!(a.is_ok() && b.is_ok());
         }
+    }
+
+    #[test]
+    fn handshake_refuses_a_peer_key_of_another_shape() {
+        // Backend, frac_bits, ciphertext width and slot layout must all
+        // agree; each mismatch is a typed setup error at both ends.
+        let shake = |(cfg_a, pk_a, sk_a): (FedConfig, PublicKey, SecretKey),
+                     (cfg_b, pk_b, sk_b): (FedConfig, PublicKey, SecretKey)| {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            let a = std::thread::spawn(move || {
+                Session::handshake_with_keys(ep_a, cfg_a, Role::A, pk_a, sk_a, 1).map(drop)
+            });
+            let b = Session::handshake_with_keys(ep_b, cfg_b, Role::B, pk_b, sk_b, 2).map(drop);
+            (a.join().unwrap(), b)
+        };
+        let cfg = FedConfig::paillier_test();
+        let key = |bits: usize, frac_bits: u32, seed: u64| {
+            let (pk, sk) = keygen(bits, frac_bits, &mut StdRng::seed_from_u64(seed));
+            let cfg = FedConfig {
+                frac_bits,
+                ..cfg.clone()
+            };
+            (cfg, pk, sk)
+        };
+        // Two 242-bit requests whose moduli came out 241 and 242 bits:
+        // the same 8-limb ciphertexts, 2 and 3 slots of 80 bits.
+        let of_bits = |bits: usize| {
+            (0..)
+                .map(|seed| key(242, 20, seed))
+                .find(|(_, pk, _)| matches!(pk, PublicKey::Paillier(p) if p.key_bits == bits))
+                .unwrap()
+        };
+        let (short, long) = (of_bits(241), of_bits(242));
+        assert_ne!(short.1.slot_layout(), long.1.slot_layout());
+        let (plain_pk, plain_sk) = plain_keys(24);
+        let plain = (FedConfig::plain(), plain_pk, plain_sk);
+        let base = || key(256, 24, 1);
+        for (name, other) in [
+            ("frac_bits", key(256, 20, 2)),
+            ("ciphertext limbs", key(320, 24, 3)),
+            ("backend", plain),
+        ] {
+            let (a, b) = shake(base(), other);
+            for r in [a, b] {
+                assert!(matches!(r, Err(TransportError::Setup(_))), "{name}: {r:?}");
+            }
+        }
+        let (a, b) = shake(short, long);
+        for r in [a, b] {
+            assert!(
+                matches!(r, Err(TransportError::Setup(_))),
+                "slot layout: {r:?}"
+            );
+        }
+        let (a, b) = shake(base(), key(256, 24, 4));
+        assert!(a.is_ok() && b.is_ok());
     }
 
     #[test]

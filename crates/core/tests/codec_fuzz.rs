@@ -1,6 +1,7 @@
 //! One fuzz battery over every decoder of untrusted bytes: the
-//! `bf_util::codec::Reader` primitives, every binary wire kind (all but
-//! the text `Key`) and every BFMD kind (1, 2, 4, 5, 7, 8).
+//! `bf_util::codec::Reader` primitives, every binary wire kind, the
+//! text `Key` (under a contract of its own, see `key_wire`) and every
+//! BFMD kind (1, 2, 4, 5, 7, 8).
 //!
 //! Each kind starts from one valid encoding. Every truncation, a flip of
 //! every byte, and an extreme `u64` written at every offset must end in
@@ -101,6 +102,19 @@ struct Target {
 fn wire(b: &[u8]) -> Result<(Vec<u8>, usize), String> {
     let (msg, used) = decode_frame(b).map_err(|e| e.to_string())?;
     Ok((encode_frame(&msg), used))
+}
+
+/// The text `Key` kind. Its fields parse as leniently as Rust's number
+/// parsers (`+24`, `024`, upper-case hex), so an accepted input need not
+/// be the canonical spelling of its key. It passes when its canonical
+/// re-encoding decodes to a key that re-encodes to it again; otherwise
+/// that re-encoding is returned, and `check` reports it.
+fn key_wire(b: &[u8]) -> Result<(Vec<u8>, usize), String> {
+    let (again, used) = wire(b)?;
+    match wire(&again) {
+        Ok((twice, _)) if twice == again => Ok((b[..used].to_vec(), used)),
+        _ => Ok((again, used)),
+    }
 }
 
 /// A BFMD kind's re-encoder: the whole blob is its encoding.
@@ -221,6 +235,18 @@ fn wire_targets() -> Vec<Target> {
         reencode: wire,
     })
     .into()
+}
+
+/// `Key` frames of both backends, at the unit-test key size.
+fn key_targets() -> Vec<Target> {
+    let (pk, _) = keygen(256, 20, &mut rand::rngs::StdRng::seed_from_u64(7));
+    [("Key (Paillier)", pk), ("Key (Plain)", plain_keys(20).0)]
+        .map(|(name, key)| Target {
+            name,
+            bytes: encode_frame(&Msg::Key(key)),
+            reencode: key_wire,
+        })
+        .into()
 }
 
 fn toy_data(rows: usize, num_dim: usize, vocabs: &[u32], seed: u64, labelled: bool) -> Dataset {
@@ -374,6 +400,13 @@ fn every_binary_wire_kind_fails_typed_or_reencodes_exactly() {
 }
 
 #[test]
+fn key_frames_fail_typed_or_name_one_key() {
+    // A modulus that is even, below the key floor, or a frac_bits past
+    // the codec's, panicked in `MontCtx::new` or overflowed downstream.
+    sweep(&key_targets());
+}
+
+#[test]
 fn every_bfmd_kind_fails_typed_or_reencodes_exactly() {
     sweep(&bfmd_targets());
 }
@@ -471,5 +504,8 @@ proptest! {
 /// Every target, built once per test binary.
 fn targets() -> &'static [Target] {
     static TARGETS: std::sync::OnceLock<Vec<Target>> = std::sync::OnceLock::new();
-    TARGETS.get_or_init(|| wire_targets().into_iter().chain(bfmd_targets()).collect())
+    TARGETS.get_or_init(|| {
+        let wire = wire_targets().into_iter().chain(key_targets());
+        wire.chain(bfmd_targets()).collect()
+    })
 }

@@ -7,6 +7,11 @@
 
 use bf_bigint::BigUint;
 
+/// Largest `frac_bits` a key may carry. A scale-2 value is shifted by
+/// `2·frac_bits` into a `u128` magnitude ([`encode_exponent`]), so 1.0
+/// at scale 2 still encodes at 63 (`2^126`) and no longer at 64.
+pub const MAX_FRAC_BITS: u32 = 63;
+
 /// A signed fixed-point integer, used as a homomorphic scalar-mult
 /// exponent: `value = (-1)^neg · mag / 2^frac_bits`.
 #[derive(Clone, Debug)]

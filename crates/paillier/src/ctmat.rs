@@ -365,7 +365,7 @@ impl PublicKey {
             PublicKey::Paillier(pk) => {
                 let first = obf.reserve((m.rows() * lanes.per_row(m.cols())) as u64);
                 let limbs = lane_slab(pk, m, scale, lanes, |idx, p, ct| {
-                    ct.copy_from_slice(&pk.raw_encrypt(p, &obf.draw(pk, first + idx as u64)))
+                    obf.encrypt_into(pk, p, first + idx as u64, ct)
                 });
                 Body::Paillier {
                     k: pk.ct_limbs(),
@@ -413,15 +413,19 @@ impl PublicKey {
     }
 
     /// Homomorphic `ct + plain` (plain encoded at the ciphertext's
-    /// scale; no fresh randomness — privacy is inherited from `ct`).
+    /// scale), one [`PaillierPk::add_plain_into`] per lane. No fresh
+    /// randomness is added: against a third party the result is as
+    /// hidden as `ct`, but not against the key owner, who drew `ct`'s
+    /// obfuscations itself: once it has decrypted an HE2SS reply, what
+    /// remains is its own obfuscations raised to the holder's plaintext
+    /// exponents (see [`crate::obf`]; pinned by `tests/security.rs`).
     pub fn add_plain(&self, a: &CtMat, p: &Dense) -> CtMat {
         assert_eq!(a.shape(), p.shape(), "add_plain shape mismatch");
         match (self, &a.body) {
             (PublicKey::Paillier(pk), Body::Paillier { lanes, .. }) => {
                 let ca = a.cts();
                 let limbs = lane_slab(pk, p, a.scale, *lanes, |idx, m, ct| {
-                    let g = pk.raw_encrypt_deterministic(m);
-                    pk.mont.mont_mul_into(ca.nth(idx), &g, ct)
+                    pk.add_plain_into(ca.nth(idx), m, None, ct)
                 });
                 a.like(a.rows, a.scale, limbs)
             }

@@ -1,16 +1,38 @@
 //! Paillier key generation, encryption, and CRT decryption, plus the
 //! `Plain` testing backend.
+//!
+//! With `g = n + 1`, `g^m = 1 + m·n (mod n²)`, so a plaintext enters
+//! any ciphertext `x` as `x·(1 + m·n) ≡ x + n·(m·x mod n) (mod n²)`:
+//! one product mod `n` (a quarter of a multiply mod `n²`) and a
+//! schoolbook `n·t` added on. [`PaillierPk::add_plain_into`] is that
+//! identity, and it is the body of every place a plaintext meets a
+//! ciphertext: encryption onto an obfuscation `rⁿ` (the pooled path
+//! in [`crate::obf`] hands it each entry's residue mod `n`, computed
+//! once), `add_plain` / `sub_plain`, and the `Exact` mode. The result
+//! is the same ring element, in the same canonical Montgomery form, as
+//! the textbook `to_mont(1 + m·n) ⊗ x`; only the tests still build
+//! that (docs/ARCHITECTURE.md, "What an encryption costs").
 
 use std::sync::Arc;
 
+use bf_bigint::mont::scratch;
 use bf_bigint::{gen_prime, mod_inv, modular::lcm, BigUint, MontCtx};
 use rand::Rng;
 
 use crate::codec;
 use crate::pack::SlotLayout;
 
-/// Paillier public parameters plus precomputed Montgomery context for
-/// `n^2`. Shared via `Arc` inside [`PublicKey`].
+/// The smallest modulus [`keygen`] makes. The product of its two
+/// `key_bits/2`-bit primes has `key_bits − 1` or `key_bits` bits, so an
+/// imported modulus of fewer than `MIN_KEY_BITS − 1` bits is refused.
+pub const MIN_KEY_BITS: usize = 64;
+
+/// Widest modulus `n`, in limbs, whose per-call scratch lives on the
+/// stack (2048-bit keys, a 4096-bit `n²`); wider keys allocate it.
+pub(crate) const STACK_LIMBS: usize = 32;
+
+/// Paillier public parameters plus precomputed Montgomery contexts for
+/// `n²` and `n`. Shared via `Arc` inside [`PublicKey`].
 #[derive(Clone, Debug)]
 pub struct PaillierPk {
     /// Modulus `n = p·q`.
@@ -19,15 +41,46 @@ pub struct PaillierPk {
     pub n2: BigUint,
     /// Montgomery context mod `n^2` — ciphertexts live in this domain.
     pub mont: MontCtx,
+    /// Montgomery context mod `n`: the one product mod `n` that puts a
+    /// plaintext into a ciphertext ([`PaillierPk::add_plain_into`]).
+    pub mont_n: MontCtx,
     /// `n/2`, the positive/negative decoding threshold.
     pub half_n: BigUint,
     /// Fixed-point fractional bits.
     pub frac_bits: u32,
-    /// Modulus size in bits.
+    /// Modulus size in bits, `n.bits()`: what the key owner and every
+    /// importer derive the slot layout from.
     pub key_bits: usize,
 }
 
 impl PaillierPk {
+    /// The public parameters of modulus `n`. A modulus that is even or
+    /// below [`MIN_KEY_BITS`], or a `frac_bits` past
+    /// [`codec::MAX_FRAC_BITS`], is refused before any Montgomery
+    /// context is built: key strings arrive off the wire.
+    pub(crate) fn new(n: BigUint, frac_bits: u32) -> Result<PaillierPk, String> {
+        if n.is_even() {
+            return Err("modulus is even".into());
+        }
+        if n.bits() + 1 < MIN_KEY_BITS {
+            return Err(format!(
+                "modulus of {} bits is below the {MIN_KEY_BITS}-bit key floor",
+                n.bits()
+            ));
+        }
+        check_frac_bits(frac_bits)?;
+        let n2 = n.sqr();
+        Ok(PaillierPk {
+            mont: MontCtx::new(&n2),
+            mont_n: MontCtx::new(&n),
+            half_n: n.shr(1),
+            key_bits: n.bits(),
+            n,
+            n2,
+            frac_bits,
+        })
+    }
+
     /// Limbs per ciphertext (the width of the `n^2` Montgomery domain).
     pub fn ct_limbs(&self) -> usize {
         self.mont.limb_count()
@@ -35,24 +88,62 @@ impl PaillierPk {
 
     /// Raw Paillier encryption of a ring element `m ∈ Z_n` with the
     /// supplied obfuscation `r^n` (Montgomery form). Returns the
-    /// ciphertext in Montgomery form.
-    ///
-    /// Uses the `g = n+1` optimisation: `g^m = 1 + m·n (mod n^2)`, one
-    /// multiplication instead of an exponentiation.
+    /// ciphertext in Montgomery form: [`PaillierPk::add_plain_into`]
+    /// onto `rn_mont`.
     pub fn raw_encrypt(&self, m: &BigUint, rn_mont: &[u64]) -> Vec<u64> {
-        let gm = BigUint::one().add(&m.mul(&self.n)); // < n^2 since m < n
-        let gm_mont = self.mont.to_mont(&gm);
-        self.mont.mont_mul(&gm_mont, rn_mont)
+        let mut out = vec![0u64; self.ct_limbs()];
+        self.add_plain_into(rn_mont, m, None, &mut out);
+        out
     }
 
-    /// Deterministic (obfuscation-free) encryption of a ring element.
-    /// Only valid where the result's privacy is inherited from other
-    /// ciphertexts it is combined with (e.g. `⟦v⟧ - φ` in HE2SS) or
-    /// where the value is an accumulator seed (`⟦0⟧` in `lkup_bw`).
-    pub fn raw_encrypt_deterministic(&self, m: &BigUint) -> Vec<u64> {
-        let gm = BigUint::one().add(&m.mul(&self.n));
-        self.mont.to_mont(&gm)
+    /// `out = x·(1 + m·n) mod n² = x + n·(m·x mod n)`: the ciphertext `x`
+    /// (Montgomery form) with the ring element `m < n` added to its
+    /// plaintext. Multiplying the Montgomery form `x·R` by the integer
+    /// `1 + m·n` is the Montgomery form of the product, so no conversion
+    /// is needed. `x_res` is `x mod n` in `mont_n`'s Montgomery form
+    /// ([`PaillierPk::residue_into`]) when the caller already has it; else
+    /// it costs one reduction and one multiply mod `n`. A non-canonical
+    /// `x ≥ n²` (limbs off the wire) is reduced first, to what the
+    /// textbook Montgomery product would have made of it.
+    pub fn add_plain_into(&self, x: &[u64], m: &BigUint, x_res: Option<&[u64]>, out: &mut [u64]) {
+        if !self.mont.is_reduced(x) {
+            let x = self.mont.mont_mul(x, &self.mont.one_mont());
+            return self.add_plain_into(&x, m, None, out);
+        }
+        let kn = self.mont_n.limb_count();
+        debug_assert!(m < &self.n, "plaintext must be a ring element");
+        let (mut stack, mut heap) = ([0u64; 3 * STACK_LIMBS], Vec::new());
+        let (res, rest) = scratch(&mut stack, &mut heap, 3 * kn).split_at_mut(kn);
+        let (m_pad, t) = rest.split_at_mut(kn);
+        let res: &[u64] = match x_res {
+            Some(r) => r,
+            None => {
+                self.residue_into(x, res);
+                res
+            }
+        };
+        m_pad[..m.limbs().len()].copy_from_slice(m.limbs());
+        // (x mod n)·R_n times m, reduced: m·x mod n, canonical.
+        self.mont_n.mont_mul_into(m_pad, res, t);
+        self.mont.add_product_into(x, self.n.limbs(), t, out);
     }
+
+    /// `x mod n` in `mont_n`'s Montgomery form, for a canonical
+    /// ciphertext `x`: the residue [`PaillierPk::add_plain_into`] takes.
+    pub fn residue_into(&self, x: &[u64], out: &mut [u64]) {
+        self.mont_n.reduce_wide_into(x, out)
+    }
+}
+
+/// Refuse a `frac_bits` the fixed-point codec cannot encode at scale 2.
+pub(crate) fn check_frac_bits(frac_bits: u32) -> Result<(), String> {
+    if frac_bits > codec::MAX_FRAC_BITS {
+        return Err(format!(
+            "frac_bits {frac_bits} is past the codec's {}",
+            codec::MAX_FRAC_BITS
+        ));
+    }
+    Ok(())
 }
 
 /// Paillier secret key with CRT decryption precomputations.
@@ -137,19 +228,7 @@ pub(crate) fn rebuild_secret(p: BigUint, q: BigUint, frac_bits: u32) -> Result<P
     if p.is_even() || q.is_even() || p == q || p.bits() < 16 || q.bits() < 16 {
         return Err("invalid prime factors".to_string());
     }
-    let n = p.mul(&q);
-    let n2 = n.sqr();
-    let mont = MontCtx::new(&n2);
-    let half_n = n.shr(1);
-    let key_bits = n.bits();
-    let pk = Arc::new(PaillierPk {
-        n: n.clone(),
-        n2,
-        mont,
-        half_n,
-        frac_bits,
-        key_bits,
-    });
+    let pk = Arc::new(PaillierPk::new(p.mul(&q), frac_bits)?);
     build_sk(p, q, pk).ok_or_else(|| "factors do not form a valid Paillier key".to_string())
 }
 
@@ -236,13 +315,15 @@ impl SecretKey {
     }
 }
 
-/// Generate a Paillier key pair with an `key_bits`-bit modulus.
+/// Generate a Paillier key pair with a `key_bits`-bit modulus (its
+/// product of primes may come out one bit short: `PaillierPk::key_bits`
+/// records `n.bits()`).
 pub fn keygen<R: Rng + ?Sized>(
     key_bits: usize,
     frac_bits: u32,
     rng: &mut R,
 ) -> (PublicKey, SecretKey) {
-    assert!(key_bits >= 64, "keygen: modulus too small");
+    assert!(key_bits >= MIN_KEY_BITS, "keygen: modulus too small");
     let half = key_bits / 2;
     let (p, q) = loop {
         let p = gen_prime(half, rng);
@@ -257,18 +338,8 @@ pub fn keygen<R: Rng + ?Sized>(
             }
         }
     };
-    let n = p.mul(&q);
-    let n2 = n.sqr();
-    let mont = MontCtx::new(&n2);
-    let half_n = n.shr(1);
-    let pk = Arc::new(PaillierPk {
-        n: n.clone(),
-        n2,
-        mont,
-        half_n,
-        frac_bits,
-        key_bits,
-    });
+    let pk =
+        Arc::new(PaillierPk::new(p.mul(&q), frac_bits).unwrap_or_else(|e| panic!("keygen: {e}")));
 
     let sk = build_sk(p, q, pk.clone()).expect("fresh primes form a valid key");
     (PublicKey::Paillier(pk), SecretKey::Paillier(sk))
@@ -284,7 +355,9 @@ pub fn encrypt_scalar(pk: &PublicKey, obf: &crate::Obfuscator, v: f64) -> Scalar
     match pk {
         PublicKey::Paillier(p) => {
             let m = codec::encode(v, p.frac_bits, 1, &p.n);
-            ScalarCt::Enc(p.raw_encrypt(&m, &obf.next_rn(p)))
+            let mut ct = vec![0u64; p.ct_limbs()];
+            obf.encrypt_into(p, &m, obf.reserve(1), &mut ct);
+            ScalarCt::Enc(ct)
         }
         PublicKey::Plain { .. } => ScalarCt::Plain(v),
     }
@@ -412,20 +485,5 @@ mod tests {
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 1);
         let ct = encrypt_scalar(&pk, &obf, -9.5);
         assert_eq!(decrypt_scalar(&sk, &ct), -9.5);
-    }
-
-    #[test]
-    fn deterministic_encrypt_decrypts() {
-        let (pk, sk, _) = setup();
-        let PublicKey::Paillier(p) = &pk else {
-            unreachable!()
-        };
-        let SecretKey::Paillier(s) = &sk else {
-            unreachable!()
-        };
-        let m = codec::encode(-4.5, p.frac_bits, 1, &p.n);
-        let c = p.raw_encrypt_deterministic(&m);
-        let dec = codec::decode(&s.raw_decrypt(&c, None), p.frac_bits, 1, &p.n, &p.half_n);
-        assert!((dec + 4.5).abs() < 1e-6);
     }
 }

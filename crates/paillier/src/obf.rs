@@ -10,17 +10,34 @@
 //!   encryption (the product of two valid obfuscations is a valid
 //!   obfuscation). This trades full entropy for a large constant-factor
 //!   speedup; every configuration (`FedConfig`, the benchmarks) names
-//!   its pool size directly.
+//!   its pool size directly. Each entry also keeps its residue mod `n`,
+//!   so a pooled encryption of `m` is `pool[a] ⊗ (pool[b] + n·(m·β_b
+//!   mod n))` ([`Obfuscator::encrypt_into`]): the one multiply mod `n²`
+//!   the pair product already paid, plus one mod `n`.
 //! * [`ObfMode::Exact`] — the textbook fresh `r^n` per encryption
 //!   (randomness derived from a per-call PRG seed so encryption can be
 //!   data-parallel): the reference the tests hold the pool against.
+//!
+//! **What the pool gives away** (`tests/security.rs` pins both; ROADMAP
+//! item 10). A `Pool(s)` draw is one of `s(s+1)/2` products, so two
+//! ciphertexts of one upload share theirs with probability about
+//! `2/s²` per pair — a few pairs per 128-row upload at `s = 64`. Their
+//! quotient is `1 + (m_i − m_j)·n (mod n²)`, and anyone holding the
+//! public key reads `m_i − m_j` off it. The key owner, who drew every
+//! obfuscation itself, can go further: an HE2SS reply `⟦v⟧ ⊗ g^(−φ)`
+//! carries no randomness of the holder's, so once the owner has
+//! decrypted it and stripped `g^M`, what remains is a product of its
+//! own `rⁿ`s raised to the holder's plaintext exponents, which it can
+//! test directly. `Exact` encryptions collide with negligible
+//! probability; the second leak does not depend on the mode.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bf_bigint::mont::scratch;
 use bf_bigint::{rng::random_coprime, BigUint};
 use rand::SeedableRng;
 
-use crate::keys::{PaillierPk, PublicKey};
+use crate::keys::{PaillierPk, PublicKey, STACK_LIMBS};
 
 /// Obfuscation generation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,26 +56,36 @@ pub struct Obfuscator {
     seed: u64,
     ctr: AtomicU64,
     pool: Vec<Vec<u64>>,
+    /// Entry `b`'s residue mod `n`, `mont_n`'s Montgomery form, at
+    /// `[b·k_n, (b+1)·k_n)`: computed once, read by every draw.
+    residues: Vec<u64>,
 }
 
 impl Obfuscator {
     /// Build an obfuscator for the given key. For the Plain backend this
     /// is a no-op shell.
     pub fn new(pk: &PublicKey, mode: ObfMode, seed: u64) -> Self {
-        let pool = match (pk, mode) {
+        let (pool, residues) = match (pk, mode) {
             (PublicKey::Paillier(p), ObfMode::Pool(size)) => {
                 assert!(size >= 2, "pool must have at least 2 entries");
-                bf_util::par_map(size, |i| {
+                let pool = bf_util::par_map(size, |i| {
                     fresh_rn(p, splitmix(seed ^ (i as u64).wrapping_mul(0x9e37)))
-                })
+                });
+                let kn = p.mont_n.limb_count();
+                let mut residues = vec![0u64; size * kn];
+                for (rn, res) in pool.iter().zip(residues.chunks_exact_mut(kn)) {
+                    p.residue_into(rn, res);
+                }
+                (pool, residues)
             }
-            _ => Vec::new(),
+            _ => (Vec::new(), Vec::new()),
         };
         Self {
             mode,
             seed,
             ctr: AtomicU64::new(0),
             pool,
+            residues,
         }
     }
 
@@ -80,14 +107,9 @@ impl Obfuscator {
     /// `(seed, i)`; the cursor does not move.
     pub(crate) fn draw(&self, pk: &PaillierPk, i: u64) -> Vec<u64> {
         match self.mode {
-            ObfMode::Exact => fresh_rn(
-                pk,
-                splitmix(self.seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15))),
-            ),
+            ObfMode::Exact => self.exact_rn(pk, i),
             ObfMode::Pool(size) => {
-                let h = splitmix(self.seed ^ i.wrapping_mul(0xbf58476d1ce4e5b9));
-                let a = (h % size as u64) as usize;
-                let b = ((h >> 32) % size as u64) as usize;
+                let (a, b) = pool_pair(self.seed, i, size);
                 if a == b {
                     pk.mont.mont_sqr(&self.pool[a])
                 } else {
@@ -95,6 +117,35 @@ impl Obfuscator {
                 }
             }
         }
+    }
+
+    /// The encryption of the ring element `m` under draw `i`'s
+    /// obfuscation, into `out`: `raw_encrypt(m, &draw(i))` byte for
+    /// byte. A pooled draw puts `m` into entry `b` through its stored
+    /// residue and multiplies by entry `a` — the pair product's one
+    /// multiply mod `n²` is the only one paid; `Exact` computes its
+    /// fresh `rⁿ`'s residue on the way.
+    pub(crate) fn encrypt_into(&self, pk: &PaillierPk, m: &BigUint, i: u64, out: &mut [u64]) {
+        match self.mode {
+            ObfMode::Exact => pk.add_plain_into(&self.exact_rn(pk, i), m, None, out),
+            ObfMode::Pool(size) => {
+                let (a, b) = pool_pair(self.seed, i, size);
+                let kn = pk.mont_n.limb_count();
+                let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
+                let with_m = scratch(&mut stack, &mut heap, pk.ct_limbs());
+                let res = &self.residues[b * kn..(b + 1) * kn];
+                pk.add_plain_into(&self.pool[b], m, Some(res), with_m);
+                pk.mont.mont_mul_into(&self.pool[a], with_m, out);
+            }
+        }
+    }
+
+    /// `Exact` mode's fresh obfuscation at draw position `i`.
+    fn exact_rn(&self, pk: &PaillierPk, i: u64) -> Vec<u64> {
+        fresh_rn(
+            pk,
+            splitmix(self.seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15))),
+        )
     }
 
     /// Number of obfuscations drawn so far (diagnostics, and the
@@ -120,6 +171,16 @@ fn fresh_rn(pk: &PaillierPk, seed: u64) -> Vec<u64> {
     let r: BigUint = random_coprime(&mut rng, &pk.n);
     let r2 = r.rem(&pk.n2);
     pk.mont.pow_mont(&pk.mont.to_mont(&r2), &pk.n)
+}
+
+/// The pool entries `(a, b)` that draw `i` of a `size`-entry pool
+/// multiplies.
+fn pool_pair(seed: u64, i: u64, size: usize) -> (usize, usize) {
+    let h = splitmix(seed ^ i.wrapping_mul(0xbf58476d1ce4e5b9));
+    (
+        (h % size as u64) as usize,
+        ((h >> 32) % size as u64) as usize,
+    )
 }
 
 fn splitmix(mut x: u64) -> u64 {

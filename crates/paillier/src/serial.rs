@@ -60,10 +60,16 @@ pub fn import_public(s: &str) -> Result<PublicKey, String> {
             if parts.next().is_some() {
                 return Err("trailing fields".into());
             }
-            Ok(PublicKey::Paillier(Arc::new(rebuild_pk(n, frac_bits))))
+            Ok(PublicKey::Paillier(Arc::new(PaillierPk::new(
+                n, frac_bits,
+            )?)))
         }
         Some("bfplain1") => {
             let frac_bits: u32 = parse_field(parts.next(), "frac_bits")?;
+            if parts.next().is_some() {
+                return Err("trailing fields".into());
+            }
+            crate::keys::check_frac_bits(frac_bits)?;
             Ok(PublicKey::Plain { frac_bits })
         }
         other => Err(format!("unknown key type {other:?}")),
@@ -207,21 +213,6 @@ fn parse_hex(f: Option<&str>, name: &str) -> Result<BigUint, String> {
         .ok_or_else(|| format!("bad hex in {name}"))
 }
 
-fn rebuild_pk(n: BigUint, frac_bits: u32) -> PaillierPk {
-    let n2 = n.sqr();
-    let mont = bf_bigint::MontCtx::new(&n2);
-    let half_n = n.shr(1);
-    let key_bits = n.bits();
-    PaillierPk {
-        n,
-        n2,
-        mont,
-        half_n,
-        frac_bits,
-        key_bits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +258,34 @@ mod tests {
         assert!(import_public("bfpk1:abc:xyz").is_err());
         assert!(import_secret("bfsk1:24:ff").is_err()); // missing q
         assert!(import_public("bfpk1:24:ff:extra").is_err());
+    }
+
+    #[test]
+    fn refuses_moduli_and_scales_no_key_can_have() {
+        // Each of these reached `MontCtx::new` (even moduli panicked) or
+        // overflowed `SlotLayout::for_key` downstream.
+        let ok = "c5".repeat(8); // a 64-bit odd modulus
+        for bad in [
+            "bfpk1:32:2".to_string(),
+            "bfpk1:32:0".into(),
+            "bfpk1:32:1".into(),
+            "bfpk1:32:10".into(),
+            "bfpk1:32:".into(),
+            format!("bfpk1:32:{}", "c4".repeat(8)), // even
+            format!("bfpk1:32:{}", "c5".repeat(7)), // 56 bits
+            format!("bfpk1:4000000000:{ok}"),       // frac_bits
+            format!("bfpk1:64:{ok}"),
+            "bfplain1:64".into(),
+            "bfplain1:24:extra".into(),
+        ] {
+            assert!(import_public(&bad).is_err(), "{bad}");
+        }
+        for good in [format!("bfpk1:63:{ok}"), "bfplain1:63".into()] {
+            assert_eq!(export_public(&import_public(&good).unwrap()), good);
+        }
+        // The key floor is keygen's: its 64-bit keys may be 63 bits.
+        assert!(import_public(&format!("bfpk1:32:{}", "7f".repeat(8))).is_ok());
+        assert!(import_secret("bfsk1:64:fffb:fff1").is_err());
     }
 
     #[test]

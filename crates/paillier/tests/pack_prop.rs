@@ -4,17 +4,19 @@
 //! (bit-identity with the unfolded decrypt, and the mask envelope at its
 //! boundary), the width-aware CRT decryption (one half for plaintexts
 //! below `p/2` ≡ both halves, ring element for ring element), the key
-//! owner's conformance check of a received body, and the packed
+//! owner's conformance check of a received body, the packed
 //! ciphertext-tensor codec (golden bytes + corruption fuzz, mirroring
-//! the wire_prop suite in bf-mpc).
+//! the wire_prop suite in bf-mpc), and the `g = n + 1` identity every
+//! plaintext enters a ciphertext by (`x + n·(m·x mod n)`), byte for
+//! byte against the textbook `to_mont(1 + m·n) ⊗ x`.
 
 use std::sync::OnceLock;
 
 use bf_bigint::BigUint;
 use bf_paillier::{
-    export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys, pack_values,
-    unpack_values, ObfMode, Obfuscator, PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey,
-    SlotLayout, MAX_HE_MASK,
+    encode, export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys, pack_values,
+    unpack_values, CtMat, ObfMode, Obfuscator, PaillierMode, PaillierPk, PaillierSk, PublicKey,
+    SecretKey, SlotLayout, MAX_HE_MASK,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -533,4 +535,148 @@ fn packed_codec_golden_bytes() {
     assert_eq!(ct.shape(), (1, 4));
     assert_eq!(ct.scale(), 1);
     assert_eq!(export_ctmat(&ct), bytes, "export is byte-identical");
+}
+
+/// The keys the plaintext-entry identity is held against: every width
+/// above, plus a 160-bit key whose `n²` is one limb short of twice `n`'s.
+fn identity_keys() -> Vec<&'static Keys> {
+    static SHORT: OnceLock<Keys> = OnceLock::new();
+    let mut keys = width_keys();
+    keys.push(SHORT.get_or_init(|| paillier(160, 16)));
+    keys
+}
+
+/// The textbook product the identity replaces: `to_mont(1 + m·n) ⊗ x`.
+fn textbook(pk: &PaillierPk, m: &BigUint, x: &[u64]) -> Vec<u64> {
+    let gm = BigUint::one().add(&m.mul(&pk.n));
+    pk.mont.mont_mul(&pk.mont.to_mont(&gm), x)
+}
+
+/// `v`'s limbs, zero-padded to `k`.
+fn padded(v: &BigUint, k: usize) -> Vec<u64> {
+    let mut out = v.limbs().to_vec();
+    out.resize(k, 0);
+    out
+}
+
+/// Bytes before the limbs of a one-value-per-lane `Ct` payload.
+const ONE_PER_LANE_HEADER: usize = 17 + 9;
+
+/// The ciphertext limbs of a one-value-per-lane body, as the wire
+/// carries them.
+fn wire_limbs(ct: &CtMat) -> Vec<u64> {
+    export_ctmat(ct)[ONE_PER_LANE_HEADER..]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect()
+}
+
+/// `ct` with its limbs replaced, read back through the wire codec.
+fn with_wire_limbs(ct: &CtMat, limbs: &[u64]) -> CtMat {
+    let mut bytes = export_ctmat(ct);
+    bytes.truncate(ONE_PER_LANE_HEADER);
+    bytes.extend(limbs.iter().flat_map(|l| l.to_le_bytes()));
+    import_ctmat(&bytes).expect("same geometry, other limbs")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn plaintext_entry_identity_equals_the_textbook_product(seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for keys in identity_keys() {
+            let (pk, _) = raw(keys);
+            let (k, kn) = (pk.ct_limbs(), pk.mont_n.limb_count());
+            let ms = [
+                BigUint::zero(),
+                BigUint::one(),
+                pk.n.sub_u64(1),
+                bf_bigint::random_below(&mut rng, &pk.n),
+            ];
+            // R mod n² (the Montgomery form of 1), n² − 1, a random
+            // ciphertext, and 2·R_n − 1, whose low k_n limbs read ≥ n:
+            // x mod n is not x's low half.
+            let xs = [
+                pk.mont.one_mont(),
+                padded(&pk.n2.sub_u64(1), k),
+                padded(&bf_bigint::random_below(&mut rng, &pk.n2), k),
+                padded(&BigUint::one().shl(64 * kn + 1).sub_u64(1), k),
+            ];
+            for m in &ms {
+                for x in &xs {
+                    let want = textbook(pk, m, x);
+                    let mut got = vec![0u64; k];
+                    pk.add_plain_into(x, m, None, &mut got);
+                    prop_assert!(got == want, "{} bits, m = {m:?}", pk.key_bits);
+                    let mut res = vec![0u64; kn];
+                    pk.residue_into(x, &mut res);
+                    got.fill(0);
+                    pk.add_plain_into(x, m, Some(&res), &mut got);
+                    prop_assert!(got == want, "{} bits, m = {m:?}, residue given", pk.key_bits);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pooled_and_exact_encryptions_equal_the_textbook_product() {
+    // Draw i of a second obfuscator with the same seed is the r^n the
+    // first one's encryption i multiplied in. Pool(2) picks a == b on
+    // half its draws, the case the old draw squared.
+    let vals: Vec<f64> = (0..24).map(|i| (i as f64 - 11.5) * 0.375).collect();
+    let m = Dense::from_vec(4, 6, vals.clone());
+    for keys in identity_keys() {
+        let (pk, _) = raw(keys);
+        let k = pk.ct_limbs();
+        for mode in [ObfMode::Pool(2), ObfMode::Exact] {
+            let (enc, oracle) = (
+                Obfuscator::new(&keys.0, mode, 17),
+                Obfuscator::new(&keys.0, mode, 17),
+            );
+            let got = wire_limbs(&keys.0.encrypt(&m, &enc));
+            for (i, &v) in vals.iter().enumerate() {
+                let e = encode(v, pk.frac_bits, 1, &pk.n);
+                let want = textbook(pk, &e, &oracle.next_rn(pk));
+                assert_eq!(&got[i * k..(i + 1) * k], &want[..], "{mode:?} draw {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn add_plain_and_sub_plain_equal_the_textbook_product() {
+    let a = Dense::from_vec(2, 3, vec![1.5, -2.0, 0.0, 4.25, -0.125, 3.0]);
+    let q = Dense::from_vec(2, 3, vec![-7.0, 0.5, 0.0, 2.0, -3.75, 100.0]);
+    for keys in identity_keys() {
+        let (pk, _) = raw(keys);
+        let k = pk.ct_limbs();
+        let ct = keys.0.encrypt(&a, &keys.2);
+        // A peer's ciphertexts need not be canonical: all-ones limbs,
+        // n² itself and n² + 5 are ≥ n², and must neither panic nor
+        // differ from what the textbook Montgomery product makes of them.
+        let mut hostile = wire_limbs(&ct);
+        hostile[..k].fill(u64::MAX);
+        hostile[k..2 * k].copy_from_slice(&padded(&pk.n2, k));
+        hostile[2 * k..3 * k].copy_from_slice(&padded(&pk.n2.add_u64(5), k));
+        for ct in [ct.clone(), with_wire_limbs(&ct, &hostile)] {
+            let x = wire_limbs(&ct);
+            for (sign, got) in [
+                (1.0, keys.0.add_plain(&ct, &q)),
+                (-1.0, keys.0.sub_plain(&ct, &q)),
+            ] {
+                let got = wire_limbs(&got);
+                for (i, &v) in q.data().iter().enumerate() {
+                    let e = encode(sign * v, pk.frac_bits, 1, &pk.n);
+                    let want = textbook(pk, &e, &x[i * k..(i + 1) * k]);
+                    assert_eq!(
+                        &got[i * k..(i + 1) * k],
+                        &want[..],
+                        "sign {sign}, entry {i}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -16,15 +16,27 @@
 //! right ring element when the claim is true and a function of the
 //! secret prime when it is not. Nothing here audits a holder that lies
 //! about the width of what it sends.
+//!
+//! Two leaks of this implementation, not of the paper's protocol, are
+//! pinned as facts (ROADMAP item 10, "revealed by this implementation
+//! only"): pooled obfuscations collide within one upload, and an HE2SS
+//! reply carries no randomness of the holder's. Each test flips when
+//! its leak is closed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
+use bf_bigint::BigUint;
 use bf_datagen::{generate, spec, vsplit};
 use bf_ml::data::Labels;
 use bf_ml::TrainConfig;
+use bf_paillier::{
+    encode, export_ctmat, keygen, CtMat, ObfMode, Obfuscator, PaillierPk, PublicKey, SecretKey,
+};
+use bf_tensor::{Dense, Features};
 use blindfl::config::{FedConfig, GradMode};
 use blindfl::models::FedSpec;
 use blindfl::train::{train_federated, FedTrainConfig};
+use rand::{Rng, SeedableRng};
 
 /// A party's view: how many messages of each kind it received (kinds it
 /// never received are absent).
@@ -169,6 +181,117 @@ fn ablation_mode_does_leak_plaintext() {
         "ablation should expose plaintext gradients to A"
     );
     let _ = a_stats;
+}
+
+/// The ciphertexts of a one-value-per-lane tensor as the wire carries
+/// them (a 17-byte `Ct` header, a 9-byte lane sub-header, then limbs).
+fn wire_cts(pk: &PaillierPk, ct: &CtMat) -> Vec<Vec<u64>> {
+    let limbs: Vec<u64> = export_ctmat(ct)[17 + 9..]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    limbs.chunks(pk.ct_limbs()).map(<[u64]>::to_vec).collect()
+}
+
+/// `a · b⁻¹ mod n²` of two Montgomery-form ciphertexts, as an integer.
+fn quotient(pk: &PaillierPk, a: &[u64], b: &[u64]) -> BigUint {
+    let mut inv = b.to_vec();
+    pk.mont.batch_inv_mont(&mut inv);
+    pk.mont.from_mont(&pk.mont.mont_mul(a, &inv))
+}
+
+#[test]
+fn pooled_obfuscations_collide_and_reveal_plaintext_differences() {
+    // Revealed by this implementation only. Under Pool(64), the
+    // ladder's pool, a draw is one of 2,080 products pool[a]·pool[b].
+    // Two ciphertexts on the same product agree mod n and divide to
+    // 1 + (m_i − m_j)·n (mod n²), so anyone holding the public key reads
+    // m_i − m_j off one 128-row upload (≈ 3.9 such pairs expected).
+    // This test flips when draws of one upload stop colliding.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let (pk, _) = keygen(256, 24, &mut rng);
+    let PublicKey::Paillier(p) = &pk else {
+        unreachable!()
+    };
+    let grads: Vec<f64> = (0..128).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
+    let upload = Dense::from_vec(128, 1, grads.clone());
+    let pairs_in = |mode: ObfMode| {
+        let cts = wire_cts(p, &pk.encrypt(&upload, &Obfuscator::new(&pk, mode, 0x0bf)));
+        // The eavesdropper's view: the wire limbs and the public key.
+        let mut first_of: HashMap<_, usize> = HashMap::new();
+        let mut pairs = Vec::new();
+        for (j, c) in cts.iter().enumerate() {
+            if let Some(&i) = first_of.get(&p.mont.from_mont(c).rem(&p.n)) {
+                pairs.push((i, j, quotient(p, &cts[i], c)));
+            } else {
+                first_of.insert(p.mont.from_mont(c).rem(&p.n), j);
+            }
+        }
+        pairs
+    };
+    let pairs = pairs_in(ObfMode::Pool(64));
+    assert!(!pairs.is_empty(), "no two draws of this upload collided");
+    for (i, j, q) in pairs {
+        let (d, rest) = q.sub_u64(1).div_rem(&p.n);
+        assert!(rest.is_zero(), "rows {i} and {j} agree mod n by chance");
+        let (ei, ej) = (encode(grads[i], 24, 1, &p.n), encode(grads[j], 24, 1, &p.n));
+        assert_eq!(d, ei.add(&p.n).sub(&ej).rem(&p.n), "rows {i}, {j}");
+    }
+    assert!(pairs_in(ObfMode::Exact).is_empty());
+}
+
+#[test]
+fn he2ss_replies_let_the_key_owner_read_the_holders_features() {
+    // Revealed by this implementation only. A's HE2SS reply to B's
+    // ⟦∇Z⟧ is ⟦Xᵀ∇Z − φ⟧ = Π_i ⟦∇Z_i⟧^(2^f·x_i) · g^(−φ): B's own
+    // ciphertexts and a plaintext, no randomness of A's. B, the key
+    // owner, decrypts it to M, strips g^M = 1 + M·n, and what remains
+    // is a product of obfuscations B drew itself. Testing the 2^8
+    // subsets of an 8-row binary batch recovers A's feature column.
+    // This test flips when replies carry fresh randomness of the
+    // holder's.
+    let cfg = FedConfig::paillier_test();
+    let b_seed = 5;
+    let (pk, sk) = keygen(
+        256,
+        cfg.frac_bits,
+        &mut rand::rngs::StdRng::seed_from_u64(3),
+    );
+    let (PublicKey::Paillier(p), SecretKey::Paillier(s)) = (&pk, &sk) else {
+        unreachable!()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let grad: Vec<f64> = (0..8).map(|_| rng.random::<f64>() - 0.5).collect();
+    let column: Vec<f64> = (0..8).map(|i| f64::from(0xb5u8 >> i & 1)).collect();
+    // B uploads ⟦∇Z⟧; A contracts its feature column against it and
+    // masks the product, as HE2SS does.
+    let grad_ct = pk.encrypt(
+        &Dense::from_vec(8, 1, grad),
+        &Obfuscator::new(&pk, cfg.obf_mode, b_seed),
+    );
+    let x = Features::Dense(Dense::from_vec(8, 1, column.clone()));
+    let phi = Dense::from_vec(1, 1, vec![(rng.random::<f64>() - 0.5) * cfg.he_mask]);
+    let reply = pk.sub_plain(&pk.t_matmul_support(&x, &grad_ct, &[0]), &phi);
+
+    // B's side: its plaintext, and its own draws, raised to 2^f.
+    let c = &wire_cts(p, &reply)[0];
+    let m = s.raw_decrypt(c, None);
+    let gm = p.mont.to_mont(&m.mul(&p.n).add_u64(1));
+    let rest = quotient(p, c, &gm);
+    let own = Obfuscator::new(&pk, cfg.obf_mode, b_seed);
+    let two_f = BigUint::one().shl(cfg.frac_bits as usize);
+    let draws: Vec<Vec<u64>> = (0..8)
+        .map(|_| p.mont.pow_mont(&own.next_rn(p), &two_f))
+        .collect();
+    let matches: Vec<u32> = (0..1u32 << 8)
+        .filter(|&set| {
+            let prod = (0..8)
+                .filter(|i| set >> i & 1 == 1)
+                .fold(p.mont.one_mont(), |acc, i| p.mont.mont_mul(&acc, &draws[i]));
+            p.mont.from_mont(&prod) == rest
+        })
+        .collect();
+    assert_eq!(matches, vec![0xb5], "B's reading of A's column {column:?}");
 }
 
 #[test]
