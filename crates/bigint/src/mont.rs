@@ -8,6 +8,14 @@
 //! that remain share a single squaring chain (interleaved sliding
 //! windows), and the inner loops are the allocation-free
 //! [`MontCtx::mont_mul_into`] / [`MontCtx::mont_sqr_into`].
+//!
+//! Those two come in two sets ([`KernelSet`]), picked once per modulus
+//! by [`MontCtx::new`]: on x86_64 with BMI2 and ADX, a multiply and a
+//! squaring built on one `mulx`/`adcx`/`adox` row `t += x·v` — the
+//! crate's one `unsafe` block — and everywhere else the portable `u128`
+//! bodies, which [`MontCtx::with_slice_kernels`] keeps as the tests'
+//! reference. Montgomery outputs are canonical, so both sets return the
+//! same limbs.
 
 use crate::BigUint;
 
@@ -16,8 +24,9 @@ use crate::BigUint;
 /// `n²`; wider only pays beyond ~2500-bit exponents.
 const MAX_WINDOW: u32 = 6;
 
-/// Operand widths up to this many limbs square through a stack buffer
-/// (4096-bit `n²`, i.e. 2048-bit keys); wider ones allocate.
+/// Operand widths up to this many limbs keep a kernel's double-width
+/// intermediate on the stack (4096-bit `n²`, i.e. 2048-bit keys); wider
+/// ones allocate.
 const SQR_STACK_LIMBS: usize = 64;
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
@@ -36,8 +45,7 @@ pub struct MontCtx {
     /// `R^3 mod m`: turns a reduced double-width value `t·R⁻¹` into
     /// the Montgomery form `t·R` with one multiply.
     r3: Vec<u64>,
-    /// The multiply and square kernels for this width, picked once in
-    /// [`MontCtx::new`].
+    /// The multiply and square kernels, picked once in [`MontCtx::new`].
     kernels: Kernels,
 }
 
@@ -45,20 +53,31 @@ pub struct MontCtx {
 type MulFn = fn(&[u64], u64, &[u64], &[u64], &mut [u64]);
 /// `(m, m_inv, a, out)`: `out = a²·R⁻¹ mod m`.
 type SqrFn = fn(&[u64], u64, &[u64], &mut [u64]);
-type Kernels = (MulFn, SqrFn);
 
-/// The kernels at any width: loop bounds are run-time values.
-const SLICE_KERNELS: Kernels = (mul_body, sqr_slice);
+/// Which multiply and squaring a [`MontCtx`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelSet {
+    /// The `u128` bodies: run on every target, and the reference the
+    /// other set is tested against.
+    Portable,
+    /// Rows of `mulx`/`adcx`/`adox` (x86_64 with BMI2 and ADX).
+    Adx,
+}
 
-/// The one width the kernel bodies are also compiled for exactly: a
-/// CRT half `p²` of a 1024-bit key (a 512-bit key's `n²` is 16 limbs
-/// too). Known trip counts are worth a tenth of a multiply or a squaring
-/// there, and an eighth of `mlr_wide`'s throughput end to end. At the 32
-/// limbs of a 1024-bit key's `n²` an instance measured 0.90× on
-/// multiplies and 0.97× on squarings, and nothing past the run-to-run
-/// spread end to end, so `n²` keeps the slice kernels; 8 limbs (a
-/// 512-bit key's `p²`) is run by no measured workload, so it has none.
-const FIXED_LIMBS: usize = 16;
+/// One kernel set: its name and its two kernels.
+#[derive(Clone, Copy, Debug)]
+struct Kernels {
+    set: KernelSet,
+    mul: MulFn,
+    sqr: SqrFn,
+}
+
+/// The kernels every target has: loop bounds are run-time values.
+const PORTABLE: Kernels = Kernels {
+    set: KernelSet::Portable,
+    mul: mul_body,
+    sqr: sqr_portable,
+};
 
 /// Sliding-window table of one Montgomery-form base: its odd powers
 /// `b, b³, …, b^(2^w − 1)`, flat. Built by [`MontCtx::odd_powers`];
@@ -96,17 +115,20 @@ pub fn window_bits(bits: usize, ones: usize, uses: usize) -> u32 {
 
 impl MontCtx {
     /// Build a context. Panics if `m` is even or < 3.
+    ///
+    /// Runs the [`KernelSet::Adx`] kernels when the CPU reports BMI2 and
+    /// ADX, the [`KernelSet::Portable`] ones otherwise.
     pub fn new(m: &BigUint) -> Self {
         let mut ctx = Self::with_slice_kernels(m);
-        if ctx.k == FIXED_LIMBS {
-            ctx.kernels = (mul_fixed::<FIXED_LIMBS>, sqr_fixed::<FIXED_LIMBS>);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernels) = adx::kernels() {
+            ctx.kernels = kernels;
         }
         ctx
     }
 
-    /// [`MontCtx::new`] on the width-generic kernels whatever the width
-    /// of `m`: the reference the fixed-width instance is tested
-    /// against.
+    /// [`MontCtx::new`] on the [`KernelSet::Portable`] kernels whatever
+    /// the CPU: the reference the other set is tested against.
     pub fn with_slice_kernels(m: &BigUint) -> Self {
         assert!(!m.is_even() && m.bits() >= 2, "modulus must be odd and > 1");
         let k = m.limbs.len();
@@ -123,8 +145,13 @@ impl MontCtx {
             r1,
             r2,
             r3,
-            kernels: SLICE_KERNELS,
+            kernels: PORTABLE,
         }
+    }
+
+    /// The kernel set this context runs.
+    pub fn kernel_set(&self) -> KernelSet {
+        self.kernels.set
     }
 
     /// Convert to Montgomery form: `a*R mod m`. `a` must be `< m`.
@@ -139,13 +166,14 @@ impl MontCtx {
         BigUint::from_limbs(self.mont_mul(a, &one))
     }
 
-    /// CIOS Montgomery product `a*b*R^{-1} mod m` into `out`, with no
-    /// allocation. The multiply and reduce passes of one operand limb
-    /// are fused into a single sweep with two carry chains, so the
-    /// running sum is loaded and stored once per limb, and `out` itself
-    /// is the `k`-limb accumulator.
+    /// Montgomery product `a*b*R^{-1} mod m` into `out`, with no
+    /// allocation up to `SQR_STACK_LIMBS` limbs. The portable kernel is
+    /// CIOS: the multiply and reduce passes of one operand limb fused
+    /// into a single sweep with two carry chains, `out` itself the
+    /// `k`-limb accumulator. The ADX kernel runs `k` product rows into a
+    /// double-width intermediate, then the reduction as its own pass.
     pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        (self.kernels.0)(&self.m.limbs[..self.k], self.m_inv, a, b, out)
+        (self.kernels.mul)(&self.m.limbs[..self.k], self.m_inv, a, b, out)
     }
 
     /// Montgomery squaring `a*a*R^{-1} mod m` into `out`.
@@ -156,7 +184,7 @@ impl MontCtx {
     /// intermediate, which lives on the stack for every key size in use.
     /// Squarings are four fifths of an exponentiation.
     pub fn mont_sqr_into(&self, a: &[u64], out: &mut [u64]) {
-        (self.kernels.1)(&self.m.limbs[..self.k], self.m_inv, a, out)
+        (self.kernels.sqr)(&self.m.limbs[..self.k], self.m_inv, a, out)
     }
 
     /// [`MontCtx::mont_mul_into`] returning a fresh vector.
@@ -189,7 +217,7 @@ impl MontCtx {
         let (mut stack, mut heap) = ([0u64; 3 * SQR_STACK_LIMBS], Vec::new());
         let (wide, reduced) = scratch(&mut stack, &mut heap, 3 * k).split_at_mut(2 * k);
         wide[..t.len()].copy_from_slice(t);
-        redc_body(&self.m.limbs[..k], self.m_inv, wide, reduced);
+        redc_body(addmul, &self.m.limbs[..k], self.m_inv, wide, reduced);
         self.mont_mul_into(reduced, &self.r3, out);
     }
 
@@ -413,8 +441,8 @@ fn mac(x: u64, y: u64, add: u64, carry: u64) -> (u64, u64) {
     (s as u64, (s >> 64) as u64)
 }
 
-/// `t += x·v` over equal-length limbs, four to a step; returns the carry
-/// out of the top limb.
+/// The portable row: `t += x·v` over equal-length limbs, four to a
+/// step; returns the carry out of the top limb.
 #[inline(always)]
 fn addmul(t: &mut [u64], x: u64, v: &[u64]) -> u64 {
     assert_eq!(t.len(), v.len());
@@ -433,10 +461,7 @@ fn addmul(t: &mut [u64], x: u64, v: &[u64]) -> u64 {
     carry
 }
 
-/// The one multiply body (see [`MontCtx::mont_mul_into`]). Inlined into
-/// [`mul_fixed`], where every length is a constant; called as it is for
-/// every other width.
-#[inline(always)]
+/// The portable multiply (see [`MontCtx::mont_mul_into`]): fused CIOS.
 fn mul_body(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
     let k = m.len();
     assert!(a.len() == k && b.len() == k && out.len() == k);
@@ -461,16 +486,23 @@ fn mul_body(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// The one squaring body (see [`MontCtx::mont_sqr_into`]); `t` is the
-/// zeroed double-width intermediate.
+/// The squaring (see [`MontCtx::mont_sqr_into`]) on the row `row`
+/// (`t += x·v`, carry out); `t` is the zeroed double-width intermediate.
 #[inline(always)]
-fn sqr_body(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64], t: &mut [u64]) {
+fn sqr_body(
+    row: impl Fn(&mut [u64], u64, &[u64]) -> u64,
+    m: &[u64],
+    m_inv: u64,
+    a: &[u64],
+    out: &mut [u64],
+    t: &mut [u64],
+) {
     let k = m.len();
     assert!(a.len() == k && out.len() == k && t.len() == 2 * k);
     // Off-diagonal products a[i]·a[j], i < j: row i lands on limbs
     // 2i+1 .. i+k, and its carry on the still-untouched limb i+k.
     for i in 0..k.saturating_sub(1) {
-        t[i + k] = addmul(&mut t[2 * i + 1..i + k], a[i], &a[i + 1..]);
+        t[i + k] = row(&mut t[2 * i + 1..i + k], a[i], &a[i + 1..]);
     }
     // Double, and add the diagonal a[i]², two limbs at a time.
     let (mut shift, mut carry) = (0u64, 0u64);
@@ -485,13 +517,19 @@ fn sqr_body(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64], t: &mut [u64]) {
         carry = (s >> 64) as u64;
     }
     debug_assert_eq!((shift, carry), (0, 0));
-    redc_body(m, m_inv, t, out)
+    redc_body(row, m, m_inv, t, out)
 }
 
-/// Montgomery reduction of the double-width `t < m·R` (clobbered):
-/// `out = t·R⁻¹ mod m`.
+/// Montgomery reduction of the double-width `t < m·R` (clobbered) on the
+/// row `row`: `out = t·R⁻¹ mod m`.
 #[inline(always)]
-fn redc_body(m: &[u64], m_inv: u64, t: &mut [u64], out: &mut [u64]) {
+fn redc_body(
+    row: impl Fn(&mut [u64], u64, &[u64]) -> u64,
+    m: &[u64],
+    m_inv: u64,
+    t: &mut [u64],
+    out: &mut [u64],
+) {
     let k = m.len();
     debug_assert!(t.len() == 2 * k && out.len() == k);
     // Clear one low limb per row (t += u·m << 64i); `top` carries the
@@ -499,7 +537,7 @@ fn redc_body(m: &[u64], m_inv: u64, t: &mut [u64], out: &mut [u64]) {
     let mut top = 0u64;
     for i in 0..k {
         let u = t[i].wrapping_mul(m_inv);
-        let carry = addmul(&mut t[i..i + k], u, m);
+        let carry = row(&mut t[i..i + k], u, m);
         let s = t[i + k] as u128 + carry as u128 + top as u128;
         t[i + k] = s as u64;
         top = (s >> 64) as u64;
@@ -510,17 +548,17 @@ fn redc_body(m: &[u64], m_inv: u64, t: &mut [u64], out: &mut [u64]) {
     }
 }
 
-/// [`sqr_body`] at any width: the intermediate lives on the stack up to
-/// [`SQR_STACK_LIMBS`] and is allocated past that.
-fn sqr_slice(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
+/// The portable squaring: [`sqr_body`] on [`addmul`].
+fn sqr_portable(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
+    with_wide(m.len(), |t| sqr_body(addmul, m, m_inv, a, out, t))
+}
+
+/// `f` on a zeroed double-width (`2k`-limb) intermediate: on the stack
+/// up to [`SQR_STACK_LIMBS`], allocated past that.
+#[inline(always)]
+fn with_wide(k: usize, f: impl FnOnce(&mut [u64])) {
     let (mut stack, mut heap) = ([0u64; 2 * SQR_STACK_LIMBS], Vec::new());
-    sqr_body(
-        m,
-        m_inv,
-        a,
-        out,
-        scratch(&mut stack, &mut heap, 2 * m.len()),
-    )
+    f(scratch(&mut stack, &mut heap, 2 * k))
 }
 
 /// `len` zeroed limbs: the front of `stack` when it is long enough,
@@ -535,28 +573,160 @@ pub fn scratch<'a>(stack: &'a mut [u64], heap: &'a mut Vec<u64>, len: usize) -> 
     }
 }
 
-/// What a `K`-limb kernel says to an operand of another width — the
-/// slice kernels' length assert.
-const WIDTH: &str = "operand width is the modulus's";
+/// The [`KernelSet::Adx`] kernels: the multiply (`k` product rows, then
+/// [`redc_body`]) and the squaring ([`sqr_body`]) on one row, `t += x·v`
+/// as a `mulx` per limb feeding two independent carry chains — `adox`
+/// adds the previous limb's high half to this limb's low half, `adcx`
+/// adds that to `t` — where the portable [`mac`] threads one carry
+/// through two additions.
+#[cfg(target_arch = "x86_64")]
+mod adx {
+    use super::{redc_body, sqr_body, with_wide, KernelSet, Kernels};
+    use std::arch::asm;
 
-/// [`mul_body`] compiled for `K` limbs.
-fn mul_fixed<const K: usize>(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
-    let (m, a, b): (&[u64; K], &[u64; K], &[u64; K]) = (
-        m.try_into().expect(WIDTH),
-        a.try_into().expect(WIDTH),
-        b.try_into().expect(WIDTH),
-    );
-    let out: &mut [u64; K] = out.try_into().expect(WIDTH);
-    mul_body(m, m_inv, a, b, out)
-}
+    /// The set, if this CPU runs `mulx` (BMI2) and `adcx`/`adox` (ADX).
+    /// The only way to reach [`row`] outside the tests below.
+    pub(super) fn kernels() -> Option<Kernels> {
+        let ok = std::is_x86_feature_detected!("bmi2") && std::is_x86_feature_detected!("adx");
+        ok.then_some(Kernels {
+            set: KernelSet::Adx,
+            mul,
+            sqr,
+        })
+    }
 
-/// [`sqr_body`] compiled for `K` limbs, its intermediate `2K` on the
-/// stack.
-fn sqr_fixed<const K: usize>(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
-    let (m, a): (&[u64; K], &[u64; K]) = (m.try_into().expect(WIDTH), a.try_into().expect(WIDTH));
-    let out: &mut [u64; K] = out.try_into().expect(WIDTH);
-    let mut t = [[0u64; K]; 2];
-    sqr_body(m, m_inv, a, out, t.as_flattened_mut())
+    fn mul(m: &[u64], m_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let k = m.len();
+        assert!(a.len() == k && b.len() == k && out.len() == k);
+        with_wide(k, |t| {
+            // Row i lands on limbs i .. i+k−1 and its carry on the
+            // still-untouched limb i+k.
+            for (i, &ai) in a.iter().enumerate() {
+                t[i + k] = row(&mut t[i..i + k], ai, b);
+            }
+            redc_body(row, m, m_inv, t, out)
+        })
+    }
+
+    fn sqr(m: &[u64], m_inv: u64, a: &[u64], out: &mut [u64]) {
+        with_wide(m.len(), |t| sqr_body(row, m, m_inv, a, out, t))
+    }
+
+    /// `t += x·v` over equal-length limbs, four to a step and then the
+    /// `len mod 4` tail; returns the carry out of the top limb. Only
+    /// called once [`kernels`] has seen BMI2 and ADX.
+    fn row(t: &mut [u64], x: u64, v: &[u64]) -> u64 {
+        assert_eq!(t.len(), v.len());
+        let n = t.len();
+        let carry: u64;
+        // SAFETY: the loop reads `v[..n]` and reads and writes `t[..n]`,
+        // both `n` limbs long (asserted above) and distinct (`&mut`
+        // against `&`), advancing each pointer by 8 bytes per limb for
+        // `4·(n / 4) + n mod 4 = n` limbs. It touches no other memory and
+        // no stack, writes only the declared registers and the flags
+        // (not declared preserved), and runs `mulx`/`adcx`/`adox` only
+        // on a CPU that reported BMI2 and ADX: `row` is private to this
+        // module and reached through the kernels `kernels()` returns
+        // after detection. `lea`, `mov` and `jrcxz` leave CF and OF
+        // alone, so the two carry chains survive the loop control.
+        unsafe {
+            asm!(
+                // hi = 0, CF = OF = 0.
+                "xor {hi:e}, {hi:e}",
+                "2:",
+                "jrcxz 3f",
+                "mulx {h2}, {lo}, qword ptr [{v}]",
+                "adox {lo}, {hi}",
+                "adcx {lo}, qword ptr [{t}]",
+                "mov qword ptr [{t}], {lo}",
+                "mulx {hi}, {lo}, qword ptr [{v} + 8]",
+                "adox {lo}, {h2}",
+                "adcx {lo}, qword ptr [{t} + 8]",
+                "mov qword ptr [{t} + 8], {lo}",
+                "mulx {h2}, {lo}, qword ptr [{v} + 16]",
+                "adox {lo}, {hi}",
+                "adcx {lo}, qword ptr [{t} + 16]",
+                "mov qword ptr [{t} + 16], {lo}",
+                "mulx {hi}, {lo}, qword ptr [{v} + 24]",
+                "adox {lo}, {h2}",
+                "adcx {lo}, qword ptr [{t} + 24]",
+                "mov qword ptr [{t} + 24], {lo}",
+                "lea {t}, [{t} + 32]",
+                "lea {v}, [{v} + 32]",
+                "lea rcx, [rcx - 1]",
+                "jmp 2b",
+                // The n mod 4 tail, one limb a step.
+                "3:",
+                "mov rcx, {tail}",
+                "4:",
+                "jrcxz 5f",
+                "mulx {h2}, {lo}, qword ptr [{v}]",
+                "adox {lo}, {hi}",
+                "adcx {lo}, qword ptr [{t}]",
+                "mov qword ptr [{t}], {lo}",
+                "mov {hi}, {h2}",
+                "lea {t}, [{t} + 8]",
+                "lea {v}, [{v} + 8]",
+                "lea rcx, [rcx - 1]",
+                "jmp 4b",
+                // Carry out = last high half + CF + OF (t + x·v fits
+                // n + 1 limbs, so this cannot overflow).
+                "5:",
+                "mov {lo:e}, 0",
+                "adcx {hi}, {lo}",
+                "adox {hi}, {lo}",
+                t = inout(reg) t.as_mut_ptr() => _,
+                v = inout(reg) v.as_ptr() => _,
+                tail = in(reg) n % 4,
+                hi = out(reg) carry,
+                h2 = out(reg) _,
+                lo = out(reg) _,
+                inout("rcx") n / 4 => _,
+                in("rdx") x,
+                options(nostack),
+            );
+        }
+        carry
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::addmul;
+        use super::*;
+
+        #[test]
+        fn the_row_equals_the_portable_row_at_every_length() {
+            if kernels().is_none() {
+                return;
+            }
+            let mut s = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            for n in 0..=70 {
+                let random = |next: &mut dyn FnMut() -> u64| (0..n).map(|_| next()).collect();
+                let cases: [(Vec<u64>, u64, Vec<u64>); 4] = [
+                    (random(&mut next), next(), random(&mut next)),
+                    (vec![u64::MAX; n], u64::MAX, vec![u64::MAX; n]),
+                    (vec![u64::MAX; n], next(), random(&mut next)),
+                    (random(&mut next), u64::MAX, vec![u64::MAX; n]),
+                ];
+                for (t, x, v) in cases {
+                    let (mut got, mut want) = (t.clone(), t);
+                    let carry = row(&mut got, x, &v);
+                    assert_eq!(carry, addmul(&mut want, x, &v), "carry, {n} limbs");
+                    assert_eq!(got, want, "{n} limbs");
+                }
+                // All ones everywhere saturates the carry out.
+                let mut t = vec![u64::MAX; n];
+                let carry = row(&mut t, u64::MAX, &vec![u64::MAX; n]);
+                assert_eq!(carry, if n == 0 { 0 } else { u64::MAX }, "{n} limbs");
+            }
+        }
+    }
 }
 
 /// Recode `e` into sliding windows of at most `w` bits, highest first:

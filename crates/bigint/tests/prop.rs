@@ -2,7 +2,7 @@
 //! reconstruction, Montgomery consistency, and modular-inverse
 //! correctness over arbitrary inputs.
 
-use bf_bigint::mont::{window_bits, PowTerm};
+use bf_bigint::mont::{window_bits, KernelSet, PowTerm};
 use bf_bigint::{mod_inv, BigUint, MontCtx};
 use proptest::prelude::*;
 
@@ -186,46 +186,66 @@ fn mont_sqr_into_matches_mont_mul_into_on_stack_and_heap_widths() {
 }
 
 /// A multiply and a squaring of `a` (and `a·b`) on both kernel sets.
-fn assert_kernels_agree(fixed: &MontCtx, slice: &MontCtx, a: &[u64], b: &[u64]) {
-    let k = slice.limb_count();
+fn assert_kernels_agree(picked: &MontCtx, portable: &MontCtx, a: &[u64], b: &[u64]) {
+    let k = portable.limb_count();
     let (mut got, mut want) = (vec![0u64; k], vec![0u64; k]);
-    fixed.mont_mul_into(a, b, &mut got);
-    slice.mont_mul_into(a, b, &mut want);
+    picked.mont_mul_into(a, b, &mut got);
+    portable.mont_mul_into(a, b, &mut want);
     assert_eq!(got, want, "{k}-limb multiply");
-    fixed.mont_sqr_into(a, &mut got);
-    slice.mont_sqr_into(a, &mut want);
+    picked.mont_sqr_into(a, &mut got);
+    portable.mont_sqr_into(a, &mut want);
     assert_eq!(got, want, "{k}-limb squaring");
 }
 
 #[test]
-fn fixed_width_kernels_equal_the_slice_kernels_on_edge_operands() {
-    // 16 limbs has an instance; every other width — one limb either
-    // side of it, the 8 of a 512-bit key's p² and the 32 of a 1024-bit
-    // key's n² — takes the fallback, which `with_slice_kernels` is by
-    // construction.
-    for limbs in [1usize, 8, 15, 16, 17, 32] {
-        let (fixed, bases) = fixture(limbs, 3);
-        let slice = MontCtx::with_slice_kernels(&fixed.m);
-        let k = fixed.limb_count();
+fn picked_kernels_equal_the_portable_kernels_on_edge_operands() {
+    // Every `k mod 4` tail of the four-limb row, the 8 / 16 / 32 limbs
+    // of 512- and 1024-bit keys' p² and n², and both sides of the
+    // 64-limb edge where the double-width intermediate leaves the stack.
+    for limbs in [1usize, 4, 5, 8, 15, 16, 17, 32, 63, 64, 65, 70] {
+        let (picked, bases) = fixture(limbs, 3);
+        let portable = MontCtx::with_slice_kernels(&picked.m);
+        let k = picked.limb_count();
         assert_eq!(k, limbs);
         // Zero, R mod m, m − 1 (the largest reduced operand), and an
         // all-ones modulus, whose products overflow the top limb.
         let mut edges = vec![
             vec![0u64; k],
-            fixed.one_mont(),
-            fixed.m.sub_u64(1).limbs().to_vec(),
+            picked.one_mont(),
+            picked.m.sub_u64(1).limbs().to_vec(),
         ];
         edges.extend(bases);
         for a in &edges {
             for b in &edges {
-                assert_kernels_agree(&fixed, &slice, a, b);
+                assert_kernels_agree(&picked, &portable, a, b);
             }
         }
         let ones = BigUint::one().shl(64 * limbs).sub_u64(1);
-        let (fixed, slice) = (MontCtx::new(&ones), MontCtx::with_slice_kernels(&ones));
+        let (picked, portable) = (MontCtx::new(&ones), MontCtx::with_slice_kernels(&ones));
         let top = ones.sub_u64(1).limbs().to_vec();
-        assert_kernels_agree(&fixed, &slice, &top, &top);
-        assert_kernels_agree(&fixed, &slice, &top, &fixed.one_mont());
+        assert_kernels_agree(&picked, &portable, &top, &top);
+        assert_kernels_agree(&picked, &portable, &top, &picked.one_mont());
+    }
+}
+
+#[test]
+fn new_picks_the_adx_kernels_exactly_when_the_cpu_has_bmi2_and_adx() {
+    // A detection slip would not change a single output byte, only run
+    // every exponentiation on the slower set.
+    #[cfg(target_arch = "x86_64")]
+    let adx = is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("adx");
+    #[cfg(not(target_arch = "x86_64"))]
+    let adx = false;
+    let want = if adx {
+        KernelSet::Adx
+    } else {
+        KernelSet::Portable
+    };
+    for limbs in [1usize, 16, 32, 65] {
+        let (ctx, _) = fixture(limbs, 0);
+        assert_eq!(ctx.kernel_set(), want, "{limbs} limbs");
+        let portable = MontCtx::with_slice_kernels(&ctx.m);
+        assert_eq!(portable.kernel_set(), KernelSet::Portable);
     }
 }
 
@@ -249,6 +269,38 @@ fn batch_inv_mont_inverts_every_value() {
             for (v, i) in vals.chunks(k).zip(inv.chunks(k)) {
                 assert_eq!(ctx.mont_mul(v, i), ctx.one_mont());
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn picked_kernels_equal_the_portable_kernels(
+        limbs in prop::collection::vec(any::<u64>(), 70),
+        a in big(70),
+        b in big(70),
+        e in big(1),
+    ) {
+        // At every width 1..=70 — each `k mod 4` tail, both sides of
+        // the 64-limb stack/heap edge — a random odd modulus of exactly
+        // that width, operands reduced below it, then a chain of
+        // squarings so the values fed back are the kernels' own outputs.
+        for k in 1..=70 {
+            let mut m = limbs[..k].to_vec();
+            m[0] |= 1;
+            m[k - 1] |= 1 << 40;
+            let m = BigUint::from_limbs(m);
+            let (picked, portable) = (MontCtx::new(&m), MontCtx::with_slice_kernels(&m));
+            let (mut x, y) = (picked.to_mont(&a.rem(&m)), portable.to_mont(&b.rem(&m)));
+            // Each side carries the width, so a failure names it.
+            for _ in 0..3 {
+                prop_assert_eq!((k, picked.mont_mul(&x, &y)), (k, portable.mont_mul(&x, &y)));
+                prop_assert_eq!((k, picked.mont_sqr(&x)), (k, portable.mont_sqr(&x)));
+                x = picked.mont_sqr(&x);
+            }
+            prop_assert_eq!((k, picked.pow_mont(&x, &e)), (k, portable.pow_mont(&x, &e)));
         }
     }
 }
@@ -305,29 +357,6 @@ proptest! {
             exps.push(exponent(pair[0] >> 8, pair[1]));
         }
         prop_assert_eq!(multi_pow(&ctx, &bases, &exps), fold_pow(&ctx, &bases, &exps));
-    }
-
-    #[test]
-    fn fixed_width_kernels_equal_the_slice_kernels(
-        m in prop::collection::vec(any::<u64>(), 16),
-        a in big(16),
-        b in big(16),
-    ) {
-        // A random odd modulus of exactly 16 limbs, operands reduced
-        // below it, then a chain of squarings so the values fed back
-        // are the kernels' own outputs.
-        let mut m = m;
-        m[0] |= 1;
-        m[15] |= 1 << 40;
-        let m = BigUint::from_limbs(m);
-        let (fixed, slice) = (MontCtx::new(&m), MontCtx::with_slice_kernels(&m));
-        let (mut x, y) = (fixed.to_mont(&a.rem(&m)), slice.to_mont(&b.rem(&m)));
-        for _ in 0..4 {
-            prop_assert_eq!(fixed.mont_mul(&x, &y), slice.mont_mul(&x, &y));
-            prop_assert_eq!(fixed.mont_sqr(&x), slice.mont_sqr(&x));
-            x = fixed.mont_sqr(&x);
-        }
-        prop_assert_eq!(fixed.pow_mont(&x, &a), slice.pow_mont(&x, &a));
     }
 
     #[test]

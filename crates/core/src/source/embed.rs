@@ -127,7 +127,7 @@ impl EmbedSource {
         // rule). Both parties compute the same answer from shared
         // values, so both refuse before either sends a ciphertext.
         let d = d_own.max(d_peer);
-        if sess.packs() && !masked_share_product_fits(d, sess.cfg.he_mask) {
+        if sess.packs() && !masked_share_product_fits(d, sess.cfg.he_mask, MAX_PACKED_WEIGHT) {
             return Err(TransportError::Setup(format!(
                 "a {d}-row projection of shares masked to {} against packed weight pieces up \
                  to {MAX_PACKED_WEIGHT} can overflow a pack slot",
@@ -459,28 +459,14 @@ impl EmbedSource {
         let piece1 = he2ss_peer(&sess.ep, &sess.own_sk, d_a, self.out)?; // ψ_Aᵀ∇Z − φ
         let own_part = e_peer.t_matmul(grad_z);
         let piece_wa = piece1.add(&own_part); // ∇W_A − φ
-        let delta = step_piece(
-            &mut self.v_peer,
-            &mut self.vel_v_peer,
-            &piece_wa,
-            &all_rows(d_a),
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta = step_projection(sess, &mut self.v_peer, &mut self.vel_v_peer, &piece_wa)?;
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
 
         // ∇W_B (lines 15–16): A supplies ⟨(E_B−ψ_B)ᵀ∇Z − ξ⟩; we add
         // ψ_Bᵀ∇Z, update U_B, refresh ⟦U_B⟧ at A.
         let piece2 = he2ss_peer(&sess.ep, &sess.own_sk, psi.cols(), self.out)?;
         let piece_wb = piece2.add(&psi.t_matmul(grad_z)); // ∇W_B − ξ
-        let delta = step_piece(
-            &mut self.u_own,
-            &mut self.vel_u,
-            &piece_wb,
-            &all_rows(piece_wb.rows()),
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta = step_projection(sess, &mut self.u_own, &mut self.vel_u, &piece_wb)?;
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
 
         // A's refreshes of our caches: ⟦V_B⟧ and ⟦V_Bᵀ⟧ (A updated V_B
@@ -565,14 +551,7 @@ impl EmbedSource {
             &mut sess.rng,
         )?;
         // Update U_A by φ and remember the delta for B's ⟦U_A⟧ cache.
-        let delta_ua = step_piece(
-            &mut self.u_own,
-            &mut self.vel_u,
-            &phi,
-            &all_rows(d_a),
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta_ua = step_projection(sess, &mut self.u_own, &mut self.vel_u, &phi)?;
 
         // ∇W_B (line 15): ⟦(E_B−ψ_B)ᵀ∇Z⟧, HE2SS; update V_B by ξ.
         let d_b = e_peer.cols();
@@ -590,14 +569,7 @@ impl EmbedSource {
             sess.cfg.paillier_mode,
             &mut sess.rng,
         )?;
-        let delta_vb = step_piece(
-            &mut self.v_peer,
-            &mut self.vel_v_peer,
-            &xi,
-            &all_rows(d_b),
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta_vb = step_projection(sess, &mut self.v_peer, &mut self.vel_v_peer, &xi)?;
 
         // ⟦∇E_A⟧ (line 20), which B computed on the forward-pass weights
         // and HE2SS-split: decrypt our piece ∇E_A − ε and add it to B's
@@ -666,6 +638,42 @@ impl EmbedSource {
 
 fn all_rows(n: usize) -> Vec<usize> {
     (0..n).collect()
+}
+
+/// [`step_piece`] on every row of a projection weight piece, refused
+/// once the piece leaves the envelope of its packed copy. The peer
+/// multiplies mask-sized embedding shares into `⟦piece⟧`, one term per
+/// row, and `init` sized that slot arithmetic for `|w| ≤
+/// MAX_PACKED_WEIGHT`; pieces random-walk with every masked gradient
+/// step, so each step holds the piece it produced to the same rule,
+/// [`masked_share_product_fits`], at its own width and magnitude. The
+/// error comes before the delta ships, so no packed product ever runs on
+/// a piece that could carry into a neighbouring slot. Scalar and Plain
+/// sessions have no slots to overflow.
+fn step_projection(
+    sess: &Session,
+    piece: &mut Dense,
+    vel: &mut Dense,
+    grad: &Dense,
+) -> TransportResult<Dense> {
+    let (d, mask) = (piece.rows(), sess.cfg.he_mask);
+    let delta = step_piece(
+        piece,
+        vel,
+        grad,
+        &all_rows(d),
+        sess.cfg.lr,
+        sess.cfg.momentum,
+    );
+    let w = piece.max_abs();
+    if sess.packs() && !masked_share_product_fits(d, mask, w) {
+        return Err(TransportError::Setup(format!(
+            "a {d}-row projection weight piece reached |w| = {w:e}, past the packed \
+             envelope for shares masked to {mask}: the next masked-share product could \
+             carry into a neighbouring slot"
+        )));
+    }
+    Ok(delta)
 }
 
 #[cfg(test)]
@@ -802,6 +810,48 @@ mod tests {
             let (a, b) = init(with_mask(cfg, past));
             assert!(a.is_ok() && b.is_ok());
         }
+    }
+
+    #[test]
+    fn a_projection_piece_past_the_packed_envelope_is_refused() {
+        // paillier_test masks shares to 100, so A's 4-row U_A carries at
+        // |w| ≈ 2^39 / (4 · 100) ≈ 1.4e9. One backward step moves every
+        // projection piece by ≈ lr · a mask-sized piece. A steps U_A
+        // right after its first HE2SS reply, before it waits on B, so its
+        // error is the check's; B's is the check's or A's hang-up.
+        let step = |cfg: FedConfig, lr: f64| {
+            let (x_a, x_b) = (cat_block(3, &[4, 3], 1), cat_block(3, &[5], 2));
+            let grad_z = Dense::from_vec(3, 2, vec![0.5, -0.25, 1.0, 0.75, -1.0, 0.1]);
+            run_pair(
+                &cfg.with_lr(lr),
+                9,
+                move |mut sess| {
+                    let mut layer = EmbedSource::init(&mut sess, 7, 2, 2, 2)?;
+                    let z = layer.forward(&mut sess, &x_a, true)?;
+                    aggregate_a(&sess, z)?;
+                    layer.backward_a(&mut sess)
+                },
+                move |mut sess| {
+                    let mut layer = EmbedSource::init(&mut sess, 5, 1, 2, 2)?;
+                    let z = layer.forward(&mut sess, &x_b, true)?;
+                    aggregate_b(&sess, z)?;
+                    layer.backward_b(&mut sess, &grad_z)
+                },
+            )
+        };
+        let (a, b) = step(FedConfig::paillier_test(), 1e9);
+        assert!(
+            matches!(&a, Err(TransportError::Setup(why)) if why.contains("packed envelope")),
+            "{a:?}"
+        );
+        assert!(b.is_err());
+        // Pieces of ≈ 1e8, far past MAX_PACKED_WEIGHT but inside this
+        // width's slot, step on.
+        let (a, b) = step(FedConfig::paillier_test(), 1e6);
+        assert!(a.is_ok() && b.is_ok(), "{a:?} {b:?}");
+        // No slots, no envelope: a Plain session takes the large step.
+        let (a, b) = step(FedConfig::plain(), 1e9);
+        assert!(a.is_ok() && b.is_ok(), "{a:?} {b:?}");
     }
 
     // ---- uploads a misbehaving peer spoils ----

@@ -41,10 +41,12 @@
 //! he_mask`). A `d`-term product slot therefore carries up to
 //! `d · he_mask · w_max`, and the masked reply `d · he_mask · w_max +
 //! he_mask`, which must stay inside the slot's whole signed range
-//! `2^(SLOT_HEADROOM_BITS−1)`. `w_max` is an assumption about the peer's
-//! weight piece, stated as [`MAX_PACKED_WEIGHT`];
-//! [`masked_share_product_fits`] is the check, run where the layer's
-//! width is known (`EmbedSource::init`), before any ciphertext ships.
+//! `2^(SLOT_HEADROOM_BITS−1)`. [`masked_share_product_fits`] is the
+//! check. It runs twice: where the layer's width is known
+//! (`EmbedSource::init`), before any ciphertext ships, with `w_max` the
+//! assumption [`MAX_PACKED_WEIGHT`]; and after every step of a piece,
+//! before its refresh ships, with `w_max` the piece's own largest
+//! magnitude and `d` its row count.
 //!
 //! The GBDT histograms spend the headroom on rows instead of a mask
 //! (nothing is masked there): a `(feature, bucket)` sum at scale 2 is
@@ -94,9 +96,9 @@
 //!   a third of the work per value;
 //! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: the four
 //!   sources are narrow, so 624 squarings turn 4 halves into 2. That is
-//!   a loss of ≈ 0.35 ms per four cells in time; the fold is kept for
-//!   the quarter of the bytes, which is what the tree workload's wire
-//!   bound rests on;
+//!   still a loss, of ≈ 0.3 ms per four cells in time; the fold is kept
+//!   for the quarter of the bytes, which is what the tree workload's
+//!   wire bound rests on;
 //! - `u = 3`, `f = 3`: 624 squarings save one half; `u = 4`, `f = 2`:
 //!   416 save none (two narrow sources, one full output) — both a loss
 //!   in time for a third or half of the bytes. `repack` folds every
@@ -105,9 +107,14 @@
 //!   before it calls.
 //!
 //! Probed at that key size (256 source ciphertexts, fold + decrypt of
-//! the folded body against decrypting the sources, 1 thread / 2):
-//! `u = 1` 0.39× / 0.40×, `u = 2` 1.43× / 1.5×, `u = 3` 1.9× / 1.9×,
-//! `u = 4` 2.2× / 2.1×.
+//! the folded body against decrypting the sources, 1 thread / 2,
+//! medians of four runs on a 2-vCPU Xeon VM with the `mulx`/`adx`
+//! Montgomery kernels): `u = 1` 0.34× / 0.33×, `u = 2` 1.25× / 1.29×,
+//! `u = 3` 1.8× / 1.7×, `u = 4` 2.05× / 2.1×. The fold's 32-limb
+//! squarings gained more from those kernels (≈ 1.6×) than the 16-limb
+//! halves it saves (≈ 1.35×), so every ratio fell from the `u128`
+//! kernels' 0.39× / 1.46× / 1.96× / 2.31× (1 thread, same probe and
+//! box), but no fold of narrow sources pays in time.
 //!
 //! The folded body is an ordinary packed `1 × N` row whose
 //! [`SlotLayout::slots`] is `f·u`, not the key's: decoders take the
@@ -139,19 +146,23 @@ pub const MAX_HE_MASK: f64 = (1u64 << (SLOT_HEADROOM_BITS - 2)) as f64;
 
 /// Largest magnitude a packed *weight piece* is assumed to reach when
 /// mask-sized shares are multiplied into it (the Embed-MatMul
-/// projection; see the headroom rule). Pieces start at Xavier scale and
-/// each step moves them by `lr ·` a mask-sized HE2SS piece, so they
-/// random-walk upwards with the step count; `2^16` leaves the default
-/// session (`he_mask = 10^4`) room for `d ≤ 838` projection rows.
+/// projection; see the headroom rule): what a layer is sized for at
+/// set-up. Pieces start at Xavier scale and each step moves them by
+/// `lr ·` a mask-sized HE2SS piece, so they random-walk upwards with the
+/// step count — at the default session (`he_mask = 10^4`, `lr = 0.05`,
+/// momentum 0.9) past `2^16` within a few hundred steps — which is why
+/// every step checks the piece it produced, against its own width.
+/// `2^16` leaves the default session room for `d ≤ 838` projection rows.
 pub const MAX_PACKED_WEIGHT: f64 = (1u64 << 16) as f64;
 
 /// The headroom rule for a `d`-term product of mask-sized shares with
-/// packed weight pieces below [`MAX_PACKED_WEIGHT`], masked by HE2SS:
+/// packed weight pieces of magnitude at most `w_max`, masked by HE2SS:
 /// `d · he_mask · w_max + he_mask` must not pass a slot's signed range,
-/// `2^(SLOT_HEADROOM_BITS−1)` at scale 2. False for a NaN mask.
-pub fn masked_share_product_fits(d: usize, he_mask: f64) -> bool {
+/// `2^(SLOT_HEADROOM_BITS−1)` at scale 2. False for a NaN mask or
+/// weight.
+pub fn masked_share_product_fits(d: usize, he_mask: f64, w_max: f64) -> bool {
     let mask = he_mask.abs();
-    d as f64 * mask * MAX_PACKED_WEIGHT + mask <= 2.0 * MAX_HE_MASK
+    d as f64 * mask * w_max.abs() + mask <= 2.0 * MAX_HE_MASK
 }
 
 /// Upper bound on `slot_bits`: slot digits are extracted into `u128`s,
@@ -561,16 +572,34 @@ mod tests {
     fn share_product_bound_sits_at_the_slot_range() {
         // d·m·w_max + m = 2^39 exactly at m = 2^39 / (d·w_max + 1).
         let range = 2.0 * MAX_HE_MASK;
+        let w = MAX_PACKED_WEIGHT;
         for d in [1usize, 16, 208] {
-            let edge = range / (d as f64 * MAX_PACKED_WEIGHT + 1.0);
-            assert!(masked_share_product_fits(d, edge * (1.0 - 1e-12)), "{d}");
-            assert!(masked_share_product_fits(d, -edge * (1.0 - 1e-12)), "{d}");
-            assert!(!masked_share_product_fits(d, edge * (1.0 + 1e-12)), "{d}");
+            let edge = range / (d as f64 * w + 1.0);
+            assert!(masked_share_product_fits(d, edge * (1.0 - 1e-12), w), "{d}");
+            assert!(
+                masked_share_product_fits(d, -edge * (1.0 - 1e-12), w),
+                "{d}"
+            );
+            assert!(
+                !masked_share_product_fits(d, edge * (1.0 + 1e-12), w),
+                "{d}"
+            );
+            // The same edge seen from the weight, of either sign.
+            let w_edge = (range - 1e4) / (d as f64 * 1e4);
+            assert!(
+                masked_share_product_fits(d, 1e4, -w_edge * (1.0 - 1e-12)),
+                "{d}"
+            );
+            assert!(
+                !masked_share_product_fits(d, 1e4, w_edge * (1.0 + 1e-12)),
+                "{d}"
+            );
         }
-        assert!(!masked_share_product_fits(1, f64::NAN));
+        assert!(!masked_share_product_fits(1, f64::NAN, w));
+        assert!(!masked_share_product_fits(1, 1e4, f64::NAN));
         // The default session's mask with the widest projection in the
         // catalog (8 fields × dim 8).
-        assert!(masked_share_product_fits(64, 1e4));
+        assert!(masked_share_product_fits(64, 1e4, w));
     }
 
     #[test]
