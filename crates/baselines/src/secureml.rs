@@ -132,7 +132,7 @@ fn run_batches(bs: usize, d: usize, out: usize, mode: TripletMode, iters: usize)
             let crypto = match mode2 {
                 TripletMode::HeAssisted { key_bits } => {
                     let (pk, sk) = keygen(key_bits, 24, &mut rng);
-                    let obf = Obfuscator::new(&pk, ObfMode::Pool(16), 1);
+                    let obf = Obfuscator::from_secret(&sk, ObfMode::Pool(16), 1);
                     ep1.send(bf_mpc::Msg::Key(pk.clone())).expect("transport");
                     let peer = ep1.recv_key().expect("transport");
                     Some((pk, sk, obf, peer))
@@ -169,7 +169,7 @@ fn run_batches(bs: usize, d: usize, out: usize, mode: TripletMode, iters: usize)
         TripletMode::HeAssisted { key_bits } => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xB);
             let (pk, sk) = keygen(key_bits, 24, &mut rng);
-            let obf = Obfuscator::new(&pk, ObfMode::Pool(16), 2);
+            let obf = Obfuscator::from_secret(&sk, ObfMode::Pool(16), 2);
             ep2.send(bf_mpc::Msg::Key(pk.clone())).expect("transport");
             let peer = ep2.recv_key().expect("transport");
             Some((pk, sk, obf, peer))

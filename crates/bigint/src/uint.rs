@@ -128,6 +128,14 @@ impl BigUint {
         acc
     }
 
+    /// [`BigUint::to_f64`] of `BigUint::from_u128(x)`, bit for bit and
+    /// without the allocation: the same multiply-add over the two limbs
+    /// (so the high limb is rounded first, then the sum — not always the
+    /// correctly rounded `x as f64`).
+    pub fn u128_to_f64(x: u128) -> f64 {
+        (x >> 64) as u64 as f64 * 1.8446744073709552e19 + x as u64 as f64
+    }
+
     /// Exact conversion to `u64`, if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {
@@ -332,6 +340,32 @@ impl From<u64> for BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u128_to_f64_is_to_f64_of_the_two_limbs() {
+        // Where the two differ from `as f64`: a high limb and a low limb
+        // that each round, and sums on a rounding tie.
+        let mut xs = vec![0, 1, u64::MAX as u128, 1 << 64, u128::MAX, (1 << 119) - 1];
+        xs.extend([
+            (1u128 << 117) | (1 << 64) | (1 << 63) | 1,
+            (3 << 100) + (1 << 47),
+        ]);
+        let mut x = 0x9e37_79b9_7f4a_7c15_u128;
+        for _ in 0..2000 {
+            x = x
+                .wrapping_mul(0x2545_f491_4f6c_dd1d_9e37_79b9_7f4a_7c15)
+                .wrapping_add(1);
+            xs.extend([x, x >> (x % 128), x & ((1 << 120) - 1)]);
+        }
+        for x in xs {
+            let want = BigUint::from_u128(x).to_f64();
+            assert_eq!(BigUint::u128_to_f64(x).to_bits(), want.to_bits(), "{x}");
+        }
+        // The high limb 2^53 + 1 rounds down to even, then the low limb's
+        // 2^63 is half an ulp short: a cast rounds the whole value up.
+        let x = (1u128 << 117) | (1 << 64) | (1 << 63) | 1;
+        assert_ne!(BigUint::u128_to_f64(x), x as f64);
+    }
 
     #[test]
     fn zero_and_one() {

@@ -122,7 +122,11 @@ impl Session {
     /// the decoder cannot detect. A peer key that differs from the own
     /// one in backend, `frac_bits`, ciphertext width or slot layout is
     /// refused the same way, at both ends: every upload template and
-    /// [`Session::packs`] assume the two agree.
+    /// [`Session::packs`] assume the two agree. So is an `own_pk` that
+    /// is not `own_sk`'s public half: its replies would decrypt to
+    /// garbage, and the obfuscator, built on `own_sk`'s CRT halves
+    /// ([`Obfuscator::from_secret`]), would draw randomness for another
+    /// key. Both checks run before the `Key` frame goes out.
     pub fn handshake_with_keys(
         ep: Endpoint,
         cfg: FedConfig,
@@ -140,8 +144,13 @@ impl Session {
                 cfg.he_mask
             )));
         }
+        if !own_sk.pairs_with(&own_pk) {
+            return Err(TransportError::Setup(
+                "the own public key is not the own secret key's public half".into(),
+            ));
+        }
         let rng = StdRng::seed_from_u64(seed);
-        let obf = Obfuscator::new(&own_pk, cfg.obf_mode, seed ^ 0x0bf);
+        let obf = Obfuscator::from_secret(&own_sk, cfg.obf_mode, seed ^ 0x0bf);
         ep.send(Msg::Key(own_pk.clone()))?;
         let peer_pk = ep.recv_key()?;
         if key_shape(&peer_pk) != key_shape(&own_pk) {
@@ -448,6 +457,52 @@ mod tests {
         }
         let (a, b) = shake(base(), key(256, 24, 4));
         assert!(a.is_ok() && b.is_ok());
+    }
+
+    #[test]
+    fn handshake_refuses_a_key_pair_that_is_not_a_pair() {
+        // The persisted-keys path takes the two halves separately. The
+        // public half of another key, of this key at another frac_bits,
+        // or of another backend is a setup error, and no `Key` frame has
+        // gone out: the peer, whose own key is already on the link, sees
+        // the link close instead.
+        let cfg = FedConfig::paillier_test();
+        let key =
+            |seed: u64, frac_bits: u32| keygen(256, frac_bits, &mut StdRng::seed_from_u64(seed));
+        let ((pk, sk), (other_pk, _)) = (key(1, cfg.frac_bits), key(2, cfg.frac_bits));
+        let (wide_pk, _) = key(1, cfg.frac_bits + 4);
+        let (plain_pk, plain_sk) = plain_keys(cfg.frac_bits);
+        let (peer_pk, _) = key(3, cfg.frac_bits);
+        for (name, pk, sk) in [
+            ("another key", other_pk, sk.clone()),
+            ("another frac_bits", wide_pk, sk.clone()),
+            ("a Plain public half", plain_pk, sk.clone()),
+            ("a Plain secret half", pk, plain_sk),
+        ] {
+            let (ep_a, ep_b) = bf_mpc::channel_pair();
+            ep_a.send(Msg::Key(peer_pk.clone())).unwrap();
+            let r = Session::handshake_with_keys(ep_b, cfg.clone(), Role::B, pk, sk, 3);
+            assert!(matches!(r, Err(TransportError::Setup(_))), "{name}");
+            assert!(ep_a.recv_key().is_err(), "{name}: a key frame went out");
+        }
+    }
+
+    #[test]
+    fn handshaken_draws_are_the_public_reference_draws() {
+        // A session builds its obfuscator on its own secret key; draw for
+        // draw it is `Obfuscator::new` on its public key and seed.
+        let seed = 4;
+        let draws = move |sess: Session| {
+            let PublicKey::Paillier(p) = &sess.own_pk else {
+                unreachable!()
+            };
+            let obf_seed = party_seed(sess.role, seed) ^ 0x0bf;
+            let reference = Obfuscator::new(&sess.own_pk, sess.cfg.obf_mode, obf_seed);
+            for i in 0..64 {
+                assert_eq!(sess.obf.next_rn(p), reference.next_rn(p), "draw {i}");
+            }
+        };
+        run_pair(&FedConfig::paillier_test(), seed, draws, draws);
     }
 
     #[test]

@@ -49,6 +49,18 @@ pub fn encode(v: f64, frac_bits: u32, scale: u8, n: &BigUint) -> BigUint {
 /// Encode `v` as a signed scaled integer (for use as an exponent in
 /// homomorphic scalar multiplication).
 pub fn encode_exponent(v: f64, shift_bits: u32) -> SignedInt {
+    let (mag, neg) = scaled_magnitude(v, shift_bits);
+    SignedInt {
+        mag: BigUint::from_u128(mag),
+        neg,
+    }
+}
+
+/// `round(|v · 2^shift_bits|)` and the sign of `v · 2^shift_bits`: the
+/// quantisation every encoder shares ([`encode_exponent`], and the slot
+/// packer, which takes the magnitude as a `u128`). Panics on a
+/// non-finite `v`.
+pub(crate) fn scaled_magnitude(v: f64, shift_bits: u32) -> (u128, bool) {
     assert!(v.is_finite(), "cannot encode non-finite value {v}");
     let scaled = v * (shift_bits as f64).exp2();
     debug_assert!(
@@ -58,11 +70,11 @@ pub fn encode_exponent(v: f64, shift_bits: u32) -> SignedInt {
     let neg = scaled < 0.0;
     let mag_f = scaled.abs().round();
     let mag = if mag_f < 1.8446744073709552e19 {
-        BigUint::from_u64(mag_f as u64)
+        mag_f as u64 as u128
     } else {
-        BigUint::from_u128(mag_f as u128)
+        mag_f as u128
     };
-    SignedInt { mag, neg }
+    (mag, neg)
 }
 
 /// Decode a ring element back to `f64` at `scale` multiples of

@@ -146,8 +146,9 @@ pub(crate) fn check_frac_bits(frac_bits: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Paillier secret key with CRT decryption precomputations.
-#[derive(Clone, Debug)]
+/// Paillier secret key with CRT decryption precomputations. Its `Debug`
+/// shows the key size only.
+#[derive(Clone)]
 pub struct PaillierSk {
     /// Prime factor `p`.
     p: BigUint,
@@ -212,6 +213,20 @@ impl PaillierSk {
     /// CRT precomputation is derivable from them).
     pub fn factors(&self) -> (&BigUint, &BigUint) {
         (&self.p, &self.q)
+    }
+
+    /// Each prime factor with the Montgomery context mod its square:
+    /// what [`crate::Obfuscator::from_secret`] builds a pool on.
+    pub(crate) fn prime_halves(&self) -> [(&BigUint, &MontCtx); 2] {
+        [(&self.p, &self.mont_p2), (&self.q, &self.mont_q2)]
+    }
+}
+
+impl std::fmt::Debug for PaillierSk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PaillierSk")
+            .field("key_bits", &self.pk.key_bits)
+            .finish_non_exhaustive()
     }
 }
 
@@ -304,6 +319,18 @@ pub enum SecretKey {
 }
 
 impl SecretKey {
+    /// True if `pk` is this key's public half: the same modulus and
+    /// `frac_bits`, or both the Plain backend.
+    pub fn pairs_with(&self, pk: &PublicKey) -> bool {
+        match (self, pk) {
+            (SecretKey::Paillier(s), PublicKey::Paillier(p)) => {
+                s.pk.n == p.n && s.pk.frac_bits == p.frac_bits
+            }
+            (SecretKey::Plain, PublicKey::Plain { .. }) => true,
+            _ => false,
+        }
+    }
+
     /// The matching public key.
     pub fn public(&self) -> PublicKey {
         match self {

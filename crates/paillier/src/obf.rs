@@ -1,9 +1,9 @@
 //! Encryption randomness (`r^n mod n^2`) generation.
 //!
-//! Computing a fresh `r^n` is by far the most expensive part of a
-//! Paillier encryption (a full-width exponentiation). Production
-//! deployments — including the GMP-based system the paper describes —
-//! amortise it; we support two strategies:
+//! A fresh `rⁿ` is a full-width exponentiation mod `n²` with an
+//! `n`-bit exponent, the most expensive step of a textbook encryption.
+//! Production deployments — including the GMP-based system the paper
+//! describes — amortise it; we support two strategies:
 //!
 //! * [`ObfMode::Pool`] — precompute a pool of exact obfuscations in
 //!   parallel at construction, then combine two random pool entries per
@@ -17,6 +17,31 @@
 //! * [`ObfMode::Exact`] — the textbook fresh `r^n` per encryption
 //!   (randomness derived from a per-call PRG seed so encryption can be
 //!   data-parallel): the reference the tests hold the pool against.
+//!
+//! **Who builds the pool, and how.** An obfuscator draws only under its
+//! builder's own key, so its builder usually holds the secret key:
+//! [`Obfuscator::from_secret`] is what a `Session` handshake and the
+//! SecureML baseline's triple generators build. Each entry keeps its
+//! seeded `r`, and `rⁿ` is computed on the CRT halves. `Z*_{p²}` is the
+//! product of the order-`(p−1)` Teichmüller group and the order-`p`
+//! group `1 + p·Z`; since `p | n`, `rⁿ` has no component in the second,
+//! so it is the Teichmüller lift of `(r mod p)^(q mod (p−1))`:
+//!
+//! `rⁿ ≡ y^p (mod p²)`, with `y = r^(q mod (p−1)) mod p`,
+//!
+//! and the same mod `q²`; Garner recombines the halves mod `n²`. A half
+//! is one exponentiation mod `p` and one mod `p²`, each with a
+//! `key_bits/2`-bit exponent, where [`Obfuscator::new`] pays one mod
+//! `n²` with a `key_bits`-bit exponent. The entries and residues are
+//! `new`'s byte for byte (`pack_prop.rs`). On one thread of a 2-vCPU
+//! Xeon VM with the `mulx`/`adx` Montgomery kernels, a `Pool(64)` builds
+//! in ≈ 40 ms instead of ≈ 80 ms at 1024-bit keys, and in ≈ 200 ms
+//! instead of ≈ 550 ms at 2048 (medians of seven and three builds).
+//! `new` stays as the public-key reference the tests hold `from_secret`
+//! against, and as the path for a caller holding the public key only.
+//! `Exact` draws on the public path under either constructor, and the
+//! factors are read during construction only: an obfuscator keeps
+//! nothing derived from them.
 //!
 //! **What the pool gives away** (`tests/security.rs` pins both; ROADMAP
 //! item 10). A `Pool(s)` draw is one of `s(s+1)/2` products, so two
@@ -34,10 +59,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bf_bigint::mont::scratch;
-use bf_bigint::{rng::random_coprime, BigUint};
+use bf_bigint::{mod_inv, rng::random_coprime, BigUint, MontCtx};
 use rand::SeedableRng;
 
-use crate::keys::{PaillierPk, PublicKey, STACK_LIMBS};
+use crate::keys::{PaillierPk, PaillierSk, PublicKey, SecretKey, STACK_LIMBS};
 
 /// Obfuscation generation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +75,9 @@ pub enum ObfMode {
 }
 
 /// Thread-safe source of `r^n mod n^2` values in Montgomery form.
-#[derive(Debug)]
+/// Its `Debug` shows the mode, the pool size and the draws consumed,
+/// never an entry or the seed: anyone holding an entry `rⁿ` reads the
+/// plaintext of a ciphertext drawn on it off `c·(rⁿ)⁻¹ = 1 + m·n`.
 pub struct Obfuscator {
     mode: ObfMode,
     seed: u64,
@@ -63,25 +90,58 @@ pub struct Obfuscator {
 
 impl Obfuscator {
     /// Build an obfuscator for the given key. For the Plain backend this
-    /// is a no-op shell.
+    /// is a no-op shell. The public-key path, and the reference
+    /// [`Obfuscator::from_secret`] is held against.
     pub fn new(pk: &PublicKey, mode: ObfMode, seed: u64) -> Self {
-        let (pool, residues) = match (pk, mode) {
+        match (pk, mode) {
             (PublicKey::Paillier(p), ObfMode::Pool(size)) => {
-                assert!(size >= 2, "pool must have at least 2 entries");
-                let pool = bf_util::par_map(size, |i| {
-                    fresh_rn(p, splitmix(seed ^ (i as u64).wrapping_mul(0x9e37)))
-                });
-                let kn = p.mont_n.limb_count();
-                let mut residues = vec![0u64; size * kn];
-                for (rn, res) in pool.iter().zip(residues.chunks_exact_mut(kn)) {
-                    p.residue_into(rn, res);
-                }
-                (pool, residues)
+                Self::pooled(p, size, seed, |r| public_rn(p, r))
             }
-            _ => (Vec::new(), Vec::new()),
-        };
+            _ => Self {
+                mode,
+                seed,
+                ctr: AtomicU64::new(0),
+                pool: Vec::new(),
+                residues: Vec::new(),
+            },
+        }
+    }
+
+    /// [`Obfuscator::new`] for the key owner: the same pool entries and
+    /// residues, byte for byte, each computed on the CRT halves (module
+    /// docs). `Exact` mode and the Plain backend take the public path.
+    pub fn from_secret(sk: &SecretKey, mode: ObfMode, seed: u64) -> Self {
+        match (sk, mode) {
+            (SecretKey::Paillier(s), ObfMode::Pool(size)) => {
+                let crt = CrtRn::new(s);
+                Self::pooled(s.pk(), size, seed, |r| crt.rn(r))
+            }
+            _ => Self::new(&sk.public(), mode, seed),
+        }
+    }
+
+    /// A `size`-entry pool whose entry `i` is `rn(r_i)`, for the unit
+    /// `r_i` entry `i`'s seed draws, with each entry's residue mod `n`.
+    fn pooled(
+        p: &PaillierPk,
+        size: usize,
+        seed: u64,
+        rn: impl Fn(&BigUint) -> Vec<u64> + Sync,
+    ) -> Self {
+        assert!(size >= 2, "pool must have at least 2 entries");
+        let pool = bf_util::par_map(size, |i| {
+            rn(&seeded_unit(
+                p,
+                splitmix(seed ^ (i as u64).wrapping_mul(0x9e37)),
+            ))
+        });
+        let kn = p.mont_n.limb_count();
+        let mut residues = vec![0u64; size * kn];
+        for (rn, res) in pool.iter().zip(residues.chunks_exact_mut(kn)) {
+            p.residue_into(rn, res);
+        }
         Self {
-            mode,
+            mode: ObfMode::Pool(size),
             seed,
             ctr: AtomicU64::new(0),
             pool,
@@ -142,10 +202,8 @@ impl Obfuscator {
 
     /// `Exact` mode's fresh obfuscation at draw position `i`.
     fn exact_rn(&self, pk: &PaillierPk, i: u64) -> Vec<u64> {
-        fresh_rn(
-            pk,
-            splitmix(self.seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15))),
-        )
+        let seed = splitmix(self.seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15)));
+        public_rn(pk, &seeded_unit(pk, seed))
     }
 
     /// Number of obfuscations drawn so far (diagnostics, and the
@@ -165,12 +223,86 @@ impl Obfuscator {
     }
 }
 
-/// One exact `r^n mod n^2` in Montgomery form, from a PRG seed.
-fn fresh_rn(pk: &PaillierPk, seed: u64) -> Vec<u64> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let r: BigUint = random_coprime(&mut rng, &pk.n);
+impl std::fmt::Debug for Obfuscator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Obfuscator")
+            .field("mode", &self.mode)
+            .field("pool_entries", &self.pool.len())
+            .field("drawn", &self.drawn())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The unit `r < n` a PRG seed draws: the base of every obfuscation.
+fn seeded_unit(pk: &PaillierPk, seed: u64) -> BigUint {
+    random_coprime(&mut rand::rngs::StdRng::seed_from_u64(seed), &pk.n)
+}
+
+/// `rⁿ mod n²` in Montgomery form on the public key: one exponentiation
+/// mod `n²` with the `key_bits`-bit exponent `n`.
+fn public_rn(pk: &PaillierPk, r: &BigUint) -> Vec<u64> {
     let r2 = r.rem(&pk.n2);
     pk.mont.pow_mont(&pk.mont.to_mont(&r2), &pk.n)
+}
+
+/// `rⁿ mod n²` on the key owner's CRT halves (module docs). Built from
+/// the secret key for one pool and dropped with the constructor's frame.
+struct CrtRn<'a> {
+    pk: &'a PaillierPk,
+    /// The halves mod `p²` and mod `q²`, in that order.
+    halves: [CrtHalf<'a>; 2],
+    /// `(p²)⁻¹ mod q²`, Garner's constant.
+    p2_inv: BigUint,
+}
+
+/// One prime `s` of `n = s·t`.
+struct CrtHalf<'a> {
+    /// `s`: the exponent that lifts a unit mod `s` to its Teichmüller
+    /// representative mod `s²`.
+    prime: &'a BigUint,
+    /// Montgomery context mod `s`.
+    mont: MontCtx,
+    /// The secret key's Montgomery context mod `s²`.
+    mont2: &'a MontCtx,
+    /// `t mod (s − 1)`.
+    exp: BigUint,
+}
+
+impl<'a> CrtHalf<'a> {
+    fn new(prime: &'a BigUint, mont2: &'a MontCtx, other: &BigUint) -> Self {
+        CrtHalf {
+            prime,
+            mont: MontCtx::new(prime),
+            mont2,
+            exp: other.rem(&prime.sub_u64(1)),
+        }
+    }
+
+    /// `rⁿ mod s² = y^s mod s²`, with `y = r^(t mod (s−1)) mod s`.
+    fn rn(&self, r: &BigUint) -> BigUint {
+        self.mont2.pow(&self.mont.pow(r, &self.exp), self.prime)
+    }
+}
+
+impl<'a> CrtRn<'a> {
+    fn new(sk: &'a PaillierSk) -> Self {
+        let [(p, mont_p2), (q, mont_q2)] = sk.prime_halves();
+        CrtRn {
+            pk: sk.pk(),
+            halves: [CrtHalf::new(p, mont_p2, q), CrtHalf::new(q, mont_q2, p)],
+            p2_inv: mod_inv(&mont_p2.m, &mont_q2.m).expect("p² and q² are coprime"),
+        }
+    }
+
+    /// `rⁿ mod n²` in Montgomery form: Garner's `a + p²·((b − a)·(p²)⁻¹
+    /// mod q²)` on the halves `a = rⁿ mod p²`, `b = rⁿ mod q²`.
+    fn rn(&self, r: &BigUint) -> Vec<u64> {
+        let [hp, hq] = &self.halves;
+        let (a, b) = (hp.rn(r), hq.rn(r));
+        let (p2, q2) = (&hp.mont2.m, &hq.mont2.m);
+        let t = b.mod_sub(&a.rem(q2), q2).mod_mul(&self.p2_inv, q2);
+        self.pk.mont.to_mont(&a.add(&p2.mul(&t)))
+    }
 }
 
 /// The pool entries `(a, b)` that draw `i` of a `size`-entry pool
@@ -241,6 +373,81 @@ mod tests {
                 assert!(s.raw_decrypt(&rn, None).is_zero(), "mode {mode:?}");
             }
         }
+    }
+
+    #[test]
+    fn the_secret_key_pool_is_the_public_pool_byte_for_byte() {
+        // Entry and residue for entry, across key widths, pool sizes and
+        // seeds; Exact and Plain take the public path.
+        for (bits, key_seed) in [(128, 1u64), (190, 2), (256, 3), (512, 4)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(key_seed);
+            let (pk, sk) = keygen(bits, 16, &mut rng);
+            for (size, seed) in [(2, 0u64), (3, 7), (7, u64::MAX)] {
+                let (public, secret) = (
+                    Obfuscator::new(&pk, ObfMode::Pool(size), seed),
+                    Obfuscator::from_secret(&sk, ObfMode::Pool(size), seed),
+                );
+                assert_eq!(secret.pool, public.pool, "{bits} bits, size {size}");
+                assert_eq!(secret.residues, public.residues, "{bits} bits");
+                assert_eq!(secret.mode, ObfMode::Pool(size));
+            }
+            let exact = Obfuscator::from_secret(&sk, ObfMode::Exact, 5);
+            let PublicKey::Paillier(p) = &pk else {
+                unreachable!()
+            };
+            let want = Obfuscator::new(&pk, ObfMode::Exact, 5);
+            assert!(exact.pool.is_empty() && exact.residues.is_empty());
+            assert_eq!(exact.next_rn(p), want.next_rn(p));
+        }
+        let (_, plain) = crate::keys::plain_keys(16);
+        let shell = Obfuscator::from_secret(&plain, ObfMode::Pool(4), 1);
+        assert!(shell.pool.is_empty() && shell.residues.is_empty());
+    }
+
+    #[test]
+    fn debug_shows_no_randomness_seed_or_factor() {
+        // Any pool entry rⁿ, or the seed that regenerates them all, reads
+        // the plaintext of a ciphertext drawn on it; p and q read all.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let (pk, sk) = keygen(256, 16, &mut rng);
+        let seed = 0x5eed_c0de_1234_abcd_u64;
+        let obf = Obfuscator::from_secret(&sk, ObfMode::Pool(3), seed);
+        let PublicKey::Paillier(p) = &pk else {
+            unreachable!()
+        };
+        obf.next_rn(p);
+        let shown = format!("{obf:?}");
+        assert_eq!(
+            shown,
+            "Obfuscator { mode: Pool(3), pool_entries: 3, drawn: 1, .. }"
+        );
+        let crate::keys::SecretKey::Paillier(s) = &sk else {
+            unreachable!()
+        };
+        let (p, q) = s.factors();
+        let secrets = [
+            seed.to_string(),
+            format!("{seed:x}"),
+            p.to_hex(),
+            q.to_hex(),
+            p.low_u64().to_string(),
+            q.low_u64().to_string(),
+        ];
+        for text in [shown, format!("{sk:?}"), format!("{s:#?}")] {
+            for secret in &secrets {
+                assert!(!text.contains(secret.as_str()), "{text} shows {secret}");
+            }
+            for limb in obf.pool.iter().flatten().chain(&obf.residues) {
+                assert!(
+                    !text.contains(&limb.to_string()),
+                    "{text} shows a pool limb"
+                );
+            }
+        }
+        assert_eq!(
+            format!("{sk:?}"),
+            "Paillier(PaillierSk { key_bits: 256, .. })"
+        );
     }
 
     #[test]

@@ -123,17 +123,36 @@
 //! slots than the key holds).
 //!
 //! Decoded values are **bit-identical** to the scalar path: slots are
-//! encoded with the same [`codec::encode_exponent`] rounding and decoded
-//! through the same `BigUint → f64` conversion — and a narrow chunk's
+//! encoded with the same rounding as [`codec::encode_exponent`] and
+//! decoded through the same `BigUint → f64` arithmetic
+//! ([`BigUint::u128_to_f64`]) — and a narrow chunk's
 //! one-half decryption returns the very ring element both halves would —
 //! so `PaillierMode` never changes a training trajectory (asserted by
 //! the parity suites).
+//!
+//! # The codec path
+//!
+//! Both directions work on limbs; no slot becomes a `BigUint`.
+//! [`pack_values`] quantises each value to a `u128` magnitude exactly as
+//! the scalar codec does, adds or subtracts it at bit `j·slot_bits` of
+//! one buffer a limb wider than `n`, and turns a negative two's-
+//! complement total into `n − |P|` by adding `n`: one allocation, the
+//! plaintext's own. [`unpack_values`] copies the plaintext's low limbs
+//! (for a negative element, the complement `m − n`), then reads each
+//! slot's window, adds the bias and the carry out of the slot below,
+//! and converts through the scalar decoder's two-limb `f64` arithmetic.
+//! Both are bit for bit the `BigUint` shift-and-add codec they replaced,
+//! out-of-envelope plaintexts and `PackError`s included (the reference
+//! lives in `tests/pack_prop.rs`). At 1024-bit keys, a 9-slot chunk
+//! packs in ≈ 0.5 µs instead of 2–3.7 µs and unpacks in ≈ 0.16 µs
+//! instead of 2.3–3.9 µs (one thread of a 2-vCPU Xeon VM).
 
+use bf_bigint::mont::scratch;
 use bf_bigint::BigUint;
 use bf_util::codec::{DecodeError, DecodeResult, Reader, Writer};
 
 use crate::codec;
-use crate::keys::PaillierPk;
+use crate::keys::{PaillierPk, STACK_LIMBS};
 
 /// Extra bits per slot beyond the scale-2 payload, absorbing
 /// accumulation across a mini-batch's rows (`log2(rows)` bits), the
@@ -239,6 +258,9 @@ impl std::error::Error for PackError {}
 ///
 /// Each value is quantised exactly as the scalar codec would quantise
 /// it; a value whose magnitude reaches `2^(slot_bits-1)` is rejected.
+/// The signed sum `P` accumulates in two's complement in one limb
+/// buffer, a limb wider than both `n` and the chunk; a negative `P`
+/// becomes `n − |P|` by adding `n`, which carries out of the top limb.
 pub fn pack_values(
     vals: &[f64],
     frac_bits: u32,
@@ -248,28 +270,57 @@ pub fn pack_values(
 ) -> Result<BigUint, PackError> {
     assert!(vals.len() <= layout.slots, "chunk wider than the layout");
     let shift = frac_bits * scale as u32;
-    let mut pos = BigUint::zero();
-    let mut neg = BigUint::zero();
+    let w = layout.slot_bits as usize;
+    let len = n.limbs().len().max((vals.len() * w).div_ceil(64)) + 1;
+    let mut acc = vec![0u64; len];
     for (j, &v) in vals.iter().enumerate() {
-        let e = codec::encode_exponent(v, shift);
-        if e.mag.bits() >= layout.slot_bits as usize {
+        let (mag, neg) = codec::scaled_magnitude(v, shift);
+        if 128 - mag.leading_zeros() as usize >= w {
             return Err(PackError { slot: j, value: v });
         }
-        if e.is_zero() {
-            continue;
-        }
-        let shifted = e.mag.shl(j * layout.slot_bits as usize);
-        if e.neg {
-            neg = neg.add(&shifted);
-        } else {
-            pos = pos.add(&shifted);
+        if mag != 0 {
+            add_at(&mut acc, mag, j * w, neg);
         }
     }
-    Ok(if pos >= neg {
-        pos.sub(&neg)
+    if acc[len - 1] >> 63 == 1 {
+        let wrapped = carry_words(&mut acc, n.limbs(), false);
+        assert!(wrapped, "a packed chunk's magnitude exceeds n");
+    }
+    Ok(BigUint::from_limbs(acc))
+}
+
+/// `acc ± mag·2^bit`, modulo `2^(64·acc.len())`.
+fn add_at(acc: &mut [u64], mag: u128, bit: usize, neg: bool) {
+    let s = bit % 64;
+    let low = mag << s;
+    let high = if s == 0 { 0 } else { (mag >> (128 - s)) as u64 };
+    carry_words(
+        &mut acc[bit / 64..],
+        &[low as u64, (low >> 64) as u64, high],
+        neg,
+    );
+}
+
+/// `acc ± words` (zero-extended), modulo `2^(64·acc.len())`; true if
+/// the carry or borrow leaves the top limb. Stops where it dies out.
+fn carry_words(acc: &mut [u64], words: &[u64], sub: bool) -> bool {
+    let op = if sub {
+        u64::overflowing_sub
     } else {
-        n.sub(&neg.sub(&pos))
-    })
+        u64::overflowing_add
+    };
+    let mut carry = false;
+    for (i, a) in acc.iter_mut().enumerate() {
+        let x = match words.get(i) {
+            Some(&x) => x,
+            None if carry => 0,
+            None => return false,
+        };
+        let (r, c1) = op(*a, x);
+        let (r, c2) = op(r, carry as u64);
+        (*a, carry) = (r, c1 || c2);
+    }
+    carry
 }
 
 /// Unpack the first `out.len()` slots of a decrypted `Z_n` element into
@@ -278,9 +329,14 @@ pub fn pack_values(
 /// The ring element is first sign-recovered exactly like the scalar
 /// decoder (`m > n/2` means negative), then the per-slot bias
 /// `2^(slot_bits-1)` is added to every slot so plain digit extraction
-/// applies. Each digit is converted through the same
-/// `BigUint::to_f64 / 2^shift` path as the scalar decoder, keeping the
-/// result bit-identical.
+/// applies. Each digit is converted through the same two-limb
+/// `BigUint::to_f64` arithmetic as the scalar decoder
+/// ([`BigUint::u128_to_f64`]), keeping the result bit-identical.
+///
+/// The digits are read off limbs, low slot first, with the bias added
+/// one slot at a time and its carry handed up. A negative element's
+/// magnitude `n − m` enters as its complement below a power `2^L` of
+/// `2^slot_bits` above `n`, i.e. as `(m − n) mod 2^L`.
 pub fn unpack_values(
     m: &BigUint,
     frac_bits: u32,
@@ -292,42 +348,49 @@ pub fn unpack_values(
 ) {
     let w = layout.slot_bits as usize;
     let shift = (frac_bits * scale as u32) as f64;
-    let (p_mag, p_neg) = if m > half_n {
-        (n.sub(m), true)
-    } else {
-        (m.clone(), false)
-    };
-    let bias = slot_bias(layout.slot_bits, out.len());
-    // Every in-range slot value exceeds -2^(slot_bits-1), so biasing
-    // makes the whole integer non-negative. A plaintext outside the
-    // envelope (a ciphertext under another key, a mask past the
-    // headroom rule) must decode to garbage, as it does in the scalar
-    // codec, not panic on bytes that came from the peer: lift the bias
-    // by a power of 2^w above n — no digit read below reaches it.
-    let s = if p_neg {
-        let lift = BigUint::one().shl(n.bits().div_ceil(w) * w);
-        bias.add(&lift).sub(&p_mag)
-    } else {
-        bias.add(&p_mag)
-    };
+    let len = (out.len() * w).div_ceil(64) + 2;
+    let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
+    let x = scratch(&mut stack, &mut heap, len);
+    for (xi, &l) in x.iter_mut().zip(m.limbs()) {
+        *xi = l;
+    }
+    if m > half_n {
+        // Every in-range slot value exceeds -2^(slot_bits-1), so biasing
+        // makes the whole integer non-negative. A plaintext outside the
+        // envelope (a ciphertext under another key, a mask past the
+        // headroom rule) must decode to garbage, as it does in the scalar
+        // codec, not panic on bytes that came from the peer: the
+        // complement is taken below 2^L, past every bit of n.
+        let nl = n.limbs();
+        carry_words(x, &nl[..nl.len().min(len)], true);
+        let lift = n.bits().div_ceil(w) * w;
+        for (i, xi) in x.iter_mut().enumerate().skip(lift / 64) {
+            let keep = if i == lift / 64 { lift % 64 } else { 0 };
+            *xi &= (1u64 << keep) - 1;
+        }
+    }
     let mask = (1u128 << w) - 1;
-    let half = 1i128 << (w - 1);
+    let half = 1u128 << (w - 1);
+    let mut carry = 0;
     for (j, o) in out.iter_mut().enumerate() {
-        let d = (s.shr(j * w).low_u128() & mask) as i128;
-        let v = d - half;
-        let mag = BigUint::from_u128(v.unsigned_abs());
-        let f = mag.to_f64() / shift.exp2();
+        let t = (window(x, j * w) & mask) + half + carry;
+        let v = (t & mask) as i128 - half as i128;
+        carry = t >> w;
+        let f = BigUint::u128_to_f64(v.unsigned_abs()) / shift.exp2();
         *o = if v < 0 { -f } else { f };
     }
 }
 
-/// `Σ_{j<used} 2^(slot_bits-1) · 2^(j·slot_bits)` — the decode bias.
-fn slot_bias(slot_bits: u32, used: usize) -> BigUint {
-    let mut b = BigUint::zero();
-    for j in 0..used {
-        b = b.add(&BigUint::one().shl(slot_bits as usize - 1 + j * slot_bits as usize));
+/// The 128 bits of `x` from bit `bit` on, zero past its end.
+fn window(x: &[u64], bit: usize) -> u128 {
+    let (i, s) = (bit / 64, bit % 64);
+    let at = |k: usize| x.get(i + k).copied().unwrap_or(0) as u128;
+    let low = (at(0) | at(1) << 64) >> s;
+    if s == 0 {
+        low
+    } else {
+        low | at(2) << (128 - s)
     }
-    b
 }
 
 /// Wire body tag of the one-value-per-lane layout (`crate::serial`).

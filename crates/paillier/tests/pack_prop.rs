@@ -8,15 +8,19 @@
 //! ciphertext-tensor codec (golden bytes + corruption fuzz, mirroring
 //! the wire_prop suite in bf-mpc), and the `g = n + 1` identity every
 //! plaintext enters a ciphertext by (`x + n·(m·x mod n)`), byte for
-//! byte against the textbook `to_mont(1 + m·n) ⊗ x`.
+//! byte against the textbook `to_mont(1 + m·n) ⊗ x`. Two set-up paths
+//! are held against their references here too: the limb slot codec
+//! against the `BigUint` one it replaced, and the key owner's obfuscator
+//! (`Obfuscator::from_secret`, built on the CRT halves) against the
+//! public-key `Obfuscator::new`.
 
 use std::sync::OnceLock;
 
 use bf_bigint::BigUint;
 use bf_paillier::{
-    encode, export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys, pack_values,
-    unpack_values, CtMat, ObfMode, Obfuscator, PaillierMode, PaillierPk, PaillierSk, PublicKey,
-    SecretKey, SlotLayout, MAX_HE_MASK,
+    encode, encode_exponent, export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys,
+    pack_values, unpack_values, CtMat, ObfMode, Obfuscator, PackError, PaillierMode, PaillierPk,
+    PaillierSk, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -676,6 +680,265 @@ fn add_plain_and_sub_plain_equal_the_textbook_product() {
                         "sign {sign}, entry {i}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The `BigUint` slot packer the limb one replaced: each slot's
+/// magnitude shifted into place and summed by sign.
+fn reference_pack_values(
+    vals: &[f64],
+    frac_bits: u32,
+    scale: u8,
+    layout: SlotLayout,
+    n: &BigUint,
+) -> Result<BigUint, PackError> {
+    assert!(vals.len() <= layout.slots, "chunk wider than the layout");
+    let shift = frac_bits * scale as u32;
+    let mut pos = BigUint::zero();
+    let mut neg = BigUint::zero();
+    for (j, &v) in vals.iter().enumerate() {
+        let e = encode_exponent(v, shift);
+        if e.mag.bits() >= layout.slot_bits as usize {
+            return Err(PackError { slot: j, value: v });
+        }
+        if e.is_zero() {
+            continue;
+        }
+        let shifted = e.mag.shl(j * layout.slot_bits as usize);
+        if e.neg {
+            neg = neg.add(&shifted);
+        } else {
+            pos = pos.add(&shifted);
+        }
+    }
+    Ok(if pos >= neg {
+        pos.sub(&neg)
+    } else {
+        n.sub(&neg.sub(&pos))
+    })
+}
+
+/// The `BigUint` slot unpacker the limb one replaced: sign recovery,
+/// a biased copy of the whole integer, one full-width shift per slot.
+fn reference_unpack_values(
+    m: &BigUint,
+    frac_bits: u32,
+    scale: u8,
+    layout: SlotLayout,
+    n: &BigUint,
+    half_n: &BigUint,
+    out: &mut [f64],
+) {
+    let w = layout.slot_bits as usize;
+    let shift = (frac_bits * scale as u32) as f64;
+    let (p_mag, p_neg) = if m > half_n {
+        (n.sub(m), true)
+    } else {
+        (m.clone(), false)
+    };
+    let mut bias = BigUint::zero();
+    for j in 0..out.len() {
+        bias = bias.add(&BigUint::one().shl(w - 1 + j * w));
+    }
+    let s = if p_neg {
+        let lift = BigUint::one().shl(n.bits().div_ceil(w) * w);
+        bias.add(&lift).sub(&p_mag)
+    } else {
+        bias.add(&p_mag)
+    };
+    let mask = (1u128 << w) - 1;
+    let half = 1i128 << (w - 1);
+    for (j, o) in out.iter_mut().enumerate() {
+        let d = (s.shr(j * w).low_u128() & mask) as i128;
+        let v = d - half;
+        let mag = BigUint::from_u128(v.unsigned_abs());
+        let f = mag.to_f64() / shift.exp2();
+        *o = if v < 0 { -f } else { f };
+    }
+}
+
+/// The three layouts the slot codec is held against its reference
+/// under: 256-bit keys (2 slots of 88 bits), 512 (7 of 72), 1024 (9 of
+/// 104).
+fn codec_keys() -> [&'static Keys; 3] {
+    [&repack_keys()[0], fold_keys()[0], &repack_keys()[1]]
+}
+
+/// One slot's value from a drawn `(magnitude, width, sign, kind)`: zero,
+/// negative zero, the largest magnitude a slot holds, the first it does
+/// not, or a random magnitude of up to two bits past the slot.
+fn slot_value(
+    (mag, bits, neg, kind): (u128, u32, bool, u8),
+    layout: SlotLayout,
+    shift: u32,
+) -> f64 {
+    let unit = (shift as f64).exp2();
+    let edge = layout.max_slot_mag() as f64 / unit;
+    let v = match kind {
+        0 => return 0.0,
+        1 => return -0.0,
+        2 => f64::from_bits(edge.to_bits() - 1),
+        3 => edge,
+        _ => match bits % (layout.slot_bits + 2) {
+            0 => 0.0,
+            b => (mag >> (128 - b)) as f64 / unit,
+        },
+    };
+    if neg {
+        -v
+    } else {
+        v
+    }
+}
+
+fn f64_bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn limb_slot_codec_equals_the_biguint_reference(
+        words in prop::collection::vec(any::<u64>(), 18),
+        widths in prop::collection::vec(any::<u32>(), 9),
+        signs in prop::collection::vec(any::<bool>(), 9),
+        kinds in prop::collection::vec(0u8..10, 9),
+        used in 1usize..=9,
+        ring in prop::collection::vec(any::<u64>(), 17),
+    ) {
+        let draws: Vec<_> = (0..9)
+            .map(|j| {
+                let mag = (words[2 * j] as u128) << 64 | words[2 * j + 1] as u128;
+                (mag, widths[j], signs[j], kinds[j])
+            })
+            .collect();
+        for keys in codec_keys() {
+            let (pk, _) = raw(keys);
+            let layout = SlotLayout::for_key(pk.key_bits, pk.frac_bits).unwrap();
+            let used = used.min(layout.slots);
+            let ring = BigUint::from_limbs(ring.clone()).rem(&pk.n);
+            let mut envelope = vec![
+                BigUint::zero(),
+                pk.half_n.clone(),
+                pk.half_n.add_u64(1),
+                pk.n.sub_u64(1),
+                ring,
+            ];
+            for scale in [1u8, 2] {
+                let shift = pk.frac_bits * scale as u32;
+                let mixed: Vec<f64> = draws[..used]
+                    .iter()
+                    .map(|&d| slot_value(d, layout, shift))
+                    .collect();
+                let negative: Vec<f64> = mixed.iter().map(|v| -v.abs()).collect();
+                for vals in [mixed, negative] {
+                    let got = pack_values(&vals, pk.frac_bits, scale, layout, &pk.n);
+                    let want = reference_pack_values(&vals, pk.frac_bits, scale, layout, &pk.n);
+                    prop_assert!(got == want, "{} bits, {:?}", pk.key_bits, vals);
+                    envelope.extend(got.ok());
+                }
+                // Two slots past the layout read above the 2^L the
+                // decoder takes a negative element's complement below.
+                for m in &envelope {
+                    for len in 1..=layout.slots + 2 {
+                        let (mut got, mut want) = (vec![0.0; len], vec![0.0; len]);
+                        unpack_values(m, pk.frac_bits, scale, layout, &pk.n, &pk.half_n, &mut got);
+                        reference_unpack_values(
+                            m, pk.frac_bits, scale, layout, &pk.n, &pk.half_n, &mut want,
+                        );
+                        prop_assert!(
+                            f64_bits(&got) == f64_bits(&want),
+                            "{} bits, m = {:?}",
+                            pk.key_bits,
+                            m
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn limb_slot_codec_keeps_the_edges_of_the_reference() {
+    // Named cells of the property above: the largest in-range magnitude
+    // packs, the first one past it is the same `PackError`, zero and
+    // negative zero pack to zero, and a non-finite value panics with the
+    // scalar codec's message.
+    for keys in codec_keys() {
+        let (pk, _) = raw(keys);
+        let layout = SlotLayout::for_key(pk.key_bits, pk.frac_bits).unwrap();
+        for scale in [1u8, 2] {
+            let shift = pk.frac_bits * scale as u32;
+            let (top, over) = (
+                slot_value((0, 0, true, 2), layout, shift),
+                slot_value((0, 0, false, 3), layout, shift),
+            );
+            let mut vals = vec![-top; layout.slots];
+            vals[0] = top;
+            let packed = pack_values(&vals, pk.frac_bits, scale, layout, &pk.n).unwrap();
+            let mut out = vec![0.0; layout.slots];
+            unpack_values(
+                &packed,
+                pk.frac_bits,
+                scale,
+                layout,
+                &pk.n,
+                &pk.half_n,
+                &mut out,
+            );
+            assert_eq!(out, vals);
+            *vals.last_mut().unwrap() = over;
+            let err = pack_values(&vals, pk.frac_bits, scale, layout, &pk.n).unwrap_err();
+            let slot = layout.slots - 1;
+            assert_eq!(err, PackError { slot, value: over });
+            let zeros = pack_values(&[0.0, -0.0], pk.frac_bits, scale, layout, &pk.n).unwrap();
+            assert!(zeros.is_zero());
+        }
+        let nan =
+            std::panic::catch_unwind(|| pack_values(&[f64::NAN], pk.frac_bits, 1, layout, &pk.n));
+        let msg = nan.unwrap_err();
+        let msg = msg.downcast_ref::<String>().unwrap();
+        assert_eq!(msg, "cannot encode non-finite value NaN");
+    }
+}
+
+/// The widths the key owner's obfuscator is held against the public one
+/// at: the codec's three and a 2048-bit key.
+fn obf_keys() -> Vec<&'static Keys> {
+    static WIDE: OnceLock<Keys> = OnceLock::new();
+    let mut keys = codec_keys().to_vec();
+    keys.push(WIDE.get_or_init(|| paillier(2048, 32)));
+    keys
+}
+
+#[test]
+fn the_key_owners_pool_draws_and_encrypts_what_the_public_one_does() {
+    // `from_secret` computes each entry on the CRT halves. Its draws —
+    // the first four per entry, squares included — and its encryptions
+    // in both layouts, which also read each entry's residue, are `new`'s
+    // byte for byte, at every width, pool size and seed.
+    let m = Dense::from_vec(3, 10, (0..30).map(|i| (i as f64 - 14.5) * 0.8125).collect());
+    for keys in obf_keys() {
+        let (pk, _) = raw(keys);
+        for (size, seed) in [(2, 0u64), (5, 17), (64, u64::MAX)] {
+            let public = Obfuscator::new(&keys.0, ObfMode::Pool(size), seed);
+            let secret = Obfuscator::from_secret(&keys.1, ObfMode::Pool(size), seed);
+            for i in 0..4 * size {
+                assert_eq!(
+                    secret.next_rn(pk),
+                    public.next_rn(pk),
+                    "{} bits, draw {i}",
+                    pk.key_bits
+                );
+            }
+            for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+                let want = export_ctmat(&keys.0.encrypt_mode(&m, mode, &public));
+                let got = export_ctmat(&keys.0.encrypt_mode(&m, mode, &secret));
+                assert!(got == want, "{} bits, Pool({size}), {mode:?}", pk.key_bits);
             }
         }
     }
