@@ -5,8 +5,7 @@
 //! crate implements the required number theory from scratch:
 //!
 //! * [`BigUint`] — heap-allocated little-endian `u64` limbs with
-//!   schoolbook + Karatsuba multiplication and Knuth Algorithm D
-//!   division,
+//!   schoolbook multiplication and Knuth Algorithm D division,
 //! * [`mont::MontCtx`] — Montgomery multiplication and sliding-window
 //!   multi-exponentiation (the workhorse of Paillier encryption and of
 //!   every homomorphic dot product),
@@ -29,7 +28,7 @@ pub mod prime;
 pub mod rng;
 pub mod uint;
 
-pub use modular::{batch_mod_inv, gcd, mod_inv};
+pub use modular::{gcd, mod_inv};
 pub use mont::MontCtx;
 pub use prime::{gen_prime, is_probable_prime};
 pub use rng::{random_below, random_bits};

@@ -57,35 +57,6 @@ pub fn mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     Some(inv)
 }
 
-/// Batch modular inversion (Montgomery's trick): inverts every element
-/// of `values` modulo `m` using a single `mod_inv` plus `3(n-1)`
-/// modular multiplications.
-///
-/// All values must be invertible (the Paillier callers invert
-/// ciphertexts, which are units of `Z_{n^2}` by construction); panics
-/// otherwise.
-pub fn batch_mod_inv(values: &[BigUint], m: &BigUint) -> Vec<BigUint> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    // prefix[i] = v0*v1*...*vi mod m
-    let mut prefix = Vec::with_capacity(values.len());
-    let mut acc = values[0].rem(m);
-    prefix.push(acc.clone());
-    for v in &values[1..] {
-        acc = acc.mod_mul(v, m);
-        prefix.push(acc.clone());
-    }
-    let mut inv_acc = mod_inv(&acc, m).expect("batch_mod_inv: non-invertible element");
-    let mut out = vec![BigUint::zero(); values.len()];
-    for i in (1..values.len()).rev() {
-        out[i] = inv_acc.mod_mul(&prefix[i - 1], m);
-        inv_acc = inv_acc.mod_mul(&values[i].rem(m), m);
-    }
-    out[0] = inv_acc;
-    out
-}
-
 /// `(a, neg_a) - (b, neg_b)` in sign-magnitude form.
 fn signed_sub(a: &BigUint, neg_a: bool, b: &BigUint, neg_b: bool) -> (BigUint, bool) {
     match (neg_a, neg_b) {
@@ -150,21 +121,6 @@ mod tests {
         let a = BigUint::from_u128(0x1234_5678_9abc_def0_fedc_ba98_7654_3210);
         let inv = mod_inv(&a, &m).unwrap();
         assert!(a.mod_mul(&inv, &m).is_one());
-    }
-
-    #[test]
-    fn batch_mod_inv_matches_individual() {
-        let m = BigUint::one().shl(127).sub_u64(1);
-        let values: Vec<BigUint> = (1..20u64)
-            .map(|i| BigUint::from_u64(i * 7919 + 3))
-            .collect();
-        let batch = batch_mod_inv(&values, &m);
-        for (v, inv) in values.iter().zip(&batch) {
-            assert!(v.mod_mul(inv, &m).is_one());
-        }
-        assert!(batch_mod_inv(&[], &m).is_empty());
-        let single = batch_mod_inv(&[BigUint::from_u64(5)], &m);
-        assert_eq!(single[0], mod_inv(&BigUint::from_u64(5), &m).unwrap());
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl MontCtx {
     /// The Montgomery form of `t mod m`, into `out`, for a `t < m·R` of
     /// at most `2k` limbs (any value below `m²`): one Montgomery
     /// reduction, `t·R⁻¹`, and one multiply by `R³`. No allocation up
-    /// to [`SQR_STACK_LIMBS`].
+    /// to `SQR_STACK_LIMBS` limbs.
     pub fn reduce_wide_into(&self, t: &[u64], out: &mut [u64]) {
         let k = self.k;
         assert!(t.len() <= 2 * k && out.len() == k);
@@ -223,7 +223,7 @@ impl MontCtx {
 
     /// `out = (x + a·b) mod m` for `x < m` and `a·b < m`: a schoolbook
     /// product accumulated onto `x` and one conditional subtraction,
-    /// with no allocation up to [`SQR_STACK_LIMBS`]. `x` is `k` limbs;
+    /// with no allocation up to `SQR_STACK_LIMBS` limbs. `x` is `k` limbs;
     /// `a` and `b` are at most `k + 1` limbs between them.
     pub fn add_product_into(&self, x: &[u64], a: &[u64], b: &[u64], out: &mut [u64]) {
         let k = self.k;
@@ -907,8 +907,7 @@ mod tests {
 
     #[test]
     fn mont_sqr_matches_mont_mul() {
-        // Several widths, including one past the Karatsuba threshold so
-        // the squaring pass exercises both product kernels.
+        // Several widths, 2 to 40 limbs.
         for limbs in [1usize, 5, 15, 39] {
             let mut m = BigUint::from_u64(0xdead_beef);
             for i in 0..limbs as u64 {

@@ -53,19 +53,18 @@ pub enum TrainMode {
     #[default]
     Sync,
     /// Batch prefetch: mini-batch preparation is double-buffered on a
-    /// worker thread.
-    Pipelined {
-        /// Mini-batches prepared ahead of the protocol thread.
-        prefetch_batches: usize,
-    },
+    /// worker thread, two mini-batches ahead of the protocol thread.
+    Pipelined,
 }
+
+/// Mini-batches the pipelined engine prepares ahead of the protocol
+/// thread.
+const PREFETCH_BATCHES: usize = 2;
 
 impl TrainMode {
     /// Batch prefetch two mini-batches ahead.
     pub fn pipelined() -> TrainMode {
-        TrainMode::Pipelined {
-            prefetch_batches: 2,
-        }
+        TrainMode::Pipelined
     }
 }
 
@@ -100,10 +99,9 @@ pub(crate) fn run_epoch<E>(
             }
             Ok(())
         }
-        TrainMode::Pipelined { prefetch_batches } => {
-            let depth = prefetch_batches.max(1);
+        TrainMode::Pipelined => {
             std::thread::scope(|s| {
-                let (tx, rx) = sync_channel::<Dataset>(depth);
+                let (tx, rx) = sync_channel::<Dataset>(PREFETCH_BATCHES);
                 s.spawn(move || {
                     for idx in iter {
                         // A send error means the consumer bailed (its

@@ -86,6 +86,9 @@ pub fn gateway_replica_seed(base: u64, replica: usize) -> u64 {
     base ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Event-loop sleep when a full scan makes no progress.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
 /// Gateway sizing and admission-control knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct GatewayConfig {
@@ -103,8 +106,6 @@ pub struct GatewayConfig {
     /// requests queue in kernel buffers and clients feel backpressure.
     /// `true`: read anyway and answer [`GW_OVERLOADED`] immediately.
     pub shed_load: bool,
-    /// Event-loop sleep when a full scan makes no progress.
-    pub poll_interval: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -114,7 +115,6 @@ impl Default for GatewayConfig {
             shard_depth: 256,
             conn_window: 256,
             shed_load: false,
-            poll_interval: Duration::from_micros(200),
         }
     }
 }
@@ -189,13 +189,6 @@ pub struct GatewayReport {
     /// Errors from replicas whose serve loop failed, as
     /// `"replica <i>: <error>"` strings, in replica order.
     pub replica_failures: Vec<String>,
-    /// Lazily-sorted merge of every replica's latencies, populated on
-    /// the first quantile query so repeated `p50`/`p99` calls merge and
-    /// sort once. Public only for functional-record-update
-    /// construction; leave it empty (see
-    /// [`ServeReport::sorted_latencies`]).
-    #[doc(hidden)]
-    pub sorted_latencies: std::sync::OnceLock<Vec<f64>>,
 }
 
 impl GatewayReport {
@@ -220,16 +213,12 @@ impl GatewayReport {
     /// the quantile over the concatenation of all per-replica latency
     /// vectors (`tests/quantiles.rs` proves it).
     pub fn latency_quantile_secs(&self, q: f64) -> f64 {
-        let sorted = self.sorted_latencies.get_or_init(|| {
-            let mut all: Vec<f64> = self
-                .replicas
-                .iter()
-                .flat_map(|r| r.latencies_secs.iter().copied())
-                .collect();
-            all.sort_by(f64::total_cmp);
-            all
-        });
-        crate::serve::quantile_ceil(sorted, q)
+        let all = self
+            .replicas
+            .iter()
+            .flat_map(|r| r.latencies_secs.iter().copied())
+            .collect();
+        crate::serve::quantile_ceil(all, q)
     }
 
     /// Median per-request latency in seconds, pool-wide.
@@ -472,7 +461,7 @@ pub fn run_gateway(
                 break;
             }
             if !progress {
-                std::thread::sleep(cfg.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
 
@@ -503,7 +492,6 @@ pub fn run_gateway(
             wall_secs: started.elapsed().as_secs_f64(),
             replicas: reports,
             replica_failures,
-            sorted_latencies: std::sync::OnceLock::new(),
         })
     })
 }

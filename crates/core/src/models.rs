@@ -22,7 +22,7 @@
 //! per-link outputs. Every submodel is individually lossless and each
 //! guest still runs the unmodified [`EmbedSource`] routines.
 
-use bf_ml::data::{Dataset, Labels};
+use bf_ml::data::Dataset;
 use bf_ml::layers::{ActKind, Activation, Bias, Mlp};
 use bf_ml::models::loss_and_grad;
 use bf_mpc::transport::{TransportError, TransportResult};
@@ -839,11 +839,6 @@ impl PartyBModel {
         batch: &Dataset,
     ) -> TransportResult<Dense> {
         Ok(self.forward(links, batch, false)?.0)
-    }
-
-    /// Loss/metric helper reused by the trainer.
-    pub fn loss_for(&self, logits: &Dense, labels: &Labels) -> f64 {
-        loss_and_grad(logits, labels).0
     }
 
     /// The MatMul source half (inspection: `W_B = U_B + Σ_i V_B(i)` and

@@ -244,29 +244,22 @@ pub struct ServeReport {
     /// on an identically-seeded session reproduces every served logit
     /// bit for bit (`tests/gateway.rs` does exactly that).
     pub batch_rows: Vec<Vec<u32>>,
-    /// Lazily-sorted copy of `latencies_secs`, populated on the first
-    /// quantile query so repeated `p50`/`p99` calls sort once. Public
-    /// only so external constructors can use functional-record-update
-    /// (`..Default::default()`); never set it to anything but an empty
-    /// cell — mutating `latencies_secs` after a quantile query would
-    /// otherwise serve stale quantiles.
-    #[doc(hidden)]
-    pub sorted_latencies: std::sync::OnceLock<Vec<f64>>,
 }
 
-/// Ceil-based nearest-rank quantile over an ascending-sorted sample:
-/// rank `⌈q·n⌉` (clamped to `[1, n]`), i.e. the smallest sample value
-/// such that at least a `q` fraction of the sample is ≤ it. The
-/// previous `.round()`-based index could select *below* the true
-/// nearest rank (67 samples, q = 0.99: 0.99·66 = 65.34 rounds to index
-/// 65 where nearest-rank is 66).
-pub(crate) fn quantile_ceil(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// Ceil-based nearest-rank quantile of a sample: rank `⌈q·n⌉`
+/// (clamped to `[1, n]`) of its ascending sort, i.e. the smallest
+/// sample value such that at least a `q` fraction of the sample is ≤
+/// it. The previous `.round()`-based index could select *below* the
+/// true nearest rank (67 samples, q = 0.99: 0.99·66 = 65.34 rounds to
+/// index 65 where nearest-rank is 66).
+pub(crate) fn quantile_ceil(mut sample: Vec<f64>, q: f64) -> f64 {
+    if sample.is_empty() {
         return 0.0;
     }
-    let n = sorted.len();
+    sample.sort_by(f64::total_cmp);
+    let n = sample.len();
     let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
+    sample[rank.clamp(1, n) - 1]
 }
 
 impl ServeReport {
@@ -282,12 +275,7 @@ impl ServeReport {
     /// The `q`-quantile (0 ≤ q ≤ 1) of per-request latency in seconds,
     /// ceil-based nearest rank (0 when nothing served).
     pub fn latency_quantile_secs(&self, q: f64) -> f64 {
-        let sorted = self.sorted_latencies.get_or_init(|| {
-            let mut v = self.latencies_secs.clone();
-            v.sort_by(f64::total_cmp);
-            v
-        });
-        quantile_ceil(sorted, q)
+        quantile_ceil(self.latencies_secs.clone(), q)
     }
 
     /// Largest coalesced batch (0 when nothing served).
@@ -512,7 +500,6 @@ fn run_server_loop(
         batch_sizes: Vec::new(),
         bytes_per_batch: Vec::new(),
         batch_rows: Vec::new(),
-        sorted_latencies: std::sync::OnceLock::new(),
     };
     let started = Instant::now();
     let max_batch = cfg.max_batch.max(1);

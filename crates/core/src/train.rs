@@ -635,8 +635,9 @@ mod tests {
             "federated {fed_auc} should beat Party-B-only {}",
             pb_report.test_metric
         );
-        // Loss decreased.
+        // Every loss is finite, and the loss decreased.
         let l = &outcome.report.losses;
+        assert!(l.iter().all(|l| l.is_finite()), "non-finite loss: {l:?}");
         assert!(l.last().unwrap() < &l[0]);
         // Traffic was recorded in both directions.
         assert!(outcome.report.bytes_a_to_b > 0);

@@ -22,7 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bf_ml::data::{Dataset, Labels};
 use bf_ml::gbdt::{Node, Tree};
-use bf_mpc::wire::{decode_frame, encode_frame, pack_bits};
+use bf_mpc::transport::{read_frame, TransportError};
+use bf_mpc::wire::{decode_frame, encode_frame, pack_bits, KIND_CT, MAGIC, VERSION};
 use bf_mpc::Msg;
 use bf_paillier::{keygen, keys::plain_keys, ObfMode, Obfuscator, PaillierMode};
 use bf_tensor::{Dense, Features};
@@ -409,6 +410,24 @@ fn key_frames_fail_typed_or_name_one_key() {
 #[test]
 fn every_bfmd_kind_fails_typed_or_reencodes_exactly() {
     sweep(&bfmd_targets());
+}
+
+/// A frame header's length is the peer's claim. A valid `Ct` header
+/// announcing 2²⁹ payload bytes, then 16 of them and the end of the
+/// stream, must fail typed, and the reader may reserve at most 1 MiB
+/// ahead of the bytes that arrive.
+#[test]
+fn a_stream_frame_header_cannot_claim_a_large_allocation() {
+    let len = (1u32 << 29).to_le_bytes();
+    let mut stream = vec![MAGIC[0], MAGIC[1], VERSION, KIND_CT];
+    stream.extend_from_slice(&len);
+    stream.extend_from_slice(&[0xa5; 16]);
+    let (out, peak) = watched(|| read_frame(&mut &stream[..]));
+    assert!(
+        matches!(out, Some(Err(TransportError::Disconnected))),
+        "{out:?}"
+    );
+    assert!(peak <= 1 << 20, "allocated {peak} bytes at once");
 }
 
 /// Apply reader operation `op` (one byte of the fuzz program).

@@ -192,11 +192,6 @@ impl WdlModel {
             out,
         }
     }
-
-    /// Embedding-table reference (inspection/tests).
-    pub fn embedding_table(&self) -> &Dense {
-        &self.emb.table
-    }
 }
 
 impl Model for WdlModel {

@@ -28,7 +28,7 @@
 //! message is queued, serialisation occupies the (simulated) link back
 //! to back, and propagation latency pipelines across in-flight
 //! messages, so a party's compute overlaps its wire time. One schedule
-//! ([`NetworkProfile::stream_delivery`]), computed on the sending
+//! (`NetworkProfile::stream_delivery`), computed on the sending
 //! thread, stamps each message with its delivery instant:
 //!
 //! * in process no thread exists: the peer's `recv` sleeps until the
@@ -495,13 +495,24 @@ fn write_frame(w: &mut impl Write, msg: &Msg) -> TransportResult<()> {
     Ok(())
 }
 
-/// Read one wire frame into a `Msg`.
-fn read_frame(r: &mut impl Read) -> TransportResult<Msg> {
+/// Most payload bytes [`read_frame`] reserves before they arrive.
+const FRAME_PREALLOC: usize = 1 << 20;
+
+/// Read one wire frame into a `Msg`. The header's length is the peer's
+/// claim, up to [`wire::MAX_PAYLOAD`]: the payload buffer starts at
+/// most 1 MiB and grows with the bytes that actually arrive, so a bare
+/// header cannot make this end allocate a gigabyte. A stream that ends
+/// inside the payload is [`TransportError::Disconnected`].
+pub fn read_frame(r: &mut impl Read) -> TransportResult<Msg> {
     let mut header = [0u8; wire::HEADER_LEN];
     r.read_exact(&mut header)?;
     let (kind, len) = wire::decode_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(TransportError::Disconnected);
+    }
     Ok(wire::decode_payload(kind, &payload)?)
 }
 
@@ -1193,7 +1204,7 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
 /// BlindFL behaves over slower cross-enterprise links (where its low
 /// communication volume matters even more), build the pair with a
 /// profile and every message pays `latency + bytes/bandwidth` on the
-/// streaming schedule ([`NetworkProfile::stream_delivery`]).
+/// streaming schedule (`NetworkProfile::stream_delivery`).
 #[derive(Clone, Copy, Debug)]
 pub struct NetworkProfile {
     /// One-way latency per message.

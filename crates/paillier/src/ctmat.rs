@@ -1494,13 +1494,12 @@ mod tests {
                 }
             }
         }
-        let need: Vec<usize> = (0..lanes).filter(|&l| neg[l].is_some()).collect();
-        let values: Vec<bf_bigint::BigUint> = need
-            .iter()
-            .map(|&l| pk.mont.from_mont(neg[l].as_ref().unwrap()))
-            .collect();
-        for (&l, inv) in need.iter().zip(&bf_bigint::batch_mod_inv(&values, &pk.n2)) {
-            pos[l] = pk.mont.mont_mul(&pos[l], &pk.mont.to_mont(inv));
+        for (l, neg) in neg.iter().enumerate() {
+            if let Some(neg) = neg {
+                let inv = bf_bigint::mod_inv(&pk.mont.from_mont(neg), &pk.n2)
+                    .expect("ciphertexts are units mod n²");
+                pos[l] = pk.mont.mont_mul(&pos[l], &pk.mont.to_mont(&inv));
+            }
         }
         pos.concat()
     }

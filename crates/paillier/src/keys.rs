@@ -310,6 +310,10 @@ impl PublicKey {
 }
 
 /// A secret key matching [`PublicKey`].
+// A party holds one secret key for a whole session, so the Plain
+// variant's unused bytes cost nothing worth a `Box` in every
+// `SecretKey::Paillier` pattern.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum SecretKey {
     /// Real Paillier secret key.
@@ -377,44 +381,11 @@ pub fn plain_keys(frac_bits: u32) -> (PublicKey, SecretKey) {
     (PublicKey::Plain { frac_bits }, SecretKey::Plain)
 }
 
-/// Encrypt/decrypt a single scalar — convenience used by tests.
-pub fn encrypt_scalar(pk: &PublicKey, obf: &crate::Obfuscator, v: f64) -> ScalarCt {
-    match pk {
-        PublicKey::Paillier(p) => {
-            let m = codec::encode(v, p.frac_bits, 1, &p.n);
-            let mut ct = vec![0u64; p.ct_limbs()];
-            obf.encrypt_into(p, &m, obf.reserve(1), &mut ct);
-            ScalarCt::Enc(ct)
-        }
-        PublicKey::Plain { .. } => ScalarCt::Plain(v),
-    }
-}
-
-/// Decrypt a single scalar.
-pub fn decrypt_scalar(sk: &SecretKey, ct: &ScalarCt) -> f64 {
-    match (sk, ct) {
-        (SecretKey::Paillier(s), ScalarCt::Enc(c)) => {
-            let m = s.raw_decrypt(c, None);
-            codec::decode(&m, s.pk.frac_bits, 1, &s.pk.n, &s.pk.half_n)
-        }
-        (SecretKey::Plain, ScalarCt::Plain(v)) => *v,
-        _ => panic!("key/ciphertext backend mismatch"),
-    }
-}
-
-/// A single ciphertext (test helper).
-#[derive(Clone, Debug)]
-pub enum ScalarCt {
-    /// Paillier ciphertext in Montgomery form.
-    Enc(Vec<u64>),
-    /// Plain-backend "ciphertext": the value itself.
-    Plain(f64),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ObfMode, Obfuscator};
+    use bf_tensor::Dense;
     use rand::SeedableRng;
 
     fn setup() -> (PublicKey, SecretKey, Obfuscator) {
@@ -428,8 +399,8 @@ mod tests {
     fn scalar_roundtrip() {
         let (pk, sk, obf) = setup();
         for v in [0.0, 1.0, -1.0, 3.75, -123.456, 1e-5] {
-            let ct = encrypt_scalar(&pk, &obf, v);
-            let dec = decrypt_scalar(&sk, &ct);
+            let ct = pk.encrypt(&Dense::from_vec(1, 1, vec![v]), &obf);
+            let dec = sk.decrypt(&ct).data()[0];
             assert!((dec - v).abs() < 1e-6, "v={v} dec={dec}");
         }
     }
@@ -510,7 +481,7 @@ mod tests {
     fn plain_backend_roundtrip() {
         let (pk, sk) = plain_keys(32);
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 1);
-        let ct = encrypt_scalar(&pk, &obf, -9.5);
-        assert_eq!(decrypt_scalar(&sk, &ct), -9.5);
+        let ct = pk.encrypt(&Dense::from_vec(1, 1, vec![-9.5]), &obf);
+        assert_eq!(sk.decrypt(&ct).data(), [-9.5]);
     }
 }

@@ -39,7 +39,6 @@
 //! tracks the scale and the decoder rescales on decryption.
 
 #![warn(missing_docs)]
-#![allow(clippy::large_enum_variant)] // ScalarCt test helper
 pub mod codec;
 pub mod ctmat;
 pub mod keys;

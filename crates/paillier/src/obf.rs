@@ -12,7 +12,7 @@
 //!   speedup; every configuration (`FedConfig`, the benchmarks) names
 //!   its pool size directly. Each entry also keeps its residue mod `n`,
 //!   so a pooled encryption of `m` is `pool[a] ⊗ (pool[b] + n·(m·β_b
-//!   mod n))` ([`Obfuscator::encrypt_into`]): the one multiply mod `n²`
+//!   mod n))` (`Obfuscator::encrypt_into`): the one multiply mod `n²`
 //!   the pair product already paid, plus one mod `n`.
 //! * [`ObfMode::Exact`] — the textbook fresh `r^n` per encryption
 //!   (randomness derived from a per-call PRG seed so encryption can be

@@ -32,22 +32,6 @@ impl Dense {
         Self::from_vec(rows, cols, self.data)
     }
 
-    /// Build from nested rows. Panics on ragged input.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -50,27 +50,6 @@ impl Csr {
         }
     }
 
-    /// Build from raw CSR parts (validated).
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert_eq!(indptr.len(), rows + 1);
-        assert_eq!(indices.len(), values.len());
-        assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
-        debug_assert!(indices.iter().all(|&c| (c as usize) < cols));
-        Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -9,7 +9,7 @@
 //! ever sees an embedding row in plaintext.
 //!
 //! ```text
-//! cargo run --release -p bf-integration --example ad_ctr_wdl
+//! cargo run --release -p blindfl --example ad_ctr_wdl
 //! ```
 
 use bf_datagen::{generate, spec, vsplit};

@@ -5,7 +5,7 @@
 //! data; BlindFL trains a joint risk model anyway.
 //!
 //! ```text
-//! cargo run --release -p bf-integration --example credit_scoring
+//! cargo run --release -p blindfl --example credit_scoring
 //! ```
 
 use bf_datagen::{generate, spec, vsplit};

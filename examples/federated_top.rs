@@ -9,7 +9,7 @@
 //! `Z` or `∇Z` in plaintext**.
 //!
 //! ```text
-//! cargo run --release -p bf-integration --example federated_top
+//! cargo run --release -p blindfl --example federated_top
 //! ```
 
 use bf_datagen::{generate, spec, vsplit};

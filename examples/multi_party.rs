@@ -4,7 +4,7 @@
 //! (Algorithm 3). Every Party A runs the unmodified two-party code.
 //!
 //! ```text
-//! cargo run --release -p bf-integration --example multi_party
+//! cargo run --release -p blindfl --example multi_party
 //! ```
 
 use bf_datagen::{generate, spec};
