@@ -124,35 +124,6 @@ fn dist(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Pairwise-direction statistic used in the paper's discussion: the
-/// fraction of instance pairs whose derivative directions agree with
-/// their label relationship (same label ⇒ positive cosine, different ⇒
-/// negative).
-pub fn derivative_direction_consistency(grads: &Dense, labels: &[f64]) -> f64 {
-    let n = grads.rows();
-    if n < 2 {
-        return 1.0;
-    }
-    let mut ok = 0usize;
-    let mut total = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n.min(i + 50) {
-            let dot: f64 = grads
-                .row(i)
-                .iter()
-                .zip(grads.row(j))
-                .map(|(a, b)| a * b)
-                .sum();
-            let same = (labels[i] > 0.5) == (labels[j] > 0.5);
-            if (dot >= 0.0) == same {
-                ok += 1;
-            }
-            total += 1;
-        }
-    }
-    ok as f64 / total.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,8 +170,6 @@ mod tests {
         let grads = Dense::from_vec(64, 3, rows);
         let acc = derivative_attack_accuracy(&[(grads.clone(), labels.clone())]);
         assert!(acc > 0.99, "acc={acc}");
-        let cons = derivative_direction_consistency(&grads, &labels);
-        assert!(cons > 0.99);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! For the paper-scale dimensionalities the harness refuses to allocate
 //! (reporting OOM, as the paper does for SecureML on avazu/industry) or
 //! measures a scaled-down run and extrapolates linearly in `d`,
-//! flagging the result — see EXPERIMENTS.md.
+//! flagging the result — see `docs/REPRODUCING.md`.
 
 use bf_mpc::beaver::{beaver_matmul, dealer_triple, he_gen_triple, TripleShare};
 use bf_mpc::shares::{random_mask, share_dense};

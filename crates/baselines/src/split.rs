@@ -56,13 +56,6 @@ impl SplitGlm {
         loss
     }
 
-    /// Party A's local activations `X_A·W_A` — available to A at any
-    /// time because A owns the bottom model (the Figure 9 leak).
-    pub fn party_a_activations(&self, data_a: &Dataset) -> Dense {
-        self.bottom_a
-            .infer(data_a.num.as_ref().expect("party A features"))
-    }
-
     /// Joint logits (Party B's view).
     pub fn predict(&self, data_a: &Dataset, data_b: &Dataset) -> Dense {
         let z_a = self.bottom_a.infer(data_a.num.as_ref().unwrap());
@@ -187,9 +180,6 @@ mod tests {
             first.get_or_insert(last);
         }
         assert!(last < first.unwrap(), "{first:?} -> {last}");
-        // The leak: A's activations correlate with the labels.
-        let z_a = m.party_a_activations(&v.party_a);
-        assert_eq!(z_a.cols(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Table 4 — dataset inventory: the paper-scale statistics and the
-//! scaled variants this reproduction actually runs (see EXPERIMENTS.md
+//! scaled variants this reproduction actually runs (see `docs/REPRODUCING.md`
 //! for the substitution rationale).
 
 use bf_bench::quality_spec;

@@ -3,7 +3,7 @@
 //! One binary per table/figure of the paper (see `src/bin/`): each
 //! prints the same rows/series the publication reports, over the
 //! synthetic datasets of `bf-datagen` (scaling documented in
-//! EXPERIMENTS.md). Two standard configurations:
+//! `docs/REPRODUCING.md`). Two standard configurations:
 //!
 //! * [`cfg_timing`] — real Paillier (512-bit modulus, pooled
 //!   obfuscations): used wherever wall-clock cost is the measurement.
@@ -42,7 +42,7 @@ pub fn cfg_quality() -> FedConfig {
 
 /// Row-scaled dataset specs for the quality experiments (Figure 12 et
 /// al.): feature spaces shrunk for the ultra-high-dimensional sets,
-/// row counts cut to laptop scale. Documented in EXPERIMENTS.md.
+/// row counts cut to laptop scale. Documented in `docs/REPRODUCING.md`.
 pub fn quality_spec(name: &str) -> DatasetSpec {
     let s = bf_datagen::spec(name);
     match name {

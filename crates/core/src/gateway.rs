@@ -89,6 +89,11 @@ pub fn gateway_replica_seed(base: u64, replica: usize) -> u64 {
 /// Event-loop sleep when a full scan makes no progress.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
+/// Largest frame payload a client may send: one [`Msg::U64`] request.
+/// A header claiming more closes the connection before any payload is
+/// buffered.
+const REQUEST_PAYLOAD: u32 = 8;
+
 /// Gateway sizing and admission-control knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct GatewayConfig {
@@ -286,7 +291,7 @@ pub fn run_gateway(
             "run_gateway needs at least one replica".into(),
         ));
     }
-    let acceptor = FrameAcceptor::from_listener(listener)?;
+    let acceptor = FrameAcceptor::from_listener(listener, REQUEST_PAYLOAD)?;
     let serve_cfg = ServeConfig {
         max_batch: cfg.max_batch.max(1),
     };
@@ -358,8 +363,9 @@ pub fn run_gateway(
                                 dispatch(&mut shards, row, store_rows, shard_depth, &mut rejected);
                             conn.pending.push_back(slot);
                         }
-                        // Any other frame kind is a protocol
-                        // violation; a read error is a disconnect.
+                        // Any other frame kind, or a header past
+                        // `REQUEST_PAYLOAD`, is a protocol violation;
+                        // a read error is a disconnect.
                         // Either way the read side is done (in-flight
                         // replies still flush below).
                         Ok(Some(_)) | Err(_) => {

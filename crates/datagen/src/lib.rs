@@ -16,7 +16,7 @@
 //!
 //! [`catalog`](mod@catalog) lists the paper-scale specs (printed by the Table 4
 //! harness); [`DatasetSpec::scaled`] produces laptop-scale variants used
-//! by the experiment harnesses (documented in EXPERIMENTS.md).
+//! by the experiment harnesses (documented in `docs/REPRODUCING.md`).
 
 pub mod catalog;
 pub mod libsvm;

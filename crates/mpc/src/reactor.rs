@@ -11,7 +11,9 @@
 //!   [`FrameAcceptor::try_accept`] never parks the event loop;
 //! * [`FrameConn`] — one nonblocking connection with explicit read
 //!   and write staging buffers: [`FrameConn::try_recv`] returns a
-//!   complete decoded [`Msg`] or `None` (frame still in flight),
+//!   complete decoded [`Msg`] or `None` (frame still in flight) and
+//!   refuses a header claiming more payload than the connection's
+//!   owner accepts before buffering any of it,
 //!   [`FrameConn::enqueue`] serializes a reply into the write buffer,
 //!   and [`FrameConn::try_flush`] drains as much as the socket will
 //!   take without blocking.
@@ -27,7 +29,7 @@
 //! same per-kind payloads (the unit tests pin this).
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use crate::transport::{Msg, TransportError, TransportResult};
 use crate::wire::{self, HEADER_LEN};
@@ -38,18 +40,22 @@ const READ_CHUNK: usize = 64 * 1024;
 /// A nonblocking TCP listener producing [`FrameConn`]s.
 pub struct FrameAcceptor {
     listener: TcpListener,
+    max_payload: u32,
 }
 
 impl FrameAcceptor {
-    /// Bind a nonblocking listener on `addr`.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> TransportResult<FrameAcceptor> {
-        FrameAcceptor::from_listener(TcpListener::bind(addr)?)
-    }
-
     /// Wrap an existing listener, switching it to nonblocking mode.
-    pub fn from_listener(listener: TcpListener) -> TransportResult<FrameAcceptor> {
+    /// Every accepted connection refuses a frame whose payload exceeds
+    /// `max_payload` bytes (see [`FrameConn::from_stream`]).
+    pub fn from_listener(
+        listener: TcpListener,
+        max_payload: u32,
+    ) -> TransportResult<FrameAcceptor> {
         listener.set_nonblocking(true)?;
-        Ok(FrameAcceptor { listener })
+        Ok(FrameAcceptor {
+            listener,
+            max_payload,
+        })
     }
 
     /// The bound address (port 0 resolves to the assigned port).
@@ -61,7 +67,7 @@ impl FrameAcceptor {
     /// Never blocks.
     pub fn try_accept(&self) -> TransportResult<Option<FrameConn>> {
         match self.listener.accept() {
-            Ok((stream, _)) => Ok(Some(FrameConn::from_stream(stream)?)),
+            Ok((stream, _)) => Ok(Some(FrameConn::from_stream(stream, self.max_payload)?)),
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
             Err(e) if e.kind() == ErrorKind::Interrupted => Ok(None),
             Err(e) => Err(e.into()),
@@ -72,7 +78,10 @@ impl FrameAcceptor {
 /// One nonblocking framed connection with explicit staging buffers.
 ///
 /// Read side: bytes accumulate in an internal buffer until a complete
-/// frame (header + payload) is present, then decode. Write side:
+/// frame (header + payload) is present, then decode; a header claiming
+/// more than the connection's `max_payload` is refused as soon as it
+/// arrives, so a peer can make this end buffer at most that much per
+/// frame. Write side:
 /// [`FrameConn::enqueue`] serializes eagerly, [`FrameConn::try_flush`]
 /// drains opportunistically — the caller bounds memory by checking
 /// [`FrameConn::pending_out`] before enqueuing more.
@@ -82,16 +91,16 @@ pub struct FrameConn {
     wbuf: Vec<u8>,
     wpos: usize,
     eof: bool,
+    max_payload: u32,
 }
 
 impl FrameConn {
-    /// Connect to a gateway at `addr` (nonblocking after connect).
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> TransportResult<FrameConn> {
-        FrameConn::from_stream(TcpStream::connect(addr)?)
-    }
-
     /// Wrap an accepted stream, switching it to nonblocking + nodelay.
-    pub fn from_stream(stream: TcpStream) -> TransportResult<FrameConn> {
+    /// `max_payload` is the largest frame payload the owner accepts: a
+    /// header claiming more (or more than [`wire::MAX_PAYLOAD`]) is
+    /// answered with [`wire::WireError::OversizedPayload`] before any
+    /// payload byte is read.
+    pub fn from_stream(stream: TcpStream, max_payload: u32) -> TransportResult<FrameConn> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         Ok(FrameConn {
@@ -100,12 +109,8 @@ impl FrameConn {
             wbuf: Vec::new(),
             wpos: 0,
             eof: false,
+            max_payload,
         })
-    }
-
-    /// The peer's address.
-    pub fn peer_addr(&self) -> TransportResult<SocketAddr> {
-        Ok(self.stream.peer_addr()?)
     }
 
     /// Decode one message if a complete frame is buffered or readable
@@ -141,6 +146,9 @@ impl FrameConn {
         }
         let header: [u8; HEADER_LEN] = self.rbuf[..HEADER_LEN].try_into().unwrap();
         let (kind, len) = wire::decode_header(&header)?;
+        if len > self.max_payload {
+            return Err(wire::WireError::OversizedPayload(len).into());
+        }
         let total = HEADER_LEN + len as usize;
         if self.rbuf.len() < total {
             return Ok(None);
@@ -197,6 +205,12 @@ mod tests {
     use crate::transport::Endpoint;
     use std::time::{Duration, Instant};
 
+    /// A loopback acceptor taking any frame the codec allows.
+    fn acceptor() -> FrameAcceptor {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        FrameAcceptor::from_listener(listener, wire::MAX_PAYLOAD).unwrap()
+    }
+
     /// Poll `try_recv` until a message lands (bounded).
     fn recv_blocking(conn: &mut FrameConn) -> Msg {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -220,7 +234,7 @@ mod tests {
 
     #[test]
     fn interops_with_a_blocking_endpoint_peer() {
-        let acceptor = FrameAcceptor::bind("127.0.0.1:0").unwrap();
+        let acceptor = acceptor();
         let addr = acceptor.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let ep = Endpoint::tcp_connect(addr).unwrap();
@@ -256,7 +270,7 @@ mod tests {
 
     #[test]
     fn reassembles_partial_and_coalesced_frames() {
-        let acceptor = FrameAcceptor::bind("127.0.0.1:0").unwrap();
+        let acceptor = acceptor();
         let addr = acceptor.local_addr().unwrap();
         let (half_sent_tx, half_sent_rx) = std::sync::mpsc::channel();
         let (resume_tx, resume_rx) = std::sync::mpsc::channel();
@@ -301,7 +315,7 @@ mod tests {
 
     #[test]
     fn rejects_oversized_and_garbage_headers() {
-        let acceptor = FrameAcceptor::bind("127.0.0.1:0").unwrap();
+        let acceptor = acceptor();
         let addr = acceptor.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
@@ -347,7 +361,7 @@ mod tests {
 
     #[test]
     fn peer_close_surfaces_as_disconnected() {
-        let acceptor = FrameAcceptor::bind("127.0.0.1:0").unwrap();
+        let acceptor = acceptor();
         let addr = acceptor.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();

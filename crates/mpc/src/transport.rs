@@ -8,9 +8,9 @@
 //!
 //! Two wire backends sit behind the same [`Endpoint`] API:
 //!
-//! * **in-process** ([`channel_pair`]) — a `crossbeam` channel pair
-//!   moving `Msg` values between threads, each stamped with the instant
-//!   it is delivered; the harness every test and experiment uses,
+//! * **in-process** ([`channel_pair`]) — two unbounded `std::sync::mpsc`
+//!   channels moving `Msg` values between threads, each stamped with the
+//!   instant it is delivered; the harness every test and experiment uses,
 //! * **TCP** ([`Endpoint::tcp_connect`] / [`Endpoint::tcp_accept`]) —
 //!   a length-prefixed binary stream per [`crate::wire`] and
 //!   `docs/WIRE_PROTOCOL.md`, so the two parties can run as separate
@@ -52,15 +52,21 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bf_paillier::{CtMat, PublicKey};
 use bf_tensor::Dense;
-use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
-use parking_lot::Mutex;
 
 use crate::wire;
+
+/// Lock `m`, recovering the value if a holder panicked: every guarded
+/// value here (a socket, an error slot, a link's free instant) stays
+/// valid whatever its holder was doing.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A typed cross-party message.
 #[derive(Clone, Debug)]
@@ -331,7 +337,7 @@ const QUEUE_DEPTH: usize = 32;
 
 /// The backend actually moving messages.
 enum Wire {
-    /// In-process `crossbeam` channel pair: values move, nothing is
+    /// In-process unbounded channel pair: values move, nothing is
     /// serialized. Every message carries the instant it is delivered,
     /// and `recv` sleeps until then — the streaming schedule with no
     /// thread of its own.
@@ -354,7 +360,7 @@ enum Wire {
 /// a reader blocked on a full one, and `threads` goes last.
 struct TcpLink {
     /// The writer's outbox.
-    jobs: Sender<Job>,
+    jobs: SyncSender<Job>,
     /// Decoded frames, then at most one error, from the reader.
     inbox: Receiver<TransportResult<Msg>>,
     threads: LinkThreads,
@@ -365,13 +371,11 @@ impl TcpLink {
         let shared = &self.threads.shared;
         // The writer's unrecoverable failure is reported once, then the
         // closed outbox reports a generic disconnect.
-        if let Some(e) = shared.error.lock().take() {
+        if let Some(e) = lock(&shared.error).take() {
             return Err(e);
         }
         (self.jobs.send(frame)).map_err(|_| {
-            shared
-                .error
-                .lock()
+            lock(&shared.error)
                 .take()
                 .unwrap_or(TransportError::Disconnected)
         })?;
@@ -438,25 +442,25 @@ impl Shared {
     /// Shut the current socket down: the reader and the peer both see
     /// the link fail.
     fn cut(&self) {
-        if let Some(stream) = &*self.socket.lock() {
+        if let Some(stream) = &*lock(&self.socket) {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
     /// Teardown: cut the link, and let no resync start or finish.
     fn close(&self) {
-        if let Some(stream) = self.socket.lock().take() {
+        if let Some(stream) = lock(&self.socket).take() {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
     fn closing(&self) -> bool {
-        self.socket.lock().is_none()
+        lock(&self.socket).is_none()
     }
 
     /// Make `stream` the link's socket, unless teardown has begun.
     fn adopt(&self, stream: &TcpStream) -> TransportResult<()> {
-        match &mut *self.socket.lock() {
+        match &mut *lock(&self.socket) {
             Some(current) => *current = stream.try_clone()?,
             None => return Err(TransportError::Disconnected),
         }
@@ -471,7 +475,7 @@ enum Job {
     /// [`Endpoint::sever`]: cut the link at this point of the stream.
     /// The sender is dropped once the cut has been handled — resynced,
     /// on a reconnecting link.
-    Sever(Sender<()>),
+    Sever(SyncSender<()>),
     /// The reader's socket failed after it had decoded `received`
     /// frames; the reader waits for the writer's verdict.
     Failed {
@@ -702,7 +706,7 @@ struct Writer {
     out: BufWriter<TcpStream>,
     /// Answers to the reader's failure reports: a fresh read half once
     /// the link resynced, or the error to deliver.
-    verdicts: Sender<TransportResult<BufReader<TcpStream>>>,
+    verdicts: SyncSender<TransportResult<BufReader<TcpStream>>>,
     shared: Arc<Shared>,
     /// Frames put on the wire so far: the send side of the cursor.
     sent: u64,
@@ -769,7 +773,7 @@ impl Writer {
                 }
                 // The write side is done: the next `send` reports why.
                 None => {
-                    *self.shared.error.lock() = Some(error);
+                    *lock(&self.shared.error) = Some(error);
                     false
                 }
             };
@@ -787,7 +791,7 @@ impl Writer {
                 true
             }
             Err(e) => {
-                *self.shared.error.lock() = Some(duplicate(&e));
+                *lock(&self.shared.error) = Some(duplicate(&e));
                 let _ = self.verdicts.send(Err(e));
                 false
             }
@@ -863,8 +867,8 @@ impl Writer {
 /// frame that preceded it.
 fn reader_loop(
     mut input: BufReader<TcpStream>,
-    inbox: Sender<TransportResult<Msg>>,
-    jobs: Sender<Job>,
+    inbox: SyncSender<TransportResult<Msg>>,
+    jobs: SyncSender<Job>,
     verdicts: Receiver<TransportResult<BufReader<TcpStream>>>,
 ) {
     let mut received = 0u64;
@@ -926,7 +930,7 @@ impl Endpoint {
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.stats.sent_by_kind[usize::from(wire::kind_byte(&msg))].fetch_add(1, Ordering::Relaxed);
         let deliver_at = match &self.net {
-            Some(net) => net.stream_delivery(&mut self.link_free.lock(), bytes, Instant::now()),
+            Some(net) => net.stream_delivery(&mut lock(&self.link_free), bytes, Instant::now()),
             None => Instant::now(),
         };
         match &self.wire {
@@ -962,7 +966,7 @@ impl Endpoint {
         let Wire::Tcp(link) = &self.wire else {
             return false;
         };
-        let (done, handled) = bounded::<()>(1);
+        let (done, handled) = sync_channel::<()>(1);
         if link.jobs.send(Job::Sever(done)).is_ok() {
             let _ = handled.recv();
         }
@@ -1106,9 +1110,9 @@ impl Endpoint {
             written: AtomicU64::new(0),
             error: Mutex::new(None),
         });
-        let (jobs, job_rx) = bounded(QUEUE_DEPTH);
-        let (inbox_tx, inbox) = bounded(QUEUE_DEPTH);
-        let (verdicts, verdict_rx) = bounded(1);
+        let (jobs, job_rx) = sync_channel(QUEUE_DEPTH);
+        let (inbox_tx, inbox) = sync_channel(QUEUE_DEPTH);
+        let (verdicts, verdict_rx) = sync_channel(1);
         let writer = Writer {
             jobs: job_rx,
             held: VecDeque::new(),
@@ -1191,8 +1195,8 @@ fn mismatch(expected: &'static str, got: &Msg) -> TransportError {
 
 /// Create a connected pair of endpoints (Party A's end, Party B's end).
 pub fn channel_pair() -> (Endpoint, Endpoint) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
+    let (tx_ab, rx_ab) = channel();
+    let (tx_ba, rx_ba) = channel();
     let end = |tx, rx| Endpoint::new(Wire::Channel { tx, rx });
     (end(tx_ab, rx_ba), end(tx_ba, rx_ab))
 }
@@ -1288,6 +1292,20 @@ mod tests {
         assert_eq!(a.stats().msgs(), 2);
         assert_eq!(a.stats().bytes(), (16 + 32 + 8) as u64);
         assert_eq!(b.stats().msgs(), 0);
+    }
+
+    #[test]
+    fn lock_recovers_after_holder_panics() {
+        let m = Arc::new(Mutex::new(vec![1]));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("holder dies with the lock");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        lock(&m).push(2);
+        assert_eq!(*lock(&m), vec![1, 2]);
     }
 
     #[test]

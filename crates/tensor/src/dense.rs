@@ -282,11 +282,6 @@ impl Dense {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, a| m.max(a.abs()))
@@ -386,7 +381,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Dense::from_vec(1, 2, vec![3.0, -4.0]);
-        assert!((a.frob_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 

@@ -13,6 +13,6 @@ pub mod table;
 pub mod time;
 
 pub use par::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
-pub use stats::{mean, mean_std, std_dev};
+pub use stats::{mean, std_dev};
 pub use table::Table;
 pub use time::Stopwatch;

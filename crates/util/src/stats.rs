@@ -22,11 +22,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// `(mean, std_dev)` in one pass over the formulae above.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    (mean(xs), std_dev(xs))
-}
-
 /// Pearson correlation coefficient between two equal-length series.
 ///
 /// Used by the Figure 11 harness to quantify how little the secret-share

@@ -52,12 +52,6 @@ impl Stopwatch {
     pub fn secs(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
-
-    /// Reset to zero, stopped.
-    pub fn reset(&mut self) {
-        self.accumulated = Duration::ZERO;
-        self.started = None;
-    }
 }
 
 /// Time a closure, returning `(result, seconds)`.
@@ -83,8 +77,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         sw.stop();
         assert!(sw.elapsed() > first);
-        sw.reset();
-        assert_eq!(sw.elapsed(), Duration::ZERO);
     }
 
     #[test]

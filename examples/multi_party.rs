@@ -7,102 +7,45 @@
 //! cargo run --release -p blindfl --example multi_party
 //! ```
 
-use bf_datagen::{generate, spec};
-use bf_ml::data::BatchIter;
-use bf_ml::loss::bce_with_logits;
-use bf_ml::metrics::auc;
-use bf_tensor::{Csr, Dense, Features};
+use bf_datagen::{generate, spec, vsplit_multi};
 use blindfl::config::FedConfig;
-use blindfl::multiparty::run_star;
-use blindfl::session::Session;
-use blindfl::source::matmul::{aggregate_a, aggregate_b, MatMulSource};
+use blindfl::models::FedSpec;
+use blindfl::train::{train_federated_multi, FedTrainConfig};
 
 fn main() {
     let dataset = spec("a9a").scaled(50, 1);
     let (train, test) = generate(&dataset, 31);
-    // Split features three ways: A1 | A2 | B.
-    let d = train.num_dim();
-    let (c1, c2) = (d / 3, 2 * d / 3);
-    let split3 = |ds: &bf_ml::Dataset| -> [Features; 3] {
-        let Features::Sparse(s) = ds.num.as_ref().unwrap() else {
-            panic!("expect sparse")
-        };
-        let cols = |lo: usize, hi: usize| -> Vec<u32> { (lo as u32..hi as u32).collect() };
-        [
-            Features::Sparse(s.select_cols(&cols(0, c1))),
-            Features::Sparse(s.select_cols(&cols(c1, c2))),
-            Features::Sparse(s.select_cols(&cols(c2, d))),
-        ]
-    };
-    let [x1, x2, xb] = split3(&train);
-    let [t1, t2, tb] = split3(&test);
-    let y: Vec<f64> = train.labels.as_ref().unwrap().as_binary().to_vec();
-    let y_test: Vec<f64> = test.labels.as_ref().unwrap().as_binary().to_vec();
+    // Party B keeps its two-party half of the features and the labels;
+    // the other half is split between the two guests.
+    let (train_v, test_v) = (vsplit_multi(&train, 2), vsplit_multi(&test, 2));
     println!(
         "3-party split: A1 {} / A2 {} / B {} features",
-        c1,
-        c2 - c1,
-        d - c2
+        train_v.guests[0].num_dim(),
+        train_v.guests[1].num_dim(),
+        train_v.party_b.num_dim()
     );
 
-    let cfg = FedConfig::plain();
-    let epochs = 6;
-    let bs = 128;
-    let n = train.rows();
-
-    // Each Party A runs the standard two-party loop over its own link;
-    // Party B drives the same layer over both links: its own share, then
-    // each guest's folded in.
-    fn forward(
-        layer: &mut MatMulSource,
-        sessions: &mut [Session],
-        x: &Features,
-        train: bool,
-    ) -> Dense {
-        let mut z = layer.forward(sessions, x, train).unwrap();
-        for sess in sessions.iter() {
-            z = aggregate_b(sess, z).unwrap();
-        }
-        z
-    }
-    let (_, (last_loss, z_test)) = run_star(
-        &cfg,
+    let tc = FedTrainConfig {
+        base: bf_ml::TrainConfig {
+            epochs: 6,
+            batch_size: 128,
+            ..Default::default()
+        },
+        snapshot_u_a: false,
+        ..Default::default()
+    };
+    // Each guest runs `run_party_a` over its own link; Party B runs
+    // `run_party_b` over both.
+    let (_, host) = train_federated_multi(
+        &FedSpec::Glm { out: 1 },
+        &FedConfig::plain(),
+        &tc,
+        train_v.guests,
+        train_v.party_b,
+        test_v.guests,
+        test_v.party_b,
         10,
-        vec![(x1, t1), (x2, t2)],
-        |(x, t), mut sess| {
-            let mut layer = MatMulSource::init(&mut sess, x.cols(), 1).unwrap();
-            for epoch in 0..epochs {
-                for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
-                    let xb = x.select_rows(&idx);
-                    let z = layer.forward(&mut sess, &xb, true).unwrap();
-                    aggregate_a(&sess, z).unwrap();
-                    layer.backward_a(&mut sess).unwrap();
-                }
-            }
-            // Federated inference on the test split.
-            let z = layer.forward(&mut sess, &t, false).unwrap();
-            aggregate_a(&sess, z).unwrap();
-        },
-        |mut sessions| {
-            let mut layer = MatMulSource::init(&mut sessions, xb.cols(), 1).unwrap();
-            let mut last_loss = f64::NAN;
-            for epoch in 0..epochs {
-                for idx in BatchIter::new(n, bs, 7 ^ epoch as u64) {
-                    let x_batch = xb.select_rows(&idx);
-                    let y_batch: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                    let z = forward(&mut layer, &mut sessions, &x_batch, true);
-                    let (loss, grad) = bce_with_logits(&z, &y_batch);
-                    last_loss = loss;
-                    layer.backward_b(&mut sessions, &grad).unwrap();
-                }
-            }
-            (last_loss, forward(&mut layer, &mut sessions, &tb, false))
-        },
     );
-    println!("final training loss = {last_loss:.4}");
-    println!(
-        "3-party federated LR test AUC = {:.3}",
-        auc(z_test.data(), &y_test)
-    );
-    let _ = Csr::from_triplets; // keep Csr import obviously used
+    println!("final training loss = {:.4}", host.losses.last().unwrap());
+    println!("3-party federated LR test AUC = {:.3}", host.test_metric);
 }

@@ -41,7 +41,7 @@ for name in $members; do
 done
 
 # Guard against a parsing regression silently testing nothing: this
-# workspace has 14 members, well above the floor.
+# workspace has 12 members, well above the floor.
 if [ "$count" -lt 10 ]; then
     echo "only $count test suites ran — member discovery is broken" >&2
     exit 1

@@ -30,13 +30,14 @@
 //! comparison that notices a gateway and a replay agreeing on garbage.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bf_datagen::{generate, spec, vsplit, vsplit_multi};
 use bf_ml::data::Dataset;
-use bf_mpc::{channel_pair_with_network, Endpoint, NetworkProfile};
+use bf_mpc::{channel_pair_with_network, wire, Endpoint, NetworkProfile};
 use bf_paillier::{export_public, export_secret, import_public, import_secret};
 use bf_tensor::Dense;
 use blindfl::config::FedConfig;
@@ -731,4 +732,52 @@ fn bad_rows_are_rejected_at_the_front_door() {
         report.replicas[0].rejected, 0,
         "front-door rejections never reach the replica"
     );
+}
+
+#[test]
+fn an_oversized_request_header_is_refused_before_its_payload() {
+    // A client sends a `Ct` header claiming 512 MiB and then nothing,
+    // keeping its socket open. A request is one 8-byte `U64`, so the
+    // gateway must close that connection at the header rather than
+    // wait to buffer the claimed payload — and keep serving others.
+    let cfg = FedConfig::plain();
+    let t = train_and_export(&cfg, 64);
+    let (report, (closed_in, reply)) =
+        two_party_gateway(&cfg, &t, 1, &GatewayConfig::default(), None, |addr| {
+            let mut hostile = TcpStream::connect(addr).unwrap();
+            let len = (512u32 << 20).to_le_bytes();
+            let header = [
+                wire::MAGIC[0],
+                wire::MAGIC[1],
+                wire::VERSION,
+                wire::KIND_CT,
+                len[0],
+                len[1],
+                len[2],
+                len[3],
+            ];
+            hostile.write_all(&header).unwrap();
+            hostile
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            let sent = Instant::now();
+            let closed = match hostile.read(&mut [0u8; 1]) {
+                Ok(0) => true,
+                Ok(_) => false,
+                Err(e) => e.kind() == ErrorKind::ConnectionReset,
+            };
+            let closed_in = closed.then(|| sent.elapsed());
+            let mut client = GatewayClient::connect(addr, CONNECT_TIMEOUT).unwrap();
+            client.submit(0).unwrap();
+            let (_, reply) = client.recv().unwrap();
+            (closed_in, reply)
+        });
+    let closed_in = closed_in.expect("the gateway kept an oversized frame's connection open");
+    assert!(
+        closed_in < Duration::from_secs(2),
+        "closed after {closed_in:?}"
+    );
+    assert!(reply.is_ok(), "the next client was refused: {reply:?}");
+    assert_eq!(report.answered, 1);
+    assert_eq!(report.clients, 2);
 }
