@@ -8,19 +8,27 @@
 //!   schoolbook multiplication and Knuth Algorithm D division,
 //! * [`mont::MontCtx`] — Montgomery multiplication and sliding-window
 //!   multi-exponentiation (the workhorse of Paillier encryption and of
-//!   every homomorphic dot product),
+//!   every homomorphic dot product), and [`MontCtx::pow_many`], many
+//!   bases to one exponent, which on x86_64 CPUs with AVX-512 IFMA
+//!   raises eight at a time in the lanes of one vector (the Paillier
+//!   key owner's CRT halves: decryption and its obfuscation pool),
 //! * [`prime`] — Miller–Rabin primality testing and random prime
 //!   generation,
 //! * [`modular`] — gcd, extended gcd, and modular inverses,
 //! * [`rng`] — uniform sampling of big integers.
 //!
 //! The implementation favours clarity and testability; performance is
-//! addressed where it matters for the protocols (Montgomery arithmetic,
-//! operand scanning multiplication with `u128` intermediates).
+//! addressed where it matters for the protocols (Montgomery arithmetic:
+//! `u128` bodies everywhere, a `mulx`/`adcx`/`adox` row on x86_64 with
+//! BMI2 and ADX, and the IFMA lane kernel). Those two x86_64 kernels
+//! are the crate's only `unsafe`, each reached only after
+//! `is_x86_feature_detected!` has seen its features.
 
 #![warn(missing_docs)]
 #![allow(clippy::same_item_push)] // limb padding loops
 pub mod div;
+#[cfg(target_arch = "x86_64")]
+mod ifma;
 pub mod modular;
 pub mod mont;
 pub mod mul;

@@ -11,11 +11,17 @@
 //!
 //! Those two come in two sets ([`KernelSet`]), picked once per modulus
 //! by [`MontCtx::new`]: on x86_64 with BMI2 and ADX, a multiply and a
-//! squaring built on one `mulx`/`adcx`/`adox` row `t += x·v` — the
-//! crate's one `unsafe` block — and everywhere else the portable `u128`
-//! bodies, which [`MontCtx::with_slice_kernels`] keeps as the tests'
-//! reference. Montgomery outputs are canonical, so both sets return the
-//! same limbs.
+//! squaring built on one `mulx`/`adcx`/`adox` row `t += x·v` (an `asm!`
+//! block), and everywhere else the portable `u128` bodies, which
+//! [`MontCtx::with_slice_kernels`] keeps as the tests' reference.
+//! Montgomery outputs are canonical, so both sets return the same limbs.
+//!
+//! Many bases raised to one exponent — the key owner's CRT halves —
+//! take [`MontCtx::pow_many`], which `new` also picks once per modulus:
+//! on x86_64 with AVX-512F and IFMA, and a modulus of one of the
+//! [`LANE_WIDTHS`], eight bases at a time in the lanes of one vector
+//! (`crate::ifma`); else one [`MontCtx::pow`] per base. The `asm!` row
+//! and the lane kernel are the crate's only `unsafe`.
 
 use crate::BigUint;
 
@@ -47,6 +53,51 @@ pub struct MontCtx {
     r3: Vec<u64>,
     /// The multiply and square kernels, picked once in [`MontCtx::new`].
     kernels: Kernels,
+    /// The eight-lane kernel of [`MontCtx::pow_many`], if this CPU and
+    /// this modulus have one; picked once in [`MontCtx::new`].
+    lanes: Option<LaneCtx>,
+}
+
+/// How many bases the lane kernel of [`MontCtx::pow_many`] raises at
+/// once: one per 64-bit lane of a 512-bit vector. Callers that split a
+/// batch between threads hand each a multiple of this.
+pub const LANES: usize = 8;
+
+/// The moduli widths, in 52-bit limbs, the lane kernel serves: the
+/// primes and squared primes of 512-, 1024- and 2048-bit keys. A modulus
+/// of `b` bits is `⌈(b + 2)/52⌉` limbs wide (its kernel needs `4m <
+/// 2^(52·limbs)`); other widths take [`PowMany::Scalar`].
+pub const LANE_WIDTHS: [usize; 4] = [5, 10, 20, 40];
+
+#[cfg(target_arch = "x86_64")]
+use crate::ifma::LaneCtx;
+
+/// No lane kernel off x86_64: the context cannot be built.
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Debug)]
+enum LaneCtx {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl LaneCtx {
+    fn new(_: &BigUint) -> Option<Self> {
+        None
+    }
+
+    fn pow_many(&self, _: &[BigUint], _: &BigUint) -> Vec<BigUint> {
+        match *self {}
+    }
+}
+
+/// Which exponentiation [`MontCtx::pow_many`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PowMany {
+    /// One [`MontCtx::pow`] per base: every target and width, and the
+    /// reference the lane kernel is tested against.
+    Scalar,
+    /// Eight bases at a time in the lanes of AVX-512 IFMA vectors
+    /// (x86_64 with AVX-512F and IFMA, moduli of 5, 10, 20 or 40
+    /// 52-bit limbs).
+    Lanes,
 }
 
 /// `(m, m_inv, a, b, out)`: `out = a·b·R⁻¹ mod m`, all `m.len()` limbs.
@@ -117,18 +168,22 @@ impl MontCtx {
     /// Build a context. Panics if `m` is even or < 3.
     ///
     /// Runs the [`KernelSet::Adx`] kernels when the CPU reports BMI2 and
-    /// ADX, the [`KernelSet::Portable`] ones otherwise.
+    /// ADX, the [`KernelSet::Portable`] ones otherwise; and
+    /// [`MontCtx::pow_many`] on [`PowMany::Lanes`] when the CPU reports
+    /// AVX-512F and IFMA and the modulus has a lane kernel's width.
     pub fn new(m: &BigUint) -> Self {
         let mut ctx = Self::with_slice_kernels(m);
         #[cfg(target_arch = "x86_64")]
         if let Some(kernels) = adx::kernels() {
             ctx.kernels = kernels;
         }
+        ctx.lanes = LaneCtx::new(m);
         ctx
     }
 
-    /// [`MontCtx::new`] on the [`KernelSet::Portable`] kernels whatever
-    /// the CPU: the reference the other set is tested against.
+    /// [`MontCtx::new`] on the [`KernelSet::Portable`] kernels and the
+    /// [`PowMany::Scalar`] path whatever the CPU: the reference the
+    /// other kernels are tested against.
     pub fn with_slice_kernels(m: &BigUint) -> Self {
         assert!(!m.is_even() && m.bits() >= 2, "modulus must be odd and > 1");
         let k = m.limbs.len();
@@ -146,12 +201,21 @@ impl MontCtx {
             r2,
             r3,
             kernels: PORTABLE,
+            lanes: None,
         }
     }
 
     /// The kernel set this context runs.
     pub fn kernel_set(&self) -> KernelSet {
         self.kernels.set
+    }
+
+    /// The path [`MontCtx::pow_many`] takes.
+    pub fn pow_many_path(&self) -> PowMany {
+        match self.lanes {
+            Some(_) => PowMany::Lanes,
+            None => PowMany::Scalar,
+        }
     }
 
     /// Convert to Montgomery form: `a*R mod m`. `a` must be `< m`.
@@ -391,6 +455,17 @@ impl MontCtx {
     /// Modular exponentiation `base^exp mod m`.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         self.from_mont(&self.pow_mont(&self.to_mont(&base.rem(&self.m)), exp))
+    }
+
+    /// [`MontCtx::pow`] of every base to one exponent: `b^exp mod m` for
+    /// each `b` of `bases`, in order. On [`PowMany::Lanes`] eight bases
+    /// share one recoding, one squaring chain and one table index, each
+    /// in its own lane; a partial last group costs a full one.
+    pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
+        match &self.lanes {
+            Some(lanes) => lanes.pow_many(bases, exp),
+            None => bases.iter().map(|b| self.pow(b, exp)).collect(),
+        }
     }
 
     /// Invert every `k`-limb Montgomery-form value of the flat slab
@@ -732,7 +807,7 @@ mod adx {
 /// Recode `e` into sliding windows of at most `w` bits, highest first:
 /// `emit(pos, entry)` for the odd digit `2·entry + 1` whose lowest bit
 /// sits at bit `pos`.
-fn sliding_windows(e: &BigUint, w: u32, mut emit: impl FnMut(usize, usize)) {
+pub(crate) fn sliding_windows(e: &BigUint, w: u32, mut emit: impl FnMut(usize, usize)) {
     let mut i = e.bits();
     while i > 0 {
         if !e.bit(i - 1) {
@@ -752,7 +827,7 @@ fn sliding_windows(e: &BigUint, w: u32, mut emit: impl FnMut(usize, usize)) {
 }
 
 /// Inverse of an odd u64 modulo 2^64 (Newton iteration).
-fn inv64(x: u64) -> u64 {
+pub(crate) fn inv64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct mod 2^3
     for _ in 0..5 {

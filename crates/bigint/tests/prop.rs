@@ -2,7 +2,7 @@
 //! reconstruction, Montgomery consistency, and modular-inverse
 //! correctness over arbitrary inputs.
 
-use bf_bigint::mont::{window_bits, KernelSet, PowTerm};
+use bf_bigint::mont::{window_bits, KernelSet, PowMany, PowTerm, LANES, LANE_WIDTHS};
 use bf_bigint::{mod_inv, BigUint, MontCtx};
 use proptest::prelude::*;
 
@@ -249,6 +249,111 @@ fn new_picks_the_adx_kernels_exactly_when_the_cpu_has_bmi2_and_adx() {
     }
 }
 
+/// An odd modulus of exactly `bits` bits, its body read off `words`.
+fn odd_of_bits(words: &[u64], bits: usize) -> BigUint {
+    let mut limbs = words[..bits.div_ceil(64)].to_vec();
+    let top = (bits - 1) % 64;
+    let last = limbs.last_mut().unwrap();
+    *last = (*last & (u64::MAX >> (63 - top))) | 1 << top;
+    limbs[0] |= 1;
+    BigUint::from_limbs(limbs)
+}
+
+/// The narrowest and the widest modulus of each width the lane kernel
+/// serves: `l` 52-bit limbs hold moduli of `52(l − 1) − 1 ..= 52l − 2`
+/// bits.
+fn lane_moduli() -> Vec<BigUint> {
+    let words: Vec<u64> = (1..=33u64)
+        .map(|i| {
+            0x9e37_79b9_7f4a_7c15u64
+                .wrapping_mul(i)
+                .rotate_left(i as u32)
+        })
+        .collect();
+    LANE_WIDTHS
+        .iter()
+        .flat_map(|&l| [52 * (l - 1) - 1, 52 * l - 2].map(|bits| odd_of_bits(&words, bits)))
+        .collect()
+}
+
+/// Whether this CPU runs the lane kernel: x86_64 with AVX-512F and IFMA.
+fn has_ifma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+#[test]
+fn new_picks_the_lane_kernel_exactly_when_the_cpu_has_avx512f_and_ifma() {
+    // A detection slip would not change a byte either: it would raise
+    // every batch one base at a time, or fault on a CPU without IFMA.
+    let want = if has_ifma() {
+        PowMany::Lanes
+    } else {
+        PowMany::Scalar
+    };
+    for m in lane_moduli() {
+        assert_eq!(MontCtx::new(&m).pow_many_path(), want, "{} bits", m.bits());
+        let reference = MontCtx::with_slice_kernels(&m);
+        assert_eq!(reference.pow_many_path(), PowMany::Scalar);
+    }
+    // Between and past the served widths: one base at a time.
+    let words = vec![0x5555_5555_5555_5555u64; 41];
+    for bits in [2, 64, 52 * 5 - 1, 52 * 10 - 1, 52 * 40 - 1, 2600] {
+        let m = odd_of_bits(&words, bits);
+        assert_eq!(
+            MontCtx::new(&m).pow_many_path(),
+            PowMany::Scalar,
+            "{bits} bits"
+        );
+    }
+}
+
+#[test]
+fn the_lane_kernel_equals_pow_mont_at_every_width_and_lane_count() {
+    if !has_ifma() {
+        return;
+    }
+    for m in lane_moduli() {
+        let ctx = MontCtx::new(&m);
+        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
+        let bits = m.bits();
+        let mut x = m.shr(2);
+        let mut random = || {
+            x = x.mul(&x).add_u64(0x9e37).rem(&m);
+            x.clone()
+        };
+        // Eight bases: the edges, four random values and one past m.
+        let mut pool = vec![BigUint::zero(), BigUint::one(), m.sub_u64(1)];
+        pool.extend((0..4).map(|_| random()));
+        pool.push(m.add(&random()));
+        // Every lane count under the short exponents; two (a partial
+        // group and a full one) under the full-width ones, whose
+        // squaring chains cost what a decryption's do.
+        let short = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::one().shl(64),
+            random().rem(&BigUint::one().shl(64)),
+        ];
+        let full = [
+            BigUint::one().shl(bits - 1),
+            BigUint::one().shl(bits).sub_u64(1),
+            random(),
+        ];
+        let cases = short
+            .iter()
+            .flat_map(|e| (1..=LANES).map(move |live| (e, live)));
+        for (e, live) in cases.chain(full.iter().flat_map(|e| [(e, 3), (e, LANES)])) {
+            // The edges land in a different lane at each count.
+            let bases: Vec<BigUint> = (0..live).map(|i| pool[(i + live) % 8].clone()).collect();
+            let want: Vec<BigUint> = bases.iter().map(|b| ctx.pow(b, e)).collect();
+            assert_eq!(ctx.pow_many(&bases, e), want, "{bits} bits, {live} lanes");
+        }
+    }
+}
+
 #[test]
 fn batch_inv_mont_inverts_every_value() {
     for limbs in [1usize, 5] {
@@ -302,6 +407,27 @@ proptest! {
             }
             prop_assert_eq!((k, picked.pow_mont(&x, &e)), (k, portable.pow_mont(&x, &e)));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn pow_many_matches_pow_at_every_lane_width(
+        words in prop::collection::vec(any::<u64>(), 33),
+        width in 0..LANE_WIDTHS.len(),
+        widest in any::<bool>(),
+        bases in prop::collection::vec(big(33), 1..=2 * LANES + 1),
+        e in big(2),
+    ) {
+        // A random modulus at either end of a served width, bases of any
+        // size (some past m), groups of eight and a partial last one.
+        let l = LANE_WIDTHS[width];
+        let m = odd_of_bits(&words, if widest { 52 * l - 2 } else { 52 * (l - 1) - 1 });
+        let ctx = MontCtx::new(&m);
+        let want: Vec<BigUint> = bases.iter().map(|b| ctx.pow(b, &e)).collect();
+        prop_assert_eq!(ctx.pow_many(&bases, &e), want);
     }
 }
 

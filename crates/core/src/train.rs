@@ -373,7 +373,7 @@ pub fn run_party_a(
                 model.forward(sess, &batch, true)?;
                 model.backward(sess)?;
                 if let Some(cad) = &tc.checkpoint {
-                    if (global + 1) % cad.every_batches.max(1) == 0 {
+                    if (global + 1).is_multiple_of(cad.every_batches.max(1)) {
                         let blob = persist::export_checkpoint_a(
                             epoch as u64,
                             global % bpe + 1,
@@ -488,7 +488,7 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
             |batch| {
                 losses.push(model.train_batch(links, &batch)?);
                 if let Some(cad) = &tc.checkpoint {
-                    if (global + 1) % cad.every_batches.max(1) == 0 {
+                    if (global + 1).is_multiple_of(cad.every_batches.max(1)) {
                         let cursors: Vec<_> = links.iter().map(Session::capture_cursor).collect();
                         let blob = persist::export_checkpoint_b(
                             epoch as u64,

@@ -342,7 +342,7 @@ impl PublicKey {
         // depends on shared configuration and shape only, so both
         // parties always agree on the layout.
         let lanes = match (mode, self.slot_layout()) {
-            (PaillierMode::Packed, Some(layout)) if seg >= 2 && m.cols() % seg == 0 => {
+            (PaillierMode::Packed, Some(layout)) if seg >= 2 && m.cols().is_multiple_of(seg) => {
                 LaneLayout::Packed { layout, seg }
             }
             _ => LaneLayout::OnePerLane,
@@ -780,6 +780,18 @@ impl PublicKey {
     }
 }
 
+/// The fewest ciphertexts for which [`SecretKey::decrypt`] batches the
+/// CRT halves of a call ([`PaillierSk::raw_decrypt_many`]); smaller
+/// calls decrypt one ciphertext per parallel item. A batch runs its
+/// halves [`LANES`] at a time, and a group with few live lanes costs a
+/// full one on one thread, its `q` group after its `p` group: a served
+/// request of a chunk or two gains nothing from it and keeps the
+/// per-ciphertext path, which splits its ciphertexts between threads.
+///
+/// [`PaillierSk::raw_decrypt_many`]: crate::PaillierSk::raw_decrypt_many
+/// [`LANES`]: bf_bigint::mont::LANES
+pub const BATCH_DECRYPT_MIN: usize = 16;
+
 impl SecretKey {
     /// Whether `ct` is a body this key decrypts, or why not: the key's
     /// own backend, for Paillier its ciphertext width and a lane layout
@@ -828,10 +840,22 @@ impl SecretKey {
                 }
                 // A chunk's plaintext spans its used slots only, and one
                 // that stays below p/2 costs one CRT half.
-                par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
-                    let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
-                    lanes.decode(&m, pk, ct.scale, out);
-                });
+                if outs.len() < BATCH_DECRYPT_MIN {
+                    par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
+                        let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
+                        lanes.decode(&m, pk, ct.scale, out);
+                    });
+                } else {
+                    let batch: Vec<(&[u64], Option<usize>)> = outs
+                        .iter()
+                        .enumerate()
+                        .map(|(idx, out)| (cts.nth(idx), lanes.width(out.len())))
+                        .collect();
+                    let ms = sk.raw_decrypt_many(&batch);
+                    par_for_each_mut(&mut outs, |idx, out| {
+                        lanes.decode(&ms[idx], pk, ct.scale, out)
+                    });
+                }
                 Dense::from_vec(ct.rows, ct.cols, vals)
             }
             (SecretKey::Plain, Body::Plain(v)) => Dense::from_vec(ct.rows, ct.cols, v.clone()),

@@ -84,21 +84,27 @@
 //! wider — or a scalar ciphertext, which states no width — pays both
 //! halves. A half is an exponentiation mod `p²` with a `key_bits/2`-bit
 //! exponent: ≈ `key_bits/2` half-width squarings, worth ≈ `key_bits/8`
-//! full-width ones. One output of a fold costs `(f−1)·u·slot_bits`
-//! squarings and `f−1` multiplies mod `n²` on one chain, replaces `f`
-//! source decryptions by one, and ships `f×` fewer bytes. At 1024-bit
-//! keys (9 slots of 104 bits, a half ≈ 128 full-width squarings):
+//! full-width ones on the same kernel. A call of
+//! [`crate::BATCH_DECRYPT_MIN`] ciphertexts or more runs its halves
+//! eight to a lane-kernel group on CPUs with AVX-512 IFMA
+//! ([`bf_bigint::MontCtx::pow_many`]), ≈ 7–10× cheaper per half at
+//! 1024-bit keys than the `mulx`/`adx` scalar exponentiation; the fold's
+//! chain runs on the scalar kernel. One output of a fold costs
+//! `(f−1)·u·slot_bits` squarings and `f−1` multiplies mod `n²` on one
+//! chain, replaces `f` source decryptions by one, and ships `f×` fewer
+//! bytes. At 1024-bit keys (9 slots of 104 bits, a half ≈ 128 full-width
+//! squarings on the scalar kernel, ≈ 13–18 on the lane kernel):
 //!
 //! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
 //!   one-column product, or a `dim = 1` embedding gradient; `matmul_ct_wt`,
 //!   the one kernel that contracts over the axis slots run along, feeds
-//!   no BlindFL reply): 832 squarings turn 18 halves into 2, a bit over
-//!   a third of the work per value;
+//!   no BlindFL reply): 832 squarings turn 18 halves into 2 — a third of
+//!   the work per value against scalar halves, about twice it against
+//!   batched lane halves;
 //! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: the four
-//!   sources are narrow, so 624 squarings turn 4 halves into 2. That is
-//!   still a loss, of ≈ 0.3 ms per four cells in time; the fold is kept
-//!   for the quarter of the bytes, which is what the tree workload's
-//!   wire bound rests on;
+//!   sources are narrow, so 624 squarings turn 4 halves into 2, a loss
+//!   in time on either kernel. The fold is kept for the quarter of the
+//!   bytes, which is what the tree workload's wire bound rests on;
 //! - `u = 3`, `f = 3`: 624 squarings save one half; `u = 4`, `f = 2`:
 //!   416 save none (two narrow sources, one full output) — both a loss
 //!   in time for a third or half of the bytes. `repack` folds every
@@ -107,14 +113,16 @@
 //!   before it calls.
 //!
 //! Probed at that key size (256 source ciphertexts, fold + decrypt of
-//! the folded body against decrypting the sources, 1 thread / 2,
-//! medians of four runs on a 2-vCPU Xeon VM with the `mulx`/`adx`
-//! Montgomery kernels): `u = 1` 0.34× / 0.33×, `u = 2` 1.25× / 1.29×,
-//! `u = 3` 1.8× / 1.7×, `u = 4` 2.05× / 2.1×. The fold's 32-limb
-//! squarings gained more from those kernels (≈ 1.6×) than the 16-limb
-//! halves it saves (≈ 1.35×), so every ratio fell from the `u128`
-//! kernels' 0.39× / 1.46× / 1.96× / 2.31× (1 thread, same probe and
-//! box), but no fold of narrow sources pays in time.
+//! the folded body against decrypting the sources, 1 thread / 2, two
+//! rounds each alternating with the tree before the lane kernel, on a
+//! 2-vCPU Xeon VM with AVX-512 IFMA and the `mulx`/`adx` kernels), the
+//! ratio is `u = 1` 1.9–2.0× / 1.8–1.9×, `u = 2` 6.3× / 6.9–7.0×,
+//! `u = 3` 7.8–8.0× / 7.0–7.8×, `u = 4` 8.3–10.3× / 8.5–9.5×, against
+//! 0.38–0.42× / 0.35–0.36×, 1.27–1.42× / 1.17–1.33×, 1.6–1.7× and
+//! 2.0–2.1× before it: the decryptions a fold saves got ≈ 7× cheaper,
+//! its chain did not. So every fold is now a loss in time and each is
+//! kept for its bytes; a fold whose chain ran on the lane kernel too
+//! (eight groups' chains at once) is ROADMAP item 3's follow-up.
 //!
 //! The folded body is an ordinary packed `1 × N` row whose
 //! [`SlotLayout::slots`] is `f·u`, not the key's: decoders take the
@@ -450,7 +458,7 @@ impl LaneLayout {
     pub(crate) fn tiles(&self, cols: usize) -> bool {
         match *self {
             LaneLayout::OnePerLane => true,
-            LaneLayout::Packed { seg, .. } => cols % seg == 0,
+            LaneLayout::Packed { seg, .. } => cols.is_multiple_of(seg),
         }
     }
 

@@ -3,8 +3,10 @@
 //! the decrypt-only repack of scalar bodies and of narrow packed rows
 //! (bit-identity with the unfolded decrypt, and the mask envelope at its
 //! boundary), the width-aware CRT decryption (one half for plaintexts
-//! below `p/2` ≡ both halves, ring element for ring element), the key
-//! owner's conformance check of a received body, the packed
+//! below `p/2` ≡ both halves, ring element for ring element), the
+//! batched decryption (the CRT halves of a call eight to a lane-kernel
+//! group ≡ one ciphertext at a time), the key owner's conformance check
+//! of a received body, the packed
 //! ciphertext-tensor codec (golden bytes + corruption fuzz, mirroring
 //! the wire_prop suite in bf-mpc), and the `g = n + 1` identity every
 //! plaintext enters a ciphertext by (`x + n·(m·x mod n)`), byte for
@@ -18,9 +20,10 @@ use std::sync::OnceLock;
 
 use bf_bigint::BigUint;
 use bf_paillier::{
-    encode, encode_exponent, export_ctmat, import_ctmat, import_secret, keygen, keys::plain_keys,
-    pack_values, unpack_values, CtMat, ObfMode, Obfuscator, PackError, PaillierMode, PaillierPk,
-    PaillierSk, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
+    decode, encode, encode_exponent, export_ctmat, import_ctmat, import_secret, keygen,
+    keys::plain_keys, pack_values, unpack_values, CtMat, ObfMode, Obfuscator, PackError,
+    PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey, SlotLayout, BATCH_DECRYPT_MIN,
+    MAX_HE_MASK,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -906,12 +909,17 @@ fn limb_slot_codec_keeps_the_edges_of_the_reference() {
     }
 }
 
+/// A 2048-bit key at the benchmark's `frac_bits`.
+fn wide_key() -> &'static Keys {
+    static WIDE: OnceLock<Keys> = OnceLock::new();
+    WIDE.get_or_init(|| paillier(2048, 32))
+}
+
 /// The widths the key owner's obfuscator is held against the public one
 /// at: the codec's three and a 2048-bit key.
 fn obf_keys() -> Vec<&'static Keys> {
-    static WIDE: OnceLock<Keys> = OnceLock::new();
     let mut keys = codec_keys().to_vec();
-    keys.push(WIDE.get_or_init(|| paillier(2048, 32)));
+    keys.push(wide_key());
     keys
 }
 
@@ -940,6 +948,136 @@ fn the_key_owners_pool_draws_and_encrypts_what_the_public_one_does() {
                 let got = export_ctmat(&keys.0.encrypt_mode(&m, mode, &secret));
                 assert!(got == want, "{} bits, Pool({size}), {mode:?}", pk.key_bits);
             }
+        }
+    }
+}
+
+/// What `decrypt` reads off one ciphertext: its limbs and the bound its
+/// lane states to `PaillierSk::raw_decrypt`.
+type Lane = (Vec<u64>, Option<usize>);
+
+/// `SecretKey::decrypt` one ciphertext at a time, read off the `Ct` wire
+/// layout: every ciphertext through `PaillierSk::raw_decrypt` under the
+/// bound its lane states (nothing for one value, `used · slot_bits` for
+/// a chunk), and its values through the public codecs. Returns the
+/// matrix, each lane, and the ring element each lane decrypts to.
+fn decrypt_one_by_one(keys: &Keys, ct: &CtMat) -> (Dense, Vec<Lane>, Vec<BigUint>) {
+    let (pk, sk) = raw(keys);
+    let bytes = export_ctmat(ct);
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (rows, cols, scale, k) = (word(0), word(8), bytes[16], word(18));
+    // (slot layout, segment width, first limb byte); one value per lane
+    // is a one-column chunk.
+    let (layout, seg, at) = match bytes[17] {
+        1 => (None, 1, ONE_PER_LANE_HEADER),
+        2 => {
+            let layout = SlotLayout {
+                slot_bits: word(26) as u32,
+                slots: word(34),
+            };
+            (Some(layout), word(42), ONE_PER_LANE_HEADER + 24)
+        }
+        tag => panic!("body tag {tag}"),
+    };
+    let slots = layout.map_or(1, |l| l.slots);
+    // (first value, values) of every lane, row-major.
+    let mut spans = Vec::new();
+    for row in 0..rows {
+        for s in (0..cols).step_by(seg) {
+            for first in (0..seg).step_by(slots) {
+                spans.push((row * cols + s + first, slots.min(seg - first)));
+            }
+        }
+    }
+    let limbs: Vec<u64> = bytes[at..]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    assert_eq!(limbs.len(), spans.len() * k);
+    let lanes: Vec<Lane> = limbs
+        .chunks_exact(k)
+        .zip(&spans)
+        .map(|(c, &(_, used))| (c.to_vec(), layout.map(|l| used * l.slot_bits as usize)))
+        .collect();
+    let ms: Vec<BigUint> = lanes.iter().map(|(c, b)| sk.raw_decrypt(c, *b)).collect();
+    let mut vals = vec![0.0; rows * cols];
+    for (m, &(first, used)) in ms.iter().zip(&spans) {
+        let out = &mut vals[first..first + used];
+        match layout {
+            None => out[0] = decode(m, pk.frac_bits, scale, &pk.n, &pk.half_n),
+            Some(l) => unpack_values(m, pk.frac_bits, scale, l, &pk.n, &pk.half_n, out),
+        }
+    }
+    (Dense::from_vec(rows, cols, vals), lanes, ms)
+}
+
+/// `rows × cols` values on the fixed-point grid, both signs.
+fn grid(rows: usize, cols: usize) -> Dense {
+    let vals = (0..rows * cols).map(|i| ((i * 7919) % 2001) as f64 / 256.0 - 3.90625);
+    Dense::from_vec(rows, cols, vals.collect())
+}
+
+#[test]
+fn batched_decryption_equals_the_per_ciphertext_path() {
+    // `decrypt` batches the CRT halves of a call from BATCH_DECRYPT_MIN
+    // ciphertexts up, eight to a lane-kernel group where the CPU has
+    // one. Every body a key owner decrypts, at the key widths whose
+    // moduli the lane kernel serves, equals the per-ciphertext path.
+    let min = BATCH_DECRYPT_MIN;
+    let keys = [fold_keys()[0], &repack_keys()[1], wide_key()];
+    for keys in keys {
+        let (pk, sk, obf) = keys;
+        let (slots, _) = geometry(pk);
+        // Rows of two values fold g to a ciphertext.
+        let g = slots / 2;
+        let bodies: Vec<(&str, CtMat, usize)> = vec![
+            (
+                "scalar",
+                pk.encrypt_at_scale(&grid(1, min - 1), 1, obf),
+                min - 1,
+            ),
+            ("scalar", pk.encrypt_at_scale(&grid(1, min), 1, obf), min),
+            ("scalar", pk.encrypt_at_scale(&grid(3, 7), 2, obf), 21),
+            (
+                "full chunks",
+                packed_rows(keys, &grid(min - 1, slots), 2),
+                min - 1,
+            ),
+            (
+                "full chunks",
+                packed_rows(keys, &grid(min + 1, slots), 2),
+                min + 1,
+            ),
+            (
+                "narrow chunks",
+                packed_rows(keys, &grid(min + 2, 2), 2),
+                min + 2,
+            ),
+            // mlr_wide's reply rows: two full chunks and a two-slot tail.
+            (
+                "full, full, narrow",
+                packed_rows(keys, &grid(6, 2 * slots + 2), 2),
+                18,
+            ),
+            (
+                "folded rows",
+                pk.repack(packed_rows(keys, &grid(g * min + 1, 2), 2)),
+                min + 1,
+            ),
+            (
+                "folded scalar",
+                pk.repack(pk.encrypt_at_scale(&grid(1, slots * (min - 1) + 3), 1, obf)),
+                min,
+            ),
+        ];
+        for (name, ct, count) in bodies {
+            let what = format!("{} bits, {name}, {count} ciphertexts", raw(keys).0.key_bits);
+            let (want, lanes, ms) = decrypt_one_by_one(keys, &ct);
+            assert_eq!(lanes.len(), count, "{what}");
+            let batch: Vec<(&[u64], Option<usize>)> =
+                lanes.iter().map(|(c, b)| (&c[..], *b)).collect();
+            assert!(raw(keys).1.raw_decrypt_many(&batch) == ms, "{what}");
+            assert_eq!(bits(&sk.decrypt(&ct)), bits(&want), "{what}");
         }
     }
 }
