@@ -17,11 +17,14 @@
 //! Montgomery outputs are canonical, so both sets return the same limbs.
 //!
 //! Many bases raised to one exponent — the key owner's CRT halves —
-//! take [`MontCtx::pow_many`], which `new` also picks once per modulus:
-//! on x86_64 with AVX-512F and IFMA, and a modulus of one of the
-//! [`LANE_WIDTHS`], eight bases at a time in the lanes of one vector
-//! (`crate::ifma`); else one [`MontCtx::pow`] per base. The `asm!` row
-//! and the lane kernel are the crate's only `unsafe`.
+//! take [`MontCtx::pow_many`], and many folds `Π_j s_j^(2^(j·shift))`
+//! of one shift — a packed reply's slots laid end to end — take
+//! [`MontCtx::fold_many`]. `new` picks their path once per modulus: on
+//! x86_64 with AVX-512F and IFMA, and a modulus of one of the
+//! [`LANE_WIDTHS`], eight chains at a time in the lanes of one vector
+//! (`crate::ifma`); else one [`MontCtx::pow`] or [`MontCtx::fold`] at a
+//! time. The `asm!` row and the lane kernel are the crate's only
+//! `unsafe`.
 
 use crate::BigUint;
 
@@ -86,17 +89,22 @@ impl LaneCtx {
     fn pow_many(&self, _: &[BigUint], _: &BigUint) -> Vec<BigUint> {
         match *self {}
     }
+
+    fn fold_many(&self, _: &[u64], _: usize, _: usize, _: usize) -> Vec<u64> {
+        match *self {}
+    }
 }
 
-/// Which exponentiation [`MontCtx::pow_many`] runs.
+/// Which chains [`MontCtx::pow_many`] and [`MontCtx::fold_many`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PowMany {
-    /// One [`MontCtx::pow`] per base: every target and width, and the
-    /// reference the lane kernel is tested against.
+    /// One [`MontCtx::pow`] per base, one [`MontCtx::fold`] per run:
+    /// every target and width, and the reference the lane kernel is
+    /// tested against.
     Scalar,
-    /// Eight bases at a time in the lanes of AVX-512 IFMA vectors
-    /// (x86_64 with AVX-512F and IFMA, moduli of 5, 10, 20 or 40
-    /// 52-bit limbs).
+    /// Eight bases, or eight runs, at a time in the lanes of AVX-512
+    /// IFMA vectors (x86_64 with AVX-512F and IFMA, moduli of 5, 10, 20
+    /// or 40 52-bit limbs).
     Lanes,
 }
 
@@ -210,7 +218,7 @@ impl MontCtx {
         self.kernels.set
     }
 
-    /// The path [`MontCtx::pow_many`] takes.
+    /// The path [`MontCtx::pow_many`] and [`MontCtx::fold_many`] take.
     pub fn pow_many_path(&self) -> PowMany {
         match self.lanes {
             Some(_) => PowMany::Lanes,
@@ -466,6 +474,60 @@ impl MontCtx {
             Some(lanes) => lanes.pow_many(bases, exp),
             None => bases.iter().map(|b| self.pow(b, exp)).collect(),
         }
+    }
+
+    /// `Π_j s_j^(2^(j·shift))` over the `k`-limb Montgomery-form
+    /// values `s_0, s_1, …` of the flat slab `run`, in Montgomery form
+    /// and canonical: Horner from the top value down, `shift` squarings
+    /// and one multiply per value below it, on the row kernels. A value
+    /// not below `m` counts as its residue; the empty run gives 1. The
+    /// scalar path of [`MontCtx::fold_many`].
+    pub fn fold(&self, run: &[u64], shift: usize) -> Vec<u64> {
+        let k = self.k;
+        let run = self.reduced(run);
+        let mut values = run.chunks_exact(k).rev();
+        let Some(top) = values.next() else {
+            return self.one_mont();
+        };
+        let (mut acc, mut tmp) = (top.to_vec(), vec![0u64; k]);
+        for value in values {
+            self.square_n(&mut acc, &mut tmp, shift);
+            self.mont_mul_into(&acc, value, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        acc
+    }
+
+    /// [`MontCtx::fold`] of every run of `fold` consecutive values of
+    /// the flat slab `sources` (the last run may be shorter), the folds
+    /// laid end to end. On [`PowMany::Lanes`] eight runs share one chain,
+    /// each in its own lane, and a partial last group costs a full one.
+    /// Panics if `fold` is zero.
+    pub fn fold_many(&self, sources: &[u64], fold: usize, shift: usize) -> Vec<u64> {
+        assert!(fold > 0, "a fold of no sources");
+        let (k, sources) = (self.k, self.reduced(sources));
+        match &self.lanes {
+            Some(lanes) => lanes.fold_many(&sources, k, fold, shift),
+            None => sources
+                .chunks(fold * k)
+                .flat_map(|run| self.fold(run, shift))
+                .collect(),
+        }
+    }
+
+    /// The flat slab of `k`-limb values `vals`, each below `m`: borrowed
+    /// when every value already is (everything this context produces).
+    fn reduced<'a>(&self, vals: &'a [u64]) -> std::borrow::Cow<'a, [u64]> {
+        let k = self.k;
+        assert_eq!(vals.len() % k, 0, "a slab of {k}-limb values");
+        if vals.chunks_exact(k).all(|v| self.is_reduced(v)) {
+            return vals.into();
+        }
+        let residue = |v: &[u64]| pad(&BigUint::from_limbs(v.to_vec()).rem(&self.m), k);
+        vals.chunks_exact(k)
+            .flat_map(residue)
+            .collect::<Vec<_>>()
+            .into()
     }
 
     /// Invert every `k`-limb Montgomery-form value of the flat slab

@@ -355,6 +355,56 @@ fn the_lane_kernel_equals_pow_mont_at_every_width_and_lane_count() {
 }
 
 #[test]
+fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
+    if !has_ifma() {
+        return;
+    }
+    for m in lane_moduli() {
+        let ctx = MontCtx::new(&m);
+        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
+        let (bits, k) = (m.bits(), ctx.limb_count());
+        let limbs = |v: BigUint| {
+            let mut l = v.limbs().to_vec();
+            l.resize(k, 0);
+            l
+        };
+        let mut x = m.shr(2);
+        let mut random = || {
+            x = x.mul(&x).add_u64(0x9e37).rem(&m);
+            x.clone()
+        };
+        // Eight sources, in Montgomery form as the slab holds them: the
+        // edges, four random values and one past m.
+        let mut pool = vec![limbs(BigUint::zero()), limbs(BigUint::one())];
+        pool.push(limbs(m.sub_u64(1)));
+        pool.extend((0..4).map(|_| limbs(random())));
+        pool.push(limbs(m.add_u64(1)));
+        // Every lane count at every shift; runs of two and of four, the
+        // last run each length in turn, so a padded top meets every lane
+        // count.
+        for (fold, shift) in [2, 4]
+            .into_iter()
+            .flat_map(|f| [1, 52, 104, 208].map(|s| (f, s)))
+        {
+            for live in 1..=LANES {
+                let n = (live - 1) * fold + live % fold + 1;
+                // The edges land in a different lane at each count.
+                let sources: Vec<u64> = (0..n).flat_map(|i| pool[(i + live) % 8].clone()).collect();
+                let want: Vec<u64> = sources
+                    .chunks(fold * k)
+                    .flat_map(|run| ctx.fold(run, shift))
+                    .collect();
+                let got = ctx.fold_many(&sources, fold, shift);
+                assert_eq!(
+                    got, want,
+                    "{bits} bits, {live} lanes, fold {fold}, shift {shift}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn batch_inv_mont_inverts_every_value() {
     for limbs in [1usize, 5] {
         // A prime modulus keeps every non-zero value a unit.
@@ -432,6 +482,39 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn fold_many_matches_fold_at_every_lane_width(
+        words in prop::collection::vec(any::<u64>(), 33),
+        width in 0..LANE_WIDTHS.len(),
+        widest in any::<bool>(),
+        values in prop::collection::vec(big(33), 1..=2 * LANES * 3 + 1),
+        fold in 1usize..=3,
+        shift in 0usize..=130,
+    ) {
+        // A random modulus at either end of a served width; sources of
+        // any size (some past m) as Montgomery-form slabs, groups of
+        // eight runs and a partial last one.
+        let l = LANE_WIDTHS[width];
+        let m = odd_of_bits(&words, if widest { 52 * l - 2 } else { 52 * (l - 1) - 1 });
+        let ctx = MontCtx::new(&m);
+        let k = ctx.limb_count();
+        let sources: Vec<u64> = values
+            .iter()
+            .flat_map(|v| {
+                let mut l = v.limbs().to_vec();
+                l.resize(k, 0);
+                l.truncate(k);
+                l
+            })
+            .collect();
+        let want: Vec<u64> = sources.chunks(fold * k).flat_map(|run| ctx.fold(run, shift)).collect();
+        prop_assert_eq!(ctx.fold_many(&sources, fold, shift), want);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
@@ -483,6 +566,25 @@ proptest! {
             exps.push(exponent(pair[0] >> 8, pair[1]));
         }
         prop_assert_eq!(multi_pow(&ctx, &bases, &exps), fold_pow(&ctx, &bases, &exps));
+    }
+
+    #[test]
+    fn the_scalar_fold_is_the_product_of_pows(
+        m in odd_modulus(5),
+        values in prop::collection::vec(big(6), 0..=6),
+        shift in 0usize..=130,
+    ) {
+        // Π_j v_j^(2^(j·shift)) mod m, one pow per source, against the
+        // Horner chain on their Montgomery forms; v_j past m included.
+        let ctx = MontCtx::new(&m);
+        let k = ctx.limb_count();
+        let run: Vec<u64> = values.iter().flat_map(|v| ctx.to_mont(&v.rem(&m))).collect();
+        let want = values.iter().enumerate().fold(BigUint::one().rem(&m), |acc, (j, v)| {
+            ctx.mul(&acc, &ctx.pow(v, &BigUint::one().shl(j * shift)))
+        });
+        let got = ctx.fold(&run, shift);
+        prop_assert_eq!(got.len(), k);
+        prop_assert_eq!(ctx.from_mont(&got), want);
     }
 
     #[test]

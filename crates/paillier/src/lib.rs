@@ -47,7 +47,7 @@ pub mod pack;
 pub mod serial;
 
 pub use codec::{decode, encode, encode_exponent, SignedInt};
-pub use ctmat::{CtMat, BATCH_DECRYPT_MIN};
+pub use ctmat::{CtMat, BATCH_DECRYPT_MIN, REPACK_LANES_MIN};
 pub use keys::{keygen, PaillierPk, PaillierSk, PublicKey, SecretKey};
 pub use obf::{ObfMode, Obfuscator};
 pub use pack::{

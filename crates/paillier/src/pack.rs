@@ -88,23 +88,25 @@
 //! [`crate::BATCH_DECRYPT_MIN`] ciphertexts or more runs its halves
 //! eight to a lane-kernel group on CPUs with AVX-512 IFMA
 //! ([`bf_bigint::MontCtx::pow_many`]), ≈ 7–10× cheaper per half at
-//! 1024-bit keys than the `mulx`/`adx` scalar exponentiation; the fold's
-//! chain runs on the scalar kernel. One output of a fold costs
-//! `(f−1)·u·slot_bits` squarings and `f−1` multiplies mod `n²` on one
-//! chain, replaces `f` source decryptions by one, and ships `f×` fewer
-//! bytes. At 1024-bit keys (9 slots of 104 bits, a half ≈ 128 full-width
-//! squarings on the scalar kernel, ≈ 13–18 on the lane kernel):
+//! 1024-bit keys than the `mulx`/`adx` scalar exponentiation. One output
+//! of a fold costs `(f−1)·u·slot_bits` squarings and `f−1` multiplies
+//! mod `n²` on one Horner chain, replaces `f` source decryptions by one,
+//! and ships `f×` fewer bytes. A call of [`crate::REPACK_LANES_MIN`]
+//! outputs or more runs its chains eight to a lane-kernel group too
+//! ([`bf_bigint::MontCtx::fold_many`]), ≈ 4–6× cheaper per chain than
+//! the scalar one. At 1024-bit keys (9 slots of 104 bits, a half ≈ 128
+//! full-width squarings on the scalar kernel, ≈ 13–18 on the lane
+//! kernel):
 //!
 //! - `u = 1`, `f = 9` — the HE2SS reply whose body is scalar (a
 //!   one-column product, or a `dim = 1` embedding gradient; `matmul_ct_wt`,
 //!   the one kernel that contracts over the axis slots run along, feeds
-//!   no BlindFL reply): 832 squarings turn 18 halves into 2 — a third of
-//!   the work per value against scalar halves, about twice it against
-//!   batched lane halves;
+//!   no BlindFL reply): 832 squarings turn 18 halves into 2 — with both
+//!   on lanes, about half the work of decrypting the sources;
 //! - `u = 2`, `f = 4` — the GBDT histogram, `(Σg, Σh)` per row: the four
-//!   sources are narrow, so 624 squarings turn 4 halves into 2, a loss
-//!   in time on either kernel. The fold is kept for the quarter of the
-//!   bytes, which is what the tree workload's wire bound rests on;
+//!   sources are narrow, so 624 squarings turn 4 halves into 2, still a
+//!   loss in time. The fold is kept for the quarter of the bytes, which
+//!   is what the tree workload's wire bound rests on;
 //! - `u = 3`, `f = 3`: 624 squarings save one half; `u = 4`, `f = 2`:
 //!   416 save none (two narrow sources, one full output) — both a loss
 //!   in time for a third or half of the bytes. `repack` folds every
@@ -113,16 +115,19 @@
 //!   before it calls.
 //!
 //! Probed at that key size (256 source ciphertexts, fold + decrypt of
-//! the folded body against decrypting the sources, 1 thread / 2, two
-//! rounds each alternating with the tree before the lane kernel, on a
-//! 2-vCPU Xeon VM with AVX-512 IFMA and the `mulx`/`adx` kernels), the
-//! ratio is `u = 1` 1.9–2.0× / 1.8–1.9×, `u = 2` 6.3× / 6.9–7.0×,
-//! `u = 3` 7.8–8.0× / 7.0–7.8×, `u = 4` 8.3–10.3× / 8.5–9.5×, against
-//! 0.38–0.42× / 0.35–0.36×, 1.27–1.42× / 1.17–1.33×, 1.6–1.7× and
-//! 2.0–2.1× before it: the decryptions a fold saves got ≈ 7× cheaper,
-//! its chain did not. So every fold is now a loss in time and each is
-//! kept for its bytes; a fold whose chain ran on the lane kernel too
-//! (eight groups' chains at once) is ROADMAP item 3's follow-up.
+//! the folded body against decrypting the sources, medians of 7,
+//! 1 thread / 2, two rounds each alternating with the tree before the
+//! lane fold, on a 2-vCPU Xeon VM with AVX-512 IFMA and the
+//! `mulx`/`adx` kernels), the ratio is `u = 1` 0.48–0.49× / 0.49–0.53×,
+//! `u = 2` 1.53–1.54× / 1.51–1.66×, `u = 3` 2.09× / 2.13–2.22×,
+//! `u = 4` 2.35–2.37× / 2.34–2.39×, against 1.50–1.69× / 1.48–1.49×,
+//! 4.88–4.97× / 4.74–4.83×, 6.58–6.59× / 5.74–6.72× and 6.85–6.89× /
+//! 6.73–7.48× with the chains on the scalar kernel (the fold alone:
+//! 5.1–5.2 ms against 19–28 ms at `u = 1`, 7.5–7.9 against 32 ms at
+//! `u = 2`, one thread). So the scalar reply's fold pays in time again,
+//! and the histogram's costs half again its sources' decryptions
+//! instead of five times them; the rest of that gap is ROADMAP item 19
+//! (a dedicated lane squaring, the 40-limb accumulators).
 //!
 //! The folded body is an ordinary packed `1 × N` row whose
 //! [`SlotLayout::slots`] is `f·u`, not the key's: decoders take the

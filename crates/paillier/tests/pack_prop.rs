@@ -1,8 +1,9 @@
 //! Property tests for slot-wise packing: pack/unpack round-trips
 //! across shapes (0-row, 1×1, max frac_bits), slot-overflow rejection,
 //! the decrypt-only repack of scalar bodies and of narrow packed rows
-//! (bit-identity with the unfolded decrypt, and the mask envelope at its
-//! boundary), the width-aware CRT decryption (one half for plaintexts
+//! (bit-identity with the unfolded decrypt, the mask envelope at its
+//! boundary, and every folded ciphertext byte for byte the product of
+//! its sources' powers, on either fold path), the width-aware CRT decryption (one half for plaintexts
 //! below `p/2` ≡ both halves, ring element for ring element), the
 //! batched decryption (the CRT halves of a call eight to a lane-kernel
 //! group ≡ one ciphertext at a time), the key owner's conformance check
@@ -23,7 +24,7 @@ use bf_paillier::{
     decode, encode, encode_exponent, export_ctmat, import_ctmat, import_secret, keygen,
     keys::plain_keys, pack_values, unpack_values, CtMat, ObfMode, Obfuscator, PackError,
     PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey, SlotLayout, BATCH_DECRYPT_MIN,
-    MAX_HE_MASK,
+    MAX_HE_MASK, REPACK_LANES_MIN,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -1078,6 +1079,65 @@ fn batched_decryption_equals_the_per_ciphertext_path() {
                 lanes.iter().map(|(c, b)| (&c[..], *b)).collect();
             assert!(raw(keys).1.raw_decrypt_many(&batch) == ms, "{what}");
             assert_eq!(bits(&sk.decrypt(&ct)), bits(&want), "{what}");
+        }
+    }
+}
+
+/// The ciphertext limbs of a Paillier body as the wire carries them
+/// (Montgomery form), after its one-value or packed header.
+fn body_limbs(ct: &CtMat) -> Vec<u64> {
+    let bytes = export_ctmat(ct);
+    let at = match bytes[17] {
+        1 => ONE_PER_LANE_HEADER,
+        2 => ONE_PER_LANE_HEADER + 24,
+        tag => panic!("body tag {tag}"),
+    };
+    bytes[at..]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect()
+}
+
+#[test]
+fn repack_bytes_equal_the_per_source_product() {
+    // No ciphertext byte moves whichever chain folds: every folded
+    // ciphertext is the canonical `Π_j c_j^(2^(j·u·slot_bits)) mod n²`
+    // of its sources, built one `pow` per source. Output counts on both
+    // sides of REPACK_LANES_MIN and of a full lane group; the last run
+    // is short wherever the count allows.
+    let min = REPACK_LANES_MIN;
+    for keys in [fold_keys()[0], &repack_keys()[1], wide_key()] {
+        let (pk, _, obf) = keys;
+        let (ppk, _) = raw(keys);
+        let layout = SlotLayout::for_key(ppk.key_bits, ppk.frac_bits).unwrap();
+        let (mont, k) = (&ppk.mont, ppk.ct_limbs());
+        for u in [1usize, 2] {
+            let fold = layout.slots / u;
+            let shift = u * layout.slot_bits as usize;
+            for outputs in [1, min - 1, min, 8, 9, 16, 17] {
+                let sources = (outputs - 1) * fold + 1 + outputs % fold;
+                let ct = match u {
+                    1 => pk.encrypt_at_scale(&grid(1, sources), 1, obf),
+                    _ => packed_rows(keys, &grid(sources, u), 2),
+                };
+                let (before, folded) = (body_limbs(&ct), body_limbs(&pk.repack(ct)));
+                let want: Vec<u64> = before
+                    .chunks(fold * k)
+                    .flat_map(|run| {
+                        let product =
+                            run.chunks_exact(k)
+                                .enumerate()
+                                .fold(BigUint::one(), |acc, (j, c)| {
+                                    let power = BigUint::one().shl(j * shift);
+                                    mont.mul(&acc, &mont.pow(&mont.from_mont(c), &power))
+                                });
+                        padded(&BigUint::from_limbs(mont.to_mont(&product)), k)
+                    })
+                    .collect();
+                let what = format!("{} bits, u = {u}, {outputs} outputs", ppk.key_bits);
+                assert_eq!(folded.len(), outputs * k, "{what}");
+                assert!(folded == want, "{what}");
+            }
         }
     }
 }
