@@ -8,10 +8,13 @@
 //!   schoolbook multiplication and Knuth Algorithm D division,
 //! * [`mont::MontCtx`] — Montgomery multiplication and sliding-window
 //!   multi-exponentiation (the workhorse of Paillier encryption and of
-//!   every homomorphic dot product), and [`MontCtx::pow_many`], many
-//!   bases to one exponent, which on x86_64 CPUs with AVX-512 IFMA
-//!   raises eight at a time in the lanes of one vector (the Paillier
-//!   key owner's CRT halves: decryption and its obfuscation pool),
+//!   every homomorphic dot product), and its batched forms — many bases
+//!   to one exponent ([`MontCtx::pow_many`]: the Paillier key owner's
+//!   CRT halves), many Horner folds ([`MontCtx::fold_many`]: a reply's
+//!   repack) and many products of powers over shared bases
+//!   ([`MontCtx::multi_pow_many`]: the `CtMat` contractions) — which on
+//!   x86_64 CPUs with AVX-512 IFMA run eight at a time in the lanes of
+//!   one vector,
 //! * [`prime`] — Miller–Rabin primality testing and random prime
 //!   generation,
 //! * [`modular`] — gcd, extended gcd, and modular inverses,

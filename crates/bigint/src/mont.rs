@@ -17,21 +17,25 @@
 //! Montgomery outputs are canonical, so both sets return the same limbs.
 //!
 //! Many bases raised to one exponent — the key owner's CRT halves —
-//! take [`MontCtx::pow_many`], and many folds `Π_j s_j^(2^(j·shift))`
-//! of one shift — a packed reply's slots laid end to end — take
-//! [`MontCtx::fold_many`]. `new` picks their path once per modulus: on
+//! take [`MontCtx::pow_many`]; many folds `Π_j s_j^(2^(j·shift))` of
+//! one shift — a packed reply's slots laid end to end — take
+//! [`MontCtx::fold_many`]; and many products of powers over one set of
+//! bases — the output rows of a `CtMat` contraction — take
+//! [`MontCtx::multi_pow_many`] over bases entered once by
+//! [`MontCtx::lane_bases`]. `new` picks their path once per modulus: on
 //! x86_64 with AVX-512F and IFMA, and a modulus of one of the
 //! [`LANE_WIDTHS`], eight chains at a time in the lanes of one vector
-//! (`crate::ifma`); else one [`MontCtx::pow`] or [`MontCtx::fold`] at a
-//! time. The `asm!` row and the lane kernel are the crate's only
-//! `unsafe`.
+//! (`crate::ifma`); else one [`MontCtx::pow`], [`MontCtx::fold`] or
+//! [`MontCtx::multi_pow_into`] at a time, which stay the reference.
+//! Callers split a batch between the two by [`lane_items`]. The `asm!`
+//! row and the lane kernel are the crate's only `unsafe`.
 
 use crate::BigUint;
 
 /// Widest sliding window: tables hold at most `2^(MAX_WINDOW − 1)` odd
 /// powers. Six is the optimum for the 1024-bit exponents of a 2048-bit
 /// `n²`; wider only pays beyond ~2500-bit exponents.
-const MAX_WINDOW: u32 = 6;
+pub(crate) const MAX_WINDOW: u32 = 6;
 
 /// Operand widths up to this many limbs keep a kernel's double-width
 /// intermediate on the stack (4096-bit `n²`, i.e. 2048-bit keys); wider
@@ -56,8 +60,9 @@ pub struct MontCtx {
     r3: Vec<u64>,
     /// The multiply and square kernels, picked once in [`MontCtx::new`].
     kernels: Kernels,
-    /// The eight-lane kernel of [`MontCtx::pow_many`], if this CPU and
-    /// this modulus have one; picked once in [`MontCtx::new`].
+    /// The eight-lane kernel of [`MontCtx::pow_many`],
+    /// [`MontCtx::fold_many`] and [`MontCtx::multi_pow_many`], if this CPU
+    /// and this modulus have one; picked once in [`MontCtx::new`].
     lanes: Option<LaneCtx>,
 }
 
@@ -65,6 +70,44 @@ pub struct MontCtx {
 /// once: one per 64-bit lane of a 512-bit vector. Callers that split a
 /// batch between threads hand each a multiple of this.
 pub const LANES: usize = 8;
+
+/// How many of a call's `n` items a lane caller — `repack`'s folds, the
+/// key owner's decryptions, the `CtMat` contractions — runs in lane
+/// groups when `threads` workers share its scalar items; the rest take
+/// one scalar chain each. A group costs about one to one and a half
+/// scalar chains whatever its live lanes, so the scalar path wins when
+/// every item gets a worker of its own (`n ≤ threads`) and for a lone
+/// item past the last full group of [`LANES`]; everything else rides the
+/// lanes. Meaningful on [`PowMany::Lanes`] only.
+///
+/// Timed at a 1024-bit key on a 2-vCPU AMD EPYC VM with AVX-512 IFMA
+/// (medians of 15, whole calls, scalar items split between the
+/// threads; scalar / lanes):
+///
+/// | items, threads | fold (15 sources) | decryption (full width) | contraction (14 terms, `2^32`) |
+/// |---|---|---|---|
+/// | 1, 1 | 0.52 / 0.74 ms | 0.22 / 0.22 ms | 27 / 37 µs |
+/// | 2, 1 | 1.03 / 0.75 | 0.44 / 0.22 | 53 / 37 |
+/// | 2, 2 | 0.53 / 0.74 | 0.43 / 0.22 | 48 / 37 |
+/// | 3, 2 | 1.06 / 0.98 | 0.44 / 0.22 | 55 / 38 |
+/// | 8, 2 | 2.23 / 0.75 | 0.90 / 0.24 | 116 / 39 |
+///
+/// Two scalar decryptions at two threads read 0.22–0.32 ms in a later
+/// probe of whole `SecretKey::decrypt` calls. Past a full group the
+/// tail decides: a `repack` of 9 sources an output read, at one thread,
+/// 1.07–1.13 ms for 9 outputs as a group and a chain (1.23–1.25 as two
+/// groups) and 1.25 ms for 10 as two groups (1.54 as a group and two
+/// chains), and at two threads 0.64 ms for 10 as two groups (0.94 as a
+/// group and two chains).
+pub fn lane_items(n: usize, threads: usize) -> usize {
+    if n <= threads {
+        0
+    } else if n % LANES == 1 {
+        n - 1
+    } else {
+        n
+    }
+}
 
 /// The moduli widths, in 52-bit limbs, the lane kernel serves: the
 /// primes and squared primes of 512-, 1024- and 2048-bit keys. A modulus
@@ -93,16 +136,29 @@ impl LaneCtx {
     fn fold_many(&self, _: &[u64], _: usize, _: usize, _: usize) -> Vec<u64> {
         match *self {}
     }
+
+    fn limbs(&self) -> usize {
+        match *self {}
+    }
+
+    fn enter_bases(&self, _: &[&[u64]], _: &[(usize, u32)]) -> LaneBases {
+        match *self {}
+    }
+
+    fn multi_pow_many(&self, _: &LaneBases, _: &[&[LaneTerm<'_>]], _: usize, _: &mut [u64]) {
+        match *self {}
+    }
 }
 
-/// Which chains [`MontCtx::pow_many`] and [`MontCtx::fold_many`] run.
+/// Which chains [`MontCtx::pow_many`], [`MontCtx::fold_many`] and
+/// [`MontCtx::multi_pow_many`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PowMany {
-    /// One [`MontCtx::pow`] per base, one [`MontCtx::fold`] per run:
-    /// every target and width, and the reference the lane kernel is
-    /// tested against.
+    /// One [`MontCtx::pow`] per base, one [`MontCtx::fold`] per run,
+    /// one [`MontCtx::multi_pow_into`] per product: every target and
+    /// width, and the reference the lane kernel is tested against.
     Scalar,
-    /// Eight bases, or eight runs, at a time in the lanes of AVX-512
+    /// Eight bases, runs or products at a time in the lanes of AVX-512
     /// IFMA vectors (x86_64 with AVX-512F and IFMA, moduli of 5, 10, 20
     /// or 40 52-bit limbs).
     Lanes,
@@ -147,6 +203,32 @@ pub struct OddPowers {
     limbs: Vec<u64>,
 }
 
+/// The bases of one contraction in the lane kernel's form, each stored
+/// once, with the window tables its products share: what
+/// [`MontCtx::multi_pow_many`] gathers its operands from. Built by
+/// [`MontCtx::lane_bases`].
+#[derive(Debug)]
+pub struct LaneBases {
+    /// Limbs of the lane kernel's radix per value.
+    pub(crate) l: usize,
+    /// Base `i`'s lane form at `i·l`.
+    pub(crate) bases: Vec<u64>,
+    /// Base `i`'s table, if it has one, as its width `w` and the offset
+    /// in `tables` of its powers `b^1 … b^(2^w − 1)`, `l` limbs each.
+    pub(crate) table_of: Vec<Option<(u32, usize)>>,
+    /// Every table's powers, each stored once.
+    pub(crate) tables: Vec<u64>,
+}
+
+/// One factor `base^exp` of a [`MontCtx::multi_pow_many`] product.
+#[derive(Clone, Copy, Debug)]
+pub struct LaneTerm<'a> {
+    /// The base's index in the call's [`LaneBases`].
+    pub base: usize,
+    /// The exponent (zero contributes the factor 1).
+    pub exp: &'a BigUint,
+}
+
 /// One factor `base^exp` of a [`MontCtx::multi_pow_into`] product.
 #[derive(Clone, Copy, Debug)]
 pub struct PowTerm<'a> {
@@ -169,6 +251,15 @@ pub fn window_bits(bits: usize, ones: usize, uses: usize) -> u32 {
             let table = if w == 1 { 0 } else { 1usize << (w - 1) };
             table + uses * ones.min(bits.div_ceil(w as usize + 1))
         })
+        .expect("non-empty window range")
+}
+
+/// Fixed-window width for a [`MontCtx::lane_bases`] table of a base
+/// raised to `uses` exponents of up to `bits` bits: minimises the
+/// table's `2^w − 2` multiplies plus `uses × ⌈bits/w⌉` windows.
+pub fn fixed_window_bits(bits: usize, uses: usize) -> u32 {
+    (1..=MAX_WINDOW)
+        .min_by_key(|&w| (1usize << w) - 2 + uses * bits.div_ceil(w as usize))
         .expect("non-empty window range")
 }
 
@@ -218,7 +309,8 @@ impl MontCtx {
         self.kernels.set
     }
 
-    /// The path [`MontCtx::pow_many`] and [`MontCtx::fold_many`] take.
+    /// The path [`MontCtx::pow_many`], [`MontCtx::fold_many`] and
+    /// [`MontCtx::multi_pow_many`] take.
     pub fn pow_many_path(&self) -> PowMany {
         match self.lanes {
             Some(_) => PowMany::Lanes,
@@ -458,6 +550,41 @@ impl MontCtx {
         };
         self.multi_pow_into(&[term], &mut out);
         out
+    }
+
+    /// Limbs per value of the lane kernel's radix, on [`PowMany::Lanes`].
+    pub fn lane_limb_count(&self) -> Option<usize> {
+        self.lanes.as_ref().map(LaneCtx::limbs)
+    }
+
+    /// `bases` (`k`-limb Montgomery forms; a value not below `m` counts
+    /// as its residue) in the lane kernel's form for
+    /// [`MontCtx::multi_pow_many`], eight to a multiply, each stored
+    /// once; base `i` of each `(i, w)` of `tables` also gets a table of
+    /// its powers `b^1 … b^(2^w − 1)` (see [`fixed_window_bits`]), built
+    /// eight at a time and lent to every product that raises it alone to
+    /// its exponent. `None` on [`PowMany::Scalar`].
+    pub fn lane_bases(&self, bases: &[&[u64]], tables: &[(usize, u32)]) -> Option<LaneBases> {
+        let lanes = self.lanes.as_ref()?;
+        let reduced: Vec<std::borrow::Cow<[u64]>> = bases.iter().map(|b| self.reduced(b)).collect();
+        let reduced: Vec<&[u64]> = reduced.iter().map(|b| &b[..]).collect();
+        Some(lanes.enter_bases(&reduced, tables))
+    }
+
+    /// [`MontCtx::multi_pow_into`] of each of up to [`LANES`] `products`
+    /// over `bases`, `k` limbs each into `out`: one chain, a product per
+    /// lane. Each product's terms are grouped by equal exponent and a
+    /// group's bases multiplied together, as `multi_pow_into` does; the
+    /// windows sit at fixed bit positions, so the lanes share one
+    /// squaring chain while each reads its own table entry. The same
+    /// bytes as `multi_pow_into`. Panics on [`PowMany::Scalar`].
+    pub fn multi_pow_many(&self, bases: &LaneBases, products: &[&[LaneTerm<'_>]], out: &mut [u64]) {
+        let lanes = self
+            .lanes
+            .as_ref()
+            .expect("multi_pow_many runs on the lanes");
+        assert!(products.len() <= LANES && out.len() == products.len() * self.k);
+        lanes.multi_pow_many(bases, products, self.k, out)
     }
 
     /// Modular exponentiation `base^exp mod m`.

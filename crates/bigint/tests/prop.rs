@@ -2,7 +2,9 @@
 //! reconstruction, Montgomery consistency, and modular-inverse
 //! correctness over arbitrary inputs.
 
-use bf_bigint::mont::{window_bits, KernelSet, PowMany, PowTerm, LANES, LANE_WIDTHS};
+use bf_bigint::mont::{
+    window_bits, KernelSet, LaneBases, LaneTerm, PowMany, PowTerm, LANES, LANE_WIDTHS,
+};
 use bf_bigint::{mod_inv, BigUint, MontCtx};
 use proptest::prelude::*;
 
@@ -399,6 +401,117 @@ fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
                     got, want,
                     "{bits} bits, {live} lanes, fold {fold}, shift {shift}"
                 );
+            }
+        }
+    }
+}
+
+/// `products` (each a list of `(base index, exponent)`) on the lanes,
+/// each against one `multi_pow_into` over `reference` (the bases, each
+/// below `m`).
+fn assert_lane_products(
+    ctx: &MontCtx,
+    bases: &LaneBases,
+    reference: &[Vec<u64>],
+    products: &[Vec<(usize, &BigUint)>],
+    what: &str,
+) {
+    let k = ctx.limb_count();
+    let terms: Vec<Vec<LaneTerm>> = products
+        .iter()
+        .map(|p| {
+            p.iter()
+                .map(|&(base, exp)| LaneTerm { base, exp })
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[LaneTerm]> = terms.iter().map(|t| &t[..]).collect();
+    let mut got = vec![0u64; products.len() * k];
+    ctx.multi_pow_many(bases, &refs, &mut got);
+    for (lane, (p, got)) in products.iter().zip(got.chunks(k)).enumerate() {
+        let (bs, es): (Vec<Vec<u64>>, Vec<BigUint>) = p
+            .iter()
+            .map(|&(b, e)| (reference[b].clone(), e.clone()))
+            .unzip();
+        assert_eq!(got, multi_pow(ctx, &bs, &es), "{what}, lane {lane}");
+    }
+}
+
+#[test]
+fn the_lane_contraction_equals_multi_pow_into_at_every_width_and_lane_count() {
+    if !has_ifma() {
+        return;
+    }
+    for m in lane_moduli() {
+        let ctx = MontCtx::new(&m);
+        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
+        let (bits, k) = (m.bits(), ctx.limb_count());
+        let limbs = |v: BigUint| {
+            let mut l = v.limbs().to_vec();
+            l.resize(k, 0);
+            l
+        };
+        let mut x = m.shr(2);
+        let mut random = || {
+            x = x.mul(&x).add_u64(0x9e37).rem(&m);
+            x.clone()
+        };
+        // Eight bases in Montgomery form: the edges, four random values
+        // and one past m, which counts as its residue 1.
+        let mut pool = vec![limbs(BigUint::zero()), limbs(BigUint::one())];
+        pool.push(limbs(m.sub_u64(1)));
+        pool.extend((0..4).map(|_| limbs(random())));
+        let mut reference = pool.clone();
+        reference.push(limbs(BigUint::one()));
+        pool.push(limbs(m.add_u64(1)));
+        let refs: Vec<&[u64]> = pool.iter().map(|b| &b[..]).collect();
+        // Zero, one, single bits, equal values and random words; then the
+        // full-width exponents a decryption's chain meets.
+        let short = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::one().shl(32),
+            BigUint::from_u64(0x1_2345_6789),
+            BigUint::one().shl(32),
+            random().rem(&BigUint::one().shl(64)),
+        ];
+        let full = [
+            BigUint::one().shl(bits - 1),
+            BigUint::one().shl(bits).sub_u64(1),
+            random(),
+        ];
+        // No tables, then tables of every width lent to bases 2..=7.
+        let lent: Vec<(usize, u32)> = (2..8).zip(1..=6).collect();
+        for tables in [&[][..], &lent[..]] {
+            let bases = ctx.lane_bases(&refs, tables).expect("the lane path");
+            for live in 1..=LANES {
+                // Lane i holds (i + live) % 5 terms over shifting bases
+                // and exponents, so counts differ lane to lane and
+                // several bases share an exponent; lane 0 adds a one-hot
+                // run of three, and the last lane raises one base twice.
+                let products: Vec<Vec<(usize, &BigUint)>> = (0..live)
+                    .map(|i| {
+                        let mut p: Vec<(usize, &BigUint)> = (0..(i + live) % 5)
+                            .map(|t| ((i + 3 * t + live) % 8, &short[(i + 2 * t) % 6]))
+                            .collect();
+                        if i == 0 {
+                            p.extend((1..4).map(|b| (b + live % 4, &short[2])));
+                        }
+                        if i == live - 1 {
+                            p.extend([(live % 8, &short[3]), (live % 8, &short[5])]);
+                        }
+                        p
+                    })
+                    .collect();
+                let what = format!("{bits} bits, {live} lanes, {} tables", tables.len());
+                assert_lane_products(&ctx, &bases, &reference, &products, &what);
+            }
+            for (e, live) in full.iter().flat_map(|e| [(e, 3), (e, LANES)]) {
+                let products: Vec<Vec<(usize, &BigUint)>> = (0..live)
+                    .map(|i| vec![(i % 8, e), ((i + 5) % 8, &short[i % 6])])
+                    .collect();
+                let what = format!("{bits} bits, full width, {live} lanes");
+                assert_lane_products(&ctx, &bases, &reference, &products, &what);
             }
         }
     }

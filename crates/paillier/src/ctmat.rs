@@ -17,11 +17,13 @@
 //! share a fixed-point exponent and raises the product once — a one-hot
 //! or indicator row is `nnz − 1` multiplies and `frac_bits` squarings —
 //! and runs the exponents that remain along one shared squaring chain
-//! ([`bf_bigint::MontCtx::multi_pow_into`]). Negative scalars accumulate
-//! apart from positive ones and are resolved by a single modular
-//! inversion per kernel call (Montgomery's trick), never a full-width
-//! exponentiation per entry. Workers write disjoint slices of one
-//! preallocated limb slab. The decrypt-only repack
+//! ([`bf_bigint::MontCtx::multi_pow_into`]). On CPUs with AVX-512 IFMA
+//! eight output rows share one chain, a row per lane
+//! ([`bf_bigint::MontCtx::multi_pow_many`]), and the lane groups run in
+//! parallel. Negative scalars accumulate apart from positive ones and
+//! are resolved by a single modular inversion per kernel call
+//! (Montgomery's trick), never a full-width exponentiation per entry.
+//! The decrypt-only repack
 //! ([`PublicKey::repack`]) does not use it: folding `slots` one-value
 //! lanes — or `⌊slots/u⌋` packed rows of `u` slots — into one is a
 //! Horner chain of shift `u·slot_bits` per output,
@@ -29,10 +31,12 @@
 
 use std::collections::BTreeMap;
 
-use bf_bigint::mont::{window_bits, PowMany, PowTerm, LANES};
+use bf_bigint::mont::{
+    fixed_window_bits, lane_items, window_bits, LaneTerm, PowMany, PowTerm, LANES,
+};
 use bf_bigint::BigUint;
 use bf_tensor::{CatBlock, Dense, Features};
-use bf_util::par::COARSE;
+use bf_util::par::{workers, COARSE};
 use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
 
 use crate::codec::{self, SignedInt};
@@ -729,13 +733,16 @@ impl PublicKey {
     /// ciphertext of `Σ_j P_{g·f+j}·2^{j·u·slot_bits}` — the sources'
     /// slots laid end to end — in canonical Montgomery form: a Horner
     /// chain from the top source down, `(f−1)·u·slot_bits` squarings and
-    /// `f−1` multiplies, no table. From [`REPACK_LANES_MIN`] outputs up
-    /// the chains run [`bf_bigint::MontCtx::fold_many`], eight outputs to
-    /// a lane group on CPUs with AVX-512 IFMA and the groups in parallel;
-    /// smaller calls, and CPUs or key widths without a lane kernel, run
-    /// one [`bf_bigint::MontCtx::fold`] per output in parallel. The
-    /// arithmetic is exact, so both give the same bytes. Decrypts
-    /// bit-identically to `ct` (see [`crate::pack`]).
+    /// `f−1` multiplies, no table. On CPUs with AVX-512 IFMA the chains
+    /// run [`bf_bigint::MontCtx::fold_many`], eight outputs to a lane
+    /// group, split by [`lane_items`]: a call of more outputs than worker
+    /// threads goes to the lanes, but for a lone output past the last
+    /// full group. That output, a smaller call, and every output on CPUs
+    /// or key widths without a lane kernel, runs one
+    /// [`bf_bigint::MontCtx::fold`]; groups and lone outputs share one
+    /// parallel section. The arithmetic is exact, so
+    /// both give the same bytes. Decrypts bit-identically to `ct` (see
+    /// [`crate::pack`]).
     ///
     /// Anything else comes back untouched: a Plain body, a packed body
     /// with several chunks per row, more than `slots/2` columns or
@@ -759,16 +766,19 @@ impl PublicKey {
         }
         let (mont, shift) = (&pk.mont, u * layout.slot_bits as usize);
         let outputs = sources.div_ceil(fold);
-        let packed = if outputs < REPACK_LANES_MIN || mont.pow_many_path() == PowMany::Scalar {
-            let runs: Vec<&[u64]> = limbs.chunks(fold * k).collect();
-            par_map_min(COARSE, runs.len(), |r| mont.fold(runs[r], shift)).concat()
-        } else {
-            let groups: Vec<&[u64]> = limbs.chunks(LANES * fold * k).collect();
-            par_map_min(COARSE, groups.len(), |g| {
-                mont.fold_many(groups[g], fold, shift)
-            })
-            .concat()
+        let on_lanes = match mont.pow_many_path() {
+            PowMany::Lanes => lane_items(outputs, workers()),
+            PowMany::Scalar => 0,
         };
+        // Lane groups of eight outputs first, then one run per output.
+        let (grouped, tail) = limbs.split_at((on_lanes * fold * k).min(limbs.len()));
+        let groups: Vec<&[u64]> = grouped.chunks(LANES * fold * k).collect();
+        let runs: Vec<&[u64]> = tail.chunks(fold * k).collect();
+        let packed = par_map_min(COARSE, groups.len() + runs.len(), |i| match groups.get(i) {
+            Some(group) => mont.fold_many(group, fold, shift),
+            None => mont.fold(runs[i - groups.len()], shift),
+        })
+        .concat();
         let slots = SlotLayout {
             slots: fold * u,
             ..layout
@@ -786,34 +796,6 @@ impl PublicKey {
         )
     }
 }
-
-/// The fewest outputs for which [`PublicKey::repack`] runs its fold
-/// chains on the lane kernel ([`bf_bigint::MontCtx::fold_many`], groups
-/// of [`LANES`] outputs in parallel); smaller calls run one scalar
-/// chain per output ([`bf_bigint::MontCtx::fold`]), the outputs split
-/// between threads. A group with few live lanes costs a full one on one
-/// thread: ≈ 1.0–1.9 ms at 1024-bit keys, against ≈ 0.6–1.3 ms per
-/// scalar output. Timed per call shape (`u = 1` and `2`, 1 to 9
-/// outputs, medians of 15, two rounds at 1 and 2 threads, on a 2-vCPU
-/// Xeon VM with AVX-512 IFMA), one output is always cheaper scalar, two
-/// are a tie either way, and from three up the lanes win (≈ 1.1–1.9 ms
-/// against 1.9–3.7 ms), so a served request's one- and two-output
-/// folds keep the scalar chains.
-///
-/// [`LANES`]: bf_bigint::mont::LANES
-pub const REPACK_LANES_MIN: usize = 3;
-
-/// The fewest ciphertexts for which [`SecretKey::decrypt`] batches the
-/// CRT halves of a call ([`PaillierSk::raw_decrypt_many`]); smaller
-/// calls decrypt one ciphertext per parallel item. A batch runs its
-/// halves [`LANES`] at a time, and a group with few live lanes costs a
-/// full one on one thread, its `q` group after its `p` group: a served
-/// request of a chunk or two gains nothing from it and keeps the
-/// per-ciphertext path, which splits its ciphertexts between threads.
-///
-/// [`PaillierSk::raw_decrypt_many`]: crate::PaillierSk::raw_decrypt_many
-/// [`LANES`]: bf_bigint::mont::LANES
-pub const BATCH_DECRYPT_MIN: usize = 16;
 
 impl SecretKey {
     /// Whether `ct` is a body this key decrypts, or why not: the key's
@@ -862,13 +844,14 @@ impl SecretKey {
                     rest = tail;
                 }
                 // A chunk's plaintext spans its used slots only, and one
-                // that stays below p/2 costs one CRT half.
-                if outs.len() < BATCH_DECRYPT_MIN {
-                    par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
-                        let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
-                        lanes.decode(&m, pk, ct.scale, out);
-                    });
-                } else {
+                // that stays below p/2 costs one CRT half. A call the lane
+                // groups serve batches its halves, a lone ciphertext past
+                // the last full group riding along as a scalar item of the
+                // same sections; a smaller one, or any call off the lane
+                // path, takes one parallel item per ciphertext.
+                let batched =
+                    sk.pow_many_path() == PowMany::Lanes && lane_items(outs.len(), workers()) > 0;
+                if batched {
                     let batch: Vec<(&[u64], Option<usize>)> = outs
                         .iter()
                         .enumerate()
@@ -877,6 +860,11 @@ impl SecretKey {
                     let ms = sk.raw_decrypt_many(&batch);
                     par_for_each_mut(&mut outs, |idx, out| {
                         lanes.decode(&ms[idx], pk, ct.scale, out)
+                    });
+                } else {
+                    par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
+                        let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
+                        lanes.decode(&m, pk, ct.scale, out);
                     });
                 }
                 Dense::from_vec(ct.rows, ct.cols, vals)
@@ -975,14 +963,24 @@ const SHARED_TABLE_LIMBS: usize = 1 << 22;
 /// `Π_t base(src_t, l)^{e_t}` over the terms `(src_t, e_t)` of `rows[r]`
 /// (exponents non-zero).
 ///
-/// Per output, the positive and the negative terms each run one
-/// [`bf_bigint::MontCtx::multi_pow_into`]: equal exponents are grouped
-/// and raised once, the rest share one squaring chain. A base that meets
-/// table-worthy exponents in several rows gets one window table per lane
-/// for the whole call, and all negative accumulators of the call are
-/// inverted together — one `mod_inv`, not one per row. Every item of its
-/// parallel sections is a whole multi-exponentiation, so they split from
-/// [`COARSE`] items up: an 8-row embedding batch uses both cores.
+/// Each row is two products, its positive and its negative terms, and
+/// all negative accumulators of the call are inverted together — one
+/// `mod_inv`, not one per row. Within a product equal exponents are
+/// grouped and raised once, the rest share one squaring chain. A base
+/// that meets table-worthy exponents in several rows gets one window
+/// table per lane for the whole call.
+///
+/// On CPUs with AVX-512 IFMA and key widths with a lane kernel, the
+/// products of each lane run [`bf_bigint::MontCtx::multi_pow_many`],
+/// eight to a lane group and the groups in parallel, split by
+/// [`lane_items`]: the call's bases enter the lane form once, and the
+/// products, longest first, fill the lanes so a group's padded runs stay
+/// short. A call of no more products than worker threads, a lone
+/// product past the last full group, other CPUs and other widths run one
+/// [`bf_bigint::MontCtx::multi_pow_into`] per product, the reference.
+/// The arithmetic is exact, so both give the same bytes. Every item of
+/// its parallel sections is a whole multi-exponentiation or a group of
+/// them, so they split from [`COARSE`] items up.
 fn contract<'a>(
     pk: &PaillierPk,
     lanes: usize,
@@ -995,6 +993,21 @@ fn contract<'a>(
     if stride == 0 {
         return Vec::new();
     }
+    // The products: every row's positive side, then the negative side of
+    // each row that has one.
+    let mut items: Vec<(usize, bool)> = (0..rows.len()).map(|r| (r, false)).collect();
+    items.extend(
+        (0..rows.len())
+            .filter(|&r| rows[r].iter().any(|(_, e)| e.neg))
+            .map(|r| (r, true)),
+    );
+    let terms = |i: usize| {
+        let (r, negative) = items[i];
+        rows[r].iter().filter(move |(_, e)| e.neg == negative)
+    };
+    let on_lanes = mont
+        .lane_limb_count()
+        .map_or(0, |_| lane_items(items.len(), workers()));
 
     // Per source row: how many output rows raise it to an exponent that
     // wants a table, and the widest such exponent (bits, set bits).
@@ -1006,66 +1019,113 @@ fn contract<'a>(
             *m = (m.0 + 1, m.1.max(e.mag.bits()), m.2.max(ones));
         }
     }
+    // A lane table holds every power below 2^w in the lane radix, a
+    // scalar one the odd powers.
+    let lane_limbs = mont.lane_limb_count().filter(|_| on_lanes > 0);
     let mut shared: Vec<(usize, u32)> = meets
         .into_iter()
         .filter(|&(_, (uses, ..))| uses > 1)
-        .map(|(src, (uses, bits, ones))| (src, window_bits(bits, ones, uses)))
+        .map(|(src, (uses, bits, ones))| match lane_limbs {
+            Some(_) => (src, fixed_window_bits(bits, uses)),
+            None => (src, window_bits(bits, ones, uses)),
+        })
         .collect();
-    if shared.iter().map(|&(_, w)| k << (w - 1)).sum::<usize>() > SHARED_TABLE_LIMBS {
+    let table_limbs = |w: u32| match lane_limbs {
+        Some(l) => l * ((1 << w) - 1),
+        None => k << (w - 1),
+    };
+    if shared.iter().map(|&(_, w)| table_limbs(w)).sum::<usize>() > SHARED_TABLE_LIMBS {
         shared.clear();
     }
 
-    let mut out = vec![0u64; rows.len() * stride];
-    let mut work: Vec<(&mut [u64], Vec<u64>)> = out
-        .chunks_exact_mut(stride)
-        .zip(rows)
-        .map(|(pos, row)| {
-            let negative = row.iter().any(|(_, e)| e.neg);
-            (pos, vec![0u64; if negative { stride } else { 0 }])
-        })
-        .collect();
+    // The lanes take the longest products first, the scalar chains the
+    // rest; on the lanes a base is its index among the call's sources.
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    let mut sources: Vec<usize> = Vec::new();
+    let mut lane_terms: Vec<Vec<LaneTerm>> = Vec::new();
+    if on_lanes > 0 {
+        order.sort_by_key(|&i| std::cmp::Reverse(terms(i).count()));
+        sources = rows.iter().flatten().map(|(src, _)| *src).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let index = |src: &usize| sources.binary_search(src).expect("a source of the call");
+        lane_terms = order[..on_lanes]
+            .iter()
+            .map(|&i| {
+                let t = terms(i).map(|(src, e)| LaneTerm {
+                    base: index(src),
+                    exp: &e.mag,
+                });
+                t.collect()
+            })
+            .collect();
+        shared = shared.iter().map(|&(src, w)| (index(&src), w)).collect();
+    }
+    let scalar_order = &order[on_lanes..];
+
+    let mut res = vec![0u64; items.len() * stride];
     // One lane at a time, so the shared tables never hold more than one
     // lane's worth of bases.
     for l in 0..lanes {
-        let tables = par_map_min(COARSE, shared.len(), |s| {
-            mont.odd_powers(base(shared[s].0, l), shared[s].1)
+        // The scalar chains borrow the shared tables only when they run
+        // the whole call; lane groups and scalar products share one
+        // parallel section.
+        let bases = (on_lanes > 0).then(|| {
+            let entered: Vec<&[u64]> = sources.iter().map(|&s| base(s, l)).collect();
+            mont.lane_bases(&entered, &shared).expect("the lane path")
         });
-        par_for_each_mut_min(COARSE, &mut work, |r, (pos, neg)| {
-            let side = |negative: bool| -> Vec<PowTerm> {
-                let signed = rows[r].iter().filter(|(_, e)| e.neg == negative);
-                signed
+        let tables = match bases {
+            None => par_map_min(COARSE, shared.len(), |s| {
+                mont.odd_powers(base(shared[s].0, l), shared[s].1)
+            }),
+            Some(_) => Vec::new(),
+        };
+        let table = |src: &usize| match bases {
+            None => shared
+                .binary_search_by_key(src, |s| s.0)
+                .ok()
+                .map(|s| &tables[s]),
+            Some(_) => None,
+        };
+        let groups: Vec<&[Vec<LaneTerm>]> = lane_terms.chunks(LANES).collect();
+        let got = par_map_min(COARSE, groups.len() + scalar_order.len(), |i| {
+            let Some(group) = groups.get(i) else {
+                let terms: Vec<PowTerm> = terms(scalar_order[i - groups.len()])
                     .map(|(src, e)| PowTerm {
                         base: base(*src, l),
                         exp: &e.mag,
-                        table: shared
-                            .binary_search_by_key(src, |s| s.0)
-                            .ok()
-                            .map(|s| &tables[s]),
+                        table: table(src),
                     })
-                    .collect()
+                    .collect();
+                let mut out = vec![0u64; k];
+                mont.multi_pow_into(&terms, &mut out);
+                return out;
             };
-            mont.multi_pow_into(&side(false), &mut pos[l * k..(l + 1) * k]);
-            if !neg.is_empty() {
-                mont.multi_pow_into(&side(true), &mut neg[l * k..(l + 1) * k]);
-            }
-        });
+            let products: Vec<&[LaneTerm]> = group.iter().map(|t| &t[..]).collect();
+            let mut out = vec![0u64; products.len() * k];
+            let bases = bases.as_ref().expect("lane groups run on entered bases");
+            mont.multi_pow_many(bases, &products, &mut out);
+            out
+        })
+        .concat();
+        for (&i, ct) in order.iter().zip(got.chunks_exact(k)) {
+            res[i * stride + l * k..][..k].copy_from_slice(ct);
+        }
     }
-    let negs: Vec<Vec<u64>> = work.into_iter().map(|(_, neg)| neg).collect();
 
     // out = pos · neg⁻¹ wherever a row had negative terms.
-    let mut inv = negs.concat();
-    mont.batch_inv_mont(&mut inv);
+    let (out, negs) = res.split_at_mut(rows.len() * stride);
+    mont.batch_inv_mont(negs);
     let mut tmp = vec![0u64; k];
-    let resolved = out
-        .chunks_exact_mut(stride)
-        .zip(&negs)
-        .filter(|(_, neg)| !neg.is_empty())
-        .flat_map(|(pos, _)| pos.chunks_exact_mut(k));
-    for (ct, inv) in resolved.zip(inv.chunks_exact(k)) {
-        mont.mont_mul_into(ct, inv, &mut tmp);
-        ct.copy_from_slice(&tmp);
+    for (&(r, _), inv) in items[rows.len()..].iter().zip(negs.chunks_exact(stride)) {
+        let pos = out[r * stride..(r + 1) * stride].chunks_exact_mut(k);
+        for (ct, inv) in pos.zip(inv.chunks_exact(k)) {
+            mont.mont_mul_into(ct, inv, &mut tmp);
+            ct.copy_from_slice(&tmp);
+        }
     }
-    out
+    res.truncate(rows.len() * stride);
+    res
 }
 
 #[cfg(test)]
@@ -1681,6 +1741,84 @@ mod tests {
                 pk.matmul_ct_wt(&cg, &w),
                 reference_matmul_ct_wt(&pk, &cg, &w)
             );
+        }
+    }
+
+    /// Public keys on fixed prime factors (drawn once by `gen_prime`):
+    /// 512 and 1024 bits, whose `n²` the lane kernel serves (20 and 40
+    /// 52-bit limbs) on CPUs with AVX-512 IFMA, and 2048 bits, whose `n²`
+    /// (79) it does not, so the scalar chains run there on every CPU.
+    fn fixed_keys() -> Vec<PublicKey> {
+        let factors = [
+            (
+                "eff7f624b0c6310f17460bdf1e7c3333fdd2c14d7560f7578eb2871b24ae0c5d",
+                "e730151e2004a461dee7ce0617ef445883ab4ef8948a81cc6a04a19458676bd7",
+            ),
+            (
+                "87ad34cc17ccf2fcbbf195c3de98a8922ada3aaa365f92b2e180a9e90e9c2824\
+                 386e67ada0403c6bcde44e2e7499c4eb87b23815d4f3d319e7a6fc4cf8251fc5",
+                "db8e932920185dfe9a227682d77d0506096f102052037f99cc3f38044c43b19b\
+                 733dbe6eb915d96e9322316a86c7fb937ef8106780e2a24b0a29ad7fc1bbf5b5",
+            ),
+            (
+                "ffe330e3b84337fa3c2bf57657d757dd621048df2f22cfddc0e895ed301687f4\
+                 710b9c33cf07f35d9458998d31b601cecfafba491cfa977836869995ebc88ba4\
+                 2e68e05b9fea41dc75f12e97725807d0d4c81e6b622d55701fb1e8e124cae36e\
+                 9243b9521ba1f58cc04eea1942e36fac935f43a00c79715d556ce4f0bafadcef",
+                "c940965c4d37947ba07e6fbaede67993ef42cc1fe224a623138c0a1fad8ae497\
+                 40edaf127fe60d91d8c40927d80c0f72436ef4a9670d272040167f3bbe3992d2\
+                 bd491f99c9539c5baab25dbc07dcd749cdbee7e46ab5a781affd070cd0f27684\
+                 2bb6180a1814636daa63086b1033d879f83810709e055e6b8eda5adde41b2b23",
+            ),
+        ];
+        factors
+            .iter()
+            .map(|(p, q)| {
+                let n = BigUint::from_hex(p)
+                    .unwrap()
+                    .mul(&BigUint::from_hex(q).unwrap());
+                PublicKey::Paillier(std::sync::Arc::new(PaillierPk::new(n, 32).unwrap()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn contractions_equal_the_per_term_reference_on_and_off_the_lanes() {
+        // Row counts on both sides of the worker count and of one and
+        // two full lane groups; from three rows the patterns carry
+        // negative exponents, so a call's products are its rows plus
+        // their negative sides and the lane tail moves with them.
+        for pk in fixed_keys() {
+            let (p, obf) = (paillier(&pk), Obfuscator::new(&pk, ObfMode::Pool(4), 7));
+            assert!(p.key_bits < 2048 || p.mont.pow_many_path() == PowMany::Scalar);
+            for rows in [1, 2, 3, 8, 9, 10, 17] {
+                let what = format!("{}-bit key, {rows} rows", p.key_bits);
+                let seed = rows as u64;
+                let xd = patterned(rows, 5, 60 + seed);
+                let w = pk.encrypt(&dense(5, 2, 61), &obf);
+                for x in [
+                    Features::Dense(xd.clone()),
+                    Features::Sparse(Csr::from_dense(&xd)),
+                ] {
+                    let got = pk.matmul(&x, &w);
+                    assert!(got == reference_matmul(&pk, &x, &w), "matmul, {what}");
+                }
+                let xt = patterned(rows, 5, 62 + seed).transpose();
+                let g = pk.encrypt(&dense(5, 2, 63), &obf);
+                let support: Vec<u32> = (0..rows as u32).collect();
+                let got = pk.t_matmul_support(&Features::Dense(xt.clone()), &g, &support);
+                let want = reference_t_matmul_support(&pk, &xt, &g, &support);
+                assert!(got == want, "t_matmul_support, {what}");
+                // W's rows are the exponent rows, and each ⟦g_ij⟧ meets
+                // all of them: the shared tables are lent from two rows.
+                let cg = pk.encrypt(&dense(2, 5, 64), &obf);
+                let wt = patterned(rows, 5, 65 + seed);
+                let got = pk.matmul_ct_wt(&cg, &wt);
+                assert!(
+                    got == reference_matmul_ct_wt(&pk, &cg, &wt),
+                    "matmul_ct_wt, {what}"
+                );
+            }
         }
     }
 

@@ -15,9 +15,9 @@
 
 use std::sync::Arc;
 
-use bf_bigint::mont::{scratch, LANES};
+use bf_bigint::mont::{lane_items, scratch, PowMany, LANES};
 use bf_bigint::{gen_prime, mod_inv, modular::lcm, BigUint, MontCtx};
-use bf_util::par::COARSE;
+use bf_util::par::{workers, COARSE};
 use bf_util::{par_map, par_map_min};
 use rand::Rng;
 
@@ -200,10 +200,12 @@ impl PaillierSk {
     /// [`PaillierSk::raw_decrypt`] of every `(ciphertext, bits)` of
     /// `cts`, byte for byte, with the halves batched across the call:
     /// every `p` half, [`LANES`] at a time and a parallel item per group
-    /// of them; then the `q` half of each ciphertext that is not narrow,
-    /// grouped the same way; then, per ciphertext, the narrow check and
-    /// Garner's recombination. On [`PowMany::Lanes`] a group of eight
-    /// costs about what one lone half does on the scalar path.
+    /// of them (split by [`lane_items`], a lone half past the last full
+    /// group an item of its own); then the `q` half of each ciphertext
+    /// that is not narrow, grouped the same way; then, per ciphertext,
+    /// the narrow check and Garner's recombination. On [`PowMany::Lanes`]
+    /// a group of eight costs about what one lone half does on the scalar
+    /// path.
     ///
     /// [`PowMany::Lanes`]: bf_bigint::mont::PowMany::Lanes
     pub fn raw_decrypt_many(&self, cts: &[(&[u64], Option<usize>)]) -> Vec<BigUint> {
@@ -226,6 +228,12 @@ impl PaillierSk {
             None => self.signed_residue(&mps[i]),
             Some(mq) => self.garner(&mps[i], mq),
         })
+    }
+
+    /// The path [`PaillierSk::raw_decrypt_many`] raises its `p` halves on
+    /// (a key of equal-size primes gives its `q` halves the same).
+    pub(crate) fn pow_many_path(&self) -> PowMany {
+        self.mont_p2.pow_many_path()
     }
 
     /// Whether a plaintext bound of `bits` (see
@@ -286,20 +294,27 @@ fn crt_half(c: &BigUint, r: &BigUint, mont_r2: &MontCtx, h_r: &BigUint) -> BigUi
     l_times_h(&x, r, h_r)
 }
 
-/// [`crt_half`] of every `c` of `cs`, in order: one
-/// [`MontCtx::pow_many`] per [`LANES`] of them, the groups in parallel.
+/// [`crt_half`] of every `c` of `cs`, in order, in one parallel section:
+/// one [`MontCtx::pow_many`] per [`LANES`] of the first [`lane_items`]
+/// of them on [`PowMany::Lanes`], one [`crt_half`] per ciphertext for
+/// the rest.
 fn crt_halves(cs: &[&BigUint], r: &BigUint, mont_r2: &MontCtx, h_r: &BigUint) -> Vec<BigUint> {
     let e = r.sub_u64(1);
-    let groups = par_map_min(COARSE, cs.len().div_ceil(LANES), |g| {
-        let bases: Vec<BigUint> = cs[g * LANES..]
-            .iter()
-            .take(LANES)
-            .map(|c| c.rem(&mont_r2.m))
-            .collect();
-        let xs = mont_r2.pow_many(&bases, &e);
-        xs.iter().map(|x| l_times_h(x, r, h_r)).collect::<Vec<_>>()
+    let on_lanes = match mont_r2.pow_many_path() {
+        PowMany::Lanes => lane_items(cs.len(), workers()),
+        PowMany::Scalar => 0,
+    };
+    let (grouped, rest) = cs.split_at(on_lanes);
+    let groups: Vec<&[&BigUint]> = grouped.chunks(LANES).collect();
+    let halves = par_map_min(COARSE, groups.len() + rest.len(), |i| match groups.get(i) {
+        Some(group) => {
+            let bases: Vec<BigUint> = group.iter().map(|c| c.rem(&mont_r2.m)).collect();
+            let xs = mont_r2.pow_many(&bases, &e);
+            xs.iter().map(|x| l_times_h(x, r, h_r)).collect()
+        }
+        None => vec![crt_half(rest[i - groups.len()], r, mont_r2, h_r)],
     });
-    groups.into_iter().flatten().collect()
+    halves.into_iter().flatten().collect()
 }
 
 /// `L_r(x)·h_r mod r`, with `L_r(x) = (x − 1)/r`.

@@ -84,15 +84,20 @@
 //! wider — or a scalar ciphertext, which states no width — pays both
 //! halves. A half is an exponentiation mod `p²` with a `key_bits/2`-bit
 //! exponent: ≈ `key_bits/2` half-width squarings, worth ≈ `key_bits/8`
-//! full-width ones on the same kernel. A call of
-//! [`crate::BATCH_DECRYPT_MIN`] ciphertexts or more runs its halves
-//! eight to a lane-kernel group on CPUs with AVX-512 IFMA
+//! full-width ones on the same kernel. On CPUs with AVX-512 IFMA a
+//! call runs its halves eight to a lane-kernel group
 //! ([`bf_bigint::MontCtx::pow_many`]), ≈ 7–10× cheaper per half at
-//! 1024-bit keys than the `mulx`/`adx` scalar exponentiation. One output
-//! of a fold costs `(f−1)·u·slot_bits` squarings and `f−1` multiplies
-//! mod `n²` on one Horner chain, replaces `f` source decryptions by one,
-//! and ships `f×` fewer bytes. A call of [`crate::REPACK_LANES_MIN`]
-//! outputs or more runs its chains eight to a lane-kernel group too
+//! 1024-bit keys than the `mulx`/`adx` scalar exponentiation, whenever
+//! the call has more ciphertexts than worker threads
+//! ([`bf_bigint::mont::lane_items`]). A group costs about one scalar
+//! ciphertext whatever its live lanes, so a call that gives each
+//! ciphertext a thread of its own — a served request's reply of one or
+//! two — and a lone ciphertext past the last full group decrypt one
+//! ciphertext per thread. One
+//! output of a fold costs `(f−1)·u·slot_bits` squarings and `f−1`
+//! multiplies mod `n²` on one Horner chain, replaces `f` source
+//! decryptions by one, and ships `f×` fewer bytes. A call's chains run
+//! eight to a lane-kernel group too, split the same way
 //! ([`bf_bigint::MontCtx::fold_many`]), ≈ 4–6× cheaper per chain than
 //! the scalar one. At 1024-bit keys (9 slots of 104 bits, a half ≈ 128
 //! full-width squarings on the scalar kernel, ≈ 13–18 on the lane

@@ -23,8 +23,7 @@ use bf_bigint::BigUint;
 use bf_paillier::{
     decode, encode, encode_exponent, export_ctmat, import_ctmat, import_secret, keygen,
     keys::plain_keys, pack_values, unpack_values, CtMat, ObfMode, Obfuscator, PackError,
-    PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey, SlotLayout, BATCH_DECRYPT_MIN,
-    MAX_HE_MASK, REPACK_LANES_MIN,
+    PaillierMode, PaillierPk, PaillierSk, PublicKey, SecretKey, SlotLayout, MAX_HE_MASK,
 };
 use bf_tensor::{Csr, Dense, Features};
 use proptest::prelude::*;
@@ -1020,11 +1019,15 @@ fn grid(rows: usize, cols: usize) -> Dense {
 
 #[test]
 fn batched_decryption_equals_the_per_ciphertext_path() {
-    // `decrypt` batches the CRT halves of a call from BATCH_DECRYPT_MIN
-    // ciphertexts up, eight to a lane-kernel group where the CPU has
-    // one. Every body a key owner decrypts, at the key widths whose
-    // moduli the lane kernel serves, equals the per-ciphertext path.
-    let min = BATCH_DECRYPT_MIN;
+    // `decrypt` batches the CRT halves of its lane groups, eight to a
+    // group where the CPU has the lane kernel, once a call has more
+    // ciphertexts than worker threads; a lone ciphertext past the last
+    // full group has its halves raised one at a time, as smaller calls
+    // do.
+    // Every body a key owner decrypts, at the key widths whose moduli
+    // the lane kernel serves, equals the per-ciphertext path; counts
+    // from 2 (lanes at one thread, per ciphertext at two) up.
+    let min = 3;
     let keys = [fold_keys()[0], &repack_keys()[1], wide_key()];
     for keys in keys {
         let (pk, sk, obf) = keys;
@@ -1070,6 +1073,17 @@ fn batched_decryption_equals_the_per_ciphertext_path() {
                 pk.repack(pk.encrypt_at_scale(&grid(1, slots * (min - 1) + 3), 1, obf)),
                 min,
             ),
+            // Either side of two full lane groups: a group and seven live
+            // lanes, two groups, and two groups and a lone ciphertext.
+            ("scalar", pk.encrypt_at_scale(&grid(1, 15), 1, obf), 15),
+            ("scalar", pk.encrypt_at_scale(&grid(1, 16), 1, obf), 16),
+            ("full chunks", packed_rows(keys, &grid(15, slots), 2), 15),
+            ("full chunks", packed_rows(keys, &grid(17, slots), 2), 17),
+            (
+                "folded rows",
+                pk.repack(packed_rows(keys, &grid(g * 16 + 1, 2), 2)),
+                17,
+            ),
         ];
         for (name, ct, count) in bodies {
             let what = format!("{} bits, {name}, {count} ciphertexts", raw(keys).0.key_bits);
@@ -1103,9 +1117,9 @@ fn repack_bytes_equal_the_per_source_product() {
     // No ciphertext byte moves whichever chain folds: every folded
     // ciphertext is the canonical `Π_j c_j^(2^(j·u·slot_bits)) mod n²`
     // of its sources, built one `pow` per source. Output counts on both
-    // sides of REPACK_LANES_MIN and of a full lane group; the last run
-    // is short wherever the count allows.
-    let min = REPACK_LANES_MIN;
+    // sides of two worker threads and of a full lane group; the last
+    // run is short wherever the count allows.
+    let min = 3;
     for keys in [fold_keys()[0], &repack_keys()[1], wide_key()] {
         let (pk, _, obf) = keys;
         let (ppk, _) = raw(keys);

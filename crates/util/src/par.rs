@@ -62,6 +62,17 @@ pub fn num_threads() -> usize {
     n
 }
 
+/// The workers a parallel section started by the calling thread gets:
+/// [`num_threads`], or one inside another section, whose nested
+/// sections run serially.
+pub fn workers() -> usize {
+    if in_parallel_section() {
+        1
+    } else {
+        num_threads()
+    }
+}
+
 /// Serial cut-off for sections of cheap items — a homomorphic add, a
 /// pooled encryption, a few µs each: below this many items waking the
 /// helpers costs more than they save.
