@@ -17,7 +17,8 @@
 //!   one vector,
 //! * [`prime`] — Miller–Rabin primality testing and random prime
 //!   generation,
-//! * [`modular`] — gcd, extended gcd, and modular inverses,
+//! * [`modular`] — gcd, lcm and modular inverses on one binary-GCD core
+//!   (Pornin's optimized binary GCD),
 //! * [`rng`] — uniform sampling of big integers.
 //!
 //! The implementation favours clarity and testability; performance is

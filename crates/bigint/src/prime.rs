@@ -54,7 +54,8 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut 
     true
 }
 
-fn trailing_zeros(n: &BigUint) -> usize {
+/// Number of trailing zero bits of a non-zero value.
+pub(crate) fn trailing_zeros(n: &BigUint) -> usize {
     debug_assert!(!n.is_zero());
     let mut tz = 0;
     for &l in n.limbs() {

@@ -2,10 +2,11 @@
 //! reconstruction, Montgomery consistency, and modular-inverse
 //! correctness over arbitrary inputs.
 
+use bf_bigint::modular::lcm;
 use bf_bigint::mont::{
     window_bits, KernelSet, LaneBases, LaneTerm, PowMany, PowTerm, LANES, LANE_WIDTHS,
 };
-use bf_bigint::{mod_inv, BigUint, MontCtx};
+use bf_bigint::{gcd, mod_inv, BigUint, MontCtx};
 use proptest::prelude::*;
 
 fn big(max_limbs: usize) -> impl Strategy<Value = BigUint> {
@@ -515,6 +516,234 @@ fn the_lane_contraction_equals_multi_pow_into_at_every_width_and_lane_count() {
             }
         }
     }
+}
+
+/// The extended Euclid `mod_inv` ran on before the binary-GCD core,
+/// kept here as the core's independent oracle: iterative, tracking only
+/// the `t` coefficient with a sign flag.
+fn reference_mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
+    assert!(!m.is_zero(), "mod_inv: zero modulus");
+    if m.is_one() {
+        return Some(BigUint::zero());
+    }
+    let mut r0 = m.clone();
+    let mut r1 = a.rem(m);
+    // t coefficients with explicit signs: t0 = 0, t1 = 1.
+    let mut t0 = BigUint::zero();
+    let mut t1 = BigUint::one();
+    let mut neg0 = false;
+    let mut neg1 = false;
+
+    while !r1.is_zero() {
+        let (q, r2) = r0.div_rem(&r1);
+        // t2 = t0 - q*t1 with sign tracking.
+        let qt1 = q.mul(&t1);
+        let (t2, neg2) = signed_sub(&t0, neg0, &qt1, neg1);
+        r0 = std::mem::replace(&mut r1, r2);
+        t0 = std::mem::replace(&mut t1, t2);
+        neg0 = std::mem::replace(&mut neg1, neg2);
+    }
+    if !r0.is_one() {
+        return None; // not coprime
+    }
+    let inv = if neg0 {
+        m.sub(&t0.rem(m)).rem(m)
+    } else {
+        t0.rem(m)
+    };
+    Some(inv)
+}
+
+/// `(a, neg_a) - (b, neg_b)` in sign-magnitude form.
+fn signed_sub(a: &BigUint, neg_a: bool, b: &BigUint, neg_b: bool) -> (BigUint, bool) {
+    match (neg_a, neg_b) {
+        // a - (-b) = a + b ; (-a) - b = -(a+b)
+        (false, true) => (a.add(b), false),
+        (true, false) => (a.add(b), true),
+        // same sign: magnitude subtraction
+        (sa, _) => {
+            if a >= b {
+                (a.sub(b), sa)
+            } else {
+                (b.sub(a), !sa)
+            }
+        }
+    }
+}
+
+/// Euclid's `gcd`, the oracle for the core's.
+fn reference_gcd(a: &BigUint, b: &BigUint) -> BigUint {
+    let mut a = a.clone();
+    let mut b = b.clone();
+    while !b.is_zero() {
+        let r = a.rem(&b);
+        a = b;
+        b = r;
+    }
+    a
+}
+
+/// `mod_inv` and `gcd` (both argument orders) against the Euclid.
+fn assert_core_equals_the_euclid(y: &BigUint, m: &BigUint) {
+    assert_eq!(mod_inv(y, m), reference_mod_inv(y, m), "{y:?}⁻¹ mod {m:?}");
+    let want = reference_gcd(y, m);
+    assert_eq!(gcd(y, m), want, "gcd({y:?}, {m:?})");
+    assert_eq!(gcd(m, y), want, "gcd({m:?}, {y:?})");
+}
+
+/// A modulus of `limbs` limbs read off `words`: its top limb random,
+/// all ones, or 1 (a long value one bit past a limb boundary); odd or
+/// even as asked, and at least 1.
+fn shaped_modulus(words: &[u64], limbs: usize, top: u8, odd: bool) -> BigUint {
+    let mut l = words[..limbs].to_vec();
+    l[limbs - 1] = match top {
+        0 => l[limbs - 1] | 1 << 63,
+        1 => u64::MAX,
+        _ => 1,
+    };
+    if limbs > 1 && top == 1 {
+        l[limbs - 2] = u64::MAX;
+    }
+    l[0] = if odd { l[0] | 1 } else { l[0] & !1 };
+    let m = BigUint::from_limbs(l);
+    if m.is_zero() {
+        BigUint::from_u64(2)
+    } else {
+        m
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mod_inv_and_gcd_equal_the_euclid_at_every_width(
+        limbs in 1usize..=33,
+        words in prop::collection::vec(any::<u64>(), 68),
+        top in 0u8..3,
+        odd in any::<bool>(),
+        kind in 0u8..7,
+    ) {
+        // Up to 33 limbs: the 2048-bit n² of a 1024-bit key, plus a limb.
+        let m = shaped_modulus(&words, limbs, top, odd);
+        let rand = |n: usize| BigUint::from_limbs(words[34..34 + n].to_vec());
+        let (y, m) = match kind {
+            // Reduced, and unreduced up to a limb past the modulus.
+            0 => (rand(limbs).rem(&m), m),
+            1 => (rand(limbs + 1), m),
+            // 0, 1, m − 1.
+            2 => ([BigUint::zero(), BigUint::one(), m.sub_u64(1)][words[33] as usize % 3].clone(), m),
+            // A non-unit: y and m share the factor d, odd, or 2 for an even
+            // m (so m·d keeps m's parity).
+            3 => {
+                let d = BigUint::from_u64(if odd { words[33] % 1000 * 2 + 3 } else { 2 });
+                (rand(limbs).mul(&d), m.mul(&d))
+            }
+            // Equal length, top limbs (so the top 33 bits) equal to m's.
+            4 => {
+                let mut l = m.limbs().to_vec();
+                let half = (l.len() / 2).max(1);
+                l[..half].copy_from_slice(&words[34..34 + half]);
+                (BigUint::from_limbs(l), m)
+            }
+            // All-ones top limbs.
+            5 => {
+                let mut l = words[34..34 + limbs].to_vec();
+                l[limbs - 1] = u64::MAX;
+                if limbs > 1 {
+                    l[limbs - 2] = u64::MAX;
+                }
+                (BigUint::from_limbs(l), m)
+            }
+            // m minus a small value: the top bits agree, the low ones do not.
+            _ => (m.sub(&BigUint::from_u64(words[33] % 1000).rem(&m)), m),
+        };
+        prop_assert!(kind != 3 || mod_inv(&y, &m).is_none());
+        assert_core_equals_the_euclid(&y, &m);
+    }
+
+    #[test]
+    fn gcd_and_lcm_equal_the_euclid_on_two_even_inputs(
+        a in big(17),
+        b in big(17),
+        sa in 1usize..200,
+        sb in 1usize..200,
+        shared in big(2),
+    ) {
+        // keygen's lcm(p − 1, q − 1): two even inputs, here with a
+        // random common factor and unequal powers of two.
+        let common = shared.add_u64(1);
+        let (a, b) = (a.add_u64(1).mul(&common).shl(sa), b.add_u64(1).mul(&common).shl(sb));
+        let g = reference_gcd(&a, &b);
+        prop_assert_eq!(gcd(&a, &b), g.clone());
+        prop_assert_eq!(lcm(&a, &b), a.mul(&b).div_rem(&g).0);
+    }
+}
+
+#[test]
+fn mod_inv_and_gcd_meet_their_edges() {
+    let big = BigUint::from_limbs(vec![0x9e37_79b9_7f4a_7c15, 0xdead_beef, 7]);
+    let small = |v: u64| BigUint::from_u64(v);
+    // m ∈ {1, 2, 3} against small, zero and wide inputs.
+    for m in 1..=3 {
+        for y in [0, 1, 2, 3, 4, 5, u64::MAX]
+            .map(small)
+            .into_iter()
+            .chain([big.clone()])
+        {
+            assert_core_equals_the_euclid(&y, &small(m));
+        }
+    }
+    // y ∈ {0, 1, m − 1, m, m + 1} for odd and even moduli.
+    for m in [
+        small(97),
+        small(1 << 40),
+        big.clone(),
+        big.add_u64(1),
+        BigUint::one().shl(2048),
+    ] {
+        for y in [
+            BigUint::zero(),
+            BigUint::one(),
+            m.sub_u64(1),
+            m.clone(),
+            m.add_u64(1),
+        ] {
+            assert_core_equals_the_euclid(&y, &m);
+        }
+    }
+    assert_eq!(gcd(&BigUint::zero(), &BigUint::zero()), BigUint::zero());
+    assert_eq!(gcd(&big, &BigUint::zero()), big);
+    assert_eq!(gcd(&big.shl(300), &big.shl(5)), big.shl(5));
+}
+
+#[test]
+fn two_thousand_forty_eight_bit_inverses_equal_the_euclid() {
+    // The width batch_inv_mont inverts at under a 1024-bit key: n², odd,
+    // 2048 bits, and inputs below it and past it.
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut words = |n: usize| -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect()
+    };
+    let mut units = 0;
+    for i in 0..24 {
+        let m = odd_of_bits(&words(32), 2048);
+        let y = BigUint::from_limbs(words(32 + i % 2));
+        assert_core_equals_the_euclid(&y, &m);
+        if let Some(inv) = mod_inv(&y, &m) {
+            assert!(y.mod_mul(&inv, &m).is_one());
+            units += 1;
+        }
+    }
+    // Random odd moduli share a small factor with some draws.
+    assert!(units >= 12, "{units} of 24 draws were units");
 }
 
 #[test]

@@ -965,7 +965,11 @@ const SHARED_TABLE_LIMBS: usize = 1 << 22;
 ///
 /// Each row is two products, its positive and its negative terms, and
 /// all negative accumulators of the call are inverted together — one
-/// `mod_inv`, not one per row. Within a product equal exponents are
+/// `mod_inv`, not one per row, plus three multiplies per inverted
+/// accumulator. That one inversion is a binary GCD (`bf_bigint::modular`):
+/// ≈ 17.5 µs mod the 2048-bit `n²` of a 1024-bit key, where the extended
+/// Euclid before it took ≈ 0.34 ms, more than a 16-product lane section
+/// of the Embed source. Within a product equal exponents are
 /// grouped and raised once, the rest share one squaring chain. A base
 /// that meets table-worthy exponents in several rows gets one window
 /// table per lane for the whole call.

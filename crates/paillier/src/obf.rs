@@ -467,6 +467,51 @@ mod tests {
         );
     }
 
+    /// FNV-1a over `bytes`: a fixed digest for the goldens below.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn keygen_and_pool_bytes_are_pinned() {
+        // Key generation (primality, `lcm`/`gcd`, the CRT inverses) and
+        // the pool's units (`random_coprime`'s accept/reject sequence)
+        // are fixed by their seeds: any change to the number theory
+        // under them that moved a byte shows here.
+        let want = [
+            (
+                1u64,
+                0x71be_2345_5d62_229f,
+                0x2157_4049_e03c_e873,
+                0x8ebf_1faa_8152_fd9d,
+            ),
+            (
+                2,
+                0x3e3c_5673_e8d0_4c92,
+                0x923f_e926_e0bc_5b07,
+                0x5754_a43c_0e8f_30e3,
+            ),
+        ];
+        for (key_seed, want_sk, want_pool, want_res) in want {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(key_seed);
+            let (pk, sk) = keygen(512, 32, &mut rng);
+            let sk_hash = fnv1a(crate::export_secret(&sk).into_bytes());
+            let public = Obfuscator::new(&pk, ObfMode::Pool(8), key_seed + 10);
+            let secret = Obfuscator::from_secret(&sk, ObfMode::Pool(8), key_seed + 10);
+            let pool = fnv1a(public.pool.iter().flatten().flat_map(|l| l.to_le_bytes()));
+            let res = fnv1a(public.residues.iter().flat_map(|l| l.to_le_bytes()));
+            assert_eq!(
+                (sk_hash, pool, res),
+                (want_sk, want_pool, want_res),
+                "key seed {key_seed}: {sk_hash:#x}, {pool:#x}, {res:#x}"
+            );
+            assert_eq!(secret.pool, public.pool);
+            assert_eq!(secret.residues, public.residues);
+        }
+    }
+
     #[test]
     fn set_drawn_replays_the_stream_in_every_mode() {
         // Draw position i is a pure function of (seed, i): a rebuilt
