@@ -1,5 +1,6 @@
 //! The eight-lane chains behind [`MontCtx::pow_many`],
-//! [`MontCtx::fold_many`] and [`MontCtx::multi_pow_many`] on x86_64 CPUs
+//! [`MontCtx::fold_many`] and [`MontCtx::multi_pow_many`], and the
+//! eight-lane product behind [`MontCtx::mont_mul_many`], on x86_64 CPUs
 //! with AVX-512 IFMA.
 //!
 //! Eight bases raised to one exponent mod one modulus share everything
@@ -20,15 +21,27 @@
 //! Multiplication is almost-Montgomery (AMM): with `R = 2^(52·L) > 4m`,
 //! operands below `2m` give a product `a·b·R⁻¹` below `2m`, so no step
 //! compares with `m` and no lane branches; the one conditional
-//! subtraction runs per lane, in scalar code, after the value leaves the
-//! Montgomery domain. Inside a multiply the accumulators are not
-//! normalised: a column meets at most `4(L + 1)` terms below `2^52`, far
-//! below `2^64` at the widest `L = 40`, so the carries wait for one pass
-//! at the end.
+//! subtraction runs after the value leaves the Montgomery domain, on all
+//! eight lanes at once with its borrow a lane mask ([`LaneCtx::take8`]),
+//! as the radix conversions do ([`radix8`]). Inside a multiply the
+//! accumulators are not normalised: a column meets at most `4(L + 1)`
+//! terms below `2^52`, far below `2^64` at the widest `L = 40`, so the
+//! carries wait for one pass at the end.
+//!
+//! The fourth caller has no chain: eight independent products `a_i·b_i`
+//! of 64-bit Montgomery forms, one multiply. With `R₆₄ = 2^(64k)` for
+//! the `k` 64-bit limbs of `m` and `s = 52l − 64k`, the integer `a·2^s`
+//! is below `2^(64k + s) = 2^(52l)` whenever `s ≥ 0`, and `amm(a·2^s, b)
+//! = a·b·R₆₄⁻¹`, below `a·b/R₆₄ + m < 2m` for `a, b < m`: the 64-bit
+//! Montgomery product, with `a` entered by a shift of its limbs. That
+//! holds for every `n` and `n²` of a 256- to 2048-bit key that has a
+//! lane width (`s` = 4, 8, 16 or 32); a modulus of another width enters
+//! `a` by one more multiply, by `R²/R₆₄`.
 //!
 //! [`MontCtx::pow_many`]: crate::MontCtx::pow_many
 //! [`MontCtx::fold_many`]: crate::MontCtx::fold_many
 //! [`MontCtx::multi_pow_many`]: crate::MontCtx::multi_pow_many
+//! [`MontCtx::mont_mul_many`]: crate::MontCtx::mont_mul_many
 
 use core::arch::x86_64::*;
 use std::array::from_fn;
@@ -41,6 +54,9 @@ use crate::BigUint;
 /// Bits per limb: what `vpmadd52{l,h}uq` multiply.
 const RADIX: usize = 52;
 const MASK: u64 = (1 << RADIX) - 1;
+
+/// 64-bit words of the widest lane value: `⌈52·40/64⌉`.
+const WORDS: usize = (LANE_WIDTHS[LANE_WIDTHS.len() - 1] * RADIX).div_ceil(64);
 
 /// One modulus in the lane kernel's radix.
 #[derive(Clone, Debug)]
@@ -58,12 +74,17 @@ pub(crate) struct LaneCtx {
     /// (what [`crate::MontCtx`] holds) into its lane form.
     enter: Vec<u64>,
     /// `R₆₄ mod m`: one lane multiply by it turns a lane form back into
-    /// the 64-bit Montgomery form. It is also that form of 1, which pads
-    /// a fold's missing sources.
+    /// the 64-bit Montgomery form.
     leave: Vec<u64>,
     /// `R mod m`: the lane form of 1, which pads a product's missing
     /// factors and starts an empty chain.
     one: Vec<u64>,
+    /// `R₆₄ mod m` in 64-bit limbs: the 64-bit Montgomery form of 1,
+    /// which pads a fold's missing sources.
+    one64: Vec<u64>,
+    /// `52l − 64k`, if not negative: the shift that enters the left
+    /// factor of [`LaneCtx::mul_many`] (module docs).
+    shift: Option<usize>,
 }
 
 /// Dispatch to the instance of a kernel for `l` limbs.
@@ -98,6 +119,8 @@ impl LaneCtx {
             enter: power(2 * r - r64),
             leave: power(r64),
             one: power(r),
+            one64: BigUint::one().shl(r64).rem(m).limbs().to_vec(),
+            shift: r.checked_sub(r64),
         })
     }
 
@@ -113,17 +136,19 @@ impl LaneCtx {
         let mut windows = Vec::new();
         sliding_windows(exp, w, |pos, entry| windows.push((pos, entry)));
         let mut out = Vec::with_capacity(bases.len());
-        let mut x = vec![0u64; l * LANES];
+        let (k, mut x) = (self.m.limbs().len(), vec![0u64; l * LANES]);
         for group in bases.chunks(LANES) {
-            x.fill(0);
-            for (lane, b) in group.iter().enumerate() {
-                let b = if b < &self.m { b } else { &b.rem(&self.m) };
-                put(&mut x, lane, &to_radix(b.limbs(), l));
-            }
+            let reduced: Vec<BigUint> = group.iter().map(|b| b.rem(&self.m)).collect();
+            let limbs: Vec<&[u64]> = reduced.iter().map(BigUint::limbs).collect();
+            let mut r = vec![0u64; group.len() * k];
             // SAFETY: `new` built `self` only after the CPU reported
             // AVX-512F and IFMA, the two features the kernels enable.
-            unsafe { on_width!(l, pow8(self, &windows, w, &mut x)) }
-            out.extend((0..group.len()).map(|lane| self.take(&x, lane)));
+            unsafe {
+                radix8(&limbs, 0, &mut x);
+                on_width!(l, pow8(self, &windows, w, &mut x));
+                self.take8(&x, &mut r);
+            }
+            out.extend(r.chunks_exact(k).map(|r| BigUint::from_limbs(r.to_vec())));
         }
         out
     }
@@ -150,20 +175,19 @@ impl LaneCtx {
         let mut table = vec![0u64; fold * size];
         let mut x = vec![0u64; size];
         for (group, out) in runs.chunks(LANES).zip(out.chunks_mut(LANES * k)) {
-            for (j, entry) in table.chunks_exact_mut(size).enumerate() {
-                for lane in 0..LANES {
-                    match group.get(lane).and_then(|run| run.get(j * k..(j + 1) * k)) {
-                        Some(src) => put(entry, lane, &to_radix(src, l)),
-                        None => put(entry, lane, &self.leave),
-                    }
-                }
-            }
             // SAFETY: as in `pow_many`.
-            unsafe { on_width!(l, fold8(self, &mut table, &windows, &mut x)) }
-            for (lane, out) in out.chunks_exact_mut(k).enumerate() {
-                let r = self.take(&x, lane);
-                out.fill(0);
-                out[..r.limbs().len()].copy_from_slice(r.limbs());
+            unsafe {
+                for (j, entry) in table.chunks_exact_mut(size).enumerate() {
+                    let srcs: Vec<&[u64]> = (0..LANES)
+                        .map(|lane| {
+                            let src = group.get(lane).and_then(|run| run.get(j * k..(j + 1) * k));
+                            src.unwrap_or(&self.one64)
+                        })
+                        .collect();
+                    radix8(&srcs, 0, entry);
+                }
+                on_width!(l, fold8(self, &mut table, &windows, &mut x));
+                self.take8(&x, out);
             }
         }
         out
@@ -178,12 +202,11 @@ impl LaneCtx {
         let mut x = vec![0u64; l * LANES];
         let mut entered = vec![0u64; bases.len() * l];
         for (group, dst) in bases.chunks(LANES).zip(entered.chunks_mut(LANES * l)) {
-            x.fill(0);
-            for (lane, b) in group.iter().enumerate() {
-                put(&mut x, lane, &to_radix(b, l));
-            }
             // SAFETY: as in `pow_many`.
-            unsafe { on_width!(l, enter8(self, &mut x)) }
+            unsafe {
+                radix8(group, 0, &mut x);
+                on_width!(l, enter8(self, &mut x));
+            }
             for (lane, dst) in dst.chunks_exact_mut(l).enumerate() {
                 gather_lane(&x, lane, dst);
             }
@@ -218,13 +241,12 @@ impl LaneCtx {
 
     /// The product `Π_t b_t^(e_t)` of each of up to eight `products`
     /// over `bases` (entered by this context), in 64-bit Montgomery form,
-    /// canonical, `k` limbs each into `out`: one chain, a product per
+    /// canonical, `k` 64-bit limbs each into `out`: one chain, a product per
     /// lane (see [`Plan`]).
     pub(crate) fn multi_pow_many(
         &self,
         bases: &LaneBases,
         products: &[&[LaneTerm<'_>]],
-        k: usize,
         out: &mut [u64],
     ) {
         let l = self.limbs();
@@ -232,24 +254,111 @@ impl LaneCtx {
         let plan = Plan::new(bases, products);
         let mut x = vec![0u64; l * LANES];
         // SAFETY: as in `pow_many`.
-        unsafe { on_width!(l, multi8(self, bases, &plan, &mut x)) }
-        for (lane, out) in out.chunks_exact_mut(k).enumerate() {
-            let r = self.take(&x, lane);
-            out.fill(0);
-            out[..r.limbs().len()].copy_from_slice(r.limbs());
+        unsafe {
+            on_width!(l, multi8(self, bases, &plan, &mut x));
+            self.take8(&x, out);
         }
     }
 
-    /// Lane `lane` of the lane-interleaved `x` as a value below `m`.
-    fn take(&self, x: &[u64], lane: usize) -> BigUint {
-        let limbs: Vec<u64> = (0..self.m52.len()).map(|j| x[j * LANES + lane]).collect();
-        let r = from_radix(&limbs);
-        // Out of the domain, a lane is below 2m (module docs).
-        if r < self.m {
-            r
-        } else {
-            r.sub(&self.m)
+    /// `a_i·b_i·R₆₄⁻¹ mod m` for each of up to eight pairs of `k`-limb
+    /// 64-bit Montgomery forms below `m` — what the scalar
+    /// `mont_mul_into` makes of them — canonical, `k` limbs each into
+    /// `out`: one lane multiply of the shifted `a_i` by the `b_i` (module
+    /// docs), or two where this modulus has no shift.
+    pub(crate) fn mul_many(&self, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        const MAX: usize = LANE_WIDTHS[LANE_WIDTHS.len() - 1] * LANES;
+        let (l, k) = (self.limbs(), self.m.limbs().len());
+        assert!(a.len() == b.len() && a.len() <= LANES && out.len() == a.len() * k);
+        let (mut x, mut y) = ([0u64; MAX], [0u64; MAX]);
+        let (x, y) = (&mut x[..l * LANES], &mut y[..l * LANES]);
+        // SAFETY: as in `pow_many`.
+        unsafe {
+            radix8(a, self.shift.unwrap_or(0), x);
+            radix8(b, 0, y);
+            if self.shift.is_none() {
+                on_width!(l, enter8(self, x));
+            }
+            on_width!(l, mul8(self, x, y));
+            self.take8(x, out);
         }
+    }
+
+    /// The first `out.len() / k` lanes of the lane-interleaved `x`, each
+    /// below `2m` in normalised limbs (module docs), reduced below `m`
+    /// into `k` 64-bit limbs each: the words and the subtraction of `m`
+    /// run on all eight lanes at once, its borrow a lane mask, and each
+    /// lane keeps the difference where no borrow leaves the top.
+    #[target_feature(enable = "avx512f")]
+    fn take8(&self, x: &[u64], out: &mut [u64]) {
+        let (l, m) = (self.limbs(), self.m.limbs());
+        let k = m.len();
+        let zero = _mm512_setzero_si512();
+        let limb = |j: usize| {
+            if j < l {
+                load::<1>(&x[j * LANES..])[0]
+            } else {
+                zero
+            }
+        };
+        // Word i is bits 64i.. of the value: the limbs from j = ⌊64i/52⌋
+        // shifted into place; a shift of 64 or more gives 0.
+        let word = |i: usize| {
+            let (j, r) = (64 * i / RADIX, (64 * i % RADIX) as i64);
+            let lo = _mm512_srlv_epi64(limb(j), _mm512_set1_epi64(r));
+            let mid = _mm512_sllv_epi64(limb(j + 1), _mm512_set1_epi64(52 - r));
+            let hi = _mm512_sllv_epi64(limb(j + 2), _mm512_set1_epi64(104 - r));
+            _mm512_or_si512(lo, _mm512_or_si512(mid, hi))
+        };
+        let one = _mm512_set1_epi64(1);
+        let (mut values, mut diffs) = ([0u64; WORDS * LANES], [0u64; WORDS * LANES]);
+        let mut borrow = 0;
+        for (i, &mi) in m.iter().enumerate() {
+            let (v, mi) = (word(i), _mm512_set1_epi64(mi as i64));
+            let d = _mm512_sub_epi64(_mm512_sub_epi64(v, mi), _mm512_maskz_mov_epi64(borrow, one));
+            borrow = _mm512_cmplt_epu64_mask(v, mi) | (_mm512_cmpeq_epu64_mask(v, mi) & borrow);
+            store::<1>(&mut values[i * LANES..], &[v]);
+            store::<1>(&mut diffs[i * LANES..], &[d]);
+        }
+        // Below 2m < 2^(64k + 1), bits 64k.. are 0 or 1: a lane is below
+        // m where they are 0 and a borrow left the k words.
+        let below = _mm512_cmpeq_epu64_mask(word(k), zero) & borrow;
+        for (lane, out) in out.chunks_exact_mut(k).enumerate() {
+            let rows = if below >> lane & 1 == 1 {
+                &values
+            } else {
+                &diffs
+            };
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = rows[i * LANES + lane];
+            }
+        }
+    }
+}
+
+/// `a_i·2^shift` of each lane's `a_i` (at most [`WORDS`] 64-bit limbs;
+/// the lanes past `vals` are 0), in radix `2^52`, into the
+/// lane-interleaved `x`, `x.len() / 8` limbs; `shift < 64`. The lanes'
+/// words are interleaved once, then every limb is two shifts of two
+/// word rows on all eight lanes.
+#[target_feature(enable = "avx512f")]
+fn radix8(vals: &[&[u64]], shift: usize, x: &mut [u64]) {
+    debug_assert!(vals.len() <= LANES && shift < 64);
+    // Row i + 1 holds word i, so that bit 52j − shift of the value sits
+    // at a non-negative position 64 + 52j − shift of the rows.
+    let mut rows = [0u64; (WORDS + 2) * LANES];
+    for (lane, a) in vals.iter().enumerate() {
+        for (i, &w) in a.iter().enumerate() {
+            rows[(i + 1) * LANES + lane] = w;
+        }
+    }
+    let row = |i: usize| load::<1>(&rows[i * LANES..])[0];
+    let mask = _mm512_set1_epi64(MASK as i64);
+    for (j, limb) in x.chunks_exact_mut(LANES).enumerate() {
+        let p = 64 + RADIX * j - shift;
+        let (i, r) = (p / 64, (p % 64) as i64);
+        let lo = _mm512_srlv_epi64(row(i), _mm512_set1_epi64(r));
+        let hi = _mm512_sllv_epi64(row(i + 1), _mm512_set1_epi64(64 - r));
+        store::<1>(limb, &[_mm512_and_si512(_mm512_or_si512(lo, hi), mask)]);
     }
 }
 
@@ -401,19 +510,6 @@ fn to_radix(a: &[u64], l: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The value of 52-bit limbs, least significant first.
-fn from_radix(limbs: &[u64]) -> BigUint {
-    let mut words = vec![0u64; (limbs.len() * RADIX).div_ceil(64)];
-    for (j, &v) in limbs.iter().enumerate() {
-        let (i, s) = (j * RADIX / 64, j * RADIX % 64);
-        words[i] |= v << s;
-        if s > 64 - RADIX {
-            words[i + 1] |= v >> (64 - s);
-        }
-    }
-    BigUint::from_limbs(words)
-}
-
 /// Eight `L`-limb values, lane-interleaved: vector `j` holds limb `j`.
 type Vals<const L: usize> = [__m512i; L];
 
@@ -476,6 +572,13 @@ fn fold8<const L: usize>(
 fn enter8<const L: usize>(ctx: &LaneCtx, x: &mut [u64]) {
     let (m, m_inv) = (splat::<L>(&ctx.m52), _mm512_set1_epi64(ctx.m_inv as i64));
     store(x, &amm(&load(x), &splat(&ctx.enter), &m, m_inv));
+}
+
+/// `x ← x·y·R⁻¹` lane by lane: [`LaneCtx::mul_many`]'s one multiply.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul8<const L: usize>(ctx: &LaneCtx, x: &mut [u64], y: &[u64]) {
+    let (m, m_inv) = (splat::<L>(&ctx.m52), _mm512_set1_epi64(ctx.m_inv as i64));
+    store(x, &amm(&load(x), &load(y), &m, m_inv));
 }
 
 /// Entry `e ≥ 1` of the interleaved `table` ← entry 0 to the power

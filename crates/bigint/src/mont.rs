@@ -22,11 +22,13 @@
 //! [`MontCtx::fold_many`]; and many products of powers over one set of
 //! bases — the output rows of a `CtMat` contraction — take
 //! [`MontCtx::multi_pow_many`] over bases entered once by
-//! [`MontCtx::lane_bases`]. `new` picks their path once per modulus: on
-//! x86_64 with AVX-512F and IFMA, and a modulus of one of the
-//! [`LANE_WIDTHS`], eight chains at a time in the lanes of one vector
-//! (`crate::ifma`); else one [`MontCtx::pow`], [`MontCtx::fold`] or
-//! [`MontCtx::multi_pow_into`] at a time, which stay the reference.
+//! [`MontCtx::lane_bases`]; and many independent products — fresh
+//! ciphertexts, homomorphic sums — take [`MontCtx::mont_mul_many`].
+//! `new` picks their path once per modulus: on x86_64 with AVX-512F and
+//! IFMA, and a modulus of one of the [`LANE_WIDTHS`], eight chains (or
+//! products) at a time in the lanes of one vector (`crate::ifma`); else
+//! one [`MontCtx::pow`], [`MontCtx::fold`], [`MontCtx::multi_pow_into`]
+//! or [`MontCtx::mont_mul_into`] at a time, which stay the reference.
 //! Callers split a batch between the two by [`lane_items`]. The `asm!`
 //! row and the lane kernel are the crate's only `unsafe`.
 
@@ -61,8 +63,9 @@ pub struct MontCtx {
     /// The multiply and square kernels, picked once in [`MontCtx::new`].
     kernels: Kernels,
     /// The eight-lane kernel of [`MontCtx::pow_many`],
-    /// [`MontCtx::fold_many`] and [`MontCtx::multi_pow_many`], if this CPU
-    /// and this modulus have one; picked once in [`MontCtx::new`].
+    /// [`MontCtx::fold_many`], [`MontCtx::multi_pow_many`] and
+    /// [`MontCtx::mont_mul_many`], if this CPU and this modulus have one;
+    /// picked once in [`MontCtx::new`].
     lanes: Option<LaneCtx>,
 }
 
@@ -93,7 +96,11 @@ pub const LANES: usize = 8;
 /// | 8, 2 | 2.23 / 0.75 | 0.90 / 0.24 | 116 / 39 |
 ///
 /// Two scalar decryptions at two threads read 0.22–0.32 ms in a later
-/// probe of whole `SecretKey::decrypt` calls. Past a full group the
+/// probe of whole `SecretKey::decrypt` calls. An elementwise product
+/// ([`MontCtx::mont_mul_many`]) is no chain: its callers hand each worker
+/// a whole group, and it applies the rule at one thread — a 32-limb
+/// product read 0.68 µs scalar against 0.76 µs for a lone lane, and two
+/// 1.36–1.49 against 1.08–1.26 µs (eight: 5.4–6.0 against 1.46–1.85 µs). Past a full group the
 /// tail decides: a `repack` of 9 sources an output read, at one thread,
 /// 1.07–1.13 ms for 9 outputs as a group and a chain (1.23–1.25 as two
 /// groups) and 1.25 ms for 10 as two groups (1.54 as a group and two
@@ -145,13 +152,18 @@ impl LaneCtx {
         match *self {}
     }
 
-    fn multi_pow_many(&self, _: &LaneBases, _: &[&[LaneTerm<'_>]], _: usize, _: &mut [u64]) {
+    fn multi_pow_many(&self, _: &LaneBases, _: &[&[LaneTerm<'_>]], _: &mut [u64]) {
+        match *self {}
+    }
+
+    fn mul_many(&self, _: &[&[u64]], _: &[&[u64]], _: &mut [u64]) {
         match *self {}
     }
 }
 
 /// Which chains [`MontCtx::pow_many`], [`MontCtx::fold_many`] and
-/// [`MontCtx::multi_pow_many`] run.
+/// [`MontCtx::multi_pow_many`] run, and which multiply
+/// [`MontCtx::mont_mul_many`] does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PowMany {
     /// One [`MontCtx::pow`] per base, one [`MontCtx::fold`] per run,
@@ -584,7 +596,37 @@ impl MontCtx {
             .as_ref()
             .expect("multi_pow_many runs on the lanes");
         assert!(products.len() <= LANES && out.len() == products.len() * self.k);
-        lanes.multi_pow_many(bases, products, self.k, out)
+        lanes.multi_pow_many(bases, products, out)
+    }
+
+    /// [`MontCtx::mont_mul_into`] of every pair `(a_i, b_i)` of `k`-limb
+    /// values, the products `k` limbs each into `out`, byte for byte. On
+    /// [`PowMany::Lanes`] the pairs go [`LANES`] to one lane multiply, a
+    /// lone pair past the last full group excepted ([`lane_items`] at one
+    /// thread: callers hand each worker a group); that pair, and a group
+    /// with an operand not below `m` (limbs off the wire), take the scalar
+    /// kernel.
+    pub fn mont_mul_many(&self, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
+        let k = self.k;
+        assert!(a.len() == b.len() && out.len() == a.len() * k);
+        let scalar = |a: &[&[u64]], b: &[&[u64]], out: &mut [u64]| {
+            for ((a, b), out) in a.iter().zip(b).zip(out.chunks_exact_mut(k)) {
+                self.mont_mul_into(a, b, out);
+            }
+        };
+        let on_lanes = self.lanes.as_ref().map_or(0, |_| lane_items(a.len(), 1));
+        let (grouped, rest) = out.split_at_mut(on_lanes * k);
+        for (g, out) in grouped.chunks_mut(LANES * k).enumerate() {
+            let span = g * LANES..g * LANES + out.len() / k;
+            let (a, b) = (&a[span.clone()], &b[span]);
+            match &self.lanes {
+                Some(lanes) if a.iter().chain(b).all(|v| self.is_reduced(v)) => {
+                    lanes.mul_many(a, b, out)
+                }
+                _ => scalar(a, b, out),
+            }
+        }
+        scalar(&a[on_lanes..], &b[on_lanes..], rest);
     }
 
     /// Modular exponentiation `base^exp mod m`.

@@ -407,6 +407,58 @@ fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
     }
 }
 
+/// [`MontCtx::mont_mul_many`] of `a` and `b` against one
+/// `mont_mul_into` per pair.
+fn assert_lane_pairs(ctx: &MontCtx, a: &[&[u64]], b: &[&[u64]], what: &str) {
+    let k = ctx.limb_count();
+    let mut got = vec![0u64; a.len() * k];
+    ctx.mont_mul_many(a, b, &mut got);
+    for (i, ((a, b), got)) in a.iter().zip(b).zip(got.chunks(k)).enumerate() {
+        assert_eq!(got, ctx.mont_mul(a, b), "{what}, pair {i}");
+    }
+}
+
+#[test]
+fn the_lane_product_equals_mont_mul_into_at_every_width_and_item_count() {
+    if !has_ifma() {
+        return;
+    }
+    // The narrowest modulus of each width enters its left factors by a
+    // shift, the widest (whose 64k bits exceed 52l) by a multiply.
+    for m in lane_moduli() {
+        let ctx = MontCtx::new(&m);
+        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
+        let (bits, k) = (m.bits(), ctx.limb_count());
+        let limbs = |v: BigUint| {
+            let mut l = v.limbs().to_vec();
+            l.resize(k, 0);
+            l
+        };
+        let mut x = m.shr(2);
+        let mut random = || {
+            x = x.mul(&x).add_u64(0x9e37).rem(&m);
+            x.clone()
+        };
+        // Ten operands below m: 0, 1, m − 1, R mod m (the Montgomery
+        // form of 1) and six random values; then two that are not, m
+        // and 2^(64k) − 1, which send their groups to the scalar kernel.
+        let mut pool = vec![limbs(BigUint::zero()), limbs(BigUint::one())];
+        pool.extend([limbs(m.sub_u64(1)), ctx.one_mont()]);
+        pool.extend((0..6).map(|_| limbs(random())));
+        pool.extend([limbs(m.clone()), vec![u64::MAX; k]]);
+        for size in [10, 12] {
+            // Empty, lone, partial and full groups, each with a tail; the
+            // edges land in a different lane at each count.
+            for n in 0..=17 {
+                let a: Vec<&[u64]> = (0..n).map(|i| &pool[(i + n) % size][..]).collect();
+                let b: Vec<&[u64]> = (0..n).map(|i| &pool[(3 * i + 1) % size][..]).collect();
+                let what = format!("{bits} bits, {n} pairs of {size} operands");
+                assert_lane_pairs(&ctx, &a, &b, &what);
+            }
+        }
+    }
+}
+
 /// `products` (each a list of `(base index, exponent)`) on the lanes,
 /// each against one `multi_pow_into` over `reference` (the bases, each
 /// below `m`).
@@ -820,6 +872,39 @@ proptest! {
         let ctx = MontCtx::new(&m);
         let want: Vec<BigUint> = bases.iter().map(|b| ctx.pow(b, &e)).collect();
         prop_assert_eq!(ctx.pow_many(&bases, &e), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn mont_mul_many_matches_mont_mul_at_every_lane_width(
+        words in prop::collection::vec(any::<u64>(), 33),
+        width in 0..LANE_WIDTHS.len(),
+        widest in any::<bool>(),
+        lefts in prop::collection::vec(big(33), 0..=2 * LANES + 1),
+        rights in prop::collection::vec(big(33), 2 * LANES + 1),
+    ) {
+        // A random modulus at either end of a served width, operands
+        // reduced below it, groups of eight and a partial last one.
+        let l = LANE_WIDTHS[width];
+        let m = odd_of_bits(&words, if widest { 52 * l - 2 } else { 52 * (l - 1) - 1 });
+        let ctx = MontCtx::new(&m);
+        let k = ctx.limb_count();
+        let limbs = |v: &BigUint| {
+            let mut l = v.rem(&m).limbs().to_vec();
+            l.resize(k, 0);
+            l
+        };
+        let (a, b): (Vec<Vec<u64>>, Vec<Vec<u64>>) =
+            lefts.iter().zip(&rights).map(|(a, b)| (limbs(a), limbs(b))).unzip();
+        let (a, b): (Vec<&[u64]>, Vec<&[u64]>) =
+            a.iter().zip(&b).map(|(a, b)| (&a[..], &b[..])).unzip();
+        let mut got = vec![0u64; a.len() * k];
+        ctx.mont_mul_many(&a, &b, &mut got);
+        let want: Vec<u64> = a.iter().zip(&b).flat_map(|(a, b)| ctx.mont_mul(a, b)).collect();
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -2,7 +2,12 @@
 //! ciphertexts with dense and sparse homomorphic kernels.
 //!
 //! Ciphertexts are stored flat in Montgomery form (`k` limbs each), so
-//! homomorphic addition is one `mont_mul`. A Paillier matrix has one
+//! homomorphic addition is one `mont_mul`. Fresh encryptions, `add`,
+//! `add_plain` and `rows_add_assign` fill their output in groups of
+//! eight ciphertexts, a parallel item per group; a pooled encryption's
+//! and a sum's products run as one
+//! [`bf_bigint::MontCtx::mont_mul_many`] per group, one lane multiply on
+//! CPUs with AVX-512 IFMA. A Paillier matrix has one
 //! body in one of two lane layouts (`LaneLayout`): one value per
 //! ciphertext, or one slot-packed column chunk per ciphertext
 //! ([`crate::pack`]). Kernels work on *lanes*, the ciphertexts of a row,
@@ -36,7 +41,7 @@ use bf_bigint::mont::{
 };
 use bf_bigint::BigUint;
 use bf_tensor::{CatBlock, Dense, Features};
-use bf_util::par::{workers, COARSE};
+use bf_util::par::{workers, COARSE, FINE};
 use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
 
 use crate::codec::{self, SignedInt};
@@ -369,8 +374,8 @@ impl PublicKey {
         let body = match self {
             PublicKey::Paillier(pk) => {
                 let first = obf.reserve((m.rows() * lanes.per_row(m.cols())) as u64);
-                let limbs = lane_slab(pk, m, scale, lanes, |idx, p, ct| {
-                    obf.encrypt_into(pk, p, first + idx as u64, ct)
+                let limbs = lane_slab(pk, m, scale, lanes, |idx, ps, group| {
+                    obf.encrypt_many(pk, ps, first + idx as u64, group)
                 });
                 Body::Paillier {
                     k: pk.ct_limbs(),
@@ -401,9 +406,12 @@ impl PublicKey {
         );
         match (self, &a.body, &b.body) {
             (PublicKey::Paillier(pk), Body::Paillier { .. }, Body::Paillier { .. }) => {
-                let (ca, cb) = (a.cts(), b.cts());
-                let limbs = ct_slab(a.rows * ca.lanes, pk.ct_limbs(), |i, ct| {
-                    pk.mont.mont_mul_into(ca.nth(i), cb.nth(i), ct)
+                let (ca, cb, k) = (a.cts(), b.cts(), pk.ct_limbs());
+                let limbs = ct_slab(a.rows * ca.lanes, k, |first, group| {
+                    let span = first..first + group.len() / k;
+                    let lefts: Vec<&[u64]> = span.clone().map(|i| ca.nth(i)).collect();
+                    let rights: Vec<&[u64]> = span.map(|i| cb.nth(i)).collect();
+                    pk.mont.mont_mul_many(&lefts, &rights, group)
                 });
                 a.like(a.rows, a.scale, limbs)
             }
@@ -428,9 +436,11 @@ impl PublicKey {
         assert_eq!(a.shape(), p.shape(), "add_plain shape mismatch");
         match (self, &a.body) {
             (PublicKey::Paillier(pk), Body::Paillier { lanes, .. }) => {
-                let ca = a.cts();
-                let limbs = lane_slab(pk, p, a.scale, *lanes, |idx, m, ct| {
-                    pk.add_plain_into(ca.nth(idx), m, None, ct)
+                let (ca, k) = (a.cts(), pk.ct_limbs());
+                let limbs = lane_slab(pk, p, a.scale, *lanes, |idx, ms, group| {
+                    for (j, (m, ct)) in ms.iter().zip(group.chunks_exact_mut(k)).enumerate() {
+                        pk.add_plain_into(ca.nth(idx + j), m, None, ct)
+                    }
                 });
                 a.like(a.rows, a.scale, limbs)
             }
@@ -680,7 +690,10 @@ impl PublicKey {
 
     /// Homomorphically add `delta`'s rows into the given rows of a
     /// cached ciphertext (the `Recv and Update ⟦V⟧` steps of Figures 6
-    /// and 7). Scales and layouts must match.
+    /// and 7). Scales and layouts must match. The products are one
+    /// parallel section over groups of [`LANES`] ciphertexts, each group
+    /// one [`bf_bigint::MontCtx::mont_mul_many`]; a call that names a row
+    /// twice adds its deltas one after another instead.
     pub fn rows_add_assign(&self, cache: &mut CtMat, rows: &[usize], delta: &CtMat) {
         assert_eq!(rows.len(), delta.rows, "rows_add_assign row mismatch");
         assert_eq!(cache.cols, delta.cols, "rows_add_assign col mismatch");
@@ -697,12 +710,32 @@ impl PublicKey {
                 Body::Paillier { k, limbs, .. },
                 Body::Paillier { limbs: dlimbs, .. },
             ) => {
-                for (d, &r) in rows.iter().enumerate() {
-                    let cur = limbs[r * stride..][..stride].chunks_exact_mut(*k);
-                    for (c, dc) in cur.zip(dlimbs[d * stride..][..stride].chunks_exact(*k)) {
-                        let prod = pk.mont.mont_mul(c, dc);
-                        c.copy_from_slice(&prod);
+                let k = *k;
+                let mut sorted = rows.to_vec();
+                sorted.sort_unstable();
+                if sorted.windows(2).any(|w| w[0] == w[1]) {
+                    let mut sum = vec![0u64; k];
+                    for (d, &r) in rows.iter().enumerate() {
+                        let cur = limbs[r * stride..][..stride].chunks_exact_mut(k);
+                        for (c, dc) in cur.zip(dlimbs[d * stride..][..stride].chunks_exact(k)) {
+                            pk.mont.mont_mul_into(c, dc, &mut sum);
+                            c.copy_from_slice(&sum);
+                        }
                     }
+                    return;
+                }
+                let per_row = stride / k;
+                let sums = ct_slab(rows.len() * per_row, k, |first, group| {
+                    let span = first..first + group.len() / k;
+                    let lefts: Vec<&[u64]> = span
+                        .clone()
+                        .map(|i| &limbs[rows[i / per_row] * stride + i % per_row * k..][..k])
+                        .collect();
+                    let rights: Vec<&[u64]> = span.map(|i| &dlimbs[i * k..][..k]).collect();
+                    pk.mont.mont_mul_many(&lefts, &rights, group)
+                });
+                for (d, &r) in rows.iter().enumerate() {
+                    limbs[r * stride..][..stride].copy_from_slice(&sums[d * stride..][..stride]);
                 }
             }
             (PublicKey::Plain { .. }, Body::Plain(cv), Body::Plain(dv)) => {
@@ -899,32 +932,41 @@ fn quantize_features(x: &Features, frac_bits: u32) -> Dense {
     d.map(|v| quantize(v, frac_bits))
 }
 
-/// `n` ciphertexts of `k` limbs, ciphertext `i` written by `f(i, ct)`:
-/// parallel workers fill disjoint slices of one preallocated slab.
+/// `n` ciphertexts of `k` limbs, written [`LANES`] at a time: the group
+/// from ciphertext `first` (the last one may be shorter) by `f(first,
+/// group)`. Parallel workers fill disjoint groups of one preallocated
+/// slab; a group is about eight µs-sized items, so the section stays
+/// serial below [`FINE`] ciphertexts.
 fn ct_slab(n: usize, k: usize, f: impl Fn(usize, &mut [u64]) + Sync) -> Vec<u64> {
     let mut limbs = vec![0u64; n * k];
-    let mut cts: Vec<&mut [u64]> = limbs.chunks_exact_mut(k).collect();
-    par_for_each_mut(&mut cts, |i, ct| f(i, ct));
+    let mut groups: Vec<&mut [u64]> = limbs.chunks_mut(LANES * k).collect();
+    par_for_each_mut_min(FINE.div_ceil(LANES), &mut groups, |g, group| {
+        f(g * LANES, group)
+    });
     limbs
 }
 
-/// One ciphertext per lane of `m` in layout `lanes`, lane `idx`
-/// (row-major) written by `f(idx, P, ct)` with `P` its values encoded at
-/// `scale`.
+/// One ciphertext per lane of `m` in layout `lanes`, [`ct_slab`]'s group
+/// from lane `idx` (row-major) written by `f(idx, Ps, group)` with `Ps`
+/// the group's values encoded at `scale`, one per lane.
 fn lane_slab(
     pk: &PaillierPk,
     m: &Dense,
     scale: u8,
     lanes: LaneLayout,
-    f: impl Fn(usize, &BigUint, &mut [u64]) + Sync,
+    f: impl Fn(usize, &[BigUint], &mut [u64]) + Sync,
 ) -> Vec<u64> {
-    let per_row = lanes.per_row(m.cols());
-    ct_slab(m.rows() * per_row, pk.ct_limbs(), |idx, ct| {
-        let vals = &m.row(idx / per_row)[lanes.span(idx % per_row)];
-        let p = lanes
-            .encode(vals, pk, scale)
-            .expect("value overflows its pack slot");
-        f(idx, &p, ct)
+    let (per_row, k) = (lanes.per_row(m.cols()), pk.ct_limbs());
+    ct_slab(m.rows() * per_row, k, |first, group| {
+        let ps: Vec<BigUint> = (first..first + group.len() / k)
+            .map(|idx| {
+                let vals = &m.row(idx / per_row)[lanes.span(idx % per_row)];
+                lanes
+                    .encode(vals, pk, scale)
+                    .expect("value overflows its pack slot")
+            })
+            .collect();
+        f(first, &ps, group)
     })
 }
 
@@ -1748,51 +1790,13 @@ mod tests {
         }
     }
 
-    /// Public keys on fixed prime factors (drawn once by `gen_prime`):
-    /// 512 and 1024 bits, whose `n²` the lane kernel serves (20 and 40
-    /// 52-bit limbs) on CPUs with AVX-512 IFMA, and 2048 bits, whose `n²`
-    /// (79) it does not, so the scalar chains run there on every CPU.
-    fn fixed_keys() -> Vec<PublicKey> {
-        let factors = [
-            (
-                "eff7f624b0c6310f17460bdf1e7c3333fdd2c14d7560f7578eb2871b24ae0c5d",
-                "e730151e2004a461dee7ce0617ef445883ab4ef8948a81cc6a04a19458676bd7",
-            ),
-            (
-                "87ad34cc17ccf2fcbbf195c3de98a8922ada3aaa365f92b2e180a9e90e9c2824\
-                 386e67ada0403c6bcde44e2e7499c4eb87b23815d4f3d319e7a6fc4cf8251fc5",
-                "db8e932920185dfe9a227682d77d0506096f102052037f99cc3f38044c43b19b\
-                 733dbe6eb915d96e9322316a86c7fb937ef8106780e2a24b0a29ad7fc1bbf5b5",
-            ),
-            (
-                "ffe330e3b84337fa3c2bf57657d757dd621048df2f22cfddc0e895ed301687f4\
-                 710b9c33cf07f35d9458998d31b601cecfafba491cfa977836869995ebc88ba4\
-                 2e68e05b9fea41dc75f12e97725807d0d4c81e6b622d55701fb1e8e124cae36e\
-                 9243b9521ba1f58cc04eea1942e36fac935f43a00c79715d556ce4f0bafadcef",
-                "c940965c4d37947ba07e6fbaede67993ef42cc1fe224a623138c0a1fad8ae497\
-                 40edaf127fe60d91d8c40927d80c0f72436ef4a9670d272040167f3bbe3992d2\
-                 bd491f99c9539c5baab25dbc07dcd749cdbee7e46ab5a781affd070cd0f27684\
-                 2bb6180a1814636daa63086b1033d879f83810709e055e6b8eda5adde41b2b23",
-            ),
-        ];
-        factors
-            .iter()
-            .map(|(p, q)| {
-                let n = BigUint::from_hex(p)
-                    .unwrap()
-                    .mul(&BigUint::from_hex(q).unwrap());
-                PublicKey::Paillier(std::sync::Arc::new(PaillierPk::new(n, 32).unwrap()))
-            })
-            .collect()
-    }
-
     #[test]
     fn contractions_equal_the_per_term_reference_on_and_off_the_lanes() {
         // Row counts on both sides of the worker count and of one and
         // two full lane groups; from three rows the patterns carry
         // negative exponents, so a call's products are its rows plus
         // their negative sides and the lane tail moves with them.
-        for pk in fixed_keys() {
+        for pk in crate::keys::fixed_keys() {
             let (p, obf) = (paillier(&pk), Obfuscator::new(&pk, ObfMode::Pool(4), 7));
             assert!(p.key_bits < 2048 || p.mont.pow_many_path() == PowMany::Scalar);
             for rows in [1, 2, 3, 8, 9, 10, 17] {
@@ -1830,38 +1834,57 @@ mod tests {
     fn encryption_draws_follow_the_element_index() {
         // Entry i takes obfuscator draw `first + i` on any thread
         // schedule: 144 scalar and 72 packed ciphertexts, well past the
-        // parallel helpers' serial cut-off of 32.
-        let m = dense(36, 4, 56);
+        // parallel helpers' serial cut-off of 32, and calls of 1, 7, 8, 9
+        // and 17 ciphertexts — a lone one, a partial lane group, a full
+        // one and each with a tail — at a 256-bit key (10-limb lanes) and
+        // a 1024-bit one (40-limb lanes).
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let (pk, _) = keygen(256, 20, &mut rng);
-        let p = paillier(&pk);
-        let layout = SlotLayout::for_key(p.key_bits, p.frac_bits).unwrap();
-        for mode in [ObfMode::Pool(8), ObfMode::Exact] {
-            let obf = Obfuscator::new(&pk, mode, 5);
+        let (small, _) = keygen(256, 20, &mut rng);
+        let wide = crate::keys::fixed_keys().swap_remove(1);
+        let cases = [
+            (&small, ObfMode::Pool(8)),
+            (&small, ObfMode::Exact),
+            (&wide, ObfMode::Pool(8)),
+        ];
+        let mut shapes = vec![(36, 4)];
+        shapes.extend([1, 7, 8, 9, 17].into_iter().flat_map(|n| [(n, 1), (n, 2)]));
+        for (pk, mode) in cases {
+            let p = paillier(pk);
+            let layout = SlotLayout::for_key(p.key_bits, p.frac_bits).unwrap();
+            let obf = Obfuscator::new(pk, mode, 5);
             obf.set_drawn(3);
-            for scale in [1u8, 2] {
-                let first = obf.drawn();
-                let ct = if scale == 1 {
-                    pk.encrypt(&m, &obf)
-                } else {
-                    pk.encrypt_at_scale(&m, scale, &obf)
-                };
-                assert_eq!(obf.drawn(), first + 144);
-                for (i, &v) in m.data().iter().enumerate() {
-                    let enc = codec::encode(v, p.frac_bits, scale, &p.n);
-                    let want = p.raw_encrypt(&enc, &obf.draw(p, first + i as u64));
-                    assert_eq!(ct.ct(i / 4, i % 4), &want[..], "{mode:?} entry {i}");
+            for &(rows, cols) in &shapes {
+                let what = format!("{}-bit key, {mode:?}, {rows}×{cols}", p.key_bits);
+                let m = dense(rows, cols, 56 + rows as u64);
+                for scale in [1u8, 2] {
+                    let first = obf.drawn();
+                    let ct = if scale == 1 {
+                        pk.encrypt(&m, &obf)
+                    } else {
+                        pk.encrypt_at_scale(&m, scale, &obf)
+                    };
+                    assert_eq!(obf.drawn(), first + (rows * cols) as u64);
+                    for (i, &v) in m.data().iter().enumerate() {
+                        let enc = codec::encode(v, p.frac_bits, scale, &p.n);
+                        let want = p.raw_encrypt(&enc, &obf.draw(p, first + i as u64));
+                        let got = ct.ct(i / cols, i % cols);
+                        assert_eq!(got, &want[..], "{what}, scale {scale}, entry {i}");
+                    }
                 }
-            }
-            let first = obf.drawn();
-            let ct = pk.encrypt_mode_seg(&m, 2, PaillierMode::Packed, &obf);
-            assert!(ct.is_packed() && ct.lanes() == 2);
-            assert_eq!(obf.drawn(), first + 72);
-            for idx in 0..72 {
-                let vals = &m.row(idx / 2)[idx % 2 * 2..][..2];
-                let packed = pack::pack_values(vals, p.frac_bits, 1, layout, &p.n).unwrap();
-                let want = p.raw_encrypt(&packed, &obf.draw(p, first + idx as u64));
-                assert_eq!(ct.ct(idx / 2, idx % 2), &want[..], "{mode:?} chunk {idx}");
+                if cols % 2 != 0 {
+                    continue;
+                }
+                let (first, chunks) = (obf.drawn(), rows * cols / 2);
+                let ct = pk.encrypt_mode_seg(&m, 2, PaillierMode::Packed, &obf);
+                assert!(ct.is_packed() && ct.lanes() == cols / 2);
+                assert_eq!(obf.drawn(), first + chunks as u64);
+                for idx in 0..chunks {
+                    let (row, lane) = (idx / ct.lanes(), idx % ct.lanes());
+                    let vals = &m.row(row)[lane * 2..][..2];
+                    let packed = pack::pack_values(vals, p.frac_bits, 1, layout, &p.n).unwrap();
+                    let want = p.raw_encrypt(&packed, &obf.draw(p, first + idx as u64));
+                    assert_eq!(ct.ct(row, lane), &want[..], "{what}, chunk {idx}");
+                }
             }
         }
     }

@@ -11,7 +11,10 @@
 //! once), `add_plain` / `sub_plain`, and the `Exact` mode. The result
 //! is the same ring element, in the same canonical Montgomery form, as
 //! the textbook `to_mont(1 + m·n) ⊗ x`; only the tests still build
-//! that (docs/ARCHITECTURE.md, "What an encryption costs").
+//! that (docs/ARCHITECTURE.md, "What an encryption costs"). A pooled
+//! group of encryptions takes `PaillierPk::add_plain_many`, the same
+//! identity with the group's products mod `n` in one
+//! [`MontCtx::mont_mul_many`].
 
 use std::sync::Arc;
 
@@ -128,6 +131,36 @@ impl PaillierPk {
         // (x mod n)·R_n times m, reduced: m·x mod n, canonical.
         self.mont_n.mont_mul_into(m_pad, res, t);
         self.mont.add_product_into(x, self.n.limbs(), t, out);
+    }
+
+    /// [`PaillierPk::add_plain_into`] of each canonical `x_i` (below
+    /// `n²`) with its residue `res_i`, the ring element `m_i` added, `k`
+    /// limbs each into `out`: the products `m_i·x_i mod n` in one
+    /// [`MontCtx::mont_mul_many`] mod `n`, then `x_i + n·t_i` each.
+    pub(crate) fn add_plain_many(
+        &self,
+        xs: &[&[u64]],
+        ms: &[BigUint],
+        res: &[&[u64]],
+        out: &mut [u64],
+    ) {
+        let (k, kn) = (self.ct_limbs(), self.mont_n.limb_count());
+        let mut m_pad = vec![0u64; ms.len() * kn];
+        for (m, pad) in ms.iter().zip(m_pad.chunks_exact_mut(kn)) {
+            debug_assert!(m < &self.n, "plaintext must be a ring element");
+            pad[..m.limbs().len()].copy_from_slice(m.limbs());
+        }
+        let m_pad: Vec<&[u64]> = m_pad.chunks_exact(kn).collect();
+        let mut t = vec![0u64; ms.len() * kn];
+        self.mont_n.mont_mul_many(&m_pad, res, &mut t);
+        for ((x, t), out) in xs
+            .iter()
+            .zip(t.chunks_exact(kn))
+            .zip(out.chunks_exact_mut(k))
+        {
+            debug_assert!(self.mont.is_reduced(x));
+            self.mont.add_product_into(x, self.n.limbs(), t, out);
+        }
     }
 
     /// `x mod n` in `mont_n`'s Montgomery form, for a canonical
@@ -464,6 +497,45 @@ pub fn keygen<R: Rng + ?Sized>(
 /// Generate a Plain (identity) "key pair" for fast functional runs.
 pub fn plain_keys(frac_bits: u32) -> (PublicKey, SecretKey) {
     (PublicKey::Plain { frac_bits }, SecretKey::Plain)
+}
+
+/// Public keys on fixed prime factors (drawn once by `gen_prime`):
+/// 512 and 1024 bits, whose `n²` the lane kernel serves (20 and 40
+/// 52-bit limbs) on CPUs with AVX-512 IFMA, and 2048 bits, whose `n²`
+/// (79) it does not, so the scalar chains run there on every CPU.
+#[cfg(test)]
+pub(crate) fn fixed_keys() -> Vec<PublicKey> {
+    let factors = [
+        (
+            "eff7f624b0c6310f17460bdf1e7c3333fdd2c14d7560f7578eb2871b24ae0c5d",
+            "e730151e2004a461dee7ce0617ef445883ab4ef8948a81cc6a04a19458676bd7",
+        ),
+        (
+            "87ad34cc17ccf2fcbbf195c3de98a8922ada3aaa365f92b2e180a9e90e9c2824\
+             386e67ada0403c6bcde44e2e7499c4eb87b23815d4f3d319e7a6fc4cf8251fc5",
+            "db8e932920185dfe9a227682d77d0506096f102052037f99cc3f38044c43b19b\
+             733dbe6eb915d96e9322316a86c7fb937ef8106780e2a24b0a29ad7fc1bbf5b5",
+        ),
+        (
+            "ffe330e3b84337fa3c2bf57657d757dd621048df2f22cfddc0e895ed301687f4\
+             710b9c33cf07f35d9458998d31b601cecfafba491cfa977836869995ebc88ba4\
+             2e68e05b9fea41dc75f12e97725807d0d4c81e6b622d55701fb1e8e124cae36e\
+             9243b9521ba1f58cc04eea1942e36fac935f43a00c79715d556ce4f0bafadcef",
+            "c940965c4d37947ba07e6fbaede67993ef42cc1fe224a623138c0a1fad8ae497\
+             40edaf127fe60d91d8c40927d80c0f72436ef4a9670d272040167f3bbe3992d2\
+             bd491f99c9539c5baab25dbc07dcd749cdbee7e46ab5a781affd070cd0f27684\
+             2bb6180a1814636daa63086b1033d879f83810709e055e6b8eda5adde41b2b23",
+        ),
+    ];
+    factors
+        .iter()
+        .map(|(p, q)| {
+            let n = BigUint::from_hex(p)
+                .unwrap()
+                .mul(&BigUint::from_hex(q).unwrap());
+            PublicKey::Paillier(Arc::new(PaillierPk::new(n, 32).unwrap()))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -13,7 +13,15 @@
 //!   its pool size directly. Each entry also keeps its residue mod `n`,
 //!   so a pooled encryption of `m` is `pool[a] ⊗ (pool[b] + n·(m·β_b
 //!   mod n))` (`Obfuscator::encrypt_into`): the one multiply mod `n²`
-//!   the pair product already paid, plus one mod `n`.
+//!   the pair product already paid, plus one mod `n`. A call encrypts
+//!   in groups of [`LANES`] (`Obfuscator::encrypt_many`), the group's
+//!   products mod `n` and mod `n²` one [`MontCtx::mont_mul_many`] each:
+//!   one lane multiply apiece on a CPU with AVX-512 IFMA. The pool keeps
+//!   no lane forms of its entries: at every key width a Montgomery form
+//!   below the modulus enters the lane radix as a shift of its limbs
+//!   (`bf_bigint`'s `ifma` module), so a stored form would only spare
+//!   that conversion, and `new` and `from_secret` have nothing more to
+//!   agree on.
 //! * [`ObfMode::Exact`] — the textbook fresh `r^n` per encryption
 //!   (randomness derived from a per-call PRG seed so encryption can be
 //!   data-parallel): the reference the tests hold the pool against.
@@ -195,6 +203,40 @@ impl Obfuscator {
                 pk.mont.mont_mul_into(&self.pool[a], with_m, out);
             }
         }
+    }
+
+    /// [`Obfuscator::encrypt_into`] of each ring element of `ms` under
+    /// draws `first, first + 1, …`, `k` limbs each into `out`, byte for
+    /// byte. A pooled group puts every `m` into its entry `b` through the
+    /// stored residue, as `encrypt_into` does, then multiplies the group by
+    /// its entries `a` in one [`MontCtx::mont_mul_many`]: on a CPU with
+    /// AVX-512 IFMA, one lane multiply for up to [`LANES`] ciphertexts.
+    pub(crate) fn encrypt_many(
+        &self,
+        pk: &PaillierPk,
+        ms: &[BigUint],
+        first: u64,
+        out: &mut [u64],
+    ) {
+        let k = pk.ct_limbs();
+        let ObfMode::Pool(size) = self.mode else {
+            for (j, (m, ct)) in ms.iter().zip(out.chunks_exact_mut(k)).enumerate() {
+                self.encrypt_into(pk, m, first + j as u64, ct);
+            }
+            return;
+        };
+        let kn = pk.mont_n.limb_count();
+        let (mut lefts, mut entries, mut res) = (vec![], vec![], vec![]);
+        for j in 0..ms.len() as u64 {
+            let (a, b) = pool_pair(self.seed, first + j, size);
+            lefts.push(&self.pool[a][..]);
+            entries.push(&self.pool[b][..]);
+            res.push(&self.residues[b * kn..(b + 1) * kn]);
+        }
+        let mut with_m = vec![0u64; out.len()];
+        pk.add_plain_many(&entries, ms, &res, &mut with_m);
+        let rights: Vec<&[u64]> = with_m.chunks_exact(k).collect();
+        pk.mont.mont_mul_many(&lefts, &rights, out);
     }
 
     /// `Exact` mode's fresh obfuscation at draw position `i`.
@@ -510,6 +552,100 @@ mod tests {
             assert_eq!(secret.pool, public.pool);
             assert_eq!(secret.residues, public.residues);
         }
+    }
+
+    #[test]
+    fn a_group_encrypts_what_one_draw_at_a_time_does() {
+        // `encrypt_many` against `encrypt_into`, the reference, at 512-
+        // and 1024-bit keys (20- and 40-limb lanes mod n²) for every
+        // group size a caller hands it, including none and one.
+        for pk in &crate::keys::fixed_keys()[..2] {
+            let PublicKey::Paillier(p) = pk else {
+                unreachable!()
+            };
+            let k = p.ct_limbs();
+            for mode in [ObfMode::Pool(8), ObfMode::Exact] {
+                let obf = Obfuscator::new(pk, mode, 23);
+                for n in 0..=LANES + 1 {
+                    let ms: Vec<BigUint> = (0..n as u64)
+                        .map(|i| p.n.sub_u64(1 + i * 0x9e37_79b9))
+                        .collect();
+                    let first = 5 + 3 * n as u64;
+                    let mut got = vec![0u64; n * k];
+                    obf.encrypt_many(p, &ms, first, &mut got);
+                    for (j, (m, got)) in ms.iter().zip(got.chunks(k)).enumerate() {
+                        let mut want = vec![0u64; k];
+                        obf.encrypt_into(p, m, first + j as u64, &mut want);
+                        assert_eq!(
+                            got, want,
+                            "{} bits, {mode:?}, {n} items, item {j}",
+                            p.key_bits
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encryption_and_add_bytes_are_pinned() {
+        // Pooled encryption in both layouts, `add` and `rows_add_assign`
+        // (one call with distinct rows, one that repeats a row) at 512-
+        // and 1024-bit keys, whose `n²` the lane kernel serves at 20 and
+        // 40 limbs: 35 ciphertexts a call, four full lane groups and a
+        // partial one, so every shape a lane caller splits into shows.
+        use crate::pack::PaillierMode;
+        use bf_tensor::Dense;
+        let want = vec![
+            (
+                0xa074_bcfa_ce0f_06d8u64,
+                0x9165_779b_06e3_1116,
+                0xadaa_7c28_dc62_01b8,
+                0xd9d9_8eba_f7e6_480b,
+                0xed28_7e25_b55a_2b8f,
+            ),
+            (
+                0x9b04_95b3_6bfa_164e,
+                0xa5fd_cadc_546b_14c8,
+                0x57c1_5bbf_7e8a_960a,
+                0x7c43_57cb_c903_8457,
+                0x4fef_ee3f_ad9f_571b,
+            ),
+        ];
+        let uniform = |rows, cols, seed| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            bf_tensor::init::uniform(&mut rng, rows, cols, 3.0)
+        };
+        let hash = |ct: &crate::CtMat| fnv1a(crate::export_ctmat(ct));
+        let keys = crate::keys::fixed_keys();
+        let got: Vec<_> = keys[..2]
+            .iter()
+            .map(|pk| {
+                let obf = Obfuscator::new(pk, ObfMode::Pool(8), 17);
+                let m: Dense = uniform(5, 7, 1);
+                let scalar = pk.encrypt_mode(&m, PaillierMode::Scalar, &obf);
+                let packed = pk.encrypt_mode(&uniform(35, 2, 2), PaillierMode::Packed, &obf);
+                let sum = pk.add(&scalar, &pk.encrypt(&uniform(5, 7, 3), &obf));
+                let mut distinct = scalar.clone();
+                pk.rows_add_assign(
+                    &mut distinct,
+                    &[4, 0, 2],
+                    &pk.encrypt(&uniform(3, 7, 4), &obf),
+                );
+                let mut repeated = packed.clone();
+                let delta = pk.encrypt_mode(&uniform(3, 2, 5), PaillierMode::Packed, &obf);
+                pk.rows_add_assign(&mut repeated, &[9, 30, 9], &delta);
+                assert!(packed.is_packed());
+                (
+                    hash(&scalar),
+                    hash(&packed),
+                    hash(&sum),
+                    hash(&distinct),
+                    hash(&repeated),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "{got:#x?}");
     }
 
     #[test]
