@@ -129,37 +129,36 @@ impl LaneCtx {
         self.m52.len()
     }
 
-    /// `b^exp mod m` for every `b` of `bases`, eight at a time.
+    /// `b^exp mod m` for each of up to eight `bases`: one chain, a base
+    /// per lane.
     pub(crate) fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        let l = self.m52.len();
+        assert!(bases.len() <= LANES, "at most {LANES} bases");
+        let (l, k) = (self.limbs(), self.m.limbs().len());
         let w = window_bits(exp.bits(), exp.count_ones(), 1);
         let mut windows = Vec::new();
         sliding_windows(exp, w, |pos, entry| windows.push((pos, entry)));
-        let mut out = Vec::with_capacity(bases.len());
-        let (k, mut x) = (self.m.limbs().len(), vec![0u64; l * LANES]);
-        for group in bases.chunks(LANES) {
-            let reduced: Vec<BigUint> = group.iter().map(|b| b.rem(&self.m)).collect();
-            let limbs: Vec<&[u64]> = reduced.iter().map(BigUint::limbs).collect();
-            let mut r = vec![0u64; group.len() * k];
-            // SAFETY: `new` built `self` only after the CPU reported
-            // AVX-512F and IFMA, the two features the kernels enable.
-            unsafe {
-                radix8(&limbs, 0, &mut x);
-                on_width!(l, pow8(self, &windows, w, &mut x));
-                self.take8(&x, &mut r);
-            }
-            out.extend(r.chunks_exact(k).map(|r| BigUint::from_limbs(r.to_vec())));
+        let reduced: Vec<BigUint> = bases.iter().map(|b| b.rem(&self.m)).collect();
+        let limbs: Vec<&[u64]> = reduced.iter().map(BigUint::limbs).collect();
+        let (mut x, mut r) = (vec![0u64; l * LANES], vec![0u64; bases.len() * k]);
+        // SAFETY: `new` built `self` only after the CPU reported
+        // AVX-512F and IFMA, the two features the kernels enable.
+        unsafe {
+            radix8(&limbs, 0, &mut x);
+            on_width!(l, pow8(self, &windows, w, &mut x));
+            self.take8(&x, &mut r);
         }
-        out
+        r.chunks_exact(k)
+            .map(|r| BigUint::from_limbs(r.to_vec()))
+            .collect()
     }
 
-    /// The fold of every run of `fold` consecutive sources of the flat
-    /// slab `sources` (`k` limbs each, 64-bit Montgomery forms below
-    /// `m`; the last run may be shorter): `Π_j s_j^(2^(j·shift))`, in
-    /// the same form, canonical, `k` limbs per run. Eight runs share one
-    /// chain, each in its own lane: Horner from the top source down, a
-    /// source's lane form the table entry at its index. A run's missing
-    /// top sources, and the lanes past the last run, are 1.
+    /// The fold of each of up to eight runs of `fold` consecutive sources
+    /// of the flat slab `sources` (`k` limbs each, 64-bit Montgomery forms
+    /// below `m`; the last run may be shorter): `Π_j s_j^(2^(j·shift))`,
+    /// in the same form, canonical, `k` limbs per run. One chain, a run
+    /// per lane: Horner from the top source down, a source's lane form
+    /// the table entry at its index. A run's missing top sources, and the
+    /// lanes past the last run, are 1.
     pub(crate) fn fold_many(
         &self,
         sources: &[u64],
@@ -167,28 +166,25 @@ impl LaneCtx {
         fold: usize,
         shift: usize,
     ) -> Vec<u64> {
-        let l = self.m52.len();
-        let size = l * LANES;
+        let size = self.limbs() * LANES;
         let windows: Vec<(usize, usize)> = (0..fold).rev().map(|j| (j * shift, j)).collect();
         let runs: Vec<&[u64]> = sources.chunks(fold * k).collect();
+        assert!(runs.len() <= LANES, "at most {LANES} runs");
         let mut out = vec![0u64; runs.len() * k];
-        let mut table = vec![0u64; fold * size];
-        let mut x = vec![0u64; size];
-        for (group, out) in runs.chunks(LANES).zip(out.chunks_mut(LANES * k)) {
-            // SAFETY: as in `pow_many`.
-            unsafe {
-                for (j, entry) in table.chunks_exact_mut(size).enumerate() {
-                    let srcs: Vec<&[u64]> = (0..LANES)
-                        .map(|lane| {
-                            let src = group.get(lane).and_then(|run| run.get(j * k..(j + 1) * k));
-                            src.unwrap_or(&self.one64)
-                        })
-                        .collect();
-                    radix8(&srcs, 0, entry);
-                }
-                on_width!(l, fold8(self, &mut table, &windows, &mut x));
-                self.take8(&x, out);
+        let (mut table, mut x) = (vec![0u64; fold * size], vec![0u64; size]);
+        // SAFETY: as in `pow_many`.
+        unsafe {
+            for (j, entry) in table.chunks_exact_mut(size).enumerate() {
+                let srcs: Vec<&[u64]> = (0..LANES)
+                    .map(|lane| {
+                        let src = runs.get(lane).and_then(|run| run.get(j * k..(j + 1) * k));
+                        src.unwrap_or(&self.one64)
+                    })
+                    .collect();
+                radix8(&srcs, 0, entry);
             }
+            on_width!(self.limbs(), fold8(self, &mut table, &windows, &mut x));
+            self.take8(&x, &mut out);
         }
         out
     }

@@ -19,18 +19,27 @@
 //! Many bases raised to one exponent — the key owner's CRT halves —
 //! take [`MontCtx::pow_many`]; many folds `Π_j s_j^(2^(j·shift))` of
 //! one shift — a packed reply's slots laid end to end — take
-//! [`MontCtx::fold_many`]; and many products of powers over one set of
+//! [`MontCtx::fold_many`]; many products of powers over one set of
 //! bases — the output rows of a `CtMat` contraction — take
-//! [`MontCtx::multi_pow_many`] over bases entered once by
-//! [`MontCtx::lane_bases`]; and many independent products — fresh
+//! [`MontCtx::multi_pow_many`]; and many independent products — fresh
 //! ciphertexts, homomorphic sums — take [`MontCtx::mont_mul_many`].
 //! `new` picks their path once per modulus: on x86_64 with AVX-512F and
 //! IFMA, and a modulus of one of the [`LANE_WIDTHS`], eight chains (or
 //! products) at a time in the lanes of one vector (`crate::ifma`); else
 //! one [`MontCtx::pow`], [`MontCtx::fold`], [`MontCtx::multi_pow_into`]
 //! or [`MontCtx::mont_mul_into`] at a time, which stay the reference.
-//! Callers split a batch between the two by [`lane_items`]. The `asm!`
-//! row and the lane kernel are the crate's only `unsafe`.
+//! The three chain calls take a whole batch of any size: each splits it
+//! between lane groups and lone scalar chains by one rule and runs both
+//! in one parallel section of `bf_util`'s pool, so no caller chooses a
+//! path. The `asm!` row and the lane kernel are the crate's only
+//! `unsafe`.
+
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::ops::Range;
+
+use bf_util::par::{workers, COARSE};
+use bf_util::par_map_min;
 
 use crate::BigUint;
 
@@ -69,13 +78,13 @@ pub struct MontCtx {
     lanes: Option<LaneCtx>,
 }
 
-/// How many bases the lane kernel of [`MontCtx::pow_many`] raises at
-/// once: one per 64-bit lane of a 512-bit vector. Callers that split a
-/// batch between threads hand each a multiple of this.
+/// How many chains or products the lane kernel runs at once: one per
+/// 64-bit lane of a 512-bit vector. Callers of [`MontCtx::mont_mul_many`]
+/// that split a batch between threads hand each a multiple of this.
 pub const LANES: usize = 8;
 
-/// How many of a call's `n` items a lane caller — `repack`'s folds, the
-/// key owner's decryptions, the `CtMat` contractions — runs in lane
+/// How many of a call's `n` items the chain calls — [`MontCtx::pow_many`],
+/// [`MontCtx::fold_many`], [`MontCtx::multi_pow_many`] — run in lane
 /// groups when `threads` workers share its scalar items; the rest take
 /// one scalar chain each. A group costs about one to one and a half
 /// scalar chains whatever its live lanes, so the scalar path wins when
@@ -106,7 +115,7 @@ pub const LANES: usize = 8;
 /// groups) and 1.25 ms for 10 as two groups (1.54 as a group and two
 /// chains), and at two threads 0.64 ms for 10 as two groups (0.94 as a
 /// group and two chains).
-pub fn lane_items(n: usize, threads: usize) -> usize {
+fn lane_items(n: usize, threads: usize) -> usize {
     if n <= threads {
         0
     } else if n % LANES == 1 {
@@ -215,12 +224,11 @@ pub struct OddPowers {
     limbs: Vec<u64>,
 }
 
-/// The bases of one contraction in the lane kernel's form, each stored
-/// once, with the window tables its products share: what
-/// [`MontCtx::multi_pow_many`] gathers its operands from. Built by
-/// [`MontCtx::lane_bases`].
+/// The bases of one [`MontCtx::multi_pow_many`] call in the lane
+/// kernel's form, each stored once, with the window tables its products
+/// share: what the lane groups gather their operands from.
 #[derive(Debug)]
-pub struct LaneBases {
+pub(crate) struct LaneBases {
     /// Limbs of the lane kernel's radix per value.
     pub(crate) l: usize,
     /// Base `i`'s lane form at `i·l`.
@@ -235,7 +243,7 @@ pub struct LaneBases {
 /// One factor `base^exp` of a [`MontCtx::multi_pow_many`] product.
 #[derive(Clone, Copy, Debug)]
 pub struct LaneTerm<'a> {
-    /// The base's index in the call's [`LaneBases`].
+    /// The base's index in the call's `bases`.
     pub base: usize,
     /// The exponent (zero contributes the factor 1).
     pub exp: &'a BigUint,
@@ -266,14 +274,19 @@ pub fn window_bits(bits: usize, ones: usize, uses: usize) -> u32 {
         .expect("non-empty window range")
 }
 
-/// Fixed-window width for a [`MontCtx::lane_bases`] table of a base
-/// raised to `uses` exponents of up to `bits` bits: minimises the
-/// table's `2^w − 2` multiplies plus `uses × ⌈bits/w⌉` windows.
-pub fn fixed_window_bits(bits: usize, uses: usize) -> u32 {
+/// Fixed-window width for a lane table of a base raised to `uses`
+/// exponents of up to `bits` bits: minimises the table's `2^w − 2`
+/// multiplies plus `uses × ⌈bits/w⌉` windows.
+fn fixed_window_bits(bits: usize, uses: usize) -> u32 {
     (1..=MAX_WINDOW)
         .min_by_key(|&w| (1usize << w) - 2 + uses * bits.div_ceil(w as usize))
         .expect("non-empty window range")
 }
+
+/// Limb budget (32 MiB) for the window tables one
+/// [`MontCtx::multi_pow_many`] call shares across its products; a call
+/// that would need more builds them per product.
+const SHARED_TABLE_LIMBS: usize = 1 << 22;
 
 impl MontCtx {
     /// Build a context. Panics if `m` is even or < 3.
@@ -564,48 +577,112 @@ impl MontCtx {
         out
     }
 
-    /// Limbs per value of the lane kernel's radix, on [`PowMany::Lanes`].
-    pub fn lane_limb_count(&self) -> Option<usize> {
-        self.lanes.as_ref().map(LaneCtx::limbs)
-    }
+    /// [`MontCtx::multi_pow_into`] of every product of `products` over
+    /// `bases` (`k`-limb Montgomery forms), `k` limbs each into `out`, in
+    /// order and byte for byte. A base that several terms raise to
+    /// exponents worth a table gets one window table for the whole call,
+    /// in the radix of the path its products run on, unless the call's
+    /// tables would pass a 32 MiB budget.
+    ///
+    /// On [`PowMany::Lanes`] the products, longest first, go eight to a
+    /// lane group over the bases entered into the lane form once (a base
+    /// not below `m` counting as its residue): each product's terms are
+    /// grouped by equal exponent and a group's bases multiplied together,
+    /// as `multi_pow_into` does, and the windows sit at fixed bit
+    /// positions, so the lanes share one squaring chain while each reads
+    /// its own table entry. A call of no more products than worker
+    /// threads, and a lone product past the last full group, run one
+    /// `multi_pow_into` each, with the shared tables only when they run
+    /// the whole call; groups and lone products share one parallel
+    /// section.
+    pub fn multi_pow_many(&self, bases: &[&[u64]], products: &[&[LaneTerm<'_>]], out: &mut [u64]) {
+        let k = self.k;
+        assert_eq!(out.len(), products.len() * k);
+        let on_lanes = self.on_lanes(products.len());
+        let lanes = self.lanes.as_ref().filter(|_| on_lanes > 0);
 
-    /// `bases` (`k`-limb Montgomery forms; a value not below `m` counts
-    /// as its residue) in the lane kernel's form for
-    /// [`MontCtx::multi_pow_many`], eight to a multiply, each stored
-    /// once; base `i` of each `(i, w)` of `tables` also gets a table of
-    /// its powers `b^1 … b^(2^w − 1)` (see [`fixed_window_bits`]), built
-    /// eight at a time and lent to every product that raises it alone to
-    /// its exponent. `None` on [`PowMany::Scalar`].
-    pub fn lane_bases(&self, bases: &[&[u64]], tables: &[(usize, u32)]) -> Option<LaneBases> {
-        let lanes = self.lanes.as_ref()?;
-        let reduced: Vec<std::borrow::Cow<[u64]>> = bases.iter().map(|b| self.reduced(b)).collect();
-        let reduced: Vec<&[u64]> = reduced.iter().map(|b| &b[..]).collect();
-        Some(lanes.enter_bases(&reduced, tables))
-    }
+        // Per base: how many terms raise it to an exponent that wants a
+        // table, and the widest such exponent (bits, set bits).
+        let mut meets = vec![(0usize, 0usize, 0usize); bases.len()];
+        for t in products.iter().copied().flatten() {
+            let (bits, ones) = (t.exp.bits(), t.exp.count_ones());
+            if window_bits(bits, ones, 1) > 1 {
+                let m = &mut meets[t.base];
+                *m = (m.0 + 1, m.1.max(bits), m.2.max(ones));
+            }
+        }
+        // A lane table holds every power below 2^w in the lane radix, a
+        // scalar one the odd powers.
+        let mut shared: Vec<(usize, u32)> = (0..bases.len())
+            .filter(|&b| meets[b].0 > 1)
+            .map(|b| match (lanes, meets[b]) {
+                (Some(_), (uses, bits, _)) => (b, fixed_window_bits(bits, uses)),
+                (None, (uses, bits, ones)) => (b, window_bits(bits, ones, uses)),
+            })
+            .collect();
+        let table_limbs = |w: u32| match lanes {
+            Some(lanes) => lanes.limbs() * ((1 << w) - 1),
+            None => k << (w - 1),
+        };
+        if shared.iter().map(|&(_, w)| table_limbs(w)).sum::<usize>() > SHARED_TABLE_LIMBS {
+            shared.clear();
+        }
 
-    /// [`MontCtx::multi_pow_into`] of each of up to [`LANES`] `products`
-    /// over `bases`, `k` limbs each into `out`: one chain, a product per
-    /// lane. Each product's terms are grouped by equal exponent and a
-    /// group's bases multiplied together, as `multi_pow_into` does; the
-    /// windows sit at fixed bit positions, so the lanes share one
-    /// squaring chain while each reads its own table entry. The same
-    /// bytes as `multi_pow_into`. Panics on [`PowMany::Scalar`].
-    pub fn multi_pow_many(&self, bases: &LaneBases, products: &[&[LaneTerm<'_>]], out: &mut [u64]) {
-        let lanes = self
-            .lanes
-            .as_ref()
-            .expect("multi_pow_many runs on the lanes");
-        assert!(products.len() <= LANES && out.len() == products.len() * self.k);
-        lanes.multi_pow_many(bases, products, out)
+        // The lanes take the longest products first, the scalar chains
+        // the rest.
+        let mut order: Vec<usize> = (0..products.len()).collect();
+        let entered = lanes.map(|lanes| {
+            order.sort_by_key(|&i| Reverse(products[i].len()));
+            let reduced: Vec<Cow<[u64]>> = bases.iter().map(|b| self.reduced(b)).collect();
+            let reduced: Vec<&[u64]> = reduced.iter().map(|b| &b[..]).collect();
+            lanes.enter_bases(&reduced, &shared)
+        });
+        let tables = match entered {
+            Some(_) => Vec::new(),
+            None => par_map_min(COARSE, shared.len(), |s| {
+                self.odd_powers(bases[shared[s].0], shared[s].1)
+            }),
+        };
+        let table = |b: usize| {
+            let s = shared.binary_search_by_key(&b, |s| s.0).ok()?;
+            tables.get(s)
+        };
+        let got = self.chains(
+            on_lanes,
+            products.len(),
+            |lanes, group| {
+                let group: Vec<&[LaneTerm]> = order[group].iter().map(|&i| products[i]).collect();
+                let entered = entered.as_ref().expect("lane groups run on entered bases");
+                let mut out = vec![0u64; group.len() * k];
+                lanes.multi_pow_many(entered, &group, &mut out);
+                out
+            },
+            |j| {
+                let terms: Vec<PowTerm> = products[order[j]]
+                    .iter()
+                    .map(|t| PowTerm {
+                        base: bases[t.base],
+                        exp: t.exp,
+                        table: table(t.base),
+                    })
+                    .collect();
+                let mut out = vec![0u64; k];
+                self.multi_pow_into(&terms, &mut out);
+                out
+            },
+        );
+        for (&i, product) in order.iter().zip(got.chunks_exact(k)) {
+            out[i * k..][..k].copy_from_slice(product);
+        }
     }
 
     /// [`MontCtx::mont_mul_into`] of every pair `(a_i, b_i)` of `k`-limb
     /// values, the products `k` limbs each into `out`, byte for byte. On
     /// [`PowMany::Lanes`] the pairs go [`LANES`] to one lane multiply, a
-    /// lone pair past the last full group excepted ([`lane_items`] at one
-    /// thread: callers hand each worker a group); that pair, and a group
-    /// with an operand not below `m` (limbs off the wire), take the scalar
-    /// kernel.
+    /// lone pair past the last full group excepted (the chain calls' rule
+    /// at one thread, and no parallel section: callers hand each worker a
+    /// group); that pair, and a group with an operand not below `m`
+    /// (limbs off the wire), take the scalar kernel.
     pub fn mont_mul_many(&self, a: &[&[u64]], b: &[&[u64]], out: &mut [u64]) {
         let k = self.k;
         assert!(a.len() == b.len() && out.len() == a.len() * k);
@@ -637,12 +714,15 @@ impl MontCtx {
     /// [`MontCtx::pow`] of every base to one exponent: `b^exp mod m` for
     /// each `b` of `bases`, in order. On [`PowMany::Lanes`] eight bases
     /// share one recoding, one squaring chain and one table index, each
-    /// in its own lane; a partial last group costs a full one.
+    /// in its own lane, split from the lone scalar chains as
+    /// [`MontCtx::multi_pow_many`] splits its products.
     pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        match &self.lanes {
-            Some(lanes) => lanes.pow_many(bases, exp),
-            None => bases.iter().map(|b| self.pow(b, exp)).collect(),
-        }
+        self.chains(
+            self.on_lanes(bases.len()),
+            bases.len(),
+            |lanes, group| lanes.pow_many(&bases[group], exp),
+            |i| vec![self.pow(&bases[i], exp)],
+        )
     }
 
     /// `Π_j s_j^(2^(j·shift))` over the `k`-limb Montgomery-form
@@ -670,23 +750,52 @@ impl MontCtx {
     /// [`MontCtx::fold`] of every run of `fold` consecutive values of
     /// the flat slab `sources` (the last run may be shorter), the folds
     /// laid end to end. On [`PowMany::Lanes`] eight runs share one chain,
-    /// each in its own lane, and a partial last group costs a full one.
-    /// Panics if `fold` is zero.
+    /// each in its own lane, split from the lone scalar chains as
+    /// [`MontCtx::multi_pow_many`] splits its products. Panics if `fold`
+    /// is zero.
     pub fn fold_many(&self, sources: &[u64], fold: usize, shift: usize) -> Vec<u64> {
         assert!(fold > 0, "a fold of no sources");
         let (k, sources) = (self.k, self.reduced(sources));
-        match &self.lanes {
-            Some(lanes) => lanes.fold_many(&sources, k, fold, shift),
-            None => sources
-                .chunks(fold * k)
-                .flat_map(|run| self.fold(run, shift))
-                .collect(),
-        }
+        let runs: Vec<&[u64]> = sources.chunks(fold * k).collect();
+        self.chains(
+            self.on_lanes(runs.len()),
+            runs.len(),
+            |lanes, group| {
+                let slab = group.start * fold * k..(group.end * fold * k).min(sources.len());
+                lanes.fold_many(&sources[slab], k, fold, shift)
+            },
+            |i| self.fold(runs[i], shift),
+        )
+    }
+
+    /// How many of a call's `n` chains run in lane groups: [`lane_items`]
+    /// at the calling thread's worker count on [`PowMany::Lanes`], none on
+    /// [`PowMany::Scalar`].
+    fn on_lanes(&self, n: usize) -> usize {
+        self.lanes.as_ref().map_or(0, |_| lane_items(n, workers()))
+    }
+
+    /// `n` chains in one parallel section: the first `on_lanes` of them
+    /// [`LANES`] to a `group(lanes, items)`, the rest one `single(item)`
+    /// each; their outputs laid end to end in item order.
+    fn chains<T: Send>(
+        &self,
+        on_lanes: usize,
+        n: usize,
+        group: impl Fn(&LaneCtx, Range<usize>) -> Vec<T> + Sync,
+        single: impl Fn(usize) -> Vec<T> + Sync,
+    ) -> Vec<T> {
+        let groups = on_lanes.div_ceil(LANES);
+        let outs = par_map_min(COARSE, groups + n - on_lanes, |i| match &self.lanes {
+            Some(lanes) if i < groups => group(lanes, i * LANES..on_lanes.min((i + 1) * LANES)),
+            _ => single(on_lanes + i - groups),
+        });
+        outs.into_iter().flatten().collect()
     }
 
     /// The flat slab of `k`-limb values `vals`, each below `m`: borrowed
     /// when every value already is (everything this context produces).
-    fn reduced<'a>(&self, vals: &'a [u64]) -> std::borrow::Cow<'a, [u64]> {
+    fn reduced<'a>(&self, vals: &'a [u64]) -> Cow<'a, [u64]> {
         let k = self.k;
         assert_eq!(vals.len() % k, 0, "a slab of {k}-limb values");
         if vals.chunks_exact(k).all(|v| self.is_reduced(v)) {
@@ -923,7 +1032,9 @@ mod adx {
 
     /// `t += x·v` over equal-length limbs, four to a step and then the
     /// `len mod 4` tail; returns the carry out of the top limb. Only
-    /// called once [`kernels`] has seen BMI2 and ADX.
+    /// called once [`kernels`] has seen BMI2 and ADX. Both loops start on
+    /// a 64-byte boundary, so a change elsewhere in the crate that moves
+    /// this code does not move their fetch alignment with it.
     fn row(t: &mut [u64], x: u64, v: &[u64]) -> u64 {
         assert_eq!(t.len(), v.len());
         let n = t.len();
@@ -937,11 +1048,13 @@ mod adx {
         // on a CPU that reported BMI2 and ADX: `row` is private to this
         // module and reached through the kernels `kernels()` returns
         // after detection. `lea`, `mov` and `jrcxz` leave CF and OF
-        // alone, so the two carry chains survive the loop control.
+        // alone, so the two carry chains survive the loop control; so do
+        // the `nop`s the assembler pads each `.p2align 6` with.
         unsafe {
             asm!(
                 // hi = 0, CF = OF = 0.
                 "xor {hi:e}, {hi:e}",
+                ".p2align 6",
                 "2:",
                 "jrcxz 3f",
                 "mulx {h2}, {lo}, qword ptr [{v}]",
@@ -967,6 +1080,7 @@ mod adx {
                 // The n mod 4 tail, one limb a step.
                 "3:",
                 "mov rcx, {tail}",
+                ".p2align 6",
                 "4:",
                 "jrcxz 5f",
                 "mulx {h2}, {lo}, qword ptr [{v}]",

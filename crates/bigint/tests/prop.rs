@@ -3,9 +3,7 @@
 //! correctness over arbitrary inputs.
 
 use bf_bigint::modular::lcm;
-use bf_bigint::mont::{
-    window_bits, KernelSet, LaneBases, LaneTerm, PowMany, PowTerm, LANES, LANE_WIDTHS,
-};
+use bf_bigint::mont::{window_bits, KernelSet, LaneTerm, PowMany, PowTerm, LANES, LANE_WIDTHS};
 use bf_bigint::{gcd, mod_inv, BigUint, MontCtx};
 use proptest::prelude::*;
 
@@ -313,15 +311,30 @@ fn new_picks_the_lane_kernel_exactly_when_the_cpu_has_avx512f_and_ifma() {
     }
 }
 
+/// Item counts for the whole-batch cells: every count up to two full
+/// lane groups and a lone item past them, so at one and at two worker
+/// threads each call meets scalar-only splits, every partial group, full
+/// groups and a lone tail chain.
+const ITEM_COUNTS: std::ops::RangeInclusive<usize> = 0..=2 * LANES + 1;
+
+/// The whole-batch cells' contexts: [`MontCtx::new`] of every
+/// [`lane_moduli`] modulus (the lane path on a CPU with AVX-512F and
+/// IFMA), then [`MontCtx::with_slice_kernels`] of the two 5-limb ones —
+/// the scalar path, whose split does not depend on the width.
+fn both_paths() -> impl Iterator<Item = MontCtx> {
+    let moduli = lane_moduli();
+    let scalar: Vec<MontCtx> = moduli[..2]
+        .iter()
+        .map(MontCtx::with_slice_kernels)
+        .collect();
+    moduli.into_iter().map(|m| MontCtx::new(&m)).chain(scalar)
+}
+
 #[test]
 fn the_lane_kernel_equals_pow_mont_at_every_width_and_lane_count() {
-    if !has_ifma() {
-        return;
-    }
-    for m in lane_moduli() {
-        let ctx = MontCtx::new(&m);
-        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
-        let bits = m.bits();
+    for ctx in both_paths() {
+        let m = ctx.m.clone();
+        let (bits, path) = (m.bits(), ctx.pow_many_path());
         let mut x = m.shr(2);
         let mut random = || {
             x = x.mul(&x).add_u64(0x9e37).rem(&m);
@@ -331,9 +344,10 @@ fn the_lane_kernel_equals_pow_mont_at_every_width_and_lane_count() {
         let mut pool = vec![BigUint::zero(), BigUint::one(), m.sub_u64(1)];
         pool.extend((0..4).map(|_| random()));
         pool.push(m.add(&random()));
-        // Every lane count under the short exponents; two (a partial
-        // group and a full one) under the full-width ones, whose
-        // squaring chains cost what a decryption's do.
+        // Every item count under the short exponents; two (a partial
+        // group, and a full one with a lone tail at two threads) under
+        // the full-width ones, whose squaring chains cost what a
+        // decryption's do.
         let short = [
             BigUint::zero(),
             BigUint::one(),
@@ -345,27 +359,25 @@ fn the_lane_kernel_equals_pow_mont_at_every_width_and_lane_count() {
             BigUint::one().shl(bits).sub_u64(1),
             random(),
         ];
-        let cases = short
-            .iter()
-            .flat_map(|e| (1..=LANES).map(move |live| (e, live)));
-        for (e, live) in cases.chain(full.iter().flat_map(|e| [(e, 3), (e, LANES)])) {
+        let cases = short.iter().flat_map(|e| ITEM_COUNTS.map(move |n| (e, n)));
+        for (e, n) in cases.chain(full.iter().flat_map(|e| [(e, 3), (e, LANES + 1)])) {
             // The edges land in a different lane at each count.
-            let bases: Vec<BigUint> = (0..live).map(|i| pool[(i + live) % 8].clone()).collect();
+            let bases: Vec<BigUint> = (0..n).map(|i| pool[(i + n) % 8].clone()).collect();
             let want: Vec<BigUint> = bases.iter().map(|b| ctx.pow(b, e)).collect();
-            assert_eq!(ctx.pow_many(&bases, e), want, "{bits} bits, {live} lanes");
+            assert_eq!(
+                ctx.pow_many(&bases, e),
+                want,
+                "{bits} bits, {n} bases, {path:?}"
+            );
         }
     }
 }
 
 #[test]
 fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
-    if !has_ifma() {
-        return;
-    }
-    for m in lane_moduli() {
-        let ctx = MontCtx::new(&m);
-        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
-        let (bits, k) = (m.bits(), ctx.limb_count());
+    for ctx in both_paths() {
+        let m = ctx.m.clone();
+        let (bits, k, path) = (m.bits(), ctx.limb_count(), ctx.pow_many_path());
         let limbs = |v: BigUint| {
             let mut l = v.limbs().to_vec();
             l.resize(k, 0);
@@ -376,23 +388,25 @@ fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
             x = x.mul(&x).add_u64(0x9e37).rem(&m);
             x.clone()
         };
-        // Eight sources, in Montgomery form as the slab holds them: the
-        // edges, four random values and one past m.
+        // Eight sources, in Montgomery form as the slab holds them:
+        // the edges, four random values and one past m.
         let mut pool = vec![limbs(BigUint::zero()), limbs(BigUint::one())];
         pool.push(limbs(m.sub_u64(1)));
         pool.extend((0..4).map(|_| limbs(random())));
         pool.push(limbs(m.add_u64(1)));
-        // Every lane count at every shift; runs of two and of four, the
-        // last run each length in turn, so a padded top meets every lane
-        // count.
+        // Every output count at every shift; runs of two and of four,
+        // the last run each length in turn, so a padded top meets
+        // every lane count.
         for (fold, shift) in [2, 4]
             .into_iter()
             .flat_map(|f| [1, 52, 104, 208].map(|s| (f, s)))
         {
-            for live in 1..=LANES {
-                let n = (live - 1) * fold + live % fold + 1;
+            for outputs in ITEM_COUNTS {
+                let n = (outputs * fold).saturating_sub(fold - 1 - outputs % fold);
                 // The edges land in a different lane at each count.
-                let sources: Vec<u64> = (0..n).flat_map(|i| pool[(i + live) % 8].clone()).collect();
+                let sources: Vec<u64> = (0..n)
+                    .flat_map(|i| pool[(i + outputs) % 8].clone())
+                    .collect();
                 let want: Vec<u64> = sources
                     .chunks(fold * k)
                     .flat_map(|run| ctx.fold(run, shift))
@@ -400,7 +414,7 @@ fn the_lane_fold_equals_the_scalar_chain_at_every_width_and_lane_count() {
                 let got = ctx.fold_many(&sources, fold, shift);
                 assert_eq!(
                     got, want,
-                    "{bits} bits, {live} lanes, fold {fold}, shift {shift}"
+                    "{bits} bits, {outputs} outputs, fold {fold}, shift {shift}, {path:?}"
                 );
             }
         }
@@ -459,12 +473,12 @@ fn the_lane_product_equals_mont_mul_into_at_every_width_and_item_count() {
     }
 }
 
-/// `products` (each a list of `(base index, exponent)`) on the lanes,
-/// each against one `multi_pow_into` over `reference` (the bases, each
-/// below `m`).
+/// `products` (each a list of `(base index, exponent)`) in one
+/// [`MontCtx::multi_pow_many`] over `bases`, each against one
+/// `multi_pow_into` over `reference` (the bases' residues) with no tables.
 fn assert_lane_products(
     ctx: &MontCtx,
-    bases: &LaneBases,
+    bases: &[&[u64]],
     reference: &[Vec<u64>],
     products: &[Vec<(usize, &BigUint)>],
     what: &str,
@@ -481,24 +495,20 @@ fn assert_lane_products(
     let refs: Vec<&[LaneTerm]> = terms.iter().map(|t| &t[..]).collect();
     let mut got = vec![0u64; products.len() * k];
     ctx.multi_pow_many(bases, &refs, &mut got);
-    for (lane, (p, got)) in products.iter().zip(got.chunks(k)).enumerate() {
+    for (i, (p, got)) in products.iter().zip(got.chunks(k)).enumerate() {
         let (bs, es): (Vec<Vec<u64>>, Vec<BigUint>) = p
             .iter()
             .map(|&(b, e)| (reference[b].clone(), e.clone()))
             .unzip();
-        assert_eq!(got, multi_pow(ctx, &bs, &es), "{what}, lane {lane}");
+        assert_eq!(got, multi_pow(ctx, &bs, &es), "{what}, product {i}");
     }
 }
 
 #[test]
 fn the_lane_contraction_equals_multi_pow_into_at_every_width_and_lane_count() {
-    if !has_ifma() {
-        return;
-    }
-    for m in lane_moduli() {
-        let ctx = MontCtx::new(&m);
-        assert_eq!(ctx.pow_many_path(), PowMany::Lanes);
-        let (bits, k) = (m.bits(), ctx.limb_count());
+    for ctx in both_paths() {
+        let m = ctx.m.clone();
+        let (bits, k, path) = (m.bits(), ctx.limb_count(), ctx.pow_many_path());
         let limbs = |v: BigUint| {
             let mut l = v.limbs().to_vec();
             l.resize(k, 0);
@@ -518,8 +528,8 @@ fn the_lane_contraction_equals_multi_pow_into_at_every_width_and_lane_count() {
         reference.push(limbs(BigUint::one()));
         pool.push(limbs(m.add_u64(1)));
         let refs: Vec<&[u64]> = pool.iter().map(|b| &b[..]).collect();
-        // Zero, one, single bits, equal values and random words; then the
-        // full-width exponents a decryption's chain meets.
+        // Zero, one, single bits, equal values and random words; then
+        // the full-width exponents a decryption's chain meets.
         let short = [
             BigUint::zero(),
             BigUint::one(),
@@ -533,39 +543,50 @@ fn the_lane_contraction_equals_multi_pow_into_at_every_width_and_lane_count() {
             BigUint::one().shl(bits).sub_u64(1),
             random(),
         ];
-        // No tables, then tables of every width lent to bases 2..=7.
-        let lent: Vec<(usize, u32)> = (2..8).zip(1..=6).collect();
-        for tables in [&[][..], &lent[..]] {
-            let bases = ctx.lane_bases(&refs, tables).expect("the lane path");
-            for live in 1..=LANES {
-                // Lane i holds (i + live) % 5 terms over shifting bases
-                // and exponents, so counts differ lane to lane and
-                // several bases share an exponent; lane 0 adds a one-hot
-                // run of three, and the last lane raises one base twice.
-                let products: Vec<Vec<(usize, &BigUint)>> = (0..live)
-                    .map(|i| {
-                        let mut p: Vec<(usize, &BigUint)> = (0..(i + live) % 5)
-                            .map(|t| ((i + 3 * t + live) % 8, &short[(i + 2 * t) % 6]))
-                            .collect();
-                        if i == 0 {
-                            p.extend((1..4).map(|b| (b + live % 4, &short[2])));
-                        }
-                        if i == live - 1 {
-                            p.extend([(live % 8, &short[3]), (live % 8, &short[5])]);
-                        }
-                        p
-                    })
-                    .collect();
-                let what = format!("{bits} bits, {live} lanes, {} tables", tables.len());
-                assert_lane_products(&ctx, &bases, &reference, &products, &what);
-            }
-            for (e, live) in full.iter().flat_map(|e| [(e, 3), (e, LANES)]) {
-                let products: Vec<Vec<(usize, &BigUint)>> = (0..live)
-                    .map(|i| vec![(i % 8, e), ((i + 5) % 8, &short[i % 6])])
-                    .collect();
-                let what = format!("{bits} bits, full width, {live} lanes");
-                assert_lane_products(&ctx, &bases, &reference, &products, &what);
-            }
+        // A dense word per product, each raising one of bases 2..=6
+        // alone: a base that two or more products raise to exponents
+        // worth a table gets one shared by the call, in the radix of its
+        // path (widths 3 to 5 here, 6 at full width below).
+        let words: Vec<BigUint> = ITEM_COUNTS
+            .map(|_| random().rem(&BigUint::one().shl(64)))
+            .collect();
+        for (shared, n) in [false, true]
+            .into_iter()
+            .flat_map(|s| ITEM_COUNTS.map(move |n| (s, n)))
+        {
+            // Product i holds (i + n) % 5 terms over shifting bases and
+            // exponents, so counts differ product to product and
+            // several bases share an exponent; product 0 adds a
+            // one-hot run of three, and the last product raises one
+            // base twice.
+            let products: Vec<Vec<(usize, &BigUint)>> = (0..n)
+                .map(|i| {
+                    let mut p: Vec<(usize, &BigUint)> = (0..(i + n) % 5)
+                        .map(|t| ((i + 3 * t + n) % 8, &short[(i + 2 * t) % 6]))
+                        .collect();
+                    if i == 0 {
+                        p.extend((1..4).map(|b| (b + n % 4, &short[2])));
+                    }
+                    if i == n - 1 {
+                        p.extend([(n % 8, &short[3]), (n % 8, &short[5])]);
+                    }
+                    if shared {
+                        p.push((2 + i % 5, &words[i]));
+                    }
+                    p
+                })
+                .collect();
+            let what = format!("{bits} bits, {n} products, shared {shared}, {path:?}");
+            assert_lane_products(&ctx, &refs, &reference, &products, &what);
+        }
+        for (e, n) in full.iter().flat_map(|e| [(e, 3), (e, LANES + 1)]) {
+            // Products i and i + 8 raise base i % 8 to the same
+            // full-width exponent: a shared table of width 6.
+            let products: Vec<Vec<(usize, &BigUint)>> = (0..n)
+                .map(|i| vec![(i % 8, e), ((i + 5) % 8, &short[i % 6])])
+                .collect();
+            let what = format!("{bits} bits, full width, {n} products, {path:?}");
+            assert_lane_products(&ctx, &refs, &reference, &products, &what);
         }
     }
 }

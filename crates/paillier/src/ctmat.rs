@@ -4,10 +4,10 @@
 //! Ciphertexts are stored flat in Montgomery form (`k` limbs each), so
 //! homomorphic addition is one `mont_mul`. Fresh encryptions, `add`,
 //! `add_plain` and `rows_add_assign` fill their output in groups of
-//! eight ciphertexts, a parallel item per group; a pooled encryption's
-//! and a sum's products run as one
-//! [`bf_bigint::MontCtx::mont_mul_many`] per group, one lane multiply on
-//! CPUs with AVX-512 IFMA. A Paillier matrix has one
+//! eight ciphertexts, a parallel item per group; a pooled encryption's,
+//! an `add_plain`'s and a sum's products run as one
+//! [`bf_bigint::MontCtx::mont_mul_many`] per group and modulus, one lane
+//! multiply on CPUs with AVX-512 IFMA. A Paillier matrix has one
 //! body in one of two lane layouts (`LaneLayout`): one value per
 //! ciphertext, or one slot-packed column chunk per ciphertext
 //! ([`crate::pack`]). Kernels work on *lanes*, the ciphertexts of a row,
@@ -22,27 +22,24 @@
 //! share a fixed-point exponent and raises the product once — a one-hot
 //! or indicator row is `nnz − 1` multiplies and `frac_bits` squarings —
 //! and runs the exponents that remain along one shared squaring chain
-//! ([`bf_bigint::MontCtx::multi_pow_into`]). On CPUs with AVX-512 IFMA
-//! eight output rows share one chain, a row per lane
-//! ([`bf_bigint::MontCtx::multi_pow_many`]), and the lane groups run in
-//! parallel. Negative scalars accumulate apart from positive ones and
-//! are resolved by a single modular inversion per kernel call
-//! (Montgomery's trick), never a full-width exponentiation per entry.
+//! ([`bf_bigint::MontCtx::multi_pow_into`]); a call's products are one
+//! [`bf_bigint::MontCtx::multi_pow_many`] per lane of the output rows,
+//! which on CPUs with AVX-512 IFMA runs eight rows to one chain, a row
+//! per vector lane, the groups in parallel. Negative scalars accumulate
+//! apart from positive ones and are resolved by a single modular
+//! inversion per kernel call (Montgomery's trick), never a full-width
+//! exponentiation per entry.
 //! The decrypt-only repack
 //! ([`PublicKey::repack`]) does not use it: folding `slots` one-value
 //! lanes — or `⌊slots/u⌋` packed rows of `u` slots — into one is a
 //! Horner chain of shift `u·slot_bits` per output,
 //! [`bf_bigint::MontCtx::fold_many`], eight outputs to a lane group.
 
-use std::collections::BTreeMap;
-
-use bf_bigint::mont::{
-    fixed_window_bits, lane_items, window_bits, LaneTerm, PowMany, PowTerm, LANES,
-};
+use bf_bigint::mont::{LaneTerm, LANES};
 use bf_bigint::BigUint;
 use bf_tensor::{CatBlock, Dense, Features};
-use bf_util::par::{workers, COARSE, FINE};
-use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map, par_map_min};
+use bf_util::par::FINE;
+use bf_util::{par_for_each_mut, par_for_each_mut_min, par_map};
 
 use crate::codec::{self, SignedInt};
 use crate::keys::{PaillierPk, PublicKey, SecretKey};
@@ -426,7 +423,9 @@ impl PublicKey {
     }
 
     /// Homomorphic `ct + plain` (plain encoded at the ciphertext's
-    /// scale), one [`PaillierPk::add_plain_into`] per lane. No fresh
+    /// scale): [`PaillierPk::add_plain_into`]'s identity on every lane,
+    /// eight lanes to one `PaillierPk::add_plain_many`, whose products
+    /// mod `n` are one [`bf_bigint::MontCtx::mont_mul_many`]. No fresh
     /// randomness is added: against a third party the result is as
     /// hidden as `ct`, but not against the key owner, who drew `ct`'s
     /// obfuscations itself: once it has decrypted an HE2SS reply, what
@@ -436,11 +435,10 @@ impl PublicKey {
         assert_eq!(a.shape(), p.shape(), "add_plain shape mismatch");
         match (self, &a.body) {
             (PublicKey::Paillier(pk), Body::Paillier { lanes, .. }) => {
-                let (ca, k) = (a.cts(), pk.ct_limbs());
-                let limbs = lane_slab(pk, p, a.scale, *lanes, |idx, ms, group| {
-                    for (j, (m, ct)) in ms.iter().zip(group.chunks_exact_mut(k)).enumerate() {
-                        pk.add_plain_into(ca.nth(idx + j), m, None, ct)
-                    }
+                let ca = a.cts();
+                let limbs = lane_slab(pk, p, a.scale, *lanes, |first, ms, group| {
+                    let xs: Vec<&[u64]> = (first..first + ms.len()).map(|i| ca.nth(i)).collect();
+                    pk.add_plain_many(&xs, ms, None, group)
                 });
                 a.like(a.rows, a.scale, limbs)
             }
@@ -766,15 +764,9 @@ impl PublicKey {
     /// ciphertext of `Σ_j P_{g·f+j}·2^{j·u·slot_bits}` — the sources'
     /// slots laid end to end — in canonical Montgomery form: a Horner
     /// chain from the top source down, `(f−1)·u·slot_bits` squarings and
-    /// `f−1` multiplies, no table. On CPUs with AVX-512 IFMA the chains
-    /// run [`bf_bigint::MontCtx::fold_many`], eight outputs to a lane
-    /// group, split by [`lane_items`]: a call of more outputs than worker
-    /// threads goes to the lanes, but for a lone output past the last
-    /// full group. That output, a smaller call, and every output on CPUs
-    /// or key widths without a lane kernel, runs one
-    /// [`bf_bigint::MontCtx::fold`]; groups and lone outputs share one
-    /// parallel section. The arithmetic is exact, so
-    /// both give the same bytes. Decrypts bit-identically to `ct` (see
+    /// `f−1` multiplies, no table: one [`bf_bigint::MontCtx::fold_many`]
+    /// over the whole body, eight outputs to a lane group on CPUs with
+    /// AVX-512 IFMA. Decrypts bit-identically to `ct` (see
     /// [`crate::pack`]).
     ///
     /// Anything else comes back untouched: a Plain body, a packed body
@@ -797,21 +789,9 @@ impl PublicKey {
         if sources < 2 {
             return ct;
         }
-        let (mont, shift) = (&pk.mont, u * layout.slot_bits as usize);
-        let outputs = sources.div_ceil(fold);
-        let on_lanes = match mont.pow_many_path() {
-            PowMany::Lanes => lane_items(outputs, workers()),
-            PowMany::Scalar => 0,
-        };
-        // Lane groups of eight outputs first, then one run per output.
-        let (grouped, tail) = limbs.split_at((on_lanes * fold * k).min(limbs.len()));
-        let groups: Vec<&[u64]> = grouped.chunks(LANES * fold * k).collect();
-        let runs: Vec<&[u64]> = tail.chunks(fold * k).collect();
-        let packed = par_map_min(COARSE, groups.len() + runs.len(), |i| match groups.get(i) {
-            Some(group) => mont.fold_many(group, fold, shift),
-            None => mont.fold(runs[i - groups.len()], shift),
-        })
-        .concat();
+        let packed = pk
+            .mont
+            .fold_many(limbs, fold, u * layout.slot_bits as usize);
         let slots = SlotLayout {
             slots: fold * u,
             ..layout
@@ -864,9 +844,8 @@ impl SecretKey {
     pub fn decrypt(&self, ct: &CtMat) -> Dense {
         match (self, &ct.body) {
             (SecretKey::Paillier(sk), Body::Paillier { lanes, .. }) => {
-                // One work item per ciphertext, not per row: an HE2SS
-                // reply is a single row of fat chunks. Lanes tile each
-                // row in column order, so their outputs tile `vals`.
+                // Lanes tile each row in column order, so their outputs
+                // tile `vals`.
                 let (pk, cts) = (sk.pk(), ct.cts());
                 let mut vals = vec![0.0; ct.rows * ct.cols];
                 let mut outs = Vec::with_capacity(ct.rows * cts.lanes);
@@ -877,29 +856,16 @@ impl SecretKey {
                     rest = tail;
                 }
                 // A chunk's plaintext spans its used slots only, and one
-                // that stays below p/2 costs one CRT half. A call the lane
-                // groups serve batches its halves, a lone ciphertext past
-                // the last full group riding along as a scalar item of the
-                // same sections; a smaller one, or any call off the lane
-                // path, takes one parallel item per ciphertext.
-                let batched =
-                    sk.pow_many_path() == PowMany::Lanes && lane_items(outs.len(), workers()) > 0;
-                if batched {
-                    let batch: Vec<(&[u64], Option<usize>)> = outs
-                        .iter()
-                        .enumerate()
-                        .map(|(idx, out)| (cts.nth(idx), lanes.width(out.len())))
-                        .collect();
-                    let ms = sk.raw_decrypt_many(&batch);
-                    par_for_each_mut(&mut outs, |idx, out| {
-                        lanes.decode(&ms[idx], pk, ct.scale, out)
-                    });
-                } else {
-                    par_for_each_mut_min(COARSE, &mut outs, |idx, out| {
-                        let m = sk.raw_decrypt(cts.nth(idx), lanes.width(out.len()));
-                        lanes.decode(&m, pk, ct.scale, out);
-                    });
-                }
+                // that stays below p/2 costs one CRT half.
+                let batch: Vec<(&[u64], Option<usize>)> = outs
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, out)| (cts.nth(idx), lanes.width(out.len())))
+                    .collect();
+                let ms = sk.raw_decrypt_many(&batch);
+                par_for_each_mut(&mut outs, |idx, out| {
+                    lanes.decode(&ms[idx], pk, ct.scale, out)
+                });
                 Dense::from_vec(ct.rows, ct.cols, vals)
             }
             (SecretKey::Plain, Body::Plain(v)) => Dense::from_vec(ct.rows, ct.cols, v.clone()),
@@ -995,43 +961,23 @@ fn exponents(
         .collect()
 }
 
-/// Limb budget (32 MiB) for the window tables one lane of a kernel call
-/// shares across its rows; a call that would need more builds them per
-/// row.
-const SHARED_TABLE_LIMBS: usize = 1 << 22;
-
 /// The contraction core under every plain×cipher product: a flat
 /// `rows × lanes` slab whose ciphertext `(r, l)` is
 /// `Π_t base(src_t, l)^{e_t}` over the terms `(src_t, e_t)` of `rows[r]`
 /// (exponents non-zero).
 ///
-/// Each row is two products, its positive and its negative terms, and
-/// all negative accumulators of the call are inverted together — one
-/// `mod_inv`, not one per row, plus three multiplies per inverted
-/// accumulator. That one inversion is a binary GCD (`bf_bigint::modular`):
-/// ≈ 17.5 µs mod the 2048-bit `n²` of a 1024-bit key, where the extended
-/// Euclid before it took ≈ 0.34 ms, more than a 16-product lane section
-/// of the Embed source. Within a product equal exponents are
-/// grouped and raised once, the rest share one squaring chain. A base
-/// that meets table-worthy exponents in several rows gets one window
-/// table per lane for the whole call.
-///
-/// On CPUs with AVX-512 IFMA and key widths with a lane kernel, the
-/// products of each lane run [`bf_bigint::MontCtx::multi_pow_many`],
-/// eight to a lane group and the groups in parallel, split by
-/// [`lane_items`]: the call's bases enter the lane form once, and the
-/// products, longest first, fill the lanes so a group's padded runs stay
-/// short. A call of no more products than worker threads, a lone
-/// product past the last full group, other CPUs and other widths run one
-/// [`bf_bigint::MontCtx::multi_pow_into`] per product, the reference.
-/// The arithmetic is exact, so both give the same bytes. Every item of
-/// its parallel sections is a whole multi-exponentiation or a group of
-/// them, so they split from [`COARSE`] items up.
+/// Each row is two products, its positive and its negative terms, raised
+/// by one [`bf_bigint::MontCtx::multi_pow_many`] per lane over the call's
+/// sources — which groups equal exponents, shares window tables between
+/// rows and runs the products on the IFMA lanes or one scalar chain
+/// each. All negative accumulators of the call are then inverted
+/// together: one `mod_inv`, not one per row, plus three multiplies per
+/// inverted accumulator.
 fn contract<'a>(
     pk: &PaillierPk,
     lanes: usize,
     rows: &[Vec<(usize, SignedInt)>],
-    base: impl Fn(usize, usize) -> &'a [u64] + Sync,
+    base: impl Fn(usize, usize) -> &'a [u64],
 ) -> Vec<u64> {
     let mont = &pk.mont;
     let k = mont.limb_count();
@@ -1039,131 +985,48 @@ fn contract<'a>(
     if stride == 0 {
         return Vec::new();
     }
+    // The call's sources; a term names its source by its index here.
+    let mut sources: Vec<usize> = rows.iter().flatten().map(|(src, _)| *src).collect();
+    sources.sort_unstable();
+    sources.dedup();
+    let side = |r: usize, negative: bool| -> Vec<LaneTerm> {
+        rows[r]
+            .iter()
+            .filter(|(_, e)| e.neg == negative)
+            .map(|(src, e)| LaneTerm {
+                base: sources.binary_search(src).expect("a source of the call"),
+                exp: &e.mag,
+            })
+            .collect()
+    };
     // The products: every row's positive side, then the negative side of
     // each row that has one.
-    let mut items: Vec<(usize, bool)> = (0..rows.len()).map(|r| (r, false)).collect();
-    items.extend(
-        (0..rows.len())
-            .filter(|&r| rows[r].iter().any(|(_, e)| e.neg))
-            .map(|r| (r, true)),
-    );
-    let terms = |i: usize| {
-        let (r, negative) = items[i];
-        rows[r].iter().filter(move |(_, e)| e.neg == negative)
-    };
-    let on_lanes = mont
-        .lane_limb_count()
-        .map_or(0, |_| lane_items(items.len(), workers()));
-
-    // Per source row: how many output rows raise it to an exponent that
-    // wants a table, and the widest such exponent (bits, set bits).
-    let mut meets: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
-    for (src, e) in rows.iter().flatten() {
-        let ones = e.mag.count_ones();
-        if window_bits(e.mag.bits(), ones, 1) > 1 {
-            let m = meets.entry(*src).or_default();
-            *m = (m.0 + 1, m.1.max(e.mag.bits()), m.2.max(ones));
-        }
-    }
-    // A lane table holds every power below 2^w in the lane radix, a
-    // scalar one the odd powers.
-    let lane_limbs = mont.lane_limb_count().filter(|_| on_lanes > 0);
-    let mut shared: Vec<(usize, u32)> = meets
-        .into_iter()
-        .filter(|&(_, (uses, ..))| uses > 1)
-        .map(|(src, (uses, bits, ones))| match lane_limbs {
-            Some(_) => (src, fixed_window_bits(bits, uses)),
-            None => (src, window_bits(bits, ones, uses)),
-        })
+    let negs: Vec<usize> = (0..rows.len())
+        .filter(|&r| rows[r].iter().any(|(_, e)| e.neg))
         .collect();
-    let table_limbs = |w: u32| match lane_limbs {
-        Some(l) => l * ((1 << w) - 1),
-        None => k << (w - 1),
-    };
-    if shared.iter().map(|&(_, w)| table_limbs(w)).sum::<usize>() > SHARED_TABLE_LIMBS {
-        shared.clear();
-    }
+    let products: Vec<Vec<LaneTerm>> = (0..rows.len())
+        .map(|r| side(r, false))
+        .chain(negs.iter().map(|&r| side(r, true)))
+        .collect();
+    let products: Vec<&[LaneTerm]> = products.iter().map(|p| &p[..]).collect();
 
-    // The lanes take the longest products first, the scalar chains the
-    // rest; on the lanes a base is its index among the call's sources.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    let mut sources: Vec<usize> = Vec::new();
-    let mut lane_terms: Vec<Vec<LaneTerm>> = Vec::new();
-    if on_lanes > 0 {
-        order.sort_by_key(|&i| std::cmp::Reverse(terms(i).count()));
-        sources = rows.iter().flatten().map(|(src, _)| *src).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let index = |src: &usize| sources.binary_search(src).expect("a source of the call");
-        lane_terms = order[..on_lanes]
-            .iter()
-            .map(|&i| {
-                let t = terms(i).map(|(src, e)| LaneTerm {
-                    base: index(src),
-                    exp: &e.mag,
-                });
-                t.collect()
-            })
-            .collect();
-        shared = shared.iter().map(|&(src, w)| (index(&src), w)).collect();
-    }
-    let scalar_order = &order[on_lanes..];
-
-    let mut res = vec![0u64; items.len() * stride];
     // One lane at a time, so the shared tables never hold more than one
     // lane's worth of bases.
+    let mut res = vec![0u64; products.len() * stride];
+    let mut got = vec![0u64; products.len() * k];
     for l in 0..lanes {
-        // The scalar chains borrow the shared tables only when they run
-        // the whole call; lane groups and scalar products share one
-        // parallel section.
-        let bases = (on_lanes > 0).then(|| {
-            let entered: Vec<&[u64]> = sources.iter().map(|&s| base(s, l)).collect();
-            mont.lane_bases(&entered, &shared).expect("the lane path")
-        });
-        let tables = match bases {
-            None => par_map_min(COARSE, shared.len(), |s| {
-                mont.odd_powers(base(shared[s].0, l), shared[s].1)
-            }),
-            Some(_) => Vec::new(),
-        };
-        let table = |src: &usize| match bases {
-            None => shared
-                .binary_search_by_key(src, |s| s.0)
-                .ok()
-                .map(|s| &tables[s]),
-            Some(_) => None,
-        };
-        let groups: Vec<&[Vec<LaneTerm>]> = lane_terms.chunks(LANES).collect();
-        let got = par_map_min(COARSE, groups.len() + scalar_order.len(), |i| {
-            let Some(group) = groups.get(i) else {
-                let terms: Vec<PowTerm> = terms(scalar_order[i - groups.len()])
-                    .map(|(src, e)| PowTerm {
-                        base: base(*src, l),
-                        exp: &e.mag,
-                        table: table(src),
-                    })
-                    .collect();
-                let mut out = vec![0u64; k];
-                mont.multi_pow_into(&terms, &mut out);
-                return out;
-            };
-            let products: Vec<&[LaneTerm]> = group.iter().map(|t| &t[..]).collect();
-            let mut out = vec![0u64; products.len() * k];
-            let bases = bases.as_ref().expect("lane groups run on entered bases");
-            mont.multi_pow_many(bases, &products, &mut out);
-            out
-        })
-        .concat();
-        for (&i, ct) in order.iter().zip(got.chunks_exact(k)) {
+        let bases: Vec<&[u64]> = sources.iter().map(|&src| base(src, l)).collect();
+        mont.multi_pow_many(&bases, &products, &mut got);
+        for (i, ct) in got.chunks_exact(k).enumerate() {
             res[i * stride + l * k..][..k].copy_from_slice(ct);
         }
     }
 
     // out = pos · neg⁻¹ wherever a row had negative terms.
-    let (out, negs) = res.split_at_mut(rows.len() * stride);
-    mont.batch_inv_mont(negs);
+    let (out, inverted) = res.split_at_mut(rows.len() * stride);
+    mont.batch_inv_mont(inverted);
     let mut tmp = vec![0u64; k];
-    for (&(r, _), inv) in items[rows.len()..].iter().zip(negs.chunks_exact(stride)) {
+    for (&r, inv) in negs.iter().zip(inverted.chunks_exact(stride)) {
         let pos = out[r * stride..(r + 1) * stride].chunks_exact_mut(k);
         for (ct, inv) in pos.zip(inv.chunks_exact(k)) {
             mont.mont_mul_into(ct, inv, &mut tmp);
@@ -1180,6 +1043,7 @@ mod tests {
     use crate::keys::{keygen, plain_keys};
     use crate::pack;
     use crate::{ObfMode, Obfuscator};
+    use bf_bigint::mont::PowMany;
     use bf_tensor::Csr;
     use rand::SeedableRng;
 

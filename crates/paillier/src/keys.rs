@@ -12,16 +12,17 @@
 //! is the same ring element, in the same canonical Montgomery form, as
 //! the textbook `to_mont(1 + m·n) ⊗ x`; only the tests still build
 //! that (docs/ARCHITECTURE.md, "What an encryption costs"). A pooled
-//! group of encryptions takes `PaillierPk::add_plain_many`, the same
-//! identity with the group's products mod `n` in one
-//! [`MontCtx::mont_mul_many`].
+//! group of encryptions, and a group of `add_plain`s, takes
+//! `PaillierPk::add_plain_many`, the same identity with the group's
+//! products mod `n` in one [`MontCtx::mont_mul_many`].
 
 use std::sync::Arc;
 
-use bf_bigint::mont::{lane_items, scratch, PowMany, LANES};
+use std::borrow::Cow;
+
+use bf_bigint::mont::scratch;
 use bf_bigint::{gen_prime, mod_inv, modular::lcm, BigUint, MontCtx};
-use bf_util::par::{workers, COARSE};
-use bf_util::{par_map, par_map_min};
+use bf_util::par_map;
 use rand::Rng;
 
 use crate::codec;
@@ -133,18 +134,37 @@ impl PaillierPk {
         self.mont.add_product_into(x, self.n.limbs(), t, out);
     }
 
-    /// [`PaillierPk::add_plain_into`] of each canonical `x_i` (below
-    /// `n²`) with its residue `res_i`, the ring element `m_i` added, `k`
-    /// limbs each into `out`: the products `m_i·x_i mod n` in one
-    /// [`MontCtx::mont_mul_many`] mod `n`, then `x_i + n·t_i` each.
+    /// [`PaillierPk::add_plain_into`] of each `x_i`, the ring element
+    /// `m_i` added, `k` limbs each into `out`, byte for byte: the products
+    /// `m_i·x_i mod n` in one [`MontCtx::mont_mul_many`] mod `n`, then
+    /// `x_i + n·t_i` each. `res` holds the residues of the `x_i` when the
+    /// caller already has them (every `x_i` then canonical); else each
+    /// costs one reduction, after a non-canonical `x_i ≥ n²` (limbs off
+    /// the wire) is reduced as `add_plain_into` reduces it.
     pub(crate) fn add_plain_many(
         &self,
         xs: &[&[u64]],
         ms: &[BigUint],
-        res: &[&[u64]],
+        res: Option<&[&[u64]]>,
         out: &mut [u64],
     ) {
         let (k, kn) = (self.ct_limbs(), self.mont_n.limb_count());
+        let Some(res) = res else {
+            let xs: Vec<Cow<[u64]>> = xs
+                .iter()
+                .map(|&x| match self.mont.is_reduced(x) {
+                    true => x.into(),
+                    false => self.mont.mont_mul(x, &self.mont.one_mont()).into(),
+                })
+                .collect();
+            let mut res = vec![0u64; xs.len() * kn];
+            for (x, r) in xs.iter().zip(res.chunks_exact_mut(kn)) {
+                self.residue_into(x, r);
+            }
+            let xs: Vec<&[u64]> = xs.iter().map(|x| &x[..]).collect();
+            let res: Vec<&[u64]> = res.chunks_exact(kn).collect();
+            return self.add_plain_many(&xs, ms, Some(&res), out);
+        };
         let mut m_pad = vec![0u64; ms.len() * kn];
         for (m, pad) in ms.iter().zip(m_pad.chunks_exact_mut(kn)) {
             debug_assert!(m < &self.n, "plaintext must be a ring element");
@@ -231,42 +251,36 @@ impl PaillierSk {
     }
 
     /// [`PaillierSk::raw_decrypt`] of every `(ciphertext, bits)` of
-    /// `cts`, byte for byte, with the halves batched across the call:
-    /// every `p` half, [`LANES`] at a time and a parallel item per group
-    /// of them (split by [`lane_items`], a lone half past the last full
-    /// group an item of its own); then the `q` half of each ciphertext
-    /// that is not narrow, grouped the same way; then, per ciphertext,
-    /// the narrow check and Garner's recombination. On [`PowMany::Lanes`]
-    /// a group of eight costs about what one lone half does on the scalar
-    /// path.
-    ///
-    /// [`PowMany::Lanes`]: bf_bigint::mont::PowMany::Lanes
+    /// `cts`, byte for byte, with the halves' exponentiations batched
+    /// across the call: every `p` half's in one [`MontCtx::pow_many`],
+    /// then the `q` half's of each ciphertext that is not narrow in
+    /// another; then, per ciphertext, `L·h` of each half, the narrow
+    /// check and Garner's recombination. On a CPU with AVX-512 IFMA a
+    /// lane group of eight halves costs about what one lone half does on
+    /// the scalar path.
     pub fn raw_decrypt_many(&self, cts: &[(&[u64], Option<usize>)]) -> Vec<BigUint> {
         let cs = par_map(cts.len(), |i| self.pk.mont.from_mont(cts[i].0));
-        let all: Vec<&BigUint> = cs.iter().collect();
-        let mps = crt_halves(&all, &self.p, &self.mont_p2, &self.hp);
-        let wide: Vec<&BigUint> = cts
+        let xps = self.mont_p2.pow_many(&cs, &self.p.sub_u64(1));
+        let wide: Vec<BigUint> = cts
             .iter()
             .zip(&cs)
-            .filter_map(|(&(_, bits), c)| (!self.narrow(bits)).then_some(c))
+            .filter(|(&(_, bits), _)| !self.narrow(bits))
+            .map(|(_, c)| c.clone())
             .collect();
-        let mqs = crt_halves(&wide, &self.q, &self.mont_q2, &self.hq);
+        let xqs = self.mont_q2.pow_many(&wide, &self.q.sub_u64(1));
         // The wide ciphertexts take the q halves in order.
-        let mut next_q = mqs.iter();
-        let mq_of: Vec<Option<&BigUint>> = cts
+        let mut next_q = xqs.iter();
+        let xq_of: Vec<Option<&BigUint>> = cts
             .iter()
             .map(|&(_, bits)| (!self.narrow(bits)).then(|| next_q.next()).flatten())
             .collect();
-        par_map(cts.len(), |i| match mq_of[i] {
-            None => self.signed_residue(&mps[i]),
-            Some(mq) => self.garner(&mps[i], mq),
+        par_map(cts.len(), |i| {
+            let mp = l_times_h(&xps[i], &self.p, &self.hp);
+            match xq_of[i] {
+                None => self.signed_residue(&mp),
+                Some(xq) => self.garner(&mp, &l_times_h(xq, &self.q, &self.hq)),
+            }
         })
-    }
-
-    /// The path [`PaillierSk::raw_decrypt_many`] raises its `p` halves on
-    /// (a key of equal-size primes gives its `q` halves the same).
-    pub(crate) fn pow_many_path(&self) -> PowMany {
-        self.mont_p2.pow_many_path()
     }
 
     /// Whether a plaintext bound of `bits` (see
@@ -325,29 +339,6 @@ impl std::fmt::Debug for PaillierSk {
 fn crt_half(c: &BigUint, r: &BigUint, mont_r2: &MontCtx, h_r: &BigUint) -> BigUint {
     let x = mont_r2.pow(&c.rem(&mont_r2.m), &r.sub_u64(1));
     l_times_h(&x, r, h_r)
-}
-
-/// [`crt_half`] of every `c` of `cs`, in order, in one parallel section:
-/// one [`MontCtx::pow_many`] per [`LANES`] of the first [`lane_items`]
-/// of them on [`PowMany::Lanes`], one [`crt_half`] per ciphertext for
-/// the rest.
-fn crt_halves(cs: &[&BigUint], r: &BigUint, mont_r2: &MontCtx, h_r: &BigUint) -> Vec<BigUint> {
-    let e = r.sub_u64(1);
-    let on_lanes = match mont_r2.pow_many_path() {
-        PowMany::Lanes => lane_items(cs.len(), workers()),
-        PowMany::Scalar => 0,
-    };
-    let (grouped, rest) = cs.split_at(on_lanes);
-    let groups: Vec<&[&BigUint]> = grouped.chunks(LANES).collect();
-    let halves = par_map_min(COARSE, groups.len() + rest.len(), |i| match groups.get(i) {
-        Some(group) => {
-            let bases: Vec<BigUint> = group.iter().map(|c| c.rem(&mont_r2.m)).collect();
-            let xs = mont_r2.pow_many(&bases, &e);
-            xs.iter().map(|x| l_times_h(x, r, h_r)).collect()
-        }
-        None => vec![crt_half(rest[i - groups.len()], r, mont_r2, h_r)],
-    });
-    halves.into_iter().flatten().collect()
 }
 
 /// `L_r(x)·h_r mod r`, with `L_r(x) = (x − 1)/r`.

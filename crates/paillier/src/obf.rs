@@ -14,7 +14,7 @@
 //!   so a pooled encryption of `m` is `pool[a] ⊗ (pool[b] + n·(m·β_b
 //!   mod n))` (`Obfuscator::encrypt_into`): the one multiply mod `n²`
 //!   the pair product already paid, plus one mod `n`. A call encrypts
-//!   in groups of [`LANES`] (`Obfuscator::encrypt_many`), the group's
+//!   in groups of eight (`Obfuscator::encrypt_many`), the group's
 //!   products mod `n` and mod `n²` one [`MontCtx::mont_mul_many`] each:
 //!   one lane multiply apiece on a CPU with AVX-512 IFMA. The pool keeps
 //!   no lane forms of its entries: at every key width a Montgomery form
@@ -45,11 +45,12 @@
 //! Xeon VM with the `mulx`/`adx` Montgomery kernels, a `Pool(64)` builds
 //! in ≈ 40 ms instead of ≈ 80 ms at 1024-bit keys, and in ≈ 200 ms
 //! instead of ≈ 550 ms at 2048 (medians of seven and three builds).
-//! Every entry's half runs the same two exponents, so the entries go
-//! [`LANES`] to a [`MontCtx::pow_many`]: on a CPU with AVX-512 IFMA the
-//! same probe, on a slower day of that VM, read ≈ 24 ms against 76–85
-//! ms per entry at 1024-bit keys and ≈ 115 ms against ≈ 390 ms at 2048
-//! (`new`: 140–170 ms and ≈ 960 ms that day).
+//! Every entry's half runs the same two exponents, so each is one
+//! [`MontCtx::pow_many`] over all the entries, eight to a lane group on
+//! a CPU with AVX-512 IFMA: the same probe, on a slower day of that VM,
+//! read ≈ 24 ms against 76–85 ms per entry at 1024-bit keys and ≈ 115
+//! ms against ≈ 390 ms at 2048 (`new`: 140–170 ms and ≈ 960 ms that
+//! day).
 //! `new` stays as the public-key reference the tests hold `from_secret`
 //! against, and as the path for a caller holding the public key only.
 //! `Exact` draws on the public path under either constructor, and the
@@ -71,9 +72,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bf_bigint::mont::{scratch, LANES};
+use bf_bigint::mont::scratch;
 use bf_bigint::{mod_inv, rng::random_coprime, BigUint, MontCtx};
-use bf_util::par::COARSE;
 use rand::SeedableRng;
 
 use crate::keys::{PaillierPk, PaillierSk, PublicKey, SecretKey, STACK_LIMBS};
@@ -124,8 +124,8 @@ impl Obfuscator {
 
     /// [`Obfuscator::new`] for the key owner: the same pool entries and
     /// residues, byte for byte, each computed on the CRT halves (module
-    /// docs), [`LANES`] entries to a [`MontCtx::pow_many`]. `Exact` mode
-    /// and the Plain backend take the public path.
+    /// docs), every entry in one [`MontCtx::pow_many`] per exponent of a
+    /// half. `Exact` mode and the Plain backend take the public path.
     pub fn from_secret(sk: &SecretKey, mode: ObfMode, seed: u64) -> Self {
         match (sk, mode) {
             (SecretKey::Paillier(s), ObfMode::Pool(size)) => {
@@ -210,7 +210,7 @@ impl Obfuscator {
     /// byte. A pooled group puts every `m` into its entry `b` through the
     /// stored residue, as `encrypt_into` does, then multiplies the group by
     /// its entries `a` in one [`MontCtx::mont_mul_many`]: on a CPU with
-    /// AVX-512 IFMA, one lane multiply for up to [`LANES`] ciphertexts.
+    /// AVX-512 IFMA, one lane multiply for up to eight ciphertexts.
     pub(crate) fn encrypt_many(
         &self,
         pk: &PaillierPk,
@@ -234,7 +234,7 @@ impl Obfuscator {
             res.push(&self.residues[b * kn..(b + 1) * kn]);
         }
         let mut with_m = vec![0u64; out.len()];
-        pk.add_plain_many(&entries, ms, &res, &mut with_m);
+        pk.add_plain_many(&entries, ms, Some(&res), &mut with_m);
         let rights: Vec<&[u64]> = with_m.chunks_exact(k).collect();
         pk.mont.mont_mul_many(&lefts, &rights, out);
     }
@@ -341,26 +341,19 @@ impl<'a> CrtRn<'a> {
     }
 
     /// The `size` entries of the pool seeded `seed`, `rⁿ mod n²` in
-    /// Montgomery form: [`LANES`] entries to a parallel item, each half
-    /// raised a group at a time, then Garner's `a + p²·((b − a)·(p²)⁻¹
-    /// mod q²)` per entry on its halves `a = rⁿ mod p²`, `b = rⁿ mod q²`.
+    /// Montgomery form: every entry's half raised by one
+    /// [`CrtHalf::rn_many`] per half, then Garner's `a + p²·((b −
+    /// a)·(p²)⁻¹ mod q²)` per entry on its halves `a = rⁿ mod p²`, `b =
+    /// rⁿ mod q²`.
     fn pool(&self, size: usize, seed: u64) -> Vec<Vec<u64>> {
         let [hp, hq] = &self.halves;
         let (p2, q2) = (&hp.mont2.m, &hq.mont2.m);
-        let groups = bf_util::par_map_min(COARSE, size.div_ceil(LANES), |g| {
-            let rs: Vec<BigUint> = (g * LANES..size.min((g + 1) * LANES))
-                .map(|i| entry_unit(self.pk, seed, i))
-                .collect();
-            let (a, b) = (hp.rn_many(&rs), hq.rn_many(&rs));
-            a.iter()
-                .zip(&b)
-                .map(|(a, b)| {
-                    let t = b.mod_sub(&a.rem(q2), q2).mod_mul(&self.p2_inv, q2);
-                    self.pk.mont.to_mont(&a.add(&p2.mul(&t)))
-                })
-                .collect::<Vec<_>>()
-        });
-        groups.into_iter().flatten().collect()
+        let rs = bf_util::par_map(size, |i| entry_unit(self.pk, seed, i));
+        let (a, b) = (hp.rn_many(&rs), hq.rn_many(&rs));
+        bf_util::par_map(size, |i| {
+            let t = b[i].mod_sub(&a[i].rem(q2), q2).mod_mul(&self.p2_inv, q2);
+            self.pk.mont.to_mont(&a[i].add(&p2.mul(&t)))
+        })
     }
 }
 
@@ -385,6 +378,7 @@ fn splitmix(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::keys::keygen;
+    use bf_bigint::mont::LANES;
     use rand::SeedableRng;
 
     #[test]
@@ -616,9 +610,29 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             bf_tensor::init::uniform(&mut rng, rows, cols, 3.0)
         };
+        // Then `add_plain` and `sub_plain` onto both layouts, and
+        // `add_plain` onto a scalar body whose first three ciphertexts
+        // are not canonical (all-ones limbs, n², n² + 5: limbs off the
+        // wire), 35 ciphertexts again.
+        let want_plain = vec![
+            (
+                0x553b_0d19_11b7_e4c1u64,
+                0xdcb4_3d12_3f28_38b0,
+                0x3743_f9e3_fca6_3268,
+                0x3944_28dd_ed09_dd4c,
+                0x2cea_7691_5b05_f2a6,
+            ),
+            (
+                0xcee9_29ae_946b_f17d,
+                0xa082_23b7_aa5a_758b,
+                0xc204_9599_f396_ed3d,
+                0x2b0f_7a7f_c953_c4d7,
+                0xd821_eb91_5cc3_c88b,
+            ),
+        ];
         let hash = |ct: &crate::CtMat| fnv1a(crate::export_ctmat(ct));
         let keys = crate::keys::fixed_keys();
-        let got: Vec<_> = keys[..2]
+        let (got, got_plain): (Vec<_>, Vec<_>) = keys[..2]
             .iter()
             .map(|pk| {
                 let obf = Obfuscator::new(pk, ObfMode::Pool(8), 17);
@@ -636,16 +650,45 @@ mod tests {
                 let delta = pk.encrypt_mode(&uniform(3, 2, 5), PaillierMode::Packed, &obf);
                 pk.rows_add_assign(&mut repeated, &[9, 30, 9], &delta);
                 assert!(packed.is_packed());
+                let PublicKey::Paillier(p) = pk else {
+                    unreachable!()
+                };
+                let k = p.ct_limbs();
+                let crate::ctmat::BodyView::Paillier { lanes, limbs, .. } = scalar.body_view()
+                else {
+                    unreachable!()
+                };
+                let mut limbs = limbs.to_vec();
+                let n2 = |add: u64| {
+                    let mut l = p.n2.add_u64(add).limbs().to_vec();
+                    l.resize(k, 0);
+                    l
+                };
+                limbs[..k].fill(u64::MAX);
+                limbs[k..2 * k].copy_from_slice(&n2(0));
+                limbs[2 * k..3 * k].copy_from_slice(&n2(5));
+                let hostile = crate::CtMat::from_paillier_parts(5, 7, 1, k, lanes, limbs);
+                let (q, q_packed) = (uniform(5, 7, 6), uniform(35, 2, 7));
                 (
-                    hash(&scalar),
-                    hash(&packed),
-                    hash(&sum),
-                    hash(&distinct),
-                    hash(&repeated),
+                    (
+                        hash(&scalar),
+                        hash(&packed),
+                        hash(&sum),
+                        hash(&distinct),
+                        hash(&repeated),
+                    ),
+                    (
+                        hash(&pk.add_plain(&scalar, &q)),
+                        hash(&pk.sub_plain(&scalar, &q)),
+                        hash(&pk.add_plain(&packed, &q_packed)),
+                        hash(&pk.sub_plain(&packed, &q_packed)),
+                        hash(&pk.add_plain(&hostile, &q)),
+                    ),
                 )
             })
-            .collect();
+            .unzip();
         assert_eq!(got, want, "{got:#x?}");
+        assert_eq!(got_plain, want_plain, "{got_plain:#x?}");
     }
 
     #[test]

@@ -1019,14 +1019,16 @@ fn grid(rows: usize, cols: usize) -> Dense {
 
 #[test]
 fn batched_decryption_equals_the_per_ciphertext_path() {
-    // `decrypt` batches the CRT halves of its lane groups, eight to a
+    // `decrypt` batches every call's CRT halves through
+    // `raw_decrypt_many`, whose `pow_many` runs them eight to a lane
     // group where the CPU has the lane kernel, once a call has more
     // ciphertexts than worker threads; a lone ciphertext past the last
     // full group has its halves raised one at a time, as smaller calls
     // do.
     // Every body a key owner decrypts, at the key widths whose moduli
     // the lane kernel serves, equals the per-ciphertext path; counts
-    // from 2 (lanes at one thread, per ciphertext at two) up.
+    // from 0 and 1 (scalar at any thread count), 2 (lanes at one
+    // thread, scalar at two) up.
     let min = 3;
     let keys = [fold_keys()[0], &repack_keys()[1], wide_key()];
     for keys in keys {
@@ -1035,6 +1037,8 @@ fn batched_decryption_equals_the_per_ciphertext_path() {
         // Rows of two values fold g to a ciphertext.
         let g = slots / 2;
         let bodies: Vec<(&str, CtMat, usize)> = vec![
+            ("empty", pk.encrypt_at_scale(&grid(0, 3), 1, obf), 0),
+            ("1 × 1", pk.encrypt_at_scale(&grid(1, 1), 1, obf), 1),
             (
                 "scalar",
                 pk.encrypt_at_scale(&grid(1, min - 1), 1, obf),
