@@ -410,6 +410,25 @@ impl MontCtx {
         self.mont_mul_into(reduced, &self.r3, out);
     }
 
+    /// [`MontCtx::reduce_wide_into`] of every value of `ts`, `k` limbs
+    /// each into `out`, byte for byte: the reductions one at a time,
+    /// the multiplies by `R³` one [`MontCtx::mont_mul_many`].
+    pub fn reduce_wide_many(&self, ts: &[&[u64]], out: &mut [u64]) {
+        let k = self.k;
+        assert_eq!(out.len(), ts.len() * k);
+        let mut reduced = vec![0u64; ts.len() * k];
+        let mut wide = vec![0u64; 2 * k];
+        for (t, r) in ts.iter().zip(reduced.chunks_exact_mut(k)) {
+            assert!(t.len() <= 2 * k);
+            wide.fill(0);
+            wide[..t.len()].copy_from_slice(t);
+            redc_body(addmul, &self.m.limbs[..k], self.m_inv, &mut wide, r);
+        }
+        let reduced: Vec<&[u64]> = reduced.chunks_exact(k).collect();
+        let r3 = vec![&self.r3[..]; ts.len()];
+        self.mont_mul_many(&reduced, &r3, out);
+    }
+
     /// `out = (x + a·b) mod m` for `x < m` and `a·b < m`: a schoolbook
     /// product accumulated onto `x` and one conditional subtraction,
     /// with no allocation up to `SQR_STACK_LIMBS` limbs. `x` is `k` limbs;

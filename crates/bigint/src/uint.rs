@@ -96,6 +96,13 @@ impl BigUint {
         self.limbs.iter().map(|l| l.count_ones() as usize).sum()
     }
 
+    /// Number of trailing zero bits: the largest `s` with `2^s | self`
+    /// (`None` for zero, which every power divides).
+    pub fn trailing_zeros(&self) -> Option<usize> {
+        let i = self.limbs.iter().position(|&l| l != 0)?;
+        Some(64 * i + self.limbs[i].trailing_zeros() as usize)
+    }
+
     /// The `i`-th bit (little-endian bit order).
     pub fn bit(&self, i: usize) -> bool {
         let limb = i / 64;

@@ -473,6 +473,53 @@ fn the_lane_product_equals_mont_mul_into_at_every_width_and_item_count() {
     }
 }
 
+#[test]
+fn batched_wide_reductions_equal_one_at_a_time() {
+    // `reduce_wide_many` against one `reduce_wide_into` per value, at
+    // every item count 0..=17 (lone, partial and full lane groups, each
+    // with a tail) on the lane moduli, or the scalar path without IFMA:
+    // 0, 1, m − 1, m, m² − 1, all-ones below m·R and random wide values.
+    for m in lane_moduli() {
+        let ctx = MontCtx::new(&m);
+        let k = ctx.limb_count();
+        let wide = |v: BigUint| {
+            let mut l = v.limbs().to_vec();
+            l.resize(2 * k, 0);
+            l
+        };
+        let mut x = m.shr(2);
+        let mut random = || {
+            x = x.mul(&x).add_u64(0x9e37).rem(&m.sqr());
+            x.clone()
+        };
+        let mut pool = vec![wide(BigUint::zero()), wide(BigUint::one())];
+        pool.extend([
+            wide(m.sub_u64(1)),
+            wide(m.clone()),
+            wide(m.sqr().sub_u64(1)),
+        ]);
+        pool.push(wide(BigUint::from_limbs(vec![u64::MAX; k]).mul(&m)));
+        pool.extend((0..5).map(|_| wide(random())));
+        for n in 0..=17 {
+            let ts: Vec<&[u64]> = (0..n)
+                .map(|i| &pool[(3 * i + n) % pool.len()][..])
+                .collect();
+            let mut got = vec![0u64; n * k];
+            ctx.reduce_wide_many(&ts, &mut got);
+            for (i, t) in ts.iter().enumerate() {
+                let mut want = vec![0u64; k];
+                ctx.reduce_wide_into(t, &mut want);
+                assert_eq!(
+                    &got[i * k..][..k],
+                    &want[..],
+                    "{} bits, {n} values, value {i}",
+                    m.bits()
+                );
+            }
+        }
+    }
+}
+
 /// `products` (each a list of `(base index, exponent)`) in one
 /// [`MontCtx::multi_pow_many`] over `bases`, each against one
 /// `multi_pow_into` over `reference` (the bases' residues) with no tables.

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use bf_mpc::convert::{he2ss_holder, he2ss_peer};
+use bf_mpc::convert::{he2ss_peer, he2ss_product_holder, Product};
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_paillier::{read_dense, write_dense, CtMat};
@@ -365,11 +365,15 @@ impl MatMulSource {
         sess.ep.send(Msg::Support(support.clone()))?;
 
         // Line 10: ⟦∇W_A⟧ = X_Aᵀ⟦∇Z⟧ on the support, then HE2SS.
-        let prod = sess.peer_pk.t_matmul_support(&x, &ct_gz, &support);
-        let phi = he2ss_holder(
+        let prod = Product::TMatMulSupport {
+            x: &x,
+            g: &ct_gz,
+            support: &support,
+        };
+        let phi = he2ss_product_holder(
             &sess.ep,
             &sess.peer_pk,
-            &prod,
+            prod,
             sess.cfg.he_mask,
             sess.cfg.paillier_mode,
             &mut sess.rng,
@@ -410,11 +414,10 @@ pub(crate) fn peer_product_shares(
     w_enc_peer: &CtMat,
     out: usize,
 ) -> TransportResult<(Dense, Dense)> {
-    let prod = sess.peer_pk.matmul(x, w_enc_peer);
-    let eps = he2ss_holder(
+    let eps = he2ss_product_holder(
         &sess.ep,
         &sess.peer_pk,
-        &prod,
+        Product::MatMul { x, w: w_enc_peer },
         sess.cfg.he_mask,
         sess.cfg.paillier_mode,
         &mut sess.rng,

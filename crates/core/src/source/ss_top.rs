@@ -18,7 +18,7 @@
 //! SecureML-style piecewise approximations; they plug into the same
 //! [`MatMulSource::backward_ss`] interface.)
 
-use bf_mpc::convert::{he2ss_holder, he2ss_peer, ss2he};
+use bf_mpc::convert::{he2ss_peer, he2ss_product_holder, ss2he, Product};
 use bf_mpc::transport::{Msg, TransportResult};
 use bf_tensor::{Dense, Features};
 
@@ -64,11 +64,15 @@ impl MatMulSource {
         let peer_support = sess.ep.recv_support()?;
 
         // Lines 4–5: ⟦∇W_own⟧ = Xᵀ⟦∇Z⟧ on the support, HE2SS.
-        let prod = sess.peer_pk.t_matmul_support(&x, &ct_gz, &support);
-        let phi = he2ss_holder(
+        let prod = Product::TMatMulSupport {
+            x: &x,
+            g: &ct_gz,
+            support: &support,
+        };
+        let phi = he2ss_product_holder(
             &sess.ep,
             &sess.peer_pk,
-            &prod,
+            prod,
             sess.cfg.he_mask,
             sess.cfg.paillier_mode,
             &mut sess.rng,
@@ -255,11 +259,15 @@ mod tests {
                 let support = layer.take_cached_support();
                 sess.ep.send(Msg::Support(support.clone())).unwrap();
                 let peer_support = sess.ep.recv_support().unwrap();
-                let prod = peer_pk.t_matmul_support(&x, &ct_gz, &support);
-                he2ss_holder(
+                let prod = Product::TMatMulSupport {
+                    x: &x,
+                    g: &ct_gz,
+                    support: &support,
+                };
+                he2ss_product_holder(
                     &sess.ep,
                     peer_pk,
-                    &prod,
+                    prod,
                     sess.cfg.he_mask,
                     mode,
                     &mut sess.rng,

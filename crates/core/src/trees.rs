@@ -36,9 +36,12 @@
 //! [`PaillierMode::Packed`] the guest folds `⌊slots/2⌋` rows into one
 //! ([`PublicKey::repack`]) and replies with a `1 × 2·cells` packed row;
 //! the host checks the element count, decrypts `⌈cells/⌊slots/2⌋⌉`
-//! ciphertexts and reshapes to `cells × 2`. Plain sessions, `Scalar`
-//! sessions and keys with fewer than four slots send `cells × 2` as the
-//! kernel produced it.
+//! ciphertexts and reshapes to `cells × 2`. The indicator sums are
+//! taken at `⟦g|h⟧`'s own scale and their `2^frac_bits` power is paid
+//! after the fold ([`PublicKey::rescale`]), once per folded ciphertext
+//! instead of once per cell — the same bytes as folding the scale-2
+//! sums. Plain sessions, `Scalar` sessions and keys with fewer than four
+//! slots send `cells × 2` as the scale-2 kernel produced it.
 //!
 //! **Numeric envelope.** Every sum is `Σ_rows round(v·2^fb)` with
 //! `|g| < 1`, `h ≤ ¼` (logloss). It is exact end to end while
@@ -84,7 +87,7 @@ use bf_ml::gbdt::{
 use bf_mpc::decrypt_reply;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_mpc::wire::{bit_at, bit_bytes, pack_bits};
-use bf_paillier::{PaillierMode, PublicKey, SlotLayout};
+use bf_paillier::{CtMat, PaillierMode, PublicKey, SlotLayout};
 use bf_tensor::{Csr, Dense, Features};
 
 use crate::config::FedConfig;
@@ -673,7 +676,7 @@ pub fn run_gbdt_guest(
         .peer_pk
         .encrypt_mode(&Dense::zeros(0, 2), sess.cfg.paillier_mode, &sess.obf);
 
-    let mut gh: Option<bf_paillier::CtMat> = None;
+    let mut gh: Option<CtMat> = None;
     let mut records: Vec<GbRecord> = Vec::new();
     loop {
         match sess.ep.recv_u64()? {
@@ -686,18 +689,13 @@ pub fn run_gbdt_guest(
                 })?;
                 let agg = {
                     let _t = sess.stages.timer(Stage::FedMatmul);
-                    let agg = sess.peer_pk.t_matmul_support(
+                    hist_reply(
+                        &sess.peer_pk,
+                        sess.cfg.paillier_mode,
                         &indicator.select_rows(&idx),
                         &gh.select_rows(&idx),
                         &support,
-                    );
-                    // The host only decrypts this: fold the 2-slot rows
-                    // so it opens ⌈cells/⌊slots/2⌋⌉ ciphertexts, not one
-                    // per cell.
-                    match sess.cfg.paillier_mode {
-                        PaillierMode::Packed => sess.peer_pk.repack(agg),
-                        PaillierMode::Scalar => agg,
-                    }
+                    )
                 };
                 sess.ep.send(Msg::Ct(agg))?;
             }
@@ -832,6 +830,39 @@ pub fn train_gbdt(
         |mut sessions| run_gbdt_host(&mut sessions, host_store, params).expect("host transport"),
     );
     GbdtFedOutcome { host, guests }
+}
+
+/// The guest's reply to `OP_HIST`: the `(Σg, Σh)` histogram
+/// `indicatorᵀ·⟦g|h⟧` on every cell of `support`, at scale 2. The host
+/// only decrypts it, so a `Packed` session folds the 2-slot rows
+/// ([`PublicKey::repack`]) and the host opens `⌈cells/⌊slots/2⌋⌉`
+/// ciphertexts, not one per cell; the 0/1 indicator's product is taken
+/// at `⟦g|h⟧`'s own scale and rescaled after the fold
+/// ([`PublicKey::rescale`]), so the `2^frac_bits` power is paid once
+/// per folded ciphertext instead of once per cell — the same bytes as
+/// folding the scale-2 product. A `Scalar` session sends the scale-2
+/// product as the kernel made it.
+fn hist_reply(
+    pk: &PublicKey,
+    mode: PaillierMode,
+    indicator: &Features,
+    gh: &CtMat,
+    support: &[u32],
+) -> CtMat {
+    let unscaled = match mode {
+        PaillierMode::Packed => pk.t_matmul_support_unscaled(indicator, gh, support),
+        PaillierMode::Scalar => None,
+    };
+    match unscaled {
+        Some(agg) => pk.rescale(&pk.repack(agg), 2),
+        None => {
+            let agg = pk.t_matmul_support(indicator, gh, support);
+            match mode {
+                PaillierMode::Packed => pk.repack(agg),
+                PaillierMode::Scalar => agg,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1048,6 +1079,63 @@ mod tests {
                     "{err}"
                 ),
             }
+        }
+    }
+
+    #[test]
+    fn histogram_replies_are_the_fold_of_the_scaled_product() {
+        // FNV-1a of `export_ctmat` of every reply, taken at the commit
+        // before the histogram's power moved after the fold, when the
+        // guest folded the scale-2 product (`Packed`) or sent it as it
+        // was (`Scalar`). The public halves of `bf_paillier`'s fixed
+        // 512- and 1024-bit test keys (4 and 9 slots: folds of 2 and 4
+        // rows); 1, 9, 40 and 130 node rows, two features a row.
+        use bf_paillier::{export_ctmat, import_public, ObfMode, Obfuscator};
+        use rand::{Rng, SeedableRng};
+        let keys = [
+            "bfpk1:32:d8b5d164d6a72ef5d0562e38cbea1781f4152b78051cc56f41bcac4a9d8c0c29\
+             66f6a26c43a170c8d990be6639a8c8943b0e896c35f2a42884c9092b7ec2411b",
+            "bfpk1:32:745cbc3c22a2be8ece26cbd3dd7d4e0f3fb62fe2b781f26f7cd30ada1ccd701b\
+             a31e19d483f5837a96a2d2923e7d0748f3dc25d448a337ad405f04f8ae969d78\
+             41227a9f377b7ad22afd96c2eb8b9c461c9168256625d1fea97f8706694adfa0\
+             550d6a7d7d7b5ba62eeb3adb3ea0f1d7d25c1ffd903e7efae5432fb3b38dff49",
+        ];
+        let want = [
+            [0x22ee_a331_6a10_9877u64, 0x40e3_09a3_e43c_4580],
+            [0x437b_2e21_fd4b_2287, 0x7ce7_4792_0cbd_bb9b],
+        ];
+        let fnv1a = |h: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        };
+        for (key, want) in keys.iter().zip(want) {
+            let pk = import_public(key).unwrap();
+            let obf = Obfuscator::new(&pk, ObfMode::Pool(4), 9);
+            let mut got = [0xcbf2_9ce4_8422_2325u64; 2];
+            for (n, cells) in [(1usize, 3usize), (9, 5), (40, 16), (130, 24)] {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+                let triplets: Vec<(usize, u32, f64)> = (0..n)
+                    .flat_map(|r| {
+                        let a = rng.random_range(0..cells / 2) as u32;
+                        let b = (cells / 2 + rng.random_range(0..cells - cells / 2)) as u32;
+                        [(r, a, 1.0), (r, b, 1.0)]
+                    })
+                    .collect();
+                let indicator = Features::Sparse(Csr::from_triplets(n, cells, triplets));
+                let support: Vec<u32> = (0..cells as u32).collect();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + 1);
+                let ghd = bf_tensor::init::uniform(&mut rng, n, 2, 3.0).map(|v| v / 4.0);
+                for (i, mode) in [PaillierMode::Packed, PaillierMode::Scalar]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let gh = pk.encrypt_mode(&ghd, mode, &obf);
+                    let reply = hist_reply(&pk, mode, &indicator, &gh, &support);
+                    got[i] = fnv1a(got[i], &export_ctmat(&reply));
+                }
+            }
+            assert_eq!(got, want, "{}", &key[..24]);
         }
     }
 }

@@ -44,7 +44,7 @@ pub mod shares;
 pub mod transport;
 pub mod wire;
 
-pub use convert::{decrypt_reply, he2ss_holder, he2ss_peer, ss2he};
+pub use convert::{decrypt_reply, he2ss_holder, he2ss_peer, he2ss_product_holder, ss2he, Product};
 pub use fault::{FaultAction, FaultPlan};
 pub use psi::{psi_digest, psi_guest, psi_host, select_common, PsiError, PsiSelection};
 pub use reactor::{FrameAcceptor, FrameConn};

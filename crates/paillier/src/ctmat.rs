@@ -20,8 +20,14 @@
 //! of multi-exponentiations `Π_t ⟦c_t⟧^{e_t}` evaluated by one core,
 //! `contract`. Per output it multiplies together the ciphertexts that
 //! share a fixed-point exponent and raises the product once — a one-hot
-//! or indicator row is `nnz − 1` multiplies and `frac_bits` squarings —
-//! and runs the exponents that remain along one shared squaring chain
+//! or indicator row is `nnz − 1` multiplies and its share of the
+//! `2^frac_bits` power, which the call pays once per source and lane
+//! when it has fewer sources than outputs, and else in each output's
+//! chain (`frac_bits` squarings); `matmul_unscaled` and
+//! `t_matmul_support_unscaled` leave an integer product's power to
+//! [`PublicKey::rescale`], to be paid after a fold on `slots`-fold
+//! fewer ciphertexts — and runs the exponents that remain along one
+//! shared squaring chain
 //! ([`bf_bigint::MontCtx::multi_pow_into`]); a call's products are one
 //! [`bf_bigint::MontCtx::multi_pow_many`] per lane of the output rows,
 //! which on CPUs with AVX-512 IFMA runs eight rows to one chain, a row
@@ -460,6 +466,20 @@ impl PublicKey {
     /// `X · ⟦W⟧` — plaintext features times an encrypted weight matrix
     /// (scale 1 → scale 2). Sparse `X` touches only its non-zeros.
     pub fn matmul(&self, x: &Features, w: &CtMat) -> CtMat {
+        self.matmul_at(x, w, Power::Paid)
+            .expect("a scaled product always exists")
+    }
+
+    /// [`PublicKey::matmul`] at `w`'s own scale, when every non-zero of
+    /// `X` quantizes to an integer: the same ciphertexts before their
+    /// `2^frac_bits` power, which [`PublicKey::rescale`] pays later —
+    /// after a [`PublicKey::repack`], on a fold's fewer ciphertexts.
+    /// `None` for any other `X`, and for a Plain body.
+    pub fn matmul_unscaled(&self, x: &Features, w: &CtMat) -> Option<CtMat> {
+        self.matmul_at(x, w, Power::Owed)
+    }
+
+    fn matmul_at(&self, x: &Features, w: &CtMat, power: Power) -> Option<CtMat> {
         assert_eq!(x.cols(), w.rows, "matmul shape mismatch");
         assert_eq!(w.scale, 1, "matmul expects a scale-1 weight ciphertext");
         match (self, &w.body) {
@@ -473,22 +493,24 @@ impl PublicKey {
                         exponents(pk, nz)
                     })
                     .collect();
+                let rows = power.apply(pk, rows)?;
                 let cw = w.cts();
-                w.like(
+                Some(w.like(
                     x.rows(),
-                    2,
+                    power.scale(w.scale),
                     contract(pk, cw.lanes, &rows, |c, l| cw.at(c, l)),
-                )
+                ))
             }
+            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => None,
             (PublicKey::Plain { frac_bits }, Body::Plain(wv)) => {
                 let wd = Dense::from_vec(w.rows, w.cols, wv.clone());
                 let xq = quantize_features(x, *frac_bits);
-                CtMat {
+                Some(CtMat {
                     rows: x.rows(),
                     cols: w.cols,
                     scale: 2,
                     body: Body::Plain(xq.matmul(&wd).data().to_vec()),
-                }
+                })
             }
             _ => panic!("matmul backend mismatch"),
         }
@@ -501,6 +523,30 @@ impl PublicKey {
     /// This is the sparse gradient projection `∇W = Xᵀ∇Z`; for sparse
     /// `X` the protocol only ever materialises the batch's support rows.
     pub fn t_matmul_support(&self, x: &Features, g: &CtMat, support: &[u32]) -> CtMat {
+        self.t_matmul_support_at(x, g, support, Power::Paid)
+            .expect("a scaled product always exists")
+    }
+
+    /// [`PublicKey::t_matmul_support`] at `g`'s own scale, as
+    /// [`PublicKey::matmul_unscaled`] is `matmul`'s: `None` unless every
+    /// non-zero of `X` on the support quantizes to an integer, and for a
+    /// Plain body.
+    pub fn t_matmul_support_unscaled(
+        &self,
+        x: &Features,
+        g: &CtMat,
+        support: &[u32],
+    ) -> Option<CtMat> {
+        self.t_matmul_support_at(x, g, support, Power::Owed)
+    }
+
+    fn t_matmul_support_at(
+        &self,
+        x: &Features,
+        g: &CtMat,
+        support: &[u32],
+        power: Power,
+    ) -> Option<CtMat> {
         assert_eq!(x.rows(), g.rows, "t_matmul shape mismatch");
         assert_eq!(g.scale, 1, "t_matmul expects a scale-1 ciphertext");
         // Build per-support-row coefficient lists (i, value).
@@ -520,13 +566,15 @@ impl PublicKey {
                     .iter()
                     .map(|list| exponents(pk, list.iter().copied()))
                     .collect();
+                let rows = power.apply(pk, rows)?;
                 let cg = g.cts();
-                g.like(
+                Some(g.like(
                     support.len(),
-                    2,
+                    power.scale(g.scale),
                     contract(pk, cg.lanes, &rows, |i, l| cg.at(i, l)),
-                )
+                ))
             }
+            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => None,
             (PublicKey::Plain { frac_bits }, Body::Plain(gv)) => {
                 let gd = Dense::from_vec(g.rows, g.cols, gv.clone());
                 let mut out = Dense::zeros(support.len(), g.cols);
@@ -539,12 +587,12 @@ impl PublicKey {
                         }
                     }
                 }
-                CtMat {
+                Some(CtMat {
                     rows: support.len(),
                     cols: g.cols,
                     scale: 2,
                     body: Body::Plain(out.data().to_vec()),
-                }
+                })
             }
             _ => panic!("t_matmul backend mismatch"),
         }
@@ -808,6 +856,40 @@ impl PublicKey {
             packed,
         )
     }
+
+    /// `ct` at fixed-point `scale` (not below `ct`'s): every ciphertext
+    /// raised to `2^(frac_bits·Δscale)`, the power a
+    /// [`PublicKey::matmul_unscaled`] or
+    /// [`PublicKey::t_matmul_support_unscaled`] product owes — one
+    /// [`bf_bigint::MontCtx::multi_pow_many`] of one-term products,
+    /// eight ciphertexts to a lane group on CPUs with AVX-512 IFMA. The
+    /// power commutes with [`PublicKey::repack`] (both are powers of the
+    /// same ciphertexts), so a product folded first pays it on `f`-fold
+    /// fewer ciphertexts and equals the fold of the scaled product byte
+    /// for byte. Either layout; a Plain body only takes the new scale.
+    pub fn rescale(&self, ct: &CtMat, scale: u8) -> CtMat {
+        assert!(
+            scale >= ct.scale,
+            "rescale lowers scale {} to {scale}",
+            ct.scale
+        );
+        let shift = self.frac_bits() as usize * (scale - ct.scale) as usize;
+        let body = match (self, &ct.body) {
+            (PublicKey::Paillier(pk), Body::Paillier { limbs, .. }) if shift > 0 => {
+                let cts: Vec<&[u64]> = limbs.chunks_exact(pk.ct_limbs()).collect();
+                ct.body.with_limbs(pow2_many(pk, &cts, shift))
+            }
+            (PublicKey::Paillier(_), Body::Paillier { .. })
+            | (PublicKey::Plain { .. }, Body::Plain(_)) => ct.body.clone(),
+            _ => panic!("rescale backend mismatch"),
+        };
+        CtMat {
+            rows: ct.rows,
+            cols: ct.cols,
+            scale,
+            body,
+        }
+    }
 }
 
 impl SecretKey {
@@ -948,17 +1030,73 @@ fn transpose_flat<T: Copy + Default>(data: &[T], rows: usize, cols: usize, k: us
     out
 }
 
+/// Whether a plain×cipher product pays its `2^frac_bits` power (scale
+/// 2) or owes it to a later [`PublicKey::rescale`] (its operand's
+/// scale, for all-integer coefficients only).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Power {
+    Paid,
+    Owed,
+}
+
+impl Power {
+    /// The product's scale over an operand at `operand`.
+    fn scale(self, operand: u8) -> u8 {
+        match self {
+            Power::Paid => 2,
+            Power::Owed => operand,
+        }
+    }
+
+    /// `rows`' exponents for this power: as encoded, or divided by
+    /// `2^frac_bits` — `None` if one is not a multiple of it (a
+    /// coefficient that does not quantize to an integer).
+    fn apply(self, pk: &PaillierPk, rows: Vec<ExpRow>) -> Option<Vec<ExpRow>> {
+        let f = pk.frac_bits as usize;
+        match self {
+            Power::Paid => Some(rows),
+            Power::Owed => rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(src, e)| {
+                            (e.mag.trailing_zeros()? >= f).then(|| {
+                                let mag = e.mag.shr(f);
+                                (src, SignedInt { mag, neg: e.neg })
+                            })
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One output row's terms: `(source row, signed exponent)`.
+type ExpRow = Vec<(usize, SignedInt)>;
+
 /// One output row's `(source row, value)` pairs as signed fixed-point
 /// exponents; values that round to zero drop out.
-fn exponents(
-    pk: &PaillierPk,
-    pairs: impl IntoIterator<Item = (usize, f64)>,
-) -> Vec<(usize, SignedInt)> {
+fn exponents(pk: &PaillierPk, pairs: impl IntoIterator<Item = (usize, f64)>) -> ExpRow {
     pairs
         .into_iter()
         .map(|(src, v)| (src, codec::encode_exponent(v, pk.frac_bits)))
         .filter(|(_, e)| !e.is_zero())
         .collect()
+}
+
+/// `b^(2^shift)` of every `k`-limb Montgomery-form value `b` of `bases`,
+/// laid end to end: one [`bf_bigint::MontCtx::multi_pow_many`] of
+/// one-term products, canonical.
+fn pow2_many(pk: &PaillierPk, bases: &[&[u64]], shift: usize) -> Vec<u64> {
+    let e = BigUint::one().shl(shift);
+    let terms: Vec<[LaneTerm; 1]> = (0..bases.len())
+        .map(|base| [LaneTerm { base, exp: &e }])
+        .collect();
+    let products: Vec<&[LaneTerm]> = terms.iter().map(|t| &t[..]).collect();
+    let mut out = vec![0u64; bases.len() * pk.ct_limbs()];
+    pk.mont.multi_pow_many(bases, &products, &mut out);
+    out
 }
 
 /// The contraction core under every plain×cipher product: a flat
@@ -970,13 +1108,19 @@ fn exponents(
 /// by one [`bf_bigint::MontCtx::multi_pow_many`] per lane over the call's
 /// sources — which groups equal exponents, shares window tables between
 /// rows and runs the products on the IFMA lanes or one scalar chain
-/// each. All negative accumulators of the call are then inverted
-/// together: one `mod_inv`, not one per row, plus three multiplies per
-/// inverted accumulator.
+/// each. The call's common power of two `2^s` (the largest dividing
+/// every exponent: `s ≥ frac_bits` for integer coefficients) is paid
+/// once, on whichever side has fewer ciphertexts: when the call has
+/// fewer sources than products, each source, per lane, is raised to
+/// `2^s` first ([`pow2_many`]) and the exponents divided by it; else
+/// each product's chain pays its `s` squarings. Both give the same group
+/// elements, so the same canonical limbs. All negative accumulators of
+/// the call are then inverted together: one `mod_inv`, not one per row,
+/// plus three multiplies per inverted accumulator.
 fn contract<'a>(
     pk: &PaillierPk,
     lanes: usize,
-    rows: &[Vec<(usize, SignedInt)>],
+    rows: &[ExpRow],
     base: impl Fn(usize, usize) -> &'a [u64],
 ) -> Vec<u64> {
     let mont = &pk.mont;
@@ -989,21 +1133,48 @@ fn contract<'a>(
     let mut sources: Vec<usize> = rows.iter().flatten().map(|(src, _)| *src).collect();
     sources.sort_unstable();
     sources.dedup();
-    let side = |r: usize, negative: bool| -> Vec<LaneTerm> {
-        rows[r]
-            .iter()
-            .filter(|(_, e)| e.neg == negative)
-            .map(|(src, e)| LaneTerm {
-                base: sources.binary_search(src).expect("a source of the call"),
-                exp: &e.mag,
-            })
-            .collect()
-    };
     // The products: every row's positive side, then the negative side of
     // each row that has one.
     let negs: Vec<usize> = (0..rows.len())
         .filter(|&r| rows[r].iter().any(|(_, e)| e.neg))
         .collect();
+    let n_products = rows.len() + negs.len();
+
+    // Where the common power is paid: on the sources, or in the chains.
+    let common = rows
+        .iter()
+        .flatten()
+        .filter_map(|(_, e)| e.mag.trailing_zeros());
+    let shift = match common.min() {
+        Some(s) if s > 0 && sources.len() < n_products => s,
+        _ => 0,
+    };
+    let raised = (shift > 0).then(|| {
+        let bases: Vec<&[u64]> = sources
+            .iter()
+            .flat_map(|&src| (0..lanes).map(move |l| (src, l)))
+            .map(|(src, l)| base(src, l))
+            .collect();
+        pow2_many(pk, &bases, shift)
+    });
+    let mags: Vec<Vec<BigUint>> = match raised {
+        Some(_) => rows
+            .iter()
+            .map(|row| row.iter().map(|(_, e)| e.mag.shr(shift)).collect())
+            .collect(),
+        None => Vec::new(),
+    };
+    let side = |r: usize, negative: bool| -> Vec<LaneTerm> {
+        rows[r]
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, e))| e.neg == negative)
+            .map(|(t, (src, e))| LaneTerm {
+                base: sources.binary_search(src).expect("a source of the call"),
+                exp: mags.get(r).map_or(&e.mag, |m| &m[t]),
+            })
+            .collect()
+    };
     let products: Vec<Vec<LaneTerm>> = (0..rows.len())
         .map(|r| side(r, false))
         .chain(negs.iter().map(|&r| side(r, true)))
@@ -1015,7 +1186,12 @@ fn contract<'a>(
     let mut res = vec![0u64; products.len() * stride];
     let mut got = vec![0u64; products.len() * k];
     for l in 0..lanes {
-        let bases: Vec<&[u64]> = sources.iter().map(|&src| base(src, l)).collect();
+        let bases: Vec<&[u64]> = match &raised {
+            Some(raised) => (0..sources.len())
+                .map(|s| &raised[(s * lanes + l) * k..][..k])
+                .collect(),
+            None => sources.iter().map(|&src| base(src, l)).collect(),
+        };
         mont.multi_pow_many(&bases, &products, &mut got);
         for (i, ct) in got.chunks_exact(k).enumerate() {
             res[i * stride + l * k..][..k].copy_from_slice(ct);
@@ -1654,37 +1830,74 @@ mod tests {
         }
     }
 
+    /// `rows × cols` of integers in {0, ±1, ±2}, no row empty: every
+    /// exponent a multiple of `2^frac_bits`.
+    fn integers(rows: usize, cols: usize, seed: u64) -> Dense {
+        let noise = dense(rows, cols, seed);
+        let mut m = noise.map(|v| (v * 0.7).round().clamp(-2.0, 2.0));
+        for r in 0..rows {
+            m.set(r, r % cols, 1.0 + (r % 2) as f64);
+        }
+        m
+    }
+
     #[test]
     fn contractions_equal_the_per_term_reference_on_and_off_the_lanes() {
         // Row counts on both sides of the worker count and of one and
         // two full lane groups; from three rows the patterns carry
         // negative exponents, so a call's products are its rows plus
-        // their negative sides and the lane tail moves with them.
+        // their negative sides and the lane tail moves with them. Every
+        // call has five sources: the integer calls past five rows raise
+        // the sources to the common `2^frac_bits` and the rest pay it in
+        // the chains, and each integer product also comes unscaled and
+        // rescaled.
         for pk in crate::keys::fixed_keys() {
             let (p, obf) = (paillier(&pk), Obfuscator::new(&pk, ObfMode::Pool(4), 7));
             assert!(p.key_bits < 2048 || p.mont.pow_many_path() == PowMany::Scalar);
-            for rows in [1, 2, 3, 8, 9, 10, 17] {
-                let what = format!("{}-bit key, {rows} rows", p.key_bits);
+            for (rows, integer) in [1, 2, 3, 8, 9, 10, 17]
+                .into_iter()
+                .flat_map(|rows| [(rows, false), (rows, true)])
+            {
+                let what = format!("{}-bit key, {rows} rows, integer {integer}", p.key_bits);
                 let seed = rows as u64;
-                let xd = patterned(rows, 5, 60 + seed);
+                let pattern = |rows, cols, seed| match integer {
+                    true => integers(rows, cols, seed),
+                    false => patterned(rows, cols, seed),
+                };
+                let xd = pattern(rows, 5, 60 + seed);
+                let integral = |m: &Dense| m.data().iter().all(|v| v.fract() == 0.0);
                 let w = pk.encrypt(&dense(5, 2, 61), &obf);
                 for x in [
                     Features::Dense(xd.clone()),
                     Features::Sparse(Csr::from_dense(&xd)),
                 ] {
                     let got = pk.matmul(&x, &w);
-                    assert!(got == reference_matmul(&pk, &x, &w), "matmul, {what}");
+                    let want = reference_matmul(&pk, &x, &w);
+                    assert!(got == want, "matmul, {what}");
+                    let unscaled = pk.matmul_unscaled(&x, &w);
+                    assert_eq!(unscaled.is_some(), integral(&xd), "{what}");
+                    if let Some(u) = unscaled {
+                        assert_eq!(u.scale(), 1);
+                        assert!(pk.rescale(&u, 2) == want, "rescaled matmul, {what}");
+                    }
                 }
-                let xt = patterned(rows, 5, 62 + seed).transpose();
+                let xt = pattern(rows, 5, 62 + seed).transpose();
                 let g = pk.encrypt(&dense(5, 2, 63), &obf);
                 let support: Vec<u32> = (0..rows as u32).collect();
-                let got = pk.t_matmul_support(&Features::Dense(xt.clone()), &g, &support);
+                let xf = Features::Dense(xt.clone());
+                let got = pk.t_matmul_support(&xf, &g, &support);
                 let want = reference_t_matmul_support(&pk, &xt, &g, &support);
                 assert!(got == want, "t_matmul_support, {what}");
+                let unscaled = pk.t_matmul_support_unscaled(&xf, &g, &support);
+                assert_eq!(unscaled.is_some(), integral(&xt), "{what}");
+                if let Some(u) = unscaled {
+                    let got = pk.rescale(&u, 2);
+                    assert!(got == want, "rescaled t_matmul_support, {what}");
+                }
                 // W's rows are the exponent rows, and each ⟦g_ij⟧ meets
                 // all of them: the shared tables are lent from two rows.
                 let cg = pk.encrypt(&dense(2, 5, 64), &obf);
-                let wt = patterned(rows, 5, 65 + seed);
+                let wt = pattern(rows, 5, 65 + seed);
                 let got = pk.matmul_ct_wt(&cg, &wt);
                 assert!(
                     got == reference_matmul_ct_wt(&pk, &cg, &wt),
@@ -1692,6 +1905,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn rescale_keeps_the_value_on_both_layouts() {
+        // A scale-1 body raised to scale 2 decrypts to the same f64s,
+        // scalar and packed; scale 1 → 1 is the body itself; a Plain
+        // body only changes its label.
+        let (pk, sk, obf) = setup();
+        let m = dense(3, 4, 71);
+        for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+            let ct = pk.encrypt_mode(&m, mode, &obf);
+            assert_eq!(ct.is_packed(), mode == PaillierMode::Packed);
+            let up = pk.rescale(&ct, 2);
+            assert_eq!((up.scale(), up.is_packed()), (2, ct.is_packed()));
+            assert_eq!(sk.decrypt(&up).data(), sk.decrypt(&ct).data(), "{mode:?}");
+            assert!(pk.rescale(&ct, 1) == ct);
+        }
+        let (ppk, psk) = plain_keys(20);
+        let ct = ppk.encrypt(&m, &obf);
+        let up = ppk.rescale(&ct, 2);
+        assert_eq!((up.scale(), psk.decrypt(&up)), (2, psk.decrypt(&ct)));
+        let x = Features::Dense(integers(2, 3, 72));
+        assert!(ppk.matmul_unscaled(&x, &ct).is_none());
     }
 
     #[test]

@@ -138,9 +138,11 @@ impl PaillierPk {
     /// `m_i` added, `k` limbs each into `out`, byte for byte: the products
     /// `m_i·x_i mod n` in one [`MontCtx::mont_mul_many`] mod `n`, then
     /// `x_i + n·t_i` each. `res` holds the residues of the `x_i` when the
-    /// caller already has them (every `x_i` then canonical); else each
-    /// costs one reduction, after a non-canonical `x_i ≥ n²` (limbs off
-    /// the wire) is reduced as `add_plain_into` reduces it.
+    /// caller already has them (every `x_i` then canonical); else they
+    /// are one [`MontCtx::reduce_wide_many`] (a reduction each, the
+    /// multiplies by `R³` one `mont_mul_many`), after a non-canonical
+    /// `x_i ≥ n²` (limbs off the wire) is reduced as `add_plain_into`
+    /// reduces it.
     pub(crate) fn add_plain_many(
         &self,
         xs: &[&[u64]],
@@ -157,11 +159,9 @@ impl PaillierPk {
                     false => self.mont.mont_mul(x, &self.mont.one_mont()).into(),
                 })
                 .collect();
-            let mut res = vec![0u64; xs.len() * kn];
-            for (x, r) in xs.iter().zip(res.chunks_exact_mut(kn)) {
-                self.residue_into(x, r);
-            }
             let xs: Vec<&[u64]> = xs.iter().map(|x| &x[..]).collect();
+            let mut res = vec![0u64; xs.len() * kn];
+            self.mont_n.reduce_wide_many(&xs, &mut res);
             let res: Vec<&[u64]> = res.chunks_exact(kn).collect();
             return self.add_plain_many(&xs, ms, Some(&res), out);
         };
