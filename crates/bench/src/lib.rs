@@ -1,43 +1,60 @@
-//! Shared infrastructure for the experiment harnesses.
+//! Shared runners of the reproduction harness.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`): each
-//! prints the same rows/series the publication reports, over the
-//! synthetic datasets of `bf-datagen` (scaling documented in
-//! `docs/REPRODUCING.md`). Two standard configurations:
+//! `bf-bench <artifact>` (see `src/main.rs`) prints one table or figure
+//! of the paper, with the same rows/series the publication reports,
+//! over the synthetic datasets of `bf-datagen` (scaling documented in
+//! `docs/REPRODUCING.md`). Each artifact is a few lines over one of
+//! these runners:
 //!
-//! * [`cfg_timing`] — real Paillier (512-bit modulus, pooled
-//!   obfuscations): used wherever wall-clock cost is the measurement.
-//! * [`cfg_quality`] — the Plain backend: used wherever *model quality*
-//!   is the measurement (the protocols are lossless, so convergence is
-//!   identical; verified by `blindfl`'s equivalence tests).
+//! * [`train_fed`] — one federated training run from a train and a
+//!   test split;
+//! * [`timing_row`] — a Table 5/6 row: BlindFL's source-layer matmul
+//!   time per batch beside SecureML's and client-aided SecureML's;
+//! * [`sweep`] — a Table 7/8 sweep: variant → relative time,
+//!   validation accuracy;
+//! * [`quality`] — a Figure 12/15 row: NonFed-Party B,
+//!   NonFed-collocated, BlindFL.
+//!
+//! Wall-clock cost is measured under [`cfg_timing`] (real Paillier);
+//! model quality under `FedConfig::plain()` (the protocols are
+//! lossless, so convergence is identical; verified by `blindfl`'s
+//! equivalence tests).
 
-use bf_datagen::{DatasetSpec, Shape};
+use bf_baselines::secureml::{
+    batch_memory_bytes, secureml_batch_cost, SecuremlOutcome, TripletMode,
+};
+use bf_datagen::{generate, vsplit, DatasetSpec, Shape, VflData};
 use bf_ml::data::Dataset;
+use bf_ml::{DlrmModel, GlmModel, MlpModel, Model, TrainConfig, WdlModel};
 use bf_paillier::ObfMode;
 use bf_tensor::Dense;
-use bf_util::Stopwatch;
+use bf_util::{Stopwatch, Table};
 use blindfl::config::{Backend, FedConfig};
+use blindfl::models::FedSpec;
 use blindfl::session::run_pair;
 use blindfl::source::matmul::{aggregate_a, aggregate_b};
 use blindfl::source::MatMulSource;
+use blindfl::train::{train_federated, FedOutcome, FedTrainConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Mini-batch size of every timing measurement.
+pub const BATCH_SIZE: usize = 128;
+
+/// Training epochs of a [`quality`] row.
+pub const QUALITY_EPOCHS: usize = 10;
+
+/// Memory budget for the SecureML baselines' dense state (the paper's
+/// testbed had 375 GB of RAM; ours does not).
+const MEM_LIMIT: usize = 8 << 30;
 
 /// Paillier configuration for the timing experiments.
 pub fn cfg_timing() -> FedConfig {
     FedConfig {
         backend: Backend::Paillier { key_bits: 512 },
-        frac_bits: 32,
         obf_mode: ObfMode::Pool(64),
-        paillier_mode: bf_paillier::PaillierMode::Packed,
-        he_mask: 1e4,
-        grad_mode: blindfl::config::GradMode::SecretShared,
-        lr: 0.05,
-        momentum: 0.9,
+        ..FedConfig::paillier_default()
     }
-}
-
-/// Plain-backend configuration for the model-quality experiments.
-pub fn cfg_quality() -> FedConfig {
-    FedConfig::plain()
 }
 
 /// Row-scaled dataset specs for the quality experiments (Figure 12 et
@@ -139,6 +156,275 @@ pub fn sparsity_label(shape: &Shape) -> String {
     }
 }
 
+/// Train `spec` federatedly for `epochs` (the other [`TrainConfig`]
+/// fields at their defaults) from a train and a test split.
+pub fn train_fed(
+    spec: &FedSpec,
+    cfg: &FedConfig,
+    epochs: usize,
+    snapshot_u_a: bool,
+    train: &VflData,
+    test: &VflData,
+    seed: u64,
+) -> FedOutcome {
+    let tc = FedTrainConfig {
+        base: TrainConfig {
+            epochs,
+            ..Default::default()
+        },
+        snapshot_u_a,
+        ..Default::default()
+    };
+    train_federated(
+        spec,
+        cfg,
+        &tc,
+        train.party_a.clone(),
+        train.party_b.clone(),
+        test.party_a.clone(),
+        test.party_b.clone(),
+        seed,
+    )
+}
+
+/// A Table 5/6 timing table whose first column is headed `first`.
+pub fn timing_table(first: &str) -> Table {
+    Table::new(vec![
+        first,
+        "Model",
+        "BlindFL",
+        "SecureML",
+        "SecureML (client-aided)",
+    ])
+}
+
+/// One [`timing_table`] row: the per-mini-batch matmul time of dataset
+/// `name` at its full feature dimension (`seed` draws the rows) under
+/// BlindFL's source layer (mean of `batches`), SecureML
+/// (HE-assisted triplets) and client-aided SecureML. A SecureML cell
+/// that would exceed `budget_secs` is measured at a reduced dimension
+/// and extrapolated linearly (marked `~`); one whose dense state
+/// exceeds the memory budget reports OOM, as in the paper.
+pub fn timing_row(
+    name: &str,
+    model: &str,
+    out: usize,
+    seed: u64,
+    batches: usize,
+    budget_secs: f64,
+) -> Vec<String> {
+    let spec = timing_spec(name);
+    let d = spec.shape.features();
+    eprintln!("[{name}] generating ({d} features)...");
+    let (train_ds, _) = generate(&spec, seed);
+    let v = vsplit(&train_ds);
+    eprintln!("[{name}] BlindFL source layer...");
+    let blindfl = matmul_source_batch_secs(
+        &cfg_timing(),
+        &v.party_a,
+        &v.party_b,
+        out,
+        BATCH_SIZE,
+        batches,
+    );
+    eprintln!("[{name}] SecureML (HE-assisted)...");
+    let he = TripletMode::HeAssisted { key_bits: 512 };
+    let sml = secureml_batch_cost(BATCH_SIZE, d, out, he, budget_secs, MEM_LIMIT);
+    eprintln!("[{name}] SecureML (client-aided)...");
+    vec![
+        format!("{name} ({})", sparsity_label(&spec.shape)),
+        model.to_string(),
+        fmt_secs(blindfl),
+        fmt_outcome(&sml),
+        client_aided_cost(d, out, budget_secs),
+    ]
+}
+
+/// Client-aided SecureML: when the dense state exceeds memory we
+/// measure at the largest feasible dimension and extrapolate.
+fn client_aided_cost(d: usize, out: usize, budget_secs: f64) -> String {
+    let cost = |d| {
+        let ca = TripletMode::ClientAided;
+        secureml_batch_cost(BATCH_SIZE, d, out, ca, budget_secs, MEM_LIMIT)
+    };
+    if batch_memory_bytes(BATCH_SIZE, d, out) <= MEM_LIMIT {
+        return fmt_outcome(&cost(d));
+    }
+    // Largest dimension whose dense state fits the budget (with margin).
+    let per_d = 2 * 8 * (5 * BATCH_SIZE + 4 * out);
+    let d_run = ((MEM_LIMIT / per_d) * 9 / 10).min(d / 2).max(100_000);
+    match cost(d_run) {
+        SecuremlOutcome::Ok { secs, .. } => format!(
+            "~{} (extrap {}x)",
+            fmt_secs(secs * d as f64 / d_run as f64),
+            d / d_run
+        ),
+        oom => fmt_outcome(&oom),
+    }
+}
+
+/// Format a SecureML cell: seconds (`~` when extrapolated) or OOM.
+fn fmt_outcome(o: &SecuremlOutcome) -> String {
+    match o {
+        SecuremlOutcome::Ok { secs, extrapolated } => {
+            format!(
+                "{}{}",
+                if *extrapolated { "~" } else { "" },
+                fmt_secs(*secs)
+            )
+        }
+        SecuremlOutcome::Oom { bytes } => format!("OOM ({} GiB)", bytes >> 30),
+    }
+}
+
+/// A scalability sweep over connect-4 MLPs (Tables 7 and 8), one row
+/// per variant. Time: `secs(variant, train, test)` on the timing split
+/// (full dimensionality), relative to the first variant's. Accuracy:
+/// the MLP of hidden-then-output `widths(variant)` trained for five
+/// epochs on the quality split. `seed` draws both splits and the runs.
+pub fn sweep(
+    column: &str,
+    variants: &[usize],
+    seed: u64,
+    widths: impl Fn(usize) -> Vec<usize>,
+    secs: impl Fn(usize, &VflData, &VflData) -> f64,
+) -> Table {
+    let split = |spec| {
+        let (train, test) = generate(&spec, seed);
+        (vsplit(&train), vsplit(&test))
+    };
+    let (train, test) = split(timing_spec("connect-4"));
+    let secs: Vec<f64> = variants
+        .iter()
+        .map(|&v| {
+            eprintln!("[{column} {v}] timing...");
+            secs(v, &train, &test)
+        })
+        .collect();
+    let (train, test) = split(quality_spec("connect-4"));
+    let mut t = Table::new(vec![column, "Relative Time Cost", "Validation Accuracy"]);
+    for (&v, s) in variants.iter().zip(&secs) {
+        eprintln!("[{column} {v}] accuracy...");
+        let spec = FedSpec::Mlp { widths: widths(v) };
+        let plain = FedConfig::plain();
+        let acc = train_fed(&spec, &plain, 5, false, &train, &test, seed)
+            .report
+            .test_metric;
+        t.row(vec![
+            v.to_string(),
+            format!("{:.2}x", s / secs[0]),
+            format!("{:.1}%", acc * 100.0),
+        ]);
+    }
+    t
+}
+
+/// Headers of a [`Quality`] row's [`Quality::cells`].
+pub const QUALITY_COLUMNS: [&str; 4] = [
+    "NonFed-Party B",
+    "NonFed-collocated",
+    "BlindFL",
+    "BlindFL vs Party B",
+];
+
+/// Test metrics of one model on one dataset, trained three ways.
+pub struct Quality {
+    /// The metric's name: AUC for a binary task, accuracy otherwise.
+    pub metric: &'static str,
+    /// Non-federated, on Party B's features alone.
+    pub party_b: f64,
+    /// Non-federated, on the collocated features.
+    pub collocated: f64,
+    /// Federated (BlindFL).
+    pub blindfl: f64,
+    /// BlindFL's training loss after each mini-batch.
+    pub losses: Vec<f64>,
+}
+
+impl Quality {
+    /// The [`QUALITY_COLUMNS`] cells.
+    pub fn cells(&self) -> Vec<String> {
+        vec![
+            format!("{:.3}", self.party_b),
+            format!("{:.3}", self.collocated),
+            format!("{:.3}", self.blindfl),
+            format!("{:+.3}", self.blindfl - self.party_b),
+        ]
+    }
+}
+
+/// A model family: its [`FedSpec`] at an output width.
+pub type ModelAt = fn(usize) -> FedSpec;
+
+/// Train `model(out)` (`out` = 1 for a binary task, else the class
+/// count) on dataset `name` at quality scale for [`QUALITY_EPOCHS`]:
+/// non-federated on Party B's half, non-federated collocated, and
+/// BlindFL on the Plain backend. `seed` draws the data and the
+/// federated run, `init_seed` the non-federated models' weights.
+pub fn quality(name: &str, model: ModelAt, seed: u64, init_seed: u64) -> Quality {
+    let spec = quality_spec(name);
+    let (train_ds, test_ds) = generate(&spec, seed);
+    let (train, test) = (vsplit(&train_ds), vsplit(&test_ds));
+    let binary = spec.classes == 2;
+    let fed_spec = model(if binary { 1 } else { spec.classes });
+    let mut rng = StdRng::seed_from_u64(init_seed);
+    let epochs = QUALITY_EPOCHS;
+    let party_b = nonfed_metric(&fed_spec, &mut rng, &train.party_b, &test.party_b, epochs);
+    let collocated = nonfed_metric(&fed_spec, &mut rng, &train_ds, &test_ds, epochs);
+    let plain = FedConfig::plain();
+    let report = train_fed(&fed_spec, &plain, epochs, false, &train, &test, seed).report;
+    Quality {
+        metric: if binary { "AUC" } else { "Accuracy" },
+        party_b,
+        collocated,
+        blindfl: report.test_metric,
+        losses: report.losses,
+    }
+}
+
+/// Test metric of the non-federated counterpart of `spec`, initialised
+/// from `rng` and trained on `train` for `epochs`.
+pub fn nonfed_metric(
+    spec: &FedSpec,
+    rng: &mut StdRng,
+    train: &Dataset,
+    test: &Dataset,
+    epochs: usize,
+) -> f64 {
+    fn run<M: Model>(mut m: M, train: &Dataset, test: &Dataset, epochs: usize) -> f64 {
+        let tc = TrainConfig {
+            epochs,
+            ..Default::default()
+        };
+        bf_ml::train(&mut m, train, test, &tc).test_metric
+    }
+    let dim = train.num_dim();
+    let cat = || train.cat.as_ref().expect("categorical features");
+    match spec {
+        FedSpec::Glm { out } => run(GlmModel::new(rng, dim, *out), train, test, epochs),
+        FedSpec::Mlp { widths } => run(MlpModel::new(rng, dim, widths), train, test, epochs),
+        FedSpec::Wdl {
+            emb_dim,
+            deep_hidden,
+            out,
+        } => {
+            let (vocab, fields) = (cat().vocab(), cat().fields());
+            let m = WdlModel::new(rng, dim, vocab, fields, *emb_dim, deep_hidden, *out);
+            run(m, train, test, epochs)
+        }
+        FedSpec::Dlrm {
+            emb_dim,
+            vec_dim,
+            top_hidden,
+        } => {
+            let (vocab, fields) = (cat().vocab(), cat().fields());
+            let (bottom, out) = ([*vec_dim], spec.out_dim());
+            let m = DlrmModel::new(rng, dim, vocab, fields, *emb_dim, &bottom, top_hidden, out);
+            run(m, train, test, epochs)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +442,7 @@ mod tests {
         let s = bf_datagen::spec("a9a").scaled(200, 1);
         let (train, _) = generate(&s, 1);
         let v = vsplit(&train);
-        let secs = matmul_source_batch_secs(&cfg_quality(), &v.party_a, &v.party_b, 1, 32, 2);
+        let secs = matmul_source_batch_secs(&FedConfig::plain(), &v.party_a, &v.party_b, 1, 32, 2);
         assert!(secs > 0.0 && secs < 5.0);
     }
 

@@ -125,18 +125,36 @@ pub struct FedTrainConfig {
 /// suffix is appended to the whole file name, so two parties whose
 /// paths differ only in their extension (`job.a`, `job.b`) never share
 /// a temporary file.
+///
+/// A checkpoint holds model shares and the mask-RNG state, so it is
+/// secret: the temporary file is created afresh and owner-only (`0o600`
+/// on unix; a stale one left by a crash is removed first, so its mode
+/// is never inherited), and it is synced to disk before the rename.
 fn write_checkpoint(path: &Path, bytes: &[u8]) -> TransportResult<()> {
+    use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .map_err(|e| {
-            TransportError::Setup(format!(
-                "checkpoint write to {} failed: {e}",
-                path.display()
-            ))
-        })
+    let write = || -> std::io::Result<()> {
+        match std::fs::remove_file(&tmp) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let mut opts = std::fs::OpenOptions::new();
+        opts.write(true).create_new(true);
+        #[cfg(unix)]
+        std::os::unix::fs::OpenOptionsExt::mode(&mut opts, 0o600);
+        let mut file = opts.open(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    };
+    write().map_err(|e| {
+        TransportError::Setup(format!(
+            "checkpoint write to {} failed: {e}",
+            path.display()
+        ))
+    })
 }
 
 /// Fire the configured fault if it is scheduled after the run-wide
@@ -589,6 +607,26 @@ mod tests {
         write_checkpoint(&mine, b"party a").unwrap();
         assert_eq!(std::fs::read(&mine).unwrap(), b"party a");
         assert_eq!(std::fs::read(&theirs).unwrap(), b"party b");
+        // No temporary file of this party's is left behind.
+        assert!(!dir.join("job.a.tmp").exists());
+        // A stale world-readable temporary file from a crashed write
+        // does not lend its mode to the next checkpoint.
+        std::fs::write(dir.join("job.a.tmp"), b"stale").unwrap();
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            let world = std::fs::Permissions::from_mode(0o644);
+            std::fs::set_permissions(dir.join("job.a.tmp"), world).unwrap();
+        }
+        write_checkpoint(&mine, b"party a again").unwrap();
+        assert_eq!(std::fs::read(&mine).unwrap(), b"party a again");
+        assert!(!dir.join("job.a.tmp").exists());
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            let mode = std::fs::metadata(&mine).unwrap().permissions().mode();
+            assert_eq!(mode & 0o777, 0o600);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
