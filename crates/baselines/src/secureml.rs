@@ -55,14 +55,17 @@ pub enum SecuremlOutcome {
     },
 }
 
-/// Memory required for one batch of dense SecureML state: X shares,
-/// triplet shares and opened E/F matrices on both parties.
+/// An upper bound on the dense state a [`secureml_batch_cost`] run
+/// holds at one batch shape, both parties together: what a memory
+/// budget is checked against.
 pub fn batch_memory_bytes(bs: usize, d: usize, out: usize) -> usize {
-    // Per party: X share (bs×d), A share (bs×d), E share + opened E
-    // (2·bs×d), B/F (2·d×out + …), C (bs×out) — forward; the backward
-    // matmul transposes the big matrix, same order. ≈ 5 copies of bs×d
-    // dominate.
-    2 * (5 * bs * d + 4 * d * out + 2 * bs * out) * 8
+    // `bs×d` copies: both X shares and both transposes, held for the
+    // run (the plaintext X is dropped once shared); per party, its two
+    // triplet `A` pieces and, inside a Beaver product, its E share,
+    // the peer's and the opened E (drawing a dealer triplet holds
+    // fewer). The `out`-wide matrices (W, ∇Z, their shares, triplet
+    // `B`/`C` pieces, F) are bounded by twelve of either shape.
+    (14 * bs * d + 12 * (d + bs) * out) * 8
 }
 
 /// Measure the per-mini-batch matmul cost of SecureML training at the
@@ -118,6 +121,7 @@ fn run_batches(bs: usize, d: usize, out: usize, mode: TripletMode, iters: usize)
     let w = random_mask(&mut rng, d, out, 0.1);
     let gz = random_mask(&mut rng, bs, out, 0.1);
     let (x1, x2) = share_dense(&mut rng, &x, 2.0);
+    drop(x);
     let (w1, w2) = share_dense(&mut rng, &w, 2.0);
     let (g1, g2) = share_dense(&mut rng, &gz, 2.0);
 

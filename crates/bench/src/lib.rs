@@ -85,7 +85,7 @@ pub fn timing_spec(name: &str) -> DatasetSpec {
 
 /// Measure the federated MatMul source layer's per-mini-batch cost
 /// (forward + backward, exactly the "matrix multiplication" portion the
-/// paper times): returns mean seconds/batch over `batches` measured
+/// paper times): returns the median seconds of `batches` measured
 /// batches after one warm-up.
 pub fn matmul_source_batch_secs(
     cfg: &FedConfig,
@@ -118,22 +118,27 @@ pub fn matmul_source_batch_secs(
         },
         move |mut sess| {
             let mut layer = MatMulSource::init(&mut sess, b_view.num_dim(), out).unwrap();
-            let mut sw = Stopwatch::new();
-            for (i, idx) in idxs.iter().enumerate() {
-                if i == 1 {
-                    sw.start(); // skip warm-up batch
-                }
-                let batch = b_view.select(idx);
-                let x = batch.num.as_ref().unwrap();
-                let z_own = layer.forward(&mut sess, x, true).unwrap();
-                let _z = aggregate_b(&sess, z_own).unwrap();
-                // A synthetic ∇Z of the right shape: the cost being
-                // measured is the protocol's, not the loss function's.
-                let g = grad_template.map(|_| 0.01);
-                layer.backward_b(&mut sess, &g).unwrap();
-            }
-            sw.stop();
-            sw.secs() / batches as f64
+            let mut secs: Vec<f64> = idxs
+                .iter()
+                .map(|idx| {
+                    let mut sw = Stopwatch::new();
+                    sw.start();
+                    let batch = b_view.select(idx);
+                    let x = batch.num.as_ref().unwrap();
+                    let z_own = layer.forward(&mut sess, x, true).unwrap();
+                    let _z = aggregate_b(&sess, z_own).unwrap();
+                    // A synthetic ∇Z of the right shape: the cost being
+                    // measured is the protocol's, not the loss function's.
+                    let g = grad_template.map(|_| 0.01);
+                    layer.backward_b(&mut sess, &g).unwrap();
+                    sw.stop();
+                    sw.secs()
+                })
+                .skip(1) // the warm-up batch
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            let n = secs.len();
+            (secs[(n - 1) / 2] + secs[n / 2]) / 2.0
         },
     );
     secs
@@ -250,9 +255,13 @@ fn client_aided_cost(d: usize, out: usize, budget_secs: f64) -> String {
     if batch_memory_bytes(BATCH_SIZE, d, out) <= MEM_LIMIT {
         return fmt_outcome(&cost(d));
     }
-    // Largest dimension whose dense state fits the budget (with margin).
-    let per_d = 2 * 8 * (5 * BATCH_SIZE + 4 * out);
-    let d_run = ((MEM_LIMIT / per_d) * 9 / 10).min(d / 2).max(100_000);
+    // Largest dimension whose dense state fits the budget (with margin
+    // for the generated dataset).
+    let fixed = batch_memory_bytes(BATCH_SIZE, 0, out);
+    let per_d = batch_memory_bytes(BATCH_SIZE, 1, out) - fixed;
+    let d_run = ((MEM_LIMIT * 9 / 10 - fixed) / per_d)
+        .min(d / 2)
+        .max(100_000);
     match cost(d_run) {
         SecuremlOutcome::Ok { secs, .. } => format!(
             "~{} (extrap {}x)",

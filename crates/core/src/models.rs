@@ -26,10 +26,10 @@ use bf_ml::data::Dataset;
 use bf_ml::layers::{ActKind, Activation, Bias, Mlp};
 use bf_ml::models::loss_and_grad;
 use bf_mpc::transport::{TransportError, TransportResult};
-use bf_paillier::{read_dense, write_dense};
 use bf_tensor::{CatBlock, Dense};
 
 use crate::engine::Stage;
+use crate::persist::{read_mat, write_dense, PersistError, PersistResult, Reader, Writer};
 use crate::session::{check_link_count, Role, Session};
 use crate::source::matmul::{aggregate_a, aggregate_b};
 use crate::source::{check_caches, EmbedSource, MatMulSource};
@@ -86,9 +86,31 @@ impl FedSpec {
         }
     }
 
+    /// The widths this spec fixes for its source layers: the MatMul
+    /// source's output width, and `(dim, proj)` of the Embed-MatMul
+    /// source for the categorical specs. Model initialisation and both
+    /// importers take the source layers' shapes from here.
+    pub(crate) fn source_widths(&self) -> (usize, Option<(usize, usize)>) {
+        match self {
+            FedSpec::Glm { out } => (*out, None),
+            FedSpec::Mlp { widths } => (widths[0], None),
+            FedSpec::Wdl {
+                emb_dim,
+                deep_hidden,
+                out,
+            } => (
+                *out,
+                Some((*emb_dim, deep_hidden.first().copied().unwrap_or(*out))),
+            ),
+            FedSpec::Dlrm {
+                emb_dim, vec_dim, ..
+            } => (*vec_dim, Some((*emb_dim, *vec_dim))),
+        }
+    }
+
     /// Persist the spec (tag byte + per-variant fields).
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        let widths = |w: &mut crate::persist::Writer, v: &[usize]| {
+    pub(crate) fn write_state(&self, w: &mut Writer) {
+        let widths = |w: &mut Writer, v: &[usize]| {
             w.u64(v.len() as u64);
             for &x in v {
                 w.u64(x as u64);
@@ -127,11 +149,8 @@ impl FedSpec {
     }
 
     /// Rebuild the spec from persisted state.
-    pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
-    ) -> crate::persist::PersistResult<FedSpec> {
-        use crate::persist::PersistError;
-        let widths = |r: &mut crate::persist::Reader| -> crate::persist::PersistResult<Vec<usize>> {
+    pub(crate) fn read_state(r: &mut Reader) -> PersistResult<FedSpec> {
+        let widths = |r: &mut Reader| -> PersistResult<Vec<usize>> {
             let n = r.count(8)?;
             Ok((0..n).map(|_| r.len()).collect::<Result<_, _>>()?)
         };
@@ -164,6 +183,7 @@ impl FedSpec {
 /// Party A's half: the A-sides of the source layers plus the fixed
 /// execution order.
 pub struct PartyAModel {
+    spec: FedSpec,
     matmul: MatMulSource,
     embed: Option<EmbedSource>,
 }
@@ -177,6 +197,7 @@ impl PartyAModel {
     ) -> TransportResult<PartyAModel> {
         let (matmul, mut embed) = init_sources(std::slice::from_mut(sess), spec, data)?;
         Ok(PartyAModel {
+            spec: spec.clone(),
             matmul,
             embed: embed.pop(),
         })
@@ -237,19 +258,27 @@ impl PartyAModel {
         check_caches(sess, std::iter::once(self.matmul.cache_of(0)).chain(embed))
     }
 
-    /// Persist the model half: presence flags + per-layer state.
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        write_opt(w, Some(&self.matmul), MatMulSource::write_state);
-        write_opt(w, self.embed.as_ref(), EmbedSource::write_state);
+    /// Persist the model half: spec, then the source layers' state.
+    pub(crate) fn write_state(&self, w: &mut Writer) {
+        self.spec.write_state(w);
+        self.matmul.write_state(w);
+        self.embed.iter().for_each(|em| em.write_state(w));
     }
 
-    /// Rebuild the model half from persisted state.
-    pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
-    ) -> crate::persist::PersistResult<PartyAModel> {
-        let matmul = read_matmul(r, 1)?;
-        let embed = read_opt(r, |r| EmbedSource::read_state(r, Role::A))?;
-        Ok(PartyAModel { matmul, embed })
+    /// Rebuild the model half from persisted state: the spec fixes
+    /// which source layers follow and their widths.
+    pub(crate) fn read_state(r: &mut Reader) -> PersistResult<PartyAModel> {
+        let spec = FedSpec::read_state(r)?;
+        let (mm_out, embed) = spec.source_widths();
+        let matmul = MatMulSource::read_state(r, 1, mm_out)?;
+        let embed = embed
+            .map(|(dim, proj)| EmbedSource::read_state(r, Role::A, dim, proj))
+            .transpose()?;
+        Ok(PartyAModel {
+            spec,
+            matmul,
+            embed,
+        })
     }
 }
 
@@ -263,21 +292,7 @@ fn init_sources(
     data: &Dataset,
 ) -> TransportResult<(MatMulSource, Vec<EmbedSource>)> {
     let num_dim = data.num_dim();
-    let (mm_out, embed_dims) = match spec {
-        FedSpec::Glm { out } => (*out, None),
-        FedSpec::Mlp { widths } => (widths[0], None),
-        FedSpec::Wdl {
-            emb_dim,
-            deep_hidden,
-            out,
-        } => (
-            *out,
-            Some((*emb_dim, deep_hidden.first().copied().unwrap_or(*out))),
-        ),
-        FedSpec::Dlrm {
-            emb_dim, vec_dim, ..
-        } => (*vec_dim, Some((*emb_dim, *vec_dim))),
-    };
+    let (mm_out, embed_dims) = spec.source_widths();
     let matmul = MatMulSource::init(links, num_dim, mm_out)?;
     let embed = match embed_dims {
         None => Vec::new(),
@@ -293,38 +308,6 @@ fn init_sources(
         }
     };
     Ok((matmul, embed))
-}
-
-/// Encode an optional component as a presence byte + state.
-fn write_opt<T>(
-    w: &mut crate::persist::Writer,
-    v: Option<&T>,
-    enc: impl FnOnce(&T, &mut crate::persist::Writer),
-) {
-    w.flag(v.is_some());
-    if let Some(t) = v {
-        enc(t, w);
-    }
-}
-
-/// Decode the MatMul source every zoo member has. Its presence byte
-/// stays on disk, so the layout is [`write_opt`]'s; absent is
-/// malformed.
-fn read_matmul(
-    r: &mut crate::persist::Reader,
-    links: usize,
-) -> crate::persist::PersistResult<MatMulSource> {
-    read_opt(r, |r| MatMulSource::read_state(r, links))?.ok_or_else(|| {
-        crate::persist::PersistError::Malformed("model half without a MatMul source".into())
-    })
-}
-
-/// Decode an optional component (presence byte + state).
-fn read_opt<T>(
-    r: &mut crate::persist::Reader,
-    dec: impl FnOnce(&mut crate::persist::Reader) -> crate::persist::PersistResult<T>,
-) -> crate::persist::PersistResult<Option<T>> {
-    Ok(if r.flag()? { Some(dec(r)?) } else { None })
 }
 
 /// Party B's half — the host model over its `M ≥ 1` guest links: the
@@ -369,38 +352,24 @@ impl Top {
     /// Build the top for a spec. Draws tower weights from `rng` (the
     /// first link's stream) after the source-layer initialisation.
     fn init(spec: &FedSpec, rng: &mut rand::rngs::StdRng) -> Top {
+        let tower = tower_widths(spec);
+        let relu = || Activation::new(ActKind::Relu);
         match spec {
             FedSpec::Glm { out } => Top::Bias(Bias::new(*out)),
-            FedSpec::Mlp { widths } => Top::Tower {
-                bias: Bias::new(widths[0]),
-                act: Activation::new(ActKind::Relu),
-                tower: Mlp::new(rng, widths),
+            FedSpec::Mlp { .. } => Top::Tower {
+                bias: Bias::new(tower[0]),
+                act: relu(),
+                tower: Mlp::new(rng, &tower),
             },
-            FedSpec::Wdl {
-                deep_hidden, out, ..
-            } => {
-                let proj = deep_hidden.first().copied().unwrap_or(*out);
-                let mut widths = deep_hidden.clone();
-                widths.push(*out);
-                Top::Wdl {
-                    deep_bias: Bias::new(proj),
-                    deep_act: Activation::new(ActKind::Relu),
-                    deep_tower: Mlp::new(rng, &widths),
-                    out_bias: Bias::new(*out),
-                }
-            }
-            FedSpec::Dlrm {
-                vec_dim,
-                top_hidden,
-                ..
-            } => {
-                let mut widths = vec![2 * vec_dim + 1];
-                widths.extend_from_slice(top_hidden);
-                widths.push(1);
-                Top::Dlrm {
-                    tower: Mlp::new(rng, &widths),
-                }
-            }
+            FedSpec::Wdl { out, .. } => Top::Wdl {
+                deep_bias: Bias::new(tower[0]),
+                deep_act: relu(),
+                deep_tower: Mlp::new(rng, &tower),
+                out_bias: Bias::new(*out),
+            },
+            FedSpec::Dlrm { .. } => Top::Dlrm {
+                tower: Mlp::new(rng, &tower),
+            },
         }
     }
 
@@ -482,254 +451,101 @@ impl Top {
         }
     }
 
-    /// Persist the top model (tag byte + per-variant layer states;
-    /// the activations are implied by the variant).
-    fn write_state(&self, w: &mut crate::persist::Writer) {
-        match self {
-            Top::Bias(bias) => {
-                w.u8(1);
-                write_bias(w, bias);
-            }
+    /// Persist the top model: every layer's state in order (the
+    /// variant and every shape are the spec's).
+    fn write_state(&self, w: &mut Writer) {
+        let tensors: Vec<&Dense> = match self {
+            Top::Bias(bias) => bias.state().to_vec(),
             Top::Tower { bias, tower, .. } => {
-                w.u8(2);
-                write_bias(w, bias);
-                write_mlp(w, tower);
+                bias.state().into_iter().chain(tower.state()).collect()
             }
             Top::Wdl {
                 deep_bias,
                 deep_tower,
                 out_bias,
                 ..
-            } => {
-                w.u8(3);
-                write_bias(w, deep_bias);
-                write_mlp(w, deep_tower);
-                write_bias(w, out_bias);
-            }
-            Top::Dlrm { tower } => {
-                w.u8(4);
-                write_mlp(w, tower);
-            }
-        }
+            } => deep_bias
+                .state()
+                .into_iter()
+                .chain(deep_tower.state())
+                .chain(out_bias.state())
+                .collect(),
+            Top::Dlrm { tower } => tower.state().collect(),
+        };
+        tensors.into_iter().for_each(|t| write_dense(w, t));
     }
 
-    /// Rebuild the top model from persisted state, checking it matches
-    /// the spec's variant (a `Glm` blob must carry a `Bias` top, …).
-    fn read_state(
-        r: &mut crate::persist::Reader,
-        spec: &FedSpec,
-    ) -> crate::persist::PersistResult<Top> {
-        use crate::persist::PersistError;
-        let tag = r.u8()?;
-        let want = match spec {
-            FedSpec::Glm { .. } => 1,
-            FedSpec::Mlp { .. } => 2,
-            FedSpec::Wdl { .. } => 3,
-            FedSpec::Dlrm { .. } => 4,
-        };
-        if tag != want {
-            return Err(PersistError::Malformed(format!(
-                "top-model tag {tag} does not match spec ({spec:?} expects {want})"
-            )));
-        }
-        Ok(match tag {
-            1 => Top::Bias(read_bias(r)?),
-            2 => Top::Tower {
-                bias: read_bias(r)?,
-                act: Activation::new(ActKind::Relu),
-                tower: read_mlp(r)?,
+    /// Rebuild the top model the spec calls for from persisted state,
+    /// in [`Top::init`]'s shapes.
+    fn read_state(r: &mut Reader, spec: &FedSpec) -> PersistResult<Top> {
+        let tower = tower_widths(spec);
+        let relu = || Activation::new(ActKind::Relu);
+        Ok(match spec {
+            FedSpec::Glm { out } => Top::Bias(read_bias(r, *out)?),
+            FedSpec::Mlp { .. } => Top::Tower {
+                bias: read_bias(r, tower[0])?,
+                act: relu(),
+                tower: read_mlp(r, &tower)?,
             },
-            3 => Top::Wdl {
-                deep_bias: read_bias(r)?,
-                deep_act: Activation::new(ActKind::Relu),
-                deep_tower: read_mlp(r)?,
-                out_bias: read_bias(r)?,
+            FedSpec::Wdl { out, .. } => Top::Wdl {
+                deep_bias: read_bias(r, tower[0])?,
+                deep_act: relu(),
+                deep_tower: read_mlp(r, &tower)?,
+                out_bias: read_bias(r, *out)?,
             },
-            4 => Top::Dlrm {
-                tower: read_mlp(r)?,
+            FedSpec::Dlrm { .. } => Top::Dlrm {
+                tower: read_mlp(r, &tower)?,
             },
-            _ => unreachable!("tag validated against spec above"),
         })
     }
 }
 
-/// Encode a [`Bias`] layer (bias row + momentum buffer).
-fn write_bias(w: &mut crate::persist::Writer, b: &Bias) {
-    write_dense(w, &b.b);
-    write_dense(w, b.velocity());
-}
-
-/// Decode a [`Bias`] layer, validating shapes before construction.
-fn read_bias(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Bias> {
-    let b = read_dense(r)?;
-    let vel = read_dense(r)?;
-    crate::persist::check_vel(&b, &vel, "Bias")?;
-    if b.rows() != 1 {
-        return Err(crate::persist::PersistError::Malformed(format!(
-            "bias must be a row vector, got {}×{}",
-            b.rows(),
-            b.cols()
-        )));
-    }
-    Ok(Bias::from_state(b, vel))
-}
-
-/// Encode an [`Mlp`] tower (depth + per-layer weights, bias, momentum
-/// buffers and a ReLU-follows flag).
-fn write_mlp(w: &mut crate::persist::Writer, mlp: &Mlp) {
-    w.u64(mlp.depth() as u64);
-    for (lin, has_act) in mlp.layers() {
-        let (wt, b, vel_w, vel_b) = lin.state();
-        write_dense(w, wt);
-        write_dense(w, b);
-        write_dense(w, vel_w);
-        write_dense(w, vel_b);
-        w.flag(has_act);
+/// The widths of the top's tower, input first: an `Mlp` spec's own, a
+/// WDL deep tower's from the Embed projection to the output, a DLRM
+/// tower's from the interaction `[z_num | z_cat | dot]` to one logit;
+/// none for `Glm`. Saturating, since an imported spec's widths are
+/// untrusted: a saturated width is one no tensor in a blob can have.
+fn tower_widths(spec: &FedSpec) -> Vec<usize> {
+    match spec {
+        FedSpec::Glm { .. } => Vec::new(),
+        FedSpec::Mlp { widths } => widths.clone(),
+        FedSpec::Wdl {
+            deep_hidden, out, ..
+        } => deep_hidden.iter().chain([out]).copied().collect(),
+        FedSpec::Dlrm {
+            vec_dim,
+            top_hidden,
+            ..
+        } => std::iter::once(vec_dim.saturating_mul(2).saturating_add(1))
+            .chain(top_hidden.iter().copied())
+            .chain([1])
+            .collect(),
     }
 }
 
-/// Decode an [`Mlp`] tower, validating every layer's shapes.
-fn read_mlp(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Mlp> {
-    use crate::persist::PersistError;
-    // A layer is at least four `Mat` headers and its flag byte.
-    let depth = r.count(4 * 16 + 1)?;
-    if depth == 0 {
-        return Err(PersistError::Malformed(format!(
-            "implausible tower depth {depth}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(depth);
-    for i in 0..depth {
-        let w = read_dense(r)?;
-        let b = read_dense(r)?;
-        let vel_w = read_dense(r)?;
-        let vel_b = read_dense(r)?;
-        crate::persist::check_vel(&w, &vel_w, "Linear W")?;
-        crate::persist::check_vel(&b, &vel_b, "Linear b")?;
-        if b.rows() != 1 || b.cols() != w.cols() {
-            return Err(PersistError::Malformed(format!(
-                "tower layer {i}: bias {}×{} does not match weights {}×{}",
-                b.rows(),
-                b.cols(),
-                w.rows(),
-                w.cols()
-            )));
-        }
-        let has_act = r.flag()?;
-        layers.push((
-            bf_ml::layers::Linear::from_state(w, b, vel_w, vel_b),
-            has_act,
-        ));
-    }
-    // Consecutive layers must chain (a break here would only surface
-    // as a matmul shape panic on the first forward pass).
-    for (i, win) in layers.windows(2).enumerate() {
-        let (prev, next) = (win[0].0.state().0, win[1].0.state().0);
-        if prev.cols() != next.rows() {
-            return Err(PersistError::Malformed(format!(
-                "tower layers {i}/{}: widths {} → {} do not chain",
-                i + 1,
-                prev.cols(),
-                next.rows()
-            )));
-        }
-    }
-    Ok(Mlp::from_layers(layers))
+/// Decode a [`Bias`] layer of width `out`.
+fn read_bias(r: &mut Reader, out: usize) -> PersistResult<Bias> {
+    Ok(Bias::from_state(
+        read_mat(r, "top bias", Some(1), out)?,
+        read_mat(r, "top bias velocity", Some(1), out)?,
+    ))
 }
 
-/// Input/output widths of a decoded tower (`read_mlp` guarantees it is
-/// non-empty and chained).
-fn mlp_io(mlp: &Mlp) -> (usize, usize) {
-    let first = mlp.layers().next().expect("non-empty tower").0.state().0;
-    let last = mlp.layers().last().expect("non-empty tower").0.state().0;
-    (first.rows(), last.cols())
-}
-
-/// Validate the cross-component dimensions of an imported Party B
-/// model: the spec's widths, the source layers' output widths, and the
-/// top model's layer shapes must all agree — otherwise a corrupted
-/// blob would import cleanly and then panic inside the first forward
-/// pass (the serving loop) rather than being refused at load time.
-fn check_model_widths(
-    spec: &FedSpec,
-    mm: usize,
-    embed_out: Option<usize>,
-    top: &Top,
-) -> crate::persist::PersistResult<()> {
-    use crate::persist::PersistError;
-    let check = |ok: bool, why: String| {
-        if ok {
-            Ok(())
-        } else {
-            Err(PersistError::Malformed(why))
-        }
-    };
-    // check_spec_layers has already run, so the layer set matches the
-    // spec shape; here we pin the widths at every connection point.
-    match (spec, top) {
-        (FedSpec::Glm { out }, Top::Bias(bias)) => check(
-            mm == *out && bias.b.cols() == *out,
-            format!(
-                "Glm widths disagree: spec out {out}, MatMul out {mm}, bias {}",
-                bias.b.cols()
-            ),
-        ),
-        (FedSpec::Mlp { widths }, Top::Tower { bias, tower, .. }) => {
-            let (t_in, t_out) = mlp_io(tower);
-            check(
-                mm == widths[0]
-                    && bias.b.cols() == widths[0]
-                    && t_in == widths[0]
-                    && t_out == *widths.last().unwrap(),
-                format!(
-                    "Mlp widths disagree: spec {widths:?}, MatMul out {mm}, bias {}, tower {t_in}→{t_out}",
-                    bias.b.cols()
-                ),
-            )
-        }
-        (
-            FedSpec::Wdl {
-                deep_hidden, out, ..
-            },
-            Top::Wdl {
-                deep_bias,
-                deep_tower,
-                out_bias,
-                ..
-            },
-        ) => {
-            let proj = deep_hidden.first().copied().unwrap_or(*out);
-            let em = embed_out.expect("layer set validated against spec");
-            let (t_in, t_out) = mlp_io(deep_tower);
-            check(
-                mm == *out
-                    && em == proj
-                    && deep_bias.b.cols() == proj
-                    && t_in == proj
-                    && t_out == *out
-                    && out_bias.b.cols() == *out,
-                format!(
-                    "Wdl widths disagree: spec (proj {proj}, out {out}), MatMul out {mm}, \
-                     Embed out {em}, deep bias {}, tower {t_in}→{t_out}, out bias {}",
-                    deep_bias.b.cols(),
-                    out_bias.b.cols()
-                ),
-            )
-        }
-        (FedSpec::Dlrm { vec_dim, .. }, Top::Dlrm { tower }) => {
-            let em = embed_out.expect("layer set validated against spec");
-            let (t_in, t_out) = mlp_io(tower);
-            check(
-                mm == *vec_dim && em == *vec_dim && t_in == 2 * vec_dim + 1 && t_out == 1,
-                format!(
-                    "Dlrm widths disagree: spec vec_dim {vec_dim}, MatMul out {mm}, \
-                     Embed out {em}, tower {t_in}→{t_out}"
-                ),
-            )
-        }
-        // Top::read_state already rejects a tag/spec mismatch.
-        _ => unreachable!("top variant validated against spec"),
+/// Decode an [`Mlp`] tower of the given widths, input first.
+fn read_mlp(r: &mut Reader, widths: &[usize]) -> PersistResult<Mlp> {
+    let mut layers = Vec::new();
+    for (i, io) in widths.windows(2).enumerate() {
+        let (w, b) = ((Some(io[0]), io[1]), (Some(1), io[1]));
+        let mut read =
+            |what: &str, (rows, cols)| read_mat(r, &format!("tower layer {i} {what}"), rows, cols);
+        layers.push([
+            read("W", w)?,
+            read("b", b)?,
+            read("W velocity", w)?,
+            read("b velocity", b)?,
+        ]);
     }
+    Ok(Mlp::from_state(layers))
 }
 
 impl PartyBModel {
@@ -873,53 +689,34 @@ impl PartyBModel {
 
     /// Persist the model half: spec, link count, source layers (every
     /// link's pieces in link order), top model.
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
+    pub(crate) fn write_state(&self, w: &mut Writer) {
         self.spec.write_state(w);
-        w.u64(self.num_links() as u64);
-        write_opt(w, Some(&self.matmul), MatMulSource::write_state);
-        write_opt(
-            w,
-            (!self.embed.is_empty()).then_some(&self.embed),
-            |links, w| links.iter().for_each(|em| em.write_state(w)),
-        );
+        w.len(self.num_links());
+        self.matmul.write_state(w);
+        self.embed.iter().for_each(|em| em.write_state(w));
         self.top.write_state(w);
     }
 
-    /// Rebuild the model half from persisted state.
-    pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
-    ) -> crate::persist::PersistResult<PartyBModel> {
-        use crate::persist::PersistError;
+    /// Rebuild the model half from persisted state: the spec fixes
+    /// which layers follow and their widths.
+    pub(crate) fn read_state(r: &mut Reader) -> PersistResult<PartyBModel> {
         let spec = FedSpec::read_state(r)?;
+        let (mm_out, embed) = spec.source_widths();
         // A link is at least its peer piece's `Mat` header.
         let m = r.count(16)?;
         if m == 0 {
-            return Err(PersistError::Malformed(format!(
-                "implausible guest-link count {m}"
-            )));
+            return Err(PersistError::Malformed(
+                "a host model with no guest link".into(),
+            ));
         }
-        let matmul = read_matmul(r, m)?;
-        let embed = read_opt(r, |r| {
-            (0..m)
-                .map(|_| EmbedSource::read_state(r, Role::B))
-                .collect::<crate::persist::PersistResult<Vec<_>>>()
-        })?
-        .unwrap_or_default();
-        check_spec_layers(&spec, !embed.is_empty())?;
-        if let Some(odd) = embed.iter().find(|em| em.out_dim() != embed[0].out_dim()) {
-            return Err(PersistError::Malformed(format!(
-                "Embed submodels disagree on their width: {} and {}",
-                embed[0].out_dim(),
-                odd.out_dim()
-            )));
-        }
+        let matmul = MatMulSource::read_state(r, m, mm_out)?;
+        let embed = match embed {
+            None => Vec::new(),
+            Some((dim, proj)) => (0..m)
+                .map(|_| EmbedSource::read_state(r, Role::B, dim, proj))
+                .collect::<PersistResult<_>>()?,
+        };
         let top = Top::read_state(r, &spec)?;
-        check_model_widths(
-            &spec,
-            matmul.out_dim(),
-            embed.first().map(EmbedSource::out_dim),
-            &top,
-        )?;
         Ok(PartyBModel {
             spec,
             matmul,
@@ -950,19 +747,6 @@ fn embed_forward(
         });
     }
     Ok(z.expect("at least one link"))
-}
-
-/// Validate that a persisted layer set matches its spec: exactly the
-/// categorical specs have an Embed-MatMul source (every zoo member has
-/// a MatMul source, which [`read_matmul`] insists on).
-fn check_spec_layers(spec: &FedSpec, has_embed: bool) -> crate::persist::PersistResult<()> {
-    if has_embed == spec.uses_categorical() {
-        Ok(())
-    } else {
-        Err(crate::persist::PersistError::Malformed(format!(
-            "layer set (embed: {has_embed}) does not match spec {spec:?}"
-        )))
-    }
 }
 
 /// Forward-pass caches Party B's top model needs for backward.

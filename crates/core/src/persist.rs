@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   0x42 0x46 0x4D 0x44  ("BFMD")
-//! 4       1     version 0x04
+//! 4       1     version 0x05
 //! 5       1     kind    (1 = guest model, 2 = host model,
 //!                        4 = guest checkpoint, 5 = host checkpoint,
 //!                        7 = GbdtHost, 8 = GbdtGuest)
@@ -35,18 +35,22 @@
 //! integers, IEEE-754 `f64` bits, counts bounded before allocation, no
 //! trailing bytes; `docs/WIRE_PROTOCOL.md` § "Primitives"). Plaintext
 //! matrices use the wire's `Mat` layout and ciphertext caches its `Ct`
-//! layout (Montgomery limbs verbatim), length-prefixed — both owned by
-//! [`bf_paillier::serial`]. This module owns the header and each kind's
-//! field order. The versioning rule mirrors
-//! `docs/WIRE_PROTOCOL.md`: **any** layout change bumps the version
+//! layout (Montgomery limbs verbatim) — both owned by
+//! [`bf_paillier::serial`]. This module owns the header, each kind's
+//! field order and the shape check every tensor is read through: a
+//! model half opens with its [`crate::models::FedSpec`], which fixes
+//! every layer and width, so no layer records one. The versioning rule
+//! mirrors `docs/WIRE_PROTOCOL.md`: **any** layout change bumps the version
 //! byte, and decoders reject every version they do not know. Version 2
 //! appended Party B's `⟦V_ownᵀ⟧` cache to the Embed-MatMul layer state;
 //! version 3 folded the multi-guest kinds (3, 6) into the host kinds
 //! (link count in the host model, one cursor per link in the host
 //! checkpoint) and the aligned kinds (9–11) into an optional section
 //! of kinds 4–5; version 4 appended Party B's `⟦U_peerᵀ⟧` cache to the
-//! Embed-MatMul layer state, after `⟦V_ownᵀ⟧`. The retired kind bytes
-//! are never reassigned: every importer answers them with
+//! Embed-MatMul layer state, after `⟦V_ownᵀ⟧`; version 5 took every
+//! shape from the spec, dropping each width, presence byte, top tag,
+//! tower depth and ReLU flag, and each cache's length prefix. The
+//! retired kind bytes are never reassigned: every importer answers them with
 //! [`PersistError::WrongKind`].
 //!
 //! The contract is **byte-exact round-tripping**:
@@ -64,7 +68,8 @@
 //! deterministically from the session seed — see
 //! [`crate::session::Session::handshake`]).
 
-use bf_paillier::{ctmat_len, import_ctmat, write_ctmat, CtMat};
+use bf_paillier::{read_ctmat, read_dense, CtMat};
+pub(crate) use bf_paillier::{write_ctmat, write_dense};
 use bf_tensor::Dense;
 use bf_util::codec::DecodeError;
 pub(crate) use bf_util::codec::{Reader, Writer};
@@ -77,7 +82,7 @@ use bf_ml::gbdt::{Node, Tree};
 pub const MAGIC: [u8; 4] = *b"BFMD";
 /// Current persistence-format version. Decoders reject every other
 /// value (the versioning rule of `docs/WIRE_PROTOCOL.md`).
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 /// Kind byte for a [`PartyAModel`] blob.
 pub const KIND_PARTY_A: u8 = 1;
 /// Kind byte for a [`PartyBModel`] blob (the host model over its
@@ -194,31 +199,50 @@ fn decode<T>(
     Ok(v)
 }
 
-/// A ciphertext cache: its `Ct` layout, prefixed by its byte length,
-/// written straight into the blob.
-pub(crate) fn write_ct(w: &mut Writer, ct: &CtMat) {
-    w.len(ctmat_len(ct));
-    write_ctmat(w, ct);
-}
-
-/// A ciphertext cache written by [`write_ct`]; its `Ct` encoding must
-/// fill its length prefix exactly.
-pub(crate) fn read_ct(r: &mut Reader) -> PersistResult<CtMat> {
-    let len = r.len()?;
-    Ok(import_ctmat(r.bytes(len)?)?)
-}
-
-/// Check that a momentum buffer matches its weight matrix — every
-/// persisted `(piece, velocity)` pair goes through this on import.
-pub(crate) fn check_vel(w: &Dense, vel: &Dense, what: &str) -> PersistResult<()> {
-    if w.shape() != vel.shape() {
+/// Read one persisted tensor through `read`, checking its `rows ×
+/// cols` header against the shape it must have before the payload is
+/// read: `cols` and, unless this is the first tensor to carry a data
+/// width (`rows: None`), `rows`. A wrong shape is
+/// [`PersistError::Malformed`] naming `what`.
+fn shaped<T>(
+    r: &mut Reader,
+    what: &str,
+    rows: Option<usize>,
+    cols: usize,
+    read: impl FnOnce(&mut Reader) -> Result<T, DecodeError>,
+) -> PersistResult<T> {
+    let mut head = r.clone();
+    let got = (head.len()?, head.len()?);
+    if got.1 != cols || rows.is_some_and(|rows| rows != got.0) {
+        let rows = rows.map_or_else(|| "n".into(), |rows| rows.to_string());
         return Err(PersistError::Malformed(format!(
-            "{what}: velocity shape {:?} does not match weight shape {:?}",
-            vel.shape(),
-            w.shape()
+            "{what} is {}×{} where {rows}×{cols} was expected",
+            got.0, got.1
         )));
     }
-    Ok(())
+    Ok(read(r)?)
+}
+
+/// A plaintext tensor in the `Mat` layout ([`write_dense`]), shaped
+/// as [`shaped`] checks.
+pub(crate) fn read_mat(
+    r: &mut Reader,
+    what: &str,
+    rows: Option<usize>,
+    cols: usize,
+) -> PersistResult<Dense> {
+    shaped(r, what, rows, cols, read_dense)
+}
+
+/// A ciphertext cache in the `Ct` layout ([`write_ctmat`]), which
+/// must be `rows × cols`.
+pub(crate) fn read_ct(
+    r: &mut Reader,
+    what: &str,
+    rows: usize,
+    cols: usize,
+) -> PersistResult<CtMat> {
+    shaped(r, what, Some(rows), cols, read_ctmat)
 }
 
 /// Serialize a trained [`PartyAModel`] (guest half) to bytes.
@@ -614,7 +638,8 @@ pub fn import_gbdt_guest(bytes: &[u8]) -> PersistResult<GbdtGuestModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bf_paillier::write_dense;
+    use crate::models::FedSpec;
+    use crate::session::Role;
 
     fn sample_host_model() -> GbdtHostModel {
         GbdtHostModel {
@@ -839,11 +864,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_version_3_blob_is_refused() {
-        // Version 4 appended Party B's ⟦U_peerᵀ⟧ cache, so a version-3
-        // Embed state would read one cache short: every importer refuses
-        // the old byte outright.
+    /// Every importer of a model half refuses a blob of `version`,
+    /// whatever follows its header.
+    fn assert_version_refused(version: u8) {
         type Import = fn(&[u8]) -> Option<PersistError>;
         let importers: [(u8, Import); 4] = [
             (KIND_PARTY_A, |b| import_party_a(b).err()),
@@ -851,125 +874,256 @@ mod tests {
             (KIND_CHECKPOINT_A, |b| import_checkpoint_a(b).err()),
             (KIND_CHECKPOINT_B, |b| import_checkpoint_b(b).err()),
         ];
-        let mut blob = MAGIC.to_vec();
-        blob.push(3);
         for (kind, import) in importers {
-            let mut old = blob.clone();
-            old.push(kind);
-            assert_eq!(import(&old), Some(PersistError::UnsupportedVersion(3)));
+            let mut old = MAGIC.to_vec();
+            old.extend([version, kind]);
+            assert_eq!(
+                import(&old),
+                Some(PersistError::UnsupportedVersion(version))
+            );
         }
     }
 
-    /// Hand-build a PartyB blob prefix: Glm/Mlp spec + a MatMul source
-    /// of the given shape + no embed layer.
-    fn party_b_prefix(spec_bytes: &[u8], mm_in: usize, mm_out: usize) -> Writer {
+    #[test]
+    fn a_version_3_blob_is_refused() {
+        // Version 4 appended Party B's ⟦U_peerᵀ⟧ cache, so a version-3
+        // Embed state would read one cache short: every importer refuses
+        // the old byte outright.
+        assert_version_refused(3);
+    }
+
+    #[test]
+    fn a_version_4_blob_is_refused() {
+        // Version 5 dropped every width the spec fixes, so a version-4
+        // layer would read its widths as tensor headers.
+        assert_version_refused(4);
+    }
+
+    /// Hand-build a Party B blob prefix: a non-categorical spec, one
+    /// guest link and a MatMul source of the given shape.
+    fn party_b_prefix(spec: &FedSpec, mm_in: usize, mm_out: usize) -> Writer {
         use bf_paillier::{keys::plain_keys, ObfMode, Obfuscator};
         let (pk, _) = plain_keys(20);
         let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
         let mut w = header(KIND_PARTY_B);
-        w.bytes(spec_bytes);
-        w.u64(1); // one guest link
-        w.u8(1); // matmul present
-        w.u64(mm_out as u64);
+        spec.write_state(&mut w);
+        w.len(1); // one guest link
         let piece = Dense::zeros(mm_in, mm_out);
         for _ in 0..4 {
             write_dense(&mut w, &piece);
         }
-        write_ct(&mut w, &pk.encrypt(&piece, &obf));
-        w.u8(0); // no embed
+        write_ctmat(&mut w, &pk.encrypt(&piece, &obf));
         w
+    }
+
+    /// `import_party_b`'s `Malformed` reason, or a panic naming what
+    /// came back instead.
+    fn malformed_b(w: Writer) -> String {
+        match import_party_b(&w.into_bytes()).err() {
+            Some(PersistError::Malformed(why)) => why,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]
     fn cross_component_width_mismatch_is_rejected() {
-        // Spec Glm{out: 1} + MatMul out 1, but a width-3 bias top:
-        // each component is internally consistent, so only the
-        // cross-component check can catch it — without it, the blob
-        // imports and the first forward pass panics mid-protocol.
-        let mut spec = vec![1u8];
-        spec.extend_from_slice(&1u64.to_le_bytes());
-        let mut w = party_b_prefix(&spec, 2, 1);
-        w.u8(1); // Top::Bias
+        // Spec Glm{out: 1} and a MatMul source of width 1, but a width-3
+        // bias: the spec fixes the bias width, so the bias header is
+        // refused before its payload — without it, the blob imports and
+        // the first forward pass panics mid-protocol.
+        let mut w = party_b_prefix(&FedSpec::Glm { out: 1 }, 2, 1);
         let bad = Dense::zeros(1, 3);
         write_dense(&mut w, &bad);
         write_dense(&mut w, &bad);
-        match import_party_b(&w.into_bytes()).err() {
-            Some(PersistError::Malformed(why)) => {
-                assert!(why.contains("Glm widths disagree"), "{why}")
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
+        let why = malformed_b(w);
+        assert!(why.contains("top bias is 1×3 where 1×1"), "{why}");
     }
 
     #[test]
     fn unchained_tower_layers_are_rejected() {
-        // Spec Mlp[2, 1] + MatMul out 2, tower layers 2×3 then 4×1:
-        // every layer is internally consistent but 3 → 4 do not chain.
-        let mut spec = vec![2u8];
-        for v in [2u64, 2, 1] {
-            spec.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut w = party_b_prefix(&spec, 3, 2);
-        w.u8(2); // Top::Tower
+        // Spec Mlp[2, 3, 1], tower layers 2×3 then 4×1: each layer is
+        // internally consistent but 3 → 4 do not chain, and the spec
+        // says the second layer is 3×1.
+        let mut w = party_b_prefix(
+            &FedSpec::Mlp {
+                widths: vec![2, 3, 1],
+            },
+            3,
+            2,
+        );
         let bias = Dense::zeros(1, 2);
         write_dense(&mut w, &bias);
         write_dense(&mut w, &bias);
-        w.u64(2); // tower depth
-        for (rows, cols, act) in [(2usize, 3usize, 1u8), (4, 1, 0)] {
-            let wt = Dense::zeros(rows, cols);
-            let b = Dense::zeros(1, cols);
-            write_dense(&mut w, &wt);
-            write_dense(&mut w, &b);
-            write_dense(&mut w, &wt);
-            write_dense(&mut w, &b);
-            w.u8(act);
-        }
-        match import_party_b(&w.into_bytes()).err() {
-            Some(PersistError::Malformed(why)) => {
-                assert!(why.contains("do not chain"), "{why}")
+        for (rows, cols) in [(2usize, 3usize), (4, 1)] {
+            let (wt, b) = (Dense::zeros(rows, cols), Dense::zeros(1, cols));
+            for t in [&wt, &b, &wt, &b] {
+                write_dense(&mut w, t);
             }
-            other => panic!("expected Malformed, got {other:?}"),
         }
+        let why = malformed_b(w);
+        assert!(why.contains("tower layer 1 W is 4×1 where 3×1"), "{why}");
     }
 
     #[test]
     fn oversized_length_fields_do_not_allocate() {
-        // A dense header claiming u64::MAX rows must fail before any
-        // allocation happens.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&MAGIC);
-        blob.push(VERSION);
-        blob.push(KIND_PARTY_A);
-        blob.push(1); // has_matmul
-        blob.extend_from_slice(&1u64.to_le_bytes()); // out
-        blob.extend_from_slice(&u64::MAX.to_le_bytes()); // rows
-        blob.extend_from_slice(&u64::MAX.to_le_bytes()); // cols
-        assert!(import_party_a(&blob).is_err());
+        // A dense header claiming u64::MAX rows or columns must fail
+        // before any allocation happens: the rows are the first data
+        // width, so only the payload's length can refuse them; the
+        // columns are the spec's, so the header check does.
+        for (rows, cols) in [(u64::MAX, 1), (1, u64::MAX), (u64::MAX, u64::MAX)] {
+            let mut w = header(KIND_PARTY_A);
+            FedSpec::Glm { out: 1 }.write_state(&mut w);
+            w.u64(rows);
+            w.u64(cols);
+            assert!(import_party_a(&w.into_bytes()).is_err(), "{rows}×{cols}");
+        }
+    }
+
+    /// One cell of the header sweep: train `spec` for a batch on the
+    /// Plain backend, then bump every persisted tensor header of
+    /// `role`'s half by one row and by one column in turn. Each bump
+    /// must come back a typed error, never an import.
+    fn every_bumped_header_is_refused(spec: FedSpec, role: Role) {
+        use crate::config::FedConfig;
+        use crate::session::run_pair;
+        use bf_ml::data::{Dataset, Labels};
+        let data = |num_dim: usize, vocabs: &[u32], labelled: bool| {
+            let num = Dense::from_vec(
+                4,
+                num_dim,
+                (0..4 * num_dim).map(|i| i as f64 * 0.1).collect(),
+            );
+            let local = (0..4 * vocabs.len())
+                .map(|i| i as u32 % vocabs[i % vocabs.len()])
+                .collect();
+            Dataset {
+                num: Some(bf_tensor::Features::Dense(num)),
+                cat: spec
+                    .uses_categorical()
+                    .then(|| bf_tensor::CatBlock::from_local(4, vocabs, local)),
+                labels: labelled.then(|| match spec.out_dim() {
+                    1 => Labels::Binary(vec![0.0, 1.0, 1.0, 0.0]),
+                    classes => Labels::Multi {
+                        classes,
+                        y: (0..4).map(|r| r % classes as u32).collect(),
+                    },
+                }),
+            }
+        };
+        let (data_a, data_b) = (data(3, &[3, 2], false), data(2, &[4], true));
+        let (spec_a, spec_b) = (spec.clone(), spec.clone());
+        let (blob_a, blob_b) = run_pair(
+            &FedConfig::plain(),
+            5,
+            move |mut sess| {
+                let mut model = PartyAModel::init(&mut sess, &spec_a, &data_a).unwrap();
+                model.forward(&mut sess, &data_a, true).unwrap();
+                model.backward(&mut sess).unwrap();
+                export_party_a(&model)
+            },
+            move |mut sess| {
+                let mut model = PartyBModel::init(&mut sess, &spec_b, &data_b).unwrap();
+                model.train_batch(&mut sess, &data_b).unwrap();
+                export_party_b(&model)
+            },
+        );
+        type Import = fn(&[u8]) -> PersistResult<()>;
+        let (blob, import): (_, Import) = match role {
+            Role::A => (blob_a, |b| import_party_a(b).map(drop)),
+            Role::B => (blob_b, |b| import_party_b(b).map(drop)),
+        };
+        import(&blob).expect("the valid blob imports");
+
+        // The v5 layout after the spec (and B's link count): the MatMul
+        // source, each Embed source, then B's top; `true` marks a
+        // ciphertext cache.
+        let mut layout = vec![false, false, false, false, true];
+        if spec.uses_categorical() {
+            layout.extend([false; 8]);
+            layout.extend(vec![true; if role == Role::A { 3 } else { 5 }]);
+        }
+        if role == Role::B {
+            let tower = |widths: usize| 4 * widths;
+            layout.extend(vec![
+                false;
+                match &spec {
+                    FedSpec::Glm { .. } => 2,
+                    FedSpec::Mlp { widths } => 2 + tower(widths.len() - 1),
+                    FedSpec::Wdl { deep_hidden, .. } => 4 + tower(deep_hidden.len()),
+                    FedSpec::Dlrm { top_hidden, .. } => tower(top_hidden.len() + 1),
+                }
+            ]);
+        }
+        let mut spec_bytes = Writer::with_capacity(64);
+        spec.write_state(&mut spec_bytes);
+        let mut at = HEADER_LEN + spec_bytes.into_bytes().len() + 8 * usize::from(role == Role::B);
+        for (i, is_ct) in layout.into_iter().enumerate() {
+            let mut r = Reader::new(&blob[at..]);
+            let len = if is_ct {
+                bf_paillier::ctmat_len(&read_ctmat(&mut r).unwrap())
+            } else {
+                let t = read_dense(&mut r).unwrap();
+                16 + 8 * t.data().len()
+            };
+            for field in [at, at + 8] {
+                let mut bumped = blob.clone();
+                let v = u64::from_le_bytes(bumped[field..field + 8].try_into().unwrap());
+                bumped[field..field + 8].copy_from_slice(&(v + 1).to_le_bytes());
+                assert!(
+                    import(&bumped).is_err(),
+                    "{spec:?} {role:?}: tensor {i}'s {} bumped, and the blob imported",
+                    if field == at { "rows" } else { "cols" }
+                );
+            }
+            at += len;
+        }
+        assert_eq!(
+            at,
+            blob.len(),
+            "{spec:?} {role:?}: the layout covers the blob"
+        );
     }
 
     #[test]
-    fn a_guest_blob_without_a_matmul_source_is_malformed() {
-        // Every zoo member has a MatMul source, so its presence byte is
-        // always written as 1; a 0 is refused even with a well-formed
-        // Embed layer behind it.
-        use bf_paillier::{keys::plain_keys, ObfMode, Obfuscator};
-        let (pk, _) = plain_keys(20);
-        let obf = Obfuscator::new(&pk, ObfMode::Pool(2), 0);
-        let one = Dense::zeros(1, 1);
-        let mut w = header(KIND_PARTY_A);
-        w.u8(0); // no MatMul source
-        w.u8(1); // Embed source present
-        w.u64(1); // dim
-        w.u64(1); // out
-        for _ in 0..8 {
-            write_dense(&mut w, &one);
+    fn glm_blobs_refuse_every_bumped_header() {
+        for role in [Role::A, Role::B] {
+            every_bumped_header_is_refused(FedSpec::Glm { out: 3 }, role);
         }
-        for _ in 0..3 {
-            write_ct(&mut w, &pk.encrypt(&one, &obf));
+    }
+
+    #[test]
+    fn mlp_blobs_refuse_every_bumped_header() {
+        for role in [Role::A, Role::B] {
+            every_bumped_header_is_refused(
+                FedSpec::Mlp {
+                    widths: vec![3, 4, 1],
+                },
+                role,
+            );
         }
-        match import_party_a(&w.into_bytes()).err() {
-            Some(PersistError::Malformed(why)) => assert!(why.contains("MatMul"), "{why}"),
-            other => panic!("expected Malformed, got {other:?}"),
+    }
+
+    #[test]
+    fn wdl_blobs_refuse_every_bumped_header() {
+        for role in [Role::A, Role::B] {
+            let spec = FedSpec::Wdl {
+                emb_dim: 2,
+                deep_hidden: vec![3],
+                out: 1,
+            };
+            every_bumped_header_is_refused(spec, role);
+        }
+    }
+
+    #[test]
+    fn dlrm_blobs_refuse_every_bumped_header() {
+        for role in [Role::A, Role::B] {
+            let spec = FedSpec::Dlrm {
+                emb_dim: 2,
+                vec_dim: 2,
+                top_hidden: vec![3],
+            };
+            every_bumped_header_is_refused(spec, role);
         }
     }
 }

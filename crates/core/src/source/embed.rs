@@ -41,11 +41,11 @@
 use bf_mpc::convert::{he2ss_holder, he2ss_peer};
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::{masked_share_product_fits, read_dense, write_dense, CtMat, MAX_PACKED_WEIGHT};
+use bf_paillier::{masked_share_product_fits, CtMat, MAX_PACKED_WEIGHT};
 use bf_tensor::{CatBlock, Dense, Features};
 
 use crate::engine::Stage;
-use crate::persist::{read_ct, write_ct};
+use crate::persist::{read_ct, read_mat, write_ctmat, write_dense, PersistResult, Reader, Writer};
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
 use crate::source::{peer_upload_like, recv_refresh, recv_upload, step_piece};
@@ -189,16 +189,6 @@ impl EmbedSource {
         })
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out
-    }
-
     /// This party's `S` table piece (inspection — Figure 11 plots it).
     pub fn s_own(&self) -> &Dense {
         &self.s_own
@@ -221,11 +211,9 @@ impl EmbedSource {
 
     /// Persist the layer state (see `docs/SERVING.md` §persistence):
     /// all four plaintext pieces and their momentum buffers, plus the
-    /// ciphertext caches ([`EmbedSource::caches`]). Per-batch caches are
-    /// transient and excluded.
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        w.u64(self.dim as u64);
-        w.u64(self.out as u64);
+    /// ciphertext caches ([`EmbedSource::caches`]). `dim` and `out` are
+    /// the spec's; per-batch caches are transient and excluded.
+    pub(crate) fn write_state(&self, w: &mut Writer) {
         write_dense(w, &self.s_own);
         write_dense(w, &self.vel_s);
         write_dense(w, &self.t_peer);
@@ -234,7 +222,7 @@ impl EmbedSource {
         write_dense(w, &self.vel_u);
         write_dense(w, &self.v_peer);
         write_dense(w, &self.vel_v_peer);
-        self.caches().for_each(|(ct, _)| write_ct(w, ct));
+        self.caches().for_each(|(ct, _)| write_ctmat(w, ct));
     }
 
     /// Every ciphertext cache, all under the peer's key, with the
@@ -255,84 +243,36 @@ impl EmbedSource {
         .chain(transposed.map(move |ct| (ct, dim)))
     }
 
-    /// Rebuild `role`'s half of the layer from persisted state,
-    /// validating shapes.
+    /// Rebuild `role`'s half of the layer from persisted state, with
+    /// the spec's `dim` and `out`. Both vocabularies and both
+    /// projection heights are read off the first tensor that carries
+    /// them (`S_own`, `T_peer`, `U_own`, `V_peer`), and every later
+    /// tensor must have the shape those fix.
     pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
+        r: &mut Reader,
         role: Role,
-    ) -> crate::persist::PersistResult<EmbedSource> {
-        use crate::persist::{check_vel, PersistError};
-        let dim = r.len()?;
-        let out = r.len()?;
-        let s_own = read_dense(r)?;
-        let vel_s = read_dense(r)?;
-        let t_peer = read_dense(r)?;
-        let vel_t_peer = read_dense(r)?;
-        let u_own = read_dense(r)?;
-        let vel_u = read_dense(r)?;
-        let v_peer = read_dense(r)?;
-        let vel_v_peer = read_dense(r)?;
-        let enc_t_own = read_ct(r)?;
-        let enc_v_own = read_ct(r)?;
-        let enc_u_peer = read_ct(r)?;
+        dim: usize,
+        out: usize,
+    ) -> PersistResult<EmbedSource> {
+        let s_own = read_mat(r, "Embed S_own", None, dim)?;
+        let vel_s = read_mat(r, "Embed S_own velocity", Some(s_own.rows()), dim)?;
+        let t_peer = read_mat(r, "Embed T_peer", None, dim)?;
+        let vel_t_peer = read_mat(r, "Embed T_peer velocity", Some(t_peer.rows()), dim)?;
+        let u_own = read_mat(r, "Embed U_own", None, out)?;
+        let vel_u = read_mat(r, "Embed U_own velocity", Some(u_own.rows()), out)?;
+        let v_peer = read_mat(r, "Embed V_peer", None, out)?;
+        let vel_v_peer = read_mat(r, "Embed V_peer velocity", Some(v_peer.rows()), out)?;
+        let (d_own, d_peer) = (u_own.rows(), v_peer.rows());
+        let enc_t_own = read_ct(r, "Embed ⟦T_own⟧", s_own.rows(), dim)?;
+        let enc_v_own = read_ct(r, "Embed ⟦V_own⟧", d_own, out)?;
+        let enc_u_peer = read_ct(r, "Embed ⟦U_peer⟧", d_peer, out)?;
         let (enc_v_own_t, enc_u_peer_t) = match role {
             Role::A => (None, None),
-            Role::B => (Some(read_ct(r)?), Some(read_ct(r)?)),
+            Role::B => (
+                Some(read_ct(r, "Embed ⟦V_ownᵀ⟧", out, d_own)?),
+                Some(read_ct(r, "Embed ⟦U_peerᵀ⟧", out, d_peer)?),
+            ),
         };
-        check_vel(&s_own, &vel_s, "EmbedSource S")?;
-        check_vel(&t_peer, &vel_t_peer, "EmbedSource T")?;
-        check_vel(&u_own, &vel_u, "EmbedSource U")?;
-        check_vel(&v_peer, &vel_v_peer, "EmbedSource V")?;
-        let malformed = |why: String| Err(PersistError::Malformed(why));
-        if s_own.cols() != dim || t_peer.cols() != dim {
-            return malformed(format!(
-                "EmbedSource: table widths {} / {} do not match dim = {dim}",
-                s_own.cols(),
-                t_peer.cols()
-            ));
-        }
-        if u_own.cols() != out || v_peer.cols() != out {
-            return malformed(format!(
-                "EmbedSource: projection widths {} / {} do not match out = {out}",
-                u_own.cols(),
-                v_peer.cols()
-            ));
-        }
-        if enc_t_own.shape() != s_own.shape() {
-            return malformed(format!(
-                "EmbedSource: ⟦T_own⟧ shape {:?} does not match S_own shape {:?}",
-                enc_t_own.shape(),
-                s_own.shape()
-            ));
-        }
-        if enc_v_own.shape() != u_own.shape() {
-            return malformed(format!(
-                "EmbedSource: ⟦V_own⟧ shape {:?} does not match U_own shape {:?}",
-                enc_v_own.shape(),
-                u_own.shape()
-            ));
-        }
-        if enc_u_peer.shape() != v_peer.shape() {
-            return malformed(format!(
-                "EmbedSource: ⟦U_peer⟧ shape {:?} does not match V_peer shape {:?}",
-                enc_u_peer.shape(),
-                v_peer.shape()
-            ));
-        }
-        let transposed = [
-            (&enc_v_own_t, &u_own, "⟦V_ownᵀ⟧", "U_own"),
-            (&enc_u_peer_t, &v_peer, "⟦U_peerᵀ⟧", "V_peer"),
-        ];
-        for (ct, piece, name, piece_name) in transposed {
-            let Some(ct) = ct else { continue };
-            if ct.shape() != (piece.cols(), piece.rows()) {
-                return malformed(format!(
-                    "EmbedSource: {name} shape {:?} is not {piece_name}'s {:?} transposed",
-                    ct.shape(),
-                    piece.shape()
-                ));
-            }
-        }
         Ok(EmbedSource {
             s_own,
             t_peer,

@@ -31,12 +31,12 @@ use std::sync::Arc;
 use bf_mpc::convert::{he2ss_peer, he2ss_product_holder, Product};
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::{read_dense, write_dense, CtMat};
+use bf_paillier::CtMat;
 use bf_tensor::{Dense, Features};
 
 use crate::config::GradMode;
 use crate::engine::Stage;
-use crate::persist::{read_ct, write_ct};
+use crate::persist::{read_ct, read_mat, write_ctmat, write_dense, PersistResult, Reader, Writer};
 use crate::session::{check_link_count, Role, Session};
 
 /// One party's half of a MatMul federated source layer.
@@ -192,61 +192,40 @@ impl MatMulSource {
     /// Persist the layer state (see `docs/SERVING.md` §persistence):
     /// `U_own` with its momentum buffer, then every link's peer piece,
     /// its momentum buffer and the encrypted own-piece cache, in link
-    /// order. The link count is the enclosing model's to record;
-    /// per-batch caches are transient and excluded.
-    pub(crate) fn write_state(&self, w: &mut crate::persist::Writer) {
-        w.u64(self.out as u64);
+    /// order. The link count and `out` are the enclosing model's to
+    /// record; per-batch caches are transient and excluded.
+    pub(crate) fn write_state(&self, w: &mut Writer) {
         write_dense(w, &self.u_own);
         write_dense(w, &self.vel_u);
         for piece in &self.pieces {
             write_dense(w, &piece.v_peer);
             write_dense(w, &piece.vel_v_peer);
-            write_ct(w, &piece.enc_v_own);
+            write_ctmat(w, &piece.enc_v_own);
         }
     }
 
-    /// Rebuild the layer from persisted state for `links` peer links,
-    /// validating shapes.
+    /// Rebuild the layer from persisted state for `links` peer links
+    /// and output width `out`. Every input width is read off the first
+    /// tensor that carries it (`U_own`, each `V_peer`), and every later
+    /// tensor must have the shape those fix.
     pub(crate) fn read_state(
-        r: &mut crate::persist::Reader,
+        r: &mut Reader,
         links: usize,
-    ) -> crate::persist::PersistResult<MatMulSource> {
-        use crate::persist::{check_vel, PersistError};
-        let out = r.len()?;
-        let u_own = read_dense(r)?;
-        let vel_u = read_dense(r)?;
-        check_vel(&u_own, &vel_u, "MatMulSource U")?;
-        if u_own.cols() != out {
-            return Err(PersistError::Malformed(format!(
-                "MatMulSource: U_own width {} does not match out = {out}",
-                u_own.cols()
-            )));
-        }
-        let mut pieces = Vec::new();
-        for i in 0..links {
-            let v_peer = read_dense(r)?;
-            let vel_v_peer = read_dense(r)?;
-            let enc_v_own = read_ct(r)?;
-            check_vel(&v_peer, &vel_v_peer, "MatMulSource V")?;
-            if v_peer.cols() != out {
-                return Err(PersistError::Malformed(format!(
-                    "MatMulSource link {i}: V_peer width {} does not match out = {out}",
-                    v_peer.cols()
-                )));
-            }
-            if enc_v_own.shape() != u_own.shape() {
-                return Err(PersistError::Malformed(format!(
-                    "MatMulSource link {i}: ⟦V_own⟧ shape {:?} does not match U_own shape {:?}",
-                    enc_v_own.shape(),
-                    u_own.shape()
-                )));
-            }
-            pieces.push(PeerPiece {
-                v_peer,
-                vel_v_peer,
-                enc_v_own,
-            });
-        }
+        out: usize,
+    ) -> PersistResult<MatMulSource> {
+        let u_own = read_mat(r, "MatMul U_own", None, out)?;
+        let in_own = u_own.rows();
+        let vel_u = read_mat(r, "MatMul U_own velocity", Some(in_own), out)?;
+        let pieces = (0..links)
+            .map(|_| {
+                let v_peer = read_mat(r, "MatMul V_peer", None, out)?;
+                Ok(PeerPiece {
+                    vel_v_peer: read_mat(r, "MatMul V_peer velocity", Some(v_peer.rows()), out)?,
+                    enc_v_own: read_ct(r, "MatMul ⟦V_own⟧", in_own, out)?,
+                    v_peer,
+                })
+            })
+            .collect::<PersistResult<_>>()?;
         Ok(MatMulSource {
             u_own,
             vel_u,

@@ -139,34 +139,6 @@ impl Linear {
         z
     }
 
-    /// Rebuild a layer from persisted state: weights, bias and their
-    /// momentum buffers (gradients are transient and start empty).
-    /// Shapes must be consistent (`vel_w` matches `w`, `vel_b` matches
-    /// `b`); asserted.
-    pub fn from_state(w: Dense, b: Dense, vel_w: Dense, vel_b: Dense) -> Self {
-        assert_eq!(w.shape(), vel_w.shape(), "vel_w shape mismatch");
-        assert_eq!(b.shape(), vel_b.shape(), "vel_b shape mismatch");
-        assert_eq!(b.rows(), 1, "bias must be a row vector");
-        assert_eq!(w.cols(), b.cols(), "bias width mismatch");
-        let (r, c) = w.shape();
-        Self {
-            grad_w: Dense::zeros(r, c),
-            grad_b: Dense::zeros(1, c),
-            vel_w,
-            vel_b,
-            w,
-            b,
-            cached_x: None,
-        }
-    }
-
-    /// The persistent state `(w, b, vel_w, vel_b)` — everything a
-    /// byte-exact training resume needs (gradients and input caches
-    /// are transient; they are rebuilt by the next backward pass).
-    pub fn state(&self) -> (&Dense, &Dense, &Dense, &Dense) {
-        (&self.w, &self.b, &self.vel_w, &self.vel_b)
-    }
-
     /// Backward: stores `∇W`, `∇b`; returns `∇X = ∇Z·Wᵀ`.
     pub fn backward(&mut self, grad_z: &Dense) -> Dense {
         let x = self.cached_x.take().expect("backward before forward");
@@ -220,10 +192,10 @@ impl Bias {
         Self { b, grad, vel }
     }
 
-    /// The momentum buffer (persisted alongside `b` so a reloaded
-    /// model resumes training bit-identically).
-    pub fn velocity(&self) -> &Dense {
-        &self.vel
+    /// The persisted state `[b, vel]`: the bias row and its momentum
+    /// buffer (the gradient is transient).
+    pub fn state(&self) -> [&Dense; 2] {
+        [&self.b, &self.vel]
     }
 
     /// `Z + b` (broadcast).
@@ -448,26 +420,35 @@ impl Mlp {
         Self { blocks }
     }
 
-    /// Number of Linear layers.
-    pub fn depth(&self) -> usize {
-        self.blocks.len()
+    /// The persisted state: every layer's `[w, b, vel_w, vel_b]`, in
+    /// order (gradients and input caches are transient; the ReLUs are
+    /// [`Mlp::new`]'s, after every layer but the last).
+    pub fn state(&self) -> impl Iterator<Item = &Dense> {
+        self.blocks
+            .iter()
+            .flat_map(|(lin, _)| [&lin.w, &lin.b, &lin.vel_w, &lin.vel_b])
     }
 
-    /// The tower's layers in order, each with a flag for whether a
-    /// ReLU follows it (persistence reads the tower through this).
-    pub fn layers(&self) -> impl Iterator<Item = (&Linear, bool)> {
-        self.blocks.iter().map(|(lin, act)| (lin, act.is_some()))
-    }
-
-    /// Rebuild a tower from persisted layers (`(linear, relu-follows)`
-    /// pairs in order; must be non-empty — asserted).
-    pub fn from_layers(layers: Vec<(Linear, bool)>) -> Self {
-        assert!(!layers.is_empty(), "Mlp needs at least one layer");
+    /// Rebuild a tower from persisted layers, each `[w, b, vel_w,
+    /// vel_b]` in order, with [`Mlp::new`]'s ReLUs. The caller checks
+    /// the shapes: every velocity matches its tensor, every bias is
+    /// `1 × out` and consecutive layers chain.
+    pub fn from_state(layers: Vec<[Dense; 4]>) -> Self {
+        let depth = layers.len();
         let blocks = layers
             .into_iter()
-            .map(|(lin, has_act)| {
-                let act = has_act.then(|| Activation::new(ActKind::Relu));
-                (lin, act)
+            .enumerate()
+            .map(|(i, [w, b, vel_w, vel_b])| {
+                let lin = Linear {
+                    grad_w: Dense::zeros(w.rows(), w.cols()),
+                    grad_b: Dense::zeros(1, b.cols()),
+                    w,
+                    b,
+                    vel_w,
+                    vel_b,
+                    cached_x: None,
+                };
+                (lin, (i + 1 < depth).then(|| Activation::new(ActKind::Relu)))
             })
             .collect();
         Self { blocks }

@@ -12,8 +12,8 @@
 //!   f64` ([`write_dense`] / [`read_dense`]): the wire's `Mat` payload
 //!   and every plaintext matrix in a BFMD model blob.
 //! * **[`CtMat`]** — the `Ct` layout ([`write_ctmat`] / [`read_ctmat`]):
-//!   the wire's `Ct` payload and, length-prefixed, every ciphertext
-//!   cache in a BFMD blob (see `docs/WIRE_PROTOCOL.md` at the
+//!   the wire's `Ct` payload and every ciphertext cache in a BFMD
+//!   blob (see `docs/WIRE_PROTOCOL.md` at the
 //!   repository root): header `rows u64 | cols u64 | scale u8 | body
 //!   u8`, followed by `rows·cols` `f64` values (body `0`, Plain
 //!   backend) or `k u64` plus `rows·cols·k` Montgomery-form limbs as

@@ -114,8 +114,10 @@ impl Writer {
     }
 }
 
-/// Validating cursor over untrusted bytes.
-#[derive(Debug)]
+/// Validating cursor over untrusted bytes. A clone is an independent
+/// cursor at the same position: a way to look at a header before
+/// reading it.
+#[derive(Clone, Debug)]
 pub struct Reader<'a> {
     rest: &'a [u8],
 }
