@@ -83,10 +83,17 @@ pub fn timing_spec(name: &str) -> DatasetSpec {
     s
 }
 
+/// Timed wall seconds below which [`matmul_source_batch_secs`] keeps
+/// timing batches past its floor: a narrow layer's batch is ~25 ms
+/// (connect-4, width 32, 512-bit keys), and a median of eight of them
+/// moved Table 7's width-256 ratio by ±12 % from one run to the next.
+const MIN_TIMED_SECS: f64 = 3.0;
+
 /// Measure the federated MatMul source layer's per-mini-batch cost
 /// (forward + backward, exactly the "matrix multiplication" portion the
-/// paper times): returns the median seconds of `batches` measured
-/// batches after one warm-up.
+/// paper times): returns the median seconds of the batches measured
+/// after one warm-up — at least `batches` of them, and more until they
+/// add up to [`MIN_TIMED_SECS`].
 pub fn matmul_source_batch_secs(
     cfg: &FedConfig,
     train_a: &Dataset,
@@ -96,46 +103,54 @@ pub fn matmul_source_batch_secs(
     batches: usize,
 ) -> f64 {
     let n = train_a.rows();
-    let idxs: Vec<Vec<usize>> = (0..=batches)
-        .map(|i| (0..batch_size).map(|j| (i * batch_size + j) % n).collect())
-        .collect();
+    let idx = move |i: usize| -> Vec<usize> {
+        (0..batch_size).map(|j| (i * batch_size + j) % n).collect()
+    };
     let a_view = train_a.clone();
     let b_view = train_b.clone();
-    let idx_a = idxs.clone();
     let grad_template = Dense::zeros(batch_size, out);
+    // B decides after each batch whether A runs another.
+    let (more_tx, more_rx) = std::sync::mpsc::channel::<bool>();
     let (_, secs) = run_pair(
         cfg,
         0xBEEF,
         move |mut sess| {
             let mut layer = MatMulSource::init(&mut sess, a_view.num_dim(), out).unwrap();
-            for idx in &idx_a {
-                let batch = a_view.select(idx);
+            for i in 0.. {
+                let batch = a_view.select(&idx(i));
                 let x = batch.num.as_ref().unwrap();
                 let z = layer.forward(&mut sess, x, true).unwrap();
                 aggregate_a(&sess, z).unwrap();
                 layer.backward_a(&mut sess).unwrap();
+                if !more_rx.recv().unwrap() {
+                    break;
+                }
             }
         },
         move |mut sess| {
             let mut layer = MatMulSource::init(&mut sess, b_view.num_dim(), out).unwrap();
-            let mut secs: Vec<f64> = idxs
-                .iter()
-                .map(|idx| {
-                    let mut sw = Stopwatch::new();
-                    sw.start();
-                    let batch = b_view.select(idx);
-                    let x = batch.num.as_ref().unwrap();
-                    let z_own = layer.forward(&mut sess, x, true).unwrap();
-                    let _z = aggregate_b(&sess, z_own).unwrap();
-                    // A synthetic ∇Z of the right shape: the cost being
-                    // measured is the protocol's, not the loss function's.
-                    let g = grad_template.map(|_| 0.01);
-                    layer.backward_b(&mut sess, &g).unwrap();
-                    sw.stop();
-                    sw.secs()
-                })
-                .skip(1) // the warm-up batch
-                .collect();
+            let mut secs: Vec<f64> = Vec::new();
+            for i in 0.. {
+                let mut sw = Stopwatch::new();
+                sw.start();
+                let batch = b_view.select(&idx(i));
+                let x = batch.num.as_ref().unwrap();
+                let z_own = layer.forward(&mut sess, x, true).unwrap();
+                let _z = aggregate_b(&sess, z_own).unwrap();
+                // A synthetic ∇Z of the right shape: the cost being
+                // measured is the protocol's, not the loss function's.
+                let g = grad_template.map(|_| 0.01);
+                layer.backward_b(&mut sess, &g).unwrap();
+                sw.stop();
+                if i > 0 {
+                    secs.push(sw.secs()); // batch 0 is the warm-up
+                }
+                let more = secs.len() < batches || secs.iter().sum::<f64>() < MIN_TIMED_SECS;
+                more_tx.send(more).unwrap();
+                if !more {
+                    break;
+                }
+            }
             secs.sort_by(f64::total_cmp);
             let n = secs.len();
             (secs[(n - 1) / 2] + secs[n / 2]) / 2.0

@@ -170,8 +170,10 @@ fn table6_fig15() {
     );
 }
 
-/// Timed batches (after one warm-up) behind each Table 7 width; the
-/// table divides median batches, so one slow batch moves no ratio.
+/// The floor of timed batches (after one warm-up) behind each Table 7
+/// width, which `matmul_source_batch_secs` extends to a minimum timed
+/// wall time; the table divides median batches, so one slow batch
+/// moves no ratio.
 const TABLE7_BATCHES: usize = 8;
 
 /// Table 7 — scalability w.r.t. the source layer's output

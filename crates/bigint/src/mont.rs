@@ -833,13 +833,13 @@ impl MontCtx {
     /// inversion is [`crate::mod_inv`]'s binary GCD, ≈ 17.5 µs mod a
     /// 2048-bit `m` (module docs of [`crate::modular`]), so at that width
     /// the multiplies cost more than it from about nine values up.
-    /// Panics if a value is not a unit.
-    pub fn batch_inv_mont(&self, vals: &mut [u64]) {
+    /// Returns `false`, with `vals` untouched, if a value is not a unit.
+    pub fn batch_inv_mont(&self, vals: &mut [u64]) -> bool {
         let k = self.k;
         assert_eq!(vals.len() % k, 0);
         let n = vals.len() / k;
         if n == 0 {
-            return;
+            return true;
         }
         // prefix[i] = v_0 · … · v_i
         let mut prefix = vals.to_vec();
@@ -852,7 +852,9 @@ impl MontCtx {
             );
         }
         let total = self.from_mont(&prefix[(n - 1) * k..]);
-        let inv = crate::mod_inv(&total, &self.m).expect("batch_inv_mont: non-invertible element");
+        let Some(inv) = crate::mod_inv(&total, &self.m) else {
+            return false;
+        };
         // acc = (v_0 · … · v_i)^{-1}, peeled from the top down.
         let mut acc = self.to_mont(&inv);
         let mut tmp = vec![0u64; k];
@@ -863,6 +865,7 @@ impl MontCtx {
             std::mem::swap(&mut acc, &mut tmp);
         }
         vals[..k].copy_from_slice(&acc);
+        true
     }
 }
 

@@ -11,10 +11,12 @@
 use std::sync::Arc;
 
 use bf_mpc::transport::{Endpoint, Msg, TransportError, TransportResult};
+use bf_mpc::Reply;
 use bf_paillier::{
     keygen, keys::plain_keys, Obfuscator, PaillierMode, PublicKey, SecretKey, SlotLayout,
     MAX_HE_MASK,
 };
+use bf_tensor::Dense;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -206,6 +208,15 @@ impl Session {
         }
     }
 
+    /// Algorithm 1's holder side on this link ([`bf_mpc::he2ss_holder`]):
+    /// mask `reply`, a `⟦v⟧` under the peer's key, with the session's
+    /// `he_mask` in its ciphertext layout from its mask RNG, send it to
+    /// the peer and return the mask `φ`.
+    pub fn he2ss<'a>(&mut self, reply: impl Into<Reply<'a>>) -> TransportResult<Dense> {
+        let (mask, mode) = (self.cfg.he_mask, self.cfg.paillier_mode);
+        bf_mpc::he2ss_holder(&self.ep, &self.peer_pk, reply, mask, mode, &mut self.rng)
+    }
+
     /// True if this session runs the Plain (identity) backend.
     pub fn is_plain(&self) -> bool {
         matches!(self.cfg.backend, Backend::Plain)
@@ -224,7 +235,7 @@ impl Session {
     /// configured ciphertext layout ([`FedConfig::paillier_mode`]).
     /// Packed layouts fall back to scalar per shape/key, so every
     /// upload site can route through here unconditionally.
-    pub fn encrypt_upload(&self, m: &bf_tensor::Dense) -> bf_paillier::CtMat {
+    pub fn encrypt_upload(&self, m: &Dense) -> bf_paillier::CtMat {
         self.own_pk
             .encrypt_mode(m, self.cfg.paillier_mode, &self.obf)
     }
@@ -232,7 +243,7 @@ impl Session {
     /// [`Session::encrypt_upload`] with an explicit segment width —
     /// embedding tables pack with `seg = dim` so gathered rows stay
     /// chunk-aligned after concatenation.
-    pub fn encrypt_upload_seg(&self, m: &bf_tensor::Dense, seg: usize) -> bf_paillier::CtMat {
+    pub fn encrypt_upload_seg(&self, m: &Dense, seg: usize) -> bf_paillier::CtMat {
         self.own_pk
             .encrypt_mode_seg(m, seg, self.cfg.paillier_mode, &self.obf)
     }

@@ -38,7 +38,7 @@
 //! shape or key that cannot pack, the same calls yield scalar bodies and
 //! the same decrypted values.
 
-use bf_mpc::convert::{he2ss_holder, he2ss_peer};
+use bf_mpc::convert::he2ss_peer;
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_paillier::{masked_share_product_fits, CtMat, MAX_PACKED_WEIGHT};
@@ -48,7 +48,7 @@ use crate::engine::Stage;
 use crate::persist::{read_ct, read_mat, write_ctmat, write_dense, PersistResult, Reader, Writer};
 use crate::session::{Role, Session};
 use crate::source::matmul::shared_matmul_fw;
-use crate::source::{peer_upload_like, recv_refresh, recv_upload, step_piece};
+use crate::source::{peer_upload_like, recv_refresh, recv_upload};
 
 /// One party's half of an Embed-MatMul federated source layer.
 pub struct EmbedSource {
@@ -307,14 +307,7 @@ impl EmbedSource {
         // Stage 1 — secret-shared embeddings (lines 5–7): lookup over
         // the encrypted peer piece, HE2SS, add the plaintext piece.
         let lk = sess.peer_pk.lkup(&self.enc_t_own, x);
-        let eps = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &lk,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let eps = sess.he2ss(&lk)?;
         // E_peer − ψ_peer: one row per instance, as wide as V_peer is tall.
         let e_peer = he2ss_peer(&sess.ep, &sess.own_sk, x.rows(), self.v_peer.rows())?;
         let psi = eps.add(&lookup(&self.s_own, x)); // ψ_own
@@ -382,14 +375,7 @@ impl EmbedSource {
         // then send ⟦ε⟧ under our key, the SS2HE half that lets A rebuild
         // ⟦∇E_A⟧_B from its decrypted ∇E_A − ε. Both frames ride the
         // reversal ⟦∇Z⟧ opened.
-        let eps = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &grad_e_a,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let eps = sess.he2ss(&grad_e_a)?;
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&eps, self.dim)))?;
 
@@ -423,24 +409,11 @@ impl EmbedSource {
         let grad_q_ct = sess.peer_pk.lkup_bw(&grad_e_ct, &x, &support_b, self.dim);
         stage.switch(Stage::DecryptUpdate);
         sess.ep.send(Msg::Support(support_b.clone()))?;
-        let rho = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &grad_q_ct,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let rho = sess.he2ss(&grad_q_ct)?;
         // Update S_B by ρ_B (lazy momentum on the support rows).
         let rows: Vec<usize> = support_b.iter().map(|&c| c as usize).collect();
-        let _ = step_piece(
-            &mut self.s_own,
-            &mut self.vel_s,
-            &rho,
-            &rows,
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        sess.sgd()
+            .step_sparse_rows(&mut self.s_own, &rho, &mut self.vel_s, &rows);
         // A updates T_B and sends the encrypted delta for our ⟦T_B⟧.
         recv_refresh(sess, &mut self.enc_t_own, &rows)?;
 
@@ -449,14 +422,9 @@ impl EmbedSource {
         let support_a = sess.ep.recv_support()?;
         let rows_a: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();
         let piece_qa = he2ss_peer(&sess.ep, &sess.own_sk, rows_a.len(), self.dim)?; // ∇Q_A − ρ_A
-        let delta = step_piece(
-            &mut self.t_peer,
-            &mut self.vel_t_peer,
-            &piece_qa,
-            &rows_a,
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta =
+            sess.sgd()
+                .step_sparse_rows(&mut self.t_peer, &piece_qa, &mut self.vel_t_peer, &rows_a);
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&delta, self.dim)))?;
         Ok(())
@@ -482,14 +450,7 @@ impl EmbedSource {
             .peer_pk
             .t_matmul_support(&Features::Dense(psi), &ct_gz, &full_a);
         stage.switch(Stage::DecryptUpdate);
-        let phi = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &prod,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let phi = sess.he2ss(&prod)?;
         // Update U_A by φ and remember the delta for B's ⟦U_A⟧ cache.
         let delta_ua = step_projection(sess, &mut self.u_own, &mut self.vel_u, &phi)?;
 
@@ -501,14 +462,7 @@ impl EmbedSource {
             .peer_pk
             .t_matmul_support(&Features::Dense(e_peer), &ct_gz, &full_b);
         stage.switch(Stage::DecryptUpdate);
-        let xi = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &prod,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let xi = sess.he2ss(&prod)?;
         let delta_vb = step_projection(sess, &mut self.v_peer, &mut self.vel_v_peer, &xi)?;
 
         // ⟦∇E_A⟧ (line 20), which B computed on the forward-pass weights
@@ -536,14 +490,9 @@ impl EmbedSource {
         let support_b = sess.ep.recv_support()?;
         let rows: Vec<usize> = support_b.iter().map(|&c| c as usize).collect();
         let piece_qb = he2ss_peer(&sess.ep, &sess.own_sk, rows.len(), self.dim)?; // ∇Q_B − ρ_B
-        let delta = step_piece(
-            &mut self.t_peer,
-            &mut self.vel_t_peer,
-            &piece_qb,
-            &rows,
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        let delta =
+            sess.sgd()
+                .step_sparse_rows(&mut self.t_peer, &piece_qb, &mut self.vel_t_peer, &rows);
         sess.ep
             .send(Msg::Ct(sess.encrypt_upload_seg(&delta, self.dim)))?;
 
@@ -554,23 +503,10 @@ impl EmbedSource {
         let grad_q_ct = sess.peer_pk.lkup_bw(&grad_e_ct, &x, &support_a, self.dim);
         stage.switch(Stage::DecryptUpdate);
         sess.ep.send(Msg::Support(support_a.clone()))?;
-        let rho = he2ss_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            &grad_q_ct,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        let rho = sess.he2ss(&grad_q_ct)?;
         let rows: Vec<usize> = support_a.iter().map(|&c| c as usize).collect();
-        let _ = step_piece(
-            &mut self.s_own,
-            &mut self.vel_s,
-            &rho,
-            &rows,
-            sess.cfg.lr,
-            sess.cfg.momentum,
-        );
+        sess.sgd()
+            .step_sparse_rows(&mut self.s_own, &rho, &mut self.vel_s, &rows);
         // B updates T_A and refreshes our ⟦T_A⟧.
         recv_refresh(sess, &mut self.enc_t_own, &rows)
     }
@@ -580,10 +516,10 @@ fn all_rows(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
-/// [`step_piece`] on every row of a projection weight piece, refused
-/// once the piece leaves the envelope of its packed copy. The peer
-/// multiplies mask-sized embedding shares into `⟦piece⟧`, one term per
-/// row, and `init` sized that slot arithmetic for `|w| ≤
+/// [`bf_ml::Sgd::step_sparse_rows`] on every row of a projection weight
+/// piece, refused once the piece leaves the envelope of its packed copy.
+/// The peer multiplies mask-sized embedding shares into `⟦piece⟧`, one
+/// term per row, and `init` sized that slot arithmetic for `|w| ≤
 /// MAX_PACKED_WEIGHT`; pieces random-walk with every masked gradient
 /// step, so each step holds the piece it produced to the same rule,
 /// [`masked_share_product_fits`], at its own width and magnitude. The
@@ -597,14 +533,7 @@ fn step_projection(
     grad: &Dense,
 ) -> TransportResult<Dense> {
     let (d, mask) = (piece.rows(), sess.cfg.he_mask);
-    let delta = step_piece(
-        piece,
-        vel,
-        grad,
-        &all_rows(d),
-        sess.cfg.lr,
-        sess.cfg.momentum,
-    );
+    let delta = sess.sgd().step_sparse_rows(piece, grad, vel, &all_rows(d));
     let w = piece.max_abs();
     if sess.packs() && !masked_share_product_fits(d, mask, w) {
         return Err(TransportError::Setup(format!(

@@ -28,10 +28,10 @@
 
 use std::sync::Arc;
 
-use bf_mpc::convert::{he2ss_peer, he2ss_product_holder, Product};
+use bf_mpc::convert::he2ss_peer;
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::CtMat;
+use bf_paillier::{CtMat, Product};
 use bf_tensor::{Dense, Features};
 
 use crate::config::GradMode;
@@ -40,28 +40,32 @@ use crate::persist::{read_ct, read_mat, write_ctmat, write_dense, PersistResult,
 use crate::session::{check_link_count, Role, Session};
 
 /// One party's half of a MatMul federated source layer.
+///
+/// The SS-top extension ([`super::ss_top`]) works on the fields
+/// directly: it is a two-party protocol over the first (only) link's
+/// piece.
 pub struct MatMulSource {
     /// `U_own`: this party's piece of its own weight matrix
     /// (`in_own × out`). Never reconstructable into `W` by either side.
-    u_own: Dense,
-    vel_u: Dense,
+    pub(super) u_own: Dense,
+    pub(super) vel_u: Dense,
     /// One piece per peer link, in link order: exactly one at a guest,
     /// one per guest at the host.
-    pieces: Vec<PeerPiece>,
-    out: usize,
-    cached_x: Option<Features>,
-    cached_support: Vec<u32>,
+    pub(super) pieces: Vec<PeerPiece>,
+    pub(super) out: usize,
+    pub(super) cached_x: Option<Features>,
+    pub(super) cached_support: Vec<u32>,
 }
 
 /// What this party holds for one peer.
-struct PeerPiece {
+pub(super) struct PeerPiece {
     /// `V_peer`: this party's piece of the *peer's* weight matrix
     /// (`in_peer × out`).
-    v_peer: Dense,
-    vel_v_peer: Dense,
+    pub(super) v_peer: Dense,
+    pub(super) vel_v_peer: Dense,
     /// `⟦V_own⟧` under the peer's key — the encrypted copy of the piece
     /// of this party's weights that the peer holds.
-    enc_v_own: CtMat,
+    pub(super) enc_v_own: CtMat,
 }
 
 impl MatMulSource {
@@ -158,29 +162,6 @@ impl MatMulSource {
     /// `W_A(i) = U_A(i) + V_A(i)` reconstructs through the host's).
     pub fn v_peer_of(&self, link: usize) -> &Dense {
         &self.pieces[link].v_peer
-    }
-
-    // Internal accessors for the SS-top extension (ss_top.rs), which is
-    // a two-party protocol: it works on the first (only) link's piece.
-    pub(crate) fn cached_x_mut(&mut self) -> &mut Option<Features> {
-        &mut self.cached_x
-    }
-
-    pub(crate) fn cached_support_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.cached_support
-    }
-
-    pub(crate) fn u_own_and_vel_mut(&mut self) -> (&mut Dense, &mut Dense) {
-        (&mut self.u_own, &mut self.vel_u)
-    }
-
-    pub(crate) fn v_peer_and_vel_mut(&mut self) -> (&mut Dense, &mut Dense) {
-        let piece = &mut self.pieces[0];
-        (&mut piece.v_peer, &mut piece.vel_v_peer)
-    }
-
-    pub(crate) fn enc_v_own_mut(&mut self) -> &mut CtMat {
-        &mut self.pieces[0].enc_v_own
     }
 
     /// The `link`-th peer's ciphertext cache `⟦V_own⟧`, with the segment
@@ -308,14 +289,8 @@ impl MatMulSource {
             let grad_piece = he2ss_peer(&sess.ep, &sess.own_sk, rows_a.len(), self.out)?; // ∇W_A − φ rows
             match sess.cfg.grad_mode {
                 GradMode::SecretShared => {
-                    let delta = super::step_piece(
-                        &mut piece.v_peer,
-                        &mut piece.vel_v_peer,
-                        &grad_piece,
-                        &rows_a,
-                        sess.cfg.lr,
-                        sess.cfg.momentum,
-                    );
+                    let (v, vel) = (&mut piece.v_peer, &mut piece.vel_v_peer);
+                    let delta = sess.sgd().step_sparse_rows(v, &grad_piece, vel, &rows_a);
                     // Same layout decision as the ⟦V_A⟧ cache this
                     // refreshes (same key, same `out` columns); A
                     // checks that it is.
@@ -344,19 +319,11 @@ impl MatMulSource {
         sess.ep.send(Msg::Support(support.clone()))?;
 
         // Line 10: ⟦∇W_A⟧ = X_Aᵀ⟦∇Z⟧ on the support, then HE2SS.
-        let prod = Product::TMatMulSupport {
+        let phi = sess.he2ss(Product::TMatMulSupport {
             x: &x,
             g: &ct_gz,
             support: &support,
-        };
-        let phi = he2ss_product_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            prod,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        })?;
         let rows: Vec<usize> = support.iter().map(|&c| c as usize).collect();
 
         match sess.cfg.grad_mode {
@@ -393,14 +360,7 @@ pub(crate) fn peer_product_shares(
     w_enc_peer: &CtMat,
     out: usize,
 ) -> TransportResult<(Dense, Dense)> {
-    let eps = he2ss_product_holder(
-        &sess.ep,
-        &sess.peer_pk,
-        Product::MatMul { x, w: w_enc_peer },
-        sess.cfg.he_mask,
-        sess.cfg.paillier_mode,
-        &mut sess.rng,
-    )?;
+    let eps = sess.he2ss(Product::MatMul { x, w: w_enc_peer })?;
     let piece = he2ss_peer(&sess.ep, &sess.own_sk, x.rows(), out)?;
     Ok((eps, piece))
 }

@@ -28,42 +28,6 @@ use bf_tensor::Dense;
 
 use crate::session::Session;
 
-/// Apply one party's gradient piece to its weight piece with lazy
-/// momentum on the given rows; returns the applied delta (`−η·vel`)
-/// rows, which the caller freshly encrypts to refresh the peer's
-/// cached ciphertext copy.
-///
-/// Momentum distributes over the secret sharing: with both parties
-/// applying `v ← μv + g_piece; w ← w − ηv` to their pieces, the hidden
-/// sum follows exact (lazy) momentum SGD.
-pub(crate) fn step_piece(
-    param: &mut Dense,
-    vel: &mut Dense,
-    piece_rows: &Dense,
-    rows: &[usize],
-    lr: f64,
-    momentum: f64,
-) -> Dense {
-    debug_assert_eq!(piece_rows.rows(), rows.len());
-    let cols = param.cols();
-    let mut delta = Dense::zeros(rows.len(), cols);
-    for (i, &r) in rows.iter().enumerate() {
-        let g = piece_rows.row(i);
-        let v = vel.row_mut(r);
-        for (vv, &gg) in v.iter_mut().zip(g) {
-            *vv = momentum * *vv + gg;
-        }
-        let v = vel.row(r);
-        let p = param.row_mut(r);
-        let d = delta.row_mut(i);
-        for ((pp, dd), &vv) in p.iter_mut().zip(d.iter_mut()).zip(v) {
-            *pp -= lr * vv;
-            *dd = -lr * vv;
-        }
-    }
-    delta
-}
-
 /// Receive a ciphertext upload the peer produced with
 /// [`Session::encrypt_upload`] and is not about to be decrypted (so
 /// `SecretKey::conforms` never sees it): `rows` rows in the geometry of
@@ -129,7 +93,8 @@ pub(crate) fn check_caches<'a>(
     Ok(())
 }
 
-/// The receiving end of [`step_piece`]'s delta (the `Recv and Update
+/// The receiving end of a stepped piece's delta
+/// ([`bf_ml::Sgd::step_sparse_rows`]; the `Recv and Update
 /// ⟦V⟧` steps of Figures 6 and 7): take the peer's freshly encrypted
 /// delta off the wire ([`recv_upload`], in the cache's own geometry)
 /// and add it into `rows` of `cache`.

@@ -18,14 +18,15 @@
 //! SecureML-style piecewise approximations; they plug into the same
 //! [`MatMulSource::backward_ss`] interface.)
 
-use bf_mpc::convert::{he2ss_peer, he2ss_product_holder, ss2he, Product};
+use bf_mpc::convert::{he2ss_peer, ss2he};
 use bf_mpc::transport::{Msg, TransportResult};
+use bf_paillier::Product;
 use bf_tensor::{Dense, Features};
 
 use crate::engine::Stage;
 use crate::session::Session;
 use crate::source::matmul::MatMulSource;
-use crate::source::{recv_refresh, step_piece};
+use crate::source::recv_refresh;
 
 impl MatMulSource {
     /// Forward pass for an SS top model (Figure 13, line 1): identical
@@ -58,37 +59,32 @@ impl MatMulSource {
             sess.cfg.paillier_mode,
         )?;
 
-        let x = self.take_cached_x();
-        let support = self.take_cached_support();
+        let x = self.cached_x.take().expect("backward before forward");
+        let support = std::mem::take(&mut self.cached_support);
         sess.ep.send(Msg::Support(support.clone()))?;
         let peer_support = sess.ep.recv_support()?;
 
         // Lines 4–5: ⟦∇W_own⟧ = Xᵀ⟦∇Z⟧ on the support, HE2SS.
-        let prod = Product::TMatMulSupport {
+        let phi = sess.he2ss(Product::TMatMulSupport {
             x: &x,
             g: &ct_gz,
             support: &support,
-        };
-        let phi = he2ss_product_holder(
-            &sess.ep,
-            &sess.peer_pk,
-            prod,
-            sess.cfg.he_mask,
-            sess.cfg.paillier_mode,
-            &mut sess.rng,
-        )?;
+        })?;
         // ∇W_peer − φ_peer rows
-        let piece = he2ss_peer(&sess.ep, &sess.own_sk, peer_support.len(), self.out_dim())?;
+        let piece = he2ss_peer(&sess.ep, &sess.own_sk, peer_support.len(), self.out)?;
 
         // Lines 6–8: update U_own by φ; update V_peer by the received
         // piece and refresh the peer's ⟦V_peer⟧ cache.
         let rows: Vec<usize> = support.iter().map(|&c| c as usize).collect();
-        self.step_u_own(sess, &phi, &rows);
+        sess.sgd()
+            .step_sparse_rows(&mut self.u_own, &phi, &mut self.vel_u, &rows);
         let peer_rows: Vec<usize> = peer_support.iter().map(|&c| c as usize).collect();
-        let delta = self.step_v_peer_pub(sess, &piece, &peer_rows);
+        let link = &mut self.pieces[0];
+        let (v, vel) = (&mut link.v_peer, &mut link.vel_v_peer);
+        let delta = sess.sgd().step_sparse_rows(v, &piece, vel, &peer_rows);
         // Same layout decision as the ⟦V⟧ cache this refreshes.
         sess.ep.send(Msg::Ct(sess.encrypt_upload(&delta)))?;
-        recv_refresh(sess, self.enc_v_own_mut(), &rows)
+        recv_refresh(sess, &mut link.enc_v_own, &rows)
     }
 }
 
@@ -124,31 +120,6 @@ impl SquareLossSsTop {
             .map(|(&z, &t)| (z - t) * (z - t))
             .sum::<f64>()
             / (2.0 * bs)
-    }
-}
-
-impl MatMulSource {
-    pub(crate) fn take_cached_x(&mut self) -> Features {
-        self.cached_x_mut().take().expect("backward before forward")
-    }
-
-    pub(crate) fn take_cached_support(&mut self) -> Vec<u32> {
-        std::mem::take(self.cached_support_mut())
-    }
-
-    pub(crate) fn step_u_own(&mut self, sess: &Session, piece: &Dense, rows: &[usize]) {
-        let (u, vel) = self.u_own_and_vel_mut();
-        let _ = step_piece(u, vel, piece, rows, sess.cfg.lr, sess.cfg.momentum);
-    }
-
-    pub(crate) fn step_v_peer_pub(
-        &mut self,
-        sess: &Session,
-        piece: &Dense,
-        rows: &[usize],
-    ) -> Dense {
-        let (v, vel) = self.v_peer_and_vel_mut();
-        step_piece(v, vel, piece, rows, sess.cfg.lr, sess.cfg.momentum)
     }
 }
 
@@ -256,7 +227,7 @@ mod tests {
                 let z = layer.forward_ss(&mut sess, &x, true).unwrap();
                 let (own_pk, peer_pk, mode) = (&sess.own_pk, &sess.peer_pk, sess.cfg.paillier_mode);
                 let ct_gz = ss2he(&sess.ep, own_pk, &sess.obf, peer_pk, &z, mode).unwrap();
-                let support = layer.take_cached_support();
+                let support = std::mem::take(&mut layer.cached_support);
                 sess.ep.send(Msg::Support(support.clone())).unwrap();
                 let peer_support = sess.ep.recv_support().unwrap();
                 let prod = Product::TMatMulSupport {
@@ -264,19 +235,11 @@ mod tests {
                     g: &ct_gz,
                     support: &support,
                 };
-                he2ss_product_holder(
-                    &sess.ep,
-                    peer_pk,
-                    prod,
-                    sess.cfg.he_mask,
-                    mode,
-                    &mut sess.rng,
-                )
-                .unwrap();
+                sess.he2ss(prod).unwrap();
                 he2ss_peer(&sess.ep, &sess.own_sk, peer_support.len(), 2).unwrap();
                 let delta = Dense::zeros(peer_support.len(), 2);
                 sess.ep
-                    .send(Msg::Ct(own_pk.encrypt(&delta, &sess.obf)))
+                    .send(Msg::Ct(sess.own_pk.encrypt(&delta, &sess.obf)))
                     .unwrap();
                 sess.ep.recv_ct().unwrap();
             },

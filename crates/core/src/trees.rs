@@ -36,12 +36,12 @@
 //! [`PaillierMode::Packed`] the guest folds `⌊slots/2⌋` rows into one
 //! ([`PublicKey::repack`]) and replies with a `1 × 2·cells` packed row;
 //! the host checks the element count, decrypts `⌈cells/⌊slots/2⌋⌉`
-//! ciphertexts and reshapes to `cells × 2`. The indicator sums are
-//! taken at `⟦g|h⟧`'s own scale and their `2^frac_bits` power is paid
-//! after the fold ([`PublicKey::rescale`]), once per folded ciphertext
-//! instead of once per cell — the same bytes as folding the scale-2
-//! sums. Plain sessions, `Scalar` sessions and keys with fewer than four
-//! slots send `cells × 2` as the scale-2 kernel produced it.
+//! ciphertexts and reshapes to `cells × 2`. The fold is
+//! [`PublicKey::folded_product`], which pays the 0/1 indicator sums'
+//! `2^frac_bits` power after it, once per folded ciphertext instead of
+//! once per cell — the same bytes as folding the scale-2 sums. Plain
+//! sessions, `Scalar` sessions and keys with fewer than four slots send
+//! `cells × 2` as the scale-2 kernel produced it.
 //!
 //! **Numeric envelope.** Every sum is `Σ_rows round(v·2^fb)` with
 //! `|g| < 1`, `h ≤ ¼` (logloss). It is exact end to end while
@@ -87,7 +87,7 @@ use bf_ml::gbdt::{
 use bf_mpc::decrypt_reply;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
 use bf_mpc::wire::{bit_at, bit_bytes, pack_bits};
-use bf_paillier::{CtMat, PaillierMode, PublicKey, SlotLayout};
+use bf_paillier::{CtMat, NonUnit, PaillierMode, Product, PublicKey, SlotLayout};
 use bf_tensor::{Csr, Dense, Features};
 
 use crate::config::FedConfig;
@@ -695,7 +695,7 @@ pub fn run_gbdt_guest(
                         &indicator.select_rows(&idx),
                         &gh.select_rows(&idx),
                         &support,
-                    )
+                    )?
                 };
                 sess.ep.send(Msg::Ct(agg))?;
             }
@@ -834,34 +834,27 @@ pub fn train_gbdt(
 
 /// The guest's reply to `OP_HIST`: the `(Σg, Σh)` histogram
 /// `indicatorᵀ·⟦g|h⟧` on every cell of `support`, at scale 2. The host
-/// only decrypts it, so a `Packed` session folds the 2-slot rows
-/// ([`PublicKey::repack`]) and the host opens `⌈cells/⌊slots/2⌋⌉`
-/// ciphertexts, not one per cell; the 0/1 indicator's product is taken
-/// at `⟦g|h⟧`'s own scale and rescaled after the fold
-/// ([`PublicKey::rescale`]), so the `2^frac_bits` power is paid once
-/// per folded ciphertext instead of once per cell — the same bytes as
-/// folding the scale-2 product. A `Scalar` session sends the scale-2
-/// product as the kernel made it.
+/// only decrypts it, so a `Packed` session folds it for the key owner
+/// ([`PublicKey::folded_product`]: the 2-slot rows folded, the
+/// `2^frac_bits` power paid once per folded ciphertext) and the host
+/// opens `⌈cells/⌊slots/2⌋⌉` ciphertexts, not one per cell. A `Scalar`
+/// session sends the scale-2 product as the kernel made it. `⟦g|h⟧` is
+/// the host's bytes; one that is no unit is a [`NonUnit`] error.
 fn hist_reply(
     pk: &PublicKey,
     mode: PaillierMode,
     indicator: &Features,
     gh: &CtMat,
     support: &[u32],
-) -> CtMat {
-    let unscaled = match mode {
-        PaillierMode::Packed => pk.t_matmul_support_unscaled(indicator, gh, support),
-        PaillierMode::Scalar => None,
+) -> Result<CtMat, NonUnit> {
+    let prod = Product::TMatMulSupport {
+        x: indicator,
+        g: gh,
+        support,
     };
-    match unscaled {
-        Some(agg) => pk.rescale(&pk.repack(agg), 2),
-        None => {
-            let agg = pk.t_matmul_support(indicator, gh, support);
-            match mode {
-                PaillierMode::Packed => pk.repack(agg),
-                PaillierMode::Scalar => agg,
-            }
-        }
+    match mode {
+        PaillierMode::Packed => pk.folded_product(prod),
+        PaillierMode::Scalar => pk.product(prod),
     }
 }
 
@@ -1131,7 +1124,7 @@ mod tests {
                     .enumerate()
                 {
                     let gh = pk.encrypt_mode(&ghd, mode, &obf);
-                    let reply = hist_reply(&pk, mode, &indicator, &gh, &support);
+                    let reply = hist_reply(&pk, mode, &indicator, &gh, &support).unwrap();
                     got[i] = fnv1a(got[i], &export_ctmat(&reply));
                 }
             }

@@ -19,12 +19,10 @@
 //! by the experiment harnesses (documented in `docs/REPRODUCING.md`).
 
 pub mod catalog;
-pub mod libsvm;
 pub mod split;
 pub mod synth;
 
 pub use catalog::{catalog, spec, DatasetSpec, Shape};
-pub use libsvm::{load_libsvm, parse_libsvm};
 pub use split::{
     sample_id, vsplit, vsplit_misaligned, vsplit_misaligned_multi, vsplit_multi,
     MisalignedMultiVflData, MisalignedParty, MisalignedVflData, MultiVflData, VflData, VflView,

@@ -37,7 +37,8 @@ impl Sgd {
 
     /// Lazy (support-sparse) momentum: only the given rows of the
     /// parameter/velocity are touched, using the *leading rows* of
-    /// `grad` (one per entry of `rows`).
+    /// `grad` (one per entry of `rows`). Returns the applied delta, the
+    /// `−η·v` rows, one per entry of `rows`.
     ///
     /// The federated source layers only ever materialise the batch
     /// support rows of a gradient (that is the whole sparse-efficiency
@@ -45,15 +46,22 @@ impl Sgd {
     /// the plaintext counterparts use the same rule to stay bit-for-bit
     /// comparable. For dense inputs `rows` covers everything and this
     /// equals classic momentum.
+    ///
+    /// A source layer steps each secret-shared weight piece with its
+    /// gradient piece: with both parties applying `v ← μv + g_piece;
+    /// w ← w − ηv` to their pieces, the hidden sum follows exact (lazy)
+    /// momentum SGD. The delta is what the piece's holder encrypts to
+    /// refresh the peer's ciphertext copy.
     pub fn step_sparse_rows(
         &self,
         param: &mut Dense,
         grad_rows: &Dense,
         velocity: &mut Dense,
         rows: &[usize],
-    ) {
+    ) -> Dense {
         debug_assert_eq!(grad_rows.rows(), rows.len());
         debug_assert_eq!(param.shape(), velocity.shape());
+        let mut delta = Dense::zeros(rows.len(), param.cols());
         for (gi, &r) in rows.iter().enumerate() {
             let g = grad_rows.row(gi);
             let v = velocity.row_mut(r);
@@ -62,10 +70,12 @@ impl Sgd {
             }
             let p = param.row_mut(r);
             let v = velocity.row(r);
-            for (pp, &vv) in p.iter_mut().zip(v) {
+            for ((pp, dd), &vv) in p.iter_mut().zip(delta.row_mut(gi)).zip(v) {
                 *pp -= self.lr * vv;
+                *dd = -self.lr * vv;
             }
         }
+        delta
     }
 }
 

@@ -7,144 +7,111 @@
 //! of `v` under each party's key via one exchange of encrypted pieces.
 //!
 //! Decryption is the expensive half of Algorithm 1, so a
-//! [`PaillierMode::Packed`] session packs before it decrypts: a holder
-//! whose `⟦v − φ⟧` is still one value per ciphertext folds every `slots`
-//! of them into one ([`PublicKey::repack`]) and sends a `1 × N` packed
-//! row; the key owner runs `⌈N/slots⌉` CRT decryptions instead of `N`
-//! and reads the same `f64`s out of the slots, bit for bit. A
-//! plain×cipher product handed over as a [`Product`]
-//! ([`he2ss_product_holder`]) is folded first when its coefficients are
-//! all integers: fold, then rescale the folded ciphertexts to scale 2
-//! ([`PublicKey::rescale`], the product's `2^frac_bits` power paid on
-//! `⌈N/slots⌉` ciphertexts instead of `N`), then subtract `φ` packed as
-//! a `1 × N` row — the same group element as subtracting first and
-//! folding after, so the same reply bytes. Any other `⟦v⟧` is masked,
-//! then folded. `PaillierMode::Scalar` sends `⟦v − φ⟧` exactly as
-//! Algorithm 1 writes it. The mode is shared session configuration,
-//! like the layout of every other upload. A `⟦v − φ⟧` that is already
-//! packed ships as it is; `repack`'s second case (narrow packed rows)
-//! belongs to the tree histograms (`blindfl::trees`), whose replies are
-//! not masked.
+//! [`PaillierMode::Packed`] session folds before it decrypts. The one
+//! holder, [`he2ss_holder`], takes the reply as a ciphertext or as a
+//! plain×cipher [`Product`], draws `φ` over its `rows × cols`, lays out
+//! the body and subtracts `φ` in that layout. Under `Packed`, a body
+//! that is one value per ciphertext is folded `slots`-to-1 into a
+//! `1 × N` packed row ([`PublicKey::repack`]; a product through
+//! [`PublicKey::folded_product`], which pays an integer product's
+//! `2^frac_bits` power after the fold) and takes `φ` packed as a
+//! `1 × N` row; the key owner runs `⌈N/slots⌉` CRT decryptions instead
+//! of `N` and reads the same `f64`s out of the slots, bit for bit.
+//! Folding first and masking after gives the bytes of masking first and
+//! folding after: the fold and `sub_plain` are both products of powers
+//! mod `n²` of the same ciphertexts, and `sub_plain` adds no randomness.
+//! `PaillierMode::Scalar` sends `⟦v − φ⟧` exactly as Algorithm 1 writes
+//! it. The mode is shared session configuration, like the layout of
+//! every other upload. A body that is already packed ships in its own
+//! layout; `repack`'s second case (narrow packed rows) belongs to the
+//! tree histograms (`blindfl::trees`), whose replies are not masked.
 
-use bf_paillier::{CtMat, Obfuscator, PaillierMode, PublicKey, SecretKey, MAX_HE_MASK};
-use bf_tensor::{Dense, Features};
+use std::borrow::Cow;
+
+use bf_paillier::{
+    CtMat, NonUnit, Obfuscator, PaillierMode, Product, PublicKey, SecretKey, MAX_HE_MASK,
+};
+use bf_tensor::Dense;
 use rand::Rng;
 
 use crate::shares::random_mask;
 use crate::transport::{Endpoint, Msg, TransportError, TransportResult};
 use crate::wire::WireError;
 
-/// Algorithm 1, holder side: given `⟦v⟧` under the *peer's* key,
-/// generate a mask `φ`, send `⟦v − φ⟧` to the peer — repacked
-/// `slots`-to-1 under [`PaillierMode::Packed`] when it holds one value
-/// per ciphertext and the key can pack — and return `φ`.
-pub fn he2ss_holder<R: Rng + ?Sized>(
-    ep: &Endpoint,
-    peer_pk: &PublicKey,
-    ct: &CtMat,
-    mask: f64,
-    mode: PaillierMode,
-    rng: &mut R,
-) -> TransportResult<Dense> {
-    let phi = random_mask(rng, ct.rows(), ct.cols(), mask);
-    let masked = peer_pk.sub_plain(ct, &phi);
-    // Scalar bodies only: a masked product that is already packed ships
-    // in its own layout, whatever else `repack` could fold.
-    ep.send(Msg::Ct(match mode {
-        PaillierMode::Packed if !masked.is_packed() => peer_pk.repack(masked),
-        _ => masked,
-    }))?;
-    Ok(phi)
-}
-
-/// A plain×cipher product to split by [`he2ss_product_holder`]: the
-/// kernel and its operands, so the holder chooses where the product's
-/// `2^frac_bits` power is paid.
+/// What [`he2ss_holder`] splits: a ciphertext, or a plain×cipher
+/// product the holder computes in the layout it ships.
 #[derive(Clone, Copy, Debug)]
-pub enum Product<'a> {
-    /// `X·⟦W⟧` ([`PublicKey::matmul`]).
-    MatMul {
-        /// The plaintext features.
-        x: &'a Features,
-        /// The encrypted weights.
-        w: &'a CtMat,
-    },
-    /// `Xᵀ·⟦G⟧` on `support` ([`PublicKey::t_matmul_support`]).
-    TMatMulSupport {
-        /// The plaintext features.
-        x: &'a Features,
-        /// The encrypted gradient.
-        g: &'a CtMat,
-        /// The feature rows to materialise.
-        support: &'a [u32],
-    },
+pub enum Reply<'a> {
+    /// `⟦v⟧` as it is.
+    Ct(&'a CtMat),
+    /// A product over the peer's ciphertexts.
+    Product(Product<'a>),
 }
 
-impl Product<'_> {
-    /// The encrypted operand, whose lane layout the product keeps.
-    fn operand(&self) -> &CtMat {
-        match *self {
-            Product::MatMul { w, .. } => w,
-            Product::TMatMulSupport { g, .. } => g,
-        }
-    }
-
-    /// The product at scale 2.
-    fn scaled(&self, pk: &PublicKey) -> CtMat {
-        match *self {
-            Product::MatMul { x, w } => pk.matmul(x, w),
-            Product::TMatMulSupport { x, g, support } => pk.t_matmul_support(x, g, support),
-        }
-    }
-
-    /// The product at its operand's scale, if every coefficient is an
-    /// integer.
-    fn unscaled(&self, pk: &PublicKey) -> Option<CtMat> {
-        match *self {
-            Product::MatMul { x, w } => pk.matmul_unscaled(x, w),
-            Product::TMatMulSupport { x, g, support } => {
-                pk.t_matmul_support_unscaled(x, g, support)
-            }
-        }
+impl<'a> From<&'a CtMat> for Reply<'a> {
+    fn from(ct: &'a CtMat) -> Self {
+        Reply::Ct(ct)
     }
 }
 
-/// [`he2ss_holder`] of the scale-2 product `prod`: the same mask draw
-/// and the same reply bytes, with the product's power paid where the
-/// fewest ciphertexts carry it. Under [`PaillierMode::Packed`], a
-/// product that is one value per ciphertext and whose coefficients are
-/// all integers (0/1 indicators, counts) is folded first, then
-/// rescaled ([`PublicKey::rescale`]: `⌈N/slots⌉` powers instead of
-/// `N`), then masked by `φ` packed as a `1 × N` row. Subtracting `φ`
-/// before or after the fold and the power gives the same group
-/// element, so the key owner cannot tell the paths apart. Any other
-/// product — a real-valued coefficient anywhere, a packed operand, a
-/// Plain body, a `Scalar` session, a mask past [`MAX_HE_MASK`] (whose
-/// packed `φ` would not fit its slots) — is the kernel's scale-2
-/// result through [`he2ss_holder`].
-pub fn he2ss_product_holder<R: Rng + ?Sized>(
+impl<'a> From<Product<'a>> for Reply<'a> {
+    fn from(prod: Product<'a>) -> Self {
+        Reply::Product(prod)
+    }
+}
+
+/// A product over a peer's ciphertext that is no unit mod `n²` is a
+/// malformed payload from that peer.
+impl From<NonUnit> for TransportError {
+    fn from(e: NonUnit) -> Self {
+        TransportError::Wire(WireError::Malformed(format!("the peer sent {e}")))
+    }
+}
+
+/// Algorithm 1, holder side: given `reply`, a `⟦v⟧` under the *peer's*
+/// key, draw a mask `φ` over its `rows × cols`, send `⟦v − φ⟧` to the
+/// peer — folded `slots`-to-1 under [`PaillierMode::Packed`] when it is
+/// one value per ciphertext and the key can pack — and return `φ`.
+///
+/// A packed `φ` must fit its slots, so a `Packed` call under a key that
+/// packs refuses a mask past [`MAX_HE_MASK`] (as the session handshake
+/// does) with a `Setup` error, before anything is drawn or sent. A
+/// product that meets a ciphertext which is no unit is a malformed
+/// payload ([`NonUnit`]).
+pub fn he2ss_holder<'a, R: Rng + ?Sized>(
     ep: &Endpoint,
     peer_pk: &PublicKey,
-    prod: Product<'_>,
+    reply: impl Into<Reply<'a>>,
     mask: f64,
     mode: PaillierMode,
     rng: &mut R,
 ) -> TransportResult<Dense> {
-    let unscaled = match mode {
-        PaillierMode::Packed if !prod.operand().is_packed() && mask <= MAX_HE_MASK => {
-            prod.unscaled(peer_pk)
+    let packed = mode == PaillierMode::Packed;
+    // False for a NaN mask too.
+    let fits = mask.abs() <= MAX_HE_MASK;
+    if packed && peer_pk.slot_layout().is_some() && !fits {
+        return Err(TransportError::Setup(format!(
+            "he_mask {mask} does not fit a pack slot (packed sessions accept at most \
+             {MAX_HE_MASK})"
+        )));
+    }
+    let reply = reply.into();
+    let (rows, cols) = match reply {
+        Reply::Ct(ct) => ct.shape(),
+        Reply::Product(prod) => prod.shape(),
+    };
+    let phi = random_mask(rng, rows, cols, mask);
+    let body = match reply {
+        Reply::Ct(ct) if packed && !ct.is_packed() => Cow::Owned(peer_pk.repack(ct.clone())),
+        Reply::Ct(ct) => Cow::Borrowed(ct),
+        Reply::Product(prod) if packed && !prod.operand().is_packed() => {
+            Cow::Owned(peer_pk.folded_product(prod)?)
         }
-        _ => None,
+        Reply::Product(prod) => Cow::Owned(peer_pk.product(prod)?),
     };
-    let Some(unscaled) = unscaled else {
-        return he2ss_holder(ep, peer_pk, &prod.scaled(peer_pk), mask, mode, rng);
-    };
-    let phi = random_mask(rng, unscaled.rows(), unscaled.cols(), mask);
-    let folded = peer_pk.repack(unscaled);
-    let packed_phi = phi.clone().reshaped(folded.rows(), folded.cols());
-    let masked = peer_pk.sub_plain(&peer_pk.rescale(&folded, 2), &packed_phi);
-    ep.send(Msg::Ct(masked))?;
-    Ok(phi)
+    let phi = phi.reshaped(body.rows(), body.cols());
+    ep.send(Msg::Ct(peer_pk.sub_plain(&body, &phi)))?;
+    Ok(phi.reshaped(rows, cols))
 }
 
 /// Algorithm 1, key-owner side: receive `⟦v − φ⟧` and decrypt it,
@@ -216,7 +183,7 @@ mod tests {
     use super::*;
     use crate::transport::channel_pair;
     use bf_paillier::{export_ctmat, import_public, keygen, ObfMode};
-    use bf_tensor::{Csr, Dense};
+    use bf_tensor::{Csr, Dense, Features};
     use rand::SeedableRng;
 
     #[test]
@@ -283,6 +250,68 @@ mod tests {
         );
         let piece = he2ss_peer(&ep_b, &sk_b, 3, 2).unwrap();
         assert!(phi.add(&piece).approx_eq(&v, 1e-5));
+    }
+
+    #[test]
+    fn a_bare_reply_is_the_mask_then_fold_bytes() {
+        // The reference is the order Algorithm 1 writes: subtract φ from
+        // the scalar body, then fold it under `Packed`. 256-bit/frac-20
+        // keys pack 3 slots, so N runs 1, slots − 1, slots, 2·slots + 1.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let (paillier, _) = keygen(256, 20, &mut rng);
+        assert_eq!(paillier.slot_layout().unwrap().slots, 3);
+        let (plain, _) = bf_paillier::keys::plain_keys(20);
+        for (name, pk) in [("Paillier", &paillier), ("Plain", &plain)] {
+            let obf = Obfuscator::new(pk, ObfMode::Pool(4), 1);
+            for n in [1usize, 2, 3, 7] {
+                let v = Dense::from_vec(n, 1, (0..n).map(|i| 2.5 - 1.25 * i as f64).collect());
+                for scale in [1u8, 2] {
+                    let ct = pk.encrypt_at_scale(&v, scale, &obf);
+                    for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+                        let seed = n as u64 * 10 + scale as u64;
+                        let (a, b) = channel_pair();
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                        let phi = he2ss_holder(&a, pk, &ct, 100.0, mode, &mut rng).unwrap();
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                        let want_phi = random_mask(&mut rng, n, 1, 100.0);
+                        let masked = pk.sub_plain(&ct, &want_phi);
+                        let want = match mode {
+                            PaillierMode::Packed => pk.repack(masked),
+                            PaillierMode::Scalar => masked,
+                        };
+                        assert_eq!(phi, want_phi);
+                        let got = export_ctmat(&b.recv_ct().unwrap());
+                        let what = format!("{name}, N = {n}, scale {scale}, {mode:?}");
+                        assert!(got == export_ctmat(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_unit_ciphertext_from_the_peer_is_a_malformed_reply() {
+        // A 2×1 weight whose first ciphertext is all-zero limbs: it
+        // imports, and `X·⟦W⟧` with `x = [−1, 2]` must invert it.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(38);
+        let (pk, _) = keygen(256, 24, &mut rng);
+        let obf = Obfuscator::new(&pk, ObfMode::Pool(4), 1);
+        let mut bytes = export_ctmat(&pk.encrypt(&Dense::from_vec(2, 1, vec![1.0, 2.0]), &obf));
+        // Two ciphertexts of 8 limbs close the encoding.
+        let len = bytes.len();
+        bytes[len - 128..len - 64].fill(0);
+        let w = bf_paillier::import_ctmat(&bytes).unwrap();
+        let x = Features::Dense(Dense::from_vec(1, 2, vec![-1.0, 2.0]));
+        for mode in [PaillierMode::Scalar, PaillierMode::Packed] {
+            let (a, _b) = channel_pair();
+            let prod = Product::MatMul { x: &x, w: &w };
+            let err = he2ss_holder(&a, &pk, prod, 100.0, mode, &mut rng).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                "{mode:?}: {err}"
+            );
+            assert_eq!(a.stats().bytes(), 0, "{mode:?}: nothing is sent");
+        }
     }
 
     #[test]
@@ -430,6 +459,12 @@ mod tests {
         Dense::from_vec(rows, cols, data)
     }
 
+    /// Whether every entry is an integer: the products whose power is
+    /// paid after the fold.
+    fn integral(m: &Dense) -> bool {
+        m.data().iter().all(|v| v.fract() == 0.0)
+    }
+
     fn uniform(rows: usize, cols: usize, seed: u64) -> Dense {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         bf_tensor::init::uniform(&mut rng, rows, cols, 3.0)
@@ -469,7 +504,7 @@ mod tests {
                 let (a, b) = channel_pair();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let mode = PaillierMode::Packed;
-                let phi = he2ss_product_holder(&a, &pk, prod, 1000.0, mode, &mut rng).unwrap();
+                let phi = he2ss_holder(&a, &pk, prod, 1000.0, mode, &mut rng).unwrap();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 assert_eq!(phi, random_mask(&mut rng, phi.rows(), phi.cols(), 1000.0));
                 export_ctmat(&b.recv_ct().unwrap())
@@ -482,7 +517,7 @@ mod tests {
                 let support: Vec<u32> = (0..5).collect();
                 let mut xd = small_ints(rows, 5, seed + 2);
                 let sparse = Features::Sparse(Csr::from_dense(&xd));
-                assert!(pk.matmul_unscaled(&sparse, &w).is_some());
+                assert!(integral(&xd));
                 for x in [&Features::Dense(xd.clone()), &sparse] {
                     got[0] = fnv1a(got[0], &reply(Product::MatMul { x, w: &w }, seed));
                     let prod = Product::TMatMulSupport {
@@ -493,8 +528,8 @@ mod tests {
                     got[1] = fnv1a(got[1], &reply(prod, seed));
                 }
                 xd.set(rows - 1, 4, 0.5);
+                assert!(!integral(&xd));
                 let x = &Features::Dense(xd);
-                assert!(pk.matmul_unscaled(x, &w).is_none());
                 got[2] = fnv1a(got[2], &reply(Product::MatMul { x, w: &w }, seed));
                 let prod = Product::TMatMulSupport {
                     x,
@@ -522,7 +557,7 @@ mod tests {
         let scalar = pk.encrypt(&wd, &obf);
         let packed = pk.encrypt_mode(&wd, PaillierMode::Packed, &obf);
         assert!(packed.is_packed());
-        assert!(pk.matmul_unscaled(&int, &scalar).is_some());
+        assert!(integral(&int.to_dense()));
         for x in [&int, &real] {
             let want = x.to_dense().matmul(&wd);
             for (w, mode) in [
@@ -532,7 +567,7 @@ mod tests {
             ] {
                 let (a, b) = channel_pair();
                 let prod = Product::MatMul { x, w };
-                let phi = he2ss_product_holder(&a, &pk, prod, 100.0, mode, &mut rng).unwrap();
+                let phi = he2ss_holder(&a, &pk, prod, 100.0, mode, &mut rng).unwrap();
                 let piece = he2ss_peer(&b, &sk, 5, 2).unwrap();
                 let err = phi.add(&piece).sub(&want).max_abs();
                 assert!(err < 1e-5, "{mode:?}: {err}");

@@ -23,18 +23,19 @@
 //! or indicator row is `nnz − 1` multiplies and its share of the
 //! `2^frac_bits` power, which the call pays once per source and lane
 //! when it has fewer sources than outputs, and else in each output's
-//! chain (`frac_bits` squarings); `matmul_unscaled` and
-//! `t_matmul_support_unscaled` leave an integer product's power to
-//! [`PublicKey::rescale`], to be paid after a fold on `slots`-fold
-//! fewer ciphertexts — and runs the exponents that remain along one
-//! shared squaring chain
+//! chain (`frac_bits` squarings); [`PublicKey::folded_product`] pays
+//! an integer product's power after its fold, on `slots`-fold fewer
+//! ciphertexts — and runs the exponents that remain along one shared
+//! squaring chain
 //! ([`bf_bigint::MontCtx::multi_pow_into`]); a call's products are one
 //! [`bf_bigint::MontCtx::multi_pow_many`] per lane of the output rows,
 //! which on CPUs with AVX-512 IFMA runs eight rows to one chain, a row
 //! per vector lane, the groups in parallel. Negative scalars accumulate
 //! apart from positive ones and are resolved by a single modular
 //! inversion per kernel call (Montgomery's trick), never a full-width
-//! exponentiation per entry.
+//! exponentiation per entry; a ciphertext that is not a unit mod `n²`
+//! (no encryption is, but a peer can send one) makes that inversion a
+//! [`NonUnit`] error.
 //! The decrypt-only repack
 //! ([`PublicKey::repack`]) does not use it: folding `slots` one-value
 //! lanes — or `⌊slots/u⌋` packed rows of `u` slots — into one is a
@@ -325,6 +326,61 @@ fn quantize(v: f64, frac_bits: u32) -> f64 {
     (v * s).round() / s
 }
 
+/// A plain×cipher product, named by its kernel and operands so that
+/// [`PublicKey::product`] and [`PublicKey::folded_product`] choose where
+/// its `2^frac_bits` power is paid.
+#[derive(Clone, Copy, Debug)]
+pub enum Product<'a> {
+    /// `X·⟦W⟧` ([`PublicKey::matmul`]).
+    MatMul {
+        /// The plaintext features.
+        x: &'a Features,
+        /// The encrypted weights.
+        w: &'a CtMat,
+    },
+    /// `Xᵀ·⟦G⟧` on `support` ([`PublicKey::t_matmul_support`]).
+    TMatMulSupport {
+        /// The plaintext features.
+        x: &'a Features,
+        /// The encrypted gradient.
+        g: &'a CtMat,
+        /// The feature rows to materialise.
+        support: &'a [u32],
+    },
+}
+
+impl<'a> Product<'a> {
+    /// The encrypted operand, whose lane layout the product keeps.
+    pub fn operand(&self) -> &'a CtMat {
+        match *self {
+            Product::MatMul { w, .. } => w,
+            Product::TMatMulSupport { g, .. } => g,
+        }
+    }
+
+    /// The product's `rows × cols`.
+    pub fn shape(&self) -> (usize, usize) {
+        match *self {
+            Product::MatMul { x, w } => (x.rows(), w.cols),
+            Product::TMatMulSupport { g, support, .. } => (support.len(), g.cols),
+        }
+    }
+}
+
+/// A product met a ciphertext that is not a unit mod `n²`, so its
+/// negative terms have no inverse. No encryption is such a value; a
+/// peer's bytes can be.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NonUnit;
+
+impl std::fmt::Display for NonUnit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a ciphertext that is not a unit mod n²")
+    }
+}
+
+impl std::error::Error for NonUnit {}
+
 impl PublicKey {
     /// Encrypt a dense matrix (scale 1).
     pub fn encrypt(&self, m: &Dense, obf: &Obfuscator) -> CtMat {
@@ -465,21 +521,48 @@ impl PublicKey {
 
     /// `X · ⟦W⟧` — plaintext features times an encrypted weight matrix
     /// (scale 1 → scale 2). Sparse `X` touches only its non-zeros.
+    /// Panics on a [`NonUnit`] ciphertext; [`PublicKey::product`]
+    /// reports it.
     pub fn matmul(&self, x: &Features, w: &CtMat) -> CtMat {
-        self.matmul_at(x, w, Power::Paid)
-            .expect("a scaled product always exists")
+        self.product(Product::MatMul { x, w })
+            .expect("matmul over a ciphertext that is not a unit")
     }
 
-    /// [`PublicKey::matmul`] at `w`'s own scale, when every non-zero of
-    /// `X` quantizes to an integer: the same ciphertexts before their
-    /// `2^frac_bits` power, which [`PublicKey::rescale`] pays later —
-    /// after a [`PublicKey::repack`], on a fold's fewer ciphertexts.
-    /// `None` for any other `X`, and for a Plain body.
-    pub fn matmul_unscaled(&self, x: &Features, w: &CtMat) -> Option<CtMat> {
-        self.matmul_at(x, w, Power::Owed)
+    /// `prod` at scale 2, as [`PublicKey::matmul`] or
+    /// [`PublicKey::t_matmul_support`] computes it.
+    pub fn product(&self, prod: Product<'_>) -> Result<CtMat, NonUnit> {
+        Ok(self
+            .product_at(prod, Power::Paid)?
+            .expect("a scaled product always exists"))
     }
 
-    fn matmul_at(&self, x: &Features, w: &CtMat, power: Power) -> Option<CtMat> {
+    /// `prod` folded for its key owner, who only decrypts it: the bytes
+    /// of [`PublicKey::repack`] of [`PublicKey::product`]. When every
+    /// coefficient quantizes to an integer (0/1 indicators, counts) the
+    /// fold runs on the product at its operand's scale and the
+    /// `2^frac_bits` power is paid after it, on `⌈N/f⌉` folded
+    /// ciphertexts instead of `N`: both are powers of the same
+    /// ciphertexts, so they commute. A body `repack` leaves alone comes
+    /// back at scale 2 in its own layout.
+    pub fn folded_product(&self, prod: Product<'_>) -> Result<CtMat, NonUnit> {
+        Ok(match self.product_at(prod, Power::Owed)? {
+            Some(unscaled) => self.rescale(&self.repack(unscaled), 2),
+            None => self.repack(self.product(prod)?),
+        })
+    }
+
+    /// `prod` at `power`: `None` when the power is owed and a
+    /// coefficient is no integer, or the body is Plain.
+    fn product_at(&self, prod: Product<'_>, power: Power) -> Result<Option<CtMat>, NonUnit> {
+        match prod {
+            Product::MatMul { x, w } => self.matmul_at(x, w, power),
+            Product::TMatMulSupport { x, g, support } => {
+                self.t_matmul_support_at(x, g, support, power)
+            }
+        }
+    }
+
+    fn matmul_at(&self, x: &Features, w: &CtMat, power: Power) -> Result<Option<CtMat>, NonUnit> {
         assert_eq!(x.cols(), w.rows, "matmul shape mismatch");
         assert_eq!(w.scale, 1, "matmul expects a scale-1 weight ciphertext");
         match (self, &w.body) {
@@ -493,24 +576,23 @@ impl PublicKey {
                         exponents(pk, nz)
                     })
                     .collect();
-                let rows = power.apply(pk, rows)?;
+                let Some(rows) = power.apply(pk, rows) else {
+                    return Ok(None);
+                };
                 let cw = w.cts();
-                Some(w.like(
-                    x.rows(),
-                    power.scale(w.scale),
-                    contract(pk, cw.lanes, &rows, |c, l| cw.at(c, l)),
-                ))
+                let limbs = contract(pk, cw.lanes, &rows, |c, l| cw.at(c, l))?;
+                Ok(Some(w.like(x.rows(), power.scale(w.scale), limbs)))
             }
-            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => None,
+            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => Ok(None),
             (PublicKey::Plain { frac_bits }, Body::Plain(wv)) => {
                 let wd = Dense::from_vec(w.rows, w.cols, wv.clone());
                 let xq = quantize_features(x, *frac_bits);
-                Some(CtMat {
+                Ok(Some(CtMat {
                     rows: x.rows(),
                     cols: w.cols,
                     scale: 2,
                     body: Body::Plain(xq.matmul(&wd).data().to_vec()),
-                })
+                }))
             }
             _ => panic!("matmul backend mismatch"),
         }
@@ -522,22 +604,11 @@ impl PublicKey {
     ///
     /// This is the sparse gradient projection `∇W = Xᵀ∇Z`; for sparse
     /// `X` the protocol only ever materialises the batch's support rows.
+    /// Panics on a [`NonUnit`] ciphertext; [`PublicKey::product`]
+    /// reports it.
     pub fn t_matmul_support(&self, x: &Features, g: &CtMat, support: &[u32]) -> CtMat {
-        self.t_matmul_support_at(x, g, support, Power::Paid)
-            .expect("a scaled product always exists")
-    }
-
-    /// [`PublicKey::t_matmul_support`] at `g`'s own scale, as
-    /// [`PublicKey::matmul_unscaled`] is `matmul`'s: `None` unless every
-    /// non-zero of `X` on the support quantizes to an integer, and for a
-    /// Plain body.
-    pub fn t_matmul_support_unscaled(
-        &self,
-        x: &Features,
-        g: &CtMat,
-        support: &[u32],
-    ) -> Option<CtMat> {
-        self.t_matmul_support_at(x, g, support, Power::Owed)
+        self.product(Product::TMatMulSupport { x, g, support })
+            .expect("t_matmul_support over a ciphertext that is not a unit")
     }
 
     fn t_matmul_support_at(
@@ -546,7 +617,7 @@ impl PublicKey {
         g: &CtMat,
         support: &[u32],
         power: Power,
-    ) -> Option<CtMat> {
+    ) -> Result<Option<CtMat>, NonUnit> {
         assert_eq!(x.rows(), g.rows, "t_matmul shape mismatch");
         assert_eq!(g.scale, 1, "t_matmul expects a scale-1 ciphertext");
         // Build per-support-row coefficient lists (i, value).
@@ -566,15 +637,14 @@ impl PublicKey {
                     .iter()
                     .map(|list| exponents(pk, list.iter().copied()))
                     .collect();
-                let rows = power.apply(pk, rows)?;
+                let Some(rows) = power.apply(pk, rows) else {
+                    return Ok(None);
+                };
                 let cg = g.cts();
-                Some(g.like(
-                    support.len(),
-                    power.scale(g.scale),
-                    contract(pk, cg.lanes, &rows, |i, l| cg.at(i, l)),
-                ))
+                let limbs = contract(pk, cg.lanes, &rows, |i, l| cg.at(i, l))?;
+                Ok(Some(g.like(support.len(), power.scale(g.scale), limbs)))
             }
-            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => None,
+            (PublicKey::Plain { .. }, Body::Plain(_)) if power == Power::Owed => Ok(None),
             (PublicKey::Plain { frac_bits }, Body::Plain(gv)) => {
                 let gd = Dense::from_vec(g.rows, g.cols, gv.clone());
                 let mut out = Dense::zeros(support.len(), g.cols);
@@ -587,12 +657,12 @@ impl PublicKey {
                         }
                     }
                 }
-                Some(CtMat {
+                Ok(Some(CtMat {
                     rows: support.len(),
                     cols: g.cols,
                     scale: 2,
                     body: Body::Plain(out.data().to_vec()),
-                })
+                }))
             }
             _ => panic!("t_matmul backend mismatch"),
         }
@@ -619,7 +689,8 @@ impl PublicKey {
                     .map(|e| exponents(pk, w.row(e).iter().copied().enumerate()))
                     .collect();
                 let cg = g.cts();
-                let t = contract(pk, g.rows, &rows, |j, i| cg.at(i, j));
+                let t = contract(pk, g.rows, &rows, |j, i| cg.at(i, j))
+                    .expect("matmul_ct_wt over a ciphertext that is not a unit");
                 CtMat {
                     rows: g.rows,
                     cols: w.rows(),
@@ -858,16 +929,12 @@ impl PublicKey {
     }
 
     /// `ct` at fixed-point `scale` (not below `ct`'s): every ciphertext
-    /// raised to `2^(frac_bits·Δscale)`, the power a
-    /// [`PublicKey::matmul_unscaled`] or
-    /// [`PublicKey::t_matmul_support_unscaled`] product owes — one
+    /// raised to `2^(frac_bits·Δscale)`, the power an integer product
+    /// owes in [`PublicKey::folded_product`] — one
     /// [`bf_bigint::MontCtx::multi_pow_many`] of one-term products,
-    /// eight ciphertexts to a lane group on CPUs with AVX-512 IFMA. The
-    /// power commutes with [`PublicKey::repack`] (both are powers of the
-    /// same ciphertexts), so a product folded first pays it on `f`-fold
-    /// fewer ciphertexts and equals the fold of the scaled product byte
-    /// for byte. Either layout; a Plain body only takes the new scale.
-    pub fn rescale(&self, ct: &CtMat, scale: u8) -> CtMat {
+    /// eight ciphertexts to a lane group on CPUs with AVX-512 IFMA.
+    /// Either layout; a Plain body only takes the new scale.
+    fn rescale(&self, ct: &CtMat, scale: u8) -> CtMat {
         assert!(
             scale >= ct.scale,
             "rescale lowers scale {} to {scale}",
@@ -1031,8 +1098,8 @@ fn transpose_flat<T: Copy + Default>(data: &[T], rows: usize, cols: usize, k: us
 }
 
 /// Whether a plain×cipher product pays its `2^frac_bits` power (scale
-/// 2) or owes it to a later [`PublicKey::rescale`] (its operand's
-/// scale, for all-integer coefficients only).
+/// 2) or owes it to a later `rescale` (its operand's scale, for
+/// all-integer coefficients only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Power {
     Paid,
@@ -1116,18 +1183,19 @@ fn pow2_many(pk: &PaillierPk, bases: &[&[u64]], shift: usize) -> Vec<u64> {
 /// each product's chain pays its `s` squarings. Both give the same group
 /// elements, so the same canonical limbs. All negative accumulators of
 /// the call are then inverted together: one `mod_inv`, not one per row,
-/// plus three multiplies per inverted accumulator.
+/// plus three multiplies per inverted accumulator — a [`NonUnit`] error
+/// if one is not invertible.
 fn contract<'a>(
     pk: &PaillierPk,
     lanes: usize,
     rows: &[ExpRow],
     base: impl Fn(usize, usize) -> &'a [u64],
-) -> Vec<u64> {
+) -> Result<Vec<u64>, NonUnit> {
     let mont = &pk.mont;
     let k = mont.limb_count();
     let stride = lanes * k;
     if stride == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // The call's sources; a term names its source by its index here.
     let mut sources: Vec<usize> = rows.iter().flatten().map(|(src, _)| *src).collect();
@@ -1200,7 +1268,9 @@ fn contract<'a>(
 
     // out = pos · neg⁻¹ wherever a row had negative terms.
     let (out, inverted) = res.split_at_mut(rows.len() * stride);
-    mont.batch_inv_mont(inverted);
+    if !mont.batch_inv_mont(inverted) {
+        return Err(NonUnit);
+    }
     let mut tmp = vec![0u64; k];
     for (&r, inv) in negs.iter().zip(inverted.chunks_exact(stride)) {
         let pos = out[r * stride..(r + 1) * stride].chunks_exact_mut(k);
@@ -1210,7 +1280,7 @@ fn contract<'a>(
         }
     }
     res.truncate(rows.len() * stride);
-    res
+    Ok(res)
 }
 
 #[cfg(test)]
@@ -1874,7 +1944,8 @@ mod tests {
                     let got = pk.matmul(&x, &w);
                     let want = reference_matmul(&pk, &x, &w);
                     assert!(got == want, "matmul, {what}");
-                    let unscaled = pk.matmul_unscaled(&x, &w);
+                    let prod = Product::MatMul { x: &x, w: &w };
+                    let unscaled = pk.product_at(prod, Power::Owed).unwrap();
                     assert_eq!(unscaled.is_some(), integral(&xd), "{what}");
                     if let Some(u) = unscaled {
                         assert_eq!(u.scale(), 1);
@@ -1888,7 +1959,12 @@ mod tests {
                 let got = pk.t_matmul_support(&xf, &g, &support);
                 let want = reference_t_matmul_support(&pk, &xt, &g, &support);
                 assert!(got == want, "t_matmul_support, {what}");
-                let unscaled = pk.t_matmul_support_unscaled(&xf, &g, &support);
+                let prod = Product::TMatMulSupport {
+                    x: &xf,
+                    g: &g,
+                    support: &support,
+                };
+                let unscaled = pk.product_at(prod, Power::Owed).unwrap();
                 assert_eq!(unscaled.is_some(), integral(&xt), "{what}");
                 if let Some(u) = unscaled {
                     let got = pk.rescale(&u, 2);
@@ -1927,7 +2003,8 @@ mod tests {
         let up = ppk.rescale(&ct, 2);
         assert_eq!((up.scale(), psk.decrypt(&up)), (2, psk.decrypt(&ct)));
         let x = Features::Dense(integers(2, 3, 72));
-        assert!(ppk.matmul_unscaled(&x, &ct).is_none());
+        let prod = Product::MatMul { x: &x, w: &ct };
+        assert!(ppk.product_at(prod, Power::Owed).unwrap().is_none());
     }
 
     #[test]
