@@ -34,7 +34,7 @@ use blindfl::models::FedSpec;
 use blindfl::session::run_pair;
 use blindfl::source::matmul::{aggregate_a, aggregate_b};
 use blindfl::source::MatMulSource;
-use blindfl::train::{train_federated, FedOutcome, FedTrainConfig};
+use blindfl::train::{train_federated, FedTrainConfig, PartyARun, PartyBRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,77 +83,92 @@ pub fn timing_spec(name: &str) -> DatasetSpec {
     s
 }
 
-/// Timed wall seconds below which [`matmul_source_batch_secs`] keeps
-/// timing batches past its floor: a narrow layer's batch is ~25 ms
-/// (connect-4, width 32, 512-bit keys), and a median of eight of them
-/// moved Table 7's width-256 ratio by ±12 % from one run to the next.
+/// Timed wall seconds per width below which
+/// [`matmul_source_batch_secs`] keeps timing rounds past its floor: a
+/// narrow layer's batch is ~25 ms (connect-4, width 32, 512-bit keys),
+/// and a median of eight of them moved Table 7's width-256 ratio by
+/// ±12 % from one run to the next.
 const MIN_TIMED_SECS: f64 = 3.0;
 
 /// Measure the federated MatMul source layer's per-mini-batch cost
 /// (forward + backward, exactly the "matrix multiplication" portion the
-/// paper times): returns the median seconds of the batches measured
-/// after one warm-up — at least `batches` of them, and more until they
-/// add up to [`MIN_TIMED_SECS`].
+/// paper times) at every output width in `outs`, over one session pair.
+/// Each round times one batch of every width in turn, so the widths
+/// share the machine's state as it drifts. Returns each width's median
+/// seconds over the rounds after one warm-up — at least `batches` of
+/// them, and more until the timed batches add up to `MIN_TIMED_SECS`
+/// per width.
 pub fn matmul_source_batch_secs(
     cfg: &FedConfig,
     train_a: &Dataset,
     train_b: &Dataset,
-    out: usize,
+    outs: &[usize],
     batch_size: usize,
     batches: usize,
-) -> f64 {
+) -> Vec<f64> {
     let n = train_a.rows();
     let idx = move |i: usize| -> Vec<usize> {
         (0..batch_size).map(|j| (i * batch_size + j) % n).collect()
     };
-    let a_view = train_a.clone();
-    let b_view = train_b.clone();
-    let grad_template = Dense::zeros(batch_size, out);
-    // B decides after each batch whether A runs another.
+    let (a_view, outs_a) = (train_a.clone(), outs.to_vec());
+    // B decides after each round whether A runs another.
     let (more_tx, more_rx) = std::sync::mpsc::channel::<bool>();
     let (_, secs) = run_pair(
         cfg,
         0xBEEF,
         move |mut sess| {
-            let mut layer = MatMulSource::init(&mut sess, a_view.num_dim(), out).unwrap();
+            let mut layers: Vec<_> = (outs_a.iter())
+                .map(|&out| MatMulSource::init(&mut sess, a_view.num_dim(), out).unwrap())
+                .collect();
             for i in 0.. {
-                let batch = a_view.select(&idx(i));
-                let x = batch.num.as_ref().unwrap();
-                let z = layer.forward(&mut sess, x, true).unwrap();
-                aggregate_a(&sess, z).unwrap();
-                layer.backward_a(&mut sess).unwrap();
+                let x = a_view.select(&idx(i)).num.unwrap();
+                for layer in &mut layers {
+                    let z = layer.forward(&mut sess, &x, true).unwrap();
+                    aggregate_a(&sess, z).unwrap();
+                    layer.backward_a(&mut sess).unwrap();
+                }
                 if !more_rx.recv().unwrap() {
                     break;
                 }
             }
         },
         move |mut sess| {
-            let mut layer = MatMulSource::init(&mut sess, b_view.num_dim(), out).unwrap();
-            let mut secs: Vec<f64> = Vec::new();
+            // A synthetic ∇Z of the right shape per width: the cost being
+            // measured is the protocol's, not the loss function's.
+            let mut layers: Vec<_> = (outs.iter())
+                .map(|&out| {
+                    let layer = MatMulSource::init(&mut sess, train_b.num_dim(), out).unwrap();
+                    (layer, Dense::zeros(batch_size, out).map(|_| 0.01))
+                })
+                .collect();
+            let mut secs = vec![Vec::new(); outs.len()];
             for i in 0.. {
-                let mut sw = Stopwatch::new();
-                sw.start();
-                let batch = b_view.select(&idx(i));
-                let x = batch.num.as_ref().unwrap();
-                let z_own = layer.forward(&mut sess, x, true).unwrap();
-                let _z = aggregate_b(&sess, z_own).unwrap();
-                // A synthetic ∇Z of the right shape: the cost being
-                // measured is the protocol's, not the loss function's.
-                let g = grad_template.map(|_| 0.01);
-                layer.backward_b(&mut sess, &g).unwrap();
-                sw.stop();
-                if i > 0 {
-                    secs.push(sw.secs()); // batch 0 is the warm-up
+                let x = train_b.select(&idx(i)).num.unwrap();
+                for ((layer, g), secs) in layers.iter_mut().zip(&mut secs) {
+                    let mut sw = Stopwatch::new();
+                    sw.start();
+                    let z_own = layer.forward(&mut sess, &x, true).unwrap();
+                    let _z = aggregate_b(&sess, z_own).unwrap();
+                    layer.backward_b(&mut sess, g).unwrap();
+                    sw.stop();
+                    if i > 0 {
+                        secs.push(sw.secs()); // round 0 is the warm-up
+                    }
                 }
-                let more = secs.len() < batches || secs.iter().sum::<f64>() < MIN_TIMED_SECS;
+                let timed: f64 = secs.iter().flatten().sum();
+                let more = secs[0].len() < batches || timed < MIN_TIMED_SECS * outs.len() as f64;
                 more_tx.send(more).unwrap();
                 if !more {
                     break;
                 }
             }
-            secs.sort_by(f64::total_cmp);
-            let n = secs.len();
-            (secs[(n - 1) / 2] + secs[n / 2]) / 2.0
+            secs.into_iter()
+                .map(|mut secs| {
+                    secs.sort_by(f64::total_cmp);
+                    let n = secs.len();
+                    (secs[(n - 1) / 2] + secs[n / 2]) / 2.0
+                })
+                .collect()
         },
     );
     secs
@@ -186,7 +201,7 @@ pub fn train_fed(
     train: &VflData,
     test: &VflData,
     seed: u64,
-) -> FedOutcome {
+) -> (PartyARun, PartyBRun) {
     let tc = FedTrainConfig {
         base: TrainConfig {
             epochs,
@@ -220,7 +235,7 @@ pub fn timing_table(first: &str) -> Table {
 
 /// One [`timing_table`] row: the per-mini-batch matmul time of dataset
 /// `name` at its full feature dimension (`seed` draws the rows) under
-/// BlindFL's source layer (mean of `batches`), SecureML
+/// BlindFL's source layer (median of at least `batches`), SecureML
 /// (HE-assisted triplets) and client-aided SecureML. A SecureML cell
 /// that would exceed `budget_secs` is measured at a reduced dimension
 /// and extrapolated linearly (marked `~`); one whose dense state
@@ -239,14 +254,8 @@ pub fn timing_row(
     let (train_ds, _) = generate(&spec, seed);
     let v = vsplit(&train_ds);
     eprintln!("[{name}] BlindFL source layer...");
-    let blindfl = matmul_source_batch_secs(
-        &cfg_timing(),
-        &v.party_a,
-        &v.party_b,
-        out,
-        BATCH_SIZE,
-        batches,
-    );
+    let (a, b) = (&v.party_a, &v.party_b);
+    let blindfl = matmul_source_batch_secs(&cfg_timing(), a, b, &[out], BATCH_SIZE, batches)[0];
     eprintln!("[{name}] SecureML (HE-assisted)...");
     let he = TripletMode::HeAssisted { key_bits: 512 };
     let sml = secureml_batch_cost(BATCH_SIZE, d, out, he, budget_secs, MEM_LIMIT);
@@ -290,41 +299,35 @@ fn client_aided_cost(d: usize, out: usize, budget_secs: f64) -> String {
 /// Format a SecureML cell: seconds (`~` when extrapolated) or OOM.
 fn fmt_outcome(o: &SecuremlOutcome) -> String {
     match o {
-        SecuremlOutcome::Ok { secs, extrapolated } => {
-            format!(
-                "{}{}",
-                if *extrapolated { "~" } else { "" },
-                fmt_secs(*secs)
-            )
-        }
+        SecuremlOutcome::Ok {
+            secs,
+            extrapolated: true,
+        } => format!("~{}", fmt_secs(*secs)),
+        SecuremlOutcome::Ok { secs, .. } => fmt_secs(*secs),
         SecuremlOutcome::Oom { bytes } => format!("OOM ({} GiB)", bytes >> 30),
     }
 }
 
 /// A scalability sweep over connect-4 MLPs (Tables 7 and 8), one row
-/// per variant. Time: `secs(variant, train, test)` on the timing split
-/// (full dimensionality), relative to the first variant's. Accuracy:
-/// the MLP of hidden-then-output `widths(variant)` trained for five
-/// epochs on the quality split. `seed` draws both splits and the runs.
+/// per variant. Time: `secs(variants, train, test)`, one entry per
+/// variant, on the timing split (full dimensionality), relative to the
+/// first variant's. Accuracy: the MLP of hidden-then-output
+/// `widths(variant)` trained for five epochs on the quality split.
+/// `seed` draws both splits and the runs.
 pub fn sweep(
     column: &str,
     variants: &[usize],
     seed: u64,
     widths: impl Fn(usize) -> Vec<usize>,
-    secs: impl Fn(usize, &VflData, &VflData) -> f64,
+    secs: impl Fn(&[usize], &VflData, &VflData) -> Vec<f64>,
 ) -> Table {
     let split = |spec| {
         let (train, test) = generate(&spec, seed);
         (vsplit(&train), vsplit(&test))
     };
     let (train, test) = split(timing_spec("connect-4"));
-    let secs: Vec<f64> = variants
-        .iter()
-        .map(|&v| {
-            eprintln!("[{column} {v}] timing...");
-            secs(v, &train, &test)
-        })
-        .collect();
+    eprintln!("[{column} {variants:?}] timing...");
+    let secs = secs(variants, &train, &test);
     let (train, test) = split(quality_spec("connect-4"));
     let mut t = Table::new(vec![column, "Relative Time Cost", "Validation Accuracy"]);
     for (&v, s) in variants.iter().zip(&secs) {
@@ -332,7 +335,7 @@ pub fn sweep(
         let spec = FedSpec::Mlp { widths: widths(v) };
         let plain = FedConfig::plain();
         let acc = train_fed(&spec, &plain, 5, false, &train, &test, seed)
-            .report
+            .1
             .test_metric;
         t.row(vec![
             v.to_string(),
@@ -396,13 +399,13 @@ pub fn quality(name: &str, model: ModelAt, seed: u64, init_seed: u64) -> Quality
     let party_b = nonfed_metric(&fed_spec, &mut rng, &train.party_b, &test.party_b, epochs);
     let collocated = nonfed_metric(&fed_spec, &mut rng, &train_ds, &test_ds, epochs);
     let plain = FedConfig::plain();
-    let report = train_fed(&fed_spec, &plain, epochs, false, &train, &test, seed).report;
+    let (_, run) = train_fed(&fed_spec, &plain, epochs, false, &train, &test, seed);
     Quality {
         metric: if binary { "AUC" } else { "Accuracy" },
         party_b,
         collocated,
-        blindfl: report.test_metric,
-        losses: report.losses,
+        blindfl: run.test_metric,
+        losses: run.losses,
     }
 }
 
@@ -466,8 +469,10 @@ mod tests {
         let s = bf_datagen::spec("a9a").scaled(200, 1);
         let (train, _) = generate(&s, 1);
         let v = vsplit(&train);
-        let secs = matmul_source_batch_secs(&FedConfig::plain(), &v.party_a, &v.party_b, 1, 32, 2);
-        assert!(secs > 0.0 && secs < 5.0);
+        let secs =
+            matmul_source_batch_secs(&FedConfig::plain(), &v.party_a, &v.party_b, &[1, 2], 32, 2);
+        assert_eq!(secs.len(), 2);
+        assert!(secs.iter().all(|&s| s > 0.0 && s < 5.0), "{secs:?}");
     }
 
     #[test]

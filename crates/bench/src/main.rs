@@ -170,10 +170,10 @@ fn table6_fig15() {
     );
 }
 
-/// The floor of timed batches (after one warm-up) behind each Table 7
-/// width, which `matmul_source_batch_secs` extends to a minimum timed
-/// wall time; the table divides median batches, so one slow batch
-/// moves no ratio.
+/// The floor of timed rounds (after one warm-up) behind Table 7, which
+/// `matmul_source_batch_secs` extends to a minimum timed wall time; a
+/// round times one batch of every width, and the table divides median
+/// batches, so one slow batch moves no ratio.
 const TABLE7_BATCHES: usize = 8;
 
 /// Table 7 — scalability w.r.t. the source layer's output
@@ -184,9 +184,9 @@ const TABLE7_BATCHES: usize = 8;
 fn table7() {
     println!("Table 7: scalability vs source-layer output width (connect-4, 3-layer MLP)\n");
     let widths = |w| vec![w, 16, 3];
-    let secs = |w, train: &VflData, _: &VflData| {
+    let secs = |ws: &[usize], train: &VflData, _: &VflData| {
         let (a, b) = (&train.party_a, &train.party_b);
-        matmul_source_batch_secs(&cfg_timing(), a, b, w, BATCH_SIZE, TABLE7_BATCHES)
+        matmul_source_batch_secs(&cfg_timing(), a, b, ws, BATCH_SIZE, TABLE7_BATCHES)
     };
     sweep("Hidden Dim", &[32, 64, 128, 256], 0x7AB7, widths, secs).print();
     println!("\nExpected shape: time ≈ width/32 (linear in OUT); accuracy changes little.");
@@ -201,13 +201,16 @@ fn table8() {
     println!("Table 8: scalability vs number of layers (connect-4, MLP)\n");
     // 3 layers: 64, 16, 3; k>3 inserts (k-3) 32-unit layers after 64.
     let widths = |k: usize| [vec![64], vec![32; k - 3], vec![16, 3]].concat();
-    let secs = |k, train: &VflData, test: &VflData| {
-        let spec = FedSpec::Mlp { widths: widths(k) };
-        let mut sw = Stopwatch::new();
-        sw.start();
-        train_fed(&spec, &cfg_timing(), 1, false, train, test, 0x7AB8);
-        sw.stop();
-        sw.secs()
+    let secs = |ks: &[usize], train: &VflData, test: &VflData| {
+        let time = |k| {
+            let spec = FedSpec::Mlp { widths: widths(k) };
+            let mut sw = Stopwatch::new();
+            sw.start();
+            train_fed(&spec, &cfg_timing(), 1, false, train, test, 0x7AB8);
+            sw.stop();
+            sw.secs()
+        };
+        ks.iter().map(|&k| time(k)).collect()
     };
     sweep("# Layers", &[3, 4, 5, 6], 0x7AB8, widths, secs).print();
     println!("\nExpected shape: ≈1.0x across layer counts (the source layer dominates).");
@@ -255,9 +258,9 @@ fn fig9_dataset(name: &str, classes: usize, metric_name: &str) {
     // BlindFL per-epoch attack via U_A snapshots, then the ablation.
     let fed_attack_curve = |grad_mode| {
         let cfg = FedConfig::plain().with_grad_mode(grad_mode);
-        let outcome = train_fed(&glm, &cfg, FIG9_EPOCHS, true, &train_v, &test_v, 9);
-        let snapshots = outcome.report.u_a_snapshots.iter();
-        snapshots
+        let (a, _) = train_fed(&glm, &cfg, FIG9_EPOCHS, true, &train_v, &test_v, 9);
+        a.u_a_snapshots
+            .iter()
             .map(|u| attack_metric(&test_v, u))
             .collect::<Vec<_>>()
     };
@@ -407,11 +410,11 @@ fn fig11() {
 fn trained_pairs(name: &str, spec: &FedSpec, embed: bool) -> Vec<(f64, f64)> {
     let (train_ds, test_ds) = generate(&quality_spec(name), 0xF11);
     let (train, test) = (vsplit(&train_ds), vsplit(&test_ds));
-    let outcome = train_fed(spec, &FedConfig::plain(), 5, false, &train, &test, 0xF11);
+    let (a, b) = train_fed(spec, &FedConfig::plain(), 5, false, &train, &test, 0xF11);
     if embed {
-        embed_share_vs_table(&outcome.party_a, &outcome.party_b)
+        embed_share_vs_table(&a.model, &b.model)
     } else {
-        matmul_share_vs_weight(&outcome.party_a, &outcome.party_b)
+        matmul_share_vs_weight(&a.model, &b.model)
     }
 }
 

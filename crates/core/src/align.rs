@@ -112,7 +112,7 @@ impl Alignment {
     }
 
     /// The persistable form: the optional section an aligned
-    /// checkpoint carries (see `persist` kinds 4–5).
+    /// checkpoint carries (see `persist` kind 4).
     pub fn cursor(&self) -> AlignCursor {
         AlignCursor {
             salt: self.salt,

@@ -3,9 +3,10 @@
 //! Figure 11 of the paper plots, coordinate by coordinate, a party's
 //! secret-share piece against the hidden true value, showing that the
 //! piece reveals neither sign nor magnitude. These helpers reconstruct
-//! that comparison from a trained [`FedOutcome`](crate::train::FedOutcome)
-//! — something only the *experimenter* can do, since it requires both
-//! parties' pieces.
+//! that comparison from both trained halves (the
+//! [`PartyARun`](crate::train::PartyARun) and
+//! [`PartyBRun`](crate::train::PartyBRun) models) — something only the
+//! *experimenter* can do, since it requires both parties' pieces.
 
 use bf_tensor::Dense;
 

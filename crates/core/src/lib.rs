@@ -114,10 +114,9 @@ pub use gateway::{
 };
 pub use models::FedSpec;
 pub use persist::{
-    export_checkpoint_a, export_checkpoint_b, export_gbdt_guest, export_gbdt_host, export_party_a,
-    export_party_b, import_checkpoint_a, import_checkpoint_b, import_gbdt_guest, import_gbdt_host,
-    import_party_a, import_party_b, AlignCursor, CheckpointA, CheckpointB, LinkCursor,
-    PersistError,
+    export_checkpoint, export_gbdt_guest, export_gbdt_host, export_party_a, export_party_b,
+    import_checkpoint, import_gbdt_guest, import_gbdt_host, import_party_a, import_party_b,
+    AlignCursor, Checkpoint, LinkCursor, PersistError,
 };
 pub use serve::{
     queue as serve_queue, serve_party_a, serve_party_b, PendingPrediction, PredictClient,
@@ -126,9 +125,9 @@ pub use serve::{
 pub use session::Session;
 pub use train::{
     run_party_a, run_party_b, train_federated, train_federated_multi, CheckpointCadence,
-    FedOutcome, FedReport, FedTrainConfig, PartyARun, PartyBRun, FAULT_KILL_MARKER,
+    FedTrainConfig, PartyARun, PartyBRun, FAULT_KILL_MARKER,
 };
 pub use trees::{
     predict_gbdt_host, run_gbdt_guest, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host,
-    train_gbdt, GbdtFedOutcome, GbdtGuestModel, GbdtGuestRun, GbdtHostModel, GbdtHostRun,
+    train_gbdt, GbdtGuestModel, GbdtGuestRun, GbdtHostModel, GbdtHostRun,
 };

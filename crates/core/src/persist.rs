@@ -8,10 +8,9 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   0x42 0x46 0x4D 0x44  ("BFMD")
-//! 4       1     version 0x05
+//! 4       1     version 0x06
 //! 5       1     kind    (1 = guest model, 2 = host model,
-//!                        4 = guest checkpoint, 5 = host checkpoint,
-//!                        7 = GbdtHost, 8 = GbdtGuest)
+//!                        4 = checkpoint, 7 = GbdtHost, 8 = GbdtGuest)
 //! 6       n     payload (per-kind encoding; see docs/SERVING.md)
 //! ```
 //!
@@ -19,12 +18,14 @@
 //! links it fans out over and carries every link's pieces, so a
 //! two-party host is the blob with link count 1.
 //!
-//! Kinds 4–5 are **mid-epoch training checkpoints**: a model blob plus
-//! the training cursor (epoch, batch) and one determinism cursor per
-//! peer link ([`LinkCursor`]: mask-RNG state, obfuscation draws
-//! consumed, traffic counters). Restoring one puts a fresh process back
-//! on the *bit-identical* loss curve — see `docs/ARCHITECTURE.md`
-//! ("Fault tolerance") and `tests/chaos_parity.rs`. A checkpoint taken
+//! Kind 4 is the **mid-epoch training checkpoint** of either role
+//! ([`Checkpoint`]): the complete kind-1 or kind-2 model blob plus the
+//! training cursor (epoch, batch), the loss curve so far (empty on a
+//! guest) and one determinism cursor per peer link ([`LinkCursor`]:
+//! mask-RNG state, obfuscation draws consumed, traffic counters).
+//! Restoring one puts a fresh process back on the *bit-identical* loss
+//! curve — see `docs/ARCHITECTURE.md` ("Fault tolerance") and
+//! `tests/chaos_parity.rs`. A checkpoint taken
 //! in a PSI-**aligned** run carries an optional [`AlignCursor`] section
 //! (PSI salt plus the intersection's sample IDs) so a restarted process
 //! can rebuild its aligned row selection from its local ID column with
@@ -49,8 +50,10 @@
 //! of kinds 4–5; version 4 appended Party B's `⟦U_peerᵀ⟧` cache to the
 //! Embed-MatMul layer state, after `⟦V_ownᵀ⟧`; version 5 took every
 //! shape from the spec, dropping each width, presence byte, top tag,
-//! tower depth and ReLU flag, and each cache's length prefix. The
-//! retired kind bytes are never reassigned: every importer answers them with
+//! tower depth and ReLU flag, and each cache's length prefix; version 6
+//! made kind 4 the one checkpoint of both roles, wrapping the whole
+//! model blob, and retired kind 5. The retired kind bytes are never
+//! reassigned: every importer answers them with
 //! [`PersistError::WrongKind`].
 //!
 //! The contract is **byte-exact round-tripping**:
@@ -82,16 +85,14 @@ use bf_ml::gbdt::{Node, Tree};
 pub const MAGIC: [u8; 4] = *b"BFMD";
 /// Current persistence-format version. Decoders reject every other
 /// value (the versioning rule of `docs/WIRE_PROTOCOL.md`).
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// Kind byte for a [`PartyAModel`] blob.
 pub const KIND_PARTY_A: u8 = 1;
 /// Kind byte for a [`PartyBModel`] blob (the host model over its
 /// guest links).
 pub const KIND_PARTY_B: u8 = 2;
-/// Kind byte for a Party A mid-epoch training checkpoint.
-pub const KIND_CHECKPOINT_A: u8 = 4;
-/// Kind byte for a Party B mid-epoch training checkpoint.
-pub const KIND_CHECKPOINT_B: u8 = 5;
+/// Kind byte for a mid-epoch training [`Checkpoint`] of either role.
+pub const KIND_CHECKPOINT: u8 = 4;
 /// Kind byte for a [`GbdtHostModel`] blob (federated forest, host
 /// share).
 pub const KIND_GBDT_HOST: u8 = 7;
@@ -353,98 +354,49 @@ fn read_align(r: &mut Reader) -> PersistResult<Option<AlignCursor>> {
     Ok(Some(AlignCursor { salt, ids }))
 }
 
-/// A Party A mid-epoch checkpoint (kind [`KIND_CHECKPOINT_A`]).
-pub struct CheckpointA {
+/// A mid-epoch training checkpoint (kind [`KIND_CHECKPOINT`]), one
+/// shape for both roles: a guest's holds one cursor and no losses, the
+/// host's one cursor per guest link and its loss curve so far.
+#[derive(Clone, Debug, Default)]
+pub struct Checkpoint {
     /// Epoch the cursor points into.
     pub epoch: u64,
     /// Batches already completed within that epoch.
     pub batch: u64,
-    /// The peer-link determinism cursor.
-    pub link: LinkCursor,
-    /// The PSI alignment cursor, when the run was aligned.
-    pub aligned: Option<AlignCursor>,
-    /// The model half exactly as of `(epoch, batch)`.
-    pub model: PartyAModel,
-}
-
-/// A Party B mid-epoch checkpoint (kind [`KIND_CHECKPOINT_B`]): one
-/// [`LinkCursor`] per guest link, in link order.
-pub struct CheckpointB {
-    /// Epoch the cursor points into.
-    pub epoch: u64,
-    /// Batches already completed within that epoch.
-    pub batch: u64,
-    /// One determinism cursor per guest link, in link order (as many
-    /// as the model has links).
+    /// One determinism cursor per peer link, in link order.
     pub links: Vec<LinkCursor>,
     /// The PSI alignment cursor, when the run was aligned.
     pub aligned: Option<AlignCursor>,
-    /// The loss curve accumulated so far (B is the label holder; the
-    /// resumed run appends to this so the final curve is seamless).
+    /// The loss curve accumulated so far (the label holder's; the
+    /// resumed run appends to it, so the final curve is seamless).
     pub losses: Vec<f64>,
-    /// The model half exactly as of `(epoch, batch)`.
-    pub model: PartyBModel,
+    /// The model half exactly as of `(epoch, batch)`: the complete
+    /// [`export_party_a`] or [`export_party_b`] blob.
+    pub model: Vec<u8>,
 }
 
-/// Serialize a Party A checkpoint:
-/// `align section | epoch u64 | batch u64 | cursor | model state`.
-pub fn export_checkpoint_a(
-    epoch: u64,
-    batch: u64,
-    link: &LinkCursor,
-    aligned: Option<&AlignCursor>,
-    model: &PartyAModel,
-) -> Vec<u8> {
-    encode(KIND_CHECKPOINT_A, |w| {
-        write_align(w, aligned);
-        w.u64(epoch);
-        w.u64(batch);
-        write_cursor(w, link);
-        model.write_state(w);
+/// Serialize a checkpoint: `align section | epoch u64 | batch u64 |
+/// n_links u64 | cursors | n_losses u64 | losses | n_model u64 | model
+/// blob`.
+pub fn export_checkpoint(cp: &Checkpoint) -> Vec<u8> {
+    encode(KIND_CHECKPOINT, |w| {
+        write_align(w, cp.aligned.as_ref());
+        w.u64(cp.epoch);
+        w.u64(cp.batch);
+        w.len(cp.links.len());
+        cp.links.iter().for_each(|c| write_cursor(w, c));
+        w.len(cp.losses.len());
+        w.f64s(&cp.losses);
+        w.len(cp.model.len());
+        w.bytes(&cp.model);
     })
 }
 
-/// Deserialize a [`CheckpointA`], validating every field.
-pub fn import_checkpoint_a(bytes: &[u8]) -> PersistResult<CheckpointA> {
-    decode(bytes, KIND_CHECKPOINT_A, |r| {
-        Ok(CheckpointA {
-            aligned: read_align(r)?,
-            epoch: r.u64()?,
-            batch: r.u64()?,
-            link: read_cursor(r)?,
-            model: PartyAModel::read_state(r)?,
-        })
-    })
-}
-
-/// Serialize a Party B checkpoint:
-/// `align section | epoch u64 | batch u64 | n_links u64 | cursors |
-/// n_losses u64 | losses | model`.
-pub fn export_checkpoint_b(
-    epoch: u64,
-    batch: u64,
-    links: &[LinkCursor],
-    aligned: Option<&AlignCursor>,
-    losses: &[f64],
-    model: &PartyBModel,
-) -> Vec<u8> {
-    encode(KIND_CHECKPOINT_B, |w| {
-        write_align(w, aligned);
-        w.u64(epoch);
-        w.u64(batch);
-        w.len(links.len());
-        links.iter().for_each(|c| write_cursor(w, c));
-        w.len(losses.len());
-        w.f64s(losses);
-        model.write_state(w);
-    })
-}
-
-/// Deserialize a [`CheckpointB`], validating every field — the cursor
-/// count against the embedded model's link count included.
-pub fn import_checkpoint_b(bytes: &[u8]) -> PersistResult<CheckpointB> {
-    decode(bytes, KIND_CHECKPOINT_B, |r| {
-        let cp = CheckpointB {
+/// Deserialize a [`Checkpoint`]. The model blob stays bytes: the
+/// resuming trainer opens it with its role's importer.
+pub fn import_checkpoint(bytes: &[u8]) -> PersistResult<Checkpoint> {
+    decode(bytes, KIND_CHECKPOINT, |r| {
+        Ok(Checkpoint {
             aligned: read_align(r)?,
             epoch: r.u64()?,
             batch: r.u64()?,
@@ -455,16 +407,11 @@ pub fn import_checkpoint_b(bytes: &[u8]) -> PersistResult<CheckpointB> {
                 let n = r.len()?;
                 r.f64s(n)?
             },
-            model: PartyBModel::read_state(r)?,
-        };
-        if cp.links.len() != cp.model.num_links() {
-            return Err(PersistError::Malformed(format!(
-                "checkpoint has {} link cursors but the model has {} links",
-                cp.links.len(),
-                cp.model.num_links()
-            )));
-        }
-        Ok(cp)
+            model: {
+                let n = r.len()?;
+                r.bytes(n)?.to_vec()
+            },
+        })
     })
 }
 
@@ -868,11 +815,10 @@ mod tests {
     /// whatever follows its header.
     fn assert_version_refused(version: u8) {
         type Import = fn(&[u8]) -> Option<PersistError>;
-        let importers: [(u8, Import); 4] = [
+        let importers: [(u8, Import); 3] = [
             (KIND_PARTY_A, |b| import_party_a(b).err()),
             (KIND_PARTY_B, |b| import_party_b(b).err()),
-            (KIND_CHECKPOINT_A, |b| import_checkpoint_a(b).err()),
-            (KIND_CHECKPOINT_B, |b| import_checkpoint_b(b).err()),
+            (KIND_CHECKPOINT, |b| import_checkpoint(b).err()),
         ];
         for (kind, import) in importers {
             let mut old = MAGIC.to_vec();
@@ -897,6 +843,23 @@ mod tests {
         // Version 5 dropped every width the spec fixes, so a version-4
         // layer would read its widths as tensor headers.
         assert_version_refused(4);
+    }
+
+    #[test]
+    fn a_version_5_blob_is_refused_and_kind_5_is_retired() {
+        // Version 6 wrapped the model blob in the one checkpoint kind, so
+        // a version-5 checkpoint would read its model state as a length.
+        assert_version_refused(5);
+        let mut blob = export_checkpoint(&Checkpoint::default());
+        assert!(import_checkpoint(&blob).is_ok());
+        blob[5] = 5;
+        assert_eq!(
+            import_checkpoint(&blob).err(),
+            Some(PersistError::WrongKind {
+                expected: KIND_CHECKPOINT,
+                got: 5
+            })
+        );
     }
 
     /// Hand-build a Party B blob prefix: a non-categorical spec, one

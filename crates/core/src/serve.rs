@@ -380,8 +380,9 @@ pub(crate) fn serve_guest(
     })
 }
 
-/// Validate a request batch's row indices against the store size.
-fn check_rows(rows: &[u32], store_rows: usize) -> TransportResult<Vec<usize>> {
+/// Validate row indices a peer named (a request batch, a tree node)
+/// against the store size: one past it is a [`TransportError::Setup`].
+pub(crate) fn check_rows(rows: &[u32], store_rows: usize) -> TransportResult<Vec<usize>> {
     rows.iter()
         .map(|&r| {
             let i = r as usize;
@@ -389,7 +390,7 @@ fn check_rows(rows: &[u32], store_rows: usize) -> TransportResult<Vec<usize>> {
                 Ok(i)
             } else {
                 Err(TransportError::Setup(format!(
-                    "prediction request for row {i} of a {store_rows}-row store"
+                    "the peer named row {i} of a {store_rows}-row store"
                 )))
             }
         })

@@ -41,7 +41,7 @@
 use bf_mpc::convert::he2ss_peer;
 use bf_mpc::shares::random_mask;
 use bf_mpc::transport::{Msg, TransportError, TransportResult};
-use bf_paillier::{masked_share_product_fits, CtMat, MAX_PACKED_WEIGHT};
+use bf_paillier::{masked_share_product_fits, CtMat, Product, MAX_PACKED_WEIGHT};
 use bf_tensor::{CatBlock, Dense, Features};
 
 use crate::engine::Stage;
@@ -361,14 +361,18 @@ impl EmbedSource {
         // ciphertext chunk per field when packed:
         // ⟦∇E_B⟧_A = ∇Z·U_Bᵀ + ∇Z·⟦V_Bᵀ⟧ and ⟦∇E_A⟧_A = ∇Z·V_Aᵀ + ∇Z·⟦U_Aᵀ⟧
         // (V_A is our piece of A's W).
-        let grad_e = |enc_wt: &CtMat, w: &Dense| {
-            let t = sess
-                .peer_pk
-                .matmul(&Features::Dense(grad_z.clone()), enc_wt);
-            sess.peer_pk.add_plain(&t, &grad_z.matmul_t(w))
+        // A cache A refreshed to a ciphertext that is no unit is a
+        // malformed payload of A's.
+        let x_gz = Features::Dense(grad_z.clone());
+        let grad_e = |enc_wt: &CtMat, w: &Dense| -> TransportResult<CtMat> {
+            let t = sess.peer_pk.product(Product::MatMul {
+                x: &x_gz,
+                w: enc_wt,
+            })?;
+            Ok(sess.peer_pk.add_plain(&t, &grad_z.matmul_t(w)))
         };
-        let grad_e_a = grad_e(enc_u_peer_t, &self.v_peer);
-        let grad_e_ct = grad_e(enc_v_own_t, &self.u_own);
+        let grad_e_a = grad_e(enc_u_peer_t, &self.v_peer)?;
+        let grad_e_ct = grad_e(enc_v_own_t, &self.u_own)?;
         stage.switch(Stage::DecryptUpdate);
 
         // ⟦∇E_A⟧ goes to A, whose table it updates (line 20): HE2SS it,
@@ -444,13 +448,15 @@ impl EmbedSource {
         let ct_gz = recv_upload(sess, rows, &self.enc_v_own)?;
 
         // ∇W_A (line 13): ⟦ψ_Aᵀ∇Z⟧ on the full projection rows, HE2SS.
+        // A ⟦∇Z⟧ that is no unit is a malformed payload of B's.
         stage.switch(Stage::FedEmbed);
         let full_a: Vec<u32> = (0..d_a as u32).collect();
-        let prod = sess
-            .peer_pk
-            .t_matmul_support(&Features::Dense(psi), &ct_gz, &full_a);
+        let phi = sess.he2ss(Product::TMatMulSupport {
+            x: &Features::Dense(psi),
+            g: &ct_gz,
+            support: &full_a,
+        })?;
         stage.switch(Stage::DecryptUpdate);
-        let phi = sess.he2ss(&prod)?;
         // Update U_A by φ and remember the delta for B's ⟦U_A⟧ cache.
         let delta_ua = step_projection(sess, &mut self.u_own, &mut self.vel_u, &phi)?;
 
@@ -458,11 +464,12 @@ impl EmbedSource {
         let d_b = e_peer.cols();
         let full_b: Vec<u32> = (0..d_b as u32).collect();
         stage.switch(Stage::FedEmbed);
-        let prod = sess
-            .peer_pk
-            .t_matmul_support(&Features::Dense(e_peer), &ct_gz, &full_b);
+        let xi = sess.he2ss(Product::TMatMulSupport {
+            x: &Features::Dense(e_peer),
+            g: &ct_gz,
+            support: &full_b,
+        })?;
         stage.switch(Stage::DecryptUpdate);
-        let xi = sess.he2ss(&prod)?;
         let delta_vb = step_projection(sess, &mut self.v_peer, &mut self.vel_v_peer, &xi)?;
 
         // ⟦∇E_A⟧ (line 20), which B computed on the forward-pass weights
@@ -1026,6 +1033,53 @@ mod tests {
     #[test]
     fn backward_b_refuses_a_misshapen_transposed_peer_projection_refresh() {
         assert_refused(|spoil| refresh_against(3, spoil));
+    }
+
+    /// `ct` with every limb zeroed: the geometry is intact, so it
+    /// imports, but no ciphertext of it is a unit mod `n²`.
+    fn non_unit(ct: &CtMat) -> CtMat {
+        use bf_paillier::{export_ctmat, import_ctmat};
+        let head = export_ctmat(&ct.select_rows(&[])).len();
+        let mut bytes = export_ctmat(ct);
+        bytes[head..].fill(0);
+        import_ctmat(&bytes).unwrap()
+    }
+
+    #[test]
+    fn backward_a_refuses_a_non_unit_packed_gradient() {
+        // B's ⟦∇Z⟧ in the honest geometry, but no unit: A's ψᵀ⟦∇Z⟧
+        // product must invert it.
+        let got = forward_pair(
+            |mut sess, mut layer| layer.backward_a(&mut sess),
+            |sess, _| {
+                let ct_gz = Upload::packed(3, OUT, OUT).encrypt(&sess);
+                sess.ep.send(Msg::Ct(non_unit(&ct_gz)))
+            },
+        )
+        .0;
+        assert!(malformed(&got), "{got:?}");
+    }
+
+    #[test]
+    fn backward_b_refuses_non_unit_transposed_projection_caches() {
+        // ⟦U_Aᵀ⟧ or ⟦V_Bᵀ⟧ as A's refreshes could have left it: B's
+        // ∇Z·⟦Wᵀ⟧ product must invert it. A takes ⟦∇Z⟧ and hangs up.
+        for peer in [true, false] {
+            let got = forward_pair(
+                |sess, _| sess.ep.recv_ct().map(drop),
+                move |mut sess, mut layer| {
+                    let cache = if peer {
+                        &mut layer.enc_u_peer_t
+                    } else {
+                        &mut layer.enc_v_own_t
+                    };
+                    *cache = cache.as_ref().map(non_unit);
+                    layer.backward_b(&mut sess, &Dense::from_vec(3, OUT, vec![-0.25; 3 * OUT]))
+                },
+            )
+            .1;
+            assert!(malformed(&got), "peer cache {peer}: {got:?}");
+        }
     }
 
     #[test]

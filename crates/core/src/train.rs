@@ -29,9 +29,15 @@
 //! ([`TrainMode::Pipelined`]) — bit-identical results, less wall-clock
 //! (see [`crate::engine`] for the determinism contract).
 //!
+//! Both roles run one training schedule: the resume point, the batches
+//! a resumed run skips, the cadence [`Checkpoint`] (one record shape for
+//! either role, wrapping the model blob) and the scripted fault are one
+//! copy, so a guest and its host always agree on where a run stands.
+//!
 //! [`train_federated`] ([`run_pair`] around the two entry points) and
 //! [`train_federated_multi`] ([`run_star`] around them) are the
-//! single-machine harnesses. They hand every party the same
+//! single-machine harnesses, returning the parties' own runs
+//! ([`PartyARun`], [`PartyBRun`]). They hand every party the same
 //! [`FedTrainConfig`]; a run whose parties differ in their per-party
 //! fields (`checkpoint`, `fault`, `resume`, `align`) calls the two
 //! entry points from its own [`run_pair`] / [`run_star`] closures, as
@@ -54,7 +60,7 @@ use crate::config::FedConfig;
 use crate::engine::{run_epoch, TrainMode};
 use crate::models::{FedSpec, PartyAModel, PartyBModel};
 use crate::multiparty::run_star;
-use crate::persist::{self, AlignCursor, PersistError};
+use crate::persist::{self, AlignCursor, Checkpoint, PersistError, PersistResult};
 use crate::session::{run_pair, Session};
 
 /// Mid-epoch checkpoint cadence: both parties must configure the same
@@ -106,9 +112,9 @@ pub struct FedTrainConfig {
     /// already aligned. Every party of a run must agree on which it is.
     /// The test split must already be aligned across the parties.
     pub align: Option<AlignInput>,
-    /// Resume: `Some` is this party's latest checkpoint blob (BFMD kind
-    /// 4 for a guest, 5 for a host, as [`CheckpointCadence::path`]
-    /// holds it). The session(s) must be freshly handshaken with the
+    /// Resume: `Some` is this party's latest [`Checkpoint`] blob (BFMD
+    /// kind 4, as [`CheckpointCadence::path`] holds it), with one link
+    /// cursor per session. The session(s) must be freshly handshaken with the
     /// *same* `(cfg, role, seed)` as the original run, so keys and
     /// streams regenerate identically; the run restores the determinism
     /// cursor(s), fast-forwards the batch schedule and lands on the
@@ -214,38 +220,6 @@ fn resolve_alignment(
     }
 }
 
-/// Outcome of a federated training run.
-pub struct FedReport {
-    /// Per-mini-batch training loss (Party B's view).
-    pub losses: Vec<f64>,
-    /// Test logits from the final federated inference pass.
-    pub test_logits: Dense,
-    /// Test metric (AUC for binary, accuracy for multi-class).
-    pub test_metric: f64,
-    /// Wall-clock seconds spent in the training loop.
-    pub train_secs: f64,
-    /// Bytes sent A→B during the whole run.
-    pub bytes_a_to_b: u64,
-    /// Bytes sent B→A during the whole run.
-    pub bytes_b_to_a: u64,
-    /// Party A's `U_A` snapshots per epoch, if requested.
-    pub u_a_snapshots: Vec<Dense>,
-    /// Party B's wall-clock per pipeline stage, `(label, secs)`.
-    pub stage_secs: Vec<(&'static str, f64)>,
-}
-
-/// Everything a two-party federated run returns: the report plus both
-/// trained model halves (shares inspectable via their getters — used by
-/// the privacy experiments).
-pub struct FedOutcome {
-    /// Metrics and curves.
-    pub report: FedReport,
-    /// Party A's trained half.
-    pub party_a: PartyAModel,
-    /// Party B's trained half (includes the top model).
-    pub party_b: PartyBModel,
-}
-
 /// Sequential evaluation batches covering every row (the final short
 /// batch is kept — federated inference handles any batch size).
 fn eval_batches(n: usize, bs: usize) -> Vec<Vec<usize>> {
@@ -260,6 +234,7 @@ fn eval_batches(n: usize, bs: usize) -> Vec<Vec<usize>> {
 /// test split. `lr`/`momentum` are taken from `cfg` (the protocol
 /// applies them inside the secret-shared updates); `tc.base.lr` is
 /// ignored. Both parties get `tc` as it is (see the module docs).
+/// Returns both parties' runs.
 pub fn train_federated(
     spec: &FedSpec,
     cfg: &FedConfig,
@@ -269,32 +244,17 @@ pub fn train_federated(
     test_a: Dataset,
     test_b: Dataset,
     seed: u64,
-) -> FedOutcome {
+) -> (PartyARun, PartyBRun) {
     let spec_a = spec.clone();
     let tc_a = tc.clone();
-
-    let (party_a_res, party_b_res) = run_pair(
+    run_pair(
         cfg,
         seed,
         move |mut sess| {
             run_party_a(&mut sess, &spec_a, &tc_a, &train_a, &test_a).expect("party A transport")
         },
         |mut sess| run_party_b(&mut sess, spec, tc, &train_b, &test_b).expect("party B transport"),
-    );
-    FedOutcome {
-        report: FedReport {
-            losses: party_b_res.losses,
-            test_logits: party_b_res.test_logits,
-            test_metric: party_b_res.test_metric,
-            train_secs: party_b_res.train_secs,
-            bytes_a_to_b: party_a_res.bytes_sent,
-            bytes_b_to_a: party_b_res.bytes_sent_per_link[0],
-            u_a_snapshots: party_a_res.u_a_snapshots,
-            stage_secs: party_b_res.stage_secs,
-        },
-        party_a: party_a_res.model,
-        party_b: party_b_res.model,
-    }
+    )
 }
 
 /// What [`run_party_a`] produces.
@@ -338,121 +298,96 @@ pub struct PartyBRun {
     pub alignment: Option<Alignment>,
 }
 
-/// Party A's side of a full training + federated-inference run: align
-/// first if [`FedTrainConfig::align`] says so, start from
-/// [`FedTrainConfig::resume`] if there is one, train to the end, then
-/// run federated inference over `test`. Works over any transport; a
-/// transport failure aborts the loop cleanly with the error instead of
-/// crashing the process, and a checkpoint whose ciphertext caches are
-/// not under the session's peer key is a [`TransportError::Setup`].
-pub fn run_party_a(
-    sess: &mut Session,
-    spec: &FedSpec,
-    tc: &FedTrainConfig,
-    train: &Dataset,
-    test: &Dataset,
-) -> TransportResult<PartyARun> {
-    let cp = (tc.resume.as_deref().map(persist::import_checkpoint_a))
-        .transpose()
-        .map_err(bad_checkpoint)?;
-    let alignment = resolve_alignment(
-        tc.align.as_ref(),
-        cp.as_ref().map(|cp| cp.aligned.as_ref()),
-        |input| align_guest(sess, &input.ids),
-    )?;
-    let selected = alignment.as_ref().map(|a| a.select(train));
-    let train = selected.as_ref().unwrap_or(train);
-    let (mut model, start_epoch, start_batch) = match cp {
-        Some(cp) => {
-            cp.model.check_caches(sess)?;
-            sess.restore_cursor(&cp.link);
-            (cp.model, cp.epoch, cp.batch)
-        }
-        None => (PartyAModel::init(sess, spec, train)?, 0, 0),
-    };
-    let aligned = alignment.as_ref().map(Alignment::cursor);
-
-    let bpe = BatchIter::new(train.rows(), tc.base.batch_size, 0).batches_per_epoch() as u64;
-    let mut snapshots = Vec::new();
-    let mut global = start_epoch * bpe + start_batch;
-    for epoch in (start_epoch as usize)..tc.base.epochs {
-        let skip = if epoch as u64 == start_epoch {
-            start_batch as usize
-        } else {
-            0
-        };
-        run_epoch(
-            tc.mode,
-            train,
-            tc.base.batch_size,
-            tc.base.seed ^ epoch as u64,
-            skip,
-            |batch| {
-                model.forward(sess, &batch, true)?;
-                model.backward(sess)?;
-                if let Some(cad) = &tc.checkpoint {
-                    if (global + 1).is_multiple_of(cad.every_batches.max(1)) {
-                        let blob = persist::export_checkpoint_a(
-                            epoch as u64,
-                            global % bpe + 1,
-                            &sess.capture_cursor(),
-                            aligned.as_ref(),
-                            &model,
-                        );
-                        write_checkpoint(&cad.path, &blob)?;
-                    }
-                }
-                apply_fault(tc.fault, global, std::iter::once(&sess.ep))?;
-                global += 1;
-                TransportResult::Ok(())
-            },
-        )?;
-        if tc.snapshot_u_a {
-            snapshots.push(model.matmul().u_own().clone());
-        }
-    }
-    // Federated inference over the test split.
-    for idx in eval_batches(test.rows(), tc.base.batch_size) {
-        let batch = test.select(&idx);
-        model.forward(sess, &batch, false)?;
-    }
-    Ok(PartyARun {
-        model,
-        u_a_snapshots: snapshots,
-        bytes_sent: sess.ep.stats().bytes(),
-        stage_secs: sess.stages.snapshot(),
-        alignment,
-    })
+/// What differs between a guest's and the host's training run, over the
+/// party's links (a guest's one session is a one-link slice).
+trait Half: Sized {
+    /// Open the model blob a checkpoint wraps.
+    fn open(blob: &[u8]) -> PersistResult<Self>;
+    /// The model blob a checkpoint wraps.
+    fn blob(&self) -> Vec<u8>;
+    /// A fresh model, jointly initialised over the links.
+    fn fresh(links: &mut [Session], spec: &FedSpec, train: &Dataset) -> TransportResult<Self>;
+    /// Refuse ciphertext caches that are not under the links' peer keys.
+    fn check(&self, links: &[Session]) -> TransportResult<()>;
+    /// This role's half of the PSI phase.
+    fn psi(links: &[Session], input: &AlignInput) -> TransportResult<Alignment>;
+    /// One training batch: the host's loss, nothing on a guest.
+    fn step(&mut self, links: &mut [Session], batch: &Dataset) -> TransportResult<Option<f64>>;
 }
 
-/// Party B's side of a full training + federated-inference run (the
-/// label holder: computes losses, drives the top model, reports the
-/// test metric) over its guest links — `&mut sess` for one guest,
-/// `&mut sessions` (link order) for `M`; each guest runs
-/// [`run_party_a`]. Aligns first if [`FedTrainConfig::align`] says so
-/// (one global intersection, host ∩ every guest) and starts from
-/// [`FedTrainConfig::resume`] if there is one; a checkpoint whose link
-/// count is not the number of sessions supplied, or whose ciphertext
-/// caches are not under the sessions' peer keys, is a
-/// [`TransportError::Setup`], as is an empty slice.
+impl Half for PartyAModel {
+    fn open(blob: &[u8]) -> PersistResult<Self> {
+        persist::import_party_a(blob)
+    }
+    fn blob(&self) -> Vec<u8> {
+        persist::export_party_a(self)
+    }
+    fn fresh(links: &mut [Session], spec: &FedSpec, train: &Dataset) -> TransportResult<Self> {
+        PartyAModel::init(&mut links[0], spec, train)
+    }
+    fn check(&self, links: &[Session]) -> TransportResult<()> {
+        self.check_caches(&links[0])
+    }
+    fn psi(links: &[Session], input: &AlignInput) -> TransportResult<Alignment> {
+        align_guest(&links[0], &input.ids)
+    }
+    fn step(&mut self, links: &mut [Session], batch: &Dataset) -> TransportResult<Option<f64>> {
+        self.forward(&mut links[0], batch, true)?;
+        self.backward(&mut links[0])?;
+        Ok(None)
+    }
+}
+
+impl Half for PartyBModel {
+    fn open(blob: &[u8]) -> PersistResult<Self> {
+        persist::import_party_b(blob)
+    }
+    fn blob(&self) -> Vec<u8> {
+        persist::export_party_b(self)
+    }
+    fn fresh(links: &mut [Session], spec: &FedSpec, train: &Dataset) -> TransportResult<Self> {
+        PartyBModel::init(links, spec, train)
+    }
+    fn check(&self, links: &[Session]) -> TransportResult<()> {
+        self.check_caches(links)
+    }
+    fn psi(links: &[Session], input: &AlignInput) -> TransportResult<Alignment> {
+        align_host(links, input.salt, &input.ids)
+    }
+    fn step(&mut self, links: &mut [Session], batch: &Dataset) -> TransportResult<Option<f64>> {
+        self.train_batch(links, batch).map(Some)
+    }
+}
+
+/// The training run both roles share: align first if
+/// [`FedTrainConfig::align`] says so, start from
+/// [`FedTrainConfig::resume`] if there is one, and train to the end,
+/// writing the cadence checkpoint and then firing the scripted fault
+/// after every batch. `after_epoch` sees the model at each epoch's end.
+/// Returns the model, the loss curve, the alignment and the seconds in
+/// the training loop.
 ///
-/// All links share one stage-time accumulator; every link streams on
-/// its own transport, and in pipelined mode one prefetched batch feeds
-/// them all.
-pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
-    links: &mut L,
+/// A checkpoint whose cursor count is not the number of links, whose
+/// model blob is not this role's, or whose ciphertext caches are not
+/// under the links' peer keys is a [`TransportError::Setup`], as is an
+/// empty slice. All links share one stage-time accumulator: the stage
+/// table reports the process, not one link of it.
+fn train_half<M: Half>(
+    links: &mut [Session],
     spec: &FedSpec,
     tc: &FedTrainConfig,
     train: &Dataset,
-    test: &Dataset,
-) -> TransportResult<PartyBRun> {
-    let links = links.as_mut();
-    if links.is_empty() {
+    mut after_epoch: impl FnMut(&M),
+) -> TransportResult<(M, Vec<f64>, Option<Alignment>, f64)> {
+    let Some((first, rest)) = links.split_first_mut() else {
         return Err(TransportError::Setup(
-            "run_party_b needs at least one guest session (M = 0)".into(),
+            "a training run needs at least one peer session (M = 0)".into(),
         ));
+    };
+    for sess in rest {
+        sess.stages = Arc::clone(&first.stages);
     }
-    let cp = (tc.resume.as_deref().map(persist::import_checkpoint_b))
+    let cp = (tc.resume.as_deref().map(persist::import_checkpoint))
         .transpose()
         .map_err(bad_checkpoint)?;
     if let Some(cp) = cp.as_ref().filter(|cp| cp.links.len() != links.len()) {
@@ -462,28 +397,23 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
             links.len()
         )));
     }
-    // One wall-clock accumulator across every link: the stage table
-    // reports the B process, not one link of it.
-    let stages = Arc::clone(&links[0].stages);
-    for sess in links.iter_mut().skip(1) {
-        sess.stages = Arc::clone(&stages);
-    }
     let alignment = resolve_alignment(
         tc.align.as_ref(),
         cp.as_ref().map(|cp| cp.aligned.as_ref()),
-        |input| align_host(links, input.salt, &input.ids),
+        |input| M::psi(links, input),
     )?;
     let selected = alignment.as_ref().map(|a| a.select(train));
     let train = selected.as_ref().unwrap_or(train);
     let (mut model, mut losses, start_epoch, start_batch) = match cp {
         Some(cp) => {
-            cp.model.check_caches(links)?;
+            let model = M::open(&cp.model).map_err(bad_checkpoint)?;
+            model.check(links)?;
             for (sess, cursor) in links.iter_mut().zip(&cp.links) {
                 sess.restore_cursor(cursor);
             }
-            (cp.model, cp.losses, cp.epoch, cp.batch)
+            (model, cp.losses, cp.epoch, cp.batch)
         }
-        None => (PartyBModel::init(links, spec, train)?, Vec::new(), 0, 0),
+        None => (M::fresh(links, spec, train)?, Vec::new(), 0, 0),
     };
     let aligned = alignment.as_ref().map(Alignment::cursor);
 
@@ -504,18 +434,17 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
             tc.base.seed ^ epoch as u64,
             skip,
             |batch| {
-                losses.push(model.train_batch(links, &batch)?);
+                losses.extend(model.step(links, &batch)?);
                 if let Some(cad) = &tc.checkpoint {
                     if (global + 1).is_multiple_of(cad.every_batches.max(1)) {
-                        let cursors: Vec<_> = links.iter().map(Session::capture_cursor).collect();
-                        let blob = persist::export_checkpoint_b(
-                            epoch as u64,
-                            global % bpe + 1,
-                            &cursors,
-                            aligned.as_ref(),
-                            &losses,
-                            &model,
-                        );
+                        let blob = persist::export_checkpoint(&Checkpoint {
+                            epoch: epoch as u64,
+                            batch: global % bpe + 1,
+                            links: links.iter().map(Session::capture_cursor).collect(),
+                            aligned: aligned.clone(),
+                            losses: losses.clone(),
+                            model: model.blob(),
+                        });
                         write_checkpoint(&cad.path, &blob)?;
                     }
                 }
@@ -524,28 +453,74 @@ pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
                 TransportResult::Ok(())
             },
         )?;
+        after_epoch(&model);
     }
     sw.stop();
+    Ok((model, losses, alignment, sw.secs()))
+}
 
-    // Federated inference.
-    let mut logit_rows: Vec<f64> = Vec::new();
-    let out = model.out_dim();
+/// Party A's side of a full training + federated-inference run: the
+/// shared training run over its one session, then federated inference
+/// over `test`. Works over any transport; a transport failure aborts the
+/// loop cleanly with the error instead of crashing the process.
+pub fn run_party_a(
+    sess: &mut Session,
+    spec: &FedSpec,
+    tc: &FedTrainConfig,
+    train: &Dataset,
+    test: &Dataset,
+) -> TransportResult<PartyARun> {
+    let mut u_a_snapshots = Vec::new();
+    let links = std::slice::from_mut(sess);
+    let (mut model, _, alignment, _) = train_half(links, spec, tc, train, |m: &PartyAModel| {
+        if tc.snapshot_u_a {
+            u_a_snapshots.push(m.matmul().u_own().clone());
+        }
+    })?;
     for idx in eval_batches(test.rows(), tc.base.batch_size) {
-        let batch = test.select(&idx);
-        let logits = model.predict_batch(links, &batch)?;
+        model.forward(sess, &test.select(&idx), false)?;
+    }
+    Ok(PartyARun {
+        model,
+        u_a_snapshots,
+        bytes_sent: sess.ep.stats().bytes(),
+        stage_secs: sess.stages.snapshot(),
+        alignment,
+    })
+}
+
+/// Party B's side of a full training + federated-inference run (the
+/// label holder: computes losses, drives the top model, reports the
+/// test metric) over its guest links — `&mut sess` for one guest,
+/// `&mut sessions` (link order) for `M`; each guest runs
+/// [`run_party_a`], and both run the same training schedule. Every link
+/// streams on its own transport, and in pipelined mode one prefetched
+/// batch feeds them all.
+pub fn run_party_b<L: AsMut<[Session]> + ?Sized>(
+    links: &mut L,
+    spec: &FedSpec,
+    tc: &FedTrainConfig,
+    train: &Dataset,
+    test: &Dataset,
+) -> TransportResult<PartyBRun> {
+    let links = links.as_mut();
+    let (mut model, losses, alignment, train_secs) =
+        train_half(links, spec, tc, train, |_: &PartyBModel| {})?;
+    let mut logit_rows: Vec<f64> = Vec::new();
+    for idx in eval_batches(test.rows(), tc.base.batch_size) {
+        let logits = model.predict_batch(links, &test.select(&idx))?;
         logit_rows.extend_from_slice(logits.data());
     }
-    let test_logits = Dense::from_vec(test.rows(), out, logit_rows);
+    let test_logits = Dense::from_vec(test.rows(), model.out_dim(), logit_rows);
     let labels = test.labels.as_ref().expect("test labels at Party B");
-    let metric = metric_from_logits(&test_logits, labels);
     Ok(PartyBRun {
+        test_metric: metric_from_logits(&test_logits, labels),
         model,
         losses,
         test_logits,
-        test_metric: metric,
-        train_secs: sw.secs(),
+        train_secs,
         bytes_sent_per_link: links.iter().map(|s| s.ep.stats().bytes()).collect(),
-        stage_secs: stages.snapshot(),
+        stage_secs: links[0].stages.snapshot(),
         alignment,
     })
 }
@@ -656,7 +631,7 @@ mod tests {
             test_v.party_b.clone(),
             7,
         );
-        let fed_auc = outcome.report.test_metric;
+        let fed_auc = outcome.1.test_metric;
 
         // NonFed-Party B baseline.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -674,12 +649,12 @@ mod tests {
             pb_report.test_metric
         );
         // Every loss is finite, and the loss decreased.
-        let l = &outcome.report.losses;
+        let l = &outcome.1.losses;
         assert!(l.iter().all(|l| l.is_finite()), "non-finite loss: {l:?}");
         assert!(l.last().unwrap() < &l[0]);
         // Traffic was recorded in both directions.
-        assert!(outcome.report.bytes_a_to_b > 0);
-        assert!(outcome.report.bytes_b_to_a > 0);
+        assert!(outcome.0.bytes_sent > 0);
+        assert!(outcome.1.bytes_sent_per_link[0] > 0);
     }
 
     #[test]
@@ -724,18 +699,21 @@ mod tests {
             test_v.party_b.clone(),
             seed,
         );
-        assert_eq!(two.report.losses, multi.losses);
-        assert_eq!(two.report.test_metric, multi.test_metric);
-        assert_eq!(multi.bytes_sent_per_link, vec![two.report.bytes_b_to_a]);
+        assert_eq!(two.1.losses, multi.losses);
+        assert_eq!(two.1.test_metric, multi.test_metric);
+        assert_eq!(
+            multi.bytes_sent_per_link,
+            vec![two.1.bytes_sent_per_link[0]]
+        );
         let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
-        assert_eq!(guests[0].bytes_sent, two.report.bytes_a_to_b + hello);
+        assert_eq!(guests[0].bytes_sent, two.0.bytes_sent + hello);
         // The trained shares agree too, on both sides of the link.
-        let mm_two = two.party_b.matmul();
+        let mm_two = two.1.model.matmul();
         let mm_multi = multi.model.matmul();
         assert_eq!(mm_two.u_own().data(), mm_multi.u_own().data());
         assert_eq!(mm_two.v_peer().data(), mm_multi.v_peer_of(0).data());
         assert_eq!(
-            two.party_a.matmul().u_own().data(),
+            two.0.model.matmul().u_own().data(),
             guests[0].model.matmul().u_own().data()
         );
     }
@@ -775,20 +753,12 @@ mod tests {
         };
         let sync = run(crate::engine::TrainMode::Sync);
         let pipe = run(crate::engine::TrainMode::pipelined());
-        assert_eq!(sync.report.losses, pipe.report.losses);
-        assert_eq!(sync.report.test_metric, pipe.report.test_metric);
-        assert_eq!(sync.report.bytes_a_to_b, pipe.report.bytes_a_to_b);
-        assert_eq!(sync.report.bytes_b_to_a, pipe.report.bytes_b_to_a);
-        assert_eq!(
-            sync.report.u_a_snapshots.len(),
-            pipe.report.u_a_snapshots.len()
-        );
-        for (s, p) in sync
-            .report
-            .u_a_snapshots
-            .iter()
-            .zip(&pipe.report.u_a_snapshots)
-        {
+        assert_eq!(sync.1.losses, pipe.1.losses);
+        assert_eq!(sync.1.test_metric, pipe.1.test_metric);
+        assert_eq!(sync.0.bytes_sent, pipe.0.bytes_sent);
+        assert_eq!(sync.1.bytes_sent_per_link[0], pipe.1.bytes_sent_per_link[0]);
+        assert_eq!(sync.0.u_a_snapshots.len(), pipe.0.u_a_snapshots.len());
+        for (s, p) in sync.0.u_a_snapshots.iter().zip(&pipe.0.u_a_snapshots) {
             assert_eq!(s.data(), p.data());
         }
     }
@@ -830,28 +800,32 @@ mod tests {
         // Zero-epoch run captures the federated initialisation.
         let init = run(0);
         let w_a0 = init
-            .party_a
+            .0
+            .model
             .matmul()
             .u_own()
-            .add(init.party_b.matmul().v_peer());
+            .add(init.1.model.matmul().v_peer());
         let w_b0 = init
-            .party_b
+            .1
+            .model
             .matmul()
             .u_own()
-            .add(init.party_a.matmul().v_peer());
+            .add(init.0.model.matmul().v_peer());
 
         let epochs = 6;
         let outcome = run(epochs);
         let w_a1 = outcome
-            .party_a
+            .0
+            .model
             .matmul()
             .u_own()
-            .add(outcome.party_b.matmul().v_peer());
+            .add(outcome.1.model.matmul().v_peer());
         let w_b1 = outcome
-            .party_b
+            .1
+            .model
             .matmul()
             .u_own()
-            .add(outcome.party_a.matmul().v_peer());
+            .add(outcome.0.model.matmul().v_peer());
 
         // Plaintext twin on the collocated data: W = [W_A ; W_B].
         let mut w0_rows: Vec<f64> = w_a0.data().to_vec();
@@ -880,7 +854,7 @@ mod tests {
             w_b1.sub(&w_col_b).max_abs()
         );
         // Metrics equal.
-        let gap = (outcome.report.test_metric - col_report.test_metric).abs();
+        let gap = (outcome.1.test_metric - col_report.test_metric).abs();
         assert!(gap < 1e-6, "metric gap {gap}");
     }
 
@@ -920,13 +894,9 @@ mod tests {
         // Smoke test for protocol mechanics at tiny scale: the metric is
         // a sanity bound, not a quality claim (losslessness is verified
         // exactly elsewhere).
-        assert!(outcome.report.test_metric.is_finite());
-        assert!(
-            outcome.report.test_metric > 0.3,
-            "AUC {}",
-            outcome.report.test_metric
-        );
-        assert_eq!(outcome.report.u_a_snapshots.len(), 2);
-        assert!(outcome.party_a.embed().is_some());
+        assert!(outcome.1.test_metric.is_finite());
+        assert!(outcome.1.test_metric > 0.3, "AUC {}", outcome.1.test_metric);
+        assert_eq!(outcome.0.u_a_snapshots.len(), 2);
+        assert!(outcome.0.model.embed().is_some());
     }
 }

@@ -94,7 +94,7 @@ use crate::config::FedConfig;
 use crate::engine::{Stage, StageTimes};
 use crate::multiparty::run_star;
 use crate::serve::{
-    serve_guest, serve_host, RequestQueue, ServeConfig, ServeGuestReport, ServeReport,
+    check_rows, serve_guest, serve_host, RequestQueue, ServeConfig, ServeGuestReport, ServeReport,
 };
 use crate::session::Session;
 
@@ -134,24 +134,17 @@ impl GbdtGuestModel {
     /// feature store, dense): bit `record · rows.len() + p` says row
     /// `rows[p]` satisfies record's predicate.
     pub fn routing_bits(&self, vals: &Dense, rows: &[u32]) -> TransportResult<Msg> {
+        let idx = check_rows(rows, vals.rows())?;
         let mut bools = Vec::with_capacity(self.records.len() * rows.len());
         for rec in &self.records {
-            if rec.feature as usize >= vals.cols() {
+            let f = rec.feature as usize;
+            if f >= vals.cols() {
                 return Err(TransportError::Setup(format!(
-                    "split record references feature {} of a {}-column store",
-                    rec.feature,
+                    "split record references feature {f} of a {}-column store",
                     vals.cols()
                 )));
             }
-            for &r in rows {
-                if r as usize >= vals.rows() {
-                    return Err(TransportError::Setup(format!(
-                        "prediction request for row {r} of a {}-row store",
-                        vals.rows()
-                    )));
-                }
-                bools.push(vals.get(r as usize, rec.feature as usize) <= rec.threshold);
-            }
+            bools.extend(idx.iter().map(|&r| vals.get(r, f) <= rec.threshold));
         }
         Ok(Msg::GbBits {
             rows: rows.len() as u64,
@@ -178,10 +171,24 @@ pub struct GbdtHostModel {
     pub base_score: f64,
 }
 
-/// Who owns a global feature index.
+/// Who owns a global feature index, and its index there.
 enum Owner {
-    Guest { link: usize },
+    Guest { link: usize, feature: usize },
     Host { feature: usize },
+}
+
+/// Resolve a global feature index against the layout every forest
+/// shares: each guest link's `guest_widths` features in link order, the
+/// host's last.
+fn owner(guest_widths: &[usize], global: u32) -> Owner {
+    let mut f = global as usize;
+    for (link, &w) in guest_widths.iter().enumerate() {
+        if f < w {
+            return Owner::Guest { link, feature: f };
+        }
+        f -= w;
+    }
+    Owner::Host { feature: f }
 }
 
 /// `map[tree][node] = Some((link, record))` for guest-owned split
@@ -189,17 +196,6 @@ enum Owner {
 type RecordMap = (Vec<Vec<Option<(usize, usize)>>>, Vec<usize>);
 
 impl GbdtHostModel {
-    fn owner(&self, global: u32) -> Owner {
-        let mut f = global as usize;
-        for (link, &w) in self.guest_widths.iter().enumerate() {
-            if f < w {
-                return Owner::Guest { link };
-            }
-            f -= w;
-        }
-        Owner::Host { feature: f }
-    }
-
     /// Per-link record ids of every guest-owned split node, derived by
     /// walking trees and nodes in index order — the exact order the
     /// host committed splits during training, hence the order each
@@ -213,7 +209,7 @@ impl GbdtHostModel {
             let mut per_node = Vec::with_capacity(tree.nodes.len());
             for node in &tree.nodes {
                 per_node.push(match node {
-                    Node::Split { feature, .. } => match self.owner(*feature) {
+                    Node::Split { feature, .. } => match owner(&self.guest_widths, *feature) {
                         Owner::Guest { link, .. } => {
                             let id = counts[link];
                             counts[link] += 1;
@@ -293,7 +289,9 @@ pub fn predict_gbdt_host(
                                 bit_at(&link_bits[link], record * rows.len() + p)
                             }
                             None => {
-                                let Owner::Host { feature: hf } = model.owner(*feature) else {
+                                let Owner::Host { feature: hf } =
+                                    owner(&model.guest_widths, *feature)
+                                else {
                                     unreachable!("record map covers every guest split");
                                 };
                                 host_vals.get(row as usize, hf)
@@ -356,7 +354,6 @@ struct HostOracle<'a> {
     host_buckets: &'a FeatureBuckets,
     host_offsets: Vec<usize>,
     host_total: usize,
-    guest_width_sum: usize,
     gq: &'a [i64],
     hq: &'a [i64],
     frac_bits: u32,
@@ -411,36 +408,29 @@ impl SplitOracle for HostOracle<'_> {
     }
 
     fn route_left(&mut self, feature: u32, bucket: u32, rows: &[u32]) -> TransportResult<Vec<u32>> {
-        let mut f = feature as usize;
-        // Resolve ownership against the global feature layout
-        // (guest links in order, host last).
-        if f < self.guest_width_sum {
-            let mut link = 0usize;
-            let mut local = f;
-            while local >= self.link_widths[link] {
-                local -= self.link_widths[link];
-                link += 1;
+        match owner(&self.link_widths, feature) {
+            Owner::Guest { link, feature } => {
+                let sess = &self.sessions[link];
+                sess.ep.send(Msg::U64(OP_SPLIT))?;
+                sess.ep.send(Msg::GbSplit {
+                    feature: feature as u32,
+                    bucket,
+                })?;
+                sess.ep.send(Msg::Support(rows.to_vec()))?;
+                let left = sess.ep.recv_support()?;
+                validate_subset(&left, rows).map_err(|why| {
+                    TransportError::Setup(format!("guest {link} routing reply {why}"))
+                })?;
+                Ok(left)
             }
-            let sess = &self.sessions[link];
-            sess.ep.send(Msg::U64(OP_SPLIT))?;
-            sess.ep.send(Msg::GbSplit {
-                feature: local as u32,
-                bucket,
-            })?;
-            sess.ep.send(Msg::Support(rows.to_vec()))?;
-            let left = sess.ep.recv_support()?;
-            validate_subset(&left, rows).map_err(|why| {
-                TransportError::Setup(format!("guest {link} routing reply {why}"))
-            })?;
-            Ok(left)
-        } else {
-            f -= self.guest_width_sum;
-            let col = &self.host_buckets.ids[f];
-            Ok(rows
-                .iter()
-                .copied()
-                .filter(|&r| col[r as usize] as u32 <= bucket)
-                .collect())
+            Owner::Host { feature } => {
+                let col = &self.host_buckets.ids[feature];
+                Ok(rows
+                    .iter()
+                    .copied()
+                    .filter(|&r| col[r as usize] as u32 <= bucket)
+                    .collect())
+            }
         }
     }
 }
@@ -536,7 +526,6 @@ pub fn run_gbdt_host(
         guest_nbuckets.push(counts.into_iter().map(|c| c as usize).collect());
     }
     let link_widths: Vec<usize> = guest_nbuckets.iter().map(|c| c.len()).collect();
-    let guest_width_sum: usize = link_widths.iter().sum();
     let guest_totals: Vec<usize> = guest_nbuckets.iter().map(|c| c.iter().sum()).collect();
 
     // Host's own feature grid (guests-first global order, host last).
@@ -589,7 +578,6 @@ pub fn run_gbdt_host(
             host_buckets: &host_buckets,
             host_offsets: host_offsets.clone(),
             host_total,
-            guest_width_sum,
             gq: &gq,
             hq: &hq,
             frac_bits: params.frac_bits,
@@ -683,7 +671,7 @@ pub fn run_gbdt_guest(
             OP_NEW_TREE => gh = Some(crate::source::recv_upload(sess, n, &gh_like)?),
             OP_HIST => {
                 let rows = sess.ep.recv_support()?;
-                let idx = check_node_rows(&rows, n)?;
+                let idx = check_rows(&rows, n)?;
                 let gh = gh.as_ref().ok_or_else(|| {
                     TransportError::Setup("OP_HIST before any OP_NEW_TREE".into())
                 })?;
@@ -702,7 +690,7 @@ pub fn run_gbdt_guest(
             OP_SPLIT => {
                 let (feature, bucket) = sess.ep.recv_gb_split()?;
                 let rows = sess.ep.recv_support()?;
-                check_node_rows(&rows, n)?;
+                check_rows(&rows, n)?;
                 let f = feature as usize;
                 if f >= buckets.ids.len() || bucket as usize >= buckets.edges[f].len() {
                     return Err(TransportError::Setup(format!(
@@ -738,22 +726,6 @@ pub fn run_gbdt_guest(
         bytes_sent: sess.ep.stats().bytes() - bytes_base,
         stage_secs: sess.stages.snapshot(),
     })
-}
-
-/// Validate node-row indices against the store size.
-fn check_node_rows(rows: &[u32], n: usize) -> TransportResult<Vec<usize>> {
-    rows.iter()
-        .map(|&r| {
-            let i = r as usize;
-            if i < n {
-                Ok(i)
-            } else {
-                Err(TransportError::Setup(format!(
-                    "node references row {i} of a {n}-row store"
-                )))
-            }
-        })
-        .collect()
 }
 
 /// Guest serving loop for a trained forest: answer routing bitmaps
@@ -794,20 +766,12 @@ pub fn serve_gbdt_host(
     })
 }
 
-/// Everything a federated boosting run produced, both sides.
-#[derive(Debug)]
-pub struct GbdtFedOutcome {
-    /// The host's run (model share, losses, timing, per-link traffic).
-    pub host: GbdtHostRun,
-    /// Guest runs in link order.
-    pub guests: Vec<GbdtGuestRun>,
-}
-
 /// In-process federated training harness: [`run_star`] with
 /// [`run_gbdt_guest`] on every guest and [`run_gbdt_host`] on the host.
 /// `guests` are the guest feature slices in link order; `host_store`
-/// has the labels (and the host's feature slice). A deployment opens
-/// its links with [`crate::multiparty::join_host`] /
+/// has the labels (and the host's feature slice). Returns every guest's
+/// run, in link order, and the host's. A deployment opens its links with
+/// [`crate::multiparty::join_host`] /
 /// [`crate::multiparty::accept_guests`] and calls the same two entry
 /// points.
 ///
@@ -821,15 +785,14 @@ pub fn train_gbdt(
     guests: Vec<Dataset>,
     host_store: &Dataset,
     seed: u64,
-) -> GbdtFedOutcome {
-    let (guests, host) = run_star(
+) -> (Vec<GbdtGuestRun>, GbdtHostRun) {
+    run_star(
         cfg,
         seed,
         guests,
         |store, mut sess| run_gbdt_guest(&mut sess, &store, params).expect("guest transport"),
         |mut sessions| run_gbdt_host(&mut sessions, host_store, params).expect("host transport"),
-    );
-    GbdtFedOutcome { host, guests }
+    )
 }
 
 /// The guest's reply to `OP_HIST`: the `(Σg, Σh)` histogram
@@ -920,10 +883,10 @@ mod tests {
         let p = params(&cfg);
         let ds = generate_tree(3, 4, 5);
         let split = vsplit_multi(&ds, 1);
-        let fed = train_gbdt(&cfg, &p, split.guests, &split.party_b, 7);
+        let (_, host) = train_gbdt(&cfg, &p, split.guests, &split.party_b, 7);
         let (twin, losses) = CollocatedGbdt::train(&ds, &p);
-        assert_eq!(fed.host.model.trees, twin.trees);
-        assert_eq!(fed.host.losses, losses);
+        assert_eq!(host.model.trees, twin.trees);
+        assert_eq!(host.losses, losses);
 
         let split = vsplit_multi(&generate_tree(4, 4, 5), 1);
         let (guest, host) = crate::session::run_pair(
@@ -948,23 +911,23 @@ mod tests {
     fn stage_timers_stay_inside_the_trees_they_time() {
         let cfg = folding_cfg();
         let split = vsplit_multi(&generate_tree(48, 6, 13), 2);
-        let fed = train_gbdt(&cfg, &params(&cfg), split.guests, &split.party_b, 41);
-        let trees: f64 = fed.host.tree_secs.iter().sum();
+        let (guests, host) = train_gbdt(&cfg, &params(&cfg), split.guests, &split.party_b, 41);
+        let trees: f64 = host.tree_secs.iter().sum();
         let of = |stages: &[(&str, f64)], stage: Stage| {
             let (_, secs) = stages.iter().find(|(l, _)| *l == stage.label()).unwrap();
             *secs
         };
-        let upload = of(&fed.host.stage_secs, Stage::EncryptUpload);
-        let decrypt = of(&fed.host.stage_secs, Stage::DecryptUpdate);
+        let upload = of(&host.stage_secs, Stage::EncryptUpload);
+        let decrypt = of(&host.stage_secs, Stage::DecryptUpdate);
         assert!(upload > 0.0 && decrypt > 0.0);
         // Non-overlapping scopes on the host thread, all inside a tree.
-        let booked: f64 = fed.host.stage_secs.iter().map(|(_, s)| s).sum();
-        assert_eq!(booked, upload + decrypt, "{:?}", fed.host.stage_secs);
+        let booked: f64 = host.stage_secs.iter().map(|(_, s)| s).sum();
+        assert_eq!(booked, upload + decrypt, "{:?}", host.stage_secs);
         assert!(
             booked <= trees,
             "{booked} s of stages in {trees} s of trees"
         );
-        for g in &fed.guests {
+        for g in &guests {
             let kernel = of(&g.stage_secs, Stage::FedMatmul);
             assert!(kernel > 0.0 && kernel <= trees);
             assert_eq!(g.stage_secs.iter().map(|(_, s)| s).sum::<f64>(), kernel);

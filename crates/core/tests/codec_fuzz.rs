@@ -1,7 +1,7 @@
 //! One fuzz battery over every decoder of untrusted bytes: the
 //! `bf_util::codec::Reader` primitives, every binary wire kind, the
 //! text `Key` (under a contract of its own, see `key_wire`) and every
-//! BFMD kind (1, 2, 4, 5, 7, 8).
+//! BFMD kind (1, 2, 4, 7, 8).
 //!
 //! Each kind starts from one valid encoding. Every truncation, a flip of
 //! every byte, and an extreme `u64` written at every offset must end in
@@ -263,8 +263,9 @@ fn toy_data(rows: usize, num_dim: usize, vocabs: &[u32], seed: u64, labelled: bo
     }
 }
 
-/// BFMD kinds 1, 2, 4 and 5 from a trained WDL pair (both source
-/// layers and a deep tower), kinds 7 and 8 from a hand-built forest.
+/// BFMD kinds 1, 2 and 4 (a checkpoint of each role) from a trained WDL
+/// pair (both source layers and a deep tower), kinds 7 and 8 from a
+/// hand-built forest.
 fn bfmd_targets() -> Vec<Target> {
     let spec = FedSpec::Wdl {
         emb_dim: 2,
@@ -290,19 +291,31 @@ fn bfmd_targets() -> Vec<Target> {
             let mut model = PartyAModel::init(&mut sess, &spec, &data).unwrap();
             model.forward(&mut sess, &data, true).unwrap();
             model.backward(&mut sess).unwrap();
-            (
-                export_party_a(&model),
-                export_checkpoint_a(1, 2, &cursor, Some(&aligned), &model),
-            )
+            let blob = export_party_a(&model);
+            let cp = export_checkpoint(&Checkpoint {
+                epoch: 1,
+                batch: 2,
+                links: vec![cursor],
+                aligned: Some(aligned),
+                losses: Vec::new(),
+                model: blob.clone(),
+            });
+            (blob, cp)
         },
         move |mut sess| {
             let data = toy_data(4, 1, &[2], 2, true);
             let mut model = PartyBModel::init(&mut sess, &spec_b, &data).unwrap();
             model.train_batch(&mut sess, &data).unwrap();
-            (
-                export_party_b(&model),
-                export_checkpoint_b(0, 1, &[cursor], None, &[0.5, 0.25], &model),
-            )
+            let blob = export_party_b(&model);
+            let cp = export_checkpoint(&Checkpoint {
+                epoch: 0,
+                batch: 1,
+                links: vec![cursor],
+                aligned: None,
+                losses: vec![0.5, 0.25],
+                model: blob.clone(),
+            });
+            (blob, cp)
         },
     );
     let host = GbdtHostModel {
@@ -347,20 +360,22 @@ fn bfmd_targets() -> Vec<Target> {
             },
         ],
     };
-    let ckpt_a: Reencode = bfmd!(import_checkpoint_a, |c: &CheckpointA| {
-        export_checkpoint_a(c.epoch, c.batch, &c.link, c.aligned.as_ref(), &c.model)
-    });
-    let ckpt_b: Reencode = bfmd!(import_checkpoint_b, |c: &CheckpointB| {
-        let CheckpointB {
-            epoch,
-            batch,
-            links,
-            aligned,
-            losses,
-            model,
-        } = c;
-        export_checkpoint_b(*epoch, *batch, links, aligned.as_ref(), losses, model)
-    });
+    // A checkpoint decodes as a resume opens it: the record, then the
+    // model blob it wraps through the role's importer.
+    let ckpt_a: Reencode = bfmd!(
+        |b| import_checkpoint(b).and_then(|c| Ok((import_party_a(&c.model)?, c))),
+        |(m, c): &(PartyAModel, Checkpoint)| export_checkpoint(&Checkpoint {
+            model: export_party_a(m),
+            ..c.clone()
+        })
+    );
+    let ckpt_b: Reencode = bfmd!(
+        |b| import_checkpoint(b).and_then(|c| Ok((import_party_b(&c.model)?, c))),
+        |(m, c): &(PartyBModel, Checkpoint)| export_checkpoint(&Checkpoint {
+            model: export_party_b(m),
+            ..c.clone()
+        })
+    );
     vec![
         Target {
             name: "BFMD 1 (guest model)",
@@ -378,7 +393,7 @@ fn bfmd_targets() -> Vec<Target> {
             reencode: ckpt_a,
         },
         Target {
-            name: "BFMD 5 (host checkpoint)",
+            name: "BFMD 4 (host checkpoint)",
             bytes: b.1,
             reencode: ckpt_b,
         },

@@ -9,10 +9,11 @@
 //!    model halves through bytes mid-run produces the *exact* loss
 //!    curve of the uninterrupted run: the blobs capture every piece,
 //!    momentum buffer and ciphertext cache the optimizer needs.
-//! 3. **One kind per role** (format `VERSION` 3) — `M ∈ {1, 2}`, with
-//!    and without the alignment section, go through the same host
-//!    kinds; the retired kind bytes (3, 6, 9, 10, 11) and `VERSION` 2
-//!    are typed errors at every importer.
+//! 3. **One kind per role** (format `VERSION` 3) and one checkpoint
+//!    kind for both (`VERSION` 6) — `M ∈ {1, 2}`, with and without the
+//!    alignment section, go through the same host kinds; the retired
+//!    kind bytes (3, 5, 6, 9, 10, 11) and `VERSION` 2 are typed errors
+//!    at every importer.
 
 use bf_ml::data::{BatchIter, Dataset, Labels};
 use bf_tensor::Features;
@@ -20,8 +21,8 @@ use blindfl::config::FedConfig;
 use blindfl::models::{FedSpec, PartyAModel, PartyBModel};
 use blindfl::multiparty::run_star;
 use blindfl::persist::{
-    export_checkpoint_a, export_checkpoint_b, export_party_a, export_party_b, import_checkpoint_a,
-    import_checkpoint_b, import_party_a, import_party_b, AlignCursor, LinkCursor, PersistError,
+    export_checkpoint, export_party_a, export_party_b, import_checkpoint, import_party_a,
+    import_party_b, AlignCursor, Checkpoint, LinkCursor, PersistError,
 };
 use blindfl::session::run_pair;
 use proptest::prelude::*;
@@ -367,7 +368,7 @@ fn with_kind(blob: &[u8], kind: u8) -> Vec<u8> {
     out
 }
 
-/// Mid-epoch checkpoint blobs (BFMD kinds 4–5) obey the same
+/// Mid-epoch checkpoint blobs (BFMD kind 4, either role) obey the same
 /// contracts as the model kinds: byte-exact round trip over arbitrary
 /// shapes and cursors, typed rejection of truncation, trailing
 /// garbage, header corruption, and cross-kind confusion.
@@ -386,6 +387,25 @@ mod checkpoints {
             obf_drawn: rng.random(),
             bytes_sent: rng.random(),
             msgs_sent: rng.random(),
+        }
+    }
+
+    /// A checkpoint at `(epoch, batch)` wrapping the model blob `model`.
+    fn record(
+        epoch: u64,
+        batch: u64,
+        links: &[LinkCursor],
+        aligned: Option<&AlignCursor>,
+        losses: &[f64],
+        model: &[u8],
+    ) -> Checkpoint {
+        Checkpoint {
+            epoch,
+            batch,
+            links: links.to_vec(),
+            aligned: aligned.cloned(),
+            losses: losses.to_vec(),
+            model: model.to_vec(),
         }
     }
 
@@ -412,82 +432,59 @@ mod checkpoints {
             let data_b = toy_data(rows, in_b, &[], seed * 3 + 2, 1);
             let (bytes_a, bytes_b) =
                 train_and_export(&cfg, &spec, data_a, data_b, vec![(0..rows).collect()], seed);
-            let model_a = import_party_a(&bytes_a).unwrap();
-            let model_b = import_party_b(&bytes_b).unwrap();
 
-            let cp_a = export_checkpoint_a(epoch, batch, &cur, None, &model_a);
-            let cp_b = export_checkpoint_b(epoch, batch, &[cur], None, &losses, &model_b);
+            // A guest's record: one cursor, no losses; the host's: its curve.
+            let cp_a = export_checkpoint(&record(epoch, batch, &[cur], None, &[], &bytes_a));
+            let cp_b = export_checkpoint(&record(epoch, batch, &[cur], None, &losses, &bytes_b));
 
-            // Byte-exact round trip, cursor included.
-            let back_a = import_checkpoint_a(&cp_a).unwrap();
-            prop_assert_eq!((back_a.epoch, back_a.batch, back_a.link), (epoch, batch, cur));
-            prop_assert_eq!(export_checkpoint_a(back_a.epoch, back_a.batch, &back_a.link, back_a.aligned.as_ref(), &back_a.model), cp_a.clone());
-            let back_b = import_checkpoint_b(&cp_b).unwrap();
+            // Byte-exact round trip, cursor and wrapped model included.
+            let back_a = import_checkpoint(&cp_a).unwrap();
+            prop_assert_eq!((back_a.epoch, back_a.batch, back_a.links.clone()), (epoch, batch, vec![cur]));
+            prop_assert_eq!(export_party_a(&import_party_a(&back_a.model).unwrap()), bytes_a.clone());
+            prop_assert_eq!(export_checkpoint(&back_a), cp_a.clone());
+            let back_b = import_checkpoint(&cp_b).unwrap();
             prop_assert_eq!((back_b.epoch, back_b.batch, back_b.links.clone()), (epoch, batch, vec![cur]));
             prop_assert_eq!(back_b.losses.len(), losses.len());
-            prop_assert_eq!(
-                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.links, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
-                cp_b.clone()
-            );
+            prop_assert_eq!(export_checkpoint(&back_b), cp_b.clone());
 
             // Every proper prefix is a typed error, never a panic.
             for cut in 0..cp_a.len() {
-                prop_assert!(import_checkpoint_a(&cp_a[..cut]).is_err(), "prefix {}", cut);
+                prop_assert!(import_checkpoint(&cp_a[..cut]).is_err(), "prefix {}", cut);
             }
             // Trailing garbage is rejected (self-delimiting payload).
             let mut padded = cp_b.clone();
             padded.push(0);
-            prop_assert!(import_checkpoint_b(&padded).is_err());
+            prop_assert!(import_checkpoint(&padded).is_err());
 
             // Cross-kind confusion is a typed error in every direction:
-            // between the checkpoint kinds, and against the pre-v7 model
-            // kinds (old decoders reject the new kinds and vice versa).
-            prop_assert!(import_checkpoint_b(&cp_a).is_err());
-            prop_assert!(import_checkpoint_a(&cp_b).is_err());
-            prop_assert!(import_checkpoint_b(&with_kind(&cp_b, 6)).is_err());
+            // the retired host-checkpoint kind, the model kinds, and a
+            // role's importer on the other role's wrapped model.
+            prop_assert!(import_checkpoint(&with_kind(&cp_b, 5)).is_err());
+            prop_assert!(import_checkpoint(&with_kind(&cp_b, 6)).is_err());
             prop_assert!(import_party_a(&cp_a).is_err());
             prop_assert!(import_party_b(&cp_b).is_err());
-            prop_assert!(import_checkpoint_a(&bytes_a).is_err());
-            prop_assert!(import_checkpoint_b(&bytes_b).is_err());
+            prop_assert!(import_checkpoint(&bytes_a).is_err());
+            prop_assert!(import_checkpoint(&bytes_b).is_err());
+            prop_assert!(import_party_b(&back_a.model).is_err());
+            prop_assert!(import_party_a(&back_b.model).is_err());
 
             // Header corruption: a flipped magic or version byte fails.
             for byte in 0..2 {
                 let mut bad = cp_a.clone();
                 bad[byte] ^= 0xFF;
-                prop_assert!(import_checkpoint_a(&bad).is_err(), "header byte {}", byte);
+                prop_assert!(import_checkpoint(&bad).is_err(), "header byte {}", byte);
             }
         }
     }
 
-    /// A host checkpoint over M = 2 links: cursor-count validation on
-    /// top of the shared contracts.
+    /// A host checkpoint over M = 2 links round-trips; its cursor count
+    /// is held against the sessions at resume, not against the wrapped
+    /// model at import
+    /// (`a_checkpoint_over_other_links_than_supplied_is_a_setup_error`).
     #[test]
     fn multi_checkpoint_roundtrip_and_link_count_guard() {
         let m = 2usize;
-        let cfg = FedConfig::plain();
-        let spec = FedSpec::Glm { out: 1 };
-        let rows = 5;
-        let data_b = toy_data(rows, 3, &[], 91, 1);
-
-        let (_, model) = run_star(
-            &cfg,
-            93,
-            (0..m).collect(),
-            |i, mut sess| {
-                let data_a = toy_data(rows, 2 + i, &[], 92 + i as u64, 0);
-                let mut model = PartyAModel::init(&mut sess, &spec, &data_a).unwrap();
-                let batch = data_a.select(&(0..rows).collect::<Vec<_>>());
-                model.forward(&mut sess, &batch, true).unwrap();
-                model.backward(&mut sess).unwrap();
-            },
-            |mut sessions| {
-                let mut model = PartyBModel::init(&mut sessions, &spec, &data_b).unwrap();
-                let batch = data_b.select(&(0..rows).collect::<Vec<_>>());
-                model.train_batch(&mut sessions, &batch).unwrap();
-                model
-            },
-        );
-
+        let model = export_party_b(&train_multi_model(m, 5, 91));
         let links: Vec<LinkCursor> = (0..m as u64)
             .map(|i| LinkCursor {
                 rng: [i, i + 1, i + 2, i + 3],
@@ -497,31 +494,22 @@ mod checkpoints {
             })
             .collect();
         let losses = vec![0.7, 0.65, f64::NAN];
-        let cp = export_checkpoint_b(1, 2, &links, None, &losses, &model);
-        let back = import_checkpoint_b(&cp).unwrap();
+        let cp = export_checkpoint(&record(1, 2, &links, None, &losses, &model));
+        let back = import_checkpoint(&cp).unwrap();
         assert_eq!((back.epoch, back.batch), (1, 2));
         assert_eq!(back.links, links);
-        assert_eq!(
-            export_checkpoint_b(
-                back.epoch,
-                back.batch,
-                &back.links,
-                back.aligned.as_ref(),
-                &back.losses,
-                &back.model
-            ),
-            cp
-        );
+        assert_eq!(import_party_b(&back.model).unwrap().num_links(), m);
+        assert_eq!(export_checkpoint(&back), cp);
 
-        // A cursor count that disagrees with the embedded model is a
-        // typed error (import cross-checks `model.num_links()`).
-        let bad = export_checkpoint_b(1, 2, &links[..1], None, &losses, &model);
-        assert!(import_checkpoint_b(&bad).is_err());
+        // The importer reads a cursor count that disagrees with the
+        // wrapped model: the record does not open the model.
+        let short = export_checkpoint(&record(1, 2, &links[..1], None, &losses, &model));
+        assert_eq!(import_checkpoint(&short).unwrap().links.len(), 1);
         // Truncation sweep and cross-kind rejection hold here too.
         for cut in (0..cp.len()).step_by(7) {
-            assert!(import_checkpoint_b(&cp[..cut]).is_err(), "prefix {cut}");
+            assert!(import_checkpoint(&cp[..cut]).is_err(), "prefix {cut}");
         }
-        assert!(import_checkpoint_b(&with_kind(&cp, 6)).is_err());
+        assert!(import_checkpoint(&with_kind(&cp, 6)).is_err());
         assert!(import_party_b(&cp).is_err());
     }
 
@@ -553,12 +541,10 @@ mod checkpoints {
             let data_b = toy_data(rows, 3, &[], seed * 3 + 2, 1);
             let (bytes_a, bytes_b) =
                 train_and_export(&cfg, &spec, data_a, data_b, vec![(0..rows).collect()], seed);
-            let model_a = import_party_a(&bytes_a).unwrap();
-            let model_b = import_party_b(&bytes_b).unwrap();
 
-            let plain_a = export_checkpoint_a(epoch, batch, &cur, None, &model_a);
-            let cp_a = export_checkpoint_a(epoch, batch, &cur, Some(&align), &model_a);
-            let cp_b = export_checkpoint_b(epoch, batch, &[cur], Some(&align), &losses, &model_b);
+            let plain_a = export_checkpoint(&record(epoch, batch, &[cur], None, &[], &bytes_a));
+            let cp_a = export_checkpoint(&record(epoch, batch, &[cur], Some(&align), &[], &bytes_a));
+            let cp_b = export_checkpoint(&record(epoch, batch, &[cur], Some(&align), &losses, &bytes_b));
 
             // Same kind; the section flag flips and the payload grows
             // by exactly the section.
@@ -575,30 +561,21 @@ mod checkpoints {
                 want
             });
 
-            let back_a = import_checkpoint_a(&cp_a).unwrap();
+            let back_a = import_checkpoint(&cp_a).unwrap();
             prop_assert_eq!(back_a.aligned.as_ref(), Some(&align));
-            prop_assert_eq!((back_a.epoch, back_a.batch, back_a.link), (epoch, batch, cur));
-            prop_assert_eq!(
-                export_checkpoint_a(back_a.epoch, back_a.batch, &back_a.link, back_a.aligned.as_ref(), &back_a.model),
-                cp_a.clone()
-            );
-            let back_b = import_checkpoint_b(&cp_b).unwrap();
+            prop_assert_eq!((back_a.epoch, back_a.batch, back_a.links.clone()), (epoch, batch, vec![cur]));
+            prop_assert_eq!(export_checkpoint(&back_a), cp_a.clone());
+            let back_b = import_checkpoint(&cp_b).unwrap();
             prop_assert_eq!(back_b.aligned.as_ref(), Some(&align));
-            prop_assert_eq!(
-                export_checkpoint_b(back_b.epoch, back_b.batch, &back_b.links, back_b.aligned.as_ref(), &back_b.losses, &back_b.model),
-                cp_b.clone()
-            );
+            prop_assert_eq!(export_checkpoint(&back_b), cp_b.clone());
 
             // Truncation sweep never panics, and cross-kind confusion
-            // (aligned A as aligned B, aligned vs model kinds, the
-            // retired aligned kinds) fails.
+            // (aligned vs model kinds, the retired aligned kinds) fails.
             for cut in 0..cp_a.len() {
-                prop_assert!(import_checkpoint_a(&cp_a[..cut]).is_err(), "prefix {}", cut);
+                prop_assert!(import_checkpoint(&cp_a[..cut]).is_err(), "prefix {}", cut);
             }
-            prop_assert!(import_checkpoint_b(&cp_a).is_err());
-            prop_assert!(import_checkpoint_a(&cp_b).is_err());
-            prop_assert!(import_checkpoint_a(&with_kind(&cp_a, 9)).is_err());
-            prop_assert!(import_checkpoint_b(&with_kind(&cp_b, 10)).is_err());
+            prop_assert!(import_checkpoint(&with_kind(&cp_a, 9)).is_err());
+            prop_assert!(import_checkpoint(&with_kind(&cp_b, 10)).is_err());
             prop_assert!(import_party_a(&cp_a).is_err());
 
             // Non-canonical ID lists are malformed: descending order
@@ -606,17 +583,17 @@ mod checkpoints {
             if align.ids.len() >= 2 {
                 let mut swapped = align.clone();
                 swapped.ids.reverse();
-                let bad = export_with_raw_ids(epoch, batch, &cur, &swapped, &model_a);
-                prop_assert!(import_checkpoint_a(&bad).is_err());
+                let bad = export_with_raw_ids(epoch, batch, &cur, &swapped, &bytes_a);
+                prop_assert!(import_checkpoint(&bad).is_err());
                 let mut dup = align.clone();
                 dup.ids[0] = dup.ids[1];
-                let bad = export_with_raw_ids(epoch, batch, &cur, &dup, &model_a);
-                prop_assert!(import_checkpoint_a(&bad).is_err());
+                let bad = export_with_raw_ids(epoch, batch, &cur, &dup, &bytes_a);
+                prop_assert!(import_checkpoint(&bad).is_err());
             }
         }
     }
 
-    /// Re-encode an aligned Party A checkpoint with an arbitrary
+    /// Re-encode an aligned guest checkpoint with an arbitrary
     /// (possibly non-canonical) ID list by splicing raw bytes — the
     /// exporter itself debug-asserts canonical order, so malformed
     /// blobs have to be built by hand.
@@ -625,7 +602,7 @@ mod checkpoints {
         batch: u64,
         cur: &LinkCursor,
         align: &AlignCursor,
-        model: &PartyAModel,
+        model: &[u8],
     ) -> Vec<u8> {
         let canon = AlignCursor {
             salt: align.salt,
@@ -636,7 +613,7 @@ mod checkpoints {
                 ids
             },
         };
-        let good = export_checkpoint_a(epoch, batch, cur, Some(&canon), model);
+        let good = export_checkpoint(&record(epoch, batch, &[*cur], Some(&canon), &[], model));
         let body_at = 7 + 16 + 8 * canon.ids.len();
         let mut out = good[..7].to_vec();
         out.extend_from_slice(&align.salt.to_le_bytes());
@@ -689,38 +666,37 @@ mod checkpoints {
             })
             .collect();
         // Tiny two-guest run, then checkpoint with the align prefix.
-        let model = train_multi_model(2, 4, 95);
-        let cp = export_checkpoint_b(0, 1, &links, Some(&align), &[0.5], &model);
-        let back = import_checkpoint_b(&cp).unwrap();
+        let model = export_party_b(&train_multi_model(2, 4, 95));
+        let cp = export_checkpoint(&record(0, 1, &links, Some(&align), &[0.5], &model));
+        let back = import_checkpoint(&cp).unwrap();
         assert_eq!(back.aligned, Some(align));
         assert_eq!(back.links, links);
-        assert!(import_checkpoint_b(&cp[..cp.len() - 1]).is_err());
-        assert!(import_checkpoint_b(&with_kind(&cp, 11)).is_err());
+        assert!(import_checkpoint(&cp[..cp.len() - 1]).is_err());
+        assert!(import_checkpoint(&with_kind(&cp, 11)).is_err());
     }
 
-    /// `VERSION` 2 and the kind bytes `VERSION` 3 retired are typed
-    /// errors at every importer, whatever follows the header.
+    /// `VERSION` 2 and the kind bytes `VERSION` 3 and 6 retired are
+    /// typed errors at every importer, whatever follows the header.
     #[test]
     fn retired_kinds_and_versions_are_typed_errors() {
-        let model = train_multi_model(1, 4, 97);
+        let model = export_party_b(&train_multi_model(1, 4, 97));
         let cur = cursor_from(5);
         let blobs = [
-            export_party_b(&model),
-            export_checkpoint_b(0, 1, &[cur], None, &[0.5], &model),
+            model.clone(),
+            export_checkpoint(&record(0, 1, &[cur], None, &[0.5], &model)),
         ];
         type Import = fn(&[u8]) -> Option<PersistError>;
-        let importers: [Import; 4] = [
+        let importers: [Import; 3] = [
             |b| import_party_a(b).err(),
             |b| import_party_b(b).err(),
-            |b| import_checkpoint_a(b).err(),
-            |b| import_checkpoint_b(b).err(),
+            |b| import_checkpoint(b).err(),
         ];
         for blob in &blobs {
             let mut old = blob.clone();
             old[4] = 2;
             for import in importers {
                 assert_eq!(import(&old), Some(PersistError::UnsupportedVersion(2)));
-                for kind in [3u8, 6, 9, 10, 11] {
+                for kind in [3u8, 5, 6, 9, 10, 11] {
                     assert!(
                         matches!(
                             import(&with_kind(blob, kind)),
@@ -814,24 +790,14 @@ mod one_host_kind {
 
             // The host's latest checkpoint: mid-run, one cursor per
             // link, the alignment section iff the run aligned, and
-            // byte-exact through the single host kind.
+            // byte-exact through the one checkpoint kind.
             let blob = std::fs::read(path(0)).unwrap();
-            let cp = import_checkpoint_b(&blob).unwrap();
+            let cp = import_checkpoint(&blob).unwrap();
             assert!(cp.losses.len() < host.losses.len(), "checkpoint at the end");
             assert_eq!(cp.links.len(), m);
-            assert_eq!(cp.model.num_links(), m);
+            assert_eq!(import_party_b(&cp.model).unwrap().num_links(), m);
             assert_eq!(cp.aligned.is_some(), aligned);
-            assert_eq!(
-                export_checkpoint_b(
-                    cp.epoch,
-                    cp.batch,
-                    &cp.links,
-                    cp.aligned.as_ref(),
-                    &cp.losses,
-                    &cp.model
-                ),
-                blob
-            );
+            assert_eq!(export_checkpoint(&cp), blob);
 
             // Every party resumes from its own file and lands on the
             // uninterrupted run: curve, models, traffic totals.
@@ -854,30 +820,48 @@ mod one_host_kind {
 
     #[test]
     fn a_checkpoint_over_other_links_than_supplied_is_a_setup_error() {
-        // A two-link host checkpoint, offered one session and none.
-        let (_, model) = run_star(
+        // Two-cursor checkpoints: the host's offered one session and
+        // none, a guest's offered its one session.
+        let (guests, model) = run_star(
             &FedConfig::plain(),
             SEED,
             vec![0, 1],
-            |i, mut sess| drop(PartyAModel::init(&mut sess, &spec(), &guest_data(i)).unwrap()),
+            |i, mut sess| PartyAModel::init(&mut sess, &spec(), &guest_data(i)).unwrap(),
             |mut sessions| PartyBModel::init(&mut sessions, &spec(), &host_data()).unwrap(),
         );
-        let cursors = [LinkCursor {
-            rng: [1; 4],
-            obf_drawn: 0,
-            bytes_sent: 0,
-            msgs_sent: 0,
-        }; 2];
-        let tc = FedTrainConfig {
-            resume: Some(export_checkpoint_b(0, 0, &cursors, None, &[], &model)),
+        let cursors = vec![
+            LinkCursor {
+                rng: [1; 4],
+                obf_drawn: 0,
+                bytes_sent: 0,
+                msgs_sent: 0,
+            };
+            2
+        ];
+        let resume = |model: Vec<u8>| FedTrainConfig {
+            resume: Some(export_checkpoint(&Checkpoint {
+                links: cursors.clone(),
+                model,
+                ..Default::default()
+            })),
             ..Default::default()
         };
+        let tc = resume(export_party_b(&model));
+        let tc_guest = resume(export_party_a(&guests[0]));
         let data = host_data();
         run_star(
             &FedConfig::plain(),
             SEED,
             vec![()],
-            |(), sess| drop(sess),
+            |(), mut sess| {
+                let data = guest_data(0);
+                let run = run_party_a(&mut sess, &spec(), &tc_guest, &data, &data);
+                assert!(
+                    matches!(run, Err(TransportError::Setup(_))),
+                    "guest: {:?}",
+                    run.err()
+                );
+            },
             |mut sessions| {
                 for offered in [1, 0] {
                     let run = run_party_b(&mut sessions[..offered], &spec(), &tc, &data, &data);

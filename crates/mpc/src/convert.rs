@@ -163,7 +163,10 @@ pub fn decrypt_reply(
 /// Both parties must pass the same `mode` (it is part of the shared
 /// session config): the packed layout is derived only from the key and
 /// shape, so the peer's `add_plain` sees a matching body. Falls back to
-/// one value per ciphertext when the shape or key cannot pack.
+/// one value per ciphertext when the shape or key cannot pack. A peer
+/// piece of another row count, or that does not conform to this
+/// party's own upload ([`CtMat::rows_conform`]: width, scale, backend,
+/// limb count, lane layout), is refused as a malformed payload.
 pub fn ss2he(
     ep: &Endpoint,
     own_pk: &PublicKey,
@@ -173,8 +176,18 @@ pub fn ss2he(
     mode: PaillierMode,
 ) -> TransportResult<CtMat> {
     let enc_mine = own_pk.encrypt_mode(v_mine, mode, own_obf);
+    let like = enc_mine.select_rows(&[]);
     ep.send(Msg::Ct(enc_mine))?;
     let enc_peer = ep.recv_ct()?;
+    if enc_peer.rows() != v_mine.rows() || !like.rows_conform(&enc_peer) {
+        return Err(TransportError::Wire(WireError::Malformed(format!(
+            "the peer's SS2HE piece is {}×{} in another layout than this party's {}×{}",
+            enc_peer.rows(),
+            enc_peer.cols(),
+            v_mine.rows(),
+            v_mine.cols()
+        ))));
+    }
     Ok(peer_pk.add_plain(&enc_peer, v_mine))
 }
 
@@ -393,6 +406,43 @@ mod tests {
         // A's output decrypts under B's key; B's under A's key.
         assert!(sk_b.decrypt(&ct_under_b).approx_eq(&v, 1e-5));
         assert!(sk_a.decrypt(&ct_under_a).approx_eq(&v, 1e-5));
+    }
+
+    #[test]
+    fn ss2he_refuses_a_misshapen_or_plain_peer_piece() {
+        // A's honest piece is a packed 2×3 under its 256-bit/frac-20 key
+        // (3 slots); B sends one row too many, a column too few, one
+        // value per ciphertext, or a Plain body, and is refused before
+        // `add_plain` sees it.
+        use bf_paillier::keys::plain_keys;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let (pk_a, _) = keygen(256, 20, &mut rng);
+        let (pk_b, _) = keygen(256, 20, &mut rng);
+        let (plain_pk, _) = plain_keys(20);
+        let obf_a = Obfuscator::new(&pk_a, ObfMode::Pool(4), 2);
+        let obf_b = Obfuscator::new(&pk_b, ObfMode::Pool(4), 3);
+        let mode = PaillierMode::Packed;
+        let v = Dense::from_vec(2, 3, vec![5.0, -1.5, 2.25, 0.0, -7.125, 3.5]);
+        let pieces = [
+            pk_b.encrypt_mode(&Dense::zeros(3, 3), mode, &obf_b),
+            pk_b.encrypt_mode(&Dense::zeros(2, 2), mode, &obf_b),
+            pk_b.encrypt(&Dense::zeros(2, 3), &obf_b),
+            plain_pk.encrypt_mode(&Dense::zeros(2, 3), mode, &obf_b),
+        ];
+        for (i, piece) in pieces.into_iter().enumerate() {
+            let (ep_a, ep_b) = channel_pair();
+            ep_b.send(Msg::Ct(piece)).unwrap();
+            let err = ss2he(&ep_a, &pk_a, &obf_a, &pk_b, &v, mode).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Wire(WireError::Malformed(_))),
+                "piece {i}: {err}"
+            );
+        }
+        // The honest piece goes through.
+        let (ep_a, ep_b) = channel_pair();
+        ep_b.send(Msg::Ct(pk_b.encrypt_mode(&v, mode, &obf_b)))
+            .unwrap();
+        ss2he(&ep_a, &pk_a, &obf_a, &pk_b, &v, mode).unwrap();
     }
 
     #[test]

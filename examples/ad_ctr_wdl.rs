@@ -45,7 +45,7 @@ fn main() {
         snapshot_u_a: false,
         ..Default::default()
     };
-    let outcome = train_federated(
+    let (_, host) = train_federated(
         &FedSpec::Wdl {
             emb_dim: 8,
             deep_hidden: vec![16],
@@ -59,10 +59,7 @@ fn main() {
         test_v.party_b.clone(),
         5,
     );
-    println!(
-        "federated WDL test AUC      = {:.3}",
-        outcome.report.test_metric
-    );
+    println!("federated WDL test AUC      = {:.3}", host.test_metric);
 
     // Baselines: the platform alone, and the (forbidden-in-practice)
     // collocated model.

@@ -42,7 +42,7 @@ fn main() {
         snapshot_u_a: false,
         ..Default::default()
     };
-    let outcome = train_federated(
+    let (guest, host) = train_federated(
         &FedSpec::Glm { out: 1 },
         &cfg,
         &tc,
@@ -52,19 +52,16 @@ fn main() {
         test_v.party_b.clone(),
         99,
     );
-    println!(
-        "joint risk model test AUC = {:.3}",
-        outcome.report.test_metric
-    );
+    println!("joint risk model test AUC = {:.3}", host.test_metric);
 
     // The bank can threshold the federated scores as usual…
     let labels = test_v.party_b.labels.as_ref().unwrap().as_binary();
-    let acc = accuracy_binary(outcome.report.test_logits.data(), labels, 0.0);
+    let acc = accuracy_binary(host.test_logits.data(), labels, 0.0);
     println!("decision accuracy at the 0-logit threshold = {:.3}", acc);
 
     // …while neither side can reconstruct the model. The app company's
     // share piece says nothing about the true weights:
-    let pairs = matmul_share_vs_weight(&outcome.party_a, &outcome.party_b);
+    let pairs = matmul_share_vs_weight(&guest.model, &host.model);
     let (corr, sign) = share_informativeness(&pairs);
     println!(
         "share-vs-weight informativeness at Party A: pearson {corr:+.3}, sign agreement {sign:.3} \

@@ -46,22 +46,16 @@ fn main() {
          across {GUESTS} guests + host, {} trees of depth {}",
         params.trees, params.max_depth
     );
-    let fed = train_gbdt(&cfg, &params, split.guests.clone(), &split.party_b, SEED);
+    let (guests, host) = train_gbdt(&cfg, &params, split.guests.clone(), &split.party_b, SEED);
     let (twin, twin_losses) = CollocatedGbdt::train(&ds, &params);
-    assert_eq!(
-        fed.host.losses, twin_losses,
-        "loss curves must be bit-equal"
-    );
-    assert_eq!(
-        fed.host.model.trees, twin.trees,
-        "forests must be identical"
-    );
+    assert_eq!(host.losses, twin_losses, "loss curves must be bit-equal");
+    assert_eq!(host.model.trees, twin.trees, "forests must be identical");
     println!(
         "  logloss {:.4} → {:.4} over {} rounds (bit-identical to the \
          collocated twin)",
-        fed.host.losses.first().unwrap(),
-        fed.host.losses.last().unwrap(),
-        fed.host.losses.len()
+        host.losses.first().unwrap(),
+        host.losses.last().unwrap(),
+        host.losses.len()
     );
     let stage = |stages: &[(&str, f64)], label: &str| {
         let secs = stages.iter().find(|(l, _)| *l == label).map(|(_, s)| *s);
@@ -70,28 +64,27 @@ fn main() {
     println!(
         "  {:.0} ms in trees: host {:.0} ms encrypt/upload + {:.0} ms decrypt/update, \
          guests {:?} ms fed-matmul; {:?} bytes guest → host",
-        fed.host.tree_secs.iter().sum::<f64>() * 1e3,
-        stage(&fed.host.stage_secs, "encrypt/upload"),
-        stage(&fed.host.stage_secs, "decrypt/update"),
-        fed.guests
+        host.tree_secs.iter().sum::<f64>() * 1e3,
+        stage(&host.stage_secs, "encrypt/upload"),
+        stage(&host.stage_secs, "decrypt/update"),
+        guests
             .iter()
             .map(|g| stage(&g.stage_secs, "fed-matmul").round())
             .collect::<Vec<_>>(),
-        fed.guests.iter().map(|g| g.bytes_sent).collect::<Vec<_>>()
+        guests.iter().map(|g| g.bytes_sent).collect::<Vec<_>>()
     );
 
     // Persist → reload, byte-exact.
-    let host_blob = export_gbdt_host(&fed.host.model);
+    let host_blob = export_gbdt_host(&host.model);
     let host_model = import_gbdt_host(&host_blob).expect("host model reload");
-    let guest_models: Vec<_> = fed
-        .guests
+    let guest_models: Vec<_> = guests
         .iter()
         .map(|g| import_gbdt_guest(&export_gbdt_guest(&g.model)).expect("guest model reload"))
         .collect();
     println!(
         "persisted: host {} bytes, guests {:?} bytes",
         host_blob.len(),
-        fed.guests
+        guests
             .iter()
             .map(|g| export_gbdt_guest(&g.model).len())
             .collect::<Vec<_>>()

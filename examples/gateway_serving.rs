@@ -64,7 +64,7 @@ fn main() {
         snapshot_u_a: false,
         ..Default::default()
     };
-    let outcome = train_federated(
+    let (guest, host) = train_federated(
         &FedSpec::Glm { out: 1 },
         &cfg,
         &tc,
@@ -74,13 +74,13 @@ fn main() {
         test_v.party_b.clone(),
         TRAIN_SEED,
     );
-    let bytes_a = export_party_a(&outcome.party_a);
-    let bytes_b = export_party_b(&outcome.party_b);
+    let bytes_a = export_party_a(&guest.model);
+    let bytes_b = export_party_b(&host.model);
     let (store_a, store_b) = (test_v.party_a, test_v.party_b);
     let n = store_b.rows() as u64;
     println!(
         "      AUC {:.3}; A {} bytes, B {} bytes; {n}-row feature store",
-        outcome.report.test_metric,
+        host.test_metric,
         bytes_a.len(),
         bytes_b.len()
     );

@@ -104,7 +104,7 @@ fn main() {
     // 3. The oracle: the same training run on the pre-aligned split of
     //    exactly the overlap rows. Bit-identical losses and metric —
     //    PSI changes *what* is trained on, never the math.
-    let reference = train_federated(
+    let (_, ref_b) = train_federated(
         &spec_fed,
         &cfg,
         &tc,
@@ -114,11 +114,10 @@ fn main() {
         test_v.party_b.clone(),
         SEED,
     );
-    let parity =
-        b.losses == reference.report.losses && b.test_metric == reference.report.test_metric;
+    let parity = b.losses == ref_b.losses && b.test_metric == ref_b.test_metric;
     println!(
         "pre-aligned run   test AUC = {:.3}   (bit parity: {parity})",
-        reference.report.test_metric
+        ref_b.test_metric
     );
 
     // 4. Sanity: the intersection is exactly the planted overlap.

@@ -43,7 +43,7 @@ fn main() {
         ..Default::default()
     };
     println!("training BlindFL LR (Paillier, {:?})...", cfg.backend);
-    let outcome = train_federated(
+    let (guest, host) = train_federated(
         &FedSpec::Glm { out: 1 },
         &cfg,
         &tc,
@@ -55,10 +55,10 @@ fn main() {
     );
     println!(
         "BlindFL           test AUC = {:.3}   ({} batches, {:.1}s, {:.1} MiB exchanged)",
-        outcome.report.test_metric,
-        outcome.report.losses.len(),
-        outcome.report.train_secs,
-        (outcome.report.bytes_a_to_b + outcome.report.bytes_b_to_a) as f64 / (1 << 20) as f64,
+        host.test_metric,
+        host.losses.len(),
+        host.train_secs,
+        (guest.bytes_sent + host.bytes_sent_per_link[0]) as f64 / (1 << 20) as f64,
     );
 
     // 3. Baselines.

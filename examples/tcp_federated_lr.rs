@@ -88,7 +88,7 @@ fn orchestrate() {
     let (train_v, test_v) = datasets();
 
     println!("== in-process reference (channel transport) ==");
-    let reference = train_federated(
+    let (_, ref_b) = train_federated(
         &fed_spec(),
         &fed_config(),
         &train_config(),
@@ -98,10 +98,10 @@ fn orchestrate() {
         test_v.party_b.clone(),
         SEED,
     );
-    let ref_loss = *reference.report.losses.last().unwrap();
+    let ref_loss = *ref_b.losses.last().unwrap();
     println!(
         "reference final loss = {ref_loss:.6}, AUC = {:.3}",
-        reference.report.test_metric
+        ref_b.test_metric
     );
 
     println!("== two-process run (TCP transport) ==");
@@ -139,7 +139,7 @@ fn orchestrate() {
         "TCP loss {tcp_loss} diverged from in-process loss {ref_loss}"
     );
     assert_eq!(
-        bytes_sent, reference.report.bytes_b_to_a,
+        bytes_sent, ref_b.bytes_sent_per_link[0],
         "B→A traffic must match the in-process transport exactly"
     );
     println!("traffic parity: B→A {bytes_sent} bytes (exact match with in-process)");

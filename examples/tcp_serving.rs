@@ -119,7 +119,7 @@ fn orchestrate() {
         snapshot_u_a: false,
         ..Default::default()
     };
-    let outcome = train_federated(
+    let (guest, host) = train_federated(
         &FedSpec::Glm { out: 1 },
         &fed_config(),
         &tc,
@@ -129,11 +129,11 @@ fn orchestrate() {
         test_v.party_b.clone(),
         TRAIN_SEED,
     );
-    let model_a = export_party_a(&outcome.party_a);
-    let model_b = export_party_b(&outcome.party_b);
+    let model_a = export_party_a(&guest.model);
+    let model_b = export_party_b(&host.model);
     println!(
         "trained AUC = {:.3}; persisted A half: {} bytes, B half: {} bytes",
-        outcome.report.test_metric,
+        host.test_metric,
         model_a.len(),
         model_b.len()
     );

@@ -46,7 +46,7 @@ use blindfl::config::FedConfig;
 use blindfl::engine::TrainMode;
 use blindfl::models::FedSpec;
 use blindfl::multiparty::{accept_guests, join_host, run_star};
-use blindfl::persist::{export_party_a, export_party_b, import_checkpoint_a, import_checkpoint_b};
+use blindfl::persist::{export_party_a, export_party_b, import_checkpoint};
 use blindfl::session::{party_seed, Role, Session};
 use blindfl::train::{
     run_party_a, run_party_b, CheckpointCadence, FedTrainConfig, PartyARun, PartyBRun,
@@ -280,9 +280,9 @@ fn assert_two_party_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usi
     );
 
     // 3. Restart both parties from their latest checkpoints.
-    let cp_a = import_checkpoint_a(&std::fs::read(&path_a).expect("A checkpoint file"))
+    let cp_a = import_checkpoint(&std::fs::read(&path_a).expect("A checkpoint file"))
         .expect("A checkpoint decodes");
-    let cp_b = import_checkpoint_b(&std::fs::read(&path_b).expect("B checkpoint file"))
+    let cp_b = import_checkpoint(&std::fs::read(&path_b).expect("B checkpoint file"))
         .expect("B checkpoint decodes");
     assert_eq!(
         (cp_a.epoch, cp_a.batch),
@@ -464,11 +464,11 @@ fn assert_multi_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize, 
     let cps_a: Vec<_> = paths
         .iter()
         .map(|p| {
-            import_checkpoint_a(&std::fs::read(p).expect("guest checkpoint file"))
+            import_checkpoint(&std::fs::read(p).expect("guest checkpoint file"))
                 .expect("guest checkpoint decodes")
         })
         .collect();
-    let cp_b = import_checkpoint_b(&std::fs::read(&path_b).expect("B checkpoint file"))
+    let cp_b = import_checkpoint(&std::fs::read(&path_b).expect("B checkpoint file"))
         .expect("B checkpoint decodes");
     for cp in &cps_a {
         assert_eq!(
@@ -544,8 +544,8 @@ fn assert_checkpointing_is_wire_silent(cell: &str, cfg: FedConfig, row_div: usiz
     let total = (train_rows(row_div) / bs * EPOCHS) as u64;
     let last = total - total % EVERY;
     let bpe = (train_rows(row_div) / bs) as u64;
-    let cp_a = import_checkpoint_a(&std::fs::read(&path_a).unwrap()).unwrap();
-    let cp_b = import_checkpoint_b(&std::fs::read(&path_b).unwrap()).unwrap();
+    let cp_a = import_checkpoint(&std::fs::read(&path_a).unwrap()).unwrap();
+    let cp_b = import_checkpoint(&std::fs::read(&path_b).unwrap()).unwrap();
     for (epoch, batch) in [(cp_a.epoch, cp_a.batch), (cp_b.epoch, cp_b.batch)] {
         assert_eq!(epoch * bpe + batch, last, "checkpoint not at the cadence");
     }
@@ -661,11 +661,11 @@ fn assert_aligned_recovery(cell: &str, cfg: FedConfig, row_div: usize, bs: usize
     assert!(rb.is_err(), "B must observe the dead peer");
 
     // 3. The checkpoints carry the alignment cursor (the optional
-    //    section of persist kinds 4–5), pointing at exactly the
+    //    section of persist kind 4), pointing at exactly the
     //    intersection the run selected.
-    let cp_a = import_checkpoint_a(&std::fs::read(&path_a).expect("A checkpoint file"))
+    let cp_a = import_checkpoint(&std::fs::read(&path_a).expect("A checkpoint file"))
         .expect("A checkpoint decodes");
-    let cp_b = import_checkpoint_b(&std::fs::read(&path_b).expect("B checkpoint file"))
+    let cp_b = import_checkpoint(&std::fs::read(&path_b).expect("B checkpoint file"))
         .expect("B checkpoint decodes");
     for cur in [
         cp_a.aligned

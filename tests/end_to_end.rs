@@ -6,7 +6,7 @@ use bf_datagen::{generate, spec, vsplit};
 use bf_ml::TrainConfig;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
-use blindfl::train::{train_federated, FedOutcome, FedTrainConfig};
+use blindfl::train::{train_federated, FedTrainConfig, PartyARun, PartyBRun};
 
 fn run(
     dataset: &str,
@@ -16,7 +16,7 @@ fn run(
     cfg: &FedConfig,
     epochs: usize,
     seed: u64,
-) -> (FedOutcome, f64) {
+) -> ((PartyARun, PartyBRun), f64) {
     let ds = spec(dataset).scaled(row_div, feat_div);
     let (train, test) = generate(&ds, seed);
     let train_v = vsplit(&train);
@@ -39,7 +39,7 @@ fn run(
         test_v.party_b,
         seed,
     );
-    let metric = outcome.report.test_metric;
+    let metric = outcome.1.test_metric;
     (outcome, metric)
 }
 
@@ -55,7 +55,7 @@ fn fed_lr_end_to_end() {
         1,
     );
     assert!(auc > 0.8, "LR AUC {auc}");
-    assert!(outcome.report.losses.last().unwrap() < &outcome.report.losses[0]);
+    assert!(outcome.1.losses.last().unwrap() < &outcome.1.losses[0]);
 }
 
 #[test]
@@ -104,8 +104,8 @@ fn fed_wdl_end_to_end() {
         4,
     );
     assert!(auc > 0.72, "WDL AUC {auc}");
-    assert!(outcome.party_a.embed().is_some());
-    assert!(outcome.party_b.embed().is_some());
+    assert!(outcome.0.model.embed().is_some());
+    assert!(outcome.1.model.embed().is_some());
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn fed_lr_with_real_paillier() {
         6,
     );
     assert!(auc > 0.6, "Paillier LR AUC {auc}");
-    assert!(outcome.report.bytes_b_to_a > outcome.report.losses.len() as u64 * 100);
+    assert!(outcome.1.bytes_sent_per_link[0] > outcome.1.losses.len() as u64 * 100);
 }
 
 #[test]
@@ -219,9 +219,9 @@ fn federated_beats_party_b_on_every_model() {
             }
         };
         assert!(
-            outcome.report.test_metric > party_b_metric,
+            outcome.1.test_metric > party_b_metric,
             "federated {} <= party-B {party_b_metric}",
-            outcome.report.test_metric
+            outcome.1.test_metric
         );
     }
 }

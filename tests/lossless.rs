@@ -8,9 +8,9 @@ use bf_ml::TrainConfig;
 use bf_tensor::Dense;
 use blindfl::config::FedConfig;
 use blindfl::models::FedSpec;
-use blindfl::train::{train_federated, FedOutcome, FedTrainConfig};
+use blindfl::train::{train_federated, FedTrainConfig, PartyARun, PartyBRun};
 
-fn run(cfg: &FedConfig, epochs: usize, seed: u64) -> (FedOutcome, Dense, Dense) {
+fn run(cfg: &FedConfig, epochs: usize, seed: u64) -> ((PartyARun, PartyBRun), Dense, Dense) {
     let ds = spec("a9a").scaled(200, 1);
     let (train, test) = generate(&ds, 0x105);
     let train_v = vsplit(&train);
@@ -35,15 +35,17 @@ fn run(cfg: &FedConfig, epochs: usize, seed: u64) -> (FedOutcome, Dense, Dense) 
         seed,
     );
     let w_a = outcome
-        .party_a
+        .0
+        .model
         .matmul()
         .u_own()
-        .add(outcome.party_b.matmul().v_peer());
+        .add(outcome.1.model.matmul().v_peer());
     let w_b = outcome
-        .party_b
+        .1
+        .model
         .matmul()
         .u_own()
-        .add(outcome.party_a.matmul().v_peer());
+        .add(outcome.0.model.matmul().v_peer());
     (outcome, w_a, w_b)
 }
 
@@ -66,7 +68,7 @@ fn paillier_and_plain_backends_agree() {
 fn metrics_match_across_backends() {
     let (out_plain, _, _) = run(&FedConfig::plain(), 2, 11);
     let (out_pail, _, _) = run(&FedConfig::paillier_test(), 2, 11);
-    let gap = (out_plain.report.test_metric - out_pail.report.test_metric).abs();
+    let gap = (out_plain.1.test_metric - out_pail.1.test_metric).abs();
     assert!(gap < 5e-3, "metric gap across backends {gap}");
 }
 
@@ -106,28 +108,25 @@ fn packed_and_scalar_paillier_are_bit_identical() {
     };
     let scalar = run_mode(PaillierMode::Scalar);
     let packed = run_mode(PaillierMode::Packed);
-    assert_eq!(scalar.report.losses, packed.report.losses);
-    assert_eq!(scalar.report.test_metric, packed.report.test_metric);
+    assert_eq!(scalar.1.losses, packed.1.losses);
+    assert_eq!(scalar.1.test_metric, packed.1.test_metric);
+    assert_eq!(scalar.1.test_logits.data(), packed.1.test_logits.data());
     assert_eq!(
-        scalar.report.test_logits.data(),
-        packed.report.test_logits.data()
+        scalar.0.model.matmul().u_own().data(),
+        packed.0.model.matmul().u_own().data()
     );
     assert_eq!(
-        scalar.party_a.matmul().u_own().data(),
-        packed.party_a.matmul().u_own().data()
-    );
-    assert_eq!(
-        scalar.party_b.matmul().v_peer().data(),
-        packed.party_b.matmul().v_peer().data()
+        scalar.1.model.matmul().v_peer().data(),
+        packed.1.model.matmul().v_peer().data()
     );
     // Packing must also shrink the ciphertext traffic.
     assert!(
-        packed.report.bytes_a_to_b < scalar.report.bytes_a_to_b,
+        packed.0.bytes_sent < scalar.0.bytes_sent,
         "packed A→B traffic {} !< scalar {}",
-        packed.report.bytes_a_to_b,
-        scalar.report.bytes_a_to_b
+        packed.0.bytes_sent,
+        scalar.0.bytes_sent
     );
-    assert!(packed.report.bytes_b_to_a < scalar.report.bytes_b_to_a);
+    assert!(packed.1.bytes_sent_per_link[0] < scalar.1.bytes_sent_per_link[0]);
 }
 
 #[test]
@@ -179,21 +178,21 @@ fn packed_and_scalar_embed_models_are_bit_identical() {
         };
         let scalar = run_mode(PaillierMode::Scalar);
         let packed = run_mode(PaillierMode::Packed);
-        assert!(scalar.report.losses.len() >= 2, "{model:?}");
-        assert_eq!(scalar.report.losses, packed.report.losses, "{model:?}");
+        assert!(scalar.1.losses.len() >= 2, "{model:?}");
+        assert_eq!(scalar.1.losses, packed.1.losses, "{model:?}");
         assert_eq!(
-            scalar.report.test_logits.data(),
-            packed.report.test_logits.data(),
+            scalar.1.test_logits.data(),
+            packed.1.test_logits.data(),
             "{model:?}"
         );
         let halves = [
             (
-                scalar.party_a.embed().unwrap(),
-                packed.party_a.embed().unwrap(),
+                scalar.0.model.embed().unwrap(),
+                packed.0.model.embed().unwrap(),
             ),
             (
-                scalar.party_b.embed().unwrap(),
-                packed.party_b.embed().unwrap(),
+                scalar.1.model.embed().unwrap(),
+                packed.1.model.embed().unwrap(),
             ),
         ];
         for (s, p) in halves {
@@ -203,16 +202,16 @@ fn packed_and_scalar_embed_models_are_bit_identical() {
             assert_eq!(s.v_peer().data(), p.v_peer().data(), "{model:?} V");
         }
         assert!(
-            packed.report.bytes_a_to_b < scalar.report.bytes_a_to_b,
+            packed.0.bytes_sent < scalar.0.bytes_sent,
             "{model:?}: packed A→B traffic {} !< scalar {}",
-            packed.report.bytes_a_to_b,
-            scalar.report.bytes_a_to_b
+            packed.0.bytes_sent,
+            scalar.0.bytes_sent
         );
         assert!(
-            packed.report.bytes_b_to_a < scalar.report.bytes_b_to_a,
+            packed.1.bytes_sent_per_link[0] < scalar.1.bytes_sent_per_link[0],
             "{model:?}: packed B→A traffic {} !< scalar {}",
-            packed.report.bytes_b_to_a,
-            scalar.report.bytes_b_to_a
+            packed.1.bytes_sent_per_link[0],
+            scalar.1.bytes_sent_per_link[0]
         );
     }
 }
@@ -230,13 +229,13 @@ fn forward_outputs_match_plaintext_model() {
     let mut joint = z_a.add(&z_b);
     // Add Party B's bias (reconstructed from the logits of any row):
     // logits - (z_a + z_b) is constant = bias.
-    let bias = outcome.report.test_logits.get(0, 0) - joint.get(0, 0);
+    let bias = outcome.1.test_logits.get(0, 0) - joint.get(0, 0);
     for v in joint.data_mut() {
         *v += bias;
     }
     assert!(
-        joint.approx_eq(&outcome.report.test_logits, 1e-6),
+        joint.approx_eq(&outcome.1.test_logits, 1e-6),
         "forward mismatch {}",
-        joint.sub(&outcome.report.test_logits).max_abs()
+        joint.sub(&outcome.1.test_logits).max_abs()
     );
 }

@@ -283,11 +283,11 @@ fn single_guest_is_the_two_party_baseline_bit_for_bit() {
             SEED,
         );
         let multi = run_multi_spec(&cfg, &fed, data, 1, rows, EPOCHS, false);
-        assert_eq!(two.report.losses, multi.losses);
-        assert_eq!(two.report.test_metric, multi.test_metric);
-        assert_eq!(multi.bytes_b_to_a, vec![two.report.bytes_b_to_a]);
+        assert_eq!(two.1.losses, multi.losses);
+        assert_eq!(two.1.test_metric, multi.test_metric);
+        assert_eq!(multi.bytes_b_to_a, vec![two.1.bytes_sent_per_link[0]]);
         let hello = bf_mpc::Msg::Hello { index: 0, total: 1 }.wire_size() as u64;
-        assert_eq!(multi.bytes_a_to_b, vec![two.report.bytes_a_to_b + hello]);
+        assert_eq!(multi.bytes_a_to_b, vec![two.0.bytes_sent + hello]);
     }
 }
 

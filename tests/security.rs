@@ -319,7 +319,7 @@ fn activation_attack_fails_against_blindfl() {
         test_v.party_b.clone(),
         4,
     );
-    let u = outcome.report.u_a_snapshots.last().unwrap();
+    let u = outcome.0.u_a_snapshots.last().unwrap();
     let Labels::Binary(y) = test_v.party_b.labels.as_ref().unwrap() else {
         panic!()
     };
@@ -331,9 +331,9 @@ fn activation_attack_fails_against_blindfl() {
 
     // Contrast: the full federated model is genuinely predictive.
     assert!(
-        outcome.report.test_metric > 0.7,
+        outcome.1.test_metric > 0.7,
         "fed metric {}",
-        outcome.report.test_metric
+        outcome.1.test_metric
     );
 }
 

@@ -66,8 +66,8 @@ fn train_and_export(cfg: &FedConfig, rows: usize) -> (Vec<u8>, Vec<u8>, Dataset,
         TRAIN_SEED,
     );
     (
-        export_party_a(&outcome.party_a),
-        export_party_b(&outcome.party_b),
+        export_party_a(&outcome.0.model),
+        export_party_b(&outcome.1.model),
         test_v.party_a,
         test_v.party_b,
     )
@@ -322,8 +322,8 @@ fn a_blob_under_other_keys_is_a_setup_error_at_both_ends() {
         TRAIN_SEED,
     );
     let (bytes_a, bytes_b) = (
-        export_party_a(&outcome.party_a),
-        export_party_b(&outcome.party_b),
+        export_party_a(&outcome.0.model),
+        export_party_b(&outcome.1.model),
     );
     let wider = FedConfig {
         backend: blindfl::config::Backend::Paillier { key_bits: 512 },

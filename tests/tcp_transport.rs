@@ -72,7 +72,10 @@ fn run_over_tcp(cfg: &FedConfig, rows: usize) -> (PartyBRun, u64) {
 }
 
 /// The in-process reference with identical data, seed and config.
-fn run_in_process(cfg: &FedConfig, rows: usize) -> blindfl::train::FedOutcome {
+fn run_in_process(
+    cfg: &FedConfig,
+    rows: usize,
+) -> (blindfl::train::PartyARun, blindfl::train::PartyBRun) {
     let ds = dataset_spec("a9a").scaled(rows, 1);
     let (train, test) = generate(&ds, 5);
     let train_v = vsplit(&train);
@@ -95,8 +98,8 @@ fn assert_tcp_matches_in_process(cfg: FedConfig, rows: usize) {
 
     // Loss curves match (±1e-6 per the acceptance criterion; the runs
     // are deterministic so they should in fact be identical).
-    assert_eq!(tcp_b.losses.len(), reference.report.losses.len());
-    for (tcp, inproc) in tcp_b.losses.iter().zip(&reference.report.losses) {
+    assert_eq!(tcp_b.losses.len(), reference.1.losses.len());
+    for (tcp, inproc) in tcp_b.losses.iter().zip(&reference.1.losses) {
         assert!(
             (tcp - inproc).abs() <= 1e-6,
             "loss diverged: tcp {tcp} vs in-process {inproc}"
@@ -104,23 +107,23 @@ fn assert_tcp_matches_in_process(cfg: FedConfig, rows: usize) {
     }
     let (lt, lr) = (
         *tcp_b.losses.last().unwrap(),
-        *reference.report.losses.last().unwrap(),
+        *reference.1.losses.last().unwrap(),
     );
     assert!((lt - lr).abs() <= 1e-6, "final loss {lt} vs {lr}");
     assert!(
-        (tcp_b.test_metric - reference.report.test_metric).abs() <= 1e-6,
+        (tcp_b.test_metric - reference.1.test_metric).abs() <= 1e-6,
         "metric {} vs {}",
         tcp_b.test_metric,
-        reference.report.test_metric
+        reference.1.test_metric
     );
 
     // One-epoch traffic parity, exact, in both directions.
     assert_eq!(
-        tcp_b.bytes_sent_per_link[0], reference.report.bytes_b_to_a,
+        tcp_b.bytes_sent_per_link[0], reference.1.bytes_sent_per_link[0],
         "B→A bytes must match the in-process transport exactly"
     );
     assert_eq!(
-        tcp_bytes_a, reference.report.bytes_a_to_b,
+        tcp_bytes_a, reference.0.bytes_sent,
         "A→B bytes must match the in-process transport exactly"
     );
     assert!(tcp_bytes_a > 0 && tcp_b.bytes_sent_per_link[0] > 0);

@@ -46,7 +46,8 @@ use blindfl::config::{Backend, FedConfig};
 use blindfl::multiparty::{accept_guests, join_host, run_star};
 use blindfl::serve::{queue, ServeConfig};
 use blindfl::trees::{
-    run_gbdt_guest, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host, train_gbdt, GbdtFedOutcome,
+    run_gbdt_guest, run_gbdt_host, serve_gbdt_guest, serve_gbdt_host, train_gbdt, GbdtGuestRun,
+    GbdtHostRun,
 };
 use blindfl::{
     align_guest, align_host, export_gbdt_guest, export_gbdt_host, import_gbdt_guest,
@@ -96,7 +97,7 @@ fn twin(cfg: &FedConfig) -> (CollocatedGbdt, Vec<f64>) {
 }
 
 /// One federated training run, `M` guests, channel or TCP transport.
-fn run_fed(cfg: &FedConfig, m: usize, tcp: bool) -> GbdtFedOutcome {
+fn run_fed(cfg: &FedConfig, m: usize, tcp: bool) -> (Vec<GbdtGuestRun>, GbdtHostRun) {
     let split = vsplit_multi(&data(), m);
     let params = params_for(cfg);
     if !tcp {
@@ -124,35 +125,35 @@ fn run_fed(cfg: &FedConfig, m: usize, tcp: bool) -> GbdtFedOutcome {
             .into_iter()
             .map(|h| h.join().expect("guest thread"))
             .collect();
-        GbdtFedOutcome { host, guests }
+        (guests, host)
     })
 }
 
 /// Links 1 + 2 for one backend and guest count: forest, losses and
 /// guest predicate custody all match the twin bit for bit.
 fn assert_forest_identity(cfg: &FedConfig, m: usize) {
-    let fed = run_fed(cfg, m, false);
+    let (guests, host) = run_fed(cfg, m, false);
     let (tw, tw_losses) = twin(cfg);
 
     // Bit-exact loss curve — the strongest possible statement that
     // both sides walked the same boosting trajectory.
-    assert_eq!(fed.host.losses, tw_losses, "M={m}: loss curves diverged");
+    assert_eq!(host.losses, tw_losses, "M={m}: loss curves diverged");
     assert_eq!(
-        fed.host.model.trees, tw.trees,
+        host.model.trees, tw.trees,
         "M={m}: forest topology diverged from the twin"
     );
-    assert_eq!(fed.host.model.base_score, tw.params.base_score);
+    assert_eq!(host.model.base_score, tw.params.base_score);
 
     // The host's threshold knowledge is exactly its own feature tail.
-    let guest_width: usize = fed.host.model.guest_widths.iter().sum();
-    assert_eq!(fed.host.model.host_edges[..], tw.edges[guest_width..]);
+    let guest_width: usize = host.model.guest_widths.iter().sum();
+    assert_eq!(host.model.host_edges[..], tw.edges[guest_width..]);
 
     // Predicate custody: walking the host trees in node order
     // reproduces each guest's record list — feature by feature,
     // threshold by threshold (the threshold being the twin's bucket
     // edge the host itself never saw).
     let mut counters = vec![0usize; m];
-    for tree in &fed.host.model.trees {
+    for tree in &host.model.trees {
         for node in &tree.nodes {
             let Node::Split {
                 feature, bucket, ..
@@ -162,7 +163,7 @@ fn assert_forest_identity(cfg: &FedConfig, m: usize) {
             };
             let mut local = *feature as usize;
             let mut link = None;
-            for (l, &w) in fed.host.model.guest_widths.iter().enumerate() {
+            for (l, &w) in host.model.guest_widths.iter().enumerate() {
                 if local < w {
                     link = Some(l);
                     break;
@@ -170,7 +171,7 @@ fn assert_forest_identity(cfg: &FedConfig, m: usize) {
                 local -= w;
             }
             if let Some(l) = link {
-                let rec = &fed.guests[l].model.records[counters[l]];
+                let rec = &guests[l].model.records[counters[l]];
                 counters[l] += 1;
                 assert_eq!(rec.feature as usize, local, "M={m}: record feature");
                 assert_eq!(
@@ -181,14 +182,14 @@ fn assert_forest_identity(cfg: &FedConfig, m: usize) {
             }
         }
     }
-    for (l, g) in fed.guests.iter().enumerate() {
+    for (l, g) in guests.iter().enumerate() {
         assert_eq!(
             g.model.records.len(),
             counters[l],
             "M={m}: guest {l} recorded extra predicates"
         );
     }
-    assert_eq!(counters, fed.host.model.records_per_link());
+    assert_eq!(counters, host.model.records_per_link());
     // The planted XOR lives in columns 0/1 — guest-owned under every
     // split — so a forest with no guest splits would be vacuous.
     assert!(
@@ -196,7 +197,7 @@ fn assert_forest_identity(cfg: &FedConfig, m: usize) {
         "M={m}: no guest-owned splits; the parity check proved nothing"
     );
     // Boosting actually learned: losses strictly improve overall.
-    assert!(fed.host.losses.last().unwrap() < fed.host.losses.first().unwrap());
+    assert!(host.losses.last().unwrap() < host.losses.first().unwrap());
 }
 
 #[test]
@@ -231,12 +232,12 @@ fn paillier_folded_forest_matches_collocated_twin() {
         1,
         false,
     );
-    assert_eq!(packed.host.model, scalar.host.model);
+    assert_eq!(packed.1.model, scalar.1.model);
     assert!(
-        packed.guests[0].bytes_sent * 4 < scalar.guests[0].bytes_sent,
+        packed.0[0].bytes_sent * 4 < scalar.0[0].bytes_sent,
         "folded replies: {} bytes, scalar: {}",
-        packed.guests[0].bytes_sent,
-        scalar.guests[0].bytes_sent
+        packed.0[0].bytes_sent,
+        scalar.0[0].bytes_sent
     );
 }
 
@@ -246,9 +247,9 @@ fn assert_transport_parity(cfg: &FedConfig) {
     let m = 2;
     let inproc = run_fed(cfg, m, false);
     let tcp = run_fed(cfg, m, true);
-    assert_eq!(inproc.host.losses, tcp.host.losses, "loss curves diverged");
-    assert_eq!(inproc.host.model, tcp.host.model, "host models diverged");
-    for (l, (a, b)) in inproc.guests.iter().zip(&tcp.guests).enumerate() {
+    assert_eq!(inproc.1.losses, tcp.1.losses, "loss curves diverged");
+    assert_eq!(inproc.1.model, tcp.1.model, "host models diverged");
+    for (l, (a, b)) in inproc.0.iter().zip(&tcp.0).enumerate() {
         assert_eq!(a.model, b.model, "guest {l} models diverged");
         assert_eq!(
             a.bytes_sent, b.bytes_sent,
@@ -257,10 +258,10 @@ fn assert_transport_parity(cfg: &FedConfig) {
         assert!(a.bytes_sent > 0);
     }
     assert_eq!(
-        inproc.host.bytes_sent_per_link, tcp.host.bytes_sent_per_link,
+        inproc.1.bytes_sent_per_link, tcp.1.bytes_sent_per_link,
         "per-link B→A bytes diverged across transports"
     );
-    assert!(inproc.host.bytes_sent_per_link.iter().all(|&b| b > 0));
+    assert!(inproc.1.bytes_sent_per_link.iter().all(|&b| b > 0));
 }
 
 #[test]
@@ -284,7 +285,7 @@ fn paillier_folded_transport_parity_per_link() {
 fn assert_persist_and_serve(cfg: &FedConfig, m: usize) {
     let ds = data();
     let split = vsplit_multi(&ds, m);
-    let fed = train_gbdt(
+    let (guests, host) = train_gbdt(
         cfg,
         &params_for(cfg),
         split.guests.clone(),
@@ -294,12 +295,11 @@ fn assert_persist_and_serve(cfg: &FedConfig, m: usize) {
     let (tw, _) = twin(cfg);
 
     // BFMD round trip, byte-exact both halves.
-    let host_blob = export_gbdt_host(&fed.host.model);
+    let host_blob = export_gbdt_host(&host.model);
     let host_model = import_gbdt_host(&host_blob).expect("host import");
-    assert_eq!(host_model, fed.host.model);
+    assert_eq!(host_model, host.model);
     assert_eq!(export_gbdt_host(&host_model), host_blob);
-    let guest_models: Vec<_> = fed
-        .guests
+    let guest_models: Vec<_> = guests
         .iter()
         .map(|g| {
             let blob = export_gbdt_guest(&g.model);
@@ -395,9 +395,9 @@ fn psi_then_trees_over_the_same_links_grows_the_pre_aligned_forest() {
             run_gbdt_host(&mut sessions, &sel.select(&mis.party_b.data), &params).expect("host run")
         },
     );
-    assert_eq!(host.losses, pre.host.losses);
-    assert_eq!(host.model, pre.host.model);
-    for (got, want) in guests.iter().zip(&pre.guests) {
+    assert_eq!(host.losses, pre.1.losses);
+    assert_eq!(host.model, pre.1.model);
+    for (got, want) in guests.iter().zip(&pre.0) {
         assert_eq!(got.model, want.model);
     }
     assert!(host.model.records_per_link().iter().sum::<usize>() > 0);
